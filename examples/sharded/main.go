@@ -81,7 +81,7 @@ func main() {
 	fmt.Printf("window %v: exact=%d approx=%d (recall %.3f, no false positives)\n",
 		w, len(exact), len(approx), float64(len(approx))/float64(max(1, len(exact))))
 	knn, _ := sh.KNNContext(ctx, rsmi.Pt(0.5, 0.1), 5)
-	fmt.Printf("kNN fan-out with shared bound: %d neighbours, nearest %v\n", len(knn), knn[0])
+	fmt.Printf("kNN best-first over shards: %d neighbours, nearest %v\n", len(knn), knn[0])
 
 	// Throughput under concurrent clients. Fresh engines per client count,
 	// so earlier rows' inserts cannot grow the index later rows measure.

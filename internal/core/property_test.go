@@ -129,7 +129,7 @@ func TestDescentMatchesBuildGrouping(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 6000, 6)
 	idx := New(pts, testOptions())
 	for _, p := range pts {
-		leaf, path := idx.descend(p)
+		leaf, path := idx.descendPath(p, nil)
 		if leaf == nil {
 			t.Fatalf("descent dead-ended for %v", p)
 		}
@@ -234,7 +234,7 @@ func TestOversizedLeafFallback(t *testing.T) {
 // knnHeap unit tests: the bounded max-heap at the centre of Algorithm 3.
 func TestKNNHeapBasics(t *testing.T) {
 	q := geom.Pt(0, 0)
-	h := newKNNHeap(3, q)
+	h := &knnHeap{q: q, k: 3}
 	if h.worst() != h.worst() || h.Len() != 0 {
 		t.Fatal("fresh heap broken")
 	}
@@ -259,7 +259,7 @@ func TestKNNHeapProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		q := geom.Pt(rng.Float64(), rng.Float64())
 		k := 1 + rng.Intn(20)
-		h := newKNNHeap(k, q)
+		h := &knnHeap{q: q, k: k}
 		var all []geom.Point
 		n := k + rng.Intn(100)
 		for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"rsmi/internal/geom"
 	"rsmi/internal/sfc"
@@ -12,58 +13,69 @@ import (
 // and returns the predicted global block id with the leaf's error bounds as
 // a clamped scan range [lo, hi] over base blocks.
 func (t *RSMI) locate(q geom.Point) (lo, hi int, ok bool) {
-	leaf, _ := t.descend(q)
+	leaf := t.descend(q)
 	if leaf == nil {
 		return 0, -1, false
 	}
-	local := leaf.predictClamped(q, leaf.numBlocks)
-	lo = leaf.firstBlock + local - leaf.errDown
-	hi = leaf.firstBlock + local + leaf.errUp
-	// The true block of any point in this leaf lies within the leaf's base
-	// range, so the scan clamps to it.
-	if lo < leaf.firstBlock {
-		lo = leaf.firstBlock
-	}
-	if last := leaf.firstBlock + leaf.numBlocks - 1; hi > last {
-		hi = last
-	}
+	lo, hi = leaf.scanBounds(q)
 	return lo, hi, true
 }
 
-// scanRange walks the block list from base block `begin` through base block
-// `end` inclusive, visiting every base block in between and every inserted
-// overflow block chained among them. fn receives each block and the id of
-// the base block whose chain it belongs to; returning false stops the scan.
-func (t *RSMI) scanRange(begin, end int, fn func(b *store.Block, base int) bool) {
-	if begin > end || begin < 0 || t.baseBlocks == 0 {
-		return
+// scanBounds returns the leaf's error-bounded base-block range for q.
+func (n *node) scanBounds(q geom.Point) (lo, hi int) {
+	local := n.predictClamped(q, n.numBlocks)
+	lo = n.firstBlock + local - n.errDown
+	hi = n.firstBlock + local + n.errUp
+	// The true block of any point in this leaf lies within the leaf's base
+	// range, so the scan clamps to it.
+	if lo < n.firstBlock {
+		lo = n.firstBlock
 	}
-	if end >= t.baseBlocks {
-		end = t.baseBlocks - 1
+	if last := n.firstBlock + n.numBlocks - 1; hi > last {
+		hi = last
 	}
-	cur := begin
-	base := begin
-	for cur != store.NilBlock {
-		b := t.store.Read(cur)
-		if b == nil {
-			return
-		}
-		if !b.Inserted {
-			base = b.ID
-		}
-		if !fn(b, base) {
-			return
-		}
-		next := b.Next
-		if next == store.NilBlock {
-			return
-		}
-		nb := t.store.Peek(next)
-		if !nb.Inserted && nb.ID > end {
-			return
-		}
-		cur = next
+	return lo, hi
+}
+
+// blockCursor walks the block list from base block `begin` through base
+// block `end` inclusive, yielding every base block in between and every
+// inserted overflow block chained among them. Query loops drive it directly
+// (no callback per block) and report the blocks it yielded with one
+// CountReads when they are done.
+type blockCursor struct {
+	store *store.Manager
+	cur   int // next block id to yield
+	end   int // last base block of the range
+	base  int // base block whose chain the last yielded block belongs to
+	reads int // blocks yielded so far: the walk's block accesses
+}
+
+// scan returns a cursor over base blocks [begin, end] and their chains.
+func (t *RSMI) scan(begin, end int) blockCursor {
+	if begin > end || begin < 0 || begin >= t.baseBlocks {
+		begin = store.NilBlock
 	}
+	return blockCursor{store: t.store, cur: begin, end: end}
+}
+
+// next yields the next block of the walk, or nil when the range is done.
+func (c *blockCursor) next() *store.Block {
+	if c.cur == store.NilBlock {
+		return nil
+	}
+	b := c.store.Peek(c.cur)
+	if b == nil {
+		return nil
+	}
+	if !b.Inserted {
+		if b.ID > c.end {
+			return nil
+		}
+		c.base = b.ID
+	}
+	c.cur = b.Next
+	c.reads++
+	return b
 }
 
 // PointQuery implements Algorithm 1: descend the models, then scan the
@@ -74,25 +86,36 @@ func (t *RSMI) scanRange(begin, end int, fn func(b *store.Block, base int) bool)
 // This context-free form is the implementation layer: PointQueryContext is the
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
+//
+//rsmi:noalloc
 func (t *RSMI) PointQuery(q geom.Point) bool {
-	_, _, found := t.findPoint(q)
-	return found
-}
-
-// findPoint returns the block id and slot holding q.
-func (t *RSMI) findPoint(q geom.Point) (blockID, slot int, found bool) {
 	lo, hi, ok := t.locate(q)
 	if !ok {
-		return 0, 0, false
+		return false
 	}
-	t.scanRange(lo, hi, func(b *store.Block, base int) bool {
-		if i := b.Find(q); i >= 0 {
-			blockID, slot, found = b.ID, i, true
-			return false
+	b, _, _ := t.findPointIn(q, lo, hi)
+	return b != nil
+}
+
+// findPointIn scans base blocks [lo, hi] and their chains for a live point
+// equal to q, returning its block, the base block of that block's chain
+// (what the window scan bounds need) and its slot; b is nil when q is not
+// there. A block is searched only when its cached MBR contains q: the MBR
+// covers every live point of the block, so a block it rules out cannot hold
+// q, and corner probes of a window — almost never indexed points — skip
+// nearly every block they walk. Skipped blocks still count as accesses.
+func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (b *store.Block, base, slot int) {
+	c := t.scan(lo, hi)
+	for b = c.next(); b != nil; b = c.next() {
+		if !t.blockMBR[b.ID].Contains(q) {
+			continue
 		}
-		return true
-	})
-	return blockID, slot, found
+		if slot = b.Find(q); slot >= 0 {
+			break
+		}
+	}
+	t.store.CountReads(c.reads)
+	return b, c.base, slot
 }
 
 // windowBounds computes the base-block scan range for a window query
@@ -100,9 +123,17 @@ func (t *RSMI) findPoint(q geom.Point) (blockID, slot int, found bool) {
 // the window lie on its boundary, so the four corners are used heuristically
 // (§4.2); for Z-curves the bottom-left and top-right corners are exact.
 func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
-	corners := t.windowCorners(q)
+	// Two corners for Z-curves, four for Hilbert curves (§4.2).
+	corners := [4]geom.Point{
+		{X: q.MinX, Y: q.MinY}, {X: q.MaxX, Y: q.MaxY},
+		{X: q.MinX, Y: q.MaxY}, {X: q.MaxX, Y: q.MinY},
+	}
+	n := len(corners)
+	if t.opts.Curve == sfc.Z {
+		n = 2
+	}
 	begin, end = math.MaxInt, -1
-	for _, c := range corners {
+	for _, c := range corners[:n] {
 		lo, hi, ok := t.locate(c)
 		if !ok {
 			continue
@@ -110,8 +141,8 @@ func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
 		any = true
 		// If the corner itself is indexed, its actual block is an exact
 		// bound; otherwise fall back to the error-bounded range.
-		if id, _, found := t.findPointIn(c, lo, hi); found {
-			lo, hi = id, id
+		if b, base, _ := t.findPointIn(c, lo, hi); b != nil {
+			lo, hi = base, base
 		}
 		if lo < begin {
 			begin = lo
@@ -121,30 +152,6 @@ func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
 		}
 	}
 	return begin, end, any
-}
-
-// windowCorners returns the point queries used to bound the scan: two
-// corners for Z-curves, four for Hilbert curves (§4.2).
-func (t *RSMI) windowCorners(q geom.Rect) []geom.Point {
-	bl := geom.Pt(q.MinX, q.MinY)
-	tr := geom.Pt(q.MaxX, q.MaxY)
-	if t.opts.Curve == sfc.Z {
-		return []geom.Point{bl, tr}
-	}
-	return []geom.Point{bl, tr, geom.Pt(q.MinX, q.MaxY), geom.Pt(q.MaxX, q.MinY)}
-}
-
-// findPointIn scans [lo, hi] for q and returns the *base* block id of the
-// chain where q was found, which is what the window scan bounds need.
-func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (baseID, slot int, found bool) {
-	t.scanRange(lo, hi, func(b *store.Block, base int) bool {
-		if i := b.Find(q); i >= 0 {
-			baseID, slot, found = base, i, true
-			return false
-		}
-		return true
-	})
-	return baseID, slot, found
 }
 
 // WindowQuery implements Algorithm 2: bound the block range with corner
@@ -160,32 +167,44 @@ func (t *RSMI) WindowQuery(q geom.Rect) []geom.Point {
 }
 
 // windowQueryAppend is WindowQuery appending into dst (which may be nil),
-// the shared implementation behind WindowQuery and WindowQueryAppend.
+// the shared implementation behind WindowQuery and WindowQueryAppend. It
+// allocates only when dst has to grow.
+//
+//rsmi:noalloc
 func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 	begin, end, ok := t.windowBounds(q)
 	if !ok || end < begin {
 		return dst
 	}
-	out := dst
-	t.scanRange(begin, end, func(b *store.Block, _ int) bool {
+	c := t.scan(begin, end)
+	for b := c.next(); b != nil; b = c.next() {
 		// Skip blocks whose cached MBR misses the window without touching
-		// their points (cheap filter; the block read is already counted).
+		// their points (cheap filter; the block read is still counted).
 		if !t.blockMBR[b.ID].Intersects(q) {
-			return true
+			continue
 		}
-		b.Points(func(p geom.Point) {
-			if q.Contains(p) {
-				out = append(out, p)
+		pts, deleted := b.Slots()
+		for i, p := range pts {
+			if !deleted[i] && q.Contains(p) {
+				dst = append(dst, p)
 			}
-		})
-		return true
-	})
-	return out
+		}
+	}
+	t.store.CountReads(c.reads)
+	return dst
 }
 
 // KNN implements Algorithm 3: an expanding search region sized by the
 // learned per-dimension CDFs, probed with window queries. Results are
 // approximate (recall > 88% in §6.2.4) and sorted by distance.
+//
+// Within a round the region's blocks are searched best-first: every block
+// the round has not seen yet is queued by the MINDIST of its cached MBR, the
+// nearest is searched next, and the round stops at the first block no nearer
+// than the current k-th candidate (the MINDIST test of Algorithm 3, line 7 —
+// every block still queued fails it too). A block queued once is never
+// reconsidered: the bound only shrinks, so a block that failed the test
+// keeps failing it.
 //
 // This context-free form is the implementation layer: KNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -203,27 +222,34 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	width := t.pmfX.Alpha(q.X, t.opts.Delta) * frac
 	height := t.pmfY.Alpha(q.Y, t.opts.Delta) * frac
 
-	pq := newKNNHeap(k, q)
-	visited := make(map[int]bool)
+	s := knnScratchPool.Get().(*knnScratch)
+	s.reset(k, q, t.store.NumBlocks())
+	pq := &s.best
 
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
 		wq := geom.RectAround(q, width, height)
-		begin, end, ok := t.windowBounds(wq)
-		if ok {
-			t.scanRange(begin, end, func(b *store.Block, _ int) bool {
-				if visited[b.ID] {
-					return true
+		if begin, end, ok := t.windowBounds(wq); ok {
+			c := t.scan(begin, end)
+			for b := c.next(); b != nil; b = c.next() {
+				if !s.seen.testAndSet(b.ID) {
+					s.queue.push(blockDist{t.blockMBR[b.ID].MinDist2(q), b.ID})
 				}
-				visited[b.ID] = true
-				// Prune blocks that cannot improve the current k-th NN
-				// (MINDIST test of Algorithm 3, line 7).
-				if pq.Len() >= k && t.blockMBR[b.ID].MinDist2(q) >= pq.worst() {
-					return true
+			}
+			t.store.CountReads(c.reads)
+			for len(s.queue) > 0 {
+				next := s.queue.pop()
+				if pq.Len() >= k && next.dist2 >= pq.worst() {
+					s.queue = s.queue[:0]
+					break
 				}
-				b.Points(func(p geom.Point) { pq.offer(p) })
-				return true
-			})
+				pts, deleted := t.store.Peek(next.id).Slots()
+				for i, p := range pts {
+					if !deleted[i] {
+						pq.offer(p)
+					}
+				}
+			}
 		}
 		if pq.Len() < k {
 			width *= 2
@@ -238,7 +264,9 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 		}
 		break
 	}
-	return pq.sorted()
+	out := pq.sorted()
+	knnScratchPool.Put(s)
+	return out
 }
 
 // knnHeap is a bounded max-heap of the k best candidates by distance to q.
@@ -247,10 +275,6 @@ type knnHeap struct {
 	k    int
 	dist []float64 // squared distances, max-heap order
 	pts  []geom.Point
-}
-
-func newKNNHeap(k int, q geom.Point) *knnHeap {
-	return &knnHeap{q: q, k: k}
 }
 
 func (h *knnHeap) Len() int { return len(h.pts) }
@@ -267,20 +291,21 @@ func (h *knnHeap) worst() float64 {
 func (h *knnHeap) offer(p geom.Point) {
 	d := h.q.Dist2(p)
 	if len(h.pts) < h.k {
-		h.push(p, d)
+		h.pts = append(h.pts, p)
+		h.dist = append(h.dist, d)
+		h.up(len(h.dist) - 1)
 		return
 	}
 	if d >= h.dist[0] {
 		return
 	}
-	h.pop()
-	h.push(p, d)
+	// Replace the top and sift it down: one pass instead of a pop and a push.
+	h.pts[0], h.dist[0] = p, d
+	h.down(len(h.dist))
 }
 
-func (h *knnHeap) push(p geom.Point, d float64) {
-	h.pts = append(h.pts, p)
-	h.dist = append(h.dist, d)
-	i := len(h.dist) - 1
+// up restores heap order after slot i was appended.
+func (h *knnHeap) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if h.dist[parent] >= h.dist[i] {
@@ -291,23 +316,20 @@ func (h *knnHeap) push(p geom.Point, d float64) {
 	}
 }
 
-func (h *knnHeap) pop() {
-	last := len(h.dist) - 1
-	h.swap(0, last)
-	h.dist = h.dist[:last]
-	h.pts = h.pts[:last]
+// down restores heap order among the first n slots after slot 0 changed.
+func (h *knnHeap) down(n int) {
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		big := i
-		if l < last && h.dist[l] > h.dist[big] {
+		if l < n && h.dist[l] > h.dist[big] {
 			big = l
 		}
-		if r < last && h.dist[r] > h.dist[big] {
+		if r < n && h.dist[r] > h.dist[big] {
 			big = r
 		}
 		if big == i {
-			break
+			return
 		}
 		h.swap(i, big)
 		i = big
@@ -319,12 +341,95 @@ func (h *knnHeap) swap(i, j int) {
 	h.pts[i], h.pts[j] = h.pts[j], h.pts[i]
 }
 
-// sorted drains the heap into ascending-distance order.
+// sorted returns the candidates in ascending-distance order as a new slice,
+// leaving the heap's own storage (sorted in place, heap-sort style) reusable.
 func (h *knnHeap) sorted() []geom.Point {
-	out := make([]geom.Point, len(h.pts))
-	for i := len(h.pts) - 1; i >= 0; i-- {
-		out[i] = h.pts[0]
-		h.pop()
+	for n := len(h.pts) - 1; n > 0; n-- {
+		h.swap(0, n)
+		h.down(n)
 	}
-	return out
+	return append([]geom.Point(nil), h.pts...)
+}
+
+// blockDist is a block queued for a kNN round with the squared MINDIST from
+// the query point to its cached MBR.
+type blockDist struct {
+	dist2 float64
+	id    int
+}
+
+// blockQueue is a binary min-heap of blocks by MINDIST.
+type blockQueue []blockDist
+
+func (q *blockQueue) push(e blockDist) {
+	h := append(*q, e)
+	*q = h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if h[parent].dist2 <= h[i].dist2 {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+}
+
+func (q *blockQueue) pop() blockDist {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	*q = h[:n]
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && h[l].dist2 < h[small].dist2 {
+			small = l
+		}
+		if r < n && h[r].dist2 < h[small].dist2 {
+			small = r
+		}
+		if small == i {
+			return top
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+}
+
+// bitmap is a set of block ids.
+type bitmap []uint64
+
+// testAndSet adds id and reports whether it was already present.
+func (m bitmap) testAndSet(id int) bool {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	old := m[w]
+	m[w] = old | bit
+	return old&bit != 0
+}
+
+// knnScratch is the per-call working state of KNN — candidate heap, block
+// queue, seen-block bitmap — recycled through knnScratchPool so a query
+// allocates only its answer. The index itself holds no query state: shards
+// run many KNN calls on one RSMI under a read lock.
+type knnScratch struct {
+	best  knnHeap
+	queue blockQueue
+	seen  bitmap
+}
+
+var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
+
+// reset prepares the scratch for a k-nearest search around q over an index
+// of the given block count.
+func (s *knnScratch) reset(k int, q geom.Point, blocks int) {
+	s.best = knnHeap{q: q, k: k, dist: s.best.dist[:0], pts: s.best.pts[:0]}
+	s.queue = s.queue[:0]
+	words := (blocks + 63) / 64
+	if cap(s.seen) < words {
+		s.seen = make(bitmap, words)
+		return
+	}
+	s.seen = s.seen[:words]
+	clear(s.seen)
 }

@@ -394,8 +394,7 @@ func (n *node) predictClamped(p geom.Point, classes int) int {
 	if n.model == nil || classes <= 1 {
 		return 0
 	}
-	nx, ny := normalise(n.norm, p)
-	v := n.model.Predict([]float64{nx, ny})
+	v := n.model.Predict2(normalise(n.norm, p))
 	c := int(math.Round(v * float64(classes-1)))
 	if c < 0 {
 		return 0
@@ -425,25 +424,39 @@ func (t *RSMI) appendBlockMBR(r geom.Rect) {
 }
 
 // descend walks from the root to the leaf model responsible for p
-// (Algorithm 1, lines 1–3), returning the leaf and the path of internal
-// nodes visited. When the predicted child is empty, the nearest non-empty
-// sibling cell is used: p is then provably not indexed, but window-query
-// corners still need a block estimate (§4.2 discussion).
-func (t *RSMI) descend(p geom.Point) (leaf *node, path []*node) {
+// (Algorithm 1, lines 1–3). When the predicted child is empty, the nearest
+// non-empty sibling cell is used: p is then provably not indexed, but
+// window-query corners still need a block estimate (§4.2 discussion). It
+// returns nil when no leaf is reachable.
+func (t *RSMI) descend(p geom.Point) *node {
 	n := t.root
-	for !n.leaf {
+	for n != nil && !n.leaf {
+		n = n.childFor(p)
+	}
+	return n
+}
+
+// descendPath is descend for updates, which maintain every model on the way
+// down: it also appends the internal nodes visited to path (pass a
+// zero-length slice over a stack array to keep the walk allocation-free).
+func (t *RSMI) descendPath(p geom.Point, path []*node) (*node, []*node) {
+	n := t.root
+	for n != nil && !n.leaf {
 		path = append(path, n)
-		c := n.predictClamped(p, n.cells)
-		child := n.children[c]
-		if child == nil {
-			child = nearestChild(n, c)
-			if child == nil {
-				return nil, path
-			}
-		}
-		n = child
+		n = n.childFor(p)
 	}
 	return n, path
+}
+
+// childFor returns the child of internal node n that p descends into: the
+// predicted cell's, or the nearest non-empty sibling's when that cell is
+// empty (nil when every cell is).
+func (n *node) childFor(p geom.Point) *node {
+	c := n.predictClamped(p, n.cells)
+	if child := n.children[c]; child != nil {
+		return child
+	}
+	return nearestChild(n, c)
 }
 
 // nearestChild returns the non-nil child with cell index closest to c.

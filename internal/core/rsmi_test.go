@@ -8,7 +8,6 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/sfc"
-	"rsmi/internal/store"
 	"rsmi/internal/workload"
 )
 
@@ -232,15 +231,8 @@ func TestErrorBoundsAreExact(t *testing.T) {
 		if !ok {
 			t.Fatalf("locate failed for %v", p)
 		}
-		found := false
-		idx.scanRange(lo, hi, func(b *store.Block, _ int) bool {
-			if b.Find(p) >= 0 {
-				found = true
-				return false
-			}
-			return true
-		})
-		if !found {
+		var reads int
+		if blk, _ := refFind(idx, p, lo, hi, &reads); blk == nil {
 			t.Fatalf("point %v outside its error-bounded range [%d,%d]", p, lo, hi)
 		}
 	}

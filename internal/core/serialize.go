@@ -392,6 +392,17 @@ func (t *RSMI) validate() error {
 		return fmt.Errorf("core: baseBlocks %d exceeds %d stored blocks",
 			t.baseBlocks, t.store.NumBlocks())
 	}
+	// Point queries and deletes search a block only when its cached MBR
+	// contains the probe, so a stored MBR that misses one of the block's
+	// live points would hide that point: refuse the snapshot instead.
+	for id, mbr := range t.blockMBR {
+		pts, deleted := t.store.Peek(id).Slots()
+		for i, p := range pts {
+			if !deleted[i] && !mbr.Contains(p) {
+				return fmt.Errorf("core: block %d MBR %v does not cover its point %v", id, mbr, p)
+			}
+		}
+	}
 	var bad error
 	var walk func(n *node)
 	walk = func(n *node) {

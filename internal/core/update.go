@@ -25,7 +25,8 @@ func (t *RSMI) Insert(p geom.Point) {
 		*t = *New([]geom.Point{p}, t.opts)
 		return
 	}
-	leaf, path := t.descend(p)
+	var stack [maxDepth]*node
+	leaf, path := t.descendPath(p, stack[:0])
 	if leaf == nil {
 		// No leaf reachable (cannot happen on a built index, but keep the
 		// invariant that Insert never loses points).
@@ -74,20 +75,22 @@ func (t *RSMI) Insert(p geom.Point) {
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) Delete(p geom.Point) bool {
-	blockID, slot, found := t.findPoint(p)
-	if !found {
+	var stack [maxDepth]*node
+	leaf, path := t.descendPath(p, stack[:0])
+	if leaf == nil {
 		return false
 	}
-	b := t.store.Peek(blockID)
+	lo, hi := leaf.scanBounds(p)
+	b, _, slot := t.findPointIn(p, lo, hi)
+	if b == nil {
+		return false
+	}
 	b.Delete(slot)
 	t.n--
 	// Decrement live counts down the model path.
-	leaf, path := t.descend(p)
-	if leaf != nil {
-		leaf.points--
-		for _, n := range path {
-			n.points--
-		}
+	leaf.points--
+	for _, n := range path {
+		n.points--
 	}
 	return true
 }

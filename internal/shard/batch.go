@@ -11,12 +11,15 @@ import (
 
 // Batch execution layer. A network server amortises two per-query costs by
 // batching: the HTTP/decoding overhead (amortised by its callers) and —
-// implemented here — the shard fan-out overhead: instead of one lock
-// acquisition and one worker hand-off per query per shard, a batch groups
-// its queries per shard and executes each shard's whole group under a
-// single read-lock acquisition with a single fan-out, so lock and
-// scheduling costs are paid once per (shard, batch) rather than once per
-// (shard, query). This is the "amortise inference and traversal overhead
+// implemented here for point and window batches — the shard fan-out
+// overhead: instead of one lock acquisition and one worker hand-off per
+// query per shard, a batch groups its queries per shard and executes each
+// shard's whole group under a single read-lock acquisition with a single
+// fan-out, so lock and scheduling costs are paid once per (shard, batch)
+// rather than once per (shard, query). A kNN batch is not grouped: a kNN
+// search costs three orders of magnitude more than a lock, and which shards
+// a query needs is known only while it runs, so each query takes the
+// best-first walk of KNNContext (context.go). This is the "amortise inference and traversal overhead
 // across lookups" argument of "The Case for Learned Spatial Indexes"
 // (Pandey et al., 2020) applied to the serving path.
 //
@@ -148,71 +151,14 @@ func (s *Sharded) batchWindowQuery(ctx context.Context, qs []geom.Rect) ([][]geo
 	return out, nil
 }
 
-// BatchKNN answers one kNN query per element of qs. Every non-empty shard
-// is visited once per batch (one lock acquisition covering all queries
-// routed to it); each query keeps a shared distance bound across shards,
-// so a shard whose region provably cannot improve a query's current k-th
-// candidate skips that query. Unlike the single-query KNN, shards are
-// visited in index order rather than per-query MINDIST order — pruning is
-// merely opportunistic — but answers carry the same approximation
-// guarantees as KNN: real indexed points, closest first, at most
-// min(k, Len) of them (k <= 0 yields nil).
+// BatchKNN answers one kNN query per element of qs; every answer equals the
+// one KNN would return.
 //
 // Deprecated: use BatchKNNContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) BatchKNN(qs []KNNQuery) [][]geom.Point {
-	out, _ := s.batchKNN(context.Background(), qs)
+	out, _ := s.BatchKNNContext(context.Background(), qs)
 	return out
-}
-
-// batchKNN is BatchKNN observing ctx between shard visits.
-func (s *Sharded) batchKNN(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
-	out := make([][]geom.Point, len(qs))
-	bounds := make([]*sharedBound, len(qs))
-	any := false
-	for i, q := range qs {
-		if q.K > 0 {
-			bounds[i] = newSharedBound(q.K, q.Q)
-			any = true
-		}
-	}
-	if !any {
-		return out, ctx.Err()
-	}
-	var cands []*state
-	for _, sh := range s.shards {
-		if !sh.loadRegion().IsEmpty() {
-			cands = append(cands, sh)
-		}
-	}
-	// A trace in ctx counts the distinct shards this batch touches.
-	obs.FromContext(ctx).AddShards(len(cands))
-	err := s.fanOut(ctx, cands, func(_ int, sh *state) {
-		r := sh.loadRegion()
-		for i, q := range qs {
-			b := bounds[i]
-			if b == nil {
-				continue
-			}
-			// Conservative pruning: the bound only shrinks, and stays +Inf
-			// until k candidates exist, so skipping can never lose a point
-			// that would have entered the final top-k.
-			if r.MinDist2(q.Q) >= b.worst() {
-				continue
-			}
-			//rsmi:allow ctxflow -- fanOut workers observe ctx between probes; one probe runs uninterrupted
-			b.merge(sh.idx.KNN(q.Q, q.K))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i, b := range bounds {
-		if b != nil {
-			out[i] = b.sorted()
-		}
-	}
-	return out, nil
 }
 
 // shardSlots maps shard index → position in a batch's compact candidate

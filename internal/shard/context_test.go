@@ -37,51 +37,67 @@ func buildCtx(t *testing.T, shards int) (*Sharded, []geom.Point) {
 
 var fullSpace = geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2}
 
-// TestWindowFanOutStopsOnCancel cancels the context from inside the first
-// shard visit and asserts the fan-out stops before visiting all shards —
-// the acceptance criterion of the v2 API redesign.
+// cancelAfterFirstSearch is a context that reports Canceled from the moment
+// any shard of s has read a block: what a caller cancelling during the first
+// shard's search looks like to a walk that checks ctx between shards.
+type cancelAfterFirstSearch struct {
+	context.Context
+	s *Sharded
+}
+
+func (c cancelAfterFirstSearch) Err() error {
+	if c.s.Accesses() > 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// shardsSearched counts the shards that have read at least one block.
+func shardsSearched(s *Sharded) int {
+	n := 0
+	for _, sh := range s.shards {
+		if sh.idx.Accesses() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestWindowFanOutStopsOnCancel cancels the context during the first shard
+// visit and asserts the walk stops before visiting all shards — the
+// acceptance criterion of the v2 API redesign.
 func TestWindowFanOutStopsOnCancel(t *testing.T) {
 	s, _ := buildCtx(t, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	visits := 0
-	_, err := s.gatherWindow(ctx, nil, fullSpace, func(sh *state) []geom.Point {
-		visits++
-		if visits == 1 {
-			cancel()
-		}
-		return sh.idx.WindowQuery(fullSpace)
-	})
+	s.ResetAccesses()
+	out, err := s.WindowQueryAppend(cancelAfterFirstSearch{context.Background(), s}, nil, fullSpace)
 	if err != context.Canceled {
-		t.Fatalf("cancelled window fan-out returned %v, want context.Canceled", err)
+		t.Fatalf("cancelled window walk returned %v, want context.Canceled", err)
 	}
-	if visits >= s.NumShards() {
-		t.Fatalf("cancelled fan-out still visited all %d shards", visits)
+	if len(out) != 0 {
+		t.Fatalf("cancelled window walk surfaced %d points", len(out))
 	}
-	if visits != 1 {
-		t.Fatalf("Workers=1 fan-out visited %d shards after cancel, want exactly 1", visits)
+	if visits := shardsSearched(s); visits != 1 {
+		t.Fatalf("Workers=1 walk searched %d of %d shards after cancel, want exactly 1", visits, s.NumShards())
 	}
 }
 
 // TestKNNFanOutStopsOnCancel is the kNN counterpart: cancelling during
-// the first shard's search stops the best-first fan-out.
+// the first shard's search stops the best-first walk. k exceeds any one
+// shard's share, so without the cancel every shard would be searched.
 func TestKNNFanOutStopsOnCancel(t *testing.T) {
 	s, pts := buildCtx(t, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	visits := 0
-	_, err := s.knnFanOut(ctx, pts[0], 5, func(sh *state, k int) []geom.Point {
-		visits++
-		if visits == 1 {
-			cancel()
-		}
-		return sh.idx.KNN(pts[0], k)
-	})
-	if err != context.Canceled {
-		t.Fatalf("cancelled kNN fan-out returned %v, want context.Canceled", err)
+	k := len(pts) / 2
+	s.ResetAccesses()
+	if s.KNN(pts[0], k); shardsSearched(s) < 2 {
+		t.Fatalf("uncancelled %d-NN searched %d shards; the cancel below would prove nothing", k, shardsSearched(s))
 	}
-	if visits >= s.NumShards() {
-		t.Fatalf("cancelled kNN fan-out still visited all %d shards", visits)
+	s.ResetAccesses()
+	out, err := s.KNNContext(cancelAfterFirstSearch{context.Background(), s}, pts[0], k)
+	if err != context.Canceled || out != nil {
+		t.Fatalf("cancelled kNN walk returned %d points, %v; want none, context.Canceled", len(out), err)
+	}
+	if visits := shardsSearched(s); visits != 1 {
+		t.Fatalf("cancelled kNN walk searched %d of %d shards, want exactly 1", visits, s.NumShards())
 	}
 }
 

@@ -1,6 +1,7 @@
 // Package shard scales the RSMI beyond a single goroutine by partitioning
-// the data across S independent RSMI instances and serving queries by
-// parallel fan-out, the approach of partition-then-learn systems such as
+// the data across S independent RSMI instances that serve concurrent callers
+// side by side (and fan one multi-shard window or batch out over Workers
+// goroutines), the approach of partition-then-learn systems such as
 // "The Case for Learned Spatial Indexes" (Pandey et al., 2020) and LiLIS
 // (Chen et al., 2025).
 //
@@ -29,9 +30,10 @@
 // The shards partition the point set, so the per-index guarantees compose:
 // point queries are exact, window queries have no false positives (each
 // shard's answer has none, and the union introduces none), and ExactWindow
-// and ExactKNN remain exact. The kNN fan-out is best-first with a shared
-// distance bound: shards are visited in MINDIST order of their regions and
-// pruned once the current k-th candidate is closer than a shard's region.
+// and ExactKNN remain exact. A kNN query — single or one of a batch —
+// searches the shards best-first on the caller's goroutine: nearest region
+// first, and a further shard only while its region's MINDIST is still under
+// the distance of the current k-th candidate.
 package shard
 
 import (
@@ -39,7 +41,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,8 +84,10 @@ type Options struct {
 	// Shards is S, the number of independent RSMI instances (default
 	// GOMAXPROCS, minimum 1).
 	Shards int
-	// Workers bounds the goroutines a single query fans out to (default
-	// Shards).
+	// Workers bounds the goroutines one window query or one batch fans out
+	// to when it touches several shards (default Shards; 1 keeps every
+	// query on the caller's goroutine). Point and kNN queries, and windows
+	// that touch one shard, never leave the caller's goroutine.
 	Workers int
 	// Partitioning selects Space (default) or Hash assignment.
 	Partitioning Partitioning
@@ -279,21 +282,23 @@ func (s *Sharded) owner(p geom.Point) *state {
 	return s.shards[int(hashPoint(p)%uint64(len(s.shards)))]
 }
 
-// pointCandidates returns the shards that may hold a point with exactly p's
-// coordinates: the hash owner under hash partitioning, or every shard whose
-// region contains p under space partitioning (regions can overlap once
-// inserts have extended them).
-func (s *Sharded) pointCandidates(p geom.Point) []*state {
+// pointCandidate returns the index of the first shard at or after from that
+// may hold a point with exactly p's coordinates, or -1: the hash owner under
+// hash partitioning, or a shard whose region contains p under space
+// partitioning (regions can overlap once inserts have extended them).
+func (s *Sharded) pointCandidate(p geom.Point, from int) int {
 	if s.opts.Partitioning == Hash {
-		return []*state{s.owner(p)}
+		if own := int(hashPoint(p) % uint64(len(s.shards))); own >= from {
+			return own
+		}
+		return -1
 	}
-	var out []*state
-	for _, sh := range s.shards {
-		if sh.loadRegion().Contains(p) {
-			out = append(out, sh)
+	for i := from; i < len(s.shards); i++ {
+		if s.shards[i].loadRegion().Contains(p) {
+			return i
 		}
 	}
-	return out
+	return -1
 }
 
 // PointQuery reports whether a point with q's exact coordinates is indexed.
@@ -303,15 +308,8 @@ func (s *Sharded) pointCandidates(p geom.Point) []*state {
 // Deprecated: use PointQueryContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) PointQuery(q geom.Point) bool {
-	for _, sh := range s.pointCandidates(q) {
-		sh.mu.RLock()
-		found := sh.idx.PointQuery(q)
-		sh.mu.RUnlock()
-		if found {
-			return true
-		}
-	}
-	return false
+	found, _ := s.PointQueryContext(context.Background(), q)
+	return found
 }
 
 // Insert adds p, routing it to its owning shard and taking only that
@@ -368,30 +366,22 @@ func (s *Sharded) routeSpace(p geom.Point) *state {
 // Deprecated: use DeleteContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) Delete(p geom.Point) bool {
-	for _, sh := range s.pointCandidates(p) {
-		sh.mu.Lock()
-		ok := sh.idx.Delete(p)
-		if ok {
-			s.notify(WriteOp{Kind: WriteDelete, P: p})
-		}
-		sh.mu.Unlock()
-		if ok {
-			return true
-		}
-	}
-	return false
+	ok, _ := s.DeleteContext(context.Background(), p)
+	return ok
 }
 
-// windowCandidates returns the shards whose region intersects q, in shard
-// order.
-func (s *Sharded) windowCandidates(q geom.Rect) []*state {
-	var out []*state
-	for _, sh := range s.shards {
+// windowCandidates returns the index of the first shard whose region
+// intersects q and the number of shards whose region does.
+func (s *Sharded) windowCandidates(q geom.Rect) (first, n int) {
+	for i, sh := range s.shards {
 		if sh.loadRegion().Intersects(q) {
-			out = append(out, sh)
+			if n == 0 {
+				first = i
+			}
+			n++
 		}
 	}
-	return out
+	return first, n
 }
 
 // fanOut runs fn(i, shard) for every candidate shard on up to Workers
@@ -437,17 +427,16 @@ func (s *Sharded) fanOut(ctx context.Context, cands []*state, fn func(i int, sh 
 	return ctx.Err()
 }
 
-// WindowQuery scatters the window to the shards whose region overlaps it,
-// runs the per-shard queries in parallel, and concatenates the answers in
-// shard order (deterministic for a given shard layout). Like the
-// single-index RSMI, the answer has no false positives and may miss points
-// (§4.2 semantics); ExactWindow is the exact variant.
+// WindowQuery scatters the window to the shards whose region overlaps it
+// and concatenates their answers in shard order (deterministic for a given
+// shard layout). Like the single-index RSMI, the answer has no false
+// positives and may miss points (§4.2 semantics); ExactWindow is the exact
+// variant.
 //
 // Deprecated: use WindowQueryContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) WindowQuery(q geom.Rect) []geom.Point {
-	out, _ := s.gatherWindow(context.Background(), nil, q,
-		func(sh *state) []geom.Point { return sh.idx.WindowQuery(q) })
+	out, _ := s.gatherWindow(context.Background(), nil, q, false)
 	return out
 }
 
@@ -457,71 +446,122 @@ func (s *Sharded) WindowQuery(q geom.Rect) []geom.Point {
 // Deprecated: use ExactWindowContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) ExactWindow(q geom.Rect) []geom.Point {
-	out, _ := s.gatherWindow(context.Background(), nil, q,
-		func(sh *state) []geom.Point { return sh.idx.ExactWindow(q) })
+	out, _ := s.gatherWindow(context.Background(), nil, q, true)
 	return out
 }
 
-// gatherWindow fans query out over the overlapping shards, appending the
-// merged answer to dst (which may be nil). A context cancelled mid-query
-// stops the fan-out between shard visits and returns (dst, ctx.Err()):
-// partial answers are never surfaced.
-func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect, query func(sh *state) []geom.Point) ([]geom.Point, error) {
-	cands := s.windowCandidates(q)
+// appendWindow appends the shard's window answer (exact or Algorithm 2's) to
+// dst. Callers hold sh.mu.
+func (sh *state) appendWindow(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
+	if !exact {
+		return sh.idx.WindowQueryAppend(ctx, dst, q)
+	}
+	got, err := sh.idx.ExactWindowContext(ctx, q)
+	return append(dst, got...), err
+}
+
+// gatherWindow appends the answers of the shards whose region overlaps q to
+// dst (which may be nil), in shard order. A window with one candidate shard —
+// nearly every window under space partitioning — and every window when
+// Workers is 1 is answered on the caller's goroutine, each shard appending
+// straight into dst under its read lock; only a multi-shard window with
+// Workers > 1 fans out. A context cancelled mid-query stops between shard
+// visits and returns (dst, ctx.Err()): partial answers are never surfaced.
+func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
+	first, n := s.windowCandidates(q)
 	// A trace in ctx (EXPLAIN / slow-query sampling) counts the shards
 	// whose region overlapped the window — the query's fan-out width.
-	obs.FromContext(ctx).AddShards(len(cands))
-	if len(cands) == 0 {
+	obs.FromContext(ctx).AddShards(n)
+	if n == 0 {
 		return dst, ctx.Err()
 	}
+	if n > 1 && s.opts.Workers > 1 {
+		return s.gatherWindowParallel(ctx, dst, q, exact)
+	}
+	out := dst
+	for _, sh := range s.shards[first:] {
+		if !sh.loadRegion().Intersects(q) {
+			continue
+		}
+		sh.mu.RLock()
+		var err error
+		out, err = sh.appendWindow(ctx, out, q, exact)
+		sh.mu.RUnlock()
+		if err != nil {
+			return dst, err
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
+	return out, nil
+}
+
+// gatherWindowParallel answers a multi-shard window on up to Workers
+// goroutines, one answer slice per shard, concatenated in shard order.
+func (s *Sharded) gatherWindowParallel(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
+	var cands []*state
+	for _, sh := range s.shards {
+		if sh.loadRegion().Intersects(q) {
+			cands = append(cands, sh)
+		}
+	}
 	per := make([][]geom.Point, len(cands))
-	if err := s.fanOut(ctx, cands, func(i int, sh *state) { per[i] = query(sh) }); err != nil {
+	errs := make([]error, len(cands))
+	if err := s.fanOut(ctx, cands, func(i int, sh *state) {
+		per[i], errs[i] = sh.appendWindow(ctx, nil, q, exact)
+	}); err != nil {
 		return dst, err
 	}
 	out := dst
-	for _, r := range per {
+	for i, r := range per {
+		if errs[i] != nil {
+			return dst, errs[i]
+		}
 		out = append(out, r...)
 	}
 	return out, nil
 }
 
-// shardsByDist returns the non-empty shards ordered by ascending MINDIST
-// from q to their region, with each shard's squared MINDIST.
-func (s *Sharded) shardsByDist(q geom.Point) ([]*state, []float64) {
-	type cand struct {
-		sh *state
-		d  float64
-	}
-	cands := make([]cand, 0, len(s.shards))
+// shardDist is a shard with the squared MINDIST from a query point to its
+// region.
+type shardDist struct {
+	sh    *state
+	dist2 float64
+}
+
+// shardsByDist appends the non-empty shards to order by ascending MINDIST
+// from q to their region (ties in shard order). The shard list is tiny, so
+// this is an insertion sort.
+func (s *Sharded) shardsByDist(q geom.Point, order []shardDist) []shardDist {
 	for _, sh := range s.shards {
 		r := sh.loadRegion()
 		if r.IsEmpty() {
 			continue
 		}
-		cands = append(cands, cand{sh, r.MinDist2(q)})
+		d := r.MinDist2(q)
+		i := len(order)
+		order = append(order, shardDist{})
+		for ; i > 0 && order[i-1].dist2 > d; i-- {
+			order[i] = order[i-1]
+		}
+		order[i] = shardDist{sh, d}
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
-	shs := make([]*state, len(cands))
-	ds := make([]float64, len(cands))
-	for i, c := range cands {
-		shs[i], ds[i] = c.sh, c.d
-	}
-	return shs, ds
+	return order
 }
 
 // KNN returns up to k approximate nearest neighbours, closest first. The
-// search is best-first over shards: shards are visited in MINDIST order of
-// their regions, per-shard searches run on Workers goroutines, and a shared
-// bound — the distance of the k-th best candidate found so far across all
-// shards — prunes shards whose region cannot improve the answer. Results
-// carry the same approximation guarantees as the single-index RSMI (§4.3);
-// ExactKNN is the exact variant.
+// search is best-first over shards, on the caller's goroutine: shards are
+// searched in MINDIST order of their regions, and the search stops at the
+// first shard whose region is no closer than the k-th best candidate found
+// so far — no later shard can improve the answer either. Results carry the
+// same approximation guarantees as the single-index RSMI (§4.3); ExactKNN is
+// the exact variant.
 //
 // Deprecated: use KNNContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) KNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.knnFanOut(context.Background(), q, k,
-		func(sh *state, k int) []geom.Point { return sh.idx.KNN(q, k) })
+	out, _ := s.knn(context.Background(), q, k, false)
 	return out
 }
 
@@ -533,118 +573,84 @@ func (s *Sharded) KNN(q geom.Point, k int) []geom.Point {
 // Deprecated: use ExactKNNContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) ExactKNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.knnFanOut(context.Background(), q, k,
-		func(sh *state, k int) []geom.Point { return sh.idx.ExactKNN(q, k) })
+	out, _ := s.knn(context.Background(), q, k, true)
 	return out
 }
 
-// knnFanOut is the shared best-first multi-shard kNN driver. Cancellation
-// is observed between shard visits, exactly as in fanOut: once ctx is
-// done no further shard is searched and ctx's error is returned.
-func (s *Sharded) knnFanOut(ctx context.Context, q geom.Point, k int, query func(sh *state, k int) []geom.Point) ([]geom.Point, error) {
+// knn is the one best-first multi-shard kNN routine behind KNN, ExactKNN and
+// every query of a kNN batch. Cancellation is observed between shard
+// searches: once ctx is done no further shard is searched and ctx's error is
+// returned. A trace in ctx counts the shards actually searched (pruned
+// shards excluded) — the number EXPLAIN shows for kNN.
+func (s *Sharded) knn(ctx context.Context, q geom.Point, k int, exact bool) ([]geom.Point, error) {
 	if k <= 0 {
 		return nil, ctx.Err()
 	}
-	order, dists := s.shardsByDist(q)
-	if len(order) == 0 {
-		return nil, ctx.Err()
-	}
-	bound := newSharedBound(k, q)
-	workers := s.opts.Workers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var next int64 = -1
-	// visited counts shards actually searched (pruned shards excluded),
-	// reported to a trace in ctx — the number EXPLAIN shows for kNN.
-	var visited int64
-	run := func() {
-		for ctx.Err() == nil {
-			i := int(atomic.AddInt64(&next, 1))
-			if i >= len(order) {
-				return
-			}
-			// Shared-bound pruning: once k candidates exist, a shard whose
-			// region is no closer than the current k-th candidate cannot
-			// improve the answer. Conservative under concurrency — the bound
-			// only shrinks, so a stale read only visits one shard too many.
-			if dists[i] >= bound.worst() {
-				continue
-			}
-			sh := order[i]
-			atomic.AddInt64(&visited, 1)
-			sh.mu.RLock()
-			got := query(sh, k)
-			sh.mu.RUnlock()
-			bound.merge(got)
+	var buf [16]shardDist
+	var best []geom.Point
+	searched := 0
+	for _, c := range s.shardsByDist(q, buf[:0]) {
+		// Once k candidates exist, a shard whose region is no closer than the
+		// k-th cannot improve the answer — nor can any shard after it.
+		if len(best) == k && c.dist2 >= q.Dist2(best[k-1]) {
+			break
 		}
-	}
-	if workers <= 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
+		if ctx.Err() != nil {
+			break
 		}
-		wg.Wait()
+		searched++
+		c.sh.mu.RLock()
+		var got []geom.Point
+		var err error
+		if exact {
+			got, err = c.sh.idx.ExactKNNContext(ctx, q, k)
+		} else {
+			got, err = c.sh.idx.KNNContext(ctx, q, k)
+		}
+		c.sh.mu.RUnlock()
+		if err != nil {
+			break
+		}
+		best = mergeNearest(best, got, q, k)
 	}
-	obs.FromContext(ctx).AddShards(int(atomic.LoadInt64(&visited)))
+	obs.FromContext(ctx).AddShards(searched)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return bound.sorted(), nil
+	return best, nil
 }
 
-// sharedBound is the concurrent bounded candidate set of the multi-shard
-// kNN: at most k points, exposing the squared distance of the current k-th
-// best as the pruning bound.
-type sharedBound struct {
-	mu sync.Mutex
-	q  geom.Point
-	k  int
-	// kth is the current squared k-th distance, readable without the lock
-	// (stored via atomic bits); +Inf until k candidates exist.
-	kthBits atomic.Uint64
-	pts     []geom.Point
-}
-
-func newSharedBound(k int, q geom.Point) *sharedBound {
-	b := &sharedBound{q: q, k: k}
-	b.kthBits.Store(math.Float64bits(math.Inf(1)))
-	return b
-}
-
-// worst returns the current pruning bound (squared distance).
-func (b *sharedBound) worst() float64 {
-	return math.Float64frombits(b.kthBits.Load())
-}
-
-// merge folds a shard's candidates into the set and tightens the bound.
-func (b *sharedBound) merge(pts []geom.Point) {
-	if len(pts) == 0 {
-		return
+// mergeNearest folds one shard's answer (ascending by distance to q) into
+// best, the at most k nearest points found so far, kept ascending by
+// distance with equidistant points in canonical order — the order
+// index.SortByDistance gives. The first shard's answer arrives in order, so
+// every insertion stops at the tail; later shards are searched only if they
+// can still improve the answer.
+func mergeNearest(best, got []geom.Point, q geom.Point, k int) []geom.Point {
+	if best == nil {
+		best = make([]geom.Point, 0, len(got))
 	}
-	b.mu.Lock()
-	b.pts = append(b.pts, pts...)
-	index.SortByDistance(b.pts, b.q)
-	if len(b.pts) > b.k {
-		b.pts = b.pts[:b.k]
+	for _, p := range got {
+		d := q.Dist2(p)
+		before := func(o geom.Point) bool {
+			od := q.Dist2(o)
+			return d < od || (d == od && p.Less(o))
+		}
+		i := len(best)
+		if i == k {
+			if !before(best[k-1]) {
+				continue
+			}
+			i--
+		} else {
+			best = append(best, p)
+		}
+		for ; i > 0 && before(best[i-1]); i-- {
+			best[i] = best[i-1]
+		}
+		best[i] = p
 	}
-	if len(b.pts) == b.k {
-		b.kthBits.Store(math.Float64bits(b.q.Dist2(b.pts[len(b.pts)-1])))
-	}
-	b.mu.Unlock()
-}
-
-// sorted returns the final candidates, closest first.
-func (b *sharedBound) sorted() []geom.Point {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return append([]geom.Point(nil), b.pts...)
+	return best
 }
 
 // Rebuild retrains every shard from its current live points as a rolling

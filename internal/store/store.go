@@ -69,6 +69,13 @@ func (b *Block) Points(fn func(geom.Point)) {
 	}
 }
 
+// Slots returns the block's slots and their tombstones (deleted[i] marks
+// slot i dead) for query loops that cannot afford a call per point. Both
+// slices alias the block's storage and must not be modified.
+func (b *Block) Slots() (pts []geom.Point, deleted []bool) {
+	return b.pts, b.deleted
+}
+
 // PointAt returns the point in slot i and whether it is live.
 func (b *Block) PointAt(i int) (geom.Point, bool) {
 	return b.pts[i], !b.deleted[i]
@@ -124,15 +131,16 @@ func (m *Manager) NumBlocks() int { return len(m.blocks) }
 // Alloc creates a new empty block at the end of the block array and returns
 // it. The block starts unlinked (Prev = Next = NilBlock).
 func (m *Manager) Alloc() *Block {
-	b := &Block{
-		ID:      len(m.blocks),
-		Prev:    NilBlock,
-		Next:    NilBlock,
-		pts:     make([]geom.Point, 0, m.capacity),
-		deleted: make([]bool, 0, m.capacity),
-	}
-	m.blocks = append(m.blocks, b)
+	b := &Block{}
+	m.adopt(b, make([]geom.Point, 0, m.capacity), make([]bool, 0, m.capacity))
 	return b
+}
+
+// adopt initialises b as the next block of the array over the given empty
+// slot storage, whose capacity is the block capacity.
+func (m *Manager) adopt(b *Block, pts []geom.Point, deleted []bool) {
+	*b = Block{ID: len(m.blocks), Prev: NilBlock, Next: NilBlock, pts: pts, deleted: deleted}
+	m.blocks = append(m.blocks, b)
 }
 
 // Read returns block id and counts one block access. It returns nil for ids
@@ -143,6 +151,13 @@ func (m *Manager) Read(id int) *Block {
 	}
 	m.accesses.Add(1)
 	return m.blocks[id]
+}
+
+// CountReads adds n block accesses: a query that walks blocks through Peek
+// counts them itself and reports them here with one atomic add, instead of
+// one per block through Read.
+func (m *Manager) CountReads(n int) {
+	m.accesses.Add(int64(n))
 }
 
 // Peek returns block id without counting an access. It is for structural
@@ -256,21 +271,30 @@ func (m *Manager) Chain(b *Block) []int {
 // each, in slice order, linking them into a list. It returns the id of the
 // first block created, and the number of blocks. Packing an empty slice
 // still allocates one empty block so every leaf owns at least one block.
+//
+// The run's blocks share one contiguous slot array (and one tombstone array
+// and one header array), each block owning a full-capacity stretch of it, so
+// a scan over consecutive base blocks reads memory front to back instead of
+// chasing a pointer per block. Blocks from Alloc stay separately allocated.
 func (m *Manager) Pack(pts []geom.Point) (first, count int) {
 	first = len(m.blocks)
-	var prev *Block
-	b := m.Alloc()
-	count = 1
-	for _, p := range pts {
-		if !b.HasSpace() {
-			nb := m.Alloc()
-			nb.Prev = b.ID
-			b.Next = nb.ID
-			prev, b = b, nb
-			_ = prev
-			count++
+	count = (len(pts) + m.capacity - 1) / m.capacity
+	if count == 0 {
+		count = 1
+	}
+	headers := make([]Block, count)
+	slots := make([]geom.Point, count*m.capacity)
+	tombs := make([]bool, count*m.capacity)
+	for i := range headers {
+		lo, hi := i*m.capacity, (i+1)*m.capacity
+		n := copy(slots[lo:hi], pts[min(lo, len(pts)):])
+		b := &headers[i]
+		m.adopt(b, slots[lo:lo+n:hi], tombs[lo:lo+n:hi])
+		b.live = n
+		if i > 0 {
+			b.Prev = b.ID - 1
+			headers[i-1].Next = b.ID
 		}
-		b.Append(p)
 	}
 	return first, count
 }

@@ -7,11 +7,12 @@ import (
 	"rsmi/internal/shard"
 )
 
-// Sharded partitions the data across S independent RSMI instances and
-// serves queries by parallel fan-out: window queries scatter to the
-// overlapping shards on worker goroutines, kNN runs a best-first
-// multi-shard search with a shared distance bound, and updates take only
-// the owning shard's lock, so updates on different shards proceed
+// Sharded partitions the data across S independent RSMI instances: a
+// window query is answered by the shards its rectangle overlaps (in place
+// on the caller's goroutine when that is one shard, on worker goroutines
+// when it is several), kNN searches the shards best-first — nearest region
+// first, stopping at the distance of the k-th candidate — and updates take
+// only the owning shard's lock, so updates on different shards proceed
 // concurrently. Rebuild is rolling — one shard retrains at a time while
 // the others keep serving. It offers the same method set as Index and
 // Concurrent and the same correctness guarantees as the single-index RSMI:
