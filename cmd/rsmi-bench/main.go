@@ -12,17 +12,6 @@
 // The harness defaults to laptop scale (n=20000, 30 epochs); see README.md
 // ("Scale") for the scaling rationale and EXPERIMENTS.md for measured
 // results.
-//
-// Regression-gate mode (the bench-regression CI job):
-//
-//	rsmi-bench -regress BENCH_PR3.json                             # measure, write metrics
-//	rsmi-bench -regress BENCH_PR3.json -baseline BENCH_BASELINE.json
-//	                                     # …and exit 1 if p50/throughput regressed >25%
-//	rsmi-bench -regress BENCH_PR3.json -baseline … -tolerance 0.10 # tighter gate
-//
-// The regression run uses a fixed short configuration (it ignores the
-// scale flags) so results stay comparable with the committed baseline;
-// see internal/bench/regress.go.
 package main
 
 import (
@@ -49,9 +38,6 @@ func main() {
 		dist    = flag.String("dist", "", "default distribution: uniform|normal|skewed|tiger|osm (default skewed)")
 		shards  = flag.Int("shards", 0, "max shard count for -exp sharded (default 8)")
 		gors    = flag.Int("goroutines", 0, "max client goroutines for -exp sharded (default 8)")
-		regress = flag.String("regress", "", "run the CI regression gate and write metrics JSON to this path")
-		basePth = flag.String("baseline", "", "baseline metrics JSON to gate -regress against")
-		tol     = flag.Float64("tolerance", 0.25, "allowed p50/throughput regression fraction for -regress")
 	)
 	flag.Parse()
 
@@ -59,10 +45,6 @@ func main() {
 		for _, e := range bench.All() {
 			fmt.Printf("  %-16s %s\n", e.ID, e.Title)
 		}
-		return
-	}
-	if *regress != "" {
-		runRegress(*regress, *basePth, *tol)
 		return
 	}
 	if *exp == "" {
@@ -109,37 +91,4 @@ func main() {
 		os.Exit(2)
 	}
 	run(e)
-}
-
-// runRegress executes the bench-regression gate: measure, write the
-// metrics file, and (when a baseline is given) fail on regression.
-func runRegress(outPath, basePath string, tol float64) {
-	fmt.Printf("== regression gate (tolerance %.0f%%)\n", 100*tol)
-	start := time.Now()
-	m, err := bench.RunRegression(os.Stdout)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rsmi-bench: regression run: %v\n", err)
-		os.Exit(1)
-	}
-	if err := bench.WriteMetrics(outPath, m); err != nil {
-		fmt.Fprintf(os.Stderr, "rsmi-bench: write %s: %v\n", outPath, err)
-		os.Exit(1)
-	}
-	fmt.Printf("  metrics written to %s (%v)\n", outPath, time.Since(start).Round(time.Millisecond))
-	if basePath == "" {
-		return
-	}
-	baseline, err := bench.ReadMetrics(basePath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rsmi-bench: baseline: %v\n", err)
-		os.Exit(1)
-	}
-	if regs := bench.Compare(baseline, m, tol); len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "rsmi-bench: %d regression(s) against %s:\n", len(regs), basePath)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  REGRESSION %s\n", r)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("  no regressions against %s\n", basePath)
 }

@@ -1,12 +1,13 @@
 package analysis
 
 // nodeprecated keeps the PR 8 API consolidation from rotting: the
-// context-free Engine wrappers, the *Context/*Explain client verbs,
-// and the old client constructors were all kept as // Deprecated:
+// context-free Engine wrappers are kept as // Deprecated:
 // compatibility shims for external callers — but in-repo code has no
 // excuse to use them, and every new internal call site would be one
-// more path that silently detaches from cancellation or bypasses the
-// consolidated option plumbing.
+// more path that silently detaches from cancellation. (The serving
+// client's deprecated constructors and *Context/*Explain verbs were
+// deleted once they had no caller; the engine-side shims are reached
+// through index.Index and wait for the Engine-shrink PR.)
 //
 // The rule: non-test module code must not reference a function or
 // method declared in this module whose doc comment carries the

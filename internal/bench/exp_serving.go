@@ -61,19 +61,12 @@ func streamCell(streamAddr string, clients, batch int, dur time.Duration) loadge
 // startServing spins up a Server for eng on ephemeral HTTP and stream
 // ports and returns both addresses and a stop func.
 func startServing(eng server.Engine, maxBatch int, window time.Duration, maxInflight int) (addr, streamAddr string, stop func(), err error) {
-	return startServingCfg(server.Config{
+	srv := server.New(server.Config{
 		Engine:      eng,
 		MaxBatch:    maxBatch,
 		BatchWindow: window,
 		MaxInFlight: maxInflight,
 	})
-}
-
-// startServingCfg boots the serving stack with an arbitrary Config —
-// the regression gate uses it to measure a server with tracing forced
-// on (Observer sampling every request).
-func startServingCfg(cfg server.Config) (addr, streamAddr string, stop func(), err error) {
-	srv := server.New(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", "", nil, err

@@ -142,7 +142,7 @@ type Config struct {
 	// the server's -stream-addr listener.
 	Transport server.Transport
 	// Timeout bounds one request round-trip (default 30 s; see
-	// server.Options.Timeout).
+	// server.WithTimeout).
 	Timeout time.Duration
 	// Rate > 0 switches to open-loop mode: requests arrive at this many
 	// requests per second on a fixed schedule, spread across the client

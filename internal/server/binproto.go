@@ -253,11 +253,29 @@ func appendOp(b []byte, op BatchOp) ([]byte, error) {
 	return b, nil
 }
 
+// encodeBinaryOps builds a request frame: one entry for the per-op
+// endpoints (single), a counted list for /v1/batch and the stream, with
+// the explain flag bit set on request.
+func encodeBinaryOps(ops []BatchOp, single, explain bool) ([]byte, error) {
+	b := appendBinHeader(make([]byte, 0, 16+24*len(ops)))
+	if !single {
+		b = appendUvarint(b, uint64(len(ops)))
+	}
+	var err error
+	for _, op := range ops {
+		if b, err = appendOp(b, op); err != nil {
+			return nil, err
+		}
+	}
+	if explain {
+		b = markBinExplain(b, single)
+	}
+	return b, nil
+}
+
 // markBinExplain sets the explain flag bit on an encoded request
-// frame's first entry — clients build the frame with the ordinary
-// append helpers and flip the bit afterwards. single selects the per-op
-// layout (entry at offset 3); a batch frame's first entry sits after
-// the count uvarint.
+// frame's first entry. single selects the per-op layout (entry at
+// offset 3); a batch frame's first entry sits after the count uvarint.
 func markBinExplain(b []byte, single bool) []byte {
 	i := 3
 	if !single {
@@ -340,6 +358,20 @@ type batchAnswer struct {
 	pts  []geom.Point
 }
 
+// pointsResult reports whether op answers with a points result (window,
+// knn, sql) rather than a bool (found / ok / deleted / subscribed).
+func pointsResult(op string) bool {
+	return op == OpWindow || op == OpKNN || op == OpSQL
+}
+
+// appendAnswer encodes one executed answer as its op's result kind.
+func appendAnswer(b []byte, a batchAnswer) []byte {
+	if pointsResult(a.op) {
+		return appendPointsResult(b, a.pts)
+	}
+	return appendBoolResult(b, a.flag)
+}
+
 // appendBatchAnswers encodes a whole batch response body (everything
 // after the frame header).
 //
@@ -347,30 +379,31 @@ type batchAnswer struct {
 func appendBatchAnswers(b []byte, answers []batchAnswer) []byte {
 	b = appendUvarint(b, uint64(len(answers)))
 	for _, a := range answers {
-		switch a.op {
-		case OpWindow, OpKNN, OpSQL:
-			b = appendPointsResult(b, a.pts)
-		default:
-			b = appendBoolResult(b, a.flag)
-		}
+		b = appendAnswer(b, a)
 	}
 	return b
+}
+
+// batchResultOf is one op's answer in the JSON wire shape; both the
+// server's reflective encoder and the client's Batch verb build theirs
+// here.
+func batchResultOf(op string, flag bool, pts []geom.Point) BatchResult {
+	switch op {
+	case OpPoint:
+		return BatchResult{Found: flag}
+	case OpInsert:
+		return BatchResult{OK: flag}
+	case OpDelete:
+		return BatchResult{Deleted: flag}
+	}
+	return BatchResult{Count: len(pts), Points: toPoints(pts)}
 }
 
 // toBatchResults converts executed answers to the JSON wire shape.
 func toBatchResults(answers []batchAnswer) []BatchResult {
 	out := make([]BatchResult, len(answers))
 	for i, a := range answers {
-		switch a.op {
-		case OpPoint:
-			out[i] = BatchResult{Found: a.flag}
-		case OpInsert:
-			out[i] = BatchResult{OK: a.flag}
-		case OpDelete:
-			out[i] = BatchResult{Deleted: a.flag}
-		default:
-			out[i] = BatchResult{Count: len(a.pts), Points: toPoints(a.pts)}
-		}
+		out[i] = batchResultOf(a.op, a.flag, a.pts)
 	}
 	return out
 }
@@ -387,19 +420,6 @@ var binBufPool = sync.Pool{
 // binBufPoolMax caps the capacity a buffer may keep when returned to
 // the pool: one huge batch response must not pin its memory forever.
 const binBufPoolMax = 1 << 20
-
-// writeBinary writes one rsmibin response frame: header plus whatever
-// fill appends, from a pooled buffer.
-func writeBinary(w http.ResponseWriter, fill func([]byte) []byte) {
-	bp := binBufPool.Get().(*[]byte)
-	b := fill(appendBinHeader((*bp)[:0]))
-	w.Header().Set("Content-Type", ContentTypeBinary)
-	_, _ = w.Write(b)
-	if cap(b) <= binBufPoolMax {
-		*bp = b[:0] // keep the grown capacity for the next response
-		binBufPool.Put(bp)
-	}
-}
 
 // ---- Decoding ----
 

@@ -60,34 +60,38 @@ func ParseTransport(s string) (Transport, error) {
 	return "", fmt.Errorf("unknown transport %q (want http|tcp)", s)
 }
 
-// Options configures a Client beyond its address.
-type Options struct {
-	// Proto selects the HTTP data-plane encoding (default ProtoJSON).
-	// Ignored by TransportTCP, which is always rsmibin.
-	Proto Proto
-	// Transport selects HTTP or the persistent TCP stream (default
-	// TransportHTTP).
-	Transport Transport
-	// Timeout bounds one request round-trip: the HTTP client timeout,
-	// and the stream transport's dial/write deadlines and per-request
-	// response wait (default 30s). Large batches against a loaded
-	// 1M-point server or a slow link may need more.
-	Timeout time.Duration
-	// StreamConns sizes the TCP connection pool (default 4). More
-	// connections raise pipelining fan-out; the server batches
-	// back-to-back frames from all of them.
-	StreamConns int
+// clientOptions is what the With* options set.
+type clientOptions struct {
+	proto       Proto
+	transport   Transport
+	timeout     time.Duration
+	streamConns int
 }
 
-// DefaultTimeout is the per-request client timeout when Options.Timeout
-// is zero.
+// DefaultTimeout is the per-request client timeout when WithTimeout is
+// not given.
 const DefaultTimeout = 30 * time.Second
+
+// roundTripFunc carries one data-plane request to a server and back:
+// ops go out as the request of path (one op in the per-op wire shape
+// when single, a list otherwise), the raw results come back in request
+// order — exactly one for a single request — with the EXPLAIN trace
+// when explain asked for one.
+type roundTripFunc func(ctx context.Context, path string, ops []BatchOp, single, explain bool) ([]binResult, *TraceJSON, error)
+
+// dataPlane is the data-plane verbs, written once over a roundTripFunc.
+// Client embeds it over its codec and transport, HedgedClient over a
+// hedged fan-out to several Clients.
+type dataPlane struct {
+	roundTrip roundTripFunc
+}
 
 // Client is a Go client for the serving API, used by cmd/rsmi-loadgen,
 // the bench harness, and the examples. It is safe for concurrent use; one
 // Client pools keep-alive HTTP connections — or persistent stream
 // connections — across all its callers.
 type Client struct {
+	dataPlane
 	base   string
 	hc     *http.Client
 	proto  Proto
@@ -101,22 +105,27 @@ type Client struct {
 // Option configures a Client at construction; pass any combination to
 // NewClient. The zero configuration — no options — is a JSON client
 // over HTTP with the default timeout.
-type Option func(*Options)
+type Option func(*clientOptions)
 
 // WithProto selects the HTTP data-plane encoding (ProtoJSON or
 // ProtoBinary). Ignored by the TCP transport, which is always rsmibin.
-func WithProto(p Proto) Option { return func(o *Options) { o.Proto = p } }
+func WithProto(p Proto) Option { return func(o *clientOptions) { o.proto = p } }
 
 // WithTransport selects HTTP or the persistent TCP stream; with
 // TransportTCP the address handed to NewClient is the server's
 // rsmistream listener.
-func WithTransport(t Transport) Option { return func(o *Options) { o.Transport = t } }
+func WithTransport(t Transport) Option { return func(o *clientOptions) { o.transport = t } }
 
-// WithTimeout bounds one request round-trip (default DefaultTimeout).
-func WithTimeout(d time.Duration) Option { return func(o *Options) { o.Timeout = d } }
+// WithTimeout bounds one request round-trip: the HTTP client timeout,
+// and the stream transport's dial/write deadlines and per-request
+// response wait (default DefaultTimeout). Large batches against a loaded
+// 1M-point server or a slow link may need more.
+func WithTimeout(d time.Duration) Option { return func(o *clientOptions) { o.timeout = d } }
 
 // WithStreamConns sizes the TCP transport's connection pool (default 4).
-func WithStreamConns(n int) Option { return func(o *Options) { o.StreamConns = n } }
+// More connections raise pipelining fan-out; the server batches
+// back-to-back frames from all of them.
+func WithStreamConns(n int) Option { return func(o *clientOptions) { o.streamConns = n } }
 
 // NewClient returns a client for the server at addr ("host:port" or a
 // full http:// URL), configured by the options:
@@ -124,59 +133,36 @@ func WithStreamConns(n int) Option { return func(o *Options) { o.StreamConns = n
 //	cl := server.NewClient(addr)                                  // JSON over HTTP
 //	cl := server.NewClient(addr, server.WithProto(server.ProtoBinary))
 //	cl := server.NewClient(addr, server.WithTransport(server.TransportTCP))
+//
+// With TransportTCP, addr is the server's rsmistream listener and
+// data-plane calls ride the persistent connection pool. The codec and
+// transport are chosen here, once: anything other than ProtoBinary
+// normalises to ProtoJSON, so Proto() always reports what the client
+// actually speaks.
 func NewClient(addr string, opts ...Option) *Client {
-	var o Options
+	var o clientOptions
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return newClientOptions(addr, o)
-}
-
-// NewClientProto returns an HTTP client speaking the given wire protocol.
-//
-// Deprecated: use NewClient(addr, WithProto(proto)).
-func NewClientProto(addr string, proto Proto) *Client {
-	return NewClient(addr, WithProto(proto))
-}
-
-// NewClientOptions returns a client for the server at addr configured
-// by an Options struct.
-//
-// Deprecated: use NewClient with With* options.
-func NewClientOptions(addr string, o Options) *Client {
-	return newClientOptions(addr, o)
-}
-
-// newClientOptions builds the client. With Options.Transport ==
-// TransportTCP, addr is the server's rsmistream listener ("host:port")
-// and data-plane calls ride the persistent connection pool; otherwise
-// addr is the HTTP address. Anything other than ProtoBinary (including
-// the zero value) normalises to ProtoJSON, so Proto() always reports
-// what the client actually speaks.
-func newClientOptions(addr string, o Options) *Client {
-	if o.Timeout <= 0 {
-		o.Timeout = DefaultTimeout
+	if o.timeout <= 0 {
+		o.timeout = DefaultTimeout
 	}
-	if o.Transport == TransportTCP {
-		if o.StreamConns <= 0 {
-			o.StreamConns = 4
+	if o.transport == TransportTCP {
+		if o.streamConns <= 0 {
+			o.streamConns = 4
 		}
-		return &Client{
-			proto:  ProtoBinary,
-			stream: newStreamClient(addr, o.StreamConns, o.Timeout),
-		}
+		c := &Client{proto: ProtoBinary, stream: newStreamClient(addr, o.streamConns, o.timeout)}
+		c.roundTrip = c.stream.roundTrip
+		return c
 	}
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
-	if o.Proto != ProtoBinary {
-		o.Proto = ProtoJSON
-	}
-	return &Client{
+	c := &Client{
 		base:  strings.TrimRight(addr, "/"),
-		proto: o.Proto,
+		proto: ProtoJSON,
 		hc: &http.Client{
-			Timeout: o.Timeout,
+			Timeout: o.timeout,
 			Transport: &http.Transport{
 				// Closed-loop load generators run hundreds of concurrent
 				// clients against one host; the default per-host idle pool
@@ -186,6 +172,11 @@ func newClientOptions(addr string, o Options) *Client {
 			},
 		},
 	}
+	c.roundTrip = c.roundTripJSON
+	if o.proto == ProtoBinary {
+		c.proto, c.roundTrip = ProtoBinary, c.roundTripBinary
+	}
+	return c
 }
 
 // Proto reports the client's data-plane wire protocol.
@@ -232,30 +223,29 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("server: status %d: %s", e.Code, e.Msg)
 }
 
-// post sends one JSON request and decodes the 2xx answer into out. ctx
+// post sends one request body and hands the 2xx answer to decode. ctx
 // bounds the round-trip in addition to the client timeout — hedged
 // reads cancel their loser through it.
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
+func (c *Client) post(ctx context.Context, path, contentType string, body []byte, decode func(io.Reader) error) error {
 	if c.hc == nil {
 		return errNoHTTP
-	}
-	body, err := json.Marshal(in)
-	if err != nil {
-		return fmt.Errorf("client: marshal: %w", err)
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
 		return fmt.Errorf("client: %w", err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
+	if contentType == ContentTypeBinary {
+		req.Header.Set("Accept", ContentTypeBinary)
+	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		return err
 	}
-	return handleResponse(resp, out)
+	return handleResponse(resp, decode)
 }
 
-func (c *Client) get(path string, out interface{}) error {
+func (c *Client) get(path string, decode func(io.Reader) error) error {
 	if c.hc == nil {
 		return errNoHTTP
 	}
@@ -263,13 +253,19 @@ func (c *Client) get(path string, out interface{}) error {
 	if err != nil {
 		return err
 	}
-	return handleResponse(resp, out)
+	return handleResponse(resp, decode)
 }
 
-// handleResponse decodes a 2xx body into out (when non-nil), turns any
-// other status into a StatusError, and always drains and closes the body
-// so the keep-alive connection is reusable.
-func handleResponse(resp *http.Response, out interface{}) error {
+// jsonInto decodes a JSON answer into out.
+func jsonInto(out interface{}) func(io.Reader) error {
+	return func(r io.Reader) error { return json.NewDecoder(r).Decode(out) }
+}
+
+// handleResponse hands a 2xx body to decode (when non-nil), turns any
+// other status — always a JSON ErrorResponse, in either protocol — into
+// a *StatusError, and always drains and closes the body so the
+// keep-alive connection is reusable.
+func handleResponse(resp *http.Response, decode func(io.Reader) error) error {
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
@@ -279,107 +275,82 @@ func handleResponse(resp *http.Response, out interface{}) error {
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
 	}
-	if out == nil {
+	if decode == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decode(resp.Body)
 }
 
-func fromPoints(pts []PointJSON) []geom.Point {
-	out := make([]geom.Point, len(pts))
-	for i, p := range pts {
-		out[i] = geom.Pt(p.X, p.Y)
+// roundTripBinary is the rsmibin-over-HTTP roundTripFunc.
+func (c *Client) roundTripBinary(ctx context.Context, path string, ops []BatchOp, single, explain bool) (rs []binResult, tj *TraceJSON, err error) {
+	frame, err := encodeBinaryOps(ops, single, explain)
+	if err != nil {
+		return nil, nil, err
 	}
-	return out
+	err = c.post(ctx, path, ContentTypeBinary, frame, func(r io.Reader) error {
+		body, err := io.ReadAll(r)
+		if err != nil {
+			return fmt.Errorf("client: read response: %w", err)
+		}
+		rs, tj, err = decodeBinaryResults(body, single)
+		return err
+	})
+	return rs, tj, err
+}
+
+// jsonResult is one result inside any JSON answer: BatchResult with its
+// points decoded straight into engine points.
+type jsonResult struct {
+	Found   bool         `json:"found"`
+	Deleted bool         `json:"deleted"`
+	OK      bool         `json:"ok"`
+	Points  []geom.Point `json:"points"`
+}
+
+// bin maps the result onto the raw result kind its op answers with.
+func (r jsonResult) bin(op string) binResult {
+	if pointsResult(op) {
+		return binResult{tag: binResPoints, pts: r.Points}
+	}
+	return binResult{tag: binResBool, flag: r.Found || r.OK || r.Deleted}
+}
+
+// roundTripJSON is the JSON-over-HTTP roundTripFunc: the request is the
+// route's historical document, with ?explain=1 asking for the trace.
+func (c *Client) roundTripJSON(ctx context.Context, path string, ops []BatchOp, single, explain bool) ([]binResult, *TraceJSON, error) {
+	body, err := json.Marshal(routeFor(path).requestJSON(ops))
+	if err != nil {
+		return nil, nil, fmt.Errorf("client: marshal: %w", err)
+	}
+	if explain {
+		path += "?explain=1"
+	}
+	// The five response documents share no field name but trace, so one
+	// union decodes any of them.
+	var doc struct {
+		jsonResult
+		Results []jsonResult `json:"results"`
+		Trace   *TraceJSON   `json:"trace"`
+	}
+	if err := c.post(ctx, path, "application/json", body, jsonInto(&doc)); err != nil {
+		return nil, nil, err
+	}
+	if single {
+		return []binResult{doc.bin(ops[0].Op)}, doc.Trace, nil
+	}
+	if len(doc.Results) != len(ops) {
+		return nil, nil, fmt.Errorf("client: batch returned %d results for %d ops", len(doc.Results), len(ops))
+	}
+	rs := make([]binResult, len(ops))
+	for i, r := range doc.Results {
+		rs[i] = r.bin(ops[i].Op)
+	}
+	return rs, doc.Trace, nil
 }
 
 // errBinResultKind reports a response whose result kind does not match
 // the op that was sent.
-var errBinResultKind = errors.New("client: rsmibin result kind does not match op")
-
-// postBinary sends one rsmibin request frame and decodes the response
-// frame (single selects the per-op response shape) plus its optional
-// trailing EXPLAIN trace. Non-2xx answers are JSON in either protocol
-// and surface as *StatusError.
-func (c *Client) postBinary(ctx context.Context, path string, frame []byte, single bool) ([]binResult, *TraceJSON, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(frame))
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: %w", err)
-	}
-	req.Header.Set("Content-Type", ContentTypeBinary)
-	req.Header.Set("Accept", ContentTypeBinary)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e ErrorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, nil, &StatusError{Code: resp.StatusCode, Msg: e.Error}
-	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: read response: %w", err)
-	}
-	return decodeBinaryResults(body, single)
-}
-
-// binSingle executes one data-plane op over rsmibin.
-func (c *Client) binSingle(ctx context.Context, path string, op BatchOp, explain bool) (binResult, *TraceJSON, error) {
-	b, err := appendOp(appendBinHeader(make([]byte, 0, 64)), op)
-	if err != nil {
-		return binResult{}, nil, err
-	}
-	if explain {
-		b = markBinExplain(b, true)
-	}
-	rs, tj, err := c.postBinary(ctx, path, b, true)
-	if err != nil {
-		return binResult{}, nil, err
-	}
-	return rs[0], tj, nil
-}
-
-// binBool executes a bool-valued op over rsmibin.
-func (c *Client) binBool(ctx context.Context, path string, op BatchOp) (bool, error) {
-	res, _, err := c.singleResult(ctx, path, op, false)
-	if err != nil {
-		return false, err
-	}
-	if res.tag != binResBool {
-		return false, errBinResultKind
-	}
-	return res.flag, nil
-}
-
-// binPoints executes a points-valued op over rsmibin.
-func (c *Client) binPoints(ctx context.Context, path string, op BatchOp) ([]geom.Point, error) {
-	res, _, err := c.singleResult(ctx, path, op, false)
-	if err != nil {
-		return nil, err
-	}
-	if res.tag != binResPoints {
-		return nil, errBinResultKind
-	}
-	return res.pts, nil
-}
-
-// singleResult executes one op over whichever binary path the client
-// uses: a one-op stream frame, or an rsmibin HTTP request to path.
-func (c *Client) singleResult(ctx context.Context, path string, op BatchOp, explain bool) (binResult, *TraceJSON, error) {
-	if c.stream != nil {
-		rs, tj, err := c.stream.streamDo(ctx, []BatchOp{op}, explain)
-		if err != nil {
-			return binResult{}, nil, err
-		}
-		return rs[0], tj, nil
-	}
-	return c.binSingle(ctx, path, op, explain)
-}
+var errBinResultKind = errors.New("client: result kind does not match op")
 
 // QueryOpt customises one query call; every data-plane verb accepts a
 // variadic tail of them.
@@ -403,339 +374,107 @@ func WithExplain(dst **TraceJSON) QueryOpt {
 	return func(o *queryOpts) { o.explain = dst }
 }
 
-func applyQueryOpts(opts []QueryOpt) queryOpts {
+// do runs ops through the round trip, checks every result is of its
+// op's kind, and delivers the trace to the call's WithExplain
+// destination.
+func (d *dataPlane) do(ctx context.Context, path string, ops []BatchOp, single bool, opts []QueryOpt) ([]binResult, error) {
 	var o queryOpts
 	for _, fn := range opts {
 		fn(&o)
 	}
-	return o
-}
-
-// finishExplain delivers a returned trace to the caller's WithExplain
-// destination (nil on the non-explain path).
-func (o *queryOpts) finishExplain(tj *TraceJSON) {
+	rs, tj, err := d.roundTrip(ctx, path, ops, single, o.explain != nil)
+	if err != nil {
+		return nil, err
+	}
+	if len(rs) != len(ops) {
+		return nil, fmt.Errorf("client: %d results for %d ops", len(rs), len(ops))
+	}
+	for i, r := range rs {
+		if (r.tag == binResPoints) != pointsResult(ops[i].Op) {
+			return nil, errBinResultKind
+		}
+	}
 	if o.explain != nil {
 		*o.explain = tj
 	}
+	return rs, nil
+}
+
+// one runs a single op on its per-op endpoint.
+func (d *dataPlane) one(ctx context.Context, path string, op BatchOp, opts []QueryOpt) (binResult, error) {
+	rs, err := d.do(ctx, path, []BatchOp{op}, true, opts)
+	if err != nil {
+		return binResult{}, err
+	}
+	return rs[0], nil
 }
 
 // PointQuery reports whether a point with exactly p's coordinates is
 // indexed.
-func (c *Client) PointQuery(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	o := applyQueryOpts(opts)
-	op := BatchOp{Op: OpPoint, X: p.X, Y: p.Y}
-	if c.proto == ProtoBinary {
-		if o.explain == nil {
-			return c.binBool(ctx, "/v1/point", op)
-		}
-		res, tj, err := c.singleResult(ctx, "/v1/point", op, true)
-		if err != nil {
-			return false, err
-		}
-		if res.tag != binResBool {
-			return false, errBinResultKind
-		}
-		o.finishExplain(tj)
-		return res.flag, nil
-	}
-	var resp FoundResponse
-	err := c.post(ctx, jsonPath("/v1/point", o), PointJSON{X: p.X, Y: p.Y}, &resp)
-	if err == nil {
-		o.finishExplain(resp.Trace)
-	}
-	return resp.Found, err
+func (d *dataPlane) PointQuery(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
+	r, err := d.one(ctx, "/v1/point", BatchOp{Op: OpPoint, X: p.X, Y: p.Y}, opts)
+	return r.flag, err
 }
 
 // WindowQuery returns the indexed points inside the window.
-func (c *Client) WindowQuery(ctx context.Context, q geom.Rect, opts ...QueryOpt) ([]geom.Point, error) {
-	o := applyQueryOpts(opts)
-	op := BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
-	if c.proto == ProtoBinary {
-		return c.binPointsOpt(ctx, "/v1/window", op, &o)
-	}
-	var resp PointsResponse
-	err := c.post(ctx, jsonPath("/v1/window", o), RectJSON{MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	o.finishExplain(resp.Trace)
-	return fromPoints(resp.Points), nil
+func (d *dataPlane) WindowQuery(ctx context.Context, q geom.Rect, opts ...QueryOpt) ([]geom.Point, error) {
+	r, err := d.one(ctx, "/v1/window", BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}, opts)
+	return r.pts, err
 }
 
 // KNN returns up to k nearest neighbours of q, closest first.
-func (c *Client) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryOpt) ([]geom.Point, error) {
-	o := applyQueryOpts(opts)
-	op := BatchOp{Op: OpKNN, X: q.X, Y: q.Y, K: k}
-	if c.proto == ProtoBinary {
-		return c.binPointsOpt(ctx, "/v1/knn", op, &o)
-	}
-	var resp PointsResponse
-	err := c.post(ctx, jsonPath("/v1/knn", o), KNNJSON{X: q.X, Y: q.Y, K: k}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	o.finishExplain(resp.Trace)
-	return fromPoints(resp.Points), nil
+func (d *dataPlane) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryOpt) ([]geom.Point, error) {
+	r, err := d.one(ctx, "/v1/knn", BatchOp{Op: OpKNN, X: q.X, Y: q.Y, K: k}, opts)
+	return r.pts, err
 }
 
 // SQL executes one statement in the spatial SQL dialect (POST /v1/sql;
 // internal/sqlfe documents the grammar) and returns the result rows.
 // With WithExplain the trace carries the planner's decision: chosen
 // backend, estimated vs actual cost.
-func (c *Client) SQL(ctx context.Context, query string, opts ...QueryOpt) ([]geom.Point, error) {
-	o := applyQueryOpts(opts)
-	if c.proto == ProtoBinary {
-		return c.binPointsOpt(ctx, "/v1/sql", BatchOp{Op: OpSQL, SQL: query}, &o)
-	}
-	var resp PointsResponse
-	err := c.post(ctx, jsonPath("/v1/sql", o), SQLRequest{Query: query}, &resp)
-	if err != nil {
-		return nil, err
-	}
-	o.finishExplain(resp.Trace)
-	return fromPoints(resp.Points), nil
+func (d *dataPlane) SQL(ctx context.Context, query string, opts ...QueryOpt) ([]geom.Point, error) {
+	r, err := d.one(ctx, "/v1/sql", BatchOp{Op: OpSQL, SQL: query}, opts)
+	return r.pts, err
 }
 
 // Insert adds a point.
-func (c *Client) Insert(ctx context.Context, p geom.Point, opts ...QueryOpt) error {
-	o := applyQueryOpts(opts)
-	op := BatchOp{Op: OpInsert, X: p.X, Y: p.Y}
-	if c.proto == ProtoBinary {
-		if o.explain == nil {
-			_, err := c.binBool(ctx, "/v1/insert", op)
-			return err
-		}
-		res, tj, err := c.singleResult(ctx, "/v1/insert", op, true)
-		if err != nil {
-			return err
-		}
-		if res.tag != binResBool {
-			return errBinResultKind
-		}
-		o.finishExplain(tj)
-		return nil
-	}
-	var resp OKResponse
-	err := c.post(ctx, jsonPath("/v1/insert", o), PointJSON{X: p.X, Y: p.Y}, &resp)
-	if err == nil {
-		o.finishExplain(resp.Trace)
-	}
+func (d *dataPlane) Insert(ctx context.Context, p geom.Point, opts ...QueryOpt) error {
+	_, err := d.one(ctx, "/v1/insert", BatchOp{Op: OpInsert, X: p.X, Y: p.Y}, opts)
 	return err
 }
 
 // Delete removes the point with exactly p's coordinates, reporting
 // whether it existed.
-func (c *Client) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	o := applyQueryOpts(opts)
-	op := BatchOp{Op: OpDelete, X: p.X, Y: p.Y}
-	if c.proto == ProtoBinary {
-		if o.explain == nil {
-			return c.binBool(ctx, "/v1/delete", op)
-		}
-		res, tj, err := c.singleResult(ctx, "/v1/delete", op, true)
-		if err != nil {
-			return false, err
-		}
-		if res.tag != binResBool {
-			return false, errBinResultKind
-		}
-		o.finishExplain(tj)
-		return res.flag, nil
-	}
-	var resp DeletedResponse
-	err := c.post(ctx, jsonPath("/v1/delete", o), PointJSON{X: p.X, Y: p.Y}, &resp)
-	if err == nil {
-		o.finishExplain(resp.Trace)
-	}
-	return resp.Deleted, err
+func (d *dataPlane) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
+	r, err := d.one(ctx, "/v1/delete", BatchOp{Op: OpDelete, X: p.X, Y: p.Y}, opts)
+	return r.flag, err
 }
 
 // Batch executes a heterogeneous operation list in one round-trip and
-// returns the per-op results in request order. A WithExplain trace
-// covers the whole batch.
-func (c *Client) Batch(ctx context.Context, ops []BatchOp, opts ...QueryOpt) ([]BatchResult, error) {
-	o := applyQueryOpts(opts)
-	if c.proto == ProtoBinary {
-		return c.binBatch(ctx, ops, &o)
-	}
-	var resp BatchResponse
-	err := c.post(ctx, jsonPath("/v1/batch", o), BatchRequest{Ops: ops}, &resp)
-	if err == nil {
-		o.finishExplain(resp.Trace)
-	}
-	return resp.Results, err
-}
-
-// jsonPath appends ?explain=1 to a JSON endpoint path when the call
-// asked for a trace.
-func jsonPath(path string, o queryOpts) string {
-	if o.explain != nil {
-		return path + "?explain=1"
-	}
-	return path
-}
-
-// binPointsOpt executes a points-valued op over rsmibin, honouring the
-// call's explain option.
-func (c *Client) binPointsOpt(ctx context.Context, path string, op BatchOp, o *queryOpts) ([]geom.Point, error) {
-	if o.explain == nil {
-		return c.binPoints(ctx, path, op)
-	}
-	res, tj, err := c.singleResult(ctx, path, op, true)
+// returns the per-op results in request order, in the JSON result shape
+// whatever the protocol. A WithExplain trace covers the whole batch.
+func (d *dataPlane) Batch(ctx context.Context, ops []BatchOp, opts ...QueryOpt) ([]BatchResult, error) {
+	rs, err := d.do(ctx, "/v1/batch", ops, false, opts)
 	if err != nil {
 		return nil, err
 	}
-	if res.tag != binResPoints {
-		return nil, errBinResultKind
-	}
-	o.finishExplain(tj)
-	return res.pts, nil
-}
-
-// binBatch executes a batch over rsmibin — a stream frame or an HTTP
-// /v1/batch request — mapping results back to the JSON result shape so
-// every protocol/transport shares one client API.
-func (c *Client) binBatch(ctx context.Context, ops []BatchOp, o *queryOpts) ([]BatchResult, error) {
-	explain := o.explain != nil
-	var rs []binResult
-	var tj *TraceJSON
-	var err error
-	if c.stream != nil {
-		rs, tj, err = c.stream.streamDo(ctx, ops, explain)
-	} else {
-		b := appendBinHeader(make([]byte, 0, 16+24*len(ops)))
-		b = appendUvarint(b, uint64(len(ops)))
-		for _, op := range ops {
-			if b, err = appendOp(b, op); err != nil {
-				return nil, err
-			}
-		}
-		if explain {
-			b = markBinExplain(b, false)
-		}
-		rs, tj, err = c.postBinary(ctx, "/v1/batch", b, false)
-	}
-	if err != nil {
-		return nil, err
-	}
-	o.finishExplain(tj)
-	if len(rs) != len(ops) {
-		return nil, fmt.Errorf("client: batch returned %d results for %d ops", len(rs), len(ops))
-	}
-	return batchResultsFromBin(ops, rs)
-}
-
-// batchResultsFromBin maps raw binary results onto the per-op API result
-// shapes, enforcing result-kind/op-kind agreement.
-func batchResultsFromBin(ops []BatchOp, rs []binResult) ([]BatchResult, error) {
 	out := make([]BatchResult, len(rs))
 	for i, r := range rs {
-		switch ops[i].Op {
-		case OpPoint, OpInsert, OpDelete:
-			if r.tag != binResBool {
-				return nil, errBinResultKind
-			}
-			switch ops[i].Op {
-			case OpPoint:
-				out[i] = BatchResult{Found: r.flag}
-			case OpInsert:
-				out[i] = BatchResult{OK: r.flag}
-			default:
-				out[i] = BatchResult{Deleted: r.flag}
-			}
-		default:
-			if r.tag != binResPoints {
-				return nil, errBinResultKind
-			}
-			out[i] = BatchResult{Count: len(r.pts), Points: toPoints(r.pts)}
-		}
+		out[i] = batchResultOf(ops[i].Op, r.flag, r.pts)
 	}
 	return out, nil
-}
-
-// Pre-v2 method names, kept as thin wrappers so existing embedders keep
-// compiling. The verbs themselves are now ctx-first with variadic
-// QueryOpts (PointQuery, WindowQuery, KNN, Insert, Delete, Batch, SQL).
-
-// PointQueryContext reports whether p is indexed.
-//
-// Deprecated: use PointQuery — the verbs are ctx-first now.
-func (c *Client) PointQueryContext(ctx context.Context, p geom.Point) (bool, error) {
-	return c.PointQuery(ctx, p)
-}
-
-// WindowQueryContext returns the indexed points inside the window.
-//
-// Deprecated: use WindowQuery — the verbs are ctx-first now.
-func (c *Client) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return c.WindowQuery(ctx, q)
-}
-
-// KNNContext returns up to k nearest neighbours of q.
-//
-// Deprecated: use KNN — the verbs are ctx-first now.
-func (c *Client) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return c.KNN(ctx, q, k)
-}
-
-// InsertContext adds a point.
-//
-// Deprecated: use Insert — the verbs are ctx-first now.
-func (c *Client) InsertContext(ctx context.Context, p geom.Point) error {
-	return c.Insert(ctx, p)
-}
-
-// DeleteContext removes the point with exactly p's coordinates.
-//
-// Deprecated: use Delete — the verbs are ctx-first now.
-func (c *Client) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
-	return c.Delete(ctx, p)
-}
-
-// BatchContext executes a heterogeneous operation list.
-//
-// Deprecated: use Batch — the verbs are ctx-first now.
-func (c *Client) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
-	return c.Batch(ctx, ops)
-}
-
-// PointQueryExplain is PointQuery with an inline EXPLAIN trace.
-//
-// Deprecated: use PointQuery with WithExplain.
-func (c *Client) PointQueryExplain(ctx context.Context, p geom.Point) (bool, *TraceJSON, error) {
-	var tj *TraceJSON
-	found, err := c.PointQuery(ctx, p, WithExplain(&tj))
-	return found, tj, err
-}
-
-// WindowQueryExplain is WindowQuery with an inline EXPLAIN trace.
-//
-// Deprecated: use WindowQuery with WithExplain.
-func (c *Client) WindowQueryExplain(ctx context.Context, q geom.Rect) ([]geom.Point, *TraceJSON, error) {
-	var tj *TraceJSON
-	pts, err := c.WindowQuery(ctx, q, WithExplain(&tj))
-	return pts, tj, err
-}
-
-// KNNExplain is KNN with an inline EXPLAIN trace.
-//
-// Deprecated: use KNN with WithExplain.
-func (c *Client) KNNExplain(ctx context.Context, q geom.Point, k int) ([]geom.Point, *TraceJSON, error) {
-	var tj *TraceJSON
-	pts, err := c.KNN(ctx, q, k, WithExplain(&tj))
-	return pts, tj, err
 }
 
 // Rebuild triggers a rolling rebuild; it returns a *StatusError with code
 // 409 if one is already running.
 func (c *Client) Rebuild(ctx context.Context) error {
-	return c.post(ctx, "/v1/rebuild", struct{}{}, nil)
+	return c.post(ctx, "/v1/rebuild", "application/json", []byte("{}"), nil)
 }
 
 // Stats fetches the serving counters.
 func (c *Client) Stats() (StatsResponse, error) {
 	var resp StatsResponse
-	err := c.get("/v1/stats", &resp)
+	err := c.get("/v1/stats", jsonInto(&resp))
 	return resp, err
 }
 

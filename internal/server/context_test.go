@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -172,8 +173,13 @@ func TestCoalescerCancelledCaller(t *testing.T) {
 // deadline that would fail every healthy peer in the micro-batch.
 func TestCoalescerExpiredMemberDoesNotPoisonBatch(t *testing.T) {
 	block := make(chan struct{})
+	running := make(chan struct{}, 1)
 	co := newCoalescer(8, 0, func(ctx context.Context, qs []int) ([]int, error) {
-		<-block // first batch holds the dispatcher; closed thereafter
+		select {
+		case running <- struct{}{}: // the first batch holds the dispatcher
+		default:
+		}
+		<-block // closed thereafter
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -191,6 +197,7 @@ func TestCoalescerExpiredMemberDoesNotPoisonBatch(t *testing.T) {
 		_, err := co.do(context.Background(), 1)
 		first <- err
 	}()
+	<-running
 	// A queues with a deadline that expires while it waits; B is healthy.
 	expCtx, expCancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer expCancel()
@@ -204,7 +211,14 @@ func TestCoalescerExpiredMemberDoesNotPoisonBatch(t *testing.T) {
 		r, err := co.do(context.Background(), 3)
 		bRes <- answer[int]{r: r, err: err}
 	}()
-	time.Sleep(50 * time.Millisecond) // A's deadline passes while queued
+	// Release the dispatcher only once both members are queued behind the
+	// running batch and A's deadline has passed — events, not a sleep.
+	// (On a stalled box A can expire before it queues; the assertions
+	// below hold either way, so that just ends the wait.)
+	for len(co.in) < 2 && expCtx.Err() == nil {
+		runtime.Gosched()
+	}
+	<-expCtx.Done()
 	close(block)
 
 	if err := <-first; err != nil {

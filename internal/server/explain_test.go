@@ -55,7 +55,8 @@ func TestExplainEquivalenceAcrossTransports(t *testing.T) {
 	}
 	got := map[string]obsv{}
 	for _, name := range names {
-		pts2, tj, err := clients[name].WindowQueryExplain(ctx, q)
+		var tj *TraceJSON
+		pts2, err := clients[name].WindowQuery(ctx, q, WithExplain(&tj))
 		if err != nil {
 			t.Fatalf("%s: WindowQueryExplain: %v", name, err)
 		}
@@ -87,7 +88,8 @@ func TestExplainEquivalenceAcrossTransports(t *testing.T) {
 	// The JSON HTTP path traces from arrival, so admission and decode
 	// spans are present there (binary EXPLAIN upgrades the trace after
 	// body decode — its earlier spans are absent by design).
-	_, tj, err := clients["http-json"].WindowQueryExplain(ctx, q)
+	var tj *TraceJSON
+	_, err := clients["http-json"].WindowQuery(ctx, q, WithExplain(&tj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +104,8 @@ func TestExplainEquivalenceAcrossTransports(t *testing.T) {
 	kq := pts[7]
 	kref := obsv{}
 	for i, name := range names {
-		res, tj, err := clients[name].KNNExplain(ctx, kq, 5)
+		var tj *TraceJSON
+		res, err := clients[name].KNN(ctx, kq, 5, WithExplain(&tj))
 		if err != nil || tj == nil {
 			t.Fatalf("%s: KNNExplain: %v (trace %v)", name, err, tj)
 		}
@@ -116,7 +119,8 @@ func TestExplainEquivalenceAcrossTransports(t *testing.T) {
 
 	// Point EXPLAIN: answer and trace on all transports.
 	for _, name := range names {
-		found, tj, err := clients[name].PointQueryExplain(ctx, pts[3])
+		var tj *TraceJSON
+		found, err := clients[name].PointQuery(ctx, pts[3], WithExplain(&tj))
 		if err != nil || !found || tj == nil {
 			t.Fatalf("%s: PointQueryExplain = %v, %v, trace %v", name, found, err, tj)
 		}

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"time"
 
@@ -26,32 +24,23 @@ const (
 	maxBatchOps = 16384
 )
 
-// admitSlot acquires an in-flight slot, counting a shed when the server
-// is saturated. It is the transport-neutral admission gate; both the
-// HTTP and stream paths go through it. It returns a release func and
-// whether the request was admitted.
-func (s *Server) admitSlot() (func(), bool) {
+// admitSlot acquires an in-flight slot — the transport-neutral admission
+// gate — counting a shed when the server is saturated. An admitted
+// request gives the slot back with releaseSlot.
+func (s *Server) admitSlot() bool {
 	select {
 	case s.sem <- struct{}{}:
 		s.inFlight.Add(1)
-		return func() {
-			s.inFlight.Add(-1)
-			<-s.sem
-		}, true
+		return true
 	default:
 		s.shed.Add(1)
-		return nil, false
+		return false
 	}
 }
 
-// admit is admitSlot for HTTP handlers: shed requests are answered 429.
-func (s *Server) admit(w http.ResponseWriter) (func(), bool) {
-	release, ok := s.admitSlot()
-	if !ok {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, "server saturated; retry")
-	}
-	return release, ok
+func (s *Server) releaseSlot() {
+	s.inFlight.Add(-1)
+	<-s.sem
 }
 
 // queryExplain reports whether an HTTP request opted into an inline
@@ -80,23 +69,9 @@ func (s *Server) startHTTPTrace(r *http.Request, op string) (*obs.Trace, bool) {
 	if !explain && !s.cfg.Observer.ShouldTrace() {
 		return nil, false
 	}
-	tr := obs.StartTrace(op, "http")
-	tr.Backend = s.eng.Name()
+	tr := s.newTrace(op, transportHTTP)
 	tr.Explain = explain
 	return tr, explain
-}
-
-// upgradeExplain handles the rsmibin explain flag bit, which is only
-// known once the body is decoded: an already-traced request is marked
-// Explain; an untraced one gets a late trace whose admission and decode
-// spans are simply absent (they were not measured).
-func (s *Server) upgradeExplain(tr *obs.Trace, op string) *obs.Trace {
-	if tr == nil {
-		tr = obs.StartTrace(op, "http")
-		tr.Backend = s.eng.Name()
-	}
-	tr.Explain = true
-	return tr
 }
 
 // traceJSON snapshots tr into its wire form; the caller serialises it
@@ -128,89 +103,6 @@ func traceJSON(tr *obs.Trace) *TraceJSON {
 		}
 	}
 	return tj
-}
-
-// decodeBody decodes one JSON request body into v.
-func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}, limit int64) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return false
-	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if err := dec.Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-// decodeOps decodes a request body in either wire protocol into op
-// structs: exactly one op (whose kind must match wantOp) for the per-op
-// endpoints, a list for /v1/batch (wantOp empty). The second return is
-// whether the rsmibin explain flag bit was set (always false for JSON
-// bodies, which opt in via ?explain=1 instead). Error responses are
-// always JSON, whatever the request encoding.
-func decodeOps(w http.ResponseWriter, r *http.Request, wantOp string, limit int64) ([]BatchOp, bool, bool) {
-	single := wantOp != ""
-	if isBinaryRequest(r) {
-		if r.Method != http.MethodPost {
-			writeError(w, http.StatusMethodNotAllowed, "POST required")
-			return nil, false, false
-		}
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-			return nil, false, false
-		}
-		ops, explain, err := decodeBinaryOps(body, single)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return nil, false, false
-		}
-		if single && ops[0].Op != wantOp {
-			writeError(w, http.StatusBadRequest,
-				fmt.Sprintf("rsmibin: op %q sent to the %s endpoint", ops[0].Op, wantOp))
-			return nil, false, false
-		}
-		return ops, explain, true
-	}
-	if single {
-		// JSON per-op bodies keep their historical shapes (PointJSON,
-		// RectJSON, KNNJSON); fold them into the shared op struct.
-		op := BatchOp{Op: wantOp}
-		switch wantOp {
-		case OpWindow:
-			var req RectJSON
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.MinX, op.MinY, op.MaxX, op.MaxY = req.MinX, req.MinY, req.MaxX, req.MaxY
-		case OpKNN:
-			var req KNNJSON
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.X, op.Y, op.K = req.X, req.Y, req.K
-		case OpSQL:
-			var req SQLRequest
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.SQL = req.Query
-		default:
-			var req PointJSON
-			if !decodeBody(w, r, &req, limit) {
-				return nil, false, false
-			}
-			op.X, op.Y = req.X, req.Y
-		}
-		return []BatchOp{op}, false, true
-	}
-	var req BatchRequest
-	if !decodeBody(w, r, &req, limit) {
-		return nil, false, false
-	}
-	return req.Ops, false, true
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -263,31 +155,6 @@ func engineErrorCode(err error) int {
 	}
 }
 
-// writeEngineError answers a failed engine execution.
-func writeEngineError(w http.ResponseWriter, err error) {
-	writeError(w, engineErrorCode(err), err.Error())
-}
-
-// finite rejects NaN/Inf coordinates, which would corrupt shard routing.
-func finite(fs ...float64) error {
-	for _, f := range fs {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return errors.New("coordinates must be finite")
-		}
-	}
-	return nil
-}
-
-func toRect(r RectJSON) (geom.Rect, error) {
-	if err := finite(r.MinX, r.MinY, r.MaxX, r.MaxY); err != nil {
-		return geom.Rect{}, err
-	}
-	if r.MinX > r.MaxX || r.MinY > r.MaxY {
-		return geom.Rect{}, errors.New("window has min > max")
-	}
-	return geom.Rect{MinX: r.MinX, MinY: r.MinY, MaxX: r.MaxX, MaxY: r.MaxY}, nil
-}
-
 func toPoints(pts []geom.Point) []PointJSON {
 	out := make([]PointJSON, len(pts))
 	for i, p := range pts {
@@ -296,54 +163,17 @@ func toPoints(pts []geom.Point) []PointJSON {
 	return out
 }
 
-// respondBool answers a bool-valued op in the negotiated encoding;
-// jsonBody carries the op's historical JSON shape (FoundResponse,
-// OKResponse, DeletedResponse) with its Trace field already set on
-// EXPLAIN requests; tj rides after the result on the binary encoding.
-func respondBool(w http.ResponseWriter, r *http.Request, jsonBody interface{}, v bool, tj *TraceJSON) {
-	if wantsBinaryResponse(r) {
-		writeBinary(w, func(b []byte) []byte { return appendBinTrace(appendBoolResult(b, v), tj) })
-		return
-	}
-	writeJSON(w, jsonBody)
-}
-
-// respondPoints answers a points-valued op in the negotiated encoding.
-// Both non-EXPLAIN paths encode the engine's points directly into the
-// pooled frame buffer — no []PointJSON intermediates on the per-op hot
-// path (TestPointsJSONEncodeAllocs pins the JSON side at zero
-// allocations). The EXPLAIN JSON path takes the allocating route; a
-// diagnostic query is off the hot path by definition.
-func respondPoints(w http.ResponseWriter, r *http.Request, pts []geom.Point, tj *TraceJSON) {
-	if wantsBinaryResponse(r) {
-		writeBinary(w, func(b []byte) []byte { return appendBinTrace(appendPointsResult(b, pts), tj) })
-		return
-	}
-	if tj != nil {
-		writeJSON(w, PointsResponse{Count: len(pts), Points: toPoints(pts), Trace: tj})
-		return
-	}
-	writeJSONBuffered(w, func(b []byte) []byte { return appendPointsJSON(b, pts) })
-}
-
 // queryPoint routes a point probe through the coalescer when enabled,
 // threading the request's context either way: the coalescer propagates
 // its micro-batch's earliest deadline into the engine, the direct path
 // hands ctx straight down, and Sharded observes it between shard visits.
-// A non-nil tr is attached to the engine context (so the shard fan-out
-// can count shards visited) and bracketed with the engine's block-access
-// counter.
+// A traced request's ctx already carries tr (the pipeline's bracket);
+// tr itself is for the coalescer, which records the wait and the batch.
 func (s *Server) queryPoint(ctx context.Context, p geom.Point, tr *obs.Trace) (bool, error) {
 	if s.coPoint != nil {
 		return s.coPoint.doTraced(ctx, p, tr)
 	}
-	if tr == nil {
-		return s.eng.PointQueryContext(ctx, p)
-	}
-	before := s.eng.Accesses()
-	found, err := s.eng.PointQueryContext(obs.With(ctx, tr), p)
-	tr.AddAccesses(s.eng.Accesses() - before)
-	return found, err
+	return s.eng.PointQueryContext(ctx, p)
 }
 
 func (s *Server) queryWindow(ctx context.Context, q geom.Rect, tr *obs.Trace) ([]geom.Point, error) {
@@ -361,13 +191,7 @@ func (s *Server) queryWindow(ctx context.Context, q geom.Rect, tr *obs.Trace) ([
 		}
 		s.planBypass.Add(1)
 	}
-	if tr == nil {
-		return s.eng.WindowQueryContext(ctx, q)
-	}
-	before := s.eng.Accesses()
-	pts, err := s.eng.WindowQueryContext(obs.With(ctx, tr), q)
-	tr.AddAccesses(s.eng.Accesses() - before)
-	return pts, err
+	return s.eng.WindowQueryContext(ctx, q)
 }
 
 func (s *Server) queryKNN(ctx context.Context, q shard.KNNQuery, tr *obs.Trace) ([]geom.Point, error) {
@@ -380,456 +204,7 @@ func (s *Server) queryKNN(ctx context.Context, q shard.KNNQuery, tr *obs.Trace) 
 		}
 		s.planBypass.Add(1)
 	}
-	if tr == nil {
-		return s.eng.KNNContext(ctx, q.Q, q.K)
-	}
-	before := s.eng.Accesses()
-	pts, err := s.eng.KNNContext(obs.With(ctx, tr), q.Q, q.K)
-	tr.AddAccesses(s.eng.Accesses() - before)
-	return pts, err
-}
-
-// The per-op handlers split in two: handleX starts (and finishes) the
-// trace, serveX does the work and returns the trace to finish — which
-// may differ from the one it was handed when the rsmibin explain bit
-// starts one mid-request. No deferred closures: the untraced path must
-// not allocate.
-
-func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpPoint)
-	s.cfg.Observer.Finish(s.servePoint(w, r, tr, explain))
-}
-
-func (s *Server) servePoint(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpPoint, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpPoint), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	found, err := s.queryPoint(r.Context(), geom.Pt(op.X, op.Y), tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxPoint, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondBool(w, r, FoundResponse{Found: found, Trace: tj}, found, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleWindow(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpWindow)
-	s.cfg.Observer.Finish(s.serveWindow(w, r, tr, explain))
-}
-
-func (s *Server) serveWindow(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpWindow, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpWindow), true
-	}
-	op := ops[0]
-	q, err := toRect(RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	pts, err := s.queryWindow(r.Context(), q, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxWindow, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondPoints(w, r, pts, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpKNN)
-	s.cfg.Observer.Finish(s.serveKNN(w, r, tr, explain))
-}
-
-func (s *Server) serveKNN(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpKNN, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpKNN), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	pts, err := s.queryKNN(r.Context(), shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K}, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxKNN, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondPoints(w, r, pts, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpInsert)
-	s.cfg.Observer.Finish(s.serveInsert(w, r, tr, explain))
-}
-
-func (s *Server) serveInsert(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpInsert, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpInsert), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	ctx := r.Context()
-	var before int64
-	if tr != nil {
-		ctx = obs.With(ctx, tr)
-		before = s.eng.Accesses()
-	}
-	err := s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y))
-	if tr != nil {
-		tr.AddAccesses(s.eng.Accesses() - before)
-	}
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxInsert, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondBool(w, r, OKResponse{OK: true, Trace: tj}, true, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpDelete)
-	s.cfg.Observer.Finish(s.serveDelete(w, r, tr, explain))
-}
-
-func (s *Server) serveDelete(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpDelete, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpDelete), true
-	}
-	op := ops[0]
-	if err := finite(op.X, op.Y); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	ctx := r.Context()
-	var before int64
-	if tr != nil {
-		ctx = obs.With(ctx, tr)
-		before = s.eng.Accesses()
-	}
-	deleted, err := s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
-	if tr != nil {
-		tr.AddAccesses(s.eng.Accesses() - before)
-	}
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxDelete, transportHTTP, time.Since(start))
-	enc := tr.MarkSince(start, obs.StageExecute)
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondBool(w, r, DeletedResponse{Deleted: deleted, Trace: tj}, deleted, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
-}
-
-// validateOps checks every operation of a batch before any execution,
-// returning the first offending op's error.
-func validateOps(ops []BatchOp) error {
-	for i, op := range ops {
-		var err error
-		switch op.Op {
-		case OpPoint, OpKNN, OpInsert, OpDelete:
-			err = finite(op.X, op.Y)
-		case OpWindow:
-			_, err = toRect(RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-		case OpSQL:
-			// A SQL statement is its own batch of work: it rides /v1/sql
-			// or a single-op stream frame, never a multi-op batch.
-			if len(ops) > 1 {
-				err = errors.New("sql is not allowed inside a multi-op batch")
-			} else {
-				_, err = sqlfe.Parse(op.SQL)
-			}
-		case OpSub, OpUnsub:
-			// Standing queries exist only as single-op stream frames (the
-			// stream path dispatches them before this check): the push
-			// channel is the connection itself, so there is nothing for
-			// HTTP — or a multi-op batch — to subscribe.
-			err = errors.New("sub/unsub ride only single-op stream frames")
-		default:
-			err = fmt.Errorf("unknown op %q", op.Op)
-		}
-		if err != nil {
-			return fmt.Errorf("op %d: %v", i, err)
-		}
-	}
-	return nil
-}
-
-// executeBatch runs a validated heterogeneous operation list with one
-// engine batch call per query kind: queries are grouped by kind, executed
-// via the engine's Batch*Context calls (writes run individually, in
-// request order relative to each other), and the answers are reassembled
-// in request order. It observes the batch histogram of the calling
-// transport; a non-nil tr rides the engine context for shard counting,
-// is bracketed with the engine's block-access counter, and records the
-// execute span. Both the HTTP /v1/batch handler and the stream transport
-// execute batches through here.
-//
-// ctx is the request's context: a batch whose client disconnects or
-// whose deadline passes stops between engine calls (and, on Sharded,
-// between shard visits inside one) and returns the context's error —
-// writes already applied stay applied, exactly as a batch interleaved
-// with a concurrent writer's operations would.
-func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx, tr *obs.Trace) ([]batchAnswer, error) {
-	start := time.Now()
-	if tr != nil {
-		ctx = obs.With(ctx, tr)
-		before := s.eng.Accesses()
-		defer func() { tr.AddAccesses(s.eng.Accesses() - before) }()
-	}
-	answers := make([]batchAnswer, len(ops))
-	var (
-		points   []geom.Point
-		pointIdx []int
-		windows  []geom.Rect
-		winIdx   []int
-		knns     []shard.KNNQuery
-		knnIdx   []int
-	)
-	for i, op := range ops {
-		answers[i].op = op.Op
-		switch op.Op {
-		case OpPoint:
-			points = append(points, geom.Pt(op.X, op.Y))
-			pointIdx = append(pointIdx, i)
-		case OpWindow:
-			windows = append(windows, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-			winIdx = append(winIdx, i)
-		case OpKNN:
-			knns = append(knns, shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K})
-			knnIdx = append(knnIdx, i)
-		case OpInsert:
-			if err := s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y)); err != nil {
-				return nil, err
-			}
-			answers[i].flag = true
-		case OpDelete:
-			deleted, err := s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
-			if err != nil {
-				return nil, err
-			}
-			answers[i].flag = deleted
-		case OpSQL:
-			// validateOps keeps SQL out of multi-op batches; a single-op
-			// SQL frame goes through executeSingle, so the only way here
-			// is a one-op /v1/batch request — point it at /v1/sql.
-			return nil, &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
-		}
-	}
-	if len(points) > 0 {
-		found, err := s.eng.BatchPointQueryContext(ctx, points)
-		if err != nil {
-			return nil, err
-		}
-		for j, f := range found {
-			answers[pointIdx[j]].flag = f
-		}
-	}
-	if len(windows) > 0 {
-		wins, err := s.eng.BatchWindowQueryContext(ctx, windows)
-		if err != nil {
-			return nil, err
-		}
-		for j, pts := range wins {
-			answers[winIdx[j]].pts = pts
-		}
-	}
-	if len(knns) > 0 {
-		nns, err := s.eng.BatchKNNContext(ctx, knns)
-		if err != nil {
-			return nil, err
-		}
-		for j, pts := range nns {
-			answers[knnIdx[j]].pts = pts
-		}
-	}
-	d := time.Since(start)
-	s.observeOp(opIdxBatch, t, d)
-	tr.ObserveStage(obs.StageExecute, d)
-	return answers, nil
-}
-
-// handleBatch answers /v1/batch via executeBatch. A batch is not a
-// transaction: queries in a batch may observe the batch's own writes or
-// concurrent writers'.
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, "batch")
-	s.cfg.Observer.Finish(s.serveBatch(w, r, tr, explain))
-}
-
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, "", maxBatchBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, "batch"), true
-	}
-	if len(ops) > maxBatchOps {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch exceeds %d ops", maxBatchOps))
-		return tr
-	}
-	// Validate everything before executing anything.
-	if err := validateOps(ops); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	answers, err := s.executeBatch(r.Context(), ops, transportHTTP, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	var enc time.Time
-	if tr != nil {
-		enc = time.Now()
-	}
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	if wantsBinaryResponse(r) {
-		// The engine's result points are encoded straight into the pooled
-		// frame buffer: O(1) allocations per batch, whatever its size.
-		writeBinary(w, func(b []byte) []byte { return appendBinTrace(appendBatchAnswers(b, answers), tj) })
-	} else if tj != nil {
-		writeJSON(w, BatchResponse{Results: toBatchResults(answers), Trace: tj})
-	} else {
-		// The JSON path streams too: the response is encoded straight from
-		// the engine's points into the pooled buffer (jsonstream.go) — no
-		// []PointJSON intermediates, O(1) allocations per batch like the
-		// binary path.
-		writeJSONBuffered(w, func(b []byte) []byte { return appendBatchAnswersJSON(b, answers) })
-	}
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
+	return s.eng.KNNContext(ctx, q.Q, q.K)
 }
 
 // plannerEngine is the planning surface the SQL endpoint prefers,
@@ -855,24 +230,17 @@ type planHinter interface {
 // executeSQL runs one parsed SQL query and records the plan decision —
 // chosen backend, estimated vs actual cost — on the trace for EXPLAIN.
 // It observes the plan and execute stages itself (the two are disjoint,
-// like executeBatch's execute span); both the HTTP and stream SQL paths
-// execute through here.
+// like executeBatch's execute span).
 func (s *Server) executeSQL(ctx context.Context, q plan.Query, tr *obs.Trace) (plan.Result, error) {
 	if pe, ok := s.eng.(plannerEngine); ok {
 		pstart := time.Now()
 		pl := pe.PlanQuery(q)
 		tr.MarkSince(pstart, obs.StagePlan)
-		var before int64
-		if tr != nil {
-			ctx = obs.With(ctx, tr)
-			before = s.eng.Accesses()
-		}
 		res, err := pe.ExecPlanned(ctx, pl, q)
 		if err != nil {
 			return plan.Result{}, err
 		}
 		if tr != nil {
-			tr.AddAccesses(s.eng.Accesses() - before)
 			tr.ObserveStage(obs.StageExecute, time.Duration(res.ActualUS*1e3))
 			tr.SetPlan(obs.PlanInfo{
 				Backend:      res.Plan.Backend,
@@ -924,58 +292,6 @@ func (s *Server) executeSQL(ctx context.Context, q plan.Query, tr *obs.Trace) (p
 // usSince reports microseconds elapsed since t.
 func usSince(t time.Time) float64 {
 	return float64(time.Since(t).Nanoseconds()) / 1e3
-}
-
-// handleSQL answers POST /v1/sql: one statement in the spatial SQL
-// dialect (internal/sqlfe documents the grammar), answered as a
-// PointsResponse in the negotiated encoding. ?explain=1 (or the rsmibin
-// explain bit) returns the trace inline, plan decision included.
-func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
-	tr, explain := s.startHTTPTrace(r, OpSQL)
-	s.cfg.Observer.Finish(s.serveSQL(w, r, tr, explain))
-}
-
-func (s *Server) serveSQL(w http.ResponseWriter, r *http.Request, tr *obs.Trace, explain bool) *obs.Trace {
-	release, ok := s.admit(w)
-	if !ok {
-		return tr
-	}
-	defer release()
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, binExplain, ok := decodeOps(w, r, OpSQL, maxBodyBytes)
-	if !ok {
-		return tr
-	}
-	if binExplain && !explain {
-		tr, explain = s.upgradeExplain(tr, OpSQL), true
-	}
-	q, err := sqlfe.Parse(ops[0].SQL)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	start := time.Now()
-	res, err := s.executeSQL(r.Context(), q, tr)
-	if err != nil {
-		writeEngineError(w, err)
-		return tr
-	}
-	s.observeOp(opIdxSQL, transportHTTP, time.Since(start))
-	var enc time.Time
-	if tr != nil {
-		enc = time.Now()
-	}
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	respondPoints(w, r, res.Points, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
 }
 
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {

@@ -27,8 +27,6 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
-
-	"rsmi/internal/geom"
 )
 
 // DefaultHedgeDelay is used when HedgedOptions.Delay is zero. It is a
@@ -46,10 +44,12 @@ type HedgedOptions struct {
 }
 
 // HedgedClient fans reads over a set of equivalent serving targets
-// (primary and replicas) with hedging; writes fail over. It implements
-// the same call surface as Client, so callers (rsmi-loadgen) switch
+// (primary and replicas) with hedging; writes fail over. It has the same
+// data-plane verbs as Client — both embed them over one round-trip
+// function, here the hedged one — so callers (rsmi-loadgen) switch
 // between the two behind one interface. Safe for concurrent use.
 type HedgedClient struct {
+	dataPlane
 	targets []*Client
 	delay   time.Duration
 
@@ -68,7 +68,9 @@ func NewHedgedClient(targets []*Client, o HedgedOptions) *HedgedClient {
 	if o.Delay <= 0 {
 		o.Delay = DefaultHedgeDelay
 	}
-	return &HedgedClient{targets: targets, delay: o.Delay}
+	h := &HedgedClient{targets: targets, delay: o.Delay}
+	h.roundTrip = h.hedgedRoundTrip
+	return h
 }
 
 // Close closes every target client.
@@ -96,9 +98,19 @@ func (h *HedgedClient) pair() (*Client, *Client) {
 	return h.targets[i%n], h.targets[(i+1)%n]
 }
 
+// legFunc runs one leg of a request against one target.
+type legFunc func(ctx context.Context, c *Client) (legResult, error)
+
+// legResult is what one leg brought back: each leg carries its own
+// EXPLAIN trace by value, so only the winner's reaches the caller.
+type legResult struct {
+	rs []binResult
+	tj *TraceJSON
+}
+
 // hedgeResult is one leg's answer.
-type hedgeResult[T any] struct {
-	v     T
+type hedgeResult struct {
+	v     legResult
 	err   error
 	hedge bool
 }
@@ -106,17 +118,17 @@ type hedgeResult[T any] struct {
 // hedged runs do against the first target, fires it at the hedge target
 // after the delay (or immediately when the first leg errors), returns
 // the first success, and cancels the loser via context.
-func hedged[T any](ctx context.Context, h *HedgedClient, do func(ctx context.Context, c *Client) (T, error)) (T, error) {
+func (h *HedgedClient) hedged(ctx context.Context, do legFunc) (legResult, error) {
 	first, hedge := h.pair()
 	if hedge == nil {
 		return do(ctx, first)
 	}
 	hctx, cancel := context.WithCancel(ctx)
 	defer cancel() // the loser's leg observes this as its cancellation
-	ch := make(chan hedgeResult[T], 2)
+	ch := make(chan hedgeResult, 2)
 	launch := func(c *Client, isHedge bool) {
 		v, err := do(hctx, c)
-		ch <- hedgeResult[T]{v: v, err: err, hedge: isHedge}
+		ch <- hedgeResult{v: v, err: err, hedge: isHedge}
 	}
 	go launch(first, false)
 	timer := time.NewTimer(h.delay)
@@ -149,16 +161,14 @@ func hedged[T any](ctx context.Context, h *HedgedClient, do func(ctx context.Con
 			}
 			if failures == launched {
 				// Every launched leg failed.
-				var zero T
-				return zero, firstErr
+				return legResult{}, firstErr
 			}
 		case <-timer.C:
 			if launched == 1 {
 				fire()
 			}
 		case <-ctx.Done():
-			var zero T
-			return zero, ctx.Err()
+			return legResult{}, ctx.Err()
 		}
 	}
 }
@@ -167,7 +177,7 @@ func hedged[T any](ctx context.Context, h *HedgedClient, do func(ctx context.Con
 // the next on transport errors only (a *StatusError is the server's
 // answer — retrying it elsewhere would just repeat it, or worse,
 // double-apply).
-func failover[T any](ctx context.Context, h *HedgedClient, do func(ctx context.Context, c *Client) (T, error)) (T, error) {
+func (h *HedgedClient) failover(ctx context.Context, do legFunc) (legResult, error) {
 	first, alt := h.pair()
 	v, err := do(ctx, first)
 	if err == nil || alt == nil || isStatusError(err) || ctx.Err() != nil {
@@ -176,166 +186,20 @@ func failover[T any](ctx context.Context, h *HedgedClient, do func(ctx context.C
 	return do(ctx, alt)
 }
 
-// withLegTrace is one leg's answer plus the trace that leg captured.
-type withLegTrace[T any] struct {
-	v  T
-	tj *TraceJSON
-}
-
-// hedgedOpt wraps hedged for the QueryOpt verbs: each leg captures its
-// own EXPLAIN trace and only the winner's reaches the caller's
-// WithExplain destination — two legs racing one destination would be a
-// data race.
-func hedgedOpt[T any](ctx context.Context, h *HedgedClient, o *queryOpts, do func(ctx context.Context, c *Client, opts ...QueryOpt) (T, error)) (T, error) {
-	if o.explain == nil {
-		return hedged(ctx, h, func(ctx context.Context, c *Client) (T, error) {
-			return do(ctx, c)
-		})
-	}
-	r, err := hedged(ctx, h, func(ctx context.Context, c *Client) (withLegTrace[T], error) {
-		var tj *TraceJSON
-		v, err := do(ctx, c, WithExplain(&tj))
-		return withLegTrace[T]{v: v, tj: tj}, err
-	})
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	*o.explain = r.tj
-	return r.v, nil
-}
-
-// failoverOpt is hedgedOpt's write-side twin: per-attempt trace
-// capture, the succeeding attempt's trace wins.
-func failoverOpt[T any](ctx context.Context, h *HedgedClient, o *queryOpts, do func(ctx context.Context, c *Client, opts ...QueryOpt) (T, error)) (T, error) {
-	if o.explain == nil {
-		return failover(ctx, h, func(ctx context.Context, c *Client) (T, error) {
-			return do(ctx, c)
-		})
-	}
-	r, err := failover(ctx, h, func(ctx context.Context, c *Client) (withLegTrace[T], error) {
-		var tj *TraceJSON
-		v, err := do(ctx, c, WithExplain(&tj))
-		return withLegTrace[T]{v: v, tj: tj}, err
-	})
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	*o.explain = r.tj
-	return r.v, nil
-}
-
-// PointQuery reports whether the point is indexed (hedged).
-func (h *HedgedClient) PointQuery(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	o := applyQueryOpts(opts)
-	return hedgedOpt(ctx, h, &o, func(ctx context.Context, c *Client, qo ...QueryOpt) (bool, error) {
-		return c.PointQuery(ctx, p, qo...)
-	})
-}
-
-// WindowQuery returns the indexed points inside the window (hedged).
-func (h *HedgedClient) WindowQuery(ctx context.Context, q geom.Rect, opts ...QueryOpt) ([]geom.Point, error) {
-	o := applyQueryOpts(opts)
-	return hedgedOpt(ctx, h, &o, func(ctx context.Context, c *Client, qo ...QueryOpt) ([]geom.Point, error) {
-		return c.WindowQuery(ctx, q, qo...)
-	})
-}
-
-// KNN returns up to k nearest neighbours of q (hedged).
-func (h *HedgedClient) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryOpt) ([]geom.Point, error) {
-	o := applyQueryOpts(opts)
-	return hedgedOpt(ctx, h, &o, func(ctx context.Context, c *Client, qo ...QueryOpt) ([]geom.Point, error) {
-		return c.KNN(ctx, q, k, qo...)
-	})
-}
-
-// SQL executes one spatial SQL statement (hedged — SQL is read-only in
-// this dialect).
-func (h *HedgedClient) SQL(ctx context.Context, query string, opts ...QueryOpt) ([]geom.Point, error) {
-	o := applyQueryOpts(opts)
-	return hedgedOpt(ctx, h, &o, func(ctx context.Context, c *Client, qo ...QueryOpt) ([]geom.Point, error) {
-		return c.SQL(ctx, query, qo...)
-	})
-}
-
-// Insert adds a point (unhedged; fails over on transport errors).
-func (h *HedgedClient) Insert(ctx context.Context, p geom.Point, opts ...QueryOpt) error {
-	o := applyQueryOpts(opts)
-	_, err := failoverOpt(ctx, h, &o, func(ctx context.Context, c *Client, qo ...QueryOpt) (struct{}, error) {
-		return struct{}{}, c.Insert(ctx, p, qo...)
-	})
-	return err
-}
-
-// Delete removes a point (unhedged; fails over on transport errors).
-func (h *HedgedClient) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	o := applyQueryOpts(opts)
-	return failoverOpt(ctx, h, &o, func(ctx context.Context, c *Client, qo ...QueryOpt) (bool, error) {
-		return c.Delete(ctx, p, qo...)
-	})
-}
-
-// Batch executes an op list: hedged when every op is a read, failover
-// otherwise (a batch with writes must not run twice concurrently).
-func (h *HedgedClient) Batch(ctx context.Context, ops []BatchOp, opts ...QueryOpt) ([]BatchResult, error) {
-	o := applyQueryOpts(opts)
-	readOnly := true
+// hedgedRoundTrip is the HedgedClient's roundTripFunc: a request whose
+// ops are all reads is hedged, one carrying a write fails over (a batch
+// with writes must not run twice concurrently).
+func (h *HedgedClient) hedgedRoundTrip(ctx context.Context, path string, ops []BatchOp, single, explain bool) ([]binResult, *TraceJSON, error) {
+	run := h.hedged
 	for _, op := range ops {
 		if op.Op == OpInsert || op.Op == OpDelete {
-			readOnly = false
+			run = h.failover
 			break
 		}
 	}
-	do := func(ctx context.Context, c *Client, qo ...QueryOpt) ([]BatchResult, error) {
-		return c.Batch(ctx, ops, qo...)
-	}
-	if readOnly {
-		return hedgedOpt(ctx, h, &o, do)
-	}
-	return failoverOpt(ctx, h, &o, do)
-}
-
-// Pre-v2 method names, kept as thin wrappers in lockstep with Client's.
-
-// PointQueryContext reports whether p is indexed.
-//
-// Deprecated: use PointQuery — the verbs are ctx-first now.
-func (h *HedgedClient) PointQueryContext(ctx context.Context, p geom.Point) (bool, error) {
-	return h.PointQuery(ctx, p)
-}
-
-// WindowQueryContext returns the indexed points inside the window.
-//
-// Deprecated: use WindowQuery — the verbs are ctx-first now.
-func (h *HedgedClient) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return h.WindowQuery(ctx, q)
-}
-
-// KNNContext returns up to k nearest neighbours of q.
-//
-// Deprecated: use KNN — the verbs are ctx-first now.
-func (h *HedgedClient) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return h.KNN(ctx, q, k)
-}
-
-// InsertContext adds a point.
-//
-// Deprecated: use Insert — the verbs are ctx-first now.
-func (h *HedgedClient) InsertContext(ctx context.Context, p geom.Point) error {
-	return h.Insert(ctx, p)
-}
-
-// DeleteContext removes the point with exactly p's coordinates.
-//
-// Deprecated: use Delete — the verbs are ctx-first now.
-func (h *HedgedClient) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
-	return h.Delete(ctx, p)
-}
-
-// BatchContext executes a heterogeneous operation list.
-//
-// Deprecated: use Batch — the verbs are ctx-first now.
-func (h *HedgedClient) BatchContext(ctx context.Context, ops []BatchOp) ([]BatchResult, error) {
-	return h.Batch(ctx, ops)
+	r, err := run(ctx, func(ctx context.Context, c *Client) (legResult, error) {
+		rs, tj, err := c.roundTrip(ctx, path, ops, single, explain)
+		return legResult{rs: rs, tj: tj}, err
+	})
+	return r.rs, r.tj, err
 }

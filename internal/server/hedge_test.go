@@ -196,7 +196,7 @@ func TestHedgedWriteStatusErrorNoRetry(t *testing.T) {
 	t.Cleanup(h.Close)
 
 	// NaN coordinates draw a 400 from validation on the first target.
-	err := h.InsertContext(context.Background(), geom.Pt(nan(), 0.5))
+	err := h.Insert(context.Background(), geom.Pt(nan(), 0.5))
 	if !isStatusError(err) {
 		t.Fatalf("invalid insert returned %v, want *StatusError", err)
 	}

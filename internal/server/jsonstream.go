@@ -15,7 +15,6 @@ package server
 
 import (
 	"math"
-	"net/http"
 	"strconv"
 
 	"rsmi/internal/geom"
@@ -125,17 +124,4 @@ func appendPointsJSON(b []byte, pts []geom.Point) []byte {
 	}
 	b = append(b, ']', '}', '\n')
 	return b
-}
-
-// writeJSONBuffered writes one JSON response body built by fill into a
-// pooled buffer — the JSON twin of writeBinary, sharing its pool.
-func writeJSONBuffered(w http.ResponseWriter, fill func([]byte) []byte) {
-	bp := binBufPool.Get().(*[]byte)
-	b := fill((*bp)[:0])
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(b)
-	if cap(b) <= binBufPoolMax {
-		*bp = b[:0]
-		binBufPool.Put(bp)
-	}
 }

@@ -327,7 +327,7 @@ func (r *Replica) fetchInfo(ctx context.Context) (ReplicaInfo, error) {
 	if err != nil {
 		return info, fmt.Errorf("repl: info: %w", err)
 	}
-	err = handleResponse(resp, &info)
+	err = handleResponse(resp, jsonInto(&info))
 	if err != nil {
 		return info, fmt.Errorf("repl: info: %w", err)
 	}

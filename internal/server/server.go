@@ -27,6 +27,10 @@
 //	GET  /v1/stats                             → serving + index counters
 //	GET  /healthz                              → 200 "ok"
 //
+// The seven data endpoints — in either wire encoding, and the stream
+// transport's frames — are thin adapters over one request pipeline
+// (pipeline.go): admit → decode → validate → execute → encode.
+//
 // # Batching
 //
 // Two mechanisms amortise per-query overhead: clients may send explicit
@@ -290,13 +294,9 @@ func New(cfg Config) *Server {
 	if !cfg.DisableSubs {
 		s.initSubs()
 	}
-	s.mux.HandleFunc("/v1/point", s.handlePoint)
-	s.mux.HandleFunc("/v1/window", s.handleWindow)
-	s.mux.HandleFunc("/v1/knn", s.handleKNN)
-	s.mux.HandleFunc("/v1/insert", s.handleInsert)
-	s.mux.HandleFunc("/v1/delete", s.handleDelete)
-	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/sql", s.handleSQL)
+	for i := range routes {
+		s.mux.HandleFunc(routes[i].path, s.handleRoute(&routes[i]))
+	}
 	s.mux.HandleFunc("/v1/rebuild", s.handleRebuild)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)

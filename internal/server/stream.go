@@ -38,11 +38,11 @@ package server
 //
 // # Semantics
 //
-// A stream request is served exactly like its HTTP equivalent: one-op
-// frames with a query op run through the request coalescers and observe
-// the per-op latency histograms (point/window/knn/insert/delete);
-// multi-op frames run through executeBatch and observe the batch
-// histogram. Admission control is the same bounded in-flight gate —
+// A stream frame goes through the same request pipeline as an HTTP
+// request (pipeline.go): one-op frames run through executeSingle — query
+// ops ride the request coalescers — and observe the per-op latency
+// histograms; multi-op frames run through executeBatch and observe the
+// batch histogram. Admission control is the same bounded in-flight gate —
 // saturation answers status 429 on the stream where HTTP sheds with 429
 // — and Shutdown drains stream requests exactly as it drains HTTP ones:
 // frames already read are executed and answered before their connection
@@ -62,10 +62,7 @@ import (
 	"sync"
 	"time"
 
-	"rsmi/internal/geom"
 	"rsmi/internal/obs"
-	"rsmi/internal/shard"
-	"rsmi/internal/sqlfe"
 	"rsmi/internal/sub"
 )
 
@@ -309,10 +306,11 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 	connCtx, connCancel := context.WithCancel(context.Background())
 	defer connCancel()
 	sw := &streamWriter{conn: conn}
-	cs := s.newConnSubs(sw)
-	if cs != nil {
-		// Teardown before conn.Close (LIFO): the pusher must stop writing
-		// before the connection goes away.
+	if cs := s.newConnSubs(sw); cs != nil {
+		// Requests find the connection's subscription state on their
+		// context. Teardown before conn.Close (LIFO): the pusher must stop
+		// writing before the connection goes away.
+		connCtx = context.WithValue(connCtx, connSubsKey{}, cs)
 		defer cs.close()
 	}
 	br := bufio.NewReaderSize(conn, streamReadBuf)
@@ -341,7 +339,7 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 				<-pipeline
 				reqWG.Done()
 			}()
-			s.handleStreamRequest(connCtx, sw, cs, id, payload)
+			s.handleStreamRequest(connCtx, sw, id, payload)
 		}(id, payload)
 	}
 	// The read loop is done. If this is a graceful shutdown the client is
@@ -356,168 +354,48 @@ func (s *Server) serveStreamConn(conn net.Conn) {
 	reqWG.Wait()
 }
 
-// handleStreamRequest serves one decoded frame with the exact HTTP
-// semantics: admission gate, validation, coalescers for one-op query
-// frames, executeBatch for multi-op frames, per-op/batch histograms
-// (stream transport column). ctx is the connection's context,
-// additionally bounded by the per-request deadline when
-// Config.StreamRequestTimeout is set.
-func (s *Server) handleStreamRequest(ctx context.Context, sw *streamWriter, cs *connSubs, id uint64, payload []byte) {
-	// The op kind is only known after decode; a sampled trace starts with
-	// an empty op and is labelled once the frame is decoded.
-	var tr *obs.Trace
-	if s.cfg.Observer.ShouldTrace() {
-		tr = obs.StartTrace("", "stream")
-		tr.Backend = s.eng.Name()
-	}
-	s.cfg.Observer.Finish(s.serveStreamRequest(ctx, sw, cs, id, payload, tr))
+// streamExchange adapts one request frame: rsmibin both ways, errors as
+// status-1 frames, everything tagged with the frame's request id.
+type streamExchange struct {
+	sw      *streamWriter
+	id      uint64
+	payload []byte
 }
 
-func (s *Server) serveStreamRequest(ctx context.Context, sw *streamWriter, cs *connSubs, id uint64, payload []byte, tr *obs.Trace) *obs.Trace {
-	release, ok := s.admitSlot()
-	if !ok {
-		sw.writeError(id, http.StatusTooManyRequests, "server saturated; retry")
-		return tr
+// streamExchangePool recycles exchanges, like httpExchangePool.
+var streamExchangePool = sync.Pool{New: func() interface{} { return new(streamExchange) }}
+
+// handleStreamRequest runs one frame through the request pipeline. ctx
+// is the connection's context, additionally bounded by the per-request
+// deadline when Config.StreamRequestTimeout is set. The op kind is only
+// known after decode; a sampled trace starts with an empty op and the
+// pipeline labels it once the frame is decoded.
+func (s *Server) handleStreamRequest(ctx context.Context, sw *streamWriter, id uint64, payload []byte) {
+	var tr *obs.Trace
+	if s.cfg.Observer.ShouldTrace() {
+		tr = s.newTrace("", transportStream)
 	}
-	defer release()
 	if s.cfg.StreamRequestTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.StreamRequestTimeout)
 		defer cancel()
 	}
-	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
-	ops, explain, err := decodeBinaryOps(payload, false)
-	if err != nil {
-		sw.writeError(id, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	if explain && tr == nil {
-		// Late trace for the explain flag bit: admission and decode spans
-		// are absent — they were not measured.
-		tr = obs.StartTrace("", "stream")
-		tr.Backend = s.eng.Name()
-	}
-	if tr != nil {
-		tr.Explain = explain
-		if len(ops) == 1 {
-			tr.Op = ops[0].Op
-		} else {
-			tr.Op = "batch"
-		}
-	}
-	// SUB/UNSUB are stream-only single-op frames, dispatched to the
-	// subscription registry before batch validation (which rejects them
-	// everywhere else — HTTP bodies and multi-op batches).
-	if len(ops) == 1 && (ops[0].Op == OpSub || ops[0].Op == OpUnsub) {
-		tr.MarkSince(t1, obs.StageDecode)
-		flag, serr := s.serveSubOp(cs, ops[0])
-		if serr != nil {
-			sw.writeError(id, engineErrorCode(serr), serr.Error())
-			return tr
-		}
-		sw.writeAnswers(id, []batchAnswer{{op: ops[0].Op, flag: flag}}, nil)
-		return tr
-	}
-	if err := validateOps(ops); err != nil {
-		sw.writeError(id, http.StatusBadRequest, err.Error())
-		return tr
-	}
-	tr.MarkSince(t1, obs.StageDecode)
-	var answers []batchAnswer
-	if len(ops) == 1 {
-		answers, err = s.executeSingle(ctx, ops[0], tr)
-	} else {
-		answers, err = s.executeBatch(ctx, ops, transportStream, tr)
-	}
-	if err != nil {
-		sw.writeError(id, engineErrorCode(err), err.Error())
-		return tr
-	}
-	var enc time.Time
-	if tr != nil {
-		enc = time.Now()
-	}
-	var tj *TraceJSON
-	if explain {
-		tr.MarkSince(enc, obs.StageEncode)
-		tj = traceJSON(tr)
-	}
-	sw.writeAnswers(id, answers, tj)
-	if !explain {
-		tr.MarkSince(enc, obs.StageEncode)
-	}
-	return tr
+	x := streamExchangePool.Get().(*streamExchange)
+	*x = streamExchange{sw: sw, id: id, payload: payload}
+	s.serve(ctx, x, transportStream, tr)
+	*x = streamExchange{}
+	streamExchangePool.Put(x)
 }
 
-// executeSingle runs a one-op frame the way the per-op HTTP endpoints do:
-// queries through the request coalescer (so back-to-back frames from
-// pipelined connections micro-batch), writes directly, each observing its
-// per-op histogram in the stream transport column.
-func (s *Server) executeSingle(ctx context.Context, op BatchOp, tr *obs.Trace) ([]batchAnswer, error) {
-	a := batchAnswer{op: op.Op}
-	var err error
-	start := time.Now()
-	switch op.Op {
-	case OpPoint:
-		if a.flag, err = s.queryPoint(ctx, geom.Pt(op.X, op.Y), tr); err == nil {
-			s.observeOp(opIdxPoint, transportStream, time.Since(start))
-		}
-	case OpWindow:
-		if a.pts, err = s.queryWindow(ctx, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}, tr); err == nil {
-			s.observeOp(opIdxWindow, transportStream, time.Since(start))
-		}
-	case OpKNN:
-		if a.pts, err = s.queryKNN(ctx, shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K}, tr); err == nil {
-			s.observeOp(opIdxKNN, transportStream, time.Since(start))
-		}
-	case OpInsert:
-		wctx := ctx
-		var before int64
-		if tr != nil {
-			wctx = obs.With(ctx, tr)
-			before = s.eng.Accesses()
-		}
-		if err = s.eng.InsertContext(wctx, geom.Pt(op.X, op.Y)); err == nil {
-			a.flag = true
-			s.observeOp(opIdxInsert, transportStream, time.Since(start))
-		}
-		if tr != nil {
-			tr.AddAccesses(s.eng.Accesses() - before)
-		}
-	case OpDelete:
-		wctx := ctx
-		var before int64
-		if tr != nil {
-			wctx = obs.With(ctx, tr)
-			before = s.eng.Accesses()
-		}
-		if a.flag, err = s.eng.DeleteContext(wctx, geom.Pt(op.X, op.Y)); err == nil {
-			s.observeOp(opIdxDelete, transportStream, time.Since(start))
-		}
-		if tr != nil {
-			tr.AddAccesses(s.eng.Accesses() - before)
-		}
-	case OpSQL:
-		// The op was validated, so this parse cannot fail; executeSQL
-		// observes the plan and execute stages itself — return directly
-		// rather than falling through to the shared execute mark.
-		q, perr := sqlfe.Parse(op.SQL)
-		if perr != nil {
-			return nil, perr
-		}
-		res, serr := s.executeSQL(ctx, q, tr)
-		if serr != nil {
-			return nil, serr
-		}
-		a.pts = res.Points
-		s.observeOp(opIdxSQL, transportStream, time.Since(start))
-		return []batchAnswer{a}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	tr.ObserveStage(obs.StageExecute, time.Since(start))
-	return []batchAnswer{a}, nil
+func (x *streamExchange) decode() ([]BatchOp, bool, bool, error) {
+	ops, explain, err := decodeBinaryOps(x.payload, false)
+	return ops, len(ops) == 1, explain, err
+}
+
+func (x *streamExchange) fail(code int, msg string) { x.sw.writeError(x.id, code, msg) }
+
+func (x *streamExchange) reply(answers []batchAnswer, tj *TraceJSON) {
+	x.sw.writeAnswers(x.id, answers, tj)
 }
 
 // shutdownStream stops the stream transport: close listeners, interrupt

@@ -321,32 +321,17 @@ func decodeStreamResponse(payload []byte) ([]binResult, *TraceJSON, error) {
 	}
 }
 
-// streamDo executes an op list over the stream transport and returns the
-// raw results; the Client maps them to API shapes exactly as it does for
-// HTTP binary responses. explain sets the rsmibin explain flag bit, and
-// the response's trace (nil otherwise) is returned alongside.
-func (sc *streamClient) streamDo(ctx context.Context, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error) {
-	body := appendBinHeader(make([]byte, 0, 16+24*len(ops)))
-	body = appendUvarint(body, uint64(len(ops)))
-	var err error
-	for _, op := range ops {
-		if body, err = appendOp(body, op); err != nil {
-			return nil, nil, err
-		}
-	}
-	if explain {
-		body = markBinExplain(body, false)
+// roundTrip is the stream roundTripFunc: every request is a counted
+// rsmibin list in one frame on the next pooled connection (path and
+// single do not reach the wire — a single-query op is a list of one).
+func (sc *streamClient) roundTrip(ctx context.Context, _ string, ops []BatchOp, _, explain bool) ([]binResult, *TraceJSON, error) {
+	body, err := encodeBinaryOps(ops, false, explain)
+	if err != nil {
+		return nil, nil, err
 	}
 	conn, err := sc.get()
 	if err != nil {
 		return nil, nil, err
 	}
-	rs, tj, err := conn.roundTrip(ctx, body)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rs) != len(ops) {
-		return nil, nil, fmt.Errorf("stream: %d results for %d ops", len(rs), len(ops))
-	}
-	return rs, tj, nil
+	return conn.roundTrip(ctx, body)
 }

@@ -325,9 +325,7 @@ func (s *subClient) close() {
 // subRoundTrip sends one single-op SUB/UNSUB frame and checks its bool
 // answer.
 func subRoundTrip(ctx context.Context, conn *streamConn, op BatchOp) error {
-	body := appendBinHeader(make([]byte, 0, 64))
-	body = appendUvarint(body, 1)
-	body, err := appendOp(body, op)
+	body, err := encodeBinaryOps([]BatchOp{op}, false, false)
 	if err != nil {
 		return err
 	}

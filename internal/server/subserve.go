@@ -13,7 +13,7 @@ package server
 //     engine current.
 //
 //   - SUB/UNSUB are single-op rsmibin frames on the stream transport
-//     only (serveSubOp, dispatched from serveStreamRequest): the
+//     only (serveSubOp, an executeSingle case): the
 //     persistent connection is the push channel the notifications ride
 //     back on, so there is nothing for HTTP to subscribe.
 //
@@ -122,6 +122,18 @@ type connSubs struct {
 	wg      sync.WaitGroup
 }
 
+// connSubsKey is the context key a stream connection's subscription
+// state rides on: sub/unsub are the one op that needs the connection
+// itself (the push channel), and executeSingle is transport-neutral.
+type connSubsKey struct{}
+
+// connSubsFrom returns the subscription state of the connection ctx
+// belongs to: nil over HTTP and on a server without a registry.
+func connSubsFrom(ctx context.Context) *connSubs {
+	cs, _ := ctx.Value(connSubsKey{}).(*connSubs)
+	return cs
+}
+
 // newConnSubs returns the per-connection subscription state, or nil on
 // a server without a registry.
 func (s *Server) newConnSubs(sw *streamWriter) *connSubs {
@@ -210,7 +222,7 @@ func (s *Server) serveSubOp(cs *connSubs, op BatchOp) (bool, error) {
 	spec := sub.Spec{ID: op.SubID}
 	switch op.SubKind {
 	case SubWindow:
-		r, err := toRect(RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
+		r, err := opWindow(op)
 		if err != nil {
 			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		}
