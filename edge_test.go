@@ -8,6 +8,7 @@ package rsmi_test
 // they must be total and correct on every engine.
 
 import (
+	"math"
 	"testing"
 
 	"rsmi"
@@ -184,6 +185,58 @@ func TestEmptyIndexEdgeCases(t *testing.T) {
 			}
 			if got := e.ExactKNN(q, 5); len(got) != 1 || got[0] != q {
 				t.Fatalf("ExactKNN after first insert: %v", got)
+			}
+		})
+	}
+}
+
+// TestNonFiniteQueries: embedded callers reach the engines without the
+// server's request validation, so a NaN, an infinity or an absurdly distant
+// coordinate must get an answer, not a panic. NaN is nowhere: no point is
+// there, no window with a NaN edge contains anything, nothing is nearest to
+// it. Infinite and huge coordinates are merely far away: whatever comes back
+// must be indexed and, for a window, inside it.
+func TestNonFiniteQueries(t *testing.T) {
+	pts := dataset.Generate(dataset.Skewed, 1500, 85)
+	lin := index.NewLinear(pts)
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, e := range engines(pts) {
+		name, e := name, e
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, q := range []rsmi.Point{{X: nan, Y: 0.5}, {X: 0.5, Y: nan}, {X: nan, Y: nan}} {
+				if e.PointQuery(q) {
+					t.Errorf("PointQuery(%v) found a point", q)
+				}
+				if got := e.KNN(q, 5); len(got) != 0 {
+					t.Errorf("KNN(%v) returned %d rows", q, len(got))
+				}
+				for _, w := range []rsmi.Rect{
+					{MinX: q.X, MinY: q.Y, MaxX: 1, MaxY: 1},
+					{MinX: 0, MinY: 0, MaxX: q.X, MaxY: q.Y},
+				} {
+					if got := e.WindowQuery(w); len(got) != 0 {
+						t.Errorf("WindowQuery(%v) returned %d rows", w, len(got))
+					}
+				}
+			}
+			for _, far := range []float64{inf, -inf, 1e300, -1e300} {
+				for _, q := range []rsmi.Point{{X: far, Y: 0.5}, {X: 0.5, Y: far}, {X: far, Y: -far}} {
+					if e.PointQuery(q) {
+						t.Errorf("PointQuery(%v) found a point", q)
+					}
+					for _, p := range e.KNN(q, 5) {
+						if !lin.PointQuery(p) {
+							t.Errorf("KNN(%v) returned %v, which is not indexed", q, p)
+						}
+					}
+					w := rsmi.NewRect(rsmi.Pt(0.25, 0.25), q)
+					for _, p := range e.WindowQuery(w) {
+						if !w.Contains(p) || !lin.PointQuery(p) {
+							t.Errorf("WindowQuery(%v) returned %v, outside it or not indexed", w, p)
+						}
+					}
+				}
 			}
 		})
 	}

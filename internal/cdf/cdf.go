@@ -71,10 +71,11 @@ func New(coords []float64, gamma int) *PMF {
 	return &PMF{knots: knots, cum: cum}
 }
 
-// Eval returns the PMF's CDF estimate at x, clamped to [0, 1].
+// Eval returns the PMF's CDF estimate at x, clamped to [0, 1]. NaN, which
+// lies in no piece, evaluates to 0.
 func (f *PMF) Eval(x float64) float64 {
 	k := f.knots
-	if x <= k[0] {
+	if !(x > k[0]) {
 		return 0
 	}
 	last := len(k) - 1

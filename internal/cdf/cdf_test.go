@@ -185,3 +185,15 @@ func TestSizeBytes(t *testing.T) {
 		t.Errorf("SizeBytes = %d, want %d", got, want)
 	}
 }
+
+// TestEvalNaN: NaN lies in no piece; Eval and Alpha must not index past the
+// knots looking for one.
+func TestEvalNaN(t *testing.T) {
+	f := New([]float64{0.1, 0.2, 0.4, 0.8, 0.9}, 4)
+	if got := f.Eval(math.NaN()); got != 0 {
+		t.Errorf("Eval(NaN) = %v, want 0", got)
+	}
+	if got := f.Alpha(math.NaN(), DefaultDelta); got != maxAlpha {
+		t.Errorf("Alpha(NaN) = %v, want the cap %v", got, maxAlpha)
+	}
+}

@@ -23,7 +23,7 @@ func (t *RSMI) locate(q geom.Point) (lo, hi int, ok bool) {
 
 // scanBounds returns the leaf's error-bounded base-block range for q.
 func (n *node) scanBounds(q geom.Point) (lo, hi int) {
-	local := n.predictClamped(q, n.numBlocks)
+	local := n.predictClamped(q)
 	lo = n.firstBlock + local - n.errDown
 	hi = n.firstBlock + local + n.errUp
 	// The true block of any point in this leaf lies within the leaf's base
@@ -210,7 +210,8 @@ func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.n == 0 {
+	if k <= 0 || t.n == 0 || !finitePoint(q) {
+		// Nothing is nearest to a point that is nowhere.
 		return nil
 	}
 	if k > t.n {
@@ -267,6 +268,11 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	out := pq.sorted()
 	knnScratchPool.Put(s)
 	return out
+}
+
+// finitePoint reports whether both coordinates of q are finite.
+func finitePoint(q geom.Point) bool {
+	return !math.IsNaN(q.X) && !math.IsInf(q.X, 0) && !math.IsNaN(q.Y) && !math.IsInf(q.Y, 0)
 }
 
 // knnHeap is a bounded max-heap of the k best candidates by distance to q.

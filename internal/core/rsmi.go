@@ -21,7 +21,31 @@
 // queries have no false positives and may miss points (approximate, §4.2);
 // ExactWindow/ExactKNN use the per-model MBRs for exact answers (the RSMIa
 // variant of §6.2.3). All guarantees hold regardless of how well the models
-// trained.
+// trained — and regardless of what function a model computes, because none
+// of them compares a prediction with the truth; each compares a prediction
+// with an earlier prediction of the same predictor:
+//
+//   - a sub-model is trained as an mlp.Network and at once compiled into an
+//     mlp.Kernel (normalisation and class scaling folded into the weights, a
+//     table sigmoid), which is all a node keeps. node.predictClamped — one
+//     Kernel.Predict call — is the only way anything in this package obtains
+//     a prediction;
+//   - buildInternal groups points by predictClamped and descend follows
+//     predictClamped, so a point is looked for in the subtree it was put in;
+//   - buildLeaf measures errUp/errDown as the largest gaps between a point's
+//     block and predictClamped, and scanBounds widens predictClamped by
+//     exactly those, so the scan covers the block of every point the leaf
+//     was built over;
+//   - Insert files a point under the base block predictClamped names, and a
+//     query or Delete for it scans a range that contains that block and
+//     walks its overflow chain.
+//
+// Kernel.Predict is deterministic, total, and the same function on every
+// machine (see mlp.Kernel), and a snapshot stores the kernels themselves, so
+// the argument carries across save and load. It does not carry across a
+// change of predictor, which is why the RSMIv1 format — network weights, to
+// be run through an exp-based forward pass — is refused rather than
+// converted (ErrSnapshotV1).
 package core
 
 import (
@@ -102,10 +126,10 @@ func (o Options) withDefaults() Options {
 
 // node is one sub-model M_{i,j} of the RSMI.
 type node struct {
-	model *mlp.Network
-	// norm is the bounding box of the training points, used to normalise
-	// model inputs to the unit range (§6.1).
-	norm geom.Rect
+	// kernel is the compiled sub-model, the node's only predictor: it maps
+	// raw coordinates to a child cell (internal) or a local base block
+	// (leaf). The zero kernel of a single-block leaf predicts 0.
+	kernel mlp.Kernel
 	// mbr is the subtree MBR, maintained under insertion (§5) and used by
 	// the exact RSMIa traversal (§4.2 end).
 	mbr geom.Rect
@@ -213,7 +237,6 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 
 	n := &node{
 		leaf:       true,
-		norm:       geom.BoundingRect(ordered),
 		mbr:        geom.BoundingRect(ordered),
 		firstBlock: first,
 		numBlocks:  count,
@@ -224,17 +247,17 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	t.depthSum += int64(len(ordered)) * int64(depth)
 
 	if count > 1 {
-		n.model = t.trainModel(ordered, func(i int) float64 {
+		n.kernel = t.trainModel(ordered, func(i int) float64 {
 			blk := i / t.opts.BlockCapacity
 			return float64(blk) / float64(count-1)
 		}, count)
-		// Exact error bounds over the training set (Eqs. 4–5): an
-		// under-prediction (M < blk) means the true block is above the
-		// prediction, widening the upward scan; an over-prediction widens
-		// the downward scan.
+		// Exact error bounds over the training set (Eqs. 4–5), measured from
+		// the kernel's own predictions: an under-prediction (M < blk) means
+		// the true block is above the prediction, widening the upward scan;
+		// an over-prediction widens the downward scan.
 		for i, p := range ordered {
 			blk := i / t.opts.BlockCapacity
-			pred := n.predictClamped(p, count)
+			pred := n.predictClamped(p)
 			switch {
 			case pred < blk && blk-pred > n.errUp:
 				n.errUp = blk - pred
@@ -327,20 +350,19 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 	}
 
 	n := &node{
-		norm:  geom.BoundingRect(pts),
 		mbr:   geom.BoundingRect(pts),
 		cells: cells,
 	}
 	t.models++
-	n.model = t.trainModel(pts, func(i int) float64 {
+	n.kernel = t.trainModel(pts, func(i int) float64 {
 		return float64(cellCV[i]) / float64(cells-1)
 	}, cells)
 
-	// Group points by the model's own prediction (the learned grouping of
+	// Group points by the kernel's own prediction (the learned grouping of
 	// §3.2) so descent is exact.
 	groups := make([][]geom.Point, cells)
 	for _, p := range pts {
-		c := n.predictClamped(p, cells)
+		c := n.predictClamped(p)
 		groups[c] = append(groups[c], p)
 	}
 
@@ -364,8 +386,9 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 
 // trainModel trains an MLP mapping normalised coordinates to target(i) for
 // each point, with the paper's hidden sizing rule for the given output-class
-// count.
-func (t *RSMI) trainModel(pts []geom.Point, target func(int) float64, classes int) *mlp.Network {
+// count, and returns it compiled for raw coordinates and whole classes. The
+// network itself does not outlive the call.
+func (t *RSMI) trainModel(pts []geom.Point, target func(int) float64, classes int) mlp.Kernel {
 	t.seedSerial++
 	cfg := mlp.Config{
 		Inputs:       2,
@@ -385,28 +408,20 @@ func (t *RSMI) trainModel(pts []geom.Point, target func(int) float64, classes in
 		ys = append(ys, target(i))
 	}
 	net.Train(cfg, xs, ys)
-	return net
+	return mlp.Compile(net, norm.MinX, norm.MinY, norm.MaxX, norm.MaxY, classes)
 }
 
-// predictClamped runs the node's model on p and clamps the rounded output to
-// [0, classes-1]. A nil model (single-block leaf) predicts 0.
-func (n *node) predictClamped(p geom.Point, classes int) int {
-	if n.model == nil || classes <= 1 {
-		return 0
-	}
-	v := n.model.Predict2(normalise(n.norm, p))
-	c := int(math.Round(v * float64(classes-1)))
-	if c < 0 {
-		return 0
-	}
-	if c >= classes {
-		return classes - 1
-	}
-	return c
+// predictClamped is the node's prediction for p, a class in [0, classes-1]
+// (cells of an internal node, base blocks of a leaf). Build, query and
+// update all predict through this one method — see "Correctness guarantees"
+// in the package comment.
+func (n *node) predictClamped(p geom.Point) int {
+	return n.kernel.Predict(p.X, p.Y)
 }
 
 // normalise maps p into the unit square relative to norm; degenerate spans
-// map to 0.5.
+// map to 0.5. It prepares training sets only: a trained model is compiled
+// with its normalisation folded in (mlp.Compile).
 func normalise(norm geom.Rect, p geom.Point) (float64, float64) {
 	nx, ny := 0.5, 0.5
 	if dx := norm.MaxX - norm.MinX; dx > 0 {
@@ -452,7 +467,7 @@ func (t *RSMI) descendPath(p geom.Point, path []*node) (*node, []*node) {
 // predicted cell's, or the nearest non-empty sibling's when that cell is
 // empty (nil when every cell is).
 func (n *node) childFor(p geom.Point) *node {
-	c := n.predictClamped(p, n.cells)
+	c := n.predictClamped(p)
 	if child := n.children[c]; child != nil {
 		return child
 	}
@@ -526,11 +541,9 @@ func (t *RSMI) Stats() index.Stats {
 		if n == nil {
 			return
 		}
-		// norm + mbr rectangles and structural fields.
-		modelBytes += 8 * 8
-		if n.model != nil {
-			modelBytes += n.model.SizeBytes()
-		}
+		// The subtree MBR and the compiled model (which replaced the network
+		// and its normalisation rectangle, and carries the class count).
+		modelBytes += 4*8 + n.kernel.SizeBytes()
 		for _, c := range n.children {
 			walk(c)
 		}

@@ -19,12 +19,28 @@ import (
 // The paper's RSMI takes hours to train at scale (§6.2.2: 16 h for OSM on a
 // CPU), so a production deployment builds once and serves many restarts.
 // This file provides a complete binary serialisation of a built index:
-// options, blocks (including overflow chains and deleted slots), model
-// weights, MBRs, error bounds, and the kNN PMFs. A loaded index answers
-// queries identically to the original.
+// options, blocks (including overflow chains and deleted slots), the
+// compiled sub-models, MBRs, error bounds, and the kNN PMFs. A loaded index
+// answers queries identically to the original: the kernels are stored as
+// they are, nothing is recompiled, so every grouping and error bound in the
+// file was measured from the very predictor the loaded index runs.
 
-// serialMagic identifies the index file format.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '1', 0, 0}
+// serialMagic identifies the index file format, RSMIv2.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '2', 0, 0}
+
+// serialMagicV1 is the magic of the format that stored each sub-model as
+// network weights plus a normalisation rectangle.
+var serialMagicV1 = [8]byte{'R', 'S', 'M', 'I', 'v', '1', 0, 0}
+
+// ErrSnapshotV1 is returned by Load for an RSMIv1 file. Such a
+// file cannot be upgraded in place: its sub-model groupings and leaf error
+// bounds were measured under the exp-based predictor that format implied,
+// and the compiled kernel rounds differently on some inputs, so a point
+// whose prediction sat on a rounding edge would be looked for in the wrong
+// child or outside its leaf's scan range. Rebuild the index from its points
+// and save it again.
+var ErrSnapshotV1 = errors.New("core: RSMIv1 snapshot refused: its groupings and error bounds were measured " +
+	"under a different predictor than this version runs and cannot be trusted; rebuild the index and save it again")
 
 // WriteTo serialises the index. It implements io.WriterTo.
 func (t *RSMI) WriteTo(w io.Writer) (int64, error) {
@@ -134,23 +150,11 @@ func encodeNode(w io.Writer, n *node) error {
 	if err := put(tag); err != nil {
 		return err
 	}
-	if err := putRect(w, n.norm); err != nil {
-		return err
-	}
 	if err := putRect(w, n.mbr); err != nil {
 		return err
 	}
-	hasModel := uint8(0)
-	if n.model != nil {
-		hasModel = 1
-	}
-	if err := put(hasModel); err != nil {
+	if _, err := n.kernel.WriteTo(w); err != nil {
 		return err
-	}
-	if n.model != nil {
-		if _, err := n.model.WriteTo(w); err != nil {
-			return err
-		}
 	}
 	for _, v := range []interface{}{
 		int64(n.cells), int64(n.firstBlock), int64(n.numBlocks),
@@ -202,6 +206,9 @@ func decode(r io.Reader) (*RSMI, error) {
 	var magic [8]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: read magic: %w", err)
+	}
+	if magic == serialMagicV1 {
+		return nil, ErrSnapshotV1
 	}
 	if magic != serialMagic {
 		return nil, errors.New("core: not an RSMI index file")
@@ -336,20 +343,11 @@ func decodeNode(r io.Reader, depth int) (*node, error) {
 	}
 	n := &node{leaf: tag == tagLeaf}
 	var err error
-	if n.norm, err = getRect(r); err != nil {
-		return nil, err
-	}
 	if n.mbr, err = getRect(r); err != nil {
 		return nil, err
 	}
-	var hasModel uint8
-	if err := binary.Read(r, binary.LittleEndian, &hasModel); err != nil {
+	if n.kernel, err = mlp.ReadKernel(r); err != nil {
 		return nil, err
-	}
-	if hasModel&1 != 0 {
-		if n.model, err = mlp.ReadNetwork(r); err != nil {
-			return nil, err
-		}
 	}
 	var f [6]int64
 	for i := range f {
@@ -363,6 +361,15 @@ func decodeNode(r io.Reader, depth int) (*node, error) {
 	n.errUp = int(f[3])
 	n.errDown = int(f[4])
 	n.points = int(f[5])
+	// A kernel's class indexes the node's children or base blocks: one that
+	// predicts among any other number of them would walk off the end.
+	want := n.cells
+	if n.leaf {
+		want = n.numBlocks
+	}
+	if got := n.kernel.Classes(); got != want {
+		return nil, fmt.Errorf("core: sub-model predicts %d classes for a node with %d", got, want)
+	}
 	if n.leaf {
 		return n, nil
 	}

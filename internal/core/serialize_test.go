@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -30,40 +34,84 @@ func roundTrip(t *testing.T, idx *RSMI) *RSMI {
 func TestSerializeRoundTripQueriesIdentical(t *testing.T) {
 	pts := dataset.Generate(dataset.OSMLike, 4000, 31)
 	orig := New(pts, testOptions())
-	loaded := roundTrip(t, orig)
+	assertRoundTripIdentical(t, "built", orig, pts)
 
+	// The same after updates: overflow chains, tombstones, reused slots.
+	live := append([]geom.Point(nil), pts...)
+	for _, p := range workload.InsertPoints(pts, 900, 32) {
+		orig.Insert(p)
+		live = append(live, p)
+	}
+	for _, p := range workload.DeleteSample(pts, 500, 33) {
+		orig.Delete(p)
+	}
+	assertRoundTripIdentical(t, "updated", orig, live)
+}
+
+// assertRoundTripIdentical saves and reloads orig and demands the same index
+// back: the same statistics, bit-identical predictions (the kernels are
+// stored, not recompiled) and the same answers at the same block accesses.
+// probes are points to query at; deleted ones among them are fine.
+func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []geom.Point) {
+	t.Helper()
+	loaded := roundTrip(t, orig)
 	if loaded.Len() != orig.Len() {
-		t.Fatalf("Len: %d vs %d", loaded.Len(), orig.Len())
+		t.Fatalf("%s: Len: %d vs %d", stage, loaded.Len(), orig.Len())
 	}
 	so, sl := orig.Stats(), loaded.Stats()
 	so.BuildTime, sl.BuildTime = 0, 0
 	if so != sl {
-		t.Fatalf("Stats diverge:\n%+v\n%+v", so, sl)
+		t.Fatalf("%s: Stats diverge:\n%+v\n%+v", stage, so, sl)
 	}
-	// Every point query answer identical (and exact).
-	for _, p := range pts {
-		if !loaded.PointQuery(p) {
-			t.Fatalf("loaded index lost %v", p)
+	// Every sub-model on the way down predicts the same class: same leaf,
+	// same scan range. Probe inside and well outside the data.
+	rng := rand.New(rand.NewSource(34))
+	for i := 0; i < 10000; i++ {
+		p := geom.Pt(3*rng.Float64()-1, 3*rng.Float64()-1)
+		if i%2 == 0 {
+			p = probes[rng.Intn(len(probes))]
+		}
+		lo1, hi1, ok1 := orig.locate(p)
+		lo2, hi2, ok2 := loaded.locate(p)
+		if lo1 != lo2 || hi1 != hi2 || ok1 != ok2 {
+			t.Fatalf("%s: locate(%v) = [%d, %d] %v before, [%d, %d] %v after the round trip",
+				stage, p, lo1, hi1, ok1, lo2, hi2, ok2)
+		}
+	}
+	// accesses runs fn on both and demands equal block-access counts.
+	accesses := func(what string, fn func(idx *RSMI)) {
+		t.Helper()
+		a0, b0 := orig.Accesses(), loaded.Accesses()
+		fn(orig)
+		fn(loaded)
+		if a, b := orig.Accesses()-a0, loaded.Accesses()-b0; a != b {
+			t.Fatalf("%s: %s read %d blocks before, %d after the round trip", stage, what, a, b)
+		}
+	}
+	// Every point query answer identical (and exact for live points).
+	for _, p := range probes {
+		var got [2]bool
+		i := 0
+		accesses("point query", func(idx *RSMI) { got[i] = idx.PointQuery(p); i++ })
+		if got[0] != got[1] {
+			t.Fatalf("%s: PointQuery(%v): %v before, %v after the round trip", stage, p, got[0], got[1])
 		}
 	}
 	// Window and kNN answers bit-identical.
-	for _, w := range workload.Windows(pts, 40, 0.01, 1, 32) {
-		a, b := orig.WindowQuery(w), loaded.WindowQuery(w)
-		if len(a) != len(b) {
-			t.Fatalf("window answers diverge: %d vs %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("window answer order diverges at %d", i)
-			}
+	for _, w := range workload.Windows(probes, 40, 0.01, 1, 32) {
+		var got [2][]geom.Point
+		i := 0
+		accesses("window query", func(idx *RSMI) { got[i] = idx.WindowQuery(w); i++ })
+		if !slices.Equal(got[0], got[1]) {
+			t.Fatalf("%s: window answers diverge: %d vs %d rows", stage, len(got[0]), len(got[1]))
 		}
 	}
-	for _, q := range workload.KNNPoints(pts, 30, 33) {
-		a, b := orig.KNN(q, 10), loaded.KNN(q, 10)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("kNN answers diverge at %d", i)
-			}
+	for _, q := range workload.KNNPoints(probes, 30, 33) {
+		var got [2][]geom.Point
+		i := 0
+		accesses("kNN query", func(idx *RSMI) { got[i] = idx.KNN(q, 10); i++ })
+		if !slices.Equal(got[0], got[1]) {
+			t.Fatalf("%s: kNN answers diverge at %v", stage, q)
 		}
 	}
 }
@@ -144,6 +192,68 @@ func TestLoadRejectsGarbage(t *testing.T) {
 				t.Error("Load accepted garbage")
 			}
 		})
+	}
+}
+
+// TestLoadRefusesV1: the previous format is recognised and refused with an
+// error that says why, not mistaken for garbage.
+func TestLoadRefusesV1(t *testing.T) {
+	idx := New(dataset.Generate(dataset.Uniform, 500, 40), testOptions())
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	copy(data, serialMagicV1[:])
+	_, err := Load(bytes.NewReader(data))
+	if !errors.Is(err, ErrSnapshotV1) {
+		t.Fatalf("Load of an RSMIv1 file: %v, want ErrSnapshotV1", err)
+	}
+	for _, want := range []string{"RSMIv1", "error bounds", "predictor", "rebuild"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("the refusal %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestLoadRejectsMismatchedKernel: a sub-model that predicts among more
+// classes than its node has children or blocks would index past them; the
+// loader must refuse it.
+func TestLoadRejectsMismatchedKernel(t *testing.T) {
+	opts := testOptions()
+	opts.PartitionThreshold = 400
+	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), opts)
+	for name, tamper := range map[string]func(root *node){
+		"internal": func(root *node) { root.cells, root.children = 1, root.children[:1] },
+		"leaf": func(root *node) {
+			n := root
+			for !n.leaf {
+				for _, c := range n.children {
+					if c != nil {
+						n = c
+						break
+					}
+				}
+			}
+			n.numBlocks--
+		},
+	} {
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		victim, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(victim.root)
+		buf.Reset()
+		if _, err := victim.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil {
+			t.Errorf("%s: Load accepted a node whose kernel predicts more classes than it has", name)
+		}
 	}
 }
 

@@ -33,19 +33,22 @@ func (t *RSMI) Insert(p geom.Point) {
 		*t = *New(append(t.AllPoints(), p), t.opts)
 		return
 	}
-	local := leaf.predictClamped(p, leaf.numBlocks)
-	base := t.store.Read(leaf.firstBlock + local)
+	base := t.store.Peek(leaf.firstBlock + leaf.predictClamped(p))
 
-	// Walk the overflow chain looking for space.
+	// Walk the overflow chain in place looking for space. The accesses are
+	// what they have always been — one to locate the base block, then one per
+	// block of its chain, the base block again at its head — reported once.
 	var target *store.Block
 	lastInChain := base
-	for _, id := range t.store.Chain(base) {
-		b := t.store.Read(id)
+	reads := 1
+	for b := base; b != nil && (b == base || b.Inserted); b = t.store.Peek(b.Next) {
+		reads++
 		lastInChain = b
 		if target == nil && b.HasSpace() {
 			target = b
 		}
 	}
+	t.store.CountReads(reads)
 	if target == nil {
 		target = t.store.Alloc()
 		target.Inserted = true

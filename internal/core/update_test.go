@@ -302,3 +302,45 @@ func TestRandomOpsAgainstOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertWalksChainInPlace: an insert counts what it always has — one
+// access to locate the base block, then one per block of its chain — and an
+// insert→delete pair into a chain with space allocates nothing.
+func TestInsertWalksChainInPlace(t *testing.T) {
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	hot := pts[0]
+	leaf := idx.descend(hot)
+	base := idx.store.Peek(leaf.firstBlock + leaf.predictClamped(hot))
+	// Points beside hot that the models send to hot's base block.
+	rng := rand.New(rand.NewSource(5))
+	beside := func() geom.Point {
+		for {
+			p := geom.Pt(hot.X+1e-9*rng.Float64(), hot.Y+1e-9*rng.Float64())
+			if l := idx.descend(p); l == leaf && l.predictClamped(p) == base.ID-leaf.firstBlock {
+				return p
+			}
+		}
+	}
+	for i := 0; i < 4*idx.opts.BlockCapacity; i++ {
+		chain := len(idx.store.Chain(base))
+		before := idx.Accesses()
+		idx.Insert(beside())
+		if got := idx.Accesses() - before; got != int64(1+chain) {
+			t.Fatalf("insert into a chain of %d blocks counted %d accesses, want %d", chain, got, 1+chain)
+		}
+	}
+	if chain := len(idx.store.Chain(base)); chain < 4 {
+		t.Fatalf("hot spot grew a chain of only %d blocks", chain)
+	}
+	p := beside()
+	idx.Insert(p) // the chain has space from here on, whatever it had before
+	idx.Delete(p)
+	if n := testing.AllocsPerRun(200, func() {
+		idx.Insert(p)
+		if !idx.Delete(p) {
+			t.Fatal("inserted point not found")
+		}
+	}); n != 0 {
+		t.Errorf("insert→delete into a chain with space allocates %v times, want 0", n)
+	}
+}

@@ -12,6 +12,11 @@
 // Inputs and targets are expected to be normalised to the unit range by the
 // caller ("the point coordinates and block IDs are normalized into the unit
 // range", §6.1).
+//
+// A Network is what training works on. An index that has finished training a
+// two-input Network compiles it (Compile) into a Kernel — normalisation,
+// class scaling and a table sigmoid folded into one pass over one slice —
+// keeps the Kernel and drops the Network; see Kernel for why that is exact.
 package mlp
 
 import (
@@ -125,28 +130,6 @@ func (n *Network) Predict(x []float64) float64 {
 		h = make([]float64, n.hidden)
 	}
 	return n.predictInto(x, h)
-}
-
-// Predict2 is Predict for a two-input network taking the inputs as scalars,
-// so the index's descent does not build (and, through the slice parameter,
-// heap-allocate) an input slice per model call. It performs the same
-// operations in the same order as Predict, so both return identical values.
-//
-//rsmi:noalloc
-func (n *Network) Predict2(x0, x1 float64) float64 {
-	if n.inputs != 2 {
-		panic(fmt.Sprintf("mlp: predict with 2 inputs, want %d", n.inputs))
-	}
-	w1 := n.w1[:2*len(n.w2)]
-	b1 := n.b1[:len(n.w2)]
-	out := n.b2
-	for j, w2 := range n.w2 {
-		s := b1[j]
-		s += w1[2*j] * x0
-		s += w1[2*j+1] * x1
-		out += w2 * sigmoid(s)
-	}
-	return out
 }
 
 // predictInto runs a forward pass, storing hidden activations in h (length

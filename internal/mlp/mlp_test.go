@@ -238,7 +238,7 @@ func TestSigmoid(t *testing.T) {
 	}
 }
 
-func BenchmarkPredict2Input(b *testing.B) {
+func BenchmarkPredictTwoInput(b *testing.B) {
 	n := New(Config{Inputs: 2, Hidden: 51, Seed: 1})
 	x := []float64{0.4, 0.6}
 	var sink float64
@@ -263,34 +263,4 @@ func BenchmarkTrainEpoch(b *testing.B) {
 		n := New(cfg)
 		n.Train(cfg, xs, ys)
 	}
-}
-
-// TestPredict2MatchesPredict: the scalar-input forward pass returns the very
-// float Predict does (the index's block ranges depend on every bit of it),
-// allocates nothing, and refuses networks that are not two-input.
-func TestPredict2MatchesPredict(t *testing.T) {
-	for _, hidden := range []int{2, 33, 51, 200} {
-		n := New(Config{Inputs: 2, Hidden: hidden, Seed: int64(hidden)})
-		xs := make([]float64, 0, 400)
-		ys := make([]float64, 0, 200)
-		for i := 0; i < 200; i++ {
-			x, y := float64(i%17)/16, float64(i%13)/12
-			xs, ys = append(xs, x, y), append(ys, (x+y)/2)
-		}
-		n.Train(Config{Epochs: 3, Seed: 1}, xs, ys)
-		for i := 0; i < len(xs); i += 2 {
-			if got, want := n.Predict2(xs[i], xs[i+1]), n.Predict(xs[i:i+2]); got != want {
-				t.Fatalf("hidden %d: Predict2(%v, %v) = %v, Predict = %v", hidden, xs[i], xs[i+1], got, want)
-			}
-		}
-		if a := testing.AllocsPerRun(100, func() { n.Predict2(0.25, 0.75) }); a != 0 {
-			t.Errorf("hidden %d: Predict2 allocates %v times per call, want 0", hidden, a)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Predict2 on a one-input network did not panic")
-		}
-	}()
-	New(Config{Inputs: 1, Hidden: 4}).Predict2(0, 0)
 }

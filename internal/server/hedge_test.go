@@ -97,7 +97,10 @@ func TestHedgedReadHedgeWins(t *testing.T) {
 	stall := newStallEngine(eng)
 	fast := startHTTPTarget(t, eng)   // targets[0]: hedge leg
 	slow := startHTTPTarget(t, stall) // targets[1]: first leg
-	h := NewHedgedClient([]*Client{fast, slow}, HedgedOptions{Delay: 2 * time.Millisecond})
+	// The delay is also how long the first leg has to get through its
+	// server to the stalled engine before the hedge can win and cancel it:
+	// at 2 ms a loaded 2-vCPU box sometimes cancelled it on the way in.
+	h := NewHedgedClient([]*Client{fast, slow}, HedgedOptions{Delay: 50 * time.Millisecond})
 	t.Cleanup(h.Close)
 
 	found, err := h.PointQuery(context.Background(), pts[0])

@@ -2,8 +2,10 @@ package shard
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/workload"
@@ -120,5 +122,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("Load accepted truncated snapshot")
+	}
+}
+
+// TestLoadRefusesV1: the sharded container did not change, but a file whose
+// embedded shard streams are RSMIv1 is refused with core's explanation, not
+// loaded with error bounds that no longer hold.
+func TestLoadRefusesV1(t *testing.T) {
+	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(Space, 2))
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	v1 := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv2\x00\x00"), []byte("RSMIv1\x00\x00"))
+	if bytes.Equal(v1, buf.Bytes()) {
+		t.Fatal("snapshot holds no RSMIv2 magic to downgrade")
+	}
+	if _, err := Load(bytes.NewReader(v1)); !errors.Is(err, core.ErrSnapshotV1) {
+		t.Fatalf("Load of a snapshot with v1 shards: %v, want core.ErrSnapshotV1", err)
 	}
 }

@@ -81,10 +81,12 @@ func (b *Block) PointAt(i int) (geom.Point, bool) {
 	return b.pts[i], !b.deleted[i]
 }
 
-// Find returns the slot of the live point equal to p, or -1.
+// Find returns the slot of the first live point equal to p, or -1. The
+// coordinates are compared before the tombstone is loaded: nearly every slot
+// fails the comparison, so the tombstone array is rarely touched.
 func (b *Block) Find(p geom.Point) int {
 	for i, q := range b.pts {
-		if !b.deleted[i] && q == p {
+		if q.X == p.X && q.Y == p.Y && !b.deleted[i] {
 			return i
 		}
 	}

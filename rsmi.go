@@ -81,10 +81,18 @@ func New(pts []Point, opts Options) *Index {
 
 // Load deserialises an index previously saved with Index.WriteTo. Training
 // at paper scale takes hours (§6.2.2 reports 16 h for the OSM data set), so
-// production deployments build once and reload across restarts.
+// production deployments build once and reload across restarts. The format
+// is RSMIv2, which stores every sub-model as the compiled kernel the index
+// predicts with; a file in the earlier format is refused with ErrSnapshotV1.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
+
+// ErrSnapshotV1 is the error (wrapped, for a sharded file) that Load and
+// LoadSharded return for a snapshot saved before the RSMIv2 format: its
+// error bounds were measured under a different predictor than this version
+// runs, so the index must be rebuilt from its points and saved again.
+var ErrSnapshotV1 = core.ErrSnapshotV1
 
 // Pt constructs a Point.
 func Pt(x, y float64) Point { return geom.Pt(x, y) }

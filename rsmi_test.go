@@ -2,6 +2,9 @@ package rsmi_test
 
 import (
 	"bytes"
+	"errors"
+	"io"
+	"strings"
 	"testing"
 
 	"rsmi"
@@ -99,5 +102,35 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 	if _, err := rsmi.Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("Load accepted junk")
+	}
+}
+
+// TestLoadRefusesV1: a snapshot saved in the RSMIv1 format — network weights
+// plus a normalisation rectangle per sub-model — is refused by both loaders
+// with ErrSnapshotV1, whose text tells the operator why and what to do.
+func TestLoadRefusesV1(t *testing.T) {
+	pts := dataset.Generate(dataset.Uniform, 600, 5)
+	opts := rsmi.Options{BlockCapacity: 50, PartitionThreshold: 500, Epochs: 5, LearningRate: 0.1, Seed: 1}
+	v1 := func(w interface {
+		WriteTo(io.Writer) (int64, error)
+	}) []byte {
+		var buf bytes.Buffer
+		if _, err := w.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv2\x00\x00"), []byte("RSMIv1\x00\x00"))
+		if bytes.Equal(out, buf.Bytes()) {
+			t.Fatal("snapshot holds no RSMIv2 magic to downgrade")
+		}
+		return out
+	}
+	_, errIndex := rsmi.Load(bytes.NewReader(v1(rsmi.New(pts, opts))))
+	_, errSharded := rsmi.LoadSharded(bytes.NewReader(v1(rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2, Index: opts}))))
+	for name, err := range map[string]error{"Load": errIndex, "LoadSharded": errSharded} {
+		if !errors.Is(err, rsmi.ErrSnapshotV1) {
+			t.Errorf("%s of a v1 snapshot: %v, want ErrSnapshotV1", name, err)
+		} else if !strings.Contains(err.Error(), "error bounds") || !strings.Contains(err.Error(), "rebuild") {
+			t.Errorf("%s: the refusal %q does not say why or what to do", name, err)
+		}
 	}
 }

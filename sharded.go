@@ -50,7 +50,9 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 }
 
 // LoadSharded deserialises a sharded index previously saved with
-// Sharded.WriteTo, so a server can restart without retraining any shard.
+// Sharded.WriteTo, so a server can restart without retraining any shard. A
+// file whose shards are in the pre-RSMIv2 format is refused with
+// ErrSnapshotV1.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
