@@ -256,13 +256,15 @@ func (c *Concurrent) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Po
 }
 
 // InsertContext is Insert honouring ctx at entry; an admitted insert
-// always completes.
+// always completes. A point that cannot be indexed is refused with
+// ErrNonFinitePoint.
 func (c *Concurrent) InsertContext(ctx context.Context, p Point) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	c.Insert(p)
-	return nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.idx.InsertContext(ctx, p)
 }
 
 // DeleteContext is Delete honouring ctx at entry.

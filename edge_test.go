@@ -8,7 +8,10 @@ package rsmi_test
 // they must be total and correct on every engine.
 
 import (
+	"context"
+	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"rsmi"
@@ -24,6 +27,7 @@ type engine interface {
 	KNN(q rsmi.Point, k int) []rsmi.Point
 	ExactKNN(q rsmi.Point, k int) []rsmi.Point
 	Insert(p rsmi.Point)
+	InsertContext(ctx context.Context, p rsmi.Point) error
 	Delete(p rsmi.Point) bool
 	Len() int
 }
@@ -190,20 +194,83 @@ func TestEmptyIndexEdgeCases(t *testing.T) {
 	}
 }
 
+// answers is what an engine says about its whole data set: the cardinality,
+// the exact and the approximate window over a rectangle that holds every
+// point, and an exact kNN — each as a sorted set.
+type answers struct {
+	n                  int
+	exact, approx, knn []rsmi.Point
+}
+
+func answersOf(e engine) answers {
+	everything := rsmi.NewRect(rsmi.Pt(-1, -1), rsmi.Pt(2, 2))
+	a := answers{e.Len(), e.ExactWindow(everything), e.WindowQuery(everything), e.ExactKNN(rsmi.Pt(0.4, 0.3), 25)}
+	for _, ps := range [][]rsmi.Point{a.exact, a.approx, a.knn} {
+		slices.SortFunc(ps, rsmi.Point.Compare)
+	}
+	return a
+}
+
+func (a answers) equal(b answers) bool {
+	return a.n == b.n && slices.Equal(a.exact, b.exact) && slices.Equal(a.approx, b.approx) && slices.Equal(a.knn, b.knn)
+}
+
 // TestNonFiniteQueries: embedded callers reach the engines without the
 // server's request validation, so a NaN, an infinity or an absurdly distant
 // coordinate must get an answer, not a panic. NaN is nowhere: no point is
 // there, no window with a NaN edge contains anything, nothing is nearest to
 // it. Infinite and huge coordinates are merely far away: whatever comes back
 // must be indexed and, for a window, inside it.
+//
+// Writes and builds are held to more: a point with a NaN or infinite
+// coordinate cannot be indexed — folded into an MBR it makes the leaf, every
+// ancestor and the shard region rectangles that no query intersects, and the
+// points under them vanish from every answer — so InsertContext refuses it
+// with ErrNonFinitePoint, Insert drops it, a build skips it, and the index
+// answers exactly as if the attempt had never been made.
 func TestNonFiniteQueries(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1500, 85)
 	lin := index.NewLinear(pts)
 	nan, inf := math.NaN(), math.Inf(1)
+	unindexable := []rsmi.Point{
+		{X: nan, Y: 0.5}, {X: 0.5, Y: nan}, {X: nan, Y: nan},
+		{X: inf, Y: 0.5}, {X: 0.5, Y: inf}, {X: -inf, Y: 0.5}, {X: 0.5, Y: -inf}, {X: inf, Y: nan},
+	}
+	// The same points with unindexable ones mixed in, front, middle and back.
+	dirty := append(append(append(append([]rsmi.Point(nil), unindexable[:3]...), pts[:700]...), unindexable[3:6]...), pts[700:]...)
+	dirty = append(dirty, unindexable[6:]...)
+	dirtyBuilt := engines(dirty)
 	for name, e := range engines(pts) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
+			clean := answersOf(e)
+			if clean.n != len(pts) || len(clean.exact) != len(pts) {
+				t.Fatalf("Len %d, ExactWindow over everything %d rows, want %d", clean.n, len(clean.exact), len(pts))
+			}
+			if got := answersOf(dirtyBuilt[name]); !got.equal(clean) {
+				t.Errorf("built over %d extra unindexable points: Len %d, exact/approx/kNN %d/%d/%d rows; the clean build has %d, %d/%d/%d",
+					len(unindexable), got.n, len(got.exact), len(got.approx), len(got.knn), clean.n, len(clean.exact), len(clean.approx), len(clean.knn))
+			}
+			for _, p := range unindexable {
+				if err := e.InsertContext(context.Background(), p); !errors.Is(err, rsmi.ErrNonFinitePoint) {
+					t.Errorf("InsertContext(%v) = %v, want ErrNonFinitePoint", p, err)
+				}
+				e.Insert(p)
+				if got := answersOf(e); !got.equal(clean) {
+					t.Fatalf("after the refused insert of %v: Len %d, exact/approx/kNN %d/%d/%d rows; before it %d, %d/%d/%d",
+						p, got.n, len(got.exact), len(got.approx), len(got.knn), clean.n, len(clean.exact), len(clean.approx), len(clean.knn))
+				}
+			}
+			// An indexable point still goes in (and comes back out).
+			extra := rsmi.Pt(0.123, 0.456)
+			if err := e.InsertContext(context.Background(), extra); err != nil || e.Len() != len(pts)+1 || !e.PointQuery(extra) {
+				t.Fatalf("InsertContext(%v) = %v; Len %d, found %v", extra, err, e.Len(), e.PointQuery(extra))
+			}
+			if !e.Delete(extra) {
+				t.Fatalf("Delete(%v) did not find it", extra)
+			}
+
 			for _, q := range []rsmi.Point{{X: nan, Y: 0.5}, {X: 0.5, Y: nan}, {X: nan, Y: nan}} {
 				if e.PointQuery(q) {
 					t.Errorf("PointQuery(%v) found a point", q)

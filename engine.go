@@ -58,6 +58,9 @@ type Engine interface {
 	BatchWindowQueryContext(ctx context.Context, qs []Rect) ([][]Point, error)
 	BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Point, error)
 
+	// InsertContext on the learned engines (Index, Concurrent, Sharded)
+	// refuses a point with a NaN or infinite coordinate with
+	// ErrNonFinitePoint and leaves the index as it was.
 	InsertContext(ctx context.Context, p Point) error
 	DeleteContext(ctx context.Context, p Point) (bool, error)
 	// RebuildContext retrains learned engines from their live points; on

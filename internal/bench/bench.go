@@ -58,13 +58,16 @@ type Config struct {
 	Goroutines int
 }
 
+// defaultQueries is the harness's default Queries.
+const defaultQueries = 200
+
 // Defaults fills zero fields with harness defaults.
 func (c Config) Defaults() Config {
 	if c.N == 0 {
 		c.N = 20000
 	}
 	if c.Queries == 0 {
-		c.Queries = 200
+		c.Queries = defaultQueries
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 30
@@ -91,6 +94,14 @@ func (c Config) Defaults() Config {
 		c.Goroutines = 8
 	}
 	return c
+}
+
+// cellDuration is how long one load-generation cell of the serving
+// experiments runs. Those cells are bounded by time, not by a query count, so
+// they take their length from Queries too: atDefault at the harness default,
+// proportionally shorter under a quick config and longer under -queries 1000.
+func (c Config) cellDuration(atDefault time.Duration) time.Duration {
+	return atDefault * time.Duration(c.Queries) / defaultQueries
 }
 
 // Experiment is one reproducible table or figure.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"rsmi/internal/dataset"
 )
@@ -72,6 +73,20 @@ func TestDefaults(t *testing.T) {
 	c = Config{N: 42, Queries: 7}.Defaults()
 	if c.N != 42 || c.Queries != 7 {
 		t.Error("Defaults overwrote explicit values")
+	}
+}
+
+// The timed load-generation cells scale with Queries: unchanged at the harness
+// default, 30/200 of it under quickConfig.
+func TestCellDurationScalesWithQueries(t *testing.T) {
+	if got := (Config{}).Defaults().cellDuration(2 * time.Second); got != 2*time.Second {
+		t.Errorf("default config: a 2 s cell lasts %v", got)
+	}
+	if got := quickConfig().cellDuration(2 * time.Second); got != 300*time.Millisecond {
+		t.Errorf("quick config: a 2 s cell lasts %v, want 300ms", got)
+	}
+	if got := (Config{Queries: 1000}).cellDuration(400 * time.Millisecond); got != 2*time.Second {
+		t.Errorf("Queries 1000: a 400 ms cell lasts %v, want 2s", got)
 	}
 }
 

@@ -158,8 +158,8 @@ func init() {
 			shardOpts.PartitionThreshold = 0 // auto per-shard threshold
 			idx := shard.New(pts, shard.Options{Shards: cfg.Shards, Index: shardOpts})
 
+			cell := cfg.cellDuration(2 * time.Second)
 			const (
-				cell       = 2 * time.Second
 				spikeEvery = 50 // 2% of reads stall...
 				spike      = 10 * time.Millisecond
 				clients    = 8

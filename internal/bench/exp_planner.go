@@ -119,7 +119,7 @@ func init() {
 				{"window 1e-2", loadgen.Mix{Window: 1}, 1e-2, 0},
 				{"kNN k=10", loadgen.Mix{KNN: 1}, 0, 10},
 			}
-			const cell = 500 * time.Millisecond
+			cell := cfg.cellDuration(500 * time.Millisecond)
 			// Cells run in interleaved rounds and each (class, competitor)
 			// reports its median round: throughput noise on a shared
 			// machine is autocorrelated over seconds, so a single

@@ -99,7 +99,7 @@ func init() {
 			eng := shard.New(pts, shard.Options{Shards: cfg.Shards, Index: shardOpts})
 
 			clients := append([]int{1}, shardSweep(cfg.Goroutines)...)
-			const cell = 400 * time.Millisecond
+			cell := cfg.cellDuration(400 * time.Millisecond)
 
 			type row struct {
 				name     string

@@ -104,10 +104,14 @@ func (t *RSMI) BatchKNNContext(ctx context.Context, qs []index.KNNQuery) ([][]ge
 }
 
 // InsertContext is Insert honouring ctx at entry; an admitted insert always
-// completes (a half-applied update would corrupt the index).
+// completes (a half-applied update would corrupt the index). A point that
+// cannot be indexed is refused with ErrNonFinitePoint.
 func (t *RSMI) InsertContext(ctx context.Context, p geom.Point) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if !p.IsFinite() {
+		return ErrNonFinitePoint
 	}
 	t.Insert(p)
 	return nil

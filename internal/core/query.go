@@ -210,7 +210,7 @@ func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.n == 0 || !finitePoint(q) {
+	if k <= 0 || t.n == 0 || !q.IsFinite() {
 		// Nothing is nearest to a point that is nowhere.
 		return nil
 	}
@@ -268,11 +268,6 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	out := pq.sorted()
 	knnScratchPool.Put(s)
 	return out
-}
-
-// finitePoint reports whether both coordinates of q are finite.
-func finitePoint(q geom.Point) bool {
-	return !math.IsNaN(q.X) && !math.IsInf(q.X, 0) && !math.IsNaN(q.Y) && !math.IsInf(q.Y, 0)
 }
 
 // knnHeap is a bounded max-heap of the k best candidates by distance to q.

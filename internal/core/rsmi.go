@@ -49,9 +49,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"rsmi/internal/cdf"
@@ -180,16 +181,18 @@ type RSMI struct {
 var _ index.Index = (*RSMI)(nil)
 
 // New builds an RSMI over the points (§3). The input slice is not modified.
+// Points with a NaN or infinite coordinate are not indexed (see
+// ErrNonFinitePoint).
 func New(pts []geom.Point, opts Options) *RSMI {
 	opts = opts.withDefaults()
 	start := time.Now()
+	work := geom.FinitePoints(pts)
 	t := &RSMI{
 		opts:     opts,
 		store:    store.NewManager(opts.BlockCapacity),
-		n:        len(pts),
+		n:        len(work),
 		lastTail: store.NilBlock,
 	}
-	work := append([]geom.Point(nil), pts...)
 	t.root = t.build(work, 1)
 	t.buildPMFs(work)
 	t.buildTime = time.Since(start)
@@ -287,11 +290,8 @@ func (t *RSMI) orderLeaf(pts []geom.Point) []geom.Point {
 		nx, ny := normalise(norm, p)
 		cps[i] = cp{curve.Value(uint32(nx*side), uint32(ny*side)), p}
 	}
-	sort.Slice(cps, func(i, j int) bool {
-		if cps[i].cv != cps[j].cv {
-			return cps[i].cv < cps[j].cv
-		}
-		return cps[i].p.Less(cps[j].p)
+	slices.SortFunc(cps, func(a, b cp) int {
+		return cmp.Or(cmp.Compare(a.cv, b.cv), a.p.Compare(b.p))
 	})
 	out := make([]geom.Point, len(cps))
 	for i, c := range cps {
@@ -314,12 +314,7 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 
 	// Non-regular grid: cut into `side` columns of equal count by x, then
 	// each column into `side` cells of equal count by y.
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].X != pts[j].X {
-			return pts[i].X < pts[j].X
-		}
-		return pts[i].Y < pts[j].Y
-	})
+	slices.SortFunc(pts, geom.Point.Compare)
 	nPts := len(pts)
 	colSize := (nPts + side - 1) / side
 	cellCV := make([]uint64, nPts) // ground-truth cell curve value per point
@@ -333,12 +328,7 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 			hi = nPts
 		}
 		col := pts[lo:hi]
-		sort.Slice(col, func(i, j int) bool {
-			if col[i].Y != col[j].Y {
-				return col[i].Y < col[j].Y
-			}
-			return col[i].X < col[j].X
-		})
+		slices.SortFunc(col, geom.Point.CompareYX)
 		rowSize := (len(col) + side - 1) / side
 		for i := range col {
 			cy := i / rowSize

@@ -350,3 +350,15 @@ func TestStringSummary(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+// BenchmarkBuild100k builds one index over 100k skewed points with the
+// paper's B and N at the benchmark's training budget: a root model over
+// about sixty leaves, the shape one shard of the repo's benchmark has.
+func BenchmarkBuild100k(b *testing.B) {
+	pts := dataset.Generate(dataset.Skewed, 100_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(pts, Options{Epochs: 10, Seed: 1})
+	}
+}

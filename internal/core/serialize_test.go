@@ -48,6 +48,32 @@ func TestSerializeRoundTripQueriesIdentical(t *testing.T) {
 	assertRoundTripIdentical(t, "updated", orig, live)
 }
 
+// TestBuildDeterministic: two builds from the same points and options write
+// byte-identical snapshots — blocks, MBRs, kernels, bounds — so nothing in the
+// build (the ordering sorts, above all) lets anything but its input decide the
+// index. The one wall-clock field of a snapshot is zeroed first.
+func TestBuildDeterministic(t *testing.T) {
+	pts := dataset.Generate(dataset.Skewed, 6000, 35)
+	pts = append(pts, pts[:300]...) // duplicate points: ties in every sort
+	for name, opts := range map[string]Options{
+		"rank space": testOptions(),
+		"raw grid":   {BlockCapacity: 20, PartitionThreshold: 500, LearningRate: 0.1, Epochs: 10, Seed: 1, RawGridLeafOrder: true},
+	} {
+		var snaps [2]bytes.Buffer
+		for i := range snaps {
+			idx := New(pts, opts)
+			idx.buildTime = 0
+			if _, err := idx.WriteTo(&snaps[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+			t.Errorf("%s: two builds of the same input wrote different snapshots (%d and %d bytes)",
+				name, snaps[0].Len(), snaps[1].Len())
+		}
+	}
+}
+
 // assertRoundTripIdentical saves and reloads orig and demands the same index
 // back: the same statistics, bit-identical predictions (the kernels are
 // stored, not recompiled) and the same answers at the same block accesses.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/store"
@@ -10,16 +12,30 @@ import (
 // blocks with overflow chaining, flag-based deletions, recursive MBR
 // maintenance, and the periodic rebuild of the RSMIr variant (§6.2.5).
 
+// ErrNonFinitePoint is returned by InsertContext — of this index and of the
+// engines built on it — for a point with a NaN or infinite coordinate. Such a
+// point cannot be indexed: ExtendPoint would turn its block's MBR, every
+// ancestor's and the shard's routing region into NaN or unbounded rectangles,
+// and queries would silently lose the points under them. Builds skip such
+// points for the same reason.
+var ErrNonFinitePoint = errors.New("core: point has a NaN or infinite coordinate")
+
 // Insert adds p to the index (§5). The point query locates the predicted
 // block; if it (or its overflow chain) has space, p is placed there,
 // otherwise a new overflow block is created, marked Inserted so it does not
 // count towards the error bounds, and spliced after the chain. Ancestor
 // MBRs are extended recursively.
 //
+// A point with a NaN or infinite coordinate is not inserted: this form drops
+// it, InsertContext reports ErrNonFinitePoint.
+//
 // This context-free form is the implementation layer: InsertContext is the
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) Insert(p geom.Point) {
+	if !p.IsFinite() {
+		return
+	}
 	if t.root == nil || t.baseBlocks == 0 {
 		// Degenerate empty index: rebuild from a single point.
 		*t = *New([]geom.Point{p}, t.opts)

@@ -42,6 +42,51 @@ func (p Point) Less(q Point) bool {
 	return p.Y < q.Y
 }
 
+// IsFinite reports whether both coordinates are finite: neither NaN nor ±Inf.
+// Only finite points can be indexed (see core.ErrNonFinitePoint).
+func (p Point) IsFinite() bool {
+	// Both comparisons are false for a NaN.
+	return math.Abs(p.X) <= math.MaxFloat64 && math.Abs(p.Y) <= math.MaxFloat64
+}
+
+// FinitePoints returns a new slice holding the finite points of pts, in
+// order: the private, indexable copy of its input an index builds from.
+func FinitePoints(pts []Point) []Point {
+	out := make([]Point, 0, len(pts))
+	for _, p := range pts {
+		if p.IsFinite() {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// Compare is the three-way form of Less, the shape slices.SortFunc takes:
+// negative when p orders before q by (X, Y), zero when neither does.
+func (p Point) Compare(q Point) int {
+	return lexCompare(p.X, p.Y, q.X, q.Y)
+}
+
+// CompareYX is Compare with the coordinates' roles swapped: by Y, ties by X.
+func (p Point) CompareYX(q Point) int {
+	return lexCompare(p.Y, p.X, q.Y, q.X)
+}
+
+// lexCompare orders the pair (a1, a2) against (b1, b2) lexicographically.
+func lexCompare(a1, a2, b1, b2 float64) int {
+	switch {
+	case a1 < b1:
+		return -1
+	case a1 > b1:
+		return 1
+	case a2 < b2:
+		return -1
+	case a2 > b2:
+		return 1
+	}
+	return 0
+}
+
 // String implements fmt.Stringer.
 func (p Point) String() string {
 	return fmt.Sprintf("(%g, %g)", p.X, p.Y)

@@ -54,6 +54,23 @@ func TestPointLessTotalOrder(t *testing.T) {
 	}
 }
 
+// Compare is Less in three-way form, and CompareYX the same order with the
+// coordinates' roles swapped.
+func TestPointCompareAgreesWithLess(t *testing.T) {
+	pts := []Point{{0, 1}, {0, 2}, {1, 0}, {1, 0}, {-3, 7}, {math.Copysign(0, -1), 1}}
+	for _, p := range pts {
+		for _, q := range pts {
+			c := p.Compare(q)
+			if (c < 0) != p.Less(q) || (c > 0) != q.Less(p) {
+				t.Errorf("Compare(%v, %v) = %d, Less says %v / %v", p, q, c, p.Less(q), q.Less(p))
+			}
+			if got, want := p.CompareYX(q), (Point{p.Y, p.X}).Compare(Point{q.Y, q.X}); got != want {
+				t.Errorf("CompareYX(%v, %v) = %d, want %d", p, q, got, want)
+			}
+		}
+	}
+}
+
 func TestNewRectNormalizesCorners(t *testing.T) {
 	r := NewRect(Point{3, -1}, Point{-2, 4})
 	want := Rect{MinX: -2, MinY: -1, MaxX: 3, MaxY: 4}
@@ -332,5 +349,23 @@ func TestMinDistMatchesBruteForce(t *testing.T) {
 		if got := r.MinDist(q); math.Abs(got-best) > 1e-2 {
 			t.Fatalf("MinDist(%v) = %v, brute force %v", q, got, best)
 		}
+	}
+}
+
+func TestPointIsFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Point{{0, 0}, {-1e300, math.MaxFloat64}, {5e-324, math.Copysign(0, -1)}, {-math.MaxFloat64, 1}} {
+		if !p.IsFinite() {
+			t.Errorf("%v reported as not finite", p)
+		}
+	}
+	for _, p := range []Point{{nan, 0}, {0, nan}, {inf, 0}, {0, inf}, {-inf, 0}, {0, -inf}, {nan, inf}} {
+		if p.IsFinite() {
+			t.Errorf("%v reported as finite", p)
+		}
+	}
+	got := FinitePoints([]Point{{nan, 0}, {1, 2}, {0, inf}, {3, 4}, {-inf, nan}})
+	if len(got) != 2 || got[0] != (Point{1, 2}) || got[1] != (Point{3, 4}) {
+		t.Errorf("FinitePoints = %v, want [(1, 2) (3, 4)]", got)
 	}
 }

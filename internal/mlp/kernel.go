@@ -7,8 +7,8 @@ import (
 	"math"
 )
 
-// The sigmoid of the inference kernel is read from a table: tableSteps
-// linear pieces over [-tableSpan, tableSpan], saturating outside. The step
+// The sigmoid, of training and inference alike, is read from a table:
+// tableSteps linear pieces over [-tableSpan, tableSpan], saturating outside. The step
 // is a power of two, so a pre-activation is turned into a table coordinate
 // (and a coordinate into an index and a fraction) without rounding.
 const (
@@ -67,9 +67,10 @@ func tableSigmoid(t float64) float64 {
 	return lo + float64((t-float64(i))*(hi-lo))
 }
 
-// unit is one hidden neuron of a Kernel, its four parameters adjacent: the
-// pre-activation b + wx·x + wy·y is in table coordinates of raw (not
-// normalised) inputs, and w2 is the neuron's output weight in classes.
+// unit is one hidden neuron, its four parameters adjacent: input weights,
+// bias and output weight. In a Kernel the pre-activation b + wx·x + wy·y is
+// in table coordinates of raw (not normalised) inputs and w2 is in classes;
+// in a Network both are over the unit range (see Network).
 type unit struct {
 	wx, wy, b, w2 float64
 }
@@ -119,18 +120,18 @@ func Compile(net *Network, minX, minY, maxX, maxY float64, classes int) Kernel {
 	}
 	scale := float64(classes - 1)
 	k := Kernel{
-		units: make([]unit, net.hidden),
+		units: make([]unit, len(net.units)),
 		bias:  finite(net.b2 * scale),
 		last:  classes - 1,
 	}
-	for j := range k.units {
-		ax, cx := foldAxis(net.w1[2*j], minX, maxX)
-		ay, cy := foldAxis(net.w1[2*j+1], minY, maxY)
+	for j, u := range net.units {
+		ax, cx := foldAxis(u.wx, minX, maxX)
+		ay, cy := foldAxis(u.wy, minY, maxY)
 		k.units[j] = unit{
 			wx: finite(ax * tableScale),
 			wy: finite(ay * tableScale),
-			b:  finite((net.b1[j] + cx + cy + tableSpan) * tableScale),
-			w2: finite(net.w2[j] * scale),
+			b:  finite((u.b + cx + cy + tableSpan) * tableScale),
+			w2: finite(u.w2 * scale),
 		}
 	}
 	return k

@@ -15,8 +15,8 @@ func tableSigmoidAt(x float64) float64 {
 	return tableSigmoid((x + tableSpan) * tableScale)
 }
 
-// TestSigmoidTable pins the table: monotone, total, and within the error the
-// kernel tests budget for of the exp-based sigmoid training uses.
+// TestSigmoidTable pins the table: monotone, total, and within the pinned
+// error of the exact sigmoid 1/(1+e^-x).
 func TestSigmoidTable(t *testing.T) {
 	var worst float64
 	prev := 0.0
@@ -69,11 +69,12 @@ func TestSigmoidTableBits(t *testing.T) {
 // spread wide enough that hidden units reach both saturated ends of the table.
 func randomNetwork(rng *rand.Rand, hidden int) *Network {
 	n := New(Config{Inputs: 2, Hidden: hidden, Seed: rng.Int63()})
-	for i := range n.w1 {
-		n.w1[i] *= 1 + 30*rng.Float64()
+	for j := range n.units {
+		n.units[j].wx *= 1 + 30*rng.Float64()
+		n.units[j].wy *= 1 + 30*rng.Float64()
 	}
-	for i := range n.b1 {
-		n.b1[i] = 8 * rng.NormFloat64()
+	for j := range n.units {
+		n.units[j].b = 8 * rng.NormFloat64()
 	}
 	n.b2 = rng.NormFloat64()
 	return n

@@ -13,10 +13,13 @@
 // caller ("the point coordinates and block IDs are normalized into the unit
 // range", §6.1).
 //
-// A Network is what training works on. An index that has finished training a
-// two-input Network compiles it (Compile) into a Kernel — normalisation,
-// class scaling and a table sigmoid folded into one pass over one slice —
-// keeps the Kernel and drops the Network; see Kernel for why that is exact.
+// A Network is what training works on, kept in the form inference uses: one
+// unit per hidden neuron, and one sigmoid for the whole package — a 4 096-piece
+// interpolated table within 1e-6 of 1/(1+e^-x) (tableSigmoid), where the paper
+// has PyTorch's. An index that has finished training a two-input Network
+// compiles it (Compile) into a Kernel — the same units rescaled to fold in
+// normalisation, class scaling and the table's coordinates — keeps the Kernel
+// and drops the Network; see Kernel for why that is exact.
 package mlp
 
 import (
@@ -68,41 +71,35 @@ func HiddenFor(inputs, outputClasses int) int {
 // finished; Train mutates the weights and must not run concurrently with
 // anything else.
 type Network struct {
-	inputs, hidden int
-	// w1 is row-major [hidden][inputs]; b1 has one bias per hidden neuron.
-	w1, b1 []float64
-	// w2 connects hidden to the single output; b2 is the output bias.
-	w2 []float64
-	b2 float64
+	inputs int
+	// units holds the hidden neurons, each one's input weights, bias and
+	// output weight adjacent, over inputs and outputs in the unit range. A
+	// one-input network is a two-input one whose wy is 0, fed y = 0: wy's
+	// gradient is then 0 too, so it stays there.
+	units []unit
+	b2    float64 // the output bias
 }
-
-// scratchSize covers the common hidden widths (the paper's rule yields ≤ 51
-// for B = 100) so Predict runs without heap allocation.
-const scratchSize = 64
 
 // New creates a network with Xavier-style uniform weight initialisation.
 func New(cfg Config) *Network {
-	if cfg.Inputs <= 0 {
-		panic(fmt.Sprintf("mlp: invalid input count %d", cfg.Inputs))
+	if cfg.Inputs != 1 && cfg.Inputs != 2 {
+		panic(fmt.Sprintf("mlp: invalid input count %d (the paper's models take 1 or 2)", cfg.Inputs))
 	}
 	if cfg.Hidden <= 0 {
 		panic(fmt.Sprintf("mlp: invalid hidden count %d", cfg.Hidden))
 	}
-	n := &Network{
-		inputs: cfg.Inputs,
-		hidden: cfg.Hidden,
-		w1:     make([]float64, cfg.Hidden*cfg.Inputs),
-		b1:     make([]float64, cfg.Hidden),
-		w2:     make([]float64, cfg.Hidden),
-	}
+	n := &Network{inputs: cfg.Inputs, units: make([]unit, cfg.Hidden)}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	lim1 := 1 / math.Sqrt(float64(cfg.Inputs))
-	for i := range n.w1 {
-		n.w1[i] = rng.Float64()*2*lim1 - lim1
+	for j := range n.units {
+		n.units[j].wx = rng.Float64()*2*lim1 - lim1
+		if cfg.Inputs == 2 {
+			n.units[j].wy = rng.Float64()*2*lim1 - lim1
+		}
 	}
 	lim2 := 1 / math.Sqrt(float64(cfg.Hidden))
-	for i := range n.w2 {
-		n.w2[i] = rng.Float64()*2*lim2 - lim2
+	for j := range n.units {
+		n.units[j].w2 = rng.Float64()*2*lim2 - lim2
 	}
 	return n
 }
@@ -111,43 +108,45 @@ func New(cfg Config) *Network {
 func (n *Network) Inputs() int { return n.inputs }
 
 // Hidden returns the hidden layer width.
-func (n *Network) Hidden() int { return n.hidden }
+func (n *Network) Hidden() int { return len(n.units) }
 
 // SizeBytes returns the storage footprint of the parameters, used by the
-// index-size experiments (Figs. 7 and 9).
+// index-size experiments (Figs. 7 and 9): per hidden neuron one weight per
+// input, a bias and an output weight, plus the output bias.
 func (n *Network) SizeBytes() int64 {
-	return int64(len(n.w1)+len(n.b1)+len(n.w2)+1) * 8
+	return int64(len(n.units)*(n.inputs+2)+1) * 8
+}
+
+// sample returns sample s of the row-major inputs xs as the (x, y) pair the
+// units take.
+func (n *Network) sample(xs []float64, s int) (x, y float64) {
+	if n.inputs == 1 {
+		return xs[s], 0
+	}
+	return xs[2*s], xs[2*s+1]
+}
+
+// activation is the neuron's output for unit-range inputs: the table sigmoid
+// of b + wx·x + wy·y. Products are rounded before they are added, as in
+// Kernel.value, so a forward pass is the same sum on every GOARCH.
+func (u *unit) activation(x, y float64) float64 {
+	s := u.b + float64(u.wx*x) + float64(u.wy*y)
+	return tableSigmoid((s + tableSpan) * tableScale)
 }
 
 // Predict runs a forward pass. len(x) must equal Inputs(). It is safe for
 // concurrent use.
+//
+//rsmi:noalloc
 func (n *Network) Predict(x []float64) float64 {
-	var buf [scratchSize]float64
-	var h []float64
-	if n.hidden <= scratchSize {
-		h = buf[:n.hidden]
-	} else {
-		h = make([]float64, n.hidden)
-	}
-	return n.predictInto(x, h)
-}
-
-// predictInto runs a forward pass, storing hidden activations in h (length
-// Hidden()), which the training backward pass reuses.
-func (n *Network) predictInto(x []float64, h []float64) float64 {
 	if len(x) != n.inputs {
 		panic(fmt.Sprintf("mlp: predict with %d inputs, want %d", len(x), n.inputs))
 	}
+	x0, y0 := n.sample(x, 0)
 	out := n.b2
-	for j := 0; j < n.hidden; j++ {
-		s := n.b1[j]
-		row := n.w1[j*n.inputs : (j+1)*n.inputs]
-		for i, xi := range x {
-			s += row[i] * xi
-		}
-		hj := sigmoid(s)
-		h[j] = hj
-		out += n.w2[j] * hj
+	for j := range n.units {
+		u := &n.units[j]
+		out += float64(u.w2 * u.activation(x0, y0))
 	}
 	return out
 }
@@ -176,34 +175,36 @@ func (n *Network) Train(cfg Config, xs []float64, ys []float64) float64 {
 	for i := range order {
 		order[i] = i
 	}
-	dh := make([]float64, n.hidden)
-	h := make([]float64, n.hidden)
+	units := n.units
+	h := make([]float64, len(units)) // the current sample's activations
 	var mse float64
 	for e := 0; e < epochs; e++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sse float64
 		for _, s := range order {
-			x := xs[s*n.inputs : (s+1)*n.inputs]
-			pred := n.predictInto(x, h)
-			err := pred - ys[s]
-			sse += err * err
+			x, y := n.sample(xs, s)
+			out := n.b2
+			for j := range units {
+				u := &units[j]
+				h[j] = u.activation(x, y)
+				out += float64(u.w2 * h[j])
+			}
+			err := out - ys[s]
+			sse += float64(err * err)
 
-			// Output layer gradients; h holds the activations from the
-			// forward pass.
-			for j := 0; j < n.hidden; j++ {
-				hj := h[j]
-				dh[j] = err * n.w2[j] * hj * (1 - hj)
-				n.w2[j] -= lr * err * hj
+			// One visit per neuron moves all four of its parameters; the
+			// hidden gradient reads w2 before w2 moves.
+			step := float64(lr * err)
+			for j := range units {
+				u, hj := &units[j], h[j]
+				dh := float64(float64(float64(err*u.w2)*hj) * (1 - hj))
+				g := float64(lr * dh)
+				u.w2 -= float64(step * hj)
+				u.wx -= float64(g * x)
+				u.wy -= float64(g * y)
+				u.b -= g
 			}
-			n.b2 -= lr * err
-			// Hidden layer gradients.
-			for j := 0; j < n.hidden; j++ {
-				row := n.w1[j*n.inputs : (j+1)*n.inputs]
-				for i, xi := range x {
-					row[i] -= lr * dh[j] * xi
-				}
-				n.b1[j] -= lr * dh[j]
-			}
+			n.b2 -= step
 		}
 		mse = sse / float64(len(ys))
 		if cfg.TargetLoss > 0 && mse <= cfg.TargetLoss {
@@ -224,8 +225,4 @@ func (n *Network) Loss(xs []float64, ys []float64) float64 {
 		sse += d * d
 	}
 	return sse / float64(len(ys))
-}
-
-func sigmoid(x float64) float64 {
-	return 1 / (1 + math.Exp(-x))
 }

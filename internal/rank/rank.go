@@ -11,7 +11,8 @@
 package rank
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"rsmi/internal/geom"
 	"rsmi/internal/sfc"
@@ -50,24 +51,17 @@ func Transform(pts []geom.Point, kind sfc.Kind) []Ranked {
 	for i := range idx {
 		idx[i] = i
 	}
-	// Rank by x, ties by y.
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]], pts[idx[b]]
-		if pa.X != pb.X {
-			return pa.X < pb.X
-		}
-		return pa.Y < pb.Y
+	// Rank by x, ties by y; then by y, ties by x. Duplicate points rank in
+	// input order — the input index is the last tie-break — so each sort has
+	// one possible outcome, whatever the sorting algorithm.
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(pts[a].Compare(pts[b]), a-b)
 	})
 	for r, i := range idx {
 		out[i].RankX = uint32(r)
 	}
-	// Rank by y, ties by x.
-	sort.SliceStable(idx, func(a, b int) bool {
-		pa, pb := pts[idx[a]], pts[idx[b]]
-		if pa.Y != pb.Y {
-			return pa.Y < pb.Y
-		}
-		return pa.X < pb.X
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Or(pts[a].CompareYX(pts[b]), a-b)
 	})
 	for r, i := range idx {
 		out[i].RankY = uint32(r)
@@ -96,11 +90,11 @@ func Transform(pts []geom.Point, kind sfc.Kind) []Ranked {
 // Ties (impossible for distinct rank cells, but kept for safety) break by
 // the canonical point order.
 func SortByCurveValue(rs []Ranked) {
-	sort.Slice(rs, func(a, b int) bool {
-		if rs[a].CV != rs[b].CV {
-			return rs[a].CV < rs[b].CV
+	slices.SortFunc(rs, func(a, b Ranked) int {
+		if a.CV != b.CV {
+			return cmp.Compare(a.CV, b.CV)
 		}
-		return rs[a].Point.Less(rs[b].Point)
+		return a.Point.Compare(b.Point)
 	})
 }
 

@@ -1,6 +1,7 @@
 package rank
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -56,6 +57,92 @@ func TestTransformTieBreaking(t *testing.T) {
 	rs = Transform(pts, sfc.Z)
 	if rs[0].RankY != 1 || rs[1].RankY != 0 {
 		t.Errorf("y-ties must break by x: got RankY %d,%d", rs[0].RankY, rs[1].RankY)
+	}
+}
+
+// stableRanks is the ranking Transform performed with before it sorted
+// without reflection: two sort.SliceStable passes over one index slice, the
+// second starting from the first's order.
+func stableRanks(pts []geom.Point) (rankX, rankY []uint32) {
+	idx := make([]int, len(pts))
+	for i := range idx {
+		idx[i] = i
+	}
+	rankX, rankY = make([]uint32, len(pts)), make([]uint32, len(pts))
+	sort.SliceStable(idx, func(a, b int) bool {
+		pa, pb := pts[idx[a]], pts[idx[b]]
+		if pa.X != pb.X {
+			return pa.X < pb.X
+		}
+		return pa.Y < pb.Y
+	})
+	for r, i := range idx {
+		rankX[i] = uint32(r)
+	}
+	sort.SliceStable(idx, func(a, b int) bool {
+		pa, pb := pts[idx[a]], pts[idx[b]]
+		if pa.Y != pb.Y {
+			return pa.Y < pb.Y
+		}
+		return pa.X < pb.X
+	})
+	for r, i := range idx {
+		rankY[i] = uint32(r)
+	}
+	return rankX, rankY
+}
+
+// TestTransformMatchesStableSortReference: on inputs full of duplicate x,
+// duplicate y and duplicate points, every input index gets the RankX, RankY
+// and curve value the stable-sort ranking gave it — so curve orders, shard
+// partitions and block contents are what they were — and Order, which has to
+// place points of equal curve value, returns the same sequence.
+func TestTransformMatchesStableSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + rng.Intn(3000)
+		levels := 1 + rng.Intn(40) // few distinct coordinates: ties everywhere
+		pts := make([]geom.Point, n)
+		for i := range pts {
+			pts[i] = geom.Pt(float64(rng.Intn(levels))/4, float64(rng.Intn(levels))/4)
+			if i > 0 && rng.Intn(5) == 0 {
+				pts[i] = pts[rng.Intn(i)] // an exact duplicate
+			}
+		}
+		if trial%7 == 0 {
+			pts[rng.Intn(n)].X = math.Copysign(0, -1) // -0 ties with +0
+		}
+		kind := []sfc.Kind{sfc.Hilbert, sfc.Z}[trial%2]
+		wantX, wantY := stableRanks(pts)
+		curve := sfc.New(kind, sfc.OrderFor(n))
+		spread := func(r uint32) uint32 {
+			if n == 1 {
+				return 0
+			}
+			return uint32(uint64(r) * uint64(curve.Side()-1) / uint64(n-1))
+		}
+		rs := Transform(pts, kind)
+		for i, r := range rs {
+			if r.Point != pts[i] || r.RankX != wantX[i] || r.RankY != wantY[i] {
+				t.Fatalf("trial %d, input %d %v: ranks (%d, %d), stable-sort reference (%d, %d)",
+					trial, i, pts[i], r.RankX, r.RankY, wantX[i], wantY[i])
+			}
+			if want := curve.Value(spread(wantX[i]), spread(wantY[i])); r.CV != want {
+				t.Fatalf("trial %d, input %d: curve value %d, reference %d", trial, i, r.CV, want)
+			}
+		}
+		want := append([]Ranked(nil), rs...)
+		sort.SliceStable(want, func(a, b int) bool {
+			if want[a].CV != want[b].CV {
+				return want[a].CV < want[b].CV
+			}
+			return want[a].Point.Less(want[b].Point)
+		})
+		for i, p := range Order(pts, kind) {
+			if math.Float64bits(p.X) != math.Float64bits(want[i].Point.X) || math.Float64bits(p.Y) != math.Float64bits(want[i].Point.Y) {
+				t.Fatalf("trial %d: Order()[%d] = %v, reference %v", trial, i, p, want[i].Point)
+			}
+		}
 	}
 }
 

@@ -15,6 +15,7 @@ package shard
 import (
 	"context"
 
+	"rsmi/internal/core"
 	"rsmi/internal/geom"
 	"rsmi/internal/obs"
 )
@@ -109,9 +110,13 @@ func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.
 
 // InsertContext is Insert honouring ctx at entry; an admitted insert
 // always completes (a half-applied update would corrupt the owning shard).
+// A point that cannot be indexed is refused with core.ErrNonFinitePoint.
 func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	if !p.IsFinite() {
+		return core.ErrNonFinitePoint
 	}
 	s.Insert(p)
 	return nil

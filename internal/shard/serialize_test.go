@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -10,6 +11,43 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/workload"
 )
+
+// snapshotSansBuildTimes serialises s with the one wall-clock field of each
+// shard's stream — its build time, the first place those eight bytes occur —
+// zeroed.
+func snapshotSansBuildTimes(t *testing.T, s *Sharded) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	snap := buf.Bytes()
+	for i, sh := range s.shards {
+		field := binary.LittleEndian.AppendUint64(nil, uint64(sh.idx.Stats().BuildTime))
+		at := bytes.Index(snap, field)
+		if at < 0 {
+			t.Fatalf("shard %d: build time %v not found in the snapshot", i, sh.idx.Stats().BuildTime)
+		}
+		clear(snap[at : at+len(field)])
+	}
+	return snap
+}
+
+// TestBuildDeterministic: shards build on goroutines of their own, from runs
+// of one ordering; two builds of the same points and options still write
+// byte-identical snapshots — same partition, regions, blocks, kernels and
+// bounds — so neither a sort's tie-handling nor scheduling reaches an index.
+func TestBuildDeterministic(t *testing.T) {
+	pts := dataset.Generate(dataset.OSMLike, 5000, 57)
+	pts = append(pts, pts[:250]...) // duplicate points: ties in every sort
+	for _, parts := range []Partitioning{Space, Hash} {
+		a := snapshotSansBuildTimes(t, New(pts, quickOpts(parts, 4)))
+		b := snapshotSansBuildTimes(t, New(pts, quickOpts(parts, 4)))
+		if !bytes.Equal(a, b) {
+			t.Errorf("%v: two builds of the same input wrote different snapshots (%d and %d bytes)", parts, len(a), len(b))
+		}
+	}
+}
 
 // TestShardedRoundTrip saves and reloads a sharded index that has seen
 // updates, then requires the loaded index to answer every query class

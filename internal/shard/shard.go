@@ -154,6 +154,7 @@ var _ index.Index = (*Sharded)(nil)
 // small leaves a hierarchical build produces (scans of ±40 blocks instead
 // of ±4 at harness training budgets), erasing the gains of sharding.
 func New(pts []geom.Point, opts Options) *Sharded {
+	pts = geom.FinitePoints(pts) // nothing else can be ordered, routed or indexed
 	opts = opts.withDefaults()
 	opts.Index = deriveIndexOptions(opts, len(pts))
 	start := time.Now()
@@ -321,6 +322,11 @@ func (s *Sharded) PointQuery(q geom.Point) bool {
 // Deprecated: use InsertContext instead; the context-free form wraps
 // it with context.Background().
 func (s *Sharded) Insert(p geom.Point) {
+	if !p.IsFinite() {
+		// Dropped before routing reads (and extends) a region with it;
+		// InsertContext reports core.ErrNonFinitePoint.
+		return
+	}
 	var sh *state
 	if s.opts.Partitioning == Hash {
 		sh = s.owner(p)

@@ -14,7 +14,9 @@
 package zm
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -129,11 +131,8 @@ func New(pts []geom.Point, opts Options) *ZM {
 	for i, p := range pts {
 		zps[i] = zp{z.zvalue(p), p}
 	}
-	sort.Slice(zps, func(i, j int) bool {
-		if zps[i].z != zps[j].z {
-			return zps[i].z < zps[j].z
-		}
-		return zps[i].p.Less(zps[j].p)
+	slices.SortFunc(zps, func(a, b zp) int {
+		return cmp.Or(cmp.Compare(a.z, b.z), a.p.Compare(b.p))
 	})
 	ordered := make([]geom.Point, len(zps))
 	keys := make([]float64, len(zps))

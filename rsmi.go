@@ -94,6 +94,13 @@ func Load(r io.Reader) (*Index, error) {
 // runs, so the index must be rebuilt from its points and saved again.
 var ErrSnapshotV1 = core.ErrSnapshotV1
 
+// ErrNonFinitePoint is the error InsertContext returns, on Index, Concurrent
+// and Sharded, for a point with a NaN or infinite coordinate. The point is not
+// inserted — folded into the MBRs above it, it would hide the points under
+// them from every query; the context-free Insert drops it silently, and New,
+// NewConcurrent and NewSharded skip such points in their input.
+var ErrNonFinitePoint = core.ErrNonFinitePoint
+
 // Pt constructs a Point.
 func Pt(x, y float64) Point { return geom.Pt(x, y) }
 
