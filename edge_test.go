@@ -26,6 +26,7 @@ type engine interface {
 	ExactWindow(q rsmi.Rect) []rsmi.Point
 	KNN(q rsmi.Point, k int) []rsmi.Point
 	ExactKNN(q rsmi.Point, k int) []rsmi.Point
+	ExactKNNContext(ctx context.Context, q rsmi.Point, k int) ([]rsmi.Point, error)
 	Insert(p rsmi.Point)
 	InsertContext(ctx context.Context, p rsmi.Point) error
 	Delete(p rsmi.Point) bool
@@ -277,6 +278,12 @@ func TestNonFiniteQueries(t *testing.T) {
 				}
 				if got := e.KNN(q, 5); len(got) != 0 {
 					t.Errorf("KNN(%v) returned %d rows", q, len(got))
+				}
+				if got := e.ExactKNN(q, 5); len(got) != 0 {
+					t.Errorf("ExactKNN(%v) returned %d rows", q, len(got))
+				}
+				if got, err := e.ExactKNNContext(context.Background(), q, 5); err != nil || len(got) != 0 {
+					t.Errorf("ExactKNNContext(%v) returned %d rows, err %v", q, len(got), err)
 				}
 				for _, w := range []rsmi.Rect{
 					{MinX: q.X, MinY: q.Y, MaxX: 1, MaxY: 1},

@@ -18,46 +18,25 @@ import (
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactWindow(q geom.Rect) []geom.Point {
-	var out []geom.Point
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil || !n.mbr.Intersects(q) {
-			return
-		}
-		if !n.leaf {
-			for _, c := range n.children {
-				walk(c)
-			}
-			return
-		}
-		t.scanLeafBlocks(n, func(b *store.Block) bool {
-			b.Points(func(p geom.Point) {
-				if q.Contains(p) {
-					out = append(out, p)
-				}
-			})
-			return true
-		}, func(id int) bool { return t.blockMBR[id].Intersects(q) })
-	}
-	walk(t.root)
-	return out
+	return t.exactWindow(nil, t.root, q)
 }
 
-// scanLeafBlocks visits the leaf's base blocks and their overflow chains.
-// pre filters block ids by cached MBR before the counted read.
-func (t *RSMI) scanLeafBlocks(n *node, fn func(b *store.Block) bool, pre func(id int) bool) {
-	for id := n.firstBlock; id < n.firstBlock+n.numBlocks; id++ {
-		base := t.store.Peek(id)
-		for _, cid := range t.store.Chain(base) {
-			if pre != nil && !pre(cid) {
-				continue
-			}
-			b := t.store.Read(cid)
-			if !fn(b) {
-				return
-			}
-		}
+// exactWindow appends the window's points under n to dst. Only the blocks
+// whose cached MBR meets the window count as read.
+func (t *RSMI) exactWindow(dst []geom.Point, n *node, q geom.Rect) []geom.Point {
+	if n == nil || !n.mbr.Intersects(q) {
+		return dst
 	}
+	for _, c := range n.children {
+		dst = t.exactWindow(dst, c, q)
+	}
+	if n.leaf {
+		c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
+		var admitted int
+		dst, admitted = t.collect(dst, &c, q)
+		t.store.CountReads(admitted)
+	}
+	return dst
 }
 
 // exactEntry is a best-first queue entry: an internal node, a leaf, a block,
@@ -91,7 +70,8 @@ func (q *exactQueue) Pop() interface{} {
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.n == 0 {
+	if k <= 0 || t.n == 0 || !q.IsFinite() {
+		// As in KNN: nothing is nearest to a point that is nowhere.
 		return nil
 	}
 	pq := &exactQueue{}
@@ -110,16 +90,14 @@ func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
 				}
 			}
 		case e.node != nil: // leaf: enqueue its blocks by MBR distance
-			for id := e.node.firstBlock; id < e.node.firstBlock+e.node.numBlocks; id++ {
-				for _, cid := range t.store.Chain(t.store.Peek(id)) {
-					heap.Push(pq, exactEntry{dist2: t.blockMBR[cid].MinDist2(q), block: cid})
-				}
+			c := t.scan(e.node.firstBlock, e.node.firstBlock+e.node.numBlocks-1)
+			for id := c.next(); id != store.NilBlock; id = c.next() {
+				heap.Push(pq, exactEntry{dist2: t.blockMBR[id].MinDist2(q), block: id})
 			}
 		default: // block: read it (counted) and enqueue its points
-			b := t.store.Read(e.block)
-			b.Points(func(p geom.Point) {
+			for _, p := range t.store.Read(e.block).Slots() {
 				heap.Push(pq, exactEntry{dist2: q.Dist2(p), pt: p, isPt: true})
-			})
+			}
 		}
 	}
 	return out

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -14,6 +16,17 @@ import (
 // Structural invariants of a freshly built RSMI. These are the properties
 // the query algorithms rely on; they must hold for any data distribution,
 // any seed, and any (sane) option combination.
+
+// chainOf returns base block `base` and the overflow blocks chained after it,
+// as the cursor every query walks with yields them.
+func chainOf(t *RSMI, base int) []int {
+	var ids []int
+	c := t.scan(base, base)
+	for id := c.next(); id != store.NilBlock; id = c.next() {
+		ids = append(ids, id)
+	}
+	return ids
+}
 
 // walkLeaves visits leaves left to right.
 func walkLeaves(n *node, fn func(*node)) {
@@ -94,7 +107,7 @@ func TestNodeMBRsContainSubtrees(t *testing.T) {
 		if n.leaf {
 			covered := geom.EmptyRect()
 			for id := n.firstBlock; id < n.firstBlock+n.numBlocks; id++ {
-				for _, cid := range idx.store.Chain(idx.store.Peek(id)) {
+				for _, cid := range chainOf(idx, id) {
 					b := idx.store.Peek(cid)
 					b.Points(func(p geom.Point) {
 						covered = covered.ExtendPoint(p)
@@ -135,7 +148,7 @@ func TestDescentMatchesBuildGrouping(t *testing.T) {
 		}
 		found := false
 		for id := leaf.firstBlock; id < leaf.firstBlock+leaf.numBlocks && !found; id++ {
-			for _, cid := range idx.store.Chain(idx.store.Peek(id)) {
+			for _, cid := range chainOf(idx, id) {
 				if idx.store.Peek(cid).Find(p) >= 0 {
 					found = true
 					break
@@ -231,77 +244,134 @@ func TestOversizedLeafFallback(t *testing.T) {
 	}
 }
 
-// knnHeap unit tests: the bounded max-heap at the centre of Algorithm 3.
-func TestKNNHeapBasics(t *testing.T) {
-	q := geom.Pt(0, 0)
-	h := &knnHeap{q: q, k: 3}
-	if h.worst() != h.worst() || h.Len() != 0 {
-		t.Fatal("fresh heap broken")
-	}
-	pts := []geom.Point{{X: 5, Y: 0}, {X: 1, Y: 0}, {X: 3, Y: 0}, {X: 2, Y: 0}, {X: 4, Y: 0}}
-	for _, p := range pts {
-		h.offer(p)
-	}
-	if h.Len() != 3 {
-		t.Fatalf("heap len = %d, want 3", h.Len())
-	}
-	got := h.sorted()
-	want := []float64{1, 2, 3}
-	for i, p := range got {
-		if p.X != want[i] {
-			t.Fatalf("sorted[%d] = %v, want x=%v", i, p, want[i])
+// TestKNNBestMatchesFullSort: after every merged group of points the
+// candidate list holds exactly the first k of a stable sort by distance of
+// everything offered so far — the same distances in the same order and,
+// among equidistant points, the ones seen first. Group sizes run from empty
+// to several blocks' worth and coordinates come from a coarse grid, so ties
+// are everywhere, at the k-th place too.
+func TestKNNBestMatchesFullSort(t *testing.T) {
+	for _, k := range []int{1, 25, 625} {
+		rng := rand.New(rand.NewSource(int64(k)))
+		for trial := 0; trial < 12; trial++ {
+			q := geom.Pt(float64(rng.Intn(12)), float64(rng.Intn(12)))
+			if trial == 0 {
+				q.X = 1e300 // every distance overflows to +Inf: the first k seen are the answer
+			}
+			best := knnBest{q: q, k: k}
+			var all []geom.Point
+			for len(all) < 3*k+200 {
+				group := make([]geom.Point, rng.Intn(250))
+				for i := range group {
+					group[i] = geom.Pt(float64(rng.Intn(12)), float64(rng.Intn(12)))
+					if rng.Intn(4) == 0 { // a quarter off the grid: distinct distances too
+						group[i].X += rng.Float64()
+					}
+				}
+				best.merge(group)
+				all = append(all, group...)
+
+				want := append([]geom.Point(nil), all...)
+				sort.SliceStable(want, func(i, j int) bool { return q.Dist2(want[i]) < q.Dist2(want[j]) })
+				want = want[:min(k, len(want))]
+				got := best.points()
+				if len(got) != len(want) || best.full() != (len(all) >= k) {
+					t.Fatalf("k=%d after %d points: %d candidates (full=%v), want %d", k, len(all), len(got), best.full(), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("k=%d after %d points: rank %d is %v (d²=%v), full sort has %v (d²=%v)",
+							k, len(all), i, got[i], q.Dist2(got[i]), want[i], q.Dist2(want[i]))
+					}
+				}
+				if best.full() && best.worst() != q.Dist2(want[k-1]) {
+					t.Fatalf("k=%d: worst() = %v, k-th distance is %v", k, best.worst(), q.Dist2(want[k-1]))
+				}
+			}
 		}
 	}
 }
 
-func TestKNNHeapProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		q := geom.Pt(rng.Float64(), rng.Float64())
-		k := 1 + rng.Intn(20)
-		h := &knnHeap{q: q, k: k}
-		var all []geom.Point
-		n := k + rng.Intn(100)
-		for i := 0; i < n; i++ {
-			p := geom.Pt(rng.Float64(), rng.Float64())
-			all = append(all, p)
-			h.offer(p)
-		}
-		got := h.sorted()
-		// Compare against a full sort.
-		type dp struct {
-			d float64
-			p geom.Point
-		}
-		ds := make([]dp, len(all))
-		for i, p := range all {
-			ds[i] = dp{q.Dist2(p), p}
-		}
-		for i := 1; i < len(ds); i++ {
-			for j := i; j > 0 && ds[j].d < ds[j-1].d; j-- {
-				ds[j], ds[j-1] = ds[j-1], ds[j]
+// TestCursorMatchesListWalk: over random base-block ranges — empty, reversed
+// and out-of-range ones included — the index cursor yields the blocks, names
+// the chain bases and counts the reads that following Next from block to
+// block (refScan, the walk it replaced) does; through overflow-chain growth,
+// a snapshot reload and a rebuild, on both curves.
+func TestCursorMatchesListWalk(t *testing.T) {
+	for _, curve := range []sfc.Kind{sfc.Hilbert, sfc.Z} {
+		rng := rand.New(rand.NewSource(7))
+		opts := testOptions()
+		opts.Curve = curve
+		opts.Epochs = 10
+		idx := New(dataset.Generate(dataset.Skewed, 2000, 43), opts)
+		check := func(stage string) {
+			t.Helper()
+			for i := 0; i < 300; i++ {
+				begin, end := rng.Intn(idx.baseBlocks+4)-2, rng.Intn(idx.baseBlocks+4)-2
+				if i%3 == 0 {
+					end = begin + rng.Intn(4)
+				}
+				type step struct{ id, base int }
+				var want, got []step
+				wantReads := 0
+				if begin < idx.baseBlocks { // scan's contract; refScan has no such guard
+					refScan(idx, begin, end, &wantReads, func(b *store.Block, base int) bool {
+						want = append(want, step{b.ID, base})
+						return true
+					})
+				}
+				c := idx.scan(begin, end)
+				for id := c.next(); id != store.NilBlock; id = c.next() {
+					got = append(got, step{id, c.base})
+				}
+				if !slices.Equal(got, want) || c.reads != wantReads {
+					t.Fatalf("%v, %s: scan(%d, %d) yielded %v in %d reads, the list walk %v in %d",
+						curve, stage, begin, end, got, c.reads, want, wantReads)
+				}
 			}
 		}
-		if len(got) != min(k, n) {
-			return false
-		}
-		for i := range got {
-			if q.Dist2(got[i]) != ds[i].d {
-				return false
+		check("built")
+		// Bursts into a few spots grow chains of several blocks, some of them
+		// hung off the last base block of a leaf and of the index.
+		for _, hot := range []geom.Point{idx.store.Peek(0).Slots()[0], idx.store.Peek(idx.baseBlocks - 1).Slots()[0],
+			idx.store.Peek(idx.baseBlocks / 2).Slots()[0], {X: rng.Float64(), Y: rng.Float64()}} {
+			for i := 0; i < 5*opts.BlockCapacity; i++ {
+				idx.Insert(geom.Pt(hot.X+1e-6*rng.Float64(), hot.Y+1e-6*rng.Float64()))
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+		if idx.store.NumBlocks() < idx.baseBlocks+8 {
+			t.Fatalf("bursts grew only %d overflow blocks", idx.store.NumBlocks()-idx.baseBlocks)
+		}
+		check("chains grown")
+		idx = roundTrip(t, idx)
+		check("reloaded")
+		for i := 0; i < 200; i++ { // chains whose heads Insert links on a loaded index
+			idx.Insert(geom.Pt(rng.Float64(), rng.Float64()))
+		}
+		check("updated after reload")
+		idx.Rebuild()
+		check("rebuilt")
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// TestKNNAllocatesOnlyItsAnswer: candidate lists, block queue and bitmap
+// come from the scratch pool, so a warm kNN query allocates one slice.
+func TestKNNAllocatesOnlyItsAnswer(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool sheds items under the race detector")
 	}
-	return b
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	for _, k := range []int{1, 25, 625} {
+		i := 0
+		if n := testing.AllocsPerRun(100, func() {
+			i++
+			if got := idx.KNN(pts[i%len(pts)], k); len(got) != k {
+				t.Fatalf("KNN(k=%d) returned %d points", k, len(got))
+			}
+		}); n != 1 {
+			t.Errorf("KNN(k=%d) allocates %v times per call, want 1", k, n)
+		}
+	}
 }
 
 // TestCurveOptionsProduceDifferentOrders: Hilbert and Z orderings must not

@@ -37,45 +37,46 @@ func (n *node) scanBounds(q geom.Point) (lo, hi int) {
 	return lo, hi
 }
 
-// blockCursor walks the block list from base block `begin` through base
-// block `end` inclusive, yielding every base block in between and every
-// inserted overflow block chained among them. Query loops drive it directly
-// (no callback per block) and report the blocks it yielded with one
+// blockCursor walks base blocks `begin` through `end` inclusive by index
+// and, after each, the overflow chain hung off it, yielding block ids in list
+// order. A base block without a chain — chainHead says so — is yielded
+// without its header being loaded, so a query loop can test blockMBR[id]
+// first and load only the blocks it admits. Query loops drive the cursor
+// directly (no callback per block) and report the blocks it yielded with one
 // CountReads when they are done.
 type blockCursor struct {
-	store *store.Manager
-	cur   int // next block id to yield
-	end   int // last base block of the range
+	t     *RSMI
 	base  int // base block whose chain the last yielded block belongs to
+	end   int // last base block of the range
+	chain int // next block of base's overflow chain, NilBlock when it is done
 	reads int // blocks yielded so far: the walk's block accesses
 }
 
 // scan returns a cursor over base blocks [begin, end] and their chains.
 func (t *RSMI) scan(begin, end int) blockCursor {
-	if begin > end || begin < 0 || begin >= t.baseBlocks {
-		begin = store.NilBlock
+	if begin < 0 {
+		begin, end = 0, -1
 	}
-	return blockCursor{store: t.store, cur: begin, end: end}
+	return blockCursor{t: t, base: begin - 1, end: min(end, t.baseBlocks-1), chain: store.NilBlock}
 }
 
-// next yields the next block of the walk, or nil when the range is done.
-func (c *blockCursor) next() *store.Block {
-	if c.cur == store.NilBlock {
-		return nil
-	}
-	b := c.store.Peek(c.cur)
-	if b == nil {
-		return nil
-	}
-	if !b.Inserted {
-		if b.ID > c.end {
-			return nil
+// next yields the next block id of the walk, or NilBlock when the range is
+// done.
+func (c *blockCursor) next() int {
+	id := c.chain
+	if id == store.NilBlock {
+		if c.base >= c.end {
+			return store.NilBlock
 		}
-		c.base = b.ID
+		c.base++
+		id = c.base
+		c.chain = int(c.t.chainHead[id])
+	} else if c.chain = c.t.store.Peek(id).Next; c.chain < c.t.baseBlocks {
+		// The chain ran into the next base block or the end of the list.
+		c.chain = store.NilBlock
 	}
-	c.cur = b.Next
 	c.reads++
-	return b
+	return id
 }
 
 // PointQuery implements Algorithm 1: descend the models, then scan the
@@ -106,11 +107,13 @@ func (t *RSMI) PointQuery(q geom.Point) bool {
 // nearly every block they walk. Skipped blocks still count as accesses.
 func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (b *store.Block, base, slot int) {
 	c := t.scan(lo, hi)
-	for b = c.next(); b != nil; b = c.next() {
-		if !t.blockMBR[b.ID].Contains(q) {
+	for id := c.next(); id != store.NilBlock; id = c.next() {
+		if !t.blockMBR[id].Contains(q) {
 			continue
 		}
-		if slot = b.Find(q); slot >= 0 {
+		in := t.store.Peek(id)
+		if slot = in.Find(q); slot >= 0 {
+			b = in
 			break
 		}
 	}
@@ -177,21 +180,28 @@ func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 		return dst
 	}
 	c := t.scan(begin, end)
-	for b := c.next(); b != nil; b = c.next() {
-		// Skip blocks whose cached MBR misses the window without touching
-		// their points (cheap filter; the block read is still counted).
-		if !t.blockMBR[b.ID].Intersects(q) {
+	dst, _ = t.collect(dst, &c, q)
+	t.store.CountReads(c.reads)
+	return dst
+}
+
+// collect appends to dst the points of q held by the blocks c has yet to
+// yield. A block whose cached MBR misses the window is skipped without being
+// loaded; the second result is the number of blocks that were not.
+func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Point, int) {
+	admitted := 0
+	for id := c.next(); id != store.NilBlock; id = c.next() {
+		if !t.blockMBR[id].Intersects(q) {
 			continue
 		}
-		pts, deleted := b.Slots()
-		for i, p := range pts {
-			if !deleted[i] && q.Contains(p) {
+		admitted++
+		for _, p := range t.store.Peek(id).Slots() {
+			if q.Contains(p) {
 				dst = append(dst, p)
 			}
 		}
 	}
-	t.store.CountReads(c.reads)
-	return dst
+	return dst, admitted
 }
 
 // KNN implements Algorithm 3: an expanding search region sized by the
@@ -225,39 +235,34 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 
 	s := knnScratchPool.Get().(*knnScratch)
 	s.reset(k, q, t.store.NumBlocks())
-	pq := &s.best
+	best := &s.best
 
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
 		wq := geom.RectAround(q, width, height)
 		if begin, end, ok := t.windowBounds(wq); ok {
 			c := t.scan(begin, end)
-			for b := c.next(); b != nil; b = c.next() {
-				if !s.seen.testAndSet(b.ID) {
-					s.queue.push(blockDist{t.blockMBR[b.ID].MinDist2(q), b.ID})
+			for id := c.next(); id != store.NilBlock; id = c.next() {
+				if !s.seen.testAndSet(id) {
+					s.queue.push(blockDist{t.blockMBR[id].MinDist2(q), id})
 				}
 			}
 			t.store.CountReads(c.reads)
 			for len(s.queue) > 0 {
 				next := s.queue.pop()
-				if pq.Len() >= k && next.dist2 >= pq.worst() {
+				if best.full() && next.dist2 >= best.worst() {
 					s.queue = s.queue[:0]
 					break
 				}
-				pts, deleted := t.store.Peek(next.id).Slots()
-				for i, p := range pts {
-					if !deleted[i] {
-						pq.offer(p)
-					}
-				}
+				best.merge(t.store.Peek(next.id).Slots())
 			}
 		}
-		if pq.Len() < k {
+		if !best.full() {
 			width *= 2
 			height *= 2
 			continue
 		}
-		kth := math.Sqrt(pq.worst())
+		kth := math.Sqrt(best.worst())
 		if kth > math.Sqrt(width*width+height*height)/2 {
 			width = 2 * kth
 			height = 2 * kth
@@ -265,91 +270,93 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 		}
 		break
 	}
-	out := pq.sorted()
+	out := best.points()
 	knnScratchPool.Put(s)
 	return out
 }
 
-// knnHeap is a bounded max-heap of the k best candidates by distance to q.
-type knnHeap struct {
-	q    geom.Point
-	k    int
-	dist []float64 // squared distances, max-heap order
-	pts  []geom.Point
+// candidate is a point with its squared distance to the query point.
+type candidate struct {
+	dist2 float64
+	p     geom.Point
 }
 
-func (h *knnHeap) Len() int { return len(h.pts) }
-
-// worst returns the squared distance of the current k-th candidate.
-func (h *knnHeap) worst() float64 {
-	if len(h.dist) == 0 {
-		return math.Inf(1)
-	}
-	return h.dist[0]
+// knnBest holds the k nearest points seen so far in ascending-distance
+// order, exact after every merged block. Nothing is sifted per point: a
+// block's points are filtered against the k-th distance, the few that pass
+// are insertion-sorted into a block-local list, and that list is merged into
+// the sorted one — O(c·min(c, k) + k) for a block with c passing points.
+// Equidistant points keep the order they were seen in, and the earlier one
+// wins the last place.
+type knnBest struct {
+	q     geom.Point
+	k     int
+	list  []candidate // ascending by dist2, at most k
+	local []candidate // one block's candidates, reused across blocks
 }
 
-// offer adds p if it improves the k best.
-func (h *knnHeap) offer(p geom.Point) {
-	d := h.q.Dist2(p)
-	if len(h.pts) < h.k {
-		h.pts = append(h.pts, p)
-		h.dist = append(h.dist, d)
-		h.up(len(h.dist) - 1)
-		return
-	}
-	if d >= h.dist[0] {
-		return
-	}
-	// Replace the top and sift it down: one pass instead of a pop and a push.
-	h.pts[0], h.dist[0] = p, d
-	h.down(len(h.dist))
-}
+// full reports whether k candidates are held. Until then every point is one,
+// even at a distance that overflowed to +Inf.
+func (b *knnBest) full() bool { return len(b.list) == b.k }
 
-// up restores heap order after slot i was appended.
-func (h *knnHeap) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h.dist[parent] >= h.dist[i] {
-			break
+// worst returns the squared distance of the k-th candidate of a full list:
+// what a point, or a block's MINDIST, has to beat.
+func (b *knnBest) worst() float64 { return b.list[b.k-1].dist2 }
+
+// merge folds one block's points into the list.
+func (b *knnBest) merge(pts []geom.Point) {
+	bound, open, local := math.Inf(1), b.k-len(b.list), b.local[:0]
+	if open == 0 {
+		bound = b.worst()
+	}
+	for _, p := range pts {
+		d := b.q.Dist2(p)
+		if d >= bound && len(local) >= open {
+			continue
 		}
-		h.swap(i, parent)
-		i = parent
+		// A full local list drops its last entry, the new bound's loser.
+		if len(local) < b.k {
+			local = append(local, candidate{})
+		}
+		i := len(local) - 1
+		for ; i > 0 && local[i-1].dist2 > d; i-- {
+			local[i] = local[i-1]
+		}
+		local[i] = candidate{d, p}
+		if len(local) == b.k {
+			bound = local[b.k-1].dist2
+		}
+	}
+	b.local = local
+	// Drop what no longer fits from the two tails, then merge from the back,
+	// in place: the list's unmoved prefix is already where it belongs.
+	i, j := len(b.list), len(local)
+	for i+j > b.k { // neither list is longer than k, so neither runs out
+		if b.list[i-1].dist2 > local[j-1].dist2 {
+			i--
+		} else {
+			j--
+		}
+	}
+	b.list = append(b.list[:i], local[:j]...)
+	for w := i + j - 1; j > 0; w-- {
+		if i > 0 && b.list[i-1].dist2 > local[j-1].dist2 {
+			i--
+			b.list[w] = b.list[i]
+		} else {
+			j--
+			b.list[w] = local[j]
+		}
 	}
 }
 
-// down restores heap order among the first n slots after slot 0 changed.
-func (h *knnHeap) down(n int) {
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && h.dist[l] > h.dist[big] {
-			big = l
-		}
-		if r < n && h.dist[r] > h.dist[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		h.swap(i, big)
-		i = big
+// points returns the candidates' points, nearest first, as a new slice.
+func (b *knnBest) points() []geom.Point {
+	out := make([]geom.Point, len(b.list))
+	for i, c := range b.list {
+		out[i] = c.p
 	}
-}
-
-func (h *knnHeap) swap(i, j int) {
-	h.dist[i], h.dist[j] = h.dist[j], h.dist[i]
-	h.pts[i], h.pts[j] = h.pts[j], h.pts[i]
-}
-
-// sorted returns the candidates in ascending-distance order as a new slice,
-// leaving the heap's own storage (sorted in place, heap-sort style) reusable.
-func (h *knnHeap) sorted() []geom.Point {
-	for n := len(h.pts) - 1; n > 0; n-- {
-		h.swap(0, n)
-		h.down(n)
-	}
-	return append([]geom.Point(nil), h.pts...)
+	return out
 }
 
 // blockDist is a block queued for a kNN round with the squared MINDIST from
@@ -409,12 +416,12 @@ func (m bitmap) testAndSet(id int) bool {
 	return old&bit != 0
 }
 
-// knnScratch is the per-call working state of KNN — candidate heap, block
+// knnScratch is the per-call working state of KNN — candidate lists, block
 // queue, seen-block bitmap — recycled through knnScratchPool so a query
 // allocates only its answer. The index itself holds no query state: shards
 // run many KNN calls on one RSMI under a read lock.
 type knnScratch struct {
-	best  knnHeap
+	best  knnBest
 	queue blockQueue
 	seen  bitmap
 }
@@ -424,7 +431,7 @@ var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
 // reset prepares the scratch for a k-nearest search around q over an index
 // of the given block count.
 func (s *knnScratch) reset(k int, q geom.Point, blocks int) {
-	s.best = knnHeap{q: q, k: k, dist: s.best.dist[:0], pts: s.best.pts[:0]}
+	s.best = knnBest{q: q, k: k, list: s.best.list[:0], local: s.best.local}
 	s.queue = s.queue[:0]
 	words := (blocks + 63) / 64
 	if cap(s.seen) < words {

@@ -165,6 +165,10 @@ type RSMI struct {
 	// baseBlocks is the number of blocks created at build time; ids >=
 	// baseBlocks are insertion overflow blocks reached via chains.
 	baseBlocks int
+	// chainHead[id] is the first overflow block chained after base block id,
+	// NilBlock when it has none: what lets a walk step from one base block to
+	// the next by index without loading either (see blockCursor).
+	chainHead []int32
 
 	pmfX, pmfY *cdf.PMF
 
@@ -194,6 +198,9 @@ func New(pts []geom.Point, opts Options) *RSMI {
 		lastTail: store.NilBlock,
 	}
 	t.root = t.build(work, 1)
+	if err := t.linkChains(); err != nil {
+		panic(err) // the list was linked a moment ago, by this package
+	}
 	t.buildPMFs(work)
 	t.buildTime = time.Since(start)
 	return t
@@ -426,6 +433,41 @@ func normalise(norm geom.Rect, p geom.Point) (float64, float64) {
 // appendBlockMBR records the MBR of a newly allocated block.
 func (t *RSMI) appendBlockMBR(r geom.Rect) {
 	t.blockMBR = append(t.blockMBR, r)
+}
+
+// linkChains walks the block list once from block 0 and records the head of
+// every base block's overflow chain. The walks of this package step through
+// base blocks by index and follow Next only inside a chain, so the list has
+// to be the one Pack and Insert produce: base blocks follow each other in id
+// order, whatever lies between two of them is an Inserted block with an id
+// past the base range, and every block is reached exactly once. Anything
+// else — a snapshot can say anything — is an error.
+func (t *RSMI) linkChains() error {
+	heads := make([]int32, t.baseBlocks)
+	blocks := t.store.NumBlocks()
+	base, reached := -1, 0
+	for id := 0; blocks > 0 && id != store.NilBlock; reached++ {
+		b := t.store.Peek(id)
+		switch {
+		case b == nil || reached == blocks:
+			return fmt.Errorf("core: block list leaves the store or loops at link %d", id)
+		case id < t.baseBlocks && (b.Inserted || id != base+1):
+			return fmt.Errorf("core: base block %d is out of order or marked inserted", id)
+		case id < t.baseBlocks:
+			base, heads[id] = id, store.NilBlock
+		case !b.Inserted || base < 0:
+			return fmt.Errorf("core: block %d is chained but not an overflow block", id)
+		case heads[base] == store.NilBlock:
+			heads[base] = int32(id)
+		}
+		id = b.Next
+	}
+	if base != t.baseBlocks-1 || reached != blocks {
+		return fmt.Errorf("core: block list reaches %d of %d blocks, %d of %d base blocks",
+			reached, blocks, base+1, t.baseBlocks)
+	}
+	t.chainHead = heads
+	return nil
 }
 
 // descend walks from the root to the leaf model responsible for p

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -361,4 +362,43 @@ func BenchmarkBuild100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		New(pts, Options{Epochs: 10, Seed: 1})
 	}
+}
+
+// benchIndex is the index the query benchmarks share: 100k skewed points
+// with the paper's B and N, the shape of one shard of the repo's benchmark.
+func benchIndex(b *testing.B) (*RSMI, []geom.Point) {
+	b.Helper()
+	pts := dataset.Generate(dataset.Skewed, 100_000, 1)
+	return New(pts, Options{Epochs: 10, Seed: 1}), pts
+}
+
+// BenchmarkKNNByK runs Algorithm 3 over the k range of the paper's Fig. 16.
+func BenchmarkKNNByK(b *testing.B) {
+	idx, pts := benchIndex(b)
+	qs := workload.KNNPoints(pts, 1024, 3)
+	for _, k := range []int{1, 25, 125, 625} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			idx.ResetAccesses()
+			for i := 0; i < b.N; i++ {
+				idx.KNN(qs[i%len(qs)], k)
+			}
+			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+		})
+	}
+}
+
+// BenchmarkWindowQuery runs Algorithm 2 on windows of the paper's default
+// size, appending into a warm buffer as the shard layer does.
+func BenchmarkWindowQuery(b *testing.B) {
+	idx, pts := benchIndex(b)
+	qs := workload.Windows(pts, 1024, workload.DefaultWindowSize, workload.DefaultAspectRatio, 3)
+	var buf []geom.Point
+	b.ReportAllocs()
+	b.ResetTimer()
+	idx.ResetAccesses()
+	for i := 0; i < b.N; i++ {
+		buf = idx.windowQueryAppend(buf[:0], qs[i%len(qs)])
+	}
+	b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
 }

@@ -395,17 +395,21 @@ func (t *RSMI) validate() error {
 	if t.root == nil {
 		return errors.New("core: loaded index has no root")
 	}
-	if t.baseBlocks > t.store.NumBlocks() {
-		return fmt.Errorf("core: baseBlocks %d exceeds %d stored blocks",
+	if t.baseBlocks < 0 || t.baseBlocks > t.store.NumBlocks() {
+		return fmt.Errorf("core: baseBlocks %d outside the %d stored blocks",
 			t.baseBlocks, t.store.NumBlocks())
+	}
+	// Every walk trusts the shape of the block list; a list with a cycle
+	// would be walked forever.
+	if err := t.linkChains(); err != nil {
+		return err
 	}
 	// Point queries and deletes search a block only when its cached MBR
 	// contains the probe, so a stored MBR that misses one of the block's
 	// live points would hide that point: refuse the snapshot instead.
 	for id, mbr := range t.blockMBR {
-		pts, deleted := t.store.Peek(id).Slots()
-		for i, p := range pts {
-			if !deleted[i] && !mbr.Contains(p) {
+		for _, p := range t.store.Peek(id).Slots() {
+			if !mbr.Contains(p) {
 				return fmt.Errorf("core: block %d MBR %v does not cover its point %v", id, mbr, p)
 			}
 		}

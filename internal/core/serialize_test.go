@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"slices"
@@ -296,5 +297,74 @@ func TestLoadRejectsCorruptedBody(t *testing.T) {
 		if _, err := Load(bytes.NewReader(data[:cut])); err == nil {
 			t.Errorf("Load accepted truncation at %d", cut)
 		}
+	}
+}
+
+// TestLoadRejectsCyclicBlockList tampers block links inside a written
+// snapshot. Every walk steps through base blocks by index and trusts Next
+// inside a chain, and replicas load snapshots off the wire: a list with a
+// cycle (which used to load, and hang the first window query), a gap, a dead
+// end, or a block on the wrong side of the base range must be refused.
+func TestLoadRejectsCyclicBlockList(t *testing.T) {
+	idx, pts := buildTest(t, dataset.Skewed, 2000)
+	for i := 0; i < 6*idx.opts.BlockCapacity; i++ { // grow a chain several blocks long
+		idx.Insert(geom.Pt(pts[0].X+1e-9*float64(i+1), pts[0].Y))
+	}
+	var snap, blocks bytes.Buffer
+	if _, err := idx.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := idx.store.WriteTo(&blocks); err != nil {
+		t.Fatal(err)
+	}
+	storeAt := bytes.Index(snap.Bytes(), blocks.Bytes())
+	if storeAt < 0 {
+		t.Fatal("block store not found in the snapshot")
+	}
+	// A block record is prev, next (int64 each), flags (1 byte), slot count
+	// (int64), then 17 bytes per slot, after a 16-byte store header.
+	const nextField, flagsField = 8, 16
+	offsetOf := func(id int) int {
+		at := storeAt + 16
+		for b := 0; b < id; b++ {
+			at += 25 + 17*idx.store.Peek(b).Len()
+		}
+		return at
+	}
+	overflow := idx.baseBlocks // the first overflow block; its chain goes on
+	if next := idx.store.Peek(overflow).Next; next < idx.baseBlocks {
+		t.Fatalf("overflow block %d is followed by %d, not by a longer chain", overflow, next)
+	}
+	for name, tamper := range map[string]func(raw []byte){
+		"base block links backwards": func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], 5)
+		},
+		"base block skips its successor": func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], 12)
+		},
+		"list ends early": func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], ^uint64(0))
+		},
+		"link leaves the store": func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], uint64(idx.store.NumBlocks()))
+		},
+		"overflow block links to itself": func(raw []byte) {
+			binary.LittleEndian.PutUint64(raw[offsetOf(overflow)+nextField:], uint64(overflow))
+		},
+		"overflow block not marked inserted": func(raw []byte) { raw[offsetOf(overflow)+flagsField] = 0 },
+		"base block marked inserted":         func(raw []byte) { raw[offsetOf(10)+flagsField] = 1 },
+	} {
+		raw := append([]byte(nil), snap.Bytes()...)
+		tamper(raw)
+		if bytes.Equal(raw, snap.Bytes()) {
+			t.Fatalf("%s: the tamper changed nothing", name)
+		}
+		// No query is run on a snapshot that loads: at fault it would not return.
+		if _, err := Load(bytes.NewReader(raw)); err == nil {
+			t.Errorf("%s: snapshot loaded", name)
+		}
+	}
+	if _, err := Load(bytes.NewReader(snap.Bytes())); err != nil {
+		t.Fatalf("untampered snapshot refused: %v", err)
 	}
 }

@@ -70,6 +70,9 @@ func (t *RSMI) Insert(p geom.Point) {
 		target.Inserted = true
 		t.appendBlockMBR(geom.EmptyRect())
 		t.store.Link(lastInChain, target)
+		if lastInChain == base {
+			t.chainHead[base.ID] = int32(target.ID)
+		}
 	}
 	target.Append(p)
 	t.blockMBR[target.ID] = t.blockMBR[target.ID].ExtendPoint(p)
@@ -125,9 +128,7 @@ func (t *RSMI) AllPoints() []geom.Point {
 	if t.baseBlocks == 0 {
 		return out
 	}
-	t.scanAll(func(b *store.Block) {
-		b.Points(func(p geom.Point) { out = append(out, p) })
-	})
+	t.scanAll(func(b *store.Block) { out = append(out, b.Slots()...) })
 	return out
 }
 

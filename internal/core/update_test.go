@@ -322,14 +322,14 @@ func TestInsertWalksChainInPlace(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4*idx.opts.BlockCapacity; i++ {
-		chain := len(idx.store.Chain(base))
+		chain := len(chainOf(idx, base.ID))
 		before := idx.Accesses()
 		idx.Insert(beside())
 		if got := idx.Accesses() - before; got != int64(1+chain) {
 			t.Fatalf("insert into a chain of %d blocks counted %d accesses, want %d", chain, got, 1+chain)
 		}
 	}
-	if chain := len(idx.store.Chain(base)); chain < 4 {
+	if chain := len(chainOf(idx, base.ID)); chain < 4 {
 		t.Fatalf("hot spot grew a chain of only %d blocks", chain)
 	}
 	p := beside()

@@ -9,9 +9,12 @@ import (
 	"rsmi/internal/geom"
 )
 
-// WriteTo serialises the manager's capacity and every block, including
-// deleted slots (the slot layout affects error-bound validity, so it must
-// round-trip exactly). It implements io.WriterTo.
+// WriteTo serialises the manager's capacity and every block, slot by slot
+// with a deleted flag each, dead tail included. Error bounds depend on which
+// block a point is in, never on its slot, so the layout inside a block is
+// free; writing every slot keeps the format what it has always been, and a
+// written manager reads back to one that writes the same bytes. It implements
+// io.WriterTo.
 func (m *Manager) WriteTo(w io.Writer) (int64, error) {
 	var written int64
 	put := func(v interface{}) error {
@@ -46,7 +49,7 @@ func (m *Manager) WriteTo(w io.Writer) (int64, error) {
 		}
 		for i, p := range b.pts {
 			del := uint8(0)
-			if b.deleted[i] {
+			if i >= b.live {
 				del = 1
 			}
 			if err := put(math.Float64bits(p.X)); err != nil {
@@ -63,7 +66,9 @@ func (m *Manager) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadManager deserialises a manager written by WriteTo.
+// ReadManager deserialises a manager written by WriteTo. A stream whose
+// deleted slots are not the tail of their block (nothing here writes one) is
+// compacted: the live points keep their order and move to the front.
 func ReadManager(r io.Reader) (*Manager, error) {
 	var capacity, count int64
 	if err := binary.Read(r, binary.LittleEndian, &capacity); err != nil {
@@ -111,8 +116,8 @@ func ReadManager(r io.Reader) (*Manager, error) {
 				return nil, fmt.Errorf("store: read slot: %w", err)
 			}
 			b.pts = append(b.pts, geom.Pt(math.Float64frombits(xb), math.Float64frombits(yb)))
-			b.deleted = append(b.deleted, del&1 != 0)
 			if del&1 == 0 {
+				b.pts[b.live], b.pts[s] = b.pts[s], b.pts[b.live]
 				b.live++
 			}
 		}

@@ -12,6 +12,13 @@
 // enables the contiguous data scans of the window query algorithm (§3.2:
 // "in each block, we further store pointers to its preceding and subsequent
 // blocks") and the overflow chaining of the insertion algorithm (§5).
+//
+// A block's live points are a prefix of its slots. §5 deletes by swapping
+// the point with the last one of the block and marking it deleted, and an
+// insertion takes the first deleted slot, so the dead slots are always the
+// tail: the count of live points is the whole deletion record, there is no
+// tombstone per slot, and every scan is a loop over one slice. The dead tail
+// keeps its coordinates only because a snapshot writes every slot.
 package store
 
 import (
@@ -48,45 +55,35 @@ type Block struct {
 	// following Next pointers from their predicted base block.
 	Inserted bool
 
-	pts     []geom.Point
-	deleted []bool
-	live    int
+	// pts holds the slots in use: pts[:live] are the live points, pts[live:]
+	// the deleted ones.
+	pts  []geom.Point
+	live int
 }
 
 // Len returns the number of slots in use (including deleted slots, which
-// still occupy space until a compaction or swap removes them).
+// still occupy space until an insertion reuses them).
 func (b *Block) Len() int { return len(b.pts) }
 
 // Live returns the number of non-deleted points.
 func (b *Block) Live() int { return b.live }
 
+// Slots returns the block's live points for query loops that cannot afford a
+// call per point. The slice aliases the block's storage and must not be
+// modified.
+func (b *Block) Slots() []geom.Point { return b.pts[:b.live] }
+
 // Points calls fn for every live point in the block.
 func (b *Block) Points(fn func(geom.Point)) {
-	for i, p := range b.pts {
-		if !b.deleted[i] {
-			fn(p)
-		}
+	for _, p := range b.Slots() {
+		fn(p)
 	}
 }
 
-// Slots returns the block's slots and their tombstones (deleted[i] marks
-// slot i dead) for query loops that cannot afford a call per point. Both
-// slices alias the block's storage and must not be modified.
-func (b *Block) Slots() (pts []geom.Point, deleted []bool) {
-	return b.pts, b.deleted
-}
-
-// PointAt returns the point in slot i and whether it is live.
-func (b *Block) PointAt(i int) (geom.Point, bool) {
-	return b.pts[i], !b.deleted[i]
-}
-
-// Find returns the slot of the first live point equal to p, or -1. The
-// coordinates are compared before the tombstone is loaded: nearly every slot
-// fails the comparison, so the tombstone array is rarely touched.
+// Find returns the slot of the first live point equal to p, or -1.
 func (b *Block) Find(p geom.Point) int {
-	for i, q := range b.pts {
-		if q.X == p.X && q.Y == p.Y && !b.deleted[i] {
+	for i, q := range b.Slots() {
+		if q.X == p.X && q.Y == p.Y {
 			return i
 		}
 	}
@@ -96,10 +93,8 @@ func (b *Block) Find(p geom.Point) int {
 // MBR returns the minimum bounding rectangle of the live points.
 func (b *Block) MBR() geom.Rect {
 	r := geom.EmptyRect()
-	for i, p := range b.pts {
-		if !b.deleted[i] {
-			r = r.ExtendPoint(p)
-		}
+	for _, p := range b.Slots() {
+		r = r.ExtendPoint(p)
 	}
 	return r
 }
@@ -134,14 +129,14 @@ func (m *Manager) NumBlocks() int { return len(m.blocks) }
 // it. The block starts unlinked (Prev = Next = NilBlock).
 func (m *Manager) Alloc() *Block {
 	b := &Block{}
-	m.adopt(b, make([]geom.Point, 0, m.capacity), make([]bool, 0, m.capacity))
+	m.adopt(b, make([]geom.Point, 0, m.capacity))
 	return b
 }
 
-// adopt initialises b as the next block of the array over the given empty
-// slot storage, whose capacity is the block capacity.
-func (m *Manager) adopt(b *Block, pts []geom.Point, deleted []bool) {
-	*b = Block{ID: len(m.blocks), Prev: NilBlock, Next: NilBlock, pts: pts, deleted: deleted}
+// adopt initialises b as the next block of the array over the given slot
+// storage, all of it live, whose capacity is the block capacity.
+func (m *Manager) adopt(b *Block, pts []geom.Point) {
+	*b = Block{ID: len(m.blocks), Prev: NilBlock, Next: NilBlock, pts: pts, live: len(pts)}
 	m.blocks = append(m.blocks, b)
 }
 
@@ -188,31 +183,14 @@ func (m *Manager) SizeBytes() int64 {
 // Append adds p to block b. It panics if the block is full: callers must
 // check HasSpace first (packing and insertion logic control fullness).
 func (b *Block) Append(p geom.Point) {
-	if len(b.pts) >= cap(b.pts) && b.freeSlot() == -1 {
+	if !b.HasSpace() {
 		panic("store: append to full block")
 	}
-	if i := b.freeSlot(); i >= 0 {
-		b.pts[i] = p
-		b.deleted[i] = false
-		b.live++
-		return
-	}
-	b.pts = append(b.pts, p)
-	b.deleted = append(b.deleted, false)
-	b.live++
-}
-
-// freeSlot returns a deleted slot that can be reused, or -1.
-func (b *Block) freeSlot() int {
 	if b.live == len(b.pts) {
-		return -1
+		b.pts = b.pts[:b.live+1]
 	}
-	for i, d := range b.deleted {
-		if d {
-			return i
-		}
-	}
-	return -1
+	b.pts[b.live] = p
+	b.live++
 }
 
 // HasSpace reports whether b can accept one more point, either in a fresh
@@ -223,22 +201,17 @@ func (b *Block) HasSpace() bool {
 	return b.live < cap(b.pts)
 }
 
-// Delete marks the point at slot i deleted and swaps it with the last live
-// slot, mirroring the paper's deletion ("we swap p with the last point in
-// this block and mark p as deleted", §5). The block is never deallocated, so
-// error bounds remain valid.
+// Delete swaps the point at live slot i with the last live point and shrinks
+// the live prefix over it, which is the paper's deletion ("we swap p with the
+// last point in this block and mark p as deleted", §5). A slot that holds no
+// live point is ignored. The block is never deallocated, so error bounds
+// remain valid.
 func (b *Block) Delete(i int) {
-	if i < 0 || i >= len(b.pts) || b.deleted[i] {
+	if i < 0 || i >= b.live {
 		return
 	}
-	last := len(b.pts) - 1
-	for last > i && b.deleted[last] {
-		last--
-	}
-	b.pts[i], b.pts[last] = b.pts[last], b.pts[i]
-	b.deleted[i], b.deleted[last] = b.deleted[last], b.deleted[i]
-	b.deleted[last] = true
 	b.live--
+	b.pts[i], b.pts[b.live] = b.pts[b.live], b.pts[i]
 }
 
 // Link splices block nb into the list directly after block b. Both blocks
@@ -252,32 +225,15 @@ func (m *Manager) Link(b, nb *Block) {
 	b.Next = nb.ID
 }
 
-// Chain returns the ids of b and all Inserted blocks chained directly after
-// it, i.e. the overflow run that a point query must scan in addition to the
-// base block (§5: inserted blocks are placed "as the next block of the
-// predicted block").
-func (m *Manager) Chain(b *Block) []int {
-	ids := []int{b.ID}
-	for next := b.Next; next != NilBlock; {
-		nb := m.blocks[next]
-		if !nb.Inserted {
-			break
-		}
-		ids = append(ids, nb.ID)
-		next = nb.Next
-	}
-	return ids
-}
-
 // Pack distributes pts into consecutive new blocks of at most Capacity points
 // each, in slice order, linking them into a list. It returns the id of the
 // first block created, and the number of blocks. Packing an empty slice
 // still allocates one empty block so every leaf owns at least one block.
 //
-// The run's blocks share one contiguous slot array (and one tombstone array
-// and one header array), each block owning a full-capacity stretch of it, so
-// a scan over consecutive base blocks reads memory front to back instead of
-// chasing a pointer per block. Blocks from Alloc stay separately allocated.
+// The run's blocks share one contiguous slot array (and one header array),
+// each block owning a full-capacity stretch of it, so a scan over
+// consecutive base blocks reads memory front to back instead of chasing a
+// pointer per block. Blocks from Alloc stay separately allocated.
 func (m *Manager) Pack(pts []geom.Point) (first, count int) {
 	first = len(m.blocks)
 	count = (len(pts) + m.capacity - 1) / m.capacity
@@ -286,13 +242,11 @@ func (m *Manager) Pack(pts []geom.Point) (first, count int) {
 	}
 	headers := make([]Block, count)
 	slots := make([]geom.Point, count*m.capacity)
-	tombs := make([]bool, count*m.capacity)
 	for i := range headers {
 		lo, hi := i*m.capacity, (i+1)*m.capacity
 		n := copy(slots[lo:hi], pts[min(lo, len(pts)):])
 		b := &headers[i]
-		m.adopt(b, slots[lo:lo+n:hi], tombs[lo:lo+n:hi])
-		b.live = n
+		m.adopt(b, slots[lo:lo+n:hi])
 		if i > 0 {
 			b.Prev = b.ID - 1
 			headers[i-1].Next = b.ID

@@ -1,7 +1,11 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -124,8 +128,8 @@ func TestDeleteAndSlotReuse(t *testing.T) {
 	}
 	// Deletion must swap with the last live point so live points stay packed
 	// in the prefix.
-	if p, live := b.PointAt(i); !live || p != (geom.Pt(3, 3)) {
-		t.Errorf("slot %d after delete = %v live=%v, want (3,3) live", i, p, live)
+	if live := b.Slots(); len(live) != 2 || live[i] != geom.Pt(3, 3) {
+		t.Errorf("live points after delete = %v, want (3,3) in slot %d", live, i)
 	}
 	if !b.HasSpace() {
 		t.Error("block with deleted slot must have space")
@@ -288,23 +292,9 @@ func TestLinkSplicesInsertedBlock(t *testing.T) {
 	if b0.Next != ov.ID || ov.Prev != b0.ID {
 		t.Error("Link did not splice forward pointers")
 	}
-	// Chain from b0 covers the overflow block but stops at the next base
-	// block.
-	chain := m.Chain(b0)
-	if len(chain) != 2 || chain[0] != b0.ID || chain[1] != ov.ID {
-		t.Errorf("Chain = %v, want [%d %d]", chain, b0.ID, ov.ID)
-	}
 	// The original successor is still reachable after the overflow block.
 	if next := m.Peek(ov.Next); next == nil || next.Inserted {
 		t.Error("base successor lost after splice")
-	}
-}
-
-func TestChainSingleBlock(t *testing.T) {
-	m := NewManager(2)
-	b := m.Alloc()
-	if got := m.Chain(b); len(got) != 1 || got[0] != b.ID {
-		t.Errorf("Chain = %v, want [%d]", got, b.ID)
 	}
 }
 
@@ -340,5 +330,126 @@ func TestSizeBytesGrowsWithBlocks(t *testing.T) {
 	b.Append(geom.Pt(1, 1))
 	if m.SizeBytes() != 2*one {
 		t.Error("append changed page footprint")
+	}
+}
+
+// TestBlockAgainstModel drives random Append/Delete sequences against a plain
+// slice of the points that should be live, in slot order: the live points
+// stay a prefix of the slots in exactly the order §5's swap-with-last gives,
+// and Len, Live, HasSpace, Find, MBR, Points and Slots all agree with it.
+// Every so often the manager is written, read back and written again: the
+// copy must answer the same and write the same bytes.
+func TestBlockAgainstModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 40; trial++ {
+		capacity := 1 + rng.Intn(12)
+		m := NewManager(capacity)
+		b := m.Alloc()
+		var model []geom.Point
+		slots := 0 // high-water mark: slots in use never shrink
+		check := func(b *Block) {
+			t.Helper()
+			if b.Live() != len(model) || b.Len() != slots || b.HasSpace() != (len(model) < capacity) {
+				t.Fatalf("Live/Len/HasSpace = %d/%d/%v, model has %d live of %d slots (capacity %d)",
+					b.Live(), b.Len(), b.HasSpace(), len(model), slots, capacity)
+			}
+			var visited []geom.Point
+			b.Points(func(p geom.Point) { visited = append(visited, p) })
+			if !slices.Equal(b.Slots(), model) || !slices.Equal(visited, model) {
+				t.Fatalf("live points %v (Points: %v), model %v", b.Slots(), visited, model)
+			}
+			want := geom.EmptyRect()
+			for i, p := range model {
+				want = want.ExtendPoint(p)
+				if got := b.Find(p); got != slices.Index(model, p) {
+					t.Fatalf("Find(%v) = %d, model has it first in slot %d (asked for slot %d)", p, got, slices.Index(model, p), i)
+				}
+			}
+			if got := b.MBR(); got != want {
+				t.Fatalf("MBR = %v, model %v", got, want)
+			}
+			if b.Find(geom.Pt(-1, -1)) != -1 {
+				t.Fatal("Find of an absent point succeeded")
+			}
+		}
+		for op := 0; op < 200; op++ {
+			switch {
+			case rng.Intn(2) == 0 && b.HasSpace():
+				p := geom.Pt(float64(rng.Intn(6)), float64(rng.Intn(6))) // few values: duplicates
+				b.Append(p)
+				model = append(model, p)
+				slots = max(slots, len(model))
+			case len(model) > 0:
+				i := rng.Intn(len(model))
+				if gone := model[i]; rng.Intn(2) == 0 {
+					i = b.Find(gone) // the way core deletes: whichever copy comes first
+				}
+				b.Delete(i)
+				last := len(model) - 1
+				model[i] = model[last]
+				model = model[:last]
+				b.Delete(len(model)) // the slot just vacated holds no live point
+				b.Delete(slots)
+			}
+			check(b)
+			if op%25 == 0 {
+				var first, second bytes.Buffer
+				if _, err := m.WriteTo(&first); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := ReadManager(bytes.NewReader(first.Bytes()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := loaded.WriteTo(&second); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(first.Bytes(), second.Bytes()) {
+					t.Fatal("WriteTo → ReadManager → WriteTo changed the bytes")
+				}
+				check(loaded.Peek(0))
+			}
+		}
+	}
+}
+
+// TestReadManagerCompactsDeadSlots hand-builds the one stream WriteTo never
+// writes — a dead slot between live ones — and expects it to load with the
+// live points in front, in stream order, answering as the stream meant.
+func TestReadManagerCompactsDeadSlots(t *testing.T) {
+	var stream bytes.Buffer
+	put := func(vs ...any) {
+		for _, v := range vs {
+			if err := binary.Write(&stream, binary.LittleEndian, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(int64(4), int64(1))                                   // capacity, blocks
+	put(int64(NilBlock), int64(NilBlock), uint8(0), int64(4)) // prev, next, flags, slots
+	for i, dead := range []uint8{0, 1, 1, 0} {
+		put(math.Float64bits(float64(i)), math.Float64bits(float64(10*i)), dead)
+	}
+	m, err := ReadManager(&stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := m.Peek(0)
+	if want := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 30)}; !slices.Equal(b.Slots(), want) || b.Len() != 4 {
+		t.Fatalf("loaded live points %v in %d slots, want %v in 4", b.Slots(), b.Len(), want)
+	}
+	if b.Find(geom.Pt(3, 30)) != 1 || b.Find(geom.Pt(1, 10)) != -1 || b.Find(geom.Pt(2, 20)) != -1 {
+		t.Error("Find disagrees with the stream's deleted flags")
+	}
+	if got, want := b.MBR(), (geom.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 30}); got != want {
+		t.Errorf("MBR = %v, want %v", got, want)
+	}
+	if !b.HasSpace() {
+		t.Fatal("a block with two dead slots reports no space")
+	}
+	b.Append(geom.Pt(7, 7))
+	b.Append(geom.Pt(8, 8))
+	if b.HasSpace() || b.Live() != 4 || b.Len() != 4 {
+		t.Errorf("after refilling the dead slots: Live/Len = %d/%d, HasSpace %v", b.Live(), b.Len(), b.HasSpace())
 	}
 }

@@ -564,8 +564,7 @@ func (z *ZM) Insert(p geom.Point) {
 	base := z.store.Read(target)
 	var dst *store.Block
 	last := base
-	for _, id := range z.store.Chain(base) {
-		b := z.store.Peek(id)
+	for b := base; b != nil && (b == base || b.Inserted); b = z.store.Peek(b.Next) {
 		last = b
 		if dst == nil && b.HasSpace() {
 			dst = b
