@@ -23,14 +23,12 @@
 // -batch > 1 its weight folds into windows.
 //
 // -batch n groups n operations per /v1/batch request (one round-trip);
-// -batch 1 sends one operation per request through the per-op endpoints,
-// exercising the server-side micro-batcher instead. -transport tcp
-// replaces HTTP with the persistent pipelined rsmistream connections
-// (always rsmibin; -addr is the server's -stream-addr). -rate r switches
-// from closed-loop (each client waits for its answer before the next
-// request) to open-loop (requests arrive on a fixed r-per-second
-// schedule; latency counts from the scheduled arrival), which is what
-// makes the server's -batch-window knob measurable.
+// -batch 1 sends one operation per request through the per-op endpoints.
+// -transport tcp replaces HTTP with the persistent pipelined rsmistream
+// connections (always rsmibin; -addr is the server's -stream-addr).
+// -rate r switches from closed-loop (each client waits for its answer
+// before the next request) to open-loop (requests arrive on a fixed
+// r-per-second schedule; latency counts from the scheduled arrival).
 //
 // Giving -addr a comma-separated list (a primary and its replicas, see
 // rsmi-serve -replica-of) drives the set through a hedged client: reads

@@ -1,10 +1,11 @@
 // Command rsmi-serve puts a spatial index — the sharded RSMI by default,
 // or any backend of the paper's evaluation via -engine — behind the HTTP
 // serving API of internal/server: per-operation endpoints plus /v1/batch,
-// transparent micro-batching of concurrent single-query requests, bounded
-// in-flight admission control with 429 shedding, /v1/stats counters, and
-// graceful shutdown on SIGINT/SIGTERM that drains in-flight queries and
-// waits for a running rolling rebuild. Every data-plane endpoint speaks
+// bounded in-flight admission control with 429 shedding, /v1/stats
+// counters, and graceful shutdown on SIGINT/SIGTERM that drains in-flight
+// queries and waits for a running rolling rebuild. A single query
+// executes as one engine call on the goroutine that decoded it; batching
+// is the client's choice (/v1/batch). Every data-plane endpoint speaks
 // both wire protocols, negotiated per request: JSON (the debuggable
 // default) and the length-prefixed rsmibin/1 binary encoding (drive it
 // with rsmi-loadgen -proto binary; see internal/server/binproto.go). With
@@ -23,7 +24,7 @@
 //	rsmi-serve -addr :8080 -dist skewed -n 100000 -shards 8
 //	rsmi-serve -engine rstar -dist skewed -n 100000
 //	rsmi-serve -dataset skewed_1m.bin -snapshot skewed_1m.idx
-//	rsmi-serve -batch-window 1ms -max-batch 128 -max-inflight 512
+//	rsmi-serve -max-inflight 512
 //	rsmi-serve -addr :8080 -stream-addr :8081 -stream-request-timeout 5s
 //	rsmi-serve -addr :8080 -stream-addr :8081              # primary
 //	rsmi-serve -addr :8082 -replica-of 127.0.0.1:8080      # replica
@@ -68,19 +69,19 @@
 // # Observability
 //
 // Every server exposes GET /metrics in Prometheus text format (request
-// counts and latency histograms per operation and transport, coalescer
-// batch sizes, block accesses, replication lag, rebuild state — no
-// client library involved), /healthz for liveness, and /readyz for
-// readiness (a replica is ready only while within -ready-max-lag oplog
-// records of its primary). -trace-sample N traces one in N requests
-// through the admission → decode → coalesce → execute → encode
-// pipeline; -slow-query D additionally logs every request slower than
-// D as a JSON line on stderr with the full stage breakdown, rate-capped
-// by -slow-query-rate. Any client can request a trace for its own
-// query regardless of sampling: ?explain=1 on the JSON endpoints, the
-// EXPLAIN flag bit in rsmibin (see rsmi-loadgen -explain-sample). The
-// untraced request path adds no allocations. -pprof serves
-// net/http/pprof under /debug/pprof/.
+// counts and latency histograms per operation and transport, block
+// accesses, replication lag, rebuild state — no client library
+// involved), /healthz for liveness, and /readyz for readiness (a replica
+// is ready only while within -ready-max-lag oplog records of its
+// primary). -trace-sample N traces one in N requests through the
+// admission → decode → plan → execute → encode pipeline (plan on SQL and
+// planner-served requests only); -slow-query D additionally logs every
+// request slower than D as a JSON line on stderr with the full stage
+// breakdown, rate-capped by -slow-query-rate. Any client can request a
+// trace for its own query regardless of sampling: ?explain=1 on the JSON
+// endpoints, the EXPLAIN flag bit in rsmibin (see rsmi-loadgen
+// -explain-sample). The untraced request path adds no allocations. -pprof
+// serves net/http/pprof under /debug/pprof/.
 package main
 
 import (
@@ -116,8 +117,6 @@ func main() {
 		partition   = flag.String("partition", "space", "shard partitioning: space|hash")
 		epochs      = flag.Int("epochs", 30, "training epochs per sub-model (paper: 500)")
 		lr          = flag.Float64("lr", 0.1, "training learning rate (paper: 0.01)")
-		batchWindow = flag.Duration("batch-window", 0, "max wait for micro-batch peers (0 = opportunistic batching)")
-		maxBatch    = flag.Int("max-batch", 64, "max queries per coalesced engine call (1 = no coalescing)")
 		maxInflight = flag.Int("max-inflight", 1024, "admitted in-flight requests before 429 shedding")
 		snapshot    = flag.String("snapshot", "", "index snapshot, -engine sharded only: load if present, else build and save")
 		replicaOf   = flag.String("replica-of", "", "primary HTTP address to replicate; this server bootstraps from its snapshot, follows its oplog, serves reads locally, and forwards writes")
@@ -220,8 +219,6 @@ func main() {
 
 	srv := server.New(server.Config{
 		Engine:               eng,
-		MaxBatch:             *maxBatch,
-		BatchWindow:          *batchWindow,
 		MaxInFlight:          *maxInflight,
 		StreamAddr:           *streamAddr,
 		StreamRequestTimeout: *streamRTO,
@@ -238,8 +235,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("serving %s on http://%s (max-batch=%d batch-window=%v max-inflight=%d)",
-		eng.Name(), l.Addr(), *maxBatch, *batchWindow, *maxInflight)
+	log.Printf("serving %s on http://%s (max-inflight=%d)", eng.Name(), l.Addr(), *maxInflight)
 	log.Printf("wire protocols: application/json (default), %s (rsmibin/%d)",
 		server.ContentTypeBinary, server.BinVersion)
 

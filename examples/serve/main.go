@@ -30,7 +30,7 @@ func main() {
 		Index:  core.Options{Epochs: 20, LearningRate: 0.1, Seed: 1},
 	})
 
-	srv := server.New(server.Config{Engine: eng, MaxBatch: 64})
+	srv := server.New(server.Config{Engine: eng})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

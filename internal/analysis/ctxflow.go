@@ -8,10 +8,9 @@ package analysis
 // wrapper from a function that has a perfectly good ctx in hand
 // (silently downgrades to context.Background() inside the wrapper).
 //
-// Deliberate detachment points exist (a coalescer batch derives a
-// fresh deadline-only context so one member's cancel cannot fail its
-// peers; background maintenance loops own their lifetime). Those are
-// annotated in place:
+// Deliberate detachment points exist (a stream connection is the root
+// of its requests' contexts; background maintenance loops own their
+// lifetime). Those are annotated in place:
 //
 //	//rsmi:allow ctxflow -- <why this site must detach>
 //

@@ -146,7 +146,7 @@ func experimentMustMention(id string) []string {
 	case "sharded":
 		return []string{"RWMutex", "Sharded S=", "kqps", "workers="}
 	case "serving":
-		return []string{"per-request", "coalesced", "client batch", "shed rate", "p99"}
+		return []string{"per-request", "client batch", "shed rate", "p99", "tcp stream"}
 	case "planner":
 		return []string{"Planner", "vs best", "vs worst", "planner routing", "mispredicts"}
 	}

@@ -39,7 +39,7 @@ type tailEngine struct {
 	n          atomic.Uint64
 }
 
-func (e *tailEngine) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
+func (e *tailEngine) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
 	if e.n.Add(1)%e.spikeEvery == 0 {
 		t := time.NewTimer(e.spike)
 		select {
@@ -49,7 +49,7 @@ func (e *tailEngine) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geo
 			return nil, ctx.Err()
 		}
 	}
-	return e.Engine.WindowQueryContext(ctx, q)
+	return e.Engine.WindowQueryAppend(ctx, dst, q)
 }
 
 // replicaSet is one primary plus bootstrapped replicas, each serving
@@ -98,7 +98,7 @@ func startReplicaSet(idx *rsmi.Sharded, replicas int, spikeEvery uint64, spike t
 	}
 
 	repl := server.NewReplicator(idx, 0)
-	psrv := server.New(server.Config{Engine: wrap(repl.Engine()), Replicator: repl, MaxBatch: 1})
+	psrv := server.New(server.Config{Engine: wrap(repl.Engine()), Replicator: repl})
 	hl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fail(err)
@@ -128,7 +128,7 @@ func startReplicaSet(idx *rsmi.Sharded, replicas int, spikeEvery uint64, spike t
 			return fail(fmt.Errorf("replica %d bootstrap: %w", i, err))
 		}
 		rep.Start()
-		rsrv := server.New(server.Config{Engine: wrap(rep.Engine()), Replica: rep, MaxBatch: 1})
+		rsrv := server.New(server.Config{Engine: wrap(rep.Engine()), Replica: rep})
 		rl, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			rep.Stop()

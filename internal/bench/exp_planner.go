@@ -91,7 +91,7 @@ func init() {
 			}
 			var targets []target
 			for _, f := range fixed {
-				addr, _, stop, err := startServing(f.eng, 64, 0, 1024)
+				addr, _, stop, err := startServing(f.eng, 1024)
 				if err != nil {
 					fmt.Fprintf(w, "planner: %v\n", err)
 					return
@@ -99,7 +99,7 @@ func init() {
 				defer stop()
 				targets = append(targets, target{f.name, addr})
 			}
-			pAddr, _, pStop, err := startServing(me, 64, 0, 1024)
+			pAddr, _, pStop, err := startServing(me, 1024)
 			if err != nil {
 				fmt.Fprintf(w, "planner: %v\n", err)
 				return

@@ -17,12 +17,11 @@ import (
 // This file implements the serving experiment: operations/sec and tail
 // latency of the HTTP serving subsystem (internal/server) under
 // closed-loop clients, comparing one-query-per-request execution against
-// the two batching mechanisms — server-side micro-batching (the request
-// coalescer feeding BatchWindowQuery and friends) and client-side
-// /v1/batch requests — plus the admission-control behaviour at
+// client-side /v1/batch requests, plus the admission-control behaviour at
 // saturation. It is not a paper artefact; it measures the serving layer
-// EXPERIMENTS.md ("Serving") reports, the amortisation argument of "The
-// Case for Learned Spatial Indexes" (PAPERS.md) applied end to end.
+// EXPERIMENTS.md ("Serving") reports. (Its server-side micro-batching
+// rows went with the mechanism: EXPERIMENTS.md "Direct execution" keeps
+// their last measurement.)
 
 // servingCell runs one loadgen measurement against a running server.
 func servingCell(addr string, clients, batch int, dur time.Duration) loadgen.Report {
@@ -60,13 +59,8 @@ func streamCell(streamAddr string, clients, batch int, dur time.Duration) loadge
 
 // startServing spins up a Server for eng on ephemeral HTTP and stream
 // ports and returns both addresses and a stop func.
-func startServing(eng server.Engine, maxBatch int, window time.Duration, maxInflight int) (addr, streamAddr string, stop func(), err error) {
-	srv := server.New(server.Config{
-		Engine:      eng,
-		MaxBatch:    maxBatch,
-		BatchWindow: window,
-		MaxInFlight: maxInflight,
-	})
+func startServing(eng server.Engine, maxInflight int) (addr, streamAddr string, stop func(), err error) {
+	srv := server.New(server.Config{Engine: eng, MaxInFlight: maxInflight})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return "", "", nil, err
@@ -101,18 +95,12 @@ func init() {
 			clients := append([]int{1}, shardSweep(cfg.Goroutines)...)
 			cell := cfg.cellDuration(400 * time.Millisecond)
 
-			type row struct {
-				name     string
-				maxBatch int
-				window   time.Duration
-				batch    int // client-side ops per request
-			}
-			rows := []row{
-				{"per-request (no batching)", 1, 0, 1},
-				{"coalesced (window=0)", 64, 0, 1},
-				{"coalesced (window=1ms)", 64, time.Millisecond, 1},
-				{"client batch=16", 1, 0, 16},
-				{"client batch=16 + coalesce", 64, 0, 16},
+			rows := []struct {
+				name  string
+				batch int // client-side ops per request
+			}{
+				{"per-request (no batching)", 1},
+				{"client batch=16", 16},
 			}
 			header := []string{"serving mode"}
 			for _, c := range clients {
@@ -122,22 +110,22 @@ func init() {
 				"Window-query serving throughput (kops/s), %s n=%d, S=%d shards",
 				cfg.Dist, cfg.N, cfg.Shards), header...)
 			p99 := newTable("Per-request p99 latency (ms); a batched request carries its whole batch", header...)
+			addr, _, stop, err := startServing(eng, 1024)
+			if err != nil {
+				fmt.Fprintf(w, "serving: %v\n", err)
+				return
+			}
 			for _, r := range rows {
-				addr, _, stop, err := startServing(eng, r.maxBatch, r.window, 1024)
-				if err != nil {
-					fmt.Fprintf(w, "serving: %v\n", err)
-					return
-				}
 				var tVals, lVals []float64
 				for _, c := range clients {
 					rep := servingCell(addr, c, r.batch, cell)
 					tVals = append(tVals, rep.OpsPerSec/1e3)
 					lVals = append(lVals, float64(rep.P99.Microseconds())/1e3)
 				}
-				stop()
 				thr.addf(r.name, "%.1f", tVals...)
 				p99.addf(r.name, "%.2f", lVals...)
 			}
+			stop()
 			thr.write(w)
 			p99.write(w)
 
@@ -146,7 +134,7 @@ func init() {
 			// a bounded p99.
 			shedTb := newTable("Admission control at saturation (max-inflight=2)",
 				"clients", "ops/s", "shed rate", "p99 (ms)")
-			addr, _, stop, err := startServing(eng, 64, 0, 2)
+			addr, _, stop, err = startServing(eng, 2)
 			if err != nil {
 				fmt.Fprintf(w, "serving: %v\n", err)
 				return
@@ -171,7 +159,7 @@ func init() {
 				"Transport × protocol: HTTP JSON vs HTTP rsmibin vs TCP stream (window queries, c=4, %s n=%d)",
 				cfg.Dist, cfg.N),
 				"transport", "ops/s", "p50 (µs)", "p95 (µs)")
-			addr, streamAddr, stop, err := startServing(eng, 64, 0, 1024)
+			addr, streamAddr, stop, err := startServing(eng, 1024)
 			if err != nil {
 				fmt.Fprintf(w, "serving: %v\n", err)
 				return
@@ -206,7 +194,7 @@ func init() {
 			// Serving across backends: the same wire stack over every
 			// engine the v2 rsmi.Engine API admits — the sharded RSMI and
 			// the paper's baseline indexes behind their adapters. Same
-			// workload, same transports, same coalescers: the comparative
+			// workload, same transports, same pipeline: the comparative
 			// serving numbers the learned-index serving literature asks
 			// for.
 			engTb := newTable(fmt.Sprintf(
@@ -222,7 +210,7 @@ func init() {
 				{"Grid File", rsmi.NewGridFileEngine(pts, 0)},
 				{"K-D-B-tree", rsmi.NewKDBEngine(pts, 0)},
 			} {
-				addr, streamAddr, stop, err := startServing(e.eng, 64, 0, 1024)
+				addr, streamAddr, stop, err := startServing(e.eng, 1024)
 				if err != nil {
 					fmt.Fprintf(w, "serving: %v\n", err)
 					return
@@ -238,7 +226,7 @@ func init() {
 					fmt.Sprintf("%d", strB.P50.Microseconds()))
 			}
 			engTb.write(w)
-			fmt.Fprintf(w, "\n  (closed-loop clients over loopback; \"coalesced\" = server-side\n   micro-batching into BatchWindowQuery, \"client batch\" = /v1/batch\n   requests, \"tcp stream\" = rsmibin/1 over persistent pipelined\n   connections)\n")
+			fmt.Fprintf(w, "\n  (closed-loop clients over loopback; \"client batch\" = /v1/batch\n   requests, \"tcp stream\" = rsmibin/1 over persistent pipelined\n   connections)\n")
 		},
 	})
 }

@@ -15,7 +15,7 @@ import (
 
 // stageOrder is the pipeline order for the EXPLAIN table columns; any
 // stage the server reports beyond these is appended alphabetically.
-var stageOrder = []string{"admission", "decode", "plan", "coalesce", "execute", "encode"}
+var stageOrder = []string{"admission", "decode", "plan", "execute", "encode"}
 
 // ExplainRow aggregates the EXPLAIN samples of one operation kind.
 type ExplainRow struct {

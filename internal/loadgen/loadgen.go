@@ -15,10 +15,7 @@
 // schedule regardless of completions, the way real traffic arrives.
 // Latency is measured from each request's *scheduled* arrival time, so
 // queueing delay when the server falls behind is charged to the server
-// (no coordinated omission). Open-loop load is what makes the server's
-// batch-window knob measurable: closed-loop clients all block on their
-// own requests, so a waiting batch window only ever sees its own
-// submitter (EXPERIMENTS.md "Serving" shows both).
+// (no coordinated omission).
 package loadgen
 
 import (
@@ -559,7 +556,7 @@ func randomSQL(cfg Config, rng *rand.Rand, p geom.Point, w float64) string {
 }
 
 // sendOne routes a single operation through its dedicated endpoint (so
-// unbatched runs measure the per-request path, coalescer included).
+// unbatched runs measure the per-request path).
 func sendOne(ctx context.Context, cl apiClient, op server.BatchOp) error {
 	switch op.Op {
 	case server.OpPoint:

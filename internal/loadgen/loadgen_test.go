@@ -47,7 +47,7 @@ func TestRunAgainstServer(t *testing.T) {
 			Seed:               1,
 		},
 	})
-	srv := server.New(server.Config{Engine: eng, MaxBatch: 16})
+	srv := server.New(server.Config{Engine: eng})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +178,7 @@ func startLoadgenServerStream(t *testing.T) (addr, streamAddr string, cleanup fu
 			Seed:               1,
 		},
 	})
-	srv := server.New(server.Config{Engine: eng, MaxBatch: 16})
+	srv := server.New(server.Config{Engine: eng})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

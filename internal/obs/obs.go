@@ -1,15 +1,13 @@
 // Package obs is the serving tier's observability substrate: a pooled
-// per-request trace (stage spans, shards visited, block accesses,
-// coalesce batch size) threaded through the request path via context,
-// an atomic 1-in-N sampler, and a rate-limited structured slow-query
-// log.
+// per-request trace (stage spans, shards visited, block accesses)
+// threaded through the request path via context, an atomic 1-in-N
+// sampler, and a rate-limited structured slow-query log.
 //
 // The package exists to make the paper's accesses-vs-time distinction
 // visible per request ("The Case for Learned Spatial Indexes" frames
 // evaluation around block accesses, not just wall-clock): a trace
-// attributes one request's latency to admission vs decode vs coalesce
-// wait vs shard fan-out vs encode, and carries the block-access count
-// alongside.
+// attributes one request's latency to admission vs decode vs plan vs
+// execute vs encode, and carries the block-access count alongside.
 //
 // # Cost model
 //
@@ -43,9 +41,6 @@ const (
 	// StagePlan spans query planning: selectivity estimation and the
 	// cost-based backend choice (SQL and planner-served requests only).
 	StagePlan
-	// StageCoalesce spans the wait inside the request coalescer, from
-	// submission to the micro-batch starting to execute.
-	StageCoalesce
 	// StageExecute spans engine execution (including shard fan-out).
 	StageExecute
 	// StageEncode spans response encoding and the write to the wire.
@@ -54,7 +49,7 @@ const (
 	NumStages
 )
 
-var stageNames = [NumStages]string{"admission", "decode", "plan", "coalesce", "execute", "encode"}
+var stageNames = [NumStages]string{"admission", "decode", "plan", "execute", "encode"}
 
 // String names the stage as it appears in logs, EXPLAIN output, and the
 // loadgen breakdown table.
@@ -83,12 +78,11 @@ type Trace struct {
 	// Explain marks a trace the client asked to receive inline.
 	Explain bool
 
-	start     time.Time
-	batchSize atomic.Int64
-	shards    atomic.Int64
-	accesses  atomic.Int64
-	stages    [NumStages]atomic.Int64 // nanoseconds per stage
-	plan      atomic.Pointer[PlanInfo]
+	start    time.Time
+	shards   atomic.Int64
+	accesses atomic.Int64
+	stages   [NumStages]atomic.Int64 // nanoseconds per stage
+	plan     atomic.Pointer[PlanInfo]
 }
 
 // PlanInfo records the cost-based planner's decision for one request:
@@ -115,7 +109,6 @@ func StartTrace(op, transport string) *Trace {
 	t.Backend = ""
 	t.Explain = false
 	t.start = time.Now()
-	t.batchSize.Store(0)
 	t.shards.Store(0)
 	t.accesses.Store(0)
 	t.plan.Store(nil)
@@ -181,26 +174,16 @@ func (t *Trace) AddShards(n int) {
 	}
 }
 
-// AddAccesses counts block accesses attributed to this request. On a
-// coalesced path the count covers the whole micro-batch the request
-// rode in (batch size is recorded alongside), and under concurrency it
-// may include accesses of overlapping engine calls; it is exact when
-// measured sequentially — the intended EXPLAIN debugging mode.
+// AddAccesses counts block accesses attributed to this request. The
+// server brackets the engine's cumulative counter, so under concurrency
+// the count may include accesses of overlapping engine calls; it is
+// exact when measured sequentially — the intended EXPLAIN debugging
+// mode.
 //
 //rsmi:noalloc
 func (t *Trace) AddAccesses(n int64) {
 	if t != nil {
 		t.accesses.Add(n)
-	}
-}
-
-// SetBatchSize records the size of the coalescer micro-batch the
-// request executed in (0 = never coalesced, 1 = a batch of itself).
-//
-//rsmi:noalloc
-func (t *Trace) SetBatchSize(n int) {
-	if t != nil {
-		t.batchSize.Store(int64(n))
 	}
 }
 
@@ -243,14 +226,6 @@ func (t *Trace) Accesses() int64 {
 		return 0
 	}
 	return t.accesses.Load()
-}
-
-// BatchSize reads the coalesce batch size.
-func (t *Trace) BatchSize() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.batchSize.Load()
 }
 
 // ctxKey is the context key for the request trace. A zero-size key

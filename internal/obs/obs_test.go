@@ -27,7 +27,6 @@ func TestUntracedPathAllocs(t *testing.T) {
 		}
 		tr.AddShards(3)
 		tr.AddAccesses(7)
-		tr.SetBatchSize(4)
 		tr.ObserveStage(StageExecute, time.Microsecond)
 		tr.MarkSince(time.Time{}, StageEncode)
 		if With(ctx, tr) != ctx {
@@ -75,10 +74,9 @@ func TestContextRoundTrip(t *testing.T) {
 	}
 	tr.AddShards(2)
 	tr.AddAccesses(5)
-	tr.SetBatchSize(3)
 	tr.ObserveStage(StageExecute, 250*time.Microsecond)
-	if tr.Shards() != 2 || tr.Accesses() != 5 || tr.BatchSize() != 3 {
-		t.Fatalf("counters = %d/%d/%d, want 2/5/3", tr.Shards(), tr.Accesses(), tr.BatchSize())
+	if tr.Shards() != 2 || tr.Accesses() != 5 {
+		t.Fatalf("counters = %d/%d, want 2/5", tr.Shards(), tr.Accesses())
 	}
 	if ns := tr.StageNS(StageExecute); ns != 250_000 {
 		t.Fatalf("execute stage = %dns, want 250000", ns)
@@ -93,7 +91,6 @@ func TestTraceReuseResets(t *testing.T) {
 	tr.Explain = true
 	tr.AddShards(9)
 	tr.AddAccesses(9)
-	tr.SetBatchSize(9)
 	tr.ObserveStage(StageDecode, time.Second)
 	id := tr.ID
 	tr.Release()
@@ -107,7 +104,7 @@ func TestTraceReuseResets(t *testing.T) {
 	if tr2.Backend != "" || tr2.Explain {
 		t.Fatalf("backend/explain leaked: %q/%v", tr2.Backend, tr2.Explain)
 	}
-	if tr2.Shards() != 0 || tr2.Accesses() != 0 || tr2.BatchSize() != 0 {
+	if tr2.Shards() != 0 || tr2.Accesses() != 0 {
 		t.Fatal("counters leaked through the pool")
 	}
 	for s := Stage(0); s < NumStages; s++ {
@@ -118,7 +115,7 @@ func TestTraceReuseResets(t *testing.T) {
 }
 
 func TestStageNames(t *testing.T) {
-	want := []string{"admission", "decode", "plan", "coalesce", "execute", "encode"}
+	want := []string{"admission", "decode", "plan", "execute", "encode"}
 	for s := Stage(0); s < NumStages; s++ {
 		if s.String() != want[s] {
 			t.Fatalf("Stage(%d) = %q, want %q", s, s.String(), want[s])

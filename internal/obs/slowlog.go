@@ -37,16 +37,12 @@ type SlowLogRecord struct {
 	TotalUs   float64 `json:"total_us"`
 	// Per-stage spans, in microseconds. Their sum approximates TotalUs;
 	// the remainder is unattributed scheduling time.
-	AdmissionUs float64 `json:"admission_us"`
-	DecodeUs    float64 `json:"decode_us"`
-	CoalesceUs  float64 `json:"coalesce_us"`
-	ExecuteUs   float64 `json:"execute_us"`
-	EncodeUs    float64 `json:"encode_us"`
-	// CoalesceBatch is the micro-batch size the request executed in
-	// (0 = not coalesced).
-	CoalesceBatch int64 `json:"coalesce_batch,omitempty"`
-	ShardsVisited int64 `json:"shards_visited,omitempty"`
-	BlockAccesses int64 `json:"block_accesses,omitempty"`
+	AdmissionUs   float64 `json:"admission_us"`
+	DecodeUs      float64 `json:"decode_us"`
+	ExecuteUs     float64 `json:"execute_us"`
+	EncodeUs      float64 `json:"encode_us"`
+	ShardsVisited int64   `json:"shards_visited,omitempty"`
+	BlockAccesses int64   `json:"block_accesses,omitempty"`
 }
 
 // NewSlowLog logs requests slower than threshold to w, at most
@@ -90,10 +86,8 @@ func (l *SlowLog) maybeLog(t *Trace, total time.Duration) {
 		TotalUs:       float64(total.Nanoseconds()) / 1e3,
 		AdmissionUs:   float64(t.StageNS(StageAdmission)) / 1e3,
 		DecodeUs:      float64(t.StageNS(StageDecode)) / 1e3,
-		CoalesceUs:    float64(t.StageNS(StageCoalesce)) / 1e3,
 		ExecuteUs:     float64(t.StageNS(StageExecute)) / 1e3,
 		EncodeUs:      float64(t.StageNS(StageEncode)) / 1e3,
-		CoalesceBatch: t.BatchSize(),
 		ShardsVisited: t.Shards(),
 		BlockAccesses: t.Accesses(),
 	}

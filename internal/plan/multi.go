@@ -61,11 +61,6 @@ func (m *MultiEngine) Name() string { return "Planner" }
 // PlanQuery plans q without executing it.
 func (m *MultiEngine) PlanQuery(q Query) Plan { return m.stats.Choose(q) }
 
-// PlanHint is PlanQuery without counter side effects (see Stats.Hint):
-// the serving tier's coalescer consults it per single query to decide
-// ride-the-batch versus direct execution.
-func (m *MultiEngine) PlanHint(q Query) Plan { return m.stats.Hint(q) }
-
 // PlannerStats snapshots routing and misprediction counters.
 func (m *MultiEngine) PlannerStats() Counters { return m.stats.Counters() }
 

@@ -13,7 +13,7 @@
 //     (internal/cdf — the same piecewise-linear model family RSMI itself
 //     learns).
 //   - A Query (point / window / kNN, optional distance ordering and
-//     LIMIT) is planned into a Plan{Backend, Batch, Coalesce, EstCost}
+//     LIMIT) is planned into a Plan{Backend, EstCost, EstRows}
 //     and executed; estimated vs actual cost rides the EXPLAIN trace so
 //     mispredictions are observable.
 //   - MultiEngine implements the full rsmi.Engine over several backends
@@ -84,14 +84,6 @@ type Plan struct {
 	// Backend is the chosen engine's display name ("Sharded", "RR*",
 	// "Grid", "KDB", …).
 	Backend string
-	// Batch is the micro-batch size at which the chosen backend's
-	// per-call overhead amortises well for queries of this cost — a hint
-	// to batching clients and the coalescer, not a requirement.
-	Batch int
-	// Coalesce reports whether the query is cheap enough that riding the
-	// request coalescer (micro-batching with concurrent traffic) is
-	// expected to win over a direct engine call.
-	Coalesce bool
 	// EstCostUS is the modelled execution cost in microseconds;
 	// EstRows the estimated result cardinality (windows only).
 	EstCostUS float64
@@ -117,7 +109,7 @@ type Result struct {
 // executor MultiEngine routes through. The plan in the result names the
 // engine with no cost estimate (there is no model to estimate with).
 func Execute(ctx context.Context, eng rsmi.Engine, q Query) (Result, error) {
-	res := Result{Plan: Plan{Backend: eng.Name(), Batch: 1}}
+	res := Result{Plan: Plan{Backend: eng.Name()}}
 	start := time.Now()
 	switch q.Kind {
 	case KindPoint:

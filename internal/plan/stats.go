@@ -79,11 +79,6 @@ const mispredictFactor = 2
 // before it enters the EWMA (see ObserveN).
 const ratioCap = 8.0
 
-// coalesceRowLimit is the estimated-cardinality ceiling under which a
-// window query is cheap enough that coalescing (micro-batching with
-// concurrent traffic) is expected to win over a direct engine call.
-const coalesceRowLimit = 256
-
 // modelSet is the read-mostly model registry snapshot: the hot path
 // (Choose, Observe — called per query) loads it with one atomic read,
 // and calibration publishes updates by swapping the pointer.
@@ -249,26 +244,14 @@ func estimate(m *model, q Query, rows float64) float64 {
 	return costUS * m.adj[q.Kind].load()
 }
 
-// Choose plans q: the backend with the lowest corrected cost estimate,
-// plus the batching and coalescing hints its cost class implies. With
-// no calibrated models the plan is empty (callers fall back to their
-// primary backend).
-func (s *Stats) Choose(q Query) Plan { return s.choose(q, true) }
-
-// Hint plans q without recording it: the same backend choice and
-// batching advice Choose would produce, for callers that only want the
-// coalescing hint (the serving tier's single-query read paths) and must
-// not inflate the planned/routed counters with queries the planner is
-// not routing.
-func (s *Stats) Hint(q Query) Plan { return s.choose(q, false) }
-
-func (s *Stats) choose(q Query, record bool) Plan {
-	if record {
-		s.planned.Add(1)
-	}
+// Choose plans q: the backend with the lowest corrected cost estimate.
+// With no calibrated models the plan is empty (callers fall back to
+// their primary backend).
+func (s *Stats) Choose(q Query) Plan {
+	s.planned.Add(1)
 	set := s.set.Load()
 	if set == nil {
-		return Plan{Batch: 1}
+		return Plan{}
 	}
 	var rows float64
 	if q.Kind == KindWindow {
@@ -287,22 +270,8 @@ func (s *Stats) choose(q Query, record bool) Plan {
 			pl = Plan{Backend: name, EstCostUS: cost, EstRows: rows}
 		}
 	}
-	if best == nil {
-		return Plan{Batch: 1}
-	}
-	if record {
+	if best != nil {
 		best.routed.Add(1)
-	}
-	// Cheap queries amortise well in large micro-batches; expensive
-	// scans should run directly, one at a time.
-	switch {
-	case q.Kind != KindWindow || pl.EstRows <= coalesceRowLimit:
-		pl.Coalesce = true
-		pl.Batch = 32
-	case pl.EstRows <= 16*coalesceRowLimit:
-		pl.Batch = 8
-	default:
-		pl.Batch = 1
 	}
 	return pl
 }

@@ -27,28 +27,22 @@ func TestChooseRoutesBySelectivity(t *testing.T) {
 	s := seededStats()
 
 	// A tiny window selects a handful of rows: the learned index's low
-	// base cost wins, and the query is cheap enough to coalesce.
+	// base cost wins.
 	tiny := Query{Kind: KindWindow, Window: geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.501, MaxY: 0.501}}
 	pl := s.Choose(tiny)
 	if pl.Backend != "RSMI" {
 		t.Fatalf("tiny window routed to %q, want RSMI", pl.Backend)
-	}
-	if !pl.Coalesce || pl.Batch != 32 {
-		t.Fatalf("tiny window plan %+v, want coalescable with batch 32", pl)
 	}
 	if pl.EstRows > 1 {
 		t.Fatalf("tiny window estimated %f rows, want ~0.1", pl.EstRows)
 	}
 
 	// A huge window selects tens of thousands of rows: per-row cost
-	// dominates, the baseline wins, and the scan should run directly.
+	// dominates and the baseline wins.
 	huge := Query{Kind: KindWindow, Window: geom.Rect{MinX: 0, MinY: 0, MaxX: 0.7, MaxY: 0.7}}
 	pl = s.Choose(huge)
 	if pl.Backend != "RR*" {
 		t.Fatalf("huge window routed to %q, want RR*", pl.Backend)
-	}
-	if pl.Coalesce || pl.Batch != 1 {
-		t.Fatalf("huge window plan %+v, want direct (batch 1, no coalesce)", pl)
 	}
 	if pl.EstRows < 10000 {
 		t.Fatalf("huge window estimated %f rows, want tens of thousands", pl.EstRows)
@@ -205,7 +199,7 @@ func TestSelectivityEstimator(t *testing.T) {
 func TestChooseWithoutModels(t *testing.T) {
 	s := NewStats([]geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9)})
 	pl := s.Choose(Query{Kind: KindPoint, Point: geom.Pt(0.1, 0.1)})
-	if pl.Backend != "" || pl.Batch != 1 {
+	if pl != (Plan{}) {
 		t.Fatalf("uncalibrated Choose = %+v, want empty fallback plan", pl)
 	}
 }
@@ -264,61 +258,5 @@ func TestRunProbesStretchesForExpensiveCalls(t *testing.T) {
 	}
 	if us <= 0 {
 		t.Errorf("usPerQuery = %v, want > 0", us)
-	}
-}
-
-// TestHintMatchesChooseWithoutCounters pins the advisory surface the
-// serving tier's coalescer consults: Hint must produce exactly the plan
-// Choose would (both directions — cheap query coalesces, expensive scan
-// bypasses) while leaving the planned/routed counters untouched.
-func TestHintMatchesChooseWithoutCounters(t *testing.T) {
-	s := seededStats()
-	tiny := Query{Kind: KindWindow, Window: geom.Rect{MinX: 0.5, MinY: 0.5, MaxX: 0.501, MaxY: 0.501}}
-	huge := Query{Kind: KindWindow, Window: geom.Rect{MinX: 0, MinY: 0, MaxX: 0.7, MaxY: 0.7}}
-	knn := Query{Kind: KindKNN, Point: geom.Pt(0.5, 0.5), K: 10}
-
-	for _, tc := range []struct {
-		name         string
-		q            Query
-		wantCoalesce bool
-		wantBatch    int
-	}{
-		{"tiny-window-coalesces", tiny, true, 32},
-		{"huge-window-bypasses", huge, false, 1},
-		{"knn-coalesces", knn, true, 32},
-	} {
-		pl := s.Hint(tc.q)
-		if pl.Coalesce != tc.wantCoalesce || pl.Batch != tc.wantBatch {
-			t.Errorf("%s: Hint = %+v, want Coalesce=%v Batch=%d",
-				tc.name, pl, tc.wantCoalesce, tc.wantBatch)
-		}
-		if pl.Backend == "" {
-			t.Errorf("%s: Hint chose no backend", tc.name)
-		}
-	}
-
-	c := s.Counters()
-	if c.Planned != 0 {
-		t.Fatalf("Hint bumped Planned: %+v", c)
-	}
-	for name, n := range c.Routed {
-		if n != 0 {
-			t.Fatalf("Hint bumped Routed[%s] = %d", name, n)
-		}
-	}
-	// And Choose still counts.
-	s.Choose(tiny)
-	if c := s.Counters(); c.Planned != 1 || c.Routed["RSMI"] != 1 {
-		t.Fatalf("Choose counters after Hint calls: %+v", c)
-	}
-}
-
-// TestHintUncalibrated pins the no-models fallback: an empty plan with
-// no backend, which callers must treat as "ride the coalescer".
-func TestHintUncalibrated(t *testing.T) {
-	s := NewStats(nil)
-	pl := s.Hint(Query{Kind: KindWindow, Window: geom.Rect{MaxX: 1, MaxY: 1}})
-	if pl.Backend != "" || pl.Coalesce {
-		t.Fatalf("uncalibrated Hint = %+v, want empty plan", pl)
 	}
 }

@@ -73,16 +73,14 @@ type PlanJSON struct {
 // stream), it rides inline with the response and surfaces the paper's
 // block-access metric — plus the stage breakdown — per query.
 //
-// On a coalesced query, ShardsVisited and BlockAccesses cover the whole
-// micro-batch the query executed in (CoalesceBatch reports its size),
-// and under concurrent load BlockAccesses may include overlapping engine
-// calls; issue the query sequentially for exact per-query numbers.
+// BlockAccesses is a bracket of the engine's cumulative counter around
+// the request, so under concurrent load it may include overlapping
+// engine calls; issue the query sequentially for exact per-query numbers.
 type TraceJSON struct {
 	ID            uint64           `json:"id"`
 	Backend       string           `json:"backend,omitempty"`
 	ShardsVisited int64            `json:"shards_visited"`
 	BlockAccesses int64            `json:"block_accesses"`
-	CoalesceBatch int64            `json:"coalesce_batch,omitempty"`
 	Stages        []TraceStageJSON `json:"stages"`
 	Plan          *PlanJSON        `json:"plan,omitempty"`
 }
@@ -184,11 +182,12 @@ type OpStats struct {
 	P999us float64 `json:"p999_us"`
 }
 
-// CoalesceStats reports how well the request coalescer is amortising
-// engine calls: Queries/Batches is the mean micro-batch size. Direct
-// counts queries that ran outside any batch through the post-shutdown
-// fallback (drain-time traffic), so Queries+Direct is every query the
-// coalescers answered.
+// CoalesceStats is never filled: the request coalescer it reported on is
+// gone (a single query executes directly on the goroutine that decoded
+// it), and every field reads 0. The type and StatsResponse.Coalesce stay
+// only because benchmark/layers.go reads st.Coalesce.MeanSize and a
+// change to the server may not edit benchmark/; they leave with the next
+// PR that may.
 type CoalesceStats struct {
 	Batches  int64   `json:"batches"`
 	Queries  int64   `json:"queries"`

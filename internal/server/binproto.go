@@ -253,42 +253,48 @@ func appendOp(b []byte, op BatchOp) ([]byte, error) {
 	return b, nil
 }
 
-// encodeBinaryOps builds a request frame: one entry for the per-op
+// appendBinaryOps appends a request frame to b: one entry for the per-op
 // endpoints (single), a counted list for /v1/batch and the stream, with
 // the explain flag bit set on request.
-func encodeBinaryOps(ops []BatchOp, single, explain bool) ([]byte, error) {
-	b := appendBinHeader(make([]byte, 0, 16+24*len(ops)))
+func appendBinaryOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, error) {
+	start := len(b)
+	b = appendBinHeader(b)
 	if !single {
 		b = appendUvarint(b, uint64(len(ops)))
 	}
 	var err error
 	for _, op := range ops {
 		if b, err = appendOp(b, op); err != nil {
-			return nil, err
+			return b[:start], err
 		}
 	}
 	if explain {
-		b = markBinExplain(b, single)
+		markBinExplain(b[start:], single)
 	}
 	return b, nil
 }
 
+// encodeBinaryOps is appendBinaryOps into a fresh buffer (an HTTP request
+// body, which the transport owns until the response arrives).
+func encodeBinaryOps(ops []BatchOp, single, explain bool) ([]byte, error) {
+	return appendBinaryOps(make([]byte, 0, 16+24*len(ops)), ops, single, explain)
+}
+
 // markBinExplain sets the explain flag bit on an encoded request
-// frame's first entry. single selects the per-op layout (entry at
-// offset 3); a batch frame's first entry sits after the count uvarint.
-func markBinExplain(b []byte, single bool) []byte {
+// frame's first entry, in place. single selects the per-op layout (entry
+// at offset 3); a batch frame's first entry sits after the count uvarint.
+func markBinExplain(b []byte, single bool) {
 	i := 3
 	if !single {
 		_, n := binary.Uvarint(b[3:])
 		if n <= 0 {
-			return b
+			return
 		}
 		i += n
 	}
 	if i < len(b) {
 		b[i] |= binOpExplain
 	}
-	return b
 }
 
 // appendBinTrace appends an EXPLAIN trace result after a response's
@@ -296,10 +302,15 @@ func markBinExplain(b []byte, single bool) []byte {
 //
 //	trace  tag byte (binResTrace), uvarint id,
 //	       uvarint len, backend bytes,
-//	       uvarint shards, uvarint accesses, uvarint coalesce batch,
+//	       uvarint shards, uvarint accesses, uvarint reserved (0),
 //	       uvarint n, n × (uvarint len, stage-name bytes, us f64),
 //	       uvarint plan-backend len (0 = no plan)
 //	       [, plan-backend bytes, est µs f64, actual µs f64, est rows f64]
+//
+// The reserved slot carried the request coalescer's batch size until the
+// coalescer was removed. It is written as 0 and skipped on read so that
+// rsmibin/1 does not move a byte: older clients and servers interoperate
+// with newer ones (TestBinTraceGoldenBytes).
 func appendBinTrace(b []byte, tj *TraceJSON) []byte {
 	if tj == nil {
 		return b
@@ -310,7 +321,7 @@ func appendBinTrace(b []byte, tj *TraceJSON) []byte {
 	b = append(b, tj.Backend...)
 	b = appendUvarint(b, uint64(tj.ShardsVisited))
 	b = appendUvarint(b, uint64(tj.BlockAccesses))
-	b = appendUvarint(b, uint64(tj.CoalesceBatch))
+	b = appendUvarint(b, 0) // reserved
 	b = appendUvarint(b, uint64(len(tj.Stages)))
 	for _, st := range tj.Stages {
 		b = appendUvarint(b, uint64(len(st.Stage)))
@@ -658,7 +669,7 @@ func (r *binReader) trace() *TraceJSON {
 	tj.Backend = string(r.take(int(bl)))
 	tj.ShardsVisited = int64(r.uvarint())
 	tj.BlockAccesses = int64(r.uvarint())
-	tj.CoalesceBatch = int64(r.uvarint())
+	r.uvarint() // reserved (a pre-removal server's coalesce batch size)
 	n := r.uvarint()
 	// A stage is at least 9 bytes (len + empty name + f64); divide so a
 	// malformed count cannot wrap into a huge allocation.

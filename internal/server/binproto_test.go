@@ -2,9 +2,12 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"rsmi/internal/geom"
@@ -132,6 +135,40 @@ func TestBinaryResultsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBinTraceGoldenBytes pins the rsmibin trace layout to the bytes the
+// encoder wrote while the third counter still carried a batch size (the
+// golden string is that encoder's output for a size of 0), and checks the
+// reverse direction: a trace whose slot is non-zero, as a server of that
+// time writes it, decodes to the same record. Either side of a stream
+// connection can therefore be one release older than the other and still
+// round-trip an EXPLAIN request.
+func TestBinTraceGoldenBytes(t *testing.T) {
+	tj := &TraceJSON{
+		ID: 300, Backend: "Sharded", ShardsVisited: 2, BlockAccesses: 1234,
+		Stages: []TraceStageJSON{{Stage: "admission", Us: 0.5}, {Stage: "execute", Us: 12.25}},
+		Plan:   &PlanJSON{Backend: "RR*", EstCostUS: 3, ActualCostUS: 4.5, EstRows: 100},
+	}
+	const golden = "03ac02075368617264656402d209" + "00" + // tag, id, backend, shards, accesses; the reserved slot
+		"020961646d697373696f6e000000000000e03f076578656375746500000000008028400352522a000000000000084000000000000012400000000000005940"
+	if got := hex.EncodeToString(appendBinTrace(nil, tj)); got != golden {
+		t.Fatalf("trace bytes moved:\n got %s\nwant %s", got, golden)
+	}
+	for _, slot := range []string{"00", "11"} {
+		old, err := hex.DecodeString(strings.Replace(golden, "d20900", "d209"+slot, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame := appendBoolResult(appendBinHeader(nil), true)
+		rs, got, err := decodeBinaryResults(append(frame, old...), true)
+		if err != nil || len(rs) != 1 || !rs[0].flag {
+			t.Fatalf("slot %s: results %+v, err %v", slot, rs, err)
+		}
+		if !reflect.DeepEqual(got, tj) {
+			t.Fatalf("slot %s: decoded %+v (plan %+v), want %+v", slot, got, got.Plan, tj)
+		}
+	}
+}
+
 // TestBinaryDecodeRejects covers the malformed-frame surface the fuzzer
 // explores: every case must error, never panic or over-allocate.
 func TestBinaryDecodeRejects(t *testing.T) {
@@ -253,7 +290,7 @@ func FuzzDecodeBinaryResults(f *testing.F) {
 // the binary protocol must change the encoding, never the semantics.
 func TestProtocolEquivalence(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, jsonCl := startTestServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, jsonCl := startTestServer(t, Config{Engine: eng})
 	binCl := NewClient(jsonCl.base, WithProto(ProtoBinary))
 
 	// Point queries: hits and misses.

@@ -1,13 +1,14 @@
 package server
 
 // Tests for the context-aware serving path: request contexts reaching the
-// engine, coalescer deadline propagation, the streaming JSON batch
+// engine with the request's own deadline, the streaming JSON batch
 // encoder, the stream transport's per-request deadline, and protocol
 // equivalence across baseline-backed engines.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -30,7 +31,7 @@ type disconnectEngine struct {
 	aborted chan error
 }
 
-func (e *disconnectEngine) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
+func (e *disconnectEngine) WindowQueryAppend(ctx context.Context, _ []geom.Point, _ geom.Rect) ([]geom.Point, error) {
 	close(e.started)
 	<-ctx.Done()
 	e.aborted <- ctx.Err()
@@ -48,8 +49,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 		started: make(chan struct{}),
 		aborted: make(chan error, 1),
 	}
-	// MaxBatch 1: the request context flows straight into the engine.
-	s := New(Config{Engine: de, MaxBatch: 1})
+	s := New(Config{Engine: de})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -96,140 +96,153 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	}
 }
 
-// TestCoalescerDeadlinePropagation checks that the micro-batch engine
-// call runs under the earliest deadline of its members, and that members
-// without deadlines impose none.
-func TestCoalescerDeadlinePropagation(t *testing.T) {
-	got := make(chan time.Time, 1)
-	co := newCoalescer(8, 0, func(ctx context.Context, qs []int) ([]int, error) {
-		d, ok := ctx.Deadline()
-		if !ok {
-			d = time.Time{}
+// deadlineEngine reports the deadline every single-query engine call ran
+// under (the zero time for none) before delegating.
+type deadlineEngine struct {
+	Engine
+	got chan time.Time
+}
+
+func (e *deadlineEngine) report(ctx context.Context) {
+	d, _ := ctx.Deadline()
+	e.got <- d
+}
+
+func (e *deadlineEngine) PointQueryContext(ctx context.Context, q geom.Point) (bool, error) {
+	e.report(ctx)
+	return e.Engine.PointQueryContext(ctx, q)
+}
+
+func (e *deadlineEngine) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
+	e.report(ctx)
+	return e.Engine.WindowQueryAppend(ctx, dst, q)
+}
+
+func (e *deadlineEngine) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
+	e.report(ctx)
+	return e.Engine.KNNContext(ctx, q, k)
+}
+
+// TestDirectDeadlinePropagation checks that a single query's engine call
+// runs under the request's own context: an HTTP request's deadline
+// reaches the engine exactly, a request without one imposes none, and a
+// stream request gets Config.StreamRequestTimeout and nothing else.
+func TestDirectDeadlinePropagation(t *testing.T) {
+	eng, _ := testEngine(t)
+	de := &deadlineEngine{Engine: eng, got: make(chan time.Time, 1)}
+	queries := []struct{ path, body string }{
+		{"/v1/point", `{"x":0.5,"y":0.5}`},
+		{"/v1/window", `{"min_x":0.4,"min_y":0.4,"max_x":0.6,"max_y":0.6}`},
+		{"/v1/knn", `{"x":0.5,"y":0.5,"k":3}`},
+	}
+
+	s, _, streamAddr := startStreamServer(t, Config{Engine: de})
+	serve := func(ctx context.Context, path, body string) time.Time {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)).WithContext(ctx)
+		s.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, rec.Code, rec.Body)
 		}
-		got <- d
-		return make([]int, len(qs)), nil
-	})
-	defer co.shutdown()
-
-	// No deadline in → no deadline out.
-	if _, err := co.do(context.Background(), 1); err != nil {
-		t.Fatal(err)
+		return <-de.got
 	}
-	if d := <-got; !d.IsZero() {
-		t.Fatalf("deadline-free batch ran under deadline %v", d)
-	}
-
-	// A member deadline reaches the engine call exactly.
 	want := time.Now().Add(time.Hour)
 	ctx, cancel := context.WithDeadline(context.Background(), want)
 	defer cancel()
-	if _, err := co.do(ctx, 2); err != nil {
-		t.Fatal(err)
+	for _, q := range queries {
+		if d := serve(context.Background(), q.path, q.body); !d.IsZero() {
+			t.Fatalf("%s: deadline-free request ran under deadline %v", q.path, d)
+		}
+		if d := serve(ctx, q.path, q.body); !d.Equal(want) {
+			t.Fatalf("%s: engine deadline = %v, want the request's %v", q.path, d, want)
+		}
 	}
-	if d := <-got; !d.Equal(want) {
-		t.Fatalf("batch deadline = %v, want %v", d, want)
+
+	// Over the stream the deadline is the server's per-request timeout.
+	stream := func(addr string) time.Time {
+		t.Helper()
+		cl := NewClient(addr, WithTransport(TransportTCP))
+		defer cl.Close()
+		if _, err := cl.KNN(context.Background(), geom.Pt(0.5, 0.5), 3); err != nil {
+			t.Fatal(err)
+		}
+		return <-de.got
+	}
+	if d := stream(streamAddr); !d.IsZero() {
+		t.Fatalf("stream request without StreamRequestTimeout ran under deadline %v", d)
+	}
+	_, _, timedAddr := startStreamServer(t, Config{Engine: de, StreamRequestTimeout: time.Hour})
+	before := time.Now()
+	d := stream(timedAddr)
+	if d.Before(before.Add(time.Hour)) || d.After(time.Now().Add(time.Hour)) {
+		t.Fatalf("stream engine deadline = %v, want StreamRequestTimeout after the frame arrived", d)
 	}
 }
 
-// TestCoalescerCancelledCaller checks that a caller whose context ends
-// while queued stops waiting with its context's error, without failing
-// the dispatcher.
-func TestCoalescerCancelledCaller(t *testing.T) {
-	block := make(chan struct{})
-	co := newCoalescer(8, 0, func(ctx context.Context, qs []int) ([]int, error) {
-		<-block
-		return make([]int, len(qs)), nil
-	})
-	defer func() {
-		close(block)
-		co.shutdown()
-	}()
+// TestDirectCancelledCaller checks what a caller sees when its context
+// ends while its query is inside the engine: over HTTP a cancelled
+// request is answered 499 and one whose deadline passed 504; over the
+// stream the caller gets context.Canceled at once and the connection
+// stays usable (TestStreamRequestTimeout covers the stream's 504).
+func TestDirectCancelledCaller(t *testing.T) {
+	eng, pts := testEngine(t)
+	blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
+	s, _, streamAddr := startStreamServer(t, Config{Engine: blocking})
+	admitted := func() {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.inFlight.Load() == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("request never admitted")
+			}
+			runtime.Gosched()
+		}
+	}
 
-	// First query occupies the dispatcher.
-	go co.do(context.Background(), 1)
-	// Second query queues behind it; its context is cancelled while
-	// waiting.
+	serve := func(ctx context.Context) int {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/point", strings.NewReader(`{"x":0.5,"y":0.5}`)).WithContext(ctx)
+		s.Handler().ServeHTTP(rec, req)
+		return rec.Code
+	}
 	ctx, cancel := context.WithCancel(context.Background())
+	code := make(chan int, 1)
+	go func() { code <- serve(ctx) }()
+	admitted()
+	cancel()
+	if c := <-code; c != statusClientClosedRequest {
+		t.Fatalf("cancelled HTTP request answered %d, want %d", c, statusClientClosedRequest)
+	}
+	ctx, cancel = context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if c := serve(ctx); c != http.StatusGatewayTimeout {
+		t.Fatalf("HTTP request past its deadline answered %d, want 504", c)
+	}
+
+	cl := NewClient(streamAddr, WithTransport(TransportTCP), WithStreamConns(1))
+	defer cl.Close()
+	ctx, cancel = context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := co.do(ctx, 2)
+		_, err := cl.PointQuery(ctx, pts[0])
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond)
+	admitted()
 	cancel()
 	select {
 	case err := <-done:
-		if err != context.Canceled {
-			t.Fatalf("cancelled caller got %v, want context.Canceled", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled stream caller got %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled caller still waiting on its batch")
+		t.Fatal("cancelled stream caller still waiting")
 	}
-}
-
-// TestCoalescerExpiredMemberDoesNotPoisonBatch checks that a member
-// whose deadline passed while queued is answered with its own error and
-// excluded from the engine call, instead of donating an already-past
-// deadline that would fail every healthy peer in the micro-batch.
-func TestCoalescerExpiredMemberDoesNotPoisonBatch(t *testing.T) {
-	block := make(chan struct{})
-	running := make(chan struct{}, 1)
-	co := newCoalescer(8, 0, func(ctx context.Context, qs []int) ([]int, error) {
-		select {
-		case running <- struct{}{}: // the first batch holds the dispatcher
-		default:
-		}
-		<-block // closed thereafter
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out := make([]int, len(qs))
-		for i, q := range qs {
-			out[i] = q * 10
-		}
-		return out, nil
-	})
-	defer co.shutdown()
-
-	// Occupy the dispatcher so the next two submissions share a batch.
-	first := make(chan error, 1)
-	go func() {
-		_, err := co.do(context.Background(), 1)
-		first <- err
-	}()
-	<-running
-	// A queues with a deadline that expires while it waits; B is healthy.
-	expCtx, expCancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer expCancel()
-	aErr := make(chan error, 1)
-	go func() {
-		_, err := co.do(expCtx, 2)
-		aErr <- err
-	}()
-	bRes := make(chan answer[int], 1)
-	go func() {
-		r, err := co.do(context.Background(), 3)
-		bRes <- answer[int]{r: r, err: err}
-	}()
-	// Release the dispatcher only once both members are queued behind the
-	// running batch and A's deadline has passed — events, not a sleep.
-	// (On a stalled box A can expire before it queues; the assertions
-	// below hold either way, so that just ends the wait.)
-	for len(co.in) < 2 && expCtx.Err() == nil {
-		runtime.Gosched()
-	}
-	<-expCtx.Done()
-	close(block)
-
-	if err := <-first; err != nil {
-		t.Fatalf("first query: %v", err)
-	}
-	if err := <-aErr; err != context.DeadlineExceeded {
-		t.Fatalf("expired member got %v, want DeadlineExceeded", err)
-	}
-	b := <-bRes
-	if b.err != nil || b.r != 30 {
-		t.Fatalf("healthy peer poisoned by expired member: %v, %v", b.r, b.err)
+	// The abandoned request drains once the engine lets go; its late answer
+	// is discarded and the same connection serves the next request.
+	close(blocking.gate)
+	if found, err := cl.PointQuery(context.Background(), pts[0]); err != nil || !found {
+		t.Fatalf("stream unusable after a cancelled request: %v, %v", found, err)
 	}
 }
 
@@ -342,7 +355,6 @@ func TestStreamRequestTimeout(t *testing.T) {
 	blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
 	_, _, streamAddr := startStreamServer(t, Config{
 		Engine:               blocking,
-		MaxBatch:             1,
 		StreamRequestTimeout: 50 * time.Millisecond,
 	})
 	cl := NewClient(streamAddr, WithTransport(TransportTCP))
@@ -375,7 +387,7 @@ func TestProtocolEquivalenceAcrossEngines(t *testing.T) {
 		{"kdb", func() Engine { return rsmi.NewKDBEngine(pts, 0) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, httpURL, streamAddr := startStreamServer(t, Config{Engine: tc.build(), MaxBatch: 8})
+			_, httpURL, streamAddr := startStreamServer(t, Config{Engine: tc.build()})
 			clients := map[string]*Client{
 				"http-json":   NewClient(httpURL),
 				"http-binary": NewClient(httpURL, WithProto(ProtoBinary)),

@@ -32,7 +32,7 @@ func stageSet(tj *TraceJSON) map[string]float64 {
 // describe the query, not the transport that carried it.
 func TestExplainEquivalenceAcrossTransports(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
 
 	clients := map[string]*Client{
 		"http-json":   NewClient(httpURL, WithProto(ProtoJSON)),
@@ -228,7 +228,7 @@ func TestSlowQueryLogEndToEnd(t *testing.T) {
 	eng, pts := testEngine(t)
 	var buf syncBuffer
 	sl := obs.NewSlowLog(&buf, 0, 1e9)
-	s := New(Config{Engine: eng, MaxBatch: 8, Observer: obs.NewObserver(0, sl)})
+	s := New(Config{Engine: eng, Observer: obs.NewObserver(0, sl)})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	defer s.Shutdown(context.Background())

@@ -11,7 +11,6 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/obs"
 	"rsmi/internal/plan"
-	"rsmi/internal/shard"
 	"rsmi/internal/sqlfe"
 )
 
@@ -87,7 +86,6 @@ func traceJSON(tr *obs.Trace) *TraceJSON {
 		Backend:       tr.Backend,
 		ShardsVisited: tr.Shards(),
 		BlockAccesses: tr.Accesses(),
-		CoalesceBatch: tr.BatchSize(),
 	}
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
 		if ns := tr.StageNS(st); ns > 0 {
@@ -163,50 +161,6 @@ func toPoints(pts []geom.Point) []PointJSON {
 	return out
 }
 
-// queryPoint routes a point probe through the coalescer when enabled,
-// threading the request's context either way: the coalescer propagates
-// its micro-batch's earliest deadline into the engine, the direct path
-// hands ctx straight down, and Sharded observes it between shard visits.
-// A traced request's ctx already carries tr (the pipeline's bracket);
-// tr itself is for the coalescer, which records the wait and the batch.
-func (s *Server) queryPoint(ctx context.Context, p geom.Point, tr *obs.Trace) (bool, error) {
-	if s.coPoint != nil {
-		return s.coPoint.doTraced(ctx, p, tr)
-	}
-	return s.eng.PointQueryContext(ctx, p)
-}
-
-func (s *Server) queryWindow(ctx context.Context, q geom.Rect, tr *obs.Trace) ([]geom.Point, error) {
-	if s.coWindow != nil {
-		if s.hinter == nil {
-			return s.coWindow.doTraced(ctx, q, tr)
-		}
-		// The planner's per-query hint decides ride-the-batch versus
-		// direct: a cheap window amortises in a micro-batch, an expensive
-		// scan would stall its batch peers for no amortisation win. An
-		// empty plan (uncalibrated stats) rides — bypassing is the planner
-		// speaking, not the default.
-		if pl := s.hinter.PlanHint(plan.Query{Kind: plan.KindWindow, Window: q}); pl.Coalesce || pl.Backend == "" {
-			return s.coWindow.doHinted(ctx, q, tr, pl.Batch)
-		}
-		s.planBypass.Add(1)
-	}
-	return s.eng.WindowQueryContext(ctx, q)
-}
-
-func (s *Server) queryKNN(ctx context.Context, q shard.KNNQuery, tr *obs.Trace) ([]geom.Point, error) {
-	if s.coKNN != nil {
-		if s.hinter == nil {
-			return s.coKNN.doTraced(ctx, q, tr)
-		}
-		if pl := s.hinter.PlanHint(plan.Query{Kind: plan.KindKNN, Point: q.Q, K: q.K}); pl.Coalesce || pl.Backend == "" {
-			return s.coKNN.doHinted(ctx, q, tr, pl.Batch)
-		}
-		s.planBypass.Add(1)
-	}
-	return s.eng.KNNContext(ctx, q.Q, q.K)
-}
-
 // plannerEngine is the planning surface the SQL endpoint prefers,
 // implemented by plan.MultiEngine (rsmi-serve -planner): the query is
 // planned first — so EXPLAIN can time the plan stage on its own — then
@@ -218,80 +172,38 @@ type plannerEngine interface {
 	PlannerStats() plan.Counters
 }
 
-// planHinter is the advisory planning surface the single-query read
-// paths consult before riding the coalescer (plan.MultiEngine.PlanHint):
-// the plan's Coalesce/Batch hints steer the micro-batcher without the
-// counter side effects of a full PlanQuery. Cached on the Server at
-// construction so the hot path pays no type assertion.
-type planHinter interface {
-	PlanHint(q plan.Query) plan.Plan
-}
-
 // executeSQL runs one parsed SQL query and records the plan decision —
 // chosen backend, estimated vs actual cost — on the trace for EXPLAIN.
 // It observes the plan and execute stages itself (the two are disjoint,
-// like executeBatch's execute span).
+// like executeBatch's execute span). A fixed-backend server's plan is
+// degenerate: everything routes to the one engine, with no cost
+// estimate.
 func (s *Server) executeSQL(ctx context.Context, q plan.Query, tr *obs.Trace) (plan.Result, error) {
+	var (
+		res plan.Result
+		err error
+	)
 	if pe, ok := s.eng.(plannerEngine); ok {
 		pstart := time.Now()
 		pl := pe.PlanQuery(q)
 		tr.MarkSince(pstart, obs.StagePlan)
-		res, err := pe.ExecPlanned(ctx, pl, q)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		if tr != nil {
-			tr.ObserveStage(obs.StageExecute, time.Duration(res.ActualUS*1e3))
-			tr.SetPlan(obs.PlanInfo{
-				Backend:      res.Plan.Backend,
-				EstCostUS:    res.Plan.EstCostUS,
-				ActualCostUS: res.ActualUS,
-				EstRows:      res.Plan.EstRows,
-			})
-		}
-		return res, nil
+		res, err = pe.ExecPlanned(ctx, pl, q)
+	} else {
+		res, err = plan.Execute(ctx, s.eng, q)
 	}
-	// Fixed backend: a degenerate plan — everything routes to the one
-	// engine, with no cost estimate. Queries ride the same
-	// coalescer-backed helpers as the per-op endpoints, so concurrent
-	// SQL still micro-batches.
-	start := time.Now()
-	var res plan.Result
-	switch q.Kind {
-	case plan.KindPoint:
-		found, err := s.queryPoint(ctx, q.Point, tr)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		res.Found = found
-		if found {
-			res.Points = []geom.Point{q.Point}
-		}
-	case plan.KindWindow:
-		pts, err := s.queryWindow(ctx, q.Window, tr)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		res.Points = plan.FinishWindow(q, pts)
-		res.Found = len(res.Points) > 0
-	case plan.KindKNN:
-		pts, err := s.queryKNN(ctx, shard.KNNQuery{Q: q.Point, K: q.K}, tr)
-		if err != nil {
-			return plan.Result{}, err
-		}
-		res.Points = pts
-		res.Found = len(pts) > 0
+	if err != nil {
+		return plan.Result{}, err
 	}
-	res.ActualUS = usSince(start)
-	res.Plan = plan.Plan{Backend: s.eng.Name(), Batch: 1}
-	tr.ObserveStage(obs.StageExecute, time.Since(start))
-	tr.SetPlan(obs.PlanInfo{Backend: res.Plan.Backend, ActualCostUS: res.ActualUS})
+	if tr != nil {
+		tr.ObserveStage(obs.StageExecute, time.Duration(res.ActualUS*1e3))
+		tr.SetPlan(obs.PlanInfo{
+			Backend:      res.Plan.Backend,
+			EstCostUS:    res.Plan.EstCostUS,
+			ActualCostUS: res.ActualUS,
+			EstRows:      res.Plan.EstRows,
+		})
+	}
 	return res, nil
-}
-
-// usSince reports microseconds elapsed since t.
-func usSince(t time.Time) float64 {
-	return float64(time.Since(t).Nanoseconds()) / 1e3
 }
 
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
@@ -352,24 +264,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Unsubscribed: c.Unsubscribed,
 			Notified:     c.Notified,
 			Dropped:      c.Dropped,
-		}
-	}
-	if s.coPoint != nil {
-		for _, c := range []interface {
-			snapshot() (int64, int64, int64, int64)
-		}{
-			s.coPoint, s.coWindow, s.coKNN,
-		} {
-			b, q, m, d := c.snapshot()
-			resp.Coalesce.Batches += b
-			resp.Coalesce.Queries += q
-			resp.Coalesce.Direct += d
-			if m > resp.Coalesce.MaxSize {
-				resp.Coalesce.MaxSize = m
-			}
-		}
-		if resp.Coalesce.Batches > 0 {
-			resp.Coalesce.MeanSize = float64(resp.Coalesce.Queries) / float64(resp.Coalesce.Batches)
 		}
 	}
 	writeJSON(w, resp)

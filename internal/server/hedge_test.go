@@ -59,7 +59,7 @@ func startHTTPTarget(t *testing.T, eng Engine) *Client {
 // (binary lets tests ship NaN coordinates the JSON marshaller refuses).
 func startHTTPTargetProto(t *testing.T, eng Engine, proto Proto) *Client {
 	t.Helper()
-	s := New(Config{Engine: eng, MaxBatch: 1})
+	s := New(Config{Engine: eng})
 	hs := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		hs.Close()

@@ -108,26 +108,6 @@ func writeOctaveHist(b *bytes.Buffer, name, labels string, sn *histSnapshot) {
 	promInt(b, name+"_count", labels, cum)
 }
 
-// coalesceTotals accumulates the three typed coalescers' counters.
-type coalesceTotals struct {
-	batches, queries, direct int64
-	sizes                    [coalesceSizeBuckets]int64
-}
-
-func addCoalesce[Q, R any](t *coalesceTotals, c *coalescer[Q, R]) {
-	if c == nil {
-		return
-	}
-	batches, queries, _, direct := c.snapshot()
-	t.batches += batches
-	t.queries += queries
-	t.direct += direct
-	sz := c.sizesSnapshot()
-	for i := range sz {
-		t.sizes[i] += sz[i]
-	}
-}
-
 // writeMetrics renders the full exposition page.
 func (s *Server) writeMetrics(b *bytes.Buffer) {
 	// Build and process-level gauges.
@@ -169,30 +149,6 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 			writeOctaveHist(b, "rsmi_op_duration_seconds", labels, &sn)
 		}
 	}
-
-	// Coalescing. The batch-size histogram's _count is the summed size
-	// buckets (one increment per batch) rather than the racing batches
-	// counter, keeping +Inf == _count under concurrent scrapes.
-	var ct coalesceTotals
-	addCoalesce(&ct, s.coPoint)
-	addCoalesce(&ct, s.coWindow)
-	addCoalesce(&ct, s.coKNN)
-	promHead(b, "rsmi_coalesce_batches_total", "counter", "Coalesced engine batch calls across the three single-query coalescers.")
-	promInt(b, "rsmi_coalesce_batches_total", "", ct.batches)
-	promHead(b, "rsmi_coalesce_queries_total", "counter", "Single queries served through coalesced batches.")
-	promInt(b, "rsmi_coalesce_queries_total", "", ct.queries)
-	promHead(b, "rsmi_coalesce_direct_total", "counter", "Single queries executed outside any batch (post-shutdown drain fallback).")
-	promInt(b, "rsmi_coalesce_direct_total", "", ct.direct)
-	promHead(b, "rsmi_coalesce_batch_size", "histogram", "Distribution of coalesced batch sizes (queries per engine call).")
-	var cum int64
-	for i := 0; i < coalesceSizeBuckets-1; i++ {
-		cum += ct.sizes[i]
-		fmt.Fprintf(b, "%s %d\n", promSeries("rsmi_coalesce_batch_size_bucket", withLe("", fmt.Sprintf("%d", 1<<i))), cum)
-	}
-	cum += ct.sizes[coalesceSizeBuckets-1]
-	fmt.Fprintf(b, "%s %d\n", promSeries("rsmi_coalesce_batch_size_bucket", withLe("", "+Inf")), cum)
-	promInt(b, "rsmi_coalesce_batch_size_sum", "", ct.queries)
-	promInt(b, "rsmi_coalesce_batch_size_count", "", cum)
 
 	// Rolling rebuilds.
 	promHead(b, "rsmi_rebuilds_total", "counter", "Completed rolling rebuilds.")
@@ -273,8 +229,6 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	promInt(b, "rsmi_plan_queries_total", "", planned)
 	promHead(b, "rsmi_plan_mispredicts_total", "counter", "Planned queries whose actual cost fell outside [est/2, 2*est].")
 	promInt(b, "rsmi_plan_mispredicts_total", "", mispredicts)
-	promHead(b, "rsmi_plan_bypass_total", "counter", "Single queries sent around the coalescer on the planner's hint (expensive scans that would stall their batch peers).")
-	promInt(b, "rsmi_plan_bypass_total", "", s.planBypass.Load())
 	if len(routed) > 0 {
 		promHead(b, "rsmi_plan_routed_total", "counter", "Planned queries by chosen backend.")
 		names := make([]string, 0, len(routed))

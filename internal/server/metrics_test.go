@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -282,7 +283,7 @@ func scrapeMetrics(t *testing.T, url string) string {
 // series and the histogram invariants.
 func TestMetricsExposition(t *testing.T) {
 	eng, pts := testEngine(t)
-	s := New(Config{Engine: eng, MaxBatch: 8})
+	s := New(Config{Engine: eng})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	defer s.Shutdown(context.Background())
@@ -313,7 +314,7 @@ func TestMetricsExposition(t *testing.T) {
 		"rsmi_build_info", "rsmi_uptime_seconds", "rsmi_points", "rsmi_shards",
 		"rsmi_block_accesses_total", "rsmi_requests_in_flight", "rsmi_admission_shed_total",
 		"rsmi_op_requests_total", "rsmi_op_duration_seconds_bucket",
-		"rsmi_coalesce_batches_total", "rsmi_coalesce_queries_total", "rsmi_coalesce_batch_size_bucket",
+		"rsmi_plan_queries_total", "rsmi_plan_mispredicts_total",
 		"rsmi_rebuilds_total", "rsmi_rebuild_running", "rsmi_rebuild_duration_seconds_bucket",
 		"rsmi_replication_role", "rsmi_replication_lag_seq", "rsmi_replication_lag_seconds",
 		"rsmi_oplog_capacity", "rsmi_oplog_headroom",
@@ -323,6 +324,18 @@ func TestMetricsExposition(t *testing.T) {
 	for _, name := range required {
 		if len(byName[name]) == 0 {
 			t.Errorf("required series %s absent", name)
+		}
+	}
+	// Every family belongs to a subsystem this server has: a removed
+	// subsystem must take its series with it.
+	subsystems := []string{
+		"rsmi_build_info", "rsmi_uptime_", "rsmi_points", "rsmi_shards", "rsmi_block_accesses_",
+		"rsmi_requests_", "rsmi_admission_", "rsmi_op_", "rsmi_rebuild", "rsmi_replication_",
+		"rsmi_oplog_", "rsmi_plan_", "rsmi_hedge_", "rsmi_slow_queries_", "rsmi_sub_",
+	}
+	for family := range types {
+		if !slices.ContainsFunc(subsystems, func(p string) bool { return strings.HasPrefix(family, p) }) {
+			t.Errorf("series family %s belongs to no serving subsystem", family)
 		}
 	}
 
@@ -366,7 +379,7 @@ func TestMetricsExposition(t *testing.T) {
 // for the whole telemetry read path.
 func TestMetricsScrapeUnderLoad(t *testing.T) {
 	eng, pts := testEngine(t)
-	s := New(Config{Engine: eng, MaxBatch: 8})
+	s := New(Config{Engine: eng})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()
 	defer s.Shutdown(context.Background())

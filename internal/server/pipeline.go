@@ -161,6 +161,31 @@ type exchange interface {
 	fail(code int, msg string)
 	// reply encodes the answers, with the EXPLAIN trace when tj != nil.
 	reply(answers []batchAnswer, tj *TraceJSON)
+	// mem is the exchange's scratch; it stays valid until reply returns.
+	mem() *scratch
+}
+
+// scratch is the per-request memory a pooled exchange lends the
+// pipeline: a single-op request's answer slice and a window's result
+// points live here, so neither is allocated per request. That is sound
+// because the goroutine that queried is the one that encodes — reply has
+// copied the points onto the wire before the exchange is recycled.
+type scratch struct {
+	answer [1]batchAnswer
+	pts    []geom.Point
+}
+
+// scratchMaxPoints caps the point capacity an exchange keeps across
+// requests (1 MiB of points, as binBufPoolMax caps response buffers):
+// one huge window must not pin its memory forever.
+const scratchMaxPoints = 1 << 16
+
+// recycled returns a zeroed scratch that keeps sc's point buffer.
+func (sc *scratch) recycled() scratch {
+	if cap(sc.pts) > scratchMaxPoints {
+		return scratch{}
+	}
+	return scratch{pts: sc.pts[:0]}
 }
 
 // errPostRequired is the one decode error that is not a 400.
@@ -215,19 +240,16 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	tr.MarkSince(t1, obs.StageDecode)
 	// The trace bracket: tr rides the engine context so the shard fan-out
 	// can count shards visited, and collects the engine's block-access
-	// delta — unless the request rode a coalesced micro-batch, which the
-	// coalescer brackets on its own goroutine.
+	// delta.
 	ctx = obs.With(ctx, tr)
 	before := s.accessesIf(tr)
 	var answers []batchAnswer
 	if single {
-		answers, err = s.executeSingle(ctx, ops[0], q, t, tr)
+		answers, err = s.executeSingle(ctx, ops[0], q, t, tr, x.mem())
 	} else {
 		answers, err = s.executeBatch(ctx, ops, t, tr)
 	}
-	if tr.BatchSize() == 0 {
-		tr.AddAccesses(s.accessesIf(tr) - before)
-	}
+	tr.AddAccesses(s.accessesIf(tr) - before)
 	if err != nil {
 		x.fail(engineErrorCode(err), err.Error())
 		return tr
@@ -331,15 +353,14 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 	return q, nil
 }
 
-// executeSingle runs one validated op: queries through the request
-// coalescer (so concurrent per-op requests and back-to-back frames from
-// pipelined connections micro-batch), writes directly, each observing
-// its per-op histogram in the calling transport's column. q is the
-// parsed statement of a sql op. ctx carries tr (the pipeline attached
-// it); tr is passed on only for the coalescer, which records the wait
-// and batch size on it.
-func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t transportIdx, tr *obs.Trace) ([]batchAnswer, error) {
-	a := batchAnswer{op: op.Op}
+// executeSingle runs one validated op as one engine call on the calling
+// goroutine, under the request's own context, observing its per-op
+// histogram in the calling transport's column. q is the parsed statement
+// of a sql op; ctx carries tr (the pipeline attached it). The answer —
+// and a window's points — live in sc until the exchange is recycled.
+func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t transportIdx, tr *obs.Trace, sc *scratch) ([]batchAnswer, error) {
+	a := &sc.answer[0]
+	*a = batchAnswer{op: op.Op}
 	var (
 		idx opIdx
 		err error
@@ -348,13 +369,14 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 	switch op.Op {
 	case OpPoint:
 		idx = opIdxPoint
-		a.flag, err = s.queryPoint(ctx, geom.Pt(op.X, op.Y), tr)
+		a.flag, err = s.eng.PointQueryContext(ctx, geom.Pt(op.X, op.Y))
 	case OpWindow:
 		idx = opIdxWindow
-		a.pts, err = s.queryWindow(ctx, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}, tr)
+		sc.pts, err = s.eng.WindowQueryAppend(ctx, sc.pts[:0], geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
+		a.pts = sc.pts
 	case OpKNN:
 		idx = opIdxKNN
-		a.pts, err = s.queryKNN(ctx, shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K}, tr)
+		a.pts, err = s.eng.KNNContext(ctx, geom.Pt(op.X, op.Y), op.K)
 	case OpInsert:
 		idx = opIdxInsert
 		a.flag, err = s.write(ctx, op)
@@ -369,13 +391,13 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 		}
 		a.pts = res.Points
 		s.observeOp(opIdxSQL, t, time.Since(start))
-		return []batchAnswer{a}, nil
+		return sc.answer[:], nil
 	case OpSub, OpUnsub:
 		// Registry bookkeeping, not an engine operation: no histogram.
 		if a.flag, err = s.serveSubOp(connSubsFrom(ctx), op); err != nil {
 			return nil, err
 		}
-		return []batchAnswer{a}, nil
+		return sc.answer[:], nil
 	}
 	if err != nil {
 		return nil, err
@@ -383,7 +405,7 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 	d := time.Since(start)
 	s.observeOp(idx, t, d)
 	tr.ObserveStage(obs.StageExecute, d)
-	return []batchAnswer{a}, nil
+	return sc.answer[:], nil
 }
 
 // write applies one insert or delete, answering ok / deleted.
@@ -487,6 +509,7 @@ type httpExchange struct {
 	r   *http.Request
 	rt  *route
 	one [1]BatchOp
+	sc  scratch
 }
 
 // httpExchangePool recycles exchanges, so the adapter costs a per-op
@@ -502,9 +525,9 @@ func (s *Server) handleRoute(rt *route) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr, _ := s.startHTTPTrace(r, label)
 		x := httpExchangePool.Get().(*httpExchange)
-		*x = httpExchange{w: w, r: r, rt: rt}
+		x.w, x.r, x.rt = w, r, rt
 		s.serve(r.Context(), x, transportHTTP, tr)
-		*x = httpExchange{}
+		*x = httpExchange{sc: x.sc.recycled()}
 		httpExchangePool.Put(x)
 	}
 }
@@ -536,6 +559,8 @@ func (x *httpExchange) decode() ([]BatchOp, bool, bool, error) {
 	}
 	return ops, single, explain, err
 }
+
+func (x *httpExchange) mem() *scratch { return &x.sc }
 
 func (x *httpExchange) fail(code int, msg string) {
 	if code == http.StatusTooManyRequests {

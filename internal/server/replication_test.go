@@ -52,7 +52,7 @@ type replPrimary struct {
 func startReplPrimary(t *testing.T, idx *rsmi.Sharded, httpAddr, streamAddr string, logCap int) *replPrimary {
 	t.Helper()
 	repl := NewReplicator(idx, logCap)
-	s := New(Config{Engine: repl.Engine(), Replicator: repl, MaxBatch: 8})
+	s := New(Config{Engine: repl.Engine(), Replicator: repl})
 	httpL := listenRetry(t, httpAddr)
 	streamL := listenRetry(t, streamAddr)
 	hsrv := &http.Server{Handler: s.Handler()}
@@ -433,7 +433,7 @@ func TestReplicaProtocolEquivalence(t *testing.T) {
 	waitRepl(t, rep, "caught up", func() bool { return rep.AppliedSeq() >= target })
 
 	// Serve the replica like rsmi-serve -replica-of does.
-	_, repURL, repStream := startStreamServer(t, Config{Engine: rep.Engine(), Replica: rep, MaxBatch: 8})
+	_, repURL, repStream := startStreamServer(t, Config{Engine: rep.Engine(), Replica: rep})
 	clients := map[string]*Client{
 		"primary/http-json":   NewClient(p.url),
 		"primary/http-binary": NewClient(p.url, WithProto(ProtoBinary)),

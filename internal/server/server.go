@@ -1,18 +1,15 @@
 // Package server is the network serving subsystem: it puts any
 // rsmi.Engine — the sharded RSMI, the RWMutex-wrapped single index, or a
 // baseline adapter (R*-tree, Grid File, K-D-B-tree) — behind an
-// HTTP+JSON API with batched execution, following the deployment
-// argument of the learned-index serving literature (LiLIS; "The Case for
-// Learned Spatial Indexes"): learned indexes pay off when their
-// per-query inference and fan-out overhead is amortised across many
-// lookups, which requires a serving layer that batches — and compared
-// fairly only when every backend serves through the identical stack.
+// HTTP+JSON API, so that backends are compared fairly: every one serves
+// through the identical stack ("Evaluating Learned Spatial Indexes",
+// PAPERS.md, on wall-clock comparisons under one harness).
 //
 // Request contexts are threaded end to end: handlers pass r.Context()
 // (and the stream transport a per-request deadline) into the engine,
-// which observes cancellation between shard visits, and the request
-// coalescers run each micro-batch under the earliest deadline of its
-// members.
+// which observes cancellation between shard visits. A request executes
+// on the goroutine that decoded it — the HTTP handler's, or the stream
+// frame's — under its own context, from decode to reply.
 //
 // # Endpoints
 //
@@ -33,12 +30,13 @@
 //
 // # Batching
 //
-// Two mechanisms amortise per-query overhead: clients may send explicit
-// batches to /v1/batch (one HTTP round-trip, one engine batch call per op
-// kind), and concurrent single-query requests to /v1/point, /v1/window
-// and /v1/knn are transparently micro-batched by a request coalescer
-// (Config.MaxBatch / Config.BatchWindow) into the engine's
-// BatchPointQuery / BatchWindowQuery / BatchKNN calls.
+// Batching is the client's choice: /v1/batch (or a multi-op stream
+// frame) carries a list of operations in one round trip and executes one
+// engine batch call per query kind. A single-query request is one engine
+// call. (A server-side combiner that merged concurrent single queries
+// into engine batch calls was measured and removed: at every load tried
+// the two goroutine hand-offs cost more than the merged call saved —
+// EXPERIMENTS.md "Direct execution".)
 //
 // # Admission control and shutdown
 //
@@ -51,7 +49,7 @@
 //
 // Beyond HTTP, the server can serve rsmibin/1 over persistent pipelined
 // TCP connections (Config.StreamAddr / ServeStream — the rsmistream
-// transport, stream.go), with identical semantics: the same coalescers,
+// transport, stream.go), with identical semantics: the same pipeline,
 // admission gate, histograms, and shutdown draining.
 package server
 
@@ -65,9 +63,7 @@ import (
 	"time"
 
 	"rsmi"
-	"rsmi/internal/geom"
 	"rsmi/internal/obs"
-	"rsmi/internal/shard"
 	"rsmi/internal/sub"
 )
 
@@ -90,15 +86,6 @@ type shardCounter interface {
 type Config struct {
 	// Engine is the index to serve. Required.
 	Engine Engine
-	// MaxBatch caps the queries one coalesced engine call executes
-	// (default 64). Values <= 1 disable coalescing: every request runs
-	// its own engine call — the one-query-per-request baseline.
-	MaxBatch int
-	// BatchWindow is the longest a single-query request waits for peers
-	// to fill its micro-batch. 0 (the default) never waits on the clock:
-	// batches form opportunistically from whatever queued while the
-	// previous batch executed.
-	BatchWindow time.Duration
 	// MaxInFlight bounds concurrently admitted requests; excess load is
 	// shed immediately with 429 (default 1024).
 	MaxInFlight int
@@ -162,9 +149,6 @@ type HedgeStats interface {
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 64
-	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1024
 	}
@@ -227,16 +211,6 @@ type Server struct {
 	// histRebuild tracks rolling-rebuild durations for /metrics.
 	histRebuild histogram
 
-	// Single-query coalescers (nil when MaxBatch <= 1).
-	coPoint  *coalescer[geom.Point, bool]
-	coWindow *coalescer[geom.Rect, []geom.Point]
-	coKNN    *coalescer[shard.KNNQuery, []geom.Point]
-	// hinter, when the engine plans (plan.MultiEngine), advises the
-	// single-query read paths per query: coalesce or bypass, and at what
-	// batch size. planBypass counts queries sent direct on its advice.
-	hinter     planHinter
-	planBypass atomic.Int64
-
 	// Rolling-rebuild coordination.
 	rebuildRunning atomic.Bool
 	rebuildDonePtr atomic.Pointer[chan struct{}]
@@ -263,7 +237,7 @@ type Server struct {
 	subNotifyHist histogram
 }
 
-// New builds a Server around cfg.Engine and starts its batch dispatchers.
+// New builds a Server around cfg.Engine.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	if cfg.Engine == nil {
@@ -277,19 +251,6 @@ func New(cfg Config) *Server {
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		streamConns: make(map[net.Conn]struct{}),
 		streamStop:  make(chan struct{}),
-	}
-	if cfg.MaxBatch > 1 {
-		s.coPoint = newCoalescer(cfg.MaxBatch, cfg.BatchWindow, s.eng.BatchPointQueryContext)
-		s.coWindow = newCoalescer(cfg.MaxBatch, cfg.BatchWindow, s.eng.BatchWindowQueryContext)
-		s.coKNN = newCoalescer(cfg.MaxBatch, cfg.BatchWindow, s.eng.BatchKNNContext)
-		// The coalescers bracket traced micro-batches with engine access
-		// deltas, so EXPLAIN can report block accesses per query.
-		s.coPoint.accesses = s.eng.Accesses
-		s.coWindow.accesses = s.eng.Accesses
-		s.coKNN.accesses = s.eng.Accesses
-		if ph, ok := cfg.Engine.(planHinter); ok {
-			s.hinter = ph
-		}
 	}
 	if !cfg.DisableSubs {
 		s.initSubs()
@@ -357,18 +318,13 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Shutdown gracefully stops the server: it stops accepting connections
 // (HTTP and stream), drains in-flight requests on both transports
-// (bounded by ctx), stops the batch dispatchers, and waits for a running
-// rolling rebuild to complete, so the engine is quiescent — and safe to
-// snapshot — once Shutdown returns.
+// (bounded by ctx), and waits for a running rolling rebuild to complete,
+// so the engine is quiescent — and safe to snapshot — once Shutdown
+// returns.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.hs.Shutdown(ctx)
 	if serr := s.shutdownStream(ctx); err == nil {
 		err = serr
-	}
-	if s.coPoint != nil {
-		s.coPoint.shutdown()
-		s.coWindow.shutdown()
-		s.coKNN.shutdown()
 	}
 	s.closeSubs()
 	if done := s.rebuildDoneChan(); done != nil {

@@ -45,7 +45,7 @@ func plannerTestEngine(t testing.TB) (*plan.MultiEngine, []geom.Point) {
 // HTTP JSON, HTTP binary, and the TCP stream alike.
 func TestSQLAcrossTransports(t *testing.T) {
 	eng, pts := plannerTestEngine(t)
-	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
 	addr := strings.TrimPrefix(httpURL, "http://")
 
 	clients := map[string]*Client{
@@ -128,7 +128,7 @@ func TestSQLAcrossTransports(t *testing.T) {
 // TestSQLParseErrors pins the 400 mapping on every transport.
 func TestSQLParseErrors(t *testing.T) {
 	eng, _ := plannerTestEngine(t)
-	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
 	addr := strings.TrimPrefix(httpURL, "http://")
 
 	clients := map[string]*Client{
@@ -166,7 +166,7 @@ func TestSQLParseErrors(t *testing.T) {
 // (with no cost estimate: there is no model to estimate with).
 func TestSQLFixedBackend(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, cl := startTestServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, cl := startTestServer(t, Config{Engine: eng})
 	ctx := context.Background()
 
 	c := pts[7]
@@ -194,7 +194,7 @@ func TestSQLFixedBackend(t *testing.T) {
 // rejected as a bad request.
 func TestSQLRejectedInBatch(t *testing.T) {
 	eng, _ := plannerTestEngine(t)
-	_, cl := startTestServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, cl := startTestServer(t, Config{Engine: eng})
 	_, err := cl.Batch(context.Background(), []BatchOp{
 		{Op: OpPoint, X: 0.5, Y: 0.5},
 		{Op: OpSQL, SQL: "SELECT * FROM points ORDER BY ST_Distance(pt, POINT(0.5, 0.5)) LIMIT 1"},

@@ -3,10 +3,7 @@ package server
 // rsmistream — rsmibin/1 over a persistent TCP connection. PR 3 measured
 // ~200 µs of HTTP per-request overhead left on the binary path at 1M
 // points; rsmibin frames are self-delimiting, so the same encoding can
-// run over a raw TCP stream and shed HTTP framing entirely. Persistent
-// pipelined connections also hand the request coalescer back-to-back
-// frames to batch — the inference-amortisation argument of "The Case for
-// Learned Spatial Indexes" carried one layer further down the stack.
+// run over a raw TCP stream and shed HTTP framing entirely.
 //
 // # Framing
 //
@@ -39,16 +36,17 @@ package server
 // # Semantics
 //
 // A stream frame goes through the same request pipeline as an HTTP
-// request (pipeline.go): one-op frames run through executeSingle — query
-// ops ride the request coalescers — and observe the per-op latency
-// histograms; multi-op frames run through executeBatch and observe the
-// batch histogram. Admission control is the same bounded in-flight gate —
-// saturation answers status 429 on the stream where HTTP sheds with 429
-// — and Shutdown drains stream requests exactly as it drains HTTP ones:
-// frames already read are executed and answered before their connection
-// closes. Frame-level corruption (bad length, bad request id) closes the
-// connection; request-level errors (malformed rsmibin payload, invalid
-// coordinates) answer status 1 and keep the connection alive.
+// request (pipeline.go): one-op frames run through executeSingle — one
+// engine call on the frame's own goroutine — and observe the per-op
+// latency histograms; multi-op frames run through executeBatch and
+// observe the batch histogram. Admission control is the same bounded
+// in-flight gate — saturation answers status 429 on the stream where
+// HTTP sheds with 429 — and Shutdown drains stream requests exactly as
+// it drains HTTP ones: frames already read are executed and answered
+// before their connection closes. Frame-level corruption (bad length,
+// bad request id) closes the connection; request-level errors (malformed
+// rsmibin payload, invalid coordinates) answer status 1 and keep the
+// connection alive.
 
 import (
 	"bufio"
@@ -71,15 +69,18 @@ const (
 	// the HTTP maxBatchBodyBytes limit.
 	streamMaxRequestFrame = maxBatchBodyBytes
 	// streamMaxResponseFrame bounds a response frame's payload on the
-	// client side. It guards against allocating on a garbage length
-	// prefix, not against legal answers: a maximal batch (16384 window
-	// ops of ~4k result points each) stays under it, so any batch the
-	// HTTP transport can answer, the stream can too.
+	// client side. It rejects a garbage length prefix, not legal answers:
+	// a maximal batch (16384 window ops of ~4k result points each) stays
+	// under it, so any batch the HTTP transport can answer, the stream
+	// can too. What a frame may make the reader allocate is bounded
+	// separately, by the bytes that actually arrive (readStreamFrame).
 	streamMaxResponseFrame = 1 << 30
 	// streamWriteTimeout bounds one response write on the server; a
 	// client that stops reading cannot pin a handler goroutine forever.
 	streamWriteTimeout = 30 * time.Second
-	// streamReadBuf sizes the per-connection read buffer.
+	// streamReadBuf sizes the per-connection read buffer, and is the
+	// largest frame readStreamFrame allocates for on the length prefix's
+	// word alone.
 	streamReadBuf = 64 << 10
 	// streamMaxPipeline bounds requests concurrently dispatched per
 	// connection. When a client pipelines faster than the server
@@ -115,7 +116,10 @@ var errStreamFrameTooBig = errors.New("rsmistream: frame exceeds size limit")
 
 // readStreamFrame reads one length-prefixed frame and splits off the
 // request id. io.EOF is returned untouched for a clean close before any
-// length bytes.
+// length bytes. A frame that fits the read buffer gets its one exact
+// allocation; a larger one is read in doubling steps, so the memory
+// committed follows the bytes received and a 4-byte header cannot make
+// either side allocate maxLen.
 func readStreamFrame(br *bufio.Reader, maxLen uint32) (id uint64, payload []byte, err error) {
 	var lb [4]byte
 	if _, err := io.ReadFull(br, lb[:]); err != nil {
@@ -131,9 +135,17 @@ func readStreamFrame(br *bufio.Reader, maxLen uint32) (id uint64, payload []byte
 	if n > maxLen {
 		return 0, nil, errStreamFrameTooBig
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return 0, nil, fmt.Errorf("rsmistream: truncated frame: %w", err)
+	buf := make([]byte, min(n, streamReadBuf))
+	for read := 0; ; {
+		if _, err := io.ReadFull(br, buf[read:]); err != nil {
+			return 0, nil, fmt.Errorf("rsmistream: truncated frame: %w", err)
+		}
+		if read = len(buf); read == int(n) {
+			break
+		}
+		grown := make([]byte, min(2*read, int(n)))
+		copy(grown, buf)
+		buf = grown
 	}
 	id, w := binary.Uvarint(buf)
 	if w <= 0 {
@@ -360,6 +372,7 @@ type streamExchange struct {
 	sw      *streamWriter
 	id      uint64
 	payload []byte
+	sc      scratch
 }
 
 // streamExchangePool recycles exchanges, like httpExchangePool.
@@ -381,9 +394,9 @@ func (s *Server) handleStreamRequest(ctx context.Context, sw *streamWriter, id u
 		defer cancel()
 	}
 	x := streamExchangePool.Get().(*streamExchange)
-	*x = streamExchange{sw: sw, id: id, payload: payload}
+	x.sw, x.id, x.payload = sw, id, payload
 	s.serve(ctx, x, transportStream, tr)
-	*x = streamExchange{}
+	*x = streamExchange{sc: x.sc.recycled()}
 	streamExchangePool.Put(x)
 }
 
@@ -391,6 +404,8 @@ func (x *streamExchange) decode() ([]BatchOp, bool, bool, error) {
 	ops, explain, err := decodeBinaryOps(x.payload, false)
 	return ops, len(ops) == 1, explain, err
 }
+
+func (x *streamExchange) mem() *scratch { return &x.sc }
 
 func (x *streamExchange) fail(code int, msg string) { x.sw.writeError(x.id, code, msg) }
 

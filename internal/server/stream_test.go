@@ -9,6 +9,8 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -45,7 +47,7 @@ func startStreamServer(t *testing.T, cfg Config) (*Server, string, string) {
 // transport must change the framing, never the semantics.
 func TestStreamProtocolEquivalence(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
 	clients := map[string]*Client{
 		"http-json":   NewClient(httpURL),
 		"http-binary": NewClient(httpURL, WithProto(ProtoBinary)),
@@ -190,7 +192,7 @@ func TestStreamProtocolEquivalence(t *testing.T) {
 // right caller. Run under -race in CI.
 func TestStreamPipelinedConcurrent(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 16})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: eng})
 	cl := NewClient(streamAddr, WithTransport(TransportTCP), WithStreamConns(2))
 	defer cl.Close()
 
@@ -236,7 +238,7 @@ func TestStreamPipelinedConcurrent(t *testing.T) {
 // broken connection keeps serving new ones.
 func TestStreamMalformedFrames(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: eng})
 
 	dial := func() net.Conn {
 		t.Helper()
@@ -325,7 +327,7 @@ func TestStreamMalformedFrames(t *testing.T) {
 // serving others.
 func TestStreamMidRequestDisconnect(t *testing.T) {
 	eng, pts := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: eng})
 
 	c, err := net.Dial("tcp", streamAddr)
 	if err != nil {
@@ -357,7 +359,7 @@ func TestStreamShutdownDrains(t *testing.T) {
 	eng, pts := testEngine(t)
 	gate := make(chan struct{})
 	blocking := &blockingEngine{Engine: eng, gate: gate}
-	s := New(Config{Engine: blocking, MaxBatch: 1})
+	s := New(Config{Engine: blocking})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +417,7 @@ func TestStreamShutdownDrains(t *testing.T) {
 func TestStreamClientTimeout(t *testing.T) {
 	eng, pts := testEngine(t)
 	blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
-	_, _, streamAddr := startStreamServer(t, Config{Engine: blocking, MaxBatch: 1})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: blocking})
 	cl := NewClient(streamAddr, WithTransport(TransportTCP), WithTimeout(100*time.Millisecond))
 	defer cl.Close()
 	start := time.Now()
@@ -427,6 +429,41 @@ func TestStreamClientTimeout(t *testing.T) {
 		t.Fatalf("timeout took %v, want ≈100ms", elapsed)
 	}
 	close(blocking.gate) // release the handler so Shutdown can drain
+}
+
+// TestStreamFrameAllocFollowsBytes checks that readStreamFrame commits
+// memory as payload arrives, not on the length prefix's say-so: five bytes
+// declaring an 8 MiB frame fail as truncated having allocated next to
+// nothing, and a frame larger than the read buffer still reads back whole.
+func TestStreamFrameAllocFollowsBytes(t *testing.T) {
+	claim := []byte{0, 0, 0, 0, 1}
+	binary.LittleEndian.PutUint32(claim, streamMaxRequestFrame)
+	br := bufio.NewReader(bytes.NewReader(claim))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readStreamFrame(br, streamMaxRequestFrame)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
+		t.Fatalf("8 MiB claim with 1 payload byte: err = %v, want truncated frame", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 256<<10 {
+		t.Fatalf("a 5-byte input made the reader allocate %d bytes, want < 256 KiB", got)
+	}
+
+	payload := make([]byte, 5*streamReadBuf+123) // neither a power of two nor a step boundary
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	frame := appendUvarint([]byte{0, 0, 0, 0}, 77)
+	frame = append(frame, payload...)
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	id, got, err := readStreamFrame(bufio.NewReader(bytes.NewReader(frame)), streamMaxRequestFrame)
+	if err != nil || id != 77 || !bytes.Equal(got, payload) {
+		t.Fatalf("large frame: id %d, %d payload bytes, err %v", id, len(got), err)
+	}
+	if _, _, err := readStreamFrame(bufio.NewReader(bytes.NewReader(frame[:len(frame)-1])), streamMaxRequestFrame); err == nil {
+		t.Fatal("large frame one byte short read without error")
+	}
 }
 
 // FuzzStreamFrame asserts the stream frame reader and both payload
@@ -448,6 +485,7 @@ func FuzzStreamFrame(f *testing.F) {
 	f.Add(valid(9, []byte{streamStatusError, 0x90, 0x03, 2, 'h', 'i'}))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	f.Add([]byte{0, 0, 0x80, 0, 1}) // claims streamMaxRequestFrame, delivers one byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
 		id, payload, err := readStreamFrame(br, streamMaxRequestFrame)

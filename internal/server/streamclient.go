@@ -4,8 +4,7 @@ package server
 // persistent TCP connections, each carrying pipelined length-prefixed
 // rsmibin frames matched to callers by request id. Many goroutines share
 // one pool, so concurrent requests ride the same few connections
-// back-to-back — which is exactly what lets the server-side coalescer
-// batch them.
+// back-to-back.
 
 import (
 	"bufio"
@@ -233,14 +232,36 @@ func (c *streamConn) abandon(id uint64) bool {
 	return true
 }
 
-// roundTrip sends one rsmibin batch request body (everything after the
-// request id) and blocks for its matched response, bounded by ctx and
-// the client timeout. A timeout poisons the connection — the response
-// may still arrive later, and a connection whose stream position is
-// unknown cannot be reused. Context cancellation does not poison:
-// the request is tombstoned and its late answer discarded, so a hedged
-// read's losing leg releases its connection for reuse.
-func (c *streamConn) roundTrip(ctx context.Context, body []byte) ([]binResult, *TraceJSON, error) {
+// timerPool recycles the per-request timeout timers: a timer fires once
+// per dead connection, so arming a fresh one for every request is three
+// objects spent on nothing.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer stops t and recycles it. No drain: under go.mod's go 1.23 a
+// stopped timer's channel holds no stale tick for Reset's next user.
+func putTimer(t *time.Timer) {
+	t.Stop()
+	timerPool.Put(t)
+}
+
+// roundTrip sends one request frame — fill appends the rsmibin batch
+// request body (everything after the request id) to a pooled buffer that
+// already holds the frame prefix — and blocks for its matched response,
+// bounded by ctx and the client timeout. A timeout poisons the
+// connection — the response may still arrive later, and a connection
+// whose stream position is unknown cannot be reused. Context
+// cancellation does not poison: the request is tombstoned and its late
+// answer discarded, so a hedged read's losing leg releases its
+// connection for reuse.
+func (c *streamConn) roundTrip(ctx context.Context, fill func([]byte) ([]byte, error)) ([]binResult, *TraceJSON, error) {
 	ch := make(chan streamAnswer, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -253,29 +274,36 @@ func (c *streamConn) roundTrip(ctx context.Context, body []byte) ([]binResult, *
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	frame := make([]byte, 0, 4+binary.MaxVarintLen64+len(body))
-	frame = append(frame, 0, 0, 0, 0)
-	frame = appendUvarint(frame, id)
-	frame = append(frame, body...)
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
-
-	c.wmu.Lock()
-	c.c.SetWriteDeadline(time.Now().Add(c.timeout))
-	_, err := c.c.Write(frame)
-	c.wmu.Unlock()
-	if err != nil {
-		c.fail(fmt.Errorf("stream: write: %w", err))
-		// fail delivered the error to our channel (or we deliver the
-		// write error directly if fail lost the race to another caller).
-		a := <-ch
-		if a.err != nil {
-			return nil, nil, a.err
+	bp := binBufPool.Get().(*[]byte)
+	frame := append((*bp)[:0], 0, 0, 0, 0) // length, patched below
+	frame, err := fill(appendUvarint(frame, id))
+	if err == nil {
+		binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+		c.wmu.Lock()
+		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
+		_, err = c.c.Write(frame)
+		c.wmu.Unlock()
+		if err != nil {
+			err = fmt.Errorf("stream: write: %w", err)
+			c.fail(err)
 		}
+	}
+	if cap(frame) <= binBufPoolMax {
+		*bp = frame[:0]
+		binBufPool.Put(bp)
+	}
+	if err != nil {
+		// Nothing is in flight under id: either the request never encoded
+		// (the connection is intact), or the write failed and fail has
+		// already woken every pending caller, this one included.
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
 		return nil, nil, err
 	}
 
-	timer := time.NewTimer(c.timeout)
-	defer timer.Stop()
+	timer := getTimer(c.timeout)
+	defer putTimer(timer)
 	select {
 	case a := <-ch:
 		return a.results, a.trace, a.err
@@ -325,13 +353,11 @@ func decodeStreamResponse(payload []byte) ([]binResult, *TraceJSON, error) {
 // rsmibin list in one frame on the next pooled connection (path and
 // single do not reach the wire — a single-query op is a list of one).
 func (sc *streamClient) roundTrip(ctx context.Context, _ string, ops []BatchOp, _, explain bool) ([]binResult, *TraceJSON, error) {
-	body, err := encodeBinaryOps(ops, false, explain)
-	if err != nil {
-		return nil, nil, err
-	}
 	conn, err := sc.get()
 	if err != nil {
 		return nil, nil, err
 	}
-	return conn.roundTrip(ctx, body)
+	return conn.roundTrip(ctx, func(b []byte) ([]byte, error) {
+		return appendBinaryOps(b, ops, false, explain)
+	})
 }

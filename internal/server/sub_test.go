@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +38,7 @@ func waitNote(t *testing.T, notes <-chan SubNotification, what string) SubNotifi
 // silent. HTTP clients are told to use the stream transport.
 func TestSubscribeWindowE2E(t *testing.T) {
 	eng, _ := testEngine(t)
-	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
 
 	cl := NewClient(streamAddr, WithTransport(TransportTCP))
 	defer cl.Close()
@@ -109,7 +108,7 @@ func TestSubscribeWindowE2E(t *testing.T) {
 // insert notification, in that order.
 func TestSubscribeKNNE2E(t *testing.T) {
 	eng, _ := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: eng})
 
 	cl := NewClient(streamAddr, WithTransport(TransportTCP))
 	defer cl.Close()
@@ -143,7 +142,7 @@ func TestSubscribeKNNE2E(t *testing.T) {
 // server whose engine exposes no write hooks answers 501.
 func TestSubscribeValidationErrors(t *testing.T) {
 	eng, _ := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: eng})
 
 	dial := func(addr string) (net.Conn, *bufio.Reader) {
 		t.Helper()
@@ -231,7 +230,7 @@ func TestSubscribeValidationErrors(t *testing.T) {
 
 	// An engine that hides its write hooks (interface embedding drops
 	// AddWriteHook) leaves the server without a registry: 501.
-	_, _, noHookAddr := startStreamServer(t, Config{Engine: struct{ Engine }{eng}, MaxBatch: 8})
+	_, _, noHookAddr := startStreamServer(t, Config{Engine: struct{ Engine }{eng}})
 	c2, br2 := dial(noHookAddr)
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
@@ -239,7 +238,7 @@ func TestSubscribeValidationErrors(t *testing.T) {
 	wantStatus(c2, br2, 1, body, 501)
 
 	// DisableSubs forces the same refusal on a capable engine.
-	_, _, offAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8, DisableSubs: true})
+	_, _, offAddr := startStreamServer(t, Config{Engine: eng, DisableSubs: true})
 	c3, br3 := dial(offAddr)
 	wantStatus(c3, br3, 1, body, 501)
 }
@@ -250,7 +249,7 @@ func TestSubscribeValidationErrors(t *testing.T) {
 // subscribers on other connections.
 func TestSubscribeSlowConsumer(t *testing.T) {
 	eng, _ := testEngine(t)
-	s, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8, SubOutbox: 64})
+	s, _, streamAddr := startStreamServer(t, Config{Engine: eng, SubOutbox: 64})
 
 	// The slow consumer: subscribes to everything over a raw connection
 	// with a tiny receive buffer, then never reads again.
@@ -326,7 +325,7 @@ func TestSubscribeSlowConsumer(t *testing.T) {
 // re-query the gap.
 func TestSubscribeReconnectResubscribe(t *testing.T) {
 	eng, _ := testEngine(t)
-	cfg := Config{Engine: eng, MaxBatch: 8}
+	cfg := Config{Engine: eng}
 
 	s1 := New(cfg)
 	l1 := listenRetry(t, "127.0.0.1:0")
@@ -444,7 +443,7 @@ func TestStandingQueryAcceptance(t *testing.T) {
 		side     = 0.02
 	)
 	eng, _ := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, MaxBatch: 8, SubOutbox: 1 << 15})
+	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, SubOutbox: 1 << 15})
 
 	cl := NewClient(streamAddr, WithTransport(TransportTCP))
 	defer cl.Close()
@@ -630,66 +629,6 @@ func TestStandingQueryAcceptance(t *testing.T) {
 				t.Fatalf("sub %d oracle: unexpected point %v ×%d", id, p, n)
 			}
 		}
-	}
-}
-
-// TestPlannerHintBypass pins the coalescer/planner hand-off at the
-// server level: a selective window rides the coalescer, a broad scan
-// is sent around it on the planner's advice, and the answers match the
-// engine either way. kNN always coalesces.
-func TestPlannerHintBypass(t *testing.T) {
-	me, pts := plannerTestEngine(t)
-	s, _, streamAddr := startStreamServer(t, Config{Engine: me, MaxBatch: 8})
-
-	cl := NewClient(streamAddr, WithTransport(TransportTCP))
-	defer cl.Close()
-	ctx := context.Background()
-
-	small := geom.RectAround(pts[0], 0.001, 0.001)
-	if _, err := cl.WindowQuery(ctx, small); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.planBypass.Load(); n != 0 {
-		t.Fatalf("selective window bypassed the coalescer (%d)", n)
-	}
-
-	big := geom.Rect{MaxX: 1, MaxY: 1}
-	got, err := cl.WindowQuery(ctx, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := s.planBypass.Load(); n != 1 {
-		t.Fatalf("broad window bypass count = %d, want 1", n)
-	}
-	want, err := me.WindowQueryContext(ctx, big)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm := func(ps []geom.Point) []geom.Point {
-		out := append([]geom.Point(nil), ps...)
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].X != out[j].X {
-				return out[i].X < out[j].X
-			}
-			return out[i].Y < out[j].Y
-		})
-		return out
-	}
-	g, w := norm(got), norm(want)
-	if len(g) != len(w) {
-		t.Fatalf("bypassed window: %d rows, engine says %d", len(g), len(w))
-	}
-	for i := range g {
-		if g[i] != w[i] {
-			t.Fatalf("bypassed window row %d: %v vs %v", i, g[i], w[i])
-		}
-	}
-
-	if _, err := cl.KNN(ctx, geom.Pt(0.5, 0.5), 5); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.planBypass.Load(); n != 1 {
-		t.Fatalf("kNN moved the bypass counter to %d", n)
 	}
 }
 

@@ -325,11 +325,9 @@ func (s *subClient) close() {
 // subRoundTrip sends one single-op SUB/UNSUB frame and checks its bool
 // answer.
 func subRoundTrip(ctx context.Context, conn *streamConn, op BatchOp) error {
-	body, err := encodeBinaryOps([]BatchOp{op}, false, false)
-	if err != nil {
-		return err
-	}
-	rs, _, err := conn.roundTrip(ctx, body)
+	rs, _, err := conn.roundTrip(ctx, func(b []byte) ([]byte, error) {
+		return appendBinaryOps(b, []BatchOp{op}, false, false)
+	})
 	if err != nil {
 		return err
 	}

@@ -94,8 +94,8 @@ func TestBatchKNNMatchesPerQuery(t *testing.T) {
 }
 
 // TestKNNSearchesOnlyShardsItNeeds: a kNN query deep inside one shard's
-// region — alone or as a batch of one, which is how the server's coalescer
-// sends it — searches that shard and no other, and says so in its trace.
+// region — alone or as a batch of one — searches that shard and no other,
+// and says so in its trace.
 func TestKNNSearchesOnlyShardsItNeeds(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 4000, 71)
 	s := New(pts, quickOpts(Space, 4))
