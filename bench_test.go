@@ -68,8 +68,6 @@ func BenchmarkFig19KNNAfterInsertions(b *testing.B) { benchExperiment(b, "fig19"
 func BenchmarkDeletions(b *testing.B)               { benchExperiment(b, "deletions") }
 func BenchmarkAblationRankSpace(b *testing.B)       { benchExperiment(b, "ablation-rank") }
 func BenchmarkAblationCurve(b *testing.B)           { benchExperiment(b, "ablation-curve") }
-func BenchmarkShardedThroughput(b *testing.B)       { benchExperiment(b, "sharded") }
-func BenchmarkServing(b *testing.B)                 { benchExperiment(b, "serving") }
 
 // Micro-benchmarks of the public API's core operations.
 

@@ -1,6 +1,8 @@
 // Command rsmi-bench reproduces the tables and figures of "Effectively
-// Learning Spatial Indices" (PVLDB 2020). Each experiment prints the same
-// rows/series the paper reports.
+// Learning Spatial Indices" (PVLDB 2020), §6, and nothing else. Each
+// experiment prints the same rows/series the paper reports. (Performance of
+// this implementation is measured by the benchmark/ module; a running server
+// is driven by rsmi-loadgen.)
 //
 // Usage:
 //
@@ -35,9 +37,7 @@ func main() {
 		block   = flag.Int("block", 0, "block capacity B (default 100)")
 		thresh  = flag.Int("threshold", 0, "RSMI partition threshold N (default 10000)")
 		seed    = flag.Int64("seed", 0, "random seed (default 1)")
-		dist    = flag.String("dist", "", "default distribution: uniform|normal|skewed|tiger|osm (default skewed)")
-		shards  = flag.Int("shards", 0, "max shard count for -exp sharded (default 8)")
-		gors    = flag.Int("goroutines", 0, "max client goroutines for -exp sharded (default 8)")
+		dist    = flag.String("dist", "skewed", "distribution of the experiments that do not sweep it: uniform|normal|skewed|tiger|osm")
 	)
 	flag.Parse()
 
@@ -52,6 +52,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	kind, err := dataset.Parse(*dist)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "rsmi-bench: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := bench.Config{
 		N:                  *n,
 		Queries:            *queries,
@@ -60,16 +65,7 @@ func main() {
 		BlockCapacity:      *block,
 		PartitionThreshold: *thresh,
 		Seed:               *seed,
-		Shards:             *shards,
-		Goroutines:         *gors,
-	}
-	if *dist != "" {
-		kind, err := dataset.Parse(*dist)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "rsmi-bench: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Dist = kind
+		Dist:               kind,
 	}
 
 	run := func(e bench.Experiment) {

@@ -1,10 +1,12 @@
 // Package bench is the experiment harness that regenerates every table and
-// figure of the paper's evaluation (§6). Each experiment is registered under
-// an id mirroring the paper artefact ("table3", "fig6", … "fig19",
-// "deletions", "ablation-rank", "ablation-curve", plus the post-paper
-// "sharded") and prints the same rows/series the paper reports: per-index
-// query times, block accesses, recall, index sizes, construction times, and
-// error bounds. Measured output is committed in EXPERIMENTS.md.
+// figure of the paper's evaluation (§6), and nothing else: performance is
+// measured by the benchmark/ module, serving by rsmi-loadgen. Each experiment
+// is registered under an id mirroring the paper artefact ("table3", "fig6", …
+// "fig19", "deletions", "ablation-rank", "ablation-curve") and prints the
+// same rows/series the paper reports: per-index query times, block accesses,
+// recall, index sizes, construction times, and error bounds. Figs. 6–19 are
+// declared as sweeps (columns × the §6.1 competitor set) and run by one
+// runner, sweep.run. Measured output is committed in EXPERIMENTS.md.
 //
 // Scale note: the paper runs 1M–128M points with 500-epoch training; the
 // harness defaults to laptop-scale data with short training, keeping every
@@ -15,7 +17,9 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"rsmi/internal/core"
@@ -48,26 +52,19 @@ type Config struct {
 	PartitionThreshold int
 	// Seed drives all data generation and training.
 	Seed int64
-	// Dist is the default distribution (paper default: Skewed).
+	// Dist is the distribution of the experiments that do not sweep it
+	// (paper default: Skewed). Its zero value is Uniform, a distribution like
+	// any other, so Defaults leaves it alone.
 	Dist dataset.Kind
-	// Shards is the maximum shard count the sharded-throughput experiment
-	// sweeps to (default 8).
-	Shards int
-	// Goroutines is the maximum client goroutine count the
-	// sharded-throughput experiment sweeps to (default 8).
-	Goroutines int
 }
 
-// defaultQueries is the harness's default Queries.
-const defaultQueries = 200
-
-// Defaults fills zero fields with harness defaults.
+// Defaults fills zero fields, Dist excepted, with harness defaults.
 func (c Config) Defaults() Config {
 	if c.N == 0 {
 		c.N = 20000
 	}
 	if c.Queries == 0 {
-		c.Queries = defaultQueries
+		c.Queries = 200
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 30
@@ -84,24 +81,7 @@ func (c Config) Defaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Dist == 0 && c.N > 0 {
-		c.Dist = dataset.Skewed
-	}
-	if c.Shards == 0 {
-		c.Shards = 8
-	}
-	if c.Goroutines == 0 {
-		c.Goroutines = 8
-	}
 	return c
-}
-
-// cellDuration is how long one load-generation cell of the serving
-// experiments runs. Those cells are bounded by time, not by a query count, so
-// they take their length from Queries too: atDefault at the harness default,
-// proportionally shorter under a quick config and longer under -queries 1000.
-func (c Config) cellDuration(atDefault time.Duration) time.Duration {
-	return atDefault * time.Duration(c.Queries) / defaultQueries
 }
 
 // Experiment is one reproducible table or figure.
@@ -163,15 +143,16 @@ func (c Config) zmOptions() zm.Options {
 	}
 }
 
-// builders returns the competitor set of §6.1 in the paper's figure order.
-func (c Config) builders() []struct {
+// builder constructs one competitor over a point set.
+type builder struct {
 	name  string
 	build func(pts []geom.Point) index.Index
-} {
-	return []struct {
-		name  string
-		build func(pts []geom.Point) index.Index
-	}{
+}
+
+// builders returns the competitor set of §6.1 in the paper's figure order.
+// RR* is built by insertion, the paper's §6.2.2 choice.
+func (c Config) builders() []builder {
+	return []builder{
 		{"Grid", func(pts []geom.Point) index.Index { return gridfile.New(pts, c.BlockCapacity) }},
 		{"HRR", func(pts []geom.Point) index.Index { return hrr.New(pts, c.BlockCapacity) }},
 		{"KDB", func(pts []geom.Point) index.Index { return kdb.New(pts, c.BlockCapacity) }},
@@ -179,6 +160,160 @@ func (c Config) builders() []struct {
 		{"RSMI", func(pts []geom.Point) index.Index { return core.New(pts, c.rsmiOptions()) }},
 		{"ZM", func(pts []geom.Point) index.Index { return zm.New(pts, c.zmOptions()) }},
 	}
+}
+
+// built is one constructed competitor.
+type built struct {
+	name string
+	idx  index.Index
+}
+
+// buildSet constructs every builder's index over pts, in order. With rsmia it
+// appends RSMIa, the exact view of the RSMI instance just built (core.Exact
+// shares that instance's models and blocks; nothing is built twice).
+func buildSet(builders []builder, pts []geom.Point, rsmia bool) []built {
+	var out []built
+	var rsmi *core.RSMI
+	for _, b := range builders {
+		idx := b.build(pts)
+		if r, ok := idx.(*core.RSMI); ok {
+			rsmi = r
+		}
+		out = append(out, built{b.name, idx})
+	}
+	if rsmia && rsmi != nil {
+		out = append(out, built{"RSMIa", rsmi.AsExact()})
+	}
+	return out
+}
+
+// ops is n operations against an index; do performs the i-th and returns
+// its answer (nil for point queries and updates). Ops with a score are
+// ones the learned indices answer approximately: the runner asks the
+// brute-force oracle first and scores every index's answers against its.
+type ops struct {
+	n     int
+	do    func(idx index.Index, i int) []geom.Point
+	score func(got, want []geom.Point, i int) float64
+}
+
+// column is one x-axis value of a sweep.
+type column struct {
+	label string
+	// pts is the data set the indices are built over. Consecutive columns
+	// naming the same slice share one build: the later column runs on the
+	// indices the earlier one left, updates included.
+	pts []geom.Point
+	// update is applied to every index (and the oracle) before query runs.
+	update, query ops
+}
+
+// cell is what the runner measures for one index under one column.
+type cell struct {
+	updateUS float64     // mean time per update
+	queryUS  float64     // mean time per query
+	accesses float64     // mean block accesses per query
+	recall   float64     // mean score against the oracle's answers
+	stats    index.Stats // after the column's updates
+}
+
+// series is one table of a sweep: the cell value it shows and how.
+type series struct {
+	title, format string
+	value         func(cell) float64
+}
+
+// sweep is one figure: two series over the same columns, a row per index.
+type sweep struct {
+	series   [2]series
+	builders []builder
+	rsmia    bool // add the RSMIa row
+	cols     []column
+}
+
+// run builds the competitor set once per distinct point set, measures every
+// index under every column, and writes the two tables.
+func (s sweep) run(w io.Writer) {
+	var (
+		set    []built
+		oracle *index.Linear
+		cells  [][]cell // by column, then by position in set
+	)
+	for ci, c := range s.cols {
+		if ci == 0 || !sameSlice(c.pts, s.cols[ci-1].pts) {
+			set = buildSet(s.builders, c.pts, s.rsmia)
+			oracle = index.NewLinear(c.pts)
+		}
+		for i := 0; i < c.update.n; i++ {
+			c.update.do(oracle, i)
+		}
+		var want [][]geom.Point
+		if c.query.score != nil {
+			want = askOracle(oracle, c.query)
+		}
+		col := make([]cell, len(set))
+		for bi, b := range set {
+			m := &col[bi]
+			// RSMIa's blocks are RSMI's, which the RSMI row just updated.
+			if _, view := b.idx.(core.Exact); !view {
+				m.updateUS = timeQueriesUS(c.update.n, func(i int) { c.update.do(b.idx, i) })
+			}
+			got := make([][]geom.Point, c.query.n)
+			b.idx.ResetAccesses()
+			m.queryUS = timeQueriesUS(c.query.n, func(i int) { got[i] = c.query.do(b.idx, i) })
+			if c.query.n > 0 {
+				m.accesses = float64(b.idx.Accesses()) / float64(c.query.n)
+			}
+			for i := range want {
+				m.recall += c.query.score(got[i], want[i], i)
+			}
+			if len(want) > 0 {
+				m.recall /= float64(len(want))
+			}
+			m.stats = b.idx.Stats()
+		}
+		cells = append(cells, col)
+	}
+	for _, sr := range s.series {
+		tb := newTable(sr.title, "index")
+		for _, c := range s.cols {
+			tb.header = append(tb.header, c.label)
+		}
+		for bi, b := range set {
+			vals := make([]float64, len(cells))
+			for ci, col := range cells {
+				vals[ci] = sr.value(col[bi])
+			}
+			tb.addf(b.name, sr.format, vals...)
+		}
+		tb.write(w)
+	}
+}
+
+// askOracle returns the oracle's answer to every query of q. The oracle sorts
+// all n points per kNN query — once the indices are built once, the largest
+// cost left in Figs. 14–16 — and only reads, so the queries are spread over
+// the CPUs.
+func askOracle(oracle *index.Linear, q ops) [][]geom.Point {
+	want := make([][]geom.Point, q.n)
+	workers := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < q.n; i += workers {
+				want[i] = q.do(oracle, i)
+			}
+		}()
+	}
+	wg.Wait()
+	return want
+}
+
+// sameSlice reports whether a and b are the same slice, not merely equal.
+func sameSlice(a, b []geom.Point) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // table accumulates aligned rows for printing.
@@ -241,7 +376,7 @@ func timeQueriesUS(count int, fn func(i int)) float64 {
 	for i := 0; i < count; i++ {
 		fn(i)
 	}
-	return float64(time.Since(start).Microseconds()) / float64(count)
+	return float64(time.Since(start)) / float64(time.Microsecond) / float64(count)
 }
 
 // mb converts bytes to megabytes.

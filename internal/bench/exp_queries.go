@@ -4,469 +4,226 @@ import (
 	"fmt"
 	"io"
 
-	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/workload"
 )
 
-// built is one constructed competitor plus the ground-truth oracle.
-type built struct {
-	name string
-	idx  index.Index
-}
-
-// buildAll constructs the §6.1 competitor set over pts; withVariants adds
-// RSMIa (sharing the RSMI instance).
-func buildAll(cfg Config, pts []geom.Point, withRSMIa bool) []built {
-	var out []built
-	var rsmi *core.RSMI
-	for _, b := range cfg.builders() {
-		idx := b.build(pts)
-		if r, ok := idx.(*core.RSMI); ok {
-			rsmi = r
+// registerSweep registers a figure that is one sweep at the default config.
+func registerSweep(id, title string, def func(cfg Config) sweep) {
+	register(Experiment{ID: id, Title: title, Run: func(cfg Config, w io.Writer) {
+		cfg = cfg.Defaults()
+		s := def(cfg)
+		if s.builders == nil {
+			s.builders = cfg.builders()
 		}
-		out = append(out, built{b.name, idx})
-	}
-	if withRSMIa && rsmi != nil {
-		out = append(out, built{"RSMIa", rsmi.AsExact()})
-	}
-	return out
+		s.run(w)
+	}})
 }
 
-// sizeSweep returns the ×2 cardinality sweep anchored at cfg.N (the paper
-// sweeps 1M..128M the same way).
-func sizeSweep(cfg Config) []int {
-	return []int{cfg.N / 8, cfg.N / 4, cfg.N / 2, cfg.N}
+// The cell values the figures print, titled per figure with titled.
+var (
+	queryUS  = series{format: "%.2f", value: func(c cell) float64 { return c.queryUS }}
+	queryMS  = series{format: "%.4f", value: func(c cell) float64 { return c.queryUS / 1000 }}
+	updateUS = series{format: "%.2f", value: func(c cell) float64 { return c.updateUS }}
+	accesses = series{format: "%.2f", value: func(c cell) float64 { return c.accesses }}
+	recall   = series{format: "%.3f", value: func(c cell) float64 { return c.recall }}
+	sizeMB   = series{format: "%.2f", value: func(c cell) float64 { return mb(c.stats.SizeBytes) }}
+	buildS   = series{format: "%.3f", value: func(c cell) float64 { return c.stats.BuildTime.Seconds() }}
+)
+
+func (s series) titled(format string, args ...any) series {
+	s.title = fmt.Sprintf(format, args...)
+	return s
 }
 
-// Fig. 6: point query time and block accesses vs data distribution.
+// The §6.1 query workloads, drawn from pts with the harness's fixed seeds.
+
+func (c Config) pointQueries(pts []geom.Point, seed int64) ops {
+	qs := workload.PointQueries(pts, c.Queries, c.Seed+seed)
+	return ops{n: len(qs), do: func(idx index.Index, i int) []geom.Point {
+		idx.PointQuery(qs[i])
+		return nil
+	}}
+}
+
+func windowQueries(ws []geom.Rect) ops {
+	return ops{
+		n:     len(ws),
+		do:    func(idx index.Index, i int) []geom.Point { return idx.WindowQuery(ws[i]) },
+		score: func(got, want []geom.Point, _ int) float64 { return index.Recall(got, want) },
+	}
+}
+
+func knnQueries(qs []geom.Point, k int) ops {
+	return ops{
+		n:     len(qs),
+		do:    func(idx index.Index, i int) []geom.Point { return idx.KNN(qs[i], k) },
+		score: func(got, want []geom.Point, i int) float64 { return index.KNNRecall(got, want, qs[i]) },
+	}
+}
+
+// defaultPoints, defaultWindows and defaultKNN are the bold-default workloads
+// of Table 2 over pts; noQueries is for the figures that only read Stats.
+func (c Config) defaultPoints(pts []geom.Point) ops { return c.pointQueries(pts, 1) }
+
+func (c Config) defaultWindows(pts []geom.Point) ops {
+	return windowQueries(workload.Windows(pts, c.Queries, workload.DefaultWindowSize, workload.DefaultAspectRatio, c.Seed+2))
+}
+
+func (c Config) defaultKNN(pts []geom.Point) ops {
+	return knnQueries(workload.KNNPoints(pts, c.Queries, c.Seed+3), workload.DefaultK)
+}
+
+func noQueries([]geom.Point) ops { return ops{} }
+
+// byDistribution is the x-axis of Figs. 6, 7, 10, 14: a column per data
+// distribution at n = c.N.
+func (c Config) byDistribution(queries func(pts []geom.Point) ops) []column {
+	var cols []column
+	for _, k := range dataset.All() {
+		pts := dataset.Generate(k, c.N, c.Seed)
+		cols = append(cols, column{label: k.String(), pts: pts, query: queries(pts)})
+	}
+	return cols
+}
+
+// bySize is the x-axis of Figs. 8, 9, 11, 15: the ×2 cardinality sweep
+// anchored at c.N (the paper sweeps 1M..128M the same way).
+func (c Config) bySize(queries func(pts []geom.Point) ops) []column {
+	var cols []column
+	for _, n := range []int{c.N / 8, c.N / 4, c.N / 2, c.N} {
+		pts := dataset.Generate(c.Dist, n, c.Seed)
+		cols = append(cols, column{label: fmt.Sprintf("n=%d", n), pts: pts, query: queries(pts)})
+	}
+	return cols
+}
+
+// Figs. 6–9: point queries, index size and construction time, vs data
+// distribution and vs data set size.
 func init() {
-	register(Experiment{
-		ID:    "fig6",
-		Title: "Fig. 6: Point query vs data distribution",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			kinds := dataset.All()
-			timeTb := newTable(fmt.Sprintf("Fig. 6a: point query response time (us), n=%d", cfg.N), "index")
-			accTb := newTable(fmt.Sprintf("Fig. 6b: point query # block accesses, n=%d", cfg.N), "index")
-			for _, k := range kinds {
-				timeTb.header = append(timeTb.header, k.String())
-				accTb.header = append(accTb.header, k.String())
-			}
-			times := map[string][]float64{}
-			accs := map[string][]float64{}
-			var order []string
-			for _, k := range kinds {
-				pts := dataset.Generate(k, cfg.N, cfg.Seed)
-				queries := workload.PointQueries(pts, cfg.Queries, cfg.Seed+1)
-				for _, b := range buildAll(cfg, pts, false) {
-					if _, seen := times[b.name]; !seen {
-						order = append(order, b.name)
-					}
-					b.idx.ResetAccesses()
-					us := timeQueriesUS(len(queries), func(i int) { b.idx.PointQuery(queries[i]) })
-					times[b.name] = append(times[b.name], us)
-					accs[b.name] = append(accs[b.name], float64(b.idx.Accesses())/float64(len(queries)))
-				}
-			}
-			for _, name := range order {
-				timeTb.addf(name, "%.2f", times[name]...)
-				accTb.addf(name, "%.2f", accs[name]...)
-			}
-			timeTb.write(w)
-			accTb.write(w)
-		},
+	registerSweep("fig6", "Fig. 6: Point query vs data distribution", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryUS.titled("Fig. 6a: point query response time (us), n=%d", cfg.N),
+				accesses.titled("Fig. 6b: point query # block accesses, n=%d", cfg.N),
+			},
+			cols: cfg.byDistribution(cfg.defaultPoints),
+		}
+	})
+	registerSweep("fig7", "Fig. 7: Index size and construction time vs data distribution", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				sizeMB.titled("Fig. 7a: index size (MB), n=%d", cfg.N),
+				buildS.titled("Fig. 7b: construction time (s), n=%d", cfg.N),
+			},
+			cols: cfg.byDistribution(noQueries),
+		}
+	})
+	registerSweep("fig8", "Fig. 8: Point query vs data set size", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryUS.titled("Fig. 8a: point query time (us), %s", cfg.Dist),
+				accesses.titled("Fig. 8b: point query # block accesses"),
+			},
+			cols: cfg.bySize(cfg.defaultPoints),
+		}
+	})
+	registerSweep("fig9", "Fig. 9: Index size and construction time vs data set size", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				sizeMB.titled("Fig. 9a: index size (MB), %s", cfg.Dist),
+				buildS.titled("Fig. 9b: construction time (s)"),
+			},
+			cols: cfg.bySize(noQueries),
+		}
 	})
 }
 
-// Fig. 7: index size and construction time vs data distribution.
+// Figs. 10–13: window queries vs distribution, size, window size, aspect.
 func init() {
-	register(Experiment{
-		ID:    "fig7",
-		Title: "Fig. 7: Index size and construction time vs data distribution",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			kinds := dataset.All()
-			sizeTb := newTable(fmt.Sprintf("Fig. 7a: index size (MB), n=%d", cfg.N), "index")
-			buildTb := newTable(fmt.Sprintf("Fig. 7b: construction time (s), n=%d", cfg.N), "index")
-			for _, k := range kinds {
-				sizeTb.header = append(sizeTb.header, k.String())
-				buildTb.header = append(buildTb.header, k.String())
-			}
-			sizes := map[string][]float64{}
-			builds := map[string][]float64{}
-			var order []string
-			for _, k := range kinds {
-				pts := dataset.Generate(k, cfg.N, cfg.Seed)
-				for _, b := range buildAll(cfg, pts, false) {
-					if _, seen := sizes[b.name]; !seen {
-						order = append(order, b.name)
-					}
-					s := b.idx.Stats()
-					sizes[b.name] = append(sizes[b.name], mb(s.SizeBytes))
-					builds[b.name] = append(builds[b.name], s.BuildTime.Seconds())
-				}
-			}
-			for _, name := range order {
-				sizeTb.addf(name, "%.2f", sizes[name]...)
-				buildTb.addf(name, "%.3f", builds[name]...)
-			}
-			sizeTb.write(w)
-			buildTb.write(w)
-		},
+	registerSweep("fig10", "Fig. 10: Window query vs data distribution", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryMS.titled("Fig. 10a: window query time (ms), n=%d", cfg.N),
+				recall.titled("Fig. 10b: window query recall"),
+			},
+			rsmia: true,
+			cols:  cfg.byDistribution(cfg.defaultWindows),
+		}
+	})
+	registerSweep("fig11", "Fig. 11: Window query vs data set size", func(cfg Config) sweep {
+		return windowSweep("Fig. 11", cfg.bySize(cfg.defaultWindows))
+	})
+	registerSweep("fig12", "Fig. 12: Window query vs query window size", func(cfg Config) sweep {
+		pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
+		var cols []column
+		for _, size := range workload.WindowSizes {
+			ws := workload.Windows(pts, cfg.Queries, size, workload.DefaultAspectRatio, cfg.Seed+2)
+			cols = append(cols, column{label: fmt.Sprintf("%.4f%%", size*100), pts: pts, query: windowQueries(ws)})
+		}
+		return windowSweep("Fig. 12", cols)
+	})
+	registerSweep("fig13", "Fig. 13: Window query vs query window aspect ratio", func(cfg Config) sweep {
+		pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
+		var cols []column
+		for _, aspect := range workload.AspectRatios {
+			ws := workload.Windows(pts, cfg.Queries, workload.DefaultWindowSize, aspect, cfg.Seed+2)
+			cols = append(cols, column{label: fmt.Sprintf("%.2f", aspect), pts: pts, query: windowQueries(ws)})
+		}
+		return windowSweep("Fig. 13", cols)
 	})
 }
 
-// Fig. 8 / Fig. 9: point query and size/construction vs data set size.
+// windowSweep is the shape Figs. 11–13 share.
+func windowSweep(figure string, cols []column) sweep {
+	return sweep{
+		series: [2]series{
+			queryMS.titled(figure + "a: window query time (ms)"),
+			recall.titled(figure + "b: window query recall"),
+		},
+		rsmia: true,
+		cols:  cols,
+	}
+}
+
+// Figs. 14–16: kNN queries vs distribution, size, and k.
 func init() {
-	register(Experiment{
-		ID:    "fig8",
-		Title: "Fig. 8: Point query vs data set size",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			sweep := sizeSweep(cfg)
-			timeTb := newTable(fmt.Sprintf("Fig. 8a: point query time (us), %s", cfg.Dist), "index")
-			accTb := newTable("Fig. 8b: point query # block accesses", "index")
-			for _, n := range sweep {
-				timeTb.header = append(timeTb.header, fmt.Sprintf("n=%d", n))
-				accTb.header = append(accTb.header, fmt.Sprintf("n=%d", n))
-			}
-			times := map[string][]float64{}
-			accs := map[string][]float64{}
-			var order []string
-			for _, n := range sweep {
-				pts := dataset.Generate(cfg.Dist, n, cfg.Seed)
-				queries := workload.PointQueries(pts, cfg.Queries, cfg.Seed+1)
-				for _, b := range buildAll(cfg, pts, false) {
-					if _, seen := times[b.name]; !seen {
-						order = append(order, b.name)
-					}
-					b.idx.ResetAccesses()
-					us := timeQueriesUS(len(queries), func(i int) { b.idx.PointQuery(queries[i]) })
-					times[b.name] = append(times[b.name], us)
-					accs[b.name] = append(accs[b.name], float64(b.idx.Accesses())/float64(len(queries)))
-				}
-			}
-			for _, name := range order {
-				timeTb.addf(name, "%.2f", times[name]...)
-				accTb.addf(name, "%.2f", accs[name]...)
-			}
-			timeTb.write(w)
-			accTb.write(w)
-		},
-	})
-	register(Experiment{
-		ID:    "fig9",
-		Title: "Fig. 9: Index size and construction time vs data set size",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			sweep := sizeSweep(cfg)
-			sizeTb := newTable(fmt.Sprintf("Fig. 9a: index size (MB), %s", cfg.Dist), "index")
-			buildTb := newTable("Fig. 9b: construction time (s)", "index")
-			for _, n := range sweep {
-				sizeTb.header = append(sizeTb.header, fmt.Sprintf("n=%d", n))
-				buildTb.header = append(buildTb.header, fmt.Sprintf("n=%d", n))
-			}
-			sizes := map[string][]float64{}
-			builds := map[string][]float64{}
-			var order []string
-			for _, n := range sweep {
-				pts := dataset.Generate(cfg.Dist, n, cfg.Seed)
-				for _, b := range buildAll(cfg, pts, false) {
-					if _, seen := sizes[b.name]; !seen {
-						order = append(order, b.name)
-					}
-					s := b.idx.Stats()
-					sizes[b.name] = append(sizes[b.name], mb(s.SizeBytes))
-					builds[b.name] = append(builds[b.name], s.BuildTime.Seconds())
-				}
-			}
-			for _, name := range order {
-				sizeTb.addf(name, "%.2f", sizes[name]...)
-				buildTb.addf(name, "%.3f", builds[name]...)
-			}
-			sizeTb.write(w)
-			buildTb.write(w)
-		},
-	})
-}
-
-// windowSeries measures window query time and recall for every competitor
-// (plus RSMIa) over the given windows.
-func windowSeries(cfg Config, pts []geom.Point, windows []geom.Rect) (order []string, times, recalls map[string][]float64) {
-	oracle := index.NewLinear(pts)
-	truth := make([][]geom.Point, len(windows))
-	for i, q := range windows {
-		truth[i] = oracle.WindowQuery(q)
-	}
-	times = map[string][]float64{}
-	recalls = map[string][]float64{}
-	for _, b := range buildAll(cfg, pts, true) {
-		order = append(order, b.name)
-		var recall float64
-		us := timeQueriesUS(len(windows), func(i int) { b.idx.WindowQuery(windows[i]) })
-		for i, q := range windows {
-			recall += index.Recall(b.idx.WindowQuery(q), truth[i])
+	registerSweep("fig14", "Fig. 14: kNN query vs data distribution", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryMS.titled("Fig. 14a: kNN query time (ms), k=%d, n=%d", workload.DefaultK, cfg.N),
+				recall.titled("Fig. 14b: kNN query recall"),
+			},
+			rsmia: true,
+			cols:  cfg.byDistribution(cfg.defaultKNN),
 		}
-		times[b.name] = []float64{us}
-		recalls[b.name] = []float64{recall / float64(len(windows))}
-	}
-	return order, times, recalls
-}
-
-// Fig. 10–13: window queries vs distribution, size, window size, aspect.
-func init() {
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Fig. 10: Window query vs data distribution",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			kinds := dataset.All()
-			timeTb := newTable(fmt.Sprintf("Fig. 10a: window query time (ms), n=%d", cfg.N), "index")
-			recTb := newTable("Fig. 10b: window query recall", "index")
-			for _, k := range kinds {
-				timeTb.header = append(timeTb.header, k.String())
-				recTb.header = append(recTb.header, k.String())
-			}
-			times := map[string][]float64{}
-			recalls := map[string][]float64{}
-			var order []string
-			for _, k := range kinds {
-				pts := dataset.Generate(k, cfg.N, cfg.Seed)
-				ws := workload.Windows(pts, cfg.Queries, workload.DefaultWindowSize, workload.DefaultAspectRatio, cfg.Seed+2)
-				o, ts, rs := windowSeries(cfg, pts, ws)
-				if order == nil {
-					order = o
-				}
-				for _, name := range o {
-					times[name] = append(times[name], ts[name][0]/1000) // ms
-					recalls[name] = append(recalls[name], rs[name][0])
-				}
-			}
-			for _, name := range order {
-				timeTb.addf(name, "%.4f", times[name]...)
-				recTb.addf(name, "%.3f", recalls[name]...)
-			}
-			timeTb.write(w)
-			recTb.write(w)
-		},
 	})
-	register(Experiment{
-		ID:    "fig11",
-		Title: "Fig. 11: Window query vs data set size",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			runWindowSweep(cfg, w, "Fig. 11", sizeSweep(cfg), func(n int) ([]geom.Point, []geom.Rect) {
-				pts := dataset.Generate(cfg.Dist, n, cfg.Seed)
-				return pts, workload.Windows(pts, cfg.Queries, workload.DefaultWindowSize, workload.DefaultAspectRatio, cfg.Seed+2)
-			}, func(n int) string { return fmt.Sprintf("n=%d", n) })
-		},
-	})
-	register(Experiment{
-		ID:    "fig12",
-		Title: "Fig. 12: Window query vs query window size",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
-			runWindowSweepVals(cfg, w, "Fig. 12", workload.WindowSizes, func(size float64) ([]geom.Point, []geom.Rect) {
-				return pts, workload.Windows(pts, cfg.Queries, size, workload.DefaultAspectRatio, cfg.Seed+2)
-			}, func(size float64) string { return fmt.Sprintf("%.4f%%", size*100) })
-		},
-	})
-	register(Experiment{
-		ID:    "fig13",
-		Title: "Fig. 13: Window query vs query window aspect ratio",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
-			runWindowSweepVals(cfg, w, "Fig. 13", workload.AspectRatios, func(aspect float64) ([]geom.Point, []geom.Rect) {
-				return pts, workload.Windows(pts, cfg.Queries, workload.DefaultWindowSize, aspect, cfg.Seed+2)
-			}, func(aspect float64) string { return fmt.Sprintf("%.2f", aspect) })
-		},
-	})
-}
-
-// runWindowSweep runs a window experiment over an int-valued sweep.
-func runWindowSweep(cfg Config, w io.Writer, figure string, sweep []int,
-	gen func(v int) ([]geom.Point, []geom.Rect), label func(v int) string) {
-	timeTb := newTable(figure+"a: window query time (ms)", "index")
-	recTb := newTable(figure+"b: window query recall", "index")
-	times := map[string][]float64{}
-	recalls := map[string][]float64{}
-	var order []string
-	for _, v := range sweep {
-		timeTb.header = append(timeTb.header, label(v))
-		recTb.header = append(recTb.header, label(v))
-		pts, ws := gen(v)
-		o, ts, rs := windowSeries(cfg, pts, ws)
-		if order == nil {
-			order = o
+	registerSweep("fig15", "Fig. 15: kNN query vs data set size", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryMS.titled("Fig. 15a: kNN query time (ms), k=%d, %s", workload.DefaultK, cfg.Dist),
+				recall.titled("Fig. 15b: kNN query recall"),
+			},
+			rsmia: true,
+			cols:  cfg.bySize(cfg.defaultKNN),
 		}
-		for _, name := range o {
-			times[name] = append(times[name], ts[name][0]/1000)
-			recalls[name] = append(recalls[name], rs[name][0])
-		}
-	}
-	for _, name := range order {
-		timeTb.addf(name, "%.4f", times[name]...)
-		recTb.addf(name, "%.3f", recalls[name]...)
-	}
-	timeTb.write(w)
-	recTb.write(w)
-}
-
-// runWindowSweepVals runs a window experiment over a float-valued sweep.
-func runWindowSweepVals(cfg Config, w io.Writer, figure string, sweep []float64,
-	gen func(v float64) ([]geom.Point, []geom.Rect), label func(v float64) string) {
-	timeTb := newTable(figure+"a: window query time (ms)", "index")
-	recTb := newTable(figure+"b: window query recall", "index")
-	times := map[string][]float64{}
-	recalls := map[string][]float64{}
-	var order []string
-	for _, v := range sweep {
-		timeTb.header = append(timeTb.header, label(v))
-		recTb.header = append(recTb.header, label(v))
-		pts, ws := gen(v)
-		o, ts, rs := windowSeries(cfg, pts, ws)
-		if order == nil {
-			order = o
-		}
-		for _, name := range o {
-			times[name] = append(times[name], ts[name][0]/1000)
-			recalls[name] = append(recalls[name], rs[name][0])
-		}
-	}
-	for _, name := range order {
-		timeTb.addf(name, "%.4f", times[name]...)
-		recTb.addf(name, "%.3f", recalls[name]...)
-	}
-	timeTb.write(w)
-	recTb.write(w)
-}
-
-// knnSeries measures kNN time and recall for every competitor (plus RSMIa).
-func knnSeries(cfg Config, pts []geom.Point, queries []geom.Point, k int) (order []string, times, recalls map[string][]float64) {
-	oracle := index.NewLinear(pts)
-	truth := make([][]geom.Point, len(queries))
-	for i, q := range queries {
-		truth[i] = oracle.KNN(q, k)
-	}
-	times = map[string][]float64{}
-	recalls = map[string][]float64{}
-	for _, b := range buildAll(cfg, pts, true) {
-		order = append(order, b.name)
-		us := timeQueriesUS(len(queries), func(i int) { b.idx.KNN(queries[i], k) })
-		var recall float64
-		for i, q := range queries {
-			recall += index.KNNRecall(b.idx.KNN(q, k), truth[i], q)
-		}
-		times[b.name] = []float64{us}
-		recalls[b.name] = []float64{recall / float64(len(queries))}
-	}
-	return order, times, recalls
-}
-
-// Fig. 14–16: kNN queries vs distribution, size, and k.
-func init() {
-	register(Experiment{
-		ID:    "fig14",
-		Title: "Fig. 14: kNN query vs data distribution",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			kinds := dataset.All()
-			timeTb := newTable(fmt.Sprintf("Fig. 14a: kNN query time (ms), k=%d, n=%d", workload.DefaultK, cfg.N), "index")
-			recTb := newTable("Fig. 14b: kNN query recall", "index")
-			for _, kd := range kinds {
-				timeTb.header = append(timeTb.header, kd.String())
-				recTb.header = append(recTb.header, kd.String())
-			}
-			times := map[string][]float64{}
-			recalls := map[string][]float64{}
-			var order []string
-			for _, kd := range kinds {
-				pts := dataset.Generate(kd, cfg.N, cfg.Seed)
-				qs := workload.KNNPoints(pts, cfg.Queries, cfg.Seed+3)
-				o, ts, rs := knnSeries(cfg, pts, qs, workload.DefaultK)
-				if order == nil {
-					order = o
-				}
-				for _, name := range o {
-					times[name] = append(times[name], ts[name][0]/1000)
-					recalls[name] = append(recalls[name], rs[name][0])
-				}
-			}
-			for _, name := range order {
-				timeTb.addf(name, "%.4f", times[name]...)
-				recTb.addf(name, "%.3f", recalls[name]...)
-			}
-			timeTb.write(w)
-			recTb.write(w)
-		},
 	})
-	register(Experiment{
-		ID:    "fig15",
-		Title: "Fig. 15: kNN query vs data set size",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			timeTb := newTable(fmt.Sprintf("Fig. 15a: kNN query time (ms), k=%d, %s", workload.DefaultK, cfg.Dist), "index")
-			recTb := newTable("Fig. 15b: kNN query recall", "index")
-			times := map[string][]float64{}
-			recalls := map[string][]float64{}
-			var order []string
-			for _, n := range sizeSweep(cfg) {
-				timeTb.header = append(timeTb.header, fmt.Sprintf("n=%d", n))
-				recTb.header = append(recTb.header, fmt.Sprintf("n=%d", n))
-				pts := dataset.Generate(cfg.Dist, n, cfg.Seed)
-				qs := workload.KNNPoints(pts, cfg.Queries, cfg.Seed+3)
-				o, ts, rs := knnSeries(cfg, pts, qs, workload.DefaultK)
-				if order == nil {
-					order = o
-				}
-				for _, name := range o {
-					times[name] = append(times[name], ts[name][0]/1000)
-					recalls[name] = append(recalls[name], rs[name][0])
-				}
-			}
-			for _, name := range order {
-				timeTb.addf(name, "%.4f", times[name]...)
-				recTb.addf(name, "%.3f", recalls[name]...)
-			}
-			timeTb.write(w)
-			recTb.write(w)
-		},
-	})
-	register(Experiment{
-		ID:    "fig16",
-		Title: "Fig. 16: kNN query vs k",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
-			qs := workload.KNNPoints(pts, cfg.Queries, cfg.Seed+3)
-			timeTb := newTable(fmt.Sprintf("Fig. 16a: kNN query time (ms), %s n=%d", cfg.Dist, cfg.N), "index")
-			recTb := newTable("Fig. 16b: kNN query recall", "index")
-			times := map[string][]float64{}
-			recalls := map[string][]float64{}
-			var order []string
-			for _, k := range workload.Ks {
-				timeTb.header = append(timeTb.header, fmt.Sprintf("k=%d", k))
-				recTb.header = append(recTb.header, fmt.Sprintf("k=%d", k))
-				o, ts, rs := knnSeries(cfg, pts, qs, k)
-				if order == nil {
-					order = o
-				}
-				for _, name := range o {
-					times[name] = append(times[name], ts[name][0]/1000)
-					recalls[name] = append(recalls[name], rs[name][0])
-				}
-			}
-			for _, name := range order {
-				timeTb.addf(name, "%.4f", times[name]...)
-				recTb.addf(name, "%.3f", recalls[name]...)
-			}
-			timeTb.write(w)
-			recTb.write(w)
-		},
+	registerSweep("fig16", "Fig. 16: kNN query vs k", func(cfg Config) sweep {
+		pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
+		qs := workload.KNNPoints(pts, cfg.Queries, cfg.Seed+3)
+		var cols []column
+		for _, k := range workload.Ks {
+			cols = append(cols, column{label: fmt.Sprintf("k=%d", k), pts: pts, query: knnQueries(qs, k)})
+		}
+		return sweep{
+			series: [2]series{
+				queryMS.titled("Fig. 16a: kNN query time (ms), %s n=%d", cfg.Dist, cfg.N),
+				recall.titled("Fig. 16b: kNN query recall"),
+			},
+			rsmia: true,
+			cols:  cols,
+		}
 	})
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"rsmi/internal/core"
 	"rsmi/internal/dataset"
@@ -11,217 +10,105 @@ import (
 	"rsmi/internal/workload"
 )
 
-// updateStages inserts successive 10% batches into every index, measuring
-// per-insertion time at each stage, and calls probe after each stage to
-// measure query performance on the updated indices.
-func updateStages(cfg Config, w io.Writer, includeRSMIr bool,
-	probe func(stage int, fraction float64, all []geom.Point, indices []built)) []built {
-	pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
-	totalIns := int(0.5 * float64(cfg.N))
-	ins := workload.InsertPoints(pts, totalIns, cfg.Seed+4)
+func inserts(ps []geom.Point) ops {
+	return ops{n: len(ps), do: func(idx index.Index, i int) []geom.Point {
+		idx.Insert(ps[i])
+		return nil
+	}}
+}
 
-	indices := buildAll(cfg, pts, true)
-	if includeRSMIr {
+func deletes(ps []geom.Point) ops {
+	return ops{n: len(ps), do: func(idx index.Index, i int) []geom.Point {
+		idx.Delete(ps[i])
+		return nil
+	}}
+}
+
+// updateStages is the x-axis of Figs. 17–19 and the deletion experiment: one
+// build over pts, then a column per update fraction of Table 2 that applies
+// the next even share of writes and runs the queries after returns for it.
+func updateStages(pts, writes []geom.Point, apply func([]geom.Point) ops, after func(batch []geom.Point) ops) []column {
+	batch := len(writes) / len(workload.UpdateFractions)
+	var cols []column
+	for stage, f := range workload.UpdateFractions {
+		chunk := writes[stage*batch : (stage+1)*batch]
+		cols = append(cols, column{
+			label:  fmt.Sprintf("%.0f%%", f*100),
+			pts:    pts,
+			update: apply(chunk),
+			query:  after(chunk),
+		})
+	}
+	return cols
+}
+
+// insertStages inserts 50 % more points in successive 10 % batches; queries
+// draws each stage's workload from all the points present after it.
+func (c Config) insertStages(queries func(all []geom.Point) ops) []column {
+	pts := dataset.Generate(c.Dist, c.N, c.Seed)
+	all := append([]geom.Point(nil), pts...)
+	return updateStages(pts, workload.InsertPoints(pts, c.N/2, c.Seed+4), inserts, func(batch []geom.Point) ops {
+		all = append(all, batch...)
+		return queries(all)
+	})
+}
+
+// Figs. 17–19: insertion time, and point, window and kNN queries after
+// insertions (§6.2.5).
+func init() {
+	registerSweep("fig17", "Fig. 17: Insertions and point queries after insertions", func(cfg Config) sweep {
 		opts := cfg.rsmiOptions()
 		opts.Seed += 7 // independent models from the plain RSMI instance
-		indices = append(indices, built{"RSMIr", core.New(pts, opts).AsRebuilder()})
-	}
-
-	insTb := newTable(fmt.Sprintf("Fig. 17a: insertion time (us), %s n=%d", cfg.Dist, cfg.N), "index")
-	for _, f := range workload.UpdateFractions {
-		insTb.header = append(insTb.header, fmt.Sprintf("%.0f%%", f*100))
-	}
-	insTimes := map[string][]float64{}
-
-	all := append([]geom.Point(nil), pts...)
-	batch := totalIns / len(workload.UpdateFractions)
-	for stage, f := range workload.UpdateFractions {
-		lo, hi := stage*batch, (stage+1)*batch
-		if hi > len(ins) {
-			hi = len(ins)
+		return sweep{
+			series: [2]series{
+				updateUS.titled("Fig. 17a: insertion time (us), %s n=%d", cfg.Dist, cfg.N),
+				queryUS.titled("Fig. 17b: point query time (us) after insertions"),
+			},
+			builders: append(cfg.builders(), builder{"RSMIr", func(pts []geom.Point) index.Index {
+				return core.New(pts, opts).AsRebuilder()
+			}}),
+			cols: cfg.insertStages(func(all []geom.Point) ops { return cfg.pointQueries(all, 5) }),
 		}
-		chunk := ins[lo:hi]
-		for _, b := range indices {
-			if b.name == "RSMIa" {
-				continue // shares storage with RSMI; do not double-insert
-			}
-			us := timeQueriesUS(len(chunk), func(i int) { b.idx.Insert(chunk[i]) })
-			insTimes[b.name] = append(insTimes[b.name], us)
-		}
-		all = append(all, chunk...)
-		probe(stage, f, all, indices)
-	}
-	for _, b := range indices {
-		if b.name == "RSMIa" {
-			continue
-		}
-		insTb.addf(b.name, "%.2f", insTimes[b.name]...)
-	}
-	if w != nil {
-		insTb.write(w)
-	}
-	return indices
-}
-
-// Fig. 17: insertion time and point queries after insertions (§6.2.5).
-func init() {
-	register(Experiment{
-		ID:    "fig17",
-		Title: "Fig. 17: Insertions and point queries after insertions",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			qTb := newTable("Fig. 17b: point query time (us) after insertions", "index")
-			for _, f := range workload.UpdateFractions {
-				qTb.header = append(qTb.header, fmt.Sprintf("%.0f%%", f*100))
-			}
-			qTimes := map[string][]float64{}
-			var order []string
-			indices := updateStages(cfg, w, true, func(stage int, f float64, all []geom.Point, indices []built) {
-				queries := workload.PointQueries(all, cfg.Queries, cfg.Seed+5)
-				for _, b := range indices {
-					if b.name == "RSMIa" {
-						continue
-					}
-					if stage == 0 {
-						order = append(order, b.name)
-					}
-					us := timeQueriesUS(len(queries), func(i int) { b.idx.PointQuery(queries[i]) })
-					qTimes[b.name] = append(qTimes[b.name], us)
-				}
-			})
-			_ = indices
-			for _, name := range order {
-				qTb.addf(name, "%.2f", qTimes[name]...)
-			}
-			qTb.write(w)
-		},
 	})
-}
-
-// Fig. 18: window queries after insertions.
-func init() {
-	register(Experiment{
-		ID:    "fig18",
-		Title: "Fig. 18: Window queries after insertions",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			tTb := newTable(fmt.Sprintf("Fig. 18a: window query time (ms) after insertions, %s n=%d", cfg.Dist, cfg.N), "index")
-			rTb := newTable("Fig. 18b: window query recall after insertions", "index")
-			for _, f := range workload.UpdateFractions {
-				tTb.header = append(tTb.header, fmt.Sprintf("%.0f%%", f*100))
-				rTb.header = append(rTb.header, fmt.Sprintf("%.0f%%", f*100))
-			}
-			times := map[string][]float64{}
-			recalls := map[string][]float64{}
-			var order []string
-			updateStages(cfg, nil, false, func(stage int, f float64, all []geom.Point, indices []built) {
-				ws := workload.Windows(all, cfg.Queries/2, workload.DefaultWindowSize, workload.DefaultAspectRatio, cfg.Seed+6)
-				oracle := index.NewLinear(all)
-				truth := make([][]geom.Point, len(ws))
-				for i, q := range ws {
-					truth[i] = oracle.WindowQuery(q)
-				}
-				for _, b := range indices {
-					if stage == 0 {
-						order = append(order, b.name)
-					}
-					us := timeQueriesUS(len(ws), func(i int) { b.idx.WindowQuery(ws[i]) })
-					var rec float64
-					for i, q := range ws {
-						rec += index.Recall(b.idx.WindowQuery(q), truth[i])
-					}
-					times[b.name] = append(times[b.name], us/1000)
-					recalls[b.name] = append(recalls[b.name], rec/float64(len(ws)))
-				}
-			})
-			for _, name := range order {
-				tTb.addf(name, "%.4f", times[name]...)
-				rTb.addf(name, "%.3f", recalls[name]...)
-			}
-			tTb.write(w)
-			rTb.write(w)
-		},
+	registerSweep("fig18", "Fig. 18: Window queries after insertions", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryMS.titled("Fig. 18a: window query time (ms) after insertions, %s n=%d", cfg.Dist, cfg.N),
+				recall.titled("Fig. 18b: window query recall after insertions"),
+			},
+			rsmia: true,
+			cols: cfg.insertStages(func(all []geom.Point) ops {
+				return windowQueries(workload.Windows(all, cfg.Queries/2, workload.DefaultWindowSize, workload.DefaultAspectRatio, cfg.Seed+6))
+			}),
+		}
 	})
-}
-
-// Fig. 19: kNN queries after insertions.
-func init() {
-	register(Experiment{
-		ID:    "fig19",
-		Title: "Fig. 19: kNN queries after insertions",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			tTb := newTable(fmt.Sprintf("Fig. 19a: kNN query time (ms) after insertions, k=%d", workload.DefaultK), "index")
-			rTb := newTable("Fig. 19b: kNN query recall after insertions", "index")
-			for _, f := range workload.UpdateFractions {
-				tTb.header = append(tTb.header, fmt.Sprintf("%.0f%%", f*100))
-				rTb.header = append(rTb.header, fmt.Sprintf("%.0f%%", f*100))
-			}
-			times := map[string][]float64{}
-			recalls := map[string][]float64{}
-			var order []string
-			updateStages(cfg, nil, false, func(stage int, f float64, all []geom.Point, indices []built) {
-				qs := workload.KNNPoints(all, cfg.Queries/2, cfg.Seed+7)
-				oracle := index.NewLinear(all)
-				truth := make([][]geom.Point, len(qs))
-				for i, q := range qs {
-					truth[i] = oracle.KNN(q, workload.DefaultK)
-				}
-				for _, b := range indices {
-					if stage == 0 {
-						order = append(order, b.name)
-					}
-					us := timeQueriesUS(len(qs), func(i int) { b.idx.KNN(qs[i], workload.DefaultK) })
-					var rec float64
-					for i, q := range qs {
-						rec += index.KNNRecall(b.idx.KNN(q, workload.DefaultK), truth[i], q)
-					}
-					times[b.name] = append(times[b.name], us/1000)
-					recalls[b.name] = append(recalls[b.name], rec/float64(len(qs)))
-				}
-			})
-			for _, name := range order {
-				tTb.addf(name, "%.4f", times[name]...)
-				rTb.addf(name, "%.3f", recalls[name]...)
-			}
-			tTb.write(w)
-			rTb.write(w)
-		},
+	registerSweep("fig19", "Fig. 19: kNN queries after insertions", func(cfg Config) sweep {
+		return sweep{
+			series: [2]series{
+				queryMS.titled("Fig. 19a: kNN query time (ms) after insertions, k=%d", workload.DefaultK),
+				recall.titled("Fig. 19b: kNN query recall after insertions"),
+			},
+			rsmia: true,
+			cols: cfg.insertStages(func(all []geom.Point) ops {
+				return knnQueries(workload.KNNPoints(all, cfg.Queries/2, cfg.Seed+7), workload.DefaultK)
+			}),
+		}
 	})
 }
 
 // Deletions: §6.2.5 notes deletions "replicate the performance figures of
 // insertions"; this experiment verifies that claim at harness scale.
 func init() {
-	register(Experiment{
-		ID:    "deletions",
-		Title: "Deletions: point query time after deletions (§6.2.5 text)",
-		Run: func(cfg Config, w io.Writer) {
-			cfg = cfg.Defaults()
-			pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
-			totalDel := int(0.5 * float64(cfg.N))
-			dels := workload.DeleteSample(pts, totalDel, cfg.Seed+8)
-
-			delTb := newTable(fmt.Sprintf("Deletion time (us), %s n=%d", cfg.Dist, cfg.N), "index")
-			qTb := newTable("Point query time (us) after deletions", "index")
-			for _, f := range workload.UpdateFractions {
-				delTb.header = append(delTb.header, fmt.Sprintf("%.0f%%", f*100))
-				qTb.header = append(qTb.header, fmt.Sprintf("%.0f%%", f*100))
-			}
-			delTimes := map[string][]float64{}
-			qTimes := map[string][]float64{}
-			indices := buildAll(cfg, pts, false)
-
-			gone := make(map[geom.Point]struct{}, totalDel)
-			batch := totalDel / len(workload.UpdateFractions)
-			for stage := range workload.UpdateFractions {
-				lo, hi := stage*batch, (stage+1)*batch
-				chunk := dels[lo:hi]
-				for _, b := range indices {
-					us := timeQueriesUS(len(chunk), func(i int) { b.idx.Delete(chunk[i]) })
-					delTimes[b.name] = append(delTimes[b.name], us)
-				}
-				for _, p := range chunk {
+	registerSweep("deletions", "Deletions: point query time after deletions (§6.2.5 text)", func(cfg Config) sweep {
+		pts := dataset.Generate(cfg.Dist, cfg.N, cfg.Seed)
+		gone := make(map[geom.Point]struct{}, cfg.N/2)
+		return sweep{
+			series: [2]series{
+				updateUS.titled("Deletion time (us), %s n=%d", cfg.Dist, cfg.N),
+				queryUS.titled("Point query time (us) after deletions"),
+			},
+			cols: updateStages(pts, workload.DeleteSample(pts, cfg.N/2, cfg.Seed+8), deletes, func(batch []geom.Point) ops {
+				for _, p := range batch {
 					gone[p] = struct{}{}
 				}
 				var live []geom.Point
@@ -230,18 +117,8 @@ func init() {
 						live = append(live, p)
 					}
 				}
-				queries := workload.PointQueries(live, cfg.Queries, cfg.Seed+9)
-				for _, b := range indices {
-					us := timeQueriesUS(len(queries), func(i int) { b.idx.PointQuery(queries[i]) })
-					qTimes[b.name] = append(qTimes[b.name], us)
-				}
-			}
-			for _, b := range indices {
-				delTb.addf(b.name, "%.2f", delTimes[b.name]...)
-				qTb.addf(b.name, "%.2f", qTimes[b.name]...)
-			}
-			delTb.write(w)
-			qTb.write(w)
-		},
+				return cfg.pointQueries(live, 9)
+			}),
+		}
 	})
 }
