@@ -247,6 +247,17 @@ type SubStats struct {
 	Dropped      int64 `json:"dropped"`
 }
 
+// StreamStats reports the stream transport's write path in /v1/stats:
+// frames written, the socket writes that carried them (Frames ÷ Flushes
+// is the group-commit ratio), and one-op frames that overran the inline
+// budget and lost their connection's read loop — a non-zero Takeovers
+// rate says something holds a lock.
+type StreamStats struct {
+	Frames    int64 `json:"frames"`
+	Flushes   int64 `json:"flushes"`
+	Takeovers int64 `json:"takeovers"`
+}
+
 // StatsResponse answers /v1/stats.
 type StatsResponse struct {
 	// Engine is the backend's display name ("Sharded", "RR*", "Grid", …),
@@ -262,6 +273,7 @@ type StatsResponse struct {
 	RebuildRunning bool               `json:"rebuild_running"`
 	Ops            map[string]OpStats `json:"ops"`
 	Coalesce       CoalesceStats      `json:"coalesce"`
+	Stream         StreamStats        `json:"stream"`
 	Replication    *ReplicationStats  `json:"replication,omitempty"`
 	Planner        *PlannerStatsJSON  `json:"planner,omitempty"`
 	Subs           *SubStats          `json:"subs,omitempty"`

@@ -234,6 +234,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shed:           s.shed.Load(),
 		Rebuilds:       s.rebuilds.Load(),
 		RebuildRunning: s.rebuildRunning.Load(),
+		Stream:         s.streamStats(),
 		Ops: map[string]OpStats{
 			OpPoint:  s.opStats(opIdxPoint),
 			OpWindow: s.opStats(opIdxWindow),

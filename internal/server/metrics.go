@@ -132,6 +132,17 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	promHead(b, "rsmi_admission_shed_total", "counter", "Requests shed by the admission gate (HTTP 429 / stream status 429).")
 	promInt(b, "rsmi_admission_shed_total", "", s.shed.Load())
 
+	// Stream transport write path (stream.go). frames ÷ flushes is the
+	// group-commit ratio; takeovers move only when a one-op frame waited
+	// for something — a lock, the primary — past streamInlineBudget.
+	st := s.streamStats()
+	promHead(b, "rsmi_stream_frames_total", "counter", "Response and push frames written to stream connections.")
+	promInt(b, "rsmi_stream_frames_total", "", st.Frames)
+	promHead(b, "rsmi_stream_flushes_total", "counter", "Socket writes that carried those frames (frames / flushes = frames per write).")
+	promInt(b, "rsmi_stream_flushes_total", "", st.Flushes)
+	promHead(b, "rsmi_stream_takeovers_total", "counter", "One-op stream frames that overran the inline budget and lost their connection's read loop.")
+	promInt(b, "rsmi_stream_takeovers_total", "", st.Takeovers)
+
 	// Per-op × per-transport request counts and latency histograms.
 	promHead(b, "rsmi_op_requests_total", "counter", "Successful operations by op and transport.")
 	for op := opIdx(0); op < numOps; op++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -301,6 +302,21 @@ func TestMetricsExposition(t *testing.T) {
 	if err := cl.Insert(context.Background(), geom.Pt(0.123, 0.456)); err != nil {
 		t.Fatal(err)
 	}
+	// Three sequential round trips over the stream: three frames, each
+	// alone in its write. Takeovers are not pinned: a deschedule longer
+	// than the inline budget inside a frame is one.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go s.ServeStream(l)
+	scl := NewClient(l.Addr().String(), WithTransport(TransportTCP))
+	defer scl.Close()
+	for i := 0; i < 3; i++ {
+		if _, err := scl.KNN(context.Background(), pts[i], 3); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	body := scrapeMetrics(t, hs.URL)
 	samples, types := parsePromText(t, body)
@@ -313,6 +329,7 @@ func TestMetricsExposition(t *testing.T) {
 	required := []string{
 		"rsmi_build_info", "rsmi_uptime_seconds", "rsmi_points", "rsmi_shards",
 		"rsmi_block_accesses_total", "rsmi_requests_in_flight", "rsmi_admission_shed_total",
+		"rsmi_stream_frames_total", "rsmi_stream_flushes_total", "rsmi_stream_takeovers_total",
 		"rsmi_op_requests_total", "rsmi_op_duration_seconds_bucket",
 		"rsmi_plan_queries_total", "rsmi_plan_mispredicts_total",
 		"rsmi_rebuilds_total", "rsmi_rebuild_running", "rsmi_rebuild_duration_seconds_bucket",
@@ -330,7 +347,7 @@ func TestMetricsExposition(t *testing.T) {
 	// subsystem must take its series with it.
 	subsystems := []string{
 		"rsmi_build_info", "rsmi_uptime_", "rsmi_points", "rsmi_shards", "rsmi_block_accesses_",
-		"rsmi_requests_", "rsmi_admission_", "rsmi_op_", "rsmi_rebuild", "rsmi_replication_",
+		"rsmi_requests_", "rsmi_admission_", "rsmi_stream_", "rsmi_op_", "rsmi_rebuild", "rsmi_replication_",
 		"rsmi_oplog_", "rsmi_plan_", "rsmi_hedge_", "rsmi_slow_queries_", "rsmi_sub_",
 	}
 	for family := range types {
@@ -362,6 +379,20 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	if got := find("rsmi_op_requests_total", "insert", "http"); got != 1 {
 		t.Errorf("insert http requests = %v, want 1", got)
+	}
+	if got := find("rsmi_op_requests_total", "knn", "stream"); got != 3 {
+		t.Errorf("knn stream requests = %v, want 3", got)
+	}
+	for _, name := range []string{"rsmi_stream_frames_total", "rsmi_stream_flushes_total"} {
+		if got := byName[name][0].value; got != 3 {
+			t.Errorf("%s = %v, want 3", name, got)
+		}
+	}
+	// A takeover that fired as its frame was finishing may be counted after
+	// the frame's answer was read, so the later reading is only not smaller.
+	takeovers := int64(byName["rsmi_stream_takeovers_total"][0].value)
+	if st, err := cl.Stats(); err != nil || st.Stream.Frames != 3 || st.Stream.Flushes != 3 || st.Stream.Takeovers < takeovers {
+		t.Errorf("/v1/stats stream = %+v, %v; want 3 frames in 3 flushes and at least /metrics' %d takeovers", st.Stream, err, takeovers)
 	}
 	if got := byName["rsmi_points"][0].value; got != float64(eng.Len()) {
 		t.Errorf("rsmi_points = %v, want %v", got, eng.Len())

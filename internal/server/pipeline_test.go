@@ -108,8 +108,9 @@ func TestHandlerAllocs(t *testing.T) {
 // TestStreamRoundTripAllocs is TestHandlerAllocs for the stream path: one
 // untraced one-op round trip over a real loopback connection, client and
 // server in this process, so the count covers both sides — client encode,
-// frame write, the server's read loop and per-frame goroutine, the
-// pipeline, the response frame, the client's read loop and wake-up.
+// frame write, the server's read loop serving the frame from its
+// per-connection request buffer into its write queue, the pipeline, the
+// client's read loop and wake-up.
 func TestStreamRoundTripAllocs(t *testing.T) {
 	eng, pts := testEngine(t)
 	_, _, streamAddr := startStreamServer(t, Config{Engine: eng})
@@ -123,9 +124,9 @@ func TestStreamRoundTripAllocs(t *testing.T) {
 		op   func() error
 		max  float64
 	}{
-		{"point", func() error { _, err := cl.PointQuery(ctx, pts[0]); return err }, 12},
-		{"window", func() error { _, err := cl.WindowQuery(ctx, win); return err }, 23},
-		{"insert", func() error { next++; return cl.Insert(ctx, geom.Pt(0.25+float64(next)*1e-6, 0.75)) }, 13},
+		{"point", func() error { _, err := cl.PointQuery(ctx, pts[0]); return err }, 9},
+		{"window", func() error { _, err := cl.WindowQuery(ctx, win); return err }, 20},
+		{"insert", func() error { next++; return cl.Insert(ctx, geom.Pt(0.25+float64(next)*1e-6, 0.75)) }, 10},
 	} {
 		if err := c.op(); err != nil { // dials, warms the pools
 			t.Fatalf("%s: %v", c.name, err)

@@ -9,7 +9,8 @@
 // (and the stream transport a per-request deadline) into the engine,
 // which observes cancellation between shard visits. A request executes
 // on the goroutine that decoded it — the HTTP handler's, or the stream
-// frame's — under its own context, from decode to reply.
+// connection's read loop (a batch, sql or sub frame gets a goroutine of
+// its own) — under its own context, from decode to reply.
 //
 // # Endpoints
 //
@@ -50,7 +51,8 @@
 // Beyond HTTP, the server can serve rsmibin/1 over persistent pipelined
 // TCP connections (Config.StreamAddr / ServeStream — the rsmistream
 // transport, stream.go), with identical semantics: the same pipeline,
-// admission gate, histograms, and shutdown draining.
+// admission gate, histograms, and shutdown draining. Answers that are
+// ready together leave a connection in one write.
 package server
 
 import (
@@ -226,6 +228,10 @@ type Server struct {
 	streamStop     chan struct{}
 	streamStopOnce sync.Once
 	streamWG       sync.WaitGroup
+	// Stream write-path counters: frames that left through a connection's
+	// write queue, the conn.Write calls that carried them, and inline
+	// frames that overran streamInlineBudget and lost the read loop.
+	streamFrames, streamFlushes, streamTakeovers atomic.Int64
 
 	// Standing-query state (subserve.go): the subscription registry (nil
 	// when the engine has no write hooks or Config.DisableSubs is set),

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -377,9 +379,23 @@ func TestStreamShutdownDrains(t *testing.T) {
 		found, err := cl.PointQuery(context.Background(), pts[0])
 		res <- answer{found, err}
 	}()
-	// Wait until the request is admitted and blocked in the engine.
+	// A second connection gets two windows and a point in one write: the
+	// windows' answers are queued behind the point, which is held on that
+	// connection's read loop when Shutdown arrives.
+	raw, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	burst := requestFrame(t, 1, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})
+	burst = append(burst, requestFrame(t, 2, false, BatchOp{Op: OpWindow, MaxX: 0.2, MaxY: 0.2})...)
+	burst = append(burst, requestFrame(t, 3, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+	if _, err := raw.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until both points are admitted and blocked in the engine.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.inFlight.Load() == 0 {
+	for s.inFlight.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatal("stream request never admitted")
 		}
@@ -399,6 +415,13 @@ func TestStreamShutdownDrains(t *testing.T) {
 	a := <-res
 	if a.err != nil || !a.found {
 		t.Fatalf("in-flight stream request during shutdown: %v, %v", a.found, a.err)
+	}
+	rawBr := bufio.NewReader(raw)
+	if got := readAnswers(t, raw, rawBr, 3); !got[3][0].flag || len(got[1][0].pts) > len(got[2][0].pts) {
+		t.Fatalf("answers drained from the second connection: %+v", got)
+	}
+	if _, err := rawBr.ReadByte(); err != io.EOF {
+		t.Fatalf("after its answers the drained connection gave %v, want EOF", err)
 	}
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("Shutdown: %v", err)
@@ -502,4 +525,506 @@ func FuzzStreamFrame(f *testing.F) {
 			t.Fatalf("re-framed frame mismatched: id %d vs %d, err %v", id2, id, err)
 		}
 	})
+}
+
+// requestFrame encodes one stream request frame.
+func requestFrame(t testing.TB, id uint64, explain bool, ops ...BatchOp) []byte {
+	t.Helper()
+	b, err := appendBinaryOps(appendUvarint([]byte{0, 0, 0, 0}, id), ops, false, explain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// readAnswers reads n response frames and returns their results by
+// request id, failing on a status-1 frame, a repeated id or a stall.
+func readAnswers(t *testing.T, c net.Conn, br *bufio.Reader, n int) map[uint64][]binResult {
+	t.Helper()
+	c.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got := make(map[uint64][]binResult, n)
+	for len(got) < n {
+		id, payload, err := readStreamFrame(br, streamMaxResponseFrame)
+		if err != nil {
+			t.Fatalf("after %d of %d answers: %v", len(got), n, err)
+		}
+		rs, _, err := decodeStreamResponse(payload)
+		if err != nil {
+			t.Fatalf("request %d: %v", id, err)
+		}
+		if _, dup := got[id]; dup {
+			t.Fatalf("request %d answered twice", id)
+		}
+		got[id] = rs
+	}
+	return got
+}
+
+// countingConn counts the writes that reach the connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// servePipe serves one end of an in-memory pipe as a stream connection of
+// s and returns the other end, the server end's write counter and the
+// connection's state. A pipe hands a whole client Write to the server's
+// one Read, so what the read loop finds buffered is exactly what the test
+// wrote: the group-commit decisions are deterministic.
+func servePipe(t *testing.T, s *Server) (net.Conn, *countingConn, *streamServerConn) {
+	t.Helper()
+	client, server := net.Pipe()
+	cc := &countingConn{Conn: server}
+	c := s.newStreamServerConn(cc)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		defer server.Close()
+		c.serve()
+	}()
+	t.Cleanup(func() {
+		client.Close()
+		<-done
+	})
+	return client, cc, c
+}
+
+// TestStreamGroupCommit pins the flush rule: a lone frame is answered in
+// one write and not held back; frames that arrived together are answered
+// in exactly one write, EXPLAIN bit or not; a burst whose answers pass
+// streamFlushBytes leaves in more than one.
+func TestStreamGroupCommit(t *testing.T) {
+	eng, pts := testEngine(t)
+	s := New(Config{Engine: eng})
+	defer s.Shutdown(context.Background())
+	client, srv, _ := servePipe(t, s)
+	br := bufio.NewReader(client)
+	point := func(p geom.Point) BatchOp { return BatchOp{Op: OpPoint, X: p.X, Y: p.Y} }
+
+	if _, err := client.Write(requestFrame(t, 1, false, point(pts[0]))); err != nil {
+		t.Fatal(err)
+	}
+	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].flag {
+		t.Fatalf("lone frame: %+v", rs)
+	}
+	if w := srv.writes.Load(); w != 1 {
+		t.Fatalf("lone frame answered in %d writes, want 1", w)
+	}
+
+	// Sixteen frames in one client write leave in exactly one server write —
+	// unless the box took the loop's CPU away for a whole budget inside the
+	// burst: that is a takeover, the rest of the burst is handed off, and
+	// the burst is sent again once the connection is back to serving inline.
+	const n = 16
+	var burst []byte
+	sentFrames := int64(1)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		before := srv.writes.Load()
+		burst = burst[:0]
+		for i := 0; i < n; i++ {
+			p := pts[i]
+			if i%2 == 1 {
+				p = geom.Pt(-1, -float64(i)) // absent
+			}
+			burst = append(burst, requestFrame(t, uint64(100+i), i%5 == 0, point(p))...)
+		}
+		if _, err := client.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		sentFrames += n
+		got := readAnswers(t, client, br, n)
+		for i := 0; i < n; i++ {
+			rs, ok := got[uint64(100+i)]
+			if !ok || len(rs) != 1 || rs[0].flag != (i%2 == 0) {
+				t.Fatalf("burst frame %d: %+v (answered %v)", i, rs, ok)
+			}
+		}
+		w := srv.writes.Load() - before
+		if w == 1 {
+			break
+		}
+		if s.streamTakeovers.Load() == 0 || time.Now().After(deadline) {
+			t.Fatalf("%d frames in one client write answered in %d server writes, want 1 (%d takeovers)", n, w, s.streamTakeovers.Load())
+		}
+	}
+
+	// Six whole-space windows: ~32 KB of answer each, so the queue passes
+	// the byte cap inside the burst.
+	before := srv.writes.Load()
+	burst = burst[:0]
+	for i := 0; i < 6; i++ {
+		burst = append(burst, requestFrame(t, uint64(200+i), false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})...)
+	}
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for id, rs := range readAnswers(t, client, br, 6) {
+		if len(rs) != 1 || len(rs[0].pts)*16 < streamFlushBytes/3 {
+			t.Fatalf("window %d: %d points, too few to pass the cap in three answers", id, len(rs[0].pts))
+		}
+	}
+	if w := srv.writes.Load() - before; w < 2 {
+		t.Fatalf("six ~32 KB answers left in %d writes, want more than one", w)
+	}
+	if st := s.streamStats(); st.Frames != sentFrames+6 || st.Flushes != srv.writes.Load() {
+		t.Fatalf("stats %+v, want %d frames in %d flushes", st, sentFrames+6, srv.writes.Load())
+	}
+}
+
+// TestStreamTakeover blocks a point query on the read loop with four
+// windows buffered behind it: the windows are answered while the point is
+// still held, the point's answer arrives once it is released, and the
+// connection then goes back to serving — and grouping — inline.
+func TestStreamTakeover(t *testing.T) {
+	eng, pts := testEngine(t)
+	blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
+	s := New(Config{Engine: blocking})
+	defer s.Shutdown(context.Background())
+	client, srv, _ := servePipe(t, s)
+	br := bufio.NewReader(client)
+
+	burst := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
+	for id := uint64(2); id <= 5; id++ {
+		burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})...)
+	}
+	if _, err := client.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	got := readAnswers(t, client, br, 4)
+	if _, early := got[1]; early {
+		t.Fatal("the held point query answered")
+	}
+	// At least the held point's: a deschedule longer than the budget inside
+	// any other inline frame is a takeover too.
+	if n := s.streamTakeovers.Load(); n < 1 {
+		t.Fatalf("%d takeovers, want at least 1", n)
+	}
+	close(blocking.gate)
+	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].flag {
+		t.Fatalf("taken-over frame's answer: %+v", rs)
+	}
+
+	// readAnswers returns when the answer is read, which is before the
+	// frame's goroutine has given back its token; the loop serves inline
+	// again only after that.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		before := srv.writes.Load()
+		burst = burst[:0]
+		for id := uint64(10); id < 13; id++ {
+			burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+		}
+		if _, err := client.Write(burst); err != nil {
+			t.Fatal(err)
+		}
+		readAnswers(t, client, br, 3)
+		if srv.writes.Load()-before == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("connection never went back to answering a burst in one write")
+		}
+	}
+}
+
+// TestStreamTakeoverAtAnyMoment fires the watchdog's function every few
+// microseconds, whatever the read loop is doing, while eight callers
+// pipeline on the connection: a fire that lands inside an inline frame is
+// a takeover (an early one), any other must do nothing, and at no point
+// may two goroutines own the reader. Run under -race in CI; the check
+// here is that every answer is the right one.
+func TestStreamTakeoverAtAnyMoment(t *testing.T) {
+	eng, pts := testEngine(t)
+	s := New(Config{Engine: eng})
+	defer s.Shutdown(context.Background())
+	client, _, c := servePipe(t, s)
+
+	stop := make(chan struct{})
+	var fires sync.WaitGroup
+	fires.Add(1)
+	go func() {
+		defer fires.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			fires.Add(1)
+			go func() {
+				defer fires.Done()
+				c.takeover()
+			}()
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+
+	// The client side of the pipe is the package's own pipelining
+	// connection: it matches answers to callers by request id.
+	sc := &streamConn{
+		c:         client,
+		timeout:   10 * time.Second,
+		pending:   make(map[uint64]chan streamAnswer),
+		abandoned: make(map[uint64]struct{}),
+	}
+	go sc.readLoop()
+	const callers, perCaller = 8, 150
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCaller; i++ {
+				n := g*perCaller + i
+				p, want := pts[n%len(pts)], true
+				if i%3 == 0 {
+					p, want = geom.Pt(-1, -float64(n)), false
+				}
+				rs, _, err := sc.roundTrip(context.Background(), func(b []byte) ([]byte, error) {
+					return appendBinaryOps(b, []BatchOp{{Op: OpPoint, X: p.X, Y: p.Y}}, false, false)
+				})
+				if err != nil || len(rs) != 1 || rs[0].flag != want {
+					t.Errorf("caller %d request %d: answer %+v, %v; want found=%v", g, i, rs, err, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	sc.fail(errStreamClientClosed) // closes the pipe: a fire that took the loop is still running it
+	fires.Wait()
+	t.Logf("%d of the fires were takeovers", s.streamTakeovers.Load())
+}
+
+// TestStreamPeerNotReading is the connection's back-pressure: a peer that
+// pipelines whole-space windows and reads no answer gets the byte cap plus
+// one answer per pipeline token buffered for it, and then the server stops
+// reading its frames — until it reads again, when every frame it sent is
+// answered.
+func TestStreamPeerNotReading(t *testing.T) {
+	eng, pts := testEngine(t)
+	s := New(Config{Engine: eng})
+	defer s.Shutdown(context.Background())
+	client, _, c := servePipe(t, s)
+
+	const total = 3 * streamMaxPipeline
+	var sent atomic.Int64
+	go func() {
+		for id := uint64(1); id <= total; id++ {
+			if _, err := client.Write(requestFrame(t, id, false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})); err != nil {
+				return
+			}
+			sent.Add(1)
+		}
+	}()
+	// The first answer's write never returns and its frame loses the loop;
+	// later frames queue their answers up to the cap, and past it wait for
+	// that writer — handed-off frames with a token in hand, the loop without
+	// reading. Wait for the sender to stop making progress.
+	stalledAt := int64(-1)
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		time.Sleep(50 * streamInlineBudget)
+		n := sent.Load()
+		if n == stalledAt {
+			break
+		}
+		if stalledAt = n; time.Now().After(deadline) {
+			t.Fatalf("read loop still taking frames (%d) from a peer that reads nothing", n)
+		}
+	}
+	if stalledAt == 0 || stalledAt > streamMaxPipeline+8 {
+		t.Fatalf("read loop took %d of %d frames from a peer that reads nothing; want it stalled within %d", stalledAt, total, streamMaxPipeline)
+	}
+	answer := 16*len(pts) + 64
+	c.sw.mu.Lock()
+	queued := len(c.sw.queue)
+	c.sw.mu.Unlock()
+	if limit := streamFlushBytes + (streamMaxPipeline+1)*answer; queued > limit {
+		t.Fatalf("%d bytes queued for a peer that reads nothing, want at most %d", queued, limit)
+	}
+
+	for id, rs := range readAnswers(t, client, bufio.NewReader(client), total) {
+		if len(rs) != 1 || len(rs[0].pts) != len(pts) {
+			t.Fatalf("window %d after the stall: %d results", id, len(rs))
+		}
+	}
+}
+
+// TestStreamHandshakeBehindFrames sends two point queries and a replication
+// handshake in one write. The feed writes to the socket itself, so the two
+// queued answers must be on the wire before its first frame (here a resync,
+// the handshake naming an epoch the primary is not in).
+func TestStreamHandshakeBehindFrames(t *testing.T) {
+	eng, pts := testEngine(t)
+	repl := NewReplicator(eng, 0)
+	s := New(Config{Engine: repl.Engine(), Replicator: repl})
+	defer s.Shutdown(context.Background())
+	client, _, _ := servePipe(t, s)
+	br := bufio.NewReader(client)
+
+	burst := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
+	burst = append(burst, requestFrame(t, 2, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+	hs := appendReplHandshake([]byte{0, 0, 0, 0, 0}, repl.log.epoch+1, 1)
+	binary.LittleEndian.PutUint32(hs, uint32(len(hs)-4))
+	if _, err := client.Write(append(burst, hs...)); err != nil {
+		t.Fatal(err)
+	}
+	for id, rs := range readAnswers(t, client, br, 2) {
+		if len(rs) != 1 || !rs[0].flag {
+			t.Fatalf("point %d ahead of the handshake: %+v", id, rs)
+		}
+	}
+	var lb [4]byte
+	if _, err := io.ReadFull(br, lb[:]); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, binary.LittleEndian.Uint32(lb[:]))
+	if _, err := io.ReadFull(br, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !isReplHandshake(frame) || frame[3] != replFrameResync {
+		t.Fatalf("after the answers: % x, want the feed's resync frame", frame)
+	}
+}
+
+// TestStreamSlowFrameDoesNotBlock is the no-head-of-line guarantee on one
+// connection: with a point query held in the engine, a hundred windows
+// sent after it are each answered promptly — the first may wait out the
+// inline budget, none waits for the point.
+func TestStreamSlowFrameDoesNotBlock(t *testing.T) {
+	eng, pts := testEngine(t)
+	blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
+	s, _, streamAddr := startStreamServer(t, Config{Engine: blocking})
+	cl := NewClient(streamAddr, WithTransport(TransportTCP), WithStreamConns(1))
+	defer cl.Close()
+
+	held := make(chan error, 1)
+	go func() {
+		found, err := cl.PointQuery(context.Background(), pts[0])
+		if err == nil && !found {
+			err = fmt.Errorf("held point query: not found")
+		}
+		held <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.inFlight.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("point query never reached the engine")
+		}
+	}
+	const windows = 100
+	start := time.Now()
+	for _, q := range workload.Windows(pts, windows, 0.01, 1, 5) {
+		if _, err := cl.WindowQuery(context.Background(), q); err != nil {
+			t.Fatalf("window behind the held point: %v", err)
+		}
+	}
+	elapsed := time.Since(start)
+	t.Logf("%d windows behind a held point: %v", windows, elapsed)
+	// One budget for the takeover, then a hundred ordinary round trips.
+	// The failure this guards against is a budget per frame behind the held
+	// one, so that is the bound.
+	if limit := windows * streamInlineBudget; elapsed > limit && !raceDetector {
+		t.Errorf("%d windows took %v behind a held frame, want < %v", windows, elapsed, limit)
+	}
+	select {
+	case err := <-held:
+		t.Fatalf("held point query returned early: %v", err)
+	default:
+	}
+	close(blocking.gate)
+	if err := <-held; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStreamDisconnectCancelsFrame is TestClientDisconnectCancelsQuery for
+// the stream: a client that closes its connection while a frame is inside
+// the engine cancels that frame's context, although the frame is running
+// on the very loop that would notice the close.
+func TestStreamDisconnectCancelsFrame(t *testing.T) {
+	eng, _ := testEngine(t)
+	de := &disconnectEngine{
+		Engine:  eng,
+		started: make(chan struct{}),
+		aborted: make(chan error, 1),
+	}
+	_, _, streamAddr := startStreamServer(t, Config{Engine: de})
+	c, err := net.Dial("tcp", streamAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write(requestFrame(t, 1, false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-de.started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("frame never reached the engine")
+	}
+	c.Close()
+	select {
+	case err := <-de.aborted:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("engine context ended with %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("disconnected client's frame was not cancelled in the engine")
+	}
+}
+
+// BenchmarkStreamRoundTrip is the in-tree number for the stream transport:
+// one-op point round trips over one loopback connection, client and server
+// in this process, with 1, 4 and 64 callers in flight. frames/write is the
+// server's group-commit ratio over the run (1 by construction with one
+// caller; above 1 when answers that were ready together left together).
+func BenchmarkStreamRoundTrip(b *testing.B) {
+	eng, pts := testEngine(b)
+	s := New(Config{Engine: eng})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	go s.ServeStream(l)
+	defer s.Shutdown(context.Background())
+	for _, inFlight := range []int{1, 4, 64} {
+		b.Run(fmt.Sprintf("inflight=%d", inFlight), func(b *testing.B) {
+			cl := NewClient(l.Addr().String(), WithTransport(TransportTCP), WithStreamConns(1))
+			defer cl.Close()
+			ctx := context.Background()
+			if _, err := cl.PointQuery(ctx, pts[0]); err != nil { // dial
+				b.Fatal(err)
+			}
+			frames, flushes := s.streamFrames.Load(), s.streamFlushes.Load()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for g := 0; g < inFlight; g++ {
+				n := b.N / inFlight
+				if g < b.N%inFlight {
+					n++
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						if found, err := cl.PointQuery(ctx, pts[(g+i)%len(pts)]); err != nil || !found {
+							b.Errorf("PointQuery = %v, %v", found, err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			frames, flushes = s.streamFrames.Load()-frames, s.streamFlushes.Load()-flushes
+			b.ReportMetric(float64(frames)/float64(max(flushes, 1)), "frames/write")
+		})
+	}
 }

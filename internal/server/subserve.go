@@ -198,6 +198,7 @@ func (c *connSubs) push() {
 				}
 			}
 			c.sw.writePush(buf)
+			c.sw.flush()
 			now := time.Now()
 			for i := range buf {
 				c.s.subNotifyHist.observe(now.Sub(buf[i].Enqueued))
