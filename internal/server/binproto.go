@@ -395,9 +395,8 @@ func appendBatchAnswers(b []byte, answers []batchAnswer) []byte {
 	return b
 }
 
-// batchResultOf is one op's answer in the JSON wire shape; both the
-// server's reflective encoder and the client's Batch verb build theirs
-// here.
+// batchResultOf is one op's answer in the JSON wire shape, which the
+// client's Batch verb returns whatever the protocol.
 func batchResultOf(op string, flag bool, pts []geom.Point) BatchResult {
 	switch op {
 	case OpPoint:
@@ -408,15 +407,6 @@ func batchResultOf(op string, flag bool, pts []geom.Point) BatchResult {
 		return BatchResult{Deleted: flag}
 	}
 	return BatchResult{Count: len(pts), Points: toPoints(pts)}
-}
-
-// toBatchResults converts executed answers to the JSON wire shape.
-func toBatchResults(answers []batchAnswer) []BatchResult {
-	out := make([]BatchResult, len(answers))
-	for i, a := range answers {
-		out[i] = batchResultOf(a.op, a.flag, a.pts)
-	}
-	return out
 }
 
 // binBufPool recycles response buffers so batch responses are encoded

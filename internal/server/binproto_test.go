@@ -427,11 +427,11 @@ func BenchmarkBatchEncode(b *testing.B) {
 		}
 	})
 	b.Run("json-stream", func(b *testing.B) {
-		buf := appendBatchAnswersJSON(nil, answers)
+		buf := appendBatchAnswersJSON(nil, answers, nil)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf = appendBatchAnswersJSON(buf[:0], answers)
+			buf = appendBatchAnswersJSON(buf[:0], answers, nil)
 		}
 	})
 	b.Run("json-marshal", func(b *testing.B) {

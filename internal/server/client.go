@@ -281,71 +281,56 @@ func handleResponse(resp *http.Response, decode func(io.Reader) error) error {
 	return decode(resp.Body)
 }
 
+// bodyInto reads a data-plane answer whole into a pooled buffer and
+// hands the bytes to decode, which must keep no reference into them: the
+// buffer returns to the pool when decode does.
+func bodyInto(decode func(body []byte) error) func(io.Reader) error {
+	return func(r io.Reader) error {
+		bp := binBufPool.Get().(*[]byte)
+		buf := bytes.NewBuffer((*bp)[:0])
+		_, err := buf.ReadFrom(r)
+		body := buf.Bytes()
+		if err == nil {
+			err = decode(body)
+		} else {
+			err = fmt.Errorf("client: read response: %w", err)
+		}
+		if cap(body) <= binBufPoolMax {
+			*bp = body[:0] // keep the grown capacity for the next answer
+			binBufPool.Put(bp)
+		}
+		return err
+	}
+}
+
 // roundTripBinary is the rsmibin-over-HTTP roundTripFunc.
 func (c *Client) roundTripBinary(ctx context.Context, path string, ops []BatchOp, single, explain bool) (rs []binResult, tj *TraceJSON, err error) {
 	frame, err := encodeBinaryOps(ops, single, explain)
 	if err != nil {
 		return nil, nil, err
 	}
-	err = c.post(ctx, path, ContentTypeBinary, frame, func(r io.Reader) error {
-		body, err := io.ReadAll(r)
-		if err != nil {
-			return fmt.Errorf("client: read response: %w", err)
-		}
+	err = c.post(ctx, path, ContentTypeBinary, frame, bodyInto(func(body []byte) (err error) {
 		rs, tj, err = decodeBinaryResults(body, single)
 		return err
-	})
+	}))
 	return rs, tj, err
-}
-
-// jsonResult is one result inside any JSON answer: BatchResult with its
-// points decoded straight into engine points.
-type jsonResult struct {
-	Found   bool         `json:"found"`
-	Deleted bool         `json:"deleted"`
-	OK      bool         `json:"ok"`
-	Points  []geom.Point `json:"points"`
-}
-
-// bin maps the result onto the raw result kind its op answers with.
-func (r jsonResult) bin(op string) binResult {
-	if pointsResult(op) {
-		return binResult{tag: binResPoints, pts: r.Points}
-	}
-	return binResult{tag: binResBool, flag: r.Found || r.OK || r.Deleted}
 }
 
 // roundTripJSON is the JSON-over-HTTP roundTripFunc: the request is the
 // route's historical document, with ?explain=1 asking for the trace.
-func (c *Client) roundTripJSON(ctx context.Context, path string, ops []BatchOp, single, explain bool) ([]binResult, *TraceJSON, error) {
-	body, err := json.Marshal(routeFor(path).requestJSON(ops))
+func (c *Client) roundTripJSON(ctx context.Context, path string, ops []BatchOp, single, explain bool) (rs []binResult, tj *TraceJSON, err error) {
+	req, err := json.Marshal(routeFor(path).requestJSON(ops))
 	if err != nil {
 		return nil, nil, fmt.Errorf("client: marshal: %w", err)
 	}
 	if explain {
 		path += "?explain=1"
 	}
-	// The five response documents share no field name but trace, so one
-	// union decodes any of them.
-	var doc struct {
-		jsonResult
-		Results []jsonResult `json:"results"`
-		Trace   *TraceJSON   `json:"trace"`
-	}
-	if err := c.post(ctx, path, "application/json", body, jsonInto(&doc)); err != nil {
-		return nil, nil, err
-	}
-	if single {
-		return []binResult{doc.bin(ops[0].Op)}, doc.Trace, nil
-	}
-	if len(doc.Results) != len(ops) {
-		return nil, nil, fmt.Errorf("client: batch returned %d results for %d ops", len(doc.Results), len(ops))
-	}
-	rs := make([]binResult, len(ops))
-	for i, r := range doc.Results {
-		rs[i] = r.bin(ops[i].Op)
-	}
-	return rs, doc.Trace, nil
+	err = c.post(ctx, path, "application/json", req, bodyInto(func(body []byte) (err error) {
+		rs, tj, err = decodeJSONResults(body, single, ops)
+		return err
+	}))
+	return rs, tj, err
 }
 
 // errBinResultKind reports a response whose result kind does not match
@@ -374,9 +359,22 @@ func WithExplain(dst **TraceJSON) QueryOpt {
 	return func(o *queryOpts) { o.explain = dst }
 }
 
-// do runs ops through the round trip, checks every result is of its
-// op's kind, and delivers the trace to the call's WithExplain
-// destination.
+// checkResults holds a decoded answer to its request, whichever codec
+// read it: one result per op, each of its op's kind.
+func checkResults(rs []binResult, ops []BatchOp) error {
+	if len(rs) != len(ops) {
+		return fmt.Errorf("client: %d results for %d ops", len(rs), len(ops))
+	}
+	for i, r := range rs {
+		if (r.tag == binResPoints) != pointsResult(ops[i].Op) {
+			return errBinResultKind
+		}
+	}
+	return nil
+}
+
+// do runs ops through the round trip, checks the answer against them,
+// and delivers the trace to the call's WithExplain destination.
 func (d *dataPlane) do(ctx context.Context, path string, ops []BatchOp, single bool, opts []QueryOpt) ([]binResult, error) {
 	var o queryOpts
 	for _, fn := range opts {
@@ -386,13 +384,8 @@ func (d *dataPlane) do(ctx context.Context, path string, ops []BatchOp, single b
 	if err != nil {
 		return nil, err
 	}
-	if len(rs) != len(ops) {
-		return nil, fmt.Errorf("client: %d results for %d ops", len(rs), len(ops))
-	}
-	for i, r := range rs {
-		if (r.tag == binResPoints) != pointsResult(ops[i].Op) {
-			return nil, errBinResultKind
-		}
+	if err := checkResults(rs, ops); err != nil {
+		return nil, err
 	}
 	if o.explain != nil {
 		*o.explain = tj

@@ -264,16 +264,37 @@ func TestBatchJSONStreamEquivalence(t *testing.T) {
 		}}},
 	}
 	for i, answers := range cases {
-		want, err := json.Marshal(BatchResponse{Results: toBatchResults(answers)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, '\n') // Encoder-style trailing newline
-		got := appendBatchAnswersJSON(nil, answers)
-		if string(got) != string(want) {
-			t.Fatalf("case %d:\n got %s\nwant %s", i, got, want)
+		for _, tj := range []*TraceJSON{nil, testTrace} {
+			want, err := json.Marshal(BatchResponse{Results: toBatchResults(answers), Trace: tj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n') // Encoder-style trailing newline
+			got := appendBatchAnswersJSON(nil, answers, tj)
+			if string(got) != string(want) {
+				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
+			}
 		}
 	}
+}
+
+// testTrace is an EXPLAIN trace with every field set, HTML-escaped
+// characters included: the streamed encoders must render it exactly as
+// encoding/json renders the Trace field of the response types.
+var testTrace = &TraceJSON{
+	ID: 7, Backend: "RSMI<a&b>", ShardsVisited: 2, BlockAccesses: 19,
+	Stages: []TraceStageJSON{{Stage: "decode", Us: 1.5}, {Stage: "execute", Us: 1e-7}},
+	Plan:   &PlanJSON{Backend: "grid", EstCostUS: 3, ActualCostUS: 4.25, EstRows: 12},
+}
+
+// toBatchResults converts executed answers to the JSON wire shape: the
+// reflective encoding the streamed one is pinned against.
+func toBatchResults(answers []batchAnswer) []BatchResult {
+	out := make([]BatchResult, len(answers))
+	for i, a := range answers {
+		out[i] = batchResultOf(a.op, a.flag, a.pts)
+	}
+	return out
 }
 
 // TestBatchJSONEncodeAllocs mirrors TestBatchBinaryEncodeAllocs for the
@@ -290,12 +311,28 @@ func TestBatchJSONEncodeAllocs(t *testing.T) {
 		answers[i] = batchAnswer{op: OpWindow, pts: pts}
 	}
 	// Warm the buffer to steady-state capacity, as the response pool does.
-	buf := appendBatchAnswersJSON(nil, answers)
+	buf := appendBatchAnswersJSON(nil, answers, nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendBatchAnswersJSON(buf[:0], answers)
+		buf = appendBatchAnswersJSON(buf[:0], answers, nil)
 	})
 	if allocs > 0 {
 		t.Fatalf("JSON batch encode allocates %.1f times per 32×100-point batch, want 0", allocs)
+	}
+	// An EXPLAIN answer leaves through the same encoder: the bytes are
+	// encoding/json's, and the trace costs what marshalling a trace
+	// costs, not one []PointJSON per result.
+	want, err := json.Marshal(BatchResponse{Results: toBatchResults(answers), Trace: testTrace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := appendBatchAnswersJSON(buf[:0], answers, testTrace); string(got) != string(want)+"\n" {
+		t.Fatal("traced JSON batch encode differs from json.Marshal(BatchResponse{…, Trace: tj})")
+	}
+	traced := testing.AllocsPerRun(100, func() {
+		buf = appendBatchAnswersJSON(buf[:0], answers, testTrace)
+	})
+	if traced > 8 {
+		t.Fatalf("traced JSON batch encode allocates %.1f times per 32×100-point batch, want a trace's worth (≤ 8)", traced)
 	}
 }
 
@@ -316,14 +353,16 @@ func TestPointsJSONStreamEquivalence(t *testing.T) {
 		},
 	}
 	for i, pts := range cases {
-		want, err := json.Marshal(PointsResponse{Count: len(pts), Points: toPoints(pts)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, '\n') // Encoder-style trailing newline
-		got := appendPointsJSON(nil, pts)
-		if string(got) != string(want) {
-			t.Fatalf("case %d:\n got %s\nwant %s", i, got, want)
+		for _, tj := range []*TraceJSON{nil, testTrace} {
+			want, err := json.Marshal(PointsResponse{Count: len(pts), Points: toPoints(pts), Trace: tj})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n') // Encoder-style trailing newline
+			got := appendPointsJSON(nil, pts, tj)
+			if string(got) != string(want) {
+				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
+			}
 		}
 	}
 }
@@ -338,9 +377,9 @@ func TestPointsJSONEncodeAllocs(t *testing.T) {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
 	// Warm the buffer to steady-state capacity, as the response pool does.
-	buf := appendPointsJSON(nil, pts)
+	buf := appendPointsJSON(nil, pts, nil)
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendPointsJSON(buf[:0], pts)
+		buf = appendPointsJSON(buf[:0], pts, nil)
 	})
 	if allocs > 0 {
 		t.Fatalf("per-op JSON encode allocates %.1f times per 500-point response, want 0", allocs)

@@ -14,6 +14,7 @@ package server
 // decode the same documents they always did.
 
 import (
+	"encoding/json"
 	"math"
 	"strconv"
 
@@ -44,13 +45,32 @@ func appendJSONFloat(b []byte, v float64) []byte {
 	return b
 }
 
+// appendTraceJSON appends the EXPLAIN trace as the document's last
+// member, as encoding/json renders the Trace field every response type
+// ends with: nothing when tj is nil (omitempty). Only this part of an
+// answer is marshalled reflectively — a trace is a dozen small fields,
+// and EXPLAIN must not change which encoder the points leave through.
+func appendTraceJSON(b []byte, tj *TraceJSON) []byte {
+	if tj == nil {
+		return b
+	}
+	raw, err := json.Marshal(tj)
+	if err != nil {
+		// Only a non-finite stage time can fail; the answer is worth
+		// more than its trace.
+		return b
+	}
+	b = append(b, `,"trace":`...)
+	return append(b, raw...)
+}
+
 // appendBatchAnswersJSON encodes a whole BatchResponse document straight
 // from the executed answers — the JSON twin of appendBatchAnswers.
 // Result objects mirror BatchResult's omitempty encoding: false bools and
-// empty point lists encode as {}.
+// empty point lists encode as {}. It allocates nothing unless tj is set.
 //
 //rsmi:noalloc
-func appendBatchAnswersJSON(b []byte, answers []batchAnswer) []byte {
+func appendBatchAnswersJSON(b []byte, answers []batchAnswer, tj *TraceJSON) []byte {
 	b = append(b, `{"results":[`...)
 	for i, a := range answers {
 		if i > 0 {
@@ -96,8 +116,8 @@ func appendBatchAnswersJSON(b []byte, answers []batchAnswer) []byte {
 			b = append(b, ']', '}')
 		}
 	}
-	b = append(b, ']', '}', '\n')
-	return b
+	b = appendTraceJSON(append(b, ']'), tj)
+	return append(b, '}', '\n')
 }
 
 // appendPointsJSON encodes a PointsResponse document straight from the
@@ -105,10 +125,11 @@ func appendBatchAnswersJSON(b []byte, answers []batchAnswer) []byte {
 // appendBatchAnswersJSON. Unlike a batch result object, PointsResponse
 // has no omitempty fields, so an empty answer still encodes
 // {"count":0,"points":[]} exactly as encoding/json renders the
-// non-nil slice toPoints always produced.
+// non-nil slice toPoints always produced. It allocates nothing unless tj
+// is set.
 //
 //rsmi:noalloc
-func appendPointsJSON(b []byte, pts []geom.Point) []byte {
+func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
 	b = append(b, `{"count":`...)
 	b = strconv.AppendInt(b, int64(len(pts)), 10)
 	b = append(b, `,"points":[`...)
@@ -122,6 +143,6 @@ func appendPointsJSON(b []byte, pts []geom.Point) []byte {
 		b = appendJSONFloat(b, p.Y)
 		b = append(b, '}')
 	}
-	b = append(b, ']', '}', '\n')
-	return b
+	b = appendTraceJSON(append(b, ']'), tj)
+	return append(b, '}', '\n')
 }

@@ -132,22 +132,17 @@ func (rt *route) decodeJSON(body io.Reader, one *[1]BatchOp) ([]BatchOp, error) 
 	return one[:], err
 }
 
-// responseJSON builds the route's response document through
-// encoding/json's reflective path: the small bool documents, and every
-// EXPLAIN answer (a diagnostic query is off the hot path by definition).
-func (rt *route) responseJSON(answers []batchAnswer, tj *TraceJSON) interface{} {
-	if rt.resp == respBatch {
-		return BatchResponse{Results: toBatchResults(answers), Trace: tj}
-	}
-	switch a := answers[0]; rt.resp {
-	case respFound:
-		return FoundResponse{Found: a.flag, Trace: tj}
+// responseJSON builds a bool route's response document, the three small
+// ones that go through encoding/json's reflective path; the documents
+// that carry points are streamed (jsonstream.go), trace or no trace.
+func (rt *route) responseJSON(a batchAnswer, tj *TraceJSON) interface{} {
+	switch rt.resp {
 	case respOK:
 		return OKResponse{OK: a.flag, Trace: tj}
 	case respDeleted:
 		return DeletedResponse{Deleted: a.flag, Trace: tj}
 	}
-	return PointsResponse{Count: len(answers[0].pts), Points: toPoints(answers[0].pts), Trace: tj}
+	return FoundResponse{Found: a.flag, Trace: tj}
 }
 
 // exchange is one request's transport adapter: the pipeline pulls the
@@ -571,12 +566,12 @@ func (x *httpExchange) fail(code int, msg string) {
 
 // reply encodes the engine's points straight into a pooled buffer on
 // both encodings — no []PointJSON intermediates, O(1) allocations per
-// answer whatever its size (jsonstream.go, binproto.go).
+// answer whatever its size (jsonstream.go, binproto.go) — and the
+// EXPLAIN bit does not change which encoder that is.
 func (x *httpExchange) reply(answers []batchAnswer, tj *TraceJSON) {
 	binary := wantsBinaryResponse(x.r)
-	streamedJSON := tj == nil && (x.rt.resp == respPoints || x.rt.resp == respBatch)
-	if !binary && !streamedJSON {
-		writeJSON(x.w, x.rt.responseJSON(answers, tj))
+	if !binary && x.rt.resp != respPoints && x.rt.resp != respBatch {
+		writeJSON(x.w, x.rt.responseJSON(answers[0], tj))
 		return
 	}
 	bp := binBufPool.Get().(*[]byte)
@@ -590,9 +585,9 @@ func (x *httpExchange) reply(answers []batchAnswer, tj *TraceJSON) {
 	case binary:
 		b = appendBinTrace(appendBatchAnswers(b, answers), tj)
 	case single:
-		b = appendPointsJSON(b, answers[0].pts)
+		b = appendPointsJSON(b, answers[0].pts, tj)
 	default:
-		b = appendBatchAnswersJSON(b, answers)
+		b = appendBatchAnswersJSON(b, answers, tj)
 	}
 	x.w.Header().Set("Content-Type", contentType)
 	_, _ = x.w.Write(b)
