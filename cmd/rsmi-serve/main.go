@@ -320,8 +320,8 @@ func loadPoints(datasetPath, dist string, n int, seed int64) ([]rsmi.Point, erro
 }
 
 // buildEngine resolves -engine: the sharded RSMI (with snapshot support),
-// the RWMutex-wrapped single RSMI, or a baseline adapter — every one a
-// server.Engine, so the serving stack is identical whatever the backend.
+// the RWMutex-wrapped single RSMI, or a baseline behind the same
+// wrapper — every one a server.Engine, so the serving stack is identical whatever the backend.
 func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, shards int, partition string, epochs int, lr float64) (server.Engine, error) {
 	if snapshot != "" && engine != "sharded" {
 		return nil, fmt.Errorf("-snapshot is only supported with -engine sharded (got %q)", engine)

@@ -2,287 +2,241 @@ package rsmi
 
 import (
 	"context"
+	"fmt"
 	"sync"
+
+	"rsmi/internal/geom"
+	"rsmi/internal/gridfile"
+	"rsmi/internal/index"
+	"rsmi/internal/kdb"
+	"rsmi/internal/rstar"
 )
 
-// Concurrent wraps an Index for concurrent use: queries take a shared
-// (read) lock and may run in parallel; updates take an exclusive lock.
+// Concurrent makes a single-goroutine engine safe for concurrent use:
+// queries take a shared (read) lock and may run in parallel; updates take
+// an exclusive lock. It wraps one Index (NewConcurrent, WrapConcurrent) or
+// one of the paper's baseline indexes (NewRStarEngine, NewGridFileEngine,
+// NewKDBEngine), so every backend of the paper's evaluation runs behind the
+// identical serving stack — the "identical harness" requirement of the
+// learned-spatial-index evaluation literature.
 //
 // The underlying RSMI's query paths are read-only apart from atomic
 // block-access counters and the per-prediction scratch buffers, which are
 // allocation-local, so shared-lock parallel queries are safe. The paper
 // benchmarks single-threaded (§6.1); this wrapper is a library convenience,
 // not part of the reproduction.
+//
+// One lock acquisition covers one query, which then runs in microseconds
+// on the calling goroutine, so cancellation is observed at entry, not
+// mid-query. A batch holds the read lock once for all its elements and
+// observes ctx between them.
 type Concurrent struct {
-	mu  sync.RWMutex
-	idx *Index
+	mu   sync.RWMutex
+	e    unlocked
+	name string
+}
+
+// unlocked is the single-goroutine engine a Concurrent guards: an *Index,
+// or a baseline.
+type unlocked interface {
+	PointQueryContext(ctx context.Context, q Point) (bool, error)
+	WindowQueryAppend(ctx context.Context, dst []Point, q Rect) ([]Point, error)
+	ExactWindowContext(ctx context.Context, q Rect) ([]Point, error)
+	KNNContext(ctx context.Context, q Point, k int) ([]Point, error)
+	ExactKNNContext(ctx context.Context, q Point, k int) ([]Point, error)
+	InsertContext(ctx context.Context, p Point) error
+	DeleteContext(ctx context.Context, p Point) (bool, error)
+	RebuildContext(ctx context.Context) error
+	Len() int
+	Stats() Stats
+	Accesses() int64
+	ResetAccesses()
 }
 
 // NewConcurrent builds an RSMI and wraps it for concurrent use.
 func NewConcurrent(pts []Point, opts Options) *Concurrent {
-	return &Concurrent{idx: New(pts, opts)}
+	return WrapConcurrent(New(pts, opts))
 }
 
 // WrapConcurrent wraps an existing index. The caller must not use idx
 // directly afterwards.
 func WrapConcurrent(idx *Index) *Concurrent {
-	return &Concurrent{idx: idx}
+	return &Concurrent{e: idx, name: "Concurrent"}
 }
 
-// PointQuery reports whether a point with q's exact coordinates is indexed.
-//
-// Deprecated: use PointQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) PointQuery(q Point) bool {
+// NewRStarEngine builds an R*-tree-backed Engine over the points. A
+// fanout of 0 selects the paper's default (100 entries per node).
+func NewRStarEngine(pts []Point, fanout int) Engine {
+	return wrapBaseline(rstar.New(geom.FinitePoints(pts), fanout))
+}
+
+// NewGridFileEngine builds a Grid-File-backed Engine over the points. A
+// blockCapacity of 0 selects the paper's default (100 points per block).
+func NewGridFileEngine(pts []Point, blockCapacity int) Engine {
+	return wrapBaseline(gridfile.New(geom.FinitePoints(pts), blockCapacity))
+}
+
+// NewKDBEngine builds a K-D-B-tree-backed Engine over the points. A
+// fanout of 0 selects the paper's default (100 entries per page).
+func NewKDBEngine(pts []Point, fanout int) Engine {
+	return wrapBaseline(kdb.New(geom.FinitePoints(pts), fanout))
+}
+
+// NewBaselineEngine builds a baseline-backed Engine by name — "rstar",
+// "grid" (or "gridfile"), "kdb" — with paper-default parameters. It backs
+// the cmds' -engine flags.
+func NewBaselineEngine(name string, pts []Point) (Engine, error) {
+	switch name {
+	case "rstar":
+		return NewRStarEngine(pts, 0), nil
+	case "grid", "gridfile":
+		return NewGridFileEngine(pts, 0), nil
+	case "kdb":
+		return NewKDBEngine(pts, 0), nil
+	}
+	return nil, fmt.Errorf("unknown baseline engine %q (want rstar|grid|kdb)", name)
+}
+
+// wrapBaseline puts a baseline built over finite points behind the lock,
+// named after it ("RR*", "Grid", "KDB").
+func wrapBaseline(ix index.Index) *Concurrent {
+	return &Concurrent{e: baseline{ix}, name: ix.Name()}
+}
+
+// Name identifies the backend in stats and bench reports: "Concurrent"
+// for a wrapped Index, the baseline's own name otherwise.
+func (c *Concurrent) Name() string { return c.name }
+
+// PointQueryContext reports whether a point with q's exact coordinates is
+// indexed.
+func (c *Concurrent) PointQueryContext(ctx context.Context, q Point) (bool, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.PointQuery(q)
+	return c.e.PointQueryContext(ctx, q)
 }
 
-// WindowQuery returns the indexed points inside the window (approximate, no
-// false positives).
-//
-// Deprecated: use WindowQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) WindowQuery(q Rect) []Point {
+// WindowQueryContext returns the indexed points inside the window
+// (approximate with no false positives on an Index, exact on a baseline).
+func (c *Concurrent) WindowQueryContext(ctx context.Context, q Rect) ([]Point, error) {
+	return c.WindowQueryAppend(ctx, nil, q)
+}
+
+// WindowQueryAppend appends the window answer to dst under the read lock,
+// for callers that reuse result buffers across queries.
+func (c *Concurrent) WindowQueryAppend(ctx context.Context, dst []Point, q Rect) ([]Point, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.WindowQuery(q)
+	return c.e.WindowQueryAppend(ctx, dst, q)
 }
 
-// ExactWindow returns the exact window answer (RSMIa traversal).
-//
-// Deprecated: use ExactWindowContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) ExactWindow(q Rect) []Point {
+// ExactWindowContext returns the exact window answer (RSMIa traversal on an
+// Index).
+func (c *Concurrent) ExactWindowContext(ctx context.Context, q Rect) ([]Point, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.ExactWindow(q)
+	return c.e.ExactWindowContext(ctx, q)
 }
 
-// KNN returns up to k approximate nearest neighbours, closest first.
-//
-// Deprecated: use KNNContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) KNN(q Point, k int) []Point {
+// KNNContext returns up to k nearest neighbours, closest first
+// (approximate on an Index, exact on a baseline).
+func (c *Concurrent) KNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.KNN(q, k)
+	return c.e.KNNContext(ctx, q, k)
 }
 
-// ExactKNN returns the exact k nearest neighbours (best-first traversal).
-//
-// Deprecated: use ExactKNNContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) ExactKNN(q Point, k int) []Point {
+// ExactKNNContext returns the exact k nearest neighbours (best-first
+// traversal on an Index).
+func (c *Concurrent) ExactKNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.ExactKNN(q, k)
+	return c.e.ExactKNNContext(ctx, q, k)
 }
 
-// BatchPointQuery answers one point query per element of qs under a single
-// read-lock acquisition, amortising the lock overhead across the batch.
-// Answers are identical to calling PointQuery per element.
-//
-// Deprecated: use BatchPointQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) BatchPointQuery(qs []Point) []bool {
+// BatchPointQueryContext answers one point query per element of qs under a
+// single read-lock acquisition, observing ctx between elements.
+func (c *Concurrent) BatchPointQueryContext(ctx context.Context, qs []Point) ([]bool, error) {
 	out := make([]bool, len(qs))
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for i, q := range qs {
-		out[i] = c.idx.PointQuery(q)
+		found, err := c.e.PointQueryContext(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = found
 	}
-	return out
+	return out, nil
 }
 
-// BatchWindowQuery answers one window query per element of qs under a
-// single read-lock acquisition. Answers are identical to calling
-// WindowQuery per element.
-//
-// Deprecated: use BatchWindowQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) BatchWindowQuery(qs []Rect) [][]Point {
+// BatchWindowQueryContext answers one window query per element of qs under
+// a single read-lock acquisition, observing ctx between elements.
+func (c *Concurrent) BatchWindowQueryContext(ctx context.Context, qs []Rect) ([][]Point, error) {
 	out := make([][]Point, len(qs))
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for i, q := range qs {
-		out[i] = c.idx.WindowQuery(q)
+		got, err := c.e.WindowQueryAppend(ctx, nil, q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = got
 	}
-	return out
+	return out, nil
 }
 
-// BatchKNN answers one kNN query per element of qs under a single
-// read-lock acquisition. Answers are identical to calling KNN per element.
-//
-// Deprecated: use BatchKNNContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) BatchKNN(qs []KNNQuery) [][]Point {
+// BatchKNNContext answers one kNN query per element of qs under a single
+// read-lock acquisition, observing ctx between elements.
+func (c *Concurrent) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Point, error) {
 	out := make([][]Point, len(qs))
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for i, q := range qs {
-		out[i] = c.idx.KNN(q.Q, q.K)
+		got, err := c.e.KNNContext(ctx, q.Q, q.K)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = got
 	}
-	return out
+	return out, nil
 }
 
-// Insert adds a point.
-//
-// Deprecated: use InsertContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) Insert(p Point) {
+// InsertContext adds a point; an admitted insert always completes. A
+// point that cannot be indexed is refused with ErrNonFinitePoint.
+func (c *Concurrent) InsertContext(ctx context.Context, p Point) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.idx.Insert(p)
+	return c.e.InsertContext(ctx, p)
 }
 
-// Delete removes the point with p's exact coordinates.
-//
-// Deprecated: use DeleteContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) Delete(p Point) bool {
+// DeleteContext removes the point with p's exact coordinates.
+func (c *Concurrent) DeleteContext(ctx context.Context, p Point) (bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.idx.Delete(p)
+	return c.e.DeleteContext(ctx, p)
 }
 
-// Rebuild reconstructs the index from its live points (§5's periodic
-// rebuild), blocking all other operations for the duration.
-//
-// Deprecated: use RebuildContext instead; the context-free form wraps
-// it with context.Background().
-func (c *Concurrent) Rebuild() {
+// RebuildContext reconstructs an Index from its live points (§5's
+// periodic rebuild), blocking all other operations for the duration; a
+// started rebuild runs to completion. On a baseline it is a no-op.
+func (c *Concurrent) RebuildContext(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.idx.Rebuild()
+	return c.e.RebuildContext(ctx)
 }
 
 // Len returns the number of live points.
 func (c *Concurrent) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.Len()
+	return c.e.Len()
 }
 
 // Stats returns structural statistics.
 func (c *Concurrent) Stats() Stats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.Stats()
-}
-
-// Name identifies the backend in stats and bench reports.
-func (c *Concurrent) Name() string { return "Concurrent" }
-
-// The context-aware Engine surface. One lock acquisition covers one
-// query, which then runs in microseconds on the calling goroutine, so —
-// like Index — cancellation is observed at entry (and between elements of
-// the batch variants), not mid-query.
-
-// PointQueryContext is PointQuery honouring ctx at entry.
-func (c *Concurrent) PointQueryContext(ctx context.Context, q Point) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return c.PointQuery(q), nil
-}
-
-// WindowQueryContext is WindowQuery honouring ctx at entry.
-func (c *Concurrent) WindowQueryContext(ctx context.Context, q Rect) ([]Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.WindowQuery(q), nil
-}
-
-// WindowQueryAppend appends the window answer to dst under the read lock,
-// for callers that reuse result buffers across queries.
-func (c *Concurrent) WindowQueryAppend(ctx context.Context, dst []Point, q Rect) ([]Point, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.idx.WindowQueryAppend(ctx, dst, q)
-}
-
-// ExactWindowContext is ExactWindow honouring ctx at entry.
-func (c *Concurrent) ExactWindowContext(ctx context.Context, q Rect) ([]Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.ExactWindow(q), nil
-}
-
-// KNNContext is KNN honouring ctx at entry.
-func (c *Concurrent) KNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.KNN(q, k), nil
-}
-
-// ExactKNNContext is ExactKNN honouring ctx at entry.
-func (c *Concurrent) ExactKNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return c.ExactKNN(q, k), nil
-}
-
-// BatchPointQueryContext is BatchPointQuery observing ctx between
-// elements, under a single read-lock acquisition.
-func (c *Concurrent) BatchPointQueryContext(ctx context.Context, qs []Point) ([]bool, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.idx.BatchPointQueryContext(ctx, qs)
-}
-
-// BatchWindowQueryContext is BatchWindowQuery observing ctx between
-// elements, under a single read-lock acquisition.
-func (c *Concurrent) BatchWindowQueryContext(ctx context.Context, qs []Rect) ([][]Point, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.idx.BatchWindowQueryContext(ctx, qs)
-}
-
-// BatchKNNContext is BatchKNN observing ctx between elements, under a
-// single read-lock acquisition.
-func (c *Concurrent) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Point, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.idx.BatchKNNContext(ctx, qs)
-}
-
-// InsertContext is Insert honouring ctx at entry; an admitted insert
-// always completes. A point that cannot be indexed is refused with
-// ErrNonFinitePoint.
-func (c *Concurrent) InsertContext(ctx context.Context, p Point) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.idx.InsertContext(ctx, p)
-}
-
-// DeleteContext is Delete honouring ctx at entry.
-func (c *Concurrent) DeleteContext(ctx context.Context, p Point) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return c.Delete(p), nil
-}
-
-// RebuildContext is Rebuild honouring ctx at entry; a started rebuild
-// runs to completion behind the write lock.
-func (c *Concurrent) RebuildContext(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.Rebuild()
-	return nil
+	return c.e.Stats()
 }
 
 // Accesses returns block accesses since the last reset (the paper's
@@ -290,12 +244,71 @@ func (c *Concurrent) RebuildContext(ctx context.Context) error {
 func (c *Concurrent) Accesses() int64 {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.idx.Accesses()
+	return c.e.Accesses()
 }
 
 // ResetAccesses zeroes the block-access counter.
 func (c *Concurrent) ResetAccesses() {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.idx.ResetAccesses()
+	c.e.ResetAccesses()
 }
+
+// baseline maps one of the paper's single-goroutine comparison indexes
+// onto the calls Concurrent makes, checking ctx at entry; Concurrent's lock
+// is its only guard. Baselines answer exactly, so the Exact variants are
+// the plain ones, and RebuildContext is a no-op: there is no model to
+// retrain, and the trees rebalance on insert. Like the learned engines it
+// refuses to index a point with a NaN or infinite coordinate — folded into
+// a node's MBR such a point hides everything under it — and finds nothing
+// nearest to one.
+type baseline struct{ index.Index }
+
+func (b baseline) PointQueryContext(ctx context.Context, q Point) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	return b.PointQuery(q), nil
+}
+
+func (b baseline) WindowQueryAppend(ctx context.Context, dst []Point, q Rect) ([]Point, error) {
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
+	return append(dst, b.WindowQuery(q)...), nil
+}
+
+func (b baseline) ExactWindowContext(ctx context.Context, q Rect) ([]Point, error) {
+	return b.WindowQueryAppend(ctx, nil, q)
+}
+
+func (b baseline) KNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
+	if err := ctx.Err(); err != nil || !q.IsFinite() {
+		return nil, err
+	}
+	return b.KNN(q, k), nil
+}
+
+func (b baseline) ExactKNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
+	return b.KNNContext(ctx, q, k)
+}
+
+func (b baseline) InsertContext(ctx context.Context, p Point) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	if !p.IsFinite() {
+		return ErrNonFinitePoint
+	}
+	b.Insert(p)
+	return nil
+}
+
+func (b baseline) DeleteContext(ctx context.Context, p Point) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	return b.Delete(p), nil
+}
+
+func (b baseline) RebuildContext(ctx context.Context) error { return ctx.Err() }

@@ -1,6 +1,7 @@
 package rsmi_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -23,6 +24,7 @@ func buildConcurrent(t testing.TB) (*rsmi.Concurrent, []rsmi.Point) {
 }
 
 func TestConcurrentParallelQueries(t *testing.T) {
+	ctx := context.Background()
 	c, pts := buildConcurrent(t)
 	qs := workload.KNNPoints(pts, 200, 22)
 	ws := workload.Windows(pts, 200, 0.01, 1, 23)
@@ -34,18 +36,18 @@ func TestConcurrentParallelQueries(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if !c.PointQuery(pts[(g*997+i)%len(pts)]) {
+				if !must(c.PointQueryContext(ctx, pts[(g*997+i)%len(pts)])) {
 					errs <- "point query false negative under concurrency"
 					return
 				}
 				w := ws[(g+i)%len(ws)]
-				for _, p := range c.WindowQuery(w) {
+				for _, p := range must(c.WindowQueryContext(ctx, w)) {
 					if !w.Contains(p) {
 						errs <- "window false positive under concurrency"
 						return
 					}
 				}
-				if got := c.KNN(qs[(g+i)%len(qs)], 5); len(got) != 5 {
+				if got := must(c.KNNContext(ctx, qs[(g+i)%len(qs)], 5)); len(got) != 5 {
 					errs <- "kNN wrong cardinality under concurrency"
 					return
 				}
@@ -60,6 +62,7 @@ func TestConcurrentParallelQueries(t *testing.T) {
 }
 
 func TestConcurrentMixedReadWrite(t *testing.T) {
+	ctx := context.Background()
 	c, pts := buildConcurrent(t)
 	ins := workload.InsertPoints(pts, 2000, 24)
 	var wg sync.WaitGroup
@@ -68,9 +71,9 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i, p := range ins {
-			c.Insert(p)
+			mustInsert(t, c, p)
 			if i%3 == 0 {
-				c.Delete(pts[i])
+				must(c.DeleteContext(ctx, pts[i]))
 			}
 		}
 	}()
@@ -80,10 +83,10 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				c.PointQuery(pts[(g*31+i)%len(pts)])
+				must(c.PointQueryContext(ctx, pts[(g*31+i)%len(pts)]))
 				c.Len()
 				if i%50 == 0 {
-					c.ExactWindow(rsmi.RectAround(rsmi.Pt(0.5, 0.2), 0.1, 0.1))
+					must(c.ExactWindowContext(ctx, rsmi.RectAround(rsmi.Pt(0.5, 0.2), 0.1, 0.1)))
 				}
 			}
 		}(g)
@@ -91,23 +94,26 @@ func TestConcurrentMixedReadWrite(t *testing.T) {
 	wg.Wait()
 	// Every inserted point must now be present.
 	for _, p := range ins {
-		if !c.PointQuery(p) {
+		if !must(c.PointQueryContext(ctx, p)) {
 			t.Fatalf("inserted point %v lost under concurrent load", p)
 		}
 	}
 }
 
 func TestConcurrentRebuild(t *testing.T) {
+	ctx := context.Background()
 	c, pts := buildConcurrent(t)
 	for _, p := range workload.InsertPoints(pts, 500, 25) {
-		c.Insert(p)
+		mustInsert(t, c, p)
 	}
 	before := c.Len()
-	c.Rebuild()
+	if err := c.RebuildContext(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if c.Len() != before {
 		t.Fatalf("rebuild changed Len: %d -> %d", before, c.Len())
 	}
-	if !c.PointQuery(pts[0]) {
+	if !must(c.PointQueryContext(ctx, pts[0])) {
 		t.Fatal("point lost after rebuild")
 	}
 	if s := c.Stats(); s.Name != "RSMI" {
@@ -116,13 +122,14 @@ func TestConcurrentRebuild(t *testing.T) {
 }
 
 func TestWrapConcurrent(t *testing.T) {
+	ctx := context.Background()
 	pts := dataset.Generate(dataset.Uniform, 500, 26)
 	idx := rsmi.New(pts, rsmi.Options{BlockCapacity: 50, PartitionThreshold: 1000, Epochs: 10, LearningRate: 0.1, Seed: 1})
 	c := rsmi.WrapConcurrent(idx)
-	if c.Len() != 500 || !c.PointQuery(pts[0]) {
+	if c.Len() != 500 || !must(c.PointQueryContext(ctx, pts[0])) || c.Name() != "Concurrent" {
 		t.Fatal("wrapped index misbehaves")
 	}
-	got := c.ExactKNN(rsmi.Pt(0.5, 0.5), 3)
+	got := must(c.ExactKNNContext(ctx, rsmi.Pt(0.5, 0.5), 3))
 	if len(got) != 3 {
 		t.Fatalf("ExactKNN returned %d", len(got))
 	}

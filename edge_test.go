@@ -1,11 +1,12 @@
 package rsmi_test
 
-// Edge-case coverage for the query surface shared by Index, Concurrent,
-// and Sharded (both partitionings): k = 0 and k < 0, k > N, empty
-// indexes, and zero-area windows — each verified against the brute-force
-// oracle. These are exactly the degenerate requests a network serving
-// layer (internal/server) forwards verbatim from untrusted clients, so
-// they must be total and correct on every engine.
+// Edge-case coverage for the Engine surface of every backend — Index,
+// Concurrent, Sharded (both partitionings) and the three baseline engines:
+// k = 0 and k < 0, k > N, empty indexes, zero-area windows and non-finite
+// coordinates — each verified against the brute-force oracle. These are
+// exactly the degenerate requests a network serving layer (internal/server)
+// forwards verbatim from untrusted clients, so they must be total and
+// correct on every engine.
 
 import (
 	"context"
@@ -19,22 +20,25 @@ import (
 	"rsmi/internal/index"
 )
 
-// engine is the query surface shared by all three index types.
-type engine interface {
-	PointQuery(q rsmi.Point) bool
-	WindowQuery(q rsmi.Rect) []rsmi.Point
-	ExactWindow(q rsmi.Rect) []rsmi.Point
-	KNN(q rsmi.Point, k int) []rsmi.Point
-	ExactKNN(q rsmi.Point, k int) []rsmi.Point
-	ExactKNNContext(ctx context.Context, q rsmi.Point, k int) ([]rsmi.Point, error)
-	Insert(p rsmi.Point)
-	InsertContext(ctx context.Context, p rsmi.Point) error
-	Delete(p rsmi.Point) bool
-	Len() int
+// must returns v, panicking on err: for a call made with
+// context.Background(), which fails only on a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
-// engines builds each index type over the same points.
-func engines(pts []rsmi.Point) map[string]engine {
+// mustInsert inserts p, failing t if the engine refuses it.
+func mustInsert(t testing.TB, e rsmi.Engine, p rsmi.Point) {
+	t.Helper()
+	if err := e.InsertContext(context.Background(), p); err != nil {
+		t.Errorf("InsertContext(%v): %v", p, err)
+	}
+}
+
+// engines builds every Engine over the same points.
+func engines(pts []rsmi.Point) map[string]rsmi.Engine {
 	opts := rsmi.Options{
 		BlockCapacity:      50,
 		PartitionThreshold: 500,
@@ -45,11 +49,14 @@ func engines(pts []rsmi.Point) map[string]engine {
 	sharded := func(p rsmi.Partitioning) *rsmi.Sharded {
 		return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 4, Partitioning: p, Index: opts})
 	}
-	return map[string]engine{
+	return map[string]rsmi.Engine{
 		"Index":        rsmi.New(pts, opts),
 		"Concurrent":   rsmi.NewConcurrent(pts, opts),
 		"ShardedSpace": sharded(rsmi.SpacePartitioned),
 		"ShardedHash":  sharded(rsmi.HashPartitioned),
+		"rstar":        rsmi.NewRStarEngine(pts, 0),
+		"grid":         rsmi.NewGridFileEngine(pts, 0),
+		"kdb":          rsmi.NewKDBEngine(pts, 0),
 	}
 }
 
@@ -57,23 +64,24 @@ func TestKNNEdgeCases(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1500, 81)
 	lin := index.NewLinear(pts)
 	q := rsmi.Pt(0.4, 0.3)
+	ctx := context.Background()
 	for name, e := range engines(pts) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			// k <= 0 yields empty, never panics.
 			for _, k := range []int{0, -1, -1000} {
-				if got := e.KNN(q, k); len(got) != 0 {
+				if got := must(e.KNNContext(ctx, q, k)); len(got) != 0 {
 					t.Fatalf("KNN(k=%d) returned %d points", k, len(got))
 				}
-				if got := e.ExactKNN(q, k); len(got) != 0 {
+				if got := must(e.ExactKNNContext(ctx, q, k)); len(got) != 0 {
 					t.Fatalf("ExactKNN(k=%d) returned %d points", k, len(got))
 				}
 			}
 			// k > N: ExactKNN returns every point, distance-matched to the
 			// oracle; approximate KNN returns at most N real points, sorted.
 			truth := lin.KNN(q, len(pts)+100)
-			exact := e.ExactKNN(q, len(pts)+100)
+			exact := must(e.ExactKNNContext(ctx, q, len(pts)+100))
 			if len(exact) != len(pts) {
 				t.Fatalf("ExactKNN(k>N) returned %d points, want %d", len(exact), len(pts))
 			}
@@ -83,7 +91,7 @@ func TestKNNEdgeCases(t *testing.T) {
 						i, q.Dist2(exact[i]), q.Dist2(truth[i]))
 				}
 			}
-			approx := e.KNN(q, len(pts)+100)
+			approx := must(e.KNNContext(ctx, q, len(pts)+100))
 			if len(approx) > len(pts) {
 				t.Fatalf("KNN(k>N) returned %d points for %d indexed", len(approx), len(pts))
 			}
@@ -96,7 +104,7 @@ func TestKNNEdgeCases(t *testing.T) {
 				}
 			}
 			// k == N is exact for ExactKNN too.
-			if got := e.ExactKNN(q, len(pts)); len(got) != len(pts) {
+			if got := must(e.ExactKNNContext(ctx, q, len(pts))); len(got) != len(pts) {
 				t.Fatalf("ExactKNN(k=N) returned %d points", len(got))
 			}
 		})
@@ -106,6 +114,7 @@ func TestKNNEdgeCases(t *testing.T) {
 func TestZeroAreaWindow(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 1500, 83)
 	lin := index.NewLinear(pts)
+	ctx := context.Background()
 	for name, e := range engines(pts) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
@@ -119,32 +128,32 @@ func TestZeroAreaWindow(t *testing.T) {
 			if len(truth) != 1 || truth[0] != target {
 				t.Fatalf("oracle on degenerate window: %v", truth)
 			}
-			exact := e.ExactWindow(degen)
+			exact := must(e.ExactWindowContext(ctx, degen))
 			if len(exact) != 1 || exact[0] != target {
 				t.Fatalf("ExactWindow(zero-area) = %v, want [%v]", exact, target)
 			}
-			for _, p := range e.WindowQuery(degen) {
+			for _, p := range must(e.WindowQueryContext(ctx, degen)) {
 				if p != target {
 					t.Fatalf("WindowQuery(zero-area) returned foreign point %v", p)
 				}
 			}
 			// A zero-area window on empty space returns nothing.
 			empty := rsmi.NewRect(rsmi.Pt(-0.5, -0.5), rsmi.Pt(-0.5, -0.5))
-			if got := e.ExactWindow(empty); len(got) != 0 {
+			if got := must(e.ExactWindowContext(ctx, empty)); len(got) != 0 {
 				t.Fatalf("ExactWindow on empty location returned %d points", len(got))
 			}
-			if got := e.WindowQuery(empty); len(got) != 0 {
+			if got := must(e.WindowQueryContext(ctx, empty)); len(got) != 0 {
 				t.Fatalf("WindowQuery on empty location returned %d points", len(got))
 			}
 			// Zero-width (line) window: oracle equivalence for the exact
 			// variant, no false positives for the approximate one.
 			line := rsmi.NewRect(rsmi.Pt(target.X, 0), rsmi.Pt(target.X, 1))
 			truth = lin.WindowQuery(line)
-			exact = e.ExactWindow(line)
+			exact = must(e.ExactWindowContext(ctx, line))
 			if index.Recall(exact, truth) != 1 || len(exact) != len(truth) {
 				t.Fatalf("ExactWindow(line) returned %d points, oracle %d", len(exact), len(truth))
 			}
-			for _, p := range e.WindowQuery(line) {
+			for _, p := range must(e.WindowQueryContext(ctx, line)) {
 				if !line.Contains(p) {
 					t.Fatalf("WindowQuery(line) false positive %v", p)
 				}
@@ -154,6 +163,7 @@ func TestZeroAreaWindow(t *testing.T) {
 }
 
 func TestEmptyIndexEdgeCases(t *testing.T) {
+	ctx := context.Background()
 	for name, e := range engines(nil) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
@@ -162,33 +172,35 @@ func TestEmptyIndexEdgeCases(t *testing.T) {
 				t.Fatalf("Len = %d", e.Len())
 			}
 			q := rsmi.Pt(0.5, 0.5)
-			if e.PointQuery(q) {
+			if must(e.PointQueryContext(ctx, q)) {
 				t.Fatal("PointQuery on empty index found a point")
 			}
 			whole := rsmi.NewRect(rsmi.Pt(0, 0), rsmi.Pt(1, 1))
-			if got := e.WindowQuery(whole); len(got) != 0 {
+			if got := must(e.WindowQueryContext(ctx, whole)); len(got) != 0 {
 				t.Fatalf("WindowQuery on empty index returned %d", len(got))
 			}
-			if got := e.ExactWindow(whole); len(got) != 0 {
+			if got := must(e.ExactWindowContext(ctx, whole)); len(got) != 0 {
 				t.Fatalf("ExactWindow on empty index returned %d", len(got))
 			}
 			for _, k := range []int{0, 1, 10} {
-				if got := e.KNN(q, k); len(got) != 0 {
+				if got := must(e.KNNContext(ctx, q, k)); len(got) != 0 {
 					t.Fatalf("KNN(k=%d) on empty index returned %d", k, len(got))
 				}
-				if got := e.ExactKNN(q, k); len(got) != 0 {
+				if got := must(e.ExactKNNContext(ctx, q, k)); len(got) != 0 {
 					t.Fatalf("ExactKNN(k=%d) on empty index returned %d", k, len(got))
 				}
 			}
-			if e.Delete(q) {
+			if must(e.DeleteContext(ctx, q)) {
 				t.Fatal("Delete on empty index succeeded")
 			}
 			// The empty index accepts inserts and then answers queries.
-			e.Insert(q)
-			if !e.PointQuery(q) || e.Len() != 1 {
+			if err := e.InsertContext(ctx, q); err != nil {
+				t.Fatalf("InsertContext into empty index: %v", err)
+			}
+			if !must(e.PointQueryContext(ctx, q)) || e.Len() != 1 {
 				t.Fatal("insert into empty index lost")
 			}
-			if got := e.ExactKNN(q, 5); len(got) != 1 || got[0] != q {
+			if got := must(e.ExactKNNContext(ctx, q, 5)); len(got) != 1 || got[0] != q {
 				t.Fatalf("ExactKNN after first insert: %v", got)
 			}
 		})
@@ -203,9 +215,10 @@ type answers struct {
 	exact, approx, knn []rsmi.Point
 }
 
-func answersOf(e engine) answers {
+func answersOf(e rsmi.Engine) answers {
+	ctx := context.Background()
 	everything := rsmi.NewRect(rsmi.Pt(-1, -1), rsmi.Pt(2, 2))
-	a := answers{e.Len(), e.ExactWindow(everything), e.WindowQuery(everything), e.ExactKNN(rsmi.Pt(0.4, 0.3), 25)}
+	a := answers{e.Len(), must(e.ExactWindowContext(ctx, everything)), must(e.WindowQueryContext(ctx, everything)), must(e.ExactKNNContext(ctx, rsmi.Pt(0.4, 0.3), 25))}
 	for _, ps := range [][]rsmi.Point{a.exact, a.approx, a.knn} {
 		slices.SortFunc(ps, rsmi.Point.Compare)
 	}
@@ -227,10 +240,12 @@ func (a answers) equal(b answers) bool {
 // coordinate cannot be indexed — folded into an MBR it makes the leaf, every
 // ancestor and the shard region rectangles that no query intersects, and the
 // points under them vanish from every answer — so InsertContext refuses it
-// with ErrNonFinitePoint, Insert drops it, a build skips it, and the index
-// answers exactly as if the attempt had never been made.
+// with ErrNonFinitePoint on every engine, Index's context-free Insert drops
+// it, a build skips it, and the index answers exactly as if the attempt had
+// never been made.
 func TestNonFiniteQueries(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1500, 85)
+	ctx := context.Background()
 	lin := index.NewLinear(pts)
 	nan, inf := math.NaN(), math.Inf(1)
 	unindexable := []rsmi.Point{
@@ -254,10 +269,12 @@ func TestNonFiniteQueries(t *testing.T) {
 					len(unindexable), got.n, len(got.exact), len(got.approx), len(got.knn), clean.n, len(clean.exact), len(clean.approx), len(clean.knn))
 			}
 			for _, p := range unindexable {
-				if err := e.InsertContext(context.Background(), p); !errors.Is(err, rsmi.ErrNonFinitePoint) {
+				if err := e.InsertContext(ctx, p); !errors.Is(err, rsmi.ErrNonFinitePoint) {
 					t.Errorf("InsertContext(%v) = %v, want ErrNonFinitePoint", p, err)
 				}
-				e.Insert(p)
+				if idx, ok := e.(*rsmi.Index); ok {
+					idx.Insert(p)
+				}
 				if got := answersOf(e); !got.equal(clean) {
 					t.Fatalf("after the refused insert of %v: Len %d, exact/approx/kNN %d/%d/%d rows; before it %d, %d/%d/%d",
 						p, got.n, len(got.exact), len(got.approx), len(got.knn), clean.n, len(clean.exact), len(clean.approx), len(clean.knn))
@@ -265,47 +282,45 @@ func TestNonFiniteQueries(t *testing.T) {
 			}
 			// An indexable point still goes in (and comes back out).
 			extra := rsmi.Pt(0.123, 0.456)
-			if err := e.InsertContext(context.Background(), extra); err != nil || e.Len() != len(pts)+1 || !e.PointQuery(extra) {
-				t.Fatalf("InsertContext(%v) = %v; Len %d, found %v", extra, err, e.Len(), e.PointQuery(extra))
+			err := e.InsertContext(ctx, extra)
+			if found := must(e.PointQueryContext(ctx, extra)); err != nil || e.Len() != len(pts)+1 || !found {
+				t.Fatalf("InsertContext(%v) = %v; Len %d, found %v", extra, err, e.Len(), found)
 			}
-			if !e.Delete(extra) {
+			if !must(e.DeleteContext(ctx, extra)) {
 				t.Fatalf("Delete(%v) did not find it", extra)
 			}
 
 			for _, q := range []rsmi.Point{{X: nan, Y: 0.5}, {X: 0.5, Y: nan}, {X: nan, Y: nan}} {
-				if e.PointQuery(q) {
+				if must(e.PointQueryContext(ctx, q)) {
 					t.Errorf("PointQuery(%v) found a point", q)
 				}
-				if got := e.KNN(q, 5); len(got) != 0 {
+				if got := must(e.KNNContext(ctx, q, 5)); len(got) != 0 {
 					t.Errorf("KNN(%v) returned %d rows", q, len(got))
 				}
-				if got := e.ExactKNN(q, 5); len(got) != 0 {
-					t.Errorf("ExactKNN(%v) returned %d rows", q, len(got))
-				}
-				if got, err := e.ExactKNNContext(context.Background(), q, 5); err != nil || len(got) != 0 {
+				if got, err := e.ExactKNNContext(ctx, q, 5); err != nil || len(got) != 0 {
 					t.Errorf("ExactKNNContext(%v) returned %d rows, err %v", q, len(got), err)
 				}
 				for _, w := range []rsmi.Rect{
 					{MinX: q.X, MinY: q.Y, MaxX: 1, MaxY: 1},
 					{MinX: 0, MinY: 0, MaxX: q.X, MaxY: q.Y},
 				} {
-					if got := e.WindowQuery(w); len(got) != 0 {
+					if got := must(e.WindowQueryContext(ctx, w)); len(got) != 0 {
 						t.Errorf("WindowQuery(%v) returned %d rows", w, len(got))
 					}
 				}
 			}
 			for _, far := range []float64{inf, -inf, 1e300, -1e300} {
 				for _, q := range []rsmi.Point{{X: far, Y: 0.5}, {X: 0.5, Y: far}, {X: far, Y: -far}} {
-					if e.PointQuery(q) {
+					if must(e.PointQueryContext(ctx, q)) {
 						t.Errorf("PointQuery(%v) found a point", q)
 					}
-					for _, p := range e.KNN(q, 5) {
+					for _, p := range must(e.KNNContext(ctx, q, 5)) {
 						if !lin.PointQuery(p) {
 							t.Errorf("KNN(%v) returned %v, which is not indexed", q, p)
 						}
 					}
 					w := rsmi.NewRect(rsmi.Pt(0.25, 0.25), q)
-					for _, p := range e.WindowQuery(w) {
+					for _, p := range must(e.WindowQueryContext(ctx, w)) {
 						if !w.Contains(p) || !lin.PointQuery(p) {
 							t.Errorf("WindowQuery(%v) returned %v, outside it or not indexed", w, p)
 						}

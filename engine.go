@@ -10,27 +10,28 @@ package rsmi
 // interface is that harness's contract.
 //
 // Every method takes a context.Context and returns an error, which is
-// non-nil only when the context is cancelled or past its deadline.
+// non-nil only when the context is cancelled or past its deadline — or,
+// for InsertContext, when the point cannot be indexed.
 // Sharded observes cancellation *between shard visits* of its fan-outs
 // (window, kNN, batches) and between shard retrains of a rolling rebuild;
-// Index, Concurrent, and the baseline adapters execute a single query in
-// microseconds and check the context at entry (batch variants also check
-// between elements).
+// Index and Concurrent (which also backs the baseline engines) execute a
+// single query in microseconds and check the context at entry (batch
+// variants also check between elements).
 //
-// The context-free methods (PointQuery(q) bool, …) remain on every
-// concrete type as thin compatibility wrappers over the context variants
-// with context.Background(), so existing callers migrate incrementally.
-// They are deprecated: new code should call the *Context forms, and each
-// wrapper's godoc carries a "Deprecated:" pointer to its replacement.
+// This is the only query surface of Concurrent and Sharded. Index also
+// keeps its context-free methods (PointQuery(q) bool, …): they are the
+// index.Index surface the paper's harness (internal/bench) drives every
+// index through.
 
 import (
 	"context"
 )
 
 // Engine is the context-aware queryable surface shared by every backend:
-// Index, Concurrent, Sharded, and the baseline adapters (NewRStarEngine,
-// NewGridFileEngine, NewKDBEngine). It is the contract the serving layer
-// (internal/server) executes against.
+// Index, Concurrent, Sharded, and the baseline engines (NewRStarEngine,
+// NewGridFileEngine, NewKDBEngine, each a Concurrent over a baseline
+// index). It is the contract the serving layer (internal/server) executes
+// against.
 //
 // Answer semantics are the concrete type's: RSMI-backed engines answer
 // window and kNN queries approximately (no false positives; the Exact
@@ -58,13 +59,12 @@ type Engine interface {
 	BatchWindowQueryContext(ctx context.Context, qs []Rect) ([][]Point, error)
 	BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Point, error)
 
-	// InsertContext on the learned engines (Index, Concurrent, Sharded)
-	// refuses a point with a NaN or infinite coordinate with
-	// ErrNonFinitePoint and leaves the index as it was.
+	// InsertContext on every engine refuses a point with a NaN or infinite
+	// coordinate with ErrNonFinitePoint and leaves the index as it was.
 	InsertContext(ctx context.Context, p Point) error
 	DeleteContext(ctx context.Context, p Point) (bool, error)
 	// RebuildContext retrains learned engines from their live points; on
-	// baseline adapters it is a no-op (there is nothing to retrain).
+	// baseline engines it is a no-op (there is nothing to retrain).
 	RebuildContext(ctx context.Context) error
 
 	Len() int
@@ -73,8 +73,8 @@ type Engine interface {
 	ResetAccesses()
 }
 
-// Every engine implements the v2 API, the baseline adapters included
-// (their assertions live in baseline.go).
+// Every engine implements the v2 API (the baseline engines are
+// Concurrents).
 var (
 	_ Engine = (*Index)(nil)
 	_ Engine = (*Concurrent)(nil)

@@ -1,11 +1,13 @@
 package rsmi_test
 
 // Cross-engine tests of the v2 rsmi.Engine API: every backend — learned
-// engines and baseline adapters alike — must honour contexts, agree with
-// its own context-free methods, and (for the baselines) answer exactly.
+// engines and baseline engines alike — must honour contexts, answer its
+// batch and append forms exactly like its single queries, and (for the
+// baselines) answer exactly.
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"rsmi"
@@ -88,35 +90,56 @@ func TestEngineCancelledContext(t *testing.T) {
 	}
 }
 
-// TestEngineContextMatchesLegacy checks that with a background context
-// every engine's context variants agree with its context-free methods,
-// and that the whole v2 surface round-trips writes.
-func TestEngineContextMatchesLegacy(t *testing.T) {
+// TestEngineVariantsAgree checks, with a background context, that every
+// engine's append and batch forms answer element-wise exactly like its
+// single-query methods — same points in the same order — for all three
+// batch kinds, and that the whole v2 surface round-trips writes.
+func TestEngineVariantsAgree(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1000, 7)
 	ctx := context.Background()
 	wins := workload.Windows(pts, 5, 0.01, 1, 8)
+	probes := append(append([]rsmi.Point(nil), pts[:20]...), rsmi.Pt(-1, -1), rsmi.Pt(0.5, 2))
+	var knns []rsmi.KNNQuery
+	for i, q := range workload.KNNPoints(pts, 12, 9) {
+		knns = append(knns, rsmi.KNNQuery{Q: q, K: []int{7, 1, 0, 25}[i%4]})
+	}
 	for name, eng := range v2Engines(t, pts) {
-		for _, q := range wins {
+		batchWin, err := eng.BatchWindowQueryContext(ctx, wins)
+		if err != nil || len(batchWin) != len(wins) {
+			t.Fatalf("%s BatchWindowQueryContext: %d answers, %v; want %d", name, len(batchWin), err, len(wins))
+		}
+		for i, q := range wins {
 			got, err := eng.WindowQueryContext(ctx, q)
 			if err != nil {
 				t.Fatalf("%s WindowQueryContext: %v", name, err)
 			}
 			appended, err := eng.WindowQueryAppend(ctx, nil, q)
-			if err != nil || len(appended) != len(got) {
-				t.Fatalf("%s WindowQueryAppend: %d points, %v; want %d", name, len(appended), err, len(got))
+			if err != nil || !slices.Equal(appended, got) {
+				t.Fatalf("%s WindowQueryAppend: %d points, %v; WindowQueryContext %d", name, len(appended), err, len(got))
 			}
-			batch, err := eng.BatchWindowQueryContext(ctx, []rsmi.Rect{q})
-			if err != nil || len(batch[0]) != len(got) {
-				t.Fatalf("%s BatchWindowQueryContext: %d points, %v; want %d", name, len(batch[0]), err, len(got))
+			if !slices.Equal(batchWin[i], got) {
+				t.Fatalf("%s window %d: batch %d points, single %d", name, i, len(batchWin[i]), len(got))
 			}
 		}
-		knn, err := eng.KNNContext(ctx, pts[3], 7)
-		if err != nil || len(knn) != 7 {
-			t.Fatalf("%s KNNContext: %d points, %v", name, len(knn), err)
+		batchPt, err := eng.BatchPointQueryContext(ctx, probes)
+		if err != nil || len(batchPt) != len(probes) {
+			t.Fatalf("%s BatchPointQueryContext: %d answers, %v; want %d", name, len(batchPt), err, len(probes))
 		}
-		found, err := eng.PointQueryContext(ctx, pts[0])
-		if err != nil || !found {
-			t.Fatalf("%s PointQueryContext(indexed) = %v, %v", name, found, err)
+		for i, q := range probes {
+			found, err := eng.PointQueryContext(ctx, q)
+			if err != nil || batchPt[i] != found || found != (i < 20) {
+				t.Fatalf("%s point %d (%v): batch %v, single %v, %v", name, i, q, batchPt[i], found, err)
+			}
+		}
+		batchKNN, err := eng.BatchKNNContext(ctx, knns)
+		if err != nil || len(batchKNN) != len(knns) {
+			t.Fatalf("%s BatchKNNContext: %d answers, %v; want %d", name, len(batchKNN), err, len(knns))
+		}
+		for i, q := range knns {
+			got, err := eng.KNNContext(ctx, q.Q, q.K)
+			if err != nil || !slices.Equal(batchKNN[i], got) || len(got) != max(q.K, 0) {
+				t.Fatalf("%s kNN %d (k=%d): batch %v, single %v, %v", name, i, q.K, batchKNN[i], got, err)
+			}
 		}
 
 		// Insert / query / delete through the v2 surface.
@@ -140,7 +163,7 @@ func TestEngineContextMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestBaselineEnginesExact checks the baseline adapters answer window and
+// TestBaselineEnginesExact checks the baseline engines answer window and
 // kNN queries exactly (recall 1 against the brute-force oracle) — they
 // adapt exact indexes and must not lose that property.
 func TestBaselineEnginesExact(t *testing.T) {

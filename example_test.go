@@ -1,6 +1,7 @@
 package rsmi_test
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -53,6 +54,9 @@ func ExampleIndex_WindowQuery() {
 
 func ExampleNewConcurrent() {
 	c := rsmi.NewConcurrent(gridPoints(), exampleOptions())
+	// A Concurrent answers on the Engine surface: every call takes a
+	// context, and its error is non-nil only once that context is done.
+	ctx := context.Background()
 
 	// Queries take a shared lock and run in parallel; updates are exclusive.
 	var wg sync.WaitGroup
@@ -64,7 +68,7 @@ func ExampleNewConcurrent() {
 			defer wg.Done()
 			hits := 0
 			for i := 0; i < 250; i++ {
-				if c.PointQuery(rsmi.Pt(float64((g*250+i)/25)/40, float64(i%25)/25)) {
+				if ok, _ := c.PointQueryContext(ctx, rsmi.Pt(float64((g*250+i)/25)/40, float64(i%25)/25)); ok {
 					hits++
 				}
 			}
@@ -74,7 +78,9 @@ func ExampleNewConcurrent() {
 		}(g)
 	}
 	wg.Wait()
-	c.Insert(rsmi.Pt(0.5001, 0.2001))
+	if err := c.InsertContext(ctx, rsmi.Pt(0.5001, 0.2001)); err != nil {
+		fmt.Println(err)
+	}
 	fmt.Println(found, c.Len())
 	// Output: 1000 1001
 }
@@ -87,8 +93,13 @@ func ExampleSharded() {
 		Index:  exampleOptions(),
 	})
 
+	// A cancelled ctx stops a fan-out between shard visits; Background
+	// never does, so these calls cannot fail.
+	ctx := context.Background()
 	w := rsmi.NewRect(rsmi.Pt(0.2, 0.2), rsmi.Pt(0.4, 0.4))
-	nn := s.ExactKNN(rsmi.Pt(0.5, 0.2), 3)
-	fmt.Println(s.NumShards(), s.Len(), s.PointQuery(rsmi.Pt(0.5, 0.2)), len(s.ExactWindow(w)), len(nn))
+	nn, _ := s.ExactKNNContext(ctx, rsmi.Pt(0.5, 0.2), 3)
+	found, _ := s.PointQueryContext(ctx, rsmi.Pt(0.5, 0.2))
+	exact, _ := s.ExactWindowContext(ctx, w)
+	fmt.Println(s.NumShards(), s.Len(), found, len(exact), len(nn))
 	// Output: 4 1000 true 54 3
 }

@@ -17,9 +17,10 @@
 //   - nilrecv: pointer methods on //rsmi:nilsafe types must guard the
 //     nil receiver before touching fields (the branch-only untraced
 //     path, PR 7).
-//   - nodeprecated: in-repo code must not call the // Deprecated:
-//     context-free wrappers and old constructors kept for
-//     compatibility (the PR 8 API consolidation).
+//   - nodeprecated: in-repo code must not call this module's
+//     // Deprecated: functions, not even from the XContext that
+//     replaces a deprecated X (the PR 8 API consolidation, finished
+//     in PR 25).
 //   - noalloc: a function marked //rsmi:noalloc must have a
 //     testing.AllocsPerRun pin in its package's tests (the 0-alloc
 //     claims stay test-backed).

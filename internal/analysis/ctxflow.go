@@ -1,12 +1,14 @@
 package analysis
 
 // ctxflow guards PR 5's cancellation guarantees: every request-path
-// package threads the caller's context end to end. Two shapes broke
-// that historically — minting a fresh context.Background()/TODO()
+// package (internal/server, internal/shard, internal/plan,
+// internal/sub) threads the caller's context end to end. Two shapes
+// broke that historically — minting a fresh context.Background()/TODO()
 // mid-path (detaches everything downstream from the client's
-// disconnect), and calling an engine's context-free compatibility
-// wrapper from a function that has a perfectly good ctx in hand
-// (silently downgrades to context.Background() inside the wrapper).
+// disconnect), and calling a context-free method such as
+// core.RSMI.KNN from a function that has a perfectly good ctx in hand
+// when the receiver offers the KNNContext form (the call can no longer
+// be cancelled).
 //
 // Deliberate detachment points exist (a stream connection is the root
 // of its requests' contexts; background maintenance loops own their
@@ -14,9 +16,8 @@ package analysis
 //
 //	//rsmi:allow ctxflow -- <why this site must detach>
 //
-// Functions that are themselves deprecated compatibility wrappers are
-// skipped: their whole point is wrapping with Background, and
-// nodeprecated bans calling them.
+// Every function is checked, whatever its doc says: since PR 25 no
+// deprecated compatibility wrapper is left to wrap with Background.
 
 import (
 	"go/ast"
@@ -52,9 +53,6 @@ func runCtxflow(pass *Pass) error {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil {
 				continue
-			}
-			if isDeprecatedDoc(fn.Doc) {
-				continue // compatibility wrappers wrap with Background by design
 			}
 			hasCtx := funcHasCtxParam(pass, fn)
 			fnName := fn.Name.Name

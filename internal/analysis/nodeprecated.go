@@ -1,19 +1,20 @@
 package analysis
 
-// nodeprecated keeps the PR 8 API consolidation from rotting: the
-// context-free Engine wrappers are kept as // Deprecated:
-// compatibility shims for external callers — but in-repo code has no
-// excuse to use them, and every new internal call site would be one
-// more path that silently detaches from cancellation. (The serving
-// client's deprecated constructors and *Context/*Explain verbs were
-// deleted once they had no caller; the engine-side shims are reached
-// through index.Index and wait for the Engine-shrink PR.)
+// nodeprecated keeps deprecations honest: a function or method marked
+// // Deprecated: in this module is on its way out, and in-repo code has
+// no excuse to use it — every new internal call site is one more thing
+// the deletion has to move. (PR 8's context-free Engine wrappers lived
+// here as compatibility shims until PR 25 deleted them with their last
+// caller; the serving client's deprecated verbs went the same way.)
 //
 // The rule: non-test module code must not reference a function or
 // method declared in this module whose doc comment carries the
 // conventional "Deprecated:" marker. Uses inside declarations that
 // are themselves deprecated are exempt (shims may layer), and test
 // files are exempt (deprecated APIs must stay tested until removed).
+// A non-deprecated XContext calling a deprecated X is a use like any
+// other: the wrapper that replaces a deprecated function must not be
+// built on it.
 //
 // Cross-package detection works on a module-wide prescan the driver
 // supplies (Pass.Deprecated), keyed by deprecatedKey so identity
@@ -99,12 +100,8 @@ func runNodeprecated(pass *Pass) error {
 			continue
 		}
 		for _, decl := range file.Decls {
-			declName := ""
-			if fn, ok := decl.(*ast.FuncDecl); ok {
-				if isDeprecatedDoc(fn.Doc) {
-					continue // shims may layer on shims
-				}
-				declName = fn.Name.Name
+			if fn, ok := decl.(*ast.FuncDecl); ok && isDeprecatedDoc(fn.Doc) {
+				continue // shims may layer on shims
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
@@ -113,12 +110,6 @@ func runNodeprecated(pass *Pass) error {
 				}
 				fn, ok := pass.Pkg.Info.Uses[id].(*types.Func)
 				if !ok {
-					return true
-				}
-				if declName == fn.Name()+"Context" {
-					// The pair delegation seam: XContext is built by
-					// entry-checking ctx and calling the legacy X it
-					// supersedes. That is the one sanctioned use.
 					return true
 				}
 				if key := deprecatedKeyForObj(fn); key != "" && pass.Deprecated[key] {

@@ -1,18 +1,16 @@
-// Package clean exercises nodeprecated's exemptions: the XContext→X
-// pair delegation seam, and deprecated shims layering on deprecated
-// shims.
+// Package clean exercises nodeprecated's one exemption: deprecated shims
+// layering on deprecated shims.
 package clean
 
 // Get is the legacy lookup.
 //
-// Deprecated: use GetContext.
+// Deprecated: use Lookup.
 func Get(k string) string { return k }
-
-// GetContext supersedes Get; the pair delegation is the sanctioned
-// implementation seam.
-func GetContext(k string) string { return Get(k) }
 
 // OldLookup layers one shim on another, which shims may do.
 //
-// Deprecated: use GetContext.
+// Deprecated: use Lookup.
 func OldLookup(k string) string { return Get(k) }
+
+// Lookup is the replacement, built without the shims.
+func Lookup(k string) string { return k }

@@ -1,5 +1,6 @@
-// Package flagged exercises nodeprecated: a non-test, non-shim caller
-// of a function carrying the conventional Deprecated: marker.
+// Package flagged exercises nodeprecated: non-test, non-shim callers of
+// a function carrying the conventional Deprecated: marker — an
+// XContext-named wrapper of the deprecated X included.
 package flagged
 
 // OldGet is the legacy lookup.
@@ -12,5 +13,11 @@ func Get(k string) string { return k }
 
 // Lookup still reaches for the deprecated form.
 func Lookup(k string) string {
+	return OldGet(k) // want "use of deprecated OldGet"
+}
+
+// OldGetContext gets no pass for wrapping the deprecated form it is
+// named after.
+func OldGetContext(k string) string {
 	return OldGet(k) // want "use of deprecated OldGet"
 }

@@ -412,7 +412,7 @@ func TestStreamRequestTimeout(t *testing.T) {
 }
 
 // TestProtocolEquivalenceAcrossEngines is the acceptance gate for the
-// baseline adapters: every backend the v2 API admits must answer
+// baseline engines: every backend the v2 API admits must answer
 // identically over HTTP JSON, HTTP binary, and the TCP stream — the
 // harness that makes cross-engine serving numbers meaningful.
 func TestProtocolEquivalenceAcrossEngines(t *testing.T) {

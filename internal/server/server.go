@@ -1,9 +1,10 @@
 // Package server is the network serving subsystem: it puts any
-// rsmi.Engine — the sharded RSMI, the RWMutex-wrapped single index, or a
-// baseline adapter (R*-tree, Grid File, K-D-B-tree) — behind an
-// HTTP+JSON API, so that backends are compared fairly: every one serves
-// through the identical stack ("Evaluating Learned Spatial Indexes",
-// PAPERS.md, on wall-clock comparisons under one harness).
+// rsmi.Engine — the sharded RSMI, or one RWMutex wrapper
+// (rsmi.Concurrent) around the single index or a baseline (R*-tree, Grid
+// File, K-D-B-tree) — behind an HTTP+JSON API, so that backends are
+// compared fairly: every one serves through the identical stack
+// ("Evaluating Learned Spatial Indexes", PAPERS.md, on wall-clock
+// comparisons under one harness).
 //
 // Request contexts are threaded end to end: handlers pass r.Context()
 // (and the stream transport a per-request deadline) into the engine,
@@ -70,9 +71,10 @@ import (
 )
 
 // Engine is the index surface the server serves: the public context-aware
-// rsmi.Engine v2 API, implemented by rsmi.Index, rsmi.Concurrent,
-// rsmi.Sharded, and the baseline adapters (rsmi.NewBaselineEngine), so
-// one serving stack fronts every backend of the paper's evaluation.
+// rsmi.Engine v2 API, implemented by rsmi.Index, rsmi.Concurrent (which
+// also backs the baseline engines, rsmi.NewBaselineEngine) and
+// rsmi.Sharded, so one serving stack fronts every backend of the paper's
+// evaluation.
 // Handlers thread each request's context into the engine; Sharded
 // observes it between shard visits.
 type Engine = rsmi.Engine

@@ -76,9 +76,9 @@ func TestEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("WindowQuery: %v", err)
 		}
-		want := eng.WindowQuery(q)
-		if len(got) != len(want) {
-			t.Fatalf("WindowQuery: %d points, engine says %d", len(got), len(want))
+		want, err := eng.WindowQueryContext(context.Background(), q)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("WindowQuery: %d points, engine says %d (%v)", len(got), len(want), err)
 		}
 		for i := range want {
 			if got[i] != want[i] {
@@ -156,7 +156,10 @@ func TestBatchEndpoint(t *testing.T) {
 	if !res[0].Found {
 		t.Fatal("batch point query missed indexed point")
 	}
-	want := eng.WindowQuery(win)
+	want, err := eng.WindowQueryContext(context.Background(), win)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res[1].Count != len(want) || len(res[1].Points) != len(want) {
 		t.Fatalf("batch window count %d, engine says %d", res[1].Count, len(want))
 	}
@@ -340,7 +343,7 @@ func TestGracefulShutdown(t *testing.T) {
 	if s.rebuildRunning.Load() {
 		t.Fatal("Shutdown returned while rebuild still running")
 	}
-	if !eng.PointQuery(pts[0]) {
+	if found, err := eng.PointQueryContext(context.Background(), pts[0]); err != nil || !found {
 		t.Fatal("engine lost data across rebuild + shutdown")
 	}
 	// Shutdown stopped nothing the request path needs: a request that

@@ -53,8 +53,8 @@ type hookAdder interface {
 }
 
 // initSubs builds the subscription registry and installs its write tap.
-// Servers whose engine exposes no write hooks (baseline adapters,
-// plain Concurrent) get no registry and answer SUB frames with 501.
+// Servers whose engine exposes no write hooks (a Concurrent, over an
+// Index or a baseline) get no registry and answer SUB frames with 501.
 func (s *Server) initSubs() {
 	var install func(h shard.WriteHook) func()
 	switch {

@@ -39,19 +39,11 @@ type batchRef struct {
 	slot int
 }
 
-// BatchPointQuery answers one point query per element of qs, grouping the
-// probes per shard so each shard's lock is taken once per batch. Answers
-// are exact and identical to calling PointQuery per element.
-//
-// Deprecated: use BatchPointQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) BatchPointQuery(qs []geom.Point) []bool {
-	out, _ := s.batchPointQuery(context.Background(), qs)
-	return out
-}
-
-// batchPointQuery is BatchPointQuery observing ctx between shard visits.
-func (s *Sharded) batchPointQuery(ctx context.Context, qs []geom.Point) ([]bool, error) {
+// BatchPointQueryContext answers one point query per element of qs,
+// grouping the probes per shard so each shard's lock is taken once per
+// batch, and observing ctx between shard visits. Answers are exact and
+// identical to calling PointQueryContext per element.
+func (s *Sharded) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
 	out := make([]bool, len(qs))
 	if len(qs) == 0 {
 		return out, ctx.Err()
@@ -94,21 +86,13 @@ func (s *Sharded) batchPointQuery(ctx context.Context, qs []geom.Point) ([]bool,
 	return out, nil
 }
 
-// BatchWindowQuery answers one window query per element of qs, grouping
-// the queries per overlapping shard so each shard's lock is taken once per
-// batch. Every answer equals the one WindowQuery would return (same
-// approximate no-false-positive semantics, same deterministic shard-order
+// BatchWindowQueryContext answers one window query per element of qs,
+// grouping the queries per overlapping shard so each shard's lock is taken
+// once per batch, and observing ctx between shard visits. Every answer
+// equals the one WindowQueryContext would return (same approximate
+// no-false-positive semantics, same deterministic shard-order
 // concatenation).
-//
-// Deprecated: use BatchWindowQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) BatchWindowQuery(qs []geom.Rect) [][]geom.Point {
-	out, _ := s.batchWindowQuery(context.Background(), qs)
-	return out
-}
-
-// batchWindowQuery is BatchWindowQuery observing ctx between shard visits.
-func (s *Sharded) batchWindowQuery(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
+func (s *Sharded) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
 	out := make([][]geom.Point, len(qs))
 	if len(qs) == 0 {
 		return out, ctx.Err()
@@ -151,14 +135,22 @@ func (s *Sharded) batchWindowQuery(ctx context.Context, qs []geom.Rect) ([][]geo
 	return out, nil
 }
 
-// BatchKNN answers one kNN query per element of qs; every answer equals the
-// one KNN would return.
-//
-// Deprecated: use BatchKNNContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) BatchKNN(qs []KNNQuery) [][]geom.Point {
-	out, _ := s.BatchKNNContext(context.Background(), qs)
-	return out
+// BatchKNNContext answers one kNN query per element of qs, each exactly as
+// KNNContext would — the same best-first walk over the shards, so a query
+// deep inside one shard's region searches that shard alone — observing ctx
+// between shard searches. A trace in ctx counts the shards searched, summed
+// over the batch's queries. Answers are real indexed points, closest first,
+// at most min(k, Len) of them (k <= 0 yields nil).
+func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
+	out := make([][]geom.Point, len(qs))
+	for i, q := range qs {
+		got, err := s.knn(ctx, q.Q, q.K, false)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = got
+	}
+	return out, ctx.Err()
 }
 
 // shardSlots maps shard index → position in a batch's compact candidate

@@ -12,9 +12,9 @@ import (
 )
 
 // TestBatchWindowMatchesPerQuery is the core batch-equivalence property on
-// a quiescent index: BatchWindowQuery must return, per element, exactly
-// the slice WindowQuery returns — same points, same order — for both
-// partitionings, including degenerate windows.
+// a quiescent index: BatchWindowQueryContext must return, per element,
+// exactly the slice WindowQueryContext returns — same points, same order —
+// for both partitionings, including degenerate windows.
 func TestBatchWindowMatchesPerQuery(t *testing.T) {
 	for _, parts := range []Partitioning{Space, Hash} {
 		parts := parts
@@ -29,12 +29,12 @@ func TestBatchWindowMatchesPerQuery(t *testing.T) {
 				geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1},
 				geom.Rect{MinX: 2, MinY: 2, MaxX: 3, MaxY: 3},
 			)
-			got := s.BatchWindowQuery(qs)
+			got := must(s.BatchWindowQueryContext(bg, qs))
 			if len(got) != len(qs) {
 				t.Fatalf("BatchWindowQuery returned %d results for %d queries", len(got), len(qs))
 			}
 			for i, q := range qs {
-				want := s.WindowQuery(q)
+				want := must(s.WindowQueryContext(bg, q))
 				if len(got[i]) != len(want) {
 					t.Fatalf("query %d: batch %d points, per-query %d", i, len(got[i]), len(want))
 				}
@@ -66,9 +66,9 @@ func TestBatchPointMatchesPerQuery(t *testing.T) {
 					qs = append(qs, geom.Pt(rng.Float64(), rng.Float64()))
 				}
 			}
-			got := s.BatchPointQuery(qs)
+			got := must(s.BatchPointQueryContext(bg, qs))
 			for i, q := range qs {
-				if want := s.PointQuery(q); got[i] != want {
+				if want := must(s.PointQueryContext(bg, q)); got[i] != want {
 					t.Fatalf("query %d (%v): batch %v, per-query %v", i, q, got[i], want)
 				}
 			}
@@ -92,7 +92,7 @@ func TestBatchKNNInvariants(t *testing.T) {
 			for i, q := range workload.KNNPoints(pts, 30, 43) {
 				qs = append(qs, KNNQuery{Q: q, K: []int{0, 1, 5, 25, -3, 5000}[i%6]})
 			}
-			got := s.BatchKNN(qs)
+			got := must(s.BatchKNNContext(bg, qs))
 			if len(got) != len(qs) {
 				t.Fatalf("BatchKNN returned %d results for %d queries", len(got), len(qs))
 			}
@@ -134,20 +134,20 @@ func TestBatchKNNInvariants(t *testing.T) {
 // index.
 func TestBatchEmpty(t *testing.T) {
 	s := New(nil, quickOpts(Space, 4))
-	if got := s.BatchWindowQuery(nil); len(got) != 0 {
+	if got := must(s.BatchWindowQueryContext(bg, nil)); len(got) != 0 {
 		t.Fatalf("empty window batch returned %d", len(got))
 	}
-	if got := s.BatchPointQuery(nil); len(got) != 0 {
+	if got := must(s.BatchPointQueryContext(bg, nil)); len(got) != 0 {
 		t.Fatalf("empty point batch returned %d", len(got))
 	}
-	if got := s.BatchKNN(nil); len(got) != 0 {
+	if got := must(s.BatchKNNContext(bg, nil)); len(got) != 0 {
 		t.Fatalf("empty knn batch returned %d", len(got))
 	}
-	got := s.BatchWindowQuery([]geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}})
+	got := must(s.BatchWindowQueryContext(bg, []geom.Rect{{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}}))
 	if len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("window batch on empty index: %v", got)
 	}
-	if got := s.BatchKNN([]KNNQuery{{Q: geom.Pt(0.5, 0.5), K: 3}}); len(got[0]) != 0 {
+	if got := must(s.BatchKNNContext(bg, []KNNQuery{{Q: geom.Pt(0.5, 0.5), K: 3}})); len(got[0]) != 0 {
 		t.Fatalf("knn batch on empty index: %v", got)
 	}
 }
@@ -179,7 +179,7 @@ func TestBatchWindowConcurrentInserts(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ins); i += 2 {
-				s.Insert(ins[i])
+				mustInsert(t, s, ins[i])
 			}
 		}(w)
 	}
@@ -188,7 +188,7 @@ func TestBatchWindowConcurrentInserts(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for round := 0; round < 40; round++ {
-				for qi, res := range s.BatchWindowQuery(qs) {
+				for qi, res := range must(s.BatchWindowQueryContext(bg, qs)) {
 					for _, p := range res {
 						if !qs[qi].Contains(p) {
 							errs <- "batch window false positive under concurrent inserts"
@@ -200,8 +200,8 @@ func TestBatchWindowConcurrentInserts(t *testing.T) {
 						}
 					}
 				}
-				s.BatchKNN([]KNNQuery{{Q: qs[round%len(qs)].Center(), K: 5}})
-				s.BatchPointQuery([]geom.Point{ins[round%len(ins)]})
+				must(s.BatchKNNContext(bg, []KNNQuery{{Q: qs[round%len(qs)].Center(), K: 5}}))
+				must(s.BatchPointQueryContext(bg, []geom.Point{ins[round%len(ins)]}))
 			}
 		}()
 	}
@@ -212,9 +212,9 @@ func TestBatchWindowConcurrentInserts(t *testing.T) {
 	}
 
 	// Quiescent again: batch ≡ per-query, now including the inserts.
-	got := s.BatchWindowQuery(qs)
+	got := must(s.BatchWindowQueryContext(bg, qs))
 	for i, q := range qs {
-		want := s.WindowQuery(q)
+		want := must(s.WindowQueryContext(bg, q))
 		if len(got[i]) != len(want) {
 			t.Fatalf("post-insert query %d: batch %d points, per-query %d", i, len(got[i]), len(want))
 		}

@@ -1,16 +1,14 @@
 package shard
 
-// Context-aware query surface (the rsmi.Engine v2 API). Unlike the
-// single-index core — whose queries run on one goroutine in microseconds
-// and only check the context at entry — the sharded engine observes
-// cancellation *during* execution: every multi-shard walk (window, kNN, the
-// batch variants) checks the context between shard visits, and the rolling
-// rebuild checks it between shard retrains. A query against a 64-shard
-// index whose client disconnects after the second shard therefore stops
-// paying for the remaining 62.
-//
-// The context-free methods (PointQuery, WindowQuery, …) remain as thin
-// compatibility wrappers over these with context.Background().
+// Context-aware query surface (the rsmi.Engine v2 API), the only one
+// Sharded has; the batch variants live in batch.go, the rolling rebuild in
+// shard.go. Unlike the single-index core — whose queries run on one
+// goroutine in microseconds and only check the context at entry — the
+// sharded engine observes cancellation *during* execution: every
+// multi-shard walk (window, kNN, the batch variants) checks the context
+// between shard visits, and the rolling rebuild checks it between shard
+// retrains. A query against a 64-shard index whose client disconnects
+// after the second shard therefore stops paying for the remaining 62.
 
 import (
 	"context"
@@ -20,9 +18,11 @@ import (
 	"rsmi/internal/obs"
 )
 
-// PointQueryContext is PointQuery observing ctx between candidate-shard
-// probes. A trace in ctx counts the shards actually probed (the walk
-// stops at the first hit).
+// PointQueryContext reports whether a point with q's exact coordinates is
+// indexed, observing ctx between candidate-shard probes. Exact: every
+// indexed point lies inside its shard's region, so the candidate set
+// always includes the owning shard. A trace in ctx counts the shards
+// actually probed (the walk stops at the first hit).
 //
 //rsmi:noalloc
 func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, error) {
@@ -44,8 +44,12 @@ func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, er
 	return false, ctx.Err()
 }
 
-// WindowQueryContext is WindowQuery observing ctx between shard visits.
-// On cancellation it returns ctx's error and no points — never a partial
+// WindowQueryContext scatters the window to the shards whose region
+// overlaps it and concatenates their answers in shard order (deterministic
+// for a given shard layout), observing ctx between shard visits. Like the
+// single-index RSMI, the answer has no false positives and may miss points
+// (§4.2 semantics); ExactWindowContext is the exact variant. On
+// cancellation it returns ctx's error and no points — never a partial
 // answer.
 func (s *Sharded) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
 	return s.gatherWindow(ctx, nil, q, false)
@@ -62,55 +66,39 @@ func (s *Sharded) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geo
 	return s.gatherWindow(ctx, dst, q, false)
 }
 
-// ExactWindowContext is ExactWindow observing ctx between shard visits.
+// ExactWindowContext returns the exact window answer (per-shard RSMIa
+// traversal; the union over a partition is exact), observing ctx between
+// shard visits.
 func (s *Sharded) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
 	return s.gatherWindow(ctx, nil, q, true)
 }
 
-// KNNContext is KNN observing ctx between shard searches of the best-first
-// walk.
+// KNNContext returns up to k approximate nearest neighbours, closest
+// first, by the best-first walk over the shards (see knn), observing ctx
+// between shard searches. Results carry the same approximation guarantees
+// as the single-index RSMI (§4.3); ExactKNNContext is the exact variant.
 func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knn(ctx, q, k, false)
 }
 
-// ExactKNNContext is ExactKNN observing ctx between shard searches.
+// ExactKNNContext returns the exact k nearest neighbours: each visited
+// shard answers exactly, shards are pruned only when their region provably
+// cannot hold a closer point, and the merged top-k over a partition of the
+// data is therefore exact. It observes ctx between shard searches.
 func (s *Sharded) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knn(ctx, q, k, true)
 }
 
-// BatchPointQueryContext is BatchPointQuery observing ctx between shard
-// visits.
-func (s *Sharded) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
-	return s.batchPointQuery(ctx, qs)
-}
-
-// BatchWindowQueryContext is BatchWindowQuery observing ctx between shard
-// visits.
-func (s *Sharded) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
-	return s.batchWindowQuery(ctx, qs)
-}
-
-// BatchKNNContext answers one kNN query per element of qs, each exactly as
-// KNNContext would — the same best-first walk over the shards, so a query
-// deep inside one shard's region searches that shard alone — observing ctx
-// between shard searches. A trace in ctx counts the shards searched, summed
-// over the batch's queries. Answers are real indexed points, closest first,
-// at most min(k, Len) of them (k <= 0 yields nil).
-func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
-	out := make([][]geom.Point, len(qs))
-	for i, q := range qs {
-		got, err := s.knn(ctx, q.Q, q.K, false)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = got
-	}
-	return out, ctx.Err()
-}
-
-// InsertContext is Insert honouring ctx at entry; an admitted insert
-// always completes (a half-applied update would corrupt the owning shard).
-// A point that cannot be indexed is refused with core.ErrNonFinitePoint.
+// InsertContext adds p, routing it to its owning shard and taking only
+// that shard's write lock, so inserts into different shards run
+// concurrently. Under space partitioning the owner is the shard whose
+// region needs the least enlargement to cover p (ties to the smaller
+// region, then the lower shard id), and the chosen region is extended.
+//
+// ctx is honoured at entry; an admitted insert always completes (a
+// half-applied update would corrupt the owning shard). A point that cannot
+// be indexed is refused with core.ErrNonFinitePoint before routing reads
+// (and extends) a region with it.
 func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -118,11 +106,24 @@ func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 	if !p.IsFinite() {
 		return core.ErrNonFinitePoint
 	}
-	s.Insert(p)
+	var sh *state
+	if s.opts.Partitioning == Hash {
+		sh = s.owner(p)
+	} else {
+		sh = s.routeSpace(p)
+	}
+	sh.mu.Lock()
+	sh.idx.Insert(p)
+	sh.storeRegion(sh.loadRegion().ExtendPoint(p))
+	// Under the shard lock: for any single point, hook order == apply
+	// order (see hook.go).
+	s.notify(WriteOp{Kind: WriteInsert, P: p})
+	sh.mu.Unlock()
 	return nil
 }
 
-// DeleteContext is Delete observing ctx between candidate-shard probes.
+// DeleteContext removes the point with p's exact coordinates from
+// whichever shard holds it, observing ctx between candidate-shard probes.
 // A trace in ctx counts the shards probed.
 func (s *Sharded) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
 	probed, ok := 0, false
@@ -143,12 +144,4 @@ func (s *Sharded) DeleteContext(ctx context.Context, p geom.Point) (bool, error)
 		return true, nil
 	}
 	return false, ctx.Err()
-}
-
-// RebuildContext is the rolling rebuild observing ctx between shards: a
-// cancelled context stops before the next shard retrains. Shards already
-// rebuilt stay rebuilt — the index is never inconsistent, merely partially
-// retrained, and a later rebuild finishes the job.
-func (s *Sharded) RebuildContext(ctx context.Context) error {
-	return s.rebuild(ctx)
 }

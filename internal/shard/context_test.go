@@ -2,8 +2,8 @@ package shard
 
 // Cancellation semantics of the sharded fan-outs: deadline-exceeded and
 // mid-query cancel must stop window/kNN execution between shard visits
-// (never surfacing a partial answer), and the context-free methods must
-// stay byte-identical wrappers. Run under -race in CI.
+// (never surfacing a partial answer), and the composed answers must be
+// the shards' own. Run under -race in CI.
 
 import (
 	"context"
@@ -88,7 +88,7 @@ func TestKNNFanOutStopsOnCancel(t *testing.T) {
 	s, pts := buildCtx(t, 8)
 	k := len(pts) / 2
 	s.ResetAccesses()
-	if s.KNN(pts[0], k); shardsSearched(s) < 2 {
+	if must(s.KNNContext(bg, pts[0], k)); shardsSearched(s) < 2 {
 		t.Fatalf("uncancelled %d-NN searched %d shards; the cancel below would prove nothing", k, shardsSearched(s))
 	}
 	s.ResetAccesses()
@@ -153,55 +153,58 @@ func TestDeadlineExceededFansOutNothing(t *testing.T) {
 	}
 }
 
-// TestContextVariantsMatchLegacy pins the compatibility contract: with a
-// background context, every context variant answers exactly like its
-// context-free wrapper.
-func TestContextVariantsMatchLegacy(t *testing.T) {
+// TestContextVariantsMatchShards pins what the sharded surface composes:
+// with a background context, an indexed point is found, a window is the
+// shard-order concatenation of the overlapping shards' own windows, a kNN
+// is the nearest k of every shard's own kNN, and WindowQueryAppend appends
+// exactly the WindowQueryContext answer to the caller's buffer.
+func TestContextVariantsMatchShards(t *testing.T) {
 	s, pts := buildCtx(t, 4)
-	ctx := context.Background()
 	q := geom.RectAround(pts[3], 0.2, 0.2)
 
-	found, err := s.PointQueryContext(ctx, pts[0])
-	if err != nil || found != s.PointQuery(pts[0]) {
-		t.Fatalf("PointQueryContext mismatch: %v, %v", found, err)
+	found, err := s.PointQueryContext(bg, pts[0])
+	if err != nil || !found {
+		t.Fatalf("PointQueryContext(indexed) = %v, %v", found, err)
 	}
-	win, err := s.WindowQueryContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
+	var want, wantKNN []geom.Point
+	for _, sh := range s.shards {
+		if sh.loadRegion().Intersects(q) {
+			want = append(want, sh.idx.WindowQuery(q)...)
+		}
+		wantKNN = mergeNearest(wantKNN, sh.idx.KNN(pts[5], 7), pts[5], 7)
 	}
-	legacy := s.WindowQuery(q)
-	if len(win) != len(legacy) {
-		t.Fatalf("WindowQueryContext: %d points, legacy %d", len(win), len(legacy))
+	win, err := s.WindowQueryContext(bg, q)
+	if err != nil || len(win) != len(want) {
+		t.Fatalf("WindowQueryContext: %d points, %v; the shards give %d", len(win), err, len(want))
 	}
 	for i := range win {
-		if win[i] != legacy[i] {
+		if win[i] != want[i] {
 			t.Fatalf("window point %d differs", i)
 		}
 	}
-	knn, err := s.KNNContext(ctx, pts[5], 7)
+	knn, err := s.KNNContext(bg, pts[5], 7)
 	if err != nil || len(knn) != 7 {
 		t.Fatalf("KNNContext: %d points, %v", len(knn), err)
 	}
-	lknn := s.KNN(pts[5], 7)
 	for i := range knn {
-		if knn[i] != lknn[i] {
-			t.Fatalf("kNN point %d differs", i)
+		if knn[i] != wantKNN[i] {
+			t.Fatalf("kNN point %d: %v, the shards give %v", i, knn[i], wantKNN[i])
 		}
 	}
 
 	// WindowQueryAppend reuses the caller's buffer and appends exactly
-	// the WindowQuery answer.
+	// the WindowQueryContext answer.
 	dst := make([]geom.Point, 1, 64)
 	dst[0] = geom.Pt(-7, -7)
-	got, err := s.WindowQueryAppend(ctx, dst, q)
+	got, err := s.WindowQueryAppend(bg, dst, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1+len(legacy) || got[0] != geom.Pt(-7, -7) {
-		t.Fatalf("WindowQueryAppend: %d points (want prefix + %d)", len(got), len(legacy))
+	if len(got) != 1+len(win) || got[0] != geom.Pt(-7, -7) {
+		t.Fatalf("WindowQueryAppend: %d points (want prefix + %d)", len(got), len(win))
 	}
-	for i := range legacy {
-		if got[1+i] != legacy[i] {
+	for i := range win {
+		if got[1+i] != win[i] {
 			t.Fatalf("appended point %d differs", i)
 		}
 	}
@@ -219,7 +222,7 @@ func TestRebuildContextCancelledKeepsServing(t *testing.T) {
 	if s.Len() != len(pts) {
 		t.Fatalf("aborted rebuild lost points: %d of %d", s.Len(), len(pts))
 	}
-	if !s.PointQuery(pts[42]) {
+	if !must(s.PointQueryContext(bg, pts[42])) {
 		t.Fatal("index unqueryable after aborted rebuild")
 	}
 }
@@ -230,7 +233,7 @@ func TestRebuildContextCancelledKeepsServing(t *testing.T) {
 // partial answer alongside a nil error.
 func TestCancelDuringConcurrentLoad(t *testing.T) {
 	s, pts := buildCtx(t, 4)
-	full := s.WindowQuery(fullSpace)
+	full := must(s.WindowQueryContext(bg, fullSpace))
 	done := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		go func(g int) {

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"testing"
 
 	"rsmi/internal/core"
@@ -30,14 +29,14 @@ func TestWriteHook(t *testing.T) {
 	s.SetWriteHook(func(op WriteOp) { ops = append(ops, op) })
 
 	ins := geom.Pt(0.123, 0.456)
-	s.Insert(ins)
-	if deleted := s.Delete(ins); !deleted {
+	mustInsert(t, s, ins)
+	if deleted := must(s.DeleteContext(bg, ins)); !deleted {
 		t.Fatal("delete of just-inserted point failed")
 	}
-	if deleted := s.Delete(geom.Pt(-5, -5)); deleted {
+	if deleted := must(s.DeleteContext(bg, geom.Pt(-5, -5))); deleted {
 		t.Fatal("delete of absent point succeeded")
 	}
-	if err := s.RebuildContext(context.Background()); err != nil {
+	if err := s.RebuildContext(bg); err != nil {
 		t.Fatalf("rebuild: %v", err)
 	}
 
@@ -57,7 +56,7 @@ func TestWriteHook(t *testing.T) {
 
 	// Uninstall: further writes are silent.
 	s.SetWriteHook(nil)
-	s.Insert(geom.Pt(0.9, 0.9))
+	mustInsert(t, s, geom.Pt(0.9, 0.9))
 	if len(ops) != len(want) {
 		t.Fatalf("uninstalled hook still fired: %+v", ops[len(want):])
 	}
@@ -87,7 +86,7 @@ func TestAddWriteHookFanIn(t *testing.T) {
 	removeB := s.AddWriteHook(func(op WriteOp) { b = append(b, op) })
 
 	p1 := geom.Pt(0.111, 0.222)
-	s.Insert(p1)
+	mustInsert(t, s, p1)
 	if len(a) != 1 || len(b) != 1 || a[0] != b[0] || a[0] != (WriteOp{Kind: WriteInsert, P: p1}) {
 		t.Fatalf("fan-in after insert: a=%+v b=%+v", a, b)
 	}
@@ -96,7 +95,7 @@ func TestAddWriteHookFanIn(t *testing.T) {
 	removeA()
 	removeA()
 	p2 := geom.Pt(0.333, 0.444)
-	s.Insert(p2)
+	mustInsert(t, s, p2)
 	if len(a) != 1 {
 		t.Fatalf("removed hook still fired: %+v", a)
 	}
@@ -108,7 +107,7 @@ func TestAddWriteHookFanIn(t *testing.T) {
 	var c []WriteOp
 	s.SetWriteHook(func(op WriteOp) { c = append(c, op) })
 	p3 := geom.Pt(0.555, 0.666)
-	s.Insert(p3)
+	mustInsert(t, s, p3)
 	if len(b) != 2 {
 		t.Fatalf("SetWriteHook did not replace added hooks: %+v", b)
 	}
@@ -117,7 +116,7 @@ func TestAddWriteHookFanIn(t *testing.T) {
 	}
 	// Removing an already-replaced hook must not disturb the new set.
 	removeB()
-	s.Insert(geom.Pt(0.777, 0.888))
+	mustInsert(t, s, geom.Pt(0.777, 0.888))
 	if len(c) != 2 {
 		t.Fatalf("stale remove broke the replacement hook: %+v", c)
 	}

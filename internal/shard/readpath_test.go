@@ -68,16 +68,18 @@ func TestBatchKNNMatchesPerQuery(t *testing.T) {
 			check("built")
 			for i := 0; i < 600; i++ {
 				p := geom.Pt(rng.Float64(), rng.Float64())
-				s.Insert(p)
+				mustInsert(t, s, p)
 				lin.Insert(p)
 			}
 			for _, p := range pts[:500] {
-				if !s.Delete(p) || !lin.Delete(p) {
+				if !must(s.DeleteContext(bg, p)) || !lin.Delete(p) {
 					t.Fatalf("delete of %v refused", p)
 				}
 			}
 			check("updated")
-			s.Rebuild()
+			if err := s.RebuildContext(bg); err != nil {
+				t.Fatal(err)
+			}
 			check("rebuilt")
 			var snap bytes.Buffer
 			if _, err := s.WriteTo(&snap); err != nil {

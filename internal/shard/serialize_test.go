@@ -61,10 +61,10 @@ func TestShardedRoundTrip(t *testing.T) {
 			pts := dataset.Generate(dataset.Skewed, 2500, 51)
 			s := New(pts, quickOpts(parts, 4))
 			for _, p := range workload.InsertPoints(pts, 400, 52) {
-				s.Insert(p)
+				mustInsert(t, s, p)
 			}
 			for _, p := range workload.DeleteSample(pts, 200, 53) {
-				s.Delete(p)
+				must(s.DeleteContext(bg, p))
 			}
 
 			var buf bytes.Buffer
@@ -89,11 +89,11 @@ func TestShardedRoundTrip(t *testing.T) {
 			// Every query class must answer identically: the loaded models,
 			// blocks, error bounds, and routing regions are bit-identical.
 			for qi, q := range workload.Windows(pts, 30, 0.01, 1, 54) {
-				sameSet(t, "WindowQuery", loaded.WindowQuery(q), s.WindowQuery(q))
-				sameSet(t, "ExactWindow", loaded.ExactWindow(q), s.ExactWindow(q))
+				sameSet(t, "WindowQuery", must(loaded.WindowQueryContext(bg, q)), must(s.WindowQueryContext(bg, q)))
+				sameSet(t, "ExactWindow", must(loaded.ExactWindowContext(bg, q)), must(s.ExactWindowContext(bg, q)))
 				c := q.Center()
 				for _, k := range []int{1, 5, 25} {
-					g, w := loaded.KNN(c, k), s.KNN(c, k)
+					g, w := must(loaded.KNNContext(bg, c, k)), must(s.KNNContext(bg, c, k))
 					if len(g) != len(w) {
 						t.Fatalf("KNN(%d) query %d: %d vs %d points", k, qi, len(g), len(w))
 					}
@@ -102,24 +102,26 @@ func TestShardedRoundTrip(t *testing.T) {
 							t.Fatalf("KNN(%d) query %d point %d: %v vs %v", k, qi, i, g[i], w[i])
 						}
 					}
-					sameSet(t, "ExactKNN", loaded.ExactKNN(c, k), s.ExactKNN(c, k))
+					sameSet(t, "ExactKNN", must(loaded.ExactKNNContext(bg, c, k)), must(s.ExactKNNContext(bg, c, k)))
 				}
 			}
 			for i := 0; i < 300; i++ {
 				p := pts[(i*37)%len(pts)]
-				if loaded.PointQuery(p) != s.PointQuery(p) {
+				if must(loaded.PointQueryContext(bg, p)) != must(s.PointQueryContext(bg, p)) {
 					t.Fatalf("PointQuery(%v) differs after round-trip", p)
 				}
 			}
 
 			// The loaded index stays fully usable: updates and rebuilds work.
 			p := geom.Pt(0.42, 0.24)
-			loaded.Insert(p)
-			if !loaded.PointQuery(p) {
+			mustInsert(t, loaded, p)
+			if !must(loaded.PointQueryContext(bg, p)) {
 				t.Fatal("insert into loaded index lost")
 			}
-			loaded.Rebuild()
-			if !loaded.PointQuery(p) {
+			if err := loaded.RebuildContext(bg); err != nil {
+				t.Fatal(err)
+			}
+			if !must(loaded.PointQueryContext(bg, p)) {
 				t.Fatal("point lost across post-load rebuild")
 			}
 		})
@@ -140,8 +142,8 @@ func TestShardedRoundTripEmpty(t *testing.T) {
 	if loaded.Len() != 0 || loaded.NumShards() != 3 {
 		t.Fatalf("loaded empty index: len=%d shards=%d", loaded.Len(), loaded.NumShards())
 	}
-	loaded.Insert(geom.Pt(0.5, 0.5))
-	if !loaded.PointQuery(geom.Pt(0.5, 0.5)) {
+	mustInsert(t, loaded, geom.Pt(0.5, 0.5))
+	if !must(loaded.PointQueryContext(bg, geom.Pt(0.5, 0.5))) {
 		t.Fatal("insert into loaded empty index lost")
 	}
 }

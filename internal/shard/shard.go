@@ -20,20 +20,24 @@
 // and run in parallel with queries on every shard, while updates take only
 // the owning shard's write lock, so updates on different shards proceed
 // concurrently — unlike the single global RWMutex of rsmi.Concurrent,
-// which serialises every update against all queries. Rebuild is rolling:
-// one shard retrains at a time while the rest keep serving, bounding the
-// stall a periodic rebuild (§5) inflicts on live queries to a single
-// shard's retraining time.
+// which serialises every update against all queries. RebuildContext is
+// rolling: one shard retrains at a time while the rest keep serving,
+// bounding the stall a periodic rebuild (§5) inflicts on live queries to a
+// single shard's retraining time.
+//
+// Every query and write takes a context.Context (the rsmi.Engine surface);
+// there are no context-free forms.
 //
 // # Correctness
 //
 // The shards partition the point set, so the per-index guarantees compose:
 // point queries are exact, window queries have no false positives (each
-// shard's answer has none, and the union introduces none), and ExactWindow
-// and ExactKNN remain exact. A kNN query — single or one of a batch —
-// searches the shards best-first on the caller's goroutine: nearest region
-// first, and a further shard only while its region's MINDIST is still under
-// the distance of the current k-th candidate.
+// shard's answer has none, and the union introduces none), and
+// ExactWindowContext and ExactKNNContext remain exact. A kNN query — single
+// or one of a batch — searches the shards best-first on the caller's
+// goroutine: nearest region first, and a further shard only while its
+// region's MINDIST is still under the distance of the current k-th
+// candidate.
 package shard
 
 import (
@@ -128,8 +132,8 @@ func (sh *state) loadRegion() geom.Rect { return *sh.region.Load() }
 func (sh *state) storeRegion(r geom.Rect) { sh.region.Store(&r) }
 
 // Sharded is an S-way sharded RSMI. All methods are safe for concurrent
-// use. It implements index.Index and offers the same method set as
-// rsmi.Index and rsmi.Concurrent.
+// use. Its query and write surface is the context-aware one of rsmi.Engine
+// (context.go, batch.go).
 type Sharded struct {
 	opts      Options
 	shards    []*state
@@ -141,8 +145,6 @@ type Sharded struct {
 	hook   atomic.Pointer[[]*hookEntry]
 	hookMu sync.Mutex
 }
-
-var _ index.Index = (*Sharded)(nil)
 
 // New builds a Sharded index over the points. Shard construction (model
 // training included) runs in parallel. The input slice is not modified.
@@ -269,7 +271,7 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Options returns the (defaulted) options the index was built with.
 func (s *Sharded) Options() Options { return s.opts }
 
-// Name implements index.Index.
+// Name identifies the engine in stats and bench reports.
 func (s *Sharded) Name() string { return "Sharded" }
 
 // String summarises the index.
@@ -302,46 +304,6 @@ func (s *Sharded) pointCandidate(p geom.Point, from int) int {
 	return -1
 }
 
-// PointQuery reports whether a point with q's exact coordinates is indexed.
-// Exact: every indexed point lies inside its shard's region, so the
-// candidate set always includes the owning shard.
-//
-// Deprecated: use PointQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) PointQuery(q geom.Point) bool {
-	found, _ := s.PointQueryContext(context.Background(), q)
-	return found
-}
-
-// Insert adds p, routing it to its owning shard and taking only that
-// shard's write lock, so inserts into different shards run concurrently.
-// Under space partitioning the owner is the shard whose region needs the
-// least enlargement to cover p (ties to the smaller region, then the lower
-// shard id), and the chosen region is extended.
-//
-// Deprecated: use InsertContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) Insert(p geom.Point) {
-	if !p.IsFinite() {
-		// Dropped before routing reads (and extends) a region with it;
-		// InsertContext reports core.ErrNonFinitePoint.
-		return
-	}
-	var sh *state
-	if s.opts.Partitioning == Hash {
-		sh = s.owner(p)
-	} else {
-		sh = s.routeSpace(p)
-	}
-	sh.mu.Lock()
-	sh.idx.Insert(p)
-	sh.storeRegion(sh.loadRegion().ExtendPoint(p))
-	// Under the shard lock: for any single point, hook order == apply
-	// order (see hook.go).
-	s.notify(WriteOp{Kind: WriteInsert, P: p})
-	sh.mu.Unlock()
-}
-
 // routeSpace picks the insert target under space partitioning: the shard
 // whose region needs the least enlargement, ties to the smaller region,
 // then the lower shard id. Empty shards are considered only when every
@@ -364,16 +326,6 @@ func (s *Sharded) routeSpace(p geom.Point) *state {
 		best = s.shards[0]
 	}
 	return best
-}
-
-// Delete removes the point with p's exact coordinates from whichever shard
-// holds it.
-//
-// Deprecated: use DeleteContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) Delete(p geom.Point) bool {
-	ok, _ := s.DeleteContext(context.Background(), p)
-	return ok
 }
 
 // windowCandidates returns the index of the first shard whose region
@@ -431,29 +383,6 @@ func (s *Sharded) fanOut(ctx context.Context, cands []*state, fn func(i int, sh 
 	}
 	wg.Wait()
 	return ctx.Err()
-}
-
-// WindowQuery scatters the window to the shards whose region overlaps it
-// and concatenates their answers in shard order (deterministic for a given
-// shard layout). Like the single-index RSMI, the answer has no false
-// positives and may miss points (§4.2 semantics); ExactWindow is the exact
-// variant.
-//
-// Deprecated: use WindowQueryContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) WindowQuery(q geom.Rect) []geom.Point {
-	out, _ := s.gatherWindow(context.Background(), nil, q, false)
-	return out
-}
-
-// ExactWindow returns the exact window answer (per-shard RSMIa traversal;
-// the union over a partition is exact).
-//
-// Deprecated: use ExactWindowContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) ExactWindow(q geom.Rect) []geom.Point {
-	out, _ := s.gatherWindow(context.Background(), nil, q, true)
-	return out
 }
 
 // appendWindow appends the shard's window answer (exact or Algorithm 2's) to
@@ -556,35 +485,12 @@ func (s *Sharded) shardsByDist(q geom.Point, order []shardDist) []shardDist {
 	return order
 }
 
-// KNN returns up to k approximate nearest neighbours, closest first. The
-// search is best-first over shards, on the caller's goroutine: shards are
-// searched in MINDIST order of their regions, and the search stops at the
-// first shard whose region is no closer than the k-th best candidate found
-// so far — no later shard can improve the answer either. Results carry the
-// same approximation guarantees as the single-index RSMI (§4.3); ExactKNN is
-// the exact variant.
-//
-// Deprecated: use KNNContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) KNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.knn(context.Background(), q, k, false)
-	return out
-}
-
-// ExactKNN returns the exact k nearest neighbours: each visited shard
-// answers exactly, shards are pruned only when their region provably cannot
-// hold a closer point, and the merged top-k over a partition of the data is
-// therefore exact.
-//
-// Deprecated: use ExactKNNContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) ExactKNN(q geom.Point, k int) []geom.Point {
-	out, _ := s.knn(context.Background(), q, k, true)
-	return out
-}
-
-// knn is the one best-first multi-shard kNN routine behind KNN, ExactKNN and
-// every query of a kNN batch. Cancellation is observed between shard
+// knn is the one best-first multi-shard kNN routine behind KNNContext,
+// ExactKNNContext and every query of a kNN batch. The search runs on the
+// caller's goroutine: shards are searched in MINDIST order of their
+// regions, and the search stops at the first shard whose region is no
+// closer than the k-th best candidate found so far — no later shard can
+// improve the answer either. Cancellation is observed between shard
 // searches: once ctx is done no further shard is searched and ctx's error is
 // returned. A trace in ctx counts the shards actually searched (pruned
 // shards excluded) — the number EXPLAIN shows for kNN.
@@ -659,26 +565,20 @@ func mergeNearest(best, got []geom.Point, q geom.Point, k int) []geom.Point {
 	return best
 }
 
-// Rebuild retrains every shard from its current live points as a rolling
-// rebuild: shards rebuild one at a time behind their own write lock, so
-// queries and updates on every other shard keep flowing while one shard
-// retrains — unlike the global-RWMutex design, where a rebuild stalls the
-// whole service for the full retraining time (§5 prescribes periodic
+// RebuildContext retrains every shard from its current live points as a
+// rolling rebuild: shards rebuild one at a time behind their own write
+// lock, so queries and updates on every other shard keep flowing while one
+// shard retrains — unlike the global-RWMutex design, where a rebuild stalls
+// the whole service for the full retraining time (§5 prescribes periodic
 // rebuilds under sustained updates). Each shard keeps its current points
 // (the partition assignment does not change) and its region is recomputed,
 // tightening routing after deletions.
 //
-// Deprecated: use RebuildContext instead; the context-free form wraps
-// it with context.Background().
-func (s *Sharded) Rebuild() {
-	_ = s.rebuild(context.Background())
-}
-
-// rebuild is the rolling rebuild observing ctx between shards: a cancelled
-// context stops before retraining the next shard. Shards already rebuilt
-// stay rebuilt (each swap is atomic under the shard lock), so an aborted
-// rebuild never leaves the index inconsistent — merely partially retrained.
-func (s *Sharded) rebuild(ctx context.Context) error {
+// A cancelled ctx stops the rebuild before the next shard retrains. Shards
+// already rebuilt stay rebuilt (each swap is atomic under the shard lock),
+// so an aborted rebuild never leaves the index inconsistent — merely
+// partially retrained, and a later rebuild finishes the job.
+func (s *Sharded) RebuildContext(ctx context.Context) error {
 	for i, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -706,7 +606,7 @@ func (s *Sharded) Len() int {
 	return n
 }
 
-// Accesses implements index.Index: total block accesses across shards.
+// Accesses returns the total block accesses across shards.
 func (s *Sharded) Accesses() int64 {
 	var n int64
 	for _, sh := range s.shards {
@@ -717,7 +617,7 @@ func (s *Sharded) Accesses() int64 {
 	return n
 }
 
-// ResetAccesses implements index.Index.
+// ResetAccesses zeroes every shard's block-access counter.
 func (s *Sharded) ResetAccesses() {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
@@ -726,7 +626,7 @@ func (s *Sharded) ResetAccesses() {
 	}
 }
 
-// Stats implements index.Index, aggregating over shards: sizes, blocks and
+// Stats aggregates structural statistics over shards: sizes, blocks and
 // model counts sum; the height is the tallest shard's; BuildTime is the
 // wall-clock parallel build time.
 func (s *Sharded) Stats() index.Stats {

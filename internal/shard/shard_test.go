@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -13,6 +14,25 @@ import (
 	"rsmi/internal/index"
 	"rsmi/internal/workload"
 )
+
+// bg is the context of every test call that is not about cancellation.
+var bg = context.Background()
+
+// must returns v, panicking on err: a call made with bg fails only on a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// mustInsert inserts p, failing t if the index refuses it.
+func mustInsert(t testing.TB, s *Sharded, p geom.Point) {
+	t.Helper()
+	if err := s.InsertContext(bg, p); err != nil {
+		t.Errorf("InsertContext(%v): %v", p, err)
+	}
+}
 
 // quickOpts keeps shard builds fast at test scale.
 func quickOpts(parts Partitioning, shards int) Options {
@@ -64,11 +84,11 @@ func checkAgainstLinear(t *testing.T, s *Sharded, lin *index.Linear, pts []geom.
 	// Point queries: identical to ground truth, hits and misses alike.
 	for i := 0; i < 200; i++ {
 		p := pts[rng.Intn(len(pts))]
-		if got, want := s.PointQuery(p), lin.PointQuery(p); got != want {
+		if got, want := must(s.PointQueryContext(bg, p)), lin.PointQuery(p); got != want {
 			t.Fatalf("PointQuery(%v) = %v, linear says %v", p, got, want)
 		}
 		miss := geom.Pt(rng.Float64(), rng.Float64())
-		if got, want := s.PointQuery(miss), lin.PointQuery(miss); got != want {
+		if got, want := must(s.PointQueryContext(bg, miss)), lin.PointQuery(miss); got != want {
 			t.Fatalf("PointQuery miss %v = %v, linear says %v", miss, got, want)
 		}
 	}
@@ -81,7 +101,7 @@ func checkAgainstLinear(t *testing.T, s *Sharded, lin *index.Linear, pts []geom.
 		for _, p := range truth {
 			inTruth[p] = true
 		}
-		for _, p := range s.WindowQuery(w) {
+		for _, p := range must(s.WindowQueryContext(bg, w)) {
 			if !w.Contains(p) {
 				t.Fatalf("WindowQuery(%v) returned %v outside the window", w, p)
 			}
@@ -89,7 +109,7 @@ func checkAgainstLinear(t *testing.T, s *Sharded, lin *index.Linear, pts []geom.
 				t.Fatalf("WindowQuery(%v) returned %v not in ground truth", w, p)
 			}
 		}
-		sameSet(t, "ExactWindow", s.ExactWindow(w), truth)
+		sameSet(t, "ExactWindow", must(s.ExactWindowContext(bg, w)), truth)
 	}
 
 	// kNN: approximate answers are real points in distance order; exact
@@ -97,7 +117,7 @@ func checkAgainstLinear(t *testing.T, s *Sharded, lin *index.Linear, pts []geom.
 	for _, q := range workload.KNNPoints(pts, 25, seed+2) {
 		for _, k := range []int{1, 5, 25} {
 			truth := lin.KNN(q, k)
-			got := s.KNN(q, k)
+			got := must(s.KNNContext(bg, q, k))
 			if len(got) > k {
 				t.Fatalf("KNN(%v, %d) returned %d points", q, k, len(got))
 			}
@@ -109,7 +129,7 @@ func checkAgainstLinear(t *testing.T, s *Sharded, lin *index.Linear, pts []geom.
 					t.Fatalf("KNN results not sorted by distance at %d", i)
 				}
 			}
-			exact := s.ExactKNN(q, k)
+			exact := must(s.ExactKNNContext(bg, q, k))
 			if len(exact) != len(truth) {
 				t.Fatalf("ExactKNN(%v, %d) returned %d points, want %d", q, k, len(exact), len(truth))
 			}
@@ -151,17 +171,17 @@ func TestShardedUpdates(t *testing.T) {
 
 			ins := workload.InsertPoints(pts, 800, 10)
 			for _, p := range ins {
-				s.Insert(p)
+				mustInsert(t, s, p)
 				lin.Insert(p)
 			}
 			dels := workload.DeleteSample(pts, 400, 12)
 			for _, p := range dels {
-				if !s.Delete(p) {
+				if !must(s.DeleteContext(bg, p)) {
 					t.Fatalf("Delete(%v) failed on indexed point", p)
 				}
 				lin.Delete(p)
 			}
-			if s.Delete(geom.Pt(-1, -1)) {
+			if must(s.DeleteContext(bg, geom.Pt(-1, -1))) {
 				t.Fatal("Delete of absent point succeeded")
 			}
 			live := lin.WindowQuery(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
@@ -169,7 +189,9 @@ func TestShardedUpdates(t *testing.T) {
 
 			// The rolling rebuild retrains each shard from its own points
 			// (no repartitioning) and must preserve the point set.
-			s.Rebuild()
+			if err := s.RebuildContext(bg); err != nil {
+				t.Fatal(err)
+			}
 			checkAgainstLinear(t, s, lin, live, 14)
 		})
 	}
@@ -192,9 +214,9 @@ func TestShardedParallelMixed(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ins); i += 2 {
-				s.Insert(ins[i])
+				mustInsert(t, s, ins[i])
 				if i%5 == 0 {
-					s.Delete(pts[i%len(pts)])
+					must(s.DeleteContext(bg, pts[i%len(pts)]))
 				}
 			}
 		}(w)
@@ -206,16 +228,16 @@ func TestShardedParallelMixed(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				q := ws[(g+i)%len(ws)]
-				for _, p := range s.WindowQuery(q) {
+				for _, p := range must(s.WindowQueryContext(bg, q)) {
 					if !q.Contains(p) {
 						errs <- "window false positive under concurrency"
 						return
 					}
 				}
-				s.PointQuery(pts[(g*131+i)%len(pts)])
-				s.KNN(pts[(g*17+i)%len(pts)], 5)
+				must(s.PointQueryContext(bg, pts[(g*131+i)%len(pts)]))
+				must(s.KNNContext(bg, pts[(g*17+i)%len(pts)], 5))
 				if i%60 == 0 {
-					s.ExactWindow(q)
+					must(s.ExactWindowContext(bg, q))
 					s.Len()
 					s.Stats()
 				}
@@ -229,7 +251,7 @@ func TestShardedParallelMixed(t *testing.T) {
 	}
 	// No insert may be lost.
 	for _, p := range ins {
-		if !s.PointQuery(p) {
+		if !must(s.PointQueryContext(bg, p)) {
 			t.Fatalf("inserted point %v lost under concurrent load", p)
 		}
 	}
@@ -261,16 +283,16 @@ func TestShardedMoreShardsThanPoints(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 3, 19)
 	s := New(pts, quickOpts(Space, 8))
 	for _, p := range pts {
-		if !s.PointQuery(p) {
+		if !must(s.PointQueryContext(bg, p)) {
 			t.Fatalf("point %v missing", p)
 		}
 	}
 	p := geom.Pt(0.123, 0.456)
-	s.Insert(p)
-	if !s.PointQuery(p) {
+	mustInsert(t, s, p)
+	if !must(s.PointQueryContext(bg, p)) {
 		t.Fatal("insert into sparse sharded index lost")
 	}
-	if got := s.ExactKNN(geom.Pt(0.5, 0.5), 10); len(got) != 4 {
+	if got := must(s.ExactKNNContext(bg, geom.Pt(0.5, 0.5), 10)); len(got) != 4 {
 		t.Fatalf("ExactKNN over sparse shards returned %d points, want 4", len(got))
 	}
 }
@@ -298,10 +320,10 @@ func TestHashPartitionSignedZero(t *testing.T) {
 	pts = append(pts, geom.Pt(0, 0.5))
 	s := New(pts, quickOpts(Hash, 4))
 	negZero := math.Copysign(0, -1)
-	if !s.PointQuery(geom.Pt(negZero, 0.5)) {
+	if !must(s.PointQueryContext(bg, geom.Pt(negZero, 0.5))) {
 		t.Fatal("PointQuery(-0.0) missed point stored as +0.0")
 	}
-	if !s.Delete(geom.Pt(negZero, 0.5)) {
+	if !must(s.DeleteContext(bg, geom.Pt(negZero, 0.5))) {
 		t.Fatal("Delete(-0.0) failed for point stored as +0.0")
 	}
 }
@@ -311,17 +333,17 @@ func TestEmptySharded(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
 	}
-	if s.PointQuery(geom.Pt(0.5, 0.5)) {
+	if must(s.PointQueryContext(bg, geom.Pt(0.5, 0.5))) {
 		t.Fatal("point query on empty index")
 	}
-	if got := s.KNN(geom.Pt(0.5, 0.5), 3); len(got) != 0 {
+	if got := must(s.KNNContext(bg, geom.Pt(0.5, 0.5), 3)); len(got) != 0 {
 		t.Fatalf("KNN on empty index returned %d", len(got))
 	}
-	if got := s.WindowQuery(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}); len(got) != 0 {
+	if got := must(s.WindowQueryContext(bg, geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})); len(got) != 0 {
 		t.Fatalf("WindowQuery on empty index returned %d", len(got))
 	}
-	s.Insert(geom.Pt(0.1, 0.1))
-	if !s.PointQuery(geom.Pt(0.1, 0.1)) {
+	mustInsert(t, s, geom.Pt(0.1, 0.1))
+	if !must(s.PointQueryContext(bg, geom.Pt(0.1, 0.1))) {
 		t.Fatal("insert into empty sharded index lost")
 	}
 }

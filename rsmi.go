@@ -32,12 +32,13 @@
 //
 // The Engine interface (engine.go) is the v2 query API: context-aware,
 // error-returning variants of every operation, implemented by Index,
-// Concurrent, Sharded, and adapter engines over the internal baselines
-// (baseline.go), so the serving stack (internal/server, cmd/rsmi-serve
-// -engine) drives any backend through one pipeline. The context-free
-// methods shown above remain as compatibility wrappers. See README.md for
-// the package map and migration notes, EXPERIMENTS.md for measured
-// results.
+// Concurrent, Sharded, and the baseline engines (Concurrents over the
+// internal baselines, concurrent.go), so the serving stack
+// (internal/server, cmd/rsmi-serve -engine) drives any backend through one
+// pipeline. It is the only surface of Concurrent and Sharded; the
+// context-free methods shown above are Index's index.Index surface, the
+// one the paper's harness drives. See README.md for the package map and
+// migration notes, EXPERIMENTS.md for measured results.
 package rsmi
 
 import (
@@ -94,11 +95,12 @@ func Load(r io.Reader) (*Index, error) {
 // runs, so the index must be rebuilt from its points and saved again.
 var ErrSnapshotV1 = core.ErrSnapshotV1
 
-// ErrNonFinitePoint is the error InsertContext returns, on Index, Concurrent
-// and Sharded, for a point with a NaN or infinite coordinate. The point is not
-// inserted — folded into the MBRs above it, it would hide the points under
-// them from every query; the context-free Insert drops it silently, and New,
-// NewConcurrent and NewSharded skip such points in their input.
+// ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
+// a point with a NaN or infinite coordinate. The point is not inserted —
+// folded into the MBRs above it, it would hide the points under them from
+// every query; Index's context-free Insert drops it silently, and every
+// constructor (New, NewConcurrent, NewSharded and the baseline engines)
+// skips such points in its input.
 var ErrNonFinitePoint = core.ErrNonFinitePoint
 
 // Pt constructs a Point.

@@ -3,7 +3,6 @@ package rsmi
 import (
 	"io"
 
-	"rsmi/internal/geom"
 	"rsmi/internal/shard"
 )
 
@@ -14,11 +13,12 @@ import (
 // first, stopping at the distance of the k-th candidate — and updates take
 // only the owning shard's lock, so updates on different shards proceed
 // concurrently. Rebuild is rolling — one shard retrains at a time while
-// the others keep serving. It offers the same method set as Index and
-// Concurrent and the same correctness guarantees as the single-index RSMI:
-// exact point queries, window answers with no false positives, and exact
-// ExactWindow / ExactKNN. See EXPERIMENTS.md ("Sharded throughput") for
-// measured scaling over the Concurrent RWMutex baseline.
+// the others keep serving. Its query surface is Engine, and it keeps the
+// correctness guarantees of the single-index RSMI: exact point queries,
+// window answers with no false positives, and exact ExactWindowContext /
+// ExactKNNContext. See EXPERIMENTS.md ("Sharded throughput", historical) for
+// its scaling over the Concurrent RWMutex wrapper when that was last
+// measured.
 type Sharded = shard.Sharded
 
 // ShardOptions configures a Sharded index; the zero value selects
@@ -39,8 +39,8 @@ const (
 	HashPartitioned = shard.Hash
 )
 
-// KNNQuery is one kNN request in a batch (see BatchKNN): up to K nearest
-// neighbours of Q.
+// KNNQuery is one kNN request in a batch (see BatchKNNContext): up to K
+// nearest neighbours of Q.
 type KNNQuery = shard.KNNQuery
 
 // NewSharded builds a sharded RSMI over the points; shards build (and
@@ -56,37 +56,3 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
-
-// shardedOps is the method set shared by Index, Concurrent, and Sharded
-// (Concurrent and Sharded additionally being safe for concurrent use).
-type shardedOps interface {
-	PointQuery(q geom.Point) bool
-	WindowQuery(q geom.Rect) []geom.Point
-	ExactWindow(q geom.Rect) []geom.Point
-	KNN(q geom.Point, k int) []geom.Point
-	ExactKNN(q geom.Point, k int) []geom.Point
-	Insert(p geom.Point)
-	Delete(p geom.Point) bool
-	Rebuild()
-	Len() int
-	Stats() Stats
-}
-
-var (
-	_ shardedOps = (*Index)(nil)
-	_ shardedOps = (*Concurrent)(nil)
-	_ shardedOps = (*Sharded)(nil)
-)
-
-// batchOps is the batch execution surface shared by Concurrent and Sharded
-// (the serving layer's amortisation hooks; see internal/server).
-type batchOps interface {
-	BatchPointQuery(qs []geom.Point) []bool
-	BatchWindowQuery(qs []geom.Rect) [][]geom.Point
-	BatchKNN(qs []shard.KNNQuery) [][]geom.Point
-}
-
-var (
-	_ batchOps = (*Concurrent)(nil)
-	_ batchOps = (*Sharded)(nil)
-)

@@ -1,6 +1,7 @@
 package rsmi_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -32,6 +33,7 @@ func buildSharded(t testing.TB, parts rsmi.Partitioning) (*rsmi.Sharded, []rsmi.
 // results and window/kNN results consistent with the single-index RSMI
 // guarantees, judged against the brute-force oracle.
 func TestShardedAgainstGroundTruth(t *testing.T) {
+	ctx := context.Background()
 	for _, parts := range []rsmi.Partitioning{rsmi.SpacePartitioned, rsmi.HashPartitioned} {
 		parts := parts
 		t.Run(parts.String(), func(t *testing.T) {
@@ -39,7 +41,7 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 			lin := index.NewLinear(pts)
 
 			for _, p := range workload.PointQueries(pts, 300, 31) {
-				if !s.PointQuery(p) {
+				if !must(s.PointQueryContext(ctx, p)) {
 					t.Fatalf("false negative for indexed point %v", p)
 				}
 			}
@@ -49,18 +51,18 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 				for _, p := range truth {
 					set[p] = true
 				}
-				for _, p := range s.WindowQuery(w) {
+				for _, p := range must(s.WindowQueryContext(ctx, w)) {
 					if !set[p] {
 						t.Fatalf("window %v returned %v not in ground truth", w, p)
 					}
 				}
-				if got := s.ExactWindow(w); len(got) != len(truth) {
+				if got := must(s.ExactWindowContext(ctx, w)); len(got) != len(truth) {
 					t.Fatalf("ExactWindow(%v) = %d points, ground truth %d", w, len(got), len(truth))
 				}
 			}
 			for _, q := range workload.KNNPoints(pts, 40, 33) {
 				truth := lin.KNN(q, 10)
-				got := s.ExactKNN(q, 10)
+				got := must(s.ExactKNNContext(ctx, q, 10))
 				if len(got) != len(truth) {
 					t.Fatalf("ExactKNN returned %d points, want %d", len(got), len(truth))
 				}
@@ -69,7 +71,7 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 						t.Fatalf("ExactKNN distance %d mismatch", i)
 					}
 				}
-				if r := index.KNNRecall(s.KNN(q, 10), truth, q); r < 0.5 {
+				if r := index.KNNRecall(must(s.KNNContext(ctx, q, 10)), truth, q); r < 0.5 {
 					t.Fatalf("approximate kNN recall %.2f implausibly low", r)
 				}
 			}
@@ -81,6 +83,7 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 // through the public API; under -race it is the concurrency-safety test for
 // the per-shard locking.
 func TestShardedMixedReadWrite(t *testing.T) {
+	ctx := context.Background()
 	s, pts := buildSharded(t, rsmi.SpacePartitioned)
 	ins := workload.InsertPoints(pts, 2000, 24)
 	var wg sync.WaitGroup
@@ -90,9 +93,9 @@ func TestShardedMixedReadWrite(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(ins); i += 2 {
-				s.Insert(ins[i])
+				mustInsert(t, s, ins[i])
 				if i%4 == 0 {
-					s.Delete(pts[i])
+					must(s.DeleteContext(ctx, pts[i]))
 				}
 			}
 		}(w)
@@ -103,11 +106,11 @@ func TestShardedMixedReadWrite(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				s.PointQuery(pts[(g*31+i)%len(pts)])
+				must(s.PointQueryContext(ctx, pts[(g*31+i)%len(pts)]))
 				if i%20 == 0 {
 					w := rsmi.RectAround(pts[(g*7+i)%len(pts)], 0.05, 0.05)
-					s.WindowQuery(w)
-					s.KNN(pts[(g*13+i)%len(pts)], 5)
+					must(s.WindowQueryContext(ctx, w))
+					must(s.KNNContext(ctx, pts[(g*13+i)%len(pts)], 5))
 				}
 				if i%100 == 0 {
 					s.Len()
@@ -118,23 +121,26 @@ func TestShardedMixedReadWrite(t *testing.T) {
 	}
 	wg.Wait()
 	for _, p := range ins {
-		if !s.PointQuery(p) {
+		if !must(s.PointQueryContext(ctx, p)) {
 			t.Fatalf("inserted point %v lost under concurrent load", p)
 		}
 	}
 }
 
 func TestShardedRebuildPublic(t *testing.T) {
+	ctx := context.Background()
 	s, pts := buildSharded(t, rsmi.SpacePartitioned)
 	for _, p := range workload.InsertPoints(pts, 500, 25) {
-		s.Insert(p)
+		mustInsert(t, s, p)
 	}
 	before := s.Len()
-	s.Rebuild()
+	if err := s.RebuildContext(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if s.Len() != before {
 		t.Fatalf("rebuild changed Len: %d -> %d", before, s.Len())
 	}
-	if !s.PointQuery(pts[0]) {
+	if !must(s.PointQueryContext(ctx, pts[0])) {
 		t.Fatal("point lost after rebuild")
 	}
 	if st := s.Stats(); st.Name != "Sharded" || st.Blocks == 0 {
