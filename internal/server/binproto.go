@@ -53,9 +53,11 @@ package server
 // batch responses" item for the binary path.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -421,6 +423,25 @@ var binBufPool = sync.Pool{
 // binBufPoolMax caps the capacity a buffer may keep when returned to
 // the pool: one huge batch response must not pin its memory forever.
 const binBufPoolMax = 1 << 20
+
+// readPooled reads r whole into a buffer from binBufPool: a request body
+// on the server, an answer on the client. Hand the buffer back with
+// putPooled once nothing references the bytes.
+func readPooled(r io.Reader) (*[]byte, []byte, error) {
+	bp := binBufPool.Get().(*[]byte)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(r)
+	return bp, buf.Bytes(), err
+}
+
+// putPooled returns bp to binBufPool holding b, a buffer grown from it,
+// unless b has outgrown binBufPoolMax.
+func putPooled(bp *[]byte, b []byte) {
+	if cap(b) <= binBufPoolMax {
+		*bp = b[:0] // keep the grown capacity for the next use
+		binBufPool.Put(bp)
+	}
+}
 
 // ---- Decoding ----
 

@@ -286,19 +286,13 @@ func handleResponse(resp *http.Response, decode func(io.Reader) error) error {
 // buffer returns to the pool when decode does.
 func bodyInto(decode func(body []byte) error) func(io.Reader) error {
 	return func(r io.Reader) error {
-		bp := binBufPool.Get().(*[]byte)
-		buf := bytes.NewBuffer((*bp)[:0])
-		_, err := buf.ReadFrom(r)
-		body := buf.Bytes()
+		bp, body, err := readPooled(r)
 		if err == nil {
 			err = decode(body)
 		} else {
 			err = fmt.Errorf("client: read response: %w", err)
 		}
-		if cap(body) <= binBufPoolMax {
-			*bp = body[:0] // keep the grown capacity for the next answer
-			binBufPool.Put(bp)
-		}
+		putPooled(bp, body)
 		return err
 	}
 }
@@ -317,9 +311,11 @@ func (c *Client) roundTripBinary(ctx context.Context, path string, ops []BatchOp
 }
 
 // roundTripJSON is the JSON-over-HTTP roundTripFunc: the request is the
-// route's historical document, with ?explain=1 asking for the trace.
+// route's historical document, with ?explain=1 asking for the trace. Its
+// buffer is the request's own, not a pooled one: the transport may still
+// be reading a body after the response has arrived.
 func (c *Client) roundTripJSON(ctx context.Context, path string, ops []BatchOp, single, explain bool) (rs []binResult, tj *TraceJSON, err error) {
-	req, err := json.Marshal(routeFor(path).requestJSON(ops))
+	req, err := appendRequestJSON(make([]byte, 0, 64+160*len(ops)), routeFor(path), ops)
 	if err != nil {
 		return nil, nil, fmt.Errorf("client: marshal: %w", err)
 	}

@@ -6,6 +6,7 @@ package server
 // equivalence across baseline-backed engines.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -364,6 +365,45 @@ func TestPointsJSONStreamEquivalence(t *testing.T) {
 				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
 			}
 		}
+	}
+}
+
+// responseJSON is a bool op's per-op answer document as the server built
+// it for json.Encoder before appendFlagJSON: the oracle that encoder is
+// pinned against.
+func responseJSON(a batchAnswer, tj *TraceJSON) interface{} {
+	switch a.op {
+	case OpInsert:
+		return OKResponse{OK: a.flag, Trace: tj}
+	case OpDelete:
+		return DeletedResponse{Deleted: a.flag, Trace: tj}
+	}
+	return FoundResponse{Found: a.flag, Trace: tj}
+}
+
+// TestFlagJSONStreamEquivalence pins the per-op bool answers (/v1/point,
+// /v1/insert, /v1/delete) to the bytes json.Encoder wrote for them — the
+// flag, false included, the trace, the trailing newline — and the
+// untraced answer at no allocation.
+func TestFlagJSONStreamEquivalence(t *testing.T) {
+	for _, op := range []string{OpPoint, OpInsert, OpDelete} {
+		for _, flag := range []bool{true, false} {
+			for _, tj := range []*TraceJSON{nil, testTrace} {
+				var want bytes.Buffer
+				if err := json.NewEncoder(&want).Encode(responseJSON(batchAnswer{op: op, flag: flag}, tj)); err != nil {
+					t.Fatal(err)
+				}
+				if got := appendFlagJSON(nil, op, flag, tj); string(got) != want.String() {
+					t.Fatalf("%s %v (trace %v):\n got %s\nwant %s", op, flag, tj != nil, got, want.Bytes())
+				}
+			}
+		}
+	}
+	buf := appendFlagJSON(nil, OpDelete, false, nil)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = appendFlagJSON(buf[:0], OpDelete, true, nil)
+	}); allocs > 0 {
+		t.Fatalf("per-op bool JSON encode allocates %.1f times, want 0", allocs)
 	}
 }
 

@@ -23,6 +23,9 @@ const (
 	maxBatchOps = 16384
 )
 
+// errTooManyOps refuses a JSON batch of more than maxBatchOps ops.
+var errTooManyOps = fmt.Errorf("batch exceeds %d ops", maxBatchOps)
+
 // admitSlot acquires an in-flight slot — the transport-neutral admission
 // gate — counting a shed when the server is saturated. An admitted
 // request gives the slot back with releaseSlot.

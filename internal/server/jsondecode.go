@@ -1,19 +1,24 @@
 package server
 
-// One-pass decoding of the data plane's JSON answers — the client twin
-// of jsonstream.go. encoding/json reads a document twice (a validating
-// pre-scan, then a reflective walk with a field-name look-up per point),
-// which was half of all CPU on a batch of 32 windows; here the body is
-// walked once, points land straight in the []geom.Point the caller
-// gets, and nothing is allocated per point or per key. Only the EXPLAIN
-// trace, a dozen small fields off the hot path, is left to encoding/json.
+// One-pass decoding of the data plane's JSON, both directions: the
+// client reads answers (decodeJSONResults), the server reads requests
+// (decodeJSONRequest); jsonstream.go holds the encoders they mirror.
+// encoding/json reads a document twice — a validating pre-scan, then a
+// reflective walk with a field-name look-up per value. Here a body is
+// walked once, each number converted in the walk that checks its grammar
+// (scanJSONFloat), values landing straight in the caller's []geom.Point
+// or []BatchOp. encoding/json is left an answer's EXPLAIN trace and the
+// requests the walk declines, which the Go client writes only when a
+// string needs escaping.
 
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"rsmi/internal/geom"
 )
@@ -103,9 +108,10 @@ func decodeJSONResults(body []byte, single bool, ops []BatchOp) ([]binResult, *T
 	return s.results, tj, nil
 }
 
-// jsonScanner is a cursor over one answer body. Like binReader its
-// error is sticky: every step is a no-op once err is set, so the walks
-// stay loops and a malformed body can only ever produce the error.
+// jsonScanner is a cursor over one body. Like binReader its error is
+// sticky: every step is a no-op once err is set, so the walks stay loops
+// and a malformed body can only ever produce the error. The last four
+// fields serve the answer walk only.
 type jsonScanner struct {
 	b   []byte
 	i   int
@@ -190,20 +196,14 @@ func (s *jsonScanner) member(first bool) (key []byte, ok bool) {
 		s.fail("expected a key")
 		return nil, false
 	}
-	start := s.i + 1
-	for s.i = start; s.i < len(s.b); s.i++ {
-		switch c := s.b[s.i]; {
-		case c == '"':
-			key = s.b[start:s.i]
-			s.i++
-			return key, s.expect(':')
-		case c == '\\' || c < 0x20 || c >= 0x80:
-			s.fail("key with an escape, control or non-ASCII byte")
-			return nil, false
-		}
+	end, ascii := scanJSONPlainString(s.b, s.i)
+	if end < 0 || !ascii {
+		s.fail("unterminated key, or one with an escape, control or non-ASCII byte")
+		return nil, false
 	}
-	s.fail("unterminated key")
-	return nil, false
+	key = s.b[s.i+1 : end-1]
+	s.i = end
+	return key, s.expect(':')
 }
 
 // answer walks one result object — the whole document when top, where
@@ -381,21 +381,249 @@ func (s *jsonScanner) point() (p geom.Point) {
 	}
 }
 
-// number consumes a coordinate. The bytes are held to the JSON number
-// grammar before strconv sees them: ParseFloat alone accepts "Inf", hex
-// floats and underscores.
+// jsonRequestKeys lists, per request shape, the keys its type's json
+// tags spell, in field order; an op inside a batch takes BatchOp's.
+// appendRequestJSON writes them in this order, and the walk reads
+// nothing else.
+var jsonRequestKeys = [...][]string{
+	reqPoint: {"x", "y"},
+	reqRect:  {"min_x", "min_y", "max_x", "max_y"},
+	reqKNN:   {"x", "y", "k"},
+	reqSQL:   {"query"},
+	reqBatch: {"op", "x", "y", "k", "min_x", "min_y", "max_x", "max_y", "sql", "sub_id", "sub_kind"},
+}
+
+// requestField returns the BatchOp field of op that request key k fills:
+// a *float64, *int, *uint64 or *string.
+func requestField(op *BatchOp, k string) interface{} {
+	switch k {
+	case "op":
+		return &op.Op
+	case "x":
+		return &op.X
+	case "y":
+		return &op.Y
+	case "k":
+		return &op.K
+	case "min_x":
+		return &op.MinX
+	case "min_y":
+		return &op.MinY
+	case "max_x":
+		return &op.MaxX
+	case "max_y":
+		return &op.MaxY
+	case "sub_id":
+		return &op.SubID
+	case "sub_kind":
+		return &op.SubKind
+	}
+	return &op.SQL // "sql", "query"
+}
+
+// decodeJSONRequest reads the JSON request document of route rt — a
+// per-op endpoint's PointJSON, RectJSON, KNNJSON or SQLRequest (one op,
+// rt's), or /v1/batch's BatchRequest — into ops appended to buf[:0].
+// It accepts exactly the bodies json.Unmarshal accepts into the route's
+// type, and gives the ops json.Unmarshal gives (FuzzDecodeJSONRequest
+// holds it to that), with one limit of its own: a batch of more than
+// maxBatchOps ops is errTooManyOps, found while decoding.
+//
+// The walk (scanJSONRequest) takes keys in any order and any JSON
+// whitespace. Whatever it cannot promise to read as encoding/json does
+// sends the whole body to json.Unmarshal, which then decides: a key that
+// is not byte-for-byte one of the shape's json tags (json.Unmarshal
+// folds case, and skips unknown keys), a string with an escape or
+// invalid UTF-8, a key repeated within one object (a second "ops" array
+// is decoded into the first's elements), a value of another type (null
+// leaves a field as it was), and a malformed body.
+func decodeJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
+	ops, err := scanJSONRequest(body, rt, buf)
+	if err == nil || err == errTooManyOps {
+		return ops, err
+	}
+	return unmarshalJSONRequest(body, rt, buf)
+}
+
+// scanJSONRequest is decodeJSONRequest's one-pass walk. An error other
+// than errTooManyOps means the walk declined the body, not that the body
+// is bad.
+func scanJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
+	s := jsonScanner{b: body}
+	ops := buf[:0]
+	if rt.req == reqBatch {
+		ops = s.batchRequest(ops)
+	} else {
+		ops = append(ops, BatchOp{Op: rt.op})
+		s.requestObject(rt.req, &ops[0])
+	}
+	if s.ws(); s.i < len(s.b) {
+		s.fail("unexpected data after the document")
+	}
+	return ops, s.err
+}
+
+// unmarshalJSONRequest is decodeJSONRequest's reflective way: the body
+// through json.Unmarshal into the route's type.
+func unmarshalJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
+	op := BatchOp{Op: rt.op}
+	var err error
+	switch rt.req {
+	case reqPoint:
+		var v PointJSON
+		err = json.Unmarshal(body, &v)
+		op.X, op.Y = v.X, v.Y
+	case reqRect:
+		var v RectJSON
+		err = json.Unmarshal(body, &v)
+		op.MinX, op.MinY, op.MaxX, op.MaxY = v.MinX, v.MinY, v.MaxX, v.MaxY
+	case reqKNN:
+		var v KNNJSON
+		err = json.Unmarshal(body, &v)
+		op.X, op.Y, op.K = v.X, v.Y, v.K
+	case reqSQL:
+		var v SQLRequest
+		err = json.Unmarshal(body, &v)
+		op.SQL = v.Query
+	default:
+		var v BatchRequest
+		if err = json.Unmarshal(body, &v); err == nil && len(v.Ops) > maxBatchOps {
+			err = errTooManyOps
+		}
+		return v.Ops, err
+	}
+	return append(buf[:0], op), err
+}
+
+// batchRequest walks a BatchRequest — {}, {"ops":null} (a Go client's
+// nil slice) or {"ops":[…]} — appending its ops to ops.
+func (s *jsonScanner) batchRequest(ops []BatchOp) []BatchOp {
+	if !s.expect('{') {
+		return ops
+	}
+	for first := true; ; first = false {
+		key, ok := s.member(first)
+		if !ok {
+			return ops
+		}
+		if !first || string(key) != "ops" {
+			s.fail("a key other than one \"ops\"")
+			return ops
+		}
+		if s.literal("null") || !s.expect('[') {
+			continue
+		}
+		for firstOp := true; s.next(firstOp, ']'); firstOp = false {
+			if len(ops) == maxBatchOps {
+				s.err = errTooManyOps
+				return ops
+			}
+			ops = append(ops, BatchOp{})
+			s.requestObject(reqBatch, &ops[len(ops)-1])
+		}
+	}
+}
+
+// requestObject walks one request object of shape into op: a per-op
+// document, or an op inside a batch (reqBatch).
+func (s *jsonScanner) requestObject(shape reqShape, op *BatchOp) {
+	if !s.expect('{') {
+		return
+	}
+	var seen uint16
+	for first := true; ; first = false {
+		key, ok := s.member(first)
+		if !ok {
+			return
+		}
+		j := -1
+		for i, name := range jsonRequestKeys[shape] {
+			if string(key) == name {
+				j = i
+				break
+			}
+		}
+		if j < 0 || seen&(1<<j) != 0 {
+			s.fail("a key json.Unmarshal may read otherwise")
+			return
+		}
+		seen |= 1 << j
+		switch f := requestField(op, jsonRequestKeys[shape][j]).(type) {
+		case *float64:
+			*f = s.number()
+		case *int:
+			*f = int(s.integer(true))
+		case *uint64:
+			*f = s.integer(false)
+		case *string: // one whose bytes are its value: no escape, valid UTF-8
+			end, ascii := -1, true
+			if s.ws() == '"' {
+				end, ascii = scanJSONPlainString(s.b, s.i)
+			}
+			if end < 0 || !ascii && !utf8.Valid(s.b[s.i+1:end-1]) {
+				s.fail("expected a string with nothing to unescape")
+				return
+			}
+			*f, s.i = jsonName(s.b[s.i+1:end-1]), end
+		}
+	}
+}
+
+// integer consumes a number that json.Unmarshal reads into an int — or,
+// when !signed, a uint64 — and reads it as json.Unmarshal does, with
+// strconv; it returns the value's bits. A fraction, an exponent or a
+// value beyond the type fails.
+func (s *jsonScanner) integer(signed bool) uint64 {
+	if s.err != nil {
+		return 0
+	}
+	s.ws()
+	_, end := scanJSONFloat(s.b, s.i)
+	if end < 0 {
+		s.fail("expected an integer")
+		return 0
+	}
+	var n uint64
+	var err error
+	if lit := string(s.b[s.i:end]); signed {
+		var v int64
+		v, err = strconv.ParseInt(lit, 10, 0)
+		n = uint64(v)
+	} else {
+		n, err = strconv.ParseUint(lit, 10, 64)
+	}
+	if err != nil {
+		s.fail("expected an integer in range")
+		return 0
+	}
+	s.i = end
+	return n
+}
+
+// jsonName returns the string b spells, sharing the op or
+// subscription-kind name it may be rather than allocating a copy.
+func jsonName(b []byte) string {
+	for _, name := range [...]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, OpSQL, OpSub, OpUnsub} {
+		if string(b) == name {
+			return name
+		}
+	}
+	return string(b)
+}
+
+// number consumes a coordinate. One that overflows float64 is the
+// *json.UnmarshalTypeError encoding/json gave.
 func (s *jsonScanner) number() float64 {
 	if s.err != nil {
 		return 0
 	}
 	s.ws()
-	end := scanJSONNumber(s.b, s.i)
-	if end < 0 {
+	v, end := scanJSONFloat(s.b, s.i)
+	switch {
+	case end < 0:
 		s.fail("expected a number")
 		return 0
-	}
-	v, err := strconv.ParseFloat(string(s.b[s.i:end]), 64)
-	if err != nil {
+	case math.IsInf(v, 0):
 		s.err = &json.UnmarshalTypeError{Value: "number " + string(s.b[s.i:end]), Type: reflect.TypeOf(v), Offset: int64(end)}
 		return 0
 	}
@@ -414,64 +642,131 @@ func scanJSONPoint(b []byte, i int) (p geom.Point, end int) {
 	if len(b)-i < len(x) || string(b[i:i+len(x)]) != x {
 		return p, -1
 	}
-	i += len(x)
-	j := scanJSONNumber(b, i)
-	if j < 0 || len(b)-j < len(y) || string(b[j:j+len(y)]) != y {
+	p.X, i = scanJSONFloat(b, i+len(x))
+	if i < 0 || len(b)-i < len(y) || string(b[i:i+len(y)]) != y {
 		return p, -1
 	}
-	k := scanJSONNumber(b, j+len(y))
-	if k < 0 || k >= len(b) || b[k] != '}' {
+	p.Y, i = scanJSONFloat(b, i+len(y))
+	if i < 0 || i >= len(b) || b[i] != '}' || math.IsInf(p.X, 0) || math.IsInf(p.Y, 0) {
 		return p, -1
 	}
-	var errX, errY error
-	p.X, errX = strconv.ParseFloat(string(b[i:j]), 64)
-	p.Y, errY = strconv.ParseFloat(string(b[j+len(y):k]), 64)
-	if errX != nil || errY != nil {
-		return p, -1
-	}
-	return p, k + 1
+	return p, i + 1
 }
 
-// scanJSONNumber returns the index just past the JSON number that
-// starts at b[i], -1 if none does.
+// float64pow10 holds the powers of ten a float64 represents exactly.
+var float64pow10 = [...]float64{
+	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+}
+
+// scanJSONFloat converts the JSON number that starts at b[i] in the walk
+// that holds it to the grammar (strconv.ParseFloat alone would take
+// "Inf", hex floats and underscores), and returns it with the index just
+// past it, -1 if no number starts there. A number beyond float64's range
+// is ±Inf, which no other JSON number converts to. The first 19
+// significant digits make a uint64 mantissa m; later ones only move the
+// decimal exponent e. When none of those is non-zero, m ≤ 2^53 and
+// |e| ≤ 22, m and 10^|e| are exact float64s and one correctly rounded
+// multiply or divide is the answer: the exact path strconv takes after
+// its own walk over the digits. Anything else goes to strconv.ParseFloat
+// on the checked bytes. Either way the result is ParseFloat's, bit for
+// bit (TestJSONNumberMatchesParseFloat).
 //
 //rsmi:noalloc
-func scanJSONNumber(b []byte, i int) int {
-	if i < len(b) && b[i] == '-' {
+func scanJSONFloat(b []byte, i int) (v float64, end int) {
+	start := i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
+	if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		return 0, -1
+	}
+	var m uint64
+	var nd, e int // digits in m, decimal exponent
+	var dropped bool
+	if b[i] == '0' {
 		i++
-	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipJSONDigits(b, i)
-	default:
-		return -1
+	} else {
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if nd < 19 {
+				m, nd = m*10+uint64(b[i]-'0'), nd+1
+			} else {
+				e, dropped = e+1, dropped || b[i] != '0'
+			}
+		}
 	}
 	if i < len(b) && b[i] == '.' {
 		frac := i + 1
-		if i = skipJSONDigits(b, frac); i == frac {
-			return -1
+		for i = frac; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			switch {
+			case nd == 0 && b[i] == '0': // a leading zero
+				e--
+			case nd < 19:
+				m, nd, e = m*10+uint64(b[i]-'0'), nd+1, e-1
+			default:
+				dropped = dropped || b[i] != '0'
+			}
+		}
+		if i == frac {
+			return 0, -1
 		}
 	}
 	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
+		eneg := i < len(b) && b[i] == '-'
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		exp := i
-		if i = skipJSONDigits(b, exp); i == exp {
-			return -1
+		exp, digits := 0, i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if exp < 10000 { // past any float64, and no int overflow
+				exp = exp*10 + int(b[i]-'0')
+			}
 		}
+		if i == digits {
+			return 0, -1
+		}
+		if eneg {
+			exp = -exp
+		}
+		e += exp
 	}
-	return i
+	if !dropped && m <= 1<<53 && -22 <= e && e <= 22 {
+		v = float64(m)
+		if e >= 0 {
+			v *= float64pow10[e]
+		} else {
+			v /= float64pow10[-e]
+		}
+		if neg {
+			v = -v
+		}
+		return v, i
+	}
+	v, _ = strconv.ParseFloat(string(b[start:i]), 64) // only ErrRange, with v ±Inf
+	return v, i
 }
 
-func skipJSONDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// scanJSONPlainString returns the index just past the string whose
+// opening quote is b[i] when it holds no escape and no control byte — its
+// bytes are then its value, once they are valid UTF-8 — and whether they
+// are all ASCII; end is -1 for any other string, or none.
+//
+//rsmi:noalloc
+func scanJSONPlainString(b []byte, i int) (end int, ascii bool) {
+	ascii = true
+	for i++; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1, ascii
+		case c == '\\' || c < 0x20:
+			return -1, ascii
+		case c >= 0x80:
+			ascii = false
+		}
 	}
-	return i
+	return -1, ascii
 }
 
 func skipJSONSpace(b []byte, i int) int {
@@ -581,5 +876,6 @@ func skipJSONValue(b []byte, i, depth int) int {
 			i = skipJSONSpace(b, i+1)
 		}
 	}
-	return scanJSONNumber(b, i)
+	_, end := scanJSONFloat(b, i)
+	return end
 }

@@ -1,17 +1,15 @@
 package server
 
-// Streaming JSON encoding of /v1/batch responses. The binary path has
-// encoded batch answers straight from the engine's []geom.Point into a
-// pooled buffer since rsmibin landed; the JSON path used to build a
-// []BatchResult with one []PointJSON per window/kNN answer first — two
-// allocations per result plus the encoder's reflection walk, pure GC
-// pressure at batch sizes of 32+. This file closes the ROADMAP
-// "Streaming/zero-copy JSON" item: batch answers are appended directly
-// into the same pooled buffer as the binary path, with O(1) allocations
-// per batch (asserted by TestBatchJSONEncodeAllocs), producing exactly
-// the bytes encoding/json would for BatchResponse — field order,
-// omitempty behaviour, and float formatting included — so JSON clients
-// decode the same documents they always did.
+// Appending JSON encoders of the data plane, both directions: the
+// server's answers (appendBatchAnswersJSON, appendPointsJSON,
+// appendFlagJSON) and the client's requests (appendRequestJSON) — the
+// twins of the decoders in jsondecode.go. Each appends straight from
+// engine points or ops into the caller's buffer, with O(1) allocations
+// per document (TestBatchJSONEncodeAllocs), and writes exactly the bytes
+// encoding/json writes for the historical wire type — field order,
+// omitempty behaviour, float formatting and HTML escaping included — so
+// every JSON peer reads the documents it always did. encoding/json is
+// left the EXPLAIN trace and the rare string that needs escaping.
 
 import (
 	"encoding/json"
@@ -76,30 +74,16 @@ func appendBatchAnswersJSON(b []byte, answers []batchAnswer, tj *TraceJSON) []by
 		if i > 0 {
 			b = append(b, ',')
 		}
-		switch a.op {
-		case OpPoint:
+		switch {
+		case !pointsResult(a.op):
+			b = append(b, '{')
 			if a.flag {
-				b = append(b, `{"found":true}`...)
-			} else {
-				b = append(b, '{', '}')
+				b = appendFlagMember(b, a.op, true)
 			}
-		case OpDelete:
-			if a.flag {
-				b = append(b, `{"deleted":true}`...)
-			} else {
-				b = append(b, '{', '}')
-			}
-		case OpInsert:
-			if a.flag {
-				b = append(b, `{"ok":true}`...)
-			} else {
-				b = append(b, '{', '}')
-			}
-		default: // window, knn
-			if len(a.pts) == 0 {
-				b = append(b, '{', '}')
-				break
-			}
+			b = append(b, '}')
+		case len(a.pts) == 0:
+			b = append(b, '{', '}')
+		default:
 			b = append(b, `{"count":`...)
 			b = strconv.AppendInt(b, int64(len(a.pts)), 10)
 			b = append(b, `,"points":[`...)
@@ -118,6 +102,30 @@ func appendBatchAnswersJSON(b []byte, answers []batchAnswer, tj *TraceJSON) []by
 	}
 	b = appendTraceJSON(append(b, ']'), tj)
 	return append(b, '}', '\n')
+}
+
+// appendFlagMember appends a bool answer's one member, keyed as its op's
+// document keys it: "found", "ok" or "deleted".
+func appendFlagMember(b []byte, op string, flag bool) []byte {
+	switch op {
+	case OpInsert:
+		b = append(b, `"ok":`...)
+	case OpDelete:
+		b = append(b, `"deleted":`...)
+	default:
+		b = append(b, `"found":`...)
+	}
+	return strconv.AppendBool(b, flag)
+}
+
+// appendFlagJSON encodes the per-op bool documents — FoundResponse,
+// OKResponse, DeletedResponse — as json.Encoder writes them: the flag,
+// false included, then the trace and a newline.
+//
+//rsmi:noalloc
+func appendFlagJSON(b []byte, op string, flag bool, tj *TraceJSON) []byte {
+	b = appendFlagMember(append(b, '{'), op, flag)
+	return append(appendTraceJSON(b, tj), '}', '\n')
 }
 
 // appendPointsJSON encodes a PointsResponse document straight from the
@@ -145,4 +153,93 @@ func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
 	}
 	b = appendTraceJSON(append(b, ']'), tj)
 	return append(b, '}', '\n')
+}
+
+// appendRequestJSON appends the request document of route rt for ops —
+// the JSON client's encoder, the twin of decodeJSONRequest: byte for
+// byte what json.Marshal writes for the route's request type
+// (TestJSONRequestEncodeMatchesMarshal), and for a NaN or ±Inf that the
+// document would carry, json.Marshal's own error instead.
+func appendRequestJSON(b []byte, rt *route, ops []BatchOp) ([]byte, error) {
+	w := jsonRequestWriter{b: append(b, '{')}
+	switch {
+	case rt.req != reqBatch:
+		for _, k := range jsonRequestKeys[rt.req] {
+			w.field(k, &ops[0], false)
+		}
+	case ops == nil:
+		w.b = append(w.b, `"ops":null`...)
+	default:
+		w.b = append(w.b, `"ops":[`...)
+		for i := range ops {
+			if i > 0 {
+				w.b = append(w.b, ',')
+			}
+			w.b = append(w.b, '{')
+			for _, k := range jsonRequestKeys[reqBatch] {
+				w.field(k, &ops[i], k != "op") // BatchOp's omitempty tags
+			}
+			w.b = append(w.b, '}')
+		}
+		w.b = append(w.b, ']')
+	}
+	if w.err != nil {
+		return nil, w.err
+	}
+	return append(w.b, '}'), nil
+}
+
+// jsonRequestWriter is appendRequestJSON's cursor: the document so far,
+// and json.Marshal's error for the first value JSON cannot spell.
+type jsonRequestWriter struct {
+	b   []byte
+	err error
+}
+
+// field writes op's member k — the field requestField names — unless
+// omitEmpty and the field holds its zero value, as an omitempty tag
+// leaves it out. A string json.Marshal writes as it is (printable ASCII
+// but '"', '\\' and the HTML-escaped '<', '>', '&') is copied; any other
+// goes through json.Marshal.
+func (w *jsonRequestWriter) field(k string, op *BatchOp, omitEmpty bool) {
+	switch f := requestField(op, k).(type) {
+	case *float64:
+		if math.IsNaN(*f) || math.IsInf(*f, 0) {
+			if w.err == nil {
+				_, w.err = json.Marshal(*f) // the *json.UnsupportedValueError, word for word
+			}
+		} else if !omitEmpty || *f != 0 {
+			w.b = appendJSONFloat(w.key(k), *f)
+		}
+	case *int:
+		if !omitEmpty || *f != 0 {
+			w.b = strconv.AppendInt(w.key(k), int64(*f), 10)
+		}
+	case *uint64:
+		if !omitEmpty || *f != 0 {
+			w.b = strconv.AppendUint(w.key(k), *f, 10)
+		}
+	case *string:
+		if omitEmpty && *f == "" {
+			return
+		}
+		for i := 0; i < len(*f); i++ {
+			if c := (*f)[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+				q, _ := json.Marshal(*f) // a string always marshals
+				w.b = append(w.key(k), q...)
+				return
+			}
+		}
+		w.b = append(append(append(w.key(k), '"'), *f...), '"')
+	}
+}
+
+// key opens member k of the object being written, returning the buffer.
+func (w *jsonRequestWriter) key(k string) []byte {
+	if w.b[len(w.b)-1] != '{' {
+		w.b = append(w.b, ',')
+	}
+	w.b = append(w.b, '"')
+	w.b = append(w.b, k...)
+	return append(w.b, '"', ':')
 }

@@ -14,10 +14,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"sync"
@@ -30,9 +28,9 @@ import (
 	"rsmi/internal/sqlfe"
 )
 
-// reqShape and respShape name the historical JSON documents of the
-// data endpoints; the rsmibin codec needs neither (its entries and
-// results are self-describing).
+// reqShape names the historical JSON request documents of the data
+// endpoints; the rsmibin codec needs none (its entries are
+// self-describing).
 type reqShape uint8
 
 const (
@@ -43,35 +41,24 @@ const (
 	reqBatch                 // BatchRequest
 )
 
-type respShape uint8
-
-const (
-	respFound   respShape = iota // FoundResponse
-	respOK                       // OKResponse
-	respDeleted                  // DeletedResponse
-	respPoints                   // PointsResponse
-	respBatch                    // BatchResponse
-)
-
 // route is one data endpoint: its path, the single op it serves ("" for
-// /v1/batch, which carries a list), and its JSON request and response
-// documents. The server registers a handler per row and the JSON client
-// encodes its requests from the same rows.
+// /v1/batch, which carries a list), and its JSON request document; the
+// response document follows from the op. The server registers a handler
+// per row and the JSON client encodes its requests from the same rows.
 type route struct {
 	path string
 	op   string
 	req  reqShape
-	resp respShape
 }
 
 var routes = [...]route{
-	{"/v1/point", OpPoint, reqPoint, respFound},
-	{"/v1/window", OpWindow, reqRect, respPoints},
-	{"/v1/knn", OpKNN, reqKNN, respPoints},
-	{"/v1/insert", OpInsert, reqPoint, respOK},
-	{"/v1/delete", OpDelete, reqPoint, respDeleted},
-	{"/v1/sql", OpSQL, reqSQL, respPoints},
-	{"/v1/batch", "", reqBatch, respBatch},
+	{"/v1/point", OpPoint, reqPoint},
+	{"/v1/window", OpWindow, reqRect},
+	{"/v1/knn", OpKNN, reqKNN},
+	{"/v1/insert", OpInsert, reqPoint},
+	{"/v1/delete", OpDelete, reqPoint},
+	{"/v1/sql", OpSQL, reqSQL},
+	{"/v1/batch", "", reqBatch},
 }
 
 // routeFor returns the route serving path.
@@ -84,73 +71,13 @@ func routeFor(path string) *route {
 	return nil
 }
 
-// requestJSON builds the route's request document from ops (the JSON
-// client's encoder).
-func (rt *route) requestJSON(ops []BatchOp) interface{} {
-	switch op := ops[0]; rt.req {
-	case reqPoint:
-		return PointJSON{X: op.X, Y: op.Y}
-	case reqRect:
-		return RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}
-	case reqKNN:
-		return KNNJSON{X: op.X, Y: op.Y, K: op.K}
-	case reqSQL:
-		return SQLRequest{Query: op.SQL}
-	}
-	return BatchRequest{Ops: ops}
-}
-
-// decodeJSON reads the route's request document into ops; a per-op
-// endpoint's single op lands in one, so it costs no slice of its own.
-func (rt *route) decodeJSON(body io.Reader, one *[1]BatchOp) ([]BatchOp, error) {
-	dec := json.NewDecoder(body)
-	op := &one[0]
-	*op = BatchOp{Op: rt.op}
-	var err error
-	switch rt.req {
-	case reqPoint:
-		var v PointJSON
-		err = dec.Decode(&v)
-		op.X, op.Y = v.X, v.Y
-	case reqRect:
-		var v RectJSON
-		err = dec.Decode(&v)
-		op.MinX, op.MinY, op.MaxX, op.MaxY = v.MinX, v.MinY, v.MaxX, v.MaxY
-	case reqKNN:
-		var v KNNJSON
-		err = dec.Decode(&v)
-		op.X, op.Y, op.K = v.X, v.Y, v.K
-	case reqSQL:
-		var v SQLRequest
-		err = dec.Decode(&v)
-		op.SQL = v.Query
-	default:
-		var v BatchRequest
-		err = dec.Decode(&v)
-		return v.Ops, err
-	}
-	return one[:], err
-}
-
-// responseJSON builds a bool route's response document, the three small
-// ones that go through encoding/json's reflective path; the documents
-// that carry points are streamed (jsonstream.go), trace or no trace.
-func (rt *route) responseJSON(a batchAnswer, tj *TraceJSON) interface{} {
-	switch rt.resp {
-	case respOK:
-		return OKResponse{OK: a.flag, Trace: tj}
-	case respDeleted:
-		return DeletedResponse{Deleted: a.flag, Trace: tj}
-	}
-	return FoundResponse{Found: a.flag, Trace: tj}
-}
-
 // exchange is one request's transport adapter: the pipeline pulls the
 // decoded ops out of it and pushes either an error or the answers back.
 type exchange interface {
-	// decode parses the request. single reports the per-op wire shape —
-	// a per-op HTTP endpoint or a one-op stream frame — as opposed to a
-	// batch; explain reports the rsmibin explain flag bit.
+	// decode parses the request, refusing a batch of more than
+	// maxBatchOps ops. single reports the per-op wire shape — a per-op
+	// HTTP endpoint or a one-op stream frame — as opposed to a batch;
+	// explain reports the rsmibin explain flag bit.
 	decode() (ops []BatchOp, single, explain bool, err error)
 	// fail answers an error, code in HTTP status semantics.
 	fail(code int, msg string)
@@ -161,26 +88,37 @@ type exchange interface {
 }
 
 // scratch is the per-request memory a pooled exchange lends the
-// pipeline: a single-op request's answer slice and a window's result
-// points live here, so neither is allocated per request. That is sound
-// because the goroutine that queried is the one that encodes — reply has
-// copied the points onto the wire before the exchange is recycled.
+// pipeline: a JSON request's decoded ops, a single-op request's answer
+// slice and a window's result points live here, so none is allocated per
+// request. That is sound because the goroutine that decoded and queried
+// is the one that encodes — reply has copied the points onto the wire
+// before the exchange is recycled.
 type scratch struct {
+	ops    []BatchOp
 	answer [1]batchAnswer
 	pts    []geom.Point
 }
 
-// scratchMaxPoints caps the point capacity an exchange keeps across
-// requests (1 MiB of points, as binBufPoolMax caps response buffers):
-// one huge window must not pin its memory forever.
-const scratchMaxPoints = 1 << 16
+// scratchMaxPoints and scratchMaxOps cap the capacity an exchange keeps
+// across requests (about 1 MiB each, as binBufPoolMax caps response
+// buffers): one huge request must not pin its memory forever.
+const (
+	scratchMaxPoints = 1 << 16
+	scratchMaxOps    = 1 << 13
+)
 
-// recycled returns a zeroed scratch that keeps sc's point buffer.
+// recycled returns a zeroed scratch that keeps sc's buffers, the ops
+// cleared of the strings they referenced.
 func (sc *scratch) recycled() scratch {
-	if cap(sc.pts) > scratchMaxPoints {
-		return scratch{}
+	var next scratch
+	if cap(sc.pts) <= scratchMaxPoints {
+		next.pts = sc.pts[:0]
 	}
-	return scratch{pts: sc.pts[:0]}
+	if cap(sc.ops) <= scratchMaxOps {
+		clear(sc.ops)
+		next.ops = sc.ops[:0]
+	}
+	return next
 }
 
 // errPostRequired is the one decode error that is not a 400.
@@ -204,9 +142,6 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	defer s.releaseSlot()
 	t1 := tr.MarkSince(tr.StartTime(), obs.StageAdmission)
 	ops, single, explain, err := x.decode()
-	if err == nil && len(ops) > maxBatchOps {
-		err = fmt.Errorf("batch exceeds %d ops", maxBatchOps)
-	}
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, errPostRequired) {
@@ -500,11 +435,10 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 // binary request decoder, an Accept naming it the binary response
 // encoder; errors are always JSON.
 type httpExchange struct {
-	w   http.ResponseWriter
-	r   *http.Request
-	rt  *route
-	one [1]BatchOp
-	sc  scratch
+	w  http.ResponseWriter
+	r  *http.Request
+	rt *route
+	sc scratch
 }
 
 // httpExchangePool recycles exchanges, so the adapter costs a per-op
@@ -536,19 +470,22 @@ func (x *httpExchange) decode() ([]BatchOp, bool, bool, error) {
 	if single {
 		limit = maxBodyBytes
 	}
-	body := http.MaxBytesReader(x.w, x.r.Body, limit)
-	if !isBinaryRequest(x.r) {
-		ops, err := x.rt.decodeJSON(body, &x.one)
-		if err != nil {
-			err = fmt.Errorf("bad request body: %v", err)
-		}
-		return ops, single, false, err
-	}
-	data, err := io.ReadAll(body)
+	// Both decoders copy what they keep: the body goes back to the pool
+	// when decode returns.
+	bp, body, err := readPooled(http.MaxBytesReader(x.w, x.r.Body, limit))
+	defer putPooled(bp, body)
 	if err != nil {
 		return nil, single, false, fmt.Errorf("bad request body: %v", err)
 	}
-	ops, explain, err := decodeBinaryOps(data, single)
+	if !isBinaryRequest(x.r) {
+		ops, err := decodeJSONRequest(body, x.rt, x.sc.ops)
+		if err != nil {
+			return nil, single, false, fmt.Errorf("bad request body: %v", err)
+		}
+		x.sc.ops = ops
+		return ops, single, false, nil
+	}
+	ops, explain, err := decodeBinaryOps(body, single)
 	if err == nil && single && ops[0].Op != x.rt.op {
 		err = fmt.Errorf("rsmibin: op %q sent to the %s endpoint", ops[0].Op, x.rt.op)
 	}
@@ -564,18 +501,14 @@ func (x *httpExchange) fail(code int, msg string) {
 	writeError(x.w, code, msg)
 }
 
-// reply encodes the engine's points straight into a pooled buffer on
-// both encodings — no []PointJSON intermediates, O(1) allocations per
-// answer whatever its size (jsonstream.go, binproto.go) — and the
-// EXPLAIN bit does not change which encoder that is.
+// reply encodes the answers straight into a pooled buffer on both
+// encodings — no []PointJSON intermediates, no reflection, O(1)
+// allocations per answer whatever its size (jsonstream.go, binproto.go)
+// — and the EXPLAIN bit does not change which encoder that is.
 func (x *httpExchange) reply(answers []batchAnswer, tj *TraceJSON) {
-	binary := wantsBinaryResponse(x.r)
-	if !binary && x.rt.resp != respPoints && x.rt.resp != respBatch {
-		writeJSON(x.w, x.rt.responseJSON(answers[0], tj))
-		return
-	}
 	bp := binBufPool.Get().(*[]byte)
 	b, contentType := (*bp)[:0], "application/json"
+	binary := wantsBinaryResponse(x.r)
 	if binary {
 		b, contentType = appendBinHeader(b), ContentTypeBinary
 	}
@@ -584,10 +517,12 @@ func (x *httpExchange) reply(answers []batchAnswer, tj *TraceJSON) {
 		b = appendBinTrace(appendAnswer(b, answers[0]), tj)
 	case binary:
 		b = appendBinTrace(appendBatchAnswers(b, answers), tj)
-	case single:
+	case !single:
+		b = appendBatchAnswersJSON(b, answers, tj)
+	case pointsResult(x.rt.op):
 		b = appendPointsJSON(b, answers[0].pts, tj)
 	default:
-		b = appendBatchAnswersJSON(b, answers, tj)
+		b = appendFlagJSON(b, x.rt.op, answers[0].flag, tj)
 	}
 	x.w.Header().Set("Content-Type", contentType)
 	_, _ = x.w.Write(b)

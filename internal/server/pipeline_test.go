@@ -77,10 +77,10 @@ func TestHandlerAllocs(t *testing.T) {
 		body       []byte
 		max        float64
 	}{
-		{"json-point", "/v1/point", false, jsonBody(PointJSON{X: pointOp.X, Y: pointOp.Y}), 10},
-		{"json-window", "/v1/window", false, jsonBody(RectJSON{MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY}), 19},
-		{"rsmibin-point", "/v1/point", true, binBody(pointOp), 4},
-		{"rsmibin-window", "/v1/window", true, binBody(winOp), 14},
+		{"json-point", "/v1/point", false, jsonBody(PointJSON{X: pointOp.X, Y: pointOp.Y}), 2},
+		{"json-window", "/v1/window", false, jsonBody(RectJSON{MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY}), 12},
+		{"rsmibin-point", "/v1/point", true, binBody(pointOp), 3},
+		{"rsmibin-window", "/v1/window", true, binBody(winOp), 13},
 	} {
 		body := &rewindBody{}
 		req := httptest.NewRequest(http.MethodPost, c.path, body)
@@ -286,7 +286,7 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		case "http-json":
 			body := []byte(rawJSON)
 			if rawJSON == "" {
-				body, _ = json.Marshal(routeFor(path).requestJSON(ops))
+				body, _ = json.Marshal(requestJSON(routeFor(path), ops))
 			}
 			err = cl.post(ctx, path, "application/json", body, nil)
 		case "http-rsmibin":

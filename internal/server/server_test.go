@@ -179,6 +179,10 @@ func TestBatchEndpoint(t *testing.T) {
 	if found, _ := cl.PointQuery(context.Background(), ins); !found {
 		t.Fatal("batch insert not visible")
 	}
+	// An empty batch is an empty answer, not a client-side panic.
+	if res, err := cl.Batch(context.Background(), nil); err != nil || len(res) != 0 {
+		t.Fatalf("empty batch: %v, %v", res, err)
+	}
 }
 
 // TestRequestValidation covers the 4xx surface.
