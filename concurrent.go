@@ -28,8 +28,7 @@ import (
 //
 // One lock acquisition covers one query, which then runs in microseconds
 // on the calling goroutine, so cancellation is observed at entry, not
-// mid-query. A batch holds the read lock once for all its elements and
-// observes ctx between them.
+// mid-query. A batch is a loop of single queries, each taking the lock.
 type Concurrent struct {
 	mu   sync.RWMutex
 	e    unlocked
@@ -153,52 +152,21 @@ func (c *Concurrent) ExactKNNContext(ctx context.Context, q Point, k int) ([]Poi
 	return c.e.ExactKNNContext(ctx, q, k)
 }
 
-// BatchPointQueryContext answers one point query per element of qs under a
-// single read-lock acquisition, observing ctx between elements.
+// BatchPointQueryContext is PointQueryContext per element of qs.
 func (c *Concurrent) BatchPointQueryContext(ctx context.Context, qs []Point) ([]bool, error) {
-	out := make([]bool, len(qs))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i, q := range qs {
-		found, err := c.e.PointQueryContext(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = found
-	}
-	return out, nil
+	return index.Batch(ctx, qs, c.PointQueryContext)
 }
 
-// BatchWindowQueryContext answers one window query per element of qs under
-// a single read-lock acquisition, observing ctx between elements.
+// BatchWindowQueryContext is WindowQueryContext per element of qs.
 func (c *Concurrent) BatchWindowQueryContext(ctx context.Context, qs []Rect) ([][]Point, error) {
-	out := make([][]Point, len(qs))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i, q := range qs {
-		got, err := c.e.WindowQueryAppend(ctx, nil, q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = got
-	}
-	return out, nil
+	return index.Batch(ctx, qs, c.WindowQueryContext)
 }
 
-// BatchKNNContext answers one kNN query per element of qs under a single
-// read-lock acquisition, observing ctx between elements.
+// BatchKNNContext is KNNContext per element of qs.
 func (c *Concurrent) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Point, error) {
-	out := make([][]Point, len(qs))
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for i, q := range qs {
-		got, err := c.e.KNNContext(ctx, q.Q, q.K)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = got
-	}
-	return out, nil
+	return index.Batch(ctx, qs, func(ctx context.Context, q KNNQuery) ([]Point, error) {
+		return c.KNNContext(ctx, q.Q, q.K)
+	})
 }
 
 // InsertContext adds a point; an admitted insert always completes. A

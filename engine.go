@@ -12,11 +12,11 @@ package rsmi
 // Every method takes a context.Context and returns an error, which is
 // non-nil only when the context is cancelled or past its deadline — or,
 // for InsertContext, when the point cannot be indexed.
-// Sharded observes cancellation *between shard visits* of its fan-outs
-// (window, kNN, batches) and between shard retrains of a rolling rebuild;
-// Index and Concurrent (which also backs the baseline engines) execute a
-// single query in microseconds and check the context at entry (batch
-// variants also check between elements).
+// Sharded observes cancellation *between shard visits* of a window or kNN
+// walk and between shard retrains of a rolling rebuild; Index and
+// Concurrent (which also backs the baseline engines) execute a single
+// query in microseconds and check the context at entry. A batch checks it
+// per element, through each element's single query.
 //
 // This is the only query surface of Concurrent and Sharded. Index also
 // keeps its context-free methods (PointQuery(q) bool, …): they are the
@@ -52,9 +52,12 @@ type Engine interface {
 	KNNContext(ctx context.Context, q Point, k int) ([]Point, error)
 	ExactKNNContext(ctx context.Context, q Point, k int) ([]Point, error)
 
-	// The batch set amortises per-call overhead (locks, fan-out
-	// hand-offs) across many queries; answers are element-wise identical
-	// to the single-query methods.
+	// The batch set is, on every engine, a loop of the single-query
+	// method over qs (internal/index.Batch): answers are element-wise
+	// those of the single-query methods, and the first error ends the
+	// batch. It stays on the interface only because benchmark/span.go's
+	// tracedEngine forwards it; shrinking the interface waits until the
+	// benchmark drives engines through an adapter of its own.
 	BatchPointQueryContext(ctx context.Context, qs []Point) ([]bool, error)
 	BatchWindowQueryContext(ctx context.Context, qs []Rect) ([][]Point, error)
 	BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]Point, error)

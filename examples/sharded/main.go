@@ -1,9 +1,10 @@
-// Sharded: partition an RSMI across shards and serve queries by parallel
-// fan-out. The program builds the same data set behind (a) one index with a
-// global RWMutex (rsmi.Concurrent) and (b) an S-way sharded index
-// (rsmi.Sharded), drives both with concurrent clients running a mixed
-// read/write workload, and reports throughput — then shows that the
-// sharded answers keep the single-index correctness guarantees.
+// Sharded: partition an RSMI across shards, each behind its own lock, and
+// serve concurrent clients side by side. The program builds the same data
+// set behind (a) one index with a global RWMutex (rsmi.Concurrent) and (b)
+// an S-way sharded index (rsmi.Sharded), drives both with concurrent
+// clients running a mixed read/write workload, and reports throughput —
+// then shows that the sharded answers keep the single-index correctness
+// guarantees.
 package main
 
 import (

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // WriteTo serialises the PMF's knots and cumulative fractions. It
@@ -33,14 +34,26 @@ func ReadPMF(r io.Reader) (*PMF, error) {
 	if n < 2 || n > maxKnots {
 		return nil, fmt.Errorf("cdf: implausible knot count %d", n)
 	}
-	f := &PMF{knots: make([]float64, n), cum: make([]float64, n)}
-	for _, dst := range [][]float64{f.knots, f.cum} {
-		if err := binary.Read(r, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("cdf: read knots: %w", err)
+	// Both arrays grow a chunk at a time as the stream delivers them, so a
+	// header that lies about n costs no more than the bytes behind it.
+	f := &PMF{}
+	for _, dst := range []*[]float64{&f.knots, &f.cum} {
+		var chunk [512]float64
+		for left := int(n); left > 0; left -= len(chunk) {
+			part := chunk[:min(left, len(chunk))]
+			if err := binary.Read(r, binary.LittleEndian, part); err != nil {
+				return nil, fmt.Errorf("cdf: read knots: %w", err)
+			}
+			*dst = append(*dst, part...)
 		}
 	}
-	for i := 1; i < int(n); i++ {
-		if f.knots[i] < f.knots[i-1] || f.cum[i] < f.cum[i-1] {
+	// Eval searches the knots and interpolates the fractions: a NaN or
+	// infinite knot, or a fraction outside [0, 1], breaks both.
+	for i := 0; i < int(n); i++ {
+		if math.IsNaN(f.knots[i]) || math.IsInf(f.knots[i], 0) || !(f.cum[i] >= 0 && f.cum[i] <= 1) {
+			return nil, fmt.Errorf("cdf: knot %d (%v, %v) is not a finite coordinate with a fraction in [0, 1]", i, f.knots[i], f.cum[i])
+		}
+		if i > 0 && (f.knots[i] < f.knots[i-1] || f.cum[i] < f.cum[i-1]) {
 			return nil, fmt.Errorf("cdf: non-monotone data at knot %d", i)
 		}
 	}

@@ -64,43 +64,21 @@ func (t *RSMI) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom
 	return t.ExactKNN(q, k), nil
 }
 
-// BatchPointQueryContext answers one point query per element of qs,
-// observing ctx between elements.
+// BatchPointQueryContext is PointQueryContext per element of qs.
 func (t *RSMI) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
-	out := make([]bool, len(qs))
-	for i, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = t.PointQuery(q)
-	}
-	return out, nil
+	return index.Batch(ctx, qs, t.PointQueryContext)
 }
 
-// BatchWindowQueryContext answers one window query per element of qs,
-// observing ctx between elements.
+// BatchWindowQueryContext is WindowQueryContext per element of qs.
 func (t *RSMI) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
-	out := make([][]geom.Point, len(qs))
-	for i, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = t.WindowQuery(q)
-	}
-	return out, nil
+	return index.Batch(ctx, qs, t.WindowQueryContext)
 }
 
-// BatchKNNContext answers one kNN query per element of qs, observing ctx
-// between elements.
+// BatchKNNContext is KNNContext per element of qs.
 func (t *RSMI) BatchKNNContext(ctx context.Context, qs []index.KNNQuery) ([][]geom.Point, error) {
-	out := make([][]geom.Point, len(qs))
-	for i, q := range qs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		out[i] = t.KNN(q.Q, q.K)
-	}
-	return out, nil
+	return index.Batch(ctx, qs, func(ctx context.Context, q index.KNNQuery) ([]geom.Point, error) {
+		return t.KNNContext(ctx, q.Q, q.K)
+	})
 }
 
 // InsertContext is Insert honouring ctx at entry; an admitted insert always

@@ -381,11 +381,13 @@ func decodeNode(r io.Reader, depth int) (*node, error) {
 	if nChildren < 0 || nChildren > maxCells || int(nChildren) != n.cells {
 		return nil, fmt.Errorf("core: child count %d does not match %d cells", nChildren, n.cells)
 	}
-	n.children = make([]*node, nChildren)
-	for i := range n.children {
-		if n.children[i], err = decodeNode(r, depth+1); err != nil {
+	// The children slice grows as they decode, not ahead of the stream.
+	for i := int64(0); i < nChildren; i++ {
+		c, err := decodeNode(r, depth+1)
+		if err != nil {
 			return nil, err
 		}
+		n.children = append(n.children, c)
 	}
 	return n, nil
 }
@@ -406,34 +408,64 @@ func (t *RSMI) validate() error {
 	}
 	// Point queries and deletes search a block only when its cached MBR
 	// contains the probe, so a stored MBR that misses one of the block's
-	// live points would hide that point: refuse the snapshot instead.
+	// live points would hide that point: refuse the snapshot instead. No
+	// index holds a point that is not finite, and Len counts what the
+	// blocks hold.
+	live := 0
 	for id, mbr := range t.blockMBR {
 		for _, p := range t.store.Peek(id).Slots() {
-			if !mbr.Contains(p) {
+			if !p.IsFinite() || !mbr.Contains(p) {
 				return fmt.Errorf("core: block %d MBR %v does not cover its point %v", id, mbr, p)
 			}
+			live++
 		}
 	}
-	var bad error
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil || bad != nil {
-			return
-		}
-		if n.leaf {
-			if n.firstBlock < 0 || n.firstBlock+n.numBlocks > t.baseBlocks {
-				bad = fmt.Errorf("core: leaf block range [%d,%d) out of bounds",
-					n.firstBlock, n.firstBlock+n.numBlocks)
+	if live != t.n {
+		return fmt.Errorf("core: index claims %d points, its blocks hold %d", t.n, live)
+	}
+	// The leaves, in depth-first order, tile the base blocks — every block
+	// belongs to exactly one leaf — and every model's MBR covers the points
+	// under it. The exact traversals prune by those MBRs, so a snapshot
+	// breaking either would have them miss points or find one twice.
+	next := 0
+	var walk func(n *node) (geom.Rect, error)
+	walk = func(n *node) (geom.Rect, error) {
+		covered := geom.EmptyRect()
+		switch {
+		case n == nil:
+			return covered, nil
+		case n.leaf:
+			if n.firstBlock != next || n.numBlocks < 1 || n.firstBlock+n.numBlocks > t.baseBlocks {
+				return covered, fmt.Errorf("core: leaf block range [%d,%d) does not continue the leaves before it at %d",
+					n.firstBlock, n.firstBlock+n.numBlocks, next)
 			}
 			if n.errUp < 0 || n.errDown < 0 {
-				bad = errors.New("core: negative error bounds")
+				return covered, errors.New("core: negative error bounds")
 			}
-			return
+			next += n.numBlocks
+			c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
+			for id := c.next(); id != store.NilBlock; id = c.next() {
+				covered = covered.Union(t.blockMBR[id])
+			}
+		default:
+			for _, c := range n.children {
+				r, err := walk(c)
+				if err != nil {
+					return covered, err
+				}
+				covered = covered.Union(r)
+			}
 		}
-		for _, c := range n.children {
-			walk(c)
+		if !covered.IsEmpty() && !n.mbr.ContainsRect(covered) {
+			return covered, fmt.Errorf("core: model MBR %v does not cover the blocks under it, %v", n.mbr, covered)
 		}
+		return covered, nil
 	}
-	walk(t.root)
-	return bad
+	if _, err := walk(t.root); err != nil {
+		return err
+	}
+	if next != t.baseBlocks {
+		return fmt.Errorf("core: leaves cover %d of %d base blocks", next, t.baseBlocks)
+	}
+	return nil
 }

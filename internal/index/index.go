@@ -4,6 +4,7 @@
 package index
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -60,6 +61,23 @@ type Index interface {
 type KNNQuery struct {
 	Q geom.Point
 	K int
+}
+
+// Batch answers one query per element of qs by calling one on each, in
+// order, on the caller's goroutine, and returns nil and the first error.
+// It is every engine's batch execution: the paper answers one query per
+// descent of the model tree, and the grouped batches this loop replaced
+// made no benchmark workload faster (EXPERIMENTS.md "Derived batches").
+func Batch[Q, R any](ctx context.Context, qs []Q, one func(context.Context, Q) (R, error)) ([]R, error) {
+	out := make([]R, len(qs))
+	for i, q := range qs {
+		r, err := one(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = r
+	}
+	return out, nil
 }
 
 // Stats describes an index's structure and cost.

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -137,6 +138,75 @@ func TestLinearKNN(t *testing.T) {
 	}
 	if got := l.KNN(q, 5000); len(got) != 1000 {
 		t.Errorf("k>n returned %d", len(got))
+	}
+}
+
+// sortedKNN is the Linear.KNN this package had before its bounded
+// selection: copy every point, sort by distance, keep the first k. It is the
+// reference the selection must equal.
+func sortedKNN(pts []geom.Point, q geom.Point, k int) []geom.Point {
+	if k <= 0 {
+		return nil
+	}
+	cand := append([]geom.Point(nil), pts...)
+	SortByDistance(cand, q)
+	if k > len(cand) {
+		k = len(cand)
+	}
+	return cand[:k]
+}
+
+// TestLinearKNNMatchesSort: the bounded selection answers exactly what the
+// full sort did, point for point and in the same order, on a grid where
+// equal distances are the rule, with repeated points, at k = 0, 1, 25, n
+// and n+1.
+func TestLinearKNNMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	var pts []geom.Point
+	for i := 0; i < 400; i++ {
+		pts = append(pts, geom.Pt(float64(rng.Intn(9))/8, float64(rng.Intn(9))/8))
+	}
+	pts = append(pts, pts[:40]...)
+	for i := 0; i < 100; i++ {
+		pts = append(pts, geom.Pt(rng.Float64(), rng.Float64()))
+	}
+	l := NewLinear(pts)
+	n := len(pts)
+	queries := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0, 0), geom.Pt(0.25, 0.75), geom.Pt(-3, 2)}
+	for i := 0; i < 20; i++ {
+		queries = append(queries, geom.Pt(float64(rng.Intn(17))/16, float64(rng.Intn(17))/16))
+	}
+	for _, q := range queries {
+		for _, k := range []int{0, 1, 25, n, n + 1} {
+			got, want := l.KNN(q, k), sortedKNN(pts, q, k)
+			if len(got) != len(want) || (got == nil) != (want == nil) {
+				t.Fatalf("q=%v k=%d: %d points (nil %v), want %d (nil %v)", q, k, len(got), got == nil, len(want), want == nil)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("q=%v k=%d rank %d: %v, want %v", q, k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	if got := NewLinear(nil).KNN(geom.Pt(0, 0), 3); got != nil {
+		t.Errorf("kNN over no points = %#v, want nil as the sort gave", got)
+	}
+}
+
+// BenchmarkLinearKNN is the oracle's kNN over 100k points, the cost every
+// recall measurement pays per query.
+func BenchmarkLinearKNN(b *testing.B) {
+	l := NewLinear(dataset.Generate(dataset.Skewed, 100_000, 7))
+	for _, k := range []int{1, 25, 625} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			q := geom.Pt(0.5, 0.5)
+			for i := 0; i < b.N; i++ {
+				if got := l.KNN(q, k); len(got) != k {
+					b.Fatalf("%d points, want %d", len(got), k)
+				}
+			}
+		})
 	}
 }
 

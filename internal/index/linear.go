@@ -51,17 +51,77 @@ func (l *Linear) WindowQuery(q geom.Rect) []geom.Point {
 	return out
 }
 
-// KNN implements Index with an exact full scan.
+// KNN implements Index with an exact full scan that keeps the k nearest
+// points seen so far in a max-heap, the farthest on top, and empties the
+// heap into the answer from the back. The answer is exactly that of
+// sorting every point with SortByDistance and keeping the first k (ties
+// in canonical point order), in O(n log k) time and O(k) space.
 func (l *Linear) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 {
+	if k <= 0 || len(l.pts) == 0 {
 		return nil
 	}
-	cand := append([]geom.Point(nil), l.pts...)
-	SortByDistance(cand, q)
-	if k > len(cand) {
-		k = len(cand)
+	h := make(farthestFirst, 0, min(k, len(l.pts)))
+	for _, p := range l.pts {
+		c := candidate{p, q.Dist2(p)}
+		switch {
+		case len(h) < k:
+			h = append(h, c)
+			h.up(len(h) - 1)
+		case c.nearer(h[0]):
+			h[0] = c
+			h.down(0)
+		}
 	}
-	return cand[:k]
+	out := make([]geom.Point, len(h))
+	for i := len(out) - 1; i >= 0; i-- {
+		out[i] = h[0].p
+		h[0] = h[i]
+		h = h[:i]
+		h.down(0)
+	}
+	return out
+}
+
+// candidate is a point with its squared distance to the kNN query.
+type candidate struct {
+	p  geom.Point
+	d2 float64
+}
+
+// nearer orders candidates as SortByDistance does: by distance, then by
+// the canonical point order.
+func (c candidate) nearer(o candidate) bool {
+	return c.d2 < o.d2 || (c.d2 == o.d2 && c.p.Less(o.p))
+}
+
+// farthestFirst is a binary max-heap of candidates under nearer.
+type farthestFirst []candidate
+
+func (h farthestFirst) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[parent].nearer(h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func (h farthestFirst) down(i int) {
+	for {
+		far := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && h[far].nearer(h[c]) {
+				far = c
+			}
+		}
+		if far == i {
+			return
+		}
+		h[i], h[far] = h[far], h[i]
+		i = far
+	}
 }
 
 // Insert implements Index.

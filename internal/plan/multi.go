@@ -13,6 +13,7 @@ import (
 
 	"rsmi"
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 	"rsmi/internal/shard"
 )
 
@@ -182,133 +183,22 @@ func (m *MultiEngine) ExactKNNContext(ctx context.Context, q geom.Point, k int) 
 	return pts, err
 }
 
-// BatchPointQueryContext routes the whole batch at once: point probes
-// cost the same everywhere in a backend, so one plan covers all.
+// BatchPointQueryContext is PointQueryContext per element of qs: every
+// query is planned, routed and observed on its own.
 func (m *MultiEngine) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	pq := Query{Kind: KindPoint, Point: qs[0]}
-	pl := m.stats.Choose(pq)
-	start := time.Now()
-	out, err := m.engine(pl.Backend).BatchPointQueryContext(ctx, qs)
-	if err != nil {
-		return nil, err
-	}
-	m.stats.ObserveN(pl, pq, usSince(start)/float64(len(qs)), len(qs))
-	return out, nil
+	return index.Batch(ctx, qs, m.PointQueryContext)
 }
 
-// BatchWindowQueryContext plans each window individually (their
-// selectivities differ), groups the batch by chosen backend, and
-// scatters the per-group answers back into request order. The common
-// case — every window picks the same backend — skips the group-and-
-// scatter machinery entirely, keeping the planner's per-batch overhead
-// to the plan computations themselves.
+// BatchWindowQueryContext is WindowQueryContext per element of qs.
 func (m *MultiEngine) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	plans := make([]Plan, len(qs))
-	meanEst := 0.0
-	uniform := true
-	for i, q := range qs {
-		plans[i] = m.stats.Choose(Query{Kind: KindWindow, Window: q})
-		meanEst += plans[i].EstCostUS
-		if plans[i].Backend != plans[0].Backend {
-			uniform = false
-		}
-	}
-	if uniform {
-		start := time.Now()
-		rs, err := m.engine(plans[0].Backend).BatchWindowQueryContext(ctx, qs)
-		if err != nil {
-			return nil, err
-		}
-		m.stats.ObserveN(Plan{Backend: plans[0].Backend, EstCostUS: meanEst / float64(len(qs))},
-			Query{Kind: KindWindow}, usSince(start)/float64(len(qs)), len(qs))
-		return rs, nil
-	}
-	groups := map[string][]int{}
-	for i := range plans {
-		groups[plans[i].Backend] = append(groups[plans[i].Backend], i)
-	}
-	out := make([][]geom.Point, len(qs))
-	for name, idxs := range groups {
-		sub := make([]geom.Rect, len(idxs))
-		for j, ix := range idxs {
-			sub[j] = qs[ix]
-		}
-		start := time.Now()
-		rs, err := m.engine(name).BatchWindowQueryContext(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-		perQuery := usSince(start) / float64(len(idxs))
-		meanEst := 0.0
-		for j, ix := range idxs {
-			out[ix] = rs[j]
-			meanEst += plans[ix].EstCostUS
-		}
-		meanEst /= float64(len(idxs))
-		m.stats.ObserveN(Plan{Backend: name, EstCostUS: meanEst},
-			Query{Kind: KindWindow}, perQuery, len(idxs))
-	}
-	return out, nil
+	return index.Batch(ctx, qs, m.WindowQueryContext)
 }
 
-// BatchKNNContext groups by chosen backend exactly like window batches
-// (plans differ by k), with the same uniform-batch fast path.
+// BatchKNNContext is KNNContext per element of qs.
 func (m *MultiEngine) BatchKNNContext(ctx context.Context, qs []shard.KNNQuery) ([][]geom.Point, error) {
-	if len(qs) == 0 {
-		return nil, nil
-	}
-	plans := make([]Plan, len(qs))
-	meanEst := 0.0
-	uniform := true
-	for i, q := range qs {
-		plans[i] = m.stats.Choose(Query{Kind: KindKNN, Point: q.Q, K: q.K})
-		meanEst += plans[i].EstCostUS
-		if plans[i].Backend != plans[0].Backend {
-			uniform = false
-		}
-	}
-	if uniform {
-		start := time.Now()
-		rs, err := m.engine(plans[0].Backend).BatchKNNContext(ctx, qs)
-		if err != nil {
-			return nil, err
-		}
-		m.stats.ObserveN(Plan{Backend: plans[0].Backend, EstCostUS: meanEst / float64(len(qs))},
-			Query{Kind: KindKNN}, usSince(start)/float64(len(qs)), len(qs))
-		return rs, nil
-	}
-	groups := map[string][]int{}
-	for i := range plans {
-		groups[plans[i].Backend] = append(groups[plans[i].Backend], i)
-	}
-	out := make([][]geom.Point, len(qs))
-	for name, idxs := range groups {
-		sub := make([]shard.KNNQuery, len(idxs))
-		for j, ix := range idxs {
-			sub[j] = qs[ix]
-		}
-		start := time.Now()
-		rs, err := m.engine(name).BatchKNNContext(ctx, sub)
-		if err != nil {
-			return nil, err
-		}
-		perQuery := usSince(start) / float64(len(idxs))
-		meanEst := 0.0
-		for j, ix := range idxs {
-			out[ix] = rs[j]
-			meanEst += plans[ix].EstCostUS
-		}
-		meanEst /= float64(len(idxs))
-		m.stats.ObserveN(Plan{Backend: name, EstCostUS: meanEst},
-			Query{Kind: KindKNN}, perQuery, len(idxs))
-	}
-	return out, nil
+	return index.Batch(ctx, qs, func(ctx context.Context, q shard.KNNQuery) ([]geom.Point, error) {
+		return m.KNNContext(ctx, q.Q, q.K)
+	})
 }
 
 // InsertContext applies the write to every backend, so reads keep

@@ -64,8 +64,14 @@ func (a *atomicFloat) store(v float64) { a.bits.Store(math.Float64bits(v)) }
 // Every update also pulls the correction slightly back toward 1
 // (log-domain AR(1) with φ = 1−adjReversion) so noise-driven drift
 // decays instead of accumulating.
+//
+// adjAlpha, the weight of one query's observation, is small: one query's
+// wall clock includes whatever the scheduler interleaved, so a single
+// preemption can read 10× high, while persistent signal still
+// accumulates over a few dozen queries (32 observations move the
+// correction about as far as one step of weight 0.1).
 const (
-	adjAlpha     = 0.1
+	adjAlpha     = 0.1 / 32
 	adjReversion = 0.02
 	adjMin       = 0.5
 	adjMax       = 2
@@ -76,7 +82,7 @@ const (
 const mispredictFactor = 2
 
 // ratioCap winsorizes a single observation's actual/estimated ratio
-// before it enters the EWMA (see ObserveN).
+// before it enters the EWMA (see Observe).
 const ratioCap = 8.0
 
 // modelSet is the read-mostly model registry snapshot: the hot path
@@ -276,32 +282,12 @@ func (s *Stats) Choose(q Query) Plan {
 	return pl
 }
 
-// obsBatchRef is the group size at which an observation gets the full
-// EWMA weight; smaller groups get proportionally less (see ObserveN).
-const obsBatchRef = 32
-
-// Observe feeds one measured cost observation for a single executed
-// query back into the model that planned it. See ObserveN.
+// Observe feeds the measured cost of one executed query back into the
+// model that planned it: the backend's per-kind correction factor moves
+// toward the observed actual/estimated ratio by adjAlpha, and estimates
+// off by more than 2× either way count as mispredictions.
 func (s *Stats) Observe(pl Plan, q Query, actualUS float64) {
-	s.ObserveN(pl, q, actualUS, 1)
-}
-
-// ObserveN feeds one measured cost observation covering a group of n
-// queries planned alike (pl.EstCostUS the group's mean estimate,
-// actualUS the group's mean per-query cost): the backend's per-kind
-// correction factor moves toward the observed actual/estimated ratio,
-// and estimates off by more than 2× either way count as mispredictions.
-//
-// The EWMA weight scales with n (full weight at obsBatchRef): the
-// group's wall-clock includes whatever the scheduler interleaved, a
-// fixed-size noise term that mean-per-query division spreads over n —
-// so a 2-query group's ratio can read 10× high off one preemption while
-// a full batch barely notices. Weighting by size keeps those splinter
-// groups (exactly what routing produces while backends are near-tied)
-// from blowing up the corrections, while persistent signal still
-// accumulates at any group size.
-func (s *Stats) ObserveN(pl Plan, q Query, actualUS float64, n int) {
-	if pl.Backend == "" || pl.EstCostUS <= 0 || actualUS <= 0 || n <= 0 {
+	if pl.Backend == "" || pl.EstCostUS <= 0 || actualUS <= 0 {
 		return
 	}
 	set := s.set.Load()
@@ -318,7 +304,7 @@ func (s *Stats) ObserveN(pl Plan, q Query, actualUS float64, n int) {
 		s.mispredicts.Add(1)
 	}
 	// Winsorize the ratio before it reaches the EWMA: on a contended
-	// machine a batch that absorbs a whole preemption quantum reports a
+	// machine a query that absorbs a whole preemption quantum reports a
 	// cost 10–100× its CPU share, and a handful of such spikes would pin
 	// the correction at its clamp even when the typical observation sits
 	// near 1. Capping each observation's influence keeps the EWMA
@@ -328,12 +314,8 @@ func (s *Stats) ObserveN(pl Plan, q Query, actualUS float64, n int) {
 	} else if ratio < 1/ratioCap {
 		ratio = 1 / ratioCap
 	}
-	alpha := adjAlpha
-	if n < obsBatchRef {
-		alpha = adjAlpha * float64(n) / obsBatchRef
-	}
 	adj := &m.adj[q.Kind]
-	next := adj.load() * ((1 - alpha) + alpha*ratio)
+	next := adj.load() * ((1 - adjAlpha) + adjAlpha*ratio)
 	next = math.Pow(next, 1-adjReversion)
 	if next < adjMin {
 		next = adjMin
@@ -347,7 +329,7 @@ func (s *Stats) ObserveN(pl Plan, q Query, actualUS float64, n int) {
 // counters, for /metrics and /v1/stats.
 type Counters struct {
 	// Planned counts every planned query. Observed counts cost
-	// observations fed back (one per executed query or batch group);
+	// observations fed back (one per executed query);
 	// Mispredicts those observations whose actual cost landed outside
 	// [est/2, 2·est].
 	Planned     int64
@@ -438,10 +420,8 @@ func probeDur(warm time.Duration) time.Duration {
 // goroutines for a window scaled to the probe's per-call cost (see
 // probeDur) and returns the mean cost of one query in CPU-µs
 // (workers × wall / queries) and the mean per-query result count.
-// Probes go through the batch call because that is how the serving
-// tier issues queries — batch execution amortises per-call setup, and
-// for the tree baselines that is several times cheaper per query than
-// the single-query path a sequential probe would measure.
+// A probe is a batch call, which on every engine is a loop of single
+// queries: one call per grid cell, many queries per call.
 func runProbes(batchSize int, probe func() (int, error)) (usPerQuery, rowsPerQuery float64, err error) {
 	var (
 		wg       sync.WaitGroup
@@ -505,8 +485,10 @@ func runProbes(batchSize int, probe func() (int, error)) (usPerQuery, rowsPerQue
 // at sampled data points, windows across calWindowFracs selectivities
 // (cost fitted against *actual* returned rows, which also exercises the
 // estimator's domain), and kNN across calKNNKs. Probes run concurrently
-// through the batch query paths (see calWorkers and runProbes) so the
-// fitted coefficients are per-query CPU cost under serving-shaped load.
+// (see calWorkers and runProbes), each a batch call that loops over the
+// engine's single-query path, so the fitted coefficients are the
+// per-query CPU cost of the path the server runs, under serving-shaped
+// load.
 // It stores the model under eng.Name() and resets its corrections to 1.
 func (s *Stats) Calibrate(ctx context.Context, eng rsmi.Engine) error {
 	if len(s.sample) == 0 {

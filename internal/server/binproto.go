@@ -116,50 +116,36 @@ const (
 // uvarint cannot turn into an absurd allocation, not as an API limit.
 const binMaxK = 1 << 20
 
+// opNames is the op table: each op's name at the index of its wire byte
+// (byte 0 is no op). opByte, opName and the JSON request decoder's
+// jsonName all read it.
+var opNames = [...]string{
+	binOpPoint:  OpPoint,
+	binOpWindow: OpWindow,
+	binOpKNN:    OpKNN,
+	binOpInsert: OpInsert,
+	binOpDelete: OpDelete,
+	binOpSQL:    OpSQL,
+	binOpSub:    OpSub,
+	binOpUnsub:  OpUnsub,
+}
+
 // opByte maps an op name to its wire byte.
 func opByte(op string) (byte, bool) {
-	switch op {
-	case OpPoint:
-		return binOpPoint, true
-	case OpWindow:
-		return binOpWindow, true
-	case OpKNN:
-		return binOpKNN, true
-	case OpInsert:
-		return binOpInsert, true
-	case OpDelete:
-		return binOpDelete, true
-	case OpSQL:
-		return binOpSQL, true
-	case OpSub:
-		return binOpSub, true
-	case OpUnsub:
-		return binOpUnsub, true
+	for b, name := range opNames[1:] {
+		if name == op {
+			return byte(b + 1), true
+		}
 	}
 	return 0, false
 }
 
 // opName maps a wire byte back to its op name.
 func opName(b byte) (string, bool) {
-	switch b {
-	case binOpPoint:
-		return OpPoint, true
-	case binOpWindow:
-		return OpWindow, true
-	case binOpKNN:
-		return OpKNN, true
-	case binOpInsert:
-		return OpInsert, true
-	case binOpDelete:
-		return OpDelete, true
-	case binOpSQL:
-		return OpSQL, true
-	case binOpSub:
-		return OpSub, true
-	case binOpUnsub:
-		return OpUnsub, true
+	if b == 0 || int(b) >= len(opNames) {
+		return "", false
 	}
-	return "", false
+	return opNames[b], true
 }
 
 // isBinaryRequest reports whether the request body is an rsmibin frame.

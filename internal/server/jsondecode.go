@@ -603,7 +603,7 @@ func (s *jsonScanner) integer(signed bool) uint64 {
 // jsonName returns the string b spells, sharing the op or
 // subscription-kind name it may be rather than allocating a copy.
 func jsonName(b []byte) string {
-	for _, name := range [...]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, OpSQL, OpSub, OpUnsub} {
+	for _, name := range opNames[1:] {
 		if string(b) == name {
 			return name
 		}

@@ -9,8 +9,8 @@ package server
 // with one trace bracket and one set of stage marks. The adapters own
 // only what differs between transports: where the request bytes come
 // from, how an error is framed, and how the answers are framed. Adding
-// an op is one route-table row, one validateOps case, one executeSingle
-// case and one codec entry.
+// an op is one route-table row, one validateOps case, one executeOp case
+// and one codec entry.
 
 import (
 	"context"
@@ -24,7 +24,6 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/obs"
 	"rsmi/internal/plan"
-	"rsmi/internal/shard"
 	"rsmi/internal/sqlfe"
 )
 
@@ -290,47 +289,32 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 // and a window's points — live in sc until the exchange is recycled.
 func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t transportIdx, tr *obs.Trace, sc *scratch) ([]batchAnswer, error) {
 	a := &sc.answer[0]
-	*a = batchAnswer{op: op.Op}
-	var (
-		idx opIdx
-		err error
-	)
 	start := time.Now()
 	switch op.Op {
-	case OpPoint:
-		idx = opIdxPoint
-		a.flag, err = s.eng.PointQueryContext(ctx, geom.Pt(op.X, op.Y))
-	case OpWindow:
-		idx = opIdxWindow
-		sc.pts, err = s.eng.WindowQueryAppend(ctx, sc.pts[:0], geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-		a.pts = sc.pts
-	case OpKNN:
-		idx = opIdxKNN
-		a.pts, err = s.eng.KNNContext(ctx, geom.Pt(op.X, op.Y), op.K)
-	case OpInsert:
-		idx = opIdxInsert
-		a.flag, err = s.write(ctx, op)
-	case OpDelete:
-		idx = opIdxDelete
-		a.flag, err = s.write(ctx, op)
 	case OpSQL:
 		// executeSQL observes the plan and execute stages itself.
-		res, serr := s.executeSQL(ctx, q, tr)
-		if serr != nil {
-			return nil, serr
+		res, err := s.executeSQL(ctx, q, tr)
+		if err != nil {
+			return nil, err
 		}
-		a.pts = res.Points
+		*a = batchAnswer{op: op.Op, pts: res.Points}
 		s.observeOp(opIdxSQL, t, time.Since(start))
 		return sc.answer[:], nil
 	case OpSub, OpUnsub:
 		// Registry bookkeeping, not an engine operation: no histogram.
+		*a = batchAnswer{op: op.Op}
+		var err error
 		if a.flag, err = s.serveSubOp(connSubsFrom(ctx), op); err != nil {
 			return nil, err
 		}
 		return sc.answer[:], nil
 	}
+	idx, err := s.executeOp(ctx, op, a, sc.pts[:0])
 	if err != nil {
 		return nil, err
+	}
+	if op.Op == OpWindow {
+		sc.pts = a.pts // keep the grown buffer for the next request
 	}
 	d := time.Since(start)
 	s.observeOp(idx, t, d)
@@ -338,90 +322,54 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 	return sc.answer[:], nil
 }
 
-// write applies one insert or delete, answering ok / deleted.
-func (s *Server) write(ctx context.Context, op BatchOp) (bool, error) {
-	if op.Op == OpInsert {
-		err := s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y))
-		return err == nil, err
+// executeOp runs one point, window, kNN, insert or delete op as one
+// engine call and writes its answer into a, appending a window's points
+// to dst. It returns the op's histogram row. Both executeSingle and
+// executeBatch run their ops through it.
+func (s *Server) executeOp(ctx context.Context, op BatchOp, a *batchAnswer, dst []geom.Point) (opIdx, error) {
+	*a = batchAnswer{op: op.Op}
+	var err error
+	switch op.Op {
+	case OpPoint:
+		a.flag, err = s.eng.PointQueryContext(ctx, geom.Pt(op.X, op.Y))
+		return opIdxPoint, err
+	case OpWindow:
+		a.pts, err = s.eng.WindowQueryAppend(ctx, dst, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
+		return opIdxWindow, err
+	case OpKNN:
+		a.pts, err = s.eng.KNNContext(ctx, geom.Pt(op.X, op.Y), op.K)
+		return opIdxKNN, err
+	case OpInsert:
+		err = s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y))
+		a.flag = err == nil
+		return opIdxInsert, err
+	case OpDelete:
+		a.flag, err = s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
+		return opIdxDelete, err
 	}
-	return s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
+	// validateOps keeps sql out of multi-op batches and executeSingle
+	// serves sql, sub and unsub itself, so the only way here is a one-op
+	// /v1/batch request carrying sql — point it at /v1/sql.
+	return 0, &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
 }
 
-// executeBatch runs a validated heterogeneous operation list with one
-// engine batch call per query kind: queries are grouped by kind, executed
-// via the engine's Batch*Context calls (writes run individually, in
-// request order relative to each other), and the answers are reassembled
-// in request order. It observes the batch histogram of the calling
-// transport and records the execute span.
+// executeBatch runs a validated operation list in request order, each op
+// through executeOp, observing the batch histogram of the calling
+// transport and recording the execute span. A write therefore lands
+// before every later op of its batch runs, and after every earlier one.
 //
 // ctx is the request's context: a batch whose client disconnects or
-// whose deadline passes stops between engine calls (and, on Sharded,
-// between shard visits inside one) and returns the context's error —
-// writes already applied stay applied, exactly as a batch interleaved
-// with a concurrent writer's operations would. A batch is not a
-// transaction: its queries may observe the batch's own writes or
-// concurrent writers'.
+// whose deadline passes stops at its next engine call (on Sharded, at the
+// next shard visit) and returns the context's error — writes already
+// applied stay applied, exactly as a batch interleaved with a concurrent
+// writer's operations would. A batch is not a transaction: its queries
+// may observe concurrent writers' operations.
 func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx, tr *obs.Trace) ([]batchAnswer, error) {
 	start := time.Now()
 	answers := make([]batchAnswer, len(ops))
-	var (
-		points   []geom.Point
-		pointIdx []int
-		windows  []geom.Rect
-		winIdx   []int
-		knns     []shard.KNNQuery
-		knnIdx   []int
-	)
 	for i, op := range ops {
-		answers[i].op = op.Op
-		switch op.Op {
-		case OpPoint:
-			points = append(points, geom.Pt(op.X, op.Y))
-			pointIdx = append(pointIdx, i)
-		case OpWindow:
-			windows = append(windows, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-			winIdx = append(winIdx, i)
-		case OpKNN:
-			knns = append(knns, shard.KNNQuery{Q: geom.Pt(op.X, op.Y), K: op.K})
-			knnIdx = append(knnIdx, i)
-		case OpInsert, OpDelete:
-			flag, err := s.write(ctx, op)
-			if err != nil {
-				return nil, err
-			}
-			answers[i].flag = flag
-		case OpSQL:
-			// validateOps keeps SQL out of multi-op batches and single-op
-			// SQL goes through executeSingle, so the only way here is a
-			// one-op /v1/batch request — point it at /v1/sql.
-			return nil, &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
-		}
-	}
-	if len(points) > 0 {
-		found, err := s.eng.BatchPointQueryContext(ctx, points)
-		if err != nil {
+		if _, err := s.executeOp(ctx, op, &answers[i], nil); err != nil {
 			return nil, err
-		}
-		for j, f := range found {
-			answers[pointIdx[j]].flag = f
-		}
-	}
-	if len(windows) > 0 {
-		wins, err := s.eng.BatchWindowQueryContext(ctx, windows)
-		if err != nil {
-			return nil, err
-		}
-		for j, pts := range wins {
-			answers[winIdx[j]].pts = pts
-		}
-	}
-	if len(knns) > 0 {
-		nns, err := s.eng.BatchKNNContext(ctx, knns)
-		if err != nil {
-			return nil, err
-		}
-		for j, pts := range nns {
-			answers[knnIdx[j]].pts = pts
 		}
 	}
 	d := time.Since(start)

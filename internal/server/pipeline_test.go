@@ -46,8 +46,9 @@ func allocSlack() float64 {
 // TestHandlerAllocs pins what one untraced per-op request costs through
 // Server.Handler().ServeHTTP — mux, admission, decode, validation, engine,
 // encode — at the measured counts, so the ledger's server.handler_*_us
-// cells cannot quietly start paying for something new. (The windows' extra
-// over the points is the engine's: this one crosses shards and fans out.)
+// cells cannot quietly start paying for something new. The window crosses
+// shards, and costs what a point costs: its shards append into the
+// exchange's scratch one after another on the request's goroutine.
 func TestHandlerAllocs(t *testing.T) {
 	eng, pts := testEngine(t)
 	s := New(Config{Engine: eng})
@@ -78,9 +79,9 @@ func TestHandlerAllocs(t *testing.T) {
 		max        float64
 	}{
 		{"json-point", "/v1/point", false, jsonBody(PointJSON{X: pointOp.X, Y: pointOp.Y}), 2},
-		{"json-window", "/v1/window", false, jsonBody(RectJSON{MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY}), 12},
+		{"json-window", "/v1/window", false, jsonBody(RectJSON{MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY}), 2},
 		{"rsmibin-point", "/v1/point", true, binBody(pointOp), 3},
-		{"rsmibin-window", "/v1/window", true, binBody(winOp), 13},
+		{"rsmibin-window", "/v1/window", true, binBody(winOp), 3},
 	} {
 		body := &rewindBody{}
 		req := httptest.NewRequest(http.MethodPost, c.path, body)
@@ -125,7 +126,7 @@ func TestStreamRoundTripAllocs(t *testing.T) {
 		max  float64
 	}{
 		{"point", func() error { _, err := cl.PointQuery(ctx, pts[0]); return err }, 9},
-		{"window", func() error { _, err := cl.WindowQuery(ctx, win); return err }, 20},
+		{"window", func() error { _, err := cl.WindowQuery(ctx, win); return err }, 10},
 		{"insert", func() error { next++; return cl.Insert(ctx, geom.Pt(0.25+float64(next)*1e-6, 0.75)) }, 10},
 	} {
 		if err := c.op(); err != nil { // dials, warms the pools
@@ -262,6 +263,35 @@ func TestPipelineAcrossTransports(t *testing.T) {
 			if stages != wantStages {
 				t.Errorf("%s: %s EXPLAIN stages {%s}, http-json {%s}", op.name, tc.name, stages, wantStages)
 			}
+		}
+	}
+}
+
+// TestBatchRunsInRequestOrder: a batch runs its ops in the order they were
+// sent, on every transport, so a query sees the writes before it in its
+// batch and none after it.
+func TestBatchRunsInRequestOrder(t *testing.T) {
+	eng, _ := testEngine(t)
+	_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
+	ctx := context.Background()
+	for i, tc := range pipelineTransports(t, httpURL, streamAddr) {
+		p := geom.Pt(0.125+float64(i)*1e-3, 0.625) // not indexed
+		if found, err := eng.PointQueryContext(ctx, p); err != nil || found {
+			t.Fatalf("%v is indexed already (%v)", p, err)
+		}
+		res, err := tc.cl.Batch(ctx, []BatchOp{
+			{Op: OpPoint, X: p.X, Y: p.Y},
+			{Op: OpInsert, X: p.X, Y: p.Y},
+			{Op: OpPoint, X: p.X, Y: p.Y},
+			{Op: OpDelete, X: p.X, Y: p.Y},
+			{Op: OpPoint, X: p.X, Y: p.Y},
+		})
+		if err != nil || len(res) != 5 {
+			t.Fatalf("%s: %d answers, %v", tc.name, len(res), err)
+		}
+		got := []bool{res[0].Found, res[1].OK, res[2].Found, res[3].Deleted, res[4].Found}
+		if want := []bool{false, true, true, true, false}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: point, insert, point, delete, point answered %v, want %v", tc.name, got, want)
 		}
 	}
 }

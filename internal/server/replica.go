@@ -46,6 +46,7 @@ import (
 
 	"rsmi"
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 	"rsmi/internal/shard"
 )
 
@@ -606,15 +607,17 @@ func (e replicaEngine) ExactKNNContext(ctx context.Context, q geom.Point, k int)
 }
 
 func (e replicaEngine) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
-	return e.idx().BatchPointQueryContext(ctx, qs)
+	return index.Batch(ctx, qs, e.PointQueryContext)
 }
 
 func (e replicaEngine) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
-	return e.idx().BatchWindowQueryContext(ctx, qs)
+	return index.Batch(ctx, qs, e.WindowQueryContext)
 }
 
 func (e replicaEngine) BatchKNNContext(ctx context.Context, qs []shard.KNNQuery) ([][]geom.Point, error) {
-	return e.idx().BatchKNNContext(ctx, qs)
+	return index.Batch(ctx, qs, func(ctx context.Context, q shard.KNNQuery) ([]geom.Point, error) {
+		return e.KNNContext(ctx, q.Q, q.K)
+	})
 }
 
 func (e replicaEngine) InsertContext(ctx context.Context, p geom.Point) error {

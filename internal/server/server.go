@@ -33,12 +33,14 @@
 // # Batching
 //
 // Batching is the client's choice: /v1/batch (or a multi-op stream
-// frame) carries a list of operations in one round trip and executes one
-// engine batch call per query kind. A single-query request is one engine
-// call. (A server-side combiner that merged concurrent single queries
-// into engine batch calls was measured and removed: at every load tried
-// the two goroutine hand-offs cost more than the merged call saved —
-// EXPERIMENTS.md "Direct execution".)
+// frame) carries a list of operations in one round trip, and the server
+// runs them in request order, each as the one engine call a single-op
+// request makes, so a write is visible to every later op of its batch.
+// What a batch saves is round trips, not engine work (EXPERIMENTS.md
+// "Derived batches"). (A server-side combiner that merged concurrent
+// single queries into engine batch calls was measured and removed: at
+// every load tried the two goroutine hand-offs cost more than the merged
+// call saved — EXPERIMENTS.md "Direct execution".)
 //
 // # Admission control and shutdown
 //

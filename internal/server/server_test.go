@@ -245,13 +245,6 @@ func (b *blockingEngine) PointQueryContext(ctx context.Context, q geom.Point) (b
 	return b.Engine.PointQueryContext(ctx, q)
 }
 
-func (b *blockingEngine) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
-	if err := b.wait(ctx); err != nil {
-		return nil, err
-	}
-	return b.Engine.BatchPointQueryContext(ctx, qs)
-}
-
 // TestAdmissionControl saturates a MaxInFlight=2 server with held-open
 // queries and checks that the overflow request is shed with 429 and
 // counted, and that capacity recovers after release.

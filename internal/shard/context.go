@@ -1,22 +1,26 @@
 package shard
 
 // Context-aware query surface (the rsmi.Engine v2 API), the only one
-// Sharded has; the batch variants live in batch.go, the rolling rebuild in
-// shard.go. Unlike the single-index core — whose queries run on one
-// goroutine in microseconds and only check the context at entry — the
-// sharded engine observes cancellation *during* execution: every
-// multi-shard walk (window, kNN, the batch variants) checks the context
-// between shard visits, and the rolling rebuild checks it between shard
-// retrains. A query against a 64-shard index whose client disconnects
-// after the second shard therefore stops paying for the remaining 62.
+// Sharded has; the rolling rebuild lives in shard.go. Unlike the
+// single-index core — whose queries run on one goroutine in microseconds
+// and only check the context at entry — the sharded engine observes
+// cancellation *during* execution: every multi-shard walk (window, kNN)
+// checks the context between shard visits, and the rolling rebuild checks
+// it between shard retrains. A query against a 64-shard index whose client
+// disconnects after the second shard therefore stops paying for the
+// remaining 62. Every query runs on the caller's goroutine.
 
 import (
 	"context"
 
 	"rsmi/internal/core"
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 	"rsmi/internal/obs"
 )
+
+// KNNQuery is one kNN request in a batch: up to K nearest neighbours of Q.
+type KNNQuery = index.KNNQuery
 
 // PointQueryContext reports whether a point with q's exact coordinates is
 // indexed, observing ctx between candidate-shard probes. Exact: every
@@ -87,6 +91,24 @@ func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.P
 // data is therefore exact. It observes ctx between shard searches.
 func (s *Sharded) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	return s.knn(ctx, q, k, true)
+}
+
+// BatchPointQueryContext is PointQueryContext per element of qs. A batch
+// is not a transaction: writes may land between its queries.
+func (s *Sharded) BatchPointQueryContext(ctx context.Context, qs []geom.Point) ([]bool, error) {
+	return index.Batch(ctx, qs, s.PointQueryContext)
+}
+
+// BatchWindowQueryContext is WindowQueryContext per element of qs.
+func (s *Sharded) BatchWindowQueryContext(ctx context.Context, qs []geom.Rect) ([][]geom.Point, error) {
+	return index.Batch(ctx, qs, s.WindowQueryContext)
+}
+
+// BatchKNNContext is KNNContext per element of qs.
+func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.Point, error) {
+	return index.Batch(ctx, qs, func(ctx context.Context, q KNNQuery) ([]geom.Point, error) {
+		return s.KNNContext(ctx, q.Q, q.K)
+	})
 }
 
 // InsertContext adds p, routing it to its owning shard and taking only

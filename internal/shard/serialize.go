@@ -177,6 +177,13 @@ func Load(r io.Reader) (*Sharded, error) {
 		} else if rest > 0 {
 			return nil, fmt.Errorf("shard: shard %d stream has %d trailing bytes", i, rest)
 		}
+		// Every query routes by the regions, so one that misses a point of
+		// its shard hides that point from all of them.
+		for _, p := range idx.AllPoints() {
+			if !region.Contains(p) {
+				return nil, fmt.Errorf("shard: shard %d region %v does not cover its point %v", i, region, p)
+			}
+		}
 		sh := &state{idx: idx}
 		sh.storeRegion(region)
 		s.shards[i] = sh

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/sfc"
 	"rsmi/internal/workload"
 )
 
@@ -180,5 +184,183 @@ func TestLoadRefusesV1(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(v1)); !errors.Is(err, core.ErrSnapshotV1) {
 		t.Fatalf("Load of a snapshot with v1 shards: %v, want core.ErrSnapshotV1", err)
+	}
+}
+
+// loadSeeds are the snapshots FuzzLoadSharded starts from, by name: small
+// indexes that have seen inserts and deletes — so overflow chains, dead
+// slots and extended regions are in the bytes — on both curves, with one
+// shard and with three.
+func loadSeeds(tb testing.TB) map[string][]byte {
+	seeds := map[string][]byte{}
+	for _, curve := range []sfc.Kind{sfc.Hilbert, sfc.Z} {
+		for _, shards := range []int{1, 3} {
+			pts := dataset.Generate(dataset.Skewed, 60, 81)
+			s := New(pts, Options{Shards: shards, Index: core.Options{
+				BlockCapacity: 4, PartitionThreshold: 16, Epochs: 2, LearningRate: 0.1, Gamma: 4, Seed: 1, Curve: curve,
+			}})
+			for _, p := range workload.InsertPoints(pts, 12, 82) {
+				mustInsert(tb, s, p)
+			}
+			for _, p := range workload.DeleteSample(pts, 8, 83) {
+				must(s.DeleteContext(bg, p))
+			}
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				tb.Fatal(err)
+			}
+			seeds[fmt.Sprintf("%s-%dshard", curve, shards)] = buf.Bytes()
+		}
+	}
+	return seeds
+}
+
+// wholeSpace is a window every finite point lies in.
+var wholeSpace = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
+
+// FuzzLoadSharded feeds arbitrary bytes to Load, and through it to core.Load
+// and store.ReadManager. Whatever Load accepts must be an index whose exact
+// whole-space window holds exactly Len() points — every point reachable once
+// through the models, blocks and regions the snapshot claims — and whose
+// other queries neither panic nor hang. The committed corpus under
+// testdata/fuzz/FuzzLoadSharded holds the seeds and the tampered snapshots
+// the loader has to refuse.
+func FuzzLoadSharded(f *testing.F) {
+	for name, seed := range loadSeeds(f) {
+		if _, err := Load(bytes.NewReader(seed)); err != nil {
+			f.Fatalf("seed %s: %v", name, err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		got, err := s.ExactWindowContext(bg, wholeSpace)
+		if err != nil || len(got) != s.Len() {
+			t.Fatalf("loaded index of %d points answers the whole space with %d (%v)", s.Len(), len(got), err)
+		}
+		// The approximate paths trust models and error bounds no structural
+		// check can vouch for: they may miss points, but must not fail.
+		q := geom.Pt(0.5, 0.5)
+		if len(got) > 0 {
+			q = got[len(got)/2]
+		}
+		must(s.PointQueryContext(bg, q))
+		must(s.WindowQueryContext(bg, geom.RectAround(q, 0.1, 0.1)))
+		must(s.KNNContext(bg, q, 5))
+		must(s.ExactKNNContext(bg, q, 5))
+	})
+}
+
+// shardZero locates fields of the first shard of a snapshot, by byte offset,
+// for the tampering tests: the offsets follow WriteTo here and in core and
+// store, one field at a time.
+type shardZero struct {
+	region, n, capacity, firstNext, firstX, pmfCount, pmfKnot1, rootRect, leafKernel, leafFirst int
+}
+
+func locate(t *testing.T, snap []byte) shardZero {
+	t.Helper()
+	var z shardZero
+	i64 := func(at int) int { return int(binary.LittleEndian.Uint64(snap[at:])) }
+	z.region = 8 + 12*8 + 1  // magic, twelve header words, the raw flag
+	cs := z.region + 4*8 + 8 // the region, the stream's length prefix
+	z.n = cs + 8 + 9*8 + 1   // magic, nine option words, the raw flag
+	z.capacity = z.n + 10*8  // ten scalar words
+	at := z.capacity + 8 + 8 // capacity, block count
+	for b := 0; b < i64(z.capacity+8); b++ {
+		if b == 0 {
+			z.firstNext, z.firstX = at+8, at+8+8+1+8
+		}
+		at += 8 + 8 + 1 + 8 + i64(at+8+8+1)*17 // prev, next, flags, slots, the slots
+	}
+	at += 8 + i64(at)*32 // the block MBRs
+	z.pmfCount, z.pmfKnot1 = at, at+4+8
+	for pmf := 0; pmf < 2; pmf++ {
+		at += 4 + int(binary.LittleEndian.Uint32(snap[at:]))*16
+	}
+	// The root, then first children down to a leaf.
+	z.rootRect = at + 1
+	for {
+		tag := snap[at]
+		hidden := int(binary.LittleEndian.Uint32(snap[at+1+32+4:]))
+		fields := at + 1 + 32 + 16 + hidden*32 // tag, MBR, kernel
+		if tag == 1 {
+			z.leafKernel, z.leafFirst = at+1+32, fields+8 // after cells
+			return z
+		}
+		at = fields + 6*8 + 8 // the six node words, the child count
+		for snap[at] == 0 {   // empty cells
+			at++
+		}
+	}
+}
+
+// tamperings are snapshots the loader has to refuse, each a field or two of
+// the first shard changed, by name.
+func tamperings(t *testing.T, seed []byte) map[string][]byte {
+	z := locate(t, seed)
+	word := func(at int) uint64 { return binary.LittleEndian.Uint64(seed[at:]) }
+	f64 := math.Float64bits
+	out := map[string][]byte{}
+	for name, edits := range map[string][][2]uint64{
+		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
+		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
+		"block-list-loops":     {{uint64(z.firstNext), 0}},              // block 0 links to itself
+		"point-not-finite":     {{uint64(z.firstX), f64(math.Inf(1))}},  // a live point at +Inf
+		"pmf-nan-knot":         {{uint64(z.pmfKnot1), f64(math.NaN())}}, // kNN's CDF searches its knots
+		"root-mbr-too-small":   {{uint64(z.rootRect + 16), f64(-1e9)}},  // MaxX below every point
+		"leaf-gap": { // the first leaf gives up its first block, which no leaf then holds
+			{uint64(z.leafFirst), word(z.leafFirst) + 1},
+			{uint64(z.leafFirst + 8), word(z.leafFirst+8) - 1},
+			{uint64(z.leafKernel), word(z.leafKernel) - 1}, // its model's class count, the low half
+		},
+	} {
+		snap := append([]byte(nil), seed...)
+		for _, e := range edits {
+			binary.LittleEndian.PutUint64(snap[e[0]:], e[1])
+		}
+		out[name] = snap
+	}
+	return out
+}
+
+// TestLoadRefusesTampered: every tampering of a valid snapshot that would
+// let an exact query miss a point, find one twice, or fail is refused, and a
+// header that claims more than its stream holds costs no more to read than
+// the stream's size.
+func TestLoadRefusesTampered(t *testing.T) {
+	seeds := loadSeeds(t)
+	for _, seedName := range []string{"hilbert-1shard", "z-3shard"} {
+		for name, snap := range tamperings(t, seeds[seedName]) {
+			if _, err := Load(bytes.NewReader(snap)); err == nil {
+				t.Errorf("%s, %s: Load accepted it", seedName, name)
+			}
+		}
+	}
+	seed := seeds["hilbert-1shard"]
+	z := locate(t, seed)
+	for name, edit := range map[string]func(snap []byte){
+		// A 2^24-knot CDF, then the stream ends: refused, and read only as
+		// far as it goes.
+		"pmf-claims-16m-knots": func(snap []byte) { binary.LittleEndian.PutUint32(snap[z.pmfCount:], 1<<24) },
+		// Blocks of 2^20 slots, each holding a handful: a valid snapshot,
+		// whose blocks hold what was written and grow only on insertion.
+		"capacity-2^20": func(snap []byte) { binary.LittleEndian.PutUint64(snap[z.capacity:], 1<<20) },
+	} {
+		snap := append([]byte(nil), seed...)
+		edit(snap)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		s, err := Load(bytes.NewReader(snap))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(snap)) {
+			t.Errorf("%s: reading %d bytes allocated %d", name, len(snap), grew)
+		}
+		if err == nil && len(must(s.ExactWindowContext(bg, wholeSpace))) != s.Len() {
+			t.Errorf("%s: the loaded index lost points", name)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package shard scales the RSMI beyond a single goroutine by partitioning
 // the data across S independent RSMI instances that serve concurrent callers
-// side by side (and fan one multi-shard window or batch out over Workers
-// goroutines), the approach of partition-then-learn systems such as
+// side by side, the approach of partition-then-learn systems such as
 // "The Case for Learned Spatial Indexes" (Pandey et al., 2020) and LiLIS
-// (Chen et al., 2025).
+// (Chen et al., 2025). One query never leaves its caller's goroutine: it
+// visits the shards it needs one after another, and a batch is a loop of
+// single queries. Only New trains the shards in parallel.
 //
 // # Partitioning
 //
@@ -82,16 +83,18 @@ func (p Partitioning) String() string {
 }
 
 // Options configures a Sharded index. The zero value selects GOMAXPROCS
-// shards, space partitioning, as many fan-out workers as shards, and the
-// paper-default core.Options for every shard.
+// shards, space partitioning, and the paper-default core.Options for every
+// shard.
 type Options struct {
 	// Shards is S, the number of independent RSMI instances (default
 	// GOMAXPROCS, minimum 1).
 	Shards int
-	// Workers bounds the goroutines one window query or one batch fans out
-	// to when it touches several shards (default Shards; 1 keeps every
-	// query on the caller's goroutine). Point and kNN queries, and windows
-	// that touch one shard, never leave the caller's goroutine.
+	// Workers does nothing. It once bounded the goroutines a multi-shard
+	// window or a batch fanned out to; no cell of the benchmark ledger
+	// showed that fan-out winning (shard.window_shards_visited reads
+	// 1.007–1.014), so every query now runs on its caller's goroutine. The
+	// field stays because benchmark/workload.go sets it; it is still
+	// defaulted to Shards and kept in snapshots, so no snapshot byte moves.
 	Workers int
 	// Partitioning selects Space (default) or Hash assignment.
 	Partitioning Partitioning
@@ -133,7 +136,7 @@ func (sh *state) storeRegion(r geom.Rect) { sh.region.Store(&r) }
 
 // Sharded is an S-way sharded RSMI. All methods are safe for concurrent
 // use. Its query and write surface is the context-aware one of rsmi.Engine
-// (context.go, batch.go).
+// (context.go).
 type Sharded struct {
 	opts      Options
 	shards    []*state
@@ -342,49 +345,6 @@ func (s *Sharded) windowCandidates(q geom.Rect) (first, n int) {
 	return first, n
 }
 
-// fanOut runs fn(i, shard) for every candidate shard on up to Workers
-// goroutines. fn runs under the shard's read lock. Cancellation is
-// observed between shard visits: once ctx is done, no further shard is
-// visited (visits already started finish — a shard query is microseconds)
-// and the context's error is returned.
-func (s *Sharded) fanOut(ctx context.Context, cands []*state, fn func(i int, sh *state)) error {
-	workers := s.opts.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
-	if workers <= 1 {
-		for i, sh := range cands {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			sh.mu.RLock()
-			fn(i, sh)
-			sh.mu.RUnlock()
-		}
-		return ctx.Err()
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(cands) {
-					return
-				}
-				sh := cands[i]
-				sh.mu.RLock()
-				fn(i, sh)
-				sh.mu.RUnlock()
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
-}
-
 // appendWindow appends the shard's window answer (exact or Algorithm 2's) to
 // dst. Callers hold sh.mu.
 func (sh *state) appendWindow(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
@@ -396,12 +356,10 @@ func (sh *state) appendWindow(ctx context.Context, dst []geom.Point, q geom.Rect
 }
 
 // gatherWindow appends the answers of the shards whose region overlaps q to
-// dst (which may be nil), in shard order. A window with one candidate shard —
-// nearly every window under space partitioning — and every window when
-// Workers is 1 is answered on the caller's goroutine, each shard appending
-// straight into dst under its read lock; only a multi-shard window with
-// Workers > 1 fans out. A context cancelled mid-query stops between shard
-// visits and returns (dst, ctx.Err()): partial answers are never surfaced.
+// dst (which may be nil), in shard order, on the caller's goroutine: each
+// shard appends straight into dst under its read lock. A context cancelled
+// mid-query stops between shard visits and returns (dst, ctx.Err()):
+// partial answers are never surfaced.
 func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
 	first, n := s.windowCandidates(q)
 	// A trace in ctx (EXPLAIN / slow-query sampling) counts the shards
@@ -409,9 +367,6 @@ func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rec
 	obs.FromContext(ctx).AddShards(n)
 	if n == 0 {
 		return dst, ctx.Err()
-	}
-	if n > 1 && s.opts.Workers > 1 {
-		return s.gatherWindowParallel(ctx, dst, q, exact)
 	}
 	out := dst
 	for _, sh := range s.shards[first:] {
@@ -428,32 +383,6 @@ func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rec
 	}
 	if err := ctx.Err(); err != nil {
 		return dst, err
-	}
-	return out, nil
-}
-
-// gatherWindowParallel answers a multi-shard window on up to Workers
-// goroutines, one answer slice per shard, concatenated in shard order.
-func (s *Sharded) gatherWindowParallel(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
-	var cands []*state
-	for _, sh := range s.shards {
-		if sh.loadRegion().Intersects(q) {
-			cands = append(cands, sh)
-		}
-	}
-	per := make([][]geom.Point, len(cands))
-	errs := make([]error, len(cands))
-	if err := s.fanOut(ctx, cands, func(i int, sh *state) {
-		per[i], errs[i] = sh.appendWindow(ctx, nil, q, exact)
-	}); err != nil {
-		return dst, err
-	}
-	out := dst
-	for i, r := range per {
-		if errs[i] != nil {
-			return dst, errs[i]
-		}
-		out = append(out, r...)
 	}
 	return out, nil
 }

@@ -83,7 +83,6 @@ func ReadManager(r io.Reader) (*Manager, error) {
 	}
 	m := NewManager(int(capacity))
 	for id := int64(0); id < count; id++ {
-		b := m.Alloc()
 		var prev, next, slots int64
 		var flags uint8
 		if err := binary.Read(r, binary.LittleEndian, &prev); err != nil {
@@ -101,8 +100,9 @@ func ReadManager(r io.Reader) (*Manager, error) {
 		if slots < 0 || slots > capacity {
 			return nil, fmt.Errorf("store: block %d has %d slots (cap %d)", id, slots, capacity)
 		}
-		b.Prev, b.Next = int(prev), int(next)
-		b.Inserted = flags&1 != 0
+		// The slots grow as they are read, never ahead of the stream.
+		var pts []geom.Point
+		live := 0
 		for s := int64(0); s < slots; s++ {
 			var xb, yb uint64
 			var del uint8
@@ -115,12 +115,17 @@ func ReadManager(r io.Reader) (*Manager, error) {
 			if err := binary.Read(r, binary.LittleEndian, &del); err != nil {
 				return nil, fmt.Errorf("store: read slot: %w", err)
 			}
-			b.pts = append(b.pts, geom.Pt(math.Float64frombits(xb), math.Float64frombits(yb)))
+			pts = append(pts, geom.Pt(math.Float64frombits(xb), math.Float64frombits(yb)))
 			if del&1 == 0 {
-				b.pts[b.live], b.pts[s] = b.pts[s], b.pts[b.live]
-				b.live++
+				pts[live], pts[s] = pts[s], pts[live]
+				live++
 			}
 		}
+		b := &Block{}
+		m.adopt(b, pts)
+		b.Prev, b.Next = int(prev), int(next)
+		b.Inserted = flags&1 != 0
+		b.live = live
 	}
 	return m, nil
 }

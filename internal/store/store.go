@@ -54,6 +54,11 @@ type Block struct {
 	// count towards the learned error bounds (§5) and are reached by
 	// following Next pointers from their predicted base block.
 	Inserted bool
+	// capacity is the block capacity B, what HasSpace measures against.
+	// A block built or allocated here reserves all of it up front; one read
+	// from a snapshot holds only the slots it was written with and grows on
+	// insertion, so a stream's size bounds what reading it allocates.
+	capacity int32
 
 	// pts holds the slots in use: pts[:live] are the live points, pts[live:]
 	// the deleted ones.
@@ -134,9 +139,9 @@ func (m *Manager) Alloc() *Block {
 }
 
 // adopt initialises b as the next block of the array over the given slot
-// storage, all of it live, whose capacity is the block capacity.
+// storage, all of it live.
 func (m *Manager) adopt(b *Block, pts []geom.Point) {
-	*b = Block{ID: len(m.blocks), Prev: NilBlock, Next: NilBlock, pts: pts, live: len(pts)}
+	*b = Block{ID: len(m.blocks), Prev: NilBlock, Next: NilBlock, capacity: int32(m.capacity), pts: pts, live: len(pts)}
 	m.blocks = append(m.blocks, b)
 }
 
@@ -187,9 +192,10 @@ func (b *Block) Append(p geom.Point) {
 		panic("store: append to full block")
 	}
 	if b.live == len(b.pts) {
-		b.pts = b.pts[:b.live+1]
+		b.pts = append(b.pts, p)
+	} else {
+		b.pts[b.live] = p
 	}
-	b.pts[b.live] = p
 	b.live++
 }
 
@@ -198,7 +204,7 @@ func (b *Block) Append(p geom.Point) {
 // (e.g., space left by a deleted point), we simply place p in the block",
 // §5).
 func (b *Block) HasSpace() bool {
-	return b.live < cap(b.pts)
+	return b.live < int(b.capacity)
 }
 
 // Delete swaps the point at live slot i with the last live point and shrinks

@@ -7,13 +7,13 @@ import (
 )
 
 // Sharded partitions the data across S independent RSMI instances: a
-// window query is answered by the shards its rectangle overlaps (in place
-// on the caller's goroutine when that is one shard, on worker goroutines
-// when it is several), kNN searches the shards best-first — nearest region
-// first, stopping at the distance of the k-th candidate — and updates take
-// only the owning shard's lock, so updates on different shards proceed
-// concurrently. Rebuild is rolling — one shard retrains at a time while
-// the others keep serving. Its query surface is Engine, and it keeps the
+// window query is answered by the shards its rectangle overlaps, one after
+// another on the caller's goroutine, kNN searches the shards best-first —
+// nearest region first, stopping at the distance of the k-th candidate —
+// and a batch is a loop of single queries. Updates take only the owning
+// shard's lock, so updates on different shards proceed concurrently.
+// Rebuild is rolling — one shard retrains at a time while the others keep
+// serving. Its query surface is Engine, and it keeps the
 // correctness guarantees of the single-index RSMI: exact point queries,
 // window answers with no false positives, and exact ExactWindowContext /
 // ExactKNNContext. See EXPERIMENTS.md ("Sharded throughput", historical) for
