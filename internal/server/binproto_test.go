@@ -169,6 +169,86 @@ func TestBinTraceGoldenBytes(t *testing.T) {
 	}
 }
 
+// TestBinGoldenBytes pins rsmibin/1's request entries and results to
+// golden hex: every op's entry (sub in both kinds, a negative k clamped to
+// 0 in both places k rides), the explain bit in the single-op and the
+// counted layout, and both result kinds. Each request frame must also
+// decode back to its ops, clamped k and explain bit included.
+func TestBinGoldenBytes(t *testing.T) {
+	const (
+		h    = "524201"           // magic 'R','B', version 1
+		half = "000000000000e03f" // 0.5
+		qtr  = "000000000000d03f" // 0.25
+		one  = "000000000000f03f" // 1
+		zero = "0000000000000000" // 0
+	)
+	requests := []struct {
+		name    string
+		ops     []BatchOp
+		single  bool
+		explain bool
+		golden  string
+		want    []BatchOp // what decodes; nil means ops
+	}{
+		{"point", []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.25}}, true, false, h + "01" + half + qtr, nil},
+		{"window", []BatchOp{{Op: OpWindow, MinX: 0, MinY: 0.25, MaxX: 0.5, MaxY: 1}}, true, false, h + "02" + zero + qtr + half + one, nil},
+		{"knn", []BatchOp{{Op: OpKNN, X: 0.5, Y: 0.25, K: 300}}, true, false, h + "03" + half + qtr + "ac02", nil},
+		{"knn negative k", []BatchOp{{Op: OpKNN, X: 0.5, Y: 0.25, K: -3}}, true, false, h + "03" + half + qtr + "00",
+			[]BatchOp{{Op: OpKNN, X: 0.5, Y: 0.25}}},
+		{"insert", []BatchOp{{Op: OpInsert, X: 1, Y: 0}}, true, false, h + "04" + one + zero, nil},
+		{"delete", []BatchOp{{Op: OpDelete, X: 0.25, Y: 0.5}}, true, false, h + "05" + qtr + half, nil},
+		{"sql", []BatchOp{{Op: OpSQL, SQL: "SELECT"}}, true, false, h + "06" + "06" + hex.EncodeToString([]byte("SELECT")), nil},
+		{"sub window", []BatchOp{{Op: OpSub, SubID: 300, SubKind: SubWindow, MinX: 0, MinY: 0.25, MaxX: 0.5, MaxY: 1}}, false, false,
+			h + "01" + "07" + "ac02" + "01" + zero + qtr + half + one, nil},
+		{"sub knn", []BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25, K: 5}}, false, false,
+			h + "01" + "07" + "07" + "02" + half + qtr + "05", nil},
+		{"sub knn negative k", []BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25, K: -1}}, false, false,
+			h + "01" + "07" + "07" + "02" + half + qtr + "00",
+			[]BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25}}},
+		{"unsub", []BatchOp{{Op: OpUnsub, SubID: 300}}, false, false, h + "01" + "08" + "ac02", nil},
+		{"explain single", []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.25}}, true, true, h + "81" + half + qtr, nil},
+		{"explain counted", []BatchOp{{Op: OpInsert, X: 1, Y: 0}, {Op: OpSQL}}, false, true,
+			h + "02" + "84" + one + zero + "06" + "00", nil},
+		{"counted", []BatchOp{{Op: OpDelete, X: 0.25, Y: 0.5}, {Op: OpKNN, X: 1, Y: 1, K: 1}}, false, false,
+			h + "02" + "05" + qtr + half + "03" + one + one + "01", nil},
+	}
+	for _, c := range requests {
+		b, err := appendBinaryOps(nil, c.ops, c.single, c.explain)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hex.EncodeToString(b); got != c.golden {
+			t.Errorf("%s: request bytes moved:\n got %s\nwant %s", c.name, got, c.golden)
+		}
+		want := c.want
+		if want == nil {
+			want = c.ops
+		}
+		ops, explain, err := decodeBinaryOps(b, c.single)
+		if err != nil || !reflect.DeepEqual(ops, want) || explain != c.explain {
+			t.Errorf("%s: decoded %+v (explain %v, err %v), want %+v (explain %v)", c.name, ops, explain, err, want, c.explain)
+		}
+	}
+
+	pts := []geom.Point{geom.Pt(0.5, 0.25), geom.Pt(1, 0)}
+	results := []struct {
+		name   string
+		frame  []byte
+		golden string
+	}{
+		{"bool", appendAnswer(appendBinHeader(nil), batchAnswer{op: OpPoint, flag: true}), h + "0101"},
+		{"points", appendAnswer(appendBinHeader(nil), batchAnswer{op: OpWindow, pts: pts}), h + "0202" + half + qtr + one + zero},
+		{"counted", appendBatchAnswers(appendBinHeader(nil), []batchAnswer{
+			{op: OpDelete}, {op: OpInsert, flag: true}, {op: OpKNN}, {op: OpSQL, pts: pts[1:]},
+		}), h + "04" + "0100" + "0101" + "0200" + "0201" + one + zero},
+	}
+	for _, c := range results {
+		if got := hex.EncodeToString(c.frame); got != c.golden {
+			t.Errorf("%s: result bytes moved:\n got %s\nwant %s", c.name, got, c.golden)
+		}
+	}
+}
+
 // TestBinaryDecodeRejects covers the malformed-frame surface the fuzzer
 // explores: every case must error, never panic or over-allocate.
 func TestBinaryDecodeRejects(t *testing.T) {
