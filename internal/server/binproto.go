@@ -77,7 +77,7 @@ const BinVersion = 1
 // binMagic starts every rsmibin frame.
 var binMagic = [2]byte{'R', 'B'}
 
-// Op bytes of request entries.
+// Op bytes of request entries, each the index of its op's opTable row.
 const (
 	binOpPoint byte = iota + 1
 	binOpWindow
@@ -116,38 +116,6 @@ const (
 // uvarint cannot turn into an absurd allocation, not as an API limit.
 const binMaxK = 1 << 20
 
-// opNames is the op table: each op's name at the index of its wire byte
-// (byte 0 is no op). opByte, opName and the JSON request decoder's
-// jsonName all read it.
-var opNames = [...]string{
-	binOpPoint:  OpPoint,
-	binOpWindow: OpWindow,
-	binOpKNN:    OpKNN,
-	binOpInsert: OpInsert,
-	binOpDelete: OpDelete,
-	binOpSQL:    OpSQL,
-	binOpSub:    OpSub,
-	binOpUnsub:  OpUnsub,
-}
-
-// opByte maps an op name to its wire byte.
-func opByte(op string) (byte, bool) {
-	for b, name := range opNames[1:] {
-		if name == op {
-			return byte(b + 1), true
-		}
-	}
-	return 0, false
-}
-
-// opName maps a wire byte back to its op name.
-func opName(b byte) (string, bool) {
-	if b == 0 || int(b) >= len(opNames) {
-		return "", false
-	}
-	return opNames[b], true
-}
-
 // isBinaryRequest reports whether the request body is an rsmibin frame.
 func isBinaryRequest(r *http.Request) bool {
 	return strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
@@ -183,67 +151,52 @@ func appendF64(b []byte, v float64) []byte {
 	return append(b, s[:]...)
 }
 
-// appendOp appends one request entry.
+// appendOp appends one request entry: the op byte, then the fields of
+// its shape.
 func appendOp(b []byte, op BatchOp) ([]byte, error) {
-	k, ok := opByte(op.Op)
-	if !ok {
+	k := opRow(op.Op)
+	if k == 0 {
 		return b, fmt.Errorf("rsmibin: unknown op %q", op.Op)
 	}
-	b = append(b, k)
-	switch k {
-	case binOpSQL:
-		b = appendUvarint(b, uint64(len(op.SQL)))
-		b = append(b, op.SQL...)
-	case binOpSub:
-		b = appendUvarint(b, op.SubID)
-		switch op.SubKind {
-		case SubWindow:
-			b = append(b, binSubWindow)
-			b = appendF64(b, op.MinX)
-			b = appendF64(b, op.MinY)
-			b = appendF64(b, op.MaxX)
-			b = appendF64(b, op.MaxY)
-		case SubKNN:
-			b = append(b, binSubKNN)
-			b = appendF64(b, op.X)
-			b = appendF64(b, op.Y)
-			k := op.K
-			if k < 0 {
-				k = 0
-			}
-			b = appendUvarint(b, uint64(k))
-		default:
-			return b, fmt.Errorf("rsmibin: unknown subscription kind %q", op.SubKind)
-		}
-	case binOpUnsub:
-		b = appendUvarint(b, op.SubID)
-	case binOpWindow:
-		b = appendF64(b, op.MinX)
-		b = appendF64(b, op.MinY)
-		b = appendF64(b, op.MaxX)
-		b = appendF64(b, op.MaxY)
-	case binOpKNN:
-		b = appendF64(b, op.X)
-		b = appendF64(b, op.Y)
-		// Clamp negative k to 0 rather than letting the uint64
-		// conversion wrap: the engine defines k <= 0 as an empty answer,
-		// and the JSON path passes it through, so the protocols must
-		// agree on the same input.
-		k := op.K
-		if k < 0 {
-			k = 0
-		}
-		b = appendUvarint(b, uint64(k))
-	default:
-		b = appendF64(b, op.X)
-		b = appendF64(b, op.Y)
+	b = appendFields(append(b, k), opTable[k].req, &op)
+	if k != binOpSub {
+		return b, nil
 	}
-	return b, nil
+	switch op.SubKind {
+	case SubWindow:
+		return appendFields(append(b, binSubWindow), reqRect, &op), nil
+	case SubKNN:
+		return appendFields(append(b, binSubKNN), reqKNN, &op), nil
+	}
+	return b, fmt.Errorf("rsmibin: unknown subscription kind %q", op.SubKind)
+}
+
+// appendFields appends op's fields of shape in the order the JSON codec
+// keys them: a coordinate as f64, k and sub_id as uvarints, a string as
+// its uvarint length and bytes.
+func appendFields(b []byte, shape reqShape, op *BatchOp) []byte {
+	for _, k := range jsonRequestKeys[shape] {
+		switch f := requestField(op, k).(type) {
+		case *float64:
+			b = appendF64(b, *f)
+		case *int:
+			// Clamp negative k to 0 rather than letting the uint64
+			// conversion wrap: the engine defines k <= 0 as an empty
+			// answer, and the JSON path passes it through, so the
+			// protocols must agree on the same input.
+			b = appendUvarint(b, uint64(max(*f, 0)))
+		case *uint64:
+			b = appendUvarint(b, *f)
+		case *string:
+			b = append(appendUvarint(b, uint64(len(*f))), *f...)
+		}
+	}
+	return b
 }
 
 // appendBinaryOps appends a request frame to b: one entry for the per-op
 // endpoints (single), a counted list for /v1/batch and the stream, with
-// the explain flag bit set on request.
+// the explain flag bit set on the first entry's op byte on request.
 func appendBinaryOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, error) {
 	start := len(b)
 	b = appendBinHeader(b)
@@ -251,13 +204,14 @@ func appendBinaryOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, err
 		b = appendUvarint(b, uint64(len(ops)))
 	}
 	var err error
-	for _, op := range ops {
+	for i, op := range ops {
+		at := len(b)
 		if b, err = appendOp(b, op); err != nil {
 			return b[:start], err
 		}
-	}
-	if explain {
-		markBinExplain(b[start:], single)
+		if explain && i == 0 {
+			b[at] |= binOpExplain
+		}
 	}
 	return b, nil
 }
@@ -266,23 +220,6 @@ func appendBinaryOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, err
 // body, which the transport owns until the response arrives).
 func encodeBinaryOps(ops []BatchOp, single, explain bool) ([]byte, error) {
 	return appendBinaryOps(make([]byte, 0, 16+24*len(ops)), ops, single, explain)
-}
-
-// markBinExplain sets the explain flag bit on an encoded request
-// frame's first entry, in place. single selects the per-op layout (entry
-// at offset 3); a batch frame's first entry sits after the count uvarint.
-func markBinExplain(b []byte, single bool) {
-	i := 3
-	if !single {
-		_, n := binary.Uvarint(b[3:])
-		if n <= 0 {
-			return
-		}
-		i += n
-	}
-	if i < len(b) {
-		b[i] |= binOpExplain
-	}
 }
 
 // appendBinTrace appends an EXPLAIN trace result after a response's
@@ -357,12 +294,6 @@ type batchAnswer struct {
 	pts  []geom.Point
 }
 
-// pointsResult reports whether op answers with a points result (window,
-// knn, sql) rather than a bool (found / ok / deleted / subscribed).
-func pointsResult(op string) bool {
-	return op == OpWindow || op == OpKNN || op == OpSQL
-}
-
 // appendAnswer encodes one executed answer as its op's result kind.
 func appendAnswer(b []byte, a batchAnswer) []byte {
 	if pointsResult(a.op) {
@@ -384,14 +315,15 @@ func appendBatchAnswers(b []byte, answers []batchAnswer) []byte {
 }
 
 // batchResultOf is one op's answer in the JSON wire shape, which the
-// client's Batch verb returns whatever the protocol.
+// client's Batch verb returns whatever the protocol: the field its op's
+// answer member names.
 func batchResultOf(op string, flag bool, pts []geom.Point) BatchResult {
-	switch op {
-	case OpPoint:
+	switch opTable[opRow(op)].flag {
+	case "found":
 		return BatchResult{Found: flag}
-	case OpInsert:
+	case "ok":
 		return BatchResult{OK: flag}
-	case OpDelete:
+	case "deleted":
 		return BatchResult{Deleted: flag}
 	}
 	return BatchResult{Count: len(pts), Points: toPoints(pts)}
@@ -510,69 +442,60 @@ func (r *binReader) header() {
 }
 
 // entry decodes one request entry, stripping (and recording) the
-// explain flag bit.
+// explain flag bit. On error the op is garbage and r.err is set.
 func (r *binReader) entry() BatchOp {
-	kind := r.byte()
+	k := r.byte()
 	if r.err != nil {
 		return BatchOp{}
 	}
-	if kind&binOpExplain != 0 {
+	if k&binOpExplain != 0 {
 		r.explain = true
-		kind &^= binOpExplain
+		k &^= binOpExplain
 	}
-	name, ok := opName(kind)
-	if !ok {
-		r.fail(fmt.Errorf("rsmibin: unknown op byte 0x%02x", kind))
+	if k == 0 || int(k) >= len(opTable) {
+		r.fail(fmt.Errorf("rsmibin: unknown op byte 0x%02x", k))
 		return BatchOp{}
 	}
-	op := BatchOp{Op: name}
-	switch kind {
-	case binOpSub:
-		op.SubID = r.uvarint()
-		switch sk := r.byte(); sk {
-		case binSubWindow:
-			op.SubKind = SubWindow
-			op.MinX, op.MinY = r.f64(), r.f64()
-			op.MaxX, op.MaxY = r.f64(), r.f64()
-		case binSubKNN:
-			op.SubKind = SubKNN
-			op.X, op.Y = r.f64(), r.f64()
-			k := r.uvarint()
-			if k > binMaxK {
-				r.fail(fmt.Errorf("rsmibin: k %d exceeds %d", k, binMaxK))
-				return BatchOp{}
-			}
-			op.K = int(k)
-		default:
-			if r.err == nil {
-				r.fail(fmt.Errorf("rsmibin: unknown subscription kind byte 0x%02x", sk))
-			}
-			return BatchOp{}
-		}
-	case binOpUnsub:
-		op.SubID = r.uvarint()
-	case binOpSQL:
-		n := r.uvarint()
-		if r.err == nil && n > uint64(len(r.data)) {
-			r.fail(errBinTruncated)
-			return BatchOp{}
-		}
-		op.SQL = string(r.take(int(n)))
-	case binOpWindow:
-		op.MinX, op.MinY = r.f64(), r.f64()
-		op.MaxX, op.MaxY = r.f64(), r.f64()
-	case binOpKNN:
-		op.X, op.Y = r.f64(), r.f64()
-		k := r.uvarint()
-		if k > binMaxK {
-			r.fail(fmt.Errorf("rsmibin: k %d exceeds %d", k, binMaxK))
-			return BatchOp{}
-		}
-		op.K = int(k)
+	op := BatchOp{Op: opTable[k].op}
+	r.fields(opTable[k].req, &op)
+	if k != binOpSub {
+		return op
+	}
+	switch sk := r.byte(); sk {
+	case binSubWindow:
+		op.SubKind = SubWindow
+		r.fields(reqRect, &op)
+	case binSubKNN:
+		op.SubKind = SubKNN
+		r.fields(reqKNN, &op)
 	default:
-		op.X, op.Y = r.f64(), r.f64()
+		r.fail(fmt.Errorf("rsmibin: unknown subscription kind byte 0x%02x", sk))
 	}
 	return op
+}
+
+// fields decodes op's fields of shape, the twin of appendFields.
+func (r *binReader) fields(shape reqShape, op *BatchOp) {
+	for _, k := range jsonRequestKeys[shape] {
+		switch f := requestField(op, k).(type) {
+		case *float64:
+			*f = r.f64()
+		case *int:
+			if n := r.uvarint(); n > binMaxK {
+				r.fail(fmt.Errorf("rsmibin: k %d exceeds %d", n, binMaxK))
+			} else {
+				*f = int(n)
+			}
+		case *uint64:
+			*f = r.uvarint()
+		case *string:
+			n := r.uvarint()
+			if r.err == nil && n > uint64(len(r.data)) {
+				r.fail(errBinTruncated)
+			}
+			*f = string(r.take(int(n)))
+		}
+	}
 }
 
 // binMinEntryBytes is the smallest possible entry (an op byte plus a

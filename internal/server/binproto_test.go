@@ -309,6 +309,13 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 	batch, _ = appendOp(batch, BatchOp{Op: OpWindow, MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
 	batch, _ = appendOp(batch, BatchOp{Op: OpKNN, X: 0.1, Y: 0.9, K: 5})
 	f.Add(batch, false)
+	subs, _ := appendBinaryOps(nil, []BatchOp{
+		{Op: OpSub, SubID: 3, SubKind: SubKNN, X: 0.5, Y: 0.5, K: 2},
+		{Op: OpSub, SubID: 4, SubKind: SubWindow, MaxX: 1, MaxY: 1},
+		{Op: OpUnsub, SubID: 3},
+		{Op: OpSQL, SQL: "SELECT"},
+	}, false, true)
+	f.Add(subs, false)
 	f.Add([]byte{'R', 'B', 1, 0xff, 0xff}, false)
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, single bool) {
@@ -335,7 +342,7 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 		}
 		for i := range ops {
 			g, w := again[i], ops[i]
-			if g.Op != w.Op || g.K != w.K ||
+			if g.Op != w.Op || g.K != w.K || g.SQL != w.SQL || g.SubID != w.SubID || g.SubKind != w.SubKind ||
 				math.Float64bits(g.X) != math.Float64bits(w.X) ||
 				math.Float64bits(g.Y) != math.Float64bits(w.Y) ||
 				math.Float64bits(g.MinX) != math.Float64bits(w.MinX) ||

@@ -73,11 +73,11 @@ type clientOptions struct {
 const DefaultTimeout = 30 * time.Second
 
 // roundTripFunc carries one data-plane request to a server and back:
-// ops go out as the request of path (one op in the per-op wire shape
-// when single, a list otherwise), the raw results come back in request
-// order — exactly one for a single request — with the EXPLAIN trace
-// when explain asked for one.
-type roundTripFunc func(ctx context.Context, path string, ops []BatchOp, single, explain bool) ([]binResult, *TraceJSON, error)
+// ops go out as the request of route rt (one op in the per-op wire shape,
+// or /v1/batch's list), the raw results come back in request order —
+// exactly one for a single request — with the EXPLAIN trace when
+// explain asked for one.
+type roundTripFunc func(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error)
 
 // dataPlane is the data-plane verbs, written once over a roundTripFunc.
 // Client embeds it over its codec and transport, HedgedClient over a
@@ -298,12 +298,13 @@ func bodyInto(decode func(body []byte) error) func(io.Reader) error {
 }
 
 // roundTripBinary is the rsmibin-over-HTTP roundTripFunc.
-func (c *Client) roundTripBinary(ctx context.Context, path string, ops []BatchOp, single, explain bool) (rs []binResult, tj *TraceJSON, err error) {
+func (c *Client) roundTripBinary(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) (rs []binResult, tj *TraceJSON, err error) {
+	single := rt.req != reqBatch
 	frame, err := encodeBinaryOps(ops, single, explain)
 	if err != nil {
 		return nil, nil, err
 	}
-	err = c.post(ctx, path, ContentTypeBinary, frame, bodyInto(func(body []byte) (err error) {
+	err = c.post(ctx, rt.path, ContentTypeBinary, frame, bodyInto(func(body []byte) (err error) {
 		rs, tj, err = decodeBinaryResults(body, single)
 		return err
 	}))
@@ -314,16 +315,17 @@ func (c *Client) roundTripBinary(ctx context.Context, path string, ops []BatchOp
 // route's historical document, with ?explain=1 asking for the trace. Its
 // buffer is the request's own, not a pooled one: the transport may still
 // be reading a body after the response has arrived.
-func (c *Client) roundTripJSON(ctx context.Context, path string, ops []BatchOp, single, explain bool) (rs []binResult, tj *TraceJSON, err error) {
-	req, err := appendRequestJSON(make([]byte, 0, 64+160*len(ops)), routeFor(path), ops)
+func (c *Client) roundTripJSON(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) (rs []binResult, tj *TraceJSON, err error) {
+	req, err := appendRequestJSON(make([]byte, 0, 64+160*len(ops)), rt, ops)
 	if err != nil {
 		return nil, nil, fmt.Errorf("client: marshal: %w", err)
 	}
+	path := rt.path
 	if explain {
 		path += "?explain=1"
 	}
 	err = c.post(ctx, path, "application/json", req, bodyInto(func(body []byte) (err error) {
-		rs, tj, err = decodeJSONResults(body, single, ops)
+		rs, tj, err = decodeJSONResults(body, rt.req != reqBatch, ops)
 		return err
 	}))
 	return rs, tj, err
@@ -369,14 +371,15 @@ func checkResults(rs []binResult, ops []BatchOp) error {
 	return nil
 }
 
-// do runs ops through the round trip, checks the answer against them,
-// and delivers the trace to the call's WithExplain destination.
-func (d *dataPlane) do(ctx context.Context, path string, ops []BatchOp, single bool, opts []QueryOpt) ([]binResult, error) {
+// do runs ops through the round trip to route rt, checks the answer
+// against them, and delivers the trace to the call's WithExplain
+// destination.
+func (d *dataPlane) do(ctx context.Context, rt *opSpec, ops []BatchOp, opts []QueryOpt) ([]binResult, error) {
 	var o queryOpts
 	for _, fn := range opts {
 		fn(&o)
 	}
-	rs, tj, err := d.roundTrip(ctx, path, ops, single, o.explain != nil)
+	rs, tj, err := d.roundTrip(ctx, rt, ops, o.explain != nil)
 	if err != nil {
 		return nil, err
 	}
@@ -390,8 +393,8 @@ func (d *dataPlane) do(ctx context.Context, path string, ops []BatchOp, single b
 }
 
 // one runs a single op on its per-op endpoint.
-func (d *dataPlane) one(ctx context.Context, path string, op BatchOp, opts []QueryOpt) (binResult, error) {
-	rs, err := d.do(ctx, path, []BatchOp{op}, true, opts)
+func (d *dataPlane) one(ctx context.Context, op BatchOp, opts []QueryOpt) (binResult, error) {
+	rs, err := d.do(ctx, &opTable[opRow(op.Op)], []BatchOp{op}, opts)
 	if err != nil {
 		return binResult{}, err
 	}
@@ -401,19 +404,19 @@ func (d *dataPlane) one(ctx context.Context, path string, op BatchOp, opts []Que
 // PointQuery reports whether a point with exactly p's coordinates is
 // indexed.
 func (d *dataPlane) PointQuery(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	r, err := d.one(ctx, "/v1/point", BatchOp{Op: OpPoint, X: p.X, Y: p.Y}, opts)
+	r, err := d.one(ctx, BatchOp{Op: OpPoint, X: p.X, Y: p.Y}, opts)
 	return r.flag, err
 }
 
 // WindowQuery returns the indexed points inside the window.
 func (d *dataPlane) WindowQuery(ctx context.Context, q geom.Rect, opts ...QueryOpt) ([]geom.Point, error) {
-	r, err := d.one(ctx, "/v1/window", BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}, opts)
+	r, err := d.one(ctx, BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}, opts)
 	return r.pts, err
 }
 
 // KNN returns up to k nearest neighbours of q, closest first.
 func (d *dataPlane) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryOpt) ([]geom.Point, error) {
-	r, err := d.one(ctx, "/v1/knn", BatchOp{Op: OpKNN, X: q.X, Y: q.Y, K: k}, opts)
+	r, err := d.one(ctx, BatchOp{Op: OpKNN, X: q.X, Y: q.Y, K: k}, opts)
 	return r.pts, err
 }
 
@@ -422,20 +425,20 @@ func (d *dataPlane) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryO
 // With WithExplain the trace carries the planner's decision: chosen
 // backend, estimated vs actual cost.
 func (d *dataPlane) SQL(ctx context.Context, query string, opts ...QueryOpt) ([]geom.Point, error) {
-	r, err := d.one(ctx, "/v1/sql", BatchOp{Op: OpSQL, SQL: query}, opts)
+	r, err := d.one(ctx, BatchOp{Op: OpSQL, SQL: query}, opts)
 	return r.pts, err
 }
 
 // Insert adds a point.
 func (d *dataPlane) Insert(ctx context.Context, p geom.Point, opts ...QueryOpt) error {
-	_, err := d.one(ctx, "/v1/insert", BatchOp{Op: OpInsert, X: p.X, Y: p.Y}, opts)
+	_, err := d.one(ctx, BatchOp{Op: OpInsert, X: p.X, Y: p.Y}, opts)
 	return err
 }
 
 // Delete removes the point with exactly p's coordinates, reporting
 // whether it existed.
 func (d *dataPlane) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	r, err := d.one(ctx, "/v1/delete", BatchOp{Op: OpDelete, X: p.X, Y: p.Y}, opts)
+	r, err := d.one(ctx, BatchOp{Op: OpDelete, X: p.X, Y: p.Y}, opts)
 	return r.flag, err
 }
 
@@ -443,7 +446,7 @@ func (d *dataPlane) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) 
 // returns the per-op results in request order, in the JSON result shape
 // whatever the protocol. A WithExplain trace covers the whole batch.
 func (d *dataPlane) Batch(ctx context.Context, ops []BatchOp, opts ...QueryOpt) ([]BatchResult, error) {
-	rs, err := d.do(ctx, "/v1/batch", ops, false, opts)
+	rs, err := d.do(ctx, &opTable[batchRow], ops, opts)
 	if err != nil {
 		return nil, err
 	}

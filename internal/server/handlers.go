@@ -115,10 +115,8 @@ func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
 	if code != http.StatusOK {
 		w.WriteHeader(code)
 	}
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The response is already partially written; nothing to recover.
-		_ = err
-	}
+	// An error leaves the response partially written; nothing to recover.
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
@@ -221,12 +219,6 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	writeJSONStatus(w, http.StatusAccepted, OKResponse{OK: true})
 }
 
-// opStats merges one op's per-transport histograms into its /v1/stats
-// summary.
-func (s *Server) opStats(op opIdx) OpStats {
-	return mergedStats(&s.hists[op][transportHTTP], &s.hists[op][transportStream])
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := StatsResponse{
 		Engine:         s.eng.Name(),
@@ -238,15 +230,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rebuilds:       s.rebuilds.Load(),
 		RebuildRunning: s.rebuildRunning.Load(),
 		Stream:         s.streamStats(),
-		Ops: map[string]OpStats{
-			OpPoint:  s.opStats(opIdxPoint),
-			OpWindow: s.opStats(opIdxWindow),
-			OpKNN:    s.opStats(opIdxKNN),
-			OpInsert: s.opStats(opIdxInsert),
-			OpDelete: s.opStats(opIdxDelete),
-			"batch":  s.opStats(opIdxBatch),
-			OpSQL:    s.opStats(opIdxSQL),
-		},
+		Ops:            make(map[string]OpStats, len(routes)),
+		Replication:    s.replicationStats(),
+	}
+	for i, rt := range routes {
+		resp.Ops[rt.op] = mergedStats(&s.hists[i][transportHTTP], &s.hists[i][transportStream])
 	}
 	if pe, ok := s.eng.(plannerEngine); ok {
 		c := pe.PlannerStats()
@@ -254,11 +242,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if sc, ok := s.eng.(shardCounter); ok {
 		resp.Shards = sc.NumShards()
-	}
-	if s.cfg.Replicator != nil {
-		resp.Replication = s.cfg.Replicator.stats()
-	} else if s.cfg.Replica != nil {
-		resp.Replication = s.cfg.Replica.stats()
 	}
 	if s.subs != nil {
 		c := s.subs.Counters()
@@ -271,6 +254,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, resp)
+}
+
+// replicationStats is this server's replication state, nil on a
+// standalone server.
+func (s *Server) replicationStats() *ReplicationStats {
+	switch {
+	case s.cfg.Replicator != nil:
+		return s.cfg.Replicator.stats()
+	case s.cfg.Replica != nil:
+		return s.cfg.Replica.stats()
+	}
+	return nil
 }
 
 // handleHealth answers /healthz: pure liveness — the process is up and

@@ -189,7 +189,7 @@ func (h *HedgedClient) failover(ctx context.Context, do legFunc) (legResult, err
 // hedgedRoundTrip is the HedgedClient's roundTripFunc: a request whose
 // ops are all reads is hedged, one carrying a write fails over (a batch
 // with writes must not run twice concurrently).
-func (h *HedgedClient) hedgedRoundTrip(ctx context.Context, path string, ops []BatchOp, single, explain bool) ([]binResult, *TraceJSON, error) {
+func (h *HedgedClient) hedgedRoundTrip(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error) {
 	run := h.hedged
 	for _, op := range ops {
 		if op.Op == OpInsert || op.Op == OpDelete {
@@ -198,7 +198,7 @@ func (h *HedgedClient) hedgedRoundTrip(ctx context.Context, path string, ops []B
 		}
 	}
 	r, err := run(ctx, func(ctx context.Context, c *Client) (legResult, error) {
-		rs, tj, err := c.roundTrip(ctx, path, ops, single, explain)
+		rs, tj, err := c.roundTrip(ctx, rt, ops, explain)
 		return legResult{rs: rs, tj: tj}, err
 	})
 	return r.rs, r.tj, err

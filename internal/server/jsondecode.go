@@ -383,14 +383,15 @@ func (s *jsonScanner) point() (p geom.Point) {
 
 // jsonRequestKeys lists, per request shape, the keys its type's json
 // tags spell, in field order; an op inside a batch takes BatchOp's.
-// appendRequestJSON writes them in this order, and the walk reads
-// nothing else.
+// appendRequestJSON writes them in this order, the walk reads nothing
+// else, and an rsmibin entry carries the same fields in the same order.
 var jsonRequestKeys = [...][]string{
 	reqPoint: {"x", "y"},
 	reqRect:  {"min_x", "min_y", "max_x", "max_y"},
 	reqKNN:   {"x", "y", "k"},
 	reqSQL:   {"query"},
 	reqBatch: {"op", "x", "y", "k", "min_x", "min_y", "max_x", "max_y", "sql", "sub_id", "sub_kind"},
+	reqSubID: {"sub_id"},
 }
 
 // requestField returns the BatchOp field of op that request key k fills:
@@ -437,7 +438,7 @@ func requestField(op *BatchOp, k string) interface{} {
 // invalid UTF-8, a key repeated within one object (a second "ops" array
 // is decoded into the first's elements), a value of another type (null
 // leaves a field as it was), and a malformed body.
-func decodeJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
+func decodeJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) {
 	ops, err := scanJSONRequest(body, rt, buf)
 	if err == nil || err == errTooManyOps {
 		return ops, err
@@ -448,7 +449,7 @@ func decodeJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error)
 // scanJSONRequest is decodeJSONRequest's one-pass walk. An error other
 // than errTooManyOps means the walk declined the body, not that the body
 // is bad.
-func scanJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
+func scanJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) {
 	s := jsonScanner{b: body}
 	ops := buf[:0]
 	if rt.req == reqBatch {
@@ -465,7 +466,7 @@ func scanJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
 
 // unmarshalJSONRequest is decodeJSONRequest's reflective way: the body
 // through json.Unmarshal into the route's type.
-func unmarshalJSONRequest(body []byte, rt *route, buf []BatchOp) ([]BatchOp, error) {
+func unmarshalJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) {
 	op := BatchOp{Op: rt.op}
 	var err error
 	switch rt.req {
@@ -603,9 +604,9 @@ func (s *jsonScanner) integer(signed bool) uint64 {
 // jsonName returns the string b spells, sharing the op or
 // subscription-kind name it may be rather than allocating a copy.
 func jsonName(b []byte) string {
-	for _, name := range opNames[1:] {
-		if string(b) == name {
-			return name
+	for i := range opTable {
+		if string(b) == opTable[i].op {
+			return opTable[i].op
 		}
 	}
 	return string(b)

@@ -20,7 +20,7 @@ import (
 
 // requestJSON is the route's request document as the JSON client built
 // it for json.Marshal before appendRequestJSON: the encoder's oracle.
-func requestJSON(rt *route, ops []BatchOp) interface{} {
+func requestJSON(rt *opSpec, ops []BatchOp) interface{} {
 	if rt.req == reqBatch {
 		return BatchRequest{Ops: ops}
 	}
@@ -276,7 +276,7 @@ func TestJSONRequestTrailingBytes(t *testing.T) {
 // kind set at random: coordinates across the magnitudes the formatter
 // special-cases, ±0 included, and strings HTML escaping, U+2028 or
 // invalid UTF-8 reach. nonFinite lets a coordinate be NaN or ±Inf.
-func randomRequestOps(rng *rand.Rand, rt *route, nonFinite bool) []BatchOp {
+func randomRequestOps(rng *rand.Rand, rt *opSpec, nonFinite bool) []BatchOp {
 	coord := func() float64 {
 		switch rng.Intn(12) {
 		case 0:
@@ -385,7 +385,7 @@ func TestJSONRequestDecodeReadsEveryEncoding(t *testing.T) {
 
 // windowBatchRequest is the 32-window /v1/batch request the decode
 // numbers are quoted on, as the client writes it.
-func windowBatchRequest(t testing.TB) (body []byte, rt *route) {
+func windowBatchRequest(t testing.TB) (body []byte, rt *opSpec) {
 	rng := rand.New(rand.NewSource(4))
 	ops := make([]BatchOp, 32)
 	for i := range ops {

@@ -74,47 +74,27 @@ func appendBatchAnswersJSON(b []byte, answers []batchAnswer, tj *TraceJSON) []by
 		if i > 0 {
 			b = append(b, ',')
 		}
-		switch {
-		case !pointsResult(a.op):
+		switch member := opTable[opRow(a.op)].flag; {
+		case member != "":
 			b = append(b, '{')
 			if a.flag {
-				b = appendFlagMember(b, a.op, true)
+				b = appendFlagMember(b, member, true)
 			}
 			b = append(b, '}')
 		case len(a.pts) == 0:
 			b = append(b, '{', '}')
 		default:
-			b = append(b, `{"count":`...)
-			b = strconv.AppendInt(b, int64(len(a.pts)), 10)
-			b = append(b, `,"points":[`...)
-			for j, p := range a.pts {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				b = append(b, `{"x":`...)
-				b = appendJSONFloat(b, p.X)
-				b = append(b, `,"y":`...)
-				b = appendJSONFloat(b, p.Y)
-				b = append(b, '}')
-			}
-			b = append(b, ']', '}')
+			b = append(appendPointsMembers(append(b, '{'), a.pts), '}')
 		}
 	}
 	b = appendTraceJSON(append(b, ']'), tj)
 	return append(b, '}', '\n')
 }
 
-// appendFlagMember appends a bool answer's one member, keyed as its op's
-// document keys it: "found", "ok" or "deleted".
-func appendFlagMember(b []byte, op string, flag bool) []byte {
-	switch op {
-	case OpInsert:
-		b = append(b, `"ok":`...)
-	case OpDelete:
-		b = append(b, `"deleted":`...)
-	default:
-		b = append(b, `"found":`...)
-	}
+// appendFlagMember appends a bool answer's one member, keyed by member:
+// "found", "ok" or "deleted", as its op's row names it.
+func appendFlagMember(b []byte, member string, flag bool) []byte {
+	b = append(append(append(b, '"'), member...), '"', ':')
 	return strconv.AppendBool(b, flag)
 }
 
@@ -124,21 +104,14 @@ func appendFlagMember(b []byte, op string, flag bool) []byte {
 //
 //rsmi:noalloc
 func appendFlagJSON(b []byte, op string, flag bool, tj *TraceJSON) []byte {
-	b = appendFlagMember(append(b, '{'), op, flag)
+	b = appendFlagMember(append(b, '{'), opTable[opRow(op)].flag, flag)
 	return append(appendTraceJSON(b, tj), '}', '\n')
 }
 
-// appendPointsJSON encodes a PointsResponse document straight from the
-// engine's points — the per-op (/v1/window, /v1/knn) twin of
-// appendBatchAnswersJSON. Unlike a batch result object, PointsResponse
-// has no omitempty fields, so an empty answer still encodes
-// {"count":0,"points":[]} exactly as encoding/json renders the
-// non-nil slice toPoints always produced. It allocates nothing unless tj
-// is set.
-//
-//rsmi:noalloc
-func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
-	b = append(b, `{"count":`...)
+// appendPointsMembers appends the "count" and "points" members of a
+// points answer straight from the engine's points.
+func appendPointsMembers(b []byte, pts []geom.Point) []byte {
+	b = append(b, `"count":`...)
 	b = strconv.AppendInt(b, int64(len(pts)), 10)
 	b = append(b, `,"points":[`...)
 	for j, p := range pts {
@@ -151,7 +124,20 @@ func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
 		b = appendJSONFloat(b, p.Y)
 		b = append(b, '}')
 	}
-	b = appendTraceJSON(append(b, ']'), tj)
+	return append(b, ']')
+}
+
+// appendPointsJSON encodes a PointsResponse document straight from the
+// engine's points — the per-op (/v1/window, /v1/knn) twin of
+// appendBatchAnswersJSON. Unlike a batch result object, PointsResponse
+// has no omitempty fields, so an empty answer still encodes
+// {"count":0,"points":[]} exactly as encoding/json renders the
+// non-nil slice toPoints always produced. It allocates nothing unless tj
+// is set.
+//
+//rsmi:noalloc
+func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
+	b = appendTraceJSON(appendPointsMembers(append(b, '{'), pts), tj)
 	return append(b, '}', '\n')
 }
 
@@ -160,7 +146,7 @@ func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
 // byte what json.Marshal writes for the route's request type
 // (TestJSONRequestEncodeMatchesMarshal), and for a NaN or ±Inf that the
 // document would carry, json.Marshal's own error instead.
-func appendRequestJSON(b []byte, rt *route, ops []BatchOp) ([]byte, error) {
+func appendRequestJSON(b []byte, rt *opSpec, ops []BatchOp) ([]byte, error) {
 	w := jsonRequestWriter{b: append(b, '{')}
 	switch {
 	case rt.req != reqBatch:

@@ -145,18 +145,18 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 
 	// Per-op × per-transport request counts and latency histograms.
 	promHead(b, "rsmi_op_requests_total", "counter", "Successful operations by op and transport.")
-	for op := opIdx(0); op < numOps; op++ {
+	for op := range routes {
 		for tr := transportIdx(0); tr < numTransports; tr++ {
-			labels := `op="` + opIdxName[op] + `",transport="` + transportIdxName[tr] + `"`
+			labels := `op="` + routes[op].op + `",transport="` + transportIdxName[tr] + `"`
 			promInt(b, "rsmi_op_requests_total", labels, s.hists[op][tr].count.Load())
 		}
 	}
 	promHead(b, "rsmi_op_duration_seconds", "histogram", "Successful operation latency by op and transport.")
-	for op := opIdx(0); op < numOps; op++ {
+	for op := range routes {
 		for tr := transportIdx(0); tr < numTransports; tr++ {
 			var sn histSnapshot
 			s.hists[op][tr].snapshotInto(&sn)
-			labels := `op="` + opIdxName[op] + `",transport="` + transportIdxName[tr] + `"`
+			labels := `op="` + routes[op].op + `",transport="` + transportIdxName[tr] + `"`
 			writeOctaveHist(b, "rsmi_op_duration_seconds", labels, &sn)
 		}
 	}
@@ -171,56 +171,40 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	s.histRebuild.snapshotInto(&rb)
 	writeOctaveHist(b, "rsmi_rebuild_duration_seconds", "", &rb)
 
-	// Replication. Role-specific series report 0 on the other roles so
-	// the series set is scrape-stable.
-	role := "standalone"
-	if s.cfg.Replicator != nil {
-		role = "primary"
-	} else if s.cfg.Replica != nil {
-		role = "replica"
+	// Replication, read from the /v1/stats record. Role-specific series
+	// report 0 on the other roles so the series set is scrape-stable.
+	rs := ReplicationStats{Role: "standalone"}
+	if p := s.replicationStats(); p != nil {
+		rs = *p
 	}
-	promHead(b, "rsmi_replication_role", "gauge", "Constant 1, labelled with this server's replication role.")
-	promInt(b, "rsmi_replication_role", `role="`+role+`"`, 1)
-	var firstSeq, lastSeq, appliedSeq, lagSeq uint64
-	var lagSeconds float64
-	var followers, resyncs int64
-	var connected bool
 	var oplogCap, oplogHeadroom int64
 	if rep := s.cfg.Replicator; rep != nil {
-		firstSeq, lastSeq = rep.log.firstSeq(), rep.log.lastSeq()
-		appliedSeq = lastSeq
-		followers = rep.followers.Load()
+		rs.AppliedSeq, rs.Connected = rs.LastSeq, true
 		oplogCap = int64(rep.log.capacity())
 		retained := int64(0)
-		if lastSeq > 0 {
-			retained = int64(lastSeq - firstSeq + 1)
+		if rs.LastSeq > 0 {
+			retained = int64(rs.LastSeq - rs.FirstSeq + 1)
 		}
 		oplogHeadroom = oplogCap - retained
-		connected = true
-	} else if rep := s.cfg.Replica; rep != nil {
-		lastSeq = rep.PrimarySeq()
-		appliedSeq = rep.AppliedSeq()
-		lagSeq = rep.LagSeq()
-		lagSeconds = rep.LagSeconds()
-		connected = rep.Connected()
-		resyncs = rep.Resyncs()
 	}
+	promHead(b, "rsmi_replication_role", "gauge", "Constant 1, labelled with this server's replication role.")
+	promInt(b, "rsmi_replication_role", `role="`+rs.Role+`"`, 1)
 	promHead(b, "rsmi_replication_first_seq", "gauge", "Oldest oplog sequence still retained (primary).")
-	promInt(b, "rsmi_replication_first_seq", "", int64(firstSeq))
+	promInt(b, "rsmi_replication_first_seq", "", int64(rs.FirstSeq))
 	promHead(b, "rsmi_replication_last_seq", "gauge", "Newest known primary sequence.")
-	promInt(b, "rsmi_replication_last_seq", "", int64(lastSeq))
+	promInt(b, "rsmi_replication_last_seq", "", int64(rs.LastSeq))
 	promHead(b, "rsmi_replication_applied_seq", "gauge", "Last sequence applied locally (equals last_seq on the primary).")
-	promInt(b, "rsmi_replication_applied_seq", "", int64(appliedSeq))
+	promInt(b, "rsmi_replication_applied_seq", "", int64(rs.AppliedSeq))
 	promHead(b, "rsmi_replication_lag_seq", "gauge", "Sequences this replica is behind the primary (0 when caught up or not a replica).")
-	promInt(b, "rsmi_replication_lag_seq", "", int64(lagSeq))
+	promInt(b, "rsmi_replication_lag_seq", "", int64(rs.LagSeq))
 	promHead(b, "rsmi_replication_lag_seconds", "gauge", "Estimated replication lag in seconds, measured against the primary's clock.")
-	promFloat(b, "rsmi_replication_lag_seconds", "", lagSeconds)
+	promFloat(b, "rsmi_replication_lag_seconds", "", rs.LagSeconds)
 	promHead(b, "rsmi_replication_connected", "gauge", "1 while the oplog feed is live (always 1 on a primary).")
-	promBool(b, "rsmi_replication_connected", "", connected)
+	promBool(b, "rsmi_replication_connected", "", rs.Connected)
 	promHead(b, "rsmi_replication_followers", "gauge", "Replicas currently attached to this primary's oplog feed.")
-	promInt(b, "rsmi_replication_followers", "", followers)
+	promInt(b, "rsmi_replication_followers", "", rs.Followers)
 	promHead(b, "rsmi_replication_resyncs_total", "counter", "Full re-bootstraps this replica has performed.")
-	promInt(b, "rsmi_replication_resyncs_total", "", resyncs)
+	promInt(b, "rsmi_replication_resyncs_total", "", rs.Resyncs)
 	promHead(b, "rsmi_oplog_capacity", "gauge", "Oplog retention capacity in records (primary).")
 	promInt(b, "rsmi_oplog_capacity", "", oplogCap)
 	promHead(b, "rsmi_oplog_headroom", "gauge", "Oplog slots before the oldest retained record is overwritten; a replica lagging by more than this must resync.")

@@ -358,8 +358,8 @@ func TestMetricsExposition(t *testing.T) {
 
 	// The op × transport matrix is complete: every combination emits a
 	// counter even before traffic.
-	if got := len(byName["rsmi_op_requests_total"]); got != int(numOps)*int(numTransports) {
-		t.Errorf("rsmi_op_requests_total has %d series, want %d", got, int(numOps)*int(numTransports))
+	if got := len(byName["rsmi_op_requests_total"]); got != len(routes)*int(numTransports) {
+		t.Errorf("rsmi_op_requests_total has %d series, want %d", got, len(routes)*int(numTransports))
 	}
 	// And the traffic we drove is visible on the right cells.
 	find := func(name, op, transport string) float64 {
@@ -483,7 +483,7 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 		t.Errorf("traceJSON(nil) allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		s.observeOp(opIdxPoint, transportHTTP, time.Microsecond)
+		s.observeOp(binOpPoint, transportHTTP, time.Microsecond)
 	}); n != 0 {
 		t.Errorf("observeOp allocates %v per run, want 0", n)
 	}

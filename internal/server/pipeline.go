@@ -8,9 +8,10 @@ package server
 //
 // with one trace bracket and one set of stage marks. The adapters own
 // only what differs between transports: where the request bytes come
-// from, how an error is framed, and how the answers are framed. Adding
-// an op is one route-table row, one validateOps case, one executeOp case
-// and one codec entry.
+// from, how an error is framed, and how the answers are framed. Every
+// per-op fact of the wire layer — name, rsmibin byte, HTTP path, request
+// fields, answer kind, histogram row — is one row of opTable, so adding
+// an op is one table row plus its executeOp case.
 
 import (
 	"context"
@@ -27,9 +28,9 @@ import (
 	"rsmi/internal/sqlfe"
 )
 
-// reqShape names the historical JSON request documents of the data
-// endpoints; the rsmibin codec needs none (its entries are
-// self-describing).
+// reqShape names the fields an op's request carries: the keys of its
+// historical JSON document (jsonRequestKeys), which the rsmibin entry
+// codec walks too, in the same order.
 type reqShape uint8
 
 const (
@@ -38,36 +39,58 @@ const (
 	reqKNN                   // KNNJSON
 	reqSQL                   // SQLRequest
 	reqBatch                 // BatchRequest
+	reqSubID                 // sub_id alone; rsmibin only
 )
 
-// route is one data endpoint: its path, the single op it serves ("" for
-// /v1/batch, which carries a list), and its JSON request document; the
-// response document follows from the op. The server registers a handler
-// per row and the JSON client encodes its requests from the same rows.
-type route struct {
-	path string
-	op   string
-	req  reqShape
+// opSpec is one row of the op table.
+type opSpec struct {
+	op   string   // BatchOp.Op, and the trace, /v1/stats and /metrics label
+	path string   // the HTTP endpoint; "" for the stream-only sub and unsub
+	req  reqShape // the request's fields
+	flag string   // a bool answer's JSON member; "" for a points answer
 }
 
-var routes = [...]route{
-	{"/v1/point", OpPoint, reqPoint},
-	{"/v1/window", OpWindow, reqRect},
-	{"/v1/knn", OpKNN, reqKNN},
-	{"/v1/insert", OpInsert, reqPoint},
-	{"/v1/delete", OpDelete, reqPoint},
-	{"/v1/sql", OpSQL, reqSQL},
-	{"/v1/batch", "", reqBatch},
+// opTable holds each op at the index of its rsmibin op byte, which is also
+// its latency histogram row. Row 0, a byte no entry carries, is
+// /v1/batch. The server registers a handler per routed row and the client
+// verbs find their endpoint here.
+var opTable = [...]opSpec{
+	batchRow:    {"batch", "/v1/batch", reqBatch, ""},
+	binOpPoint:  {OpPoint, "/v1/point", reqPoint, "found"},
+	binOpWindow: {OpWindow, "/v1/window", reqRect, ""},
+	binOpKNN:    {OpKNN, "/v1/knn", reqKNN, ""},
+	binOpInsert: {OpInsert, "/v1/insert", reqPoint, "ok"},
+	binOpDelete: {OpDelete, "/v1/delete", reqPoint, "deleted"},
+	binOpSQL:    {OpSQL, "/v1/sql", reqSQL, ""},
+	// A sub entry follows its id with a kind byte and the fields of the
+	// op of that kind (appendOp, binReader.entry).
+	binOpSub:   {OpSub, "", reqSubID, "ok"},
+	binOpUnsub: {OpUnsub, "", reqSubID, "ok"},
 }
 
-// routeFor returns the route serving path.
-func routeFor(path string) *route {
-	for i := range routes {
-		if routes[i].path == path {
-			return &routes[i]
+// batchRow is /v1/batch's row of opTable.
+const batchRow = 0
+
+// routes are the rows served over HTTP, which are also the rows with a
+// latency histogram: every row before sub's.
+var routes = opTable[:binOpSub]
+
+// opRow returns the opTable row — the rsmibin op byte — of the op named
+// name, 0 when no op has that name.
+func opRow(name string) byte {
+	for i := 1; i < len(opTable); i++ {
+		if opTable[i].op == name {
+			return byte(i)
 		}
 	}
-	return nil
+	return 0
+}
+
+// pointsResult reports whether op answers with points (window, knn, sql)
+// rather than a bool.
+func pointsResult(op string) bool {
+	row := opRow(op)
+	return row != 0 && opTable[row].flag == ""
 }
 
 // exchange is one request's transport adapter: the pipeline pulls the
@@ -155,7 +178,7 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	}
 	if tr != nil {
 		tr.Explain = explain
-		tr.Op = "batch"
+		tr.Op = opTable[batchRow].op
 		if single {
 			tr.Op = ops[0].Op
 		}
@@ -167,9 +190,9 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 		return tr
 	}
 	tr.MarkSince(t1, obs.StageDecode)
-	// The trace bracket: tr rides the engine context so the shard fan-out
-	// can count shards visited, and collects the engine's block-access
-	// delta.
+	// The trace bracket: tr rides the engine context so the sharded
+	// engine can count the shards it visits, and collects the engine's
+	// block-access delta.
 	ctx = obs.With(ctx, tr)
 	before := s.accessesIf(tr)
 	var answers []batchAnswer
@@ -248,12 +271,12 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 	var q plan.Query
 	for i, op := range ops {
 		var err error
-		switch op.Op {
-		case OpPoint, OpKNN, OpInsert, OpDelete:
+		switch opTable[opRow(op.Op)].req {
+		case reqPoint, reqKNN:
 			err = finite(op.X, op.Y)
-		case OpWindow:
+		case reqRect:
 			_, err = opWindow(op)
-		case OpSQL:
+		case reqSQL:
 			// A SQL statement is its own batch of work: it rides /v1/sql
 			// or a single-op stream frame, never a multi-op batch.
 			if len(ops) > 1 {
@@ -261,7 +284,7 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 			} else {
 				q, err = sqlfe.Parse(op.SQL)
 			}
-		case OpSub, OpUnsub:
+		case reqSubID:
 			// Standing queries exist only as single-op stream frames: the
 			// push channel is the connection itself, so there is nothing
 			// for HTTP — or a multi-op batch — to subscribe. The registry
@@ -269,7 +292,7 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 			if !single || t != transportStream {
 				err = errors.New("sub/unsub ride only single-op stream frames")
 			}
-		default:
+		default: // row 0: no op has that name
 			err = fmt.Errorf("unknown op %q", op.Op)
 		}
 		if err != nil {
@@ -298,7 +321,7 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 			return nil, err
 		}
 		*a = batchAnswer{op: op.Op, pts: res.Points}
-		s.observeOp(opIdxSQL, t, time.Since(start))
+		s.observeOp(binOpSQL, t, time.Since(start))
 		return sc.answer[:], nil
 	case OpSub, OpUnsub:
 		// Registry bookkeeping, not an engine operation: no histogram.
@@ -309,48 +332,42 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 		}
 		return sc.answer[:], nil
 	}
-	idx, err := s.executeOp(ctx, op, a, sc.pts[:0])
-	if err != nil {
+	if err := s.executeOp(ctx, op, a, sc.pts[:0]); err != nil {
 		return nil, err
 	}
 	if op.Op == OpWindow {
 		sc.pts = a.pts // keep the grown buffer for the next request
 	}
 	d := time.Since(start)
-	s.observeOp(idx, t, d)
+	s.observeOp(opRow(op.Op), t, d)
 	tr.ObserveStage(obs.StageExecute, d)
 	return sc.answer[:], nil
 }
 
 // executeOp runs one point, window, kNN, insert or delete op as one
 // engine call and writes its answer into a, appending a window's points
-// to dst. It returns the op's histogram row. Both executeSingle and
-// executeBatch run their ops through it.
-func (s *Server) executeOp(ctx context.Context, op BatchOp, a *batchAnswer, dst []geom.Point) (opIdx, error) {
+// to dst. Both executeSingle and executeBatch run their ops through it.
+func (s *Server) executeOp(ctx context.Context, op BatchOp, a *batchAnswer, dst []geom.Point) (err error) {
 	*a = batchAnswer{op: op.Op}
-	var err error
 	switch op.Op {
 	case OpPoint:
 		a.flag, err = s.eng.PointQueryContext(ctx, geom.Pt(op.X, op.Y))
-		return opIdxPoint, err
 	case OpWindow:
 		a.pts, err = s.eng.WindowQueryAppend(ctx, dst, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-		return opIdxWindow, err
 	case OpKNN:
 		a.pts, err = s.eng.KNNContext(ctx, geom.Pt(op.X, op.Y), op.K)
-		return opIdxKNN, err
 	case OpInsert:
 		err = s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y))
 		a.flag = err == nil
-		return opIdxInsert, err
 	case OpDelete:
 		a.flag, err = s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
-		return opIdxDelete, err
+	default:
+		// validateOps keeps sql out of multi-op batches and executeSingle
+		// serves sql, sub and unsub itself, so the only way here is a
+		// one-op /v1/batch request carrying sql — point it at /v1/sql.
+		err = &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
 	}
-	// validateOps keeps sql out of multi-op batches and executeSingle
-	// serves sql, sub and unsub itself, so the only way here is a one-op
-	// /v1/batch request carrying sql — point it at /v1/sql.
-	return 0, &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
+	return err
 }
 
 // executeBatch runs a validated operation list in request order, each op
@@ -368,12 +385,12 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 	start := time.Now()
 	answers := make([]batchAnswer, len(ops))
 	for i, op := range ops {
-		if _, err := s.executeOp(ctx, op, &answers[i], nil); err != nil {
+		if err := s.executeOp(ctx, op, &answers[i], nil); err != nil {
 			return nil, err
 		}
 	}
 	d := time.Since(start)
-	s.observeOp(opIdxBatch, t, d)
+	s.observeOp(batchRow, t, d)
 	tr.ObserveStage(obs.StageExecute, d)
 	return answers, nil
 }
@@ -385,7 +402,7 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 type httpExchange struct {
 	w  http.ResponseWriter
 	r  *http.Request
-	rt *route
+	rt *opSpec
 	sc scratch
 }
 
@@ -393,14 +410,10 @@ type httpExchange struct {
 // request no allocation the hand-inlined handlers did not pay.
 var httpExchangePool = sync.Pool{New: func() interface{} { return new(httpExchange) }}
 
-// handleRoute is the HTTP handler of one route-table row.
-func (s *Server) handleRoute(rt *route) http.HandlerFunc {
-	label := rt.op
-	if label == "" {
-		label = "batch"
-	}
+// handleRoute is the HTTP handler of one routed opTable row.
+func (s *Server) handleRoute(rt *opSpec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr, _ := s.startHTTPTrace(r, label)
+		tr, _ := s.startHTTPTrace(r, rt.op)
 		x := httpExchangePool.Get().(*httpExchange)
 		x.w, x.r, x.rt = w, r, rt
 		s.serve(r.Context(), x, transportHTTP, tr)
@@ -410,7 +423,7 @@ func (s *Server) handleRoute(rt *route) http.HandlerFunc {
 }
 
 func (x *httpExchange) decode() ([]BatchOp, bool, bool, error) {
-	single := x.rt.op != ""
+	single := x.rt.req != reqBatch
 	if x.r.Method != http.MethodPost {
 		return nil, single, false, errPostRequired
 	}
@@ -460,14 +473,14 @@ func (x *httpExchange) reply(answers []batchAnswer, tj *TraceJSON) {
 	if binary {
 		b, contentType = appendBinHeader(b), ContentTypeBinary
 	}
-	switch single := x.rt.op != ""; {
+	switch single := x.rt.req != reqBatch; {
 	case binary && single:
 		b = appendBinTrace(appendAnswer(b, answers[0]), tj)
 	case binary:
 		b = appendBinTrace(appendBatchAnswers(b, answers), tj)
 	case !single:
 		b = appendBatchAnswersJSON(b, answers, tj)
-	case pointsResult(x.rt.op):
+	case x.rt.flag == "":
 		b = appendPointsJSON(b, answers[0].pts, tj)
 	default:
 		b = appendFlagJSON(b, x.rt.op, answers[0].flag, tj)

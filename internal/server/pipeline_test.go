@@ -188,29 +188,29 @@ func TestPipelineAcrossTransports(t *testing.T) {
 
 	for _, op := range []struct {
 		name string
-		idx  opIdx
+		idx  byte
 		run  func(cl *Client, opts ...QueryOpt) (interface{}, error)
 	}{
-		{OpPoint, opIdxPoint, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpPoint, binOpPoint, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.PointQuery(ctx, pts[0], opts...)
 		}},
-		{OpWindow, opIdxWindow, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpWindow, binOpWindow, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.WindowQuery(ctx, win, opts...)
 		}},
-		{OpKNN, opIdxKNN, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpKNN, binOpKNN, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.KNN(ctx, pts[7], 5, opts...)
 		}},
-		{OpInsert, opIdxInsert, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpInsert, binOpInsert, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return nil, cl.Insert(ctx, fresh(), opts...)
 		}},
-		{OpDelete, opIdxDelete, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpDelete, binOpDelete, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.Delete(ctx, victim(), opts...)
 		}},
-		{OpSQL, opIdxSQL, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpSQL, binOpSQL, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.SQL(ctx, fmt.Sprintf("SELECT * FROM points WHERE ST_Within(pt, BOX(%g, %g, %g, %g))",
 				win.MinX, win.MinY, win.MaxX, win.MaxY), opts...)
 		}},
-		{"batch-of-3", opIdxBatch, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{"batch-of-3", batchRow, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.Batch(ctx, []BatchOp{
 				{Op: OpPoint, X: pts[0].X, Y: pts[0].Y},
 				{Op: OpWindow, MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY},
@@ -221,7 +221,7 @@ func TestPipelineAcrossTransports(t *testing.T) {
 		var wantAnswer interface{}
 		var wantStages string
 		for i, tc := range pipelineTransports(t, httpURL, streamAddr) {
-			var before, after [numOps][numTransports]int64
+			var before, after [len(opTable)][numTransports]int64
 			for o := range before {
 				for tr := range before[o] {
 					before[o][tr] = s.hists[o][tr].stats().Count
@@ -239,7 +239,7 @@ func TestPipelineAcrossTransports(t *testing.T) {
 			before[op.idx][tc.idx]++
 			if before != after {
 				t.Errorf("%s over %s: histogram cells moved other than [%s][%s]+1:\nwant %v\n got %v",
-					op.name, tc.name, opIdxName[op.idx], transportIdxName[tc.idx], before, after)
+					op.name, tc.name, opTable[op.idx].op, transportIdxName[tc.idx], before, after)
 			}
 
 			var tj *TraceJSON
@@ -316,7 +316,7 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		case "http-json":
 			body := []byte(rawJSON)
 			if rawJSON == "" {
-				body, _ = json.Marshal(requestJSON(routeFor(path), ops))
+				body, _ = json.Marshal(requestJSON(&routes[routeIndex(t, path)], ops))
 			}
 			err = cl.post(ctx, path, "application/json", body, nil)
 		case "http-rsmibin":

@@ -164,25 +164,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// opIdx indexes the per-op histogram tables. The order is fixed: it is
-// also the exposition order of /metrics series.
-type opIdx int
-
-const (
-	opIdxPoint opIdx = iota
-	opIdxWindow
-	opIdxKNN
-	opIdxInsert
-	opIdxDelete
-	opIdxBatch
-	opIdxSQL
-	numOps
-)
-
-// opIdxName maps an opIdx to its wire label (shared by /v1/stats keys
-// and the /metrics "op" label).
-var opIdxName = [numOps]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, "batch", OpSQL}
-
 // transportIdx indexes the per-transport histogram tables: HTTP (JSON
 // and rsmibin share the socket semantics) vs the persistent TCP stream.
 type transportIdx int
@@ -211,9 +192,10 @@ type Server struct {
 	shed     atomic.Int64
 
 	// Per-op × per-transport latency histograms (successful operations
-	// only). /v1/stats reports them merged per op; /metrics exposes the
-	// full op × transport matrix.
-	hists [numOps][numTransports]histogram
+	// only), indexed by opTable row; the routed rows are used. /v1/stats
+	// reports them merged per op; /metrics exposes the full op ×
+	// transport matrix.
+	hists [len(opTable)][numTransports]histogram
 	// histRebuild tracks rolling-rebuild durations for /metrics.
 	histRebuild histogram
 
@@ -288,15 +270,11 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// hist returns the latency histogram for one op on one transport.
-func (s *Server) hist(op opIdx, tr transportIdx) *histogram {
-	return &s.hists[op][tr]
-}
-
-// observeOp records one successful operation's latency.
+// observeOp records the latency of one successful operation of opTable
+// row op.
 //
 //rsmi:noalloc
-func (s *Server) observeOp(op opIdx, tr transportIdx, d time.Duration) {
+func (s *Server) observeOp(op byte, tr transportIdx, d time.Duration) {
 	s.hists[op][tr].observe(d)
 }
 

@@ -60,17 +60,10 @@ func (sc *streamClient) get() (*streamConn, error) {
 	if slot.conn != nil && !slot.conn.dead() {
 		return slot.conn, nil
 	}
-	nc, err := net.DialTimeout("tcp", sc.addr, sc.timeout)
+	c, err := dialStreamConn(sc.addr, sc.timeout, nil)
 	if err != nil {
-		return nil, fmt.Errorf("stream: dial %s: %w", sc.addr, err)
+		return nil, err
 	}
-	c := &streamConn{
-		c:         nc,
-		timeout:   sc.timeout,
-		pending:   make(map[uint64]chan streamAnswer),
-		abandoned: make(map[uint64]struct{}),
-	}
-	go c.readLoop()
 	slot.conn = c
 	return c, nil
 }
@@ -131,6 +124,26 @@ type streamConn struct {
 	// deadCh, when non-nil, is closed by fail: the subscription keeper
 	// watches it to redial and re-subscribe.
 	deadCh chan struct{}
+}
+
+// dialStreamConn dials addr and starts the new connection's read loop,
+// which hands push frames to onPush (nil on the pooled data-plane
+// connections).
+func dialStreamConn(addr string, timeout time.Duration, onPush func([]SubNotification)) (*streamConn, error) {
+	nc, err := net.DialTimeout("tcp", addr, timeout)
+	if err != nil {
+		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
+	}
+	c := &streamConn{
+		c:         nc,
+		timeout:   timeout,
+		pending:   make(map[uint64]chan streamAnswer),
+		abandoned: make(map[uint64]struct{}),
+		onPush:    onPush,
+		deadCh:    make(chan struct{}),
+	}
+	go c.readLoop()
+	return c, nil
 }
 
 func (c *streamConn) dead() bool {
@@ -350,9 +363,9 @@ func decodeStreamResponse(payload []byte) ([]binResult, *TraceJSON, error) {
 }
 
 // roundTrip is the stream roundTripFunc: every request is a counted
-// rsmibin list in one frame on the next pooled connection (path and
-// single do not reach the wire — a single-query op is a list of one).
-func (sc *streamClient) roundTrip(ctx context.Context, _ string, ops []BatchOp, _, explain bool) ([]binResult, *TraceJSON, error) {
+// rsmibin list in one frame on the next pooled connection (the route does
+// not reach the wire — a single-query op is a list of one).
+func (sc *streamClient) roundTrip(ctx context.Context, _ *opSpec, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error) {
 	conn, err := sc.get()
 	if err != nil {
 		return nil, nil, err

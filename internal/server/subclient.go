@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -200,19 +199,10 @@ func (s *subClient) redial() error {
 	}
 	s.mu.Unlock()
 
-	nc, err := net.DialTimeout("tcp", s.addr, s.timeout)
+	conn, err := dialStreamConn(s.addr, s.timeout, s.deliver)
 	if err != nil {
-		return fmt.Errorf("stream: dial %s: %w", s.addr, err)
+		return err
 	}
-	conn := &streamConn{
-		c:         nc,
-		timeout:   s.timeout,
-		pending:   make(map[uint64]chan streamAnswer),
-		abandoned: make(map[uint64]struct{}),
-		deadCh:    make(chan struct{}),
-	}
-	conn.onPush = s.deliver
-	go conn.readLoop()
 
 	//rsmi:allow ctxflow -- keeper-initiated replay: no caller context exists on the redial path
 	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)
