@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -639,4 +640,33 @@ func TestReplicationLagTelemetryEndToEnd(t *testing.T) {
 	waitRepl(t, rep, "re-converged", func() bool {
 		return rep.AppliedSeq() >= target && rep.LagSeq() == 0 && rep.LagSeconds() == 0
 	})
+}
+
+// TestReplicaFeedAllocFollowsBytes is TestStreamFrameAllocFollowsBytes for
+// the oplog feed: a primary that answers the handshake with a 4-byte length
+// claiming 1 GiB and then hangs up must fail follow having allocated about
+// one read buffer, not the claim.
+func TestReplicaFeedAllocFollowsBytes(t *testing.T) {
+	replica, primary := net.Pipe()
+	go func() {
+		defer primary.Close()
+		var hs [64]byte
+		primary.Read(hs[:]) // the handshake frame, in the replica's one write
+		primary.Write([]byte{0, 0, 0, 0x40})
+	}()
+	rep := NewReplica("127.0.0.1:1", ReplicaOptions{
+		ReadTimeout: 10 * time.Second,
+		Dial:        func(string) (net.Conn, error) { return replica, nil },
+	})
+	defer rep.Stop()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := rep.follow()
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("follow returned nil on a frame claiming 1 GiB and delivering nothing")
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(streamReadBuf+32<<10); got >= limit {
+		t.Fatalf("a 4-byte feed frame made the replica allocate %d bytes, want < %d", got, limit)
+	}
 }
