@@ -249,8 +249,8 @@ type SubStats struct {
 
 // StreamStats reports the stream transport's write path in /v1/stats:
 // frames written, the socket writes that carried them (Frames ÷ Flushes
-// is the group-commit ratio), and one-op frames that overran the inline
-// budget and lost their connection's read loop — a non-zero Takeovers
+// is the group-commit ratio), and frames that overran the inline budget
+// and lost their connection's read loop — a non-zero Takeovers
 // rate says something holds a lock.
 type StreamStats struct {
 	Frames    int64 `json:"frames"`

@@ -537,23 +537,6 @@ func decodeBinaryOps(data []byte, single bool) ([]BatchOp, bool, error) {
 	return ops, r.explain, nil
 }
 
-// binQuickFrame reports whether a counted request frame holds exactly one
-// point, window, kNN, insert or delete entry (explain bit or not): the
-// ops that are one bounded engine call, which the stream transport serves
-// on its read loop. It looks at the count and the op byte and validates
-// nothing — decodeBinaryOps still does — so a frame it turns away is
-// merely served the slower way.
-func binQuickFrame(data []byte) bool {
-	if len(data) < 5 || data[3] != 1 {
-		return false
-	}
-	switch data[4] &^ binOpExplain {
-	case binOpPoint, binOpWindow, binOpKNN, binOpInsert, binOpDelete:
-		return true
-	}
-	return false
-}
-
 // binResult is one decoded response result.
 type binResult struct {
 	tag  byte

@@ -133,14 +133,14 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	promInt(b, "rsmi_admission_shed_total", "", s.shed.Load())
 
 	// Stream transport write path (stream.go). frames ÷ flushes is the
-	// group-commit ratio; takeovers move only when a one-op frame waited
-	// for something — a lock, the primary — past streamInlineBudget.
+	// group-commit ratio; takeovers move when a frame ran — a long batch —
+	// or waited — a lock, the primary — past streamInlineBudget.
 	st := s.streamStats()
 	promHead(b, "rsmi_stream_frames_total", "counter", "Response and push frames written to stream connections.")
 	promInt(b, "rsmi_stream_frames_total", "", st.Frames)
 	promHead(b, "rsmi_stream_flushes_total", "counter", "Socket writes that carried those frames (frames / flushes = frames per write).")
 	promInt(b, "rsmi_stream_flushes_total", "", st.Flushes)
-	promHead(b, "rsmi_stream_takeovers_total", "counter", "One-op stream frames that overran the inline budget and lost their connection's read loop.")
+	promHead(b, "rsmi_stream_takeovers_total", "counter", "Stream frames that overran the inline budget and lost their connection's read loop.")
 	promInt(b, "rsmi_stream_takeovers_total", "", st.Takeovers)
 
 	// Per-op × per-transport request counts and latency histograms.
@@ -256,16 +256,6 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	var sns histSnapshot
 	s.subNotifyHist.snapshotInto(&sns)
 	writeOctaveHist(b, "rsmi_sub_notify_duration_seconds", "", &sns)
-
-	// Client-side hedging, when the embedder wired a source.
-	var hedges, hedgeWins int64
-	if hs := s.cfg.HedgeSource; hs != nil {
-		hedges, hedgeWins = hs.Hedges(), hs.HedgeWins()
-	}
-	promHead(b, "rsmi_hedge_fires_total", "counter", "Hedged second requests fired (0 unless a hedged client is wired in).")
-	promInt(b, "rsmi_hedge_fires_total", "", hedges)
-	promHead(b, "rsmi_hedge_wins_total", "counter", "Hedged requests where the second leg answered first.")
-	promInt(b, "rsmi_hedge_wins_total", "", hedgeWins)
 
 	// Slow-query log.
 	var slowLogged, slowSuppressed int64

@@ -335,7 +335,6 @@ func TestMetricsExposition(t *testing.T) {
 		"rsmi_rebuilds_total", "rsmi_rebuild_running", "rsmi_rebuild_duration_seconds_bucket",
 		"rsmi_replication_role", "rsmi_replication_lag_seq", "rsmi_replication_lag_seconds",
 		"rsmi_oplog_capacity", "rsmi_oplog_headroom",
-		"rsmi_hedge_fires_total", "rsmi_hedge_wins_total",
 		"rsmi_slow_queries_logged_total", "rsmi_slow_queries_suppressed_total",
 	}
 	for _, name := range required {
@@ -348,7 +347,7 @@ func TestMetricsExposition(t *testing.T) {
 	subsystems := []string{
 		"rsmi_build_info", "rsmi_uptime_", "rsmi_points", "rsmi_shards", "rsmi_block_accesses_",
 		"rsmi_requests_", "rsmi_admission_", "rsmi_stream_", "rsmi_op_", "rsmi_rebuild", "rsmi_replication_",
-		"rsmi_oplog_", "rsmi_plan_", "rsmi_hedge_", "rsmi_slow_queries_", "rsmi_sub_",
+		"rsmi_oplog_", "rsmi_plan_", "rsmi_slow_queries_", "rsmi_sub_",
 	}
 	for family := range types {
 		if !slices.ContainsFunc(subsystems, func(p string) bool { return strings.HasPrefix(family, p) }) {

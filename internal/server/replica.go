@@ -31,8 +31,8 @@ package server
 // atomically swaps it in.
 
 import (
+	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -459,34 +459,23 @@ func (r *Replica) follow() error {
 		}
 	}()
 
-	// Frame layout matches what the stream listener reads: uint32 length,
-	// a uvarint request id (0 — the feed never answers per-request), then
-	// the handshake payload the listener sniffs for the 'R','L' magic.
-	hs := appendReplHandshake(append(make([]byte, 0, 32), 0, 0, 0, 0, 0), r.epoch.Load(), r.applied.Load()+1)
-	binary.LittleEndian.PutUint32(hs[:4], uint32(len(hs)-4))
-	conn.SetWriteDeadline(time.Now().Add(r.opts.Timeout))
-	if _, err := conn.Write(hs); err != nil {
+	// The handshake is a stream request frame: request id 0 (the feed never
+	// answers per request), then the payload the listener sniffs for the
+	// 'R','L' magic. Feed frames carry no request id.
+	err = writeReplFrame(conn, r.opts.Timeout, func(b []byte) []byte {
+		return appendReplHandshake(appendUvarint(b, 0), r.epoch.Load(), r.applied.Load()+1)
+	})
+	if err != nil {
 		return fmt.Errorf("repl: handshake: %w", err)
 	}
 	r.connected.Store(true)
 	defer r.connected.Store(false)
 
-	var lb [4]byte
+	br := bufio.NewReader(conn)
 	var payload []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout))
-		if _, err := io.ReadFull(conn, lb[:]); err != nil {
-			return fmt.Errorf("repl: feed read: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(lb[:])
-		if n == 0 || n > streamMaxResponseFrame {
-			return fmt.Errorf("repl: bad feed frame length %d", n)
-		}
-		if uint32(cap(payload)) < n {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(conn, payload); err != nil {
+		if payload, err = readFrame(br, streamMaxResponseFrame, payload[:cap(payload)]); err != nil {
 			return fmt.Errorf("repl: feed read: %w", err)
 		}
 		if err := r.applyFrame(payload); err != nil {

@@ -35,7 +35,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"net/http"
@@ -263,16 +262,14 @@ func decodeReplHandshake(payload []byte) (epoch, from uint64, err error) {
 	return epoch, from, nil
 }
 
-// writeReplFrame writes one length-prefixed feed frame whose payload is
-// built by fill onto the dedicated connection, bounded by the stream
-// write timeout.
-func writeReplFrame(conn net.Conn, fill func([]byte) []byte) error {
+// writeReplFrame writes one frame whose payload is built by fill onto a
+// feed connection — the replica's handshake, or a frame the primary
+// pushes — bounded by timeout.
+func writeReplFrame(conn net.Conn, timeout time.Duration, fill func([]byte) []byte) error {
 	bp := binBufPool.Get().(*[]byte)
-	b := (*bp)[:0]
-	b = append(b, 0, 0, 0, 0)
-	b = fill(b)
-	binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-	conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+	b := fill(openFrame((*bp)[:0]))
+	closeFrame(b, 0)
+	conn.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := conn.Write(b)
 	if cap(b) <= binBufPoolMax {
 		*bp = b[:0]
@@ -327,7 +324,7 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 	}()
 
 	resync := func() {
-		_ = writeReplFrame(conn, func(b []byte) []byte {
+		_ = writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
 			b = append(b, replMagic0, replMagic1, replVersion, replFrameResync)
 			return appendUvarint(b, r.log.epoch)
 		})
@@ -346,7 +343,7 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 			return
 		}
 		if len(recs) > 0 {
-			err := writeReplFrame(conn, func(b []byte) []byte {
+			err := writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
 				return appendReplOps(b, recs)
 			})
 			if err != nil {
@@ -365,7 +362,7 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 		select {
 		case <-updated:
 		case <-heartbeat.C:
-			err := writeReplFrame(conn, func(b []byte) []byte {
+			err := writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
 				b = append(b, replMagic0, replMagic1, replVersion, replFrameHeartbeat)
 				b = appendUvarint(b, r.log.lastSeq())
 				return appendUvarint(b, uint64(time.Now().UnixNano()))

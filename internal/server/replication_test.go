@@ -27,7 +27,10 @@ import (
 	"time"
 
 	"rsmi"
+	"rsmi/internal/core"
+	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/shard"
 	"rsmi/internal/workload"
 )
 
@@ -669,4 +672,44 @@ func TestReplicaFeedAllocFollowsBytes(t *testing.T) {
 	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(streamReadBuf+32<<10); got >= limit {
 		t.Fatalf("a 4-byte feed frame made the replica allocate %d bytes, want < %d", got, limit)
 	}
+}
+
+// FuzzReplFeed feeds arbitrary bytes to both readers of the oplog feed: the
+// primary's handshake decoder, and the replica's frame applier over a small
+// live index. Neither may panic; an accepted handshake re-encodes to the
+// same position; and applyFrame moves the replica's position only by
+// applying records one sequence at a time, whatever error it ends with.
+// The committed corpus holds an ops frame, a heartbeat, a resync, a
+// truncated record and a sequence gap.
+func FuzzReplFeed(f *testing.F) {
+	pts := dataset.Generate(dataset.Uniform, 200, 7)
+	fresh := func() *shard.Sharded {
+		return shard.New(pts, shard.Options{Shards: 2, Index: core.Options{
+			BlockCapacity: 20, PartitionThreshold: 100, Epochs: 2, LearningRate: 0.1, Seed: 1,
+		}})
+	}
+	rep := NewReplica("127.0.0.1:1", ReplicaOptions{})
+	f.Cleanup(rep.Stop)
+	rep.cur.Store(fresh())
+	var tapped uint64
+	rep.SetWriteTap(func(shard.WriteOp) { tapped++ })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if isReplHandshake(data) {
+			if epoch, from, err := decodeReplHandshake(data); err == nil {
+				e2, f2, err := decodeReplHandshake(appendReplHandshake(nil, epoch, from))
+				if err != nil || e2 != epoch || f2 != from {
+					t.Fatalf("handshake (%d, %d) re-decoded as (%d, %d), %v", epoch, from, e2, f2, err)
+				}
+			}
+		}
+		if rep.cur.Load().Len() > 2*len(pts) {
+			rep.cur.Store(fresh()) // inserts accumulate across inputs
+		}
+		rep.applied.Store(0)
+		tapped = 0
+		err := rep.applyFrame(data)
+		if got := rep.applied.Load(); got != tapped {
+			t.Fatalf("applied seq %d after %d applied records (err %v)", got, tapped, err)
+		}
+	})
 }

@@ -10,8 +10,8 @@
 // (and the stream transport a per-request deadline) into the engine,
 // which observes cancellation between shard visits. A request executes
 // on the goroutine that decoded it — the HTTP handler's, or the stream
-// connection's read loop (a batch, sql or sub frame gets a goroutine of
-// its own) — under its own context, from decode to reply.
+// connection's read loop until it overruns a 1 ms budget — under its own
+// context, from decode to reply.
 //
 // # Endpoints
 //
@@ -140,17 +140,6 @@ type Config struct {
 	// symbol contents, so exposure is an explicit operator decision
 	// (rsmi-serve -pprof).
 	EnablePprof bool
-	// HedgeSource, when non-nil, feeds the rsmi_hedge_* /metrics series
-	// (hedging is client-side — see HedgedClient — so a server embedding
-	// one wires its counters here; the series report 0 otherwise).
-	HedgeSource HedgeStats
-}
-
-// HedgeStats is the counter surface /metrics scrapes hedge telemetry
-// from; *HedgedClient implements it.
-type HedgeStats interface {
-	Hedges() int64
-	HedgeWins() int64
 }
 
 // withDefaults fills unset fields.

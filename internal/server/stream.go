@@ -31,7 +31,9 @@ package server
 // can be in flight on one connection and responses are matched by id, in
 // whatever order the server finishes them. Ids need only be unique among
 // a connection's in-flight requests — and never 0, which tags
-// server-initiated push frames.
+// server-initiated push frames. The oplog feed (replication.go) sends the
+// same frames without an id; only openFrame/closeFrame and readFrame
+// touch the length.
 //
 // # Semantics
 //
@@ -47,26 +49,19 @@ package server
 // (malformed rsmibin payload, invalid coordinates) answer status 1 and
 // keep the connection alive.
 //
-// Where a frame runs. A one-op point, window, kNN, insert or delete frame
-// (with or without the EXPLAIN bit) is served by the connection's read
-// loop, on the goroutine that decoded it: no hand-off, no goroutine per
-// frame, its payload read into one per-connection buffer. Everything
-// that can run long by construction — a multi-op batch, sql, sub/unsub,
-// a payload the loop does not recognise — is handed to a goroutine of
-// its own, at most streamMaxPipeline per connection, as every frame was
-// before; the replication handshake dedicates the connection to the
-// oplog feed. Both paths are handleStreamRequest and Server.pipeline.
-//
-// The budget. Nothing waits unread behind a slow frame: an inline frame
-// still running after streamInlineBudget — a write behind a rebuild's
-// shard lock, a replica's forwarded write, a window over a million rows —
-// loses the read loop to a fresh goroutine (a takeover), becomes a
-// handed-off frame that counts against streamMaxPipeline, and answers and
-// flushes for itself when it finishes. While any such frame of the
-// connection is outstanding the loop hands every frame off, so a held
-// lock costs a connection one budget, not one budget per frame. Exactly
-// one goroutine owns the bufio.Reader at any time; ownership changes
-// hands under streamServerConn.mu.
+// Where a frame runs. Every frame — one op or a batch, sql, sub or unsub —
+// starts on the connection's read loop, on the goroutine that decoded it:
+// no hand-off and no goroutine per frame. The replication handshake
+// instead dedicates the connection to the oplog feed. Nothing waits unread
+// behind a slow frame: one still running after streamInlineBudget — a
+// write behind a rebuild's shard lock, a replica's forwarded write, a long
+// batch or a window over a million rows — loses the read loop to a fresh
+// goroutine (a takeover), becomes a handed-off frame that counts against
+// streamMaxPipeline, and answers and flushes for itself when it finishes.
+// While any such frame of the connection is outstanding the loop hands
+// every frame off, so a held lock costs a connection one budget, not one
+// budget per frame. Exactly one goroutine owns the bufio.Reader at any
+// time; ownership changes hands under streamServerConn.mu.
 //
 // The flush rule. Answers are not written, they are appended to the
 // connection's write queue, and the queue leaves in one SetWriteDeadline
@@ -131,19 +126,20 @@ const (
 	// stream analogue of HTTP's one-request-per-connection lockstep —
 	// instead of growing a goroutine per frame without limit.
 	streamMaxPipeline = 256
-	// streamInlineBudget is how long a one-op frame may keep the
-	// connection's read loop. Such a frame is a few microseconds of engine
-	// work, so one that is still running a millisecond later is waiting
-	// for something (a shard lock held by a rebuild, the primary's answer
-	// to a forwarded write) and the loop moves to another goroutine.
+	// streamInlineBudget is how long a frame may keep the connection's
+	// read loop. A one-op frame is a few microseconds of engine work, so a
+	// frame still running a millisecond later is a long batch or scan, or
+	// is waiting for something (a shard lock held by a rebuild, the
+	// primary's answer to a forwarded write): the loop moves on without it.
 	streamInlineBudget = time.Millisecond
 	// streamFlushBytes caps what the write queue holds before it is
 	// flushed regardless of what else is buffered to read: one write
 	// stays about the size of the read buffer that fed it.
 	streamFlushBytes = 64 << 10
 	// streamInlineFrame is the size of the per-connection request buffer.
-	// Every frame the read loop serves itself fits: request id ≤ 10 bytes,
-	// rsmibin header 3, count 1, the largest one-op entry (window) 33.
+	// Every one-op point, window, kNN, insert or delete frame fits: request
+	// id ≤ 10 bytes, rsmibin header 3, count 1, the largest entry (window)
+	// 33. A longer frame is read into a buffer of its own.
 	streamInlineFrame = 64
 )
 
@@ -171,32 +167,35 @@ const subFlagMissed byte = 1
 // receiver's bound; the connection is unrecoverable.
 var errStreamFrameTooBig = errors.New("rsmistream: frame exceeds size limit")
 
-// readStreamFrame reads one length-prefixed frame and splits off the
-// request id. io.EOF is returned untouched for a clean close before any
-// length bytes. A frame that fits the read buffer gets its one exact
-// allocation; a larger one is read in doubling steps, so the memory
-// committed follows the bytes received and a 4-byte header cannot make
-// either side allocate maxLen.
-func readStreamFrame(br *bufio.Reader, maxLen uint32) (id uint64, payload []byte, err error) {
-	return readStreamFrameInto(br, maxLen, nil)
+// openFrame starts a frame at the end of b: it appends the length word,
+// which closeFrame fills in once the payload follows it.
+func openFrame(b []byte) []byte { return append(b, 0, 0, 0, 0) }
+
+// closeFrame sets the length word of the frame opened at b[start:].
+func closeFrame(b []byte, start int) {
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
 }
 
-// readStreamFrameInto is readStreamFrame reading a frame that fits
-// scratch into it instead of allocating; the payload then aliases scratch.
-func readStreamFrameInto(br *bufio.Reader, maxLen uint32, scratch []byte) (id uint64, payload []byte, err error) {
+// readFrame reads one length-prefixed frame. io.EOF is returned untouched
+// for a clean close before any length bytes. A frame that fits scratch is
+// read into it (the payload then aliases scratch); one that fits the read
+// buffer gets its one exact allocation; a larger one is read in doubling
+// steps, so the memory committed follows the bytes received and a 4-byte
+// header cannot make either side allocate maxLen.
+func readFrame(br *bufio.Reader, maxLen uint32, scratch []byte) ([]byte, error) {
 	var lb [4]byte
 	if _, err := io.ReadFull(br, lb[:]); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("rsmistream: truncated frame length: %w", err)
+			return nil, fmt.Errorf("rsmistream: truncated frame length: %w", err)
 		}
-		return 0, nil, err
+		return nil, err
 	}
 	n := binary.LittleEndian.Uint32(lb[:])
 	if n == 0 {
-		return 0, nil, errors.New("rsmistream: empty frame")
+		return nil, errors.New("rsmistream: empty frame")
 	}
 	if n > maxLen {
-		return 0, nil, errStreamFrameTooBig
+		return nil, errStreamFrameTooBig
 	}
 	var buf []byte
 	if n <= uint32(len(scratch)) {
@@ -206,14 +205,29 @@ func readStreamFrameInto(br *bufio.Reader, maxLen uint32, scratch []byte) (id ui
 	}
 	for read := 0; ; {
 		if _, err := io.ReadFull(br, buf[read:]); err != nil {
-			return 0, nil, fmt.Errorf("rsmistream: truncated frame: %w", err)
+			return nil, fmt.Errorf("rsmistream: truncated frame: %w", err)
 		}
 		if read = len(buf); read == int(n) {
-			break
+			return buf, nil
 		}
 		grown := make([]byte, min(2*read, int(n)))
 		copy(grown, buf)
 		buf = grown
+	}
+}
+
+// readStreamFrame reads one request or response frame and splits off the
+// request id.
+func readStreamFrame(br *bufio.Reader, maxLen uint32) (id uint64, payload []byte, err error) {
+	return readStreamFrameInto(br, maxLen, nil)
+}
+
+// readStreamFrameInto is readStreamFrame reading through readFrame's
+// scratch.
+func readStreamFrameInto(br *bufio.Reader, maxLen uint32, scratch []byte) (id uint64, payload []byte, err error) {
+	buf, err := readFrame(br, maxLen, scratch)
+	if err != nil {
+		return 0, nil, err
 	}
 	id, w := binary.Uvarint(buf)
 	if w <= 0 {
@@ -255,10 +269,8 @@ func (w *streamWriter) queueFrame(id uint64, fill func([]byte) []byte) {
 		return
 	}
 	start := len(w.queue)
-	b := append(w.queue, 0, 0, 0, 0) // length, patched below
-	b = appendUvarint(b, id)
-	b = fill(b)
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
+	b := fill(appendUvarint(openFrame(w.queue), id))
+	closeFrame(b, start)
 	w.queue = b
 	w.frames++
 	full := len(b) >= streamFlushBytes
@@ -514,8 +526,8 @@ func (c *streamServerConn) serve() {
 	c.wg.Wait()
 }
 
-// readLoop reads frames and serves them — one-op queries and writes here,
-// everything else on a goroutine of its own — until the connection ends,
+// readLoop reads frames and serves them — here, or on a goroutine of their
+// own while a taken-over frame is outstanding — until the connection ends,
 // or until the calling goroutine loses the loop to a takeover, in which
 // case it returns once its frame is answered and touches the reader no
 // more.
@@ -541,7 +553,7 @@ func (c *streamServerConn) readLoop() {
 			break
 		}
 		more = c.frameBuffered()
-		if binQuickFrame(payload) && c.beginInline() {
+		if c.beginInline() {
 			c.s.handleStreamRequest(c.ctx, &c.sw, id, payload)
 			// The flush is inside the watched region, so a peer that has
 			// stopped reading costs the loop one budget as well.

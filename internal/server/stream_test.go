@@ -677,58 +677,65 @@ func TestStreamGroupCommit(t *testing.T) {
 	}
 }
 
-// TestStreamTakeover blocks a point query on the read loop with four
-// windows buffered behind it: the windows are answered while the point is
-// still held, the point's answer arrives once it is released, and the
-// connection then goes back to serving — and grouping — inline.
+// TestStreamTakeover blocks a frame on the read loop with four windows
+// buffered behind it: the windows are answered while the frame is still
+// held, its answer arrives once it is released, and the connection then
+// goes back to serving — and grouping — inline. The held frame is a point
+// query, then a batch whose second op is that point: a batch starts on the
+// loop like any frame and is taken over like one.
 func TestStreamTakeover(t *testing.T) {
 	eng, pts := testEngine(t)
-	blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
-	s := New(Config{Engine: blocking})
-	defer s.Shutdown(context.Background())
-	client, srv, _ := servePipe(t, s)
-	br := bufio.NewReader(client)
+	held := BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y}
+	for _, ops := range [][]BatchOp{{held}, {{Op: OpWindow, MaxX: 0.1, MaxY: 0.1}, held}} {
+		t.Run(fmt.Sprintf("ops=%d", len(ops)), func(t *testing.T) {
+			blocking := &blockingEngine{Engine: eng, gate: make(chan struct{})}
+			s := New(Config{Engine: blocking})
+			defer s.Shutdown(context.Background())
+			client, srv, _ := servePipe(t, s)
+			br := bufio.NewReader(client)
 
-	burst := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
-	for id := uint64(2); id <= 5; id++ {
-		burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})...)
-	}
-	if _, err := client.Write(burst); err != nil {
-		t.Fatal(err)
-	}
-	got := readAnswers(t, client, br, 4)
-	if _, early := got[1]; early {
-		t.Fatal("the held point query answered")
-	}
-	// At least the held point's: a deschedule longer than the budget inside
-	// any other inline frame is a takeover too.
-	if n := s.streamTakeovers.Load(); n < 1 {
-		t.Fatalf("%d takeovers, want at least 1", n)
-	}
-	close(blocking.gate)
-	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].flag {
-		t.Fatalf("taken-over frame's answer: %+v", rs)
-	}
+			burst := requestFrame(t, 1, false, ops...)
+			for id := uint64(2); id <= 5; id++ {
+				burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})...)
+			}
+			if _, err := client.Write(burst); err != nil {
+				t.Fatal(err)
+			}
+			got := readAnswers(t, client, br, 4)
+			if _, early := got[1]; early {
+				t.Fatal("the held frame answered")
+			}
+			// At least the held frame's: a deschedule longer than the budget
+			// inside any other inline frame is a takeover too.
+			if n := s.streamTakeovers.Load(); n < 1 {
+				t.Fatalf("%d takeovers, want at least 1", n)
+			}
+			close(blocking.gate)
+			if rs := readAnswers(t, client, br, 1)[1]; len(rs) != len(ops) || !rs[len(rs)-1].flag {
+				t.Fatalf("taken-over frame's answer: %+v", rs)
+			}
 
-	// readAnswers returns when the answer is read, which is before the
-	// frame's goroutine has given back its token; the loop serves inline
-	// again only after that.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		before := srv.writes.Load()
-		burst = burst[:0]
-		for id := uint64(10); id < 13; id++ {
-			burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
-		}
-		if _, err := client.Write(burst); err != nil {
-			t.Fatal(err)
-		}
-		readAnswers(t, client, br, 3)
-		if srv.writes.Load()-before == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("connection never went back to answering a burst in one write")
-		}
+			// readAnswers returns when the answer is read, which is before the
+			// frame's goroutine has given back its token; the loop serves
+			// inline again only after that.
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				before := srv.writes.Load()
+				burst = burst[:0]
+				for id := uint64(10); id < 13; id++ {
+					burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+				}
+				if _, err := client.Write(burst); err != nil {
+					t.Fatal(err)
+				}
+				readAnswers(t, client, br, 3)
+				if srv.writes.Load()-before == 1 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatal("connection never went back to answering a burst in one write")
+				}
+			}
+		})
 	}
 }
 
@@ -980,10 +987,12 @@ func TestStreamDisconnectCancelsFrame(t *testing.T) {
 }
 
 // BenchmarkStreamRoundTrip is the in-tree number for the stream transport:
-// one-op point round trips over one loopback connection, client and server
-// in this process, with 1, 4 and 64 callers in flight. frames/write is the
-// server's group-commit ratio over the run (1 by construction with one
-// caller; above 1 when answers that were ready together left together).
+// round trips over one loopback connection, client and server in this
+// process, with 1, 4 and 64 callers in flight — each a one-op point frame,
+// or a batch32 frame of 32 points. frames/write is the server's
+// group-commit ratio over the run (1 by construction with one caller; above
+// 1 when answers that were ready together left together), and takeovers
+// counts the frames that overran the read loop's budget.
 func BenchmarkStreamRoundTrip(b *testing.B) {
 	eng, pts := testEngine(b)
 	s := New(Config{Engine: eng})
@@ -993,38 +1002,61 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 	}
 	go s.ServeStream(l)
 	defer s.Shutdown(context.Background())
-	for _, inFlight := range []int{1, 4, 64} {
-		b.Run(fmt.Sprintf("inflight=%d", inFlight), func(b *testing.B) {
-			cl := NewClient(l.Addr().String(), WithTransport(TransportTCP), WithStreamConns(1))
-			defer cl.Close()
-			ctx := context.Background()
-			if _, err := cl.PointQuery(ctx, pts[0]); err != nil { // dial
-				b.Fatal(err)
+	batch := make([]BatchOp, 32)
+	for i := range batch {
+		batch[i] = BatchOp{Op: OpPoint, X: pts[i].X, Y: pts[i].Y}
+	}
+	cases := []struct {
+		name string
+		call func(*Client, int) error
+	}{
+		{"point", func(cl *Client, i int) error {
+			if found, err := cl.PointQuery(context.Background(), pts[i%len(pts)]); err != nil || !found {
+				return fmt.Errorf("PointQuery = %v, %v", found, err)
 			}
-			frames, flushes := s.streamFrames.Load(), s.streamFlushes.Load()
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for g := 0; g < inFlight; g++ {
-				n := b.N / inFlight
-				if g < b.N%inFlight {
-					n++
+			return nil
+		}},
+		{"batch32", func(cl *Client, _ int) error {
+			if rs, err := cl.Batch(context.Background(), batch); err != nil || len(rs) != len(batch) || !rs[len(rs)-1].Found {
+				return fmt.Errorf("Batch = %d results, %v", len(rs), err)
+			}
+			return nil
+		}},
+	}
+	for _, c := range cases {
+		for _, inFlight := range []int{1, 4, 64} {
+			b.Run(fmt.Sprintf("%s/inflight=%d", c.name, inFlight), func(b *testing.B) {
+				cl := NewClient(l.Addr().String(), WithTransport(TransportTCP), WithStreamConns(1))
+				defer cl.Close()
+				if err := c.call(cl, 0); err != nil { // dial
+					b.Fatal(err)
 				}
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						if found, err := cl.PointQuery(ctx, pts[(g+i)%len(pts)]); err != nil || !found {
-							b.Errorf("PointQuery = %v, %v", found, err)
-							return
-						}
+				frames, flushes, takeovers := s.streamFrames.Load(), s.streamFlushes.Load(), s.streamTakeovers.Load()
+				b.ReportAllocs()
+				b.ResetTimer()
+				var wg sync.WaitGroup
+				for g := 0; g < inFlight; g++ {
+					n := b.N / inFlight
+					if g < b.N%inFlight {
+						n++
 					}
-				}()
-			}
-			wg.Wait()
-			b.StopTimer()
-			frames, flushes = s.streamFrames.Load()-frames, s.streamFlushes.Load()-flushes
-			b.ReportMetric(float64(frames)/float64(max(flushes, 1)), "frames/write")
-		})
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < n; i++ {
+							if err := c.call(cl, g+i); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+				b.StopTimer()
+				frames, flushes = s.streamFrames.Load()-frames, s.streamFlushes.Load()-flushes
+				b.ReportMetric(float64(frames)/float64(max(flushes, 1)), "frames/write")
+				b.ReportMetric(float64(s.streamTakeovers.Load()-takeovers), "takeovers")
+			})
+		}
 	}
 }

@@ -288,10 +288,9 @@ func (c *streamConn) roundTrip(ctx context.Context, fill func([]byte) ([]byte, e
 	c.mu.Unlock()
 
 	bp := binBufPool.Get().(*[]byte)
-	frame := append((*bp)[:0], 0, 0, 0, 0) // length, patched below
-	frame, err := fill(appendUvarint(frame, id))
+	frame, err := fill(appendUvarint(openFrame((*bp)[:0]), id))
 	if err == nil {
-		binary.LittleEndian.PutUint32(frame[:4], uint32(len(frame)-4))
+		closeFrame(frame, 0)
 		c.wmu.Lock()
 		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
 		_, err = c.c.Write(frame)

@@ -82,20 +82,6 @@ func (s *Sharded) AddWriteHook(h WriteHook) (remove func()) {
 	}
 }
 
-// SetWriteHook installs h as the sole hook, replacing every hook added
-// so far (nil uninstalls all). Kept for single-consumer callers and
-// tests; multi-consumer code should use AddWriteHook.
-func (s *Sharded) SetWriteHook(h WriteHook) {
-	s.hookMu.Lock()
-	defer s.hookMu.Unlock()
-	if h == nil {
-		s.hook.Store(nil)
-		return
-	}
-	hooks := []*hookEntry{{h: h}}
-	s.hook.Store(&hooks)
-}
-
 // loadHooks returns the current hook list (possibly nil). Callers that
 // mutate must hold hookMu and store a fresh slice — entries are shared,
 // slices never are.

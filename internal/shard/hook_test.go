@@ -11,7 +11,7 @@ import (
 // TestWriteHook checks the write-hook contract the replication oplog
 // depends on: every applied insert and successful delete notifies with
 // the right kind and point, a missed delete stays silent, a rebuild
-// notifies exactly once with no point, and a nil hook uninstalls.
+// notifies exactly once with no point, and a removed hook is silent.
 func TestWriteHook(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 500, 11)
 	s := New(pts, Options{
@@ -26,7 +26,7 @@ func TestWriteHook(t *testing.T) {
 	})
 
 	var ops []WriteOp
-	s.SetWriteHook(func(op WriteOp) { ops = append(ops, op) })
+	remove := s.AddWriteHook(func(op WriteOp) { ops = append(ops, op) })
 
 	ins := geom.Pt(0.123, 0.456)
 	mustInsert(t, s, ins)
@@ -55,7 +55,7 @@ func TestWriteHook(t *testing.T) {
 	}
 
 	// Uninstall: further writes are silent.
-	s.SetWriteHook(nil)
+	remove()
 	mustInsert(t, s, geom.Pt(0.9, 0.9))
 	if len(ops) != len(want) {
 		t.Fatalf("uninstalled hook still fired: %+v", ops[len(want):])
@@ -66,8 +66,7 @@ func TestWriteHook(t *testing.T) {
 // standing-query matcher rides on: AddWriteHook registers one more
 // observer beside the existing ones, every applied mutation notifies
 // all of them in registration order, the returned remove function
-// detaches exactly its own hook, and SetWriteHook still replaces the
-// whole set.
+// detaches exactly its own hook — whenever it runs, however often.
 func TestAddWriteHookFanIn(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 500, 11)
 	s := New(pts, Options{
@@ -103,22 +102,25 @@ func TestAddWriteHookFanIn(t *testing.T) {
 		t.Fatalf("surviving hook missed the write: %+v", b)
 	}
 
-	// SetWriteHook replaces everything added so far.
+	// A hook added after a removal joins the survivors; removing B then
+	// leaves only the new one.
 	var c []WriteOp
-	s.SetWriteHook(func(op WriteOp) { c = append(c, op) })
+	s.AddWriteHook(func(op WriteOp) { c = append(c, op) })
+	removeB()
 	p3 := geom.Pt(0.555, 0.666)
 	mustInsert(t, s, p3)
 	if len(b) != 2 {
-		t.Fatalf("SetWriteHook did not replace added hooks: %+v", b)
+		t.Fatalf("removed hook B still fired: %+v", b)
 	}
 	if len(c) != 1 || c[0] != (WriteOp{Kind: WriteInsert, P: p3}) {
-		t.Fatalf("replacement hook: %+v", c)
+		t.Fatalf("hook added after a removal: %+v", c)
 	}
-	// Removing an already-replaced hook must not disturb the new set.
+	// Removing already-removed hooks must not disturb the current set.
+	removeA()
 	removeB()
 	mustInsert(t, s, geom.Pt(0.777, 0.888))
 	if len(c) != 2 {
-		t.Fatalf("stale remove broke the replacement hook: %+v", c)
+		t.Fatalf("stale remove broke the remaining hook: %+v", c)
 	}
 }
 
