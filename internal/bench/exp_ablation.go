@@ -48,11 +48,11 @@ func init() {
 			// Gap statistics over the full data set under each ordering
 			// (the Fig. 2 vs Fig. 3 comparison, quantified).
 			rs := rank.Transform(pts, sfc.Hilbert)
-			rank.SortByCurveValue(rs)
 			cvs := make([]uint64, len(rs))
 			for i, r := range rs {
 				cvs[i] = r.CV
 			}
+			sortUint64(cvs)
 			rankGaps := rank.Gaps(cvs)
 			curve := sfc.New(sfc.Hilbert, sfc.OrderFor(len(pts)))
 			side := float64(curve.Side() - 1)

@@ -188,9 +188,15 @@ var _ index.Index = (*RSMI)(nil)
 // Points with a NaN or infinite coordinate are not indexed (see
 // ErrNonFinitePoint).
 func New(pts []geom.Point, opts Options) *RSMI {
+	return newOwned(geom.FinitePoints(pts), opts)
+}
+
+// newOwned builds an RSMI over work, which must hold finite points only and
+// which the build takes over: Rebuild hands it the one copy of the live
+// points it makes.
+func newOwned(work []geom.Point, opts Options) *RSMI {
 	opts = opts.withDefaults()
 	start := time.Now()
-	work := geom.FinitePoints(pts)
 	t := &RSMI{
 		opts:     opts,
 		store:    store.NewManager(opts.BlockCapacity),
@@ -320,10 +326,25 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 	cells := side * side
 
 	// Non-regular grid: cut into `side` columns of equal count by x, then
-	// each column into `side` cells of equal count by y.
-	slices.SortFunc(pts, geom.Point.Compare)
+	// each column into `side` cells of equal count by y. The rank-space
+	// ranks lay the points out that way without a comparison sort: a
+	// point's x rank names its column, and filing the points into their
+	// columns in y-rank order leaves every column sorted by y.
+	rx, ry := rank.Ranks(pts)
 	nPts := len(pts)
 	colSize := (nPts + side - 1) / side
+	byY := make([]int32, nPts)
+	for i, r := range ry {
+		byY[r] = int32(i)
+	}
+	laid := make([]geom.Point, nPts)
+	filled := make([]int, side)
+	for _, i := range byY {
+		c := int(rx[i]) / colSize
+		laid[c*colSize+filled[c]] = pts[i]
+		filled[c]++
+	}
+	pts = laid
 	cellCV := make([]uint64, nPts) // ground-truth cell curve value per point
 	for c := 0; c < side; c++ {
 		lo := c * colSize
@@ -335,7 +356,6 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 			hi = nPts
 		}
 		col := pts[lo:hi]
-		slices.SortFunc(col, geom.Point.CompareYX)
 		rowSize := (len(col) + side - 1) / side
 		for i := range col {
 			cy := i / rowSize

@@ -46,7 +46,7 @@ func (t *RSMI) Insert(p geom.Point) {
 	if leaf == nil {
 		// No leaf reachable (cannot happen on a built index, but keep the
 		// invariant that Insert never loses points).
-		*t = *New(append(t.AllPoints(), p), t.opts)
+		*t = *newOwned(append(t.AllPoints(), p), t.opts)
 		return
 	}
 	base := t.store.Peek(leaf.firstBlock + leaf.predictClamped(p))
@@ -158,8 +158,7 @@ func (t *RSMI) scanAll(fn func(b *store.Block)) {
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) Rebuild() {
-	pts := t.AllPoints()
-	*t = *New(pts, t.opts)
+	*t = *newOwned(t.AllPoints(), t.opts)
 }
 
 // Rebuilder wraps an RSMI as the RSMIr variant: after every insertion it

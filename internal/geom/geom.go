@@ -64,24 +64,14 @@ func FinitePoints(pts []Point) []Point {
 // Compare is the three-way form of Less, the shape slices.SortFunc takes:
 // negative when p orders before q by (X, Y), zero when neither does.
 func (p Point) Compare(q Point) int {
-	return lexCompare(p.X, p.Y, q.X, q.Y)
-}
-
-// CompareYX is Compare with the coordinates' roles swapped: by Y, ties by X.
-func (p Point) CompareYX(q Point) int {
-	return lexCompare(p.Y, p.X, q.Y, q.X)
-}
-
-// lexCompare orders the pair (a1, a2) against (b1, b2) lexicographically.
-func lexCompare(a1, a2, b1, b2 float64) int {
 	switch {
-	case a1 < b1:
+	case p.X < q.X:
 		return -1
-	case a1 > b1:
+	case p.X > q.X:
 		return 1
-	case a2 < b2:
+	case p.Y < q.Y:
 		return -1
-	case a2 > b2:
+	case p.Y > q.Y:
 		return 1
 	}
 	return 0

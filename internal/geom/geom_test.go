@@ -54,8 +54,7 @@ func TestPointLessTotalOrder(t *testing.T) {
 	}
 }
 
-// Compare is Less in three-way form, and CompareYX the same order with the
-// coordinates' roles swapped.
+// Compare is Less in three-way form.
 func TestPointCompareAgreesWithLess(t *testing.T) {
 	pts := []Point{{0, 1}, {0, 2}, {1, 0}, {1, 0}, {-3, 7}, {math.Copysign(0, -1), 1}}
 	for _, p := range pts {
@@ -63,9 +62,6 @@ func TestPointCompareAgreesWithLess(t *testing.T) {
 			c := p.Compare(q)
 			if (c < 0) != p.Less(q) || (c > 0) != q.Less(p) {
 				t.Errorf("Compare(%v, %v) = %d, Less says %v / %v", p, q, c, p.Less(q), q.Less(p))
-			}
-			if got, want := p.CompareYX(q), (Point{p.Y, p.X}).Compare(Point{q.Y, q.X}); got != want {
-				t.Errorf("CompareYX(%v, %v) = %d, want %d", p, q, got, want)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package rank
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/sfc"
 )
@@ -101,6 +103,9 @@ func TestTransformMatchesStableSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(3000)
+		if trial == 0 {
+			n += parallelMin // x and y ranked on two goroutines
+		}
 		levels := 1 + rng.Intn(40) // few distinct coordinates: ties everywhere
 		pts := make([]geom.Point, n)
 		for i := range pts {
@@ -141,6 +146,46 @@ func TestTransformMatchesStableSortReference(t *testing.T) {
 		for i, p := range Order(pts, kind) {
 			if math.Float64bits(p.X) != math.Float64bits(want[i].Point.X) || math.Float64bits(p.Y) != math.Float64bits(want[i].Point.Y) {
 				t.Fatalf("trial %d: Order()[%d] = %v, reference %v", trial, i, p, want[i].Point)
+			}
+		}
+	}
+}
+
+// TestFloatKeyOrdersLikeFloats: the radix sort's key orders coordinates as
+// < does — negatives, subnormals, ±0 (one key), and the extremes.
+func TestFloatKeyOrdersLikeFloats(t *testing.T) {
+	vals := []float64{-math.MaxFloat64, -1e300, -2, -1, -0.5, -math.SmallestNonzeroFloat64,
+		math.Copysign(0, -1), 0, math.SmallestNonzeroFloat64, 1e-300, 0.25, 0.5, 1, 3, 1e300, math.MaxFloat64}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, rng.NormFloat64()*math.Pow(10, float64(rng.Intn(40)-20)))
+	}
+	for _, a := range vals {
+		for _, b := range vals[:16] {
+			ka, kb := floatKey(a), floatKey(b)
+			if (a < b) != (ka < kb) || (a == b) != (ka == kb) {
+				t.Fatalf("floatKey(%g) = %#x, floatKey(%g) = %#x: order disagrees with the floats'", a, ka, b, kb)
+			}
+		}
+	}
+}
+
+// TestSpreadRanksIsTheDivision: the division-free spread is r·(side-1)/(n-1)
+// rounded down for every rank, at every n up to 3000 and at large n.
+func TestSpreadRanksIsTheDivision(t *testing.T) {
+	ns := []int{1 << 20, 1<<20 + 1, 3_000_017}
+	for n := 1; n <= 3000; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		side := uint64(1) << sfc.OrderFor(n)
+		for r, got := range spreadRanks(n, side) {
+			want := uint64(0)
+			if n > 1 {
+				want = uint64(r) * (side - 1) / uint64(n-1)
+			}
+			if uint64(got) != want {
+				t.Fatalf("n %d, side %d: spread(%d) = %d, want %d", n, side, r, got, want)
 			}
 		}
 	}
@@ -243,16 +288,6 @@ func sortPoints(ps []geom.Point) {
 	sort.Slice(ps, func(i, j int) bool { return ps[i].Less(ps[j]) })
 }
 
-func TestSortByCurveValueSorts(t *testing.T) {
-	rs := Transform(paperPoints(), sfc.Hilbert)
-	SortByCurveValue(rs)
-	for i := 1; i < len(rs); i++ {
-		if rs[i-1].CV > rs[i].CV {
-			t.Fatalf("not sorted at %d: %d > %d", i, rs[i-1].CV, rs[i].CV)
-		}
-	}
-}
-
 // Curve values in rank space must be distinct: one point per cell.
 func TestCurveValuesDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -284,11 +319,11 @@ func TestRankSpaceReducesGapVariance(t *testing.T) {
 
 	// Rank-space gaps.
 	rs := Transform(pts, sfc.Z)
-	SortByCurveValue(rs)
 	rankCVs := make([]uint64, n)
 	for i, r := range rs {
 		rankCVs[i] = r.CV
 	}
+	sort.Slice(rankCVs, func(i, j int) bool { return rankCVs[i] < rankCVs[j] })
 	rankStats := Gaps(rankCVs)
 
 	// Raw-grid Z-value gaps at the same resolution.
@@ -321,5 +356,21 @@ func TestGapsEdgeCases(t *testing.T) {
 	wantMean := (5.0 + 1 + 14) / 3
 	if got.Mean != wantMean {
 		t.Errorf("Gaps mean = %v, want %v", got.Mean, wantMean)
+	}
+}
+
+var orderSink []geom.Point
+
+// BenchmarkOrder is the rank-space ordering of a leaf (10k points, the
+// paper's N) and of a sharded build's partition (200k, embed-read's set-up).
+func BenchmarkOrder(b *testing.B) {
+	for _, n := range []int{10_000, 200_000} {
+		pts := dataset.Generate(dataset.Skewed, n, 1)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				orderSink = Order(pts, sfc.Hilbert)
+			}
+		})
 	}
 }

@@ -147,53 +147,87 @@ func compact(v uint64) uint32 {
 	return uint32(x)
 }
 
-// hilbertValue converts cell coordinates to the Hilbert curve value ("d")
-// using the classic bit-twiddling conversion (Hamilton's / Wikipedia xy2d
-// algorithm) generalized to the given order.
+// The Hilbert curve is a four-state machine over the levels of a cell's
+// coordinates, most significant first. A state is how the current
+// sub-square is oriented relative to the whole grid: bit 0 says it is
+// transposed (x and y swap roles), bit 1 that it is mirrored through its
+// centre (every remaining bit of x and y inverts). The two commute, so the
+// state after a level is the state before it XOR that level's own turn.
+// hilbertLevel is one level; hilbertEnc and hilbertDec are four levels at a
+// time, built from it at start-up, so that a value at order 20 costs five
+// table reads instead of twenty data-dependent branches.
+const hilbertLevels = 4
+
+// hilbertEnc[state<<8 | x4<<4 | y4] is d8<<2 | next: d8 the curve's 8 bits
+// for four levels whose x bits are x4 and y bits y4, entered in state; next
+// the state the levels below them start in. hilbertDec[state<<8 | d8] is
+// (x4<<4 | y4)<<2 | next, its inverse.
+var hilbertEnc, hilbertDec [4 << 8]uint16
+
+func init() {
+	for st := 0; st < 4; st++ {
+		for xy := 0; xy < 1<<8; xy++ {
+			s, d := st, 0
+			for b := hilbertLevels - 1; b >= 0; b-- {
+				var q int
+				q, s = hilbertLevel(s, xy>>(4+b)&1, xy>>b&1)
+				d = d<<2 | q
+			}
+			hilbertEnc[st<<8|xy] = uint16(d<<2 | s)
+			hilbertDec[st<<8|d] = uint16(xy<<2 | s)
+		}
+	}
+}
+
+// hilbertLevel is one level of the curve (Hamilton's / Wikipedia's xy2d
+// step): entered in state st, the quadrant with bits (rx, ry) is visited
+// q-th of four, and the levels below it are in state next.
+func hilbertLevel(st, rx, ry int) (q, next int) {
+	if st&2 != 0 {
+		rx, ry = rx^1, ry^1
+	}
+	if st&1 != 0 {
+		rx, ry = ry, rx
+	}
+	if ry == 0 {
+		st ^= 1 | rx<<1
+	}
+	return 3*rx ^ ry, st
+}
+
+// hilbertTop returns the number of levels hilbertValue and hilbertDecode
+// walk — order rounded up to whole table steps — and the state they start
+// in. A padding level above the curve's own has x and y bits 0: the curve
+// visits that quadrant first (q = 0, so d is unchanged) and transposes what
+// lies below it. Starting transposed once per padding level, mod 2, leaves
+// the curve's own top level in the identity state.
+func hilbertTop(order uint) (levels uint, st int) {
+	pad := (hilbertLevels - order%hilbertLevels) % hilbertLevels
+	return order + pad, int(pad & 1)
+}
+
+// hilbertValue converts cell coordinates to the Hilbert curve value ("d"),
+// four levels per table read.
 func hilbertValue(order uint, x, y uint32) uint64 {
-	var rx, ry uint32
+	levels, st := hilbertTop(order)
 	var d uint64
-	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
-		if x&s > 0 {
-			rx = 1
-		} else {
-			rx = 0
-		}
-		if y&s > 0 {
-			ry = 1
-		} else {
-			ry = 0
-		}
-		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
-		x, y = hilbertRotate(s, x, y, rx, ry)
+	for shift := int(levels) - hilbertLevels; shift >= 0; shift -= hilbertLevels {
+		e := hilbertEnc[st<<8|int(x>>shift&15)<<4|int(y>>shift&15)]
+		d = d<<8 | uint64(e>>2)
+		st = int(e & 3)
 	}
 	return d
 }
 
 // hilbertDecode converts a Hilbert curve value back to cell coordinates
-// (d2xy).
+// (d2xy), four levels per table read.
 func hilbertDecode(order uint, d uint64) (x, y uint32) {
-	t := d
-	for s := uint64(1); s < uint64(1)<<order; s <<= 1 {
-		rx := uint32(1) & uint32(t/2)
-		ry := uint32(1) & uint32(t^uint64(rx))
-		x, y = hilbertRotate(uint32(s), x, y, rx, ry)
-		x += uint32(s) * rx
-		y += uint32(s) * ry
-		t /= 4
-	}
-	return x, y
-}
-
-// hilbertRotate rotates/flips a quadrant so the sub-curve has the correct
-// orientation.
-func hilbertRotate(s, x, y, rx, ry uint32) (uint32, uint32) {
-	if ry == 0 {
-		if rx == 1 {
-			x = s - 1 - x
-			y = s - 1 - y
-		}
-		x, y = y, x
+	levels, st := hilbertTop(order)
+	for shift := 2*int(levels) - 2*hilbertLevels; shift >= 0; shift -= 2 * hilbertLevels {
+		e := hilbertDec[st<<8|int(d>>shift&255)]
+		x = x<<4 | uint32(e>>6)
+		y = y<<4 | uint32(e>>2&15)
+		st = int(e & 3)
 	}
 	return x, y
 }

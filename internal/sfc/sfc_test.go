@@ -1,6 +1,7 @@
 package sfc
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -111,6 +112,87 @@ func absDiff(a, b uint32) uint32 {
 		return a - b
 	}
 	return b - a
+}
+
+// bitLoopValue and bitLoopDecode are the per-level conversions the tables
+// replaced (Hamilton's / Wikipedia's xy2d and d2xy): one branchy step per
+// level, kept as the reference the tables must reproduce.
+func bitLoopValue(order uint, x, y uint32) uint64 {
+	var d uint64
+	for s := uint32(1) << (order - 1); s > 0; s >>= 1 {
+		var rx, ry uint32
+		if x&s > 0 {
+			rx = 1
+		}
+		if y&s > 0 {
+			ry = 1
+		}
+		d += uint64(s) * uint64(s) * uint64((3*rx)^ry)
+		x, y = bitLoopRotate(s, x, y, rx, ry)
+	}
+	return d
+}
+
+func bitLoopDecode(order uint, d uint64) (x, y uint32) {
+	t := d
+	for s := uint64(1); s < uint64(1)<<order; s <<= 1 {
+		rx := uint32(1) & uint32(t/2)
+		ry := uint32(1) & uint32(t^uint64(rx))
+		x, y = bitLoopRotate(uint32(s), x, y, rx, ry)
+		x += uint32(s) * rx
+		y += uint32(s) * ry
+		t /= 4
+	}
+	return x, y
+}
+
+func bitLoopRotate(s, x, y, rx, ry uint32) (uint32, uint32) {
+	if ry == 0 {
+		if rx == 1 {
+			x = s - 1 - x
+			y = s - 1 - y
+		}
+		x, y = y, x
+	}
+	return x, y
+}
+
+// TestHilbertTableMatchesBitLoop: the table-driven conversions give the
+// per-level reference's answer on every cell of orders 1–8 (each remainder
+// of order mod 4, so each padding of the top table step), and on random
+// cells and values of every order up to MaxOrder.
+func TestHilbertTableMatchesBitLoop(t *testing.T) {
+	for order := uint(1); order <= 8; order++ {
+		c := New(Hilbert, order)
+		for x := uint32(0); x < c.Side(); x++ {
+			for y := uint32(0); y < c.Side(); y++ {
+				if got, want := c.Value(x, y), bitLoopValue(order, x, y); got != want {
+					t.Fatalf("order %d: Value(%d,%d) = %d, reference %d", order, x, y, got, want)
+				}
+			}
+		}
+		for d := uint64(0); d < c.NumCells(); d++ {
+			gx, gy := c.Decode(d)
+			if wx, wy := bitLoopDecode(order, d); gx != wx || gy != wy {
+				t.Fatalf("order %d: Decode(%d) = (%d,%d), reference (%d,%d)", order, d, gx, gy, wx, wy)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for order := uint(1); order <= MaxOrder; order++ {
+		c := New(Hilbert, order)
+		for i := 0; i < 2000; i++ {
+			x, y := rng.Uint32()&(c.Side()-1), rng.Uint32()&(c.Side()-1)
+			if got, want := c.Value(x, y), bitLoopValue(order, x, y); got != want {
+				t.Fatalf("order %d: Value(%d,%d) = %d, reference %d", order, x, y, got, want)
+			}
+			d := rng.Uint64() & (c.NumCells() - 1)
+			gx, gy := c.Decode(d)
+			if wx, wy := bitLoopDecode(order, d); gx != wx || gy != wy {
+				t.Fatalf("order %d: Decode(%d) = (%d,%d), reference (%d,%d)", order, d, gx, gy, wx, wy)
+			}
+		}
+	}
 }
 
 func TestHilbertRoundTripLargeOrderQuick(t *testing.T) {

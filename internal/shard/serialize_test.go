@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -361,6 +362,34 @@ func TestLoadRefusesTampered(t *testing.T) {
 		}
 		if err == nil && len(must(s.ExactWindowContext(bg, wholeSpace))) != s.Len() {
 			t.Errorf("%s: the loaded index lost points", name)
+		}
+	}
+}
+
+// TestBuildSnapshotGolden pins the bytes a build writes, not only that two
+// builds agree: a faster sort or curve encoder must lay out the same blocks
+// and train the same models. The inputs reach every ordering path — exact
+// duplicate points, a partition and a root big enough for Ranks to sort x
+// and y on two goroutines, internal nodes over leaves, and both curves. The
+// digests are of amd64 builds; other architectures may fuse multiply-adds
+// in training and so write other weights.
+func TestBuildSnapshotGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are of amd64 builds")
+	}
+	pts := dataset.Generate(dataset.Skewed, 40_000, 7)
+	pts = append(pts, pts[:2000]...)
+	for _, c := range []struct {
+		shards int
+		curve  sfc.Kind
+		want   string
+	}{
+		{2, sfc.Hilbert, "2e7224a1b9ad7fda25de2b799c6660f3f81cc7c74aa06b1b04cc913beea68957"},
+		{1, sfc.Z, "12f39de7ae740ea7ef087098ed50bd03059f3d26ed21f4f72673c4d3e848bc93"},
+	} {
+		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
+		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
+			t.Errorf("%d shards, %v curve: snapshot sha256 %s, want %s", c.shards, c.curve, got, c.want)
 		}
 	}
 }

@@ -347,3 +347,17 @@ func TestEmptySharded(t *testing.T) {
 		t.Fatal("insert into empty sharded index lost")
 	}
 }
+
+var newSink *Sharded
+
+// BenchmarkNew200k is the set-up the repo's embed-read benchmark times,
+// less data generation: 200k skewed points, two shards, 10 epochs. The
+// partition runs before either shard can start training.
+func BenchmarkNew200k(b *testing.B) {
+	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newSink = New(pts, Options{Shards: 2, Index: core.Options{Epochs: 10, Seed: 1}})
+	}
+}
