@@ -22,6 +22,7 @@
 // Usage:
 //
 //	rsmi-serve -addr :8080 -dist skewed -n 100000 -shards 8
+//	rsmi-serve -shards 1 -dist skewed -n 100000       # one lock over one RSMI
 //	rsmi-serve -engine rstar -dist skewed -n 100000
 //	rsmi-serve -dataset skewed_1m.bin -snapshot skewed_1m.idx
 //	rsmi-serve -max-inflight 512
@@ -31,9 +32,9 @@
 //	rsmi-serve -planner -dist skewed -n 100000             # cost-based router
 //	rsmi-serve -trace-sample 100 -slow-query 50ms -pprof   # observability
 //
-// -engine selects the backend: "sharded" (the default: S parallel RSMI
-// shards), "concurrent" (one RSMI behind a RWMutex), or a baseline of the
-// paper's comparison — "rstar" (R*-tree), "grid" (Grid File), "kdb"
+// -engine selects the backend: "sharded" (the default: S space-partitioned
+// RSMI shards; -shards 1 is one RWMutex over one RSMI), or a baseline of
+// the paper's comparison — "rstar" (R*-tree), "grid" (Grid File), "kdb"
 // (K-D-B-tree) — all served through the identical stack, which is what
 // makes cross-engine serving numbers comparable (EXPERIMENTS.md "Serving
 // across backends").
@@ -107,14 +108,13 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		streamAddr  = flag.String("stream-addr", "", "rsmistream TCP listen address (rsmibin/1 over persistent pipelined connections; empty disables)")
 		streamRTO   = flag.Duration("stream-request-timeout", 0, "server-side per-request deadline on the stream transport (0 = none)")
-		engine      = flag.String("engine", "sharded", "backend: sharded|concurrent|rstar|grid|kdb")
+		engine      = flag.String("engine", "sharded", "backend: sharded|rstar|grid|kdb (one lock over one RSMI is -shards 1)")
 		planner     = flag.Bool("planner", false, "serve every backend (sharded RSMI + rstar + grid + kdb) behind the cost-based query planner; enables routed /v1/sql")
 		datasetPath = flag.String("dataset", "", "binary point file (rsmi-datagen format); empty generates -dist/-n")
 		dist        = flag.String("dist", "skewed", "generated distribution: uniform|normal|skewed|tiger|osm")
 		n           = flag.Int("n", 100000, "generated data set cardinality")
 		seed        = flag.Int64("seed", 1, "generation and training seed")
-		shards      = flag.Int("shards", 0, "shard count for -engine sharded (default GOMAXPROCS)")
-		partition   = flag.String("partition", "space", "shard partitioning: space|hash")
+		shards      = flag.Int("shards", 0, "shard count for -engine sharded (default GOMAXPROCS; 1 is one lock over one RSMI)")
 		epochs      = flag.Int("epochs", 30, "training epochs per sub-model (paper: 500)")
 		lr          = flag.Float64("lr", 0.1, "training learning rate (paper: 0.01)")
 		maxInflight = flag.Int("max-inflight", 1024, "admitted in-flight requests before 429 shedding")
@@ -127,7 +127,6 @@ func main() {
 		readyMaxLag = flag.Uint64("ready-max-lag", 0, "replica /readyz lag threshold in oplog records (default 1024)")
 		pprofFlag   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes heap and symbol contents)")
 		subOutbox   = flag.Int("sub-outbox", 0, "per-connection standing-query outbox in notifications; a full outbox drops and marks (default 256)")
-		subGrid     = flag.Int("sub-grid-order", 0, "standing-query matcher grid order: 2^order cells per side (default 6)")
 		noSubs      = flag.Bool("no-subs", false, "disable standing-query subscriptions (SUB frames answer 501)")
 	)
 	flag.Parse()
@@ -148,7 +147,7 @@ func main() {
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "engine", "dataset", "dist", "n", "seed", "shards",
-				"partition", "epochs", "lr", "snapshot", "oplog-cap":
+				"epochs", "lr", "snapshot", "oplog-cap":
 				log.Printf("warning: -%s has no effect with -replica-of", f.Name)
 			}
 		})
@@ -178,13 +177,13 @@ func main() {
 				log.Fatalf("-snapshot is not supported with -planner (baselines rebuild from the data set)")
 			}
 		})
-		eng, err = buildPlannerEngine(*datasetPath, *dist, *n, *seed, *shards, *partition, *epochs, *lr)
+		eng, err = buildPlannerEngine(*datasetPath, *dist, *n, *seed, *shards, *epochs, *lr)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
 		warnIgnoredFlags(*engine)
-		eng, err = buildEngine(*engine, *snapshot, *datasetPath, *dist, *n, *seed, *shards, *partition, *epochs, *lr)
+		eng, err = buildEngine(*engine, *snapshot, *datasetPath, *dist, *n, *seed, *shards, *epochs, *lr)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -228,7 +227,6 @@ func main() {
 		ReadyMaxLag:          *readyMaxLag,
 		EnablePprof:          *pprofFlag,
 		SubOutbox:            *subOutbox,
-		SubGridOrder:         *subGrid,
 		DisableSubs:          *noSubs,
 	})
 	l, err := net.Listen("tcp", *addr)
@@ -276,25 +274,18 @@ func main() {
 	}
 }
 
-// warnIgnoredFlags flags explicitly-set options the chosen engine cannot
+// warnIgnoredFlags flags explicitly-set options a baseline engine cannot
 // honour, so measured numbers are never attributed to configurations
 // that were silently dropped: baselines have no training or sharding
-// knobs, and the concurrent engine has no shards.
+// knobs.
 func warnIgnoredFlags(engine string) {
-	var ignored []string
-	switch engine {
-	case "sharded":
+	if engine == "sharded" {
 		return
-	case "concurrent":
-		ignored = []string{"shards", "partition"}
-	default: // baselines
-		ignored = []string{"shards", "partition", "epochs", "lr"}
 	}
 	flag.Visit(func(f *flag.Flag) {
-		for _, name := range ignored {
-			if f.Name == name {
-				log.Printf("warning: -%s has no effect with -engine %s", f.Name, engine)
-			}
+		switch f.Name {
+		case "shards", "epochs", "lr":
+			log.Printf("warning: -%s has no effect with -engine %s", f.Name, engine)
 		}
 	})
 }
@@ -320,53 +311,39 @@ func loadPoints(datasetPath, dist string, n int, seed int64) ([]rsmi.Point, erro
 }
 
 // buildEngine resolves -engine: the sharded RSMI (with snapshot support),
-// the RWMutex-wrapped single RSMI, or a baseline behind the same
-// wrapper — every one a server.Engine, so the serving stack is identical whatever the backend.
-func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, shards int, partition string, epochs int, lr float64) (server.Engine, error) {
+// or a baseline behind one RWMutex — every one a server.Engine, so the
+// serving stack is identical whatever the backend.
+func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, shards int, epochs int, lr float64) (server.Engine, error) {
 	if snapshot != "" && engine != "sharded" {
 		return nil, fmt.Errorf("-snapshot is only supported with -engine sharded (got %q)", engine)
 	}
-	switch engine {
-	case "sharded":
-		return buildOrLoadSharded(snapshot, datasetPath, dist, n, seed, shards, partition, epochs, lr)
-	case "concurrent":
-		pts, err := loadPoints(datasetPath, dist, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("building concurrent index (%d points, epochs=%d)...", len(pts), epochs)
-		return rsmi.NewConcurrent(pts, rsmi.Options{Epochs: epochs, LearningRate: lr, Seed: seed}), nil
-	default:
-		pts, err := loadPoints(datasetPath, dist, n, seed)
-		if err != nil {
-			return nil, err
-		}
-		log.Printf("building %s baseline engine (%d points)...", engine, len(pts))
-		eng, err := rsmi.NewBaselineEngine(engine, pts)
-		if err != nil {
-			return nil, fmt.Errorf("-engine: %v (or sharded|concurrent)", err)
-		}
-		return eng, nil
+	if engine == "sharded" {
+		return buildOrLoadSharded(snapshot, datasetPath, dist, n, seed, shards, epochs, lr)
 	}
+	pts, err := loadPoints(datasetPath, dist, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	log.Printf("building %s baseline engine (%d points)...", engine, len(pts))
+	eng, err := rsmi.NewBaselineEngine(engine, pts)
+	if err != nil {
+		return nil, fmt.Errorf("-engine: %v (or sharded; one lock over one RSMI is -engine sharded -shards 1)", err)
+	}
+	return eng, nil
 }
 
 // buildPlannerEngine builds the cost-based router: the sharded RSMI as
 // the primary backend plus every baseline over the same point set, a
 // statistics store sampled from the data, and calibrated per-backend
 // cost models (a micro-probe grid; tens of milliseconds per backend).
-func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int, partition string, epochs int, lr float64) (server.Engine, error) {
+func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int, epochs int, lr float64) (server.Engine, error) {
 	pts, err := loadPoints(datasetPath, dist, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := parsePartitioning(partition)
 	if err != nil {
 		return nil, err
 	}
 	log.Printf("building sharded index (%d points, epochs=%d)...", len(pts), epochs)
 	primary := rsmi.NewSharded(pts, rsmi.ShardOptions{
-		Shards:       shards,
-		Partitioning: parts,
+		Shards: shards,
 		Index: rsmi.Options{
 			Epochs:       epochs,
 			LearningRate: lr,
@@ -395,22 +372,10 @@ func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int,
 	return me, nil
 }
 
-// parsePartitioning resolves the -partition flag.
-func parsePartitioning(partition string) (rsmi.Partitioning, error) {
-	switch partition {
-	case "space":
-		return rsmi.SpacePartitioned, nil
-	case "hash":
-		return rsmi.HashPartitioned, nil
-	default:
-		return 0, fmt.Errorf("unknown -partition %q (want space|hash)", partition)
-	}
-}
-
 // buildOrLoadSharded resolves the sharded engine: snapshot if present,
 // else a fresh build from the data set (saved back when -snapshot names a
 // path).
-func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, shards int, partition string, epochs int, lr float64) (*rsmi.Sharded, error) {
+func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, shards int, epochs int, lr float64) (*rsmi.Sharded, error) {
 	if snapshot != "" {
 		if f, err := os.Open(snapshot); err == nil {
 			defer f.Close()
@@ -423,14 +388,9 @@ func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, s
 	if err != nil {
 		return nil, err
 	}
-	parts, err := parsePartitioning(partition)
-	if err != nil {
-		return nil, err
-	}
 	log.Printf("building sharded index (%d points, epochs=%d)...", len(pts), epochs)
 	idx := rsmi.NewSharded(pts, rsmi.ShardOptions{
-		Shards:       shards,
-		Partitioning: parts,
+		Shards: shards,
 		Index: rsmi.Options{
 			Epochs:       epochs,
 			LearningRate: lr,

@@ -10,17 +10,12 @@ import (
 	"rsmi/internal/workload"
 )
 
-func buildConcurrent(t testing.TB) (*rsmi.Concurrent, []rsmi.Point) {
+// buildConcurrent builds an R*-tree engine: a single-goroutine baseline
+// behind the RWMutex every baseline engine shares, which these tests race.
+func buildConcurrent(t testing.TB) (rsmi.Engine, []rsmi.Point) {
 	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 4000, 21)
-	c := rsmi.NewConcurrent(pts, rsmi.Options{
-		BlockCapacity:      50,
-		PartitionThreshold: 1000,
-		Epochs:             15,
-		LearningRate:       0.1,
-		Seed:               1,
-	})
-	return c, pts
+	return rsmi.NewRStarEngine(pts, 0), pts
 }
 
 func TestConcurrentParallelQueries(t *testing.T) {
@@ -116,21 +111,7 @@ func TestConcurrentRebuild(t *testing.T) {
 	if !must(c.PointQueryContext(ctx, pts[0])) {
 		t.Fatal("point lost after rebuild")
 	}
-	if s := c.Stats(); s.Name != "RSMI" {
+	if s := c.Stats(); s.Name != "RR*" {
 		t.Errorf("Stats.Name = %q", s.Name)
-	}
-}
-
-func TestWrapConcurrent(t *testing.T) {
-	ctx := context.Background()
-	pts := dataset.Generate(dataset.Uniform, 500, 26)
-	idx := rsmi.New(pts, rsmi.Options{BlockCapacity: 50, PartitionThreshold: 1000, Epochs: 10, LearningRate: 0.1, Seed: 1})
-	c := rsmi.WrapConcurrent(idx)
-	if c.Len() != 500 || !must(c.PointQueryContext(ctx, pts[0])) || c.Name() != "Concurrent" {
-		t.Fatal("wrapped index misbehaves")
-	}
-	got := must(c.ExactKNNContext(ctx, rsmi.Pt(0.5, 0.5), 3))
-	if len(got) != 3 {
-		t.Fatalf("ExactKNN returned %d", len(got))
 	}
 }

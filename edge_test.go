@@ -1,7 +1,7 @@
 package rsmi_test
 
 // Edge-case coverage for the Engine surface of every backend — Index,
-// Concurrent, Sharded (both partitionings) and the three baseline engines:
+// Sharded (one shard and four) and the three baseline engines:
 // k = 0 and k < 0, k > N, empty indexes, zero-area windows and non-finite
 // coordinates — each verified against the brute-force oracle. These are
 // exactly the degenerate requests a network serving layer (internal/server)
@@ -46,14 +46,13 @@ func engines(pts []rsmi.Point) map[string]rsmi.Engine {
 		LearningRate:       0.1,
 		Seed:               1,
 	}
-	sharded := func(p rsmi.Partitioning) *rsmi.Sharded {
-		return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 4, Partitioning: p, Index: opts})
+	sharded := func(shards int) *rsmi.Sharded {
+		return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: shards, Index: opts})
 	}
 	return map[string]rsmi.Engine{
 		"Index":        rsmi.New(pts, opts),
-		"Concurrent":   rsmi.NewConcurrent(pts, opts),
-		"ShardedSpace": sharded(rsmi.SpacePartitioned),
-		"ShardedHash":  sharded(rsmi.HashPartitioned),
+		"Sharded1":     sharded(1),
+		"ShardedSpace": sharded(4),
 		"rstar":        rsmi.NewRStarEngine(pts, 0),
 		"grid":         rsmi.NewGridFileEngine(pts, 0),
 		"kdb":          rsmi.NewKDBEngine(pts, 0),

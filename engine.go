@@ -13,13 +13,13 @@ package rsmi
 // non-nil only when the context is cancelled or past its deadline — or,
 // for InsertContext, when the point cannot be indexed.
 // Sharded observes cancellation *between shard visits* of a window or kNN
-// walk and between shard retrains of a rolling rebuild; Index and
-// Concurrent (which also backs the baseline engines) execute a single
-// query in microseconds and check the context at entry. A batch checks it
-// per element, through each element's single query.
+// walk and between shard retrains of a rolling rebuild; Index and the
+// baseline engines execute a single query in microseconds and check the
+// context at entry. A batch checks it per element, through each element's
+// single query.
 //
-// This is the only query surface of Concurrent and Sharded. Index also
-// keeps its context-free methods (PointQuery(q) bool, …): they are the
+// This is the only query surface of Sharded and the baseline engines. Index
+// also keeps its context-free methods (PointQuery(q) bool, …): they are the
 // index.Index surface the paper's harness (internal/bench) drives every
 // index through.
 
@@ -28,10 +28,9 @@ import (
 )
 
 // Engine is the context-aware queryable surface shared by every backend:
-// Index, Concurrent, Sharded, and the baseline engines (NewRStarEngine,
-// NewGridFileEngine, NewKDBEngine, each a Concurrent over a baseline
-// index). It is the contract the serving layer (internal/server) executes
-// against.
+// Index, Sharded, and the baseline engines (NewRStarEngine,
+// NewGridFileEngine, NewKDBEngine, each one RWMutex over a baseline index).
+// It is the contract the serving layer (internal/server) executes against.
 //
 // Answer semantics are the concrete type's: RSMI-backed engines answer
 // window and kNN queries approximately (no false positives; the Exact
@@ -76,10 +75,9 @@ type Engine interface {
 	ResetAccesses()
 }
 
-// Every engine implements the v2 API (the baseline engines are
-// Concurrents).
+// Every engine implements the v2 API (each baseline engine is a *locked).
 var (
 	_ Engine = (*Index)(nil)
-	_ Engine = (*Concurrent)(nil)
+	_ Engine = (*locked)(nil)
 	_ Engine = (*Sharded)(nil)
 )

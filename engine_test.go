@@ -31,12 +31,12 @@ func v2Engines(t *testing.T, pts []rsmi.Point) map[string]rsmi.Engine {
 		t.Fatal(err)
 	}
 	return map[string]rsmi.Engine{
-		"Index":      rsmi.New(pts, opts),
-		"Concurrent": rsmi.NewConcurrent(pts, opts),
-		"Sharded":    rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 3, Index: opts}),
-		"rstar":      rsmi.NewRStarEngine(pts, 0),
-		"grid":       grid,
-		"kdb":        rsmi.NewKDBEngine(pts, 0),
+		"Index":    rsmi.New(pts, opts),
+		"Sharded1": rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 1, Index: opts}),
+		"Sharded":  rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 3, Index: opts}),
+		"rstar":    rsmi.NewRStarEngine(pts, 0),
+		"grid":     grid,
+		"kdb":      rsmi.NewKDBEngine(pts, 0),
 	}
 }
 

@@ -52,10 +52,12 @@ func ExampleIndex_WindowQuery() {
 	// Output: 54 true true
 }
 
-func ExampleNewConcurrent() {
-	c := rsmi.NewConcurrent(gridPoints(), exampleOptions())
-	// A Concurrent answers on the Engine surface: every call takes a
-	// context, and its error is non-nil only once that context is done.
+func ExampleNewSharded_oneShard() {
+	// One shard is one RWMutex over one RSMI: the plain way to share an
+	// index between goroutines.
+	c := rsmi.NewSharded(gridPoints(), rsmi.ShardOptions{Shards: 1, Index: exampleOptions()})
+	// A Sharded answers on the Engine surface: every call takes a context,
+	// and its error is non-nil only once that context is done.
 	ctx := context.Background()
 
 	// Queries take a shared lock and run in parallel; updates are exclusive.

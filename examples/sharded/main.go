@@ -1,10 +1,9 @@
 // Sharded: partition an RSMI across shards, each behind its own lock, and
 // serve concurrent clients side by side. The program builds the same data
-// set behind (a) one index with a global RWMutex (rsmi.Concurrent) and (b)
-// an S-way sharded index (rsmi.Sharded), drives both with concurrent
-// clients running a mixed read/write workload, and reports throughput —
-// then shows that the sharded answers keep the single-index correctness
-// guarantees.
+// set as (a) rsmi.Sharded with Shards: 1 — one RWMutex over one index — and
+// (b) an S-way sharded index, drives both with concurrent clients running a
+// mixed read/write workload, and reports throughput — then shows that the
+// sharded answers keep the single-index correctness guarantees.
 package main
 
 import (
@@ -20,16 +19,9 @@ import (
 	"rsmi/internal/workload"
 )
 
-// engine is the slice of the ctx-first index API the workload driver
-// uses.
-type engine interface {
-	WindowQueryContext(ctx context.Context, q rsmi.Rect) ([]rsmi.Point, error)
-	InsertContext(ctx context.Context, p rsmi.Point) error
-}
-
 // drive runs ops operations (90% window queries, 10% inserts) across g
 // client goroutines and returns the wall-clock rate in kops/s.
-func drive(e engine, g, ops int, windows []rsmi.Rect, inserts []rsmi.Point) float64 {
+func drive(e *rsmi.Sharded, g, ops int, windows []rsmi.Rect, inserts []rsmi.Point) float64 {
 	ctx := context.Background()
 	var next int64 = -1
 	var wg sync.WaitGroup
@@ -64,10 +56,13 @@ func main() {
 	if shards < 4 {
 		shards = 4
 	}
-	fmt.Printf("building: 1 RSMI behind a RWMutex vs %d space-partitioned shards (n=%d)\n", shards, n)
-	conc := rsmi.NewConcurrent(pts, opts)
-	sh := rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: shards, Index: opts})
-	fmt.Printf("  %v\n", sh)
+	build := func(s int) *rsmi.Sharded {
+		return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: s, Index: opts})
+	}
+	fmt.Printf("building: 1 shard (one RWMutex over one RSMI) vs %d space-partitioned shards (n=%d)\n", shards, n)
+	one := build(1)
+	sh := build(shards)
+	fmt.Printf("  %v\n  %v\n", one, sh)
 
 	// The correctness guarantees compose across shards (ctx-first v2 API;
 	// errors are non-nil only on cancellation).
@@ -76,9 +71,9 @@ func main() {
 	w := rsmi.RectAround(rsmi.Pt(0.5, 0.1), 0.04, 0.04)
 	exact, _ := sh.ExactWindowContext(ctx, w)
 	approx, _ := sh.WindowQueryContext(ctx, w)
-	cFound, _ := conc.PointQueryContext(ctx, q)
+	oFound, _ := one.PointQueryContext(ctx, q)
 	sFound, _ := sh.PointQueryContext(ctx, q)
-	fmt.Printf("point query: concurrent=%v sharded=%v\n", cFound, sFound)
+	fmt.Printf("point query: 1 shard=%v %d shards=%v\n", oFound, shards, sFound)
 	fmt.Printf("window %v: exact=%d approx=%d (recall %.3f, no false positives)\n",
 		w, len(exact), len(approx), float64(len(approx))/float64(max(1, len(exact))))
 	knn, _ := sh.KNNContext(ctx, rsmi.Pt(0.5, 0.1), 5)
@@ -91,10 +86,8 @@ func main() {
 	fmt.Printf("\nmixed workload (90%% window / 10%% insert), %d ops, GOMAXPROCS=%d:\n",
 		ops, runtime.GOMAXPROCS(0))
 	for _, g := range []int{1, 4, 16} {
-		c := drive(rsmi.NewConcurrent(pts, opts), g, ops, windows,
-			workload.InsertPoints(pts, ops/10, int64(100+g)))
-		s := drive(rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: shards, Index: opts}), g, ops, windows,
-			workload.InsertPoints(pts, ops/10, int64(200+g)))
-		fmt.Printf("  g=%-3d  RWMutex %7.1f kops/s   Sharded %7.1f kops/s   (%.1fx)\n", g, c, s, s/c)
+		o := drive(build(1), g, ops, windows, workload.InsertPoints(pts, ops/10, int64(100+g)))
+		s := drive(build(shards), g, ops, windows, workload.InsertPoints(pts, ops/10, int64(200+g)))
+		fmt.Printf("  g=%-3d  1 shard %7.1f kops/s   %d shards %7.1f kops/s   (%.1fx)\n", g, o, shards, s, s/o)
 	}
 }

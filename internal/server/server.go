@@ -1,8 +1,7 @@
 // Package server is the network serving subsystem: it puts any
-// rsmi.Engine — the sharded RSMI, or one RWMutex wrapper
-// (rsmi.Concurrent) around the single index or a baseline (R*-tree, Grid
-// File, K-D-B-tree) — behind an HTTP+JSON API, so that backends are
-// compared fairly: every one serves through the identical stack
+// rsmi.Engine — the sharded RSMI, or a baseline (R*-tree, Grid File,
+// K-D-B-tree) under one RWMutex — behind an HTTP+JSON API, so that
+// backends are compared fairly: every one serves through the identical stack
 // ("Evaluating Learned Spatial Indexes", PAPERS.md, on wall-clock
 // comparisons under one harness).
 //
@@ -73,10 +72,9 @@ import (
 )
 
 // Engine is the index surface the server serves: the public context-aware
-// rsmi.Engine v2 API, implemented by rsmi.Index, rsmi.Concurrent (which
-// also backs the baseline engines, rsmi.NewBaselineEngine) and
-// rsmi.Sharded, so one serving stack fronts every backend of the paper's
-// evaluation.
+// rsmi.Engine v2 API, implemented by rsmi.Index, rsmi.Sharded and the
+// baseline engines (rsmi.NewBaselineEngine), so one serving stack fronts
+// every backend of the paper's evaluation.
 // Handlers thread each request's context into the engine; Sharded
 // observes it between shard visits.
 type Engine = rsmi.Engine
@@ -129,9 +127,6 @@ type Config struct {
 	// loses notifications under drop-and-mark semantics — the write path
 	// is never blocked by a slow consumer.
 	SubOutbox int
-	// SubGridOrder sets the subscription matcher's grid resolution to
-	// 2^order cells per side (default 6: a 64×64 grid).
-	SubGridOrder int
 	// DisableSubs turns the standing-query layer off even when the
 	// engine could support it; SUB frames then answer 501.
 	DisableSubs bool

@@ -53,8 +53,8 @@ type hookAdder interface {
 }
 
 // initSubs builds the subscription registry and installs its write tap.
-// Servers whose engine exposes no write hooks (a Concurrent, over an
-// Index or a baseline) get no registry and answer SUB frames with 501.
+// Servers whose engine exposes no write hooks (an Index, a baseline
+// engine, the planner) get no registry and answer SUB frames with 501.
 func (s *Server) initSubs() {
 	var install func(h shard.WriteHook) func()
 	switch {
@@ -76,21 +76,18 @@ func (s *Server) initSubs() {
 	if install == nil {
 		return
 	}
-	s.subs = sub.NewRegistry(sub.Options{
-		GridOrder: s.cfg.SubGridOrder,
-		Requery: func(c geom.Point, k int) []geom.Point {
-			// The refill read runs on the registry dispatcher, not inside
-			// any request; bound it so a wedged engine cannot stall the
-			// matcher forever.
-			//rsmi:allow ctxflow -- registry-dispatcher refill; no request context exists here
-			ctx, cancel := context.WithTimeout(context.Background(), streamWriteTimeout)
-			defer cancel()
-			pts, err := s.eng.KNNContext(ctx, c, k)
-			if err != nil {
-				return nil
-			}
-			return pts
-		},
+	s.subs = sub.NewRegistry(func(c geom.Point, k int) []geom.Point {
+		// The refill read runs on the registry dispatcher, not inside any
+		// request; bound it so a wedged engine cannot stall the matcher
+		// forever.
+		//rsmi:allow ctxflow -- registry-dispatcher refill; no request context exists here
+		ctx, cancel := context.WithTimeout(context.Background(), streamWriteTimeout)
+		defer cancel()
+		pts, err := s.eng.KNNContext(ctx, c, k)
+		if err != nil {
+			return nil
+		}
+		return pts
 	})
 	s.subRemove = install(s.subs.Offer)
 }

@@ -16,12 +16,11 @@ import (
 // exactly the slice WindowQueryContext returns — same points, same order —
 // for both partitionings, including degenerate windows.
 func TestBatchWindowMatchesPerQuery(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
 			pts := dataset.Generate(dataset.Skewed, 3000, 31)
-			s := New(pts, quickOpts(parts, 4))
+			s := New(pts, quickOpts(l.shards))
 			qs := workload.Windows(pts, 40, 0.01, 1, 33)
 			// Degenerate and disjoint windows ride along.
 			qs = append(qs,
@@ -51,12 +50,11 @@ func TestBatchWindowMatchesPerQuery(t *testing.T) {
 // TestBatchPointMatchesPerQuery checks batch point probes against
 // per-query answers, hits and misses alike.
 func TestBatchPointMatchesPerQuery(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
 			pts := dataset.Generate(dataset.Uniform, 2000, 35)
-			s := New(pts, quickOpts(parts, 4))
+			s := New(pts, quickOpts(l.shards))
 			rng := rand.New(rand.NewSource(37))
 			var qs []geom.Point
 			for i := 0; i < 300; i++ {
@@ -81,12 +79,11 @@ func TestBatchPointMatchesPerQuery(t *testing.T) {
 // exactly k of them at workload-scale k, where the expanding per-shard
 // searches always fill up — with nil for k <= 0.
 func TestBatchKNNInvariants(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
 			pts := dataset.Generate(dataset.Skewed, 2000, 41)
-			s := New(pts, quickOpts(parts, 4))
+			s := New(pts, quickOpts(l.shards))
 			lin := index.NewLinear(pts)
 			var qs []KNNQuery
 			for i, q := range workload.KNNPoints(pts, 30, 43) {
@@ -133,7 +130,7 @@ func TestBatchKNNInvariants(t *testing.T) {
 // TestBatchEmpty covers zero-length batches and batches against an empty
 // index.
 func TestBatchEmpty(t *testing.T) {
-	s := New(nil, quickOpts(Space, 4))
+	s := New(nil, quickOpts(4))
 	if got := must(s.BatchWindowQueryContext(bg, nil)); len(got) != 0 {
 		t.Fatalf("empty window batch returned %d", len(got))
 	}
@@ -161,7 +158,7 @@ func TestBatchEmpty(t *testing.T) {
 // identical.
 func TestBatchWindowConcurrentInserts(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 2500, 47)
-	s := New(pts, quickOpts(Space, 4))
+	s := New(pts, quickOpts(4))
 	ins := workload.InsertPoints(pts, 1000, 48)
 	known := make(map[geom.Point]bool, len(pts)+len(ins))
 	for _, p := range pts {

@@ -113,9 +113,9 @@ func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.
 
 // InsertContext adds p, routing it to its owning shard and taking only
 // that shard's write lock, so inserts into different shards run
-// concurrently. Under space partitioning the owner is the shard whose
-// region needs the least enlargement to cover p (ties to the smaller
-// region, then the lower shard id), and the chosen region is extended.
+// concurrently. The owner is the shard whose region needs the least
+// enlargement to cover p (ties to the smaller region, then the lower shard
+// id), and the chosen region is extended.
 //
 // ctx is honoured at entry; an admitted insert always completes (a
 // half-applied update would corrupt the owning shard). A point that cannot
@@ -128,12 +128,7 @@ func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 	if !p.IsFinite() {
 		return core.ErrNonFinitePoint
 	}
-	var sh *state
-	if s.opts.Partitioning == Hash {
-		sh = s.owner(p)
-	} else {
-		sh = s.routeSpace(p)
-	}
+	sh := s.route(p)
 	sh.mu.Lock()
 	sh.idx.Insert(p)
 	sh.storeRegion(sh.loadRegion().ExtendPoint(p))

@@ -17,14 +17,13 @@ import (
 // KNNContext does — same points, same order — under both partitionings and
 // through inserts, deletes, a rolling rebuild and a snapshot reload.
 func TestBatchKNNMatchesPerQuery(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
 			rng := rand.New(rand.NewSource(61))
 			pts := dataset.Generate(dataset.Skewed, 3000, 59)
-			s := New(pts, quickOpts(parts, 4))
+			s := New(pts, quickOpts(l.shards))
 			lin := index.NewLinear(pts)
 			check := func(stage string) {
 				t.Helper()
@@ -100,7 +99,7 @@ func TestBatchKNNMatchesPerQuery(t *testing.T) {
 // and says so in its trace.
 func TestKNNSearchesOnlyShardsItNeeds(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 4000, 71)
-	s := New(pts, quickOpts(Space, 4))
+	s := New(pts, quickOpts(4))
 	// The centre of shard 2's region: its 3 nearest neighbours are far nearer
 	// than any other shard's region.
 	q := s.shards[2].loadRegion().Center()
@@ -176,7 +175,7 @@ func TestMergeNearest(t *testing.T) {
 func TestShardedReadPathAllocs(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 4000, 79)
 	for _, workers := range []int{1, 4} {
-		opts := quickOpts(Space, 4)
+		opts := quickOpts(4)
 		opts.Workers = workers
 		s := New(pts, opts)
 		ctx := context.Background()

@@ -18,13 +18,19 @@ import (
 // Snapshot serialisation. Training at paper scale takes hours (§6.2.2), so
 // a serving deployment builds once and reloads across restarts
 // (cmd/rsmi-serve -snapshot). The format is the shard layout — options,
-// partitioning, per-shard routing regions — with each shard's RSMI
-// embedded as a length-prefixed core stream (the existing
-// internal/core / internal/store writers), so a loaded index answers every
-// query identically to the original.
+// per-shard routing regions — with each shard's RSMI embedded as a
+// length-prefixed core stream (the existing internal/core / internal/store
+// writers), so a loaded index answers every query identically to the
+// original.
 
 // shardMagic identifies the sharded snapshot file format.
 var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '1', 0}
+
+// spacePartitioned is the header's partitioning word. Every shard layout is
+// contiguous curve runs, so it is always written 0; the word stays so that
+// no byte of the format moves, and Load refuses a file that claims another
+// partitioning (1 was hash partitioning, whose point routing is gone).
+const spacePartitioned = 0
 
 // WriteTo serialises the index. It implements io.WriterTo. Each shard is
 // serialised under its read lock (taken one shard at a time, like a
@@ -53,7 +59,7 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 		raw = 1
 	}
 	for _, v := range []interface{}{
-		int64(len(s.shards)), int64(o.Workers), int64(o.Partitioning),
+		int64(len(s.shards)), int64(o.Workers), int64(spacePartitioned),
 		int64(o.Index.BlockCapacity), int64(o.Index.PartitionThreshold),
 		int64(o.Index.Curve), o.Index.LearningRate, int64(o.Index.Epochs),
 		o.Index.TargetLoss, int64(o.Index.Gamma), o.Index.Delta,
@@ -119,18 +125,17 @@ func Load(r io.Reader) (*Sharded, error) {
 			return nil, fmt.Errorf("shard: read header: %w", err)
 		}
 	}
-	shards, workers, parts := i64[0], i64[1], Partitioning(i64[2])
+	shards, workers, parts := i64[0], i64[1], i64[2]
 	const maxShards = 1 << 16
 	if shards < 1 || shards > maxShards || workers < 1 || workers > maxShards {
 		return nil, fmt.Errorf("shard: implausible layout shards=%d workers=%d", shards, workers)
 	}
-	if parts != Space && parts != Hash {
-		return nil, fmt.Errorf("shard: unknown partitioning %d", parts)
+	if parts != spacePartitioned {
+		return nil, fmt.Errorf("shard: partitioning %d is not space partitioning (0); rebuild the index from its points", parts)
 	}
 	s := &Sharded{opts: Options{
-		Shards:       int(shards),
-		Workers:      int(workers),
-		Partitioning: parts,
+		Shards:  int(shards),
+		Workers: int(workers),
 		Index: core.Options{
 			BlockCapacity:      int(i64[3]),
 			PartitionThreshold: int(i64[4]),

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"rsmi/internal/core"
@@ -45,11 +46,11 @@ func snapshotSansBuildTimes(t *testing.T, s *Sharded) []byte {
 func TestBuildDeterministic(t *testing.T) {
 	pts := dataset.Generate(dataset.OSMLike, 5000, 57)
 	pts = append(pts, pts[:250]...) // duplicate points: ties in every sort
-	for _, parts := range []Partitioning{Space, Hash} {
-		a := snapshotSansBuildTimes(t, New(pts, quickOpts(parts, 4)))
-		b := snapshotSansBuildTimes(t, New(pts, quickOpts(parts, 4)))
+	for _, l := range layouts {
+		a := snapshotSansBuildTimes(t, New(pts, quickOpts(l.shards)))
+		b := snapshotSansBuildTimes(t, New(pts, quickOpts(l.shards)))
 		if !bytes.Equal(a, b) {
-			t.Errorf("%v: two builds of the same input wrote different snapshots (%d and %d bytes)", parts, len(a), len(b))
+			t.Errorf("%s: two builds of the same input wrote different snapshots (%d and %d bytes)", l.name, len(a), len(b))
 		}
 	}
 }
@@ -59,12 +60,11 @@ func TestBuildDeterministic(t *testing.T) {
 // identically to the original — the restart-without-retraining guarantee
 // behind cmd/rsmi-serve -snapshot.
 func TestShardedRoundTrip(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
 			pts := dataset.Generate(dataset.Skewed, 2500, 51)
-			s := New(pts, quickOpts(parts, 4))
+			s := New(pts, quickOpts(l.shards))
 			for _, p := range workload.InsertPoints(pts, 400, 52) {
 				mustInsert(t, s, p)
 			}
@@ -135,7 +135,7 @@ func TestShardedRoundTrip(t *testing.T) {
 
 // TestShardedRoundTripEmpty covers the degenerate snapshot.
 func TestShardedRoundTripEmpty(t *testing.T) {
-	s := New(nil, quickOpts(Space, 3))
+	s := New(nil, quickOpts(3))
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -160,7 +160,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	// A truncated valid prefix must error, not hang or panic.
 	pts := dataset.Generate(dataset.Uniform, 500, 55)
-	s := New(pts, quickOpts(Space, 2))
+	s := New(pts, quickOpts(2))
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -174,7 +174,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // embedded shard streams are RSMIv1 is refused with core's explanation, not
 // loaded with error bounds that no longer hold.
 func TestLoadRefusesV1(t *testing.T) {
-	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(Space, 2))
+	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
@@ -255,6 +255,10 @@ func FuzzLoadSharded(f *testing.F) {
 	})
 }
 
+// partitioningWord is the byte offset of the header's partitioning word:
+// after the magic, the shard count and the worker count.
+const partitioningWord = 8 + 2*8
+
 // shardZero locates fields of the first shard of a snapshot, by byte offset,
 // for the tampering tests: the offsets follow WriteTo here and in core and
 // store, one field at a time.
@@ -299,14 +303,15 @@ func locate(t *testing.T, snap []byte) shardZero {
 	}
 }
 
-// tamperings are snapshots the loader has to refuse, each a field or two of
-// the first shard changed, by name.
+// tamperings are snapshots the loader has to refuse, each a header word or a
+// field or two of the first shard changed, by name.
 func tamperings(t *testing.T, seed []byte) map[string][]byte {
 	z := locate(t, seed)
 	word := func(at int) uint64 { return binary.LittleEndian.Uint64(seed[at:]) }
 	f64 := math.Float64bits
 	out := map[string][]byte{}
 	for name, edits := range map[string][][2]uint64{
+		"partitioning-1":       {{partitioningWord, 1}},        // hash partitioning, routed by a hash no longer kept
 		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
 		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
 		"block-list-loops":     {{uint64(z.firstNext), 0}},              // block 0 links to itself
@@ -336,8 +341,11 @@ func TestLoadRefusesTampered(t *testing.T) {
 	seeds := loadSeeds(t)
 	for _, seedName := range []string{"hilbert-1shard", "z-3shard"} {
 		for name, snap := range tamperings(t, seeds[seedName]) {
-			if _, err := Load(bytes.NewReader(snap)); err == nil {
+			_, err := Load(bytes.NewReader(snap))
+			if err == nil {
 				t.Errorf("%s, %s: Load accepted it", seedName, name)
+			} else if name == "partitioning-1" && !strings.Contains(err.Error(), "partitioning") {
+				t.Errorf("%s, %s: Load refused it with %q, which does not name the partitioning", seedName, name, err)
 			}
 		}
 	}

@@ -6,22 +6,21 @@
 // visits the shards it needs one after another, and a batch is a loop of
 // single queries. Only New trains the shards in parallel.
 //
-// # Partitioning
+// # Space partitioning
 //
-// Space partitioning (the default) orders all points by the same rank-space
-// curve-value technique the RSMI leaves use (§3.1) and cuts the ordering
-// into S contiguous runs, so each shard covers a compact region of the
-// curve and window queries touch few shards. Hash partitioning spreads
-// points by a coordinate hash; it gives perfect balance under any update
-// skew at the price of every window/kNN query visiting every shard.
+// New orders all points by the same rank-space curve-value technique the
+// RSMI leaves use (§3.1) and cuts the ordering into S contiguous runs, so
+// each shard covers a compact region of the curve and window queries touch
+// few shards. Each shard's routing region is the bounding rectangle of its
+// points, extended by the inserts routed to it.
 //
 // # Concurrency
 //
 // Each shard owns a sync.RWMutex: queries on one shard take its read lock
 // and run in parallel with queries on every shard, while updates take only
 // the owning shard's write lock, so updates on different shards proceed
-// concurrently — unlike the single global RWMutex of rsmi.Concurrent,
-// which serialises every update against all queries. RebuildContext is
+// concurrently. With S = 1 this is one RWMutex over one RSMI, which
+// serialises every update against all queries. RebuildContext is
 // rolling: one shard retrains at a time while the rest keep serving,
 // bounding the stall a periodic rebuild (§5) inflicts on live queries to a
 // single shard's retraining time.
@@ -58,33 +57,8 @@ import (
 	"rsmi/internal/store"
 )
 
-// Partitioning selects how points are assigned to shards.
-type Partitioning int
-
-const (
-	// Space cuts the rank-space curve ordering into S contiguous runs
-	// (compact shard regions; window queries touch few shards).
-	Space Partitioning = iota
-	// Hash assigns points by a coordinate hash (perfect balance; every
-	// window/kNN query fans out to all shards).
-	Hash
-)
-
-// String implements fmt.Stringer.
-func (p Partitioning) String() string {
-	switch p {
-	case Space:
-		return "space"
-	case Hash:
-		return "hash"
-	default:
-		return fmt.Sprintf("shard.Partitioning(%d)", int(p))
-	}
-}
-
 // Options configures a Sharded index. The zero value selects GOMAXPROCS
-// shards, space partitioning, and the paper-default core.Options for every
-// shard.
+// shards and the paper-default core.Options for every shard.
 type Options struct {
 	// Shards is S, the number of independent RSMI instances (default
 	// GOMAXPROCS, minimum 1).
@@ -96,8 +70,6 @@ type Options struct {
 	// field stays because benchmark/workload.go sets it; it is still
 	// defaulted to Shards and kept in snapshots, so no snapshot byte moves.
 	Workers int
-	// Partitioning selects Space (default) or Hash assignment.
-	Partitioning Partitioning
 	// Index configures each shard's RSMI; the zero value selects the
 	// paper's defaults, as in core.Options.
 	Index core.Options
@@ -211,18 +183,11 @@ func deriveIndexOptions(opts Options, n int) core.Options {
 	return io
 }
 
-// partition assigns pts to opts.Shards groups.
+// partition assigns pts to opts.Shards groups: contiguous runs of the
+// rank-space curve ordering (§3.1), the same ordering RSMI leaves pack
+// blocks in.
 func partition(pts []geom.Point, opts Options) [][]geom.Point {
 	parts := make([][]geom.Point, opts.Shards)
-	if opts.Partitioning == Hash {
-		for _, p := range pts {
-			i := int(hashPoint(p) % uint64(opts.Shards))
-			parts[i] = append(parts[i], p)
-		}
-		return parts
-	}
-	// Space: contiguous runs of the rank-space curve ordering (§3.1), the
-	// same ordering RSMI leaves pack blocks in.
 	ordered := rank.Order(pts, opts.Index.Curve)
 	per := (len(ordered) + opts.Shards - 1) / opts.Shards
 	if per == 0 {
@@ -242,32 +207,6 @@ func partition(pts []geom.Point, opts Options) [][]geom.Point {
 	return parts
 }
 
-// hashPoint is FNV-1a over the coordinate bit patterns: deterministic, so
-// hash routing is stable across the index's lifetime. Zeros are normalised
-// first — -0.0 == +0.0 for point equality, so both must route to the same
-// shard.
-func hashPoint(p geom.Point) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	x, y := p.X, p.Y
-	if x == 0 {
-		x = 0
-	}
-	if y == 0 {
-		y = 0
-	}
-	h := uint64(offset)
-	for _, v := range [2]uint64{math.Float64bits(x), math.Float64bits(y)} {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	return h
-}
-
 // NumShards returns S.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
@@ -279,26 +218,13 @@ func (s *Sharded) Name() string { return "Sharded" }
 
 // String summarises the index.
 func (s *Sharded) String() string {
-	return fmt.Sprintf("Sharded{shards=%d partitioning=%s n=%d}",
-		len(s.shards), s.opts.Partitioning, s.Len())
-}
-
-// owner returns the shard that hash routing assigns p to.
-func (s *Sharded) owner(p geom.Point) *state {
-	return s.shards[int(hashPoint(p)%uint64(len(s.shards)))]
+	return fmt.Sprintf("Sharded{shards=%d n=%d}", len(s.shards), s.Len())
 }
 
 // pointCandidate returns the index of the first shard at or after from that
-// may hold a point with exactly p's coordinates, or -1: the hash owner under
-// hash partitioning, or a shard whose region contains p under space
-// partitioning (regions can overlap once inserts have extended them).
+// may hold a point with exactly p's coordinates — one whose region contains
+// p (regions can overlap once inserts have extended them) — or -1.
 func (s *Sharded) pointCandidate(p geom.Point, from int) int {
-	if s.opts.Partitioning == Hash {
-		if own := int(hashPoint(p) % uint64(len(s.shards))); own >= from {
-			return own
-		}
-		return -1
-	}
 	for i := from; i < len(s.shards); i++ {
 		if s.shards[i].loadRegion().Contains(p) {
 			return i
@@ -307,11 +233,10 @@ func (s *Sharded) pointCandidate(p geom.Point, from int) int {
 	return -1
 }
 
-// routeSpace picks the insert target under space partitioning: the shard
-// whose region needs the least enlargement, ties to the smaller region,
-// then the lower shard id. Empty shards are considered only when every
-// shard is empty.
-func (s *Sharded) routeSpace(p geom.Point) *state {
+// route picks the insert target: the shard whose region needs the least
+// enlargement, ties to the smaller region, then the lower shard id. Empty
+// shards are considered only when every shard is empty.
+func (s *Sharded) route(p geom.Point) *state {
 	var best *state
 	bestEnl, bestArea := math.Inf(1), math.Inf(1)
 	for _, sh := range s.shards {

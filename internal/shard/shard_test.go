@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -35,11 +34,10 @@ func mustInsert(t testing.TB, s *Sharded, p geom.Point) {
 }
 
 // quickOpts keeps shard builds fast at test scale.
-func quickOpts(parts Partitioning, shards int) Options {
+func quickOpts(shards int) Options {
 	return Options{
-		Shards:       shards,
-		Workers:      shards,
-		Partitioning: parts,
+		Shards:  shards,
+		Workers: shards,
 		Index: core.Options{
 			BlockCapacity:      50,
 			PartitionThreshold: 500,
@@ -49,6 +47,14 @@ func quickOpts(parts Partitioning, shards int) Options {
 		},
 	}
 }
+
+// layouts are the shard counts the layout-sensitive tests run under, by
+// subtest name: one shard, which is one lock over one RSMI, and four
+// space-partitioned shards.
+var layouts = []struct {
+	name   string
+	shards int
+}{{"one-shard", 1}, {"space", 4}}
 
 func sortedCopy(pts []geom.Point) []geom.Point {
 	out := append([]geom.Point(nil), pts...)
@@ -143,14 +149,13 @@ func checkAgainstLinear(t *testing.T, s *Sharded, lin *index.Linear, pts []geom.
 }
 
 func TestShardedMatchesLinear(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
+	for _, l := range layouts {
 		for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Skewed} {
-			parts, kind := parts, kind
-			t.Run(parts.String()+"/"+kind.String(), func(t *testing.T) {
+			t.Run(l.name+"/"+kind.String(), func(t *testing.T) {
 				t.Parallel()
 				pts := dataset.Generate(kind, 3000, 7)
-				s := New(pts, quickOpts(parts, 4))
-				if s.NumShards() != 4 {
+				s := New(pts, quickOpts(l.shards))
+				if s.NumShards() != l.shards {
 					t.Fatalf("NumShards = %d", s.NumShards())
 				}
 				lin := index.NewLinear(pts)
@@ -161,12 +166,11 @@ func TestShardedMatchesLinear(t *testing.T) {
 }
 
 func TestShardedUpdates(t *testing.T) {
-	for _, parts := range []Partitioning{Space, Hash} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
 			pts := dataset.Generate(dataset.Skewed, 2500, 9)
-			s := New(pts, quickOpts(parts, 4))
+			s := New(pts, quickOpts(l.shards))
 			lin := index.NewLinear(pts)
 
 			ins := workload.InsertPoints(pts, 800, 10)
@@ -202,7 +206,7 @@ func TestShardedUpdates(t *testing.T) {
 // per-shard locking must pass.
 func TestShardedParallelMixed(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 2500, 15)
-	s := New(pts, quickOpts(Space, 4))
+	s := New(pts, quickOpts(4))
 	ins := workload.InsertPoints(pts, 1200, 16)
 	ws := workload.Windows(pts, 50, 0.01, 1, 17)
 
@@ -281,7 +285,7 @@ func TestShardedDefaults(t *testing.T) {
 // work, including inserts routed to initially-empty structures.
 func TestShardedMoreShardsThanPoints(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 3, 19)
-	s := New(pts, quickOpts(Space, 8))
+	s := New(pts, quickOpts(8))
 	for _, p := range pts {
 		if !must(s.PointQueryContext(bg, p)) {
 			t.Fatalf("point %v missing", p)
@@ -297,39 +301,8 @@ func TestShardedMoreShardsThanPoints(t *testing.T) {
 	}
 }
 
-func TestHashPointDeterministic(t *testing.T) {
-	p := geom.Pt(0.25, 0.75)
-	if hashPoint(p) != hashPoint(p) {
-		t.Fatal("hashPoint not deterministic")
-	}
-	if hashPoint(geom.Pt(0.25, 0.75)) == hashPoint(geom.Pt(0.75, 0.25)) {
-		t.Fatal("hashPoint ignores coordinate order")
-	}
-	// -0.0 == +0.0 as points, so they must route identically.
-	negZero := math.Copysign(0, -1)
-	if hashPoint(geom.Pt(negZero, 0.5)) != hashPoint(geom.Pt(0, 0.5)) {
-		t.Fatal("hashPoint distinguishes -0.0 from +0.0")
-	}
-}
-
-// Under hash partitioning, a point stored with +0.0 must be found and
-// deletable when queried with -0.0 (point equality treats them equal, as
-// the single-index RSMI does).
-func TestHashPartitionSignedZero(t *testing.T) {
-	pts := dataset.Generate(dataset.Uniform, 600, 23)
-	pts = append(pts, geom.Pt(0, 0.5))
-	s := New(pts, quickOpts(Hash, 4))
-	negZero := math.Copysign(0, -1)
-	if !must(s.PointQueryContext(bg, geom.Pt(negZero, 0.5))) {
-		t.Fatal("PointQuery(-0.0) missed point stored as +0.0")
-	}
-	if !must(s.DeleteContext(bg, geom.Pt(negZero, 0.5))) {
-		t.Fatal("Delete(-0.0) failed for point stored as +0.0")
-	}
-}
-
 func TestEmptySharded(t *testing.T) {
-	s := New(nil, quickOpts(Space, 4))
+	s := New(nil, quickOpts(4))
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d", s.Len())
 	}

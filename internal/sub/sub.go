@@ -34,10 +34,10 @@
 // current k-nearest member set incrementally: an insert closer than the
 // current k-th neighbour enters the set (notifying the insert and the
 // evicted member), and a delete of a member triggers a refill re-query
-// against the engine (Options.Requery) whose newly admitted points are
-// notified as inserts. kNN membership is therefore best-effort during
-// concurrent write storms — the member set converges to the true k
-// nearest once writes quiesce.
+// against the engine (the Requery handed to NewRegistry) whose newly
+// admitted points are notified as inserts. kNN membership is therefore
+// best-effort during concurrent write storms — the member set converges to
+// the true k nearest once writes quiesce.
 package sub
 
 import (
@@ -120,41 +120,17 @@ func (s ChanSink) Send(n Notification) bool {
 // (deleted members are just dropped from the set).
 type Requery func(center geom.Point, k int) []geom.Point
 
-// Options configures a Registry.
-type Options struct {
-	// Universe is the data-space rectangle the grid covers (default the
-	// unit square). Points and windows outside it are clamped to the
-	// border cells, so out-of-universe activity still matches correctly,
-	// just without grid selectivity.
-	Universe geom.Rect
-	// GridOrder sets the rank-space grid resolution to 2^GridOrder cells
-	// per side (default 6: a 64×64 grid). Higher orders buy selectivity
-	// at denser subscription loads for more cells per subscription.
-	GridOrder int
-	// Curve selects the space-filling curve keying the grid cells
-	// (default sfc.Hilbert, the RSMI default).
-	Curve sfc.Kind
-	// Requery refills kNN member sets after deletes (may be nil).
-	Requery Requery
-	// MaxKNNK bounds a kNN subscription's K (default 1024).
-	MaxKNNK int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Universe.IsEmpty() {
-		o.Universe = geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
-	}
-	if o.GridOrder <= 0 {
-		o.GridOrder = 6
-	}
-	if o.GridOrder > sfc.MaxOrder {
-		o.GridOrder = sfc.MaxOrder
-	}
-	if o.MaxKNNK <= 0 {
-		o.MaxKNNK = 1024
-	}
-	return o
-}
+// The matcher's grid: gridOrder bits per axis (a 64×64 grid) over the unit
+// square, the data space of every generated and loaded data set, with cells
+// keyed by the Hilbert curve, the RSMI default. Points and windows outside
+// the unit square are clamped to the border cells, so out-of-universe
+// activity still matches correctly, just without grid selectivity.
+const (
+	gridOrder = 6
+	gridSide  = 1 << gridOrder
+	// maxKNNK bounds a kNN subscription's K.
+	maxKNNK = 1024
+)
 
 // Counters is a snapshot of the Registry's lifetime tallies.
 type Counters struct {
@@ -201,9 +177,8 @@ type event struct {
 // matcher. Create with NewRegistry, feed writes through Offer (usually
 // via shard.AddWriteHook), and stop with Close.
 type Registry struct {
-	opts  Options
-	curve sfc.Curve
-	side  int // grid cells per side
+	requery Requery
+	curve   sfc.Curve
 
 	// mu guards the subscription structures (cells, unbounded, conns)
 	// and every subscription's mutable state.
@@ -227,16 +202,15 @@ type Registry struct {
 }
 
 // NewRegistry builds a Registry and starts its dispatcher goroutine.
-func NewRegistry(o Options) *Registry {
-	o = o.withDefaults()
+// requery refills kNN member sets after deletes (may be nil).
+func NewRegistry(requery Requery) *Registry {
 	r := &Registry{
-		opts:   o,
-		curve:  sfc.New(o.Curve, uint(o.GridOrder)),
-		side:   1 << o.GridOrder,
-		cells:  make(map[uint64][]*subscription),
-		conns:  make(map[uint64]map[uint64]*subscription),
-		signal: make(chan struct{}, 1),
-		done:   make(chan struct{}),
+		requery: requery,
+		curve:   sfc.New(sfc.Hilbert, gridOrder),
+		cells:   make(map[uint64][]*subscription),
+		conns:   make(map[uint64]map[uint64]*subscription),
+		signal:  make(chan struct{}, 1),
+		done:    make(chan struct{}),
 	}
 	go r.run()
 	return r
@@ -275,8 +249,8 @@ func (r *Registry) Subscribe(connID uint64, spec Spec, sink Sink) error {
 			return errors.New("sub: inverted window")
 		}
 	case KindKNN:
-		if spec.K <= 0 || spec.K > r.opts.MaxKNNK {
-			return fmt.Errorf("sub: k %d out of range [1, %d]", spec.K, r.opts.MaxKNNK)
+		if spec.K <= 0 || spec.K > maxKNNK {
+			return fmt.Errorf("sub: k %d out of range [1, %d]", spec.K, maxKNNK)
 		}
 	default:
 		return fmt.Errorf("sub: unknown subscription kind %d", spec.Kind)
@@ -287,8 +261,8 @@ func (r *Registry) Subscribe(connID uint64, spec Spec, sink Sink) error {
 		s.radius = math.Inf(1)
 		// Seed the member set from the current index so the subscriber's
 		// baseline query and our incremental view start aligned.
-		if r.opts.Requery != nil {
-			for _, p := range r.opts.Requery(spec.Center, spec.K) {
+		if r.requery != nil {
+			for _, p := range r.requery(spec.Center, spec.K) {
 				s.members[p]++
 				s.nMember++
 			}
@@ -476,11 +450,11 @@ func (r *Registry) matchKNN(s *subscription, ev event) {
 		}
 		removeMember(s, ev.op.P)
 		r.emit(s, shard.WriteDelete, ev.op.P, ev.at)
-		if r.opts.Requery != nil {
+		if r.requery != nil {
 			// Refill from the engine: whatever is newly in the k nearest
 			// is notified as an insert. The engine read takes shard read
 			// locks only — never the write lock the hook runs under.
-			for _, p := range r.opts.Requery(s.spec.Center, s.spec.K) {
+			for _, p := range r.requery(s.spec.Center, s.spec.K) {
 				if s.members[p] > 0 {
 					continue
 				}
@@ -569,14 +543,14 @@ func (r *Registry) scope(s *subscription) (geom.Rect, bool) {
 // cellKey maps a point to its grid cell's curve key, clamping
 // out-of-universe coordinates to the border cells.
 func (r *Registry) cellKey(p geom.Point) uint64 {
-	return r.curve.Value(r.cellX(p.X), r.cellY(p.Y))
+	return r.curve.Value(cellOf(p.X), cellOf(p.Y))
 }
 
 // cellKeys returns the curve keys of every grid cell a rectangle
 // overlaps.
 func (r *Registry) cellKeys(rect geom.Rect) []uint64 {
-	x0, x1 := r.cellX(rect.MinX), r.cellX(rect.MaxX)
-	y0, y1 := r.cellY(rect.MinY), r.cellY(rect.MaxY)
+	x0, x1 := cellOf(rect.MinX), cellOf(rect.MaxX)
+	y0, y1 := cellOf(rect.MinY), cellOf(rect.MaxY)
 	keys := make([]uint64, 0, (x1-x0+1)*(y1-y0+1))
 	for x := x0; x <= x1; x++ {
 		for y := y0; y <= y1; y++ {
@@ -586,24 +560,14 @@ func (r *Registry) cellKeys(rect geom.Rect) []uint64 {
 	return keys
 }
 
-// cellX / cellY map a coordinate to a clamped grid column / row.
-func (r *Registry) cellX(x float64) uint32 {
-	return r.cellOf(x, r.opts.Universe.MinX, r.opts.Universe.MaxX)
-}
-func (r *Registry) cellY(y float64) uint32 {
-	return r.cellOf(y, r.opts.Universe.MinY, r.opts.Universe.MaxY)
-}
-
-func (r *Registry) cellOf(v, lo, hi float64) uint32 {
-	if hi <= lo {
-		return 0
-	}
-	c := int(math.Floor((v - lo) / (hi - lo) * float64(r.side)))
+// cellOf maps a unit-square coordinate to its clamped grid column or row.
+func cellOf(v float64) uint32 {
+	c := int(math.Floor(v * gridSide))
 	if c < 0 {
 		c = 0
 	}
-	if c >= r.side {
-		c = r.side - 1
+	if c >= gridSide {
+		c = gridSide - 1
 	}
 	return uint32(c)
 }

@@ -62,7 +62,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // exactly what re-running the window query before and after each write
 // would show, in order.
 func TestWindowOracle(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	sink := newDrainSink()
 	win := geom.Rect{MinX: 0.25, MinY: 0.25, MaxX: 0.6, MaxY: 0.6}
 	if err := r.Subscribe(1, Spec{ID: 7, Kind: KindWindow, Window: win}, sink); err != nil {
@@ -124,7 +124,7 @@ func TestKNNIncremental(t *testing.T) {
 	}
 
 	store = []geom.Point{geom.Pt(0.51, 0.5), geom.Pt(0.55, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.9, 0.9)}
-	r := NewRegistry(Options{Requery: requery})
+	r := NewRegistry(requery)
 	defer r.Close()
 	sink := newDrainSink()
 	if err := r.Subscribe(1, Spec{ID: 1, Kind: KindKNN, Center: center, K: 3}, sink); err != nil {
@@ -182,7 +182,7 @@ func TestKNNIncremental(t *testing.T) {
 // sink never blocks the dispatcher; refused notifications are dropped
 // and the next delivered one carries Missed.
 func TestSlowConsumerDropAndMark(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	defer r.Close()
 	sink := ChanSink{C: make(chan Notification, 1)}
 	win := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
@@ -226,7 +226,7 @@ func TestSlowConsumerDropAndMark(t *testing.T) {
 
 // TestSubscribeValidation covers the registration error surface.
 func TestSubscribeValidation(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	defer r.Close()
 	sink := newDrainSink()
 
@@ -259,7 +259,7 @@ func TestSubscribeValidation(t *testing.T) {
 // TestUnsubscribeAndDropConn pins removal bookkeeping: unsubscribed
 // and dropped connections stop matching, and the counters balance.
 func TestUnsubscribeAndDropConn(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	defer r.Close()
 	sink := newDrainSink()
 	win := geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}
@@ -297,7 +297,7 @@ func TestUnsubscribeAndDropConn(t *testing.T) {
 // of small disjoint windows, a write matches only its cell's
 // subscriptions, and the whole stream is matched correctly.
 func TestManySubscribersSublinear(t *testing.T) {
-	r := NewRegistry(Options{GridOrder: 6})
+	r := NewRegistry(nil)
 	defer r.Close()
 
 	// A 50×50 grid of disjoint windows, one subscription each.
@@ -350,7 +350,7 @@ func TestManySubscribersSublinear(t *testing.T) {
 
 // TestOfferAfterClose and zero-subscription Offer are cheap no-ops.
 func TestOfferIdle(t *testing.T) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	// No subscriptions: Offer is a single atomic load.
 	for i := 0; i < 1000; i++ {
 		r.Offer(shard.WriteOp{Kind: shard.WriteInsert, P: geom.Pt(0.1, 0.1)})
@@ -364,7 +364,7 @@ func TestOfferIdle(t *testing.T) {
 }
 
 func BenchmarkOfferNoSubscribers(b *testing.B) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	defer r.Close()
 	op := shard.WriteOp{Kind: shard.WriteInsert, P: geom.Pt(0.5, 0.5)}
 	b.ReportAllocs()
@@ -374,7 +374,7 @@ func BenchmarkOfferNoSubscribers(b *testing.B) {
 }
 
 func BenchmarkMatch1000Subscribers(b *testing.B) {
-	r := NewRegistry(Options{})
+	r := NewRegistry(nil)
 	defer r.Close()
 	sink := newDrainSink()
 	rng := rand.New(rand.NewSource(1))

@@ -27,17 +27,17 @@
 // The internal packages implement every substrate and every baseline of the
 // paper's evaluation (Grid File, K-D-B-tree, R*-tree, HRR, ZM); the
 // cmd/rsmi-bench harness reproduces each table and figure. For concurrent
-// serving, Concurrent wraps one index behind a RWMutex and Sharded
-// partitions the data across parallel shards.
+// serving, Sharded partitions the data across space-partitioned shards,
+// each behind its own RWMutex; Shards: 1 is one lock over one index.
 //
 // The Engine interface (engine.go) is the v2 query API: context-aware,
 // error-returning variants of every operation, implemented by Index,
-// Concurrent, Sharded, and the baseline engines (Concurrents over the
-// internal baselines, concurrent.go), so the serving stack
-// (internal/server, cmd/rsmi-serve -engine) drives any backend through one
-// pipeline. It is the only surface of Concurrent and Sharded; the
-// context-free methods shown above are Index's index.Index surface, the
-// one the paper's harness drives. See README.md for the package map and
+// Sharded, and the baseline engines (one RWMutex over each internal
+// baseline, concurrent.go), so the serving stack (internal/server,
+// cmd/rsmi-serve -engine) drives any backend through one pipeline. It is
+// the only surface of Sharded and the baseline engines; the context-free
+// methods shown above are Index's index.Index surface, the one the paper's
+// harness drives. See README.md for the package map and
 // migration notes, EXPERIMENTS.md for measured results.
 package rsmi
 
@@ -99,8 +99,8 @@ var ErrSnapshotV1 = core.ErrSnapshotV1
 // a point with a NaN or infinite coordinate. The point is not inserted —
 // folded into the MBRs above it, it would hide the points under them from
 // every query; Index's context-free Insert drops it silently, and every
-// constructor (New, NewConcurrent, NewSharded and the baseline engines)
-// skips such points in its input.
+// constructor (New, NewSharded and the baseline engines) skips such points
+// in its input.
 var ErrNonFinitePoint = core.ErrNonFinitePoint
 
 // Pt constructs a Point.

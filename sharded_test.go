@@ -11,12 +11,11 @@ import (
 	"rsmi/internal/workload"
 )
 
-func buildSharded(t testing.TB, parts rsmi.Partitioning) (*rsmi.Sharded, []rsmi.Point) {
+func buildSharded(t testing.TB, shards int) (*rsmi.Sharded, []rsmi.Point) {
 	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 4000, 21)
 	s := rsmi.NewSharded(pts, rsmi.ShardOptions{
-		Shards:       4,
-		Partitioning: parts,
+		Shards: shards,
 		Index: rsmi.Options{
 			BlockCapacity:      50,
 			PartitionThreshold: 1000,
@@ -34,10 +33,13 @@ func buildSharded(t testing.TB, parts rsmi.Partitioning) (*rsmi.Sharded, []rsmi.
 // guarantees, judged against the brute-force oracle.
 func TestShardedAgainstGroundTruth(t *testing.T) {
 	ctx := context.Background()
-	for _, parts := range []rsmi.Partitioning{rsmi.SpacePartitioned, rsmi.HashPartitioned} {
-		parts := parts
-		t.Run(parts.String(), func(t *testing.T) {
-			s, pts := buildSharded(t, parts)
+	// One shard is one lock over one RSMI; four are space-partitioned.
+	for _, c := range []struct {
+		name   string
+		shards int
+	}{{"one-shard", 1}, {"space", 4}} {
+		t.Run(c.name, func(t *testing.T) {
+			s, pts := buildSharded(t, c.shards)
 			lin := index.NewLinear(pts)
 
 			for _, p := range workload.PointQueries(pts, 300, 31) {
@@ -84,7 +86,7 @@ func TestShardedAgainstGroundTruth(t *testing.T) {
 // the per-shard locking.
 func TestShardedMixedReadWrite(t *testing.T) {
 	ctx := context.Background()
-	s, pts := buildSharded(t, rsmi.SpacePartitioned)
+	s, pts := buildSharded(t, 4)
 	ins := workload.InsertPoints(pts, 2000, 24)
 	var wg sync.WaitGroup
 	// Two writers on disjoint halves; deletes mixed in.
@@ -129,7 +131,7 @@ func TestShardedMixedReadWrite(t *testing.T) {
 
 func TestShardedRebuildPublic(t *testing.T) {
 	ctx := context.Background()
-	s, pts := buildSharded(t, rsmi.SpacePartitioned)
+	s, pts := buildSharded(t, 4)
 	for _, p := range workload.InsertPoints(pts, 500, 25) {
 		mustInsert(t, s, p)
 	}
