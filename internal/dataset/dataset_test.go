@@ -2,8 +2,12 @@ package dataset
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"rsmi/internal/geom"
@@ -58,6 +62,100 @@ func TestGenerateNoDuplicatePoints(t *testing.T) {
 			}
 			seen[p] = struct{}{}
 		}
+	}
+}
+
+// TestGenerateDigest pins the points every generator draws, bit for bit: a
+// faster duplicate check must accept and refuse exactly the draws it did.
+// The digests are of amd64 builds: other architectures may fuse
+// multiply-adds inside math.Pow and the normal sampler.
+func TestGenerateDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are of amd64 builds")
+	}
+	for _, c := range []struct {
+		kind Kind
+		want string
+	}{
+		{Uniform, "1ad826e8fa48d144d69f44a41b483cd91c0f4a3dcc9c4483251a8ef0903805dd"},
+		{Normal, "f3071c70c8759a659385c000221c07a06113868b18a5cf0d082e5e132c565a19"},
+		{Skewed, "e5684c9bf65ce5fae59c5d5ed3777f2b7b84f4472f006f0184450ef528b4730f"},
+		{TigerLike, "09029fca4ffa0c189cb9d01c56f90e6af7fc71cf989ac5ab0a063272428ef17e"},
+		{OSMLike, "04f8a7bfd6e4a10ca377c28e033897d7cdaec117b5ecf1b67f61276efd6983d5"},
+	} {
+		h := sha256.New()
+		var buf [16]byte
+		for _, p := range Generate(c.kind, 20_000, 5) {
+			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(p.X))
+			binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Y))
+			h.Write(buf[:])
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != c.want {
+			t.Errorf("%v: sha256 %s, want %s", c.kind, got, c.want)
+		}
+	}
+}
+
+// TestDedupKeepsPointEquality: a point is a duplicate exactly when Go's ==
+// on geom.Point says so, as for a map key. −0 equals +0, and a point with a
+// NaN coordinate equals nothing, itself included.
+func TestDedupKeepsPointEquality(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	nan := math.NaN()
+	d := newDedup(8)
+	for _, c := range []struct {
+		p     geom.Point
+		fresh bool
+	}{
+		{geom.Pt(0, 0.5), true},
+		{geom.Pt(negZero, 0.5), false},
+		{geom.Pt(0.25, negZero), true},
+		{geom.Pt(0.25, 0), false},
+		{geom.Pt(nan, 0.5), true},
+		{geom.Pt(nan, 0.5), true},
+		{geom.Pt(0.5, nan), true},
+		{geom.Pt(0.5, nan), true},
+	} {
+		if got := d.add(c.p); got != c.fresh {
+			t.Errorf("add(%v) = %v, want %v", c.p, got, c.fresh)
+		}
+	}
+}
+
+// TestDedupFullOfCollisions fills a set to the n it was sized for with
+// points built to collide under a hash of their bits: x stepping only its
+// low mantissa bits, y stepping only its exponent, and x = y. Every point
+// must be taken once and refused the second time.
+func TestDedupFullOfCollisions(t *testing.T) {
+	const n = 3000
+	pts := make([]geom.Point, 0, n)
+	for i := uint64(0); len(pts) < n; i++ {
+		low := math.Float64frombits(0x3FE0000000000000 | i)
+		pts = append(pts,
+			geom.Pt(low, 0.25),
+			geom.Pt(0.75, math.Float64frombits(i<<52)),
+			geom.Pt(low, low))
+	}
+	d := newDedup(n)
+	for i, p := range pts {
+		if !d.add(p) {
+			t.Fatalf("point %d %v refused the first time", i, p)
+		}
+	}
+	for i, p := range pts {
+		if d.add(p) {
+			t.Fatalf("point %d %v taken twice", i, p)
+		}
+	}
+}
+
+var generateSink []geom.Point
+
+// BenchmarkGenerate draws embed-read's point set: 200k skewed points.
+func BenchmarkGenerate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		generateSink = Generate(Skewed, 200_000, 1)
 	}
 }
 
