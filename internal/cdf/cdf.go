@@ -10,6 +10,7 @@
 package cdf
 
 import (
+	"math/bits"
 	"sort"
 )
 
@@ -35,6 +36,10 @@ type PMF struct {
 // New builds a PMF over the given coordinates with γ pieces. The input slice
 // is not modified. New returns a degenerate (uniform) PMF for fewer than two
 // points or zero spread, which keeps kNN working on tiny or collapsed data.
+//
+// The knots are γ+1 order statistics of the coordinates, read from a copy
+// that selectRanks puts in order only around those ranks: each knot is the
+// value a full sort.Float64s would leave at its rank.
 func New(coords []float64, gamma int) *PMF {
 	if gamma <= 0 {
 		gamma = DefaultGamma
@@ -43,22 +48,28 @@ func New(coords []float64, gamma int) *PMF {
 	if n < 2 {
 		return &PMF{knots: []float64{0, 1}, cum: []float64{0, 1}}
 	}
-	sorted := append([]float64(nil), coords...)
-	sort.Float64s(sorted)
-	if sorted[0] == sorted[n-1] {
-		return &PMF{knots: []float64{sorted[0], sorted[0] + 1}, cum: []float64{0, 1}}
-	}
 	if gamma > n {
 		gamma = n
 	}
+	// Rank 0 is the minimum; the i-th partition ends at rank i*n/γ − 1, the
+	// last of them at the maximum.
+	ranks := make([]int, 1, gamma+1)
+	for i := 1; i <= gamma; i++ {
+		ranks = append(ranks, i*n/gamma-1)
+	}
+	ordered := append([]float64(nil), coords...)
+	selectRanks(ordered, 0, ranks, 2*bits.Len(uint(n)))
+	if ordered[0] == ordered[n-1] {
+		return &PMF{knots: []float64{ordered[0], ordered[0] + 1}, cum: []float64{0, 1}}
+	}
 	knots := make([]float64, 0, gamma+1)
 	cum := make([]float64, 0, gamma+1)
-	knots = append(knots, sorted[0])
+	knots = append(knots, ordered[0])
 	cum = append(cum, 0)
 	for i := 1; i <= gamma; i++ {
 		// Boundary point of the i-th partition.
 		idx := i*n/gamma - 1
-		k := sorted[idx]
+		k := ordered[idx]
 		c := float64(idx+1) / float64(n)
 		// Collapse duplicate knots (heavy ties) keeping the larger count.
 		if k == knots[len(knots)-1] {
@@ -69,6 +80,64 @@ func New(coords []float64, gamma int) *PMF {
 		cum = append(cum, c)
 	}
 	return &PMF{knots: knots, cum: cum}
+}
+
+// selectRanks reorders a so that, for every rank r in ranks (ascending;
+// a[0] has rank off), a[r-off] holds the value sort.Float64s would leave
+// there. NaNs go first, as that sort puts them; the rest is quickselect
+// after every wanted rank at once, which stops partitioning a stretch once
+// no wanted rank lies in it. Past depth partitions it sorts what is left,
+// which bounds the work at a sort's.
+func selectRanks(a []float64, off int, ranks []int, depth int) {
+	nans := 0
+	for i, v := range a {
+		if v != v {
+			a[i], a[nans] = a[nans], v
+			nans++
+		}
+	}
+	skip := sort.SearchInts(ranks, off+nans)
+	selectOrdered(a[nans:], off+nans, ranks[skip:], depth)
+}
+
+// selectOrdered is selectRanks over a holding no NaN.
+func selectOrdered(a []float64, off int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if len(a) <= 12 || depth == 0 {
+			sort.Float64s(a)
+			return
+		}
+		depth--
+		// Hoare's partition around the median of three, moved to a[0]:
+		// a[:split] ≤ p ≤ a[split:], with both sides non-empty.
+		m, last := len(a)/2, len(a)-1
+		if a[m] < a[0] {
+			a[m], a[0] = a[0], a[m]
+		}
+		if a[last] < a[m] {
+			a[last], a[m] = a[m], a[last]
+			if a[m] < a[0] {
+				a[m], a[0] = a[0], a[m]
+			}
+		}
+		a[0], a[m] = a[m], a[0]
+		p := a[0]
+		i, j := -1, len(a)
+		for {
+			for i++; a[i] < p; i++ {
+			}
+			for j--; p < a[j]; j-- {
+			}
+			if i >= j {
+				break
+			}
+			a[i], a[j] = a[j], a[i]
+		}
+		split := j + 1
+		k := sort.SearchInts(ranks, off+split)
+		selectOrdered(a[:split], off, ranks[:k], depth)
+		a, off, ranks = a[split:], off+split, ranks[k:]
+	}
 }
 
 // Eval returns the PMF's CDF estimate at x, clamped to [0, 1]. NaN, which

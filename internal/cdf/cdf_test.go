@@ -197,3 +197,141 @@ func TestEvalNaN(t *testing.T) {
 		t.Errorf("Alpha(NaN) = %v, want the cap %v", got, maxAlpha)
 	}
 }
+
+// referenceNew is New as it was before selection: every knot read from a
+// full sort.Float64s of a copy of the coordinates. TestNewIsTheSortedPMF
+// demands its bits from New.
+func referenceNew(coords []float64, gamma int) *PMF {
+	if gamma <= 0 {
+		gamma = DefaultGamma
+	}
+	n := len(coords)
+	if n < 2 {
+		return &PMF{knots: []float64{0, 1}, cum: []float64{0, 1}}
+	}
+	sorted := append([]float64(nil), coords...)
+	sort.Float64s(sorted)
+	if sorted[0] == sorted[n-1] {
+		return &PMF{knots: []float64{sorted[0], sorted[0] + 1}, cum: []float64{0, 1}}
+	}
+	if gamma > n {
+		gamma = n
+	}
+	knots := []float64{sorted[0]}
+	cum := []float64{0}
+	for i := 1; i <= gamma; i++ {
+		idx := i*n/gamma - 1
+		k := sorted[idx]
+		c := float64(idx+1) / float64(n)
+		if k == knots[len(knots)-1] {
+			cum[len(cum)-1] = c
+			continue
+		}
+		knots = append(knots, k)
+		cum = append(cum, c)
+	}
+	return &PMF{knots: knots, cum: cum}
+}
+
+// TestNewIsTheSortedPMF: knots and cumulative counts found by selection are
+// the bits a full sort gives, on inputs heavy with ties, constant, of two
+// points, sorted either way, holding NaNs, and at γ of 1, 100 and n. New
+// leaves its input as it was.
+func TestNewIsTheSortedPMF(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	gen := func(n int, f func(i int) float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name   string
+		coords []float64
+	}{
+		{"uniform", uniformCoords(5000, 14)},
+		{"three values", gen(3000, func(int) float64 { return float64(rng.Intn(3)) / 4 })},
+		{"mostly one value", gen(3000, func(int) float64 {
+			if rng.Intn(10) > 0 {
+				return 0.5
+			}
+			return rng.Float64()
+		})},
+		{"runs of 40", gen(4000, func(int) float64 { return float64(rng.Intn(100)) / 100 })},
+		{"constant", gen(500, func(int) float64 { return 0.3 })},
+		{"two points", []float64{0.7, 0.2}},
+		{"two equal points", []float64{0.4, 0.4}},
+		{"ascending", gen(2000, func(i int) float64 { return float64(i) })},
+		{"descending", gen(2000, func(i int) float64 { return float64(-i) })},
+		{"organ pipe", gen(2001, func(i int) float64 { return math.Abs(float64(i - 1000)) })},
+		{"NaNs", gen(1000, func(i int) float64 {
+			if i%7 == 0 {
+				return math.NaN()
+			}
+			return rng.Float64()
+		})},
+	} {
+		for _, gamma := range []int{1, 100, len(c.coords)} {
+			in := append([]float64(nil), c.coords...)
+			got, want := New(in, gamma), referenceNew(c.coords, gamma)
+			for i, v := range in {
+				if math.Float64bits(v) != math.Float64bits(c.coords[i]) {
+					t.Fatalf("%s, γ = %d: New modified its input at %d", c.name, gamma, i)
+				}
+			}
+			if !samePMF(got, want) {
+				t.Errorf("%s, γ = %d: knots %v cums %v, sort gives %v %v",
+					c.name, gamma, got.knots, got.cum, want.knots, want.cum)
+			}
+		}
+	}
+}
+
+func samePMF(a, b *PMF) bool {
+	if len(a.knots) != len(b.knots) || len(a.cum) != len(b.cum) {
+		return false
+	}
+	for i := range a.knots {
+		if math.Float64bits(a.knots[i]) != math.Float64bits(b.knots[i]) {
+			return false
+		}
+	}
+	for i := range a.cum {
+		if math.Float64bits(a.cum[i]) != math.Float64bits(b.cum[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSelectRanksAtEveryDepth: whichever depth the partitions stop at and
+// the sort takes over, every wanted rank holds its sorted value.
+func TestSelectRanksAtEveryDepth(t *testing.T) {
+	coords := uniformCoords(3000, 15)
+	for i := 0; i < len(coords); i += 5 {
+		coords[i] = coords[i/2] // ties
+	}
+	sorted := append([]float64(nil), coords...)
+	sort.Float64s(sorted)
+	ranks := []int{0, 1, 29, 30, 31, 1499, 1500, 2998, 2999}
+	for depth := 0; depth <= 24; depth++ {
+		a := append([]float64(nil), coords...)
+		selectRanks(a, 0, ranks, depth)
+		for _, r := range ranks {
+			if a[r] != sorted[r] {
+				t.Errorf("depth %d: rank %d holds %v, sorted %v", depth, r, a[r], sorted[r])
+			}
+		}
+	}
+}
+
+// BenchmarkNew is one shard's two PMFs at embed-read's scale: 100k
+// coordinates, γ = 100.
+func BenchmarkNew(b *testing.B) {
+	coords := uniformCoords(100_000, 16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		New(coords, DefaultGamma)
+	}
+}

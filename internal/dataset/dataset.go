@@ -14,6 +14,7 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"rsmi/internal/geom"
@@ -102,70 +103,91 @@ func Generate(kind Kind, n int, seed int64) []geom.Point {
 	}
 }
 
-// dedup wraps a generator's raw draw function, rejecting exact duplicate
-// points so the rank-space assumption holds.
+// dedup collects a generator's draws, refusing exact duplicates so the
+// rank-space assumption holds. A duplicate is what Go's == on geom.Point
+// says, as for a map key: −0 equals +0, and a point with a NaN coordinate
+// equals nothing. The set is an open-addressing table of indices into the
+// accepted points, at most half full for the n it was sized for: 4 bytes a
+// slot where a map would keep a second copy of every point, so probes stay
+// in cache longer.
 type dedup struct {
-	seen map[geom.Point]struct{}
+	pts   []geom.Point // the accepted points, in draw order
+	slots []uint32     // 1 + an index into pts; 0 marks an empty slot
+	shift uint         // 64 − log2(len(slots)): a hash's top bits name its slot
 }
 
+// newDedup returns a set for up to n points.
 func newDedup(n int) *dedup {
-	return &dedup{seen: make(map[geom.Point]struct{}, n)}
+	lg := uint(1)
+	for 1<<lg < 2*n {
+		lg++
+	}
+	return &dedup{pts: make([]geom.Point, 0, n), slots: make([]uint32, 1<<lg), shift: 64 - lg}
 }
 
-// add reports whether p was fresh and records it.
+// add reports whether p was fresh and, if so, appends it to d.pts.
 func (d *dedup) add(p geom.Point) bool {
-	if _, dup := d.seen[p]; dup {
-		return false
+	mask := uint64(len(d.slots) - 1)
+	for i := hashPoint(p) >> d.shift; ; i = (i + 1) & mask {
+		s := d.slots[i]
+		if s == 0 {
+			d.slots[i] = uint32(len(d.pts)) + 1
+			d.pts = append(d.pts, p)
+			return true
+		}
+		if d.pts[s-1] == p {
+			return false
+		}
 	}
-	d.seen[p] = struct{}{}
-	return true
+}
+
+// hashPoint mixes p's bits (Fibonacci hashing: the top bits of the product
+// depend on every bit of its input). −0 hashes as +0, since the two are equal.
+func hashPoint(p geom.Point) uint64 {
+	x, y := p.X, p.Y
+	if x == 0 {
+		x = 0
+	}
+	if y == 0 {
+		y = 0
+	}
+	h := math.Float64bits(x) ^ bits.RotateLeft64(math.Float64bits(y), 32)
+	return h * 0x9E3779B97F4A7C15
 }
 
 func uniform(n int, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]geom.Point, 0, n)
 	d := newDedup(n)
-	for len(out) < n {
-		p := geom.Pt(rng.Float64(), rng.Float64())
-		if d.add(p) {
-			out = append(out, p)
-		}
+	for len(d.pts) < n {
+		d.add(geom.Pt(rng.Float64(), rng.Float64()))
 	}
-	return out
+	return d.pts
 }
 
 func normal(n int, seed int64) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]geom.Point, 0, n)
 	d := newDedup(n)
 	const sigma = 1.0 / 6
-	for len(out) < n {
+	for len(d.pts) < n {
 		x := 0.5 + rng.NormFloat64()*sigma
 		y := 0.5 + rng.NormFloat64()*sigma
 		if x < 0 || x > 1 || y < 0 || y > 1 {
 			continue
 		}
-		p := geom.Pt(x, y)
-		if d.add(p) {
-			out = append(out, p)
-		}
+		d.add(geom.Pt(x, y))
 	}
-	return out
+	return d.pts
 }
 
 func skewed(n int, seed int64, alpha int) []geom.Point {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]geom.Point, 0, n)
 	d := newDedup(n)
-	for len(out) < n {
+	for len(d.pts) < n {
 		x := rng.Float64()
 		y := math.Pow(rng.Float64(), float64(alpha))
-		p := geom.Pt(x, y)
-		if d.add(p) {
-			out = append(out, p)
-		}
+		d.add(geom.Pt(x, y))
 	}
-	return out
+	return d.pts
 }
 
 // tigerLike mimics geographic feature data: most features (road segments,
@@ -182,9 +204,8 @@ func tigerLike(n int, seed int64) []geom.Point {
 		vs[i] = rng.Float64()
 	}
 	const jitter = 0.004
-	out := make([]geom.Point, 0, n)
 	d := newDedup(n)
-	for len(out) < n {
+	for len(d.pts) < n {
 		var p geom.Point
 		switch r := rng.Float64(); {
 		case r < 0.45: // along a horizontal corridor
@@ -194,11 +215,9 @@ func tigerLike(n int, seed int64) []geom.Point {
 		default: // rural background
 			p = geom.Pt(rng.Float64(), rng.Float64())
 		}
-		if d.add(p) {
-			out = append(out, p)
-		}
+		d.add(p)
 	}
-	return out
+	return d.pts
 }
 
 // osmLike mimics OpenStreetMap point density: a few extremely dense urban
@@ -224,9 +243,8 @@ func osmLike(n int, seed int64) []geom.Point {
 		}
 		total += w
 	}
-	out := make([]geom.Point, 0, n)
 	d := newDedup(n)
-	for len(out) < n {
+	for len(d.pts) < n {
 		var p geom.Point
 		if rng.Float64() < 0.85 {
 			// Pick a cluster by weight.
@@ -245,11 +263,9 @@ func osmLike(n int, seed int64) []geom.Point {
 		} else {
 			p = geom.Pt(rng.Float64(), rng.Float64())
 		}
-		if d.add(p) {
-			out = append(out, p)
-		}
+		d.add(p)
 	}
-	return out
+	return d.pts
 }
 
 func clamp01(v float64) float64 {

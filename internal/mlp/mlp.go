@@ -126,6 +126,9 @@ func (n *Network) sample(xs []float64, s int) (x, y float64) {
 	return xs[2*s], xs[2*s+1]
 }
 
+// packedSample is one training sample as a step reads it.
+type packedSample struct{ x, y, target float64 }
+
 // activation is the neuron's output for unit-range inputs: the table sigmoid
 // of b + wx·x + wy·y. Products are rounded before they are added, as in
 // Kernel.value, so a forward pass is the same sum on every GOARCH.
@@ -153,7 +156,14 @@ func (n *Network) Predict(x []float64) float64 {
 
 // Train fits the network to the samples with per-sample SGD on the L2 loss.
 // xs is row-major with len(xs) = len(ys)*Inputs(). It returns the final
-// epoch's mean squared error.
+// epoch's mean squared error. xs and ys are not modified.
+//
+// Train packs each sample once as (x, y, target) and applies every epoch's
+// shuffle swaps to the packed copy itself. The same swaps on an index slice
+// would leave packed sample i equal to sample order[i], so each step sees
+// the sample it would through an index, with the same arithmetic, and the
+// epoch reads its samples in sequence rather than all over a training set
+// that may not fit in cache.
 func (n *Network) Train(cfg Config, xs []float64, ys []float64) float64 {
 	if len(ys) == 0 {
 		return 0
@@ -171,25 +181,26 @@ func (n *Network) Train(cfg Config, xs []float64, ys []float64) float64 {
 		epochs = DefaultEpochs
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	order := make([]int, len(ys))
-	for i := range order {
-		order[i] = i
+	samples := make([]packedSample, len(ys))
+	for s := range samples {
+		x, y := n.sample(xs, s)
+		samples[s] = packedSample{x, y, ys[s]}
 	}
 	units := n.units
 	h := make([]float64, len(units)) // the current sample's activations
 	var mse float64
 	for e := 0; e < epochs; e++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.Shuffle(len(samples), func(i, j int) { samples[i], samples[j] = samples[j], samples[i] })
 		var sse float64
-		for _, s := range order {
-			x, y := n.sample(xs, s)
+		for i := range samples {
+			x, y := samples[i].x, samples[i].y
 			out := n.b2
 			for j := range units {
 				u := &units[j]
 				h[j] = u.activation(x, y)
 				out += float64(u.w2 * h[j])
 			}
-			err := out - ys[s]
+			err := out - samples[i].target
 			sse += float64(err * err)
 
 			// One visit per neuron moves all four of its parameters; the

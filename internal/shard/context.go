@@ -131,7 +131,11 @@ func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 	sh := s.route(p)
 	sh.mu.Lock()
 	sh.idx.Insert(p)
-	sh.storeRegion(sh.loadRegion().ExtendPoint(p))
+	// A new rectangle is published only when the region grows, so an
+	// insert inside it allocates none.
+	if r := sh.loadRegion(); !r.Contains(p) {
+		sh.storeRegion(r.ExtendPoint(p))
+	}
 	// Under the shard lock: for any single point, hook order == apply
 	// order (see hook.go).
 	s.notify(WriteOp{Kind: WriteInsert, P: p})

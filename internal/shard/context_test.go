@@ -255,3 +255,37 @@ func TestCancelDuringConcurrentLoad(t *testing.T) {
 		<-done
 	}
 }
+
+// TestInsertInsideRegionKeepsRectangle: an insert the owning region already
+// covers publishes no new routing rectangle; one outside every region does.
+func TestInsertInsideRegionKeepsRectangle(t *testing.T) {
+	s, _ := buildCtx(t, 2)
+	regions := func() []*geom.Rect {
+		out := make([]*geom.Rect, len(s.shards))
+		for i, sh := range s.shards {
+			out[i] = sh.region.Load()
+		}
+		return out
+	}
+	before := regions()
+	mustInsert(t, s, s.shards[0].loadRegion().Center())
+	for i, r := range regions() {
+		if r != before[i] {
+			t.Errorf("shard %d: an insert inside the regions replaced its rectangle", i)
+		}
+	}
+	outside := geom.Pt(2, 2)
+	mustInsert(t, s, outside)
+	grown := 0
+	for i, r := range regions() {
+		if r != before[i] {
+			grown++
+			if !r.Contains(outside) {
+				t.Errorf("shard %d: new region %v does not cover %v", i, *r, outside)
+			}
+		}
+	}
+	if grown != 1 {
+		t.Errorf("an insert outside every region replaced %d rectangles, want 1", grown)
+	}
+}
