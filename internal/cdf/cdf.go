@@ -39,7 +39,7 @@ type PMF struct {
 //
 // The knots are γ+1 order statistics of the coordinates, read from a copy
 // that selectRanks puts in order only around those ranks: each knot is the
-// value a full sort.Float64s would leave at its rank.
+// value a full sort.Float64s of the copy would leave at its rank.
 func New(coords []float64, gamma int) *PMF {
 	if gamma <= 0 {
 		gamma = DefaultGamma
@@ -58,7 +58,7 @@ func New(coords []float64, gamma int) *PMF {
 		ranks = append(ranks, i*n/gamma-1)
 	}
 	ordered := append([]float64(nil), coords...)
-	selectRanks(ordered, 0, ranks, 2*bits.Len(uint(n)))
+	selectRanks(ordered, ranks)
 	if ordered[0] == ordered[n-1] {
 		return &PMF{knots: []float64{ordered[0], ordered[0] + 1}, cum: []float64{0, 1}}
 	}
@@ -82,13 +82,11 @@ func New(coords []float64, gamma int) *PMF {
 	return &PMF{knots: knots, cum: cum}
 }
 
-// selectRanks reorders a so that, for every rank r in ranks (ascending;
-// a[0] has rank off), a[r-off] holds the value sort.Float64s would leave
-// there. NaNs go first, as that sort puts them; the rest is quickselect
-// after every wanted rank at once, which stops partitioning a stretch once
-// no wanted rank lies in it. Past depth partitions it sorts what is left,
-// which bounds the work at a sort's.
-func selectRanks(a []float64, off int, ranks []int, depth int) {
+// selectRanks reorders a so that, for every rank r in ranks (ascending),
+// a[r] holds the value sort.Float64s would leave there; −0 and +0, which
+// that sort does not order, may trade places. NaNs go first, as the sort
+// puts them, and selectOrdered finds the rest.
+func selectRanks(a []float64, ranks []int) {
 	nans := 0
 	for i, v := range a {
 		if v != v {
@@ -96,11 +94,14 @@ func selectRanks(a []float64, off int, ranks []int, depth int) {
 			nans++
 		}
 	}
-	skip := sort.SearchInts(ranks, off+nans)
-	selectOrdered(a[nans:], off+nans, ranks[skip:], depth)
+	skip := sort.SearchInts(ranks, nans)
+	selectOrdered(a[nans:], nans, ranks[skip:], 2*bits.Len(uint(len(a))))
 }
 
-// selectOrdered is selectRanks over a holding no NaN.
+// selectOrdered is selectRanks over a holding no NaN, whose a[0] has rank
+// off. It is quickselect after every wanted rank at once: a stretch is
+// partitioned until no wanted rank lies in it. After depth partitions it
+// sorts what is left, which bounds the work at a sort's.
 func selectOrdered(a []float64, off int, ranks []int, depth int) {
 	for len(ranks) > 0 {
 		if len(a) <= 12 || depth == 0 {

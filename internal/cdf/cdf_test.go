@@ -305,9 +305,9 @@ func samePMF(a, b *PMF) bool {
 	return true
 }
 
-// TestSelectRanksAtEveryDepth: whichever depth the partitions stop at and
+// TestSelectOrderedAtEveryDepth: whichever depth the partitions stop at and
 // the sort takes over, every wanted rank holds its sorted value.
-func TestSelectRanksAtEveryDepth(t *testing.T) {
+func TestSelectOrderedAtEveryDepth(t *testing.T) {
 	coords := uniformCoords(3000, 15)
 	for i := 0; i < len(coords); i += 5 {
 		coords[i] = coords[i/2] // ties
@@ -317,7 +317,7 @@ func TestSelectRanksAtEveryDepth(t *testing.T) {
 	ranks := []int{0, 1, 29, 30, 31, 1499, 1500, 2998, 2999}
 	for depth := 0; depth <= 24; depth++ {
 		a := append([]float64(nil), coords...)
-		selectRanks(a, 0, ranks, depth)
+		selectOrdered(a, 0, ranks, depth)
 		for _, r := range ranks {
 			if a[r] != sorted[r] {
 				t.Errorf("depth %d: rank %d holds %v, sorted %v", depth, r, a[r], sorted[r])
@@ -326,7 +326,7 @@ func TestSelectRanksAtEveryDepth(t *testing.T) {
 	}
 }
 
-// BenchmarkNew is one shard's two PMFs at embed-read's scale: 100k
+// BenchmarkNew is one of a shard's two PMFs at embed-read's scale: 100k
 // coordinates, γ = 100.
 func BenchmarkNew(b *testing.B) {
 	coords := uniformCoords(100_000, 16)
