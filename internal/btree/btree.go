@@ -4,8 +4,8 @@
 // rank-space R-tree of Qi et al. [37, 38] keeps one B-tree per dimension to
 // map a query coordinate to its rank at query time, and the paper notes HRR
 // "is also larger than RSMI because it uses two extra B-trees for its rank
-// space mapping" (§6.2.2). The tree also serves the mapping-based index
-// discussion of §2 (one-dimensional values indexed by a B+-tree).
+// space mapping" (§6.2.2). HRR needs only Bulk, Rank, Insert and SizeBytes,
+// so that is all the tree offers: no lookup by key, no range scan.
 package btree
 
 import "sort"
@@ -39,25 +39,14 @@ type innerNode struct {
 type leafNode struct {
 	keys []float64
 	vals []uint32
-	next *leafNode
 }
 
 func (*innerNode) isLeaf() bool { return false }
 func (*leafNode) isLeaf() bool  { return true }
 
-// New returns an empty tree with the given fanout (0 selects DefaultFanout).
-func New(fanout int) *Tree {
-	if fanout == 0 {
-		fanout = DefaultFanout
-	}
-	if fanout < 4 {
-		fanout = 4
-	}
-	return &Tree{fanout: fanout, root: &leafNode{}, height: 1, nodes: 1}
-}
-
 // Bulk builds a tree from keys sorted ascending with their values. It packs
-// leaves to full fanout bottom-up, the construction HRR uses. Bulk panics if
+// leaves to full fanout bottom-up, the construction HRR uses; fanout 0
+// selects DefaultFanout, and fanouts below 4 are raised to 4. Bulk panics if
 // the keys are not sorted: bulk loading order is the caller's contract.
 func Bulk(keys []float64, vals []uint32, fanout int) *Tree {
 	if len(keys) != len(vals) {
@@ -68,7 +57,10 @@ func Bulk(keys []float64, vals []uint32, fanout int) *Tree {
 			panic("btree: Bulk with unsorted keys")
 		}
 	}
-	t := New(fanout)
+	if fanout == 0 {
+		fanout = DefaultFanout
+	}
+	t := &Tree{fanout: max(fanout, 4), root: &leafNode{}, height: 1, nodes: 1}
 	if len(keys) == 0 {
 		return t
 	}
@@ -76,7 +68,6 @@ func Bulk(keys []float64, vals []uint32, fanout int) *Tree {
 	// Pack leaves.
 	var leaves []node
 	var firstKeys []float64
-	var prev *leafNode
 	t.nodes = 0
 	for i := 0; i < len(keys); i += t.fanout {
 		j := i + t.fanout
@@ -87,10 +78,6 @@ func Bulk(keys []float64, vals []uint32, fanout int) *Tree {
 			keys: append([]float64(nil), keys[i:j]...),
 			vals: append([]uint32(nil), vals[i:j]...),
 		}
-		if prev != nil {
-			prev.next = lf
-		}
-		prev = lf
 		leaves = append(leaves, lf)
 		firstKeys = append(firstKeys, keys[i])
 		t.nodes++
@@ -135,36 +122,6 @@ func (t *Tree) Height() int { return t.height }
 func (t *Tree) SizeBytes() int64 {
 	const slot = 16 // 8-byte key + 8-byte value or pointer
 	return int64(t.nodes) * int64(t.fanout) * slot
-}
-
-// descend returns the leaf that would contain key and the path of inner
-// nodes visited.
-func (t *Tree) descend(key float64) *leafNode {
-	n := t.root
-	for !n.isLeaf() {
-		in := n.(*innerNode)
-		i := sort.SearchFloat64s(in.keys, key)
-		// keys[i-1] <= key < keys[i]; child i holds keys < keys[i].
-		if i < len(in.keys) && in.keys[i] == key {
-			i++
-		}
-		n = in.children[i]
-	}
-	return n.(*leafNode)
-}
-
-// Get returns the value of the first entry with the given key.
-func (t *Tree) Get(key float64) (uint32, bool) {
-	lf := t.descend(key)
-	i := sort.SearchFloat64s(lf.keys, key)
-	if i < len(lf.keys) && lf.keys[i] == key {
-		return lf.vals[i], true
-	}
-	// The key may start in the next leaf when duplicates straddle leaves.
-	if i == len(lf.keys) && lf.next != nil && len(lf.next.keys) > 0 && lf.next.keys[0] == key {
-		return lf.next.vals[0], true
-	}
-	return 0, false
 }
 
 // Rank returns the number of entries with key strictly less than the given
@@ -229,11 +186,9 @@ func (t *Tree) insert(n node, key float64, val uint32) (node, float64) {
 		right := &leafNode{
 			keys: append([]float64(nil), lf.keys[mid:]...),
 			vals: append([]uint32(nil), lf.vals[mid:]...),
-			next: lf.next,
 		}
 		lf.keys = lf.keys[:mid]
 		lf.vals = lf.vals[:mid]
-		lf.next = right
 		t.nodes++
 		return right, right.keys[0]
 	}
@@ -270,24 +225,4 @@ func (t *Tree) insert(n node, key float64, val uint32) (node, float64) {
 	in.total -= right.total
 	t.nodes++
 	return right, sep
-}
-
-// Scan calls fn for every entry with key in [lo, hi] in ascending order,
-// stopping early if fn returns false.
-func (t *Tree) Scan(lo, hi float64, fn func(key float64, val uint32) bool) {
-	lf := t.descend(lo)
-	for lf != nil {
-		for i, k := range lf.keys {
-			if k < lo {
-				continue
-			}
-			if k > hi {
-				return
-			}
-			if !fn(k, lf.vals[i]) {
-				return
-			}
-		}
-		lf = lf.next
-	}
 }

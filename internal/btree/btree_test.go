@@ -1,6 +1,7 @@
 package btree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -21,28 +22,24 @@ func sortedKeys(n int, seed int64) ([]float64, []uint32) {
 	return keys, vals
 }
 
-func TestBulkGet(t *testing.T) {
+func TestBulkRank(t *testing.T) {
 	keys, vals := sortedKeys(5000, 1)
 	tr := Bulk(keys, vals, 16)
 	if tr.Len() != 5000 {
 		t.Fatalf("Len = %d, want 5000", tr.Len())
 	}
+	// Duplicate float keys are vanishingly unlikely here, so every key's
+	// rank is its position.
 	for i, k := range keys {
-		v, ok := tr.Get(k)
-		if !ok {
-			t.Fatalf("Get(%v) not found", k)
-		}
-		// Duplicate float keys are vanishingly unlikely here, so values
-		// must match ranks exactly.
-		if v != vals[i] {
-			t.Fatalf("Get(%v) = %d, want %d", k, v, vals[i])
+		if got := tr.Rank(k); got != i {
+			t.Fatalf("Rank(%v) = %d, want %d", k, got, i)
 		}
 	}
-	if _, ok := tr.Get(-1); ok {
-		t.Error("Get of absent key returned ok")
+	if got := tr.Rank(-1); got != 0 {
+		t.Errorf("Rank below every key = %d, want 0", got)
 	}
-	if _, ok := tr.Get(2); ok {
-		t.Error("Get of absent key returned ok")
+	if got := tr.Rank(2); got != len(keys) {
+		t.Errorf("Rank above every key = %d, want %d", got, len(keys))
 	}
 }
 
@@ -50,9 +47,6 @@ func TestBulkEmpty(t *testing.T) {
 	tr := Bulk(nil, nil, 8)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Errorf("empty bulk: len=%d height=%d", tr.Len(), tr.Height())
-	}
-	if _, ok := tr.Get(0.5); ok {
-		t.Error("Get on empty tree returned ok")
 	}
 	if r := tr.Rank(0.5); r != 0 {
 		t.Errorf("Rank on empty tree = %d", r)
@@ -112,8 +106,8 @@ func TestRankExistingKeyExcludesSelf(t *testing.T) {
 	}
 }
 
-func TestInsertThenGet(t *testing.T) {
-	tr := New(8)
+func TestInsertThenRank(t *testing.T) {
+	tr := Bulk(nil, nil, 8)
 	rng := rand.New(rand.NewSource(2))
 	keys := make([]float64, 3000)
 	for i := range keys {
@@ -123,13 +117,11 @@ func TestInsertThenGet(t *testing.T) {
 	if tr.Len() != 3000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
+	sort.Float64s(keys)
 	for i, k := range keys {
-		v, ok := tr.Get(k)
-		if !ok {
-			t.Fatalf("Get(%v) not found after insert", k)
+		if got := tr.Rank(k); got != i {
+			t.Fatalf("Rank(%v) = %d after inserts, want %d", k, got, i)
 		}
-		_ = i
-		_ = v
 	}
 	if tr.Height() < 3 {
 		t.Errorf("3000 keys at fanout 8 should be height >= 3, got %d", tr.Height())
@@ -141,7 +133,7 @@ func TestInsertRankProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var all []float64
-		tr := New(4 + rng.Intn(28))
+		tr := Bulk(nil, nil, 4+rng.Intn(28))
 		n := 200 + rng.Intn(800)
 		for i := 0; i < n; i++ {
 			k := rng.Float64()
@@ -162,62 +154,47 @@ func TestInsertRankProperty(t *testing.T) {
 	}
 }
 
+// The entries with keys in [lo, hi) are Rank(hi) - Rank(lo): the count a
+// range over the rank space needs.
 func TestScanRange(t *testing.T) {
 	keys, vals := sortedKeys(2000, 3)
 	tr := Bulk(keys, vals, 32)
-	lo, hi := 0.25, 0.75
-	var got []float64
-	tr.Scan(lo, hi, func(k float64, v uint32) bool {
-		got = append(got, k)
-		return true
-	})
-	var want []float64
-	for _, k := range keys {
-		if k >= lo && k <= hi {
-			want = append(want, k)
+	for _, r := range [][2]float64{{0.25, 0.75}, {0, 1}, {0.5, 0.5}, {-1, 0}} {
+		lo, hi := r[0], r[1]
+		want := 0
+		for _, k := range keys {
+			if k >= lo && k < hi {
+				want++
+			}
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("Scan returned %d keys, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("Scan order mismatch at %d", i)
+		if got := tr.Rank(hi) - tr.Rank(lo); got != want {
+			t.Errorf("[%v, %v) holds %d keys by rank, want %d", lo, hi, got, want)
 		}
 	}
 }
 
-func TestScanEarlyStop(t *testing.T) {
-	keys, vals := sortedKeys(100, 4)
-	tr := Bulk(keys, vals, 8)
-	count := 0
-	tr.Scan(0, 1, func(k float64, v uint32) bool {
-		count++
-		return count < 5
-	})
-	if count != 5 {
-		t.Errorf("early stop visited %d, want 5", count)
-	}
-}
-
+// A range above every key is empty by rank: both ends rank past the last
+// entry.
 func TestScanEmptyRange(t *testing.T) {
 	keys, vals := sortedKeys(100, 5)
 	tr := Bulk(keys, vals, 8)
-	tr.Scan(2, 3, func(k float64, v uint32) bool {
-		t.Errorf("unexpected visit of %v", k)
-		return true
-	})
+	if lo, hi := tr.Rank(2), tr.Rank(3); lo != len(keys) || hi != len(keys) {
+		t.Errorf("Rank(2), Rank(3) = %d, %d, want %d for both", lo, hi, len(keys))
+	}
 }
 
-func TestNewClampsFanout(t *testing.T) {
-	tr := New(1)
+func TestBulkClampsFanout(t *testing.T) {
+	tr := Bulk(nil, nil, 1)
 	for i := 0; i < 100; i++ {
 		tr.Insert(float64(i), uint32(i))
 	}
-	if tr.Len() != 100 {
+	if tr.Len() != 100 || tr.Rank(100) != 100 || tr.Rank(50) != 50 {
 		t.Error("tiny fanout tree lost entries")
 	}
-	if New(0).fanout != DefaultFanout {
+	if tr.fanout != 4 {
+		t.Errorf("fanout 1 became %d, want 4", tr.fanout)
+	}
+	if Bulk(nil, nil, 0).fanout != DefaultFanout {
 		t.Error("zero fanout must select default")
 	}
 }
@@ -247,13 +224,8 @@ func TestDuplicateKeys(t *testing.T) {
 	if got := tr.Rank(4); got != 6 {
 		t.Errorf("Rank(4) = %d, want 6", got)
 	}
-	if _, ok := tr.Get(1); !ok {
-		t.Error("Get(dup key) must find an entry")
-	}
-	var seen int
-	tr.Scan(1, 1, func(k float64, v uint32) bool { seen++; return true })
-	if seen != 3 {
-		t.Errorf("Scan over dup run saw %d, want 3", seen)
+	if run := tr.Rank(math.Nextafter(1, 2)) - tr.Rank(1); run != 3 {
+		t.Errorf("duplicate run of 1 has %d entries by rank, want 3", run)
 	}
 }
 

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"container/heap"
-
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/store"
@@ -39,68 +37,44 @@ func (t *RSMI) exactWindow(dst []geom.Point, n *node, q geom.Rect) []geom.Point 
 	return dst
 }
 
-// exactEntry is a best-first queue entry: an internal node, a leaf, a block,
-// or a candidate point.
-type exactEntry struct {
-	dist2 float64
+// exactStep is a node of ExactKNN's best-first walk: a tree node, or a
+// block of a leaf when node is nil.
+type exactStep struct {
 	node  *node
-	block int // block id when node == nil and !isPoint
-	pt    geom.Point
-	isPt  bool
-}
-
-type exactQueue []exactEntry
-
-func (q exactQueue) Len() int            { return len(q) }
-func (q exactQueue) Less(i, j int) bool  { return q[i].dist2 < q[j].dist2 }
-func (q exactQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *exactQueue) Push(x interface{}) { *q = append(*q, x.(exactEntry)) }
-func (q *exactQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+	block int
 }
 
 // ExactKNN returns the exact k nearest neighbours using the best-first
-// algorithm of Roussopoulos et al. [40] over the RSMI's MBR hierarchy.
+// algorithm of Roussopoulos et al. [40] over the RSMI's MBR hierarchy: inner
+// nodes queue their children, leaves queue their blocks by cached MBR, and a
+// block is read (counted) only when it is expanded. Points never enter the
+// queue.
 //
 // This context-free form is the implementation layer: ExactKNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.n == 0 || !q.IsFinite() {
-		// As in KNN: nothing is nearest to a point that is nowhere.
+	if t.n == 0 {
 		return nil
 	}
-	pq := &exactQueue{}
-	heap.Init(pq)
-	heap.Push(pq, exactEntry{dist2: t.root.mbr.MinDist2(q), node: t.root})
-	var out []geom.Point
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(exactEntry)
+	// As in KNN, BestFirst finds nothing nearest to a point that is nowhere.
+	return index.BestFirst(q, k, exactStep{node: t.root}, func(w *index.Walk[exactStep], s exactStep) {
 		switch {
-		case e.isPt:
-			out = append(out, e.pt)
-		case e.node != nil && !e.node.leaf:
-			for _, c := range e.node.children {
+		case s.node == nil:
+			w.Offer(t.store.Read(s.block).Slots()...)
+		case !s.node.leaf:
+			for _, c := range s.node.children {
 				if c != nil {
-					heap.Push(pq, exactEntry{dist2: c.mbr.MinDist2(q), node: c})
+					w.Push(exactStep{node: c}, c.mbr.MinDist2(q))
 				}
 			}
-		case e.node != nil: // leaf: enqueue its blocks by MBR distance
-			c := t.scan(e.node.firstBlock, e.node.firstBlock+e.node.numBlocks-1)
+		default:
+			c := t.scan(s.node.firstBlock, s.node.firstBlock+s.node.numBlocks-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
-				heap.Push(pq, exactEntry{dist2: t.blockMBR[id].MinDist2(q), block: id})
-			}
-		default: // block: read it (counted) and enqueue its points
-			for _, p := range t.store.Read(e.block).Slots() {
-				heap.Push(pq, exactEntry{dist2: q.Dist2(p), pt: p, isPt: true})
+				w.Push(exactStep{block: id}, t.blockMBR[id].MinDist2(q))
 			}
 		}
-	}
-	return out
+	})
 }
 
 // Exact wraps the RSMI as an index.Index whose window and kNN queries are

@@ -275,6 +275,7 @@ func (w *readPathWorld) check(stage string) {
 		if reads != refReads {
 			t.Fatalf("%s: KNN(%v, %d) read %d blocks, reference %d", stage, q, k, reads, refReads)
 		}
+		checkExactKNN(t, idx, q, k)
 		exact, truth := idx.ExactKNN(q, k), w.oracle.KNN(q, k)
 		for j := range truth {
 			if q.Dist2(exact[j]) != q.Dist2(truth[j]) {

@@ -372,19 +372,25 @@ func benchIndex(b *testing.B) (*RSMI, []geom.Point) {
 	return New(pts, Options{Epochs: 10, Seed: 1}), pts
 }
 
-// BenchmarkKNNByK runs Algorithm 3 over the k range of the paper's Fig. 16.
+// BenchmarkKNNByK runs Algorithm 3 over the k range of the paper's Fig. 16,
+// then RSMIa's exact best-first kNN (exact/k=…) over the same queries.
 func BenchmarkKNNByK(b *testing.B) {
 	idx, pts := benchIndex(b)
 	qs := workload.KNNPoints(pts, 1024, 3)
-	for _, k := range []int{1, 25, 125, 625} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			idx.ResetAccesses()
-			for i := 0; i < b.N; i++ {
-				idx.KNN(qs[i%len(qs)], k)
-			}
-			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
-		})
+	for _, variant := range []struct {
+		prefix string
+		knn    func(geom.Point, int) []geom.Point
+	}{{"", idx.KNN}, {"exact/", idx.ExactKNN}} {
+		for _, k := range []int{1, 25, 125, 625} {
+			b.Run(fmt.Sprintf("%sk=%d", variant.prefix, k), func(b *testing.B) {
+				b.ReportAllocs()
+				idx.ResetAccesses()
+				for i := 0; i < b.N; i++ {
+					variant.knn(qs[i%len(qs)], k)
+				}
+				b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+			})
+		}
 	}
 }
 

@@ -155,25 +155,11 @@ func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
 	}
 	qcx := g.axisCell(q.X, g.norm.MinX, g.norm.MaxX)
 	qcy := g.axisCell(q.Y, g.norm.MinY, g.norm.MaxY)
-	var cand []geom.Point
+	best := index.NewNearest(q, k)
+	// kth is read from best once per ring: a ring's cells are pruned
+	// against the rings before it.
 	kth := math.Inf(1)
-	scanCell := func(cx, cy int) {
-		for _, id := range g.cells[cy*g.side+cx] {
-			b := g.store.Read(id)
-			b.Points(func(p geom.Point) { cand = append(cand, p) })
-		}
-	}
-	update := func() {
-		index.SortByDistance(cand, q)
-		if len(cand) > 4*k { // keep the candidate pool small
-			cand = cand[:4*k]
-		}
-		if len(cand) >= k {
-			kth = q.Dist2(cand[k-1])
-		}
-	}
 	for ring := 0; ring < 2*g.side; ring++ {
-		touched := false
 		for cy := qcy - ring; cy <= qcy+ring; cy++ {
 			if cy < 0 || cy >= g.side {
 				continue
@@ -190,15 +176,14 @@ func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
 				if g.cellRect(cx, cy).MinDist2(q) >= kth {
 					continue
 				}
-				scanCell(cx, cy)
-				touched = true
+				for _, id := range g.cells[cy*g.side+cx] {
+					best.Offer(g.store.Read(id).Slots()...)
+				}
 			}
 		}
-		if touched {
-			update()
-		}
+		kth = best.Bound()
 		// Stop when the next ring cannot improve the k-th candidate.
-		if len(cand) >= k {
+		if best.Full() {
 			w := (g.norm.MaxX - g.norm.MinX) / float64(g.side)
 			h := (g.norm.MaxY - g.norm.MinY) / float64(g.side)
 			ringDist := float64(ring) * math.Min(w, h)
@@ -207,10 +192,7 @@ func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
 			}
 		}
 	}
-	if len(cand) > k {
-		cand = cand[:k]
-	}
-	return cand
+	return best.Points()
 }
 
 // Insert implements index.Index: the point goes to the last block of its

@@ -1,6 +1,8 @@
 // Package index defines the interface every spatial index in this repository
-// implements, a brute-force reference index used as ground truth, and the
-// recall metric of §6.2.3 / §6.2.4.
+// implements, a brute-force reference index used as ground truth, the
+// recall metric of §6.2.3 / §6.2.4, and the exact kNN every index shares:
+// Nearest, the bounded set of the k nearest points, and BestFirst, the
+// best-first search [40] the trees and RSMIa run over it.
 package index
 
 import (

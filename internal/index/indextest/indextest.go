@@ -7,6 +7,7 @@
 package indextest
 
 import (
+	"math/rand"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -54,6 +55,9 @@ func Run(t *testing.T, cfg Config) {
 				runUpdates(t, cfg, idx, oracle, pts)
 			}
 		})
+	}
+	if cfg.ExactKNN {
+		t.Run("Lattice", func(t *testing.T) { runLatticeKNN(t, cfg) })
 	}
 }
 
@@ -124,12 +128,14 @@ func runKNNQueries(t *testing.T, cfg Config, idx index.Index, oracle *index.Line
 				}
 			}
 			if cfg.ExactKNN {
+				// Random coordinates leave no distance ties to break, so
+				// an exact answer is the oracle's, point for point.
 				if len(got) != len(want) {
 					t.Fatalf("kNN size %d, want %d", len(got), len(want))
 				}
 				for i := range got {
-					if d, w := q.Dist2(got[i]), q.Dist2(want[i]); d != w {
-						t.Fatalf("kNN distance mismatch at %d: %v vs %v", i, d, w)
+					if got[i] != want[i] {
+						t.Fatalf("kNN(%v, %d) row %d = %v, oracle %v", q, k, i, got[i], want[i])
 					}
 				}
 			}
@@ -150,6 +156,42 @@ func runKNNQueries(t *testing.T, cfg Config, idx index.Index, oracle *index.Line
 	}
 	if got := idx.KNN(q, len(pts)*2); len(got) > len(pts) {
 		t.Errorf("KNN(k>n) returned %d points for n=%d", len(got), len(pts))
+	}
+}
+
+// runLatticeKNN checks exact kNN where distance ties are the rule: 100 × 100
+// points on the integer grid, queried at lattice points and at cell centres.
+// Equidistant points may come back in any order, so only the distances must
+// equal the oracle's, rank by rank.
+func runLatticeKNN(t *testing.T, cfg Config) {
+	t.Helper()
+	const side = 100
+	pts := make([]geom.Point, 0, side*side)
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			pts = append(pts, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	idx := cfg.Build(pts)
+	oracle := index.NewLinear(pts)
+	rng := rand.New(rand.NewSource(51))
+	var qs []geom.Point
+	for i := 0; i < 150; i++ {
+		x, y := float64(rng.Intn(side)), float64(rng.Intn(side-1))
+		qs = append(qs, geom.Pt(x, y), geom.Pt(x+0.5, y+0.5))
+	}
+	for _, q := range qs {
+		for _, k := range []int{1, 4, 9, 25} {
+			got, want := idx.KNN(q, k), oracle.KNN(q, k)
+			if len(got) != len(want) {
+				t.Fatalf("lattice kNN(%v, %d): %d rows, oracle %d", q, k, len(got), len(want))
+			}
+			for i := range got {
+				if d, w := q.Dist2(got[i]), q.Dist2(want[i]); d != w {
+					t.Fatalf("lattice kNN(%v, %d) row %d at distance² %v, oracle %v", q, k, i, d, w)
+				}
+			}
+		}
 	}
 }
 

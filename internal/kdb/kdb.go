@@ -230,78 +230,22 @@ func (t *Tree) WindowQuery(q geom.Rect) []geom.Point {
 }
 
 // KNN implements index.Index with best-first search over region pages [40].
+// Regions may be unbounded at the universe border; MINDIST handles their
+// infinite edges because BestFirst runs only for a finite query point.
 func (t *Tree) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.size == 0 {
+	if t.size == 0 {
 		return nil
 	}
-	type entry struct {
-		dist2 float64
-		pg    *page
-		pt    geom.Point
-		isPt  bool
-	}
-	// Simple binary heap.
-	var heap []entry
-	push := func(e entry) {
-		heap = append(heap, e)
-		i := len(heap) - 1
-		for i > 0 {
-			p := (i - 1) / 2
-			if heap[p].dist2 <= heap[i].dist2 {
-				break
-			}
-			heap[p], heap[i] = heap[i], heap[p]
-			i = p
-		}
-	}
-	pop := func() entry {
-		top := heap[0]
-		last := len(heap) - 1
-		heap[0] = heap[last]
-		heap = heap[:last]
-		i := 0
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < last && heap[l].dist2 < heap[small].dist2 {
-				small = l
-			}
-			if r < last && heap[r].dist2 < heap[small].dist2 {
-				small = r
-			}
-			if small == i {
-				break
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-		return top
-	}
-	boundedMinDist := func(r geom.Rect) float64 {
-		// Regions may be unbounded at the universe border; MinDist handles
-		// infinities correctly because the point is always finite.
-		return r.MinDist2(q)
-	}
-	push(entry{dist2: boundedMinDist(t.root.region), pg: t.root})
-	var out []geom.Point
-	for len(heap) > 0 && len(out) < k {
-		e := pop()
-		if e.isPt {
-			out = append(out, e.pt)
-			continue
-		}
+	return index.BestFirst(q, k, t.root, func(w *index.Walk[*page], pg *page) {
 		t.accesses.Add(1)
-		if e.pg.leaf {
-			for _, p := range e.pg.pts {
-				push(entry{dist2: q.Dist2(p), pt: p, isPt: true})
-			}
-			continue
+		if pg.leaf {
+			w.Offer(pg.pts...)
+			return
 		}
-		for i, r := range e.pg.regions {
-			push(entry{dist2: boundedMinDist(r), pg: e.pg.children[i]})
+		for i, r := range pg.regions {
+			w.Push(pg.children[i], r.MinDist2(q))
 		}
-	}
-	return out
+	})
 }
 
 // Insert implements index.Index: descend to the point page; split pages

@@ -11,10 +11,10 @@
 package rtree
 
 import (
-	"container/heap"
 	"sync/atomic"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 )
 
 // DefaultFanout is the paper's node capacity of 100 entries (§6.1: internal
@@ -231,56 +231,22 @@ func (t *Tree) WindowQuery(q geom.Rect) []geom.Point {
 	return out
 }
 
-// knnEntry is a best-first queue element: a node or a point.
-type knnEntry struct {
-	dist2 float64
-	node  *Node
-	pt    geom.Point
-	isPt  bool
-}
-
-type knnQueue []knnEntry
-
-func (q knnQueue) Len() int            { return len(q) }
-func (q knnQueue) Less(i, j int) bool  { return q[i].dist2 < q[j].dist2 }
-func (q knnQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *knnQueue) Push(x interface{}) { *q = append(*q, x.(knnEntry)) }
-func (q *knnQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
-}
-
 // KNN returns the exact k nearest neighbours of q, closest first, using the
 // best-first algorithm [40].
 func (t *Tree) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.size == 0 {
+	if t.size == 0 {
 		return nil
 	}
-	pq := &knnQueue{}
-	heap.Init(pq)
-	heap.Push(pq, knnEntry{dist2: t.root.MBR.MinDist2(q), node: t.root})
-	var out []geom.Point
-	for pq.Len() > 0 && len(out) < k {
-		e := heap.Pop(pq).(knnEntry)
-		if e.isPt {
-			out = append(out, e.pt)
-			continue
+	return index.BestFirst(q, k, t.root, func(w *index.Walk[*Node], n *Node) {
+		t.visit(n)
+		if n.Leaf {
+			w.Offer(n.Points...)
+			return
 		}
-		t.visit(e.node)
-		if e.node.Leaf {
-			for _, p := range e.node.Points {
-				heap.Push(pq, knnEntry{dist2: q.Dist2(p), pt: p, isPt: true})
-			}
-			continue
+		for _, c := range n.Children {
+			w.Push(c, c.MBR.MinDist2(q))
 		}
-		for _, c := range e.node.Children {
-			heap.Push(pq, knnEntry{dist2: c.MBR.MinDist2(q), node: c})
-		}
-	}
-	return out
+	})
 }
 
 // Insert adds p using the tree's policy. If the policy implements

@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 	"time"
 
 	"rsmi/internal/cdf"
@@ -485,13 +484,8 @@ func (z *ZM) KNN(q geom.Point, k int) []geom.Point {
 	width := z.pmfX.Alpha(q.X, z.opts.Delta) * frac
 	height := z.pmfY.Alpha(q.Y, z.opts.Delta) * frac
 
-	type cand struct {
-		d2 float64
-		p  geom.Point
-	}
-	var best []cand
+	best := index.NewNearest(q, k)
 	visited := make(map[int]bool)
-	kth := math.Inf(1)
 
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
@@ -508,25 +502,11 @@ func (z *ZM) KNN(q geom.Point, k int) []geom.Point {
 				return true
 			}
 			visited[b.ID] = true
-			b.Points(func(p geom.Point) {
-				d2 := q.Dist2(p)
-				if len(best) < k || d2 < kth {
-					best = append(best, cand{d2, p})
-				}
-			})
+			best.Offer(b.Slots()...)
 			return true
 		})
-		if len(best) >= k {
-			sort.Slice(best, func(i, j int) bool {
-				if best[i].d2 != best[j].d2 {
-					return best[i].d2 < best[j].d2
-				}
-				return best[i].p.Less(best[j].p)
-			})
-			if len(best) > 2*k {
-				best = best[:2*k]
-			}
-			kth = best[k-1].d2
+		if best.Full() {
+			kth := best.Bound()
 			if math.Sqrt(kth) <= math.Sqrt(width*width+height*height)/2 {
 				break
 			}
@@ -537,14 +517,7 @@ func (z *ZM) KNN(q geom.Point, k int) []geom.Point {
 		width *= 2
 		height *= 2
 	}
-	if len(best) > k {
-		best = best[:k]
-	}
-	out := make([]geom.Point, len(best))
-	for i, c := range best {
-		out[i] = c.p
-	}
-	return out
+	return best.Points()
 }
 
 // Insert implements index.Index with RSMI's update algorithm adapted to ZM
