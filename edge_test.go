@@ -59,6 +59,16 @@ func engines(pts []rsmi.Point) map[string]rsmi.Engine {
 	}
 }
 
+// learned reports whether e is the learned index, alone or sharded: the
+// engines whose block accesses a window that contains nothing must not move.
+func learned(e rsmi.Engine) bool {
+	switch e.(type) {
+	case *rsmi.Index, *rsmi.Sharded:
+		return true
+	}
+	return false
+}
+
 func TestKNNEdgeCases(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1500, 81)
 	lin := index.NewLinear(pts)
@@ -143,6 +153,25 @@ func TestZeroAreaWindow(t *testing.T) {
 			}
 			if got := must(e.WindowQueryContext(ctx, empty)); len(got) != 0 {
 				t.Fatalf("WindowQuery on empty location returned %d points", len(got))
+			}
+			// An inverted window — MinX > MaxX or MinY > MaxY — contains
+			// nothing, and the learned engines answer it without reading a
+			// block.
+			for _, inv := range []rsmi.Rect{
+				{MinX: 0.6, MinY: 0.2, MaxX: 0.4, MaxY: 0.8},
+				{MinX: 0.2, MinY: 0.6, MaxX: 0.8, MaxY: 0.4},
+				{MinX: 0.9, MinY: 0.9, MaxX: 0.1, MaxY: 0.1},
+			} {
+				before := e.Accesses()
+				if got := must(e.WindowQueryContext(ctx, inv)); len(got) != 0 {
+					t.Fatalf("WindowQuery(inverted %v) returned %d points", inv, len(got))
+				}
+				if n := e.Accesses() - before; learned(e) && n != 0 {
+					t.Fatalf("WindowQuery(inverted %v) read %d blocks, want 0", inv, n)
+				}
+				if got := must(e.ExactWindowContext(ctx, inv)); len(got) != 0 {
+					t.Fatalf("ExactWindow(inverted %v) returned %d points", inv, len(got))
+				}
 			}
 			// Zero-width (line) window: oracle equivalence for the exact
 			// variant, no false positives for the approximate one.
@@ -303,8 +332,12 @@ func TestNonFiniteQueries(t *testing.T) {
 					{MinX: q.X, MinY: q.Y, MaxX: 1, MaxY: 1},
 					{MinX: 0, MinY: 0, MaxX: q.X, MaxY: q.Y},
 				} {
+					before := e.Accesses()
 					if got := must(e.WindowQueryContext(ctx, w)); len(got) != 0 {
 						t.Errorf("WindowQuery(%v) returned %d rows", w, len(got))
+					}
+					if n := e.Accesses() - before; learned(e) && n != 0 {
+						t.Errorf("WindowQuery(%v) read %d blocks, want 0", w, n)
 					}
 				}
 			}

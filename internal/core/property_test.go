@@ -354,26 +354,6 @@ func TestCursorMatchesListWalk(t *testing.T) {
 	}
 }
 
-// TestKNNAllocatesOnlyItsAnswer: candidate lists, block queue and bitmap
-// come from the scratch pool, so a warm kNN query allocates one slice.
-func TestKNNAllocatesOnlyItsAnswer(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
-	idx, pts := buildTest(t, dataset.Skewed, 3000)
-	for _, k := range []int{1, 25, 625} {
-		i := 0
-		if n := testing.AllocsPerRun(100, func() {
-			i++
-			if got := idx.KNN(pts[i%len(pts)], k); len(got) != k {
-				t.Fatalf("KNN(k=%d) returned %d points", k, len(got))
-			}
-		}); n != 1 {
-			t.Errorf("KNN(k=%d) allocates %v times per call, want 1", k, n)
-		}
-	}
-}
-
 // TestCurveOptionsProduceDifferentOrders: Hilbert and Z orderings must not
 // silently collapse into the same structure.
 func TestCurveOptionsProduceDifferentOrders(t *testing.T) {

@@ -125,36 +125,79 @@ func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (b *store.Block, base, slot
 // (Algorithm 2, lines 1–10). For Hilbert curves the extreme curve values in
 // the window lie on its boundary, so the four corners are used heuristically
 // (§4.2); for Z-curves the bottom-left and top-right corners are exact.
+//
+// A corner's point query can only narrow its error-bounded range [lo, hi] to
+// the one base block it finds the corner in, and only the corners holding the
+// least lo and the greatest hi set the range. So every corner is located but
+// probed lazily: the corner holding the least lo is probed, and a hit moves
+// its lo up, until the corner holding it is one already probed; then the same
+// for the greatest hi. A corner that sets neither extreme is never probed —
+// window corners are almost never indexed points, so a probe mostly scans its
+// whole range for nothing — and the range is the one probing every corner
+// gives.
 func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
 	// Two corners for Z-curves, four for Hilbert curves (§4.2).
 	corners := [4]geom.Point{
 		{X: q.MinX, Y: q.MinY}, {X: q.MaxX, Y: q.MaxY},
 		{X: q.MinX, Y: q.MaxY}, {X: q.MaxX, Y: q.MinY},
 	}
-	n := len(corners)
+	m := len(corners)
 	if t.opts.Curve == sfc.Z {
-		n = 2
+		m = 2
 	}
-	begin, end = math.MaxInt, -1
-	for _, c := range corners[:n] {
-		lo, hi, ok := t.locate(c)
-		if !ok {
-			continue
+	var cs [4]cornerRange
+	n := 0
+	for _, c := range corners[:m] {
+		if lo, hi, ok := t.locate(c); ok {
+			cs[n] = cornerRange{p: c, lo: lo, hi: hi}
+			n++
 		}
-		any = true
+	}
+	if n == 0 {
+		return math.MaxInt, -1, false
+	}
+	return cs[t.settle(cs[:n], false)].lo, cs[t.settle(cs[:n], true)].hi, true
+}
+
+// cornerRange is a window corner's block range: error-bounded until the
+// corner is probed, and the one base block it was found in after a hit.
+type cornerRange struct {
+	p      geom.Point
+	lo, hi int
+	probed bool
+}
+
+// key is the bound settle minimises: lo for the range's begin, -hi for its
+// end.
+func (c *cornerRange) key(high bool) int {
+	if high {
+		return -c.hi
+	}
+	return c.lo
+}
+
+// settle probes corners of cs until the one holding the least key has been
+// probed, and returns its index. Among corners tied on the key an already
+// probed one is taken: it needs no probe.
+func (t *RSMI) settle(cs []cornerRange, high bool) int {
+	for {
+		x := 0
+		for i := 1; i < len(cs); i++ {
+			if ki, kx := cs[i].key(high), cs[x].key(high); ki < kx || ki == kx && cs[i].probed && !cs[x].probed {
+				x = i
+			}
+		}
+		c := &cs[x]
+		if c.probed {
+			return x
+		}
+		c.probed = true
 		// If the corner itself is indexed, its actual block is an exact
-		// bound; otherwise fall back to the error-bounded range.
-		if b, base, _ := t.findPointIn(c, lo, hi); b != nil {
-			lo, hi = base, base
-		}
-		if lo < begin {
-			begin = lo
-		}
-		if hi > end {
-			end = hi
+		// bound; otherwise the error-bounded range stands.
+		if b, base, _ := t.findPointIn(c.p, c.lo, c.hi); b != nil {
+			c.lo, c.hi = base, base
 		}
 	}
-	return begin, end, any
 }
 
 // WindowQuery implements Algorithm 2: bound the block range with corner
@@ -175,6 +218,10 @@ func (t *RSMI) WindowQuery(q geom.Rect) []geom.Point {
 //
 //rsmi:noalloc
 func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
+	if !(q.MinX <= q.MaxX && q.MinY <= q.MaxY) {
+		// An inverted window, or one with a NaN side, contains nothing.
+		return dst
+	}
 	begin, end, ok := t.windowBounds(q)
 	if !ok || end < begin {
 		return dst

@@ -67,28 +67,103 @@ func refPoint(t *RSMI, q geom.Point, reads *int) bool {
 	return b != nil
 }
 
-func refWindowBounds(t *RSMI, q geom.Rect, reads *int) (begin, end int, any bool) {
+// refCorner is one window corner as the four-probe reference sees it: its
+// error-bounded range, whether its probe found it and in which base block,
+// and the blocks that probe read.
+type refCorner struct {
+	lo, hi, base, reads int
+	found               bool
+}
+
+// refCorners locates and probes every corner Algorithm 2 uses for q, in the
+// order the read path lists them, skipping corners no leaf covers.
+func refCorners(t *RSMI, q geom.Rect) []refCorner {
 	corners := []geom.Point{{X: q.MinX, Y: q.MinY}, {X: q.MaxX, Y: q.MaxY}}
 	if t.opts.Curve != sfc.Z {
 		corners = append(corners, geom.Pt(q.MinX, q.MaxY), geom.Pt(q.MaxX, q.MinY))
 	}
-	begin, end = math.MaxInt, -1
+	var out []refCorner
 	for _, c := range corners {
 		lo, hi, ok := t.locate(c)
 		if !ok {
 			continue
 		}
+		rc := refCorner{lo: lo, hi: hi}
+		b, base := refFind(t, c, lo, hi, &rc.reads)
+		rc.found, rc.base = b != nil, base
+		out = append(out, rc)
+	}
+	return out
+}
+
+// refWindowBounds is Algorithm 2's range with every corner probed, counting
+// every probe's reads.
+func refWindowBounds(t *RSMI, q geom.Rect, reads *int) (begin, end int, any bool) {
+	begin, end = math.MaxInt, -1
+	for _, c := range refCorners(t, q) {
 		any = true
-		if b, base := refFind(t, c, lo, hi, reads); b != nil {
-			lo, hi = base, base
+		*reads += c.reads
+		lo, hi := c.lo, c.hi
+		if c.found {
+			lo, hi = c.base, c.base
 		}
 		begin, end = min(begin, lo), max(end, hi)
 	}
 	return begin, end, any
 }
 
+// lazyReads returns the blocks the lazy corner rule reads over corners cs:
+// while no probed corner holds the least lo, the first corner holding it is
+// probed, a hit narrowing its range to its base block; then the same for the
+// greatest hi. A corner is probed at most once.
+func lazyReads(cs []refCorner) int {
+	lo, hi := make([]int, len(cs)), make([]int, len(cs))
+	probed := make([]bool, len(cs))
+	for i, c := range cs {
+		lo[i], hi[i] = c.lo, c.hi
+	}
+	reads := 0
+	for _, bound := range []func(i int) int{
+		func(i int) int { return lo[i] },
+		func(i int) int { return -hi[i] },
+	} {
+		for {
+			least, settled, first := math.MaxInt, false, -1
+			for i := range cs {
+				least = min(least, bound(i))
+			}
+			for i := range cs {
+				if bound(i) == least {
+					settled = settled || probed[i]
+					if first < 0 {
+						first = i
+					}
+				}
+			}
+			if settled || first < 0 {
+				break
+			}
+			probed[first] = true
+			reads += cs[first].reads
+			if cs[first].found {
+				lo[first], hi[first] = cs[first].base, cs[first].base
+			}
+		}
+	}
+	return reads
+}
+
+// refLazyBounds is refWindowBounds's range with the reads the lazy corner
+// rule makes for it.
+func refLazyBounds(t *RSMI, q geom.Rect, reads *int) (begin, end int, any bool) {
+	var all int
+	begin, end, any = refWindowBounds(t, q, &all)
+	*reads += lazyReads(refCorners(t, q))
+	return begin, end, any
+}
+
 func refWindow(t *RSMI, q geom.Rect, reads *int) []geom.Point {
-	begin, end, ok := refWindowBounds(t, q, reads)
+	begin, end, ok := refLazyBounds(t, q, reads)
 	if !ok || end < begin {
 		return nil
 	}
@@ -125,7 +200,7 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 	}
 	visited := map[int]bool{}
 	for round := 0; round < 64; round++ {
-		begin, end, ok := refWindowBounds(t, geom.RectAround(q, width, height), reads)
+		begin, end, ok := refLazyBounds(t, geom.RectAround(q, width, height), reads)
 		if ok {
 			refScan(t, begin, end, reads, func(b *store.Block, _ int) bool {
 				if visited[b.ID] {
@@ -230,29 +305,36 @@ func (w *readPathWorld) check(stage string) {
 	}
 	for i := 0; i < 60; i++ {
 		c := w.live[w.rng.Intn(len(w.live))]
-		q := geom.RectAround(c, 0.3*w.rng.Float64(), 0.3*w.rng.Float64())
-		var got []geom.Point
-		var refReads int
-		reads := w.accesses(func() { got = idx.WindowQuery(q) })
-		want := refWindow(idx, q, &refReads)
-		if len(got) != len(want) {
-			t.Fatalf("%s: window %v: %d rows, reference %d", stage, q, len(got), len(want))
+		w.checkWindow(stage, geom.RectAround(c, 0.3*w.rng.Float64(), 0.3*w.rng.Float64()))
+	}
+	// Windows spanned by two live points, one below and left of the other:
+	// their bottom-left and top-right corners are indexed, so those probes
+	// hit (on both curves). A hit on the corner holding the least lo (or the
+	// greatest hi) may leave it the extreme, or move the extreme to another
+	// corner's range, which the lazy rule must then probe; both must occur.
+	var moved, stayed int
+	for tries := 0; tries < 2000 && (moved < 10 || stayed < 10); tries++ {
+		a := w.live[w.rng.Intn(len(w.live))]
+		if tries%2 == 1 { // the newest points, a hot spot's among them
+			a = w.live[len(w.live)-1-w.rng.Intn(min(len(w.live), 200))]
 		}
-		for j := range got {
-			if got[j] != want[j] {
-				t.Fatalf("%s: window %v row %d = %v, reference %v", stage, q, j, got[j], want[j])
+		for _, b := range w.oracle.KNN(a, 8) {
+			if b.X <= a.X || b.Y <= a.Y {
+				continue
 			}
-			if !q.Contains(got[j]) || !w.oracle.PointQuery(got[j]) {
-				t.Fatalf("%s: window %v false positive %v", stage, q, got[j])
+			q := geom.NewRect(a, b)
+			m, st := hitMoves(refCorners(idx, q))
+			if m {
+				moved++
 			}
+			if st {
+				stayed++
+			}
+			w.checkWindow(stage, q)
 		}
-		if reads != refReads {
-			t.Fatalf("%s: window %v read %d blocks, reference %d", stage, q, reads, refReads)
-		}
-		exact, truth := idx.ExactWindow(q), w.oracle.WindowQuery(q)
-		if len(exact) != len(truth) || index.Recall(exact, truth) != 1 {
-			t.Fatalf("%s: exact window %v: %d rows, oracle %d", stage, q, len(exact), len(truth))
-		}
+	}
+	if moved == 0 || stayed == 0 {
+		t.Fatalf("%s: of the windows spanned by two points, %d had a hit move an extreme and %d a hit leave it; want both", stage, moved, stayed)
 	}
 	for i := 0; i < 40; i++ {
 		q := geom.Pt(w.rng.Float64(), w.rng.Float64())
@@ -283,6 +365,74 @@ func (w *readPathWorld) check(stage string) {
 			}
 		}
 	}
+}
+
+// checkWindow compares a window's scan range with the four-probe reference,
+// and its answer and block reads, probes and scan, with the reference path
+// under the lazy corner rule.
+func (w *readPathWorld) checkWindow(stage string, q geom.Rect) {
+	t, idx := w.t, w.idx
+	t.Helper()
+	var refAll int
+	wantBegin, wantEnd, wantOK := refWindowBounds(idx, q, &refAll)
+	var begin, end int
+	var ok bool
+	reads := w.accesses(func() { begin, end, ok = idx.windowBounds(q) })
+	if begin != wantBegin || end != wantEnd || ok != wantOK {
+		t.Fatalf("%s: window %v bounds [%d, %d] %v, four-probe reference [%d, %d] %v", stage, q, begin, end, ok, wantBegin, wantEnd, wantOK)
+	}
+	if refLazy := lazyReads(refCorners(idx, q)); reads != refLazy {
+		t.Fatalf("%s: window %v bounds read %d blocks, the lazy rule %d (four probes %d)", stage, q, reads, refLazy, refAll)
+	}
+
+	var got []geom.Point
+	var refReads int
+	reads = w.accesses(func() { got = idx.WindowQuery(q) })
+	want := refWindow(idx, q, &refReads)
+	if len(got) != len(want) {
+		t.Fatalf("%s: window %v: %d rows, reference %d", stage, q, len(got), len(want))
+	}
+	for j := range got {
+		if got[j] != want[j] {
+			t.Fatalf("%s: window %v row %d = %v, reference %v", stage, q, j, got[j], want[j])
+		}
+		if !q.Contains(got[j]) || !w.oracle.PointQuery(got[j]) {
+			t.Fatalf("%s: window %v false positive %v", stage, q, got[j])
+		}
+	}
+	if reads != refReads {
+		t.Fatalf("%s: window %v read %d blocks, reference %d", stage, q, reads, refReads)
+	}
+	exact, truth := idx.ExactWindow(q), w.oracle.WindowQuery(q)
+	if len(exact) != len(truth) || index.Recall(exact, truth) != 1 {
+		t.Fatalf("%s: exact window %v: %d rows, oracle %d", stage, q, len(exact), len(truth))
+	}
+}
+
+// hitMoves reports, for corners cs, whether a hit on a corner holding the
+// least lo or the greatest hi moves that extreme to another corner's
+// range, and whether such a hit leaves it where it was.
+func hitMoves(cs []refCorner) (moved, stayed bool) {
+	for _, bound := range []func(lo, hi int) int{
+		func(lo, _ int) int { return lo },
+		func(_, hi int) int { return -hi },
+	} {
+		x := -1
+		for i, c := range cs {
+			if x < 0 || bound(c.lo, c.hi) < bound(cs[x].lo, cs[x].hi) {
+				x = i
+			}
+		}
+		if x < 0 || !cs[x].found {
+			continue
+		}
+		past := false
+		for i, c := range cs {
+			past = past || i != x && bound(c.lo, c.hi) < bound(cs[x].base, cs[x].base)
+		}
+		moved, stayed = moved || past, stayed || !past
+	}
+	return moved, stayed
 }
 
 // TestReadPathMatchesReference drives one seeded history — inserts, deletes
@@ -349,9 +499,11 @@ func TestReadPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReadPathAllocs pins the allocation-free promises of the read path:
-// a point query allocates nothing, and neither does a window query that
-// appends into a buffer already large enough.
+// TestReadPathAllocs pins the allocation promises of the read path: a point
+// query allocates nothing, neither does a window query that appends into a
+// buffer already large enough, and a kNN query allocates its answer only —
+// candidate lists, block queue and bitmap come from the scratch pool, and
+// no round's corner state escapes.
 func TestReadPathAllocs(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 3000)
 	for _, p := range pts[:300] {
@@ -374,6 +526,19 @@ func TestReadPathAllocs(t *testing.T) {
 	}
 	if len(buf) == 0 {
 		t.Error("window probe matched nothing; the pin measured an empty path")
+	}
+	if raceDetector {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	for _, k := range []int{1, 25, 625} {
+		if n := testing.AllocsPerRun(100, func() {
+			i++
+			if got := idx.KNN(pts[i%len(pts)], k); len(got) != k {
+				t.Fatalf("KNN(k=%d) returned %d points", k, len(got))
+			}
+		}); n != 1 {
+			t.Errorf("KNN(k=%d) allocates %v times per call, want 1", k, n)
+		}
 	}
 }
 

@@ -188,13 +188,13 @@ var _ index.Index = (*RSMI)(nil)
 // Points with a NaN or infinite coordinate are not indexed (see
 // ErrNonFinitePoint).
 func New(pts []geom.Point, opts Options) *RSMI {
-	return newOwned(geom.FinitePoints(pts), opts)
+	return NewOwned(geom.FinitePoints(pts), opts)
 }
 
-// newOwned builds an RSMI over work, which must hold finite points only and
-// which the build takes over: Rebuild hands it the one copy of the live
-// points it makes.
-func newOwned(work []geom.Point, opts Options) *RSMI {
+// NewOwned builds an RSMI over work, which must hold finite points only and
+// which the build takes over and reorders: Rebuild, and a shard's rebuild,
+// hand it the one copy of the live points AllPoints makes.
+func NewOwned(work []geom.Point, opts Options) *RSMI {
 	opts = opts.withDefaults()
 	start := time.Now()
 	t := &RSMI{

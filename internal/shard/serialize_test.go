@@ -401,3 +401,31 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestRebuildSnapshotGolden pins the bytes a rolling rebuild writes after a
+// fixed history of inserts and deletes: rebuilding a shard from one owned copy
+// of its live points, rather than two, must hand the build the same points in
+// the same order under the same options and seed. Digests are of amd64
+// builds, as in TestBuildSnapshotGolden.
+func TestRebuildSnapshotGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are of amd64 builds")
+	}
+	pts := dataset.Generate(dataset.Skewed, 6000, 11)
+	s := New(pts, Options{Shards: 2, Index: core.Options{Epochs: 2, Seed: 3}})
+	for i, p := range dataset.Generate(dataset.Uniform, 1500, 12) {
+		mustInsert(t, s, p)
+		if i%3 == 0 {
+			if !must(s.DeleteContext(bg, pts[i])) {
+				t.Fatalf("delete of indexed point %v refused", pts[i])
+			}
+		}
+	}
+	if err := s.RebuildContext(bg); err != nil {
+		t.Fatal(err)
+	}
+	const want = "17544784ef7b50a1ac85f45c5b1af4267e8b88d3564f7254c61417aca8df50b7"
+	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
+		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
+	}
+}

@@ -441,8 +441,8 @@ func (s *Sharded) RebuildContext(ctx context.Context) error {
 		pts := sh.idx.AllPoints()
 		io := s.opts.Index
 		io.Seed += int64(i) * 7919
-		sh.idx = core.New(pts, io)
 		sh.storeRegion(geom.BoundingRect(pts))
+		sh.idx = core.NewOwned(pts, io) // AllPoints' copy is the build's own
 		sh.mu.Unlock()
 	}
 	s.notify(WriteOp{Kind: WriteRebuild})
