@@ -499,11 +499,9 @@ func TestReadPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReadPathAllocs pins the allocation promises of the read path: a point
-// query allocates nothing, neither does a window query that appends into a
-// buffer already large enough, and a kNN query allocates its answer only —
-// candidate lists, block queue and bitmap come from the scratch pool, and
-// no round's corner state escapes.
+// TestReadPathAllocs pins the allocation-free promises of the read path:
+// a point query allocates nothing, and neither does a window query that
+// appends into a buffer already large enough.
 func TestReadPathAllocs(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 3000)
 	for _, p := range pts[:300] {
@@ -527,9 +525,20 @@ func TestReadPathAllocs(t *testing.T) {
 	if len(buf) == 0 {
 		t.Error("window probe matched nothing; the pin measured an empty path")
 	}
+}
+
+// TestKNNAllocatesOnlyItsAnswer: candidate lists, block queue and bitmap
+// come from the scratch pool, and no round's corner state escapes, so a warm
+// kNN query allocates one slice, on an index with inserted points too.
+func TestKNNAllocatesOnlyItsAnswer(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool sheds items under the race detector")
 	}
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	for _, p := range pts[:300] {
+		idx.Insert(geom.Pt(p.X+1e-6, p.Y))
+	}
+	i := 0
 	for _, k := range []int{1, 25, 625} {
 		if n := testing.AllocsPerRun(100, func() {
 			i++
