@@ -97,7 +97,7 @@ func (l *locked) ExactWindowContext(ctx context.Context, q Rect) ([]Point, error
 }
 
 func (l *locked) KNNContext(ctx context.Context, q Point, k int) ([]Point, error) {
-	if err := ctx.Err(); err != nil || !q.IsFinite() {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	l.mu.RLock()

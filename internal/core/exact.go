@@ -44,6 +44,9 @@ type exactStep struct {
 	block int
 }
 
+// exactWalks pools ExactKNN's walks.
+var exactWalks index.Walks[exactStep]
+
 // ExactKNN returns the exact k nearest neighbours using the best-first
 // algorithm of Roussopoulos et al. [40] over the RSMI's MBR hierarchy: inner
 // nodes queue their children, leaves queue their blocks by cached MBR, and a
@@ -53,12 +56,14 @@ type exactStep struct {
 // This context-free form is the implementation layer: ExactKNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
+//
+//rsmi:noalloc
 func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
 	if t.n == 0 {
 		return nil
 	}
 	// As in KNN, BestFirst finds nothing nearest to a point that is nowhere.
-	return index.BestFirst(q, k, exactStep{node: t.root}, func(w *index.Walk[exactStep], s exactStep) {
+	return exactWalks.BestFirst(q, k, exactStep{node: t.root}, func(w *index.Walk[exactStep], s exactStep) {
 		switch {
 		case s.node == nil:
 			w.Offer(t.store.Read(s.block).Slots()...)

@@ -12,8 +12,8 @@ import (
 	"rsmi/internal/workload"
 )
 
-// ExactKNN runs the shared best-first walk of index.BestFirst over nodes and
-// blocks. The reference below is the walk it replaced — one boxed
+// ExactKNN runs the shared best-first walk of index.Walks.BestFirst over
+// nodes and blocks. The reference below is the walk it replaced — one boxed
 // container/heap queue of nodes, blocks and every point of every read block,
 // popped until k points came out — kept here so the test can demand the
 // same answers and the same block reads from the new walk.

@@ -3,12 +3,12 @@ package core
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 	"rsmi/internal/sfc"
 	"rsmi/internal/store"
 )
@@ -244,21 +244,25 @@ func TestOversizedLeafFallback(t *testing.T) {
 	}
 }
 
-// TestKNNBestMatchesFullSort: after every merged group of points the
-// candidate list holds exactly the first k of a stable sort by distance of
-// everything offered so far — the same distances in the same order and,
-// among equidistant points, the ones seen first. Group sizes run from empty
+// TestKNNBestMatchesFullSort: KNN's candidate set — the walk in its pooled
+// scratch — holds, after every merged group of points, the k-th distance of
+// everything offered so far as its bound, and ends with exactly the first k
+// of SortByDistance over it: the same distances in the same order and,
+// among equidistant points, the canonical order. Group sizes run from empty
 // to several blocks' worth and coordinates come from a coarse grid, so ties
-// are everywhere, at the k-th place too.
+// are everywhere, at the k-th place too. Each trial returns its scratch to
+// the pool, so later trials reset one that has been used.
 func TestKNNBestMatchesFullSort(t *testing.T) {
 	for _, k := range []int{1, 25, 625} {
 		rng := rand.New(rand.NewSource(int64(k)))
 		for trial := 0; trial < 12; trial++ {
 			q := geom.Pt(float64(rng.Intn(12)), float64(rng.Intn(12)))
 			if trial == 0 {
-				q.X = 1e300 // every distance overflows to +Inf: the first k seen are the answer
+				q.X = 1e300 // every distance overflows to +Inf: the canonical order alone decides
 			}
-			best := knnBest{q: q, k: k}
+			s := knnScratchPool.Get().(*knnScratch)
+			s.reset(k, q, 1+rng.Intn(200))
+			w := &s.walk
 			var all []geom.Point
 			for len(all) < 3*k+200 {
 				group := make([]geom.Point, rng.Intn(250))
@@ -268,24 +272,30 @@ func TestKNNBestMatchesFullSort(t *testing.T) {
 						group[i].X += rng.Float64()
 					}
 				}
-				best.merge(group)
+				w.Offer(group...)
 				all = append(all, group...)
 
 				want := append([]geom.Point(nil), all...)
-				sort.SliceStable(want, func(i, j int) bool { return q.Dist2(want[i]) < q.Dist2(want[j]) })
-				want = want[:min(k, len(want))]
-				got := best.points()
-				if len(got) != len(want) || best.full() != (len(all) >= k) {
-					t.Fatalf("k=%d after %d points: %d candidates (full=%v), want %d", k, len(all), len(got), best.full(), len(want))
+				index.SortByDistance(want, q)
+				if w.Full() != (len(all) >= k) {
+					t.Fatalf("k=%d after %d points: full=%v", k, len(all), w.Full())
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("k=%d after %d points: rank %d is %v (d²=%v), full sort has %v (d²=%v)",
-							k, len(all), i, got[i], q.Dist2(got[i]), want[i], q.Dist2(want[i]))
-					}
+				if w.Full() && w.Bound() != q.Dist2(want[k-1]) {
+					t.Fatalf("k=%d after %d points: Bound() = %v, k-th distance is %v", k, len(all), w.Bound(), q.Dist2(want[k-1]))
 				}
-				if best.full() && best.worst() != q.Dist2(want[k-1]) {
-					t.Fatalf("k=%d: worst() = %v, k-th distance is %v", k, best.worst(), q.Dist2(want[k-1]))
+			}
+			want := append([]geom.Point(nil), all...)
+			index.SortByDistance(want, q)
+			want = want[:min(k, len(want))]
+			got := w.Points()
+			knnScratchPool.Put(s)
+			if len(got) != len(want) {
+				t.Fatalf("k=%d trial %d: %d candidates, want %d", k, trial, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d trial %d: rank %d is %v (d²=%v), full sort has %v (d²=%v)",
+						k, trial, i, got[i], q.Dist2(got[i]), want[i], q.Dist2(want[i]))
 				}
 			}
 		}

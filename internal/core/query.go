@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 	"rsmi/internal/sfc"
 	"rsmi/internal/store"
 )
@@ -253,19 +254,21 @@ func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Po
 
 // KNN implements Algorithm 3: an expanding search region sized by the
 // learned per-dimension CDFs, probed with window queries. Results are
-// approximate (recall > 88% in §6.2.4) and sorted by distance.
+// approximate (recall > 88% in §6.2.4) and sorted by distance, equidistant
+// points in the canonical point order.
 //
 // Within a round the region's blocks are searched best-first: every block
-// the round has not seen yet is queued by the MINDIST of its cached MBR, the
-// nearest is searched next, and the round stops at the first block no nearer
-// than the current k-th candidate (the MINDIST test of Algorithm 3, line 7 —
-// every block still queued fails it too). A block queued once is never
-// reconsidered: the bound only shrinks, so a block that failed the test
-// keeps failing it.
+// the round has not seen yet is queued by the MINDIST of its cached MBR and
+// the queue is drained (index.Walk.Drain), which stops at the first block no
+// nearer than the current k-th candidate (the MINDIST test of Algorithm 3,
+// line 7). A block queued once is never reconsidered: the bound only
+// shrinks, so a block that failed the test keeps failing it.
 //
 // This context-free form is the implementation layer: KNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
+//
+//rsmi:noalloc
 func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	if k <= 0 || t.n == 0 || !q.IsFinite() {
 		// Nothing is nearest to a point that is nowhere.
@@ -282,7 +285,7 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 
 	s := knnScratchPool.Get().(*knnScratch)
 	s.reset(k, q, t.store.NumBlocks())
-	best := &s.best
+	w := &s.walk
 
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
@@ -291,25 +294,18 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 			c := t.scan(begin, end)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
 				if !s.seen.testAndSet(id) {
-					s.queue.push(blockDist{t.blockMBR[id].MinDist2(q), id})
+					w.Push(id, t.blockMBR[id].MinDist2(q))
 				}
 			}
 			t.store.CountReads(c.reads)
-			for len(s.queue) > 0 {
-				next := s.queue.pop()
-				if best.full() && next.dist2 >= best.worst() {
-					s.queue = s.queue[:0]
-					break
-				}
-				best.merge(t.store.Peek(next.id).Slots())
-			}
+			w.Drain(func(w *index.Walk[int], id int) { w.Offer(t.store.Peek(id).Slots()...) })
 		}
-		if !best.full() {
+		if !w.Full() {
 			width *= 2
 			height *= 2
 			continue
 		}
-		kth := math.Sqrt(best.worst())
+		kth := math.Sqrt(w.Bound())
 		if kth > math.Sqrt(width*width+height*height)/2 {
 			width = 2 * kth
 			height = 2 * kth
@@ -317,139 +313,9 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 		}
 		break
 	}
-	out := best.points()
+	out := w.Points()
 	knnScratchPool.Put(s)
 	return out
-}
-
-// candidate is a point with its squared distance to the query point.
-type candidate struct {
-	dist2 float64
-	p     geom.Point
-}
-
-// knnBest holds the k nearest points seen so far in ascending-distance
-// order, exact after every merged block. Nothing is sifted per point: a
-// block's points are filtered against the k-th distance, the few that pass
-// are insertion-sorted into a block-local list, and that list is merged into
-// the sorted one — O(c·min(c, k) + k) for a block with c passing points.
-// Equidistant points keep the order they were seen in, and the earlier one
-// wins the last place.
-type knnBest struct {
-	q     geom.Point
-	k     int
-	list  []candidate // ascending by dist2, at most k
-	local []candidate // one block's candidates, reused across blocks
-}
-
-// full reports whether k candidates are held. Until then every point is one,
-// even at a distance that overflowed to +Inf.
-func (b *knnBest) full() bool { return len(b.list) == b.k }
-
-// worst returns the squared distance of the k-th candidate of a full list:
-// what a point, or a block's MINDIST, has to beat.
-func (b *knnBest) worst() float64 { return b.list[b.k-1].dist2 }
-
-// merge folds one block's points into the list.
-func (b *knnBest) merge(pts []geom.Point) {
-	bound, open, local := math.Inf(1), b.k-len(b.list), b.local[:0]
-	if open == 0 {
-		bound = b.worst()
-	}
-	for _, p := range pts {
-		d := b.q.Dist2(p)
-		if d >= bound && len(local) >= open {
-			continue
-		}
-		// A full local list drops its last entry, the new bound's loser.
-		if len(local) < b.k {
-			local = append(local, candidate{})
-		}
-		i := len(local) - 1
-		for ; i > 0 && local[i-1].dist2 > d; i-- {
-			local[i] = local[i-1]
-		}
-		local[i] = candidate{d, p}
-		if len(local) == b.k {
-			bound = local[b.k-1].dist2
-		}
-	}
-	b.local = local
-	// Drop what no longer fits from the two tails, then merge from the back,
-	// in place: the list's unmoved prefix is already where it belongs.
-	i, j := len(b.list), len(local)
-	for i+j > b.k { // neither list is longer than k, so neither runs out
-		if b.list[i-1].dist2 > local[j-1].dist2 {
-			i--
-		} else {
-			j--
-		}
-	}
-	b.list = append(b.list[:i], local[:j]...)
-	for w := i + j - 1; j > 0; w-- {
-		if i > 0 && b.list[i-1].dist2 > local[j-1].dist2 {
-			i--
-			b.list[w] = b.list[i]
-		} else {
-			j--
-			b.list[w] = local[j]
-		}
-	}
-}
-
-// points returns the candidates' points, nearest first, as a new slice.
-func (b *knnBest) points() []geom.Point {
-	out := make([]geom.Point, len(b.list))
-	for i, c := range b.list {
-		out[i] = c.p
-	}
-	return out
-}
-
-// blockDist is a block queued for a kNN round with the squared MINDIST from
-// the query point to its cached MBR.
-type blockDist struct {
-	dist2 float64
-	id    int
-}
-
-// blockQueue is a binary min-heap of blocks by MINDIST.
-type blockQueue []blockDist
-
-func (q *blockQueue) push(e blockDist) {
-	h := append(*q, e)
-	*q = h
-	for i := len(h) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if h[parent].dist2 <= h[i].dist2 {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *blockQueue) pop() blockDist {
-	h := *q
-	top := h[0]
-	n := len(h) - 1
-	h[0] = h[n]
-	*q = h[:n]
-	for i := 0; ; {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h[l].dist2 < h[small].dist2 {
-			small = l
-		}
-		if r < n && h[r].dist2 < h[small].dist2 {
-			small = r
-		}
-		if small == i {
-			return top
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
 }
 
 // bitmap is a set of block ids.
@@ -463,14 +329,14 @@ func (m bitmap) testAndSet(id int) bool {
 	return old&bit != 0
 }
 
-// knnScratch is the per-call working state of KNN — candidate lists, block
-// queue, seen-block bitmap — recycled through knnScratchPool so a query
-// allocates only its answer. The index itself holds no query state: shards
-// run many KNN calls on one RSMI under a read lock.
+// knnScratch is the per-call working state of KNN — the block queue and the
+// seen-block bitmap — recycled through knnScratchPool; the walk's candidate
+// set draws on index's own pool, so a query allocates only its answer. The
+// index itself holds no query state: shards run many KNN calls on one RSMI
+// under a read lock.
 type knnScratch struct {
-	best  knnBest
-	queue blockQueue
-	seen  bitmap
+	walk index.Walk[int]
+	seen bitmap
 }
 
 var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
@@ -478,8 +344,7 @@ var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
 // reset prepares the scratch for a k-nearest search around q over an index
 // of the given block count.
 func (s *knnScratch) reset(k int, q geom.Point, blocks int) {
-	s.best = knnBest{q: q, k: k, list: s.best.list[:0], local: s.best.local}
-	s.queue = s.queue[:0]
+	s.walk.Reset(q, k)
 	words := (blocks + 63) / 64
 	if cap(s.seen) < words {
 		s.seen = make(bitmap, words)

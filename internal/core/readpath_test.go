@@ -551,6 +551,30 @@ func TestKNNAllocatesOnlyItsAnswer(t *testing.T) {
 	}
 }
 
+// TestExactKNNAllocatesOnlyItsAnswer: the best-first walk, its queue and its
+// candidate set come from pools, so a warm exact kNN query allocates one
+// slice, on an index with inserted points too.
+func TestExactKNNAllocatesOnlyItsAnswer(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	for _, p := range pts[:300] {
+		idx.Insert(geom.Pt(p.X+1e-6, p.Y))
+	}
+	i := 0
+	for _, k := range []int{1, 25, 625} {
+		if n := testing.AllocsPerRun(100, func() {
+			i++
+			if got := idx.ExactKNN(pts[i%len(pts)], k); len(got) != k {
+				t.Fatalf("ExactKNN(k=%d) returned %d points", k, len(got))
+			}
+		}); n != 1 {
+			t.Errorf("ExactKNN(k=%d) allocates %v times per call, want 1", k, n)
+		}
+	}
+}
+
 // TestLoadRejectsShrunkBlockMBR tampers one block MBR inside a written
 // snapshot so it no longer covers the block's points. Point queries trust
 // that MBR, so the snapshot must not load (or, were it to load, every

@@ -148,9 +148,9 @@ func (g *Grid) WindowQuery(q geom.Rect) []geom.Point {
 // cells are visited ring by ring around q's cell, pruned by MINDIST against
 // the current k-th candidate, which makes the result exact. The paper notes
 // Grid's kNN weakness: "the kNNs may spread in multiple cells which makes it
-// uncompetitive" (§6.2.4).
+// uncompetitive" (§6.2.4). Nothing is nearest to a non-finite q.
 func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || g.n == 0 {
+	if k <= 0 || g.n == 0 || !q.IsFinite() {
 		return nil
 	}
 	qcx := g.axisCell(q.X, g.norm.MinX, g.norm.MaxX)

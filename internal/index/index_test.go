@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -135,6 +136,9 @@ func TestLinearKNN(t *testing.T) {
 	}
 	if got := l.KNN(q, 0); got != nil {
 		t.Error("k=0 must return nil")
+	}
+	if got := l.KNN(geom.Pt(math.NaN(), 0.5), 5); got != nil {
+		t.Errorf("KNN((NaN, 0.5), 5) returned %d points, want nil", len(got))
 	}
 	if got := l.KNN(q, 5000); len(got) != 1000 {
 		t.Errorf("k>n returned %d", len(got))

@@ -7,6 +7,7 @@
 package indextest
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -148,6 +149,10 @@ func runKNNQueries(t *testing.T, cfg Config, idx index.Index, oracle *index.Line
 		if avg := recall / float64(len(qs)); avg < cfg.RecallFloor {
 			t.Errorf("average kNN recall = %.3f, want >= %.2f", avg, cfg.RecallFloor)
 		}
+	}
+	// Nothing is nearest to a point that is nowhere.
+	if got := idx.KNN(geom.Pt(math.NaN(), 0.5), 5); len(got) != 0 {
+		t.Errorf("KNN((NaN, 0.5), 5) returned %d points, want none", len(got))
 	}
 	// k edge cases must not panic or overflow.
 	q := geom.Pt(0.5, 0.5)

@@ -54,13 +54,20 @@ func (l *Linear) WindowQuery(q geom.Rect) []geom.Point {
 // KNN implements Index with an exact full scan that offers every point to a
 // Nearest. The answer is exactly that of sorting every point with
 // SortByDistance and keeping the first k (ties in canonical point order),
-// in O(n log k) time and O(k) space.
+// in O(k) space. Nothing is nearest to a non-finite q.
+//
+// The points are offered in runs of 1024, as an index offers its blocks: one
+// offer of everything would shift up to k candidates for every point that
+// beats the k-th (2.4× slower at k = 625 over 100k points).
 func (l *Linear) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || len(l.pts) == 0 {
+	if k <= 0 || len(l.pts) == 0 || !q.IsFinite() {
 		return nil
 	}
+	const run = 1024
 	best := NewNearest(q, k)
-	best.Offer(l.pts...)
+	for i := 0; i < len(l.pts); i += run {
+		best.Offer(l.pts[i:min(i+run, len(l.pts))]...)
+	}
 	return best.Points()
 }
 

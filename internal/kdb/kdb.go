@@ -229,6 +229,9 @@ func (t *Tree) WindowQuery(q geom.Rect) []geom.Point {
 	return out
 }
 
+// walks pools KNN's best-first walks.
+var walks index.Walks[*page]
+
 // KNN implements index.Index with best-first search over region pages [40].
 // Regions may be unbounded at the universe border; MINDIST handles their
 // infinite edges because BestFirst runs only for a finite query point.
@@ -236,7 +239,7 @@ func (t *Tree) KNN(q geom.Point, k int) []geom.Point {
 	if t.size == 0 {
 		return nil
 	}
-	return index.BestFirst(q, k, t.root, func(w *index.Walk[*page], pg *page) {
+	return walks.BestFirst(q, k, t.root, func(w *index.Walk[*page], pg *page) {
 		t.accesses.Add(1)
 		if pg.leaf {
 			w.Offer(pg.pts...)

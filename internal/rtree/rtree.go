@@ -231,13 +231,16 @@ func (t *Tree) WindowQuery(q geom.Rect) []geom.Point {
 	return out
 }
 
+// walks pools KNN's best-first walks.
+var walks index.Walks[*Node]
+
 // KNN returns the exact k nearest neighbours of q, closest first, using the
 // best-first algorithm [40].
 func (t *Tree) KNN(q geom.Point, k int) []geom.Point {
 	if t.size == 0 {
 		return nil
 	}
-	return index.BestFirst(q, k, t.root, func(w *index.Walk[*Node], n *Node) {
+	return walks.BestFirst(q, k, t.root, func(w *index.Walk[*Node], n *Node) {
 		t.visit(n)
 		if n.Leaf {
 			w.Offer(n.Points...)

@@ -13,6 +13,7 @@ import (
 	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/index"
 )
 
 // buildCtx builds a small sharded index whose every shard overlaps the
@@ -166,13 +167,15 @@ func TestContextVariantsMatchShards(t *testing.T) {
 	if err != nil || !found {
 		t.Fatalf("PointQueryContext(indexed) = %v, %v", found, err)
 	}
-	var want, wantKNN []geom.Point
+	var want []geom.Point
+	nearest := index.NewNearest(pts[5], 7)
 	for _, sh := range s.shards {
 		if sh.loadRegion().Intersects(q) {
 			want = append(want, sh.idx.WindowQuery(q)...)
 		}
-		wantKNN = mergeNearest(wantKNN, sh.idx.KNN(pts[5], 7), pts[5], 7)
+		nearest.Offer(sh.idx.KNN(pts[5], 7)...)
 	}
+	wantKNN := nearest.Points()
 	win, err := s.WindowQueryContext(bg, q)
 	if err != nil || len(win) != len(want) {
 		t.Fatalf("WindowQueryContext: %d points, %v; the shards give %d", len(win), err, len(want))

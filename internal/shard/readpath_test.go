@@ -132,40 +132,77 @@ func TestKNNSearchesOnlyShardsItNeeds(t *testing.T) {
 	}
 }
 
-// TestMergeNearest: the k-bounded merge equals sorting everything seen so
-// far by distance (ties in canonical order) and keeping the first k.
+// TestMergeNearest: the one k-nearest set that the searched shards'
+// answers are offered to yields what sorting all of those answers by
+// distance (ties in canonical order) and keeping the first k does, on the
+// approximate and the exact path; and the exact answer's distances are those
+// of the k nearest points overall. Points sit on a coarse grid and queries on
+// grid points and half-way between them, so equidistant points are common,
+// at the k-th place and across shard borders too.
 func TestMergeNearest(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for round := 0; round < 200; round++ {
-		q := geom.Pt(rng.Float64(), rng.Float64())
-		k := 1 + rng.Intn(12)
-		var best, all []geom.Point
-		for shard := 0; shard < 1+rng.Intn(4); shard++ {
-			got := make([]geom.Point, rng.Intn(k+1))
-			for i := range got {
-				// A coarse grid makes equidistant points common; a shard's own
-				// answer is ordered by distance only.
-				got[i] = geom.Pt(float64(rng.Intn(5))/4, float64(rng.Intn(5))/4)
-			}
-			index.SortByDistance(got, q)
-			for i := len(got) - 1; i > 0; i-- {
-				if q.Dist2(got[i]) == q.Dist2(got[i-1]) && rng.Intn(2) == 0 {
-					got[i], got[i-1] = got[i-1], got[i]
+	var pts []geom.Point
+	for i := 0; i <= 40; i++ {
+		for j := 0; j <= 40; j++ {
+			pts = append(pts, geom.Pt(float64(i)/40, float64(j)/40))
+		}
+	}
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(73))
+			s := New(pts, quickOpts(l.shards))
+			for round := 0; round < 200; round++ {
+				q := geom.Pt(float64(rng.Intn(81))/80, float64(rng.Intn(81))/80)
+				k := 1 + rng.Intn(12)
+				if round%10 == 0 {
+					k = 25 + rng.Intn(100)
+				}
+				exact := round%2 == 0
+				s.ResetAccesses()
+				var got []geom.Point
+				var err error
+				if exact {
+					got, err = s.ExactKNNContext(ctx, q, k)
+				} else {
+					got, err = s.KNNContext(ctx, q, k)
+				}
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				// Everything offered: the answers of the shards that were read.
+				var all []geom.Point
+				for _, sh := range s.shards {
+					if sh.idx.Accesses() == 0 {
+						continue
+					}
+					if exact {
+						all = append(all, sh.idx.ExactKNN(q, k)...)
+					} else {
+						all = append(all, sh.idx.KNN(q, k)...)
+					}
+				}
+				index.SortByDistance(all, q)
+				all = all[:min(k, len(all))]
+				if len(got) != len(all) {
+					t.Fatalf("round %d (exact=%v): merged %d points, want %d", round, exact, len(got), len(all))
+				}
+				for i := range all {
+					if got[i] != all[i] {
+						t.Fatalf("round %d (exact=%v) rank %d: merged %v, want %v", round, exact, i, got[i], all[i])
+					}
+				}
+				if exact {
+					want := append([]geom.Point(nil), pts...)
+					index.SortByDistance(want, q)
+					for i := range got {
+						if q.Dist2(got[i]) != q.Dist2(want[i]) {
+							t.Fatalf("round %d rank %d: exact answer at d²=%v, the full sort at %v", round, i, q.Dist2(got[i]), q.Dist2(want[i]))
+						}
+					}
 				}
 			}
-			all = append(all, got...)
-			best = mergeNearest(best, got, q, k)
-		}
-		index.SortByDistance(all, q)
-		all = all[:min(k, len(all))]
-		if len(best) != len(all) {
-			t.Fatalf("round %d: merged %d points, want %d", round, len(best), len(all))
-		}
-		for i := range all {
-			if best[i] != all[i] {
-				t.Fatalf("round %d rank %d: merged %v, want %v", round, i, best[i], all[i])
-			}
-		}
+		})
 	}
 }
 
@@ -212,6 +249,40 @@ func TestShardedReadPathAllocs(t *testing.T) {
 		}
 		if rows == 0 {
 			t.Error("window probes matched nothing; the pin measured an empty path")
+		}
+	}
+}
+
+// TestShardedKNNAllocs: a kNN query, approximate or exact, allocates the
+// answers of the shards it searches and the merged answer, nothing more: at
+// most one plus the shards searched, at k = 1, 25 and 625.
+func TestShardedKNNAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	pts := dataset.Generate(dataset.Skewed, 4000, 79)
+	s := New(pts, quickOpts(4))
+	ctx := context.Background()
+	for _, path := range []struct {
+		name string
+		knn  func(context.Context, geom.Point, int) ([]geom.Point, error)
+	}{{"KNNContext", s.KNNContext}, {"ExactKNNContext", s.ExactKNNContext}} {
+		for _, k := range []int{1, 25, 625} {
+			for _, q := range workload.KNNPoints(pts, 20, 83) {
+				tr := obs.StartTrace("knn", "test")
+				got, err := path.knn(obs.With(ctx, tr), q, k)
+				searched := tr.Shards()
+				tr.Release()
+				if err != nil || len(got) != k {
+					t.Fatalf("%s(%v, %d): %d points, %v", path.name, q, k, len(got), err)
+				}
+				if n := testing.AllocsPerRun(20, func() {
+					_, _ = path.knn(ctx, q, k)
+				}); n > float64(1+searched) {
+					t.Errorf("%s(%v, %d) allocates %v times per call; it searched %d shards, so want at most %d",
+						path.name, q, k, n, searched, 1+searched)
+				}
+			}
 		}
 	}
 }

@@ -344,21 +344,22 @@ func (s *Sharded) shardsByDist(q geom.Point, order []shardDist) []shardDist {
 // caller's goroutine: shards are searched in MINDIST order of their
 // regions, and the search stops at the first shard whose region is no
 // closer than the k-th best candidate found so far — no later shard can
-// improve the answer either. Cancellation is observed between shard
-// searches: once ctx is done no further shard is searched and ctx's error is
-// returned. A trace in ctx counts the shards actually searched (pruned
-// shards excluded) — the number EXPLAIN shows for kNN.
+// improve the answer either. Each shard's answer is offered to one
+// index.Nearest, which keeps the k nearest of them all. Cancellation is
+// observed between shard searches: once ctx is done no further shard is
+// searched and ctx's error is returned. A trace in ctx counts the shards
+// actually searched, pruned ones excluded: the number EXPLAIN shows for kNN.
 func (s *Sharded) knn(ctx context.Context, q geom.Point, k int, exact bool) ([]geom.Point, error) {
 	if k <= 0 {
 		return nil, ctx.Err()
 	}
 	var buf [16]shardDist
-	var best []geom.Point
+	best := index.NewNearest(q, k)
 	searched := 0
 	for _, c := range s.shardsByDist(q, buf[:0]) {
 		// Once k candidates exist, a shard whose region is no closer than the
 		// k-th cannot improve the answer — nor can any shard after it.
-		if len(best) == k && c.dist2 >= q.Dist2(best[k-1]) {
+		if best.Full() && c.dist2 >= best.Bound() {
 			break
 		}
 		if ctx.Err() != nil {
@@ -377,46 +378,14 @@ func (s *Sharded) knn(ctx context.Context, q geom.Point, k int, exact bool) ([]g
 		if err != nil {
 			break
 		}
-		best = mergeNearest(best, got, q, k)
+		best.Offer(got...)
 	}
 	obs.FromContext(ctx).AddShards(searched)
+	out := best.Points()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return best, nil
-}
-
-// mergeNearest folds one shard's answer (ascending by distance to q) into
-// best, the at most k nearest points found so far, kept ascending by
-// distance with equidistant points in canonical order — the order
-// index.SortByDistance gives. The first shard's answer arrives in order, so
-// every insertion stops at the tail; later shards are searched only if they
-// can still improve the answer.
-func mergeNearest(best, got []geom.Point, q geom.Point, k int) []geom.Point {
-	if best == nil {
-		best = make([]geom.Point, 0, len(got))
-	}
-	for _, p := range got {
-		d := q.Dist2(p)
-		before := func(o geom.Point) bool {
-			od := q.Dist2(o)
-			return d < od || (d == od && p.Less(o))
-		}
-		i := len(best)
-		if i == k {
-			if !before(best[k-1]) {
-				continue
-			}
-			i--
-		} else {
-			best = append(best, p)
-		}
-		for ; i > 0 && before(best[i-1]); i-- {
-			best[i] = best[i-1]
-		}
-		best[i] = p
-	}
-	return best
+	return out, nil
 }
 
 // RebuildContext retrains every shard from its current live points as a

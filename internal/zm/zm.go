@@ -472,9 +472,10 @@ func (z *ZM) WindowQuery(q geom.Rect) []geom.Point {
 }
 
 // KNN implements index.Index with RSMI's expanding-region algorithm
-// (Algorithm 3), which the paper adapts to ZM (§6.2.4).
+// (Algorithm 3), which the paper adapts to ZM (§6.2.4). Nothing is nearest
+// to a non-finite q.
 func (z *ZM) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || z.n == 0 {
+	if k <= 0 || z.n == 0 || !q.IsFinite() {
 		return nil
 	}
 	if k > z.n {
