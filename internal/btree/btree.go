@@ -1,4 +1,4 @@
-// Package btree implements a B+-tree keyed by float64 with uint32 values.
+// Package btree implements a B+-tree of float64 keys.
 //
 // It is the substrate for the HRR baseline's rank-space mapping: the
 // rank-space R-tree of Qi et al. [37, 38] keeps one B-tree per dimension to
@@ -13,8 +13,8 @@ import "sort"
 // DefaultFanout mirrors the paper's node capacity of 100 entries.
 const DefaultFanout = 100
 
-// Tree is a B+-tree from float64 keys to uint32 values. Duplicate keys are
-// allowed; Rank semantics treat them as a run.
+// Tree is a B+-tree of float64 keys. Duplicate keys are allowed; Rank
+// semantics treat them as a run.
 type Tree struct {
 	fanout int
 	root   node
@@ -38,20 +38,16 @@ type innerNode struct {
 
 type leafNode struct {
 	keys []float64
-	vals []uint32
 }
 
 func (*innerNode) isLeaf() bool { return false }
 func (*leafNode) isLeaf() bool  { return true }
 
-// Bulk builds a tree from keys sorted ascending with their values. It packs
+// Bulk builds a tree from keys sorted ascending. It packs
 // leaves to full fanout bottom-up, the construction HRR uses; fanout 0
 // selects DefaultFanout, and fanouts below 4 are raised to 4. Bulk panics if
 // the keys are not sorted: bulk loading order is the caller's contract.
-func Bulk(keys []float64, vals []uint32, fanout int) *Tree {
-	if len(keys) != len(vals) {
-		panic("btree: Bulk with mismatched keys and values")
-	}
+func Bulk(keys []float64, fanout int) *Tree {
 	for i := 1; i < len(keys); i++ {
 		if keys[i] < keys[i-1] {
 			panic("btree: Bulk with unsorted keys")
@@ -74,10 +70,7 @@ func Bulk(keys []float64, vals []uint32, fanout int) *Tree {
 		if j > len(keys) {
 			j = len(keys)
 		}
-		lf := &leafNode{
-			keys: append([]float64(nil), keys[i:j]...),
-			vals: append([]uint32(nil), vals[i:j]...),
-		}
+		lf := &leafNode{keys: append([]float64(nil), keys[i:j]...)}
 		leaves = append(leaves, lf)
 		firstKeys = append(firstKeys, keys[i])
 		t.nodes++
@@ -152,9 +145,9 @@ func subtreeSize(n node) int {
 	return n.(*innerNode).total
 }
 
-// Insert adds an entry, splitting nodes as needed.
-func (t *Tree) Insert(key float64, val uint32) {
-	newChild, splitKey := t.insert(t.root, key, val)
+// Insert adds a key, splitting nodes as needed.
+func (t *Tree) Insert(key float64) {
+	newChild, splitKey := t.insert(t.root, key)
 	if newChild != nil {
 		root := &innerNode{
 			keys:     []float64{splitKey},
@@ -170,25 +163,18 @@ func (t *Tree) Insert(key float64, val uint32) {
 
 // insert recursively inserts and returns a new right sibling and its
 // separator key when n split.
-func (t *Tree) insert(n node, key float64, val uint32) (node, float64) {
+func (t *Tree) insert(n node, key float64) (node, float64) {
 	if lf, ok := n.(*leafNode); ok {
 		i := sort.SearchFloat64s(lf.keys, key)
 		lf.keys = append(lf.keys, 0)
 		copy(lf.keys[i+1:], lf.keys[i:])
 		lf.keys[i] = key
-		lf.vals = append(lf.vals, 0)
-		copy(lf.vals[i+1:], lf.vals[i:])
-		lf.vals[i] = val
 		if len(lf.keys) <= t.fanout {
 			return nil, 0
 		}
 		mid := len(lf.keys) / 2
-		right := &leafNode{
-			keys: append([]float64(nil), lf.keys[mid:]...),
-			vals: append([]uint32(nil), lf.vals[mid:]...),
-		}
+		right := &leafNode{keys: append([]float64(nil), lf.keys[mid:]...)}
 		lf.keys = lf.keys[:mid]
-		lf.vals = lf.vals[:mid]
 		t.nodes++
 		return right, right.keys[0]
 	}
@@ -198,7 +184,7 @@ func (t *Tree) insert(n node, key float64, val uint32) (node, float64) {
 		i++
 	}
 	in.total++
-	newChild, splitKey := t.insert(in.children[i], key, val)
+	newChild, splitKey := t.insert(in.children[i], key)
 	if newChild == nil {
 		return nil, 0
 	}

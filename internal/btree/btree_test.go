@@ -8,23 +8,19 @@ import (
 	"testing/quick"
 )
 
-func sortedKeys(n int, seed int64) ([]float64, []uint32) {
+func sortedKeys(n int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
 	keys := make([]float64, n)
 	for i := range keys {
 		keys[i] = rng.Float64()
 	}
 	sort.Float64s(keys)
-	vals := make([]uint32, n)
-	for i := range vals {
-		vals[i] = uint32(i)
-	}
-	return keys, vals
+	return keys
 }
 
 func TestBulkRank(t *testing.T) {
-	keys, vals := sortedKeys(5000, 1)
-	tr := Bulk(keys, vals, 16)
+	keys := sortedKeys(5000, 1)
+	tr := Bulk(keys, 16)
 	if tr.Len() != 5000 {
 		t.Fatalf("Len = %d, want 5000", tr.Len())
 	}
@@ -44,7 +40,7 @@ func TestBulkRank(t *testing.T) {
 }
 
 func TestBulkEmpty(t *testing.T) {
-	tr := Bulk(nil, nil, 8)
+	tr := Bulk(nil, 8)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Errorf("empty bulk: len=%d height=%d", tr.Len(), tr.Height())
 	}
@@ -55,8 +51,7 @@ func TestBulkEmpty(t *testing.T) {
 
 func TestBulkPanicsOnBadInput(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"mismatched": func() { Bulk([]float64{1, 2}, []uint32{1}, 8) },
-		"unsorted":   func() { Bulk([]float64{2, 1}, []uint32{1, 2}, 8) },
+		"unsorted": func() { Bulk([]float64{2, 1}, 8) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
@@ -80,8 +75,7 @@ func TestRankMatchesBruteForce(t *testing.T) {
 			keys[i] = rng.Float64()
 		}
 		sort.Float64s(keys)
-		vals := make([]uint32, n)
-		tr := Bulk(keys, vals, 4+rng.Intn(60))
+		tr := Bulk(keys, 4+rng.Intn(60))
 		for probe := 0; probe < 20; probe++ {
 			q := rng.Float64()*1.2 - 0.1
 			want := sort.SearchFloat64s(keys, q)
@@ -98,7 +92,7 @@ func TestRankMatchesBruteForce(t *testing.T) {
 
 func TestRankExistingKeyExcludesSelf(t *testing.T) {
 	keys := []float64{0.1, 0.2, 0.3, 0.4}
-	tr := Bulk(keys, []uint32{0, 1, 2, 3}, 4)
+	tr := Bulk(keys, 4)
 	for i, k := range keys {
 		if got := tr.Rank(k); got != i {
 			t.Errorf("Rank(%v) = %d, want %d", k, got, i)
@@ -107,12 +101,12 @@ func TestRankExistingKeyExcludesSelf(t *testing.T) {
 }
 
 func TestInsertThenRank(t *testing.T) {
-	tr := Bulk(nil, nil, 8)
+	tr := Bulk(nil, 8)
 	rng := rand.New(rand.NewSource(2))
 	keys := make([]float64, 3000)
 	for i := range keys {
 		keys[i] = rng.Float64()
-		tr.Insert(keys[i], uint32(i))
+		tr.Insert(keys[i])
 	}
 	if tr.Len() != 3000 {
 		t.Fatalf("Len = %d", tr.Len())
@@ -133,12 +127,12 @@ func TestInsertRankProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var all []float64
-		tr := Bulk(nil, nil, 4+rng.Intn(28))
+		tr := Bulk(nil, 4+rng.Intn(28))
 		n := 200 + rng.Intn(800)
 		for i := 0; i < n; i++ {
 			k := rng.Float64()
 			all = append(all, k)
-			tr.Insert(k, uint32(i))
+			tr.Insert(k)
 		}
 		sort.Float64s(all)
 		for probe := 0; probe < 10; probe++ {
@@ -157,8 +151,8 @@ func TestInsertRankProperty(t *testing.T) {
 // The entries with keys in [lo, hi) are Rank(hi) - Rank(lo): the count a
 // range over the rank space needs.
 func TestScanRange(t *testing.T) {
-	keys, vals := sortedKeys(2000, 3)
-	tr := Bulk(keys, vals, 32)
+	keys := sortedKeys(2000, 3)
+	tr := Bulk(keys, 32)
 	for _, r := range [][2]float64{{0.25, 0.75}, {0, 1}, {0.5, 0.5}, {-1, 0}} {
 		lo, hi := r[0], r[1]
 		want := 0
@@ -176,17 +170,17 @@ func TestScanRange(t *testing.T) {
 // A range above every key is empty by rank: both ends rank past the last
 // entry.
 func TestScanEmptyRange(t *testing.T) {
-	keys, vals := sortedKeys(100, 5)
-	tr := Bulk(keys, vals, 8)
+	keys := sortedKeys(100, 5)
+	tr := Bulk(keys, 8)
 	if lo, hi := tr.Rank(2), tr.Rank(3); lo != len(keys) || hi != len(keys) {
 		t.Errorf("Rank(2), Rank(3) = %d, %d, want %d for both", lo, hi, len(keys))
 	}
 }
 
 func TestBulkClampsFanout(t *testing.T) {
-	tr := Bulk(nil, nil, 1)
+	tr := Bulk(nil, 1)
 	for i := 0; i < 100; i++ {
-		tr.Insert(float64(i), uint32(i))
+		tr.Insert(float64(i))
 	}
 	if tr.Len() != 100 || tr.Rank(100) != 100 || tr.Rank(50) != 50 {
 		t.Error("tiny fanout tree lost entries")
@@ -194,15 +188,15 @@ func TestBulkClampsFanout(t *testing.T) {
 	if tr.fanout != 4 {
 		t.Errorf("fanout 1 became %d, want 4", tr.fanout)
 	}
-	if Bulk(nil, nil, 0).fanout != DefaultFanout {
+	if Bulk(nil, 0).fanout != DefaultFanout {
 		t.Error("zero fanout must select default")
 	}
 }
 
 func TestSizeBytesAndHeightGrow(t *testing.T) {
-	small := Bulk([]float64{0.5}, []uint32{0}, 16)
-	keys, vals := sortedKeys(10000, 6)
-	big := Bulk(keys, vals, 16)
+	small := Bulk([]float64{0.5}, 16)
+	keys := sortedKeys(10000, 6)
+	big := Bulk(keys, 16)
 	if big.SizeBytes() <= small.SizeBytes() {
 		t.Error("bigger tree must take more space")
 	}
@@ -213,8 +207,7 @@ func TestSizeBytesAndHeightGrow(t *testing.T) {
 
 func TestDuplicateKeys(t *testing.T) {
 	keys := []float64{1, 1, 1, 2, 2, 3}
-	vals := []uint32{0, 1, 2, 3, 4, 5}
-	tr := Bulk(keys, vals, 4)
+	tr := Bulk(keys, 4)
 	if got := tr.Rank(1); got != 0 {
 		t.Errorf("Rank(1) = %d, want 0", got)
 	}
@@ -230,8 +223,8 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func BenchmarkRank(b *testing.B) {
-	keys, vals := sortedKeys(100000, 7)
-	tr := Bulk(keys, vals, 100)
+	keys := sortedKeys(100000, 7)
+	tr := Bulk(keys, 100)
 	rng := rand.New(rand.NewSource(8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

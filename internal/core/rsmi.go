@@ -176,7 +176,6 @@ type RSMI struct {
 	models     int
 	leaves     int
 	height     int
-	depthSum   int64 // sum over points of their leaf depth, for AvgDepth
 	seedSerial int64
 	inserted   int // insertions since build/rebuild (drives RSMIr policy)
 	lastTail   int // tail block of the previously packed leaf run
@@ -260,7 +259,6 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	}
 	t.models++
 	t.leaves++
-	t.depthSum += int64(len(ordered)) * int64(depth)
 
 	if count > 1 {
 		n.kernel = t.trainModel(ordered, func(i int) float64 {
@@ -582,7 +580,27 @@ func (t *RSMI) AvgDepth() float64 {
 	if t.n == 0 {
 		return 0
 	}
-	return float64(t.depthSum) / float64(t.n)
+	return float64(t.depthSum()) / float64(t.n)
+}
+
+// depthSum sums every live point's leaf depth (the root is depth 1) from
+// the leaves' point counts, which Insert and Delete keep current.
+func (t *RSMI) depthSum() int64 {
+	var sum int64
+	var walk func(n *node, depth int64)
+	walk = func(n *node, depth int64) {
+		if n == nil {
+			return
+		}
+		if n.leaf {
+			sum += int64(n.points) * depth
+		}
+		for _, c := range n.children {
+			walk(c, depth+1)
+		}
+	}
+	walk(t.root, 1)
+	return sum
 }
 
 // Stats implements index.Index.

@@ -408,3 +408,52 @@ func BenchmarkWindowQuery(b *testing.B) {
 	}
 	b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
 }
+
+// TestAvgDepthFollowsUpdates: AvgDepth counts the points that live in each
+// leaf now, not the ones it was built with. A one-leaf index that doubles
+// by insertion still reaches every point through one model, and after
+// inserts and deletes in a deeper index the average is Σ points·depth over
+// the leaves, divided by Len, and lies between 1 and the deepest leaf's
+// depth. (That bound is the walk's, not Stats().Height: a leaf built for a
+// collapsed model sits one level below the height the build records.)
+func TestAvgDepthFollowsUpdates(t *testing.T) {
+	pts := dataset.Generate(dataset.Uniform, 2000, 3)
+	one := New(pts, Options{BlockCapacity: 50, PartitionThreshold: 4000, Epochs: 2, Seed: 1})
+	for _, p := range dataset.Generate(dataset.Uniform, 2000, 4) {
+		one.Insert(p)
+	}
+	if got := one.AvgDepth(); got != 1 {
+		t.Fatalf("one-leaf index after doubling by insertion: AvgDepth = %v, want 1", got)
+	}
+
+	idx := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 200, Epochs: 2, Seed: 1})
+	for _, p := range dataset.Generate(dataset.Skewed, 1500, 5) {
+		idx.Insert(p)
+	}
+	for _, p := range pts[:1200] {
+		idx.Delete(p)
+	}
+	var sum, deepest int64
+	var walk func(n *node, depth int64)
+	walk = func(n *node, depth int64) {
+		if n == nil {
+			return
+		}
+		if n.leaf {
+			sum += int64(n.points) * depth
+			deepest = max(deepest, depth)
+			return
+		}
+		for _, c := range n.children {
+			walk(c, depth+1)
+		}
+	}
+	walk(idx.root, 1)
+	got := idx.AvgDepth()
+	if got < 1 || got > float64(deepest) {
+		t.Fatalf("AvgDepth = %v outside [1, %d]", got, deepest)
+	}
+	if want := float64(sum) / float64(idx.Len()); got != want {
+		t.Fatalf("AvgDepth = %v, want Σ points·depth / Len = %v", got, want)
+	}
+}

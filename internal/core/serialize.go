@@ -98,7 +98,7 @@ func (t *RSMI) encode(w io.Writer) error {
 	// Scalars.
 	for _, v := range []interface{}{
 		int64(t.n), int64(t.baseBlocks), int64(t.models), int64(t.leaves),
-		int64(t.height), t.depthSum, t.seedSerial, int64(t.inserted),
+		int64(t.height), t.depthSum(), t.seedSerial, int64(t.inserted),
 		int64(t.lastTail), int64(t.buildTime),
 	} {
 		if err := put(v); err != nil {
@@ -281,7 +281,8 @@ func decode(r io.Reader) (*RSMI, error) {
 	t.models = int(scalars[2])
 	t.leaves = int(scalars[3])
 	t.height = int(scalars[4])
-	t.depthSum = scalars[5]
+	// scalars[5] is the points' depth sum, which AvgDepth derives from
+	// the leaves.
 	t.seedSerial = scalars[6]
 	t.inserted = int(scalars[7])
 	t.lastTail = int(scalars[8])

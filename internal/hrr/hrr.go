@@ -110,12 +110,8 @@ func New(pts []geom.Point, fanout int) *Tree {
 	}
 	sort.Float64s(xs)
 	sort.Float64s(ys)
-	ranks := make([]uint32, len(pts))
-	for i := range ranks {
-		ranks[i] = uint32(i)
-	}
-	tr.rankX = btree.Bulk(xs, ranks, fanout)
-	tr.rankY = btree.Bulk(ys, ranks, fanout)
+	tr.rankX = btree.Bulk(xs, fanout)
+	tr.rankY = btree.Bulk(ys, fanout)
 	tr.built = time.Since(start)
 	return tr
 }
@@ -142,8 +138,8 @@ func (tr *Tree) KNN(q geom.Point, k int) []geom.Point { return tr.t.KNN(q, k) }
 // coordinates so RankOf stays exact.
 func (tr *Tree) Insert(p geom.Point) {
 	tr.t.Insert(p)
-	tr.rankX.Insert(p.X, 0)
-	tr.rankY.Insert(p.Y, 0)
+	tr.rankX.Insert(p.X)
+	tr.rankY.Insert(p.Y)
 }
 
 // Delete implements index.Index. The rank B-trees retain the coordinate
