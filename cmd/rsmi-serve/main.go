@@ -101,6 +101,7 @@ import (
 	"rsmi/internal/obs"
 	"rsmi/internal/plan"
 	"rsmi/internal/server"
+	"rsmi/internal/wire"
 )
 
 func main() {
@@ -235,7 +236,7 @@ func main() {
 	}
 	log.Printf("serving %s on http://%s (max-inflight=%d)", eng.Name(), l.Addr(), *maxInflight)
 	log.Printf("wire protocols: application/json (default), %s (rsmibin/%d)",
-		server.ContentTypeBinary, server.BinVersion)
+		wire.ContentTypeBinary, wire.BinVersion)
 
 	errCh := make(chan error, 2)
 	if *streamAddr != "" {
@@ -244,7 +245,7 @@ func main() {
 			log.Fatal(err)
 		}
 		log.Printf("stream transport on tcp://%s (rsmibin/%d over persistent connections; drive with rsmi-loadgen -transport tcp)",
-			sl.Addr(), server.BinVersion)
+			sl.Addr(), wire.BinVersion)
 		go func() { errCh <- srv.ServeStream(sl) }()
 	}
 	go func() { errCh <- srv.Serve(l) }()

@@ -21,6 +21,7 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/server"
 	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 )
 
 func main() {
@@ -63,7 +64,7 @@ func main() {
 
 	// The SQL front-end compiles spatial SQL into the same query plans;
 	// WithExplain surfaces the server-side trace, plan included.
-	var tj *server.TraceJSON
+	var tj *wire.TraceJSON
 	sqlPts, err := cl.SQL(ctx,
 		"SELECT * FROM points WHERE ST_Within(pt, BOX(0.4, 0.2, 0.44, 0.28)) ORDER BY ST_Distance(pt, POINT(0.42, 0.24)) LIMIT 3",
 		server.WithExplain(&tj))
@@ -74,11 +75,11 @@ func main() {
 
 	// A heterogeneous batch: one round-trip, one engine batch call per
 	// query kind.
-	res, err := cl.Batch(ctx, []server.BatchOp{
-		{Op: server.OpInsert, X: 0.42, Y: 0.24},
-		{Op: server.OpPoint, X: 0.42, Y: 0.24},
-		{Op: server.OpKNN, X: 0.42, Y: 0.24, K: 3},
-		{Op: server.OpWindow, MinX: 0.4, MinY: 0.2, MaxX: 0.44, MaxY: 0.28},
+	res, err := cl.Batch(ctx, []wire.BatchOp{
+		{Op: wire.OpInsert, X: 0.42, Y: 0.24},
+		{Op: wire.OpPoint, X: 0.42, Y: 0.24},
+		{Op: wire.OpKNN, X: 0.42, Y: 0.24, K: 3},
+		{Op: wire.OpWindow, MinX: 0.4, MinY: 0.2, MaxX: 0.44, MaxY: 0.28},
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -101,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("stats: %d points on %d shards, %d block accesses, window p50 %.0fµs\n",
-		st.Points, st.Shards, st.BlockAccesses, st.Ops[server.OpWindow].P50us)
+		st.Points, st.Shards, st.BlockAccesses, st.Ops[wire.OpWindow].P50us)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

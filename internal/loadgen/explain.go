@@ -11,6 +11,7 @@ import (
 
 	"rsmi/internal/geom"
 	"rsmi/internal/server"
+	"rsmi/internal/wire"
 )
 
 // stageOrder is the pipeline order for the EXPLAIN table columns; any
@@ -118,23 +119,23 @@ func ExplainSamples(cfg Config, n int) (ExplainReport, error) {
 	for i := 0; i < n; i++ {
 		var (
 			op string
-			tj *server.TraceJSON
+			tj *wire.TraceJSON
 			er error
 		)
 		p := geom.Pt(rng.Float64(), rng.Float64())
 		switch r := rng.Intn(reads.total()); {
 		case r < reads.Point:
-			op = server.OpPoint
+			op = wire.OpPoint
 			_, er = cl.PointQuery(ctx, p, server.WithExplain(&tj))
 		case r < reads.Point+reads.Window:
-			op = server.OpWindow
+			op = wire.OpWindow
 			q := geom.RectAround(p, w, w)
 			_, er = cl.WindowQuery(ctx, q, server.WithExplain(&tj))
 		case r < reads.Point+reads.Window+reads.KNN:
-			op = server.OpKNN
+			op = wire.OpKNN
 			_, er = cl.KNN(ctx, p, cfg.K, server.WithExplain(&tj))
 		default:
-			op = server.OpSQL
+			op = wire.OpSQL
 			_, er = cl.SQL(ctx, randomSQL(cfg, rng, p, w), server.WithExplain(&tj))
 		}
 		if er != nil {
@@ -163,7 +164,7 @@ func ExplainSamples(cfg Config, n int) (ExplainReport, error) {
 		return ExplainReport{}, fmt.Errorf("loadgen: no EXPLAIN sample succeeded: %v", lastErr)
 	}
 	var rep ExplainReport
-	for _, op := range []string{server.OpPoint, server.OpWindow, server.OpKNN, server.OpSQL} {
+	for _, op := range []string{wire.OpPoint, wire.OpWindow, wire.OpKNN, wire.OpSQL} {
 		row, present := agg[op]
 		if !present {
 			continue

@@ -34,6 +34,7 @@ import (
 
 	"rsmi/internal/geom"
 	"rsmi/internal/server"
+	"rsmi/internal/wire"
 )
 
 // Mix is an operation mix as relative weights (they need not sum to any
@@ -291,7 +292,7 @@ type apiClient interface {
 	SQL(ctx context.Context, query string, opts ...server.QueryOpt) ([]geom.Point, error)
 	Insert(ctx context.Context, p geom.Point, opts ...server.QueryOpt) error
 	Delete(ctx context.Context, p geom.Point, opts ...server.QueryOpt) (bool, error)
-	Batch(ctx context.Context, ops []server.BatchOp, opts ...server.QueryOpt) ([]server.BatchResult, error)
+	Batch(ctx context.Context, ops []wire.BatchOp, opts ...server.QueryOpt) ([]wire.BatchResult, error)
 	Close()
 }
 
@@ -437,7 +438,7 @@ func Run(cfg Config) (Report, error) {
 // returns how many operations it carried.
 func issueOne(ctx context.Context, cl apiClient, cfg Config, rng *rand.Rand, w float64) (int, error) {
 	if cfg.BatchSize > 1 {
-		ops := make([]server.BatchOp, cfg.BatchSize)
+		ops := make([]wire.BatchOp, cfg.BatchSize)
 		for i := range ops {
 			// SQL statements are single-request only (the server rejects
 			// them inside multi-op batches), so batch runs fold the SQL
@@ -511,28 +512,28 @@ func runOpenClient(cl apiClient, cfg Config, rng *rand.Rand, worker int, start, 
 // randomOp draws one operation from the mix. Queries are uniform over the
 // unit data space. allowSQL=false (batch mode) folds the SQL weight into
 // windows, since SQL is not allowed inside multi-op batches.
-func randomOp(cfg Config, rng *rand.Rand, w float64, allowSQL bool) server.BatchOp {
+func randomOp(cfg Config, rng *rand.Rand, w float64, allowSQL bool) wire.BatchOp {
 	p := geom.Pt(rng.Float64(), rng.Float64())
 	r := rng.Intn(cfg.Mix.total())
 	m := cfg.Mix
 	switch {
 	case r < m.Point:
-		return server.BatchOp{Op: server.OpPoint, X: p.X, Y: p.Y}
+		return wire.BatchOp{Op: wire.OpPoint, X: p.X, Y: p.Y}
 	case r < m.Point+m.Window:
 		q := geom.RectAround(p, w, w)
-		return server.BatchOp{Op: server.OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
+		return wire.BatchOp{Op: wire.OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
 	case r < m.Point+m.Window+m.KNN:
-		return server.BatchOp{Op: server.OpKNN, X: p.X, Y: p.Y, K: cfg.K}
+		return wire.BatchOp{Op: wire.OpKNN, X: p.X, Y: p.Y, K: cfg.K}
 	case r < m.Point+m.Window+m.KNN+m.Insert:
-		return server.BatchOp{Op: server.OpInsert, X: p.X, Y: p.Y}
+		return wire.BatchOp{Op: wire.OpInsert, X: p.X, Y: p.Y}
 	case r < m.Point+m.Window+m.KNN+m.Insert+m.Delete:
-		return server.BatchOp{Op: server.OpDelete, X: p.X, Y: p.Y}
+		return wire.BatchOp{Op: wire.OpDelete, X: p.X, Y: p.Y}
 	default:
 		if !allowSQL {
 			q := geom.RectAround(p, w, w)
-			return server.BatchOp{Op: server.OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
+			return wire.BatchOp{Op: wire.OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
 		}
-		return server.BatchOp{Op: server.OpSQL, SQL: randomSQL(cfg, rng, p, w)}
+		return wire.BatchOp{Op: wire.OpSQL, SQL: randomSQL(cfg, rng, p, w)}
 	}
 }
 
@@ -557,21 +558,21 @@ func randomSQL(cfg Config, rng *rand.Rand, p geom.Point, w float64) string {
 
 // sendOne routes a single operation through its dedicated endpoint (so
 // unbatched runs measure the per-request path).
-func sendOne(ctx context.Context, cl apiClient, op server.BatchOp) error {
+func sendOne(ctx context.Context, cl apiClient, op wire.BatchOp) error {
 	switch op.Op {
-	case server.OpPoint:
+	case wire.OpPoint:
 		_, err := cl.PointQuery(ctx, geom.Pt(op.X, op.Y))
 		return err
-	case server.OpWindow:
+	case wire.OpWindow:
 		_, err := cl.WindowQuery(ctx, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
 		return err
-	case server.OpKNN:
+	case wire.OpKNN:
 		_, err := cl.KNN(ctx, geom.Pt(op.X, op.Y), op.K)
 		return err
-	case server.OpSQL:
+	case wire.OpSQL:
 		_, err := cl.SQL(ctx, op.SQL)
 		return err
-	case server.OpInsert:
+	case wire.OpInsert:
 		return cl.Insert(ctx, geom.Pt(op.X, op.Y))
 	default:
 		_, err := cl.Delete(ctx, geom.Pt(op.X, op.Y))

@@ -12,6 +12,7 @@ import (
 	"rsmi/internal/dataset"
 	"rsmi/internal/server"
 	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 )
 
 func TestParseMix(t *testing.T) {
@@ -263,7 +264,7 @@ func TestExplainSamples(t *testing.T) {
 			}
 			for _, row := range rep.Rows {
 				switch row.Op {
-				case server.OpPoint, server.OpWindow, server.OpKNN:
+				case wire.OpPoint, wire.OpWindow, wire.OpKNN:
 				default:
 					t.Errorf("non-read op %q sampled", row.Op)
 				}
@@ -273,7 +274,7 @@ func TestExplainSamples(t *testing.T) {
 				if _, ok := row.StageUs["execute"]; !ok {
 					t.Errorf("%s: no execute stage: %v", row.Op, row.StageUs)
 				}
-				if row.Accesses <= 0 && row.Op != server.OpPoint {
+				if row.Accesses <= 0 && row.Op != wire.OpPoint {
 					t.Errorf("%s: mean accesses = %v, want > 0", row.Op, row.Accesses)
 				}
 				if row.Shards < 1 {

@@ -2,8 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 	"rsmi/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func TestBinaryOpsRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, _, err := decodeBinaryOps(b, false)
+		got, _, err := wire.DecodeOps(b, false)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -71,7 +72,7 @@ func TestBinaryOpsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := decodeBinaryOps(b, true)
+		got, _, err := wire.DecodeOps(b, true)
 		if err != nil {
 			t.Fatalf("decode single: %v", err)
 		}
@@ -92,23 +93,23 @@ func TestBinaryResultsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(10)
-		answers := make([]batchAnswer, n)
+		answers := make([]wire.Result, n)
 		for i := range answers {
 			switch rng.Intn(3) {
 			case 0:
-				answers[i] = batchAnswer{op: OpPoint, flag: rng.Intn(2) == 0}
+				answers[i] = wire.Result{Op: OpPoint, Flag: rng.Intn(2) == 0}
 			case 1:
-				answers[i] = batchAnswer{op: OpDelete, flag: rng.Intn(2) == 0}
+				answers[i] = wire.Result{Op: OpDelete, Flag: rng.Intn(2) == 0}
 			default:
 				pts := make([]geom.Point, rng.Intn(5))
 				for j := range pts {
 					pts[j] = geom.Pt(rng.Float64(), rng.Float64())
 				}
-				answers[i] = batchAnswer{op: OpWindow, pts: pts}
+				answers[i] = wire.Result{Op: OpWindow, Pts: pts}
 			}
 		}
-		frame := appendBatchAnswers(appendBinHeader(nil), answers)
-		rs, _, err := decodeBinaryResults(frame, false)
+		frame := wire.AppendAnswers(nil, answers, false, nil)
+		rs, _, err := wire.DecodeResults(frame, false, opsOf(answers))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -116,18 +117,18 @@ func TestBinaryResultsRoundTrip(t *testing.T) {
 			t.Fatalf("decoded %d results, want %d", len(rs), n)
 		}
 		for i, a := range answers {
-			switch a.op {
+			switch a.Op {
 			case OpWindow:
-				if rs[i].tag != binResPoints || len(rs[i].pts) != len(a.pts) {
+				if rs[i].Op != a.Op || len(rs[i].Pts) != len(a.Pts) {
 					t.Fatalf("result %d: %+v vs answer %+v", i, rs[i], a)
 				}
-				for j := range a.pts {
-					if rs[i].pts[j] != a.pts[j] {
+				for j := range a.Pts {
+					if rs[i].Pts[j] != a.Pts[j] {
 						t.Fatalf("result %d point %d differs", i, j)
 					}
 				}
 			default:
-				if rs[i].tag != binResBool || rs[i].flag != a.flag {
+				if rs[i].Op != a.Op || rs[i].Flag != a.Flag {
 					t.Fatalf("result %d: %+v vs answer %+v", i, rs[i], a)
 				}
 			}
@@ -146,11 +147,12 @@ func TestBinTraceGoldenBytes(t *testing.T) {
 	tj := &TraceJSON{
 		ID: 300, Backend: "Sharded", ShardsVisited: 2, BlockAccesses: 1234,
 		Stages: []TraceStageJSON{{Stage: "admission", Us: 0.5}, {Stage: "execute", Us: 12.25}},
-		Plan:   &PlanJSON{Backend: "RR*", EstCostUS: 3, ActualCostUS: 4.5, EstRows: 100},
+		Plan:   &wire.PlanJSON{Backend: "RR*", EstCostUS: 3, ActualCostUS: 4.5, EstRows: 100},
 	}
 	const golden = "03ac02075368617264656402d209" + "00" + // tag, id, backend, shards, accesses; the reserved slot
 		"020961646d697373696f6e000000000000e03f076578656375746500000000008028400352522a000000000000084000000000000012400000000000005940"
-	if got := hex.EncodeToString(appendBinTrace(nil, tj)); got != golden {
+	answer := wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, nil)
+	if got := hex.EncodeToString(wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, tj)[len(answer):]); got != golden {
 		t.Fatalf("trace bytes moved:\n got %s\nwant %s", got, golden)
 	}
 	for _, slot := range []string{"00", "11"} {
@@ -158,9 +160,8 @@ func TestBinTraceGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frame := appendBoolResult(appendBinHeader(nil), true)
-		rs, got, err := decodeBinaryResults(append(frame, old...), true)
-		if err != nil || len(rs) != 1 || !rs[0].flag {
+		rs, got, err := wire.DecodeResults(append(answer, old...), true, []BatchOp{{Op: OpPoint}})
+		if err != nil || len(rs) != 1 || !rs[0].Flag {
 			t.Fatalf("slot %s: results %+v, err %v", slot, rs, err)
 		}
 		if !reflect.DeepEqual(got, tj) {
@@ -197,23 +198,23 @@ func TestBinGoldenBytes(t *testing.T) {
 			[]BatchOp{{Op: OpKNN, X: 0.5, Y: 0.25}}},
 		{"insert", []BatchOp{{Op: OpInsert, X: 1, Y: 0}}, true, false, h + "04" + one + zero, nil},
 		{"delete", []BatchOp{{Op: OpDelete, X: 0.25, Y: 0.5}}, true, false, h + "05" + qtr + half, nil},
-		{"sql", []BatchOp{{Op: OpSQL, SQL: "SELECT"}}, true, false, h + "06" + "06" + hex.EncodeToString([]byte("SELECT")), nil},
-		{"sub window", []BatchOp{{Op: OpSub, SubID: 300, SubKind: SubWindow, MinX: 0, MinY: 0.25, MaxX: 0.5, MaxY: 1}}, false, false,
+		{"sql", []BatchOp{{Op: wire.OpSQL, SQL: "SELECT"}}, true, false, h + "06" + "06" + hex.EncodeToString([]byte("SELECT")), nil},
+		{"sub window", []BatchOp{{Op: wire.OpSub, SubID: 300, SubKind: wire.SubWindow, MinX: 0, MinY: 0.25, MaxX: 0.5, MaxY: 1}}, false, false,
 			h + "01" + "07" + "ac02" + "01" + zero + qtr + half + one, nil},
-		{"sub knn", []BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25, K: 5}}, false, false,
+		{"sub knn", []BatchOp{{Op: wire.OpSub, SubID: 7, SubKind: wire.SubKNN, X: 0.5, Y: 0.25, K: 5}}, false, false,
 			h + "01" + "07" + "07" + "02" + half + qtr + "05", nil},
-		{"sub knn negative k", []BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25, K: -1}}, false, false,
+		{"sub knn negative k", []BatchOp{{Op: wire.OpSub, SubID: 7, SubKind: wire.SubKNN, X: 0.5, Y: 0.25, K: -1}}, false, false,
 			h + "01" + "07" + "07" + "02" + half + qtr + "00",
-			[]BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25}}},
-		{"unsub", []BatchOp{{Op: OpUnsub, SubID: 300}}, false, false, h + "01" + "08" + "ac02", nil},
+			[]BatchOp{{Op: wire.OpSub, SubID: 7, SubKind: wire.SubKNN, X: 0.5, Y: 0.25}}},
+		{"unsub", []BatchOp{{Op: wire.OpUnsub, SubID: 300}}, false, false, h + "01" + "08" + "ac02", nil},
 		{"explain single", []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.25}}, true, true, h + "81" + half + qtr, nil},
-		{"explain counted", []BatchOp{{Op: OpInsert, X: 1, Y: 0}, {Op: OpSQL}}, false, true,
+		{"explain counted", []BatchOp{{Op: OpInsert, X: 1, Y: 0}, {Op: wire.OpSQL}}, false, true,
 			h + "02" + "84" + one + zero + "06" + "00", nil},
 		{"counted", []BatchOp{{Op: OpDelete, X: 0.25, Y: 0.5}, {Op: OpKNN, X: 1, Y: 1, K: 1}}, false, false,
 			h + "02" + "05" + qtr + half + "03" + one + one + "01", nil},
 	}
 	for _, c := range requests {
-		b, err := appendBinaryOps(nil, c.ops, c.single, c.explain)
+		b, err := wire.AppendOps(nil, c.ops, c.single, c.explain)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -224,7 +225,7 @@ func TestBinGoldenBytes(t *testing.T) {
 		if want == nil {
 			want = c.ops
 		}
-		ops, explain, err := decodeBinaryOps(b, c.single)
+		ops, explain, err := wire.DecodeOps(b, c.single)
 		if err != nil || !reflect.DeepEqual(ops, want) || explain != c.explain {
 			t.Errorf("%s: decoded %+v (explain %v, err %v), want %+v (explain %v)", c.name, ops, explain, err, want, c.explain)
 		}
@@ -236,11 +237,11 @@ func TestBinGoldenBytes(t *testing.T) {
 		frame  []byte
 		golden string
 	}{
-		{"bool", appendAnswer(appendBinHeader(nil), batchAnswer{op: OpPoint, flag: true}), h + "0101"},
-		{"points", appendAnswer(appendBinHeader(nil), batchAnswer{op: OpWindow, pts: pts}), h + "0202" + half + qtr + one + zero},
-		{"counted", appendBatchAnswers(appendBinHeader(nil), []batchAnswer{
-			{op: OpDelete}, {op: OpInsert, flag: true}, {op: OpKNN}, {op: OpSQL, pts: pts[1:]},
-		}), h + "04" + "0100" + "0101" + "0200" + "0201" + one + zero},
+		{"bool", wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, nil), h + "0101"},
+		{"points", wire.AppendAnswers(nil, []wire.Result{{Op: OpWindow, Pts: pts}}, true, nil), h + "0202" + half + qtr + one + zero},
+		{"counted", wire.AppendAnswers(nil, []wire.Result{
+			{Op: OpDelete}, {Op: OpInsert, Flag: true}, {Op: OpKNN}, {Op: wire.OpSQL, Pts: pts[1:]},
+		}, false, nil), h + "04" + "0100" + "0101" + "0200" + "0201" + one + zero},
 	}
 	for _, c := range results {
 		if got := hex.EncodeToString(c.frame); got != c.golden {
@@ -259,43 +260,44 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"short header":     {'R'},
-		"bad magic":        {'X', 'Y', 1, binOpPoint},
-		"bad version":      {'R', 'B', 9, binOpPoint},
+		"bad magic":        {'X', 'Y', 1, wire.Row(OpPoint)},
+		"bad version":      {'R', 'B', 9, wire.Row(OpPoint)},
 		"unknown op":       {'R', 'B', 1, 0x7f},
 		"truncated point":  valid[:len(valid)-3],
 		"trailing bytes":   append(append([]byte{}, valid...), 0xee),
 		"huge batch count": append(appendUvarint(appendBinHeader(nil), 1<<40), 0),
 		"huge knn k": func() []byte {
 			b := appendBinHeader(nil)
-			b = append(b, binOpKNN)
+			b = append(b, wire.Row(OpKNN))
 			b = appendF64(b, 0)
 			b = appendF64(b, 0)
 			return appendUvarint(b, 1<<30)
 		}(),
 	}
 	for name, frame := range cases {
-		if _, _, err := decodeBinaryOps(frame, true); err == nil {
-			t.Errorf("decodeBinaryOps(single) accepted %s", name)
+		if _, _, err := wire.DecodeOps(frame, true); err == nil {
+			t.Errorf("wire.DecodeOps(single) accepted %s", name)
 		}
 	}
 	// Batch decode must reject counts the frame cannot hold.
 	big := appendUvarint(appendBinHeader(nil), 1000)
-	if _, _, err := decodeBinaryOps(big, false); err == nil {
+	if _, _, err := wire.DecodeOps(big, false); err == nil {
 		t.Error("batch decode accepted count with no entries")
 	}
 	// Result decode: oversized points count must error before allocating.
+	window := []BatchOp{{Op: OpWindow}}
 	r := appendUvarint(append(appendBinHeader(nil), binResPoints), 1<<50)
-	if _, _, err := decodeBinaryResults(r, true); err == nil {
+	if _, _, err := wire.DecodeResults(r, true, window); err == nil {
 		t.Error("result decode accepted absurd point count")
 	}
 	// Counts chosen so a naive n*16 / n*2 length check wraps uint64 to a
 	// small number: the guards must still reject, not panic in makeslice.
 	wrap16 := appendUvarint(append(appendBinHeader(nil), binResPoints), 1<<60)
-	if _, _, err := decodeBinaryResults(wrap16, true); err == nil {
+	if _, _, err := wire.DecodeResults(wrap16, true, window); err == nil {
 		t.Error("result decode accepted count wrapping n*16")
 	}
 	wrap2 := appendUvarint(appendBinHeader(nil), 1<<63)
-	if _, _, err := decodeBinaryResults(wrap2, false); err == nil {
+	if _, _, err := wire.DecodeResults(wrap2, false, window); err == nil {
 		t.Error("batch result decode accepted count wrapping n*2")
 	}
 }
@@ -309,17 +311,17 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 	batch, _ = appendOp(batch, BatchOp{Op: OpWindow, MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
 	batch, _ = appendOp(batch, BatchOp{Op: OpKNN, X: 0.1, Y: 0.9, K: 5})
 	f.Add(batch, false)
-	subs, _ := appendBinaryOps(nil, []BatchOp{
-		{Op: OpSub, SubID: 3, SubKind: SubKNN, X: 0.5, Y: 0.5, K: 2},
-		{Op: OpSub, SubID: 4, SubKind: SubWindow, MaxX: 1, MaxY: 1},
-		{Op: OpUnsub, SubID: 3},
-		{Op: OpSQL, SQL: "SELECT"},
+	subs, _ := wire.AppendOps(nil, []BatchOp{
+		{Op: wire.OpSub, SubID: 3, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 2},
+		{Op: wire.OpSub, SubID: 4, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1},
+		{Op: wire.OpUnsub, SubID: 3},
+		{Op: wire.OpSQL, SQL: "SELECT"},
 	}, false, true)
 	f.Add(subs, false)
 	f.Add([]byte{'R', 'B', 1, 0xff, 0xff}, false)
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, single bool) {
-		ops, _, err := decodeBinaryOps(data, single)
+		ops, _, err := wire.DecodeOps(data, single)
 		if err != nil {
 			return
 		}
@@ -333,7 +335,7 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 				t.Fatalf("accepted op %+v does not re-encode: %v", op, aerr)
 			}
 		}
-		again, _, err := decodeBinaryOps(b, single)
+		again, _, err := wire.DecodeOps(b, single)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
@@ -356,18 +358,37 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 }
 
 // FuzzDecodeBinaryResults asserts the response decoder (the client side)
-// never panics on malformed frames.
+// never panics on malformed frames, and that an answer it accepts holds
+// one result per op, of its op: it decodes each frame against ops of both
+// kinds, as many as the frame claims (a single answer's one).
 func FuzzDecodeBinaryResults(f *testing.F) {
-	f.Add(appendBoolResult(appendBinHeader(nil), true), true)
-	f.Add(appendPointsResult(appendBinHeader(nil), []geom.Point{geom.Pt(1, 2)}), true)
-	f.Add(appendBatchAnswers(appendBinHeader(nil), []batchAnswer{
-		{op: OpPoint, flag: true},
-		{op: OpWindow, pts: []geom.Point{geom.Pt(0.5, 0.5)}},
-	}), false)
+	f.Add(wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, nil), true)
+	f.Add(wire.AppendAnswers(nil, []wire.Result{{Op: OpWindow, Pts: []geom.Point{geom.Pt(1, 2)}}}, true, nil), true)
+	f.Add(wire.AppendAnswers(nil, []wire.Result{
+		{Op: OpPoint, Flag: true},
+		{Op: OpWindow, Pts: []geom.Point{geom.Pt(0.5, 0.5)}},
+	}, false, nil), false)
 	f.Fuzz(func(t *testing.T, data []byte, single bool) {
-		rs, _, err := decodeBinaryResults(data, single)
-		if err == nil && single && len(rs) != 1 {
-			t.Fatalf("single decode returned %d results", len(rs))
+		n := uint64(1)
+		if !single && len(data) > 3 {
+			if c, w := binary.Uvarint(data[3:]); w > 0 && c <= 64 {
+				n = c
+			}
+		}
+		for _, kinds := range []uint64{0, ^uint64(0), 0b0110} {
+			ops := fuzzOps(int(n), kinds)
+			rs, _, err := wire.DecodeResults(data, single, ops)
+			if err != nil {
+				continue
+			}
+			if len(rs) != len(ops) {
+				t.Fatalf("%d results for %d ops", len(rs), len(ops))
+			}
+			for i := range rs {
+				if rs[i].Op != ops[i].Op {
+					t.Fatalf("result %d answers %q, sent %q", i, rs[i].Op, ops[i].Op)
+				}
+			}
 		}
 	})
 }
@@ -467,66 +488,4 @@ func TestProtocolEquivalence(t *testing.T) {
 	} else if se, ok := err.(*StatusError); !ok || se.Code != 400 {
 		t.Fatalf("inverted window over binary: %v", err)
 	}
-}
-
-// TestBatchBinaryEncodeAllocs pins the zero-copy claim: encoding a batch
-// response of any size into a warm pooled buffer allocates O(1) buffers
-// per batch — nothing per point and nothing per result.
-func TestBatchBinaryEncodeAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	answers := make([]batchAnswer, 32)
-	for i := range answers {
-		pts := make([]geom.Point, 100)
-		for j := range pts {
-			pts[j] = geom.Pt(rng.Float64(), rng.Float64())
-		}
-		answers[i] = batchAnswer{op: OpWindow, pts: pts}
-	}
-	// Warm the buffer to steady-state capacity, as the response pool does.
-	buf := appendBatchAnswers(appendBinHeader(nil), answers)
-	buf = buf[:0]
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendBatchAnswers(appendBinHeader(buf[:0]), answers)
-	})
-	if allocs > 0 {
-		t.Fatalf("batch encode allocates %.1f times per 32×100-point batch, want 0", allocs)
-	}
-}
-
-// BenchmarkBatchEncode compares the JSON and binary encoders over the
-// same 32×100-point batch answer (the EXPERIMENTS.md "Serving" shape).
-func BenchmarkBatchEncode(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	answers := make([]batchAnswer, 32)
-	for i := range answers {
-		pts := make([]geom.Point, 100)
-		for j := range pts {
-			pts[j] = geom.Pt(rng.Float64(), rng.Float64())
-		}
-		answers[i] = batchAnswer{op: OpWindow, pts: pts}
-	}
-	b.Run("binary", func(b *testing.B) {
-		buf := appendBatchAnswers(appendBinHeader(nil), answers)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = appendBatchAnswers(appendBinHeader(buf[:0]), answers)
-		}
-	})
-	b.Run("json-stream", func(b *testing.B) {
-		buf := appendBatchAnswersJSON(nil, answers, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			buf = appendBatchAnswersJSON(buf[:0], answers, nil)
-		}
-	})
-	b.Run("json-marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(BatchResponse{Results: toBatchResults(answers)}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 )
 
 // Proto selects the wire protocol a Client speaks for data-plane
@@ -23,7 +24,7 @@ type Proto string
 const (
 	// ProtoJSON is the debuggable default: JSON bodies both ways.
 	ProtoJSON Proto = "json"
-	// ProtoBinary speaks rsmibin/1 both ways (see binproto.go).
+	// ProtoBinary speaks rsmibin/1 both ways (see internal/wire).
 	ProtoBinary Proto = "binary"
 )
 
@@ -77,7 +78,7 @@ const DefaultTimeout = 30 * time.Second
 // or /v1/batch's list), the raw results come back in request order —
 // exactly one for a single request — with the EXPLAIN trace when
 // explain asked for one.
-type roundTripFunc func(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error)
+type roundTripFunc func(ctx context.Context, rt *wire.Spec, ops []wire.BatchOp, explain bool) ([]wire.Result, *wire.TraceJSON, error)
 
 // dataPlane is the data-plane verbs, written once over a roundTripFunc.
 // Client embeds it over its codec and transport, HedgedClient over a
@@ -172,9 +173,9 @@ func NewClient(addr string, opts ...Option) *Client {
 			},
 		},
 	}
-	c.roundTrip = c.roundTripJSON
+	c.roundTrip = c.roundTripHTTP
 	if o.proto == ProtoBinary {
-		c.proto, c.roundTrip = ProtoBinary, c.roundTripBinary
+		c.proto = ProtoBinary
 	}
 	return c
 }
@@ -235,8 +236,8 @@ func (c *Client) post(ctx context.Context, path, contentType string, body []byte
 		return fmt.Errorf("client: %w", err)
 	}
 	req.Header.Set("Content-Type", contentType)
-	if contentType == ContentTypeBinary {
-		req.Header.Set("Accept", ContentTypeBinary)
+	if contentType == wire.ContentTypeBinary {
+		req.Header.Set("Accept", wire.ContentTypeBinary)
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -271,7 +272,7 @@ func handleResponse(resp *http.Response, decode func(io.Reader) error) error {
 		resp.Body.Close()
 	}()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var e ErrorResponse
+		var e wire.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
 		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
 	}
@@ -297,43 +298,31 @@ func bodyInto(decode func(body []byte) error) func(io.Reader) error {
 	}
 }
 
-// roundTripBinary is the rsmibin-over-HTTP roundTripFunc.
-func (c *Client) roundTripBinary(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) (rs []binResult, tj *TraceJSON, err error) {
-	single := rt.req != reqBatch
-	frame, err := encodeBinaryOps(ops, single, explain)
+// roundTripHTTP is the HTTP roundTripFunc, in the client's codec both
+// ways: rsmibin, or the route's historical JSON document with
+// ?explain=1 asking for the trace. The request buffer is the request's
+// own, not a pooled one: the transport may still be reading a body after
+// the response has arrived.
+func (c *Client) roundTripHTTP(ctx context.Context, rt *wire.Spec, ops []wire.BatchOp, explain bool) (rs []wire.Result, tj *wire.TraceJSON, err error) {
+	path, contentType, decode := rt.Path, "application/json", wire.DecodeJSONResults
+	var req []byte
+	if c.proto == ProtoBinary {
+		contentType, decode = wire.ContentTypeBinary, wire.DecodeResults
+		req, err = wire.AppendOps(make([]byte, 0, 16+24*len(ops)), ops, rt.Single(), explain)
+	} else if req, err = wire.AppendRequestJSON(make([]byte, 0, 64+160*len(ops)), rt, ops); err != nil {
+		err = fmt.Errorf("client: marshal: %w", err)
+	} else if explain {
+		path += "?explain=1"
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	err = c.post(ctx, rt.path, ContentTypeBinary, frame, bodyInto(func(body []byte) (err error) {
-		rs, tj, err = decodeBinaryResults(body, single)
+	err = c.post(ctx, path, contentType, req, bodyInto(func(body []byte) (err error) {
+		rs, tj, err = decode(body, rt.Single(), ops)
 		return err
 	}))
 	return rs, tj, err
 }
-
-// roundTripJSON is the JSON-over-HTTP roundTripFunc: the request is the
-// route's historical document, with ?explain=1 asking for the trace. Its
-// buffer is the request's own, not a pooled one: the transport may still
-// be reading a body after the response has arrived.
-func (c *Client) roundTripJSON(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) (rs []binResult, tj *TraceJSON, err error) {
-	req, err := appendRequestJSON(make([]byte, 0, 64+160*len(ops)), rt, ops)
-	if err != nil {
-		return nil, nil, fmt.Errorf("client: marshal: %w", err)
-	}
-	path := rt.path
-	if explain {
-		path += "?explain=1"
-	}
-	err = c.post(ctx, path, "application/json", req, bodyInto(func(body []byte) (err error) {
-		rs, tj, err = decodeJSONResults(body, rt.req != reqBatch, ops)
-		return err
-	}))
-	return rs, tj, err
-}
-
-// errBinResultKind reports a response whose result kind does not match
-// the op that was sent.
-var errBinResultKind = errors.New("client: result kind does not match op")
 
 // QueryOpt customises one query call; every data-plane verb accepts a
 // variadic tail of them.
@@ -341,7 +330,7 @@ type QueryOpt func(*queryOpts)
 
 type queryOpts struct {
 	// explain, when non-nil, is where the inline EXPLAIN trace lands.
-	explain **TraceJSON
+	explain **wire.TraceJSON
 }
 
 // WithExplain requests an inline EXPLAIN trace and stores it into *dst
@@ -351,39 +340,22 @@ type queryOpts struct {
 // combination (?explain=1 for JSON, the rsmibin explain flag bit for
 // binary HTTP and the stream):
 //
-//	var tj *server.TraceJSON
+//	var tj *wire.TraceJSON
 //	pts, err := cl.WindowQuery(ctx, q, server.WithExplain(&tj))
-func WithExplain(dst **TraceJSON) QueryOpt {
+func WithExplain(dst **wire.TraceJSON) QueryOpt {
 	return func(o *queryOpts) { o.explain = dst }
 }
 
-// checkResults holds a decoded answer to its request, whichever codec
-// read it: one result per op, each of its op's kind.
-func checkResults(rs []binResult, ops []BatchOp) error {
-	if len(rs) != len(ops) {
-		return fmt.Errorf("client: %d results for %d ops", len(rs), len(ops))
-	}
-	for i, r := range rs {
-		if (r.tag == binResPoints) != pointsResult(ops[i].Op) {
-			return errBinResultKind
-		}
-	}
-	return nil
-}
-
-// do runs ops through the round trip to route rt, checks the answer
-// against them, and delivers the trace to the call's WithExplain
-// destination.
-func (d *dataPlane) do(ctx context.Context, rt *opSpec, ops []BatchOp, opts []QueryOpt) ([]binResult, error) {
+// do runs ops through the round trip to route rt — whose decoder holds
+// the answer to one result per op, each of its op's kind — and delivers
+// the trace to the call's WithExplain destination.
+func (d *dataPlane) do(ctx context.Context, rt *wire.Spec, ops []wire.BatchOp, opts []QueryOpt) ([]wire.Result, error) {
 	var o queryOpts
 	for _, fn := range opts {
 		fn(&o)
 	}
 	rs, tj, err := d.roundTrip(ctx, rt, ops, o.explain != nil)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkResults(rs, ops); err != nil {
 		return nil, err
 	}
 	if o.explain != nil {
@@ -393,10 +365,10 @@ func (d *dataPlane) do(ctx context.Context, rt *opSpec, ops []BatchOp, opts []Qu
 }
 
 // one runs a single op on its per-op endpoint.
-func (d *dataPlane) one(ctx context.Context, op BatchOp, opts []QueryOpt) (binResult, error) {
-	rs, err := d.do(ctx, &opTable[opRow(op.Op)], []BatchOp{op}, opts)
+func (d *dataPlane) one(ctx context.Context, op wire.BatchOp, opts []QueryOpt) (wire.Result, error) {
+	rs, err := d.do(ctx, &wire.Table[wire.Row(op.Op)], []wire.BatchOp{op}, opts)
 	if err != nil {
-		return binResult{}, err
+		return wire.Result{}, err
 	}
 	return rs[0], nil
 }
@@ -404,20 +376,20 @@ func (d *dataPlane) one(ctx context.Context, op BatchOp, opts []QueryOpt) (binRe
 // PointQuery reports whether a point with exactly p's coordinates is
 // indexed.
 func (d *dataPlane) PointQuery(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	r, err := d.one(ctx, BatchOp{Op: OpPoint, X: p.X, Y: p.Y}, opts)
-	return r.flag, err
+	r, err := d.one(ctx, wire.BatchOp{Op: wire.OpPoint, X: p.X, Y: p.Y}, opts)
+	return r.Flag, err
 }
 
 // WindowQuery returns the indexed points inside the window.
 func (d *dataPlane) WindowQuery(ctx context.Context, q geom.Rect, opts ...QueryOpt) ([]geom.Point, error) {
-	r, err := d.one(ctx, BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}, opts)
-	return r.pts, err
+	r, err := d.one(ctx, wire.BatchOp{Op: wire.OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}, opts)
+	return r.Pts, err
 }
 
 // KNN returns up to k nearest neighbours of q, closest first.
 func (d *dataPlane) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryOpt) ([]geom.Point, error) {
-	r, err := d.one(ctx, BatchOp{Op: OpKNN, X: q.X, Y: q.Y, K: k}, opts)
-	return r.pts, err
+	r, err := d.one(ctx, wire.BatchOp{Op: wire.OpKNN, X: q.X, Y: q.Y, K: k}, opts)
+	return r.Pts, err
 }
 
 // SQL executes one statement in the spatial SQL dialect (POST /v1/sql;
@@ -425,34 +397,34 @@ func (d *dataPlane) KNN(ctx context.Context, q geom.Point, k int, opts ...QueryO
 // With WithExplain the trace carries the planner's decision: chosen
 // backend, estimated vs actual cost.
 func (d *dataPlane) SQL(ctx context.Context, query string, opts ...QueryOpt) ([]geom.Point, error) {
-	r, err := d.one(ctx, BatchOp{Op: OpSQL, SQL: query}, opts)
-	return r.pts, err
+	r, err := d.one(ctx, wire.BatchOp{Op: wire.OpSQL, SQL: query}, opts)
+	return r.Pts, err
 }
 
 // Insert adds a point.
 func (d *dataPlane) Insert(ctx context.Context, p geom.Point, opts ...QueryOpt) error {
-	_, err := d.one(ctx, BatchOp{Op: OpInsert, X: p.X, Y: p.Y}, opts)
+	_, err := d.one(ctx, wire.BatchOp{Op: wire.OpInsert, X: p.X, Y: p.Y}, opts)
 	return err
 }
 
 // Delete removes the point with exactly p's coordinates, reporting
 // whether it existed.
 func (d *dataPlane) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) (bool, error) {
-	r, err := d.one(ctx, BatchOp{Op: OpDelete, X: p.X, Y: p.Y}, opts)
-	return r.flag, err
+	r, err := d.one(ctx, wire.BatchOp{Op: wire.OpDelete, X: p.X, Y: p.Y}, opts)
+	return r.Flag, err
 }
 
 // Batch executes a heterogeneous operation list in one round-trip and
 // returns the per-op results in request order, in the JSON result shape
 // whatever the protocol. A WithExplain trace covers the whole batch.
-func (d *dataPlane) Batch(ctx context.Context, ops []BatchOp, opts ...QueryOpt) ([]BatchResult, error) {
-	rs, err := d.do(ctx, &opTable[batchRow], ops, opts)
+func (d *dataPlane) Batch(ctx context.Context, ops []wire.BatchOp, opts ...QueryOpt) ([]wire.BatchResult, error) {
+	rs, err := d.do(ctx, &wire.Table[wire.BatchRow], ops, opts)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]BatchResult, len(rs))
+	out := make([]wire.BatchResult, len(rs))
 	for i, r := range rs {
-		out[i] = batchResultOf(ops[i].Op, r.flag, r.pts)
+		out[i] = r.BatchResult()
 	}
 	return out, nil
 }
@@ -464,8 +436,8 @@ func (c *Client) Rebuild(ctx context.Context) error {
 }
 
 // Stats fetches the serving counters.
-func (c *Client) Stats() (StatsResponse, error) {
-	var resp StatsResponse
+func (c *Client) Stats() (wire.StatsResponse, error) {
+	var resp wire.StatsResponse
 	err := c.get("/v1/stats", jsonInto(&resp))
 	return resp, err
 }

@@ -10,7 +10,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -21,6 +20,7 @@ import (
 	"rsmi"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 	"rsmi/internal/workload"
 )
 
@@ -251,13 +251,13 @@ func TestDirectCancelledCaller(t *testing.T) {
 // to encoding/json byte for byte, across every result shape and the
 // float formats encoding/json special-cases.
 func TestBatchJSONStreamEquivalence(t *testing.T) {
-	cases := [][]batchAnswer{
+	cases := [][]wire.Result{
 		{},
-		{{op: OpPoint, flag: true}, {op: OpPoint}},
-		{{op: OpInsert, flag: true}, {op: OpDelete, flag: true}, {op: OpDelete}},
-		{{op: OpWindow}, {op: OpKNN}},
-		{{op: OpWindow, pts: []geom.Point{geom.Pt(0.5, 0.25)}}},
-		{{op: OpKNN, pts: []geom.Point{
+		{{Op: OpPoint, Flag: true}, {Op: OpPoint}},
+		{{Op: OpInsert, Flag: true}, {Op: OpDelete, Flag: true}, {Op: OpDelete}},
+		{{Op: OpWindow}, {Op: OpKNN}},
+		{{Op: OpWindow, Pts: []geom.Point{geom.Pt(0.5, 0.25)}}},
+		{{Op: OpKNN, Pts: []geom.Point{
 			geom.Pt(1e-7, 1e21),     // exponent forms
 			geom.Pt(-1e-9, 123456),  // negative exponent cleanup
 			geom.Pt(0, -0.00025),    // zero and plain fractions
@@ -266,12 +266,12 @@ func TestBatchJSONStreamEquivalence(t *testing.T) {
 	}
 	for i, answers := range cases {
 		for _, tj := range []*TraceJSON{nil, testTrace} {
-			want, err := json.Marshal(BatchResponse{Results: toBatchResults(answers), Trace: tj})
+			want, err := json.Marshal(batchResponse{Results: toBatchResults(answers), Trace: tj})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, '\n') // Encoder-style trailing newline
-			got := appendBatchAnswersJSON(nil, answers, tj)
+			got := wire.AppendAnswersJSON(nil, batchRoute, answers, tj)
 			if string(got) != string(want) {
 				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
 			}
@@ -285,56 +285,49 @@ func TestBatchJSONStreamEquivalence(t *testing.T) {
 var testTrace = &TraceJSON{
 	ID: 7, Backend: "RSMI<a&b>", ShardsVisited: 2, BlockAccesses: 19,
 	Stages: []TraceStageJSON{{Stage: "decode", Us: 1.5}, {Stage: "execute", Us: 1e-7}},
-	Plan:   &PlanJSON{Backend: "grid", EstCostUS: 3, ActualCostUS: 4.25, EstRows: 12},
+	Plan:   &wire.PlanJSON{Backend: "grid", EstCostUS: 3, ActualCostUS: 4.25, EstRows: 12},
 }
 
 // toBatchResults converts executed answers to the JSON wire shape: the
 // reflective encoding the streamed one is pinned against.
-func toBatchResults(answers []batchAnswer) []BatchResult {
+func toBatchResults(answers []wire.Result) []BatchResult {
 	out := make([]BatchResult, len(answers))
 	for i, a := range answers {
-		out[i] = batchResultOf(a.op, a.flag, a.pts)
+		out[i] = a.BatchResult()
 	}
 	return out
 }
 
-// TestBatchJSONEncodeAllocs mirrors TestBatchBinaryEncodeAllocs for the
-// streaming JSON path: encoding a batch response of any size into a warm
-// pooled buffer allocates nothing per point and nothing per result.
-func TestBatchJSONEncodeAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	answers := make([]batchAnswer, 32)
-	for i := range answers {
-		pts := make([]geom.Point, 100)
-		for j := range pts {
-			pts[j] = geom.Pt(rng.Float64(), rng.Float64())
-		}
-		answers[i] = batchAnswer{op: OpWindow, pts: pts}
+// The answer documents as the server built them for encoding/json before
+// the appending encoders replaced them: the oracles those are pinned
+// against.
+type (
+	foundResponse struct {
+		Found bool       `json:"found"`
+		Trace *TraceJSON `json:"trace,omitempty"`
 	}
-	// Warm the buffer to steady-state capacity, as the response pool does.
-	buf := appendBatchAnswersJSON(nil, answers, nil)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendBatchAnswersJSON(buf[:0], answers, nil)
-	})
-	if allocs > 0 {
-		t.Fatalf("JSON batch encode allocates %.1f times per 32×100-point batch, want 0", allocs)
+	deletedResponse struct {
+		Deleted bool       `json:"deleted"`
+		Trace   *TraceJSON `json:"trace,omitempty"`
 	}
-	// An EXPLAIN answer leaves through the same encoder: the bytes are
-	// encoding/json's, and the trace costs what marshalling a trace
-	// costs, not one []PointJSON per result.
-	want, err := json.Marshal(BatchResponse{Results: toBatchResults(answers), Trace: testTrace})
-	if err != nil {
-		t.Fatal(err)
+	pointsResponse struct {
+		Count  int         `json:"count"`
+		Points []PointJSON `json:"points"`
+		Trace  *TraceJSON  `json:"trace,omitempty"`
 	}
-	if got := appendBatchAnswersJSON(buf[:0], answers, testTrace); string(got) != string(want)+"\n" {
-		t.Fatal("traced JSON batch encode differs from json.Marshal(BatchResponse{…, Trace: tj})")
+	batchResponse struct {
+		Results []BatchResult `json:"results"`
+		Trace   *TraceJSON    `json:"trace,omitempty"`
 	}
-	traced := testing.AllocsPerRun(100, func() {
-		buf = appendBatchAnswersJSON(buf[:0], answers, testTrace)
-	})
-	if traced > 8 {
-		t.Fatalf("traced JSON batch encode allocates %.1f times per 32×100-point batch, want a trace's worth (≤ 8)", traced)
+)
+
+// toPoints is pts in the JSON wire shape, never nil.
+func toPoints(pts []geom.Point) []PointJSON {
+	out := make([]PointJSON, len(pts))
+	for i, p := range pts {
+		out[i] = PointJSON{X: p.X, Y: p.Y}
 	}
+	return out
 }
 
 // TestPointsJSONStreamEquivalence pins the per-op streaming encoder
@@ -355,12 +348,12 @@ func TestPointsJSONStreamEquivalence(t *testing.T) {
 	}
 	for i, pts := range cases {
 		for _, tj := range []*TraceJSON{nil, testTrace} {
-			want, err := json.Marshal(PointsResponse{Count: len(pts), Points: toPoints(pts), Trace: tj})
+			want, err := json.Marshal(pointsResponse{Count: len(pts), Points: toPoints(pts), Trace: tj})
 			if err != nil {
 				t.Fatal(err)
 			}
 			want = append(want, '\n') // Encoder-style trailing newline
-			got := appendPointsJSON(nil, pts, tj)
+			got := wire.AppendAnswersJSON(nil, &wire.Table[wire.Row(OpWindow)], []wire.Result{{Op: OpWindow, Pts: pts}}, tj)
 			if string(got) != string(want) {
 				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
 			}
@@ -369,16 +362,15 @@ func TestPointsJSONStreamEquivalence(t *testing.T) {
 }
 
 // responseJSON is a bool op's per-op answer document as the server built
-// it for json.Encoder before appendFlagJSON: the oracle that encoder is
-// pinned against.
-func responseJSON(a batchAnswer, tj *TraceJSON) interface{} {
-	switch a.op {
+// it for json.Encoder: the oracle the appending encoder is pinned against.
+func responseJSON(a wire.Result, tj *TraceJSON) interface{} {
+	switch a.Op {
 	case OpInsert:
-		return OKResponse{OK: a.flag, Trace: tj}
+		return wire.OKResponse{OK: a.Flag, Trace: tj}
 	case OpDelete:
-		return DeletedResponse{Deleted: a.flag, Trace: tj}
+		return deletedResponse{Deleted: a.Flag, Trace: tj}
 	}
-	return FoundResponse{Found: a.flag, Trace: tj}
+	return foundResponse{Found: a.Flag, Trace: tj}
 }
 
 // TestFlagJSONStreamEquivalence pins the per-op bool answers (/v1/point,
@@ -390,39 +382,23 @@ func TestFlagJSONStreamEquivalence(t *testing.T) {
 		for _, flag := range []bool{true, false} {
 			for _, tj := range []*TraceJSON{nil, testTrace} {
 				var want bytes.Buffer
-				if err := json.NewEncoder(&want).Encode(responseJSON(batchAnswer{op: op, flag: flag}, tj)); err != nil {
+				if err := json.NewEncoder(&want).Encode(responseJSON(wire.Result{Op: op, Flag: flag}, tj)); err != nil {
 					t.Fatal(err)
 				}
-				if got := appendFlagJSON(nil, op, flag, tj); string(got) != want.String() {
+				got := wire.AppendAnswersJSON(nil, &wire.Table[wire.Row(op)], []wire.Result{{Op: op, Flag: flag}}, tj)
+				if string(got) != want.String() {
 					t.Fatalf("%s %v (trace %v):\n got %s\nwant %s", op, flag, tj != nil, got, want.Bytes())
 				}
 			}
 		}
 	}
-	buf := appendFlagJSON(nil, OpDelete, false, nil)
+	del := &wire.Table[wire.Row(OpDelete)]
+	answer := []wire.Result{{Op: OpDelete, Flag: true}}
+	buf := wire.AppendAnswersJSON(nil, del, answer, nil)
 	if allocs := testing.AllocsPerRun(100, func() {
-		buf = appendFlagJSON(buf[:0], OpDelete, true, nil)
+		buf = wire.AppendAnswersJSON(buf[:0], del, answer, nil)
 	}); allocs > 0 {
 		t.Fatalf("per-op bool JSON encode allocates %.1f times, want 0", allocs)
-	}
-}
-
-// TestPointsJSONEncodeAllocs mirrors TestBatchJSONEncodeAllocs for the
-// per-op path: encoding a window/kNN response of any size into a warm
-// pooled buffer allocates nothing.
-func TestPointsJSONEncodeAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	pts := make([]geom.Point, 500)
-	for i := range pts {
-		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
-	}
-	// Warm the buffer to steady-state capacity, as the response pool does.
-	buf := appendPointsJSON(nil, pts, nil)
-	allocs := testing.AllocsPerRun(100, func() {
-		buf = appendPointsJSON(buf[:0], pts, nil)
-	})
-	if allocs > 0 {
-		t.Fatalf("per-op JSON encode allocates %.1f times per 500-point response, want 0", allocs)
 	}
 }
 

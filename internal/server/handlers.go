@@ -8,10 +8,10 @@ import (
 	"net/http"
 	"time"
 
-	"rsmi/internal/geom"
 	"rsmi/internal/obs"
 	"rsmi/internal/plan"
 	"rsmi/internal/sqlfe"
+	"rsmi/internal/wire"
 )
 
 // maxBodyBytes bounds single-op request bodies; batch bodies get
@@ -19,12 +19,7 @@ import (
 const (
 	maxBodyBytes      = 4 << 10
 	maxBatchBodyBytes = 8 << 20
-	// maxBatchOps bounds the operations one /v1/batch request may carry.
-	maxBatchOps = 16384
 )
-
-// errTooManyOps refuses a JSON batch of more than maxBatchOps ops.
-var errTooManyOps = fmt.Errorf("batch exceeds %d ops", maxBatchOps)
 
 // admitSlot acquires an in-flight slot — the transport-neutral admission
 // gate — counting a shed when the server is saturated. An admitted
@@ -80,11 +75,11 @@ func (s *Server) startHTTPTrace(r *http.Request, op string) (*obs.Trace, bool) {
 // before Observer.Finish releases tr to the pool.
 //
 //rsmi:noalloc
-func traceJSON(tr *obs.Trace) *TraceJSON {
+func traceJSON(tr *obs.Trace) *wire.TraceJSON {
 	if tr == nil {
 		return nil
 	}
-	tj := &TraceJSON{
+	tj := &wire.TraceJSON{
 		ID:            tr.ID,
 		Backend:       tr.Backend,
 		ShardsVisited: tr.Shards(),
@@ -92,11 +87,11 @@ func traceJSON(tr *obs.Trace) *TraceJSON {
 	}
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
 		if ns := tr.StageNS(st); ns > 0 {
-			tj.Stages = append(tj.Stages, TraceStageJSON{Stage: st.String(), Us: float64(ns) / 1e3})
+			tj.Stages = append(tj.Stages, wire.TraceStageJSON{Stage: st.String(), Us: float64(ns) / 1e3})
 		}
 	}
 	if p := tr.Plan(); p != nil {
-		tj.Plan = &PlanJSON{
+		tj.Plan = &wire.PlanJSON{
 			Backend:      p.Backend,
 			EstCostUS:    p.EstCostUS,
 			ActualCostUS: p.ActualCostUS,
@@ -104,10 +99,6 @@ func traceJSON(tr *obs.Trace) *TraceJSON {
 		}
 	}
 	return tj
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	writeJSONStatus(w, http.StatusOK, v)
 }
 
 func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
@@ -120,9 +111,7 @@ func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(ErrorResponse{Error: msg})
+	writeJSONStatus(w, code, wire.ErrorResponse{Error: msg})
 }
 
 // statusClientClosedRequest is the (nginx-convention) status for a query
@@ -152,14 +141,6 @@ func engineErrorCode(err error) int {
 	default:
 		return http.StatusInternalServerError
 	}
-}
-
-func toPoints(pts []geom.Point) []PointJSON {
-	out := make([]PointJSON, len(pts))
-	for i, p := range pts {
-		out[i] = PointJSON{X: p.X, Y: p.Y}
-	}
-	return out
 }
 
 // plannerEngine is the planning surface the SQL endpoint prefers,
@@ -216,11 +197,11 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, "rebuild already running")
 		return
 	}
-	writeJSONStatus(w, http.StatusAccepted, OKResponse{OK: true})
+	writeJSONStatus(w, http.StatusAccepted, wire.OKResponse{OK: true})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{
+	resp := wire.StatsResponse{
 		Engine:         s.eng.Name(),
 		Points:         s.eng.Len(),
 		UptimeSec:      time.Since(s.start).Seconds(),
@@ -230,22 +211,22 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rebuilds:       s.rebuilds.Load(),
 		RebuildRunning: s.rebuildRunning.Load(),
 		Stream:         s.streamStats(),
-		Ops:            make(map[string]OpStats, len(routes)),
+		Ops:            make(map[string]wire.OpStats, len(wire.Routes)),
 		Replication:    s.replicationStats(),
 	}
-	for i, rt := range routes {
-		resp.Ops[rt.op] = mergedStats(&s.hists[i][transportHTTP], &s.hists[i][transportStream])
+	for i, rt := range wire.Routes {
+		resp.Ops[rt.Op] = mergedStats(&s.hists[i][transportHTTP], &s.hists[i][transportStream])
 	}
 	if pe, ok := s.eng.(plannerEngine); ok {
 		c := pe.PlannerStats()
-		resp.Planner = &PlannerStatsJSON{Planned: c.Planned, Mispredicts: c.Mispredicts, Routed: c.Routed}
+		resp.Planner = &wire.PlannerStatsJSON{Planned: c.Planned, Mispredicts: c.Mispredicts, Routed: c.Routed}
 	}
 	if sc, ok := s.eng.(shardCounter); ok {
 		resp.Shards = sc.NumShards()
 	}
 	if s.subs != nil {
 		c := s.subs.Counters()
-		resp.Subs = &SubStats{
+		resp.Subs = &wire.SubStats{
 			Active:       c.Active,
 			Subscribed:   c.Subscribed,
 			Unsubscribed: c.Unsubscribed,
@@ -253,12 +234,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Dropped:      c.Dropped,
 		}
 	}
-	writeJSON(w, resp)
+	writeJSONStatus(w, http.StatusOK, resp)
 }
 
 // replicationStats is this server's replication state, nil on a
 // standalone server.
-func (s *Server) replicationStats() *ReplicationStats {
+func (s *Server) replicationStats() *wire.ReplicationStats {
 	switch {
 	case s.cfg.Replicator != nil:
 		return s.cfg.Replicator.stats()

@@ -25,8 +25,11 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"time"
+
+	"rsmi/internal/wire"
 )
 
 // DefaultHedgeDelay is used when HedgedOptions.Delay is zero. It is a
@@ -104,8 +107,8 @@ type legFunc func(ctx context.Context, c *Client) (legResult, error)
 // legResult is what one leg brought back: each leg carries its own
 // EXPLAIN trace by value, so only the winner's reaches the caller.
 type legResult struct {
-	rs []binResult
-	tj *TraceJSON
+	rs []wire.Result
+	tj *wire.TraceJSON
 }
 
 // hedgeResult is one leg's answer.
@@ -180,7 +183,7 @@ func (h *HedgedClient) hedged(ctx context.Context, do legFunc) (legResult, error
 func (h *HedgedClient) failover(ctx context.Context, do legFunc) (legResult, error) {
 	first, alt := h.pair()
 	v, err := do(ctx, first)
-	if err == nil || alt == nil || isStatusError(err) || ctx.Err() != nil {
+	if err == nil || alt == nil || errors.As(err, new(*StatusError)) || ctx.Err() != nil {
 		return v, err
 	}
 	return do(ctx, alt)
@@ -189,10 +192,10 @@ func (h *HedgedClient) failover(ctx context.Context, do legFunc) (legResult, err
 // hedgedRoundTrip is the HedgedClient's roundTripFunc: a request whose
 // ops are all reads is hedged, one carrying a write fails over (a batch
 // with writes must not run twice concurrently).
-func (h *HedgedClient) hedgedRoundTrip(ctx context.Context, rt *opSpec, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error) {
+func (h *HedgedClient) hedgedRoundTrip(ctx context.Context, rt *wire.Spec, ops []wire.BatchOp, explain bool) ([]wire.Result, *wire.TraceJSON, error) {
 	run := h.hedged
 	for _, op := range ops {
-		if op.Op == OpInsert || op.Op == OpDelete {
+		if op.Op == wire.OpInsert || op.Op == wire.OpDelete {
 			run = h.failover
 			break
 		}

@@ -8,6 +8,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -200,7 +201,7 @@ func TestHedgedWriteStatusErrorNoRetry(t *testing.T) {
 
 	// NaN coordinates draw a 400 from validation on the first target.
 	err := h.Insert(context.Background(), geom.Pt(nan(), 0.5))
-	if !isStatusError(err) {
+	if !errors.As(err, new(*StatusError)) {
 		t.Fatalf("invalid insert returned %v, want *StatusError", err)
 	}
 	if n := alt.inserts.Load(); n != 0 {
@@ -302,7 +303,7 @@ func TestHedgedStatusErrorRead(t *testing.T) {
 	t.Cleanup(h.Close)
 
 	inverted := geom.Rect{MinX: 0.9, MinY: 0.9, MaxX: 0.1, MaxY: 0.1}
-	if _, err := h.WindowQuery(context.Background(), inverted); !isStatusError(err) {
+	if _, err := h.WindowQuery(context.Background(), inverted); !errors.As(err, new(*StatusError)) {
 		t.Fatalf("inverted window returned %v, want *StatusError", err)
 	}
 }

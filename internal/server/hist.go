@@ -4,6 +4,8 @@ import (
 	"math"
 	"sync/atomic"
 	"time"
+
+	"rsmi/internal/wire"
 )
 
 // histogram is a lock-free latency histogram with quarter-octave buckets:
@@ -76,6 +78,13 @@ func (h *histogram) snapshotInto(s *histSnapshot) {
 	}
 }
 
+// snapshot is h's state alone.
+func snapshot(h *histogram) *histSnapshot {
+	var s histSnapshot
+	h.snapshotInto(&s)
+	return &s
+}
+
 // quantile estimates the q-th latency quantile (q in (0, 1]) as the
 // geometric midpoint of the bucket holding the q-th sample; it returns 0
 // when no samples were recorded. Concurrent observes make the estimate
@@ -112,19 +121,11 @@ func (s *histSnapshot) quantile(q float64) time.Duration {
 	return 0
 }
 
-// quantile on the live histogram snapshots first (kept for tests and
-// single-histogram callers).
-func (h *histogram) quantile(q float64) time.Duration {
-	var s histSnapshot
-	h.snapshotInto(&s)
-	return s.quantile(q)
-}
-
 // stats summarises the snapshot. The mean is exact (running sum over
 // count, not bucket midpoints); the percentiles — p999 included — are
 // quarter-octave estimates.
-func (s *histSnapshot) stats() OpStats {
-	st := OpStats{
+func (s *histSnapshot) stats() wire.OpStats {
+	st := wire.OpStats{
 		Count:  s.count,
 		P50us:  float64(s.quantile(0.50).Nanoseconds()) / 1e3,
 		P95us:  float64(s.quantile(0.95).Nanoseconds()) / 1e3,
@@ -137,16 +138,9 @@ func (s *histSnapshot) stats() OpStats {
 	return st
 }
 
-// stats summarises the histogram for /v1/stats.
-func (h *histogram) stats() OpStats {
-	var s histSnapshot
-	h.snapshotInto(&s)
-	return s.stats()
-}
-
 // mergedStats summarises several histograms (the per-transport
 // histograms of one op) as one.
-func mergedStats(hs ...*histogram) OpStats {
+func mergedStats(hs ...*histogram) wire.OpStats {
 	var s histSnapshot
 	for _, h := range hs {
 		h.snapshotInto(&s)

@@ -23,7 +23,7 @@ func TestQuantileTornObserve(t *testing.T) {
 	// count says 11 samples, the buckets hold 10.
 	h.count.Add(1)
 	for _, q := range []float64{0.50, 0.95, 0.99, 0.999} {
-		got := h.quantile(q)
+		got := snapshot(&h).quantile(q)
 		if got > time.Millisecond {
 			t.Fatalf("quantile(%v) = %v with a torn observe in flight; want ≈100µs, not the top-of-range fallback", q, got)
 		}
@@ -31,17 +31,17 @@ func TestQuantileTornObserve(t *testing.T) {
 			t.Fatalf("quantile(%v) = 0 with 10 recorded samples", q)
 		}
 	}
-	// stats() runs the same clamped quantile code for every percentile,
+	// mergedStats runs the same clamped quantile code for every percentile,
 	// p999 included.
-	if st := h.stats(); st.P999us > 1000 || st.P999us == 0 {
-		t.Fatalf("stats().P999us = %v with a torn observe in flight", st.P999us)
+	if st := mergedStats(&h); st.P999us > 1000 || st.P999us == 0 {
+		t.Fatalf("P999us = %v with a torn observe in flight", st.P999us)
 	}
 	// A torn observe on an otherwise empty histogram must read as "no
 	// data", not as an 18-minute latency.
 	var empty histogram
 	empty.count.Add(1)
 	for _, q := range []float64{0.99, 0.999} {
-		if got := empty.quantile(q); got != 0 {
+		if got := snapshot(&empty).quantile(q); got != 0 {
 			t.Fatalf("quantile(%v) on empty buckets with torn count = %v, want 0", q, got)
 		}
 	}
@@ -91,7 +91,7 @@ func TestQuantileConcurrent(t *testing.T) {
 			default:
 			}
 			for _, q := range []float64{0.5, 0.95, 0.99, 0.999} {
-				got := h.quantile(q)
+				got := snapshot(&h).quantile(q)
 				// The histogram is quarter-octave; allow one bucket (~19%)
 				// of estimator slack above the largest observed value.
 				if got > maxObs+maxObs/4 {
@@ -104,7 +104,7 @@ func TestQuantileConcurrent(t *testing.T) {
 	writeWG.Wait()
 	close(stop)
 	readWG.Wait()
-	if got := h.quantile(0.99); got == 0 || got > maxObs+maxObs/4 {
+	if got := snapshot(&h).quantile(0.99); got == 0 || got > maxObs+maxObs/4 {
 		t.Fatalf("final p99 = %v out of range", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestStatsExactMeanAndP999(t *testing.T) {
 	}
 	h.observe(8 * time.Millisecond)
 	h.observe(8 * time.Millisecond)
-	st := h.stats()
+	st := mergedStats(&h)
 	wantMean := (998*100.0 + 2*8000.0) / 1000.0
 	if math.Abs(st.MeanUs-wantMean) > 1e-9 {
 		t.Fatalf("MeanUs = %v, want exact %v", st.MeanUs, wantMean)

@@ -15,10 +15,11 @@ import (
 	"testing"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 )
 
 // jsonResult is one result inside any JSON answer as the client decoded
-// it before decodeJSONResults: BatchResult with its points as engine
+// it before wire.DecodeJSONResults: BatchResult with its points as engine
 // points. It lives on here only as the differential oracle.
 type jsonResult struct {
 	Found   bool         `json:"found"`
@@ -27,16 +28,19 @@ type jsonResult struct {
 	Points  []geom.Point `json:"points"`
 }
 
-func (r jsonResult) bin(op string) binResult {
+func (r jsonResult) bin(op string) wire.Result {
 	if pointsResult(op) {
-		return binResult{tag: binResPoints, pts: r.Points}
+		return wire.Result{Op: op, Pts: r.Points}
 	}
-	return binResult{tag: binResBool, flag: r.Found || r.OK || r.Deleted}
+	return wire.Result{Op: op, Flag: r.Found || r.OK || r.Deleted}
 }
 
-// decodeJSONResultsOracle is roundTripJSON's decode as it was: one
+// jsonMaxDepth is the decoder's nesting cap.
+const jsonMaxDepth = 1000
+
+// decodeJSONResultsOracle is the JSON client's decode as it was: one
 // reflective encoding/json pass into a union of the five documents.
-func decodeJSONResultsOracle(body []byte, single bool, ops []BatchOp) ([]binResult, *TraceJSON, error) {
+func decodeJSONResultsOracle(body []byte, single bool, ops []BatchOp) ([]wire.Result, *TraceJSON, error) {
 	var doc struct {
 		jsonResult
 		Results []jsonResult `json:"results"`
@@ -46,12 +50,12 @@ func decodeJSONResultsOracle(body []byte, single bool, ops []BatchOp) ([]binResu
 		return nil, nil, err
 	}
 	if single {
-		return []binResult{doc.bin(ops[0].Op)}, doc.Trace, nil
+		return []wire.Result{doc.bin(ops[0].Op)}, doc.Trace, nil
 	}
 	if len(doc.Results) != len(ops) {
 		return nil, nil, fmt.Errorf("client: batch returned %d results for %d ops", len(doc.Results), len(ops))
 	}
-	rs := make([]binResult, len(ops))
+	rs := make([]wire.Result, len(ops))
 	for i, r := range doc.Results {
 		rs[i] = r.bin(ops[i].Op)
 	}
@@ -60,20 +64,20 @@ func decodeJSONResultsOracle(body []byte, single bool, ops []BatchOp) ([]binResu
 
 // sameResults compares two decoded answers bit for bit, nil-ness of the
 // point slices included.
-func sameResults(got, want []binResult) error {
+func sameResults(got, want []wire.Result) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("%d results, want %d", len(got), len(want))
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if g.tag != w.tag || g.flag != w.flag || len(g.pts) != len(w.pts) || (g.pts == nil) != (w.pts == nil) {
-			return fmt.Errorf("result %d: {tag %d flag %v %d points nil=%v}, want {tag %d flag %v %d points nil=%v}",
-				i, g.tag, g.flag, len(g.pts), g.pts == nil, w.tag, w.flag, len(w.pts), w.pts == nil)
+		if g.Op != w.Op || g.Flag != w.Flag || len(g.Pts) != len(w.Pts) || (g.Pts == nil) != (w.Pts == nil) {
+			return fmt.Errorf("result %d: {op %q flag %v %d points nil=%v}, want {op %q flag %v %d points nil=%v}",
+				i, g.Op, g.Flag, len(g.Pts), g.Pts == nil, w.Op, w.Flag, len(w.Pts), w.Pts == nil)
 		}
-		for j := range g.pts {
-			if math.Float64bits(g.pts[j].X) != math.Float64bits(w.pts[j].X) ||
-				math.Float64bits(g.pts[j].Y) != math.Float64bits(w.pts[j].Y) {
-				return fmt.Errorf("result %d point %d: %v, want %v", i, j, g.pts[j], w.pts[j])
+		for j := range g.Pts {
+			if math.Float64bits(g.Pts[j].X) != math.Float64bits(w.Pts[j].X) ||
+				math.Float64bits(g.Pts[j].Y) != math.Float64bits(w.Pts[j].Y) {
+				return fmt.Errorf("result %d point %d: %v, want %v", i, j, g.Pts[j], w.Pts[j])
 			}
 		}
 	}
@@ -94,44 +98,34 @@ func fuzzOps(n int, kinds uint64) []BatchOp {
 }
 
 // encodedAnswers renders answers (one when single) as the server does.
-func encodedAnswers(answers []batchAnswer, single bool, tj *TraceJSON) []byte {
-	switch {
-	case !single:
-		return appendBatchAnswersJSON(nil, answers, tj)
-	case pointsResult(answers[0].op):
-		return appendPointsJSON(nil, answers[0].pts, tj)
+func encodedAnswers(answers []wire.Result, single bool, tj *TraceJSON) []byte {
+	rt := batchRoute
+	if single {
+		rt = &wire.Table[wire.Row(answers[0].Op)]
 	}
-	return appendFlagJSON(nil, answers[0].op, answers[0].flag, tj)
-}
-
-func opsOf(answers []batchAnswer) []BatchOp {
-	ops := make([]BatchOp, len(answers))
-	for i, a := range answers {
-		ops[i].Op = a.op
-	}
-	return ops
+	return wire.AppendAnswersJSON(nil, rt, answers, tj)
 }
 
 // FuzzDecodeJSONResults holds the one-pass decoder to the decode it
 // replaced: whatever bytes a server sends, it never panics, and an answer
-// it accepts (and dataPlane.do's checkResults lets through) is the answer
+// it accepts — one result per op, each of its op's kind — is the answer
 // encoding/json gave for the same bytes — results, points and trace. It
 // may refuse what encoding/json took; it may not differ.
 func FuzzDecodeJSONResults(f *testing.F) {
 	pts := []geom.Point{geom.Pt(0.5, 0.25), geom.Pt(1e-9, 1e21), geom.Pt(-0.00025, 123456)}
 	for _, tj := range []*TraceJSON{nil, testTrace} {
-		for _, a := range []batchAnswer{
-			{op: OpPoint, flag: true}, {op: OpInsert, flag: true}, {op: OpDelete, flag: true},
-			{op: OpWindow, pts: pts}, {op: OpKNN},
+		for _, a := range []wire.Result{
+			{Op: OpPoint, Flag: true}, {Op: OpInsert, Flag: true}, {Op: OpDelete, Flag: true},
+			{Op: OpWindow, Pts: pts}, {Op: OpKNN},
 		} {
 			kinds := uint64(0)
-			if pointsResult(a.op) {
+			if pointsResult(a.Op) {
 				kinds = 1
 			}
-			f.Add(encodedAnswers([]batchAnswer{a}, true, tj), true, uint8(1), kinds)
+			f.Add(encodedAnswers([]wire.Result{a}, true, tj), true, uint8(1), kinds)
 		}
-		f.Add(encodedAnswers([]batchAnswer{
-			{op: OpPoint, flag: true}, {op: OpWindow, pts: pts}, {op: OpDelete}, {op: OpKNN}, {op: OpKNN, pts: pts[:1]},
+		f.Add(encodedAnswers([]wire.Result{
+			{Op: OpPoint, Flag: true}, {Op: OpWindow, Pts: pts}, {Op: OpDelete}, {Op: OpKNN}, {Op: OpKNN, Pts: pts[:1]},
 		}, false, tj), false, uint8(5), uint64(0b11010))
 	}
 	for _, c := range jsonDecodeCorpus {
@@ -146,14 +140,11 @@ func FuzzDecodeJSONResults(f *testing.F) {
 			n = 1
 		}
 		ops := fuzzOps(int(n%65), kinds)
-		got, gotTrace, err := decodeJSONResults(body, single, ops)
+		got, gotTrace, err := wire.DecodeJSONResults(body, single, ops)
 		if err != nil {
 			if got != nil || gotTrace != nil {
 				t.Fatalf("a partial answer beside the error %v", err)
 			}
-			return
-		}
-		if checkResults(got, ops) != nil {
 			return
 		}
 		want, wantTrace, err := decodeJSONResultsOracle(body, single, ops)
@@ -249,7 +240,7 @@ type jsonCorpusDoc struct {
 func TestJSONDecodeCorpusVerdicts(t *testing.T) {
 	window, point := []BatchOp{{Op: OpWindow}}, []BatchOp{{Op: OpPoint}}
 	for _, c := range jsonDecodeCorpus {
-		got, tj, err := decodeJSONResults([]byte(c.body), c.single, c.ops)
+		got, tj, err := wire.DecodeJSONResults([]byte(c.body), c.single, c.ops)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
 			continue
@@ -276,7 +267,7 @@ func TestJSONDecodeCorpusVerdicts(t *testing.T) {
 		t.Fatalf("the oracle no longer shows the blind spot: %v", err)
 	}
 	// A coordinate beyond float64 is the error class it always was.
-	_, _, err := decodeJSONResults([]byte(`{"points":[{"x":1e999,"y":1}]}`), true, window)
+	_, _, err := wire.DecodeJSONResults([]byte(`{"points":[{"x":1e999,"y":1}]}`), true, window)
 	_, _, oracleErr := decodeJSONResultsOracle([]byte(`{"points":[{"x":1e999,"y":1}]}`), true, window)
 	var typeErr, oracleTypeErr *json.UnmarshalTypeError
 	if !errors.As(err, &typeErr) || !errors.As(oracleErr, &oracleTypeErr) || typeErr.Value != oracleTypeErr.Value {
@@ -285,19 +276,19 @@ func TestJSONDecodeCorpusVerdicts(t *testing.T) {
 	// The count is a hint, not a promise: what it reserves is bounded by
 	// the bytes that could still hold points.
 	lying := []byte(`{"count":999999999,"points":[{"x":1,"y":2}]}`)
-	rs, _, err := decodeJSONResults(lying, true, window)
-	if err != nil || len(rs[0].pts) != 1 || cap(rs[0].pts) > len(lying)/3 {
-		t.Fatalf("lying count: %d points in capacity %d (%v)", len(rs[0].pts), cap(rs[0].pts), err)
+	rs, _, err := wire.DecodeJSONResults(lying, true, window)
+	if err != nil || len(rs[0].Pts) != 1 || cap(rs[0].Pts) > len(lying)/3 {
+		t.Fatalf("lying count: %d points in capacity %d (%v)", len(rs[0].Pts), cap(rs[0].Pts), err)
 	}
 }
 
 // randomAnswer draws one executed answer of any kind, its coordinates
 // across the magnitudes the float formatter special-cases.
-func randomAnswer(rng *rand.Rand) batchAnswer {
-	ops := [...]string{OpPoint, OpInsert, OpDelete, OpWindow, OpKNN, OpSQL}
-	a := batchAnswer{op: ops[rng.Intn(len(ops))]}
-	if !pointsResult(a.op) {
-		a.flag = rng.Intn(2) == 0
+func randomAnswer(rng *rand.Rand) wire.Result {
+	ops := [...]string{OpPoint, OpInsert, OpDelete, OpWindow, OpKNN, wire.OpSQL}
+	a := wire.Result{Op: ops[rng.Intn(len(ops))]}
+	if !pointsResult(a.Op) {
+		a.Flag = rng.Intn(2) == 0
 		return a
 	}
 	coord := func() float64 {
@@ -307,27 +298,24 @@ func randomAnswer(rng *rand.Rand) batchAnswer {
 		}
 		return v
 	}
-	a.pts = make([]geom.Point, rng.Intn(6))
-	for i := range a.pts {
-		a.pts[i] = geom.Pt(coord(), coord())
+	a.Pts = make([]geom.Point, rng.Intn(6))
+	for i := range a.Pts {
+		a.Pts[i] = geom.Pt(coord(), coord())
 	}
 	return a
 }
 
 // TestJSONDecodeReadsEveryEncoding is the encoder→decoder property:
-// whatever appendBatchAnswersJSON, appendPointsJSON and appendFlagJSON
-// emit — any answers, trace or no trace — decodes to the answers it was
+// whatever wire.AppendAnswersJSON
+// emits — any answers, trace or no trace — decodes to the answers it was
 // built from.
 func TestJSONDecodeReadsEveryEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
-	check := func(answers []batchAnswer, single bool, tj *TraceJSON) {
+	check := func(answers []wire.Result, single bool, tj *TraceJSON) {
 		t.Helper()
 		body := encodedAnswers(answers, single, tj)
 		ops := opsOf(answers)
-		got, gotTrace, err := decodeJSONResults(body, single, ops)
-		if err == nil {
-			err = checkResults(got, ops)
-		}
+		got, gotTrace, err := wire.DecodeJSONResults(body, single, ops)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, body)
 		}
@@ -335,12 +323,12 @@ func TestJSONDecodeReadsEveryEncoding(t *testing.T) {
 			t.Fatalf("trace %+v, want %+v", gotTrace, tj)
 		}
 		for i, a := range answers {
-			if got[i].flag != a.flag || len(got[i].pts) != len(a.pts) {
+			if got[i].Flag != a.Flag || len(got[i].Pts) != len(a.Pts) {
 				t.Fatalf("answer %d: %+v, want %+v\n%s", i, got[i], a, body)
 			}
-			for j := range a.pts {
-				if got[i].pts[j] != a.pts[j] {
-					t.Fatalf("answer %d point %d: %v, want %v", i, j, got[i].pts[j], a.pts[j])
+			for j := range a.Pts {
+				if got[i].Pts[j] != a.Pts[j] {
+					t.Fatalf("answer %d point %d: %v, want %v", i, j, got[i].Pts[j], a.Pts[j])
 				}
 			}
 		}
@@ -350,12 +338,12 @@ func TestJSONDecodeReadsEveryEncoding(t *testing.T) {
 		if round%2 == 0 {
 			tj = nil
 		}
-		check([]batchAnswer{randomAnswer(rng)}, true, tj)
-		answers := make([]batchAnswer, rng.Intn(9))
+		check([]wire.Result{randomAnswer(rng)}, true, tj)
+		answers := make([]wire.Result, rng.Intn(9))
 		for i := range answers {
 			answers[i] = randomAnswer(rng)
-			if answers[i].op == OpSQL { // a statement is its own batch
-				answers[i].op = OpKNN
+			if answers[i].Op == wire.OpSQL { // a statement is its own batch
+				answers[i].Op = OpKNN
 			}
 		}
 		check(answers, false, tj)
@@ -366,15 +354,15 @@ func TestJSONDecodeReadsEveryEncoding(t *testing.T) {
 // quoted on: 32 × 190 points, ~290 KB of JSON.
 func windowBatchAnswer() (body []byte, ops []BatchOp) {
 	rng := rand.New(rand.NewSource(3))
-	answers := make([]batchAnswer, 32)
+	answers := make([]wire.Result, 32)
 	for i := range answers {
 		pts := make([]geom.Point, 190)
 		for j := range pts {
 			pts[j] = geom.Pt(rng.Float64(), rng.Float64())
 		}
-		answers[i] = batchAnswer{op: OpWindow, pts: pts}
+		answers[i] = wire.Result{Op: OpWindow, Pts: pts}
 	}
-	return appendBatchAnswersJSON(nil, answers, nil), opsOf(answers)
+	return wire.AppendAnswersJSON(nil, batchRoute, answers, nil), opsOf(answers)
 }
 
 // TestJSONDecodeAllocs pins the decoder at one allocation per non-empty
@@ -383,30 +371,12 @@ func windowBatchAnswer() (body []byte, ops []BatchOp) {
 func TestJSONDecodeAllocs(t *testing.T) {
 	body, ops := windowBatchAnswer()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, _, err := decodeJSONResults(body, false, ops); err != nil {
+		if _, _, err := wire.DecodeJSONResults(body, false, ops); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if want := float64(len(ops) + 1); allocs > want {
 		t.Fatalf("decoding a 32-window answer allocates %.1f times, want <= %.0f (one per result and the result list)", allocs, want)
-	}
-	// The leaves, by name: scanning a point the fast way, a number, and
-	// an arbitrary value allocates nothing at all.
-	point := []byte(`{"x":0.8401877171547095,"y":-1.25e-9}`)
-	value := []byte(`{"a":[1,2.5e3,{"b":"cé\n"}],"d":null,"e":[[],{}]}`)
-	leaves := testing.AllocsPerRun(100, func() {
-		if _, end := scanJSONPoint(point, 0); end != len(point) {
-			t.Fatalf("scanJSONPoint stopped at %d of %d", end, len(point))
-		}
-		if v, end := scanJSONFloat(point, 5); end != 23 || v != 0.8401877171547095 {
-			t.Fatalf("scanJSONFloat read %v, stopping at %d", v, end)
-		}
-		if end := skipJSONValue(value, 0, 0); end != len(value) {
-			t.Fatalf("skipJSONValue stopped at %d of %d", end, len(value))
-		}
-	})
-	if leaves > 0 {
-		t.Fatalf("the scanner's leaves allocate %.1f times, want 0", leaves)
 	}
 }
 
@@ -419,25 +389,25 @@ func TestBatchAnswerShapeChecked(t *testing.T) {
 	ops := []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.5}, {Op: OpWindow, MaxX: 1, MaxY: 1}}
 	for _, c := range []struct {
 		name    string
-		answers []batchAnswer
-		kind    bool // the error is errBinResultKind
+		answers []wire.Result
+		kind    bool // the error is the result-kind error
 		ok      bool
 	}{
-		{name: "as asked", answers: []batchAnswer{{op: OpPoint, flag: true}, {op: OpWindow, pts: pt}}, ok: true},
-		{name: "too few", answers: []batchAnswer{{op: OpPoint, flag: true}}},
-		{name: "too many", answers: []batchAnswer{{op: OpPoint, flag: true}, {op: OpWindow, pts: pt}, {op: OpPoint}}},
+		{name: "as asked", answers: []wire.Result{{Op: OpPoint, Flag: true}, {Op: OpWindow, Pts: pt}}, ok: true},
+		{name: "too few", answers: []wire.Result{{Op: OpPoint, Flag: true}}},
+		{name: "too many", answers: []wire.Result{{Op: OpPoint, Flag: true}, {Op: OpWindow, Pts: pt}, {Op: OpPoint}}},
 		{name: "none", answers: nil},
-		{name: "points for a bool", answers: []batchAnswer{{op: OpWindow, pts: pt}, {op: OpWindow, pts: pt}}, kind: true},
-		{name: "bool for points", answers: []batchAnswer{{op: OpPoint, flag: true}, {op: OpInsert, flag: true}}, kind: true},
+		{name: "points for a bool", answers: []wire.Result{{Op: OpWindow, Pts: pt}, {Op: OpWindow, Pts: pt}}, kind: true},
+		{name: "bool for points", answers: []wire.Result{{Op: OpPoint, Flag: true}, {Op: OpInsert, Flag: true}}, kind: true},
 	} {
 		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if wantsBinaryResponse(r) {
-				w.Header().Set("Content-Type", ContentTypeBinary)
-				w.Write(appendBatchAnswers(appendBinHeader(nil), c.answers))
+				w.Header().Set("Content-Type", wire.ContentTypeBinary)
+				w.Write(wire.AppendAnswers(nil, c.answers, false, nil))
 				return
 			}
 			w.Header().Set("Content-Type", "application/json")
-			w.Write(appendBatchAnswersJSON(nil, c.answers, nil))
+			w.Write(wire.AppendAnswersJSON(nil, batchRoute, c.answers, nil))
 		}))
 		for _, proto := range []Proto{ProtoJSON, ProtoBinary} {
 			cl := NewClient(hs.URL, WithProto(proto))
@@ -448,32 +418,11 @@ func TestBatchAnswerShapeChecked(t *testing.T) {
 				t.Errorf("%s over %s: %+v, %v", c.name, proto, res, err)
 			case !c.ok && (err == nil || res != nil):
 				t.Errorf("%s over %s: accepted as %+v", c.name, proto, res)
-			case c.kind && !errors.Is(err, errBinResultKind):
-				t.Errorf("%s over %s: %v, want errBinResultKind", c.name, proto, err)
+			case c.kind && !strings.Contains(err.Error(), "result kind does not match op"):
+				t.Errorf("%s over %s: %v, want the result-kind error", c.name, proto, err)
 			}
 		}
 		hs.Close()
-	}
-}
-
-// BenchmarkDecodeJSONResults is the client codec's own number: one
-// 32-window /v1/batch answer (~290 KB) through decodeJSONResults, and
-// through the reflective decode it replaced.
-func BenchmarkDecodeJSONResults(b *testing.B) {
-	body, ops := windowBatchAnswer()
-	for _, c := range []struct {
-		name   string
-		decode func([]byte, bool, []BatchOp) ([]binResult, *TraceJSON, error)
-	}{{"one-pass", decodeJSONResults}, {"encoding-json", decodeJSONResultsOracle}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := c.decode(body, false, ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -4,35 +4,75 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 )
 
+// sqlRequest is the POST /v1/sql body.
+type sqlRequest struct {
+	Query string `json:"query"`
+}
+
+// maxBatchOps is the most ops one batch may carry in either codec.
+const maxBatchOps = 16384
+
 // requestJSON is the route's request document as the JSON client built
-// it for json.Marshal before appendRequestJSON: the encoder's oracle.
-func requestJSON(rt *opSpec, ops []BatchOp) interface{} {
-	if rt.req == reqBatch {
+// it for json.Marshal before wire.AppendRequestJSON: the encoder's oracle.
+func requestJSON(rt *wire.Spec, ops []BatchOp) interface{} {
+	if !rt.Single() {
 		return BatchRequest{Ops: ops}
 	}
-	switch op := ops[0]; rt.req {
-	case reqPoint:
+	switch op := ops[0]; rt.Req {
+	case wire.ReqPoint:
 		return PointJSON{X: op.X, Y: op.Y}
-	case reqRect:
+	case wire.ReqRect:
 		return RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}
-	case reqKNN:
+	case wire.ReqKNN:
 		return KNNJSON{X: op.X, Y: op.Y, K: op.K}
 	}
-	return SQLRequest{Query: ops[0].SQL}
+	return sqlRequest{Query: ops[0].SQL}
+}
+
+// unmarshalRequest is the server's request decode as it was: the body
+// through json.Unmarshal into the route's document, refusing a batch of
+// more than maxBatchOps ops. It is the oracle of wire.DecodeJSONRequest.
+func unmarshalRequest(body []byte, rt *wire.Spec) ([]BatchOp, error) {
+	op := BatchOp{Op: rt.Op}
+	var err error
+	switch rt.Req {
+	case wire.ReqPoint:
+		var v PointJSON
+		err = json.Unmarshal(body, &v)
+		op.X, op.Y = v.X, v.Y
+	case wire.ReqRect:
+		var v RectJSON
+		err = json.Unmarshal(body, &v)
+		op.MinX, op.MinY, op.MaxX, op.MaxY = v.MinX, v.MinY, v.MaxX, v.MaxY
+	case wire.ReqKNN:
+		var v KNNJSON
+		err = json.Unmarshal(body, &v)
+		op.X, op.Y, op.K = v.X, v.Y, v.K
+	case wire.ReqSQL:
+		var v sqlRequest
+		err = json.Unmarshal(body, &v)
+		op.SQL = v.Query
+	default:
+		var v BatchRequest
+		if err = json.Unmarshal(body, &v); err == nil && len(v.Ops) > maxBatchOps {
+			err = fmt.Errorf("batch exceeds %d ops", maxBatchOps)
+		}
+		return v.Ops, err
+	}
+	return []BatchOp{op}, err
 }
 
 // sameOps compares two decoded op lists field by field, coordinates by
@@ -59,11 +99,11 @@ func sameOps(got, want []BatchOp) error {
 	return nil
 }
 
-// routeIndex returns the index of path's route in routes.
+// routeIndex returns the index of path's route in wire.Routes.
 func routeIndex(t testing.TB, path string) uint8 {
 	t.Helper()
-	for i := range routes {
-		if routes[i].path == path {
+	for i := range wire.Routes {
+		if wire.Routes[i].Path == path {
 			return uint8(i)
 		}
 	}
@@ -79,37 +119,25 @@ func stale() []BatchOp {
 
 // FuzzDecodeJSONRequest holds the server's request decode to
 // json.Unmarshal: whatever bytes a client sends to whichever route, it
-// never panics; the one-pass walk accepts only bodies json.Unmarshal
-// accepts, and reads them to the same ops; and decodeJSONRequest —
-// the walk, or json.Unmarshal where the walk declines — accepts exactly
-// what json.Unmarshal accepts, with the same ops, into a reused buffer.
+// never panics; and wire.DecodeJSONRequest — its one-pass walk, or
+// json.Unmarshal where the walk declines — accepts exactly what
+// json.Unmarshal accepts, with the same ops, into a reused buffer.
 func FuzzDecodeJSONRequest(f *testing.F) {
 	for _, c := range jsonRequestCorpus {
 		f.Add([]byte(c.body), routeIndex(f, c.path))
 	}
 	rng := rand.New(rand.NewSource(26))
-	for i := range routes {
-		body, err := appendRequestJSON(nil, &routes[i], randomRequestOps(rng, &routes[i], false))
+	for i := range wire.Routes {
+		body, err := wire.AppendRequestJSON(nil, &wire.Routes[i], randomRequestOps(rng, &wire.Routes[i], false))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(body, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, r uint8) {
-		rt := &routes[int(r)%len(routes)]
-		want, wantErr := unmarshalJSONRequest(body, rt, nil)
-		fast, fastErr := scanJSONRequest(body, rt, stale())
-		switch {
-		case fastErr == nil && wantErr != nil:
-			t.Fatalf("the walk accepted a body json.Unmarshal refuses: %v", wantErr)
-		case fastErr == nil:
-			if err := sameOps(fast, want); err != nil {
-				t.Fatalf("the walk differs from json.Unmarshal: %v", err)
-			}
-		case errors.Is(fastErr, errTooManyOps) && wantErr == nil:
-			t.Fatalf("the walk counted more than %d ops; json.Unmarshal decoded %d", maxBatchOps, len(want))
-		}
-		got, err := decodeJSONRequest(body, rt, stale())
+		rt := &wire.Routes[int(r)%len(wire.Routes)]
+		want, wantErr := unmarshalRequest(body, rt)
+		got, err := wire.DecodeJSONRequest(body, rt, stale())
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("decode says %v, json.Unmarshal says %v", err, wantErr)
 		}
@@ -124,7 +152,9 @@ func FuzzDecodeJSONRequest(f *testing.F) {
 // jsonRequestCorpus is the request decoder's seed corpus: what the walk
 // reads itself (fast), what it leaves to json.Unmarshal, and what is
 // refused (!ok), each with its verdict. The fuzz target starts from it;
-// TestJSONRequestCorpusVerdicts keeps the names honest.
+// TestJSONRequestCorpusVerdicts keeps the names honest. Which way a body
+// goes inside the decoder (fast) is internal/wire's to see: its
+// TestJSONRequestWalkVerdicts holds the walk to these bodies' verdicts.
 var jsonRequestCorpus = []struct {
 	name, path, body string
 	fast, ok         bool
@@ -185,17 +215,13 @@ var jsonRequestCorpus = []struct {
 }
 
 // TestJSONRequestCorpusVerdicts pins which way each corpus document goes
-// and that every accepted one reads as json.Unmarshal reads it; that the
-// codec's keys are the json tags of the shapes, in order; and that a batch
-// one op over maxBatchOps is refused while it is decoded.
+// and that every accepted one reads as json.Unmarshal reads it, and that
+// a batch one op over maxBatchOps is refused whichever way it is read.
 func TestJSONRequestCorpusVerdicts(t *testing.T) {
 	for _, c := range jsonRequestCorpus {
-		rt := &routes[routeIndex(t, c.path)]
-		if _, err := scanJSONRequest([]byte(c.body), rt, nil); (err == nil) != c.fast {
-			t.Errorf("%s: the walk says %v, want fast = %v", c.name, err, c.fast)
-		}
-		got, err := decodeJSONRequest([]byte(c.body), rt, stale())
-		want, wantErr := unmarshalJSONRequest([]byte(c.body), rt, nil)
+		rt := &wire.Routes[routeIndex(t, c.path)]
+		got, err := wire.DecodeJSONRequest([]byte(c.body), rt, stale())
+		want, wantErr := unmarshalRequest([]byte(c.body), rt)
 		switch {
 		case (err == nil) != c.ok:
 			t.Errorf("%s: err = %v, want ok = %v", c.name, err, c.ok)
@@ -208,29 +234,20 @@ func TestJSONRequestCorpusVerdicts(t *testing.T) {
 		}
 	}
 
-	for shape, v := range map[reqShape]interface{}{reqPoint: PointJSON{}, reqRect: RectJSON{}, reqKNN: KNNJSON{}, reqSQL: SQLRequest{}, reqBatch: BatchOp{}} {
-		var tags []string
-		for i, typ := 0, reflect.TypeOf(v); i < typ.NumField(); i++ {
-			tags = append(tags, strings.Split(typ.Field(i).Tag.Get("json"), ",")[0])
-		}
-		if keys := jsonRequestKeys[shape]; !reflect.DeepEqual(tags, keys) {
-			t.Errorf("%T has the json tags %q; the request codec has %q", v, tags, keys)
-		}
-	}
-
 	batch := func(n int) []byte {
 		return []byte(`{"ops":[` + strings.Repeat(`{"op":"point"},`, n-1) + `{"op":"point"}]}`)
 	}
-	rt := &routes[routeIndex(t, "/v1/batch")]
-	if ops, err := decodeJSONRequest(batch(maxBatchOps), rt, nil); err != nil || len(ops) != maxBatchOps {
+	rt := &wire.Routes[routeIndex(t, "/v1/batch")]
+	if ops, err := wire.DecodeJSONRequest(batch(maxBatchOps), rt, nil); err != nil || len(ops) != maxBatchOps {
 		t.Fatalf("a batch of maxBatchOps: %d ops, %v", len(ops), err)
 	}
 	over := batch(maxBatchOps + 1)
-	if _, err := scanJSONRequest(over, rt, nil); !errors.Is(err, errTooManyOps) {
-		t.Fatalf("the walk read one op over maxBatchOps to %v, want errTooManyOps", err)
+	tooMany := fmt.Sprintf("batch exceeds %d ops", maxBatchOps)
+	if _, err := wire.DecodeJSONRequest(over, rt, nil); err == nil || err.Error() != tooMany {
+		t.Fatalf("the walk read one op over maxBatchOps to %v, want %q", err, tooMany)
 	}
-	if _, err := decodeJSONRequest([]byte(`{"OPS":`+string(over[len(`{"ops":`):])), rt, nil); !errors.Is(err, errTooManyOps) {
-		t.Fatalf("json.Unmarshal's way read one op over maxBatchOps to %v, want errTooManyOps", err)
+	if _, err := wire.DecodeJSONRequest([]byte(`{"OPS":`+string(over[len(`{"ops":`):])), rt, nil); err == nil || err.Error() != tooMany {
+		t.Fatalf("json.Unmarshal's way read one op over maxBatchOps to %v, want %q", err, tooMany)
 	}
 }
 
@@ -276,7 +293,7 @@ func TestJSONRequestTrailingBytes(t *testing.T) {
 // kind set at random: coordinates across the magnitudes the formatter
 // special-cases, ±0 included, and strings HTML escaping, U+2028 or
 // invalid UTF-8 reach. nonFinite lets a coordinate be NaN or ±Inf.
-func randomRequestOps(rng *rand.Rand, rt *opSpec, nonFinite bool) []BatchOp {
+func randomRequestOps(rng *rand.Rand, rt *wire.Spec, nonFinite bool) []BatchOp {
 	coord := func() float64 {
 		switch rng.Intn(12) {
 		case 0:
@@ -306,13 +323,13 @@ func randomRequestOps(rng *rand.Rand, rt *opSpec, nonFinite bool) []BatchOp {
 			SQL: str(), SubID: [...]uint64{0, uint64(rng.Intn(100)), rng.Uint64()}[rng.Intn(3)], SubKind: str(),
 		}
 	}
-	if rt.req != reqBatch {
-		return []BatchOp{op(rt.op)}
+	if rt.Single() {
+		return []BatchOp{op(rt.Op)}
 	}
 	if rng.Intn(10) == 0 {
 		return nil
 	}
-	names := [...]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, OpSQL, OpSub, OpUnsub, "", "teleport"}
+	names := [...]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, wire.OpSQL, wire.OpSub, wire.OpUnsub, "", "teleport"}
 	ops := make([]BatchOp, rng.Intn(6))
 	for i := range ops {
 		ops[i] = op(names[rng.Intn(len(names))])
@@ -329,71 +346,59 @@ func randomRequestOps(rng *rand.Rand, rt *opSpec, nonFinite bool) []BatchOp {
 func TestJSONRequestEncodeMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for round := 0; round < 300; round++ {
-		for i := range routes {
-			rt := &routes[i]
+		for i := range wire.Routes {
+			rt := &wire.Routes[i]
 			ops := randomRequestOps(rng, rt, true)
 			want, wantErr := json.Marshal(requestJSON(rt, ops))
-			got, err := appendRequestJSON(nil, rt, ops)
+			got, err := wire.AppendRequestJSON(nil, rt, ops)
 			switch {
 			case wantErr != nil && (err == nil || err.Error() != wantErr.Error()):
-				t.Fatalf("%s %+v: error %v, json.Marshal says %v", rt.path, ops, err, wantErr)
+				t.Fatalf("%s %+v: error %v, json.Marshal says %v", rt.Path, ops, err, wantErr)
 			case wantErr == nil && (err != nil || !bytes.Equal(got, want)):
-				t.Fatalf("%s (%v):\n got %s\nwant %s", rt.path, err, got, want)
+				t.Fatalf("%s (%v):\n got %s\nwant %s", rt.Path, err, got, want)
 			}
 		}
 	}
 }
 
 // TestJSONRequestDecodeReadsEveryEncoding is the encoder→decoder
-// property: whatever appendRequestJSON writes, on any route, the server
-// reads to the ops json.Unmarshal reads — and by the walk alone, unless
-// json.Marshal had to escape one of the document's strings.
+// property: whatever wire.AppendRequestJSON writes, on any route, the
+// server reads to the ops json.Unmarshal reads.
 func TestJSONRequestDecodeReadsEveryEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
-	walked := 0
 	for round := 0; round < 300; round++ {
-		for i := range routes {
-			rt := &routes[i]
-			body, err := appendRequestJSON(nil, rt, randomRequestOps(rng, rt, false))
+		for i := range wire.Routes {
+			rt := &wire.Routes[i]
+			body, err := wire.AppendRequestJSON(nil, rt, randomRequestOps(rng, rt, false))
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := unmarshalJSONRequest(body, rt, nil)
+			want, err := unmarshalRequest(body, rt)
 			if err != nil {
-				t.Fatalf("%s: json.Unmarshal refuses the encoder's %s: %v", rt.path, body, err)
+				t.Fatalf("%s: json.Unmarshal refuses the encoder's %s: %v", rt.Path, body, err)
 			}
-			got, err := decodeJSONRequest(body, rt, stale())
+			got, err := wire.DecodeJSONRequest(body, rt, stale())
 			if err == nil {
 				err = sameOps(got, want)
 			}
 			if err != nil {
-				t.Fatalf("%s: %v\n%s", rt.path, err, body)
-			}
-			_, err = scanJSONRequest(body, rt, nil)
-			switch escaped := bytes.IndexByte(body, '\\') >= 0; {
-			case err != nil && !escaped:
-				t.Fatalf("%s: the walk declined a document with nothing escaped (%v)\n%s", rt.path, err, body)
-			case err == nil:
-				walked++
+				t.Fatalf("%s: %v\n%s", rt.Path, err, body)
 			}
 		}
-	}
-	if walked < 300*len(routes)/2 {
-		t.Fatalf("only %d of %d documents walked", walked, 300*len(routes))
 	}
 }
 
 // windowBatchRequest is the 32-window /v1/batch request the decode
 // numbers are quoted on, as the client writes it.
-func windowBatchRequest(t testing.TB) (body []byte, rt *opSpec) {
+func windowBatchRequest(t testing.TB) (body []byte, rt *wire.Spec) {
 	rng := rand.New(rand.NewSource(4))
 	ops := make([]BatchOp, 32)
 	for i := range ops {
 		q := geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()), 0.01, 0.01)
 		ops[i] = BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
 	}
-	rt = &routes[routeIndex(t, "/v1/batch")]
-	body, err := appendRequestJSON(nil, rt, ops)
+	rt = &wire.Routes[routeIndex(t, "/v1/batch")]
+	body, err := wire.AppendRequestJSON(nil, rt, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,8 +410,7 @@ var sinkOps []BatchOp
 // TestJSONRequestDecodeAllocs pins the request decode at its ops slice:
 // into a nil buffer a 32-window batch allocates exactly what appending
 // 32 ops to a nil slice does, and into a buffer with room nothing — no
-// allocation per op, per key or per number. The walk's leaves allocate
-// nothing at all.
+// allocation per op, per key or per number.
 func TestJSONRequestDecodeAllocs(t *testing.T) {
 	body, rt := windowBatchRequest(t)
 	growth := testing.AllocsPerRun(50, func() {
@@ -416,43 +420,46 @@ func TestJSONRequestDecodeAllocs(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		if sinkOps, _ = decodeJSONRequest(body, rt, nil); len(sinkOps) != 32 {
+		if sinkOps, _ = wire.DecodeJSONRequest(body, rt, nil); len(sinkOps) != 32 {
 			t.Fatalf("decoded %d ops", len(sinkOps))
 		}
 	})
 	buf := make([]BatchOp, 0, 32)
 	warm := testing.AllocsPerRun(50, func() {
-		if sinkOps, _ = decodeJSONRequest(body, rt, buf); len(sinkOps) != 32 {
+		if sinkOps, _ = wire.DecodeJSONRequest(body, rt, buf); len(sinkOps) != 32 {
 			t.Fatalf("decoded %d ops", len(sinkOps))
 		}
 	})
 	if fresh != growth || warm != 0 {
 		t.Fatalf("a 32-window batch allocates %.1f times into nil (the ops slice alone: %.1f) and %.1f into room, want 0", fresh, growth, warm)
 	}
-	num, str := []byte(`-0.0012345678901234567e-3,`), []byte(`"SELECT é",`)
-	leaves := testing.AllocsPerRun(100, func() {
-		if v, end := scanJSONFloat(num, 0); end != len(num)-1 || v != -0.0012345678901234567e-3 {
-			t.Fatalf("scanJSONFloat read %v, stopping at %d", v, end)
-		}
-		if end, ascii := scanJSONPlainString(str, 0); end != len(str)-1 || ascii {
-			t.Fatalf("scanJSONPlainString stopped at %d (ascii %v)", end, ascii)
-		}
-	})
-	if leaves > 0 {
-		t.Fatalf("the walk's leaves allocate %.1f times, want 0", leaves)
-	}
 }
 
-// TestJSONNumberMatchesParseFloat holds scanJSONFloat to strconv.ParseFloat
-// bit for bit: on the edges of its exact path, and on 5 M texts of
-// appendJSONFloat (random bit patterns, uniform [0, 1), normal × 1e6).
+// TestJSONNumberMatchesParseFloat holds the decoder's numbers to
+// strconv.ParseFloat bit for bit: on the edges of its exact path, and on
+// 5 M numbers as the JSON client writes them (random bit patterns,
+// uniform [0, 1), normal × 1e6). Each is the x of a /v1/point document; a
+// number beyond float64's range, which ParseFloat reads as ±Inf, is
+// refused, and so is every text JSON does not spell as a number.
 func TestJSONNumberMatchesParseFloat(t *testing.T) {
-	check := func(text []byte) {
+	point := &wire.Table[wire.Row(OpPoint)]
+	var doc []byte
+	var buf []BatchOp
+	read := func(text string) (float64, error) {
+		doc = append(append(append(doc[:0], `{"x":`...), text...), `,"y":0}`...)
+		ops, err := wire.DecodeJSONRequest(doc, point, buf)
+		if err != nil {
+			return 0, err
+		}
+		buf = ops
+		return ops[0].X, nil
+	}
+	check := func(text string) {
 		t.Helper()
-		want, err := strconv.ParseFloat(string(text), 64)
-		got, end := scanJSONFloat(text, 0)
-		if end != len(text) || math.Float64bits(got) != math.Float64bits(want) || (err != nil) != math.IsInf(got, 0) {
-			t.Fatalf("%s: %v to byte %d, ParseFloat says %v (%v)", text, got, end, want, err)
+		want, err := strconv.ParseFloat(text, 64)
+		got, derr := read(text)
+		if (derr != nil) != (err != nil) || err == nil && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: %v (%v), ParseFloat says %v (%v)", text, got, derr, want, err)
 		}
 	}
 	for _, s := range []string{
@@ -466,19 +473,15 @@ func TestJSONNumberMatchesParseFloat(t *testing.T) {
 		"1.7976931348623157e308", "1.7976931348623159e308", "1e309", "1e-400", "5e-324", "2.2250738585072014e-308",
 		"123456789012345678901234567890e-10", "0e999999", "1E+2", "1e+00", "1e0000000000000000000001", "1e-99999999999999999999",
 	} {
-		check([]byte(s))
+		check(s)
 		if s[0] != '-' {
-			check([]byte("-" + s))
+			check("-" + s)
 		}
 	}
-	for _, s := range []string{"", "-", "+1", ".5", "1.", "1e", "1e+", "Inf", "-Inf", "NaN", "_1", "-.5", "- 1"} {
-		if _, end := scanJSONFloat([]byte(s), 0); end >= 0 {
-			t.Fatalf("%q: read as a number to byte %d", s, end)
-		}
-	}
-	for _, c := range []struct{ s, number string }{{"01", "0"}, {"0x1p-2", "0"}, {"1_000", "1"}, {"1.5.5", "1.5"}, {"2e3e4", "2e3"}} {
-		if _, end := scanJSONFloat([]byte(c.s), 0); end != len(c.number) {
-			t.Fatalf("%q: the number ends at byte %d, want %d", c.s, end, len(c.number))
+	for _, s := range []string{"", "-", "+1", ".5", "1.", "1e", "1e+", "Inf", "-Inf", "NaN", "_1", "-.5", "- 1",
+		"01", "0x1p-2", "1_000", "1.5.5", "2e3e4"} {
+		if v, err := read(s); err == nil {
+			t.Fatalf("%q: read as the number %v", s, v)
 		}
 	}
 
@@ -487,7 +490,7 @@ func TestJSONNumberMatchesParseFloat(t *testing.T) {
 		n = 200_000
 	}
 	rng := rand.New(rand.NewSource(26))
-	var buf []byte
+	var body []byte
 	for i := 0; i < n; i++ {
 		var v float64
 		switch i % 3 {
@@ -500,35 +503,7 @@ func TestJSONNumberMatchesParseFloat(t *testing.T) {
 		case 2:
 			v = rng.NormFloat64() * 1e6
 		}
-		buf = appendJSONFloat(buf[:0], v)
-		check(buf)
-	}
-}
-
-// BenchmarkDecodeJSONRequest is the server codec's own number: one
-// 32-window /v1/batch request through decodeJSONRequest into a reused
-// buffer, as the server decodes it, and through json.Unmarshal, the
-// decode it replaced.
-func BenchmarkDecodeJSONRequest(b *testing.B) {
-	body, rt := windowBatchRequest(b)
-	buf := make([]BatchOp, 0, 32)
-	for _, c := range []struct {
-		name   string
-		decode func() ([]BatchOp, error)
-	}{
-		{"one-pass", func() ([]BatchOp, error) { return decodeJSONRequest(body, rt, buf) }},
-		{"encoding-json", func() ([]BatchOp, error) { return unmarshalJSONRequest(body, rt, nil) }},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			b.SetBytes(int64(len(body)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ops, err := c.decode()
-				if err != nil || len(ops) != 32 {
-					b.Fatalf("%d ops, %v", len(ops), err)
-				}
-				sinkOps = ops
-			}
-		})
+		body, _ = wire.AppendRequestJSON(body[:0], point, []BatchOp{{X: v}})
+		check(string(body[len(`{"x":`) : len(body)-len(`,"y":0}`)]))
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 	"rsmi/internal/workload"
 )
 
@@ -357,8 +358,8 @@ func TestMetricsExposition(t *testing.T) {
 
 	// The op × transport matrix is complete: every combination emits a
 	// counter even before traffic.
-	if got := len(byName["rsmi_op_requests_total"]); got != len(routes)*int(numTransports) {
-		t.Errorf("rsmi_op_requests_total has %d series, want %d", got, len(routes)*int(numTransports))
+	if got := len(byName["rsmi_op_requests_total"]); got != len(wire.Routes)*int(numTransports) {
+		t.Errorf("rsmi_op_requests_total has %d series, want %d", got, len(wire.Routes)*int(numTransports))
 	}
 	// And the traffic we drove is visible on the right cells.
 	find := func(name, op, transport string) float64 {
@@ -482,7 +483,7 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 		t.Errorf("traceJSON(nil) allocates %v per run, want 0", n)
 	}
 	if n := testing.AllocsPerRun(200, func() {
-		s.observeOp(binOpPoint, transportHTTP, time.Microsecond)
+		s.observeOp(wire.Row(OpPoint), transportHTTP, time.Microsecond)
 	}); n != 0 {
 		t.Errorf("observeOp allocates %v per run, want 0", n)
 	}

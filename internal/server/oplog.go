@@ -25,21 +25,11 @@ import (
 
 	"rsmi/internal/geom"
 	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 )
 
 // opLogDefaultCap is the default oplog retention (records).
 const opLogDefaultCap = 1 << 16
-
-// opRecord is one sequenced applied write. Rebuild records carry no
-// point. at is the primary's wall clock (UnixNano) at append time: it
-// travels with the record over the feed so replicas can report lag in
-// seconds without comparing two hosts' clocks (see Replica.LagSeconds).
-type opRecord struct {
-	seq  uint64
-	kind shard.WriteKind
-	p    geom.Point
-	at   int64
-}
 
 // opLog is the ring. Appends come from the shard write hook — under a
 // shard write lock — so the critical section stays minimal: one slot
@@ -48,7 +38,7 @@ type opLog struct {
 	epoch uint64
 
 	mu      sync.Mutex
-	buf     []opRecord
+	buf     []wire.FeedRecord
 	next    uint64        // seq the next append receives (first is 1)
 	updated chan struct{} // closed and replaced on every append
 }
@@ -70,19 +60,21 @@ func newOpLog(capacity int) *opLog {
 	}
 	return &opLog{
 		epoch:   newEpoch(),
-		buf:     make([]opRecord, capacity),
+		buf:     make([]wire.FeedRecord, capacity),
 		next:    1,
 		updated: make(chan struct{}),
 	}
 }
 
 // append assigns the next sequence number to one applied write and
-// wakes every waiting feeder.
+// wakes every waiting feeder. The record carries the primary's wall
+// clock (UnixNano) over the feed, so replicas can report lag in seconds
+// without comparing two hosts' clocks (see Replica.LagSeconds).
 func (l *opLog) append(kind shard.WriteKind, p geom.Point) uint64 {
 	l.mu.Lock()
 	seq := l.next
 	l.next++
-	l.buf[seq%uint64(len(l.buf))] = opRecord{seq: seq, kind: kind, p: p, at: time.Now().UnixNano()}
+	l.buf[seq%uint64(len(l.buf))] = wire.FeedRecord{Seq: seq, Kind: byte(kind), P: p, At: time.Now().UnixNano()}
 	ch := l.updated
 	l.updated = make(chan struct{})
 	l.mu.Unlock()
@@ -122,7 +114,7 @@ func (l *opLog) firstLocked() uint64 {
 // channel that the next append will close. ok is false when from has
 // fallen out of retention — the caller must resync its follower.
 // from == next (fully caught up) returns an empty slice and ok true.
-func (l *opLog) readFrom(dst []opRecord, from uint64) (recs []opRecord, updated <-chan struct{}, ok bool) {
+func (l *opLog) readFrom(dst []wire.FeedRecord, from uint64) (recs []wire.FeedRecord, updated <-chan struct{}, ok bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if from == 0 {

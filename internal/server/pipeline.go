@@ -4,21 +4,23 @@ package server
 // HTTP+rsmibin, or an rsmistream frame — is carried by a thin adapter
 // (an exchange) through the same five steps:
 //
-//	admit → decode to []BatchOp → validateOps → execute → encode from []batchAnswer
+//	admit → decode to []wire.BatchOp → validateOps → execute → encode from []wire.Result
 //
 // with one trace bracket and one set of stage marks. The adapters own
 // only what differs between transports: where the request bytes come
 // from, how an error is framed, and how the answers are framed. Every
-// per-op fact of the wire layer — name, rsmibin byte, HTTP path, request
-// fields, answer kind, histogram row — is one row of opTable, so adding
-// an op is one table row plus its executeOp case.
+// per-op fact of the wire layer is one row of wire.Table, so adding an op
+// is one table row plus its executeOp case.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,85 +28,21 @@ import (
 	"rsmi/internal/obs"
 	"rsmi/internal/plan"
 	"rsmi/internal/sqlfe"
+	"rsmi/internal/wire"
 )
-
-// reqShape names the fields an op's request carries: the keys of its
-// historical JSON document (jsonRequestKeys), which the rsmibin entry
-// codec walks too, in the same order.
-type reqShape uint8
-
-const (
-	reqPoint reqShape = iota // PointJSON
-	reqRect                  // RectJSON
-	reqKNN                   // KNNJSON
-	reqSQL                   // SQLRequest
-	reqBatch                 // BatchRequest
-	reqSubID                 // sub_id alone; rsmibin only
-)
-
-// opSpec is one row of the op table.
-type opSpec struct {
-	op   string   // BatchOp.Op, and the trace, /v1/stats and /metrics label
-	path string   // the HTTP endpoint; "" for the stream-only sub and unsub
-	req  reqShape // the request's fields
-	flag string   // a bool answer's JSON member; "" for a points answer
-}
-
-// opTable holds each op at the index of its rsmibin op byte, which is also
-// its latency histogram row. Row 0, a byte no entry carries, is
-// /v1/batch. The server registers a handler per routed row and the client
-// verbs find their endpoint here.
-var opTable = [...]opSpec{
-	batchRow:    {"batch", "/v1/batch", reqBatch, ""},
-	binOpPoint:  {OpPoint, "/v1/point", reqPoint, "found"},
-	binOpWindow: {OpWindow, "/v1/window", reqRect, ""},
-	binOpKNN:    {OpKNN, "/v1/knn", reqKNN, ""},
-	binOpInsert: {OpInsert, "/v1/insert", reqPoint, "ok"},
-	binOpDelete: {OpDelete, "/v1/delete", reqPoint, "deleted"},
-	binOpSQL:    {OpSQL, "/v1/sql", reqSQL, ""},
-	// A sub entry follows its id with a kind byte and the fields of the
-	// op of that kind (appendOp, binReader.entry).
-	binOpSub:   {OpSub, "", reqSubID, "ok"},
-	binOpUnsub: {OpUnsub, "", reqSubID, "ok"},
-}
-
-// batchRow is /v1/batch's row of opTable.
-const batchRow = 0
-
-// routes are the rows served over HTTP, which are also the rows with a
-// latency histogram: every row before sub's.
-var routes = opTable[:binOpSub]
-
-// opRow returns the opTable row — the rsmibin op byte — of the op named
-// name, 0 when no op has that name.
-func opRow(name string) byte {
-	for i := 1; i < len(opTable); i++ {
-		if opTable[i].op == name {
-			return byte(i)
-		}
-	}
-	return 0
-}
-
-// pointsResult reports whether op answers with points (window, knn, sql)
-// rather than a bool.
-func pointsResult(op string) bool {
-	row := opRow(op)
-	return row != 0 && opTable[row].flag == ""
-}
 
 // exchange is one request's transport adapter: the pipeline pulls the
 // decoded ops out of it and pushes either an error or the answers back.
 type exchange interface {
-	// decode parses the request, refusing a batch of more than
-	// maxBatchOps ops. single reports the per-op wire shape — a per-op
+	// decode parses the request, refusing a batch of more ops than the
+	// wire codecs carry. single reports the per-op wire shape — a per-op
 	// HTTP endpoint or a one-op stream frame — as opposed to a batch;
 	// explain reports the rsmibin explain flag bit.
-	decode() (ops []BatchOp, single, explain bool, err error)
+	decode() (ops []wire.BatchOp, single, explain bool, err error)
 	// fail answers an error, code in HTTP status semantics.
 	fail(code int, msg string)
 	// reply encodes the answers, with the EXPLAIN trace when tj != nil.
-	reply(answers []batchAnswer, tj *TraceJSON)
+	reply(answers []wire.Result, tj *wire.TraceJSON)
 	// mem is the exchange's scratch; it stays valid until reply returns.
 	mem() *scratch
 }
@@ -116,13 +54,13 @@ type exchange interface {
 // is the one that encodes — reply has copied the points onto the wire
 // before the exchange is recycled.
 type scratch struct {
-	ops    []BatchOp
-	answer [1]batchAnswer
+	ops    []wire.BatchOp
+	answer [1]wire.Result
 	pts    []geom.Point
 }
 
 // scratchMaxPoints and scratchMaxOps cap the capacity an exchange keeps
-// across requests (about 1 MiB each, as binBufPoolMax caps response
+// across requests (about 1 MiB each, as bufPoolMax caps response
 // buffers): one huge request must not pin its memory forever.
 const (
 	scratchMaxPoints = 1 << 16
@@ -178,7 +116,7 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	}
 	if tr != nil {
 		tr.Explain = explain
-		tr.Op = opTable[batchRow].op
+		tr.Op = wire.Table[wire.BatchRow].Op
 		if single {
 			tr.Op = ops[0].Op
 		}
@@ -195,7 +133,7 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	// block-access delta.
 	ctx = obs.With(ctx, tr)
 	before := s.accessesIf(tr)
-	var answers []batchAnswer
+	var answers []wire.Result
 	if single {
 		answers, err = s.executeSingle(ctx, ops[0], q, t, tr, x.mem())
 	} else {
@@ -212,7 +150,7 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	}
 	// An EXPLAIN answer carries the trace, so its encode span closes
 	// before the snapshot; otherwise it closes after the write.
-	var tj *TraceJSON
+	var tj *wire.TraceJSON
 	if explain {
 		tr.MarkSince(enc, obs.StageEncode)
 		tj = traceJSON(tr)
@@ -251,7 +189,7 @@ func finite(fs ...float64) error {
 }
 
 // opWindow returns op's window fields as a validated rectangle.
-func opWindow(op BatchOp) (geom.Rect, error) {
+func opWindow(op wire.BatchOp) (geom.Rect, error) {
 	if err := finite(op.MinX, op.MinY, op.MaxX, op.MaxY); err != nil {
 		return geom.Rect{}, err
 	}
@@ -267,16 +205,16 @@ func opWindow(op BatchOp) (geom.Rect, error) {
 // executeSingle. Errors name the op's index except on the per-op HTTP
 // endpoints, whose bodies carry no list (a one-op stream frame is a
 // list of one on the wire, and has always named index 0).
-func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error) {
+func validateOps(ops []wire.BatchOp, single bool, t transportIdx) (plan.Query, error) {
 	var q plan.Query
 	for i, op := range ops {
 		var err error
-		switch opTable[opRow(op.Op)].req {
-		case reqPoint, reqKNN:
+		switch wire.Table[wire.Row(op.Op)].Req {
+		case wire.ReqPoint, wire.ReqKNN:
 			err = finite(op.X, op.Y)
-		case reqRect:
+		case wire.ReqRect:
 			_, err = opWindow(op)
-		case reqSQL:
+		case wire.ReqSQL:
 			// A SQL statement is its own batch of work: it rides /v1/sql
 			// or a single-op stream frame, never a multi-op batch.
 			if len(ops) > 1 {
@@ -284,7 +222,7 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 			} else {
 				q, err = sqlfe.Parse(op.SQL)
 			}
-		case reqSubID:
+		case wire.ReqSubID:
 			// Standing queries exist only as single-op stream frames: the
 			// push channel is the connection itself, so there is nothing
 			// for HTTP — or a multi-op batch — to subscribe. The registry
@@ -310,24 +248,24 @@ func validateOps(ops []BatchOp, single bool, t transportIdx) (plan.Query, error)
 // histogram in the calling transport's column. q is the parsed statement
 // of a sql op; ctx carries tr (the pipeline attached it). The answer —
 // and a window's points — live in sc until the exchange is recycled.
-func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t transportIdx, tr *obs.Trace, sc *scratch) ([]batchAnswer, error) {
+func (s *Server) executeSingle(ctx context.Context, op wire.BatchOp, q plan.Query, t transportIdx, tr *obs.Trace, sc *scratch) ([]wire.Result, error) {
 	a := &sc.answer[0]
 	start := time.Now()
 	switch op.Op {
-	case OpSQL:
+	case wire.OpSQL:
 		// executeSQL observes the plan and execute stages itself.
 		res, err := s.executeSQL(ctx, q, tr)
 		if err != nil {
 			return nil, err
 		}
-		*a = batchAnswer{op: op.Op, pts: res.Points}
-		s.observeOp(binOpSQL, t, time.Since(start))
+		*a = wire.Result{Op: op.Op, Pts: res.Points}
+		s.observeOp(wire.Row(op.Op), t, time.Since(start))
 		return sc.answer[:], nil
-	case OpSub, OpUnsub:
+	case wire.OpSub, wire.OpUnsub:
 		// Registry bookkeeping, not an engine operation: no histogram.
-		*a = batchAnswer{op: op.Op}
+		*a = wire.Result{Op: op.Op}
 		var err error
-		if a.flag, err = s.serveSubOp(connSubsFrom(ctx), op); err != nil {
+		if a.Flag, err = s.serveSubOp(connSubsFrom(ctx), op); err != nil {
 			return nil, err
 		}
 		return sc.answer[:], nil
@@ -335,11 +273,11 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 	if err := s.executeOp(ctx, op, a, sc.pts[:0]); err != nil {
 		return nil, err
 	}
-	if op.Op == OpWindow {
-		sc.pts = a.pts // keep the grown buffer for the next request
+	if op.Op == wire.OpWindow {
+		sc.pts = a.Pts // keep the grown buffer for the next request
 	}
 	d := time.Since(start)
-	s.observeOp(opRow(op.Op), t, d)
+	s.observeOp(wire.Row(op.Op), t, d)
 	tr.ObserveStage(obs.StageExecute, d)
 	return sc.answer[:], nil
 }
@@ -347,20 +285,20 @@ func (s *Server) executeSingle(ctx context.Context, op BatchOp, q plan.Query, t 
 // executeOp runs one point, window, kNN, insert or delete op as one
 // engine call and writes its answer into a, appending a window's points
 // to dst. Both executeSingle and executeBatch run their ops through it.
-func (s *Server) executeOp(ctx context.Context, op BatchOp, a *batchAnswer, dst []geom.Point) (err error) {
-	*a = batchAnswer{op: op.Op}
+func (s *Server) executeOp(ctx context.Context, op wire.BatchOp, a *wire.Result, dst []geom.Point) (err error) {
+	*a = wire.Result{Op: op.Op}
 	switch op.Op {
-	case OpPoint:
-		a.flag, err = s.eng.PointQueryContext(ctx, geom.Pt(op.X, op.Y))
-	case OpWindow:
-		a.pts, err = s.eng.WindowQueryAppend(ctx, dst, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
-	case OpKNN:
-		a.pts, err = s.eng.KNNContext(ctx, geom.Pt(op.X, op.Y), op.K)
-	case OpInsert:
+	case wire.OpPoint:
+		a.Flag, err = s.eng.PointQueryContext(ctx, geom.Pt(op.X, op.Y))
+	case wire.OpWindow:
+		a.Pts, err = s.eng.WindowQueryAppend(ctx, dst, geom.Rect{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY})
+	case wire.OpKNN:
+		a.Pts, err = s.eng.KNNContext(ctx, geom.Pt(op.X, op.Y), op.K)
+	case wire.OpInsert:
 		err = s.eng.InsertContext(ctx, geom.Pt(op.X, op.Y))
-		a.flag = err == nil
-	case OpDelete:
-		a.flag, err = s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
+		a.Flag = err == nil
+	case wire.OpDelete:
+		a.Flag, err = s.eng.DeleteContext(ctx, geom.Pt(op.X, op.Y))
 	default:
 		// validateOps keeps sql out of multi-op batches and executeSingle
 		// serves sql, sub and unsub itself, so the only way here is a
@@ -381,16 +319,16 @@ func (s *Server) executeOp(ctx context.Context, op BatchOp, a *batchAnswer, dst 
 // applied stay applied, exactly as a batch interleaved with a concurrent
 // writer's operations would. A batch is not a transaction: its queries
 // may observe concurrent writers' operations.
-func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx, tr *obs.Trace) ([]batchAnswer, error) {
+func (s *Server) executeBatch(ctx context.Context, ops []wire.BatchOp, t transportIdx, tr *obs.Trace) ([]wire.Result, error) {
 	start := time.Now()
-	answers := make([]batchAnswer, len(ops))
+	answers := make([]wire.Result, len(ops))
 	for i, op := range ops {
 		if err := s.executeOp(ctx, op, &answers[i], nil); err != nil {
 			return nil, err
 		}
 	}
 	d := time.Since(start)
-	s.observeOp(batchRow, t, d)
+	s.observeOp(wire.BatchRow, t, d)
 	tr.ObserveStage(obs.StageExecute, d)
 	return answers, nil
 }
@@ -402,7 +340,7 @@ func (s *Server) executeBatch(ctx context.Context, ops []BatchOp, t transportIdx
 type httpExchange struct {
 	w  http.ResponseWriter
 	r  *http.Request
-	rt *opSpec
+	rt *wire.Spec
 	sc scratch
 }
 
@@ -410,10 +348,10 @@ type httpExchange struct {
 // request no allocation the hand-inlined handlers did not pay.
 var httpExchangePool = sync.Pool{New: func() interface{} { return new(httpExchange) }}
 
-// handleRoute is the HTTP handler of one routed opTable row.
-func (s *Server) handleRoute(rt *opSpec) http.HandlerFunc {
+// handleRoute is the HTTP handler of one routed wire.Table row.
+func (s *Server) handleRoute(rt *wire.Spec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		tr, _ := s.startHTTPTrace(r, rt.op)
+		tr, _ := s.startHTTPTrace(r, rt.Op)
 		x := httpExchangePool.Get().(*httpExchange)
 		x.w, x.r, x.rt = w, r, rt
 		s.serve(r.Context(), x, transportHTTP, tr)
@@ -422,8 +360,8 @@ func (s *Server) handleRoute(rt *opSpec) http.HandlerFunc {
 	}
 }
 
-func (x *httpExchange) decode() ([]BatchOp, bool, bool, error) {
-	single := x.rt.req != reqBatch
+func (x *httpExchange) decode() ([]wire.BatchOp, bool, bool, error) {
+	single := x.rt.Single()
 	if x.r.Method != http.MethodPost {
 		return nil, single, false, errPostRequired
 	}
@@ -439,16 +377,16 @@ func (x *httpExchange) decode() ([]BatchOp, bool, bool, error) {
 		return nil, single, false, fmt.Errorf("bad request body: %v", err)
 	}
 	if !isBinaryRequest(x.r) {
-		ops, err := decodeJSONRequest(body, x.rt, x.sc.ops)
+		ops, err := wire.DecodeJSONRequest(body, x.rt, x.sc.ops)
 		if err != nil {
 			return nil, single, false, fmt.Errorf("bad request body: %v", err)
 		}
 		x.sc.ops = ops
 		return ops, single, false, nil
 	}
-	ops, explain, err := decodeBinaryOps(body, single)
-	if err == nil && single && ops[0].Op != x.rt.op {
-		err = fmt.Errorf("rsmibin: op %q sent to the %s endpoint", ops[0].Op, x.rt.op)
+	ops, explain, err := wire.DecodeOps(body, single)
+	if err == nil && single && ops[0].Op != x.rt.Op {
+		err = fmt.Errorf("rsmibin: op %q sent to the %s endpoint", ops[0].Op, x.rt.Op)
 	}
 	return ops, single, explain, err
 }
@@ -464,31 +402,63 @@ func (x *httpExchange) fail(code int, msg string) {
 
 // reply encodes the answers straight into a pooled buffer on both
 // encodings — no []PointJSON intermediates, no reflection, O(1)
-// allocations per answer whatever its size (jsonstream.go, binproto.go)
-// — and the EXPLAIN bit does not change which encoder that is.
-func (x *httpExchange) reply(answers []batchAnswer, tj *TraceJSON) {
-	bp := binBufPool.Get().(*[]byte)
+// allocations per answer whatever its size — and the EXPLAIN bit does
+// not change which encoder that is.
+func (x *httpExchange) reply(answers []wire.Result, tj *wire.TraceJSON) {
+	bp := bufPool.Get().(*[]byte)
 	b, contentType := (*bp)[:0], "application/json"
-	binary := wantsBinaryResponse(x.r)
-	if binary {
-		b, contentType = appendBinHeader(b), ContentTypeBinary
-	}
-	switch single := x.rt.req != reqBatch; {
-	case binary && single:
-		b = appendBinTrace(appendAnswer(b, answers[0]), tj)
-	case binary:
-		b = appendBinTrace(appendBatchAnswers(b, answers), tj)
-	case !single:
-		b = appendBatchAnswersJSON(b, answers, tj)
-	case x.rt.flag == "":
-		b = appendPointsJSON(b, answers[0].pts, tj)
-	default:
-		b = appendFlagJSON(b, x.rt.op, answers[0].flag, tj)
+	if wantsBinaryResponse(x.r) {
+		b, contentType = wire.AppendAnswers(b, answers, x.rt.Single(), tj), wire.ContentTypeBinary
+	} else {
+		b = wire.AppendAnswersJSON(b, x.rt, answers, tj)
 	}
 	x.w.Header().Set("Content-Type", contentType)
 	_, _ = x.w.Write(b)
-	if cap(b) <= binBufPoolMax {
+	if cap(b) <= bufPoolMax {
 		*bp = b[:0] // keep the grown capacity for the next response
-		binBufPool.Put(bp)
+		bufPool.Put(bp)
+	}
+}
+
+// isBinaryRequest reports whether the request body is an rsmibin frame.
+func isBinaryRequest(r *http.Request) bool {
+	return strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentTypeBinary)
+}
+
+// wantsBinaryResponse reports whether the client asked for an rsmibin
+// answer.
+func wantsBinaryResponse(r *http.Request) bool {
+	return strings.Contains(r.Header.Get("Accept"), wire.ContentTypeBinary)
+}
+
+// bufPool recycles request, response and frame buffers so answers are
+// encoded with O(1) allocations regardless of batch and result sizes.
+var bufPool = sync.Pool{
+	New: func() interface{} {
+		b := make([]byte, 0, 4096)
+		return &b
+	},
+}
+
+// bufPoolMax caps the capacity a buffer may keep when returned to the
+// pool: one huge batch response must not pin its memory forever.
+const bufPoolMax = 1 << 20
+
+// readPooled reads r whole into a buffer from bufPool: a request body on
+// the server, an answer on the client. Hand the buffer back with
+// putPooled once nothing references the bytes.
+func readPooled(r io.Reader) (*[]byte, []byte, error) {
+	bp := bufPool.Get().(*[]byte)
+	buf := bytes.NewBuffer((*bp)[:0])
+	_, err := buf.ReadFrom(r)
+	return bp, buf.Bytes(), err
+}
+
+// putPooled returns bp to bufPool holding b, a buffer grown from it,
+// unless b has outgrown bufPoolMax.
+func putPooled(bp *[]byte, b []byte) {
+	if cap(b) <= bufPoolMax {
+		*bp = b[:0] // keep the grown capacity for the next use
+		bufPool.Put(bp)
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"rsmi/internal/geom"
 	"rsmi/internal/obs"
+	"rsmi/internal/wire"
 )
 
 // rewindBody is a request body that can be replayed without allocating.
@@ -87,8 +88,8 @@ func TestHandlerAllocs(t *testing.T) {
 		req := httptest.NewRequest(http.MethodPost, c.path, body)
 		req.Header.Set("Content-Type", "application/json")
 		if c.binary {
-			req.Header.Set("Content-Type", ContentTypeBinary)
-			req.Header.Set("Accept", ContentTypeBinary)
+			req.Header.Set("Content-Type", wire.ContentTypeBinary)
+			req.Header.Set("Accept", wire.ContentTypeBinary)
 		}
 		w := &discardWriter{h: http.Header{}}
 		got := testing.AllocsPerRun(200, func() {
@@ -191,26 +192,26 @@ func TestPipelineAcrossTransports(t *testing.T) {
 		idx  byte
 		run  func(cl *Client, opts ...QueryOpt) (interface{}, error)
 	}{
-		{OpPoint, binOpPoint, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpPoint, wire.Row(OpPoint), func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.PointQuery(ctx, pts[0], opts...)
 		}},
-		{OpWindow, binOpWindow, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpWindow, wire.Row(OpWindow), func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.WindowQuery(ctx, win, opts...)
 		}},
-		{OpKNN, binOpKNN, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpKNN, wire.Row(OpKNN), func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.KNN(ctx, pts[7], 5, opts...)
 		}},
-		{OpInsert, binOpInsert, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpInsert, wire.Row(OpInsert), func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return nil, cl.Insert(ctx, fresh(), opts...)
 		}},
-		{OpDelete, binOpDelete, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{OpDelete, wire.Row(OpDelete), func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.Delete(ctx, victim(), opts...)
 		}},
-		{OpSQL, binOpSQL, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{wire.OpSQL, wire.Row(wire.OpSQL), func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.SQL(ctx, fmt.Sprintf("SELECT * FROM points WHERE ST_Within(pt, BOX(%g, %g, %g, %g))",
 				win.MinX, win.MinY, win.MaxX, win.MaxY), opts...)
 		}},
-		{"batch-of-3", batchRow, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
+		{"batch-of-3", wire.BatchRow, func(cl *Client, opts ...QueryOpt) (interface{}, error) {
 			return cl.Batch(ctx, []BatchOp{
 				{Op: OpPoint, X: pts[0].X, Y: pts[0].Y},
 				{Op: OpWindow, MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY},
@@ -221,10 +222,10 @@ func TestPipelineAcrossTransports(t *testing.T) {
 		var wantAnswer interface{}
 		var wantStages string
 		for i, tc := range pipelineTransports(t, httpURL, streamAddr) {
-			var before, after [len(opTable)][numTransports]int64
+			var before, after [len(wire.Table)][numTransports]int64
 			for o := range before {
 				for tr := range before[o] {
-					before[o][tr] = s.hists[o][tr].stats().Count
+					before[o][tr] = mergedStats(&s.hists[o][tr]).Count
 				}
 			}
 			got, err := op.run(tc.cl)
@@ -233,13 +234,13 @@ func TestPipelineAcrossTransports(t *testing.T) {
 			}
 			for o := range after {
 				for tr := range after[o] {
-					after[o][tr] = s.hists[o][tr].stats().Count
+					after[o][tr] = mergedStats(&s.hists[o][tr]).Count
 				}
 			}
 			before[op.idx][tc.idx]++
 			if before != after {
 				t.Errorf("%s over %s: histogram cells moved other than [%s][%s]+1:\nwant %v\n got %v",
-					op.name, tc.name, opTable[op.idx].op, transportIdxName[tc.idx], before, after)
+					op.name, tc.name, wire.Table[op.idx].Op, transportIdxName[tc.idx], before, after)
 			}
 
 			var tj *TraceJSON
@@ -316,23 +317,23 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		case "http-json":
 			body := []byte(rawJSON)
 			if rawJSON == "" {
-				body, _ = json.Marshal(requestJSON(&routes[routeIndex(t, path)], ops))
+				body, _ = json.Marshal(requestJSON(&wire.Routes[routeIndex(t, path)], ops))
 			}
 			err = cl.post(ctx, path, "application/json", body, nil)
 		case "http-rsmibin":
 			if rawBin == nil {
-				rawBin, _ = encodeBinaryOps(ops, single, false)
+				rawBin, _ = wire.AppendOps(nil, ops, single, false)
 			}
-			err = cl.post(ctx, path, ContentTypeBinary, rawBin, nil)
+			err = cl.post(ctx, path, wire.ContentTypeBinary, rawBin, nil)
 		default:
 			if rawBin == nil {
-				rawBin, _ = encodeBinaryOps(ops, false, false)
+				rawBin, _ = wire.AppendOps(nil, ops, false, false)
 			}
 			conn, cerr := cl.stream.get()
 			if cerr != nil {
 				t.Fatal(cerr)
 			}
-			_, _, err = conn.roundTrip(ctx, func(b []byte) ([]byte, error) { return append(b, rawBin...), nil })
+			_, _, err = conn.roundTrip(ctx, ops, func(b []byte) ([]byte, error) { return append(b, rawBin...), nil })
 		}
 		if err == nil {
 			return http.StatusOK
@@ -346,7 +347,7 @@ func TestPipelineRejectsAlike(t *testing.T) {
 
 	nan := math.NaN()
 	unknownOp := append(appendUvarint(appendBinHeader(nil), 1), 0x7f)
-	sub := BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1}
+	sub := BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1}
 	for _, c := range []struct {
 		name    string
 		path    string
@@ -366,7 +367,7 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		{name: "unknown op", path: "/v1/batch",
 			rawJSON: `{"ops":[{"op":"teleport"}]}`, rawBin: unknownOp},
 		{name: "sql inside a multi-op batch", path: "/v1/batch",
-			ops: []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.5}, {Op: OpSQL, SQL: "SELECT * FROM points ORDER BY ST_Distance(pt, POINT(0.5, 0.5)) LIMIT 1"}}},
+			ops: []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.5}, {Op: wire.OpSQL, SQL: "SELECT * FROM points ORDER BY ST_Distance(pt, POINT(0.5, 0.5)) LIMIT 1"}}},
 		{name: "sub outside a single-op stream frame", path: "/v1/batch",
 			ops: []BatchOp{sub, {Op: OpPoint, X: 0.5, Y: 0.5}}},
 		{name: "sub over HTTP", path: "/v1/batch", ops: []BatchOp{sub}, skip: "rsmistream"},

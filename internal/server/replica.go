@@ -48,6 +48,7 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 )
 
 // errReplResync reports a feed that answered with a resync frame: the
@@ -119,6 +120,10 @@ type Replica struct {
 	// replica-side standing-query feed. Unlike a hook on the engine
 	// itself, the tap survives the atomic engine swap of a re-bootstrap.
 	writeTap atomic.Pointer[shard.WriteHook]
+
+	// frame is the feed frame applyFrame decodes into, its records'
+	// storage kept from frame to frame. The follow goroutine owns it.
+	frame wire.FeedFrame
 
 	mu         sync.Mutex
 	streamAddr string
@@ -254,8 +259,8 @@ func (r *Replica) observeClock(primaryNS int64) {
 	}
 }
 
-func (r *Replica) stats() *ReplicationStats {
-	return &ReplicationStats{
+func (r *Replica) stats() *wire.ReplicationStats {
+	return &wire.ReplicationStats{
 		Role:       "replica",
 		Epoch:      r.epoch.Load(),
 		LastSeq:    r.primarySeq.Load(),
@@ -318,8 +323,8 @@ func (r *Replica) Bootstrap(ctx context.Context) error {
 	return nil
 }
 
-func (r *Replica) fetchInfo(ctx context.Context) (ReplicaInfo, error) {
-	var info ReplicaInfo
+func (r *Replica) fetchInfo(ctx context.Context) (wire.ReplicaInfo, error) {
+	var info wire.ReplicaInfo
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.primary+"/v1/replica/info", nil)
 	if err != nil {
 		return info, fmt.Errorf("repl: %w", err)
@@ -460,10 +465,10 @@ func (r *Replica) follow() error {
 	}()
 
 	// The handshake is a stream request frame: request id 0 (the feed never
-	// answers per request), then the payload the listener sniffs for the
-	// 'R','L' magic. Feed frames carry no request id.
+	// answers per request), then the payload the listener sniffs for. Feed
+	// frames carry no request id.
 	err = writeReplFrame(conn, r.opts.Timeout, func(b []byte) []byte {
-		return appendReplHandshake(appendUvarint(b, 0), r.epoch.Load(), r.applied.Load()+1)
+		return wire.AppendFeedHandshake(wire.OpenStreamFrame(b, 0), r.epoch.Load(), r.applied.Load()+1)
 	})
 	if err != nil {
 		return fmt.Errorf("repl: handshake: %w", err)
@@ -475,7 +480,7 @@ func (r *Replica) follow() error {
 	var payload []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout))
-		if payload, err = readFrame(br, streamMaxResponseFrame, payload[:cap(payload)]); err != nil {
+		if payload, err = wire.ReadFrame(br, streamMaxResponseFrame, payload[:cap(payload)]); err != nil {
 			return fmt.Errorf("repl: feed read: %w", err)
 		}
 		if err := r.applyFrame(payload); err != nil {
@@ -484,51 +489,34 @@ func (r *Replica) follow() error {
 	}
 }
 
-// applyFrame applies one pushed feed frame.
+// applyFrame applies one pushed feed frame: a malformed frame applies
+// nothing, and an ops frame's records apply one sequence at a time.
 func (r *Replica) applyFrame(payload []byte) error {
-	if len(payload) < 4 || payload[0] != replMagic0 || payload[1] != replMagic1 || payload[2] != replVersion {
-		return errors.New("repl: bad feed frame header")
+	f := &r.frame
+	if err := f.Decode(payload); err != nil {
+		return err
 	}
-	br := &binReader{data: payload[4:]}
-	switch payload[3] {
-	case replFrameResync:
+	switch f.Type {
+	case wire.FeedResync:
 		return errReplResync
-	case replFrameHeartbeat:
-		last := br.uvarint()
-		now := br.uvarint()
-		if br.err != nil {
-			return fmt.Errorf("repl: bad heartbeat: %w", br.err)
-		}
-		r.primarySeq.Store(last)
-		r.observeClock(int64(now))
+	case wire.FeedHeartbeat:
+		r.primarySeq.Store(f.LastSeq)
+		r.observeClock(f.Clock)
 		return nil
-	case replFrameOps:
-		n := br.uvarint()
-		if br.err != nil {
-			return fmt.Errorf("repl: bad ops frame: %w", br.err)
-		}
+	case wire.FeedOps:
 		idx := r.cur.Load()
-		for i := uint64(0); i < n; i++ {
-			seq := br.uvarint()
-			kind := shard.WriteKind(br.byte())
-			at := int64(br.uvarint())
-			var p geom.Point
-			if kind != shard.WriteRebuild {
-				p = geom.Pt(br.f64(), br.f64())
+		for _, rec := range f.Recs {
+			if rec.Seq != r.applied.Load()+1 {
+				return fmt.Errorf("repl: feed gap: got seq %d, want %d", rec.Seq, r.applied.Load()+1)
 			}
-			if br.err != nil {
-				return fmt.Errorf("repl: bad ops frame: %w", br.err)
-			}
-			if seq != r.applied.Load()+1 {
-				return fmt.Errorf("repl: feed gap: got seq %d, want %d", seq, r.applied.Load()+1)
-			}
+			kind := shard.WriteKind(rec.Kind)
 			switch kind {
 			case shard.WriteInsert:
-				if err := idx.InsertContext(r.lifeCtx, p); err != nil {
+				if err := idx.InsertContext(r.lifeCtx, rec.P); err != nil {
 					return fmt.Errorf("repl: insert: %w", err)
 				}
 			case shard.WriteDelete:
-				if _, err := idx.DeleteContext(r.lifeCtx, p); err != nil {
+				if _, err := idx.DeleteContext(r.lifeCtx, rec.P); err != nil {
 					return fmt.Errorf("repl: delete: %w", err)
 				}
 			case shard.WriteRebuild:
@@ -541,23 +529,18 @@ func (r *Replica) applyFrame(payload []byte) error {
 			default:
 				return fmt.Errorf("repl: unknown op kind %d", kind)
 			}
-			r.applied.Store(seq)
-			r.appliedAt.Store(at)
-			r.observeClock(at)
+			r.applied.Store(rec.Seq)
+			r.appliedAt.Store(rec.At)
+			r.observeClock(rec.At)
 			if tap := r.writeTap.Load(); tap != nil {
-				(*tap)(shard.WriteOp{Kind: kind, P: p})
+				(*tap)(shard.WriteOp{Kind: kind, P: rec.P})
 			}
-		}
-		if len(br.data) != 0 {
-			return errors.New("repl: trailing bytes in ops frame")
 		}
 		if s := r.applied.Load(); s > r.primarySeq.Load() {
 			r.primarySeq.Store(s)
 		}
-		return nil
-	default:
-		return fmt.Errorf("repl: unknown feed frame type %d", payload[3])
 	}
+	return nil
 }
 
 // replicaEngine is the replica's rsmi.Engine view: reads answered by

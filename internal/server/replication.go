@@ -11,9 +11,9 @@ package server
 //
 // plus the oplog feed itself, which rides the existing rsmistream TCP
 // listener: a replica's first frame is a replication handshake
-// ('R','L',1 — distinguishable from every rsmibin request, which starts
-// 'R','B',1), after which the connection is dedicated to pushed feed
-// frames (ops batches, heartbeats, resync).
+// (distinguishable from every rsmibin request; internal/wire's feed.go
+// holds the bytes), after which the connection is dedicated to pushed
+// feed frames (ops batches, heartbeats, resync).
 //
 // # Snapshot consistency
 //
@@ -35,7 +35,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"net"
 	"net/http"
 	"strconv"
@@ -46,33 +45,7 @@ import (
 	"rsmi"
 	"rsmi/internal/geom"
 	"rsmi/internal/shard"
-)
-
-// Replication feed wire constants. Handshake and every pushed frame
-// start 'R','L' + version; rsmibin frames start 'R','B' + version, so
-// the stream listener tells them apart on the first three bytes.
-// Version 2 added per-record and heartbeat timestamps (primary wall
-// clock, UnixNano) so replicas can report lag in seconds. A v1 binary
-// on either side fails the three-byte handshake match and the replica
-// re-dials until versions agree — mixed versions fail loudly instead of
-// silently mis-decoding timestamped frames.
-const (
-	replMagic0  byte = 'R'
-	replMagic1  byte = 'L'
-	replVersion byte = 2
-)
-
-// Pushed feed frame types.
-const (
-	// replFrameOps carries a batch of sequenced oplog records.
-	replFrameOps byte = 1
-	// replFrameResync tells the replica its position is unservable
-	// (epoch mismatch or out of retention): re-bootstrap from a snapshot.
-	replFrameResync byte = 2
-	// replFrameHeartbeat carries the primary's last sequence and wall
-	// clock so an idle replica can both detect a dead link and report
-	// zero lag.
-	replFrameHeartbeat byte = 3
+	"rsmi/internal/wire"
 )
 
 const (
@@ -147,8 +120,8 @@ func (r *Replicator) Snapshot() (epoch, seq uint64, data []byte, err error) {
 	return r.log.epoch, seq, buf.Bytes(), nil
 }
 
-func (r *Replicator) stats() *ReplicationStats {
-	return &ReplicationStats{
+func (r *Replicator) stats() *wire.ReplicationStats {
+	return &wire.ReplicationStats{
 		Role:      "primary",
 		Epoch:     r.log.epoch,
 		FirstSeq:  r.log.firstSeq(),
@@ -193,7 +166,7 @@ func (s *Server) handleReplicaInfo(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSON(w, ReplicaInfo{
+	writeJSONStatus(w, http.StatusOK, wire.ReplicaInfo{
 		Epoch:      r.log.epoch,
 		FirstSeq:   r.log.firstSeq(),
 		LastSeq:    r.log.lastSeq(),
@@ -233,67 +206,21 @@ func (s *Server) streamAddr() string {
 	return ""
 }
 
-// isReplHandshake reports whether a stream frame payload is a
-// replication handshake rather than an rsmibin request.
-func isReplHandshake(payload []byte) bool {
-	return len(payload) >= 3 &&
-		payload[0] == replMagic0 && payload[1] == replMagic1 && payload[2] == replVersion
-}
-
-// appendReplHandshake encodes a handshake payload: the follower's known
-// epoch (0 on first contact) and the first sequence it wants.
-func appendReplHandshake(b []byte, epoch, from uint64) []byte {
-	b = append(b, replMagic0, replMagic1, replVersion)
-	b = appendUvarint(b, epoch)
-	return appendUvarint(b, from)
-}
-
-// decodeReplHandshake parses a handshake payload.
-func decodeReplHandshake(payload []byte) (epoch, from uint64, err error) {
-	r := &binReader{data: payload[3:]}
-	epoch = r.uvarint()
-	from = r.uvarint()
-	if r.err != nil {
-		return 0, 0, fmt.Errorf("repl: bad handshake: %w", r.err)
-	}
-	if len(r.data) != 0 {
-		return 0, 0, fmt.Errorf("repl: trailing bytes after handshake")
-	}
-	return epoch, from, nil
-}
-
-// writeReplFrame writes one frame whose payload is built by fill onto a
-// feed connection — the replica's handshake, or a frame the primary
-// pushes — bounded by timeout.
+// writeReplFrame writes one frame onto a feed connection — the replica's
+// handshake, or a frame the primary pushes — bounded by timeout. fill
+// appends the frame, opened by wire.OpenFrame or wire.OpenStreamFrame, to
+// a pooled buffer; its length word is set here.
 func writeReplFrame(conn net.Conn, timeout time.Duration, fill func([]byte) []byte) error {
-	bp := binBufPool.Get().(*[]byte)
-	b := fill(openFrame((*bp)[:0]))
-	closeFrame(b, 0)
+	bp := bufPool.Get().(*[]byte)
+	b := fill((*bp)[:0])
+	wire.CloseFrame(b, 0)
 	conn.SetWriteDeadline(time.Now().Add(timeout))
 	_, err := conn.Write(b)
-	if cap(b) <= binBufPoolMax {
+	if cap(b) <= bufPoolMax {
 		*bp = b[:0]
-		binBufPool.Put(bp)
+		bufPool.Put(bp)
 	}
 	return err
-}
-
-// appendReplOps encodes an ops feed frame payload. Each record carries
-// its primary-clock append timestamp so replicas can measure lag in
-// seconds against the same clock that stamped it.
-func appendReplOps(b []byte, recs []opRecord) []byte {
-	b = append(b, replMagic0, replMagic1, replVersion, replFrameOps)
-	b = appendUvarint(b, uint64(len(recs)))
-	for _, rec := range recs {
-		b = appendUvarint(b, rec.seq)
-		b = append(b, byte(rec.kind))
-		b = appendUvarint(b, uint64(rec.at))
-		if rec.kind != shard.WriteRebuild {
-			b = appendF64(b, rec.p.X)
-			b = appendF64(b, rec.p.Y)
-		}
-	}
-	return b
 }
 
 // serveReplFeed runs the dedicated oplog feed on a stream connection
@@ -306,7 +233,7 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 	if r == nil {
 		return
 	}
-	epoch, from, err := decodeReplHandshake(payload)
+	epoch, from, err := wire.DecodeFeedHandshake(payload)
 	if err != nil {
 		return
 	}
@@ -325,15 +252,14 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 
 	resync := func() {
 		_ = writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
-			b = append(b, replMagic0, replMagic1, replVersion, replFrameResync)
-			return appendUvarint(b, r.log.epoch)
+			return wire.AppendFeedResync(wire.OpenFrame(b), r.log.epoch)
 		})
 	}
 	if epoch != r.log.epoch {
 		resync()
 		return
 	}
-	recsBuf := make([]opRecord, 0, replBatchMax)
+	recsBuf := make([]wire.FeedRecord, 0, replBatchMax)
 	heartbeat := time.NewTimer(replHeartbeatEvery)
 	defer heartbeat.Stop()
 	for {
@@ -344,12 +270,12 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 		}
 		if len(recs) > 0 {
 			err := writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
-				return appendReplOps(b, recs)
+				return wire.AppendFeedOps(wire.OpenFrame(b), recs)
 			})
 			if err != nil {
 				return
 			}
-			from = recs[len(recs)-1].seq + 1
+			from = recs[len(recs)-1].Seq + 1
 			continue
 		}
 		if !heartbeat.Stop() {
@@ -363,9 +289,7 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 		case <-updated:
 		case <-heartbeat.C:
 			err := writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
-				b = append(b, replMagic0, replMagic1, replVersion, replFrameHeartbeat)
-				b = appendUvarint(b, r.log.lastSeq())
-				return appendUvarint(b, uint64(time.Now().UnixNano()))
+				return wire.AppendFeedHeartbeat(wire.OpenFrame(b), r.log.lastSeq(), time.Now().UnixNano())
 			})
 			if err != nil {
 				return

@@ -31,6 +31,7 @@ import (
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 	"rsmi/internal/workload"
 )
 
@@ -669,7 +670,7 @@ func TestReplicaFeedAllocFollowsBytes(t *testing.T) {
 	if err == nil {
 		t.Fatal("follow returned nil on a frame claiming 1 GiB and delivering nothing")
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(streamReadBuf+32<<10); got >= limit {
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(wire.ReadChunk+32<<10); got >= limit {
 		t.Fatalf("a 4-byte feed frame made the replica allocate %d bytes, want < %d", got, limit)
 	}
 }
@@ -694,9 +695,9 @@ func FuzzReplFeed(f *testing.F) {
 	var tapped uint64
 	rep.SetWriteTap(func(shard.WriteOp) { tapped++ })
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if isReplHandshake(data) {
-			if epoch, from, err := decodeReplHandshake(data); err == nil {
-				e2, f2, err := decodeReplHandshake(appendReplHandshake(nil, epoch, from))
+		if wire.IsFeedHandshake(data) {
+			if epoch, from, err := wire.DecodeFeedHandshake(data); err == nil {
+				e2, f2, err := wire.DecodeFeedHandshake(wire.AppendFeedHandshake(nil, epoch, from))
 				if err != nil || e2 != epoch || f2 != from {
 					t.Fatalf("handshake (%d, %d) re-decoded as (%d, %d), %v", epoch, from, e2, f2, err)
 				}

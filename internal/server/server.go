@@ -69,6 +69,7 @@ import (
 	"rsmi"
 	"rsmi/internal/obs"
 	"rsmi/internal/sub"
+	"rsmi/internal/wire"
 )
 
 // Engine is the index surface the server serves: the public context-aware
@@ -176,10 +177,10 @@ type Server struct {
 	shed     atomic.Int64
 
 	// Per-op × per-transport latency histograms (successful operations
-	// only), indexed by opTable row; the routed rows are used. /v1/stats
+	// only), indexed by wire.Table row; the routed rows are used. /v1/stats
 	// reports them merged per op; /metrics exposes the full op ×
 	// transport matrix.
-	hists [len(opTable)][numTransports]histogram
+	hists [len(wire.Table)][numTransports]histogram
 	// histRebuild tracks rolling-rebuild durations for /metrics.
 	histRebuild histogram
 
@@ -231,8 +232,8 @@ func New(cfg Config) *Server {
 	if !cfg.DisableSubs {
 		s.initSubs()
 	}
-	for i := range routes {
-		s.mux.HandleFunc(routes[i].path, s.handleRoute(&routes[i]))
+	for i := range wire.Routes {
+		s.mux.HandleFunc(wire.Routes[i].Path, s.handleRoute(&wire.Routes[i]))
 	}
 	s.mux.HandleFunc("/v1/rebuild", s.handleRebuild)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -254,7 +255,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// observeOp records the latency of one successful operation of opTable
+// observeOp records the latency of one successful operation of wire.Table
 // row op.
 //
 //rsmi:noalloc

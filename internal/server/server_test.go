@@ -357,26 +357,26 @@ func TestGracefulShutdown(t *testing.T) {
 // TestHistogramQuantiles sanity-checks the quarter-octave estimator.
 func TestHistogramQuantiles(t *testing.T) {
 	var h histogram
-	if h.quantile(0.5) != 0 {
+	if snapshot(&h).quantile(0.5) != 0 {
 		t.Fatal("empty histogram should report 0")
 	}
 	for i := 0; i < 99; i++ {
 		h.observe(100 * time.Microsecond)
 	}
 	h.observe(100 * time.Millisecond)
-	p50 := h.quantile(0.50)
+	p50 := snapshot(&h).quantile(0.50)
 	if p50 < 80*time.Microsecond || p50 > 130*time.Microsecond {
 		t.Fatalf("p50 = %v, want ≈100µs", p50)
 	}
-	p99 := h.quantile(0.99)
+	p99 := snapshot(&h).quantile(0.99)
 	if p99 > 130*time.Microsecond {
 		t.Fatalf("p99 = %v, want ≤≈100µs", p99)
 	}
-	p999 := h.quantile(0.999)
+	p999 := snapshot(&h).quantile(0.999)
 	if p999 < 80*time.Millisecond || p999 > 130*time.Millisecond {
 		t.Fatalf("p99.9 = %v, want ≈100ms", p999)
 	}
-	if st := h.stats(); st.Count != 100 || st.P50us == 0 {
+	if st := mergedStats(&h); st.Count != 100 || st.P50us == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"rsmi"
 	"rsmi/internal/geom"
 	"rsmi/internal/plan"
+	"rsmi/internal/wire"
 )
 
 // plannerTestEngine builds a calibrated MultiEngine over the usual test
@@ -197,7 +198,7 @@ func TestSQLRejectedInBatch(t *testing.T) {
 	_, cl := startTestServer(t, Config{Engine: eng})
 	_, err := cl.Batch(context.Background(), []BatchOp{
 		{Op: OpPoint, X: 0.5, Y: 0.5},
-		{Op: OpSQL, SQL: "SELECT * FROM points ORDER BY ST_Distance(pt, POINT(0.5, 0.5)) LIMIT 1"},
+		{Op: wire.OpSQL, SQL: "SELECT * FROM points ORDER BY ST_Distance(pt, POINT(0.5, 0.5)) LIMIT 1"},
 	})
 	if err == nil {
 		t.Fatal("batch containing SQL succeeded, want a 400")

@@ -1,39 +1,12 @@
 package server
 
-// rsmistream — rsmibin/1 over a persistent TCP connection. PR 3 measured
-// ~200 µs of HTTP per-request overhead left on the binary path at 1M
-// points; rsmibin frames are self-delimiting, so the same encoding can
-// run over a raw TCP stream and shed HTTP framing entirely.
+// rsmistream — rsmibin/1 over a persistent TCP connection. HTTP left
+// ~200 µs of per-request overhead on the binary path at 1M points;
+// rsmibin frames are self-delimiting, so the same encoding runs over a
+// raw TCP stream and sheds HTTP framing entirely.
 //
-// # Framing
-//
-// Both directions carry length-prefixed frames over one long-lived TCP
-// connection. Integers are little-endian; varints are uvarints:
-//
-//	frame       uint32 payload length, payload
-//	request     uvarint request id, rsmibin batch request frame
-//	            (RB+version header, uvarint n, n × entry — the exact
-//	            /v1/batch request encoding of binproto.go; a single-query
-//	            op is a batch of one)
-//	response    uvarint request id, status byte
-//	  status 0    rsmibin batch response frame (header, uvarint n,
-//	              n × result [, trace] — the trace result rides along
-//	              when an entry carried the rsmibin explain flag bit)
-//	  status 1    uvarint code (HTTP status semantics: 400, 429, 503),
-//	              uvarint msg length, msg bytes
-//	push        request id 0, status 2, uvarint n, n × (uvarint sub id,
-//	            kind byte (1 insert, 2 delete), flags byte (bit 0: one or
-//	            more notifications were missed), x f64, y f64) — a
-//	            server-initiated standing-query notification batch
-//	            (subserve.go; registered with a single-op sub frame)
-//
-// The request id tags each frame so clients may pipeline: many requests
-// can be in flight on one connection and responses are matched by id, in
-// whatever order the server finishes them. Ids need only be unique among
-// a connection's in-flight requests — and never 0, which tags
-// server-initiated push frames. The oplog feed (replication.go) sends the
-// same frames without an id; only openFrame/closeFrame and readFrame
-// touch the length.
+// The frame bytes — length word, request id, status, push entries — are
+// internal/wire's (stream.go there); this file owns the connections.
 //
 // # Semantics
 //
@@ -88,10 +61,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
-	"errors"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"sync"
@@ -99,6 +68,7 @@ import (
 
 	"rsmi/internal/obs"
 	"rsmi/internal/sub"
+	"rsmi/internal/wire"
 )
 
 const (
@@ -110,16 +80,12 @@ const (
 	// a maximal batch (16384 window ops of ~4k result points each) stays
 	// under it, so any batch the HTTP transport can answer, the stream
 	// can too. What a frame may make the reader allocate is bounded
-	// separately, by the bytes that actually arrive (readStreamFrame).
+	// separately, by the bytes that actually arrive (wire.ReadFrame).
 	streamMaxResponseFrame = 1 << 30
 	// streamWriteTimeout bounds one response write on the server; a
 	// client that stops reading cannot pin the connection's goroutines
 	// (the writer and those waiting for it) forever.
 	streamWriteTimeout = 30 * time.Second
-	// streamReadBuf sizes the per-connection read buffer, and is the
-	// largest frame readStreamFrame allocates for on the length prefix's
-	// word alone.
-	streamReadBuf = 64 << 10
 	// streamMaxPipeline bounds requests concurrently dispatched per
 	// connection. When a client pipelines faster than the server
 	// answers, the read loop stops reading — TCP backpressure, the
@@ -142,99 +108,6 @@ const (
 	// 33. A longer frame is read into a buffer of its own.
 	streamInlineFrame = 64
 )
-
-// Stream response status bytes.
-const (
-	streamStatusOK    byte = 0
-	streamStatusError byte = 1
-	// streamStatusPush tags a server-initiated frame: a standing-query
-	// notification batch, pushed without any request. Push frames always
-	// carry request id streamPushID, which clients never assign, so a
-	// pipelined client can route them before its pending-request lookup.
-	streamStatusPush byte = 2
-)
-
-// streamPushID is the reserved request id of server-initiated push
-// frames; client-assigned ids start at 1.
-const streamPushID = 0
-
-// subFlagMissed is the push-entry flag bit marking that one or more
-// earlier notifications for the subscription were lost (full outbox or
-// client reconnect): the subscriber should re-run its query.
-const subFlagMissed byte = 1
-
-// errStreamFrameTooBig reports a frame whose declared length exceeds the
-// receiver's bound; the connection is unrecoverable.
-var errStreamFrameTooBig = errors.New("rsmistream: frame exceeds size limit")
-
-// openFrame starts a frame at the end of b: it appends the length word,
-// which closeFrame fills in once the payload follows it.
-func openFrame(b []byte) []byte { return append(b, 0, 0, 0, 0) }
-
-// closeFrame sets the length word of the frame opened at b[start:].
-func closeFrame(b []byte, start int) {
-	binary.LittleEndian.PutUint32(b[start:], uint32(len(b)-start-4))
-}
-
-// readFrame reads one length-prefixed frame. io.EOF is returned untouched
-// for a clean close before any length bytes. A frame that fits scratch is
-// read into it (the payload then aliases scratch); one that fits the read
-// buffer gets its one exact allocation; a larger one is read in doubling
-// steps, so the memory committed follows the bytes received and a 4-byte
-// header cannot make either side allocate maxLen.
-func readFrame(br *bufio.Reader, maxLen uint32, scratch []byte) ([]byte, error) {
-	var lb [4]byte
-	if _, err := io.ReadFull(br, lb[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("rsmistream: truncated frame length: %w", err)
-		}
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(lb[:])
-	if n == 0 {
-		return nil, errors.New("rsmistream: empty frame")
-	}
-	if n > maxLen {
-		return nil, errStreamFrameTooBig
-	}
-	var buf []byte
-	if n <= uint32(len(scratch)) {
-		buf = scratch[:n]
-	} else {
-		buf = make([]byte, min(n, streamReadBuf))
-	}
-	for read := 0; ; {
-		if _, err := io.ReadFull(br, buf[read:]); err != nil {
-			return nil, fmt.Errorf("rsmistream: truncated frame: %w", err)
-		}
-		if read = len(buf); read == int(n) {
-			return buf, nil
-		}
-		grown := make([]byte, min(2*read, int(n)))
-		copy(grown, buf)
-		buf = grown
-	}
-}
-
-// readStreamFrame reads one request or response frame and splits off the
-// request id.
-func readStreamFrame(br *bufio.Reader, maxLen uint32) (id uint64, payload []byte, err error) {
-	return readStreamFrameInto(br, maxLen, nil)
-}
-
-// readStreamFrameInto is readStreamFrame reading through readFrame's
-// scratch.
-func readStreamFrameInto(br *bufio.Reader, maxLen uint32, scratch []byte) (id uint64, payload []byte, err error) {
-	buf, err := readFrame(br, maxLen, scratch)
-	if err != nil {
-		return 0, nil, err
-	}
-	id, w := binary.Uvarint(buf)
-	if w <= 0 {
-		return 0, nil, errors.New("rsmistream: bad request id")
-	}
-	return id, buf[w:], nil
-}
 
 // streamWriter is one connection's write queue. Frames are encoded
 // straight into the queue under the mutex — handler goroutines, the read
@@ -269,8 +142,8 @@ func (w *streamWriter) queueFrame(id uint64, fill func([]byte) []byte) {
 		return
 	}
 	start := len(w.queue)
-	b := fill(appendUvarint(openFrame(w.queue), id))
-	closeFrame(b, start)
+	b := fill(wire.OpenStreamFrame(w.queue, id))
+	wire.CloseFrame(b, start)
 	w.queue = b
 	w.frames++
 	full := len(b) >= streamFlushBytes
@@ -317,7 +190,7 @@ func (w *streamWriter) flushAbove(limit int) {
 		w.s.streamFlushes.Add(1)
 		w.conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		_, err := w.conn.Write(b)
-		if cap(b) > binBufPoolMax {
+		if cap(b) > bufPoolMax {
 			b = nil // one huge answer must not pin its memory for the connection's life
 		}
 		w.mu.Lock()
@@ -328,43 +201,15 @@ func (w *streamWriter) flushAbove(limit int) {
 	w.mu.Unlock()
 }
 
-// writeAnswers queues a status-0 response: the rsmibin batch response
-// frame encoded straight from the engine's points, with the EXPLAIN
-// trace riding after the results when tj is non-nil.
-func (w *streamWriter) writeAnswers(id uint64, answers []batchAnswer, tj *TraceJSON) {
-	w.queueFrame(id, func(b []byte) []byte {
-		b = append(b, streamStatusOK)
-		return appendBinTrace(appendBatchAnswers(appendBinHeader(b), answers), tj)
-	})
-}
-
 // writePush queues one server-initiated push frame carrying a batch of
-// standing-query notifications, on the reserved request id 0.
+// standing-query notifications, on the reserved request id.
 func (w *streamWriter) writePush(ns []sub.Notification) {
-	w.queueFrame(streamPushID, func(b []byte) []byte {
-		b = append(b, streamStatusPush)
-		b = appendUvarint(b, uint64(len(ns)))
+	w.queueFrame(wire.PushID, func(b []byte) []byte {
+		b = wire.AppendPush(b, len(ns))
 		for _, n := range ns {
-			b = appendUvarint(b, n.SubID)
-			var flags byte
-			if n.Missed {
-				flags |= subFlagMissed
-			}
-			b = append(b, byte(n.Kind), flags)
-			b = appendF64(b, n.P.X)
-			b = appendF64(b, n.P.Y)
+			b = wire.AppendPushEntry(b, n.SubID, byte(n.Kind), n.Missed, n.P)
 		}
 		return b
-	})
-}
-
-// writeError queues a status-1 response carrying an HTTP-semantics code.
-func (w *streamWriter) writeError(id uint64, code int, msg string) {
-	w.queueFrame(id, func(b []byte) []byte {
-		b = append(b, streamStatusError)
-		b = appendUvarint(b, uint64(code))
-		b = appendUvarint(b, uint64(len(msg)))
-		return append(b, msg...)
 	})
 }
 
@@ -483,7 +328,7 @@ func (s *Server) newStreamServerConn(conn net.Conn) *streamServerConn {
 		s:        s,
 		conn:     conn,
 		sw:       streamWriter{s: s, conn: conn},
-		br:       bufio.NewReaderSize(conn, streamReadBuf),
+		br:       bufio.NewReaderSize(conn, wire.ReadChunk),
 		reqBuf:   make([]byte, streamInlineFrame),
 		pipeline: make(chan struct{}, streamMaxPipeline),
 	}
@@ -539,7 +384,7 @@ func (c *streamServerConn) readLoop() {
 			c.watchdog.Stop()
 			c.sw.flush()
 		}
-		id, payload, err := readStreamFrameInto(c.br, streamMaxRequestFrame, c.reqBuf)
+		id, payload, err := wire.ReadStreamFrame(c.br, streamMaxRequestFrame, c.reqBuf)
 		if err != nil || c.sw.failed() {
 			break
 		}
@@ -547,12 +392,12 @@ func (c *streamServerConn) readLoop() {
 		// that way) dedicates this connection to the oplog feed
 		// (replication.go); it returns when the feed ends. The feed writes to
 		// the socket itself, so answers queued by earlier frames leave first.
-		if isReplHandshake(payload) {
+		if wire.IsFeedHandshake(payload) {
 			c.sw.drain()
 			c.s.serveReplFeed(c.conn, payload)
 			break
 		}
-		more = c.frameBuffered()
+		more = wire.FrameBuffered(c.br)
 		if c.beginInline() {
 			c.s.handleStreamRequest(c.ctx, &c.sw, id, payload)
 			// The flush is inside the watched region, so a peer that has
@@ -580,16 +425,6 @@ func (c *streamServerConn) readLoop() {
 	default:
 		c.cancel()
 	}
-}
-
-// frameBuffered reports whether the reader already holds a complete frame.
-func (c *streamServerConn) frameBuffered() bool {
-	n := c.br.Buffered()
-	if n < 4 {
-		return false
-	}
-	lb, _ := c.br.Peek(4)
-	return uint32(n-4) >= binary.LittleEndian.Uint32(lb)
 }
 
 // acquire takes a pipeline token for a frame that runs off the read loop.
@@ -680,9 +515,9 @@ func (c *streamServerConn) takeover() {
 // streamStats reads the write-path counters. flush adds a write's frames
 // before it counts the write, so loading in the opposite order keeps
 // Frames ≥ Flushes in every reading.
-func (s *Server) streamStats() StreamStats {
+func (s *Server) streamStats() wire.StreamStats {
 	flushes := s.streamFlushes.Load()
-	return StreamStats{Frames: s.streamFrames.Load(), Flushes: flushes, Takeovers: s.streamTakeovers.Load()}
+	return wire.StreamStats{Frames: s.streamFrames.Load(), Flushes: flushes, Takeovers: s.streamTakeovers.Load()}
 }
 
 // streamExchange adapts one request frame: rsmibin both ways, errors as
@@ -719,17 +554,23 @@ func (s *Server) handleStreamRequest(ctx context.Context, sw *streamWriter, id u
 	streamExchangePool.Put(x)
 }
 
-func (x *streamExchange) decode() ([]BatchOp, bool, bool, error) {
-	ops, explain, err := decodeBinaryOps(x.payload, false)
+func (x *streamExchange) decode() ([]wire.BatchOp, bool, bool, error) {
+	ops, explain, err := wire.DecodeOps(x.payload, false)
 	return ops, len(ops) == 1, explain, err
 }
 
 func (x *streamExchange) mem() *scratch { return &x.sc }
 
-func (x *streamExchange) fail(code int, msg string) { x.sw.writeError(x.id, code, msg) }
+// fail queues a status-1 response carrying an HTTP-semantics code.
+func (x *streamExchange) fail(code int, msg string) {
+	x.sw.queueFrame(x.id, func(b []byte) []byte { return wire.AppendStreamError(b, code, msg) })
+}
 
-func (x *streamExchange) reply(answers []batchAnswer, tj *TraceJSON) {
-	x.sw.writeAnswers(x.id, answers, tj)
+// reply queues a status-0 response: the rsmibin batch response frame
+// encoded straight from the engine's points, with the EXPLAIN trace
+// riding after the results when tj is non-nil.
+func (x *streamExchange) reply(answers []wire.Result, tj *wire.TraceJSON) {
+	x.sw.queueFrame(x.id, func(b []byte) []byte { return wire.AppendStreamAnswers(b, answers, tj) })
 }
 
 // shutdownStream stops the stream transport: close listeners, interrupt

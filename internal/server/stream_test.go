@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 	"rsmi/internal/workload"
 )
 
@@ -266,14 +267,14 @@ func TestStreamMalformedFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(c)
-	id, payload, err := readStreamFrame(br, streamMaxResponseFrame)
+	id, payload, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 	if err != nil || id != 7 {
 		t.Fatalf("error response: id=%d err=%v", id, err)
 	}
-	if _, _, rerr := decodeStreamResponse(payload); rerr == nil {
+	if _, _, rerr := wire.DecodeStreamResponse(payload, nil); rerr == nil {
 		t.Fatal("bad magic did not produce an error response")
-	} else if se, ok := rerr.(*StatusError); !ok || se.Code != 400 {
-		t.Fatalf("bad magic error = %v, want StatusError 400", rerr)
+	} else if se, ok := rerr.(*wire.StreamError); !ok || se.Code != 400 {
+		t.Fatalf("bad magic error = %v, want a status-1 code 400", rerr)
 	}
 	// Follow-up valid request on the same connection.
 	body := appendBinHeader(nil)
@@ -282,12 +283,12 @@ func TestStreamMalformedFrames(t *testing.T) {
 	if _, err := c.Write(frame(8, body)); err != nil {
 		t.Fatal(err)
 	}
-	id, payload, err = readStreamFrame(br, streamMaxResponseFrame)
+	id, payload, err = wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 	if err != nil || id != 8 {
 		t.Fatalf("follow-up after 400: id=%d err=%v", id, err)
 	}
-	rs, _, rerr := decodeStreamResponse(payload)
-	if rerr != nil || len(rs) != 1 || rs[0].tag != binResBool || !rs[0].flag {
+	rs, _, rerr := wire.DecodeStreamResponse(payload, []BatchOp{{Op: OpPoint}})
+	if rerr != nil || len(rs) != 1 || !rs[0].Flag {
 		t.Fatalf("follow-up answer: %+v, %v", rs, rerr)
 	}
 
@@ -417,7 +418,7 @@ func TestStreamShutdownDrains(t *testing.T) {
 		t.Fatalf("in-flight stream request during shutdown: %v, %v", a.found, a.err)
 	}
 	rawBr := bufio.NewReader(raw)
-	if got := readAnswers(t, raw, rawBr, 3); !got[3][0].flag || len(got[1][0].pts) > len(got[2][0].pts) {
+	if got := readAnswers(t, raw, rawBr, 3); !got[3][0].Flag || len(got[1][0].Pts) > len(got[2][0].Pts) {
 		t.Fatalf("answers drained from the second connection: %+v", got)
 	}
 	if _, err := rawBr.ReadByte(); err != io.EOF {
@@ -454,7 +455,7 @@ func TestStreamClientTimeout(t *testing.T) {
 	close(blocking.gate) // release the handler so Shutdown can drain
 }
 
-// TestStreamFrameAllocFollowsBytes checks that readStreamFrame commits
+// TestStreamFrameAllocFollowsBytes checks that wire.ReadStreamFrame commits
 // memory as payload arrives, not on the length prefix's say-so: five bytes
 // declaring an 8 MiB frame fail as truncated having allocated next to
 // nothing, and a frame larger than the read buffer still reads back whole.
@@ -464,7 +465,7 @@ func TestStreamFrameAllocFollowsBytes(t *testing.T) {
 	br := bufio.NewReader(bytes.NewReader(claim))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := readStreamFrame(br, streamMaxRequestFrame)
+	_, _, err := wire.ReadStreamFrame(br, streamMaxRequestFrame, nil)
 	runtime.ReadMemStats(&after)
 	if err == nil || !strings.Contains(err.Error(), "truncated frame") {
 		t.Fatalf("8 MiB claim with 1 payload byte: err = %v, want truncated frame", err)
@@ -473,18 +474,18 @@ func TestStreamFrameAllocFollowsBytes(t *testing.T) {
 		t.Fatalf("a 5-byte input made the reader allocate %d bytes, want < 256 KiB", got)
 	}
 
-	payload := make([]byte, 5*streamReadBuf+123) // neither a power of two nor a step boundary
+	payload := make([]byte, 5*wire.ReadChunk+123) // neither a power of two nor a step boundary
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
 	frame := appendUvarint([]byte{0, 0, 0, 0}, 77)
 	frame = append(frame, payload...)
 	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
-	id, got, err := readStreamFrame(bufio.NewReader(bytes.NewReader(frame)), streamMaxRequestFrame)
+	id, got, err := wire.ReadStreamFrame(bufio.NewReader(bytes.NewReader(frame)), streamMaxRequestFrame, nil)
 	if err != nil || id != 77 || !bytes.Equal(got, payload) {
 		t.Fatalf("large frame: id %d, %d payload bytes, err %v", id, len(got), err)
 	}
-	if _, _, err := readStreamFrame(bufio.NewReader(bytes.NewReader(frame[:len(frame)-1])), streamMaxRequestFrame); err == nil {
+	if _, _, err := wire.ReadStreamFrame(bufio.NewReader(bytes.NewReader(frame[:len(frame)-1])), streamMaxRequestFrame, nil); err == nil {
 		t.Fatal("large frame one byte short read without error")
 	}
 }
@@ -504,23 +505,23 @@ func FuzzStreamFrame(f *testing.F) {
 	body = appendUvarint(body, 1)
 	body, _ = appendOp(body, BatchOp{Op: OpPoint, X: 0.5, Y: 0.25})
 	f.Add(valid(1, body))
-	f.Add(valid(1<<40, append([]byte{streamStatusOK}, appendBatchAnswers(appendBinHeader(nil), []batchAnswer{{op: OpPoint, flag: true}})...)))
-	f.Add(valid(9, []byte{streamStatusError, 0x90, 0x03, 2, 'h', 'i'}))
+	f.Add(valid(1<<40, wire.AppendStreamAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, nil)))
+	f.Add(valid(9, []byte{statusError, 0x90, 0x03, 2, 'h', 'i'}))
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
 	f.Add([]byte{0, 0, 0x80, 0, 1}) // claims streamMaxRequestFrame, delivers one byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		br := bufio.NewReader(bytes.NewReader(data))
-		id, payload, err := readStreamFrame(br, streamMaxRequestFrame)
+		id, payload, err := wire.ReadStreamFrame(br, streamMaxRequestFrame, nil)
 		if err != nil {
 			return
 		}
 		// Whatever the payload, neither decoder may panic.
-		decodeBinaryOps(payload, false)
-		decodeStreamResponse(payload)
+		wire.DecodeOps(payload, false)
+		wire.DecodeStreamResponse(payload, answeredOps(payload))
 		// The id survives re-framing.
 		reframed := valid(id, payload)
-		id2, payload2, err := readStreamFrame(bufio.NewReader(bytes.NewReader(reframed)), streamMaxRequestFrame)
+		id2, payload2, err := wire.ReadStreamFrame(bufio.NewReader(bytes.NewReader(reframed)), streamMaxRequestFrame, nil)
 		if err != nil || id2 != id || !bytes.Equal(payload2, payload) {
 			t.Fatalf("re-framed frame mismatched: id %d vs %d, err %v", id2, id, err)
 		}
@@ -530,7 +531,7 @@ func FuzzStreamFrame(f *testing.F) {
 // requestFrame encodes one stream request frame.
 func requestFrame(t testing.TB, id uint64, explain bool, ops ...BatchOp) []byte {
 	t.Helper()
-	b, err := appendBinaryOps(appendUvarint([]byte{0, 0, 0, 0}, id), ops, false, explain)
+	b, err := wire.AppendOps(appendUvarint([]byte{0, 0, 0, 0}, id), ops, false, explain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,16 +541,16 @@ func requestFrame(t testing.TB, id uint64, explain bool, ops ...BatchOp) []byte 
 
 // readAnswers reads n response frames and returns their results by
 // request id, failing on a status-1 frame, a repeated id or a stall.
-func readAnswers(t *testing.T, c net.Conn, br *bufio.Reader, n int) map[uint64][]binResult {
+func readAnswers(t *testing.T, c net.Conn, br *bufio.Reader, n int) map[uint64][]wire.Result {
 	t.Helper()
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
-	got := make(map[uint64][]binResult, n)
+	got := make(map[uint64][]wire.Result, n)
 	for len(got) < n {
-		id, payload, err := readStreamFrame(br, streamMaxResponseFrame)
+		id, payload, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 		if err != nil {
 			t.Fatalf("after %d of %d answers: %v", len(got), n, err)
 		}
-		rs, _, err := decodeStreamResponse(payload)
+		rs, _, err := wire.DecodeStreamResponse(payload, answeredOps(payload))
 		if err != nil {
 			t.Fatalf("request %d: %v", id, err)
 		}
@@ -610,7 +611,7 @@ func TestStreamGroupCommit(t *testing.T) {
 	if _, err := client.Write(requestFrame(t, 1, false, point(pts[0]))); err != nil {
 		t.Fatal(err)
 	}
-	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].flag {
+	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].Flag {
 		t.Fatalf("lone frame: %+v", rs)
 	}
 	if w := srv.writes.Load(); w != 1 {
@@ -641,7 +642,7 @@ func TestStreamGroupCommit(t *testing.T) {
 		got := readAnswers(t, client, br, n)
 		for i := 0; i < n; i++ {
 			rs, ok := got[uint64(100+i)]
-			if !ok || len(rs) != 1 || rs[0].flag != (i%2 == 0) {
+			if !ok || len(rs) != 1 || rs[0].Flag != (i%2 == 0) {
 				t.Fatalf("burst frame %d: %+v (answered %v)", i, rs, ok)
 			}
 		}
@@ -665,8 +666,8 @@ func TestStreamGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id, rs := range readAnswers(t, client, br, 6) {
-		if len(rs) != 1 || len(rs[0].pts)*16 < streamFlushBytes/3 {
-			t.Fatalf("window %d: %d points, too few to pass the cap in three answers", id, len(rs[0].pts))
+		if len(rs) != 1 || len(rs[0].Pts)*16 < streamFlushBytes/3 {
+			t.Fatalf("window %d: %d points, too few to pass the cap in three answers", id, len(rs[0].Pts))
 		}
 	}
 	if w := srv.writes.Load() - before; w < 2 {
@@ -711,7 +712,7 @@ func TestStreamTakeover(t *testing.T) {
 				t.Fatalf("%d takeovers, want at least 1", n)
 			}
 			close(blocking.gate)
-			if rs := readAnswers(t, client, br, 1)[1]; len(rs) != len(ops) || !rs[len(rs)-1].flag {
+			if rs := readAnswers(t, client, br, 1)[1]; len(rs) != len(ops) || !rs[len(rs)-1].Flag {
 				t.Fatalf("taken-over frame's answer: %+v", rs)
 			}
 
@@ -776,7 +777,7 @@ func TestStreamTakeoverAtAnyMoment(t *testing.T) {
 	sc := &streamConn{
 		c:         client,
 		timeout:   10 * time.Second,
-		pending:   make(map[uint64]chan streamAnswer),
+		pending:   make(map[uint64]streamCall),
 		abandoned: make(map[uint64]struct{}),
 	}
 	go sc.readLoop()
@@ -792,10 +793,11 @@ func TestStreamTakeoverAtAnyMoment(t *testing.T) {
 				if i%3 == 0 {
 					p, want = geom.Pt(-1, -float64(n)), false
 				}
-				rs, _, err := sc.roundTrip(context.Background(), func(b []byte) ([]byte, error) {
-					return appendBinaryOps(b, []BatchOp{{Op: OpPoint, X: p.X, Y: p.Y}}, false, false)
+				ops := []BatchOp{{Op: OpPoint, X: p.X, Y: p.Y}}
+				rs, _, err := sc.roundTrip(context.Background(), ops, func(b []byte) ([]byte, error) {
+					return wire.AppendOps(b, ops, false, false)
 				})
-				if err != nil || len(rs) != 1 || rs[0].flag != want {
+				if err != nil || len(rs) != 1 || rs[0].Flag != want {
 					t.Errorf("caller %d request %d: answer %+v, %v; want found=%v", g, i, rs, err, want)
 					return
 				}
@@ -857,7 +859,7 @@ func TestStreamPeerNotReading(t *testing.T) {
 	}
 
 	for id, rs := range readAnswers(t, client, bufio.NewReader(client), total) {
-		if len(rs) != 1 || len(rs[0].pts) != len(pts) {
+		if len(rs) != 1 || len(rs[0].Pts) != len(pts) {
 			t.Fatalf("window %d after the stall: %d results", id, len(rs))
 		}
 	}
@@ -877,13 +879,13 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 
 	burst := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
 	burst = append(burst, requestFrame(t, 2, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
-	hs := appendReplHandshake([]byte{0, 0, 0, 0, 0}, repl.log.epoch+1, 1)
+	hs := wire.AppendFeedHandshake([]byte{0, 0, 0, 0, 0}, repl.log.epoch+1, 1)
 	binary.LittleEndian.PutUint32(hs, uint32(len(hs)-4))
 	if _, err := client.Write(append(burst, hs...)); err != nil {
 		t.Fatal(err)
 	}
 	for id, rs := range readAnswers(t, client, br, 2) {
-		if len(rs) != 1 || !rs[0].flag {
+		if len(rs) != 1 || !rs[0].Flag {
 			t.Fatalf("point %d ahead of the handshake: %+v", id, rs)
 		}
 	}
@@ -895,7 +897,7 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 	if _, err := io.ReadFull(br, frame); err != nil {
 		t.Fatal(err)
 	}
-	if !isReplHandshake(frame) || frame[3] != replFrameResync {
+	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedResync {
 		t.Fatalf("after the answers: % x, want the feed's resync frame", frame)
 	}
 }

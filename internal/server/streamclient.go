@@ -8,15 +8,15 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"rsmi/internal/wire"
 )
 
 // streamClient is the connection pool. Connections are dialed lazily and
@@ -89,9 +89,16 @@ var errStreamClientClosed = errors.New("stream: client closed")
 
 // streamAnswer is one matched response (or the connection's fatal error).
 type streamAnswer struct {
-	results []binResult
-	trace   *TraceJSON
+	results []wire.Result
+	trace   *wire.TraceJSON
 	err     error
+}
+
+// streamCall is one request in flight: the ops its answer is decoded
+// against, and where the answer goes.
+type streamCall struct {
+	ops []wire.BatchOp
+	ch  chan streamAnswer
 }
 
 // streamConn is one pipelined connection: a write mutex serialises
@@ -106,7 +113,7 @@ type streamConn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan streamAnswer
+	pending map[uint64]streamCall
 	// abandoned tombstones requests whose caller gave up (context
 	// cancelled) while the request was in flight: the server still
 	// answers them, and the read loop must discard those late responses
@@ -120,7 +127,7 @@ type streamConn struct {
 	// (standing-query notifications, request id 0). The pooled data-plane
 	// connections leave it nil — the server only pushes on connections
 	// that subscribed — and a nil-onPush connection discards pushes.
-	onPush func(ns []SubNotification)
+	onPush func(ns []wire.Notification)
 	// deadCh, when non-nil, is closed by fail: the subscription keeper
 	// watches it to redial and re-subscribe.
 	deadCh chan struct{}
@@ -129,7 +136,7 @@ type streamConn struct {
 // dialStreamConn dials addr and starts the new connection's read loop,
 // which hands push frames to onPush (nil on the pooled data-plane
 // connections).
-func dialStreamConn(addr string, timeout time.Duration, onPush func([]SubNotification)) (*streamConn, error) {
+func dialStreamConn(addr string, timeout time.Duration, onPush func([]wire.Notification)) (*streamConn, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("stream: dial %s: %w", addr, err)
@@ -137,7 +144,7 @@ func dialStreamConn(addr string, timeout time.Duration, onPush func([]SubNotific
 	c := &streamConn{
 		c:         nc,
 		timeout:   timeout,
-		pending:   make(map[uint64]chan streamAnswer),
+		pending:   make(map[uint64]streamCall),
 		abandoned: make(map[uint64]struct{}),
 		onPush:    onPush,
 		deadCh:    make(chan struct{}),
@@ -168,25 +175,26 @@ func (c *streamConn) fail(err error) {
 	if c.deadCh != nil {
 		close(c.deadCh)
 	}
-	for _, ch := range pending {
-		ch <- streamAnswer{err: err}
+	for _, call := range pending {
+		call.ch <- streamAnswer{err: err}
 	}
 }
 
-// readLoop reads response frames and dispatches them by request id.
+// readLoop reads response frames and dispatches them by request id,
+// decoding each against the ops of the request it answers.
 func (c *streamConn) readLoop() {
-	br := bufio.NewReaderSize(c.c, streamReadBuf)
+	br := bufio.NewReaderSize(c.c, wire.ReadChunk)
 	for {
-		id, payload, err := readStreamFrame(br, streamMaxResponseFrame)
+		id, payload, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 		if err != nil {
 			c.fail(fmt.Errorf("stream: %w", err))
 			return
 		}
-		if id == streamPushID {
+		if id == wire.PushID {
 			// Server-initiated push (standing-query notifications): routed
-			// before the pending-request lookup — id 0 is never assigned to
-			// a request.
-			ns, perr := decodePushPayload(payload)
+			// before the pending-request lookup — the push id is never
+			// assigned to a request.
+			ns, perr := wire.DecodePush(payload)
 			if perr != nil {
 				c.fail(perr)
 				return
@@ -196,14 +204,8 @@ func (c *streamConn) readLoop() {
 			}
 			continue
 		}
-		results, trace, rerr := decodeStreamResponse(payload)
-		if rerr != nil && !isStatusError(rerr) {
-			// Frame-level garbage: the stream is unsynchronised.
-			c.fail(rerr)
-			return
-		}
 		c.mu.Lock()
-		ch, ok := c.pending[id]
+		call, ok := c.pending[id]
 		delete(c.pending, id)
 		if !ok {
 			// A late answer to an abandoned request keeps the stream
@@ -219,13 +221,19 @@ func (c *streamConn) readLoop() {
 			c.fail(fmt.Errorf("stream: response for unknown request id %d", id))
 			return
 		}
-		ch <- streamAnswer{results: results, trace: trace, err: rerr}
+		results, trace, rerr := wire.DecodeStreamResponse(payload, call.ops)
+		if rerr != nil {
+			var se *wire.StreamError
+			if !errors.As(rerr, &se) {
+				// Frame-level garbage: the stream is unsynchronised.
+				call.ch <- streamAnswer{err: rerr}
+				c.fail(rerr)
+				return
+			}
+			rerr = &StatusError{Code: se.Code, Msg: se.Msg}
+		}
+		call.ch <- streamAnswer{results: results, trace: trace, err: rerr}
 	}
-}
-
-func isStatusError(err error) bool {
-	var se *StatusError
-	return errors.As(err, &se)
 }
 
 // abandon tombstones an in-flight request whose caller gave up: the
@@ -268,13 +276,13 @@ func putTimer(t *time.Timer) {
 // roundTrip sends one request frame — fill appends the rsmibin batch
 // request body (everything after the request id) to a pooled buffer that
 // already holds the frame prefix — and blocks for its matched response,
-// bounded by ctx and the client timeout. A timeout poisons the
+// decoded against ops, bounded by ctx and the client timeout. A timeout poisons the
 // connection — the response may still arrive later, and a connection
 // whose stream position is unknown cannot be reused. Context
 // cancellation does not poison: the request is tombstoned and its late
 // answer discarded, so a hedged read's losing leg releases its
 // connection for reuse.
-func (c *streamConn) roundTrip(ctx context.Context, fill func([]byte) ([]byte, error)) ([]binResult, *TraceJSON, error) {
+func (c *streamConn) roundTrip(ctx context.Context, ops []wire.BatchOp, fill func([]byte) ([]byte, error)) ([]wire.Result, *wire.TraceJSON, error) {
 	ch := make(chan streamAnswer, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -284,13 +292,13 @@ func (c *streamConn) roundTrip(ctx context.Context, fill func([]byte) ([]byte, e
 	}
 	c.nextID++
 	id := c.nextID
-	c.pending[id] = ch
+	c.pending[id] = streamCall{ops: ops, ch: ch}
 	c.mu.Unlock()
 
-	bp := binBufPool.Get().(*[]byte)
-	frame, err := fill(appendUvarint(openFrame((*bp)[:0]), id))
+	bp := bufPool.Get().(*[]byte)
+	frame, err := fill(wire.OpenStreamFrame((*bp)[:0], id))
 	if err == nil {
-		closeFrame(frame, 0)
+		wire.CloseFrame(frame, 0)
 		c.wmu.Lock()
 		c.c.SetWriteDeadline(time.Now().Add(c.timeout))
 		_, err = c.c.Write(frame)
@@ -300,9 +308,9 @@ func (c *streamConn) roundTrip(ctx context.Context, fill func([]byte) ([]byte, e
 			c.fail(err)
 		}
 	}
-	if cap(frame) <= binBufPoolMax {
+	if cap(frame) <= bufPoolMax {
 		*bp = frame[:0]
-		binBufPool.Put(bp)
+		bufPool.Put(bp)
 	}
 	if err != nil {
 		// Nothing is in flight under id: either the request never encoded
@@ -332,44 +340,15 @@ func (c *streamConn) roundTrip(ctx context.Context, fill func([]byte) ([]byte, e
 	}
 }
 
-// decodeStreamResponse parses a response payload (after the request id):
-// status 0 wraps an rsmibin batch response frame (with its optional
-// trailing EXPLAIN trace), status 1 an error code and message, surfaced
-// as *StatusError exactly like HTTP non-2xx answers.
-func decodeStreamResponse(payload []byte) ([]binResult, *TraceJSON, error) {
-	if len(payload) == 0 {
-		return nil, nil, errors.New("stream: empty response payload")
-	}
-	switch payload[0] {
-	case streamStatusOK:
-		return decodeBinaryResults(payload[1:], false)
-	case streamStatusError:
-		r := bytes.NewReader(payload[1:])
-		code, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, nil, errors.New("stream: bad error code")
-		}
-		n, err := binary.ReadUvarint(r)
-		if err != nil || n > uint64(r.Len()) {
-			return nil, nil, errors.New("stream: bad error message length")
-		}
-		msg := make([]byte, n)
-		r.Read(msg)
-		return nil, nil, &StatusError{Code: int(code), Msg: string(msg)}
-	default:
-		return nil, nil, fmt.Errorf("stream: unknown response status 0x%02x", payload[0])
-	}
-}
-
 // roundTrip is the stream roundTripFunc: every request is a counted
 // rsmibin list in one frame on the next pooled connection (the route does
 // not reach the wire — a single-query op is a list of one).
-func (sc *streamClient) roundTrip(ctx context.Context, _ *opSpec, ops []BatchOp, explain bool) ([]binResult, *TraceJSON, error) {
+func (sc *streamClient) roundTrip(ctx context.Context, _ *wire.Spec, ops []wire.BatchOp, explain bool) ([]wire.Result, *wire.TraceJSON, error) {
 	conn, err := sc.get()
 	if err != nil {
 		return nil, nil, err
 	}
-	return conn.roundTrip(ctx, func(b []byte) ([]byte, error) {
-		return appendBinaryOps(b, ops, false, explain)
+	return conn.roundTrip(ctx, ops, func(b []byte) ([]byte, error) {
+		return wire.AppendOps(b, ops, false, explain)
 	})
 }

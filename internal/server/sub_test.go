@@ -19,17 +19,18 @@ import (
 	"time"
 
 	"rsmi/internal/geom"
+	"rsmi/internal/wire"
 )
 
 // waitNote reads the next notification or fails the test.
-func waitNote(t *testing.T, notes <-chan SubNotification, what string) SubNotification {
+func waitNote(t *testing.T, notes <-chan wire.Notification, what string) wire.Notification {
 	t.Helper()
 	select {
 	case n := <-notes:
 		return n
 	case <-time.After(10 * time.Second):
 		t.Fatalf("no notification for %s", what)
-		return SubNotification{}
+		return wire.Notification{}
 	}
 }
 
@@ -165,14 +166,14 @@ func TestSubscribeValidationErrors(t *testing.T) {
 		if _, err := c.Write(frame(id, payload)); err != nil {
 			t.Fatal(err)
 		}
-		gotID, resp, err := readStreamFrame(br, streamMaxResponseFrame)
+		gotID, resp, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 		if err != nil || gotID != id {
 			t.Fatalf("response frame: id=%d err=%v", gotID, err)
 		}
-		_, _, rerr := decodeStreamResponse(resp)
-		var se *StatusError
+		_, _, rerr := wire.DecodeStreamResponse(resp, nil)
+		var se *wire.StreamError
 		if !errors.As(rerr, &se) || se.Code != code {
-			t.Fatalf("response error = %v, want StatusError %d", rerr, code)
+			t.Fatalf("response error = %v, want a status-1 code %d", rerr, code)
 		}
 	}
 
@@ -182,27 +183,27 @@ func TestSubscribeValidationErrors(t *testing.T) {
 	body := appendBinHeader(nil)
 	body = appendUvarint(body, 2)
 	body, _ = appendOp(body, BatchOp{Op: OpInsert, X: 0.5, Y: 0.5})
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1})
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
 	wantStatus(c, br, 1, body, 400)
 
 	// Non-finite window coordinates.
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow,
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow,
 		MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1})
 	wantStatus(c, br, 2, body, 400)
 
 	// Inverted window (registry-level validation).
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow,
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow,
 		MinX: 0.9, MinY: 0, MaxX: 0.1, MaxY: 1})
 	wantStatus(c, br, 3, body, 400)
 
 	// Unknown subscription-kind byte, hand-built below the encoder.
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body = append(body, byte(binOpSub))
+	body = append(body, wire.Row(wire.OpSub))
 	body = appendUvarint(body, 1)
 	body = append(body, 99)
 	wantStatus(c, br, 4, body, 400)
@@ -210,21 +211,21 @@ func TestSubscribeValidationErrors(t *testing.T) {
 	// k = 0 for a kNN subscription.
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubKNN, X: 0.5, Y: 0.5, K: 0})
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 0})
 	wantStatus(c, br, 5, body, 400)
 
 	// The connection survived all of that: a valid subscribe works.
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1})
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
 	if _, err := c.Write(frame(6, body)); err != nil {
 		t.Fatal(err)
 	}
-	gotID, resp, err := readStreamFrame(br, streamMaxResponseFrame)
+	gotID, resp, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 	if err != nil || gotID != 6 {
 		t.Fatalf("valid subscribe after errors: id=%d err=%v", gotID, err)
 	}
-	if rs, _, rerr := decodeStreamResponse(resp); rerr != nil || len(rs) != 1 || !rs[0].flag {
+	if rs, _, rerr := wire.DecodeStreamResponse(resp, []BatchOp{{Op: wire.OpSub}}); rerr != nil || len(rs) != 1 || !rs[0].Flag {
 		t.Fatalf("valid subscribe answer: %+v %v", rs, rerr)
 	}
 
@@ -234,7 +235,7 @@ func TestSubscribeValidationErrors(t *testing.T) {
 	c2, br2 := dial(noHookAddr)
 	body = appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1})
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
 	wantStatus(c2, br2, 1, body, 501)
 
 	// DisableSubs forces the same refusal on a capable engine.
@@ -263,7 +264,7 @@ func TestSubscribeSlowConsumer(t *testing.T) {
 	}
 	body := appendBinHeader(nil)
 	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1})
+	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
 	fr := []byte{0, 0, 0, 0}
 	fr = appendUvarint(fr, 1)
 	fr = append(fr, body...)
@@ -272,9 +273,9 @@ func TestSubscribeSlowConsumer(t *testing.T) {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(raw)
-	if id, resp, err := readStreamFrame(br, streamMaxResponseFrame); err != nil || id != 1 {
+	if id, resp, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil); err != nil || id != 1 {
 		t.Fatalf("subscribe answer: id=%d err=%v", id, err)
-	} else if rs, _, rerr := decodeStreamResponse(resp); rerr != nil || len(rs) != 1 || !rs[0].flag {
+	} else if rs, _, rerr := wire.DecodeStreamResponse(resp, []BatchOp{{Op: wire.OpSub}}); rerr != nil || len(rs) != 1 || !rs[0].Flag {
 		t.Fatalf("subscribe answer: %+v %v", rs, rerr)
 	}
 	// From here on the raw connection is never read again.
@@ -642,19 +643,19 @@ func FuzzSubscribeFrame(f *testing.F) {
 		b, _ = appendOp(b, op)
 		return b
 	}
-	f.Add(mk(BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MinX: 0.1, MinY: 0.2, MaxX: 0.8, MaxY: 0.9}))
-	f.Add(mk(BatchOp{Op: OpSub, SubID: 1 << 40, SubKind: SubKNN, X: 0.5, Y: 0.5, K: 16}))
-	f.Add(mk(BatchOp{Op: OpUnsub, SubID: 7}))
+	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MinX: 0.1, MinY: 0.2, MaxX: 0.8, MaxY: 0.9}))
+	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1 << 40, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 16}))
+	f.Add(mk(BatchOp{Op: wire.OpUnsub, SubID: 7}))
 	// Unknown kind byte and a truncated window.
-	f.Add(append(appendUvarint(appendBinHeader(nil), 1), byte(binOpSub), 1, 99))
-	f.Add(mk(BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1})[:12])
+	f.Add(append(appendUvarint(appendBinHeader(nil), 1), wire.Row(wire.OpSub), 1, 99))
+	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})[:12])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, _, err := decodeBinaryOps(data, false)
+		ops, _, err := wire.DecodeOps(data, false)
 		if err != nil {
 			return
 		}
 		for _, op := range ops {
-			if op.Op != OpSub && op.Op != OpUnsub {
+			if op.Op != wire.OpSub && op.Op != wire.OpUnsub {
 				continue
 			}
 			// Re-encode and re-decode: subscription fields survive.
@@ -664,7 +665,7 @@ func FuzzSubscribeFrame(f *testing.F) {
 			if aerr != nil {
 				t.Fatalf("decoded op does not re-encode: %+v: %v", op, aerr)
 			}
-			ops2, _, derr := decodeBinaryOps(b, false)
+			ops2, _, derr := wire.DecodeOps(b, false)
 			if derr != nil || len(ops2) != 1 {
 				t.Fatalf("re-decode: %v (%d ops)", derr, len(ops2))
 			}
@@ -672,7 +673,7 @@ func FuzzSubscribeFrame(f *testing.F) {
 				math.Float64bits(got.MinX) != math.Float64bits(op.MinX) ||
 				math.Float64bits(got.MaxY) != math.Float64bits(op.MaxY) ||
 				math.Float64bits(got.X) != math.Float64bits(op.X) || got.K != op.K {
-				t.Fatalf("round-trip changed the op: %+v vs %+v", got, op)
+				t.Fatalf("round-trip changed the Op: %+v vs %+v", got, op)
 			}
 		}
 	})
@@ -681,7 +682,7 @@ func FuzzSubscribeFrame(f *testing.F) {
 // FuzzPushPayload asserts the client's push decoder never panics and
 // only ever yields insert/delete notifications.
 func FuzzPushPayload(f *testing.F) {
-	valid := []byte{streamStatusPush}
+	valid := []byte{statusPush}
 	valid = appendUvarint(valid, 2)
 	valid = appendUvarint(valid, 1)
 	valid = append(valid, 1, 0)
@@ -690,12 +691,12 @@ func FuzzPushPayload(f *testing.F) {
 	valid = append(valid, 2, 1)
 	valid = appendF64(appendF64(valid, 0.5), 0.5)
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                                                              // truncated entry
-	f.Add([]byte{streamStatusPush, 0xff, 0xff, 0xff, 0x7f})                                  // absurd count
-	f.Add([]byte{streamStatusPush, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
-	f.Add(append(append([]byte{}, valid...), 0))                                             // trailing byte
+	f.Add(valid[:len(valid)-3])                                                        // truncated entry
+	f.Add([]byte{statusPush, 0xff, 0xff, 0xff, 0x7f})                                  // absurd count
+	f.Add([]byte{statusPush, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
+	f.Add(append(append([]byte{}, valid...), 0))                                       // trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ns, err := decodePushPayload(data)
+		ns, err := wire.DecodePush(data)
 		if err != nil {
 			return
 		}

@@ -12,12 +12,11 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
 	"rsmi/internal/geom"
-	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 )
 
 // subRedialDelay paces the keeper's reconnect attempts.
@@ -29,71 +28,12 @@ const subRedialDelay = 200 * time.Millisecond
 // drop-and-mark semantics.
 const subNotesBuf = 1024
 
-// SubNotification is one standing-query notification delivered to a
-// subscriber.
-type SubNotification struct {
-	// SubID is the caller-chosen subscription id the event matched.
-	SubID uint64
-	// Kind is OpInsert or OpDelete for a matched write — for kNN
-	// subscriptions, a point entering or leaving the current k-nearest
-	// set — or "" on the synthetic marker the client emits after a
-	// transport reconnect.
-	Kind string
-	// Point is the matched point.
-	Point geom.Point
-	// Missed reports that one or more notifications since the last
-	// delivered one were lost: a full server outbox, a full client
-	// buffer, or a reconnect gap. Re-run the query to resynchronise.
-	Missed bool
-}
-
-// decodePushPayload parses a push frame payload (status byte included).
-func decodePushPayload(payload []byte) ([]SubNotification, error) {
-	if len(payload) == 0 || payload[0] != streamStatusPush {
-		return nil, errors.New("stream: bad push frame")
-	}
-	r := &binReader{data: payload[1:]}
-	n := r.uvarint()
-	if r.err == nil && n > uint64(len(r.data)) {
-		// Each entry is at least 19 bytes; len(data) is a cheap bound
-		// that keeps a garbage count from turning into a huge allocation.
-		return nil, fmt.Errorf("stream: push count %d exceeds payload", n)
-	}
-	out := make([]SubNotification, 0, n)
-	for i := uint64(0); i < n; i++ {
-		id := r.uvarint()
-		kind := r.byte()
-		flags := r.byte()
-		x, y := r.f64(), r.f64()
-		if r.err != nil {
-			break
-		}
-		sn := SubNotification{SubID: id, Point: geom.Pt(x, y), Missed: flags&subFlagMissed != 0}
-		switch shard.WriteKind(kind) {
-		case shard.WriteInsert:
-			sn.Kind = OpInsert
-		case shard.WriteDelete:
-			sn.Kind = OpDelete
-		default:
-			return nil, fmt.Errorf("stream: unknown push kind 0x%02x", kind)
-		}
-		out = append(out, sn)
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("stream: bad push frame: %w", r.err)
-	}
-	if len(r.data) != 0 {
-		return nil, errors.New("stream: trailing bytes in push frame")
-	}
-	return out, nil
-}
-
 // subClient owns the dedicated subscription connection and the live
 // subscription set, created lazily on the first Subscribe call.
 type subClient struct {
 	addr    string
 	timeout time.Duration
-	notes   chan SubNotification
+	notes   chan wire.Notification
 
 	// dialMu serialises redial attempts (the keeper and acquire may
 	// race to re-establish the connection).
@@ -101,7 +41,7 @@ type subClient struct {
 
 	mu     sync.Mutex
 	conn   *streamConn
-	specs  map[uint64]BatchOp
+	specs  map[uint64]wire.BatchOp
 	missed map[uint64]bool
 	closed bool
 
@@ -114,8 +54,8 @@ func newSubClient(addr string, timeout time.Duration) *subClient {
 	s := &subClient{
 		addr:    addr,
 		timeout: timeout,
-		notes:   make(chan SubNotification, subNotesBuf),
-		specs:   make(map[uint64]BatchOp),
+		notes:   make(chan wire.Notification, subNotesBuf),
+		specs:   make(map[uint64]wire.BatchOp),
 		missed:  make(map[uint64]bool),
 		wake:    make(chan struct{}, 1),
 		stopCh:  make(chan struct{}),
@@ -193,7 +133,7 @@ func (s *subClient) redial() error {
 		s.mu.Unlock()
 		return nil
 	}
-	replay := make([]BatchOp, 0, len(s.specs))
+	replay := make([]wire.BatchOp, 0, len(s.specs))
 	for _, op := range s.specs {
 		replay = append(replay, op)
 	}
@@ -212,7 +152,7 @@ func (s *subClient) redial() error {
 			conn.fail(err)
 			return err
 		}
-		s.deliver([]SubNotification{{SubID: op.SubID, Missed: true}})
+		s.deliver([]wire.Notification{{SubID: op.SubID, Missed: true}})
 	}
 
 	s.mu.Lock()
@@ -254,7 +194,7 @@ func (s *subClient) acquire() (*streamConn, error) {
 
 // do executes one SUB/UNSUB frame and records the subscription change
 // for reconnect replay.
-func (s *subClient) do(ctx context.Context, op BatchOp) error {
+func (s *subClient) do(ctx context.Context, op wire.BatchOp) error {
 	conn, err := s.acquire()
 	if err != nil {
 		return err
@@ -263,7 +203,7 @@ func (s *subClient) do(ctx context.Context, op BatchOp) error {
 		return err
 	}
 	s.mu.Lock()
-	if op.Op == OpSub {
+	if op.Op == wire.OpSub {
 		s.specs[op.SubID] = op
 	} else {
 		delete(s.specs, op.SubID)
@@ -277,7 +217,7 @@ func (s *subClient) do(ctx context.Context, op BatchOp) error {
 // blocking the connection's read loop: a full buffer drops the
 // notification and marks the subscription, mirroring the server-side
 // drop-and-mark contract.
-func (s *subClient) deliver(ns []SubNotification) {
+func (s *subClient) deliver(ns []wire.Notification) {
 	for _, n := range ns {
 		s.mu.Lock()
 		if s.missed[n.SubID] {
@@ -312,19 +252,14 @@ func (s *subClient) close() {
 	s.wg.Wait()
 }
 
-// subRoundTrip sends one single-op SUB/UNSUB frame and checks its bool
-// answer.
-func subRoundTrip(ctx context.Context, conn *streamConn, op BatchOp) error {
-	rs, _, err := conn.roundTrip(ctx, func(b []byte) ([]byte, error) {
-		return appendBinaryOps(b, []BatchOp{op}, false, false)
+// subRoundTrip sends one single-op SUB/UNSUB frame; the decoder holds its
+// answer to one bool.
+func subRoundTrip(ctx context.Context, conn *streamConn, op wire.BatchOp) error {
+	ops := []wire.BatchOp{op}
+	_, _, err := conn.roundTrip(ctx, ops, func(b []byte) ([]byte, error) {
+		return wire.AppendOps(b, ops, false, false)
 	})
-	if err != nil {
-		return err
-	}
-	if len(rs) != 1 || rs[0].tag != binResBool {
-		return errBinResultKind
-	}
-	return nil
+	return err
 }
 
 // errNoStream reports a subscription call on a client without the TCP
@@ -349,12 +284,8 @@ func (c *Client) subscriptions() (*subClient, error) {
 // applied. id is caller-chosen and scoped to this client; re-using a
 // live id is an error. TCP stream transport only.
 func (c *Client) SubscribeWindow(ctx context.Context, id uint64, q geom.Rect) error {
-	sc, err := c.subscriptions()
-	if err != nil {
-		return err
-	}
-	return sc.do(ctx, BatchOp{
-		Op: OpSub, SubID: id, SubKind: SubWindow,
+	return c.subscribe(ctx, wire.BatchOp{
+		Op: wire.OpSub, SubID: id, SubKind: wire.SubWindow,
 		MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY,
 	})
 }
@@ -366,28 +297,30 @@ func (c *Client) SubscribeWindow(ctx context.Context, id uint64, q geom.Rect) er
 // storms; a Missed notification means re-query. TCP stream transport
 // only.
 func (c *Client) SubscribeKNN(ctx context.Context, id uint64, q geom.Point, k int) error {
-	sc, err := c.subscriptions()
-	if err != nil {
-		return err
-	}
-	return sc.do(ctx, BatchOp{Op: OpSub, SubID: id, SubKind: SubKNN, X: q.X, Y: q.Y, K: k})
+	return c.subscribe(ctx, wire.BatchOp{Op: wire.OpSub, SubID: id, SubKind: wire.SubKNN, X: q.X, Y: q.Y, K: k})
 }
 
 // Unsubscribe removes a standing query registered by SubscribeWindow or
 // SubscribeKNN.
 func (c *Client) Unsubscribe(ctx context.Context, id uint64) error {
+	return c.subscribe(ctx, wire.BatchOp{Op: wire.OpUnsub, SubID: id})
+}
+
+// subscribe runs one SUB or UNSUB op on the client's subscription
+// connection.
+func (c *Client) subscribe(ctx context.Context, op wire.BatchOp) error {
 	sc, err := c.subscriptions()
 	if err != nil {
 		return err
 	}
-	return sc.do(ctx, BatchOp{Op: OpUnsub, SubID: id})
+	return sc.do(ctx, op)
 }
 
 // Notifications returns the channel standing-query pushes arrive on.
 // Drain it promptly: a full buffer drops notifications and the next
 // delivered one for that subscription carries Missed. The channel is
 // never closed — after Close it simply stops receiving.
-func (c *Client) Notifications() (<-chan SubNotification, error) {
+func (c *Client) Notifications() (<-chan wire.Notification, error) {
 	sc, err := c.subscriptions()
 	if err != nil {
 		return nil, err

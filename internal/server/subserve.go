@@ -35,6 +35,7 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/shard"
 	"rsmi/internal/sub"
+	"rsmi/internal/wire"
 )
 
 // subPushBatchMax bounds notifications per push frame: the pusher
@@ -207,26 +208,26 @@ func (c *connSubs) push() {
 // serveSubOp executes one SUB/UNSUB frame against the registry. The
 // answer is the usual bool result: true for a registered subscription,
 // and for UNSUB whether the id was live.
-func (s *Server) serveSubOp(cs *connSubs, op BatchOp) (bool, error) {
+func (s *Server) serveSubOp(cs *connSubs, op wire.BatchOp) (bool, error) {
 	if cs == nil {
 		return false, &StatusError{
 			Code: http.StatusNotImplemented,
 			Msg:  "standing queries are not supported by this server's engine",
 		}
 	}
-	if op.Op == OpUnsub {
+	if op.Op == wire.OpUnsub {
 		return s.subs.Unsubscribe(cs.id, op.SubID), nil
 	}
 	spec := sub.Spec{ID: op.SubID}
 	switch op.SubKind {
-	case SubWindow:
+	case wire.SubWindow:
 		r, err := opWindow(op)
 		if err != nil {
 			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		}
 		spec.Kind = sub.KindWindow
 		spec.Window = r
-	case SubKNN:
+	case wire.SubKNN:
 		if err := finite(op.X, op.Y); err != nil {
 			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		}

@@ -1,4 +1,4 @@
-package server
+package wire
 
 // rsmibin/1 — the length-prefixed binary wire protocol served alongside
 // JSON. At 1M points JSON encode/decode of ~100 result points per window
@@ -47,21 +47,15 @@ package server
 // # Zero-copy batch responses
 //
 // Batch answers are encoded straight from the engine's []geom.Point into
-// a pooled response buffer: no per-point wire structs, no per-result
-// slices, O(1) allocations per batch whatever the batch size (asserted
-// by TestBatchBinaryEncodeAllocs). This closes the ROADMAP "Zero-copy
-// batch responses" item for the binary path.
+// the caller's buffer (the server's pooled response buffer): no per-point
+// wire structs, no per-result slices, O(1) allocations per batch whatever
+// the batch size (asserted by TestBatchBinaryEncodeAllocs).
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"net/http"
-	"strings"
-	"sync"
 
 	"rsmi/internal/geom"
 )
@@ -77,7 +71,7 @@ const BinVersion = 1
 // binMagic starts every rsmibin frame.
 var binMagic = [2]byte{'R', 'B'}
 
-// Op bytes of request entries, each the index of its op's opTable row.
+// Op bytes of request entries, each the index of its op's Table row.
 const (
 	binOpPoint byte = iota + 1
 	binOpWindow
@@ -87,8 +81,8 @@ const (
 	binOpSQL
 	// binOpSub / binOpUnsub register and remove standing queries. They
 	// are only meaningful on the stream transport (the push channel the
-	// notifications ride back on), and only as single-op frames — HTTP
-	// and multi-op batches reject them in validateOps.
+	// notifications ride back on), and only as single-op frames — the
+	// server rejects them over HTTP and inside multi-op batches.
 	binOpSub
 	binOpUnsub
 )
@@ -116,57 +110,62 @@ const (
 // uvarint cannot turn into an absurd allocation, not as an API limit.
 const binMaxK = 1 << 20
 
-// isBinaryRequest reports whether the request body is an rsmibin frame.
-func isBinaryRequest(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeBinary)
-}
+// maxBatchOps bounds the operations one batch request may carry, in
+// either codec.
+const maxBatchOps = 16384
 
-// wantsBinaryResponse reports whether the client asked for an rsmibin
-// answer.
-func wantsBinaryResponse(r *http.Request) bool {
-	return strings.Contains(r.Header.Get("Accept"), ContentTypeBinary)
+// errTooManyOps refuses a JSON batch of more than maxBatchOps ops.
+var errTooManyOps = fmt.Errorf("batch exceeds %d ops", maxBatchOps)
+
+// errResultKind reports an answer whose result kind — points or a flag —
+// is not the kind its op answers with.
+var errResultKind = errors.New("client: result kind does not match op")
+
+// Result is one executed op's answer: the flag of a point, insert,
+// delete, sub or unsub, or the points of a window, kNN or sql. The server
+// encodes it straight from the engine's points — referenced, not copied,
+// so no per-result allocation — and the decoders read answers into it.
+type Result struct {
+	Op   string
+	Flag bool
+	Pts  []geom.Point
 }
 
 // ---- Encoding (append-style, allocation-free on a warm buffer) ----
 
 // appendBinHeader starts a frame.
-//
-//rsmi:noalloc
 func appendBinHeader(b []byte) []byte {
 	return append(b, binMagic[0], binMagic[1], BinVersion)
 }
 
 // appendUvarint appends v as a uvarint.
-func appendUvarint(b []byte, v uint64) []byte {
-	var s [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(s[:], v)
-	return append(b, s[:n]...)
-}
+func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
 
 // appendF64 appends one coordinate as a little-endian float64 bit
 // pattern (the internal/dataset point encoding).
 func appendF64(b []byte, v float64) []byte {
-	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], math.Float64bits(v))
-	return append(b, s[:]...)
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 }
+
+// appendStr appends s as its uvarint length and its bytes.
+func appendStr(b []byte, s string) []byte { return append(appendUvarint(b, uint64(len(s))), s...) }
 
 // appendOp appends one request entry: the op byte, then the fields of
 // its shape.
 func appendOp(b []byte, op BatchOp) ([]byte, error) {
-	k := opRow(op.Op)
+	k := Row(op.Op)
 	if k == 0 {
 		return b, fmt.Errorf("rsmibin: unknown op %q", op.Op)
 	}
-	b = appendFields(append(b, k), opTable[k].req, &op)
+	b = appendFields(append(b, k), Table[k].Req, &op)
 	if k != binOpSub {
 		return b, nil
 	}
 	switch op.SubKind {
 	case SubWindow:
-		return appendFields(append(b, binSubWindow), reqRect, &op), nil
+		return appendFields(append(b, binSubWindow), ReqRect, &op), nil
 	case SubKNN:
-		return appendFields(append(b, binSubKNN), reqKNN, &op), nil
+		return appendFields(append(b, binSubKNN), ReqKNN, &op), nil
 	}
 	return b, fmt.Errorf("rsmibin: unknown subscription kind %q", op.SubKind)
 }
@@ -174,7 +173,7 @@ func appendOp(b []byte, op BatchOp) ([]byte, error) {
 // appendFields appends op's fields of shape in the order the JSON codec
 // keys them: a coordinate as f64, k and sub_id as uvarints, a string as
 // its uvarint length and bytes.
-func appendFields(b []byte, shape reqShape, op *BatchOp) []byte {
+func appendFields(b []byte, shape Shape, op *BatchOp) []byte {
 	for _, k := range jsonRequestKeys[shape] {
 		switch f := requestField(op, k).(type) {
 		case *float64:
@@ -188,16 +187,16 @@ func appendFields(b []byte, shape reqShape, op *BatchOp) []byte {
 		case *uint64:
 			b = appendUvarint(b, *f)
 		case *string:
-			b = append(appendUvarint(b, uint64(len(*f))), *f...)
+			b = appendStr(b, *f)
 		}
 	}
 	return b
 }
 
-// appendBinaryOps appends a request frame to b: one entry for the per-op
+// AppendOps appends a request frame to b: one entry for the per-op
 // endpoints (single), a counted list for /v1/batch and the stream, with
 // the explain flag bit set on the first entry's op byte on request.
-func appendBinaryOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, error) {
+func AppendOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, error) {
 	start := len(b)
 	b = appendBinHeader(b)
 	if !single {
@@ -214,12 +213,6 @@ func appendBinaryOps(b []byte, ops []BatchOp, single, explain bool) ([]byte, err
 		}
 	}
 	return b, nil
-}
-
-// encodeBinaryOps is appendBinaryOps into a fresh buffer (an HTTP request
-// body, which the transport owns until the response arrives).
-func encodeBinaryOps(ops []BatchOp, single, explain bool) ([]byte, error) {
-	return appendBinaryOps(make([]byte, 0, 16+24*len(ops)), ops, single, explain)
 }
 
 // appendBinTrace appends an EXPLAIN trace result after a response's
@@ -242,123 +235,74 @@ func appendBinTrace(b []byte, tj *TraceJSON) []byte {
 	}
 	b = append(b, binResTrace)
 	b = appendUvarint(b, tj.ID)
-	b = appendUvarint(b, uint64(len(tj.Backend)))
-	b = append(b, tj.Backend...)
+	b = appendStr(b, tj.Backend)
 	b = appendUvarint(b, uint64(tj.ShardsVisited))
 	b = appendUvarint(b, uint64(tj.BlockAccesses))
 	b = appendUvarint(b, 0) // reserved
 	b = appendUvarint(b, uint64(len(tj.Stages)))
 	for _, st := range tj.Stages {
-		b = appendUvarint(b, uint64(len(st.Stage)))
-		b = append(b, st.Stage...)
-		b = appendF64(b, st.Us)
+		b = appendF64(appendStr(b, st.Stage), st.Us)
 	}
 	if tj.Plan == nil {
 		return appendUvarint(b, 0)
 	}
-	b = appendUvarint(b, uint64(len(tj.Plan.Backend)))
-	b = append(b, tj.Plan.Backend...)
+	b = appendStr(b, tj.Plan.Backend)
 	b = appendF64(b, tj.Plan.EstCostUS)
 	b = appendF64(b, tj.Plan.ActualCostUS)
 	b = appendF64(b, tj.Plan.EstRows)
 	return b
 }
 
-// appendBoolResult appends a bool result.
-func appendBoolResult(b []byte, v bool) []byte {
-	b = append(b, binResBool)
-	if v {
-		return append(b, 1)
+// appendAnswer encodes one executed answer as its op's result kind: a
+// points result straight from the engine's points, no intermediate wire
+// structs, or a bool.
+func appendAnswer(b []byte, a Result) []byte {
+	if !pointsResult(a.Op) {
+		if a.Flag {
+			return append(b, binResBool, 1)
+		}
+		return append(b, binResBool, 0)
 	}
-	return append(b, 0)
-}
-
-// appendPointsResult appends a points result straight from engine points
-// — no intermediate wire structs.
-func appendPointsResult(b []byte, pts []geom.Point) []byte {
-	b = append(b, binResPoints)
-	b = appendUvarint(b, uint64(len(pts)))
-	for _, p := range pts {
-		b = appendF64(b, p.X)
-		b = appendF64(b, p.Y)
+	b = appendUvarint(append(b, binResPoints), uint64(len(a.Pts)))
+	for _, p := range a.Pts {
+		b = appendF64(appendF64(b, p.X), p.Y)
 	}
 	return b
 }
 
-// batchAnswer is one executed batch operation before response encoding:
-// the engine's points are referenced, not copied, so the binary path can
-// encode them into the pooled buffer with no per-result allocation.
-type batchAnswer struct {
-	op   string
-	flag bool
-	pts  []geom.Point
-}
-
-// appendAnswer encodes one executed answer as its op's result kind.
-func appendAnswer(b []byte, a batchAnswer) []byte {
-	if pointsResult(a.op) {
-		return appendPointsResult(b, a.pts)
-	}
-	return appendBoolResult(b, a.flag)
-}
-
-// appendBatchAnswers encodes a whole batch response body (everything
-// after the frame header).
+// AppendAnswers appends a response frame: the header, one result for the
+// per-op endpoints (single) or a counted list for /v1/batch and the
+// stream, then the EXPLAIN trace when tj is set.
 //
 //rsmi:noalloc
-func appendBatchAnswers(b []byte, answers []batchAnswer) []byte {
+func AppendAnswers(b []byte, answers []Result, single bool, tj *TraceJSON) []byte {
+	b = appendBinHeader(b)
+	if single {
+		return appendBinTrace(appendAnswer(b, answers[0]), tj)
+	}
 	b = appendUvarint(b, uint64(len(answers)))
 	for _, a := range answers {
 		b = appendAnswer(b, a)
 	}
-	return b
+	return appendBinTrace(b, tj)
 }
 
-// batchResultOf is one op's answer in the JSON wire shape, which the
-// client's Batch verb returns whatever the protocol: the field its op's
-// answer member names.
-func batchResultOf(op string, flag bool, pts []geom.Point) BatchResult {
-	switch opTable[opRow(op)].flag {
+// BatchResult is r in the JSON wire shape, which the client's Batch verb
+// returns whatever the protocol: the field its op's answer member names.
+func (r Result) BatchResult() BatchResult {
+	switch Table[Row(r.Op)].Flag {
 	case "found":
-		return BatchResult{Found: flag}
+		return BatchResult{Found: r.Flag}
 	case "ok":
-		return BatchResult{OK: flag}
+		return BatchResult{OK: r.Flag}
 	case "deleted":
-		return BatchResult{Deleted: flag}
+		return BatchResult{Deleted: r.Flag}
 	}
-	return BatchResult{Count: len(pts), Points: toPoints(pts)}
-}
-
-// binBufPool recycles response buffers so batch responses are encoded
-// with O(1) allocations regardless of batch and result sizes.
-var binBufPool = sync.Pool{
-	New: func() interface{} {
-		b := make([]byte, 0, 4096)
-		return &b
-	},
-}
-
-// binBufPoolMax caps the capacity a buffer may keep when returned to
-// the pool: one huge batch response must not pin its memory forever.
-const binBufPoolMax = 1 << 20
-
-// readPooled reads r whole into a buffer from binBufPool: a request body
-// on the server, an answer on the client. Hand the buffer back with
-// putPooled once nothing references the bytes.
-func readPooled(r io.Reader) (*[]byte, []byte, error) {
-	bp := binBufPool.Get().(*[]byte)
-	buf := bytes.NewBuffer((*bp)[:0])
-	_, err := buf.ReadFrom(r)
-	return bp, buf.Bytes(), err
-}
-
-// putPooled returns bp to binBufPool holding b, a buffer grown from it,
-// unless b has outgrown binBufPoolMax.
-func putPooled(bp *[]byte, b []byte) {
-	if cap(b) <= binBufPoolMax {
-		*bp = b[:0] // keep the grown capacity for the next use
-		binBufPool.Put(bp)
+	pts := make([]PointJSON, len(r.Pts))
+	for i, p := range r.Pts {
+		pts[i] = PointJSON{X: p.X, Y: p.Y}
 	}
+	return BatchResult{Count: len(pts), Points: pts}
 }
 
 // ---- Decoding ----
@@ -426,6 +370,24 @@ func (r *binReader) uvarint() uint64 {
 	return v
 }
 
+// count reads a uvarint count of items of at least size bytes each,
+// failing on one the rest of the frame cannot hold — dividing, not
+// multiplying, so a huge count cannot wrap past the bound into an
+// absurd allocation.
+func (r *binReader) count(size uint64) uint64 {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.data))/size {
+		r.fail(errBinTruncated)
+	}
+	if r.err != nil {
+		return 0
+	}
+	return n
+}
+
+// str reads a string written by appendStr.
+func (r *binReader) str() string { return string(r.take(int(r.count(1)))) }
+
 // header consumes and validates the frame header.
 func (r *binReader) header() {
 	b := r.take(3)
@@ -452,22 +414,22 @@ func (r *binReader) entry() BatchOp {
 		r.explain = true
 		k &^= binOpExplain
 	}
-	if k == 0 || int(k) >= len(opTable) {
+	if k == 0 || int(k) >= len(Table) {
 		r.fail(fmt.Errorf("rsmibin: unknown op byte 0x%02x", k))
 		return BatchOp{}
 	}
-	op := BatchOp{Op: opTable[k].op}
-	r.fields(opTable[k].req, &op)
+	op := BatchOp{Op: Table[k].Op}
+	r.fields(Table[k].Req, &op)
 	if k != binOpSub {
 		return op
 	}
 	switch sk := r.byte(); sk {
 	case binSubWindow:
 		op.SubKind = SubWindow
-		r.fields(reqRect, &op)
+		r.fields(ReqRect, &op)
 	case binSubKNN:
 		op.SubKind = SubKNN
-		r.fields(reqKNN, &op)
+		r.fields(ReqKNN, &op)
 	default:
 		r.fail(fmt.Errorf("rsmibin: unknown subscription kind byte 0x%02x", sk))
 	}
@@ -475,7 +437,7 @@ func (r *binReader) entry() BatchOp {
 }
 
 // fields decodes op's fields of shape, the twin of appendFields.
-func (r *binReader) fields(shape reqShape, op *BatchOp) {
+func (r *binReader) fields(shape Shape, op *BatchOp) {
 	for _, k := range jsonRequestKeys[shape] {
 		switch f := requestField(op, k).(type) {
 		case *float64:
@@ -489,11 +451,7 @@ func (r *binReader) fields(shape reqShape, op *BatchOp) {
 		case *uint64:
 			*f = r.uvarint()
 		case *string:
-			n := r.uvarint()
-			if r.err == nil && n > uint64(len(r.data)) {
-				r.fail(errBinTruncated)
-			}
-			*f = string(r.take(int(n)))
+			*f = r.str()
 		}
 	}
 }
@@ -504,10 +462,11 @@ func (r *binReader) fields(shape reqShape, op *BatchOp) {
 // allocating.
 const binMinEntryBytes = 2
 
-// decodeBinaryOps parses a request frame: exactly one entry for the
-// per-op endpoints (single), a counted list for /v1/batch. The second
-// return reports whether any entry carried the explain flag bit.
-func decodeBinaryOps(data []byte, single bool) ([]BatchOp, bool, error) {
+// DecodeOps parses a request frame: exactly one entry for the per-op
+// endpoints (single), a counted list for /v1/batch and the stream,
+// refusing a batch of more than maxBatchOps ops. The second return
+// reports whether any entry carried the explain flag bit.
+func DecodeOps(data []byte, single bool) ([]BatchOp, bool, error) {
 	r := &binReader{data: data}
 	r.header()
 	n := uint64(1)
@@ -537,40 +496,36 @@ func decodeBinaryOps(data []byte, single bool) ([]BatchOp, bool, error) {
 	return ops, r.explain, nil
 }
 
-// binResult is one decoded response result.
-type binResult struct {
-	tag  byte
-	flag bool
-	pts  []geom.Point
-}
-
-// result decodes one response result.
-func (r *binReader) result() binResult {
+// result decodes one response result, the answer to op.
+func (r *binReader) result(op string) Result {
 	tag := r.byte()
 	if r.err != nil {
-		return binResult{}
+		return Result{}
 	}
 	switch tag {
 	case binResBool:
-		return binResult{tag: tag, flag: r.byte() != 0}
-	case binResPoints:
-		n := r.uvarint()
-		// Divide, don't multiply: n*16 could wrap uint64 and slip past
-		// the bound into a makeslice panic.
-		if r.err == nil && n > uint64(len(r.data))/16 {
-			r.fail(errBinTruncated)
+		if pointsResult(op) {
+			r.fail(errResultKind)
+			return Result{}
 		}
+		return Result{Op: op, Flag: r.byte() != 0}
+	case binResPoints:
+		if !pointsResult(op) {
+			r.fail(errResultKind)
+			return Result{}
+		}
+		n := r.count(16)
 		if r.err != nil {
-			return binResult{}
+			return Result{}
 		}
 		pts := make([]geom.Point, n)
 		for i := range pts {
 			pts[i] = geom.Pt(r.f64(), r.f64())
 		}
-		return binResult{tag: tag, pts: pts}
+		return Result{Op: op, Pts: pts}
 	default:
 		r.fail(fmt.Errorf("rsmibin: unknown result tag 0x%02x", tag))
-		return binResult{}
+		return Result{}
 	}
 }
 
@@ -578,49 +533,20 @@ func (r *binReader) result() binResult {
 // binResTrace tag coming).
 func (r *binReader) trace() *TraceJSON {
 	r.byte() // binResTrace
-	tj := &TraceJSON{ID: r.uvarint()}
-	bl := r.uvarint()
-	if r.err == nil && bl > uint64(len(r.data)) {
-		r.fail(errBinTruncated)
-	}
-	if r.err != nil {
-		return nil
-	}
-	tj.Backend = string(r.take(int(bl)))
+	tj := &TraceJSON{ID: r.uvarint(), Backend: r.str()}
 	tj.ShardsVisited = int64(r.uvarint())
 	tj.BlockAccesses = int64(r.uvarint())
-	r.uvarint() // reserved (a pre-removal server's coalesce batch size)
-	n := r.uvarint()
-	// A stage is at least 9 bytes (len + empty name + f64); divide so a
-	// malformed count cannot wrap into a huge allocation.
-	if r.err == nil && n > uint64(len(r.data))/9 {
-		r.fail(errBinTruncated)
-	}
+	r.uvarint()     // reserved (a pre-removal server's coalesce batch size)
+	n := r.count(9) // a stage: at least a length, an empty name and an f64
 	if r.err != nil {
 		return nil
 	}
 	tj.Stages = make([]TraceStageJSON, 0, n)
 	for i := uint64(0); i < n; i++ {
-		sl := r.uvarint()
-		if r.err == nil && sl > uint64(len(r.data)) {
-			r.fail(errBinTruncated)
-		}
-		if r.err != nil {
-			return nil
-		}
-		name := string(r.take(int(sl)))
-		tj.Stages = append(tj.Stages, TraceStageJSON{Stage: name, Us: r.f64()})
+		tj.Stages = append(tj.Stages, TraceStageJSON{Stage: r.str(), Us: r.f64()})
 	}
-	if pl := r.uvarint(); r.err == nil && pl > 0 {
-		if pl > uint64(len(r.data)) {
-			r.fail(errBinTruncated)
-			return nil
-		}
-		p := &PlanJSON{Backend: string(r.take(int(pl)))}
-		p.EstCostUS = r.f64()
-		p.ActualCostUS = r.f64()
-		p.EstRows = r.f64()
-		tj.Plan = p
+	if backend := r.str(); backend != "" {
+		tj.Plan = &PlanJSON{Backend: backend, EstCostUS: r.f64(), ActualCostUS: r.f64(), EstRows: r.f64()}
 	}
 	if r.err != nil {
 		return nil
@@ -628,27 +554,26 @@ func (r *binReader) trace() *TraceJSON {
 	return tj
 }
 
-// decodeBinaryResults parses a response frame: one result for the per-op
-// endpoints (single), a counted list for /v1/batch, then an optional
-// trailing EXPLAIN trace.
-func decodeBinaryResults(data []byte, single bool) ([]binResult, *TraceJSON, error) {
+// DecodeResults parses a response frame to ops: one result for the
+// per-op endpoints (single), a counted list for /v1/batch and the stream,
+// then an optional trailing EXPLAIN trace. There must be one result per
+// op, each of its op's kind.
+func DecodeResults(data []byte, single bool, ops []BatchOp) ([]Result, *TraceJSON, error) {
 	r := &binReader{data: data}
 	r.header()
 	n := uint64(1)
 	if !single {
-		n = r.uvarint()
-		// Each result is at least 2 bytes (tag + bool, or tag + 0-count);
-		// divide rather than multiply so huge counts cannot wrap uint64.
-		if r.err == nil && n > uint64(len(r.data))/2 {
-			return nil, nil, errBinTruncated
-		}
+		n = r.count(2) // tag and bool, or tag and a zero count
 	}
 	if r.err != nil {
 		return nil, nil, r.err
 	}
-	out := make([]binResult, 0, n)
-	for i := uint64(0); i < n; i++ {
-		res := r.result()
+	if n != uint64(len(ops)) {
+		return nil, nil, fmt.Errorf("client: %d results for %d ops", n, len(ops))
+	}
+	out := make([]Result, 0, n)
+	for _, op := range ops {
+		res := r.result(op.Op)
 		if r.err != nil {
 			return nil, nil, r.err
 		}

@@ -1,19 +1,13 @@
-package server
+package wire
 
 import (
 	"bufio"
 	"bytes"
 	"encoding/hex"
 	"errors"
-	"io"
-	"net"
 	"testing"
 
-	"rsmi/internal/core"
-	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
-	"rsmi/internal/shard"
-	"rsmi/internal/sub"
 )
 
 // Hex of the little-endian float64s the frame goldens carry.
@@ -24,23 +18,31 @@ const (
 	goldenZero = "0000000000000000" // 0
 )
 
+// streamFrame frames payload as the stream transport does: the length
+// word, request id id, then what fill appends.
+func streamFrame(id uint64, fill func([]byte) []byte) []byte {
+	b := fill(OpenStreamFrame(nil, id))
+	CloseFrame(b, 0)
+	return b
+}
+
 // TestStreamFrameGoldenBytes pins whole rsmistream response frames —
 // length word, request id, status byte and body — to golden hex: status
 // 0 wrapping an rsmibin batch response, and status 1 carrying an error
 // code and message. Each must decode back to what was written.
 func TestStreamFrameGoldenBytes(t *testing.T) {
-	var w streamWriter
-	w.drained.L = &w.mu
 	pts := []geom.Point{geom.Pt(0.5, 0.25)}
-	w.writeAnswers(300, []batchAnswer{{op: OpPoint, flag: true}, {op: OpWindow, pts: pts}}, nil)
+	ops := []BatchOp{{Op: OpPoint}, {Op: OpWindow}}
+	frame := streamFrame(300, func(b []byte) []byte {
+		return AppendStreamAnswers(b, []Result{{Op: OpPoint, Flag: true}, {Op: OpWindow, Pts: pts}}, nil)
+	})
 	ok := "1b000000" + "ac02" + "00" + "524201" + "02" + "0101" + "0201" + goldenHalf + goldenQtr
-	if got := hex.EncodeToString(w.queue); got != ok {
+	if got := hex.EncodeToString(frame); got != ok {
 		t.Fatalf("status-0 frame moved:\n got %s\nwant %s", got, ok)
 	}
-	w.queue = w.queue[:0]
-	w.writeError(7, 429, "busy")
+	frame = streamFrame(7, func(b []byte) []byte { return AppendStreamError(b, 429, "busy") })
 	fail := "09000000" + "07" + "01" + "ad03" + "04" + hex.EncodeToString([]byte("busy"))
-	if got := hex.EncodeToString(w.queue); got != fail {
+	if got := hex.EncodeToString(frame); got != fail {
 		t.Fatalf("status-1 frame moved:\n got %s\nwant %s", got, fail)
 	}
 
@@ -49,15 +51,15 @@ func TestStreamFrameGoldenBytes(t *testing.T) {
 		check  func(id uint64, payload []byte) error
 	}{
 		{ok, func(id uint64, payload []byte) error {
-			rs, tj, err := decodeStreamResponse(payload)
-			if err != nil || id != 300 || tj != nil || len(rs) != 2 || !rs[0].flag || len(rs[1].pts) != 1 || rs[1].pts[0] != pts[0] {
+			rs, tj, err := DecodeStreamResponse(payload, ops)
+			if err != nil || id != 300 || tj != nil || len(rs) != 2 || !rs[0].Flag || len(rs[1].Pts) != 1 || rs[1].Pts[0] != pts[0] {
 				return errors.New("status 0 decoded otherwise")
 			}
 			return nil
 		}},
 		{fail, func(id uint64, payload []byte) error {
-			_, _, err := decodeStreamResponse(payload)
-			var se *StatusError
+			_, _, err := DecodeStreamResponse(payload, ops)
+			var se *StreamError
 			if id != 7 || !errors.As(err, &se) || se.Code != 429 || se.Msg != "busy" {
 				return errors.New("status 1 decoded otherwise")
 			}
@@ -65,7 +67,7 @@ func TestStreamFrameGoldenBytes(t *testing.T) {
 		}},
 	} {
 		frame, _ := hex.DecodeString(c.golden)
-		id, payload, err := readStreamFrame(bufio.NewReader(bytes.NewReader(frame)), streamMaxResponseFrame)
+		id, payload, err := ReadStreamFrame(bufio.NewReader(bytes.NewReader(frame)), 1<<20, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,24 +81,23 @@ func TestStreamFrameGoldenBytes(t *testing.T) {
 // id 0, status 2, then per notification its subscription id, write kind
 // (insert, delete) and flags (missed set, clear) and the point.
 func TestPushFrameGoldenBytes(t *testing.T) {
-	var w streamWriter
-	w.drained.L = &w.mu
-	w.writePush([]sub.Notification{
-		{SubID: 300, Kind: shard.WriteInsert, P: geom.Pt(0.5, 0.25)},
-		{SubID: 7, Kind: shard.WriteDelete, P: geom.Pt(1, 0), Missed: true},
+	frame := streamFrame(PushID, func(b []byte) []byte {
+		b = AppendPush(b, 2)
+		b = AppendPushEntry(b, 300, kindInsert, false, geom.Pt(0.5, 0.25))
+		return AppendPushEntry(b, 7, kindDelete, true, geom.Pt(1, 0))
 	})
 	const golden = "2a000000" + "00" + "02" + "02" +
 		"ac02" + "01" + "00" + goldenHalf + goldenQtr +
 		"07" + "02" + "01" + goldenOne + goldenZero
-	if got := hex.EncodeToString(w.queue); got != golden {
+	if got := hex.EncodeToString(frame); got != golden {
 		t.Fatalf("push frame moved:\n got %s\nwant %s", got, golden)
 	}
-	id, payload, err := readStreamFrame(bufio.NewReader(bytes.NewReader(w.queue)), streamMaxResponseFrame)
+	id, payload, err := ReadStreamFrame(bufio.NewReader(bytes.NewReader(frame)), 1<<20, nil)
 	if err != nil || id != 0 {
 		t.Fatalf("push frame read as id %d, %v", id, err)
 	}
-	ns, err := decodePushPayload(payload)
-	want := []SubNotification{
+	ns, err := DecodePush(payload)
+	want := []Notification{
 		{SubID: 300, Kind: OpInsert, Point: geom.Pt(0.5, 0.25)},
 		{SubID: 7, Kind: OpDelete, Point: geom.Pt(1, 0), Missed: true},
 	}
@@ -110,13 +111,13 @@ func TestPushFrameGoldenBytes(t *testing.T) {
 // heartbeat, and the resync frame the primary sends an unservable
 // position. Each is read back by its decoder.
 func TestReplFeedGoldenBytes(t *testing.T) {
-	const rl = "524c02" // magic 'R','L', version 2
+	const rl = "524c02"               // magic 'R','L', version 2
 	handshake := rl + "8202" + "ac02" // epoch 258, from 300
-	if got := hex.EncodeToString(appendReplHandshake(nil, 258, 300)); got != handshake {
+	if got := hex.EncodeToString(AppendFeedHandshake(nil, 258, 300)); got != handshake {
 		t.Fatalf("handshake moved:\n got %s\nwant %s", got, handshake)
 	}
 	raw, _ := hex.DecodeString(handshake)
-	if epoch, from, err := decodeReplHandshake(raw); !isReplHandshake(raw) || err != nil || epoch != 258 || from != 300 {
+	if epoch, from, err := DecodeFeedHandshake(raw); !IsFeedHandshake(raw) || err != nil || epoch != 258 || from != 300 {
 		t.Fatalf("handshake decoded as (%d, %d), %v", epoch, from, err)
 	}
 
@@ -124,62 +125,43 @@ func TestReplFeedGoldenBytes(t *testing.T) {
 		"01" + "01" + "ac02" + goldenHalf + goldenQtr +
 		"02" + "02" + "ad02" + goldenOne + goldenZero +
 		"03" + "03" + "ae02"
-	recs := []opRecord{
-		{seq: 1, kind: shard.WriteInsert, p: geom.Pt(0.5, 0.25), at: 300},
-		{seq: 2, kind: shard.WriteDelete, p: geom.Pt(1, 0), at: 301},
-		{seq: 3, kind: shard.WriteRebuild, at: 302},
+	recs := []FeedRecord{
+		{Seq: 1, Kind: kindInsert, P: geom.Pt(0.5, 0.25), At: 300},
+		{Seq: 2, Kind: kindDelete, P: geom.Pt(1, 0), At: 301},
+		{Seq: 3, Kind: kindRebuild, At: 302},
 	}
-	if got := hex.EncodeToString(appendReplOps(nil, recs)); got != ops {
+	if got := hex.EncodeToString(AppendFeedOps(nil, recs)); got != ops {
 		t.Fatalf("ops frame moved:\n got %s\nwant %s", got, ops)
 	}
-	idx := shard.New(dataset.Generate(dataset.Uniform, 200, 7), shard.Options{Shards: 2, Index: core.Options{
-		BlockCapacity: 20, PartitionThreshold: 100, Epochs: 2, LearningRate: 0.1, Seed: 1,
-	}})
-	rep := NewReplica("127.0.0.1:1", ReplicaOptions{})
-	defer rep.Stop()
-	rep.cur.Store(idx)
-	var applied []shard.WriteOp
-	rep.SetWriteTap(func(op shard.WriteOp) { applied = append(applied, op) })
+	var f FeedFrame
 	raw, _ = hex.DecodeString(ops)
-	if err := rep.applyFrame(raw); err != nil || rep.AppliedSeq() != 3 || len(applied) != 3 {
-		t.Fatalf("ops frame applied %d records to seq %d, %v", len(applied), rep.AppliedSeq(), err)
+	if err := f.Decode(raw); err != nil || f.Type != FeedOps || len(f.Recs) != 3 {
+		t.Fatalf("ops frame read as type %d with %d records, %v", f.Type, len(f.Recs), err)
 	}
-	for i, op := range applied {
-		if op.Kind != recs[i].kind || op.P != recs[i].p {
-			t.Fatalf("record %d applied as %+v, want %+v", i, op, recs[i])
+	for i, rec := range f.Recs {
+		if rec != recs[i] {
+			t.Fatalf("record %d read as %+v, want %+v", i, rec, recs[i])
 		}
 	}
 
 	heartbeat := rl + "03" + "ac02" + "8080a8b1e39fe7cb17" // last seq 300, clock 1.7e18 ns
+	if got := hex.EncodeToString(AppendFeedHeartbeat(nil, 300, 1_700_000_000_000_000_000)); got != heartbeat {
+		t.Fatalf("heartbeat moved:\n got %s\nwant %s", got, heartbeat)
+	}
 	raw, _ = hex.DecodeString(heartbeat)
-	if err := rep.applyFrame(raw); err != nil || rep.PrimarySeq() != 300 || rep.primaryClock.Load() != 1_700_000_000_000_000_000 {
-		t.Fatalf("heartbeat read as seq %d clock %d, %v", rep.PrimarySeq(), rep.primaryClock.Load(), err)
+	if err := f.Decode(raw); err != nil || f.Type != FeedHeartbeat || f.LastSeq != 300 || f.Clock != 1_700_000_000_000_000_000 {
+		t.Fatalf("heartbeat read as type %d seq %d clock %d, %v", f.Type, f.LastSeq, f.Clock, err)
 	}
 
-	// The resync frame, as the primary writes it to a replica whose epoch
-	// is not its own: the length word (feed frames carry no request id),
-	// then the primary's epoch.
+	// The resync frame as the primary writes it: the length word (feed
+	// frames carry no request id), then the primary's epoch.
 	const resync = "06000000" + rl + "02" + "8202"
-	r := NewReplicator(idx, 0)
-	r.log.epoch = 258
-	s := New(Config{Engine: r.Engine(), Replicator: r})
-	primary, replica := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		s.serveReplFeed(primary, appendReplHandshake(nil, 9, 1))
-		primary.Close()
-	}()
-	frame := make([]byte, len(resync)/2)
-	if _, err := io.ReadFull(replica, frame); err != nil {
-		t.Fatal(err)
-	}
-	replica.Close()
-	<-done
+	frame := AppendFeedResync(OpenFrame(nil), 258)
+	CloseFrame(frame, 0)
 	if got := hex.EncodeToString(frame); got != resync {
 		t.Fatalf("resync frame moved:\n got %s\nwant %s", got, resync)
 	}
-	if err := rep.applyFrame(frame[4:]); !errors.Is(err, errReplResync) {
-		t.Fatalf("resync frame read as %v", err)
+	if err := f.Decode(frame[4:]); err != nil || f.Type != FeedResync {
+		t.Fatalf("resync frame read as type %d, %v", f.Type, err)
 	}
 }

@@ -1,8 +1,8 @@
-package server
+package wire
 
 // One-pass decoding of the data plane's JSON, both directions: the
-// client reads answers (decodeJSONResults), the server reads requests
-// (decodeJSONRequest); jsonstream.go holds the encoders they mirror.
+// client reads answers (DecodeJSONResults), the server reads requests
+// (DecodeJSONRequest); jsonstream.go holds the encoders they mirror.
 // encoding/json reads a document twice — a validating pre-scan, then a
 // reflective walk with a field-name look-up per value. Here a body is
 // walked once, each number converted in the walk that checks its grammar
@@ -49,12 +49,12 @@ var jsonAnswerKeys = [...]string{
 	jsonKeyTrace:   "trace",
 }
 
-// decodeJSONResults parses the 2xx body of a JSON data-plane answer —
-// the JSON twin of decodeBinaryResults. single selects the per-op
-// documents (FoundResponse, OKResponse, DeletedResponse, PointsResponse:
-// one result, its kind chosen by ops[0]); otherwise the body is a
-// BatchResponse and must carry exactly len(ops) results. A non-2xx body
-// never gets here: handleResponse reads it as an ErrorResponse.
+// DecodeJSONResults parses the 2xx body of a JSON data-plane answer —
+// the JSON twin of DecodeResults. single selects the per-op documents
+// ({"found"|"ok"|"deleted": …} or {"count": …, "points": […]}: one result,
+// the answer to ops[0]); otherwise the body is a {"results": […]} batch
+// answer and must carry exactly len(ops) results. A non-2xx body never
+// gets here: the client reads it as an ErrorResponse.
 //
 // Accepted is any JSON document that spells one of those answers: keys
 // in any order, any JSON whitespace, "found"/"deleted"/"ok" as booleans,
@@ -76,9 +76,9 @@ var jsonAnswerKeys = [...]string{
 // yields an error, never a partial answer; a coordinate outside
 // float64's range is the *json.UnmarshalTypeError it always was. A
 // result spelt only in the other kind's keys — points for a bool op, a
-// boolean for a points op — comes back as that kind, for dataPlane.do to
-// refuse with errBinResultKind as it does a binary result's wrong tag.
-func decodeJSONResults(body []byte, single bool, ops []BatchOp) ([]binResult, *TraceJSON, error) {
+// boolean for a points op — is errResultKind, as a binary result's wrong
+// tag is.
+func DecodeJSONResults(body []byte, single bool, ops []BatchOp) ([]Result, *TraceJSON, error) {
 	s := jsonScanner{b: body, single: single, ops: ops}
 	op := ""
 	if single {
@@ -100,7 +100,7 @@ func decodeJSONResults(body []byte, single bool, ops []BatchOp) ([]binResult, *T
 		tj = t
 	}
 	if single {
-		return []binResult{res}, tj, nil
+		return []Result{res}, tj, nil
 	}
 	if len(s.results) != len(ops) {
 		return nil, nil, fmt.Errorf("client: batch returned %d results for %d ops", len(s.results), len(ops))
@@ -119,8 +119,8 @@ type jsonScanner struct {
 
 	single  bool
 	ops     []BatchOp
-	results []binResult // the "results" array of a batch answer
-	trace   []byte      // the raw "trace" value, when present
+	results []Result // the "results" array of a batch answer
+	trace   []byte   // the raw "trace" value, when present
 }
 
 func (s *jsonScanner) fail(what string) {
@@ -209,11 +209,10 @@ func (s *jsonScanner) member(first bool) (key []byte, ok bool) {
 // answer walks one result object — the whole document when top, where
 // "results" and "trace" may appear too — into the result op is owed: its
 // points, or the OR of its booleans. An object spelt only in the other
-// kind's keys keeps that kind, so the caller's kind check refuses it as
-// it refuses a binary result of the wrong tag; {} fits either.
-func (s *jsonScanner) answer(top bool, op string) binResult {
+// kind's keys is errResultKind; {} fits either.
+func (s *jsonScanner) answer(top bool, op string) Result {
 	if !s.expect('{') {
-		return binResult{}
+		return Result{}
 	}
 	var (
 		seen, hint int
@@ -259,13 +258,16 @@ func (s *jsonScanner) answer(top bool, op string) binResult {
 	}
 	hasPoints := seen&(1<<jsonKeyPoints) != 0
 	hasBool := seen&(1<<jsonKeyFound|1<<jsonKeyDeleted|1<<jsonKeyOK) != 0
-	if hasPoints == hasBool {
-		hasPoints = pointsResult(op)
+	switch {
+	case top && !s.single: // a batch answer's document: its results are what count
+	case hasPoints != hasBool && hasPoints != pointsResult(op):
+		if s.err == nil {
+			s.err = errResultKind
+		}
+	case pointsResult(op):
+		return Result{Op: op, Pts: pts}
 	}
-	if hasPoints {
-		return binResult{tag: binResPoints, pts: pts}
-	}
-	return binResult{tag: binResBool, flag: flag}
+	return Result{Op: op, Flag: flag}
 }
 
 // bool consumes true or false.
@@ -318,7 +320,7 @@ func (s *jsonScanner) resultList() {
 	if s.literal("null") || !s.expect('[') {
 		return
 	}
-	s.results = make([]binResult, 0, len(s.ops))
+	s.results = make([]Result, 0, len(s.ops))
 	for first := true; s.next(first, ']'); first = false {
 		n := len(s.results)
 		if n == len(s.ops) {
@@ -383,15 +385,15 @@ func (s *jsonScanner) point() (p geom.Point) {
 
 // jsonRequestKeys lists, per request shape, the keys its type's json
 // tags spell, in field order; an op inside a batch takes BatchOp's.
-// appendRequestJSON writes them in this order, the walk reads nothing
+// AppendRequestJSON writes them in this order, the walk reads nothing
 // else, and an rsmibin entry carries the same fields in the same order.
 var jsonRequestKeys = [...][]string{
-	reqPoint: {"x", "y"},
-	reqRect:  {"min_x", "min_y", "max_x", "max_y"},
-	reqKNN:   {"x", "y", "k"},
-	reqSQL:   {"query"},
+	ReqPoint: {"x", "y"},
+	ReqRect:  {"min_x", "min_y", "max_x", "max_y"},
+	ReqKNN:   {"x", "y", "k"},
+	ReqSQL:   {"query"},
 	reqBatch: {"op", "x", "y", "k", "min_x", "min_y", "max_x", "max_y", "sql", "sub_id", "sub_kind"},
-	reqSubID: {"sub_id"},
+	ReqSubID: {"sub_id"},
 }
 
 // requestField returns the BatchOp field of op that request key k fills:
@@ -422,8 +424,8 @@ func requestField(op *BatchOp, k string) interface{} {
 	return &op.SQL // "sql", "query"
 }
 
-// decodeJSONRequest reads the JSON request document of route rt — a
-// per-op endpoint's PointJSON, RectJSON, KNNJSON or SQLRequest (one op,
+// DecodeJSONRequest reads the JSON request document of route rt — a
+// per-op endpoint's PointJSON, RectJSON, KNNJSON or {"query": …} (one op,
 // rt's), or /v1/batch's BatchRequest — into ops appended to buf[:0].
 // It accepts exactly the bodies json.Unmarshal accepts into the route's
 // type, and gives the ops json.Unmarshal gives (FuzzDecodeJSONRequest
@@ -438,7 +440,7 @@ func requestField(op *BatchOp, k string) interface{} {
 // invalid UTF-8, a key repeated within one object (a second "ops" array
 // is decoded into the first's elements), a value of another type (null
 // leaves a field as it was), and a malformed body.
-func decodeJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) {
+func DecodeJSONRequest(body []byte, rt *Spec, buf []BatchOp) ([]BatchOp, error) {
 	ops, err := scanJSONRequest(body, rt, buf)
 	if err == nil || err == errTooManyOps {
 		return ops, err
@@ -446,17 +448,17 @@ func decodeJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error
 	return unmarshalJSONRequest(body, rt, buf)
 }
 
-// scanJSONRequest is decodeJSONRequest's one-pass walk. An error other
+// scanJSONRequest is DecodeJSONRequest's one-pass walk. An error other
 // than errTooManyOps means the walk declined the body, not that the body
 // is bad.
-func scanJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) {
+func scanJSONRequest(body []byte, rt *Spec, buf []BatchOp) ([]BatchOp, error) {
 	s := jsonScanner{b: body}
 	ops := buf[:0]
-	if rt.req == reqBatch {
-		ops = s.batchRequest(ops)
+	if rt.Single() {
+		ops = append(ops, BatchOp{Op: rt.Op})
+		s.requestObject(rt.Req, &ops[0])
 	} else {
-		ops = append(ops, BatchOp{Op: rt.op})
-		s.requestObject(rt.req, &ops[0])
+		ops = s.batchRequest(ops)
 	}
 	if s.ws(); s.i < len(s.b) {
 		s.fail("unexpected data after the document")
@@ -464,26 +466,26 @@ func scanJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) 
 	return ops, s.err
 }
 
-// unmarshalJSONRequest is decodeJSONRequest's reflective way: the body
+// unmarshalJSONRequest is DecodeJSONRequest's reflective way: the body
 // through json.Unmarshal into the route's type.
-func unmarshalJSONRequest(body []byte, rt *opSpec, buf []BatchOp) ([]BatchOp, error) {
-	op := BatchOp{Op: rt.op}
+func unmarshalJSONRequest(body []byte, rt *Spec, buf []BatchOp) ([]BatchOp, error) {
+	op := BatchOp{Op: rt.Op}
 	var err error
-	switch rt.req {
-	case reqPoint:
+	switch rt.Req {
+	case ReqPoint:
 		var v PointJSON
 		err = json.Unmarshal(body, &v)
 		op.X, op.Y = v.X, v.Y
-	case reqRect:
+	case ReqRect:
 		var v RectJSON
 		err = json.Unmarshal(body, &v)
 		op.MinX, op.MinY, op.MaxX, op.MaxY = v.MinX, v.MinY, v.MaxX, v.MaxY
-	case reqKNN:
+	case ReqKNN:
 		var v KNNJSON
 		err = json.Unmarshal(body, &v)
 		op.X, op.Y, op.K = v.X, v.Y, v.K
-	case reqSQL:
-		var v SQLRequest
+	case ReqSQL:
+		var v sqlRequest
 		err = json.Unmarshal(body, &v)
 		op.SQL = v.Query
 	default:
@@ -527,7 +529,7 @@ func (s *jsonScanner) batchRequest(ops []BatchOp) []BatchOp {
 
 // requestObject walks one request object of shape into op: a per-op
 // document, or an op inside a batch (reqBatch).
-func (s *jsonScanner) requestObject(shape reqShape, op *BatchOp) {
+func (s *jsonScanner) requestObject(shape Shape, op *BatchOp) {
 	if !s.expect('{') {
 		return
 	}
@@ -604,9 +606,9 @@ func (s *jsonScanner) integer(signed bool) uint64 {
 // jsonName returns the string b spells, sharing the op or
 // subscription-kind name it may be rather than allocating a copy.
 func jsonName(b []byte) string {
-	for i := range opTable {
-		if string(b) == opTable[i].op {
-			return opTable[i].op
+	for i := range Table {
+		if string(b) == Table[i].Op {
+			return Table[i].Op
 		}
 	}
 	return string(b)

@@ -1,9 +1,8 @@
-package server
+package wire
 
 // Appending JSON encoders of the data plane, both directions: the
-// server's answers (appendBatchAnswersJSON, appendPointsJSON,
-// appendFlagJSON) and the client's requests (appendRequestJSON) — the
-// twins of the decoders in jsondecode.go. Each appends straight from
+// server's answers (AppendAnswersJSON) and the client's requests
+// (AppendRequestJSON) — the twins of the decoders in jsondecode.go. Each appends straight from
 // engine points or ops into the caller's buffer, with O(1) allocations
 // per document (TestBatchJSONEncodeAllocs), and writes exactly the bytes
 // encoding/json writes for the historical wire type — field order,
@@ -62,33 +61,46 @@ func appendTraceJSON(b []byte, tj *TraceJSON) []byte {
 	return append(b, raw...)
 }
 
-// appendBatchAnswersJSON encodes a whole BatchResponse document straight
-// from the executed answers — the JSON twin of appendBatchAnswers.
-// Result objects mirror BatchResult's omitempty encoding: false bools and
-// empty point lists encode as {}. It allocates nothing unless tj is set.
+// AppendAnswersJSON encodes the answer document of route rt straight
+// from the executed answers — the JSON twin of AppendAnswers — as
+// json.Encoder wrote the historical documents, trace last and a newline
+// after: {"results":[…]} for /v1/batch, whose result objects mirror
+// BatchResult's omitempty encoding (false bools and empty point lists
+// encode as {}); otherwise the per-op document of answers[0], which has
+// no omitempty members — {"found"|"ok"|"deleted":bool}, false included,
+// or {"count":n,"points":[…]}, [] when empty. It allocates nothing
+// unless tj is set.
 //
 //rsmi:noalloc
-func appendBatchAnswersJSON(b []byte, answers []batchAnswer, tj *TraceJSON) []byte {
-	b = append(b, `{"results":[`...)
-	for i, a := range answers {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		switch member := opTable[opRow(a.op)].flag; {
-		case member != "":
-			b = append(b, '{')
-			if a.flag {
-				b = appendFlagMember(b, member, true)
+func AppendAnswersJSON(b []byte, rt *Spec, answers []Result, tj *TraceJSON) []byte {
+	b = append(b, '{')
+	switch {
+	case !rt.Single():
+		b = append(b, `"results":[`...)
+		for i, a := range answers {
+			if i > 0 {
+				b = append(b, ',')
 			}
-			b = append(b, '}')
-		case len(a.pts) == 0:
-			b = append(b, '{', '}')
-		default:
-			b = append(appendPointsMembers(append(b, '{'), a.pts), '}')
+			switch member := Table[Row(a.Op)].Flag; {
+			case member != "":
+				b = append(b, '{')
+				if a.Flag {
+					b = appendFlagMember(b, member, true)
+				}
+				b = append(b, '}')
+			case len(a.Pts) == 0:
+				b = append(b, '{', '}')
+			default:
+				b = append(appendPointsMembers(append(b, '{'), a.Pts), '}')
+			}
 		}
+		b = append(b, ']')
+	case rt.Flag == "":
+		b = appendPointsMembers(b, answers[0].Pts)
+	default:
+		b = appendFlagMember(b, rt.Flag, answers[0].Flag)
 	}
-	b = appendTraceJSON(append(b, ']'), tj)
-	return append(b, '}', '\n')
+	return append(appendTraceJSON(b, tj), '}', '\n')
 }
 
 // appendFlagMember appends a bool answer's one member, keyed by member:
@@ -96,16 +108,6 @@ func appendBatchAnswersJSON(b []byte, answers []batchAnswer, tj *TraceJSON) []by
 func appendFlagMember(b []byte, member string, flag bool) []byte {
 	b = append(append(append(b, '"'), member...), '"', ':')
 	return strconv.AppendBool(b, flag)
-}
-
-// appendFlagJSON encodes the per-op bool documents — FoundResponse,
-// OKResponse, DeletedResponse — as json.Encoder writes them: the flag,
-// false included, then the trace and a newline.
-//
-//rsmi:noalloc
-func appendFlagJSON(b []byte, op string, flag bool, tj *TraceJSON) []byte {
-	b = appendFlagMember(append(b, '{'), opTable[opRow(op)].flag, flag)
-	return append(appendTraceJSON(b, tj), '}', '\n')
 }
 
 // appendPointsMembers appends the "count" and "points" members of a
@@ -127,30 +129,16 @@ func appendPointsMembers(b []byte, pts []geom.Point) []byte {
 	return append(b, ']')
 }
 
-// appendPointsJSON encodes a PointsResponse document straight from the
-// engine's points — the per-op (/v1/window, /v1/knn) twin of
-// appendBatchAnswersJSON. Unlike a batch result object, PointsResponse
-// has no omitempty fields, so an empty answer still encodes
-// {"count":0,"points":[]} exactly as encoding/json renders the
-// non-nil slice toPoints always produced. It allocates nothing unless tj
-// is set.
-//
-//rsmi:noalloc
-func appendPointsJSON(b []byte, pts []geom.Point, tj *TraceJSON) []byte {
-	b = appendTraceJSON(appendPointsMembers(append(b, '{'), pts), tj)
-	return append(b, '}', '\n')
-}
-
-// appendRequestJSON appends the request document of route rt for ops —
-// the JSON client's encoder, the twin of decodeJSONRequest: byte for
+// AppendRequestJSON appends the request document of route rt for ops —
+// the JSON client's encoder, the twin of DecodeJSONRequest: byte for
 // byte what json.Marshal writes for the route's request type
 // (TestJSONRequestEncodeMatchesMarshal), and for a NaN or ±Inf that the
 // document would carry, json.Marshal's own error instead.
-func appendRequestJSON(b []byte, rt *opSpec, ops []BatchOp) ([]byte, error) {
+func AppendRequestJSON(b []byte, rt *Spec, ops []BatchOp) ([]byte, error) {
 	w := jsonRequestWriter{b: append(b, '{')}
 	switch {
-	case rt.req != reqBatch:
-		for _, k := range jsonRequestKeys[rt.req] {
+	case rt.Single():
+		for _, k := range jsonRequestKeys[rt.Req] {
 			w.field(k, &ops[0], false)
 		}
 	case ops == nil:
@@ -175,7 +163,7 @@ func appendRequestJSON(b []byte, rt *opSpec, ops []BatchOp) ([]byte, error) {
 	return append(w.b, '}'), nil
 }
 
-// jsonRequestWriter is appendRequestJSON's cursor: the document so far,
+// jsonRequestWriter is AppendRequestJSON's cursor: the document so far,
 // and json.Marshal's error for the first value JSON cannot spell.
 type jsonRequestWriter struct {
 	b   []byte
