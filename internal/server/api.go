@@ -4,7 +4,7 @@ import "rsmi/internal/wire"
 
 // The wire names benchmark/ reaches through this package. The serving
 // tier's own code names internal/wire directly; these aliases stay until
-// the benchmark imports wire itself (ROADMAP item 1).
+// the benchmark imports internal/wire itself.
 type (
 	BatchOp        = wire.BatchOp
 	BatchRequest   = wire.BatchRequest
