@@ -258,13 +258,13 @@ func (s *jsonScanner) answer(top bool, op string) Result {
 	}
 	hasPoints := seen&(1<<jsonKeyPoints) != 0
 	hasBool := seen&(1<<jsonKeyFound|1<<jsonKeyDeleted|1<<jsonKeyOK) != 0
-	switch {
+	switch isPoints := pointsResult(op); {
 	case top && !s.single: // a batch answer's document: its results are what count
-	case hasPoints != hasBool && hasPoints != pointsResult(op):
+	case hasPoints != hasBool && hasPoints != isPoints:
 		if s.err == nil {
 			s.err = errResultKind
 		}
-	case pointsResult(op):
+	case isPoints:
 		return Result{Op: op, Pts: pts}
 	}
 	return Result{Op: op, Flag: flag}
