@@ -8,7 +8,7 @@
 // is the client's choice (/v1/batch). Every data-plane endpoint speaks
 // both wire protocols, negotiated per request: JSON (the debuggable
 // default) and the length-prefixed rsmibin/1 binary encoding (drive it
-// with rsmi-loadgen -proto binary; see internal/server/binproto.go). With
+// with rsmi-loadgen -proto binary; see internal/wire/bin.go). With
 // -stream-addr, the same rsmibin encoding is additionally served over
 // persistent pipelined TCP connections — no HTTP framing at all (the
 // rsmistream transport, internal/server/stream.go; drive it with
