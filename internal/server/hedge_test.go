@@ -8,7 +8,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"net"
 	"net/http/httptest"
@@ -201,7 +200,7 @@ func TestHedgedWriteStatusErrorNoRetry(t *testing.T) {
 
 	// NaN coordinates draw a 400 from validation on the first target.
 	err := h.Insert(context.Background(), geom.Pt(nan(), 0.5))
-	if !errors.As(err, new(*StatusError)) {
+	if !isStatusError(err) {
 		t.Fatalf("invalid insert returned %v, want *StatusError", err)
 	}
 	if n := alt.inserts.Load(); n != 0 {
@@ -303,7 +302,7 @@ func TestHedgedStatusErrorRead(t *testing.T) {
 	t.Cleanup(h.Close)
 
 	inverted := geom.Rect{MinX: 0.9, MinY: 0.9, MaxX: 0.1, MaxY: 0.1}
-	if _, err := h.WindowQuery(context.Background(), inverted); !errors.As(err, new(*StatusError)) {
+	if _, err := h.WindowQuery(context.Background(), inverted); !isStatusError(err) {
 		t.Fatalf("inverted window returned %v, want *StatusError", err)
 	}
 }

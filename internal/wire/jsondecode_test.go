@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -42,10 +43,35 @@ func TestJSONScannerLeavesAllocateNothing(t *testing.T) {
 	}
 }
 
-// TestScanJSONFloatStops pins where a number ends: scanJSONFloat refuses
-// what JSON does not spell as a number, and stops at the end of the
-// longest number a text starts with.
-func TestScanJSONFloatStops(t *testing.T) {
+// TestScanJSONFloatMatchesParseFloat holds scanJSONFloat to
+// strconv.ParseFloat bit for bit: on the edges of its exact path, and on
+// 5 M texts of appendJSONFloat (random bit patterns, uniform [0, 1),
+// normal × 1e6).
+func TestScanJSONFloatMatchesParseFloat(t *testing.T) {
+	check := func(text []byte) {
+		t.Helper()
+		want, err := strconv.ParseFloat(string(text), 64)
+		got, end := scanJSONFloat(text, 0)
+		if end != len(text) || math.Float64bits(got) != math.Float64bits(want) || (err != nil) != math.IsInf(got, 0) {
+			t.Fatalf("%s: %v to byte %d, ParseFloat says %v (%v)", text, got, end, want, err)
+		}
+	}
+	for _, s := range []string{
+		"0", "-0", "0.0", "-0.0e5", "1", "7e0",
+		"0.1234567890123456789012", "0.12345678901234567890123", // 22 and 23 fraction digits
+		"9007199254740992", "9007199254740993", "9007199254740991", "9007199254740992e22", // 2^53, 2^53 + 1
+		"1234567890123456789", "12345678901234567890", "12345678901234567891", // 19 and 20 significant digits
+		"0.1234567890123456789", "0.12345678901234567891", "1.0000000000000000000000001",
+		"1e22", "1e23", "1e-7", "1e-22", "1e-23", "4.35e-22", "100000000000000000000000",
+		"0.000001", "0.0000001", "0.000000123456789", "0.00000000000000000000000000001", // leading zeros in the fraction
+		"1.7976931348623157e308", "1.7976931348623159e308", "1e309", "1e-400", "5e-324", "2.2250738585072014e-308",
+		"123456789012345678901234567890e-10", "0e999999", "1E+2", "1e+00", "1e0000000000000000000001", "1e-99999999999999999999",
+	} {
+		check([]byte(s))
+		if s[0] != '-' {
+			check([]byte("-" + s))
+		}
+	}
 	for _, s := range []string{"", "-", "+1", ".5", "1.", "1e", "1e+", "Inf", "-Inf", "NaN", "_1", "-.5", "- 1"} {
 		if _, end := scanJSONFloat([]byte(s), 0); end >= 0 {
 			t.Fatalf("%q: read as a number to byte %d", s, end)
@@ -55,6 +81,28 @@ func TestScanJSONFloatStops(t *testing.T) {
 		if _, end := scanJSONFloat([]byte(c.s), 0); end != len(c.number) {
 			t.Fatalf("%q: the number ends at byte %d, want %d", c.s, end, len(c.number))
 		}
+	}
+
+	n := 5_000_000
+	if testing.Short() {
+		n = 200_000
+	}
+	rng := rand.New(rand.NewSource(26))
+	var buf []byte
+	for i := 0; i < n; i++ {
+		var v float64
+		switch i % 3 {
+		case 0:
+			if v = math.Float64frombits(rng.Uint64()); math.IsNaN(v) || math.IsInf(v, 0) {
+				continue
+			}
+		case 1:
+			v = rng.Float64()
+		case 2:
+			v = rng.NormFloat64() * 1e6
+		}
+		buf = appendJSONFloat(buf[:0], v)
+		check(buf)
 	}
 }
 
@@ -72,68 +120,103 @@ func TestJSONRequestKeysAreTags(t *testing.T) {
 	}
 }
 
-// route returns the Routes row serving path.
+// route returns the routed row serving path.
 func route(t testing.TB, path string) *Spec {
 	t.Helper()
-	for i := range Routes {
-		if Routes[i].Path == path {
-			return &Routes[i]
+	for i := range NumRoutes {
+		if Lookup(i).Path == path {
+			return Lookup(i)
 		}
 	}
 	t.Fatalf("no route %s", path)
 	return nil
 }
 
-// TestJSONRequestWalkVerdicts pins which bodies the one-pass walk reads
-// itself and which it leaves to json.Unmarshal — every one of them a body
-// json.Unmarshal accepts — and holds the walk to json.Unmarshal's ops
-// where it reads; that it counts a batch one op over maxBatchOps as
-// errTooManyOps; and that it reads every document AppendRequestJSON
-// writes unless json.Marshal had to escape one of its strings.
-func TestJSONRequestWalkVerdicts(t *testing.T) {
-	for _, c := range []struct {
-		path, body string
-		walked     bool
-	}{
-		{"/v1/point", `{"x":0.5,"y":0.25}`, true},
-		{"/v1/knn", `{"x":0,"y":0,"k":-9223372036854775808}`, true},
-		{"/v1/batch", `{"ops":[{"op":"unsub","sub_id":18446744073709551615}]}`, true},
-		{"/v1/sql", "{\"query\":\"é ü 日本 \u2028\"}", true},
-		{"/v1/batch", `{"ops":[{"op":"point","x":0.5,"y":0.5},{"op":"window","min_x":0,"min_y":0,"max_x":1,"max_y":1},` +
-			`{"op":"knn","x":1,"y":2,"k":3},{"op":"insert","x":0.25},{"op":"delete","y":0.75},{"op":"sql","sql":"SELECT"},` +
-			`{"op":"sub","sub_id":7,"sub_kind":"window","max_x":1},{"op":"unsub","sub_id":7},{"op":"teleport"}]}`, true},
-		{"/v1/batch", `{"ops":[{}]}`, true},
-		{"/v1/batch", `{}`, true},
-		{"/v1/batch", `{"ops":null}`, true},
-		{"/v1/insert", " {\n\t\"y\" : 2 ,\r\n \"x\" : -1E3 } \n", true},
-		{"/v1/window", `{"max_y":1,"min_x":0,"max_x":1,"min_y":0}`, true},
-		{"/v1/point", `{"x":-0,"y":1e-400}`, true},
+// jsonRequestCorpus is internal/server's request corpus of the same
+// name, body for body: what the walk reads itself (fast), what it leaves
+// to json.Unmarshal, and what is refused (!ok). The server's copy seeds
+// FuzzDecodeJSONRequest and pins each body's verdict through
+// DecodeJSONRequest; this one pins which way each body goes inside it.
+// Edit the two together.
+var jsonRequestCorpus = []struct {
+	name, path, body string
+	fast, ok         bool
+}{
+	{"point", "/v1/point", `{"x":0.5,"y":0.25}`, true, true},
+	{"window", "/v1/window", `{"min_x":0.1,"min_y":0.2,"max_x":0.3,"max_y":0.4}`, true, true},
+	{"knn", "/v1/knn", `{"x":0.5,"y":0.5,"k":10}`, true, true},
+	{"negative k", "/v1/knn", `{"x":0.5,"y":0.5,"k":-3}`, true, true},
+	{"smallest k", "/v1/knn", `{"x":0,"y":0,"k":-9223372036854775808}`, true, true},
+	{"largest sub_id", "/v1/batch", `{"ops":[{"op":"unsub","sub_id":18446744073709551615}]}`, true, true},
+	{"sql", "/v1/sql", `{"query":"SELECT * FROM points WHERE ST_Within(pt, BOX(0.4, 0.2, 0.6, 0.4))"}`, true, true},
+	{"non-ASCII string, raw U+2028", "/v1/sql", "{\"query\":\"é ü 日本 \u2028\"}", true, true},
+	{"batch of every op", "/v1/batch", `{"ops":[{"op":"point","x":0.5,"y":0.5},{"op":"window","min_x":0,"min_y":0,"max_x":1,"max_y":1},` +
+		`{"op":"knn","x":1,"y":2,"k":3},{"op":"insert","x":0.25},{"op":"delete","y":0.75},{"op":"sql","sql":"SELECT"},` +
+		`{"op":"sub","sub_id":7,"sub_kind":"window","max_x":1},{"op":"unsub","sub_id":7},{"op":"teleport"}]}`, true, true},
+	{"op with no keys", "/v1/batch", `{"ops":[{}]}`, true, true},
+	{"empty batch", "/v1/batch", `{"ops":[]}`, true, true},
+	{"batch without ops", "/v1/batch", `{}`, true, true},
+	{"null ops", "/v1/batch", `{"ops":null}`, true, true},
+	{"empty point document", "/v1/point", `{}`, true, true},
+	{"whitespace everywhere", "/v1/insert", " {\n\t\"y\" : 2 ,\r\n \"x\" : -1E3 } \n", true, true},
+	{"keys in any order", "/v1/window", `{"max_y":1,"min_x":0,"max_x":1,"min_y":0}`, true, true},
+	{"-0, exponents, underflow", "/v1/point", `{"x":-0,"y":1e-400}`, true, true},
 
-		{"/v1/point", `{"X":0.5,"Y":0.5}`, false},
-		{"/v1/batch", `{"OPS":[{"OP":"point","X":0.5,"Y":0.5}]}`, false},
-		{"/v1/point", `{"\u0078":1,"y":2}`, false},
-		{"/v1/sql", `{"query":"a \u003c b\n"}`, false},
-		{"/v1/sql", "{\"query\":\"\xff\xfe\"}", false},
-		{"/v1/knn", "{\"x\":1,\"y\":2,\"\u212a\":5}", false},
-		{"/v1/point", `{"x":1,"y":2,"z":[1,{"a":null}]}`, false},
-		{"/v1/point", `{"x":1,"y":2,"k":3}`, false},
-		{"/v1/point", `{"x":1,"x":2,"y":3}`, false},
-		{"/v1/batch", `{"ops":[{"op":"point","x":1}],"ops":[{"y":2}]}`, false},
-		{"/v1/point", `{"x":null,"y":1}`, false},
-		{"/v1/point", `null`, false},
-		{"/v1/batch", `{"ops":[null]}`, false},
-	} {
+	{"upper-case keys", "/v1/point", `{"X":0.5,"Y":0.5}`, false, true},
+	{"upper-case batch", "/v1/batch", `{"OPS":[{"OP":"point","X":0.5,"Y":0.5}]}`, false, true},
+	{"escaped key", "/v1/point", `{"\u0078":1,"y":2}`, false, true},
+	{"escaped string", "/v1/sql", `{"query":"a \u003c b\n"}`, false, true},
+	{"invalid UTF-8", "/v1/sql", "{\"query\":\"\xff\xfe\"}", false, true},
+	{"Kelvin sign for k", "/v1/knn", "{\"x\":1,\"y\":2,\"\u212a\":5}", false, true},
+	{"unknown key", "/v1/point", `{"x":1,"y":2,"z":[1,{"a":null}]}`, false, true},
+	{"another shape's key", "/v1/point", `{"x":1,"y":2,"k":3}`, false, true},
+	{"coordinate given twice", "/v1/point", `{"x":1,"x":2,"y":3}`, false, true},
+	{"ops given twice", "/v1/batch", `{"ops":[{"op":"point","x":1}],"ops":[{"y":2}]}`, false, true},
+	{"null coordinate", "/v1/point", `{"x":null,"y":1}`, false, true},
+	{"null document", "/v1/point", `null`, false, true},
+	{"null op", "/v1/batch", `{"ops":[null]}`, false, true},
+
+	{"trailing garbage", "/v1/point", `{"x":0.5,"y":0.5}garbage`, false, false},
+	{"second document", "/v1/insert", `{"x":0.25,"y":0.25} {"x":"oops"}`, false, false},
+	{"trailing brackets", "/v1/batch", `{"ops":[{"op":"point","x":0.5,"y":0.5}]}]]]`, false, false},
+	{"empty body", "/v1/point", ``, false, false},
+	{"truncated", "/v1/window", `{"min_x":0.5,`, false, false},
+	{"not an object", "/v1/point", `[0.5,0.5]`, false, false},
+	{"string coordinate", "/v1/point", `{"x":"1","y":2}`, false, false},
+	{"NaN", "/v1/point", `{"x":NaN,"y":1}`, false, false},
+	{"out of range", "/v1/point", `{"x":1e999,"y":1}`, false, false},
+	{"leading zero", "/v1/point", `{"x":01,"y":1}`, false, false},
+	{"fractional k", "/v1/knn", `{"x":0,"y":0,"k":2.5}`, false, false},
+	{"k with an exponent", "/v1/knn", `{"x":0,"y":0,"k":1e2}`, false, false},
+	{"k beyond int", "/v1/knn", `{"x":0,"y":0,"k":9223372036854775808}`, false, false},
+	{"sub_id beyond uint64", "/v1/batch", `{"ops":[{"op":"unsub","sub_id":18446744073709551616}]}`, false, false},
+	{"negative sub_id", "/v1/batch", `{"ops":[{"op":"sub","sub_id":-1}]}`, false, false},
+	{"op not a string", "/v1/batch", `{"ops":[{"op":1}]}`, false, false},
+	{"ops not an array", "/v1/batch", `{"ops":{}}`, false, false},
+	{"control byte in a string", "/v1/sql", "{\"query\":\"a\nb\"}", false, false},
+	{"trailing comma", "/v1/point", `{"x":1,"y":2,}`, false, false},
+}
+
+// TestJSONRequestWalkVerdicts pins, for every corpus body, whether the
+// one-pass walk reads it itself (fast) or declines it, and holds the walk
+// to json.Unmarshal's ops where it reads and json.Unmarshal's verdict
+// where it declines: every body the walk declines is refused or read
+// through json.Unmarshal, as ok says. It also pins that the walk counts a
+// batch one op over maxBatchOps as errTooManyOps, and that it reads every
+// document AppendRequestJSON writes unless json.Marshal had to escape one
+// of its strings.
+func TestJSONRequestWalkVerdicts(t *testing.T) {
+	for _, c := range jsonRequestCorpus {
 		rt := route(t, c.path)
-		want, err := unmarshalJSONRequest([]byte(c.body), rt, nil)
-		if err != nil {
-			t.Fatalf("%s %s: json.Unmarshal says %v", c.path, c.body, err)
-		}
+		want, wantErr := unmarshalJSONRequest([]byte(c.body), rt, nil)
 		got, err := scanJSONRequest([]byte(c.body), rt, nil)
 		switch {
-		case (err == nil) != c.walked:
-			t.Errorf("%s %s: the walk says %v, want walked = %v", c.path, c.body, err, c.walked)
-		case err == nil && !reflect.DeepEqual(got, want):
-			t.Errorf("%s %s: the walk read %+v, json.Unmarshal %+v", c.path, c.body, got, want)
+		case (err == nil) != c.fast:
+			t.Errorf("%s: the walk says %v, want fast = %v", c.name, err, c.fast)
+		case (wantErr == nil) != c.ok:
+			t.Errorf("%s: json.Unmarshal says %v, want ok = %v", c.name, wantErr, c.ok)
+		case err == nil && (len(got) != len(want) || len(got) > 0 && !reflect.DeepEqual(got, want)):
+			t.Errorf("%s: the walk read %+v, json.Unmarshal %+v", c.name, got, want)
 		}
 	}
 
@@ -146,8 +229,8 @@ func TestJSONRequestWalkVerdicts(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	walked, written := 0, 0
 	for round := 0; round < 300; round++ {
-		for i := range Routes {
-			rt := &Routes[i]
+		for i := range NumRoutes {
+			rt := Lookup(i)
 			body, err := AppendRequestJSON(nil, rt, randomRequestOps(rng, rt))
 			if err != nil {
 				t.Fatal(err)
@@ -234,7 +317,7 @@ func BenchmarkDecodeJSONResults(b *testing.B) {
 		}
 		answers[i], ops[i] = Result{Op: OpWindow, Pts: pts}, BatchOp{Op: OpWindow}
 	}
-	body := AppendAnswersJSON(nil, &Table[BatchRow], answers, nil)
+	body := AppendAnswersJSON(nil, &table[BatchRow], answers, nil)
 	for _, c := range []struct {
 		name   string
 		decode func() error
