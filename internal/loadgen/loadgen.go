@@ -461,7 +461,7 @@ func (st *clientStats) record(lat time.Duration, nOps int, err error) bool {
 		st.lat = append(st.lat, lat)
 		return false
 	}
-	var se *server.StatusError
+	var se *wire.StatusError
 	if errors.As(err, &se) && se.Code == http.StatusTooManyRequests {
 		st.shed++
 		return false

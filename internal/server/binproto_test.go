@@ -485,7 +485,7 @@ func TestProtocolEquivalence(t *testing.T) {
 	// Binary requests that are semantically invalid still 400 (as JSON).
 	if _, err := binCl.WindowQuery(context.Background(), geom.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}); err == nil {
 		t.Fatal("inverted window accepted over binary")
-	} else if se, ok := err.(*StatusError); !ok || se.Code != 400 {
+	} else if se, ok := err.(*wire.StatusError); !ok || se.Code != 400 {
 		t.Fatalf("inverted window over binary: %v", err)
 	}
 }

@@ -213,17 +213,6 @@ func (c *Client) Close() {
 // errNoHTTP reports a control-plane call on a TCP-only client.
 var errNoHTTP = errors.New("client: control-plane calls need the HTTP transport")
 
-// StatusError reports a non-2xx response. Callers distinguishing shed
-// load check Code == http.StatusTooManyRequests.
-type StatusError struct {
-	Code int
-	Msg  string
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("server: status %d: %s", e.Code, e.Msg)
-}
-
 // post sends one request body and hands the 2xx answer to decode. ctx
 // bounds the round-trip in addition to the client timeout — hedged
 // reads cancel their loser through it.
@@ -264,7 +253,7 @@ func jsonInto(out interface{}) func(io.Reader) error {
 
 // handleResponse hands a 2xx body to decode (when non-nil), turns any
 // other status — always a JSON ErrorResponse, in either protocol — into
-// a *StatusError, and always drains and closes the body so the
+// a *wire.StatusError, and always drains and closes the body so the
 // keep-alive connection is reusable.
 func handleResponse(resp *http.Response, decode func(io.Reader) error) error {
 	defer func() {
@@ -274,7 +263,7 @@ func handleResponse(resp *http.Response, decode func(io.Reader) error) error {
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var e wire.ErrorResponse
 		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return &StatusError{Code: resp.StatusCode, Msg: e.Error}
+		return &wire.StatusError{Code: resp.StatusCode, Msg: e.Error}
 	}
 	if decode == nil {
 		return nil
@@ -366,7 +355,7 @@ func (d *dataPlane) do(ctx context.Context, rt *wire.Spec, ops []wire.BatchOp, o
 
 // one runs a single op on its per-op endpoint.
 func (d *dataPlane) one(ctx context.Context, op wire.BatchOp, opts []QueryOpt) (wire.Result, error) {
-	rs, err := d.do(ctx, &wire.Table[wire.Row(op.Op)], []wire.BatchOp{op}, opts)
+	rs, err := d.do(ctx, wire.Lookup(wire.Row(op.Op)), []wire.BatchOp{op}, opts)
 	if err != nil {
 		return wire.Result{}, err
 	}
@@ -418,7 +407,7 @@ func (d *dataPlane) Delete(ctx context.Context, p geom.Point, opts ...QueryOpt) 
 // returns the per-op results in request order, in the JSON result shape
 // whatever the protocol. A WithExplain trace covers the whole batch.
 func (d *dataPlane) Batch(ctx context.Context, ops []wire.BatchOp, opts ...QueryOpt) ([]wire.BatchResult, error) {
-	rs, err := d.do(ctx, &wire.Table[wire.BatchRow], ops, opts)
+	rs, err := d.do(ctx, wire.Lookup(wire.BatchRow), ops, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +418,7 @@ func (d *dataPlane) Batch(ctx context.Context, ops []wire.BatchOp, opts ...Query
 	return out, nil
 }
 
-// Rebuild triggers a rolling rebuild; it returns a *StatusError with code
+// Rebuild triggers a rolling rebuild; it returns a *wire.StatusError with code
 // 409 if one is already running.
 func (c *Client) Rebuild(ctx context.Context) error {
 	return c.post(ctx, "/v1/rebuild", "application/json", []byte("{}"), nil)

@@ -353,7 +353,7 @@ func TestPointsJSONStreamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want = append(want, '\n') // Encoder-style trailing newline
-			got := wire.AppendAnswersJSON(nil, &wire.Table[wire.Row(OpWindow)], []wire.Result{{Op: OpWindow, Pts: pts}}, tj)
+			got := wire.AppendAnswersJSON(nil, wire.Lookup(wire.Row(OpWindow)), []wire.Result{{Op: OpWindow, Pts: pts}}, tj)
 			if string(got) != string(want) {
 				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
 			}
@@ -385,14 +385,14 @@ func TestFlagJSONStreamEquivalence(t *testing.T) {
 				if err := json.NewEncoder(&want).Encode(responseJSON(wire.Result{Op: op, Flag: flag}, tj)); err != nil {
 					t.Fatal(err)
 				}
-				got := wire.AppendAnswersJSON(nil, &wire.Table[wire.Row(op)], []wire.Result{{Op: op, Flag: flag}}, tj)
+				got := wire.AppendAnswersJSON(nil, wire.Lookup(wire.Row(op)), []wire.Result{{Op: op, Flag: flag}}, tj)
 				if string(got) != want.String() {
 					t.Fatalf("%s %v (trace %v):\n got %s\nwant %s", op, flag, tj != nil, got, want.Bytes())
 				}
 			}
 		}
 	}
-	del := &wire.Table[wire.Row(OpDelete)]
+	del := wire.Lookup(wire.Row(OpDelete))
 	answer := []wire.Result{{Op: OpDelete, Flag: true}}
 	buf := wire.AppendAnswersJSON(nil, del, answer, nil)
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -416,7 +416,7 @@ func TestStreamRequestTimeout(t *testing.T) {
 	defer cl.Close()
 
 	_, err := cl.PointQuery(context.Background(), pts[0])
-	se, ok := err.(*StatusError)
+	se, ok := err.(*wire.StatusError)
 	if !ok || se.Code != http.StatusGatewayTimeout {
 		t.Fatalf("deadline-exceeded stream request: got %v, want StatusError 504", err)
 	}

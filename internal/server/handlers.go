@@ -101,6 +101,10 @@ func traceJSON(tr *obs.Trace) *wire.TraceJSON {
 	return tj
 }
 
+func writeJSON(w http.ResponseWriter, v interface{}) {
+	writeJSONStatus(w, http.StatusOK, v)
+}
+
 func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	if code != http.StatusOK {
@@ -111,7 +115,9 @@ func writeJSONStatus(w http.ResponseWriter, code int, v interface{}) {
 }
 
 func writeError(w http.ResponseWriter, code int, msg string) {
-	writeJSONStatus(w, code, wire.ErrorResponse{Error: msg})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	_ = json.NewEncoder(w).Encode(wire.ErrorResponse{Error: msg})
 }
 
 // statusClientClosedRequest is the (nginx-convention) status for a query
@@ -122,12 +128,12 @@ const statusClientClosedRequest = 499
 
 // engineErrorCode maps an engine execution error to an HTTP status:
 // a forwarded write that failed on the primary keeps the primary's
-// status (*StatusError, replica role), a SQL parse error is the
+// status (*wire.StatusError, replica role), a SQL parse error is the
 // client's fault (400), deadline-exceeded means the server ran out of
 // time (504), cancellation means the client went away (499), anything
 // else is a server fault.
 func engineErrorCode(err error) int {
-	var se *StatusError
+	var se *wire.StatusError
 	var pe *sqlfe.ParseError
 	switch {
 	case errors.As(err, &se):
@@ -211,11 +217,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Rebuilds:       s.rebuilds.Load(),
 		RebuildRunning: s.rebuildRunning.Load(),
 		Stream:         s.streamStats(),
-		Ops:            make(map[string]wire.OpStats, len(wire.Routes)),
+		Ops:            make(map[string]wire.OpStats, wire.NumRoutes),
 		Replication:    s.replicationStats(),
 	}
-	for i, rt := range wire.Routes {
-		resp.Ops[rt.Op] = mergedStats(&s.hists[i][transportHTTP], &s.hists[i][transportStream])
+	for i := range wire.NumRoutes {
+		resp.Ops[wire.Lookup(i).Op] = mergedStats(&s.hists[i][transportHTTP], &s.hists[i][transportStream])
 	}
 	if pe, ok := s.eng.(plannerEngine); ok {
 		c := pe.PlannerStats()
@@ -234,7 +240,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Dropped:      c.Dropped,
 		}
 	}
-	writeJSONStatus(w, http.StatusOK, resp)
+	writeJSON(w, resp)
 }
 
 // replicationStats is this server's replication state, nil on a

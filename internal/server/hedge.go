@@ -25,7 +25,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -177,13 +176,13 @@ func (h *HedgedClient) hedged(ctx context.Context, do legFunc) (legResult, error
 }
 
 // failover runs a write against the first target, retrying once against
-// the next on transport errors only (a *StatusError is the server's
+// the next on transport errors only (a *wire.StatusError is the server's
 // answer — retrying it elsewhere would just repeat it, or worse,
 // double-apply).
 func (h *HedgedClient) failover(ctx context.Context, do legFunc) (legResult, error) {
 	first, alt := h.pair()
 	v, err := do(ctx, first)
-	if err == nil || alt == nil || errors.As(err, new(*StatusError)) || ctx.Err() != nil {
+	if err == nil || alt == nil || isStatusError(err) || ctx.Err() != nil {
 		return v, err
 	}
 	return do(ctx, alt)

@@ -78,13 +78,6 @@ func (h *histogram) snapshotInto(s *histSnapshot) {
 	}
 }
 
-// snapshot is h's state alone.
-func snapshot(h *histogram) *histSnapshot {
-	var s histSnapshot
-	h.snapshotInto(&s)
-	return &s
-}
-
 // quantile estimates the q-th latency quantile (q in (0, 1]) as the
 // geometric midpoint of the bucket holding the q-th sample; it returns 0
 // when no samples were recorded. Concurrent observes make the estimate

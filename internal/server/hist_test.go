@@ -7,6 +7,13 @@ import (
 	"time"
 )
 
+// snapshot is h's state alone, for tests that read one histogram.
+func snapshot(h *histogram) *histSnapshot {
+	var s histSnapshot
+	h.snapshotInto(&s)
+	return &s
+}
+
 // TestQuantileTornObserve is the regression test for the observe/quantile
 // race: count used to be incremented before the bucket, so a concurrent
 // quantile could load a count its bucket scan cannot account for, run off

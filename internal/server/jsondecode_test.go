@@ -101,7 +101,7 @@ func fuzzOps(n int, kinds uint64) []BatchOp {
 func encodedAnswers(answers []wire.Result, single bool, tj *TraceJSON) []byte {
 	rt := batchRoute
 	if single {
-		rt = &wire.Table[wire.Row(answers[0].Op)]
+		rt = wire.Lookup(wire.Row(answers[0].Op))
 	}
 	return wire.AppendAnswersJSON(nil, rt, answers, tj)
 }

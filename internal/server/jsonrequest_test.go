@@ -99,11 +99,11 @@ func sameOps(got, want []BatchOp) error {
 	return nil
 }
 
-// routeIndex returns the index of path's route in wire.Routes.
+// routeIndex returns the index of path's route among the routed rows.
 func routeIndex(t testing.TB, path string) uint8 {
 	t.Helper()
-	for i := range wire.Routes {
-		if wire.Routes[i].Path == path {
+	for i := range wire.NumRoutes {
+		if wire.Lookup(i).Path == path {
 			return uint8(i)
 		}
 	}
@@ -127,15 +127,15 @@ func FuzzDecodeJSONRequest(f *testing.F) {
 		f.Add([]byte(c.body), routeIndex(f, c.path))
 	}
 	rng := rand.New(rand.NewSource(26))
-	for i := range wire.Routes {
-		body, err := wire.AppendRequestJSON(nil, &wire.Routes[i], randomRequestOps(rng, &wire.Routes[i], false))
+	for i := range wire.NumRoutes {
+		body, err := wire.AppendRequestJSON(nil, wire.Lookup(i), randomRequestOps(rng, wire.Lookup(i), false))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(body, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, r uint8) {
-		rt := &wire.Routes[int(r)%len(wire.Routes)]
+		rt := wire.Lookup(r % wire.NumRoutes)
 		want, wantErr := unmarshalRequest(body, rt)
 		got, err := wire.DecodeJSONRequest(body, rt, stale())
 		if (err == nil) != (wantErr == nil) {
@@ -153,8 +153,9 @@ func FuzzDecodeJSONRequest(f *testing.F) {
 // reads itself (fast), what it leaves to json.Unmarshal, and what is
 // refused (!ok), each with its verdict. The fuzz target starts from it;
 // TestJSONRequestCorpusVerdicts keeps the names honest. Which way a body
-// goes inside the decoder (fast) is internal/wire's to see: its
-// TestJSONRequestWalkVerdicts holds the walk to these bodies' verdicts.
+// goes inside the decoder (fast) is internal/wire's to see: its test file
+// holds this list body for body, and its TestJSONRequestWalkVerdicts holds
+// the walk to each fast verdict. Edit the two together.
 var jsonRequestCorpus = []struct {
 	name, path, body string
 	fast, ok         bool
@@ -219,7 +220,7 @@ var jsonRequestCorpus = []struct {
 // a batch one op over maxBatchOps is refused whichever way it is read.
 func TestJSONRequestCorpusVerdicts(t *testing.T) {
 	for _, c := range jsonRequestCorpus {
-		rt := &wire.Routes[routeIndex(t, c.path)]
+		rt := wire.Lookup(routeIndex(t, c.path))
 		got, err := wire.DecodeJSONRequest([]byte(c.body), rt, stale())
 		want, wantErr := unmarshalRequest([]byte(c.body), rt)
 		switch {
@@ -237,7 +238,7 @@ func TestJSONRequestCorpusVerdicts(t *testing.T) {
 	batch := func(n int) []byte {
 		return []byte(`{"ops":[` + strings.Repeat(`{"op":"point"},`, n-1) + `{"op":"point"}]}`)
 	}
-	rt := &wire.Routes[routeIndex(t, "/v1/batch")]
+	rt := wire.Lookup(routeIndex(t, "/v1/batch"))
 	if ops, err := wire.DecodeJSONRequest(batch(maxBatchOps), rt, nil); err != nil || len(ops) != maxBatchOps {
 		t.Fatalf("a batch of maxBatchOps: %d ops, %v", len(ops), err)
 	}
@@ -346,8 +347,8 @@ func randomRequestOps(rng *rand.Rand, rt *wire.Spec, nonFinite bool) []BatchOp {
 func TestJSONRequestEncodeMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for round := 0; round < 300; round++ {
-		for i := range wire.Routes {
-			rt := &wire.Routes[i]
+		for i := range wire.NumRoutes {
+			rt := wire.Lookup(i)
 			ops := randomRequestOps(rng, rt, true)
 			want, wantErr := json.Marshal(requestJSON(rt, ops))
 			got, err := wire.AppendRequestJSON(nil, rt, ops)
@@ -367,8 +368,8 @@ func TestJSONRequestEncodeMatchesMarshal(t *testing.T) {
 func TestJSONRequestDecodeReadsEveryEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for round := 0; round < 300; round++ {
-		for i := range wire.Routes {
-			rt := &wire.Routes[i]
+		for i := range wire.NumRoutes {
+			rt := wire.Lookup(i)
 			body, err := wire.AppendRequestJSON(nil, rt, randomRequestOps(rng, rt, false))
 			if err != nil {
 				t.Fatal(err)
@@ -397,7 +398,7 @@ func windowBatchRequest(t testing.TB) (body []byte, rt *wire.Spec) {
 		q := geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()), 0.01, 0.01)
 		ops[i] = BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
 	}
-	rt = &wire.Routes[routeIndex(t, "/v1/batch")]
+	rt = wire.Lookup(routeIndex(t, "/v1/batch"))
 	body, err := wire.AppendRequestJSON(nil, rt, ops)
 	if err != nil {
 		t.Fatal(err)
@@ -440,9 +441,11 @@ func TestJSONRequestDecodeAllocs(t *testing.T) {
 // 5 M numbers as the JSON client writes them (random bit patterns,
 // uniform [0, 1), normal × 1e6). Each is the x of a /v1/point document; a
 // number beyond float64's range, which ParseFloat reads as ±Inf, is
-// refused, and so is every text JSON does not spell as a number.
+// refused, and so is every text JSON does not spell as a number. The
+// scanner under it, and where it stops, is held to ParseFloat by
+// internal/wire's TestScanJSONFloatMatchesParseFloat.
 func TestJSONNumberMatchesParseFloat(t *testing.T) {
-	point := &wire.Table[wire.Row(OpPoint)]
+	point := wire.Lookup(wire.Row(OpPoint))
 	var doc []byte
 	var buf []BatchOp
 	read := func(text string) (float64, error) {

@@ -69,12 +69,6 @@ func promSeries(name, labels string) string {
 	return name + "{" + labels + "}"
 }
 
-// promOne writes one unlabelled integer metric: HELP, TYPE and sample.
-func promOne(b *bytes.Buffer, name, typ, help string, v int64) {
-	promHead(b, name, typ, help)
-	promInt(b, name, "", v)
-}
-
 // promInt and promFloat write one sample line.
 func promInt(b *bytes.Buffer, name, labels string, v int64) {
 	fmt.Fprintf(b, "%s %d\n", promSeries(name, labels), v)
@@ -102,9 +96,8 @@ func withLe(labels, le string) string {
 }
 
 // writeOctaveHist writes one latency histogram in seconds, coarsening
-// h's quarter-octave snapshot to octave bounds (le = 2^k µs, k=1..30).
-func writeOctaveHist(b *bytes.Buffer, name, labels string, h *histogram) {
-	sn := snapshot(h)
+// the quarter-octave snapshot to octave bounds (le = 2^k µs, k=1..30).
+func writeOctaveHist(b *bytes.Buffer, name, labels string, sn *histSnapshot) {
 	var cum int64
 	for k := 0; k < histBuckets/4; k++ {
 		cum += sn.buckets[4*k] + sn.buckets[4*k+1] + sn.buckets[4*k+2] + sn.buckets[4*k+3]
@@ -123,49 +116,61 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	promInt(b, "rsmi_build_info", `engine="`+promEscape(s.eng.Name())+`"`, 1)
 	promHead(b, "rsmi_uptime_seconds", "gauge", "Seconds since the server started.")
 	promFloat(b, "rsmi_uptime_seconds", "", time.Since(s.start).Seconds())
-	promOne(b, "rsmi_points", "gauge", "Points currently indexed.", int64(s.eng.Len()))
+	promHead(b, "rsmi_points", "gauge", "Points currently indexed.")
+	promInt(b, "rsmi_points", "", int64(s.eng.Len()))
 	promHead(b, "rsmi_shards", "gauge", "Shards in the serving engine (0 for unsharded backends).")
 	shards := 0
 	if sc, ok := s.eng.(shardCounter); ok {
 		shards = sc.NumShards()
 	}
 	promInt(b, "rsmi_shards", "", int64(shards))
-	promOne(b, "rsmi_block_accesses_total", "counter", "Cumulative index block accesses — the paper's accesses-vs-time cost metric.", s.eng.Accesses())
+	promHead(b, "rsmi_block_accesses_total", "counter", "Cumulative index block accesses — the paper's accesses-vs-time cost metric.")
+	promInt(b, "rsmi_block_accesses_total", "", s.eng.Accesses())
 
 	// Admission gate.
-	promOne(b, "rsmi_requests_in_flight", "gauge", "Requests currently admitted (both transports).", s.inFlight.Load())
-	promOne(b, "rsmi_admission_shed_total", "counter", "Requests shed by the admission gate (HTTP 429 / stream status 429).", s.shed.Load())
+	promHead(b, "rsmi_requests_in_flight", "gauge", "Requests currently admitted (both transports).")
+	promInt(b, "rsmi_requests_in_flight", "", s.inFlight.Load())
+	promHead(b, "rsmi_admission_shed_total", "counter", "Requests shed by the admission gate (HTTP 429 / stream status 429).")
+	promInt(b, "rsmi_admission_shed_total", "", s.shed.Load())
 
 	// Stream transport write path (stream.go). frames ÷ flushes is the
 	// group-commit ratio; takeovers move when a frame ran — a long batch —
 	// or waited — a lock, the primary — past streamInlineBudget.
 	st := s.streamStats()
-	promOne(b, "rsmi_stream_frames_total", "counter", "Response and push frames written to stream connections.", st.Frames)
-	promOne(b, "rsmi_stream_flushes_total", "counter", "Socket writes that carried those frames (frames / flushes = frames per write).", st.Flushes)
-	promOne(b, "rsmi_stream_takeovers_total", "counter", "Stream frames that overran the inline budget and lost their connection's read loop.", st.Takeovers)
+	promHead(b, "rsmi_stream_frames_total", "counter", "Response and push frames written to stream connections.")
+	promInt(b, "rsmi_stream_frames_total", "", st.Frames)
+	promHead(b, "rsmi_stream_flushes_total", "counter", "Socket writes that carried those frames (frames / flushes = frames per write).")
+	promInt(b, "rsmi_stream_flushes_total", "", st.Flushes)
+	promHead(b, "rsmi_stream_takeovers_total", "counter", "Stream frames that overran the inline budget and lost their connection's read loop.")
+	promInt(b, "rsmi_stream_takeovers_total", "", st.Takeovers)
 
 	// Per-op × per-transport request counts and latency histograms.
 	promHead(b, "rsmi_op_requests_total", "counter", "Successful operations by op and transport.")
-	for op := range wire.Routes {
+	for op := range wire.NumRoutes {
 		for tr := transportIdx(0); tr < numTransports; tr++ {
-			labels := `op="` + wire.Routes[op].Op + `",transport="` + transportIdxName[tr] + `"`
+			labels := `op="` + wire.Lookup(op).Op + `",transport="` + transportIdxName[tr] + `"`
 			promInt(b, "rsmi_op_requests_total", labels, s.hists[op][tr].count.Load())
 		}
 	}
 	promHead(b, "rsmi_op_duration_seconds", "histogram", "Successful operation latency by op and transport.")
-	for op := range wire.Routes {
+	for op := range wire.NumRoutes {
 		for tr := transportIdx(0); tr < numTransports; tr++ {
-			labels := `op="` + wire.Routes[op].Op + `",transport="` + transportIdxName[tr] + `"`
-			writeOctaveHist(b, "rsmi_op_duration_seconds", labels, &s.hists[op][tr])
+			var sn histSnapshot
+			s.hists[op][tr].snapshotInto(&sn)
+			labels := `op="` + wire.Lookup(op).Op + `",transport="` + transportIdxName[tr] + `"`
+			writeOctaveHist(b, "rsmi_op_duration_seconds", labels, &sn)
 		}
 	}
 
 	// Rolling rebuilds.
-	promOne(b, "rsmi_rebuilds_total", "counter", "Completed rolling rebuilds.", s.rebuilds.Load())
+	promHead(b, "rsmi_rebuilds_total", "counter", "Completed rolling rebuilds.")
+	promInt(b, "rsmi_rebuilds_total", "", s.rebuilds.Load())
 	promHead(b, "rsmi_rebuild_running", "gauge", "1 while a rolling rebuild is in progress.")
 	promBool(b, "rsmi_rebuild_running", "", s.rebuildRunning.Load())
 	promHead(b, "rsmi_rebuild_duration_seconds", "histogram", "Rolling rebuild wall-clock durations.")
-	writeOctaveHist(b, "rsmi_rebuild_duration_seconds", "", &s.histRebuild)
+	var rb histSnapshot
+	s.histRebuild.snapshotInto(&rb)
+	writeOctaveHist(b, "rsmi_rebuild_duration_seconds", "", &rb)
 
 	// Replication, read from the /v1/stats record. Role-specific series
 	// report 0 on the other roles so the series set is scrape-stable.
@@ -185,18 +190,26 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	}
 	promHead(b, "rsmi_replication_role", "gauge", "Constant 1, labelled with this server's replication role.")
 	promInt(b, "rsmi_replication_role", `role="`+rs.Role+`"`, 1)
-	promOne(b, "rsmi_replication_first_seq", "gauge", "Oldest oplog sequence still retained (primary).", int64(rs.FirstSeq))
-	promOne(b, "rsmi_replication_last_seq", "gauge", "Newest known primary sequence.", int64(rs.LastSeq))
-	promOne(b, "rsmi_replication_applied_seq", "gauge", "Last sequence applied locally (equals last_seq on the primary).", int64(rs.AppliedSeq))
-	promOne(b, "rsmi_replication_lag_seq", "gauge", "Sequences this replica is behind the primary (0 when caught up or not a replica).", int64(rs.LagSeq))
+	promHead(b, "rsmi_replication_first_seq", "gauge", "Oldest oplog sequence still retained (primary).")
+	promInt(b, "rsmi_replication_first_seq", "", int64(rs.FirstSeq))
+	promHead(b, "rsmi_replication_last_seq", "gauge", "Newest known primary sequence.")
+	promInt(b, "rsmi_replication_last_seq", "", int64(rs.LastSeq))
+	promHead(b, "rsmi_replication_applied_seq", "gauge", "Last sequence applied locally (equals last_seq on the primary).")
+	promInt(b, "rsmi_replication_applied_seq", "", int64(rs.AppliedSeq))
+	promHead(b, "rsmi_replication_lag_seq", "gauge", "Sequences this replica is behind the primary (0 when caught up or not a replica).")
+	promInt(b, "rsmi_replication_lag_seq", "", int64(rs.LagSeq))
 	promHead(b, "rsmi_replication_lag_seconds", "gauge", "Estimated replication lag in seconds, measured against the primary's clock.")
 	promFloat(b, "rsmi_replication_lag_seconds", "", rs.LagSeconds)
 	promHead(b, "rsmi_replication_connected", "gauge", "1 while the oplog feed is live (always 1 on a primary).")
 	promBool(b, "rsmi_replication_connected", "", rs.Connected)
-	promOne(b, "rsmi_replication_followers", "gauge", "Replicas currently attached to this primary's oplog feed.", rs.Followers)
-	promOne(b, "rsmi_replication_resyncs_total", "counter", "Full re-bootstraps this replica has performed.", rs.Resyncs)
-	promOne(b, "rsmi_oplog_capacity", "gauge", "Oplog retention capacity in records (primary).", oplogCap)
-	promOne(b, "rsmi_oplog_headroom", "gauge", "Oplog slots before the oldest retained record is overwritten; a replica lagging by more than this must resync.", oplogHeadroom)
+	promHead(b, "rsmi_replication_followers", "gauge", "Replicas currently attached to this primary's oplog feed.")
+	promInt(b, "rsmi_replication_followers", "", rs.Followers)
+	promHead(b, "rsmi_replication_resyncs_total", "counter", "Full re-bootstraps this replica has performed.")
+	promInt(b, "rsmi_replication_resyncs_total", "", rs.Resyncs)
+	promHead(b, "rsmi_oplog_capacity", "gauge", "Oplog retention capacity in records (primary).")
+	promInt(b, "rsmi_oplog_capacity", "", oplogCap)
+	promHead(b, "rsmi_oplog_headroom", "gauge", "Oplog slots before the oldest retained record is overwritten; a replica lagging by more than this must resync.")
+	promInt(b, "rsmi_oplog_headroom", "", oplogHeadroom)
 
 	// Cost-based planner routing, when the serving engine plans. The
 	// aggregate series report 0 on fixed backends so the set is
@@ -208,8 +221,10 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 		c := pe.PlannerStats()
 		planned, mispredicts, routed = c.Planned, c.Mispredicts, c.Routed
 	}
-	promOne(b, "rsmi_plan_queries_total", "counter", "Queries routed by the cost-based planner (0 on fixed backends).", planned)
-	promOne(b, "rsmi_plan_mispredicts_total", "counter", "Planned queries whose actual cost fell outside [est/2, 2*est].", mispredicts)
+	promHead(b, "rsmi_plan_queries_total", "counter", "Queries routed by the cost-based planner (0 on fixed backends).")
+	promInt(b, "rsmi_plan_queries_total", "", planned)
+	promHead(b, "rsmi_plan_mispredicts_total", "counter", "Planned queries whose actual cost fell outside [est/2, 2*est].")
+	promInt(b, "rsmi_plan_mispredicts_total", "", mispredicts)
 	if len(routed) > 0 {
 		promHead(b, "rsmi_plan_routed_total", "counter", "Planned queries by chosen backend.")
 		names := make([]string, 0, len(routed))
@@ -228,19 +243,28 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	if s.subs != nil {
 		subs = s.subs.Counters()
 	}
-	promOne(b, "rsmi_sub_active", "gauge", "Standing queries currently registered.", subs.Active)
-	promOne(b, "rsmi_sub_subscribed_total", "counter", "SUB registrations accepted.", subs.Subscribed)
-	promOne(b, "rsmi_sub_unsubscribed_total", "counter", "Standing queries removed by UNSUB or connection teardown.", subs.Unsubscribed)
-	promOne(b, "rsmi_sub_notified_total", "counter", "Notifications enqueued to subscriber outboxes.", subs.Notified)
-	promOne(b, "rsmi_sub_dropped_total", "counter", "Notifications dropped on full outboxes (the next delivered one carries the missed flag).", subs.Dropped)
+	promHead(b, "rsmi_sub_active", "gauge", "Standing queries currently registered.")
+	promInt(b, "rsmi_sub_active", "", subs.Active)
+	promHead(b, "rsmi_sub_subscribed_total", "counter", "SUB registrations accepted.")
+	promInt(b, "rsmi_sub_subscribed_total", "", subs.Subscribed)
+	promHead(b, "rsmi_sub_unsubscribed_total", "counter", "Standing queries removed by UNSUB or connection teardown.")
+	promInt(b, "rsmi_sub_unsubscribed_total", "", subs.Unsubscribed)
+	promHead(b, "rsmi_sub_notified_total", "counter", "Notifications enqueued to subscriber outboxes.")
+	promInt(b, "rsmi_sub_notified_total", "", subs.Notified)
+	promHead(b, "rsmi_sub_dropped_total", "counter", "Notifications dropped on full outboxes (the next delivered one carries the missed flag).")
+	promInt(b, "rsmi_sub_dropped_total", "", subs.Dropped)
 	promHead(b, "rsmi_sub_notify_duration_seconds", "histogram", "Queue-to-push latency of delivered notifications.")
-	writeOctaveHist(b, "rsmi_sub_notify_duration_seconds", "", &s.subNotifyHist)
+	var sns histSnapshot
+	s.subNotifyHist.snapshotInto(&sns)
+	writeOctaveHist(b, "rsmi_sub_notify_duration_seconds", "", &sns)
 
 	// Slow-query log.
 	var slowLogged, slowSuppressed int64
 	if sl := s.cfg.Observer.SlowLog(); sl != nil {
 		slowLogged, slowSuppressed = sl.Logged(), sl.Suppressed()
 	}
-	promOne(b, "rsmi_slow_queries_logged_total", "counter", "Slow-query log lines written.", slowLogged)
-	promOne(b, "rsmi_slow_queries_suppressed_total", "counter", "Slow queries dropped by the log's rate limit.", slowSuppressed)
+	promHead(b, "rsmi_slow_queries_logged_total", "counter", "Slow-query log lines written.")
+	promInt(b, "rsmi_slow_queries_logged_total", "", slowLogged)
+	promHead(b, "rsmi_slow_queries_suppressed_total", "counter", "Slow queries dropped by the log's rate limit.")
+	promInt(b, "rsmi_slow_queries_suppressed_total", "", slowSuppressed)
 }

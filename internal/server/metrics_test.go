@@ -358,8 +358,8 @@ func TestMetricsExposition(t *testing.T) {
 
 	// The op × transport matrix is complete: every combination emits a
 	// counter even before traffic.
-	if got := len(byName["rsmi_op_requests_total"]); got != len(wire.Routes)*int(numTransports) {
-		t.Errorf("rsmi_op_requests_total has %d series, want %d", got, len(wire.Routes)*int(numTransports))
+	if got := len(byName["rsmi_op_requests_total"]); got != int(wire.NumRoutes)*int(numTransports) {
+		t.Errorf("rsmi_op_requests_total has %d series, want %d", got, int(wire.NumRoutes)*int(numTransports))
 	}
 	// And the traffic we drove is visible on the right cells.
 	find := func(name, op, transport string) float64 {

@@ -9,7 +9,7 @@ package server
 // with one trace bracket and one set of stage marks. The adapters own
 // only what differs between transports: where the request bytes come
 // from, how an error is framed, and how the answers are framed. Every
-// per-op fact of the wire layer is one row of wire.Table, so adding an op
+// per-op fact of the wire layer is one row of the wire op table, so adding an op
 // is one table row plus its executeOp case.
 
 import (
@@ -116,7 +116,7 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	}
 	if tr != nil {
 		tr.Explain = explain
-		tr.Op = wire.Table[wire.BatchRow].Op
+		tr.Op = wire.Lookup(wire.BatchRow).Op
 		if single {
 			tr.Op = ops[0].Op
 		}
@@ -209,7 +209,7 @@ func validateOps(ops []wire.BatchOp, single bool, t transportIdx) (plan.Query, e
 	var q plan.Query
 	for i, op := range ops {
 		var err error
-		switch wire.Table[wire.Row(op.Op)].Req {
+		switch wire.Lookup(wire.Row(op.Op)).Req {
 		case wire.ReqPoint, wire.ReqKNN:
 			err = finite(op.X, op.Y)
 		case wire.ReqRect:
@@ -303,7 +303,7 @@ func (s *Server) executeOp(ctx context.Context, op wire.BatchOp, a *wire.Result,
 		// validateOps keeps sql out of multi-op batches and executeSingle
 		// serves sql, sub and unsub itself, so the only way here is a
 		// one-op /v1/batch request carrying sql — point it at /v1/sql.
-		err = &StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
+		err = &wire.StatusError{Code: http.StatusBadRequest, Msg: "sql is not served by /v1/batch; use /v1/sql"}
 	}
 	return err
 }
@@ -348,7 +348,7 @@ type httpExchange struct {
 // request no allocation the hand-inlined handlers did not pay.
 var httpExchangePool = sync.Pool{New: func() interface{} { return new(httpExchange) }}
 
-// handleRoute is the HTTP handler of one routed wire.Table row.
+// handleRoute is the HTTP handler of one routed op table row.
 func (s *Server) handleRoute(rt *wire.Spec) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr, _ := s.startHTTPTrace(r, rt.Op)

@@ -222,7 +222,7 @@ func TestPipelineAcrossTransports(t *testing.T) {
 		var wantAnswer interface{}
 		var wantStages string
 		for i, tc := range pipelineTransports(t, httpURL, streamAddr) {
-			var before, after [len(wire.Table)][numTransports]int64
+			var before, after [wire.NumRoutes][numTransports]int64
 			for o := range before {
 				for tr := range before[o] {
 					before[o][tr] = mergedStats(&s.hists[o][tr]).Count
@@ -240,7 +240,7 @@ func TestPipelineAcrossTransports(t *testing.T) {
 			before[op.idx][tc.idx]++
 			if before != after {
 				t.Errorf("%s over %s: histogram cells moved other than [%s][%s]+1:\nwant %v\n got %v",
-					op.name, tc.name, wire.Table[op.idx].Op, transportIdxName[tc.idx], before, after)
+					op.name, tc.name, wire.Lookup(op.idx).Op, transportIdxName[tc.idx], before, after)
 			}
 
 			var tj *TraceJSON
@@ -317,7 +317,7 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		case "http-json":
 			body := []byte(rawJSON)
 			if rawJSON == "" {
-				body, _ = json.Marshal(requestJSON(&wire.Routes[routeIndex(t, path)], ops))
+				body, _ = json.Marshal(requestJSON(wire.Lookup(routeIndex(t, path)), ops))
 			}
 			err = cl.post(ctx, path, "application/json", body, nil)
 		case "http-rsmibin":
@@ -338,7 +338,7 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		if err == nil {
 			return http.StatusOK
 		}
-		var se *StatusError
+		var se *wire.StatusError
 		if !errors.As(err, &se) {
 			t.Fatalf("%s %s: %v", transports[tc].name, path, err)
 		}

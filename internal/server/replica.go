@@ -546,7 +546,7 @@ func (r *Replica) applyFrame(payload []byte) error {
 // replicaEngine is the replica's rsmi.Engine view: reads answered by
 // the local engine (atomically swappable across re-bootstraps), writes
 // forwarded to the primary. Forwarded errors keep their primary status
-// code (*StatusError), which errorCode maps back onto the replica's
+// code (*wire.StatusError), which errorCode maps back onto the replica's
 // own response.
 type replicaEngine struct{ r *Replica }
 

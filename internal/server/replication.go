@@ -166,7 +166,7 @@ func (s *Server) handleReplicaInfo(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	writeJSONStatus(w, http.StatusOK, wire.ReplicaInfo{
+	writeJSON(w, wire.ReplicaInfo{
 		Epoch:      r.log.epoch,
 		FirstSeq:   r.log.firstSeq(),
 		LastSeq:    r.log.lastSeq(),

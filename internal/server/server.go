@@ -177,10 +177,10 @@ type Server struct {
 	shed     atomic.Int64
 
 	// Per-op × per-transport latency histograms (successful operations
-	// only), indexed by wire.Table row; the routed rows are used. /v1/stats
+	// only), indexed by op table row: one per routed row. /v1/stats
 	// reports them merged per op; /metrics exposes the full op ×
 	// transport matrix.
-	hists [len(wire.Table)][numTransports]histogram
+	hists [wire.NumRoutes][numTransports]histogram
 	// histRebuild tracks rolling-rebuild durations for /metrics.
 	histRebuild histogram
 
@@ -232,8 +232,8 @@ func New(cfg Config) *Server {
 	if !cfg.DisableSubs {
 		s.initSubs()
 	}
-	for i := range wire.Routes {
-		s.mux.HandleFunc(wire.Routes[i].Path, s.handleRoute(&wire.Routes[i]))
+	for i := range wire.NumRoutes {
+		s.mux.HandleFunc(wire.Lookup(i).Path, s.handleRoute(wire.Lookup(i)))
 	}
 	s.mux.HandleFunc("/v1/rebuild", s.handleRebuild)
 	s.mux.HandleFunc("/v1/stats", s.handleStats)
@@ -255,7 +255,7 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// observeOp records the latency of one successful operation of wire.Table
+// observeOp records the latency of one successful operation of op table
 // row op.
 //
 //rsmi:noalloc

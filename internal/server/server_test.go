@@ -14,6 +14,7 @@ import (
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/shard"
+	"rsmi/internal/wire"
 	"rsmi/internal/workload"
 )
 
@@ -282,7 +283,7 @@ func TestAdmissionControl(t *testing.T) {
 	}
 
 	_, err := cl.PointQuery(context.Background(), pts[1])
-	se, ok := err.(*StatusError)
+	se, ok := err.(*wire.StatusError)
 	if !ok || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("overflow request: got %v, want 429", err)
 	}
@@ -320,7 +321,7 @@ func TestGracefulShutdown(t *testing.T) {
 	// A second trigger while running must 409 (unless the first already
 	// finished, which small engines can do).
 	if err := cl.Rebuild(context.Background()); err != nil {
-		if se, ok := err.(*StatusError); !ok || se.Code != http.StatusConflict {
+		if se, ok := err.(*wire.StatusError); !ok || se.Code != http.StatusConflict {
 			t.Fatalf("second rebuild: %v", err)
 		}
 	}

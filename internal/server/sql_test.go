@@ -151,7 +151,7 @@ func TestSQLParseErrors(t *testing.T) {
 			if err == nil {
 				t.Fatalf("%s: SQL(%q) succeeded, want a 400", name, sql)
 			}
-			var se *StatusError
+			var se *wire.StatusError
 			if !errors.As(err, &se) {
 				t.Fatalf("%s: SQL(%q) error is %T (%v), want *StatusError", name, sql, err, err)
 			}
@@ -203,7 +203,7 @@ func TestSQLRejectedInBatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch containing SQL succeeded, want a 400")
 	}
-	var se *StatusError
+	var se *wire.StatusError
 	if !errors.As(err, &se) || se.Code != 400 {
 		t.Fatalf("batch containing SQL: %v, want a 400 StatusError", err)
 	}

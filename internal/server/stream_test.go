@@ -163,11 +163,11 @@ func TestStreamProtocolEquivalence(t *testing.T) {
 		}
 	}
 
-	// Semantically invalid requests surface as *StatusError with HTTP
+	// Semantically invalid requests surface as *wire.StatusError with HTTP
 	// codes over the stream too, and the connection stays usable.
 	if _, err := clients["tcp-stream"].WindowQuery(context.Background(), geom.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}); err == nil {
 		t.Fatal("inverted window accepted over the stream")
-	} else if se, ok := err.(*StatusError); !ok || se.Code != 400 {
+	} else if se, ok := err.(*wire.StatusError); !ok || se.Code != 400 {
 		t.Fatalf("inverted window over the stream: %v", err)
 	}
 	if found, err := clients["tcp-stream"].PointQuery(context.Background(), pts[0]); err != nil || !found {
@@ -273,7 +273,7 @@ func TestStreamMalformedFrames(t *testing.T) {
 	}
 	if _, _, rerr := wire.DecodeStreamResponse(payload, nil); rerr == nil {
 		t.Fatal("bad magic did not produce an error response")
-	} else if se, ok := rerr.(*wire.StreamError); !ok || se.Code != 400 {
+	} else if se, ok := rerr.(*wire.StatusError); !ok || se.Code != 400 {
 		t.Fatalf("bad magic error = %v, want a status-1 code 400", rerr)
 	}
 	// Follow-up valid request on the same connection.
@@ -453,6 +453,65 @@ func TestStreamClientTimeout(t *testing.T) {
 		t.Fatalf("timeout took %v, want ≈100ms", elapsed)
 	}
 	close(blocking.gate) // release the handler so Shutdown can drain
+}
+
+// TestStreamAnswerMismatchFailsOneCall: a well-formed answer that does
+// not fit its request — a points result for a point query, two results for
+// one op — fails that call with wire.ErrMismatch and nothing else. The
+// frame was read whole, so the connection stays in step: the next call
+// on it succeeds, and the client never redials.
+func TestStreamAnswerMismatchFailsOneCall(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var accepts atomic.Int64
+	answers := [][]wire.Result{
+		{{Op: OpWindow, Pts: []geom.Point{geom.Pt(0.5, 0.5)}}},
+		{{Op: OpPoint, Flag: true}, {Op: OpPoint, Flag: true}},
+		{{Op: OpPoint, Flag: true}},
+	}
+	go func() {
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			accepts.Add(1)
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				for _, rs := range answers {
+					id, _, err := wire.ReadStreamFrame(br, 1<<20, nil)
+					if err != nil {
+						return
+					}
+					b := wire.OpenStreamFrame(nil, id)
+					b = wire.AppendStreamAnswers(b, rs, nil)
+					wire.CloseFrame(b, 0)
+					if _, err := c.Write(b); err != nil {
+						return
+					}
+				}
+				io.Copy(io.Discard, c)
+			}()
+		}
+	}()
+	cl := NewClient(l.Addr().String(), WithTransport(TransportTCP), WithStreamConns(1))
+	defer cl.Close()
+	for i := range answers {
+		found, err := cl.PointQuery(context.Background(), geom.Pt(0.5, 0.5))
+		switch last := i == len(answers)-1; {
+		case last && (err != nil || !found):
+			t.Fatalf("answer %d: %v, %v after the mismatches, want found", i, found, err)
+		case !last && !errors.Is(err, wire.ErrMismatch):
+			t.Fatalf("answer %d: %v, want wire.ErrMismatch", i, err)
+		}
+	}
+	if n := accepts.Load(); n != 1 {
+		t.Fatalf("client dialled %d connections, want 1: a mismatch poisoned the connection", n)
+	}
 }
 
 // TestStreamFrameAllocFollowsBytes checks that wire.ReadStreamFrame commits

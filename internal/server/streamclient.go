@@ -222,18 +222,21 @@ func (c *streamConn) readLoop() {
 			return
 		}
 		results, trace, rerr := wire.DecodeStreamResponse(payload, call.ops)
-		if rerr != nil {
-			var se *wire.StreamError
-			if !errors.As(rerr, &se) {
-				// Frame-level garbage: the stream is unsynchronised.
-				call.ch <- streamAnswer{err: rerr}
-				c.fail(rerr)
-				return
-			}
-			rerr = &StatusError{Code: se.Code, Msg: se.Msg}
+		if rerr != nil && !isStatusError(rerr) && !errors.Is(rerr, wire.ErrMismatch) {
+			// Frame-level garbage: the stream is unsynchronised. An error
+			// answer, or a well-formed one that does not fit its request,
+			// fails only its own call.
+			call.ch <- streamAnswer{err: rerr}
+			c.fail(rerr)
+			return
 		}
 		call.ch <- streamAnswer{results: results, trace: trace, err: rerr}
 	}
+}
+
+func isStatusError(err error) bool {
+	var se *wire.StatusError
+	return errors.As(err, &se)
 }
 
 // abandon tombstones an in-flight request whose caller gave up: the

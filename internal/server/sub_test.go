@@ -171,7 +171,7 @@ func TestSubscribeValidationErrors(t *testing.T) {
 			t.Fatalf("response frame: id=%d err=%v", gotID, err)
 		}
 		_, _, rerr := wire.DecodeStreamResponse(resp, nil)
-		var se *wire.StreamError
+		var se *wire.StatusError
 		if !errors.As(rerr, &se) || se.Code != code {
 			t.Fatalf("response error = %v, want a status-1 code %d", rerr, code)
 		}

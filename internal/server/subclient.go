@@ -284,7 +284,11 @@ func (c *Client) subscriptions() (*subClient, error) {
 // applied. id is caller-chosen and scoped to this client; re-using a
 // live id is an error. TCP stream transport only.
 func (c *Client) SubscribeWindow(ctx context.Context, id uint64, q geom.Rect) error {
-	return c.subscribe(ctx, wire.BatchOp{
+	sc, err := c.subscriptions()
+	if err != nil {
+		return err
+	}
+	return sc.do(ctx, wire.BatchOp{
 		Op: wire.OpSub, SubID: id, SubKind: wire.SubWindow,
 		MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY,
 	})
@@ -297,23 +301,21 @@ func (c *Client) SubscribeWindow(ctx context.Context, id uint64, q geom.Rect) er
 // storms; a Missed notification means re-query. TCP stream transport
 // only.
 func (c *Client) SubscribeKNN(ctx context.Context, id uint64, q geom.Point, k int) error {
-	return c.subscribe(ctx, wire.BatchOp{Op: wire.OpSub, SubID: id, SubKind: wire.SubKNN, X: q.X, Y: q.Y, K: k})
+	sc, err := c.subscriptions()
+	if err != nil {
+		return err
+	}
+	return sc.do(ctx, wire.BatchOp{Op: wire.OpSub, SubID: id, SubKind: wire.SubKNN, X: q.X, Y: q.Y, K: k})
 }
 
 // Unsubscribe removes a standing query registered by SubscribeWindow or
 // SubscribeKNN.
 func (c *Client) Unsubscribe(ctx context.Context, id uint64) error {
-	return c.subscribe(ctx, wire.BatchOp{Op: wire.OpUnsub, SubID: id})
-}
-
-// subscribe runs one SUB or UNSUB op on the client's subscription
-// connection.
-func (c *Client) subscribe(ctx context.Context, op wire.BatchOp) error {
 	sc, err := c.subscriptions()
 	if err != nil {
 		return err
 	}
-	return sc.do(ctx, op)
+	return sc.do(ctx, wire.BatchOp{Op: wire.OpUnsub, SubID: id})
 }
 
 // Notifications returns the channel standing-query pushes arrive on.

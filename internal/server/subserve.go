@@ -27,7 +27,6 @@ package server
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -210,7 +209,7 @@ func (c *connSubs) push() {
 // and for UNSUB whether the id was live.
 func (s *Server) serveSubOp(cs *connSubs, op wire.BatchOp) (bool, error) {
 	if cs == nil {
-		return false, &StatusError{
+		return false, &wire.StatusError{
 			Code: http.StatusNotImplemented,
 			Msg:  "standing queries are not supported by this server's engine",
 		}
@@ -218,30 +217,26 @@ func (s *Server) serveSubOp(cs *connSubs, op wire.BatchOp) (bool, error) {
 	if op.Op == wire.OpUnsub {
 		return s.subs.Unsubscribe(cs.id, op.SubID), nil
 	}
+	// Any other kind is refused by wire.DecodeOps, and by Subscribe.
 	spec := sub.Spec{ID: op.SubID}
 	switch op.SubKind {
 	case wire.SubWindow:
 		r, err := opWindow(op)
 		if err != nil {
-			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
+			return false, &wire.StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		}
 		spec.Kind = sub.KindWindow
 		spec.Window = r
 	case wire.SubKNN:
 		if err := finite(op.X, op.Y); err != nil {
-			return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
+			return false, &wire.StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 		}
 		spec.Kind = sub.KindKNN
 		spec.Center = geom.Pt(op.X, op.Y)
 		spec.K = op.K
-	default:
-		return false, &StatusError{
-			Code: http.StatusBadRequest,
-			Msg:  fmt.Sprintf("unknown subscription kind %q", op.SubKind),
-		}
 	}
 	if err := s.subs.Subscribe(cs.id, spec, cs.sink()); err != nil {
-		return false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
+		return false, &wire.StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
 	return true, nil
 }

@@ -39,7 +39,7 @@ func appendOp(b []byte, op BatchOp) ([]byte, error) {
 }
 
 // batchRoute is /v1/batch's row of the op table.
-var batchRoute = &wire.Table[wire.BatchRow]
+var batchRoute = wire.Lookup(wire.BatchRow)
 
 // opsOf lists the ops answers answer.
 func opsOf(answers []wire.Result) []BatchOp {
@@ -53,7 +53,7 @@ func opsOf(answers []wire.Result) []BatchOp {
 // pointsResult reports whether op answers with points rather than a flag.
 func pointsResult(op string) bool {
 	row := wire.Row(op)
-	return row != 0 && wire.Table[row].Flag == ""
+	return row != 0 && wire.Lookup(row).Flag == ""
 }
 
 // answeredOps lists, for a status-0 stream response, an op of each

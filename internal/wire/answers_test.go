@@ -66,7 +66,7 @@ func TestBatchBinaryEncodeAllocs(t *testing.T) {
 // pooled buffer allocates nothing per point and nothing per result.
 func TestBatchJSONEncodeAllocs(t *testing.T) {
 	answers := windowAnswers()
-	batch := &Table[BatchRow]
+	batch := &table[BatchRow]
 	// Warm the buffer to steady-state capacity, as the response pool does.
 	buf := AppendAnswersJSON(nil, batch, answers, nil)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -102,7 +102,7 @@ func TestPointsJSONEncodeAllocs(t *testing.T) {
 	for i := range pts {
 		pts[i] = geom.Pt(rng.Float64(), rng.Float64())
 	}
-	window, answer := &Table[Row(OpWindow)], []Result{{Op: OpWindow, Pts: pts}}
+	window, answer := &table[Row(OpWindow)], []Result{{Op: OpWindow, Pts: pts}}
 	// Warm the buffer to steady-state capacity, as the response pool does.
 	buf := AppendAnswersJSON(nil, window, answer, nil)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -117,7 +117,7 @@ func TestPointsJSONEncodeAllocs(t *testing.T) {
 // same 32×100-point batch answer (the EXPERIMENTS.md "Serving" shape).
 func BenchmarkBatchEncode(b *testing.B) {
 	answers := windowAnswers()
-	batch := &Table[BatchRow]
+	batch := &table[BatchRow]
 	b.Run("binary", func(b *testing.B) {
 		buf := AppendAnswers(nil, answers, false, nil)
 		b.ReportAllocs()

@@ -71,7 +71,7 @@ const BinVersion = 1
 // binMagic starts every rsmibin frame.
 var binMagic = [2]byte{'R', 'B'}
 
-// Op bytes of request entries, each the index of its op's Table row.
+// Op bytes of request entries, each the index of its op's table row.
 const (
 	binOpPoint byte = iota + 1
 	binOpWindow
@@ -117,9 +117,14 @@ const maxBatchOps = 16384
 // errTooManyOps refuses a JSON batch of more than maxBatchOps ops.
 var errTooManyOps = fmt.Errorf("batch exceeds %d ops", maxBatchOps)
 
+// ErrMismatch marks a well-formed answer that does not fit the ops it
+// answers: another result count, or a result of the other kind. It fails
+// that call alone; a stream that read the frame is still in step.
+var ErrMismatch = errors.New("client: answer does not fit its ops")
+
 // errResultKind reports an answer whose result kind — points or a flag —
 // is not the kind its op answers with.
-var errResultKind = errors.New("client: result kind does not match op")
+var errResultKind = fmt.Errorf("%w: result kind does not match op", ErrMismatch)
 
 // Result is one executed op's answer: the flag of a point, insert,
 // delete, sub or unsub, or the points of a window, kNN or sql. The server
@@ -157,7 +162,7 @@ func appendOp(b []byte, op BatchOp) ([]byte, error) {
 	if k == 0 {
 		return b, fmt.Errorf("rsmibin: unknown op %q", op.Op)
 	}
-	b = appendFields(append(b, k), Table[k].Req, &op)
+	b = appendFields(append(b, k), table[k].Req, &op)
 	if k != binOpSub {
 		return b, nil
 	}
@@ -290,7 +295,7 @@ func AppendAnswers(b []byte, answers []Result, single bool, tj *TraceJSON) []byt
 // BatchResult is r in the JSON wire shape, which the client's Batch verb
 // returns whatever the protocol: the field its op's answer member names.
 func (r Result) BatchResult() BatchResult {
-	switch Table[Row(r.Op)].Flag {
+	switch table[Row(r.Op)].Flag {
 	case "found":
 		return BatchResult{Found: r.Flag}
 	case "ok":
@@ -414,12 +419,12 @@ func (r *binReader) entry() BatchOp {
 		r.explain = true
 		k &^= binOpExplain
 	}
-	if k == 0 || int(k) >= len(Table) {
+	if k == 0 || int(k) >= len(table) {
 		r.fail(fmt.Errorf("rsmibin: unknown op byte 0x%02x", k))
 		return BatchOp{}
 	}
-	op := BatchOp{Op: Table[k].Op}
-	r.fields(Table[k].Req, &op)
+	op := BatchOp{Op: table[k].Op}
+	r.fields(table[k].Req, &op)
 	if k != binOpSub {
 		return op
 	}
@@ -569,7 +574,7 @@ func DecodeResults(data []byte, single bool, ops []BatchOp) ([]Result, *TraceJSO
 		return nil, nil, r.err
 	}
 	if n != uint64(len(ops)) {
-		return nil, nil, fmt.Errorf("client: %d results for %d ops", n, len(ops))
+		return nil, nil, fmt.Errorf("%w: %d results for %d ops", ErrMismatch, n, len(ops))
 	}
 	out := make([]Result, 0, n)
 	for _, op := range ops {

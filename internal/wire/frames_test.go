@@ -59,7 +59,7 @@ func TestStreamFrameGoldenBytes(t *testing.T) {
 		}},
 		{fail, func(id uint64, payload []byte) error {
 			_, _, err := DecodeStreamResponse(payload, ops)
-			var se *StreamError
+			var se *StatusError
 			if id != 7 || !errors.As(err, &se) || se.Code != 429 || se.Msg != "busy" {
 				return errors.New("status 1 decoded otherwise")
 			}

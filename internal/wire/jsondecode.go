@@ -103,7 +103,7 @@ func DecodeJSONResults(body []byte, single bool, ops []BatchOp) ([]Result, *Trac
 		return []Result{res}, tj, nil
 	}
 	if len(s.results) != len(ops) {
-		return nil, nil, fmt.Errorf("client: batch returned %d results for %d ops", len(s.results), len(ops))
+		return nil, nil, fmt.Errorf("%w: %d results for %d ops", ErrMismatch, len(s.results), len(ops))
 	}
 	return s.results, tj, nil
 }
@@ -606,9 +606,9 @@ func (s *jsonScanner) integer(signed bool) uint64 {
 // jsonName returns the string b spells, sharing the op or
 // subscription-kind name it may be rather than allocating a copy.
 func jsonName(b []byte) string {
-	for i := range Table {
-		if string(b) == Table[i].Op {
-			return Table[i].Op
+	for i := range table {
+		if string(b) == table[i].Op {
+			return table[i].Op
 		}
 	}
 	return string(b)

@@ -81,7 +81,7 @@ func AppendAnswersJSON(b []byte, rt *Spec, answers []Result, tj *TraceJSON) []by
 			if i > 0 {
 				b = append(b, ',')
 			}
-			switch member := Table[Row(a.Op)].Flag; {
+			switch member := table[Row(a.Op)].Flag; {
 			case member != "":
 				b = append(b, '{')
 				if a.Flag {

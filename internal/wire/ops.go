@@ -2,8 +2,8 @@ package wire
 
 // The op table. Every per-op fact of the wire layer — name, rsmibin op
 // byte, HTTP path, request fields, answer kind, histogram row — is one row
-// of Table, so adding an op is one table row plus the server's execution
-// case for it.
+// of table, so adding an op is one table row plus the server's execution
+// case for it. Other packages read its rows through Lookup and Row.
 
 // Shape names the fields an op's request carries: the keys of its
 // historical JSON document (jsonRequestKeys), which the rsmibin entry
@@ -31,11 +31,11 @@ type Spec struct {
 // shape rather than /v1/batch's list.
 func (s *Spec) Single() bool { return s.Req != reqBatch }
 
-// Table holds each op at the index of its rsmibin op byte, which is also
+// table holds each op at the index of its rsmibin op byte, which is also
 // its latency histogram row. Row 0, a byte no entry carries, is
 // /v1/batch. The server registers a handler per routed row and the client
 // verbs find their endpoint here.
-var Table = [...]Spec{
+var table = [...]Spec{
 	BatchRow:    {"batch", "/v1/batch", reqBatch, ""},
 	binOpPoint:  {OpPoint, "/v1/point", ReqPoint, "found"},
 	binOpWindow: {OpWindow, "/v1/window", ReqRect, ""},
@@ -49,18 +49,21 @@ var Table = [...]Spec{
 	binOpUnsub: {OpUnsub, "", ReqSubID, "ok"},
 }
 
-// BatchRow is /v1/batch's row of Table.
+// BatchRow is /v1/batch's row of the table.
 const BatchRow = 0
 
-// Routes are the rows served over HTTP, which are also the rows with a
-// latency histogram: every row before sub's.
-var Routes = Table[:binOpSub]
+// NumRoutes counts the rows served over HTTP, which are also the rows
+// with a latency histogram: every row before sub's.
+const NumRoutes = binOpSub
 
-// Row returns the Table row — the rsmibin op byte — of the op named
+// Lookup returns the table's row row.
+func Lookup(row byte) *Spec { return &table[row] }
+
+// Row returns the table row — the rsmibin op byte — of the op named
 // name, 0 when no op has that name.
 func Row(name string) byte {
-	for i := 1; i < len(Table); i++ {
-		if Table[i].Op == name {
+	for i := 1; i < len(table); i++ {
+		if table[i].Op == name {
 			return byte(i)
 		}
 	}
@@ -71,5 +74,5 @@ func Row(name string) byte {
 // rather than a bool.
 func pointsResult(op string) bool {
 	row := Row(op)
-	return row != 0 && Table[row].Flag == ""
+	return row != 0 && table[row].Flag == ""
 }

@@ -166,21 +166,22 @@ func AppendStreamError(b []byte, code int, msg string) []byte {
 	return appendStr(appendUvarint(append(b, statusError), uint64(code)), msg)
 }
 
-// StreamError is a decoded status-1 response: the code and message the
-// server answered the request with.
-type StreamError struct {
+// StatusError is an error answer: a non-2xx HTTP response or a status-1
+// stream response, with its HTTP-semantics code and message. Callers
+// distinguishing shed load check Code == http.StatusTooManyRequests.
+type StatusError struct {
 	Code int
 	Msg  string
 }
 
-func (e *StreamError) Error() string {
-	return fmt.Sprintf("stream: status %d: %s", e.Code, e.Msg)
+func (e *StatusError) Error() string {
+	return fmt.Sprintf("server: status %d: %s", e.Code, e.Msg)
 }
 
 // DecodeStreamResponse parses a response payload (after the request id)
 // to ops: status 0 wraps an rsmibin batch response frame (with its
 // optional trailing EXPLAIN trace), status 1 an error code and message,
-// returned as a *StreamError.
+// returned as a *StatusError.
 func DecodeStreamResponse(payload []byte, ops []BatchOp) ([]Result, *TraceJSON, error) {
 	if len(payload) == 0 {
 		return nil, nil, errors.New("stream: empty response payload")
@@ -190,7 +191,7 @@ func DecodeStreamResponse(payload []byte, ops []BatchOp) ([]Result, *TraceJSON, 
 		return DecodeResults(payload[1:], false, ops)
 	case statusError:
 		r := &binReader{data: payload[1:]}
-		e := &StreamError{Code: int(r.uvarint()), Msg: r.str()}
+		e := &StatusError{Code: int(r.uvarint()), Msg: r.str()}
 		if r.err != nil {
 			return nil, nil, fmt.Errorf("stream: bad error response: %w", r.err)
 		}
