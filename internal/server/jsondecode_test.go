@@ -418,6 +418,8 @@ func TestBatchAnswerShapeChecked(t *testing.T) {
 				t.Errorf("%s over %s: %+v, %v", c.name, proto, res, err)
 			case !c.ok && (err == nil || res != nil):
 				t.Errorf("%s over %s: accepted as %+v", c.name, proto, res)
+			case !c.ok && !errors.Is(err, wire.ErrMismatch):
+				t.Errorf("%s over %s: %v, want wire.ErrMismatch", c.name, proto, err)
 			case c.kind && !strings.Contains(err.Error(), "result kind does not match op"):
 				t.Errorf("%s over %s: %v, want the result-kind error", c.name, proto, err)
 			}

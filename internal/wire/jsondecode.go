@@ -324,7 +324,9 @@ func (s *jsonScanner) resultList() {
 	for first := true; s.next(first, ']'); first = false {
 		n := len(s.results)
 		if n == len(s.ops) {
-			s.fail("more results than ops")
+			if s.err == nil {
+				s.err = fmt.Errorf("%w: more results than ops", ErrMismatch)
+			}
 			return
 		}
 		s.results = append(s.results, s.answer(false, s.ops[n].Op))
