@@ -56,7 +56,7 @@ const BatchRow = 0
 // with a latency histogram: every row before sub's.
 const NumRoutes = binOpSub
 
-// Lookup returns the table's row row.
+// Lookup returns table row row: an rsmibin op byte, or BatchRow.
 func Lookup(row byte) *Spec { return &table[row] }
 
 // Row returns the table row — the rsmibin op byte — of the op named
