@@ -658,24 +658,23 @@ func scanJSONPoint(b []byte, i int) (p geom.Point, end int) {
 	return p, i + 1
 }
 
-// float64pow10 holds the powers of ten a float64 represents exactly.
-var float64pow10 = [...]float64{
-	1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
-	1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
-}
-
 // scanJSONFloat converts the JSON number that starts at b[i] in the walk
 // that holds it to the grammar (strconv.ParseFloat alone would take
 // "Inf", hex floats and underscores), and returns it with the index just
 // past it, -1 if no number starts there. A number beyond float64's range
 // is ±Inf, which no other JSON number converts to. The first 19
-// significant digits make a uint64 mantissa m; later ones only move the
-// decimal exponent e. When none of those is non-zero, m ≤ 2^53 and
-// |e| ≤ 22, m and 10^|e| are exact float64s and one correctly rounded
-// multiply or divide is the answer: the exact path strconv takes after
-// its own walk over the digits. Anything else goes to strconv.ParseFloat
-// on the checked bytes. Either way the result is ParseFloat's, bit for
-// bit (TestJSONNumberMatchesParseFloat).
+// significant digits make an exact uint64 mantissa m; later ones only
+// move the decimal exponent e. Unless one of those was non-zero, m and
+// e go to eiselLemire64 (Eisel–Lemire, Lemire 2021), which rounds
+// m·10^e correctly from one or two products with the shared power-of-ten
+// table; only when it cannot tell (a halfway case, a subnormal, a range
+// error) or a digit was dropped does strconv.ParseFloat re-read the
+// checked bytes. Either way the result is ParseFloat's, bit for bit
+// (TestScanJSONFloatMatchesParseFloat, FuzzJSONFloat). Clinger's exact
+// path — one float multiply or divide when m ≤ 2^53 and |e| ≤ 22 — is
+// not tried first: on Skewed coordinates, 61 % of which it would take,
+// it was no faster than Eisel–Lemire alone (EXPERIMENTS.md, "Floats at
+// table speed").
 //
 //rsmi:noalloc
 func scanJSONFloat(b []byte, i int) (v float64, end int) {
@@ -737,17 +736,10 @@ func scanJSONFloat(b []byte, i int) (v float64, end int) {
 		}
 		e += exp
 	}
-	if !dropped && m <= 1<<53 && -22 <= e && e <= 22 {
-		v = float64(m)
-		if e >= 0 {
-			v *= float64pow10[e]
-		} else {
-			v /= float64pow10[-e]
+	if !dropped {
+		if v, ok := eiselLemire64(m, e, neg); ok {
+			return v, i
 		}
-		if neg {
-			v = -v
-		}
-		return v, i
 	}
 	v, _ = strconv.ParseFloat(string(b[start:i]), 64) // only ErrRange, with v ±Inf
 	return v, i

@@ -44,7 +44,7 @@ func TestJSONScannerLeavesAllocateNothing(t *testing.T) {
 }
 
 // TestScanJSONFloatMatchesParseFloat holds scanJSONFloat to
-// strconv.ParseFloat bit for bit: on the edges of its exact path, and on
+// strconv.ParseFloat bit for bit: on the edges of its fast path, and on
 // 5 M texts of appendJSONFloat (random bit patterns, uniform [0, 1),
 // normal × 1e6).
 func TestScanJSONFloatMatchesParseFloat(t *testing.T) {

@@ -19,25 +19,52 @@ import (
 )
 
 // appendJSONFloat appends v formatted exactly as encoding/json formats a
-// float64: shortest round-trip representation, 'f' form except for very
-// small or very large magnitudes, which use 'e' form with the exponent's
-// leading zero stripped (1e-9, not 1e-09) — positive exponents keep
-// their '+' (1e+21), matching encoding/json byte for byte. Engine
-// coordinates are validated finite at ingress, so NaN/Inf cannot reach
-// here.
+// float64 (TestAppendJSONFloatMatchesMarshal): the shortest digits that
+// read back as v, from shortestDecimal (Schubfach), laid out in 'f' form
+// — 0.000123, 42, -0 — except below 1e-6 or from 1e21 up, where they
+// take 'e' form with no leading zero in the exponent and a '+' on a
+// positive one (1e-9, 1.5e+21). Engine coordinates are validated finite
+// at ingress, so NaN/Inf cannot reach here.
+//
+//rsmi:noalloc
 func appendJSONFloat(b []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
+	f := math.Float64bits(v)
+	if f>>63 != 0 {
+		b = append(b, '-')
 	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		// Clean up e-09 to e-9, as encoding/json does.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
+	if f<<1 == 0 {
+		return append(b, '0')
+	}
+	d, k := shortestDecimal(f)
+	var buf [20]byte
+	i := putDigits(buf[:], d)
+	digits := buf[i:]
+	n := len(digits)
+	dp := n + k // v = 0.digits × 10^dp
+	if abs := math.Abs(v); abs < 1e-6 || abs >= 1e21 {
+		b = append(b, digits[0])
+		if n > 1 {
+			b = append(append(b, '.'), digits[1:]...)
 		}
+		x, sign := dp-1, byte('+')
+		if x < 0 {
+			x, sign = -x, '-'
+		}
+		return append(append(b, 'e', sign), buf[putDigits(buf[:], uint64(x)):]...)
+	}
+	switch {
+	case dp <= 0:
+		b = append(b, '0', '.')
+		for ; dp < 0; dp++ {
+			b = append(b, '0')
+		}
+		return append(b, digits...)
+	case dp < n:
+		return append(append(append(b, digits[:dp]...), '.'), digits[dp:]...)
+	}
+	b = append(b, digits...)
+	for ; n < dp; n++ {
+		b = append(b, '0')
 	}
 	return b
 }
