@@ -83,10 +83,6 @@ func shortestDecimal(f uint64) (d uint64, k int) {
 	c, q := frac, -1074 // the float is c·2^q
 	if biased != 0 {
 		c, q = frac|1<<mantBits, biased-1075
-		if -mantBits <= q && q <= 0 && c&(1<<-q-1) == 0 {
-			// An integer below 2^53: its own digits are the shortest.
-			return trimZeros(c>>-q, 0)
-		}
 	}
 	// The interval is [cbl, cbr]·2^(q-2); below a power of two the float
 	// below is half as far away as the float above.
@@ -173,38 +169,25 @@ const digitPairs = "00010203040506070809" +
 	"90919293949596979899"
 
 // putDigits writes d's decimal digits to the end of buf and returns the
-// index of the first. Eight digits at a time split into four pairs with
-// 32-bit arithmetic, so the divisions do not form one long chain.
+// index of the first, two digits at a time.
 func putDigits(buf []byte, d uint64) int {
 	i := len(buf)
-	for d >= 1e8 {
-		q := d / 1e8
-		x := uint32(d - q*1e8)
-		hi, lo := x/10000, x%10000
-		i -= 8
-		putPair(buf[i:], hi/100)
-		putPair(buf[i+2:], hi%100)
-		putPair(buf[i+4:], lo/100)
-		putPair(buf[i+6:], lo%100)
-		d = q
-	}
-	x := uint32(d)
-	for x >= 100 {
+	for d >= 100 {
 		i -= 2
-		putPair(buf[i:], x%100)
-		x /= 100
+		putPair(buf[i:], d%100)
+		d /= 100
 	}
-	if x >= 10 {
+	if d >= 10 {
 		i -= 2
-		putPair(buf[i:], x)
+		putPair(buf[i:], d)
 		return i
 	}
 	i--
-	buf[i] = byte('0' + x)
+	buf[i] = byte('0' + d)
 	return i
 }
 
 // putPair writes the two digits of x < 100 to buf[0] and buf[1].
-func putPair(buf []byte, x uint32) {
+func putPair(buf []byte, x uint64) {
 	buf[0], buf[1] = digitPairs[2*x], digitPairs[2*x+1]
 }
