@@ -14,10 +14,10 @@ import (
 
 // locked makes one of the paper's single-goroutine baseline indexes safe
 // for concurrent use: queries take a shared (read) lock and may run in
-// parallel; updates take an exclusive lock. It backs NewRStarEngine,
-// NewGridFileEngine and NewKDBEngine, so every backend of the paper's
-// evaluation runs behind the identical serving stack — the "identical
-// harness" requirement of the learned-spatial-index evaluation literature.
+// parallel; updates take an exclusive lock. It backs NewBaselineEngine, so
+// every backend of the paper's evaluation runs behind the identical serving
+// stack — the "identical harness" requirement of the learned-spatial-index
+// evaluation literature.
 // The learned index has a concurrent form of its own: Sharded, whose
 // Shards: 1 is one lock over one RSMI.
 //
@@ -34,35 +34,19 @@ type locked struct {
 	ix index.Index
 }
 
-// NewRStarEngine builds an R*-tree-backed Engine over the points. A
-// fanout of 0 selects the paper's default (100 entries per node).
-func NewRStarEngine(pts []Point, fanout int) Engine {
-	return &locked{ix: rstar.New(geom.FinitePoints(pts), fanout)}
-}
-
-// NewGridFileEngine builds a Grid-File-backed Engine over the points. A
-// blockCapacity of 0 selects the paper's default (100 points per block).
-func NewGridFileEngine(pts []Point, blockCapacity int) Engine {
-	return &locked{ix: gridfile.New(geom.FinitePoints(pts), blockCapacity)}
-}
-
-// NewKDBEngine builds a K-D-B-tree-backed Engine over the points. A
-// fanout of 0 selects the paper's default (100 entries per page).
-func NewKDBEngine(pts []Point, fanout int) Engine {
-	return &locked{ix: kdb.New(geom.FinitePoints(pts), fanout)}
-}
-
-// NewBaselineEngine builds a baseline-backed Engine by name — "rstar",
-// "grid" (or "gridfile"), "kdb" — with paper-default parameters. It backs
-// the cmds' -engine flags.
+// NewBaselineEngine builds a baseline-backed Engine by name — "rstar"
+// (R*-tree), "grid" (Grid File) or "kdb" (K-D-B-tree) — with the paper's
+// defaults (100 entries per node, page or block). It backs the cmds'
+// -engine flags.
 func NewBaselineEngine(name string, pts []Point) (Engine, error) {
+	pts = geom.FinitePoints(pts)
 	switch name {
 	case "rstar":
-		return NewRStarEngine(pts, 0), nil
-	case "grid", "gridfile":
-		return NewGridFileEngine(pts, 0), nil
+		return &locked{ix: rstar.New(pts, 0)}, nil
+	case "grid":
+		return &locked{ix: gridfile.New(pts, 0)}, nil
 	case "kdb":
-		return NewKDBEngine(pts, 0), nil
+		return &locked{ix: kdb.New(pts, 0)}, nil
 	}
 	return nil, fmt.Errorf("unknown baseline engine %q (want rstar|grid|kdb)", name)
 }

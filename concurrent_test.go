@@ -15,7 +15,7 @@ import (
 func buildConcurrent(t testing.TB) (rsmi.Engine, []rsmi.Point) {
 	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 4000, 21)
-	return rsmi.NewRStarEngine(pts, 0), pts
+	return baseline(t, "rstar", pts), pts
 }
 
 func TestConcurrentParallelQueries(t *testing.T) {

@@ -38,7 +38,7 @@ func mustInsert(t testing.TB, e rsmi.Engine, p rsmi.Point) {
 }
 
 // engines builds every Engine over the same points.
-func engines(pts []rsmi.Point) map[string]rsmi.Engine {
+func engines(t testing.TB, pts []rsmi.Point) map[string]rsmi.Engine {
 	opts := rsmi.Options{
 		BlockCapacity:      50,
 		PartitionThreshold: 500,
@@ -53,9 +53,9 @@ func engines(pts []rsmi.Point) map[string]rsmi.Engine {
 		"Index":        rsmi.New(pts, opts),
 		"Sharded1":     sharded(1),
 		"ShardedSpace": sharded(4),
-		"rstar":        rsmi.NewRStarEngine(pts, 0),
-		"grid":         rsmi.NewGridFileEngine(pts, 0),
-		"kdb":          rsmi.NewKDBEngine(pts, 0),
+		"rstar":        baseline(t, "rstar", pts),
+		"grid":         baseline(t, "grid", pts),
+		"kdb":          baseline(t, "kdb", pts),
 	}
 }
 
@@ -74,7 +74,7 @@ func TestKNNEdgeCases(t *testing.T) {
 	lin := index.NewLinear(pts)
 	q := rsmi.Pt(0.4, 0.3)
 	ctx := context.Background()
-	for name, e := range engines(pts) {
+	for name, e := range engines(t, pts) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -124,7 +124,7 @@ func TestZeroAreaWindow(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 1500, 83)
 	lin := index.NewLinear(pts)
 	ctx := context.Background()
-	for name, e := range engines(pts) {
+	for name, e := range engines(t, pts) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -192,7 +192,7 @@ func TestZeroAreaWindow(t *testing.T) {
 
 func TestEmptyIndexEdgeCases(t *testing.T) {
 	ctx := context.Background()
-	for name, e := range engines(nil) {
+	for name, e := range engines(t, nil) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
@@ -283,8 +283,8 @@ func TestNonFiniteQueries(t *testing.T) {
 	// The same points with unindexable ones mixed in, front, middle and back.
 	dirty := append(append(append(append([]rsmi.Point(nil), unindexable[:3]...), pts[:700]...), unindexable[3:6]...), pts[700:]...)
 	dirty = append(dirty, unindexable[6:]...)
-	dirtyBuilt := engines(dirty)
-	for name, e := range engines(pts) {
+	dirtyBuilt := engines(t, dirty)
+	for name, e := range engines(t, pts) {
 		name, e := name, e
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

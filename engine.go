@@ -28,8 +28,8 @@ import (
 )
 
 // Engine is the context-aware queryable surface shared by every backend:
-// Index, Sharded, and the baseline engines (NewRStarEngine,
-// NewGridFileEngine, NewKDBEngine, each one RWMutex over a baseline index).
+// Index, Sharded, and the baseline engines (NewBaselineEngine, each one
+// RWMutex over a baseline index).
 // It is the contract the serving layer (internal/server) executes against.
 //
 // Answer semantics are the concrete type's: RSMI-backed engines answer

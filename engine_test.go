@@ -26,18 +26,24 @@ func v2Engines(t *testing.T, pts []rsmi.Point) map[string]rsmi.Engine {
 		LearningRate:       0.1,
 		Seed:               1,
 	}
-	grid, err := rsmi.NewBaselineEngine("grid", pts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return map[string]rsmi.Engine{
 		"Index":    rsmi.New(pts, opts),
 		"Sharded1": rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 1, Index: opts}),
 		"Sharded":  rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 3, Index: opts}),
-		"rstar":    rsmi.NewRStarEngine(pts, 0),
-		"grid":     grid,
-		"kdb":      rsmi.NewKDBEngine(pts, 0),
+		"rstar":    baseline(t, "rstar", pts),
+		"grid":     baseline(t, "grid", pts),
+		"kdb":      baseline(t, "kdb", pts),
 	}
+}
+
+// baseline builds the named baseline engine, failing the test on an error.
+func baseline(tb testing.TB, name string, pts []rsmi.Point) rsmi.Engine {
+	tb.Helper()
+	eng, err := rsmi.NewBaselineEngine(name, pts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
 }
 
 // TestEngineCancelledContext checks every engine fails fast on a
@@ -197,7 +203,9 @@ func TestBaselineEnginesExact(t *testing.T) {
 			t.Fatalf("%s kNN recall %.3f", name, r)
 		}
 	}
-	if _, err := rsmi.NewBaselineEngine("btree", pts); err == nil {
-		t.Fatal("unknown baseline name accepted")
+	for _, name := range []string{"btree", "gridfile"} {
+		if _, err := rsmi.NewBaselineEngine(name, pts); err == nil {
+			t.Fatalf("unknown baseline name %q accepted", name)
+		}
 	}
 }

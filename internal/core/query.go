@@ -4,6 +4,7 @@ import (
 	"math"
 	"sync"
 
+	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/sfc"
@@ -280,8 +281,8 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	// Initial region: a k/n-fraction rectangle scaled by the skew
 	// parameters αx, αy (Eq. 6).
 	frac := math.Sqrt(float64(k) / float64(t.n))
-	width := t.pmfX.Alpha(q.X, t.opts.Delta) * frac
-	height := t.pmfY.Alpha(q.Y, t.opts.Delta) * frac
+	width := t.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
+	height := t.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
 
 	s := knnScratchPool.Get().(*knnScratch)
 	s.reset(k, q, t.store.NumBlocks())

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"rsmi/internal/cdf"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
@@ -189,8 +190,8 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 	}
 	k = min(k, t.n)
 	frac := math.Sqrt(float64(k) / float64(t.n))
-	width := t.pmfX.Alpha(q.X, t.opts.Delta) * frac
-	height := t.pmfY.Alpha(q.Y, t.opts.Delta) * frac
+	width := t.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
+	height := t.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
 	var best []float64 // ascending, at most k
 	worst := func() float64 {
 		if len(best) < k {

@@ -82,16 +82,13 @@ type Options struct {
 	PartitionThreshold int
 	// Curve selects the SFC used for ordering (default Hilbert, §6.1).
 	Curve sfc.Kind
-	// LearningRate, Epochs, and TargetLoss configure sub-model training
-	// (defaults 0.01 / 500 / off, matching §6.1; the bench harness lowers
-	// Epochs for sweep speed).
+	// LearningRate and Epochs configure sub-model training (defaults 0.01 /
+	// 500, matching §6.1; the bench harness lowers Epochs for sweep speed).
+	// Training always runs its epochs. kNN's skew estimate is fixed at the
+	// paper's γ = 100 pieces and Δ = 0.01 step (§4.3: cdf.DefaultGamma,
+	// cdf.DefaultDelta).
 	LearningRate float64
 	Epochs       int
-	TargetLoss   float64
-	// Gamma is the PMF piece count for kNN skew estimation (default 100).
-	Gamma int
-	// Delta is the PMF slope probe step (default 0.01).
-	Delta float64
 	// Seed drives all model initialisation deterministically.
 	Seed int64
 	// RawGridLeafOrder disables the rank-space transform and orders leaf
@@ -115,12 +112,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Epochs == 0 {
 		o.Epochs = mlp.DefaultEpochs
-	}
-	if o.Gamma == 0 {
-		o.Gamma = cdf.DefaultGamma
-	}
-	if o.Delta == 0 {
-		o.Delta = cdf.DefaultDelta
 	}
 	return o
 }
@@ -219,16 +210,13 @@ func (t *RSMI) buildPMFs(pts []geom.Point) {
 	for i, p := range pts {
 		xs[i], ys[i] = p.X, p.Y
 	}
-	t.pmfX = cdf.New(xs, t.opts.Gamma)
-	t.pmfY = cdf.New(ys, t.opts.Gamma)
+	t.pmfX = cdf.New(xs, cdf.DefaultGamma)
+	t.pmfY = cdf.New(ys, cdf.DefaultGamma)
 }
 
 // build recursively constructs the sub-model for pts at the given depth.
 // pts may be reordered.
 func (t *RSMI) build(pts []geom.Point, depth int) *node {
-	if depth > t.height {
-		t.height = depth
-	}
 	if len(pts) <= t.opts.PartitionThreshold || depth >= maxDepth {
 		return t.buildLeaf(pts, depth)
 	}
@@ -236,8 +224,11 @@ func (t *RSMI) build(pts []geom.Point, depth int) *node {
 }
 
 // buildLeaf orders pts by their rank-space curve value, packs them into
-// blocks, and trains the leaf model (§3.1).
+// blocks, and trains the leaf model (§3.1). Leaves are the deepest nodes,
+// so the height is recorded here: a collapsed model's leaf sits one level
+// below any depth build saw.
 func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
+	t.height = max(t.height, depth)
 	ordered := t.orderLeaf(pts)
 	first, count := t.store.Pack(ordered)
 	for id := first; id < first+count; id++ {
@@ -410,7 +401,6 @@ func (t *RSMI) trainModel(pts []geom.Point, target func(int) float64, classes in
 		Hidden:       mlp.HiddenFor(2, classes),
 		LearningRate: t.opts.LearningRate,
 		Epochs:       t.opts.Epochs,
-		TargetLoss:   t.opts.TargetLoss,
 		Seed:         t.opts.Seed + t.seedSerial,
 	}
 	net := mlp.New(cfg)

@@ -414,8 +414,7 @@ func BenchmarkWindowQuery(b *testing.B) {
 // by insertion still reaches every point through one model, and after
 // inserts and deletes in a deeper index the average is Σ points·depth over
 // the leaves, divided by Len, and lies between 1 and the deepest leaf's
-// depth. (That bound is the walk's, not Stats().Height: a leaf built for a
-// collapsed model sits one level below the height the build records.)
+// depth, which is Stats().Height.
 func TestAvgDepthFollowsUpdates(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 2000, 3)
 	one := New(pts, Options{BlockCapacity: 50, PartitionThreshold: 4000, Epochs: 2, Seed: 1})
@@ -449,6 +448,9 @@ func TestAvgDepthFollowsUpdates(t *testing.T) {
 		}
 	}
 	walk(idx.root, 1)
+	if h := idx.Stats().Height; int64(h) != deepest {
+		t.Fatalf("Height = %d, the deepest leaf is at %d", h, deepest)
+	}
 	got := idx.AvgDepth()
 	if got < 1 || got > float64(deepest) {
 		t.Fatalf("AvgDepth = %v outside [1, %d]", got, deepest)

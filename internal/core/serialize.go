@@ -80,20 +80,8 @@ func (t *RSMI) encode(w io.Writer) error {
 	if _, err := w.Write(serialMagic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
-	// Options.
-	o := t.opts
-	raw := uint8(0)
-	if o.RawGridLeafOrder {
-		raw = 1
-	}
-	for _, v := range []interface{}{
-		int64(o.BlockCapacity), int64(o.PartitionThreshold), int64(o.Curve),
-		o.LearningRate, int64(o.Epochs), o.TargetLoss,
-		int64(o.Gamma), o.Delta, o.Seed, raw,
-	} {
-		if err := put(v); err != nil {
-			return fmt.Errorf("core: write options: %w", err)
-		}
+	if _, err := WriteOptions(w, t.opts, true); err != nil {
+		return err
 	}
 	// Scalars.
 	for _, v := range []interface{}{
@@ -127,6 +115,67 @@ func (t *RSMI) encode(w io.Writer) error {
 	}
 	// Model tree.
 	return encodeNode(w, t.root)
+}
+
+// optionBlockSize is the length of the option block: nine words and the
+// raw-grid flag.
+const optionBlockSize = 9*8 + 1
+
+// WriteOptions writes o as the option block every index stream and the
+// sharded header carry: B, N, the curve, the learning rate, the epochs, an
+// early-stop loss, γ, Δ, the seed and the raw-grid flag. The loss, γ and Δ
+// are constants (training runs its epochs; γ = 100, Δ = 0.01, §4.3), and
+// their words keep the bytes builds have always written: 0, 100 and 0.01
+// for resolved options, the paper's defaults filled in, as an index stream
+// stores them; 0, 0 and 0 for options as a caller gave them, as the sharded
+// header stores them.
+func WriteOptions(w io.Writer, o Options, resolved bool) (int64, error) {
+	var gamma, delta uint64
+	if resolved {
+		gamma, delta = cdf.DefaultGamma, math.Float64bits(cdf.DefaultDelta)
+	}
+	b := make([]byte, 0, optionBlockSize)
+	for _, v := range []uint64{
+		uint64(o.BlockCapacity), uint64(o.PartitionThreshold), uint64(o.Curve),
+		math.Float64bits(o.LearningRate), uint64(o.Epochs), 0, gamma, delta, uint64(o.Seed),
+	} {
+		b = binary.LittleEndian.AppendUint64(b, v)
+	}
+	raw := uint8(0)
+	if o.RawGridLeafOrder {
+		raw = 1
+	}
+	n, err := w.Write(append(b, raw))
+	if err != nil {
+		return int64(n), fmt.Errorf("core: write options: %w", err)
+	}
+	return int64(n), nil
+}
+
+// ReadOptions reads an option block written by WriteOptions. The loss and γ
+// words shaped the build only, and the PMFs γ sized are stored whole, so
+// they are read and dropped. Δ sizes every kNN search, and a loaded index
+// must answer as the one that was saved, so a Δ word other than 0.01, or 0
+// (unset, which always meant 0.01), is refused.
+func ReadOptions(r io.Reader) (Options, error) {
+	var b [optionBlockSize]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return Options{}, fmt.Errorf("core: read options: %w", err)
+	}
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
+	if delta := math.Float64frombits(word(7)); delta != 0 && delta != cdf.DefaultDelta {
+		return Options{}, fmt.Errorf("core: the snapshot's kNN step Δ is %v, and this version runs Δ = %v (§4.3); rebuild the index from its points",
+			delta, cdf.DefaultDelta)
+	}
+	return Options{
+		BlockCapacity:      int(word(0)),
+		PartitionThreshold: int(word(1)),
+		Curve:              sfc.Kind(word(2)),
+		LearningRate:       math.Float64frombits(word(3)),
+		Epochs:             int(word(4)),
+		Seed:               int64(word(8)),
+		RawGridLeafOrder:   b[8*9]&1 != 0,
+	}, nil
 }
 
 // Node tags in the tree stream.
@@ -216,57 +265,9 @@ func decode(r io.Reader) (*RSMI, error) {
 	get := func(v interface{}) error {
 		return binary.Read(r, binary.LittleEndian, v)
 	}
-	var (
-		i64  [9]int64
-		lr   float64
-		tl   float64
-		dlt  float64
-		seed int64
-		raw  uint8
-	)
-	// Options: capacity, threshold, curve, lr, epochs, targetLoss, gamma,
-	// delta, seed, raw flag.
-	if err := get(&i64[0]); err != nil {
-		return nil, fmt.Errorf("core: read options: %w", err)
-	}
-	if err := get(&i64[1]); err != nil {
+	opts, err := ReadOptions(r)
+	if err != nil {
 		return nil, err
-	}
-	if err := get(&i64[2]); err != nil {
-		return nil, err
-	}
-	if err := get(&lr); err != nil {
-		return nil, err
-	}
-	if err := get(&i64[3]); err != nil {
-		return nil, err
-	}
-	if err := get(&tl); err != nil {
-		return nil, err
-	}
-	if err := get(&i64[4]); err != nil {
-		return nil, err
-	}
-	if err := get(&dlt); err != nil {
-		return nil, err
-	}
-	if err := get(&seed); err != nil {
-		return nil, err
-	}
-	if err := get(&raw); err != nil {
-		return nil, err
-	}
-	opts := Options{
-		BlockCapacity:      int(i64[0]),
-		PartitionThreshold: int(i64[1]),
-		Curve:              sfc.Kind(i64[2]),
-		LearningRate:       lr,
-		Epochs:             int(i64[3]),
-		TargetLoss:         tl,
-		Gamma:              int(i64[4]),
-		Delta:              dlt,
-		Seed:               seed,
-		RawGridLeafOrder:   raw&1 != 0,
 	}
 	t := &RSMI{opts: opts}
 	// Scalars.

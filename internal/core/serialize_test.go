@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -239,6 +240,50 @@ func TestLoadRefusesV1(t *testing.T) {
 	for _, want := range []string{"RSMIv1", "error bounds", "predictor", "rebuild"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("the refusal %q does not mention %q", err, want)
+		}
+	}
+}
+
+// TestLoadChecksDelta: Δ sizes every kNN search, so a snapshot whose Δ word
+// is neither the 0.01 this version runs nor 0 (unset, which meant 0.01) is
+// refused with an error that names Δ. The loss and γ words shaped only the
+// build, whose PMFs are stored whole: any value loads, and answers as the
+// index that was saved.
+func TestLoadChecksDelta(t *testing.T) {
+	idx := New(dataset.Generate(dataset.Skewed, 500, 41), testOptions())
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// The option words after the magic: B, N, curve, lr, epochs, loss, γ, Δ.
+	const lossWord, gammaWord, deltaWord = 8 + 5*8, 8 + 6*8, 8 + 7*8
+	for name, c := range map[string]struct {
+		at   int
+		word uint64
+		ok   bool
+	}{
+		"Δ 0.02":  {deltaWord, math.Float64bits(0.02), false},
+		"Δ NaN":   {deltaWord, math.Float64bits(math.NaN()), false},
+		"Δ unset": {deltaWord, 0, true},
+		"γ 4":     {gammaWord, 4, true},
+		"loss":    {lossWord, math.Float64bits(1e-4), true},
+	} {
+		raw := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint64(raw[c.at:], c.word)
+		loaded, err := Load(bytes.NewReader(raw))
+		if !c.ok {
+			if err == nil || !strings.Contains(err.Error(), "Δ") {
+				t.Errorf("%s: Load returned %v, want a refusal naming Δ", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, q := range workload.KNNPoints(idx.AllPoints(), 20, 42) {
+			if got, want := loaded.KNN(q, 10), idx.KNN(q, 10); !slices.Equal(got, want) {
+				t.Fatalf("%s: KNN(%v) = %v, the saved index answers %v", name, q, got, want)
+			}
 		}
 	}
 }

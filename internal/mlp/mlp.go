@@ -42,9 +42,6 @@ type Config struct {
 	// Epochs is the number of passes over the training set. Zero selects
 	// 500 (paper default).
 	Epochs int
-	// TargetLoss optionally stops training early once the epoch MSE drops
-	// to or below this value. Zero disables early stopping.
-	TargetLoss float64
 	// Seed seeds weight initialisation and epoch shuffling, making training
 	// fully deterministic.
 	Seed int64
@@ -218,9 +215,6 @@ func (n *Network) Train(cfg Config, xs []float64, ys []float64) float64 {
 			n.b2 -= step
 		}
 		mse = sse / float64(len(ys))
-		if cfg.TargetLoss > 0 && mse <= cfg.TargetLoss {
-			break
-		}
 	}
 	return mse
 }

@@ -180,31 +180,6 @@ func TestTrainEmptyAndMismatched(t *testing.T) {
 	n.Train(cfg, []float64{1, 2, 3}, []float64{1})
 }
 
-func TestEarlyStopping(t *testing.T) {
-	// With a trivially learnable constant target, early stopping must kick
-	// in well before the epoch limit; detect it via identical results with
-	// wildly different epoch budgets.
-	xs := make([]float64, 64)
-	ys := make([]float64, 64)
-	for i := range xs {
-		xs[i] = float64(i) / 63
-		ys[i] = 0.5
-	}
-	cfgA := Config{Inputs: 1, Hidden: 4, LearningRate: 0.5, Epochs: 10000, TargetLoss: 1e-4, Seed: 2}
-	a := New(cfgA)
-	mseA := a.Train(cfgA, xs, ys)
-	if mseA > 1e-4 {
-		t.Fatalf("early-stopped MSE = %g, want <= 1e-4", mseA)
-	}
-	cfgB := cfgA
-	cfgB.Epochs = 20000
-	b := New(cfgB)
-	b.Train(cfgB, xs, ys)
-	if a.Predict([]float64{0.3}) != b.Predict([]float64{0.3}) {
-		t.Error("early stopping did not stop at the same epoch for both budgets")
-	}
-}
-
 func TestLoss(t *testing.T) {
 	cfg := Config{Inputs: 1, Hidden: 4, Seed: 1}
 	n := New(cfg)
@@ -355,18 +330,14 @@ func (n *referenceNetwork) train(cfg Config, xs, ys []float64) float64 {
 			}
 		}
 		mse = sse / float64(len(ys))
-		if cfg.TargetLoss > 0 && mse <= cfg.TargetLoss {
-			break
-		}
 	}
 	return mse
 }
 
 // TestFusedStepIsReferenceStep: New draws and Train moves every parameter to
 // exactly the bits of the generic three-pass loop — same update rule, sample
-// order, seeds and early-stop epoch — for both arities, hidden widths on
-// either side of every size the old scratch buffers special-cased, and with
-// early stopping on and off.
+// order and seeds — for both arities and hidden widths on either side of
+// every size the old scratch buffers special-cased.
 func TestFusedStepIsReferenceStep(t *testing.T) {
 	const m = 400
 	rng := rand.New(rand.NewSource(31))
@@ -380,31 +351,22 @@ func TestFusedStepIsReferenceStep(t *testing.T) {
 			}
 		}
 		for _, hidden := range []int{2, 16, 33, 51, 80} {
-			cfg := Config{Inputs: inputs, Hidden: hidden, LearningRate: 0.1, Epochs: 10, Seed: int64(7*hidden + inputs)}
-			// The loss ten epochs reach is a target forty epochs stop early at.
-			reached := newReference(cfg).train(cfg, xs, ys)
-			cfg.Epochs = 40
-			for _, target := range []float64{0, reached} {
-				cfg.TargetLoss = target
-				ref, net := newReference(cfg), New(cfg)
-				wantMSE, gotMSE := ref.train(cfg, xs, ys), net.Train(cfg, xs, ys)
-				if math.Float64bits(gotMSE) != math.Float64bits(wantMSE) {
-					t.Errorf("%+v: Train returned MSE %v, reference %v", cfg, gotMSE, wantMSE)
+			cfg := Config{Inputs: inputs, Hidden: hidden, LearningRate: 0.1, Epochs: 40, Seed: int64(7*hidden + inputs)}
+			ref, net := newReference(cfg), New(cfg)
+			wantMSE, gotMSE := ref.train(cfg, xs, ys), net.Train(cfg, xs, ys)
+			if math.Float64bits(gotMSE) != math.Float64bits(wantMSE) {
+				t.Errorf("%+v: Train returned MSE %v, reference %v", cfg, gotMSE, wantMSE)
+			}
+			if math.Float64bits(net.b2) != math.Float64bits(ref.b2) {
+				t.Errorf("%+v: output bias %v, reference %v", cfg, net.b2, ref.b2)
+			}
+			for j, u := range net.units {
+				want := unit{wx: ref.w1[j*inputs], b: ref.b1[j], w2: ref.w2[j]}
+				if inputs == 2 {
+					want.wy = ref.w1[j*inputs+1]
 				}
-				if target > 0 && gotMSE > target {
-					t.Errorf("%+v: MSE %v, the run did not stop early", cfg, gotMSE)
-				}
-				if math.Float64bits(net.b2) != math.Float64bits(ref.b2) {
-					t.Errorf("%+v: output bias %v, reference %v", cfg, net.b2, ref.b2)
-				}
-				for j, u := range net.units {
-					want := unit{wx: ref.w1[j*inputs], b: ref.b1[j], w2: ref.w2[j]}
-					if inputs == 2 {
-						want.wy = ref.w1[j*inputs+1]
-					}
-					if u != want {
-						t.Fatalf("%+v: hidden unit %d = %+v, reference %+v", cfg, j, u, want)
-					}
+				if u != want {
+					t.Fatalf("%+v: hidden unit %d = %+v, reference %+v", cfg, j, u, want)
 				}
 			}
 		}

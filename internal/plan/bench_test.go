@@ -9,7 +9,6 @@ import (
 	"context"
 	"testing"
 
-	"rsmi"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 )
@@ -37,7 +36,7 @@ func BenchmarkChooseWindow(b *testing.B) {
 // experiment's tiny-window cells pay.
 func BenchmarkBatchWindowOverhead(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 20000, 1)
-	ref := rsmi.NewRStarEngine(pts, 0)
+	ref := baseline(b, "rstar", pts)
 	st := NewStats(pts)
 	st.mu.Lock()
 	st.set.Store(NewStatsFromModels(len(pts), map[string]Model{

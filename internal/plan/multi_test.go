@@ -15,6 +15,16 @@ import (
 	"rsmi/internal/shard"
 )
 
+// baseline builds the named baseline engine, failing the test on an error.
+func baseline(tb testing.TB, name string, pts []geom.Point) rsmi.Engine {
+	tb.Helper()
+	eng, err := rsmi.NewBaselineEngine(name, pts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
 // testMulti builds a MultiEngine over the R*-tree and Grid File
 // baselines with seeded models that send tiny windows to the R*-tree
 // and large ones to the Grid File, so batch tests exercise the
@@ -22,8 +32,7 @@ import (
 func testMulti(t *testing.T) (*MultiEngine, []geom.Point, rsmi.Engine) {
 	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 3000, 7)
-	ref := rsmi.NewRStarEngine(pts, 0)
-	grid := rsmi.NewGridFileEngine(pts, 0)
+	ref, grid := baseline(t, "rstar", pts), baseline(t, "grid", pts)
 	stats := NewStatsFromModels(len(pts), map[string]Model{
 		ref.Name():  {PointUS: 1, WindowBaseUS: 1, WindowPerRowUS: 1, KNNBaseUS: 10, KNNPerKUS: 1},
 		grid.Name(): {PointUS: 2, WindowBaseUS: 50, WindowPerRowUS: 0.01, KNNBaseUS: 5, KNNPerKUS: 1},

@@ -433,16 +433,13 @@ func TestStreamRequestTimeout(t *testing.T) {
 // harness that makes cross-engine serving numbers meaningful.
 func TestProtocolEquivalenceAcrossEngines(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 1500, 71)
-	for _, tc := range []struct {
-		name  string
-		build func() Engine
-	}{
-		{"rstar", func() Engine { return rsmi.NewRStarEngine(pts, 0) }},
-		{"grid", func() Engine { return rsmi.NewGridFileEngine(pts, 0) }},
-		{"kdb", func() Engine { return rsmi.NewKDBEngine(pts, 0) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, httpURL, streamAddr := startStreamServer(t, Config{Engine: tc.build()})
+	for _, name := range []string{"rstar", "grid", "kdb"} {
+		t.Run(name, func(t *testing.T) {
+			eng, err := rsmi.NewBaselineEngine(name, pts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, httpURL, streamAddr := startStreamServer(t, Config{Engine: eng})
 			clients := map[string]*Client{
 				"http-json":   NewClient(httpURL),
 				"http-binary": NewClient(httpURL, WithProto(ProtoBinary)),

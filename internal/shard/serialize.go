@@ -12,7 +12,6 @@ import (
 
 	"rsmi/internal/core"
 	"rsmi/internal/geom"
-	"rsmi/internal/sfc"
 )
 
 // Snapshot serialisation. Training at paper scale takes hours (§6.2.2), so
@@ -53,21 +52,15 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 		written += int64(binary.Size(v))
 		return nil
 	}
-	o := s.opts
-	raw := uint8(0)
-	if o.Index.RawGridLeafOrder {
-		raw = 1
-	}
-	for _, v := range []interface{}{
-		int64(len(s.shards)), int64(o.Workers), int64(spacePartitioned),
-		int64(o.Index.BlockCapacity), int64(o.Index.PartitionThreshold),
-		int64(o.Index.Curve), o.Index.LearningRate, int64(o.Index.Epochs),
-		o.Index.TargetLoss, int64(o.Index.Gamma), o.Index.Delta,
-		o.Index.Seed, raw,
-	} {
+	for _, v := range []int64{int64(len(s.shards)), int64(s.opts.Workers), spacePartitioned} {
 		if err := put(v); err != nil {
 			return written, err
 		}
+	}
+	n, err := core.WriteOptions(bw, s.opts.Index, false)
+	written += n
+	if err != nil {
+		return written, fmt.Errorf("shard: write header: %w", err)
 	}
 	var buf bytes.Buffer
 	for i, sh := range s.shards {
@@ -109,23 +102,13 @@ func Load(r io.Reader) (*Sharded, error) {
 	if magic != shardMagic {
 		return nil, errors.New("shard: not a sharded RSMI snapshot")
 	}
-	var (
-		i64  [8]int64
-		lr   float64
-		tl   float64
-		dlt  float64
-		seed int64
-		raw  uint8
-	)
-	for _, v := range []interface{}{
-		&i64[0], &i64[1], &i64[2], &i64[3], &i64[4], &i64[5],
-		&lr, &i64[6], &tl, &i64[7], &dlt, &seed, &raw,
-	} {
-		if err := binary.Read(br, binary.LittleEndian, v); err != nil {
+	var layout [3]int64
+	for i := range layout {
+		if err := binary.Read(br, binary.LittleEndian, &layout[i]); err != nil {
 			return nil, fmt.Errorf("shard: read header: %w", err)
 		}
 	}
-	shards, workers, parts := i64[0], i64[1], i64[2]
+	shards, workers, parts := layout[0], layout[1], layout[2]
 	const maxShards = 1 << 16
 	if shards < 1 || shards > maxShards || workers < 1 || workers > maxShards {
 		return nil, fmt.Errorf("shard: implausible layout shards=%d workers=%d", shards, workers)
@@ -133,22 +116,11 @@ func Load(r io.Reader) (*Sharded, error) {
 	if parts != spacePartitioned {
 		return nil, fmt.Errorf("shard: partitioning %d is not space partitioning (0); rebuild the index from its points", parts)
 	}
-	s := &Sharded{opts: Options{
-		Shards:  int(shards),
-		Workers: int(workers),
-		Index: core.Options{
-			BlockCapacity:      int(i64[3]),
-			PartitionThreshold: int(i64[4]),
-			Curve:              sfc.Kind(i64[5]),
-			LearningRate:       lr,
-			Epochs:             int(i64[6]),
-			TargetLoss:         tl,
-			Gamma:              int(i64[7]),
-			Delta:              dlt,
-			Seed:               seed,
-			RawGridLeafOrder:   raw&1 != 0,
-		},
-	}}
+	opts, err := core.ReadOptions(br)
+	if err != nil {
+		return nil, fmt.Errorf("shard: header: %w", err)
+	}
+	s := &Sharded{opts: Options{Shards: int(shards), Workers: int(workers), Index: opts}}
 	s.shards = make([]*state, shards)
 	for i := range s.shards {
 		var bits [4]uint64

@@ -7,7 +7,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -198,7 +201,7 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 		for _, shards := range []int{1, 3} {
 			pts := dataset.Generate(dataset.Skewed, 60, 81)
 			s := New(pts, Options{Shards: shards, Index: core.Options{
-				BlockCapacity: 4, PartitionThreshold: 16, Epochs: 2, LearningRate: 0.1, Gamma: 4, Seed: 1, Curve: curve,
+				BlockCapacity: 4, PartitionThreshold: 16, Epochs: 2, LearningRate: 0.1, Seed: 1, Curve: curve,
 			}})
 			for _, p := range workload.InsertPoints(pts, 12, 82) {
 				mustInsert(tb, s, p)
@@ -214,6 +217,32 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 		}
 	}
 	return seeds
+}
+
+// TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
+// were written when γ was an option, with γ = 4 in the header and in every
+// shard's stream. γ shaped only the stored PMFs, so they still load, and
+// their exact whole-space window holds every point.
+func TestCommittedSeedsLoad(t *testing.T) {
+	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
+		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadSharded", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		body, ok2 := strings.CutSuffix(body, ")\n")
+		snap, err := strconv.Unquote(body)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("%s: not one []byte corpus entry (%v)", name, err)
+		}
+		s, err := Load(strings.NewReader(snap))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := must(s.ExactWindowContext(bg, wholeSpace)); s.Len() == 0 || len(got) != s.Len() {
+			t.Errorf("%s: the whole-space window holds %d of %d points", name, len(got), s.Len())
+		}
+	}
 }
 
 // wholeSpace is a window every finite point lies in.
@@ -256,8 +285,12 @@ func FuzzLoadSharded(f *testing.F) {
 }
 
 // partitioningWord is the byte offset of the header's partitioning word:
-// after the magic, the shard count and the worker count.
-const partitioningWord = 8 + 2*8
+// after the magic, the shard count and the worker count. deltaWord is the
+// offset of the header's Δ, the eighth word of the option block after it.
+const (
+	partitioningWord = 8 + 2*8
+	deltaWord        = partitioningWord + 8 + 7*8
+)
 
 // shardZero locates fields of the first shard of a snapshot, by byte offset,
 // for the tampering tests: the offsets follow WriteTo here and in core and
@@ -312,6 +345,7 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 	out := map[string][]byte{}
 	for name, edits := range map[string][][2]uint64{
 		"partitioning-1":       {{partitioningWord, 1}},        // hash partitioning, routed by a hash no longer kept
+		"delta-0.02":           {{deltaWord, f64(0.02)}},       // a kNN step this version does not run
 		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
 		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
 		"block-list-loops":     {{uint64(z.firstNext), 0}},              // block 0 links to itself
@@ -346,6 +380,8 @@ func TestLoadRefusesTampered(t *testing.T) {
 				t.Errorf("%s, %s: Load accepted it", seedName, name)
 			} else if name == "partitioning-1" && !strings.Contains(err.Error(), "partitioning") {
 				t.Errorf("%s, %s: Load refused it with %q, which does not name the partitioning", seedName, name, err)
+			} else if name == "delta-0.02" && !strings.Contains(err.Error(), "Δ") {
+				t.Errorf("%s, %s: Load refused it with %q, which does not name Δ", seedName, name, err)
 			}
 		}
 	}
@@ -402,15 +438,12 @@ func TestBuildSnapshotGolden(t *testing.T) {
 	}
 }
 
-// TestRebuildSnapshotGolden pins the bytes a rolling rebuild writes after a
-// fixed history of inserts and deletes: rebuilding a shard from one owned copy
-// of its live points, rather than two, must hand the build the same points in
-// the same order under the same options and seed. Digests are of amd64
-// builds, as in TestBuildSnapshotGolden.
-func TestRebuildSnapshotGolden(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("golden digests are of amd64 builds")
-	}
+// rebuiltHistory is a two-shard index rebuilt after a fixed history of
+// inserts and deletes. Its second shard's rebuild has a model collapse: every
+// point of one internal model is predicted into one cell, so that cell's
+// leaf sits one level below the model.
+func rebuiltHistory(t *testing.T) *Sharded {
+	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 6000, 11)
 	s := New(pts, Options{Shards: 2, Index: core.Options{Epochs: 2, Seed: 3}})
 	for i, p := range dataset.Generate(dataset.Uniform, 1500, 12) {
@@ -424,7 +457,20 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 	if err := s.RebuildContext(bg); err != nil {
 		t.Fatal(err)
 	}
-	const want = "17544784ef7b50a1ac85f45c5b1af4267e8b88d3564f7254c61417aca8df50b7"
+	return s
+}
+
+// TestRebuildSnapshotGolden pins the bytes a rolling rebuild writes after a
+// fixed history of inserts and deletes: rebuilding a shard from one owned copy
+// of its live points, rather than two, must hand the build the same points in
+// the same order under the same options and seed. Digests are of amd64
+// builds, as in TestBuildSnapshotGolden.
+func TestRebuildSnapshotGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are of amd64 builds")
+	}
+	s := rebuiltHistory(t)
+	const want = "8570b676566aed9f37920f262c0f61b7928d65600ba9ee771f18b8ec94e17bb0"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

@@ -279,6 +279,14 @@ func TestShardedDefaults(t *testing.T) {
 	if got := len(s.ShardStats()); got != s.NumShards() {
 		t.Fatalf("ShardStats returned %d entries", got)
 	}
+	// A leaf built for a collapsed model counts in the height: no point lies
+	// deeper than Height, so neither does the average.
+	rebuilt := rebuiltHistory(t)
+	for i, st := range rebuilt.ShardStats() {
+		if ad := rebuilt.shards[i].idx.AvgDepth(); ad > float64(st.Height) {
+			t.Errorf("rebuilt shard %d: AvgDepth %v above Height %d", i, ad, st.Height)
+		}
+	}
 }
 
 // More shards than points: some shards are empty, and everything must still

@@ -35,16 +35,11 @@ const DefaultGridOrder = 16
 type Options struct {
 	// BlockCapacity is B (default 100).
 	BlockCapacity int
-	// GridOrder is the Z-curve order (default 16).
-	GridOrder uint
-	// LearningRate, Epochs, TargetLoss configure model training (defaults
-	// match the paper: 0.01 / 500).
+	// LearningRate and Epochs configure model training (defaults match the
+	// paper: 0.01 / 500). The kNN skew estimation adapted from RSMI uses
+	// RSMI's γ and Δ (cdf.DefaultGamma, cdf.DefaultDelta).
 	LearningRate float64
 	Epochs       int
-	TargetLoss   float64
-	// Gamma and Delta configure the kNN skew estimation adapted from RSMI.
-	Gamma int
-	Delta float64
 	// Seed drives deterministic training.
 	Seed int64
 }
@@ -53,20 +48,11 @@ func (o Options) withDefaults() Options {
 	if o.BlockCapacity == 0 {
 		o.BlockCapacity = store.DefaultBlockCapacity
 	}
-	if o.GridOrder == 0 {
-		o.GridOrder = DefaultGridOrder
-	}
 	if o.LearningRate == 0 {
 		o.LearningRate = mlp.DefaultLearningRate
 	}
 	if o.Epochs == 0 {
 		o.Epochs = mlp.DefaultEpochs
-	}
-	if o.Gamma == 0 {
-		o.Gamma = cdf.DefaultGamma
-	}
-	if o.Delta == 0 {
-		o.Delta = cdf.DefaultDelta
 	}
 	return o
 }
@@ -110,11 +96,11 @@ func New(pts []geom.Point, opts Options) *ZM {
 	z := &ZM{
 		opts:   opts,
 		store:  store.NewManager(opts.BlockCapacity),
-		curve:  sfc.New(sfc.Z, opts.GridOrder),
+		curve:  sfc.New(sfc.Z, DefaultGridOrder),
 		norm:   geom.BoundingRect(pts),
 		n:      len(pts),
 		buildN: len(pts),
-		maxZ:   float64(uint64(1)<<(2*opts.GridOrder) - 1),
+		maxZ:   float64(uint64(1)<<(2*DefaultGridOrder) - 1),
 	}
 	if len(pts) == 0 {
 		z.built = time.Since(start)
@@ -163,8 +149,8 @@ func New(pts []geom.Point, opts Options) *ZM {
 	for i, p := range pts {
 		xs[i], ys[i] = p.X, p.Y
 	}
-	z.pmfX = cdf.New(xs, opts.Gamma)
-	z.pmfY = cdf.New(ys, opts.Gamma)
+	z.pmfX = cdf.New(xs, cdf.DefaultGamma)
+	z.pmfY = cdf.New(ys, cdf.DefaultGamma)
 	z.built = time.Since(start)
 	return z
 }
@@ -218,7 +204,6 @@ func (z *ZM) train(keys []float64) {
 			Hidden:       mlp.HiddenFor(1, classes),
 			LearningRate: z.opts.LearningRate,
 			Epochs:       z.opts.Epochs,
-			TargetLoss:   z.opts.TargetLoss,
 			Seed:         z.opts.Seed + seed,
 		}
 	}
@@ -482,8 +467,8 @@ func (z *ZM) KNN(q geom.Point, k int) []geom.Point {
 		k = z.n
 	}
 	frac := math.Sqrt(float64(k) / float64(z.n))
-	width := z.pmfX.Alpha(q.X, z.opts.Delta) * frac
-	height := z.pmfY.Alpha(q.Y, z.opts.Delta) * frac
+	width := z.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
+	height := z.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
 
 	best := index.NewNearest(q, k)
 	visited := make(map[int]bool)
