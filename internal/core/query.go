@@ -11,9 +11,10 @@ import (
 	"rsmi/internal/store"
 )
 
-// locate is Algorithm 1's model part: it descends to the leaf model for q
-// and returns the predicted global block id with the leaf's error bounds as
-// a clamped scan range [lo, hi] over base blocks.
+// locate is Algorithm 1's model part as window corners use it: it descends
+// to the leaf model for q and returns the predicted global block id with the
+// leaf's error bounds as a clamped scan range [lo, hi] over base blocks.
+// Point queries scan their prediction's span instead (pointBounds).
 func (t *RSMI) locate(q geom.Point) (lo, hi int, ok bool) {
 	leaf := t.descend(q)
 	if leaf == nil {
@@ -41,7 +42,7 @@ func (n *node) scanBounds(q geom.Point) (lo, hi int) {
 
 // blockCursor walks base blocks `begin` through `end` inclusive by index
 // and, after each, the overflow chain hung off it, yielding block ids in list
-// order. A base block without a chain — chainHead says so — is yielded
+// order. A base block without a chain — its chainHead says so — is yielded
 // without its header being loaded, so a query loop can test blockMBR[id]
 // first and load only the blocks it admits. Query loops drive the cursor
 // directly (no callback per block) and report the blocks it yielded with one
@@ -72,7 +73,7 @@ func (c *blockCursor) next() int {
 		}
 		c.base++
 		id = c.base
-		c.chain = int(c.t.chainHead[id])
+		c.chain = int(c.t.bases[id].chainHead)
 	} else if c.chain = c.t.store.Peek(id).Next; c.chain < c.t.baseBlocks {
 		// The chain ran into the next base block or the end of the list.
 		c.chain = store.NilBlock
@@ -81,9 +82,20 @@ func (c *blockCursor) next() int {
 	return id
 }
 
+// pointBounds returns the base-block range a point query for q in leaf
+// scans: the span of q's prediction, empty when no point was ever filed
+// under it.
+func (t *RSMI) pointBounds(leaf *node, q geom.Point) (lo, hi int) {
+	s := t.bases[leaf.firstBlock+leaf.predictClamped(q)].span
+	return leaf.firstBlock + int(s.lo), leaf.firstBlock + int(s.hi)
+}
+
 // PointQuery implements Algorithm 1: descend the models, then scan the
-// error-bounded block range (and any overflow chains) for a point with q's
-// exact coordinates. It implements index.Index and never returns a false
+// block range (and any overflow chains) for a point with q's exact
+// coordinates. The range is the span of q's prediction, not the leaf's
+// error range [pred − errDown, pred + errUp]: every point filed under the
+// prediction lies in it, and it is never wider (see "Correctness
+// guarantees"). It implements index.Index and never returns a false
 // negative for indexed points.
 //
 // This context-free form is the implementation layer: PointQueryContext is the
@@ -92,10 +104,11 @@ func (c *blockCursor) next() int {
 //
 //rsmi:noalloc
 func (t *RSMI) PointQuery(q geom.Point) bool {
-	lo, hi, ok := t.locate(q)
-	if !ok {
+	leaf := t.descend(q)
+	if leaf == nil {
 		return false
 	}
+	lo, hi := t.pointBounds(leaf, q)
 	b, _, _ := t.findPointIn(q, lo, hi)
 	return b != nil
 }

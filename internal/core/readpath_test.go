@@ -15,11 +15,14 @@ import (
 )
 
 // The read path searches a block only when its cached MBR admits the probe,
-// drives block walks through a cursor, and runs kNN rounds best-first. The
-// reference below is the path it replaced — closure scans, every block of a
-// range searched point by point, kNN in list order behind a visited map —
-// kept here, uncounted and ungated, so the property test can demand the same
-// answers and the same block-access counts from the new path.
+// drives block walks through a cursor, runs kNN rounds best-first, and scans
+// a point query's span rather than its leaf's error range. The reference
+// below is the path it replaced — closure scans, every block of a range
+// searched point by point, kNN in list order behind a visited map — kept
+// here, uncounted and ungated, so the property test can demand the same
+// answers and the same block-access counts from the new path. A point
+// query's span is derived here by brute force, from every point the index
+// has held.
 
 // refScan walks base blocks [begin, end] and their overflow chains in list
 // order, counting every block it hands to fn in *reads.
@@ -59,12 +62,58 @@ func refFind(t *RSMI, q geom.Point, lo, hi int, reads *int) (found *store.Block,
 	return found, base
 }
 
-func refPoint(t *RSMI, q geom.Point, reads *int) bool {
-	lo, hi, ok := t.locate(q)
+// heldPoint is a point an index has held and the base block it was filed
+// under.
+type heldPoint struct {
+	p    geom.Point
+	base int
+}
+
+// filed returns every point of t with the base block of the block holding
+// it, walking the whole block list.
+func filed(t *RSMI) []heldPoint {
+	var out []heldPoint
+	refScan(t, 0, t.baseBlocks-1, new(int), func(b *store.Block, base int) bool {
+		b.Points(func(p geom.Point) { out = append(out, heldPoint{p, base}) })
+		return true
+	})
+	return out
+}
+
+// spanKey names one prediction of one leaf.
+type spanKey struct {
+	leaf *node
+	pred int
+}
+
+// deriveSpans measures, for every prediction of every leaf, the base blocks
+// [lo, hi] the held points predicted there were filed under. A prediction no
+// held point reaches has no entry.
+func deriveSpans(t *RSMI, held []heldPoint) map[spanKey][2]int {
+	spans := map[spanKey][2]int{}
+	for _, h := range held {
+		leaf := t.descend(h.p)
+		k := spanKey{leaf, leaf.predictClamped(h.p)}
+		s, ok := spans[k]
+		if !ok {
+			s = [2]int{h.base, h.base}
+		}
+		spans[k] = [2]int{min(s[0], h.base), max(s[1], h.base)}
+	}
+	return spans
+}
+
+// refPoint scans the derived span of q's prediction for q.
+func refPoint(t *RSMI, spans map[spanKey][2]int, q geom.Point, reads *int) bool {
+	leaf := t.descend(q)
+	if leaf == nil {
+		return false
+	}
+	s, ok := spans[spanKey{leaf, leaf.predictClamped(q)}]
 	if !ok {
 		return false
 	}
-	b, _ := refFind(t, q, lo, hi, reads)
+	b, _ := refFind(t, q, s[0], s[1], reads)
 	return b != nil
 }
 
@@ -241,7 +290,8 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 }
 
 // readPathWorld is an index under test beside the Linear oracle and the
-// list of points both hold.
+// list of points both hold, and every point the index has held since its
+// last build with the base block it was filed under.
 type readPathWorld struct {
 	t      *testing.T
 	rng    *rand.Rand
@@ -249,12 +299,18 @@ type readPathWorld struct {
 	oracle *index.Linear
 	live   []geom.Point
 	gone   []geom.Point
+	held   []heldPoint
 }
 
 func (w *readPathWorld) insert(p geom.Point) {
 	w.idx.Insert(p)
 	w.oracle.Insert(p)
 	w.live = append(w.live, p)
+	for _, h := range filed(w.idx) {
+		if h.p == p {
+			w.held = append(w.held, h)
+		}
+	}
 }
 
 func (w *readPathWorld) deleteAt(i int) {
@@ -286,22 +342,30 @@ func (w *readPathWorld) check(stage string) {
 		t.Fatalf("%s: Len %d, oracle %d", stage, idx.Len(), w.oracle.Len())
 	}
 	// Points: every live point found, deleted and random points as the
-	// oracle says, same blocks read as the ungated scan.
+	// oracle says, same blocks read as the ungated scan of the derived span,
+	// and no more than the ungated scan of the leaf's error range.
 	probes := append([]geom.Point(nil), w.live...)
 	probes = append(probes, w.gone...)
 	for i := 0; i < 200; i++ {
 		probes = append(probes, geom.Pt(w.rng.Float64(), w.rng.Float64()))
 	}
+	spans := deriveSpans(idx, w.held)
 	for _, p := range probes {
 		var got, want bool
-		var refReads int
+		var refReads, leafReads int
 		reads := w.accesses(func() { got = idx.PointQuery(p) })
-		want = refPoint(idx, p, &refReads)
+		want = refPoint(idx, spans, p, &refReads)
 		if got != want || got != w.oracle.PointQuery(p) {
 			t.Fatalf("%s: PointQuery(%v) = %v, reference %v, oracle %v", stage, p, got, want, w.oracle.PointQuery(p))
 		}
 		if reads != refReads {
 			t.Fatalf("%s: PointQuery(%v) read %d blocks, reference %d", stage, p, reads, refReads)
+		}
+		if lo, hi, ok := idx.locate(p); ok {
+			refFind(idx, p, lo, hi, &leafReads)
+		}
+		if reads > leafReads {
+			t.Fatalf("%s: PointQuery(%v) read %d blocks, the leaf's error range %d", stage, p, reads, leafReads)
 		}
 	}
 	for i := 0; i < 60; i++ {
@@ -449,6 +513,7 @@ func TestReadPathMatchesReference(t *testing.T) {
 			opts.Epochs = 15
 			w := &readPathWorld{t: t, rng: rng, idx: New(pts, opts), oracle: index.NewLinear(pts),
 				live: append([]geom.Point(nil), pts...)}
+			w.held = filed(w.idx)
 			w.check("built")
 
 			for i := 0; i < 400; i++ {
@@ -490,6 +555,7 @@ func TestReadPathMatchesReference(t *testing.T) {
 			w.check("reloaded")
 
 			w.idx.Rebuild()
+			w.held = filed(w.idx)
 			w.check("rebuilt")
 			for i := 0; i < 200; i++ {
 				w.insert(geom.Pt(rng.Float64(), rng.Float64()))

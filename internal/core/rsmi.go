@@ -17,7 +17,8 @@
 //
 // # Correctness guarantees
 //
-// Point queries have no false negatives (error-bounded scan, §4.1). Window
+// Point queries have no false negatives (a scan of the prediction's span,
+// which narrows the error-bounded scan of §4.1). Window
 // queries have no false positives and may miss points (approximate, §4.2);
 // ExactWindow/ExactKNN use the per-model MBRs for exact answers (the RSMIa
 // variant of §6.2.3). All guarantees hold regardless of how well the models
@@ -34,18 +35,26 @@
 //     predictClamped, so a point is looked for in the subtree it was put in;
 //   - buildLeaf measures errUp/errDown as the largest gaps between a point's
 //     block and predictClamped, and scanBounds widens predictClamped by
-//     exactly those, so the scan covers the block of every point the leaf
-//     was built over;
-//   - Insert files a point under the base block predictClamped names, and a
-//     query or Delete for it scans a range that contains that block and
-//     walks its overflow chain.
+//     exactly those, so a window corner's scan covers the block of every
+//     point the leaf was built over;
+//   - buildLeaf records, for every prediction, the span of blocks that hold
+//     the points predictClamped puts there, and a point query or Delete
+//     scans the span of its own prediction. Every live point's base block
+//     lies in the span of its prediction: Insert files a point under the
+//     base block predictClamped names and widens that prediction's span to
+//     cover it, a query or Delete for it walks that block's overflow chain,
+//     and Delete only removes points. Load checks the span invariant point
+//     by point, so a loaded index finds every point it holds.
 //
 // Kernel.Predict is deterministic, total, and the same function on every
 // machine (see mlp.Kernel), and a snapshot stores the kernels themselves, so
 // the argument carries across save and load. It does not carry across a
 // change of predictor, which is why the RSMIv1 format — network weights, to
 // be run through an exp-based forward pass — is refused rather than
-// converted (ErrSnapshotV1).
+// converted (ErrSnapshotV1). An RSMIv2 file holds no spans, and spans
+// derived at load from the live points would be narrower than the saved
+// index's after deletes, so the loaded index would read other blocks than
+// the saved one: it is refused too (ErrSnapshotV2).
 package core
 
 import (
@@ -135,12 +144,47 @@ type node struct {
 	firstBlock int // first base block id
 	numBlocks  int // base blocks owned by this leaf
 	// errUp is M.err_l (Eq. 4): the largest under-prediction, i.e. how far
-	// the true block can lie ABOVE the prediction, so scans extend upward
-	// by errUp. errDown is M.err_a (Eq. 5): the largest over-prediction,
-	// extending scans downward.
+	// the true block can lie ABOVE the prediction, so window corners' scans
+	// extend upward by errUp. errDown is M.err_a (Eq. 5): the largest
+	// over-prediction, extending them downward.
 	errUp   int
 	errDown int
 	points  int // live points in the subtree (maintained by updates)
+}
+
+// span is a range [lo, hi] of a leaf's local base blocks; lo > hi is the
+// empty range.
+type span struct{ lo, hi int32 }
+
+// emptySpan is the span of a prediction no point has been filed under.
+var emptySpan = span{lo: 0, hi: -1}
+
+func (s span) empty() bool { return s.lo > s.hi }
+
+// contains reports whether local base block b lies in s.
+func (s span) contains(b int) bool { return int(s.lo) <= b && b <= int(s.hi) }
+
+// cover widens s to hold local base block b.
+func (s *span) cover(b int) {
+	if s.empty() {
+		s.lo, s.hi = int32(b), int32(b)
+		return
+	}
+	s.lo, s.hi = min(s.lo, int32(b)), max(s.hi, int32(b))
+}
+
+// baseEntry is what the index keeps of one base block beside the store.
+type baseEntry struct {
+	// chainHead is the first overflow block chained after the base block,
+	// NilBlock when it has none: what lets a walk step from one base block
+	// to the next by index without loading either (see blockCursor).
+	chainHead int32
+	// span is the span of the leaf prediction that names the base block:
+	// the leaf's blocks that hold the points it predicts there, empty when
+	// there are none. A point query or Delete scans it instead of the
+	// leaf's error range; Insert widens it to cover the block, deletes
+	// leave it.
+	span span
 }
 
 // RSMI is the learned spatial index. It is not safe for concurrent use.
@@ -156,10 +200,9 @@ type RSMI struct {
 	// baseBlocks is the number of blocks created at build time; ids >=
 	// baseBlocks are insertion overflow blocks reached via chains.
 	baseBlocks int
-	// chainHead[id] is the first overflow block chained after base block id,
-	// NilBlock when it has none: what lets a walk step from one base block to
-	// the next by index without loading either (see blockCursor).
-	chainHead []int32
+	// bases[id] holds base block id's chain head and span. One array, not
+	// two: the index pays one allocation's size-class rounding for them.
+	bases []baseEntry
 
 	pmfX, pmfY *cdf.PMF
 
@@ -194,6 +237,8 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 		lastTail: store.NilBlock,
 	}
 	t.root = t.build(work, 1)
+	// The entries grew leaf by leaf; keep them without the growth's slack.
+	t.bases = slices.Clone(t.bases)
 	if err := t.linkChains(); err != nil {
 		panic(err) // the list was linked a moment ago, by this package
 	}
@@ -256,19 +301,25 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 			blk := i / t.opts.BlockCapacity
 			return float64(blk) / float64(count-1)
 		}, count)
-		// Exact error bounds over the training set (Eqs. 4–5), measured from
-		// the kernel's own predictions: an under-prediction (M < blk) means
-		// the true block is above the prediction, widening the upward scan;
-		// an over-prediction widens the downward scan.
-		for i, p := range ordered {
-			blk := i / t.opts.BlockCapacity
-			pred := n.predictClamped(p)
-			switch {
-			case pred < blk && blk-pred > n.errUp:
-				n.errUp = blk - pred
-			case pred > blk && pred-blk > n.errDown:
-				n.errDown = pred - blk
-			}
+	}
+	// Exact error bounds over the training set (Eqs. 4–5), measured from the
+	// kernel's own predictions: an under-prediction (M < blk) means the true
+	// block is above the prediction, widening the upward scan; an
+	// over-prediction widens the downward scan. Each prediction's span is
+	// the same measurement kept per prediction.
+	for range count {
+		t.bases = append(t.bases, baseEntry{span: emptySpan})
+	}
+	bases := t.bases[first:]
+	for i, p := range ordered {
+		blk := i / t.opts.BlockCapacity
+		pred := n.predictClamped(p)
+		bases[pred].span.cover(blk)
+		switch {
+		case pred < blk && blk-pred > n.errUp:
+			n.errUp = blk - pred
+		case pred > blk && pred-blk > n.errDown:
+			n.errDown = pred - blk
 		}
 	}
 	return n
@@ -443,15 +494,17 @@ func (t *RSMI) appendBlockMBR(r geom.Rect) {
 	t.blockMBR = append(t.blockMBR, r)
 }
 
-// linkChains walks the block list once from block 0 and records the head of
-// every base block's overflow chain. The walks of this package step through
+// linkChains walks the block list once from block 0 and records in t.bases,
+// which holds one entry per base block, the head of every base block's
+// overflow chain. The walks of this package step through
 // base blocks by index and follow Next only inside a chain, so the list has
 // to be the one Pack and Insert produce: base blocks follow each other in id
 // order, whatever lies between two of them is an Inserted block with an id
 // past the base range, and every block is reached exactly once. Anything
 // else — a snapshot can say anything — is an error.
+
 func (t *RSMI) linkChains() error {
-	heads := make([]int32, t.baseBlocks)
+	heads := t.bases
 	blocks := t.store.NumBlocks()
 	base, reached := -1, 0
 	for id := 0; blocks > 0 && id != store.NilBlock; reached++ {
@@ -462,11 +515,11 @@ func (t *RSMI) linkChains() error {
 		case id < t.baseBlocks && (b.Inserted || id != base+1):
 			return fmt.Errorf("core: base block %d is out of order or marked inserted", id)
 		case id < t.baseBlocks:
-			base, heads[id] = id, store.NilBlock
+			base, heads[id].chainHead = id, store.NilBlock
 		case !b.Inserted || base < 0:
 			return fmt.Errorf("core: block %d is chained but not an overflow block", id)
-		case heads[base] == store.NilBlock:
-			heads[base] = int32(id)
+		case heads[base].chainHead == store.NilBlock:
+			heads[base].chainHead = int32(id)
 		}
 		id = b.Next
 	}
@@ -474,7 +527,6 @@ func (t *RSMI) linkChains() error {
 		return fmt.Errorf("core: block list reaches %d of %d blocks, %d of %d base blocks",
 			reached, blocks, base+1, t.baseBlocks)
 	}
-	t.chainHead = heads
 	return nil
 }
 
@@ -612,8 +664,9 @@ func (t *RSMI) Stats() index.Stats {
 	if t.pmfX != nil {
 		modelBytes += t.pmfX.SizeBytes() + t.pmfY.SizeBytes()
 	}
-	// Block MBR cache (4 float64 per block) supports RSMIa and kNN.
-	modelBytes += int64(len(t.blockMBR)) * 32
+	// Block MBR cache (4 float64 per block) supports RSMIa and kNN; a
+	// point query scans a span (two int32 per base block).
+	modelBytes += int64(len(t.blockMBR))*32 + int64(len(t.bases))*8
 	errLow, errHigh := t.ErrorBounds()
 	return index.Stats{
 		Name:      t.Name(),

@@ -239,6 +239,45 @@ func TestErrorBoundsAreExact(t *testing.T) {
 	}
 }
 
+// TestPointSpansAreExact is TestErrorBoundsAreExact for the spans point
+// queries scan: every indexed point lies in the span of its prediction, and
+// each leaf's span of a prediction is exactly the blocks its points predicted
+// there were packed in — empty when there are none.
+func TestPointSpansAreExact(t *testing.T) {
+	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Skewed} {
+		idx, pts := buildTest(t, kind, 3000)
+		want := deriveSpans(idx, filed(idx))
+		var walk func(n *node)
+		walk = func(n *node) {
+			if n == nil {
+				return
+			}
+			for _, c := range n.children {
+				walk(c)
+			}
+			if !n.leaf {
+				return
+			}
+			for pred, b := range idx.bases[n.firstBlock : n.firstBlock+n.numBlocks] {
+				s := b.span
+				w, ok := want[spanKey{n, pred}]
+				if got := [2]int{n.firstBlock + int(s.lo), n.firstBlock + int(s.hi)}; ok != !s.empty() || ok && got != w {
+					t.Fatalf("%v: leaf at block %d, prediction %d: span %v (empty %v), its points' blocks %v (any %v)",
+						kind, n.firstBlock, pred, got, s.empty(), w, ok)
+				}
+			}
+		}
+		walk(idx.root)
+		for _, p := range pts {
+			lo, hi := idx.pointBounds(idx.descend(p), p)
+			var reads int
+			if blk, _ := refFind(idx, p, lo, hi, &reads); blk == nil {
+				t.Fatalf("%v: point %v outside the span [%d,%d] of its prediction", kind, p, lo, hi)
+			}
+		}
+	}
+}
+
 func TestStatsSanity(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Normal, 4000)
 	s := idx.Stats()
@@ -370,6 +409,35 @@ func benchIndex(b *testing.B) (*RSMI, []geom.Point) {
 	b.Helper()
 	pts := dataset.Generate(dataset.Skewed, 100_000, 1)
 	return New(pts, Options{Epochs: 10, Seed: 1}), pts
+}
+
+// BenchmarkPointQuery runs Algorithm 1 over the index embed-read builds
+// (200k skewed points, 10 epochs, the default learning rate, seed 1), on
+// indexed points (present) and on points beside them that are not indexed
+// (absent), which scan the whole span of their prediction.
+func BenchmarkPointQuery(b *testing.B) {
+	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
+	idx := New(pts, Options{Epochs: 10, Seed: 1})
+	present := workload.PointQueries(pts, 4096, 3)
+	absent := workload.KNNPoints(pts, 4096, 3)
+	for _, q := range absent {
+		if idx.PointQuery(q) {
+			b.Fatalf("probe %v is indexed", q)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		qs   []geom.Point
+	}{{"present", present}, {"absent", absent}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			idx.ResetAccesses()
+			for i := 0; i < b.N; i++ {
+				idx.PointQuery(c.qs[i%len(c.qs)])
+			}
+			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+		})
+	}
 }
 
 // BenchmarkKNNByK runs Algorithm 3 over the k range of the paper's Fig. 16,

@@ -20,13 +20,17 @@ import (
 // CPU), so a production deployment builds once and serves many restarts.
 // This file provides a complete binary serialisation of a built index:
 // options, blocks (including overflow chains and deleted slots), the
-// compiled sub-models, MBRs, error bounds, and the kNN PMFs. A loaded index
-// answers queries identically to the original: the kernels are stored as
-// they are, nothing is recompiled, so every grouping and error bound in the
-// file was measured from the very predictor the loaded index runs.
+// compiled sub-models, MBRs, error bounds, point spans, and the kNN PMFs. A
+// loaded index answers queries identically to the original: the kernels are
+// stored as they are, nothing is recompiled, so every grouping, error bound
+// and span in the file was measured from the very predictor the loaded index
+// runs.
 
-// serialMagic identifies the index file format, RSMIv2.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '2', 0, 0}
+// serialMagic identifies the index file format, RSMIv3.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '3', 0, 0}
+
+// serialMagicV2 is the magic of the format without point spans.
+var serialMagicV2 = [8]byte{'R', 'S', 'M', 'I', 'v', '2', 0, 0}
 
 // serialMagicV1 is the magic of the format that stored each sub-model as
 // network weights plus a normalisation rectangle.
@@ -41,6 +45,15 @@ var serialMagicV1 = [8]byte{'R', 'S', 'M', 'I', 'v', '1', 0, 0}
 // and save it again.
 var ErrSnapshotV1 = errors.New("core: RSMIv1 snapshot refused: its groupings and error bounds were measured " +
 	"under a different predictor than this version runs and cannot be trusted; rebuild the index and save it again")
+
+// ErrSnapshotV2 is returned by Load for an RSMIv2 file. Such a file holds no
+// point spans, the block ranges point queries scan, and they cannot be
+// derived from it: spans measured over the live points would be narrower
+// than the saved index's after deletes, so the loaded index would not read
+// what the saved one read. Rebuild the index from its points and save it
+// again.
+var ErrSnapshotV2 = errors.New("core: RSMIv2 snapshot refused: it holds no point spans, and spans derived " +
+	"from its points would not be the ones the saved index scanned; rebuild the index and save it again")
 
 // WriteTo serialises the index. It implements io.WriterTo.
 func (t *RSMI) WriteTo(w io.Writer) (int64, error) {
@@ -114,7 +127,7 @@ func (t *RSMI) encode(w io.Writer) error {
 		return err
 	}
 	// Model tree.
-	return encodeNode(w, t.root)
+	return t.encodeNode(w, t.root)
 }
 
 // optionBlockSize is the length of the option block: nine words and the
@@ -185,7 +198,7 @@ const (
 	tagInternal = uint8(2)
 )
 
-func encodeNode(w io.Writer, n *node) error {
+func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 	put := func(v interface{}) error {
 		return binary.Write(w, binary.LittleEndian, v)
 	}
@@ -214,13 +227,19 @@ func encodeNode(w io.Writer, n *node) error {
 		}
 	}
 	if n.leaf {
-		return nil
+		pairs := make([]byte, 0, 8*n.numBlocks)
+		for _, b := range t.bases[n.firstBlock : n.firstBlock+n.numBlocks] {
+			pairs = binary.LittleEndian.AppendUint32(pairs, uint32(b.span.lo))
+			pairs = binary.LittleEndian.AppendUint32(pairs, uint32(b.span.hi))
+		}
+		_, err := w.Write(pairs)
+		return err
 	}
 	if err := put(int64(len(n.children))); err != nil {
 		return err
 	}
 	for _, c := range n.children {
-		if err := encodeNode(w, c); err != nil {
+		if err := t.encodeNode(w, c); err != nil {
 			return err
 		}
 	}
@@ -256,8 +275,11 @@ func decode(r io.Reader) (*RSMI, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: read magic: %w", err)
 	}
-	if magic == serialMagicV1 {
+	switch magic {
+	case serialMagicV1:
 		return nil, ErrSnapshotV1
+	case serialMagicV2:
+		return nil, ErrSnapshotV2
 	}
 	if magic != serialMagic {
 		return nil, errors.New("core: not an RSMI index file")
@@ -316,8 +338,15 @@ func decode(r io.Reader) (*RSMI, error) {
 		return nil, err
 	}
 	// Model tree.
-	if t.root, err = decodeNode(r, 0); err != nil {
+	if t.baseBlocks < 0 || t.baseBlocks > mgr.NumBlocks() {
+		return nil, fmt.Errorf("core: baseBlocks %d outside the %d stored blocks", t.baseBlocks, mgr.NumBlocks())
+	}
+	t.bases = make([]baseEntry, 0, t.baseBlocks)
+	if t.root, err = t.decodeNode(r, 0); err != nil {
 		return nil, err
+	}
+	if len(t.bases) != t.baseBlocks {
+		return nil, fmt.Errorf("core: leaves hold spans for %d of %d base blocks", len(t.bases), t.baseBlocks)
 	}
 	if err := t.validate(); err != nil {
 		return nil, err
@@ -328,7 +357,8 @@ func decode(r io.Reader) (*RSMI, error) {
 // maxDecodeDepth bounds recursion on corrupt input.
 const maxDecodeDepth = 64
 
-func decodeNode(r io.Reader, depth int) (*node, error) {
+// decodeNode reads a sub-tree, appending its leaves' spans to t.bases.
+func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	if depth > maxDecodeDepth {
 		return nil, errors.New("core: model tree too deep (corrupt file?)")
 	}
@@ -373,6 +403,17 @@ func decodeNode(r io.Reader, depth int) (*node, error) {
 		return nil, fmt.Errorf("core: sub-model predicts %d classes for a node with %d", got, want)
 	}
 	if n.leaf {
+		// One pair per base block, appended as the stream yields them.
+		var pair [8]byte
+		for range n.numBlocks {
+			if _, err := io.ReadFull(r, pair[:]); err != nil {
+				return nil, fmt.Errorf("core: read spans: %w", err)
+			}
+			t.bases = append(t.bases, baseEntry{span: span{
+				lo: int32(binary.LittleEndian.Uint32(pair[0:])),
+				hi: int32(binary.LittleEndian.Uint32(pair[4:])),
+			}})
+		}
 		return n, nil
 	}
 	var nChildren int64
@@ -385,7 +426,7 @@ func decodeNode(r io.Reader, depth int) (*node, error) {
 	}
 	// The children slice grows as they decode, not ahead of the stream.
 	for i := int64(0); i < nChildren; i++ {
-		c, err := decodeNode(r, depth+1)
+		c, err := t.decodeNode(r, depth+1)
 		if err != nil {
 			return nil, err
 		}
@@ -398,10 +439,6 @@ func decodeNode(r io.Reader, depth int) (*node, error) {
 func (t *RSMI) validate() error {
 	if t.root == nil {
 		return errors.New("core: loaded index has no root")
-	}
-	if t.baseBlocks < 0 || t.baseBlocks > t.store.NumBlocks() {
-		return fmt.Errorf("core: baseBlocks %d outside the %d stored blocks",
-			t.baseBlocks, t.store.NumBlocks())
 	}
 	// Every walk trusts the shape of the block list; a list with a cycle
 	// would be walked forever.
@@ -428,7 +465,12 @@ func (t *RSMI) validate() error {
 	// The leaves, in depth-first order, tile the base blocks — every block
 	// belongs to exactly one leaf — and every model's MBR covers the points
 	// under it. The exact traversals prune by those MBRs, so a snapshot
-	// breaking either would have them miss points or find one twice.
+	// breaking either would have them miss points or find one twice. Every
+	// live point descends to the leaf that holds its block, and that block
+	// lies in the span of the point's prediction, so a point query finds
+	// every point the index holds. The leaves' spans were appended in the
+	// same order, so once the leaves before n tile [0, n.firstBlock), n's
+	// spans start at t.bases[n.firstBlock].
 	next := 0
 	var walk func(n *node) (geom.Rect, error)
 	walk = func(n *node) (geom.Rect, error) {
@@ -445,9 +487,25 @@ func (t *RSMI) validate() error {
 				return covered, errors.New("core: negative error bounds")
 			}
 			next += n.numBlocks
+			bases := t.bases[n.firstBlock:next]
+			for pred, b := range bases {
+				if s := b.span; !s.empty() && (s.lo < 0 || int(s.hi) >= n.numBlocks) {
+					return covered, fmt.Errorf("core: span %d [%d,%d] of the leaf at block %d lies outside its %d blocks",
+						pred, s.lo, s.hi, n.firstBlock, n.numBlocks)
+				}
+			}
 			c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
 				covered = covered.Union(t.blockMBR[id])
+				for _, p := range t.store.Peek(id).Slots() {
+					if t.descend(p) != n {
+						return covered, fmt.Errorf("core: point %v of block %d descends to another leaf", p, id)
+					}
+					if pred, local := n.predictClamped(p), c.base-n.firstBlock; !bases[pred].span.contains(local) {
+						return covered, fmt.Errorf("core: point %v lies in block %d of the leaf at block %d, outside span %d [%d,%d] of its prediction",
+							p, local, n.firstBlock, pred, bases[pred].span.lo, bases[pred].span.hi)
+					}
+				}
 			}
 		default:
 			for _, c := range n.children {

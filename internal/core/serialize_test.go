@@ -223,25 +223,38 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesV1: the previous format is recognised and refused with an
-// error that says why, not mistaken for garbage.
-func TestLoadRefusesV1(t *testing.T) {
+// refuseOldMagic writes an index, puts magic over its own, and checks that
+// Load refuses the file with want, in words that mention each of words.
+func refuseOldMagic(t *testing.T, magic [8]byte, want error, words ...string) {
+	t.Helper()
 	idx := New(dataset.Generate(dataset.Uniform, 500, 40), testOptions())
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	copy(data, serialMagicV1[:])
+	copy(data, magic[:])
 	_, err := Load(bytes.NewReader(data))
-	if !errors.Is(err, ErrSnapshotV1) {
-		t.Fatalf("Load of an RSMIv1 file: %v, want ErrSnapshotV1", err)
+	if !errors.Is(err, want) {
+		t.Fatalf("Load of a %s file: %v, want %v", magic[:6], err, want)
 	}
-	for _, want := range []string{"RSMIv1", "error bounds", "predictor", "rebuild"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("the refusal %q does not mention %q", err, want)
+	for _, w := range words {
+		if !strings.Contains(err.Error(), w) {
+			t.Errorf("the refusal %q does not mention %q", err, w)
 		}
 	}
+}
+
+// TestLoadRefusesV1: the format before compiled kernels is recognised and
+// refused with an error that says why, not mistaken for garbage.
+func TestLoadRefusesV1(t *testing.T) {
+	refuseOldMagic(t, serialMagicV1, ErrSnapshotV1, "RSMIv1", "error bounds", "predictor", "rebuild")
+}
+
+// TestLoadRefusesV2: the format before point spans is recognised and refused
+// with an error that says why, not mistaken for garbage.
+func TestLoadRefusesV2(t *testing.T) {
+	refuseOldMagic(t, serialMagicV2, ErrSnapshotV2, "RSMIv2", "spans", "rebuild")
 }
 
 // TestLoadChecksDelta: Δ sizes every kNN search, so a snapshot whose Δ word
@@ -326,6 +339,27 @@ func TestLoadRejectsMismatchedKernel(t *testing.T) {
 		if _, err := Load(&buf); err == nil {
 			t.Errorf("%s: Load accepted a node whose kernel predicts more classes than it has", name)
 		}
+	}
+}
+
+// TestLoadRefusesSpanOutsideLeaf: a span reaching past its leaf's blocks
+// would send a point query into another leaf's blocks, or past the base
+// range; the loader refuses it in words that name the span, even when every
+// point still lies in the span of its prediction.
+func TestLoadRefusesSpanOutsideLeaf(t *testing.T) {
+	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), testOptions())
+	leaf := idx.descend(idx.AllPoints()[0])
+	s := &idx.bases[leaf.firstBlock].span
+	if s.empty() {
+		s.lo = 0
+	}
+	s.hi = int32(leaf.numBlocks)
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "span") {
+		t.Fatalf("Load of a span past its leaf: %v, want a refusal naming the span", err)
 	}
 }
 

@@ -23,8 +23,9 @@ var ErrNonFinitePoint = errors.New("core: point has a NaN or infinite coordinate
 // Insert adds p to the index (§5). The point query locates the predicted
 // block; if it (or its overflow chain) has space, p is placed there,
 // otherwise a new overflow block is created, marked Inserted so it does not
-// count towards the error bounds, and spliced after the chain. Ancestor
-// MBRs are extended recursively.
+// count towards the error bounds, and spliced after the chain. The
+// prediction's span widens to cover the predicted block, and ancestor MBRs
+// are extended recursively.
 //
 // A point with a NaN or infinite coordinate is not inserted: this form drops
 // it, InsertContext reports ErrNonFinitePoint.
@@ -49,7 +50,9 @@ func (t *RSMI) Insert(p geom.Point) {
 		*t = *NewOwned(append(t.AllPoints(), p), t.opts)
 		return
 	}
-	base := t.store.Peek(leaf.firstBlock + leaf.predictClamped(p))
+	pred := leaf.predictClamped(p)
+	base := t.store.Peek(leaf.firstBlock + pred)
+	t.bases[base.ID].span.cover(pred)
 
 	// Walk the overflow chain in place looking for space. The accesses are
 	// what they have always been — one to locate the base block, then one per
@@ -71,7 +74,7 @@ func (t *RSMI) Insert(p geom.Point) {
 		t.appendBlockMBR(geom.EmptyRect())
 		t.store.Link(lastInChain, target)
 		if lastInChain == base {
-			t.chainHead[base.ID] = int32(target.ID)
+			t.bases[base.ID].chainHead = int32(target.ID)
 		}
 	}
 	target.Append(p)
@@ -91,7 +94,8 @@ func (t *RSMI) Insert(p geom.Point) {
 // Delete removes the point with exactly p's coordinates (§5): the point is
 // located with a point query, swapped with the last point in its block, and
 // flagged deleted. Blocks are never deallocated, keeping the error bounds
-// valid. MBRs are left unshrunk (conservative: supersets stay correct).
+// valid. MBRs and spans are left unshrunk (conservative: supersets stay
+// correct).
 //
 // This context-free form is the implementation layer: DeleteContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -102,7 +106,7 @@ func (t *RSMI) Delete(p geom.Point) bool {
 	if leaf == nil {
 		return false
 	}
-	lo, hi := leaf.scanBounds(p)
+	lo, hi := t.pointBounds(leaf, p)
 	b, _, slot := t.findPointIn(p, lo, hi)
 	if b == nil {
 		return false

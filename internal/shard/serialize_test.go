@@ -173,21 +173,31 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// downgrade returns snap with the magic of every shard stream set to an
+// earlier format's.
+func downgrade(t testing.TB, snap []byte, magic string) []byte {
+	t.Helper()
+	out := bytes.ReplaceAll(snap, []byte("RSMIv3\x00\x00"), []byte(magic+"\x00\x00"))
+	if bytes.Equal(out, snap) {
+		t.Fatal("snapshot holds no RSMIv3 magic to downgrade")
+	}
+	return out
+}
+
 // TestLoadRefusesV1: the sharded container did not change, but a file whose
-// embedded shard streams are RSMIv1 is refused with core's explanation, not
-// loaded with error bounds that no longer hold.
+// embedded shard streams are RSMIv1 or RSMIv2 is refused with core's
+// explanation, not loaded with error bounds that no longer hold or without
+// the spans its point queries scan.
 func TestLoadRefusesV1(t *testing.T) {
 	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	v1 := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv2\x00\x00"), []byte("RSMIv1\x00\x00"))
-	if bytes.Equal(v1, buf.Bytes()) {
-		t.Fatal("snapshot holds no RSMIv2 magic to downgrade")
-	}
-	if _, err := Load(bytes.NewReader(v1)); !errors.Is(err, core.ErrSnapshotV1) {
-		t.Fatalf("Load of a snapshot with v1 shards: %v, want core.ErrSnapshotV1", err)
+	for magic, want := range map[string]error{"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2} {
+		if _, err := Load(bytes.NewReader(downgrade(t, buf.Bytes(), magic))); !errors.Is(err, want) {
+			t.Errorf("Load of a snapshot with %s shards: %v, want %v", magic, err, want)
+		}
 	}
 }
 
@@ -220,9 +230,10 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 }
 
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// were written when γ was an option, with γ = 4 in the header and in every
-// shard's stream. γ shaped only the stored PMFs, so they still load, and
-// their exact whole-space window holds every point.
+// are loadSeeds' snapshots in the RSMIv3 format. They load, their exact
+// whole-space window holds every point, and a point query finds each of
+// them. Snapshots in an earlier format cannot be converted (core's
+// ErrSnapshotV1, ErrSnapshotV2), so a format change writes them again.
 func TestCommittedSeedsLoad(t *testing.T) {
 	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
 		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadSharded", name))
@@ -239,8 +250,14 @@ func TestCommittedSeedsLoad(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := must(s.ExactWindowContext(bg, wholeSpace)); s.Len() == 0 || len(got) != s.Len() {
+		got := must(s.ExactWindowContext(bg, wholeSpace))
+		if s.Len() == 0 || len(got) != s.Len() {
 			t.Errorf("%s: the whole-space window holds %d of %d points", name, len(got), s.Len())
+		}
+		for _, p := range got {
+			if !must(s.PointQueryContext(bg, p)) {
+				t.Errorf("%s: point query misses %v", name, p)
+			}
 		}
 	}
 }
@@ -251,8 +268,10 @@ var wholeSpace = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.In
 // FuzzLoadSharded feeds arbitrary bytes to Load, and through it to core.Load
 // and store.ReadManager. Whatever Load accepts must be an index whose exact
 // whole-space window holds exactly Len() points — every point reachable once
-// through the models, blocks and regions the snapshot claims — and whose
-// other queries neither panic nor hang. The committed corpus under
+// through the models, blocks and regions the snapshot claims —, whose point
+// query finds each of them (the load checked that every point descends to
+// its leaf and lies in the span of its prediction), and whose other queries
+// neither panic nor hang. The committed corpus under
 // testdata/fuzz/FuzzLoadSharded holds the seeds and the tampered snapshots
 // the loader has to refuse.
 func FuzzLoadSharded(f *testing.F) {
@@ -271,13 +290,22 @@ func FuzzLoadSharded(f *testing.F) {
 		if err != nil || len(got) != s.Len() {
 			t.Fatalf("loaded index of %d points answers the whole space with %d (%v)", s.Len(), len(got), err)
 		}
-		// The approximate paths trust models and error bounds no structural
-		// check can vouch for: they may miss points, but must not fail.
+		for _, p := range got {
+			if found, err := s.PointQueryContext(bg, p); !found || err != nil {
+				t.Fatalf("loaded index of %d points: point query misses %v (%v)", s.Len(), p, err)
+			}
+		}
+		// A point query for a point the index need not hold may scan a span
+		// no live point vouched for at load, empty or not, whatever its two
+		// words: it may find nothing, but must not fail. Windows and kNN
+		// trust the leaves' error bounds, which no structural check can
+		// vouch for: they may miss points, but must not fail either.
 		q := geom.Pt(0.5, 0.5)
+		must(s.PointQueryContext(bg, q))
 		if len(got) > 0 {
 			q = got[len(got)/2]
+			must(s.PointQueryContext(bg, geom.Pt(q.X, math.Nextafter(q.Y, math.Inf(1)))))
 		}
-		must(s.PointQueryContext(bg, q))
 		must(s.WindowQueryContext(bg, geom.RectAround(q, 0.1, 0.1)))
 		must(s.KNNContext(bg, q, 5))
 		must(s.ExactKNNContext(bg, q, 5))
@@ -296,7 +324,7 @@ const (
 // for the tampering tests: the offsets follow WriteTo here and in core and
 // store, one field at a time.
 type shardZero struct {
-	region, n, capacity, firstNext, firstX, pmfCount, pmfKnot1, rootRect, leafKernel, leafFirst int
+	region, n, capacity, firstNext, firstX, pmfCount, pmfKnot1, rootRect, leafKernel, leafFirst, leafSpans int
 }
 
 func locate(t *testing.T, snap []byte) shardZero {
@@ -327,6 +355,7 @@ func locate(t *testing.T, snap []byte) shardZero {
 		fields := at + 1 + 32 + 16 + hidden*32 // tag, MBR, kernel
 		if tag == 1 {
 			z.leafKernel, z.leafFirst = at+1+32, fields+8 // after cells
+			z.leafSpans = fields + 6*8                    // after the six node words
 			return z
 		}
 		at = fields + 6*8 + 8 // the six node words, the child count
@@ -364,6 +393,14 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 		}
 		out[name] = snap
 	}
+	// Every span of the first leaf made empty (lo 1, hi 0): the leaf's
+	// points lie outside the spans of their predictions, which are all
+	// within the leaf's blocks.
+	snap := append([]byte(nil), seed...)
+	for i := range int(word(z.leafFirst + 8)) {
+		binary.LittleEndian.PutUint64(snap[z.leafSpans+8*i:], 1)
+	}
+	out["span-misses-point"] = snap
 	return out
 }
 
@@ -382,6 +419,8 @@ func TestLoadRefusesTampered(t *testing.T) {
 				t.Errorf("%s, %s: Load refused it with %q, which does not name the partitioning", seedName, name, err)
 			} else if name == "delta-0.02" && !strings.Contains(err.Error(), "Δ") {
 				t.Errorf("%s, %s: Load refused it with %q, which does not name Δ", seedName, name, err)
+			} else if name == "span-misses-point" && !strings.Contains(err.Error(), "span") {
+				t.Errorf("%s, %s: Load refused it with %q, which does not name the span", seedName, name, err)
 			}
 		}
 	}
@@ -428,8 +467,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "2e7224a1b9ad7fda25de2b799c6660f3f81cc7c74aa06b1b04cc913beea68957"},
-		{1, sfc.Z, "12f39de7ae740ea7ef087098ed50bd03059f3d26ed21f4f72673c4d3e848bc93"},
+		{2, sfc.Hilbert, "a913f02ea5f65f5a6086b94e77f7a8525bb24bdb0b63069a7425d0dbdae29733"},
+		{1, sfc.Z, "fd6e89c0f5532812225866c224e1fbb13b5713557c0f80d1c8a62c75b63156a6"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -470,7 +509,7 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "8570b676566aed9f37920f262c0f61b7928d65600ba9ee771f18b8ec94e17bb0"
+	const want = "5b10ffd5627a0b83170830274ab2775c6af503896f312d4d706f4a40c7f5f458"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

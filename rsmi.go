@@ -83,8 +83,9 @@ func New(pts []Point, opts Options) *Index {
 // Load deserialises an index previously saved with Index.WriteTo. Training
 // at paper scale takes hours (§6.2.2 reports 16 h for the OSM data set), so
 // production deployments build once and reload across restarts. The format
-// is RSMIv2, which stores every sub-model as the compiled kernel the index
-// predicts with; a file in the earlier format is refused with ErrSnapshotV1.
+// is RSMIv3, which stores every sub-model as the compiled kernel the index
+// predicts with and every leaf's point spans; a file in an earlier format is
+// refused with ErrSnapshotV1 or ErrSnapshotV2.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
@@ -94,6 +95,12 @@ func Load(r io.Reader) (*Index, error) {
 // error bounds were measured under a different predictor than this version
 // runs, so the index must be rebuilt from its points and saved again.
 var ErrSnapshotV1 = core.ErrSnapshotV1
+
+// ErrSnapshotV2 is the error (wrapped, for a sharded file) that Load and
+// LoadSharded return for an RSMIv2 snapshot: it holds no point spans, the
+// block ranges point queries scan, and they cannot be derived from it, so
+// the index must be rebuilt from its points and saved again.
+var ErrSnapshotV2 = core.ErrSnapshotV2
 
 // ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
 // a point with a NaN or infinite coordinate. The point is not inserted —

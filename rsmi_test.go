@@ -105,32 +105,47 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesV1: a snapshot saved in the RSMIv1 format — network weights
-// plus a normalisation rectangle per sub-model — is refused by both loaders
-// with ErrSnapshotV1, whose text tells the operator why and what to do.
-func TestLoadRefusesV1(t *testing.T) {
+// refuseOldFormat rewrites the magic of every RSMIv3 stream in a snapshot
+// of an index and of a sharded index to magic, and checks that both loaders
+// refuse the result with want, in words that say why and what to do.
+func refuseOldFormat(t *testing.T, magic string, want error, why string) {
+	t.Helper()
 	pts := dataset.Generate(dataset.Uniform, 600, 5)
 	opts := rsmi.Options{BlockCapacity: 50, PartitionThreshold: 500, Epochs: 5, LearningRate: 0.1, Seed: 1}
-	v1 := func(w interface {
+	downgrade := func(w interface {
 		WriteTo(io.Writer) (int64, error)
 	}) []byte {
 		var buf bytes.Buffer
 		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv2\x00\x00"), []byte("RSMIv1\x00\x00"))
+		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv3\x00\x00"), []byte(magic+"\x00\x00"))
 		if bytes.Equal(out, buf.Bytes()) {
-			t.Fatal("snapshot holds no RSMIv2 magic to downgrade")
+			t.Fatal("snapshot holds no RSMIv3 magic to downgrade")
 		}
 		return out
 	}
-	_, errIndex := rsmi.Load(bytes.NewReader(v1(rsmi.New(pts, opts))))
-	_, errSharded := rsmi.LoadSharded(bytes.NewReader(v1(rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2, Index: opts}))))
+	_, errIndex := rsmi.Load(bytes.NewReader(downgrade(rsmi.New(pts, opts))))
+	_, errSharded := rsmi.LoadSharded(bytes.NewReader(downgrade(rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2, Index: opts}))))
 	for name, err := range map[string]error{"Load": errIndex, "LoadSharded": errSharded} {
-		if !errors.Is(err, rsmi.ErrSnapshotV1) {
-			t.Errorf("%s of a v1 snapshot: %v, want ErrSnapshotV1", name, err)
-		} else if !strings.Contains(err.Error(), "error bounds") || !strings.Contains(err.Error(), "rebuild") {
+		if !errors.Is(err, want) {
+			t.Errorf("%s of a %s snapshot: %v, want %v", name, magic, err, want)
+		} else if !strings.Contains(err.Error(), why) || !strings.Contains(err.Error(), "rebuild") {
 			t.Errorf("%s: the refusal %q does not say why or what to do", name, err)
 		}
 	}
+}
+
+// TestLoadRefusesV1: a snapshot saved in the RSMIv1 format — network weights
+// plus a normalisation rectangle per sub-model — is refused by both loaders
+// with ErrSnapshotV1, whose text tells the operator why and what to do.
+func TestLoadRefusesV1(t *testing.T) {
+	refuseOldFormat(t, "RSMIv1", rsmi.ErrSnapshotV1, "error bounds")
+}
+
+// TestLoadRefusesV2: a snapshot saved in the RSMIv2 format — no point spans
+// — is refused by both loaders with ErrSnapshotV2, whose text tells the
+// operator why and what to do.
+func TestLoadRefusesV2(t *testing.T) {
+	refuseOldFormat(t, "RSMIv2", rsmi.ErrSnapshotV2, "spans")
 }

@@ -37,9 +37,9 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 }
 
 // LoadSharded deserialises a sharded index previously saved with
-// Sharded.WriteTo, so a server can restart without retraining any shard. A
-// file whose shards are in the pre-RSMIv2 format is refused with
-// ErrSnapshotV1.
+// Sharded.WriteTo, so a server can restart without retraining any shard.
+// Its shards are RSMIv3 streams; a file whose shards are in the RSMIv1 or
+// RSMIv2 format is refused with ErrSnapshotV1 or ErrSnapshotV2.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
