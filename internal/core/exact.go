@@ -10,30 +10,22 @@ import (
 // and kNN answers obtained by an R-tree-style traversal over the MBRs stored
 // with every sub-model and block, instead of the learned predictions.
 
-// ExactWindow returns the exact window query answer using MBR traversal.
+// ExactWindow returns the exact window query answer using MBR traversal:
+// it walks the leaves a window query walks (forLeaves) and scans each one's
+// whole run instead of its corners' range. Only the blocks whose cached MBR
+// meets the window count as read.
 //
 // This context-free form is the implementation layer: ExactWindowContext is the
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactWindow(q geom.Rect) []geom.Point {
-	return t.exactWindow(nil, t.root, q)
-}
-
-// exactWindow appends the window's points under n to dst. Only the blocks
-// whose cached MBR meets the window count as read.
-func (t *RSMI) exactWindow(dst []geom.Point, n *node, q geom.Rect) []geom.Point {
-	if n == nil || !n.mbr.Intersects(q) {
-		return dst
-	}
-	for _, c := range n.children {
-		dst = t.exactWindow(dst, c, q)
-	}
-	if n.leaf {
+	var dst []geom.Point
+	forLeaves(t.root, q, func(n *node) {
 		c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
 		var admitted int
 		dst, admitted = t.collect(dst, &c, q)
 		t.store.CountReads(admitted)
-	}
+	})
 	return dst
 }
 

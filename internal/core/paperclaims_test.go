@@ -63,6 +63,39 @@ func TestPaperClaimKNNRecall(t *testing.T) {
 	}
 }
 
+// TestRecallAtSmallLeaves holds recall at 1 where the approximate path
+// used to lose rows: 50k skewed points over small blocks and leaves (B = 20,
+// N = 500, so two levels of 4 × 4 grid cuts over 256 leaves) with 10 epochs
+// of training, where a window's corners and a kNN round's region often lie
+// in other leaves than the points they must find. Windows at the paper's
+// five sizes and kNN at k = 25 and 125 must each recall at least 0.999 of
+// a linear scan's answer.
+func TestRecallAtSmallLeaves(t *testing.T) {
+	pts := dataset.Generate(dataset.Skewed, 50_000, 21)
+	idx := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500, Epochs: 10, Seed: 1})
+	oracle := index.NewLinear(pts)
+	for _, size := range workload.WindowSizes {
+		ws := workload.Windows(pts, 300, size, 1, 22)
+		var recall float64
+		for _, w := range ws {
+			recall += index.Recall(idx.WindowQuery(w), oracle.WindowQuery(w))
+		}
+		if avg := recall / float64(len(ws)); avg < 0.999 {
+			t.Errorf("window recall at size %v = %.4f, want >= 0.999", size, avg)
+		}
+	}
+	qs := workload.KNNPoints(pts, 300, 23)
+	for _, k := range []int{25, 125} {
+		var recall float64
+		for _, q := range qs {
+			recall += index.KNNRecall(idx.KNN(q, k), oracle.KNN(q, k), q)
+		}
+		if avg := recall / float64(len(qs)); avg < 0.999 {
+			t.Errorf("kNN recall at k = %d = %.4f, want >= 0.999", k, avg)
+		}
+	}
+}
+
 // §6.2.2 reports RSMI average depths of 3–4 with N=10000 at millions of
 // points; at 30k points the structure must stay shallow (≤ 3).
 func TestPaperClaimShallowDepth(t *testing.T) {

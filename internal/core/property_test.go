@@ -171,19 +171,9 @@ func TestModelCountMatchesStats(t *testing.T) {
 	pts := dataset.Generate(dataset.Normal, 4000, 7)
 	idx := New(pts, testOptions())
 	count := 0
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == nil {
-			return
-		}
-		count++
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(idx.root)
-	if count != idx.models {
-		t.Errorf("walked %d models, counter says %d", count, idx.models)
+	walkLeaves(idx.root, func(*node) { count++ })
+	if s := idx.Stats(); count != s.Models {
+		t.Errorf("walked %d leaf models, Stats says %d", count, s.Models)
 	}
 	leafPoints := 0
 	walkLeaves(idx.root, func(l *node) { leafPoints += l.points })

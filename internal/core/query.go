@@ -11,20 +11,9 @@ import (
 	"rsmi/internal/store"
 )
 
-// locate is Algorithm 1's model part as window corners use it: it descends
-// to the leaf model for q and returns the predicted global block id with the
-// leaf's error bounds as a clamped scan range [lo, hi] over base blocks.
-// Point queries scan their prediction's span instead (pointBounds).
-func (t *RSMI) locate(q geom.Point) (lo, hi int, ok bool) {
-	leaf := t.descend(q)
-	if leaf == nil {
-		return 0, -1, false
-	}
-	lo, hi = leaf.scanBounds(q)
-	return lo, hi, true
-}
-
-// scanBounds returns the leaf's error-bounded base-block range for q.
+// scanBounds returns the leaf's error-bounded base-block range for q: the
+// global base blocks [pred − errDown, pred + errUp] around q's prediction,
+// clamped to the leaf's run.
 func (n *node) scanBounds(q geom.Point) (lo, hi int) {
 	local := n.predictClamped(q)
 	lo = n.firstBlock + local - n.errDown
@@ -90,8 +79,8 @@ func (t *RSMI) pointBounds(leaf *node, q geom.Point) (lo, hi int) {
 	return leaf.firstBlock + int(s.lo), leaf.firstBlock + int(s.hi)
 }
 
-// PointQuery implements Algorithm 1: descend the models, then scan the
-// block range (and any overflow chains) for a point with q's exact
+// PointQuery implements Algorithm 1: descend the cuts to a leaf, predict
+// with its model, then scan the block range (and any overflow chains) for a point with q's exact
 // coordinates. The range is the span of q's prediction, not the leaf's
 // error range [pred − errDown, pred + errUp]: every point filed under the
 // prediction lies in it, and it is never wider (see "Correctness
@@ -136,42 +125,64 @@ func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (b *store.Block, base, slot
 	return b, c.base, slot
 }
 
-// windowBounds computes the base-block scan range for a window query
-// (Algorithm 2, lines 1–10). For Hilbert curves the extreme curve values in
-// the window lie on its boundary, so the four corners are used heuristically
-// (§4.2); for Z-curves the bottom-left and top-right corners are exact.
+// forLeaves calls fn, in block order, for every leaf under n whose MBR meets
+// q: the walk every window query and kNN round makes, approximate or exact.
+// A leaf's MBR covers every point it holds, so the leaves it skips hold none
+// of q's points.
+func forLeaves(n *node, q geom.Rect, fn func(leaf *node)) {
+	if n == nil || !n.mbr.Intersects(q) {
+		return
+	}
+	if n.leaf {
+		fn(n)
+		return
+	}
+	for _, c := range n.children {
+		forLeaves(c, q, fn)
+	}
+}
+
+// leafBounds computes Algorithm 2's base-block scan range (lines 1–10)
+// inside leaf n, for q clipped to the leaf's MBR. For Hilbert curves the
+// extreme curve values in the window lie on its boundary, so the four
+// corners are used heuristically (§4.2); for Z-curves the bottom-left and
+// top-right corners are exact. Each corner's range is the leaf's
+// error-bounded range around the corner's prediction (scanBounds).
 //
-// A corner's point query can only narrow its error-bounded range [lo, hi] to
-// the one base block it finds the corner in, and only the corners holding the
-// least lo and the greatest hi set the range. So every corner is located but
-// probed lazily: the corner holding the least lo is probed, and a hit moves
-// its lo up, until the corner holding it is one already probed; then the same
-// for the greatest hi. A corner that sets neither extreme is never probed —
-// window corners are almost never indexed points, so a probe mostly scans its
-// whole range for nothing — and the range is the one probing every corner
-// gives.
-func (t *RSMI) windowBounds(q geom.Rect) (begin, end int, any bool) {
+// With probe set, a corner's point query can narrow its range to the one
+// base block it finds the corner in, and only the corners holding the least
+// lo and the greatest hi set the range. So the corners are probed lazily:
+// the corner holding the least lo is probed, and a hit moves its lo up,
+// until the corner holding it is one already probed; then the same for the
+// greatest hi. A corner that sets neither extreme is never probed — window
+// corners are almost never indexed points, so a probe mostly scans its whole
+// range for nothing — and the range is the one probing every corner gives.
+// Without probe set, the range is the union of the corners' ranges and
+// nothing is read.
+func (t *RSMI) leafBounds(n *node, q geom.Rect, probe bool) (begin, end int) {
+	r := q.Intersect(n.mbr)
 	// Two corners for Z-curves, four for Hilbert curves (§4.2).
 	corners := [4]geom.Point{
-		{X: q.MinX, Y: q.MinY}, {X: q.MaxX, Y: q.MaxY},
-		{X: q.MinX, Y: q.MaxY}, {X: q.MaxX, Y: q.MinY},
+		{X: r.MinX, Y: r.MinY}, {X: r.MaxX, Y: r.MaxY},
+		{X: r.MinX, Y: r.MaxY}, {X: r.MaxX, Y: r.MinY},
 	}
 	m := len(corners)
 	if t.opts.Curve == sfc.Z {
 		m = 2
 	}
 	var cs [4]cornerRange
-	n := 0
-	for _, c := range corners[:m] {
-		if lo, hi, ok := t.locate(c); ok {
-			cs[n] = cornerRange{p: c, lo: lo, hi: hi}
-			n++
+	for i, c := range corners[:m] {
+		lo, hi := n.scanBounds(c)
+		cs[i] = cornerRange{p: c, lo: lo, hi: hi}
+	}
+	if !probe {
+		begin, end = cs[0].lo, cs[0].hi
+		for _, c := range cs[1:m] {
+			begin, end = min(begin, c.lo), max(end, c.hi)
 		}
+		return begin, end
 	}
-	if n == 0 {
-		return math.MaxInt, -1, false
-	}
-	return cs[t.settle(cs[:n], false)].lo, cs[t.settle(cs[:n], true)].hi, true
+	return cs[t.settle(cs[:m], false)].lo, cs[t.settle(cs[:m], true)].hi
 }
 
 // cornerRange is a window corner's block range: error-bounded until the
@@ -215,10 +226,15 @@ func (t *RSMI) settle(cs []cornerRange, high bool) int {
 	}
 }
 
-// WindowQuery implements Algorithm 2: bound the block range with corner
-// point queries, scan it, and filter by the window. The answer has no false
-// positives; it may miss points whose blocks fall outside the predicted
-// range (the approximate behaviour evaluated in §6.2.3, recall > 87%).
+// WindowQuery implements Algorithm 2 leaf by leaf: in every leaf whose MBR
+// meets the window, bound the block range with the corner point queries of
+// the window clipped to that MBR (leafBounds), scan it, and filter by the
+// window. The paper bounds one range by the whole window's four corners;
+// on the rank-space grids of a leaf, a window's extreme curve values are
+// often not at its corners, and one range must span every leaf in between.
+// The answer has no false positives; it may miss points whose blocks fall
+// outside their leaf's range (the approximate behaviour evaluated in
+// §6.2.3, recall > 87%).
 //
 // This context-free form is the implementation layer: WindowQueryContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -237,13 +253,11 @@ func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 		// An inverted window, or one with a NaN side, contains nothing.
 		return dst
 	}
-	begin, end, ok := t.windowBounds(q)
-	if !ok || end < begin {
-		return dst
-	}
-	c := t.scan(begin, end)
-	dst, _ = t.collect(dst, &c, q)
-	t.store.CountReads(c.reads)
+	forLeaves(t.root, q, func(n *node) {
+		c := t.scan(t.leafBounds(n, q, true))
+		dst, _ = t.collect(dst, &c, q)
+		t.store.CountReads(c.reads)
+	})
 	return dst
 }
 
@@ -271,12 +285,20 @@ func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Po
 // approximate (recall > 88% in §6.2.4) and sorted by distance, equidistant
 // points in the canonical point order.
 //
-// Within a round the region's blocks are searched best-first: every block
-// the round has not seen yet is queued by the MINDIST of its cached MBR and
-// the queue is drained (index.Walk.Drain), which stops at the first block no
-// nearer than the current k-th candidate (the MINDIST test of Algorithm 3,
-// line 7). A block queued once is never reconsidered: the bound only
-// shrinks, so a block that failed the test keeps failing it.
+// A round's region is searched as a window query is (leafBounds in every
+// leaf the region meets), and its blocks best-first: every block the round
+// has not seen yet is queued by the MINDIST of its cached MBR and the queue
+// is drained (index.Walk.Drain), which stops at the first block no nearer
+// than the current k-th candidate (the MINDIST test of Algorithm 3, line 7).
+// A block queued once is never reconsidered: the bound only shrinks, so a
+// block that failed the test keeps failing it.
+//
+// Algorithm 3 stops once the k-th candidate lies within half the region's
+// diagonal, but the circle through it may still leave the region where the
+// region is narrower than that circle. One top-up pass then covers the
+// circle's bounding square: in every leaf it meets, the blocks of the
+// union of the corners' unprobed ranges that are nearer than the k-th
+// candidate are queued and drained. Only the blocks queued count as read.
 //
 // This context-free form is the implementation layer: KNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -296,24 +318,31 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	frac := math.Sqrt(float64(k) / float64(t.n))
 	width := t.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
 	height := t.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
+	// A round reads only the leaves its region meets, so the region starts
+	// out reaching the data: from a query far outside it, doubling alone
+	// could run out of rounds before meeting a leaf.
+	if reach := 2 * math.Sqrt(t.root.mbr.MinDist2(q)); reach > 0 {
+		width, height = max(width, reach), max(height, reach)
+	}
 
 	s := knnScratchPool.Get().(*knnScratch)
 	s.reset(k, q, t.store.NumBlocks())
 	w := &s.walk
 
+	expand := func(w *index.Walk[int], id int) { w.Offer(t.store.Peek(id).Slots()...) }
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
 		wq := geom.RectAround(q, width, height)
-		if begin, end, ok := t.windowBounds(wq); ok {
-			c := t.scan(begin, end)
+		forLeaves(t.root, wq, func(n *node) {
+			c := t.scan(t.leafBounds(n, wq, true))
 			for id := c.next(); id != store.NilBlock; id = c.next() {
 				if !s.seen.testAndSet(id) {
 					w.Push(id, t.blockMBR[id].MinDist2(q))
 				}
 			}
 			t.store.CountReads(c.reads)
-			w.Drain(func(w *index.Walk[int], id int) { w.Offer(t.store.Peek(id).Slots()...) })
-		}
+		})
+		w.Drain(expand)
 		if !w.Full() {
 			width *= 2
 			height *= 2
@@ -324,6 +353,20 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 			width = 2 * kth
 			height = 2 * kth
 			continue
+		}
+		if kth > min(width, height)/2 {
+			sq, bound := geom.RectAround(q, 2*kth, 2*kth), w.Bound()
+			forLeaves(t.root, sq, func(n *node) {
+				c, queued := t.scan(t.leafBounds(n, sq, false)), 0
+				for id := c.next(); id != store.NilBlock; id = c.next() {
+					if d := t.blockMBR[id].MinDist2(q); d < bound && !s.seen.testAndSet(id) {
+						w.Push(id, d)
+						queued++
+					}
+				}
+				t.store.CountReads(queued)
+			})
+			w.Drain(expand)
 		}
 		break
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rsmi/internal/cdf"
@@ -20,9 +21,11 @@ import (
 // below is the path it replaced — closure scans, every block of a range
 // searched point by point, kNN in list order behind a visited map — kept
 // here, uncounted and ungated, so the property test can demand the same
-// answers and the same block-access counts from the new path. A point
-// query's span is derived here by brute force, from every point the index
-// has held.
+// answers and the same block-access counts from the new path. Windows and
+// kNN rounds are written out as plain code for the per-leaf walk: every
+// leaf whose MBR meets the region, the four corners of the region clipped
+// to that leaf, then kNN's top-up pass. A point query's span is derived
+// here by brute force, from every point the index has held.
 
 // refScan walks base blocks [begin, end] and their overflow chains in list
 // order, counting every block it hands to fn in *reads.
@@ -117,6 +120,30 @@ func refPoint(t *RSMI, spans map[spanKey][2]int, q geom.Point, reads *int) bool 
 	return b != nil
 }
 
+// refLeaves returns, in block order, the leaves under n whose MBR meets q.
+func refLeaves(n *node, q geom.Rect) []*node {
+	if n == nil || q.IsEmpty() || n.mbr.IsEmpty() ||
+		n.mbr.MaxX < q.MinX || q.MaxX < n.mbr.MinX || n.mbr.MaxY < q.MinY || q.MaxY < n.mbr.MinY {
+		return nil
+	}
+	if n.leaf {
+		return []*node{n}
+	}
+	var out []*node
+	for _, c := range n.children {
+		out = append(out, refLeaves(c, q)...)
+	}
+	return out
+}
+
+// refErrorRange is leaf's error-bounded range of global base blocks for q:
+// its prediction widened by errDown below and errUp above, clamped to the
+// leaf's run.
+func refErrorRange(leaf *node, q geom.Point) (lo, hi int) {
+	pred := leaf.firstBlock + leaf.predictClamped(q)
+	return max(leaf.firstBlock, pred-leaf.errDown), min(leaf.firstBlock+leaf.numBlocks-1, pred+leaf.errUp)
+}
+
 // refCorner is one window corner as the four-probe reference sees it: its
 // error-bounded range, whether its probe found it and in which base block,
 // and the blocks that probe read.
@@ -125,19 +152,23 @@ type refCorner struct {
 	found               bool
 }
 
-// refCorners locates and probes every corner Algorithm 2 uses for q, in the
-// order the read path lists them, skipping corners no leaf covers.
-func refCorners(t *RSMI, q geom.Rect) []refCorner {
-	corners := []geom.Point{{X: q.MinX, Y: q.MinY}, {X: q.MaxX, Y: q.MaxY}}
+// refClipCorners returns the corners Algorithm 2 uses for q clipped to
+// leaf's MBR, in the order the read path lists them.
+func refClipCorners(t *RSMI, leaf *node, q geom.Rect) []geom.Point {
+	minX, minY := math.Max(q.MinX, leaf.mbr.MinX), math.Max(q.MinY, leaf.mbr.MinY)
+	maxX, maxY := math.Min(q.MaxX, leaf.mbr.MaxX), math.Min(q.MaxY, leaf.mbr.MaxY)
+	corners := []geom.Point{geom.Pt(minX, minY), geom.Pt(maxX, maxY)}
 	if t.opts.Curve != sfc.Z {
-		corners = append(corners, geom.Pt(q.MinX, q.MaxY), geom.Pt(q.MaxX, q.MinY))
+		corners = append(corners, geom.Pt(minX, maxY), geom.Pt(maxX, minY))
 	}
+	return corners
+}
+
+// refCorners locates and probes every corner of q clipped to leaf's MBR.
+func refCorners(t *RSMI, leaf *node, q geom.Rect) []refCorner {
 	var out []refCorner
-	for _, c := range corners {
-		lo, hi, ok := t.locate(c)
-		if !ok {
-			continue
-		}
+	for _, c := range refClipCorners(t, leaf, q) {
+		lo, hi := refErrorRange(leaf, c)
 		rc := refCorner{lo: lo, hi: hi}
 		b, base := refFind(t, c, lo, hi, &rc.reads)
 		rc.found, rc.base = b != nil, base
@@ -146,12 +177,11 @@ func refCorners(t *RSMI, q geom.Rect) []refCorner {
 	return out
 }
 
-// refWindowBounds is Algorithm 2's range with every corner probed, counting
-// every probe's reads.
-func refWindowBounds(t *RSMI, q geom.Rect, reads *int) (begin, end int, any bool) {
+// refLeafRange is Algorithm 2's range in leaf with every corner probed,
+// counting every probe's reads.
+func refLeafRange(t *RSMI, leaf *node, q geom.Rect, reads *int) (begin, end int) {
 	begin, end = math.MaxInt, -1
-	for _, c := range refCorners(t, q) {
-		any = true
+	for _, c := range refCorners(t, leaf, q) {
 		*reads += c.reads
 		lo, hi := c.lo, c.hi
 		if c.found {
@@ -159,7 +189,18 @@ func refWindowBounds(t *RSMI, q geom.Rect, reads *int) (begin, end int, any bool
 		}
 		begin, end = min(begin, lo), max(end, hi)
 	}
-	return begin, end, any
+	return begin, end
+}
+
+// refUnprobedRange is the union of the error-bounded ranges of q's corners
+// clipped to leaf's MBR; it reads nothing.
+func refUnprobedRange(t *RSMI, leaf *node, q geom.Rect) (begin, end int) {
+	begin, end = math.MaxInt, -1
+	for _, c := range refClipCorners(t, leaf, q) {
+		lo, hi := refErrorRange(leaf, c)
+		begin, end = min(begin, lo), max(end, hi)
+	}
+	return begin, end
 }
 
 // lazyReads returns the blocks the lazy corner rule reads over corners cs:
@@ -203,36 +244,39 @@ func lazyReads(cs []refCorner) int {
 	return reads
 }
 
-// refLazyBounds is refWindowBounds's range with the reads the lazy corner
-// rule makes for it.
-func refLazyBounds(t *RSMI, q geom.Rect, reads *int) (begin, end int, any bool) {
-	var all int
-	begin, end, any = refWindowBounds(t, q, &all)
-	*reads += lazyReads(refCorners(t, q))
-	return begin, end, any
+// refLazyRange is refLeafRange's range with the reads the lazy corner rule
+// makes for it.
+func refLazyRange(t *RSMI, leaf *node, q geom.Rect, reads *int) (begin, end int) {
+	begin, end = refLeafRange(t, leaf, q, new(int))
+	*reads += lazyReads(refCorners(t, leaf, q))
+	return begin, end
 }
 
+// refWindow is Algorithm 2 leaf by leaf: in every leaf whose MBR meets q,
+// the lazy four-probe range of q clipped to the leaf, scanned in list order.
 func refWindow(t *RSMI, q geom.Rect, reads *int) []geom.Point {
-	begin, end, ok := refLazyBounds(t, q, reads)
-	if !ok || end < begin {
-		return nil
-	}
 	var out []geom.Point
-	refScan(t, begin, end, reads, func(b *store.Block, _ int) bool {
-		b.Points(func(p geom.Point) {
-			if q.Contains(p) {
-				out = append(out, p)
-			}
+	for _, leaf := range refLeaves(t.root, q) {
+		begin, end := refLazyRange(t, leaf, q, reads)
+		refScan(t, begin, end, reads, func(b *store.Block, _ int) bool {
+			b.Points(func(p geom.Point) {
+				if q.Contains(p) {
+					out = append(out, p)
+				}
+			})
+			return true
 		})
-		return true
-	})
+	}
 	return out
 }
 
-// refKNN is Algorithm 3 as it ran before: blocks in list order, pruned one
-// by one against the k-th candidate. It returns the squared distances of its
-// answer, which — unlike the order of equidistant points — do not depend on
-// the order blocks are searched in.
+// refKNN is Algorithm 3 over refWindow's ranges, its blocks in list order,
+// pruned one by one against the k-th candidate, then the top-up pass when
+// the k-th circle leaves the region: the blocks of every leaf meeting the
+// circle's bounding square, in the union of its corners' unprobed ranges,
+// that lie nearer than the k-th candidate, each counted as read. It returns
+// the squared distances of its answer, which — unlike the order of
+// equidistant points — do not depend on the order blocks are searched in.
 func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 	if k <= 0 || t.n == 0 {
 		return nil
@@ -241,6 +285,9 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 	frac := math.Sqrt(float64(k) / float64(t.n))
 	width := t.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
 	height := t.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
+	if d := math.Sqrt(t.root.mbr.MinDist2(q)); d > 0 {
+		width, height = max(width, 2*d), max(height, 2*d)
+	}
 	var best []float64 // ascending, at most k
 	worst := func() float64 {
 		if len(best) < k {
@@ -248,31 +295,34 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 		}
 		return best[k-1]
 	}
+	offer := func(b *store.Block) {
+		b.Points(func(p geom.Point) {
+			d := q.Dist2(p)
+			if d >= worst() {
+				return
+			}
+			i := len(best)
+			best = append(best, d)
+			for ; i > 0 && best[i-1] > d; i-- {
+				best[i] = best[i-1]
+			}
+			best[i] = d
+			best = best[:min(len(best), k)]
+		})
+	}
 	visited := map[int]bool{}
 	for round := 0; round < 64; round++ {
-		begin, end, ok := refLazyBounds(t, geom.RectAround(q, width, height), reads)
-		if ok {
+		region := geom.RectAround(q, width, height)
+		for _, leaf := range refLeaves(t.root, region) {
+			begin, end := refLazyRange(t, leaf, region, reads)
 			refScan(t, begin, end, reads, func(b *store.Block, _ int) bool {
 				if visited[b.ID] {
 					return true
 				}
 				visited[b.ID] = true
-				if len(best) >= k && t.blockMBR[b.ID].MinDist2(q) >= worst() {
-					return true
+				if len(best) < k || t.blockMBR[b.ID].MinDist2(q) < worst() {
+					offer(b)
 				}
-				b.Points(func(p geom.Point) {
-					d := q.Dist2(p)
-					if d >= worst() {
-						return
-					}
-					i := len(best)
-					best = append(best, d)
-					for ; i > 0 && best[i-1] > d; i-- {
-						best[i] = best[i-1]
-					}
-					best[i] = d
-					best = best[:min(len(best), k)]
-				})
 				return true
 			})
 		}
@@ -280,9 +330,28 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 			width, height = 2*width, 2*height
 			continue
 		}
-		if kth := math.Sqrt(worst()); kth > math.Sqrt(width*width+height*height)/2 {
+		kth := math.Sqrt(worst())
+		if kth > math.Sqrt(width*width+height*height)/2 {
 			width, height = 2*kth, 2*kth
 			continue
+		}
+		if kth > math.Min(width, height)/2 {
+			square, bound := geom.RectAround(q, 2*kth, 2*kth), worst()
+			var near []*store.Block
+			for _, leaf := range refLeaves(t.root, square) {
+				begin, end := refUnprobedRange(t, leaf, square)
+				refScan(t, begin, end, new(int), func(b *store.Block, _ int) bool {
+					if !visited[b.ID] && t.blockMBR[b.ID].MinDist2(q) < bound {
+						visited[b.ID] = true
+						near = append(near, b)
+					}
+					return true
+				})
+			}
+			*reads += len(near)
+			for _, b := range near {
+				offer(b)
+			}
 		}
 		break
 	}
@@ -361,7 +430,8 @@ func (w *readPathWorld) check(stage string) {
 		if reads != refReads {
 			t.Fatalf("%s: PointQuery(%v) read %d blocks, reference %d", stage, p, reads, refReads)
 		}
-		if lo, hi, ok := idx.locate(p); ok {
+		if leaf := idx.descend(p); leaf != nil {
+			lo, hi := refErrorRange(leaf, p)
 			refFind(idx, p, lo, hi, &leafReads)
 		}
 		if reads > leafReads {
@@ -388,12 +458,14 @@ func (w *readPathWorld) check(stage string) {
 				continue
 			}
 			q := geom.NewRect(a, b)
-			m, st := hitMoves(refCorners(idx, q))
-			if m {
-				moved++
-			}
-			if st {
-				stayed++
+			for _, leaf := range refLeaves(idx.root, q) {
+				m, st := hitMoves(refCorners(idx, leaf, q))
+				if m {
+					moved++
+				}
+				if st {
+					stayed++
+				}
 			}
 			w.checkWindow(stage, q)
 		}
@@ -432,27 +504,35 @@ func (w *readPathWorld) check(stage string) {
 	}
 }
 
-// checkWindow compares a window's scan range with the four-probe reference,
-// and its answer and block reads, probes and scan, with the reference path
-// under the lazy corner rule.
+// checkWindow compares a window's scan range in every leaf it meets with the
+// four-probe reference, and its answer and block reads, probes and scans,
+// with the reference path under the lazy corner rule.
 func (w *readPathWorld) checkWindow(stage string, q geom.Rect) {
 	t, idx := w.t, w.idx
 	t.Helper()
-	var refAll int
-	wantBegin, wantEnd, wantOK := refWindowBounds(idx, q, &refAll)
-	var begin, end int
-	var ok bool
-	reads := w.accesses(func() { begin, end, ok = idx.windowBounds(q) })
-	if begin != wantBegin || end != wantEnd || ok != wantOK {
-		t.Fatalf("%s: window %v bounds [%d, %d] %v, four-probe reference [%d, %d] %v", stage, q, begin, end, ok, wantBegin, wantEnd, wantOK)
+	var walked []*node
+	forLeaves(idx.root, q, func(n *node) { walked = append(walked, n) })
+	if want := refLeaves(idx.root, q); !slices.Equal(walked, want) {
+		t.Fatalf("%s: window %v walks %d leaves, the reference %d", stage, q, len(walked), len(want))
 	}
-	if refLazy := lazyReads(refCorners(idx, q)); reads != refLazy {
-		t.Fatalf("%s: window %v bounds read %d blocks, the lazy rule %d (four probes %d)", stage, q, reads, refLazy, refAll)
+	for _, leaf := range walked {
+		var refAll int
+		wantBegin, wantEnd := refLeafRange(idx, leaf, q, &refAll)
+		var begin, end int
+		reads := w.accesses(func() { begin, end = idx.leafBounds(leaf, q, true) })
+		if begin != wantBegin || end != wantEnd {
+			t.Fatalf("%s: window %v bounds [%d, %d] in the leaf at block %d, four-probe reference [%d, %d]",
+				stage, q, begin, end, leaf.firstBlock, wantBegin, wantEnd)
+		}
+		if refLazy := lazyReads(refCorners(idx, leaf, q)); reads != refLazy {
+			t.Fatalf("%s: window %v bounds read %d blocks in the leaf at block %d, the lazy rule %d (four probes %d)",
+				stage, q, reads, leaf.firstBlock, refLazy, refAll)
+		}
 	}
 
 	var got []geom.Point
 	var refReads int
-	reads = w.accesses(func() { got = idx.WindowQuery(q) })
+	reads := w.accesses(func() { got = idx.WindowQuery(q) })
 	want := refWindow(idx, q, &refReads)
 	if len(got) != len(want) {
 		t.Fatalf("%s: window %v: %d rows, reference %d", stage, q, len(got), len(want))

@@ -8,12 +8,20 @@
 // A leaf model orders its points by the rank-space curve-value technique of
 // §3.1, packs every B of them into a block, and trains an MLP that maps
 // point coordinates to the (normalised) block id, recording exact error
-// bounds (Eqs. 4–5). An internal model partitions its points with a learned
-// non-regular 2^⌊log4 N/B⌋ × 2^⌊log4 N/B⌋ grid (§3.2): an MLP is trained to
-// map coordinates to the grid cell's curve value, and the points are grouped
-// by the model's own predictions, so query-time descent is exact by
-// construction — whatever cell the model predicts for a point is the cell
+// bounds (Eqs. 4–5). An internal node partitions its points with the
+// non-regular 2^⌊log4 N/B⌋ × 2^⌊log4 N/B⌋ grid of §3.2 — columns of equal
+// count by x, each cut into cells of equal count by y — and recurses into
+// its cells. The paper trains an MLP at every internal node to learn which
+// cell a point falls in; here the node keeps the grid's cuts themselves (the
+// first point of every column and row) and descent follows them, so no
+// internal node trains, and a point's cell is its true cell. The points are
+// grouped by the cuts as descent compares them, so query-time descent is
+// exact by construction — whatever cell the cuts give a point is the cell
 // whose subtree indexes it.
+//
+// Window queries and kNN rounds walk the leaves whose MBR meets their
+// region and apply the corner rule of Algorithm 2 inside each one, to the
+// region clipped to the leaf's MBR (see WindowQuery and KNN).
 //
 // # Correctness guarantees
 //
@@ -26,13 +34,15 @@
 // of them compares a prediction with the truth; each compares a prediction
 // with an earlier prediction of the same predictor:
 //
-//   - a sub-model is trained as an mlp.Network and at once compiled into an
+//   - an internal node's predictor is its cuts: RSMI.cell counts the cuts at
+//     or before a point, and is the only way anything in this package
+//     obtains a cell. buildInternal groups points by cell and descend
+//     follows cell, so a point is looked for in the subtree it was put in;
+//   - a leaf model is trained as an mlp.Network and at once compiled into an
 //     mlp.Kernel (normalisation and class scaling folded into the weights, a
-//     table sigmoid), which is all a node keeps. node.predictClamped — one
+//     table sigmoid), which is all the leaf keeps. node.predictClamped — one
 //     Kernel.Predict call — is the only way anything in this package obtains
-//     a prediction;
-//   - buildInternal groups points by predictClamped and descend follows
-//     predictClamped, so a point is looked for in the subtree it was put in;
+//     a block prediction;
 //   - buildLeaf measures errUp/errDown as the largest gaps between a point's
 //     block and predictClamped, and scanBounds widens predictClamped by
 //     exactly those, so a window corner's scan covers the block of every
@@ -46,15 +56,17 @@
 //     and Delete only removes points. Load checks the span invariant point
 //     by point, so a loaded index finds every point it holds.
 //
-// Kernel.Predict is deterministic, total, and the same function on every
-// machine (see mlp.Kernel), and a snapshot stores the kernels themselves, so
-// the argument carries across save and load. It does not carry across a
-// change of predictor, which is why the RSMIv1 format — network weights, to
-// be run through an exp-based forward pass — is refused rather than
-// converted (ErrSnapshotV1). An RSMIv2 file holds no spans, and spans
-// derived at load from the live points would be narrower than the saved
-// index's after deletes, so the loaded index would read other blocks than
-// the saved one: it is refused too (ErrSnapshotV2).
+// Cuts compare stored coordinates and Kernel.Predict is deterministic,
+// total, and the same function on every machine (see mlp.Kernel), and a
+// snapshot stores the cuts and kernels themselves, so the argument carries
+// across save and load. It does not carry across a change of predictor,
+// which is why the RSMIv1 format — network weights, to be run through an
+// exp-based forward pass — is refused rather than converted
+// (ErrSnapshotV1), and so is RSMIv3, whose internal nodes are models
+// (ErrSnapshotV3). An RSMIv2 file holds no spans, and spans derived at load
+// from the live points would be narrower than the saved index's after
+// deletes, so the loaded index would read other blocks than the saved one:
+// it is refused too (ErrSnapshotV2).
 package core
 
 import (
@@ -77,9 +89,9 @@ import (
 // Table 3 sweep).
 const DefaultPartitionThreshold = 10000
 
-// maxDepth bounds the recursion; a model that makes no grouping progress is
-// turned into an oversized leaf instead (correct, just slower), so the bound
-// is a safety net rather than a tuning knob.
+// maxDepth bounds the recursion; a node whose cuts make no grouping progress
+// (copies of one point) gets an oversized leaf instead (correct, just
+// slower), so the bound is a safety net rather than a tuning knob.
 const maxDepth = 16
 
 // Options configures RSMI construction.
@@ -125,22 +137,26 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// node is one sub-model M_{i,j} of the RSMI.
+// node is one sub-model M_{i,j} of the RSMI: an internal node's grid cuts,
+// or a leaf's model and blocks.
 type node struct {
-	// kernel is the compiled sub-model, the node's only predictor: it maps
-	// raw coordinates to a child cell (internal) or a local base block
-	// (leaf). The zero kernel of a single-block leaf predicts 0.
-	kernel mlp.Kernel
-	// mbr is the subtree MBR, maintained under insertion (§5) and used by
-	// the exact RSMIa traversal (§4.2 end).
+	// mbr is the subtree MBR, maintained under insertion (§5). Window
+	// queries and kNN walk the leaves whose MBR meets their region, and the
+	// exact RSMIa traversal (§4.2 end) prunes by it.
 	mbr geom.Rect
 
-	// Internal-model fields.
-	children []*node // indexed by predicted cell curve value; nil = empty
-	cells    int     // grid cells = S²
+	// Internal-node fields: the grid's cuts (see buildInternal) and the
+	// children of its cells.
+	cols     []geom.Point   // column cuts, ascending by (x, then y)
+	rows     [][]geom.Point // rows[c]: column c's row cuts, ascending by (y, then x)
+	children []*node        // indexed by cell curve value; nil = empty
 
 	// Leaf-model fields.
-	leaf       bool
+	leaf bool
+	// kernel is the compiled leaf model, the leaf's only predictor: it maps
+	// raw coordinates to a local base block. The zero kernel of a
+	// single-block leaf predicts 0.
+	kernel     mlp.Kernel
 	firstBlock int // first base block id
 	numBlocks  int // base blocks owned by this leaf
 	// errUp is M.err_l (Eq. 4): the largest under-prediction, i.e. how far
@@ -194,6 +210,12 @@ type RSMI struct {
 	root  *node
 	n     int // live points
 
+	// side is the side of every internal node's grid, and grid[c·side + r]
+	// the curve value of the cell in column c and row r: the index of its
+	// child.
+	side int
+	grid []int32
+
 	// blockMBR caches the MBR of every block (base and inserted), extended
 	// on insertion; not shrunk on deletion (conservative, stays correct).
 	blockMBR []geom.Rect
@@ -207,7 +229,6 @@ type RSMI struct {
 	pmfX, pmfY *cdf.PMF
 
 	buildTime  time.Duration
-	models     int
 	leaves     int
 	height     int
 	seedSerial int64
@@ -236,6 +257,7 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 		n:        len(work),
 		lastTail: store.NilBlock,
 	}
+	t.side, t.grid = gridCells(opts)
 	t.root = t.build(work, 1)
 	// The entries grew leaf by leaf; keep them without the growth's slack.
 	t.bases = slices.Clone(t.bases)
@@ -270,8 +292,8 @@ func (t *RSMI) build(pts []geom.Point, depth int) *node {
 
 // buildLeaf orders pts by their rank-space curve value, packs them into
 // blocks, and trains the leaf model (§3.1). Leaves are the deepest nodes,
-// so the height is recorded here: a collapsed model's leaf sits one level
-// below any depth build saw.
+// so the height is recorded here: the leaf built for a cell that took every
+// point of its node sits one level below any depth build saw.
 func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	t.height = max(t.height, depth)
 	ordered := t.orderLeaf(pts)
@@ -279,9 +301,9 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	for id := first; id < first+count; id++ {
 		t.appendBlockMBR(t.store.Peek(id).MBR())
 	}
-	// Chain this leaf's run after the previous leaf's, so window scans can
-	// cross leaf boundaries ("The order of blocks under the different leaf
-	// models follows the order of the partition IDs", §3.2).
+	// Chain this leaf's run after the previous leaf's, so the block list
+	// runs through every leaf in order ("The order of blocks under the
+	// different leaf models follows the order of the partition IDs", §3.2).
 	t.store.LinkRuns(t.lastTail, first)
 	t.lastTail = first + count - 1
 	t.baseBlocks = t.store.NumBlocks()
@@ -293,14 +315,9 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 		numBlocks:  count,
 		points:     len(ordered),
 	}
-	t.models++
 	t.leaves++
-
 	if count > 1 {
-		n.kernel = t.trainModel(ordered, func(i int) float64 {
-			blk := i / t.opts.BlockCapacity
-			return float64(blk) / float64(count-1)
-		}, count)
+		n.kernel = t.trainLeaf(ordered, count)
 	}
 	// Exact error bounds over the training set (Eqs. 4–5), measured from the
 	// kernel's own predictions: an under-prediction (M < blk) means the true
@@ -353,103 +370,144 @@ func (t *RSMI) orderLeaf(pts []geom.Point) []geom.Point {
 	return out
 }
 
-// buildInternal learns the non-regular grid partitioning of §3.2 and
-// recurses into the predicted groups.
+// buildInternal cuts pts into the non-regular grid of §3.2 and recurses into
+// its cells: `side` columns of equal count by x, then each column into
+// `side` cells of equal count by y. The paper trains an MLP to learn which
+// cell a point falls in; the cuts are that function exactly, so the node
+// keeps them instead of a model and trains nothing. The cuts compare points
+// in the orders rank.Ranks ranks them: a column cut by (x, then y), a row cut
+// by (y, then x). The points are grouped by cell, the predictor descent
+// follows, not by the rank layout the cuts were read from: points equal in
+// both coordinates that the layout split across a cut all go to the later
+// cell, so descent is exact by construction.
 func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
-	nb := float64(t.opts.PartitionThreshold) / float64(t.opts.BlockCapacity)
-	order := uint(1) // ⌊log4 N/B⌋, clamped to at least a 2×2 grid
-	if f := math.Floor(math.Log2(nb) / 2); f > 1 {
-		order = uint(f)
-	}
-	curve := sfc.New(t.opts.Curve, order)
-	side := int(curve.Side())
+	side, nPts := t.side, len(pts)
+	n := &node{mbr: geom.BoundingRect(pts)}
 	cells := side * side
 
-	// Non-regular grid: cut into `side` columns of equal count by x, then
-	// each column into `side` cells of equal count by y. The rank-space
-	// ranks lay the points out that way without a comparison sort: a
-	// point's x rank names its column, and filing the points into their
-	// columns in y-rank order leaves every column sorted by y.
+	// A point's x rank names its column; walking the points in y-rank order
+	// meets each column's points in row order, so the first point of every
+	// row is met without a sort.
 	rx, ry := rank.Ranks(pts)
-	nPts := len(pts)
 	colSize := (nPts + side - 1) / side
+	cols := (nPts + colSize - 1) / colSize
+	n.cols = make([]geom.Point, cols-1)
+	for i, r := range rx {
+		if c := int(r) / colSize; c > 0 && int(r)%colSize == 0 {
+			n.cols[c-1] = pts[i]
+		}
+	}
 	byY := make([]int32, nPts)
 	for i, r := range ry {
 		byY[r] = int32(i)
 	}
-	laid := make([]geom.Point, nPts)
-	filled := make([]int, side)
+	rowCuts := make([]geom.Point, cols*(side-1))
+	n.rows = make([][]geom.Point, cols)
+	for c := range n.rows {
+		n.rows[c] = rowCuts[c*(side-1) : c*(side-1) : (c+1)*(side-1)]
+	}
+	filled := make([]int, cols)
 	for _, i := range byY {
 		c := int(rx[i]) / colSize
-		laid[c*colSize+filled[c]] = pts[i]
+		rowSize := (min(colSize, nPts-c*colSize) + side - 1) / side
+		if f := filled[c]; f > 0 && f%rowSize == 0 {
+			n.rows[c] = append(n.rows[c], pts[i])
+		}
 		filled[c]++
 	}
-	pts = laid
-	cellCV := make([]uint64, nPts) // ground-truth cell curve value per point
-	for c := 0; c < side; c++ {
-		lo := c * colSize
-		if lo >= nPts {
-			break
-		}
-		hi := lo + colSize
-		if hi > nPts {
-			hi = nPts
-		}
-		col := pts[lo:hi]
-		rowSize := (len(col) + side - 1) / side
-		for i := range col {
-			cy := i / rowSize
-			if cy >= side {
-				cy = side - 1
-			}
-			cellCV[lo+i] = curve.Value(uint32(c), uint32(cy))
-		}
-	}
 
-	n := &node{
-		mbr:   geom.BoundingRect(pts),
-		cells: cells,
+	// Group the points by the cell descent sends them to, in cell order.
+	cellOf := make([]int32, nPts)
+	start := make([]int, cells+1)
+	for i, p := range pts {
+		c := t.cell(n, p)
+		cellOf[i] = int32(c)
+		start[c+1]++
 	}
-	t.models++
-	n.kernel = t.trainModel(pts, func(i int) float64 {
-		return float64(cellCV[i]) / float64(cells-1)
-	}, cells)
-
-	// Group points by the kernel's own prediction (the learned grouping of
-	// §3.2) so descent is exact.
-	groups := make([][]geom.Point, cells)
-	for _, p := range pts {
-		c := n.predictClamped(p)
-		groups[c] = append(groups[c], p)
+	for c := range cells {
+		start[c+1] += start[c]
 	}
+	grouped := make([]geom.Point, nPts)
+	next := slices.Clone(start[:cells])
+	for i, p := range pts {
+		grouped[next[cellOf[i]]] = p
+		next[cellOf[i]]++
+	}
+	copy(pts, grouped)
 
 	n.children = make([]*node, cells)
-	for c, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
-		if len(g) == nPts {
-			// Model collapse: every point predicted into one cell. Recursing
-			// would not terminate; an oversized leaf keeps the index correct.
+	for c := range cells {
+		g := pts[start[c]:start[c+1]]
+		switch {
+		case len(g) == 0:
+		case len(g) == nPts:
+			// Every point fell into one cell, so the column cuts are all
+			// copies of the least point. Recursing would cut the points the
+			// same way again; an oversized leaf keeps the index correct.
 			n.children[c] = t.buildLeaf(g, depth+1)
-			n.points += len(g)
-			continue
+		default:
+			n.children[c] = t.build(g, depth+1)
 		}
-		n.children[c] = t.build(g, depth+1)
 		n.points += len(g)
 	}
 	return n
 }
 
-// trainModel trains an MLP mapping normalised coordinates to target(i) for
-// each point, with the paper's hidden sizing rule for the given output-class
-// count, and returns it compiled for raw coordinates and whole classes. The
-// network itself does not outlive the call.
-func (t *RSMI) trainModel(pts []geom.Point, target func(int) float64, classes int) mlp.Kernel {
+// gridCells returns the side of the grid every internal node of an index
+// with options o cuts, 2^⌊log4 N/B⌋ clamped to at least 2 (§3.2), and the
+// table from a cell's column and row to its curve value (see RSMI.grid).
+func gridCells(o Options) (side int, grid []int32) {
+	order := uint(1)
+	nb := float64(o.PartitionThreshold) / float64(o.BlockCapacity)
+	if f := math.Floor(math.Log2(nb) / 2); f > 1 {
+		order = uint(min(f, maxGridOrder))
+	}
+	curve := sfc.New(o.Curve, order)
+	side = int(curve.Side())
+	grid = make([]int32, side*side)
+	for c := range side {
+		for r := range side {
+			grid[c*side+r] = int32(curve.Value(uint32(c), uint32(r)))
+		}
+	}
+	return side, grid
+}
+
+// maxGridOrder bounds the grid of an internal node at 2^10 × 2^10 cells,
+// which no sensible N/B reaches (the defaults make it 8 × 8): a snapshot's
+// options cannot make loading it allocate more.
+const maxGridOrder = 10
+
+// cell returns the curve value of the cell of internal node n that p falls
+// in: the number of column cuts at or before p by (x, then y), then the
+// number of that column's row cuts at or before p by (y, then x). Build,
+// descent and update all find a point's cell through this one method.
+func (t *RSMI) cell(n *node, p geom.Point) int {
+	c := 0
+	for _, cut := range n.cols {
+		if !p.Less(cut) {
+			c++
+		}
+	}
+	r := 0
+	for _, cut := range n.rows[c] {
+		if !(p.Y < cut.Y || p.Y == cut.Y && p.X < cut.X) {
+			r++
+		}
+	}
+	return int(t.grid[c*t.side+r])
+}
+
+// trainLeaf trains the MLP of a leaf packed into the given number of
+// blocks, mapping each point's normalised coordinates to its normalised
+// block, with the paper's hidden sizing rule, and returns it compiled for
+// raw coordinates and whole blocks. The network itself does not outlive the
+// call.
+func (t *RSMI) trainLeaf(pts []geom.Point, blocks int) mlp.Kernel {
 	t.seedSerial++
 	cfg := mlp.Config{
 		Inputs:       2,
-		Hidden:       mlp.HiddenFor(2, classes),
+		Hidden:       mlp.HiddenFor(2, blocks),
 		LearningRate: t.opts.LearningRate,
 		Epochs:       t.opts.Epochs,
 		Seed:         t.opts.Seed + t.seedSerial,
@@ -461,16 +519,15 @@ func (t *RSMI) trainModel(pts []geom.Point, target func(int) float64, classes in
 	for i, p := range pts {
 		nx, ny := normalise(norm, p)
 		xs = append(xs, nx, ny)
-		ys = append(ys, target(i))
+		ys = append(ys, float64(i/t.opts.BlockCapacity)/float64(blocks-1))
 	}
 	net.Train(cfg, xs, ys)
-	return mlp.Compile(net, norm.MinX, norm.MinY, norm.MaxX, norm.MaxY, classes)
+	return mlp.Compile(net, norm.MinX, norm.MinY, norm.MaxX, norm.MaxY, blocks)
 }
 
-// predictClamped is the node's prediction for p, a class in [0, classes-1]
-// (cells of an internal node, base blocks of a leaf). Build, query and
-// update all predict through this one method — see "Correctness guarantees"
-// in the package comment.
+// predictClamped is leaf n's prediction for p, a local base block in
+// [0, numBlocks-1]. Build, query and update all predict through this one
+// method — see "Correctness guarantees" in the package comment.
 func (n *node) predictClamped(p geom.Point) int {
 	return n.kernel.Predict(p.X, p.Y)
 }
@@ -530,36 +587,35 @@ func (t *RSMI) linkChains() error {
 	return nil
 }
 
-// descend walks from the root to the leaf model responsible for p
-// (Algorithm 1, lines 1–3). When the predicted child is empty, the nearest
-// non-empty sibling cell is used: p is then provably not indexed, but
-// window-query corners still need a block estimate (§4.2 discussion). It
-// returns nil when no leaf is reachable.
+// descend walks from the root to the leaf responsible for p (Algorithm 1,
+// lines 1–3), following the cuts. It returns nil when no leaf is reachable.
 func (t *RSMI) descend(p geom.Point) *node {
 	n := t.root
 	for n != nil && !n.leaf {
-		n = n.childFor(p)
+		n = t.childFor(n, p)
 	}
 	return n
 }
 
-// descendPath is descend for updates, which maintain every model on the way
+// descendPath is descend for updates, which maintain every node on the way
 // down: it also appends the internal nodes visited to path (pass a
 // zero-length slice over a stack array to keep the walk allocation-free).
 func (t *RSMI) descendPath(p geom.Point, path []*node) (*node, []*node) {
 	n := t.root
 	for n != nil && !n.leaf {
 		path = append(path, n)
-		n = n.childFor(p)
+		n = t.childFor(n, p)
 	}
 	return n, path
 }
 
-// childFor returns the child of internal node n that p descends into: the
-// predicted cell's, or the nearest non-empty sibling's when that cell is
-// empty (nil when every cell is).
-func (n *node) childFor(p geom.Point) *node {
-	c := n.predictClamped(p)
+// childFor returns the child of internal node n that p descends into: its
+// cell's, or the nearest non-empty sibling's when that cell is empty (nil
+// when every cell is). A cell is empty at build only where copies of one
+// point straddle cuts (see buildInternal), and then p is not indexed; but an
+// insert still needs a leaf to file p under.
+func (t *RSMI) childFor(n *node, p geom.Point) *node {
+	c := t.cell(n, p)
 	if child := n.children[c]; child != nil {
 		return child
 	}
@@ -568,11 +624,11 @@ func (n *node) childFor(p geom.Point) *node {
 
 // nearestChild returns the non-nil child with cell index closest to c.
 func nearestChild(n *node, c int) *node {
-	for d := 1; d < n.cells; d++ {
+	for d := 1; d < len(n.children); d++ {
 		if i := c - d; i >= 0 && n.children[i] != nil {
 			return n.children[i]
 		}
-		if i := c + d; i < n.cells && n.children[i] != nil {
+		if i := c + d; i < len(n.children) && n.children[i] != nil {
 			return n.children[i]
 		}
 	}
@@ -653,9 +709,17 @@ func (t *RSMI) Stats() index.Stats {
 		if n == nil {
 			return
 		}
-		// The subtree MBR and the compiled model (which replaced the network
-		// and its normalisation rectangle, and carries the class count).
-		modelBytes += 4*8 + n.kernel.SizeBytes()
+		// The subtree MBR, and a leaf's compiled model (which replaced the
+		// network and its normalisation rectangle, and carries the class
+		// count) or an internal node's cuts.
+		modelBytes += 4 * 8
+		if n.leaf {
+			modelBytes += n.kernel.SizeBytes()
+		}
+		modelBytes += int64(len(n.cols)) * 16
+		for _, r := range n.rows {
+			modelBytes += int64(len(r)) * 16
+		}
 		for _, c := range n.children {
 			walk(c)
 		}
@@ -674,7 +738,7 @@ func (t *RSMI) Stats() index.Stats {
 		Height:    t.height,
 		Blocks:    t.store.NumBlocks(),
 		BuildTime: t.buildTime,
-		Models:    t.models,
+		Models:    t.leaves,
 		ErrLow:    errLow,
 		ErrHigh:   errHigh,
 	}
@@ -685,6 +749,6 @@ func (t *RSMI) Options() Options { return t.opts }
 
 // String summarises the index structure.
 func (t *RSMI) String() string {
-	return fmt.Sprintf("RSMI{n=%d models=%d leaves=%d height=%d blocks=%d}",
-		t.n, t.models, t.leaves, t.height, t.store.NumBlocks())
+	return fmt.Sprintf("RSMI{n=%d leaves=%d height=%d blocks=%d}",
+		t.n, t.leaves, t.height, t.store.NumBlocks())
 }

@@ -9,6 +9,7 @@ import (
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/sfc"
+	"rsmi/internal/store"
 	"rsmi/internal/workload"
 )
 
@@ -180,6 +181,18 @@ func TestKNNEdgeCases(t *testing.T) {
 	if got := idx.KNN(q, len(pts)+100); len(got) != len(pts) {
 		t.Errorf("k>n returned %d, want %d", len(got), len(pts))
 	}
+	// Queries far outside the data still find their k nearest.
+	for _, far := range []geom.Point{geom.Pt(1e30, 1e30), geom.Pt(-1e6, 0.5), geom.Pt(1e18, -1e18)} {
+		got, want := idx.KNN(far, 10), idx.ExactKNN(far, 10)
+		if len(got) != len(want) {
+			t.Fatalf("KNN(%v, 10) returned %d points, ExactKNN %d", far, len(got), len(want))
+		}
+		for i := range got {
+			if far.Dist2(got[i]) != far.Dist2(want[i]) {
+				t.Fatalf("KNN(%v, 10) rank %d differs from ExactKNN", far, i)
+			}
+		}
+	}
 	if got := idx.AsExact().KNN(q, 0); got != nil {
 		t.Error("exact k=0 must return nil")
 	}
@@ -228,10 +241,11 @@ func TestErrorBoundsAreExact(t *testing.T) {
 		t.Fatalf("negative error bounds (%d, %d)", errLow, errHigh)
 	}
 	for _, p := range pts {
-		lo, hi, ok := idx.locate(p)
-		if !ok {
-			t.Fatalf("locate failed for %v", p)
+		leaf := idx.descend(p)
+		if leaf == nil {
+			t.Fatalf("no leaf for %v", p)
 		}
+		lo, hi := leaf.scanBounds(p)
 		var reads int
 		if blk, _ := refFind(idx, p, lo, hi, &reads); blk == nil {
 			t.Fatalf("point %v outside its error-bounded range [%d,%d]", p, lo, hi)
@@ -392,10 +406,25 @@ func TestStringSummary(t *testing.T) {
 }
 
 // BenchmarkBuild100k builds one index over 100k skewed points with the
-// paper's B and N at the benchmark's training budget: a root model over
-// about sixty leaves, the shape one shard of the repo's benchmark has.
+// paper's B and N at the benchmark's training budget: a root of grid cuts
+// over 64 leaves, the shape one shard of the repo's benchmark has.
 func BenchmarkBuild100k(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 100_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(pts, Options{Epochs: 10, Seed: 1})
+	}
+}
+
+// BenchmarkBuild1M builds one index over 1M skewed points with the paper's
+// B and N at 10 epochs, seed 1: the scale at which the build's shape (grid
+// cuts, some 100 leaves to train) shows. It is skipped under -short.
+func BenchmarkBuild1M(b *testing.B) {
+	if testing.Short() {
+		b.Skip("1M-point build skipped in -short")
+	}
+	pts := dataset.Generate(dataset.Skewed, 1_000_000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -525,5 +554,111 @@ func TestAvgDepthFollowsUpdates(t *testing.T) {
 	}
 	if want := float64(sum) / float64(idx.Len()); got != want {
 		t.Fatalf("AvgDepth = %v, want Σ points·depth / Len = %v", got, want)
+	}
+}
+
+// checkDescent fails unless every point idx holds descends to the leaf whose
+// blocks hold it.
+func checkDescent(t *testing.T, stage string, idx *RSMI) {
+	t.Helper()
+	held := 0
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n == nil {
+			return
+		}
+		for _, c := range n.children {
+			walk(c)
+		}
+		if !n.leaf {
+			return
+		}
+		c := idx.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
+		for id := c.next(); id != store.NilBlock; id = c.next() {
+			for _, p := range idx.store.Peek(id).Slots() {
+				held++
+				if idx.descend(p) != n {
+					t.Fatalf("%s: %v lies in block %d of the leaf at block %d and descends to another leaf", stage, p, id, n.firstBlock)
+				}
+			}
+		}
+	}
+	walk(idx.root)
+	if held != idx.Len() {
+		t.Fatalf("%s: the leaves hold %d points, the index %d", stage, held, idx.Len())
+	}
+}
+
+// TestCutsDescendExactly: descent follows the cuts the build grouped the
+// points by, so every built and every inserted point descends to the leaf
+// that holds it — also where copies of one point straddle a cut in the
+// rank layout the cuts were read from, and where every point is the same
+// one, which leaves all but one cell of the root empty: a point inserted
+// into an empty cell is filed under the nearest cell's leaf and found there.
+func TestCutsDescendExactly(t *testing.T) {
+	// 800 distinct points, each one to five times over: cuts land on copies.
+	var pts []geom.Point
+	for i, p := range dataset.Generate(dataset.Skewed, 800, 31) {
+		for range 1 + i%5 {
+			pts = append(pts, p)
+		}
+	}
+	idx := New(pts, testOptions())
+	if idx.root.leaf {
+		t.Fatal("the root is a leaf")
+	}
+	// A column cut straddles when fewer points than its rank position order
+	// before it: its earlier copies were laid out in the column before.
+	colSize := (len(pts) + idx.side - 1) / idx.side
+	straddles := 0
+	for j, cut := range idx.root.cols {
+		before := 0
+		for _, p := range pts {
+			if p.Less(cut) {
+				before++
+			}
+		}
+		if before < (j+1)*colSize {
+			straddles++
+		}
+	}
+	if straddles == 0 {
+		t.Fatal("no column cut of the root has copies on both sides")
+	}
+	checkDescent(t, "built with copies", idx)
+	for i, p := range workload.InsertPoints(pts, 500, 32) {
+		idx.Insert(p)
+		idx.Insert(pts[3*i]) // another copy of a built point
+	}
+	for _, cut := range idx.root.cols {
+		idx.Insert(cut)
+	}
+	checkDescent(t, "inserted", idx)
+
+	same := make([]geom.Point, 2000)
+	for i := range same {
+		same[i] = geom.Pt(0.5, 0.25)
+	}
+	idx = New(same, testOptions())
+	if idx.root.leaf || idx.Stats().Height != 2 {
+		t.Fatalf("want one leaf below an internal root, got leaf %v, height %d", idx.root.leaf, idx.Stats().Height)
+	}
+	checkDescent(t, "all one point", idx)
+	empty := 0
+	for _, p := range dataset.Generate(dataset.Uniform, 300, 33) {
+		if idx.root.children[idx.cell(idx.root, p)] == nil {
+			empty++
+		}
+		idx.Insert(p)
+		if !idx.PointQuery(p) {
+			t.Fatalf("inserted %v not found", p)
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no inserted point fell into an empty cell")
+	}
+	checkDescent(t, "all one point, then inserts", idx)
+	if ad := idx.AvgDepth(); ad != 2 {
+		t.Fatalf("AvgDepth %v, want 2: every point lies in the one leaf", ad)
 	}
 }

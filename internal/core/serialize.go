@@ -20,14 +20,18 @@ import (
 // CPU), so a production deployment builds once and serves many restarts.
 // This file provides a complete binary serialisation of a built index:
 // options, blocks (including overflow chains and deleted slots), the
-// compiled sub-models, MBRs, error bounds, point spans, and the kNN PMFs. A
-// loaded index answers queries identically to the original: the kernels are
-// stored as they are, nothing is recompiled, so every grouping, error bound
-// and span in the file was measured from the very predictor the loaded index
-// runs.
+// internal nodes' cuts, the leaves' compiled models, MBRs, error bounds,
+// point spans, and the kNN PMFs. A loaded index answers queries identically
+// to the original: the cuts and kernels are stored as they are, nothing is
+// recompiled, so every grouping, error bound and span in the file was
+// measured from the very predictors the loaded index runs.
 
-// serialMagic identifies the index file format, RSMIv3.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '3', 0, 0}
+// serialMagic identifies the index file format, RSMIv4.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '4', 0, 0}
+
+// serialMagicV3 is the magic of the format whose internal nodes were
+// trained models.
+var serialMagicV3 = [8]byte{'R', 'S', 'M', 'I', 'v', '3', 0, 0}
 
 // serialMagicV2 is the magic of the format without point spans.
 var serialMagicV2 = [8]byte{'R', 'S', 'M', 'I', 'v', '2', 0, 0}
@@ -54,6 +58,15 @@ var ErrSnapshotV1 = errors.New("core: RSMIv1 snapshot refused: its groupings and
 // again.
 var ErrSnapshotV2 = errors.New("core: RSMIv2 snapshot refused: it holds no point spans, and spans derived " +
 	"from its points would not be the ones the saved index scanned; rebuild the index and save it again")
+
+// ErrSnapshotV3 is returned by Load for an RSMIv3 file. Its internal nodes
+// are trained models, and its points were grouped by their predictions;
+// this version's internal nodes cut the grid exactly, and cuts derived from
+// the file's points would group some of them into other subtrees than the
+// ones holding them. Rebuild the index from its points and save it again.
+var ErrSnapshotV3 = errors.New("core: RSMIv3 snapshot refused: its internal nodes are trained models, " +
+	"and this version descends by exact grid cuts that would not find its points where the models put them; " +
+	"rebuild the index and save it again")
 
 // WriteTo serialises the index. It implements io.WriterTo.
 func (t *RSMI) WriteTo(w io.Writer) (int64, error) {
@@ -98,8 +111,8 @@ func (t *RSMI) encode(w io.Writer) error {
 	}
 	// Scalars.
 	for _, v := range []interface{}{
-		int64(t.n), int64(t.baseBlocks), int64(t.models), int64(t.leaves),
-		int64(t.height), t.depthSum(), t.seedSerial, int64(t.inserted),
+		int64(t.n), int64(t.baseBlocks), int64(t.leaves),
+		int64(t.height), t.seedSerial, int64(t.inserted),
 		int64(t.lastTail), int64(t.buildTime),
 	} {
 		if err := put(v); err != nil {
@@ -215,18 +228,19 @@ func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 	if err := putRect(w, n.mbr); err != nil {
 		return err
 	}
-	if _, err := n.kernel.WriteTo(w); err != nil {
-		return err
-	}
-	for _, v := range []interface{}{
-		int64(n.cells), int64(n.firstBlock), int64(n.numBlocks),
-		int64(n.errUp), int64(n.errDown), int64(n.points),
-	} {
-		if err := put(v); err != nil {
+	if !n.leaf {
+		if err := put(int64(n.points)); err != nil {
 			return err
 		}
-	}
-	if n.leaf {
+	} else {
+		if _, err := n.kernel.WriteTo(w); err != nil {
+			return err
+		}
+		for _, v := range []int64{int64(n.firstBlock), int64(n.numBlocks), int64(n.errUp), int64(n.errDown), int64(n.points)} {
+			if err := put(v); err != nil {
+				return err
+			}
+		}
 		pairs := make([]byte, 0, 8*n.numBlocks)
 		for _, b := range t.bases[n.firstBlock : n.firstBlock+n.numBlocks] {
 			pairs = binary.LittleEndian.AppendUint32(pairs, uint32(b.span.lo))
@@ -234,6 +248,16 @@ func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 		}
 		_, err := w.Write(pairs)
 		return err
+	}
+	// The cuts: the column cuts, then each column's row cuts, each list
+	// behind its length.
+	if err := putCuts(w, n.cols); err != nil {
+		return err
+	}
+	for _, r := range n.rows {
+		if err := putCuts(w, r); err != nil {
+			return err
+		}
 	}
 	if err := put(int64(len(n.children))); err != nil {
 		return err
@@ -244,6 +268,41 @@ func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 		}
 	}
 	return nil
+}
+
+// putCuts writes a cut list: its length, then every cut's x and y.
+func putCuts(w io.Writer, cuts []geom.Point) error {
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+16*len(cuts)), uint64(len(cuts)))
+	for _, c := range cuts {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.X))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(c.Y))
+	}
+	_, err := w.Write(b)
+	return err
+}
+
+// getCuts reads a cut list written by putCuts, refusing one longer than
+// limit or holding a coordinate that is not finite.
+func getCuts(r io.Reader, limit int) ([]geom.Point, error) {
+	var n uint64
+	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
+		return nil, fmt.Errorf("core: read cuts: %w", err)
+	}
+	if n > uint64(limit) {
+		return nil, fmt.Errorf("core: %d cuts where a grid of side %d has at most %d", n, limit+1, limit)
+	}
+	cuts := make([]geom.Point, n)
+	var b [16]byte
+	for i := range cuts {
+		if _, err := io.ReadFull(r, b[:]); err != nil {
+			return nil, fmt.Errorf("core: read cuts: %w", err)
+		}
+		cuts[i] = geom.Pt(math.Float64frombits(binary.LittleEndian.Uint64(b[:])), math.Float64frombits(binary.LittleEndian.Uint64(b[8:])))
+		if !cuts[i].IsFinite() {
+			return nil, fmt.Errorf("core: cut %v is not finite", cuts[i])
+		}
+	}
+	return cuts, nil
 }
 
 func putRect(w io.Writer, r geom.Rect) error {
@@ -280,6 +339,8 @@ func decode(r io.Reader) (*RSMI, error) {
 		return nil, ErrSnapshotV1
 	case serialMagicV2:
 		return nil, ErrSnapshotV2
+	case serialMagicV3:
+		return nil, ErrSnapshotV3
 	}
 	if magic != serialMagic {
 		return nil, errors.New("core: not an RSMI index file")
@@ -293,7 +354,7 @@ func decode(r io.Reader) (*RSMI, error) {
 	}
 	t := &RSMI{opts: opts}
 	// Scalars.
-	var scalars [10]int64
+	var scalars [8]int64
 	for i := range scalars {
 		if err := get(&scalars[i]); err != nil {
 			return nil, fmt.Errorf("core: read scalars: %w", err)
@@ -301,15 +362,12 @@ func decode(r io.Reader) (*RSMI, error) {
 	}
 	t.n = int(scalars[0])
 	t.baseBlocks = int(scalars[1])
-	t.models = int(scalars[2])
-	t.leaves = int(scalars[3])
-	t.height = int(scalars[4])
-	// scalars[5] is the points' depth sum, which AvgDepth derives from
-	// the leaves.
-	t.seedSerial = scalars[6]
-	t.inserted = int(scalars[7])
-	t.lastTail = int(scalars[8])
-	t.buildTime = time.Duration(scalars[9])
+	t.leaves = int(scalars[2])
+	t.height = int(scalars[3])
+	t.seedSerial = scalars[4]
+	t.inserted = int(scalars[5])
+	t.lastTail = int(scalars[6])
+	t.buildTime = time.Duration(scalars[7])
 	// Store.
 	mgr, err := store.ReadManager(r)
 	if err != nil {
@@ -378,31 +436,32 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	if n.mbr, err = getRect(r); err != nil {
 		return nil, err
 	}
-	if n.kernel, err = mlp.ReadKernel(r); err != nil {
-		return nil, err
-	}
-	var f [6]int64
-	for i := range f {
-		if err := binary.Read(r, binary.LittleEndian, &f[i]); err != nil {
+	if !n.leaf {
+		var points int64
+		if err := binary.Read(r, binary.LittleEndian, &points); err != nil {
 			return nil, err
 		}
-	}
-	n.cells = int(f[0])
-	n.firstBlock = int(f[1])
-	n.numBlocks = int(f[2])
-	n.errUp = int(f[3])
-	n.errDown = int(f[4])
-	n.points = int(f[5])
-	// A kernel's class indexes the node's children or base blocks: one that
-	// predicts among any other number of them would walk off the end.
-	want := n.cells
-	if n.leaf {
-		want = n.numBlocks
-	}
-	if got := n.kernel.Classes(); got != want {
-		return nil, fmt.Errorf("core: sub-model predicts %d classes for a node with %d", got, want)
-	}
-	if n.leaf {
+		n.points = int(points)
+	} else {
+		if n.kernel, err = mlp.ReadKernel(r); err != nil {
+			return nil, err
+		}
+		var f [5]int64
+		for i := range f {
+			if err := binary.Read(r, binary.LittleEndian, &f[i]); err != nil {
+				return nil, err
+			}
+		}
+		n.firstBlock = int(f[0])
+		n.numBlocks = int(f[1])
+		n.errUp = int(f[2])
+		n.errDown = int(f[3])
+		n.points = int(f[4])
+		// A kernel's class indexes the leaf's base blocks: one that predicts
+		// among any other number of them would walk off the end.
+		if got := n.kernel.Classes(); got != n.numBlocks {
+			return nil, fmt.Errorf("core: leaf model predicts %d classes for a leaf with %d blocks", got, n.numBlocks)
+		}
 		// One pair per base block, appended as the stream yields them.
 		var pair [8]byte
 		for range n.numBlocks {
@@ -416,13 +475,28 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 		}
 		return n, nil
 	}
+	// A cell's column and row index the grid table, and its curve value the
+	// children: a node of another grid, or with more cuts than its grid has
+	// room for, would walk off their ends. The options fix the grid; it is
+	// made when the first internal node is read.
+	if t.grid == nil {
+		t.side, t.grid = gridCells(t.opts)
+	}
+	if n.cols, err = getCuts(r, t.side-1); err != nil {
+		return nil, err
+	}
+	n.rows = make([][]geom.Point, len(n.cols)+1)
+	for c := range n.rows {
+		if n.rows[c], err = getCuts(r, t.side-1); err != nil {
+			return nil, err
+		}
+	}
 	var nChildren int64
 	if err := binary.Read(r, binary.LittleEndian, &nChildren); err != nil {
 		return nil, err
 	}
-	const maxCells = 1 << 20
-	if nChildren < 0 || nChildren > maxCells || int(nChildren) != n.cells {
-		return nil, fmt.Errorf("core: child count %d does not match %d cells", nChildren, n.cells)
+	if nChildren != int64(len(t.grid)) {
+		return nil, fmt.Errorf("core: internal node of %d cells in an index whose grid has %d", nChildren, len(t.grid))
 	}
 	// The children slice grows as they decode, not ahead of the stream.
 	for i := int64(0); i < nChildren; i++ {

@@ -99,11 +99,12 @@ func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []g
 		if i%2 == 0 {
 			p = probes[rng.Intn(len(probes))]
 		}
-		lo1, hi1, ok1 := orig.locate(p)
-		lo2, hi2, ok2 := loaded.locate(p)
-		if lo1 != lo2 || hi1 != hi2 || ok1 != ok2 {
-			t.Fatalf("%s: locate(%v) = [%d, %d] %v before, [%d, %d] %v after the round trip",
-				stage, p, lo1, hi1, ok1, lo2, hi2, ok2)
+		l1, l2 := orig.descend(p), loaded.descend(p)
+		lo1, hi1 := l1.scanBounds(p)
+		lo2, hi2 := l2.scanBounds(p)
+		if l1.firstBlock != l2.firstBlock || lo1 != lo2 || hi1 != hi2 {
+			t.Fatalf("%s: %v descends to the leaf at block %d, range [%d, %d], before, and to the leaf at block %d, range [%d, %d], after the round trip",
+				stage, p, l1.firstBlock, lo1, hi1, l2.firstBlock, lo2, hi2)
 		}
 	}
 	// accesses runs fn on both and demands equal block-access counts.
@@ -257,6 +258,13 @@ func TestLoadRefusesV2(t *testing.T) {
 	refuseOldMagic(t, serialMagicV2, ErrSnapshotV2, "RSMIv2", "spans", "rebuild")
 }
 
+// TestLoadRefusesV3: the format whose internal nodes are trained models is
+// recognised and refused with an error that says why, not mistaken for
+// garbage.
+func TestLoadRefusesV3(t *testing.T) {
+	refuseOldMagic(t, serialMagicV3, ErrSnapshotV3, "RSMIv3", "cuts", "rebuild")
+}
+
 // TestLoadChecksDelta: Δ sizes every kNN search, so a snapshot whose Δ word
 // is neither the 0.01 this version runs nor 0 (unset, which meant 0.01) is
 // refused with an error that names Δ. The loss and γ words shaped only the
@@ -301,15 +309,16 @@ func TestLoadChecksDelta(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMismatchedKernel: a sub-model that predicts among more
-// classes than its node has children or blocks would index past them; the
-// loader must refuse it.
+// TestLoadRejectsMismatchedKernel: a leaf model that predicts among more
+// classes than its leaf has blocks would index past them, and so would an
+// internal node with fewer cells than the index's grid; the loader must
+// refuse both.
 func TestLoadRejectsMismatchedKernel(t *testing.T) {
 	opts := testOptions()
 	opts.PartitionThreshold = 400
 	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), opts)
 	for name, tamper := range map[string]func(root *node){
-		"internal": func(root *node) { root.cells, root.children = 1, root.children[:1] },
+		"internal": func(root *node) { root.children = root.children[:1] },
 		"leaf": func(root *node) {
 			n := root
 			for !n.leaf {
@@ -337,7 +346,42 @@ func TestLoadRejectsMismatchedKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := Load(&buf); err == nil {
-			t.Errorf("%s: Load accepted a node whose kernel predicts more classes than it has", name)
+			t.Errorf("%s: Load accepted a node with fewer children or blocks than its predictor names", name)
+		}
+	}
+}
+
+// TestLoadRefusesBadCuts: descent counts the cuts at or before a point, and
+// a column's count indexes its row cuts and the grid: a node with more cuts
+// than its grid has room for would index past them, and a cut that is not
+// finite orders no point. The loader refuses both, in words that name the
+// cuts.
+func TestLoadRefusesBadCuts(t *testing.T) {
+	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), testOptions())
+	if idx.root.leaf || idx.side != 4 {
+		t.Fatalf("want an internal root over a 4 × 4 grid, got leaf %v, side %d", idx.root.leaf, idx.side)
+	}
+	for name, tamper := range map[string]func(root *node){
+		"column cut NaN": func(root *node) { root.cols[0].X = math.NaN() },
+		"row cut +Inf":   func(root *node) { root.rows[1][0].Y = math.Inf(1) },
+		"4 column cuts":  func(root *node) { root.cols, root.rows = append(root.cols, root.cols[0]), append(root.rows, nil) },
+		"4 row cuts":     func(root *node) { root.rows[0] = append(root.rows[0], root.rows[0][0]) },
+	} {
+		var buf bytes.Buffer
+		if _, err := idx.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		victim, err := Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(victim.root)
+		buf.Reset()
+		if _, err := victim.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "cut") {
+			t.Errorf("%s: Load returned %v, want a refusal naming the cuts", name, err)
 		}
 	}
 }

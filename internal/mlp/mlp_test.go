@@ -374,8 +374,7 @@ func TestFusedStepIsReferenceStep(t *testing.T) {
 }
 
 // benchmarkTrain trains one model of the given shape on m random samples for
-// 10 epochs per iteration: the two shapes below are the leaf and the root of
-// a benchmark-scale RSMI, which between them are the build.
+// 10 epochs per iteration.
 func benchmarkTrain(b *testing.B, m, hidden int) {
 	xs := make([]float64, 2*m)
 	ys := make([]float64, m)
@@ -395,6 +394,3 @@ func benchmarkTrain(b *testing.B, m, hidden int) {
 // BenchmarkTrainLeaf: a full leaf (N = 10 000 points in 100 blocks, so 51
 // hidden units by the paper's rule).
 func BenchmarkTrainLeaf(b *testing.B) { benchmarkTrain(b, 10_000, 51) }
-
-// BenchmarkTrainRoot: a 100k-point shard's root model (64 cells, 33 units).
-func BenchmarkTrainRoot(b *testing.B) { benchmarkTrain(b, 100_000, 33) }

@@ -177,24 +177,25 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // earlier format's.
 func downgrade(t testing.TB, snap []byte, magic string) []byte {
 	t.Helper()
-	out := bytes.ReplaceAll(snap, []byte("RSMIv3\x00\x00"), []byte(magic+"\x00\x00"))
+	out := bytes.ReplaceAll(snap, []byte("RSMIv4\x00\x00"), []byte(magic+"\x00\x00"))
 	if bytes.Equal(out, snap) {
-		t.Fatal("snapshot holds no RSMIv3 magic to downgrade")
+		t.Fatal("snapshot holds no RSMIv4 magic to downgrade")
 	}
 	return out
 }
 
 // TestLoadRefusesV1: the sharded container did not change, but a file whose
-// embedded shard streams are RSMIv1 or RSMIv2 is refused with core's
-// explanation, not loaded with error bounds that no longer hold or without
-// the spans its point queries scan.
+// embedded shard streams are RSMIv1, RSMIv2 or RSMIv3 is refused with core's
+// explanation, not loaded with error bounds that no longer hold, without the
+// spans its point queries scan, or with internal models where this version
+// descends by cuts.
 func TestLoadRefusesV1(t *testing.T) {
 	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	for magic, want := range map[string]error{"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2} {
+	for magic, want := range map[string]error{"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2, "RSMIv3": core.ErrSnapshotV3} {
 		if _, err := Load(bytes.NewReader(downgrade(t, buf.Bytes(), magic))); !errors.Is(err, want) {
 			t.Errorf("Load of a snapshot with %s shards: %v, want %v", magic, err, want)
 		}
@@ -230,23 +231,15 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 }
 
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// are loadSeeds' snapshots in the RSMIv3 format. They load, their exact
+// are loadSeeds' snapshots in the RSMIv4 format. They load, their exact
 // whole-space window holds every point, and a point query finds each of
 // them. Snapshots in an earlier format cannot be converted (core's
-// ErrSnapshotV1, ErrSnapshotV2), so a format change writes them again.
+// ErrSnapshotV1, ErrSnapshotV2, ErrSnapshotV3), so a format change writes
+// them again, and the corpus keeps one shard stream in each of the last two
+// earlier formats, which must be refused.
 func TestCommittedSeedsLoad(t *testing.T) {
 	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
-		raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadSharded", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
-		body, ok2 := strings.CutSuffix(body, ")\n")
-		snap, err := strconv.Unquote(body)
-		if !ok || !ok2 || err != nil {
-			t.Fatalf("%s: not one []byte corpus entry (%v)", name, err)
-		}
-		s, err := Load(strings.NewReader(snap))
+		s, err := Load(strings.NewReader(readCorpusEntry(t, name)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -260,6 +253,29 @@ func TestCommittedSeedsLoad(t *testing.T) {
 			}
 		}
 	}
+	// The committed snapshots of the earlier formats are refused by name.
+	for name, want := range map[string]error{"rsmiv2-1shard": core.ErrSnapshotV2, "rsmiv3-1shard": core.ErrSnapshotV3} {
+		if _, err := Load(strings.NewReader(readCorpusEntry(t, name))); !errors.Is(err, want) {
+			t.Errorf("%s: Load returned %v, want %v", name, err, want)
+		}
+	}
+}
+
+// readCorpusEntry returns the bytes of FuzzLoadSharded's committed corpus
+// entry name.
+func readCorpusEntry(t *testing.T, name string) string {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzLoadSharded", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+	body, ok2 := strings.CutSuffix(body, ")\n")
+	snap, err := strconv.Unquote(body)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("%s: not one []byte corpus entry (%v)", name, err)
+	}
+	return snap
 }
 
 // wholeSpace is a window every finite point lies in.
@@ -334,7 +350,7 @@ func locate(t *testing.T, snap []byte) shardZero {
 	z.region = 8 + 12*8 + 1  // magic, twelve header words, the raw flag
 	cs := z.region + 4*8 + 8 // the region, the stream's length prefix
 	z.n = cs + 8 + 9*8 + 1   // magic, nine option words, the raw flag
-	z.capacity = z.n + 10*8  // ten scalar words
+	z.capacity = z.n + 8*8   // eight scalar words
 	at := z.capacity + 8 + 8 // capacity, block count
 	for b := 0; b < i64(z.capacity+8); b++ {
 		if b == 0 {
@@ -350,16 +366,21 @@ func locate(t *testing.T, snap []byte) shardZero {
 	// The root, then first children down to a leaf.
 	z.rootRect = at + 1
 	for {
-		tag := snap[at]
-		hidden := int(binary.LittleEndian.Uint32(snap[at+1+32+4:]))
-		fields := at + 1 + 32 + 16 + hidden*32 // tag, MBR, kernel
-		if tag == 1 {
-			z.leafKernel, z.leafFirst = at+1+32, fields+8 // after cells
-			z.leafSpans = fields + 6*8                    // after the six node words
+		if snap[at] == 1 {
+			hidden := int(binary.LittleEndian.Uint32(snap[at+1+32+4:]))
+			fields := at + 1 + 32 + 16 + hidden*32 // tag, MBR, kernel
+			z.leafKernel, z.leafFirst = at+1+32, fields
+			z.leafSpans = fields + 5*8 // after the five leaf words
 			return z
 		}
-		at = fields + 6*8 + 8 // the six node words, the child count
-		for snap[at] == 0 {   // empty cells
+		at += 1 + 32 + 8 // tag, MBR, the point count
+		cols := i64(at)
+		at += 8 + cols*16 // the column cuts
+		for range cols + 1 {
+			at += 8 + i64(at)*16 // a column's row cuts
+		}
+		at += 8             // the child count
+		for snap[at] == 0 { // empty cells
 			at++
 		}
 	}
@@ -451,9 +472,10 @@ func TestLoadRefusesTampered(t *testing.T) {
 
 // TestBuildSnapshotGolden pins the bytes a build writes, not only that two
 // builds agree: a faster sort or curve encoder must lay out the same blocks
-// and train the same models. The inputs reach every ordering path — exact
-// duplicate points, a partition and a root big enough for Ranks to sort x
-// and y on two goroutines, internal nodes over leaves, and both curves. The
+// and the same cuts and train the same models. The inputs reach every
+// ordering path — exact duplicate points, a partition and a root big enough
+// for Ranks to sort x and y on two goroutines, internal nodes over leaves,
+// and both curves. The
 // digests are of amd64 builds; other architectures may fuse multiply-adds
 // in training and so write other weights.
 func TestBuildSnapshotGolden(t *testing.T) {
@@ -467,8 +489,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "a913f02ea5f65f5a6086b94e77f7a8525bb24bdb0b63069a7425d0dbdae29733"},
-		{1, sfc.Z, "fd6e89c0f5532812225866c224e1fbb13b5713557c0f80d1c8a62c75b63156a6"},
+		{2, sfc.Hilbert, "45e538f754faace0381290ffe58b396fc64020c68534870c64b858af165815d6"},
+		{1, sfc.Z, "0ab8b236aa05d433246e076238c078fec07079dd15ab22b531839b17fd9d2c5d"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -478,9 +500,7 @@ func TestBuildSnapshotGolden(t *testing.T) {
 }
 
 // rebuiltHistory is a two-shard index rebuilt after a fixed history of
-// inserts and deletes. Its second shard's rebuild has a model collapse: every
-// point of one internal model is predicted into one cell, so that cell's
-// leaf sits one level below the model.
+// inserts and deletes.
 func rebuiltHistory(t *testing.T) *Sharded {
 	t.Helper()
 	pts := dataset.Generate(dataset.Skewed, 6000, 11)
@@ -509,7 +529,7 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "5b10ffd5627a0b83170830274ab2775c6af503896f312d4d706f4a40c7f5f458"
+	const want = "1d2893f3c007a92d09b4283adb49eed2d96668690e8572b3accc814bacfa1144"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

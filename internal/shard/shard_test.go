@@ -279,8 +279,9 @@ func TestShardedDefaults(t *testing.T) {
 	if got := len(s.ShardStats()); got != s.NumShards() {
 		t.Fatalf("ShardStats returned %d entries", got)
 	}
-	// A leaf built for a collapsed model counts in the height: no point lies
-	// deeper than Height, so neither does the average.
+	// No point lies deeper than Height, so neither does the average (core's
+	// TestCutsDescendExactly checks a leaf built for a cell that took every
+	// point).
 	rebuilt := rebuiltHistory(t)
 	for i, st := range rebuilt.ShardStats() {
 		if ad := rebuilt.shards[i].idx.AvgDepth(); ad > float64(st.Height) {

@@ -115,7 +115,7 @@ func ReadManager(r io.Reader) (*Manager, error) {
 			if err := binary.Read(r, binary.LittleEndian, &del); err != nil {
 				return nil, fmt.Errorf("store: read slot: %w", err)
 			}
-			pts = append(pts, geom.Pt(math.Float64frombits(xb), math.Float64frombits(yb)))
+			pts = append(grow(pts, int(capacity)), geom.Pt(math.Float64frombits(xb), math.Float64frombits(yb)))
 			if del&1 == 0 {
 				pts[live], pts[s] = pts[s], pts[live]
 				live++

@@ -55,9 +55,11 @@ type Block struct {
 	// following Next pointers from their predicted base block.
 	Inserted bool
 	// capacity is the block capacity B, what HasSpace measures against.
-	// A block built or allocated here reserves all of it up front; one read
-	// from a snapshot holds only the slots it was written with and grows on
-	// insertion, so a stream's size bounds what reading it allocates.
+	// A packed block reserves all of it up front. A block from Alloc, or
+	// read from a snapshot, holds only the slots it has been given and
+	// grows by doubling (grow), never past B: an overflow block that takes
+	// one insert holds a few slots, not B, and a stream's size bounds what
+	// reading it allocates.
 	capacity int32
 
 	// pts holds the slots in use: pts[:live] are the live points, pts[live:]
@@ -131,11 +133,27 @@ func (m *Manager) Capacity() int { return m.capacity }
 func (m *Manager) NumBlocks() int { return len(m.blocks) }
 
 // Alloc creates a new empty block at the end of the block array and returns
-// it. The block starts unlinked (Prev = Next = NilBlock).
+// it. The block starts unlinked (Prev = Next = NilBlock) and with no slots:
+// Append grows them as points arrive.
 func (m *Manager) Alloc() *Block {
 	b := &Block{}
-	m.adopt(b, make([]geom.Point, 0, m.capacity))
+	m.adopt(b, nil)
 	return b
+}
+
+// firstSlots is the slot count a block without slots grows to first.
+const firstSlots = 4
+
+// grow returns pts with room for at least one more slot: twice its
+// capacity, at least firstSlots, at most capacity. A block that fills up
+// holds exactly capacity slots.
+func grow(pts []geom.Point, capacity int) []geom.Point {
+	if len(pts) < cap(pts) {
+		return pts
+	}
+	grown := make([]geom.Point, len(pts), min(max(2*cap(pts), firstSlots), capacity))
+	copy(grown, pts)
+	return grown
 }
 
 // adopt initialises b as the next block of the array over the given slot
@@ -192,7 +210,7 @@ func (b *Block) Append(p geom.Point) {
 		panic("store: append to full block")
 	}
 	if b.live == len(b.pts) {
-		b.pts = append(b.pts, p)
+		b.pts = append(grow(b.pts, int(b.capacity)), p)
 	} else {
 		b.pts[b.live] = p
 	}

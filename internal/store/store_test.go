@@ -453,3 +453,47 @@ func TestReadManagerCompactsDeadSlots(t *testing.T) {
 		t.Errorf("after refilling the dead slots: Live/Len = %d/%d, HasSpace %v", b.Live(), b.Len(), b.HasSpace())
 	}
 }
+
+// TestGrownBlockMatchesFullSlots drives a block from Alloc, which starts
+// with no slots and grows them, and a block over a full-capacity slot array,
+// as Pack lays them out, through the same appends, deletes and slot reuse.
+// Every slot, the dead tail a snapshot writes included, must be equal after
+// every step; the grown block's slots never exceed the capacity, and a full
+// block holds exactly capacity slots.
+func TestGrownBlockMatchesFullSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, capacity := range []int{1, 3, 7, 100} {
+		m := NewManager(capacity)
+		grown := m.Alloc()
+		full := &Block{}
+		m.adopt(full, make([]geom.Point, 0, capacity))
+		wasFull := false
+		for op := 0; op < 40*capacity; op++ {
+			if rng.Intn(3) > 0 && grown.HasSpace() {
+				p := geom.Pt(rng.Float64(), float64(op))
+				grown.Append(p)
+				full.Append(p)
+			} else if grown.Live() > 0 {
+				i := rng.Intn(grown.Live())
+				grown.Delete(i)
+				full.Delete(i)
+			}
+			if !slices.Equal(grown.pts, full.pts) || grown.Live() != full.Live() {
+				t.Fatalf("capacity %d, op %d: grown block holds %v (%d live), full-slot block %v (%d live)",
+					capacity, op, grown.pts, grown.Live(), full.pts, full.Live())
+			}
+			if cap(grown.pts) > capacity {
+				t.Fatalf("capacity %d, op %d: the grown block has %d slots", capacity, op, cap(grown.pts))
+			}
+			if !grown.HasSpace() {
+				wasFull = true
+				if cap(grown.pts) != capacity {
+					t.Fatalf("capacity %d: a full block has %d slots", capacity, cap(grown.pts))
+				}
+			}
+		}
+		if !wasFull {
+			t.Fatalf("capacity %d: the block never filled up", capacity)
+		}
+	}
+}

@@ -83,9 +83,10 @@ func New(pts []Point, opts Options) *Index {
 // Load deserialises an index previously saved with Index.WriteTo. Training
 // at paper scale takes hours (§6.2.2 reports 16 h for the OSM data set), so
 // production deployments build once and reload across restarts. The format
-// is RSMIv3, which stores every sub-model as the compiled kernel the index
-// predicts with and every leaf's point spans; a file in an earlier format is
-// refused with ErrSnapshotV1 or ErrSnapshotV2.
+// is RSMIv4, which stores every internal node's grid cuts, every leaf model
+// as the compiled kernel the index predicts with, and every leaf's point
+// spans; a file in an earlier format is refused with ErrSnapshotV1,
+// ErrSnapshotV2 or ErrSnapshotV3.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
@@ -101,6 +102,13 @@ var ErrSnapshotV1 = core.ErrSnapshotV1
 // block ranges point queries scan, and they cannot be derived from it, so
 // the index must be rebuilt from its points and saved again.
 var ErrSnapshotV2 = core.ErrSnapshotV2
+
+// ErrSnapshotV3 is the error (wrapped, for a sharded file) that Load and
+// LoadSharded return for an RSMIv3 snapshot: its internal nodes are trained
+// models, where this version descends by the grid's exact cuts, and cuts
+// would not find its points in the subtrees the models put them in, so the
+// index must be rebuilt from its points and saved again.
+var ErrSnapshotV3 = core.ErrSnapshotV3
 
 // ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
 // a point with a NaN or infinite coordinate. The point is not inserted —

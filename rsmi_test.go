@@ -105,7 +105,7 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
-// refuseOldFormat rewrites the magic of every RSMIv3 stream in a snapshot
+// refuseOldFormat rewrites the magic of every RSMIv4 stream in a snapshot
 // of an index and of a sharded index to magic, and checks that both loaders
 // refuse the result with want, in words that say why and what to do.
 func refuseOldFormat(t *testing.T, magic string, want error, why string) {
@@ -119,9 +119,9 @@ func refuseOldFormat(t *testing.T, magic string, want error, why string) {
 		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv3\x00\x00"), []byte(magic+"\x00\x00"))
+		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv4\x00\x00"), []byte(magic+"\x00\x00"))
 		if bytes.Equal(out, buf.Bytes()) {
-			t.Fatal("snapshot holds no RSMIv3 magic to downgrade")
+			t.Fatal("snapshot holds no RSMIv4 magic to downgrade")
 		}
 		return out
 	}
@@ -148,4 +148,11 @@ func TestLoadRefusesV1(t *testing.T) {
 // operator why and what to do.
 func TestLoadRefusesV2(t *testing.T) {
 	refuseOldFormat(t, "RSMIv2", rsmi.ErrSnapshotV2, "spans")
+}
+
+// TestLoadRefusesV3: a snapshot saved in the RSMIv3 format — a trained model
+// at every internal node — is refused by both loaders with ErrSnapshotV3,
+// whose text tells the operator why and what to do.
+func TestLoadRefusesV3(t *testing.T) {
+	refuseOldFormat(t, "RSMIv3", rsmi.ErrSnapshotV3, "cuts")
 }

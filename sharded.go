@@ -38,8 +38,9 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 
 // LoadSharded deserialises a sharded index previously saved with
 // Sharded.WriteTo, so a server can restart without retraining any shard.
-// Its shards are RSMIv3 streams; a file whose shards are in the RSMIv1 or
-// RSMIv2 format is refused with ErrSnapshotV1 or ErrSnapshotV2.
+// Its shards are RSMIv4 streams; a file whose shards are in the RSMIv1,
+// RSMIv2 or RSMIv3 format is refused with ErrSnapshotV1, ErrSnapshotV2 or
+// ErrSnapshotV3.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
