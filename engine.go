@@ -32,10 +32,14 @@ import (
 // RWMutex over a baseline index).
 // It is the contract the serving layer (internal/server) executes against.
 //
-// Answer semantics are the concrete type's: RSMI-backed engines answer
-// window and kNN queries approximately (no false positives; the Exact
-// variants are exact), baseline-backed engines answer everything exactly,
-// with ExactWindowContext ≡ WindowQueryContext.
+// Answer semantics are the concrete type's. Index answers window and kNN
+// queries approximately, by the paper's Algorithms 2 and 3 (no false
+// positives; the Exact variants are exact). Sharded — the serving engine —
+// and the baseline-backed engines answer everything exactly, with
+// ExactWindowContext ≡ WindowQueryContext and ExactKNNContext ≡
+// KNNContext: Sharded walks the MBRs (RSMIa), which on this tree is faster
+// than the learned path (README, "Sharded answers windows and kNN
+// exactly").
 type Engine interface {
 	// Name identifies the backend ("Sharded", "RSMI", "RR*", "Grid",
 	// "KDB", …) in stats and bench reports.

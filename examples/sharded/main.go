@@ -69,13 +69,13 @@ func main() {
 	ctx := context.Background()
 	q := pts[1234]
 	w := rsmi.RectAround(rsmi.Pt(0.5, 0.1), 0.04, 0.04)
-	exact, _ := sh.ExactWindowContext(ctx, w)
-	approx, _ := sh.WindowQueryContext(ctx, w)
+	win, _ := sh.WindowQueryContext(ctx, w)
+	oneWin, _ := one.WindowQueryContext(ctx, w)
 	oFound, _ := one.PointQueryContext(ctx, q)
 	sFound, _ := sh.PointQueryContext(ctx, q)
 	fmt.Printf("point query: 1 shard=%v %d shards=%v\n", oFound, shards, sFound)
-	fmt.Printf("window %v: exact=%d approx=%d (recall %.3f, no false positives)\n",
-		w, len(exact), len(approx), float64(len(approx))/float64(max(1, len(exact))))
+	fmt.Printf("window %v: 1 shard=%d %d shards=%d points (both exact: the MBR walk)\n",
+		w, len(oneWin), shards, len(win))
 	knn, _ := sh.KNNContext(ctx, rsmi.Pt(0.5, 0.1), 5)
 	fmt.Printf("kNN best-first over shards: %d neighbours, nearest %v\n", len(knn), knn[0])
 

@@ -48,6 +48,18 @@ func (t *RSMI) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Poin
 	return t.ExactWindow(q), nil
 }
 
+// ExactWindowAppend is ExactWindowContext appending the answer to dst and
+// returning the extended slice; it allocates only when dst has to grow.
+// On error dst is returned unextended.
+//
+//rsmi:noalloc
+func (t *RSMI) ExactWindowAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
+	if err := ctx.Err(); err != nil {
+		return dst, err
+	}
+	return t.exactWindowAppend(dst, q), nil
+}
+
 // KNNContext is KNN honouring ctx at entry.
 func (t *RSMI) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
 	if err := ctx.Err(); err != nil {

@@ -19,7 +19,13 @@ import (
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) ExactWindow(q geom.Rect) []geom.Point {
-	var dst []geom.Point
+	return t.exactWindowAppend(nil, q)
+}
+
+// exactWindowAppend is ExactWindow appending into dst (which may be nil),
+// the shared implementation behind ExactWindow and ExactWindowAppend. It
+// allocates only when dst has to grow.
+func (t *RSMI) exactWindowAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 	forLeaves(t.root, q, func(n *node) {
 		c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
 		var admitted int
@@ -40,10 +46,8 @@ type exactStep struct {
 var exactWalks index.Walks[exactStep]
 
 // ExactKNN returns the exact k nearest neighbours using the best-first
-// algorithm of Roussopoulos et al. [40] over the RSMI's MBR hierarchy: inner
-// nodes queue their children, leaves queue their blocks by cached MBR, and a
-// block is read (counted) only when it is expanded. Points never enter the
-// queue.
+// algorithm of Roussopoulos et al. [40] over the RSMI's MBR hierarchy (see
+// ExactKNNInto), nearest first, ties in the canonical point order.
 //
 // This context-free form is the implementation layer: ExactKNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -51,11 +55,29 @@ var exactWalks index.Walks[exactStep]
 //
 //rsmi:noalloc
 func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
-	if t.n == 0 {
+	if t.n == 0 || k <= 0 || !q.IsFinite() {
+		// Nothing is nearest to a point that is nowhere.
 		return nil
 	}
-	// As in KNN, BestFirst finds nothing nearest to a point that is nowhere.
-	return exactWalks.BestFirst(q, k, exactStep{node: t.root}, func(w *index.Walk[exactStep], s exactStep) {
+	best := index.NewNearest(q, k)
+	t.ExactKNNInto(&best)
+	return best.Points()
+}
+
+// ExactKNNInto offers the index's points to best by the best-first walk of
+// ExactKNN: inner nodes queue their children, leaves queue their blocks by
+// cached MBR, and a block is read (counted) only when it is expanded. Points
+// never enter the queue. best may already hold other indexes' candidates;
+// the walk then expands only what could displace one of them. Its queue
+// comes from a pool, so it allocates nothing of its own.
+//
+//rsmi:noalloc
+func (t *RSMI) ExactKNNInto(best *index.Nearest) {
+	if t.n == 0 {
+		return
+	}
+	q := best.Query()
+	exactWalks.Search(best, exactStep{node: t.root}, func(w *index.Walk[exactStep], s exactStep) {
 		switch {
 		case s.node == nil:
 			w.Offer(t.store.Read(s.block).Slots()...)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"container/heap"
+	"context"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -125,4 +126,43 @@ func TestExactConformance(t *testing.T) {
 		ExactKNN:        true,
 		SupportsUpdates: true,
 	})
+}
+
+// TestExactReadPathAllocs pins the exact read path's allocation-free
+// promises: a window appending into a buffer already large enough
+// allocates nothing, and a kNN walk offering into a caller's set allocates
+// nothing of its own, so with the answer it is one allocation.
+func TestExactReadPathAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("sync.Pool sheds items under the race detector")
+	}
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	for _, p := range pts[:300] {
+		idx.Insert(geom.Pt(p.X+1e-6, p.Y))
+	}
+	ctx := context.Background()
+	buf := make([]geom.Point, 0, len(pts)+300)
+	i, rows := 0, 0
+	if n := testing.AllocsPerRun(200, func() {
+		i++
+		buf, _ = idx.ExactWindowAppend(ctx, buf[:0], geom.RectAround(pts[i%len(pts)], 0.1, 0.1))
+		rows += len(buf)
+	}); n != 0 {
+		t.Errorf("ExactWindowAppend into a warm buffer allocates %v times per call, want 0", n)
+	}
+	if rows == 0 {
+		t.Error("window probes matched nothing; the pin measured an empty path")
+	}
+	for _, k := range []int{1, 25, 625} {
+		if n := testing.AllocsPerRun(100, func() {
+			i++
+			best := index.NewNearest(pts[i%len(pts)], k)
+			idx.ExactKNNInto(&best)
+			if got := best.Points(); len(got) != k {
+				t.Fatalf("ExactKNNInto(k=%d) offered %d points", k, len(got))
+			}
+		}); n != 1 {
+			t.Errorf("ExactKNNInto(k=%d) and its answer allocate %v times per call, want 1", k, n)
+		}
+	}
 }

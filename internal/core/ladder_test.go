@@ -16,7 +16,9 @@ import (
 // BenchmarkLadder measures the index at 200k, 1M and 4M points of uniform,
 // skewed and OSM-like data (B and N the paper's, 10 epochs, seed 1): the
 // build, then per query class the mean time (of the median of seven
-// passes) and block reads, and window and kNN recall, on the built index
+// passes) and block reads — for windows and kNN at k = 25 of Algorithms 2
+// and 3 and of the exact MBR walk (exact_) — and window and kNN recall, on
+// the built index
 // and again after inserting half as many points again. Window recall is reported at the default size and as the
 // least over the paper's five sizes, kNN recall at k = 25 and k = 125. The
 // truth is the index's own exact variants, which the tests pin to a linear
@@ -75,6 +77,7 @@ func ladderRow(b *testing.B, idx *RSMI, pts []geom.Point, stage string) {
 		got := make([][]geom.Point, len(ws))
 		if size == workload.DefaultWindowSize {
 			measure("window", len(ws), func(i int) { got[i] = idx.WindowQuery(ws[i]) })
+			measure("exact_window", len(ws), func(i int) { idx.ExactWindow(ws[i]) })
 		} else {
 			for i, w := range ws {
 				got[i] = idx.WindowQuery(w)
@@ -97,6 +100,7 @@ func ladderRow(b *testing.B, idx *RSMI, pts []geom.Point, stage string) {
 		got := make([][]geom.Point, len(qs))
 		if k == workload.DefaultK {
 			measure("knn", len(qs), func(i int) { got[i] = idx.KNN(qs[i], k) })
+			measure("exact_knn", len(qs), func(i int) { idx.ExactKNN(qs[i], k) })
 		} else {
 			for i, q := range qs {
 				got[i] = idx.KNN(q, k)

@@ -29,7 +29,8 @@
 // which narrows the error-bounded scan of §4.1). Window
 // queries have no false positives and may miss points (approximate, §4.2);
 // ExactWindow/ExactKNN use the per-model MBRs for exact answers (the RSMIa
-// variant of §6.2.3). All guarantees hold regardless of how well the models
+// variant of §6.2.3; internal/shard serves every window and kNN through
+// them, by ExactWindowAppend and ExactKNNInto). All guarantees hold regardless of how well the models
 // trained — and regardless of what function a model computes, because none
 // of them compares a prediction with the truth; each compares a prediction
 // with an earlier prediction of the same predictor:

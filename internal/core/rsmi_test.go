@@ -492,18 +492,25 @@ func BenchmarkKNNByK(b *testing.B) {
 }
 
 // BenchmarkWindowQuery runs Algorithm 2 on windows of the paper's default
-// size, appending into a warm buffer as the shard layer does.
+// size, appending into a warm buffer as the shard layer does, and RSMIa's
+// exact MBR walk on the same windows (exact/).
 func BenchmarkWindowQuery(b *testing.B) {
 	idx, pts := benchIndex(b)
 	qs := workload.Windows(pts, 1024, workload.DefaultWindowSize, workload.DefaultAspectRatio, 3)
-	var buf []geom.Point
-	b.ReportAllocs()
-	b.ResetTimer()
-	idx.ResetAccesses()
-	for i := 0; i < b.N; i++ {
-		buf = idx.windowQueryAppend(buf[:0], qs[i%len(qs)])
+	for _, variant := range []struct {
+		prefix string
+		window func([]geom.Point, geom.Rect) []geom.Point
+	}{{"", idx.windowQueryAppend}, {"exact/", idx.exactWindowAppend}} {
+		b.Run(variant.prefix+"default", func(b *testing.B) {
+			var buf []geom.Point
+			b.ReportAllocs()
+			idx.ResetAccesses()
+			for i := 0; i < b.N; i++ {
+				buf = variant.window(buf[:0], qs[i%len(qs)])
+			}
+			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+		})
 	}
-	b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
 }
 
 // TestAvgDepthFollowsUpdates: AvgDepth counts the points that live in each

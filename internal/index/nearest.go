@@ -127,6 +127,9 @@ func (n *Nearest) Bound() float64 {
 	return n.buf.list[n.k-1].d2
 }
 
+// Query returns the point the set's distances are measured from.
+func (n *Nearest) Query() geom.Point { return n.q }
+
 // Points returns the held points, nearest first, as a new slice (nil when
 // none are held). It returns the set's storage to the pool, so the set must
 // not be used after it.
@@ -181,10 +184,15 @@ func (w *Walk[N]) Push(n N, dist2 float64) {
 // the node's children or offers its points. The entries left then fail that
 // test too, and for good — the bound only shrinks — so they are dropped: the
 // queue is empty when Drain returns.
-func (w *Walk[N]) Drain(expand func(w *Walk[N], n N)) {
+func (w *Walk[N]) Drain(expand func(w *Walk[N], n N)) { w.drain(expand, false) }
+
+// drain is Drain; with ties set an entry exactly at the k-th distance is
+// still expanded, since it may hold a point at that distance which the
+// canonical point order puts first.
+func (w *Walk[N]) drain(expand func(w *Walk[N], n N), ties bool) {
 	for len(w.queue) > 0 {
 		e := w.pop()
-		if w.Full() && e.dist2 >= w.Bound() {
+		if b := w.Bound(); w.Full() && (e.dist2 > b || !ties && e.dist2 == b) {
 			w.queue = w.queue[:0]
 			return
 		}
@@ -223,21 +231,36 @@ type Walks[N any] struct {
 
 // BestFirst answers a kNN query exactly with the best-first search of
 // Roussopoulos et al. [40], and returns the k nearest points to q, nearest
-// first, ties in the canonical point order. The search starts at root and
-// drains the queue (see Drain), so a node is expanded only if its region may
-// hold a nearer point. BestFirst returns nil for k ≤ 0 or a non-finite q.
+// first, ties in the canonical point order. BestFirst returns nil for k ≤ 0
+// or a non-finite q.
 func (ws *Walks[N]) BestFirst(q geom.Point, k int, root N, expand func(w *Walk[N], n N)) []geom.Point {
 	if k <= 0 || !q.IsFinite() {
 		return nil
+	}
+	best := NewNearest(q, k)
+	ws.Search(&best, root, expand)
+	return best.Points()
+}
+
+// Search runs the best-first search from root, offering into best, which
+// may already hold what other searches offered: a search of a second index
+// starts from the first one's k-th distance. It drains the queue (see
+// Drain), so a node is expanded only if its region may hold a point nearer
+// than the k-th held one, or one at that distance which comes first in the
+// canonical order. Nothing is searched for a non-finite query point.
+func (ws *Walks[N]) Search(best *Nearest, root N, expand func(w *Walk[N], n N)) {
+	if !best.q.IsFinite() {
+		return
 	}
 	w, _ := ws.pool.Get().(*Walk[N])
 	if w == nil {
 		w = new(Walk[N])
 	}
-	w.Reset(q, k)
+	// A Nearest is a handle on its pooled storage, so the walk offers
+	// straight into best's.
+	w.Nearest, w.queue = *best, w.queue[:0]
 	w.Push(root, 0)
-	w.Drain(expand)
-	out := w.Points()
+	w.drain(expand, true)
+	w.Nearest = Nearest{}
 	ws.pool.Put(w)
-	return out
 }

@@ -521,8 +521,8 @@ func (r *Replica) applyFrame(payload []byte) error {
 				}
 			case shard.WriteRebuild:
 				// Replaying the primary's rebuild keeps the replica's
-				// learned structure — and so its approximate answers —
-				// aligned with the primary's.
+				// learned structure — and so its block reads — aligned
+				// with the primary's.
 				if err := idx.RebuildContext(r.lifeCtx); err != nil {
 					return fmt.Errorf("repl: rebuild: %w", err)
 				}

@@ -391,8 +391,10 @@ func (c *streamServerConn) readLoop() {
 		// A replication handshake ('R','L',1 — no rsmibin frame starts
 		// that way) dedicates this connection to the oplog feed
 		// (replication.go); it returns when the feed ends. The feed writes to
-		// the socket itself, so answers queued by earlier frames leave first.
+		// the socket itself, so the answers of earlier frames leave first:
+		// those of handed-off frames too, which may not be queued yet.
 		if wire.IsFeedHandshake(payload) {
+			c.awaitHandoffs()
 			c.sw.drain()
 			c.s.serveReplFeed(c.conn, payload)
 			break
@@ -438,6 +440,19 @@ func (c *streamServerConn) acquire() {
 	default:
 		c.sw.flush() // nothing stays queued while the loop waits
 		c.pipeline <- struct{}{}
+	}
+}
+
+// awaitHandoffs returns once no frame of the connection runs off the read
+// loop. It holds every pipeline token at once, so each handed-off frame —
+// dispatched, or one that lost the loop to a takeover — has queued its
+// answer and let go of its token; then it gives them all back.
+func (c *streamServerConn) awaitHandoffs() {
+	for range cap(c.pipeline) {
+		c.pipeline <- struct{}{}
+	}
+	for range cap(c.pipeline) {
+		<-c.pipeline
 	}
 }
 

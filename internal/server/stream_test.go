@@ -10,6 +10,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -958,6 +959,52 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 	}
 	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedResync {
 		t.Fatalf("after the answers: % x, want the feed's resync frame", frame)
+	}
+}
+
+// TestStreamHandshakeAfterHandedOffFrame: a point frame held in the engine
+// past the inline budget loses the read loop to a takeover, and the
+// replication handshake read behind it must not overtake its answer.
+// Nothing leaves while the point is held; then its answer, then the feed's
+// resync frame.
+func TestStreamHandshakeAfterHandedOffFrame(t *testing.T) {
+	eng, pts := testEngine(t)
+	repl := NewReplicator(eng, 0)
+	blocking := &blockingEngine{Engine: repl.Engine(), gate: make(chan struct{})}
+	s := New(Config{Engine: blocking, Replicator: repl})
+	defer s.Shutdown(context.Background())
+	client, _, _ := servePipe(t, s)
+	br := bufio.NewReader(client)
+
+	hs := wire.AppendFeedHandshake([]byte{0, 0, 0, 0, 0}, repl.log.epoch+1, 1)
+	binary.LittleEndian.PutUint32(hs, uint32(len(hs)-4))
+	point := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
+	if _, err := client.Write(append(point, hs...)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.streamTakeovers.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the held point never lost the read loop")
+		}
+	}
+	client.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if b, err := br.Peek(1); !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("with the point held the server wrote % x (%v), want nothing", b, err)
+	}
+	close(blocking.gate)
+	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].Flag {
+		t.Fatalf("held point: %+v", rs)
+	}
+	var lb [4]byte
+	if _, err := io.ReadFull(br, lb[:]); err != nil {
+		t.Fatal(err)
+	}
+	frame := make([]byte, binary.LittleEndian.Uint32(lb[:]))
+	if _, err := io.ReadFull(br, frame); err != nil {
+		t.Fatal(err)
+	}
+	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedResync {
+		t.Fatalf("after the answer: % x, want the feed's resync frame", frame)
 	}
 }
 

@@ -48,49 +48,34 @@ func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, er
 	return false, ctx.Err()
 }
 
-// WindowQueryContext scatters the window to the shards whose region
-// overlaps it and concatenates their answers in shard order (deterministic
-// for a given shard layout), observing ctx between shard visits. Like the
-// single-index RSMI, the answer has no false positives and may miss points
-// (§4.2 semantics); ExactWindowContext is the exact variant. On
-// cancellation it returns ctx's error and no points — never a partial
-// answer.
+// WindowQueryContext returns the exact window answer: the shards whose
+// region overlaps q each walk the leaves the window meets and scan their
+// runs through the block MBRs (core.ExactWindowAppend), and their answers
+// are concatenated in shard order (deterministic for a given shard
+// layout), observing ctx between shard visits. On cancellation it returns
+// ctx's error and no points — never a partial answer.
 func (s *Sharded) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return s.gatherWindow(ctx, nil, q, false)
+	return s.gatherWindow(ctx, nil, q)
 }
 
 // WindowQueryAppend is WindowQueryContext appending the answer to dst and
 // returning the extended slice, for callers that reuse result buffers
-// across queries: a window whose candidate shards are searched on the
-// caller's goroutine (see gatherWindow) allocates only if dst must grow.
-// On error dst is returned unextended.
+// across queries: it allocates only if dst must grow. On error dst is
+// returned unextended.
 //
 //rsmi:noalloc
 func (s *Sharded) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	return s.gatherWindow(ctx, dst, q, false)
+	return s.gatherWindow(ctx, dst, q)
 }
 
-// ExactWindowContext returns the exact window answer (per-shard RSMIa
-// traversal; the union over a partition is exact), observing ctx between
-// shard visits.
+// ExactWindowContext is WindowQueryContext: every window is exact.
 func (s *Sharded) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	return s.gatherWindow(ctx, nil, q, true)
+	return s.WindowQueryContext(ctx, q)
 }
 
-// KNNContext returns up to k approximate nearest neighbours, closest
-// first, by the best-first walk over the shards (see knn), observing ctx
-// between shard searches. Results carry the same approximation guarantees
-// as the single-index RSMI (§4.3); ExactKNNContext is the exact variant.
-func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return s.knn(ctx, q, k, false)
-}
-
-// ExactKNNContext returns the exact k nearest neighbours: each visited
-// shard answers exactly, shards are pruned only when their region provably
-// cannot hold a closer point, and the merged top-k over a partition of the
-// data is therefore exact. It observes ctx between shard searches.
+// ExactKNNContext is KNNContext: every kNN query is exact.
 func (s *Sharded) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	return s.knn(ctx, q, k, true)
+	return s.KNNContext(ctx, q, k)
 }
 
 // BatchPointQueryContext is PointQueryContext per element of qs. A batch

@@ -156,8 +156,9 @@ func TestDeadlineExceededFansOutNothing(t *testing.T) {
 
 // TestContextVariantsMatchShards pins what the sharded surface composes:
 // with a background context, an indexed point is found, a window is the
-// shard-order concatenation of the overlapping shards' own windows, a kNN
-// is the nearest k of every shard's own kNN, and WindowQueryAppend appends
+// shard-order concatenation of the overlapping shards' own exact windows,
+// a kNN is the nearest k of every shard's own exact kNN, and
+// WindowQueryAppend appends
 // exactly the WindowQueryContext answer to the caller's buffer.
 func TestContextVariantsMatchShards(t *testing.T) {
 	s, pts := buildCtx(t, 4)
@@ -171,9 +172,9 @@ func TestContextVariantsMatchShards(t *testing.T) {
 	nearest := index.NewNearest(pts[5], 7)
 	for _, sh := range s.shards {
 		if sh.loadRegion().Intersects(q) {
-			want = append(want, sh.idx.WindowQuery(q)...)
+			want = append(want, sh.idx.ExactWindow(q)...)
 		}
-		nearest.Offer(sh.idx.KNN(pts[5], 7)...)
+		nearest.Offer(sh.idx.ExactKNN(pts[5], 7)...)
 	}
 	wantKNN := nearest.Points()
 	win, err := s.WindowQueryContext(bg, q)

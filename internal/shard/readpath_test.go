@@ -132,13 +132,13 @@ func TestKNNSearchesOnlyShardsItNeeds(t *testing.T) {
 	}
 }
 
-// TestMergeNearest: the one k-nearest set that the searched shards'
-// answers are offered to yields what sorting all of those answers by
-// distance (ties in canonical order) and keeping the first k does, on the
-// approximate and the exact path; and the exact answer's distances are those
-// of the k nearest points overall. Points sit on a coarse grid and queries on
-// grid points and half-way between them, so equidistant points are common,
-// at the k-th place and across shard borders too.
+// TestMergeNearest: the one k-nearest set that every searched shard offers
+// to yields what sorting all points by distance (ties in canonical order)
+// and keeping the first k does, point for point. Points sit on a coarse
+// grid and queries on grid points and half-way between them, so
+// equidistant points are common, at the k-th place and across shard borders
+// too: a shard or a block whose MINDIST equals the k-th distance must
+// still be searched.
 func TestMergeNearest(t *testing.T) {
 	var pts []geom.Point
 	for i := 0; i <= 40; i++ {
@@ -149,58 +149,18 @@ func TestMergeNearest(t *testing.T) {
 	for _, l := range layouts {
 		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
-			ctx := context.Background()
 			rng := rand.New(rand.NewSource(73))
 			s := New(pts, quickOpts(l.shards))
+			lin := index.NewLinear(pts)
 			for round := 0; round < 200; round++ {
 				q := geom.Pt(float64(rng.Intn(81))/80, float64(rng.Intn(81))/80)
 				k := 1 + rng.Intn(12)
 				if round%10 == 0 {
 					k = 25 + rng.Intn(100)
 				}
-				exact := round%2 == 0
-				s.ResetAccesses()
-				var got []geom.Point
-				var err error
-				if exact {
-					got, err = s.ExactKNNContext(ctx, q, k)
-				} else {
-					got, err = s.KNNContext(ctx, q, k)
-				}
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				// Everything offered: the answers of the shards that were read.
-				var all []geom.Point
-				for _, sh := range s.shards {
-					if sh.idx.Accesses() == 0 {
-						continue
-					}
-					if exact {
-						all = append(all, sh.idx.ExactKNN(q, k)...)
-					} else {
-						all = append(all, sh.idx.KNN(q, k)...)
-					}
-				}
-				index.SortByDistance(all, q)
-				all = all[:min(k, len(all))]
-				if len(got) != len(all) {
-					t.Fatalf("round %d (exact=%v): merged %d points, want %d", round, exact, len(got), len(all))
-				}
-				for i := range all {
-					if got[i] != all[i] {
-						t.Fatalf("round %d (exact=%v) rank %d: merged %v, want %v", round, exact, i, got[i], all[i])
-					}
-				}
-				if exact {
-					want := append([]geom.Point(nil), pts...)
-					index.SortByDistance(want, q)
-					for i := range got {
-						if q.Dist2(got[i]) != q.Dist2(want[i]) {
-							t.Fatalf("round %d rank %d: exact answer at d²=%v, the full sort at %v", round, i, q.Dist2(got[i]), q.Dist2(want[i]))
-						}
-					}
-				}
+				want := lin.KNN(q, k)
+				sameList(t, "KNNContext", q, k, must(s.KNNContext(bg, q, k)), want)
+				sameList(t, "ExactKNNContext", q, k, must(s.ExactKNNContext(bg, q, k)), want)
 			}
 		})
 	}
@@ -253,9 +213,9 @@ func TestShardedReadPathAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedKNNAllocs: a kNN query, approximate or exact, allocates the
-// answers of the shards it searches and the merged answer, nothing more: at
-// most one plus the shards searched, at k = 1, 25 and 625.
+// TestShardedKNNAllocs: every searched shard offers into one k-nearest set
+// from pools, so a kNN query allocates its answer and nothing more, at
+// k = 1, 25 and 625, however many shards it searches.
 func TestShardedKNNAllocs(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool sheds items under the race detector")
@@ -263,26 +223,112 @@ func TestShardedKNNAllocs(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 4000, 79)
 	s := New(pts, quickOpts(4))
 	ctx := context.Background()
-	for _, path := range []struct {
-		name string
-		knn  func(context.Context, geom.Point, int) ([]geom.Point, error)
-	}{{"KNNContext", s.KNNContext}, {"ExactKNNContext", s.ExactKNNContext}} {
-		for _, k := range []int{1, 25, 625} {
-			for _, q := range workload.KNNPoints(pts, 20, 83) {
-				tr := obs.StartTrace("knn", "test")
-				got, err := path.knn(obs.With(ctx, tr), q, k)
-				searched := tr.Shards()
-				tr.Release()
-				if err != nil || len(got) != k {
-					t.Fatalf("%s(%v, %d): %d points, %v", path.name, q, k, len(got), err)
-				}
-				if n := testing.AllocsPerRun(20, func() {
-					_, _ = path.knn(ctx, q, k)
-				}); n > float64(1+searched) {
-					t.Errorf("%s(%v, %d) allocates %v times per call; it searched %d shards, so want at most %d",
-						path.name, q, k, n, searched, 1+searched)
-				}
+	multi := 0
+	for _, k := range []int{1, 25, 625} {
+		for _, q := range workload.KNNPoints(pts, 20, 83) {
+			tr := obs.StartTrace("knn", "test")
+			got, err := s.KNNContext(obs.With(ctx, tr), q, k)
+			if tr.Shards() > 1 {
+				multi++
+			}
+			tr.Release()
+			if err != nil || len(got) != k {
+				t.Fatalf("KNNContext(%v, %d): %d points, %v", q, k, len(got), err)
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				_, _ = s.KNNContext(ctx, q, k)
+			}); n != 1 {
+				t.Errorf("KNNContext(%v, %d) allocates %v times per call, want 1", q, k, n)
 			}
 		}
+	}
+	if multi == 0 {
+		t.Error("no query searched more than one shard; the pin measured one-shard walks only")
+	}
+}
+
+// TestReadsMatchLinear is the differential test of the sharded read path:
+// on both layouts, through inserts, deletes, a rolling rebuild and a
+// snapshot reload, every window appended by WindowQueryAppend is the
+// oracle's set, and every KNNContext answer is the oracle's points in its
+// order, equidistant points in the canonical order. Half the points sit on
+// a lattice and half the queries on lattice points or half-way between
+// them, so distance ties are common.
+func TestReadsMatchLinear(t *testing.T) {
+	const side = 30
+	pts := dataset.Generate(dataset.Skewed, 2000, 89)
+	for i := 0; i < side; i++ {
+		for j := 0; j < side; j++ {
+			pts = append(pts, geom.Pt(0.2+float64(i)/50, 0.3+float64(j)/50))
+		}
+	}
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			rng := rand.New(rand.NewSource(97))
+			s := New(pts, quickOpts(l.shards))
+			lin := index.NewLinear(pts)
+			lattice := func() geom.Point {
+				return geom.Pt(0.2+float64(rng.Intn(2*side))/100, 0.3+float64(rng.Intn(2*side))/100)
+			}
+			var buf []geom.Point
+			check := func(stage string) {
+				t.Helper()
+				live := lin.WindowQuery(geom.Rect{MinX: -1, MinY: -1, MaxX: 2, MaxY: 2})
+				qs := workload.Windows(live, 30, 0.01, 1, 101)
+				for range 30 { // lattice-aligned: points on every edge
+					c, d := lattice(), float64(1+rng.Intn(6))/50
+					qs = append(qs, geom.Rect{MinX: c.X, MinY: c.Y, MaxX: c.X + d, MaxY: c.Y + d})
+				}
+				for _, q := range qs {
+					var err error
+					if buf, err = s.WindowQueryAppend(ctx, buf[:0], q); err != nil {
+						t.Fatal(err)
+					}
+					sameSet(t, stage+": WindowQueryAppend", buf, lin.WindowQuery(q))
+				}
+				kqs := workload.KNNPoints(live, 30, 103)
+				for range 30 {
+					kqs = append(kqs, lattice())
+				}
+				for i, q := range kqs {
+					k := []int{1, 4, 9, 25, 125}[i%5]
+					sameList(t, stage+": KNNContext", q, k, must(s.KNNContext(ctx, q, k)), lin.KNN(q, k))
+				}
+			}
+			check("built")
+			for i := 0; i < 500; i++ {
+				p := geom.Pt(rng.Float64(), rng.Float64())
+				if i%5 == 0 {
+					p = geom.Pt(lattice().X+0.005, lattice().Y) // between lattice columns
+				}
+				if lin.PointQuery(p) {
+					continue
+				}
+				mustInsert(t, s, p)
+				lin.Insert(p)
+			}
+			for _, p := range pts[len(pts)-2*side*side/3:][:400] {
+				if !must(s.DeleteContext(bg, p)) || !lin.Delete(p) {
+					t.Fatalf("delete of %v refused", p)
+				}
+			}
+			check("updated")
+			if err := s.RebuildContext(bg); err != nil {
+				t.Fatal(err)
+			}
+			check("rebuilt")
+			var snap bytes.Buffer
+			if _, err := s.WriteTo(&snap); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s = loaded
+			check("reloaded")
+		})
 	}
 }

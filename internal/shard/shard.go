@@ -30,13 +30,16 @@
 //
 // # Correctness
 //
-// The shards partition the point set, so the per-index guarantees compose:
-// point queries are exact, window queries have no false positives (each
-// shard's answer has none, and the union introduces none), and
-// ExactWindowContext and ExactKNNContext remain exact. A kNN query — single
-// or one of a batch — searches the shards best-first on the caller's
-// goroutine: nearest region first, and a further shard only while its
-// region's MINDIST is still under the distance of the current k-th
+// The shards partition the point set, so the per-index guarantees compose.
+// Point queries are exact, and windows and kNN are answered exactly by
+// RSMIa's MBR walk (§4.2 end, §6.2.3) rather than the learned Algorithms 2
+// and 3, which stay core's for the paper's figures: on this tree the walk
+// reads fewer blocks and is faster on the wall clock (README, "Sharded
+// answers windows and kNN exactly"). The Exact methods are the same calls.
+// A window appends each overlapping shard's answer in shard order; a kNN
+// query — single or one of a batch — searches the shards best-first on the
+// caller's goroutine: nearest region first, and a further shard only while
+// its region's MINDIST is within the distance of the current k-th
 // candidate.
 package shard
 
@@ -270,22 +273,12 @@ func (s *Sharded) windowCandidates(q geom.Rect) (first, n int) {
 	return first, n
 }
 
-// appendWindow appends the shard's window answer (exact or Algorithm 2's) to
-// dst. Callers hold sh.mu.
-func (sh *state) appendWindow(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
-	if !exact {
-		return sh.idx.WindowQueryAppend(ctx, dst, q)
-	}
-	got, err := sh.idx.ExactWindowContext(ctx, q)
-	return append(dst, got...), err
-}
-
-// gatherWindow appends the answers of the shards whose region overlaps q to
-// dst (which may be nil), in shard order, on the caller's goroutine: each
-// shard appends straight into dst under its read lock. A context cancelled
-// mid-query stops between shard visits and returns (dst, ctx.Err()):
-// partial answers are never surfaced.
-func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect, exact bool) ([]geom.Point, error) {
+// gatherWindow appends the exact answers of the shards whose region
+// overlaps q to dst (which may be nil), in shard order, on the caller's
+// goroutine: each shard appends straight into dst under its read lock. A
+// context cancelled mid-query stops between shard visits and returns
+// (dst, ctx.Err()): partial answers are never surfaced.
+func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
 	first, n := s.windowCandidates(q)
 	// A trace in ctx (EXPLAIN / slow-query sampling) counts the shards
 	// whose region overlapped the window — the query's fan-out width.
@@ -300,7 +293,7 @@ func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rec
 		}
 		sh.mu.RLock()
 		var err error
-		out, err = sh.appendWindow(ctx, out, q, exact)
+		out, err = sh.idx.ExactWindowAppend(ctx, out, q)
 		sh.mu.RUnlock()
 		if err != nil {
 			return dst, err
@@ -339,46 +332,36 @@ func (s *Sharded) shardsByDist(q geom.Point, order []shardDist) []shardDist {
 	return order
 }
 
-// knn is the one best-first multi-shard kNN routine behind KNNContext,
-// ExactKNNContext and every query of a kNN batch. The search runs on the
-// caller's goroutine: shards are searched in MINDIST order of their
-// regions, and the search stops at the first shard whose region is no
-// closer than the k-th best candidate found so far — no later shard can
-// improve the answer either. Each shard's answer is offered to one
-// index.Nearest, which keeps the k nearest of them all. Cancellation is
-// observed between shard searches: once ctx is done no further shard is
-// searched and ctx's error is returned. A trace in ctx counts the shards
-// actually searched, pruned ones excluded: the number EXPLAIN shows for kNN.
-func (s *Sharded) knn(ctx context.Context, q geom.Point, k int, exact bool) ([]geom.Point, error) {
-	if k <= 0 {
+// KNNContext returns the exact k nearest neighbours, closest first, ties in
+// the canonical point order, observing ctx between shard searches. The
+// search runs on the caller's goroutine: shards are searched in MINDIST
+// order of their regions by RSMIa's best-first walk (core.ExactKNNInto),
+// all offering into one index.Nearest, so a later shard expands only what
+// could displace a candidate already held; the search stops at the first
+// shard whose region is farther than the k-th candidate, as every later
+// one is. A query allocates only its answer. Once ctx is done no
+// further shard is searched and ctx's error is returned. A trace in ctx
+// counts the shards actually searched, pruned ones excluded: the number
+// EXPLAIN shows for kNN.
+//
+//rsmi:noalloc
+func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
+	if k <= 0 || !q.IsFinite() {
 		return nil, ctx.Err()
 	}
 	var buf [16]shardDist
 	best := index.NewNearest(q, k)
 	searched := 0
 	for _, c := range s.shardsByDist(q, buf[:0]) {
-		// Once k candidates exist, a shard whose region is no closer than the
-		// k-th cannot improve the answer — nor can any shard after it.
-		if best.Full() && c.dist2 >= best.Bound() {
-			break
-		}
-		if ctx.Err() != nil {
+		// A shard exactly at the k-th distance is still searched: it may
+		// hold an equidistant point that comes first in the canonical order.
+		if best.Full() && c.dist2 > best.Bound() || ctx.Err() != nil {
 			break
 		}
 		searched++
 		c.sh.mu.RLock()
-		var got []geom.Point
-		var err error
-		if exact {
-			got, err = c.sh.idx.ExactKNNContext(ctx, q, k)
-		} else {
-			got, err = c.sh.idx.KNNContext(ctx, q, k)
-		}
+		c.sh.idx.ExactKNNInto(&best)
 		c.sh.mu.RUnlock()
-		if err != nil {
-			break
-		}
-		best.Offer(got...)
 	}
 	obs.FromContext(ctx).AddShards(searched)
 	out := best.Points()

@@ -15,11 +15,12 @@ import (
 // lock, so updates on different shards proceed concurrently. Rebuild is
 // rolling — one shard retrains at a time while the others keep serving. It
 // is the one way to serve the learned index concurrently: Shards: 1 is one
-// RWMutex over one RSMI. Its query surface is Engine, and it keeps the
-// correctness guarantees of the single-index RSMI: exact point queries,
-// window answers with no false positives, and exact ExactWindowContext /
-// ExactKNNContext. See EXPERIMENTS.md ("One concurrent RSMI") for how
-// Shards: 1 compares with the RWMutex wrapper it replaced.
+// RWMutex over one RSMI. Its query surface is Engine, and every answer is
+// exact: point queries as in the single-index RSMI, and windows and kNN by
+// RSMIa's MBR walk, so ExactWindowContext and ExactKNNContext are the same
+// calls as WindowQueryContext and KNNContext (EXPERIMENTS.md "Exact sharded
+// reads"). See EXPERIMENTS.md ("One concurrent RSMI") for how Shards: 1
+// compares with the RWMutex wrapper it replaced.
 type Sharded = shard.Sharded
 
 // ShardOptions configures a Sharded index; the zero value selects
