@@ -165,18 +165,19 @@ func (t *RSMI) Rebuild() {
 	*t = *NewOwned(t.AllPoints(), t.opts)
 }
 
+// rebuildFraction is the insert fraction triggering an RSMIr rebuild
+// (§6.2.5: "rebuilds ... after every 10%n insertions").
+const rebuildFraction = 0.1
+
 // Rebuilder wraps an RSMI as the RSMIr variant: after every insertion it
 // checks the 10% n policy and rebuilds when due. It implements index.Index.
 type Rebuilder struct {
 	*RSMI
-	// Fraction is the insert fraction triggering a rebuild (default 0.1,
-	// §6.2.5: "rebuilds ... after every 10%n insertions").
-	Fraction float64
 }
 
 // AsRebuilder returns the RSMIr view of the index.
 func (t *RSMI) AsRebuilder() *Rebuilder {
-	return &Rebuilder{RSMI: t, Fraction: 0.1}
+	return &Rebuilder{RSMI: t}
 }
 
 // Name implements index.Index.
@@ -185,7 +186,7 @@ func (r *Rebuilder) Name() string { return "RSMIr" }
 // Insert implements index.Index, rebuilding when the policy fires.
 func (r *Rebuilder) Insert(p geom.Point) {
 	r.RSMI.Insert(p)
-	if float64(r.RSMI.inserted) >= r.Fraction*float64(r.RSMI.n) {
+	if float64(r.RSMI.inserted) >= rebuildFraction*float64(r.RSMI.n) {
 		r.RSMI.Rebuild()
 	}
 }

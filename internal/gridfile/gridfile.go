@@ -172,8 +172,10 @@ func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
 				if ring > 0 && cx != qcx-ring && cx != qcx+ring && cy != qcy-ring && cy != qcy+ring {
 					continue
 				}
-				// Prune cells that cannot contain a better candidate.
-				if g.cellRect(cx, cy).MinDist2(q) >= kth {
+				// Prune cells that cannot contain a better candidate. A cell
+				// at exactly the k-th distance may hold an equidistant point
+				// that Point.Less puts first, so it is scanned.
+				if g.cellRect(cx, cy).MinDist2(q) > kth {
 					continue
 				}
 				for _, id := range g.cells[cy*g.side+cx] {
@@ -182,12 +184,13 @@ func (g *Grid) KNN(q geom.Point, k int) []geom.Point {
 			}
 		}
 		kth = best.Bound()
-		// Stop when the next ring cannot improve the k-th candidate.
+		// Stop when the next ring cannot improve the k-th candidate, nor
+		// hold a point at its distance.
 		if best.Full() {
 			w := (g.norm.MaxX - g.norm.MinX) / float64(g.side)
 			h := (g.norm.MaxY - g.norm.MinY) / float64(g.side)
 			ringDist := float64(ring) * math.Min(w, h)
-			if ringDist*ringDist >= kth {
+			if ringDist*ringDist > kth {
 				break
 			}
 		}

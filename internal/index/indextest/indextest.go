@@ -24,8 +24,9 @@ type Config struct {
 	// ExactWindow asserts window answers match the oracle exactly; when
 	// false, answers must have no false positives and recall >= RecallFloor.
 	ExactWindow bool
-	// ExactKNN asserts kNN answers match the oracle's distances exactly;
-	// when false, recall >= RecallFloor applies.
+	// ExactKNN asserts kNN answers match the oracle's point for point,
+	// equidistant points in Point.Less order; when false, recall >=
+	// RecallFloor applies.
 	ExactKNN bool
 	// RecallFloor is the minimum acceptable average recall for approximate
 	// indices (unused for exact ones).
@@ -166,8 +167,8 @@ func runKNNQueries(t *testing.T, cfg Config, idx index.Index, oracle *index.Line
 
 // runLatticeKNN checks exact kNN where distance ties are the rule: 100 × 100
 // points on the integer grid, queried at lattice points and at cell centres.
-// Equidistant points may come back in any order, so only the distances must
-// equal the oracle's, rank by rank.
+// Equidistant points come back in Point.Less order on every engine, so the
+// answer must be the oracle's, point for point.
 func runLatticeKNN(t *testing.T, cfg Config) {
 	t.Helper()
 	const side = 100
@@ -192,8 +193,8 @@ func runLatticeKNN(t *testing.T, cfg Config) {
 				t.Fatalf("lattice kNN(%v, %d): %d rows, oracle %d", q, k, len(got), len(want))
 			}
 			for i := range got {
-				if d, w := q.Dist2(got[i]), q.Dist2(want[i]); d != w {
-					t.Fatalf("lattice kNN(%v, %d) row %d at distance² %v, oracle %v", q, k, i, d, w)
+				if got[i] != want[i] {
+					t.Fatalf("lattice kNN(%v, %d) row %d at %v, oracle %v", q, k, i, got[i], want[i])
 				}
 			}
 		}

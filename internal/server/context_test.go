@@ -271,7 +271,7 @@ func TestBatchJSONStreamEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			want = append(want, '\n') // Encoder-style trailing newline
-			got := wire.AppendAnswersJSON(nil, batchRoute, answers, tj)
+			got := wire.AppendAnswersJSON(nil, wire.Lookup(wire.BatchRow), answers, tj)
 			if string(got) != string(want) {
 				t.Fatalf("case %d (trace %v):\n got %s\nwant %s", i, tj != nil, got, want)
 			}

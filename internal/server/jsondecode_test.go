@@ -2,14 +2,11 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,6 +81,21 @@ func sameResults(got, want []wire.Result) error {
 	return nil
 }
 
+// opsOf lists the ops answers answer.
+func opsOf(answers []wire.Result) []BatchOp {
+	ops := make([]BatchOp, len(answers))
+	for i, a := range answers {
+		ops[i].Op = a.Op
+	}
+	return ops
+}
+
+// pointsResult reports whether op answers with points rather than a flag.
+func pointsResult(op string) bool {
+	row := wire.Row(op)
+	return row != 0 && wire.Lookup(row).Flag == ""
+}
+
 // fuzzOps spells n ops whose kinds are the low bits of kinds: a set bit
 // is a window (a points answer), a clear one a point probe (a bool).
 func fuzzOps(n int, kinds uint64) []BatchOp {
@@ -99,7 +111,7 @@ func fuzzOps(n int, kinds uint64) []BatchOp {
 
 // encodedAnswers renders answers (one when single) as the server does.
 func encodedAnswers(answers []wire.Result, single bool, tj *TraceJSON) []byte {
-	rt := batchRoute
+	rt := wire.Lookup(wire.BatchRow)
 	if single {
 		rt = wire.Lookup(wire.Row(answers[0].Op))
 	}
@@ -362,7 +374,7 @@ func windowBatchAnswer() (body []byte, ops []BatchOp) {
 		}
 		answers[i] = wire.Result{Op: OpWindow, Pts: pts}
 	}
-	return wire.AppendAnswersJSON(nil, batchRoute, answers, nil), opsOf(answers)
+	return wire.AppendAnswersJSON(nil, wire.Lookup(wire.BatchRow), answers, nil), opsOf(answers)
 }
 
 // TestJSONDecodeAllocs pins the decoder at one allocation per non-empty
@@ -378,88 +390,4 @@ func TestJSONDecodeAllocs(t *testing.T) {
 	if want := float64(len(ops) + 1); allocs > want {
 		t.Fatalf("decoding a 32-window answer allocates %.1f times, want <= %.0f (one per result and the result list)", allocs, want)
 	}
-}
-
-// TestBatchAnswerShapeChecked drives Client.Batch against a server that
-// answers the wrong number of results, or results of the wrong kind, in
-// both encodings: the checks are the same checks whichever codec read
-// the answer.
-func TestBatchAnswerShapeChecked(t *testing.T) {
-	pt := []geom.Point{geom.Pt(0.5, 0.5)}
-	ops := []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.5}, {Op: OpWindow, MaxX: 1, MaxY: 1}}
-	for _, c := range []struct {
-		name    string
-		answers []wire.Result
-		kind    bool // the error is the result-kind error
-		ok      bool
-	}{
-		{name: "as asked", answers: []wire.Result{{Op: OpPoint, Flag: true}, {Op: OpWindow, Pts: pt}}, ok: true},
-		{name: "too few", answers: []wire.Result{{Op: OpPoint, Flag: true}}},
-		{name: "too many", answers: []wire.Result{{Op: OpPoint, Flag: true}, {Op: OpWindow, Pts: pt}, {Op: OpPoint}}},
-		{name: "none", answers: nil},
-		{name: "points for a bool", answers: []wire.Result{{Op: OpWindow, Pts: pt}, {Op: OpWindow, Pts: pt}}, kind: true},
-		{name: "bool for points", answers: []wire.Result{{Op: OpPoint, Flag: true}, {Op: OpInsert, Flag: true}}, kind: true},
-	} {
-		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if wantsBinaryResponse(r) {
-				w.Header().Set("Content-Type", wire.ContentTypeBinary)
-				w.Write(wire.AppendAnswers(nil, c.answers, false, nil))
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Write(wire.AppendAnswersJSON(nil, batchRoute, c.answers, nil))
-		}))
-		for _, proto := range []Proto{ProtoJSON, ProtoBinary} {
-			cl := NewClient(hs.URL, WithProto(proto))
-			res, err := cl.Batch(context.Background(), ops)
-			cl.Close()
-			switch {
-			case c.ok && (err != nil || len(res) != len(ops) || !res[0].Found || res[1].Count != 1):
-				t.Errorf("%s over %s: %+v, %v", c.name, proto, res, err)
-			case !c.ok && (err == nil || res != nil):
-				t.Errorf("%s over %s: accepted as %+v", c.name, proto, res)
-			case !c.ok && !errors.Is(err, wire.ErrMismatch):
-				t.Errorf("%s over %s: %v, want wire.ErrMismatch", c.name, proto, err)
-			case c.kind && !strings.Contains(err.Error(), "result kind does not match op"):
-				t.Errorf("%s over %s: %v, want the result-kind error", c.name, proto, err)
-			}
-		}
-		hs.Close()
-	}
-}
-
-// BenchmarkJSONBatchRoundTrip is the in-tree number for the third
-// transport: /v1/batch of 32 windows through Client.Batch over HTTP
-// loopback, client and server in this process — request encode, server
-// decode, engine, streamed encode, the client's one-pass decode.
-func BenchmarkJSONBatchRoundTrip(b *testing.B) {
-	eng, pts := testEngine(b)
-	s := New(Config{Engine: eng})
-	hs := httptest.NewServer(s.Handler())
-	defer func() {
-		hs.Close()
-		s.Shutdown(context.Background())
-	}()
-	cl := NewClient(hs.URL)
-	defer cl.Close()
-	ops := make([]BatchOp, 32)
-	for i := range ops {
-		q := geom.RectAround(pts[i*17%len(pts)], 0.1, 0.1)
-		ops[i] = BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
-	}
-	ctx := context.Background()
-	points := 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := cl.Batch(ctx, ops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		points = 0
-		for _, r := range res {
-			points += r.Count
-		}
-	}
-	b.ReportMetric(float64(points), "points/op")
 }

@@ -67,7 +67,7 @@ func TestHandlerAllocs(t *testing.T) {
 		return b
 	}
 	binBody := func(op BatchOp) []byte {
-		b, err := appendOp(appendBinHeader(nil), op)
+		b, err := wire.AppendOps(nil, []BatchOp{op}, true, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,7 +317,11 @@ func TestPipelineRejectsAlike(t *testing.T) {
 		case "http-json":
 			body := []byte(rawJSON)
 			if rawJSON == "" {
-				body, _ = json.Marshal(requestJSON(wire.Lookup(routeIndex(t, path)), ops))
+				rt := wire.Lookup(wire.BatchRow)
+				if single {
+					rt = wire.Lookup(wire.Row(ops[0].Op))
+				}
+				body, _ = wire.AppendRequestJSON(nil, rt, ops)
 			}
 			err = cl.post(ctx, path, "application/json", body, nil)
 		case "http-rsmibin":
@@ -346,7 +350,9 @@ func TestPipelineRejectsAlike(t *testing.T) {
 	}
 
 	nan := math.NaN()
-	unknownOp := append(appendUvarint(appendBinHeader(nil), 1), 0x7f)
+	unknownOp, _ := wire.AppendOps(nil, []BatchOp{{Op: OpPoint}}, false, false)
+	unknownOp = unknownOp[:5] // header and count, then the op byte patched
+	unknownOp[4] = 0x7f
 	sub := BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1}
 	for _, c := range []struct {
 		name    string

@@ -252,19 +252,16 @@ func TestStreamMalformedFrames(t *testing.T) {
 		}
 		return c
 	}
-	frame := func(id uint64, payload []byte) []byte {
-		b := []byte{0, 0, 0, 0}
-		b = appendUvarint(b, id)
-		b = append(b, payload...)
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-		return b
-	}
+	reqs := pending{}
+	point := BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y}
 
 	// Request-level garbage (bad rsmibin magic): status-1 response with
 	// code 400, connection stays alive for a valid follow-up.
 	c := dial()
 	defer c.Close()
-	if _, err := c.Write(frame(7, []byte{'X', 'Y', 1, 0})); err != nil {
+	bad := pending{}.frame(t, 7, false, point)
+	bad[5] = 'X' // after the length word and the one-byte id: the magic
+	if _, err := c.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 	br := bufio.NewReader(c)
@@ -278,19 +275,11 @@ func TestStreamMalformedFrames(t *testing.T) {
 		t.Fatalf("bad magic error = %v, want a status-1 code 400", rerr)
 	}
 	// Follow-up valid request on the same connection.
-	body := appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
-	if _, err := c.Write(frame(8, body)); err != nil {
+	if _, err := c.Write(reqs.frame(t, 8, false, point)); err != nil {
 		t.Fatal(err)
 	}
-	id, payload, err = wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
-	if err != nil || id != 8 {
-		t.Fatalf("follow-up after 400: id=%d err=%v", id, err)
-	}
-	rs, _, rerr := wire.DecodeStreamResponse(payload, []BatchOp{{Op: OpPoint}})
-	if rerr != nil || len(rs) != 1 || !rs[0].Flag {
-		t.Fatalf("follow-up answer: %+v, %v", rs, rerr)
+	if rs := readAnswers(t, c, br, reqs, 1)[8]; len(rs) != 1 || !rs[0].Flag {
+		t.Fatalf("follow-up answer: %+v", rs)
 	}
 
 	// Frame-level garbage: an oversized declared length closes the
@@ -389,9 +378,10 @@ func TestStreamShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	burst := requestFrame(t, 1, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})
-	burst = append(burst, requestFrame(t, 2, false, BatchOp{Op: OpWindow, MaxX: 0.2, MaxY: 0.2})...)
-	burst = append(burst, requestFrame(t, 3, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+	reqs := pending{}
+	burst := reqs.frame(t, 1, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})
+	burst = append(burst, reqs.frame(t, 2, false, BatchOp{Op: OpWindow, MaxX: 0.2, MaxY: 0.2})...)
+	burst = append(burst, reqs.frame(t, 3, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
 	if _, err := raw.Write(burst); err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +409,7 @@ func TestStreamShutdownDrains(t *testing.T) {
 		t.Fatalf("in-flight stream request during shutdown: %v, %v", a.found, a.err)
 	}
 	rawBr := bufio.NewReader(raw)
-	if got := readAnswers(t, raw, rawBr, 3); !got[3][0].Flag || len(got[1][0].Pts) > len(got[2][0].Pts) {
+	if got := readAnswers(t, raw, rawBr, reqs, 3); !got[3][0].Flag || len(got[1][0].Pts) > len(got[2][0].Pts) {
 		t.Fatalf("answers drained from the second connection: %+v", got)
 	}
 	if _, err := rawBr.ReadByte(); err != io.EOF {
@@ -538,9 +528,8 @@ func TestStreamFrameAllocFollowsBytes(t *testing.T) {
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
-	frame := appendUvarint([]byte{0, 0, 0, 0}, 77)
-	frame = append(frame, payload...)
-	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-4))
+	frame := append(wire.OpenStreamFrame(nil, 77), payload...)
+	wire.CloseFrame(frame, 0)
 	id, got, err := wire.ReadStreamFrame(bufio.NewReader(bytes.NewReader(frame)), streamMaxRequestFrame, nil)
 	if err != nil || id != 77 || !bytes.Equal(got, payload) {
 		t.Fatalf("large frame: id %d, %d payload bytes, err %v", id, len(got), err)
@@ -550,58 +539,27 @@ func TestStreamFrameAllocFollowsBytes(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrame asserts the stream frame reader and both payload
-// decoders never panic on arbitrary bytes, and that an accepted frame's
-// id round-trips through the writer's framing.
-func FuzzStreamFrame(f *testing.F) {
-	valid := func(id uint64, payload []byte) []byte {
-		b := []byte{0, 0, 0, 0}
-		b = appendUvarint(b, id)
-		b = append(b, payload...)
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-		return b
-	}
-	body := appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: OpPoint, X: 0.5, Y: 0.25})
-	f.Add(valid(1, body))
-	f.Add(valid(1<<40, wire.AppendStreamAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, nil)))
-	f.Add(valid(9, []byte{statusError, 0x90, 0x03, 2, 'h', 'i'}))
-	f.Add([]byte{0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
-	f.Add([]byte{0, 0, 0x80, 0, 1}) // claims streamMaxRequestFrame, delivers one byte
-	f.Fuzz(func(t *testing.T, data []byte) {
-		br := bufio.NewReader(bytes.NewReader(data))
-		id, payload, err := wire.ReadStreamFrame(br, streamMaxRequestFrame, nil)
-		if err != nil {
-			return
-		}
-		// Whatever the payload, neither decoder may panic.
-		wire.DecodeOps(payload, false)
-		wire.DecodeStreamResponse(payload, answeredOps(payload))
-		// The id survives re-framing.
-		reframed := valid(id, payload)
-		id2, payload2, err := wire.ReadStreamFrame(bufio.NewReader(bytes.NewReader(reframed)), streamMaxRequestFrame, nil)
-		if err != nil || id2 != id || !bytes.Equal(payload2, payload) {
-			t.Fatalf("re-framed frame mismatched: id %d vs %d, err %v", id2, id, err)
-		}
-	})
-}
+// pending holds the ops of each stream request a test has framed and not
+// yet read the answer to, by request id.
+type pending map[uint64][]BatchOp
 
-// requestFrame encodes one stream request frame.
-func requestFrame(t testing.TB, id uint64, explain bool, ops ...BatchOp) []byte {
+// frame encodes one stream request frame and records its ops.
+func (p pending) frame(t testing.TB, id uint64, explain bool, ops ...BatchOp) []byte {
 	t.Helper()
-	b, err := wire.AppendOps(appendUvarint([]byte{0, 0, 0, 0}, id), ops, false, explain)
+	b, err := wire.AppendOps(wire.OpenStreamFrame(nil, id), ops, false, explain)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	wire.CloseFrame(b, 0)
+	p[id] = ops
 	return b
 }
 
 // readAnswers reads n response frames and returns their results by
-// request id, failing on a status-1 frame, a repeated id or a stall.
-func readAnswers(t *testing.T, c net.Conn, br *bufio.Reader, n int) map[uint64][]wire.Result {
+// request id, each decoded against the ops reqs holds for it, which it
+// then forgets. It fails on a status-1 frame, an id that is not pending
+// (an answer given twice among them) or a stall.
+func readAnswers(t *testing.T, c net.Conn, br *bufio.Reader, reqs pending, n int) map[uint64][]wire.Result {
 	t.Helper()
 	c.SetReadDeadline(time.Now().Add(10 * time.Second))
 	got := make(map[uint64][]wire.Result, n)
@@ -610,12 +568,14 @@ func readAnswers(t *testing.T, c net.Conn, br *bufio.Reader, n int) map[uint64][
 		if err != nil {
 			t.Fatalf("after %d of %d answers: %v", len(got), n, err)
 		}
-		rs, _, err := wire.DecodeStreamResponse(payload, answeredOps(payload))
+		ops, ok := reqs[id]
+		if !ok {
+			t.Fatalf("request %d answered, but none is pending", id)
+		}
+		delete(reqs, id)
+		rs, _, err := wire.DecodeStreamResponse(payload, ops)
 		if err != nil {
 			t.Fatalf("request %d: %v", id, err)
-		}
-		if _, dup := got[id]; dup {
-			t.Fatalf("request %d answered twice", id)
 		}
 		got[id] = rs
 	}
@@ -667,11 +627,12 @@ func TestStreamGroupCommit(t *testing.T) {
 	client, srv, _ := servePipe(t, s)
 	br := bufio.NewReader(client)
 	point := func(p geom.Point) BatchOp { return BatchOp{Op: OpPoint, X: p.X, Y: p.Y} }
+	reqs := pending{}
 
-	if _, err := client.Write(requestFrame(t, 1, false, point(pts[0]))); err != nil {
+	if _, err := client.Write(reqs.frame(t, 1, false, point(pts[0]))); err != nil {
 		t.Fatal(err)
 	}
-	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].Flag {
+	if rs := readAnswers(t, client, br, reqs, 1)[1]; len(rs) != 1 || !rs[0].Flag {
 		t.Fatalf("lone frame: %+v", rs)
 	}
 	if w := srv.writes.Load(); w != 1 {
@@ -693,13 +654,13 @@ func TestStreamGroupCommit(t *testing.T) {
 			if i%2 == 1 {
 				p = geom.Pt(-1, -float64(i)) // absent
 			}
-			burst = append(burst, requestFrame(t, uint64(100+i), i%5 == 0, point(p))...)
+			burst = append(burst, reqs.frame(t, uint64(100+i), i%5 == 0, point(p))...)
 		}
 		if _, err := client.Write(burst); err != nil {
 			t.Fatal(err)
 		}
 		sentFrames += n
-		got := readAnswers(t, client, br, n)
+		got := readAnswers(t, client, br, reqs, n)
 		for i := 0; i < n; i++ {
 			rs, ok := got[uint64(100+i)]
 			if !ok || len(rs) != 1 || rs[0].Flag != (i%2 == 0) {
@@ -720,12 +681,12 @@ func TestStreamGroupCommit(t *testing.T) {
 	before := srv.writes.Load()
 	burst = burst[:0]
 	for i := 0; i < 6; i++ {
-		burst = append(burst, requestFrame(t, uint64(200+i), false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})...)
+		burst = append(burst, reqs.frame(t, uint64(200+i), false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})...)
 	}
 	if _, err := client.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	for id, rs := range readAnswers(t, client, br, 6) {
+	for id, rs := range readAnswers(t, client, br, reqs, 6) {
 		if len(rs) != 1 || len(rs[0].Pts)*16 < streamFlushBytes/3 {
 			t.Fatalf("window %d: %d points, too few to pass the cap in three answers", id, len(rs[0].Pts))
 		}
@@ -755,14 +716,15 @@ func TestStreamTakeover(t *testing.T) {
 			client, srv, _ := servePipe(t, s)
 			br := bufio.NewReader(client)
 
-			burst := requestFrame(t, 1, false, ops...)
+			reqs := pending{}
+			burst := reqs.frame(t, 1, false, ops...)
 			for id := uint64(2); id <= 5; id++ {
-				burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})...)
+				burst = append(burst, reqs.frame(t, id, false, BatchOp{Op: OpWindow, MaxX: 0.1, MaxY: 0.1})...)
 			}
 			if _, err := client.Write(burst); err != nil {
 				t.Fatal(err)
 			}
-			got := readAnswers(t, client, br, 4)
+			got := readAnswers(t, client, br, reqs, 4)
 			if _, early := got[1]; early {
 				t.Fatal("the held frame answered")
 			}
@@ -772,7 +734,7 @@ func TestStreamTakeover(t *testing.T) {
 				t.Fatalf("%d takeovers, want at least 1", n)
 			}
 			close(blocking.gate)
-			if rs := readAnswers(t, client, br, 1)[1]; len(rs) != len(ops) || !rs[len(rs)-1].Flag {
+			if rs := readAnswers(t, client, br, reqs, 1)[1]; len(rs) != len(ops) || !rs[len(rs)-1].Flag {
 				t.Fatalf("taken-over frame's answer: %+v", rs)
 			}
 
@@ -783,12 +745,12 @@ func TestStreamTakeover(t *testing.T) {
 				before := srv.writes.Load()
 				burst = burst[:0]
 				for id := uint64(10); id < 13; id++ {
-					burst = append(burst, requestFrame(t, id, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+					burst = append(burst, reqs.frame(t, id, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
 				}
 				if _, err := client.Write(burst); err != nil {
 					t.Fatal(err)
 				}
-				readAnswers(t, client, br, 3)
+				readAnswers(t, client, br, reqs, 3)
 				if srv.writes.Load()-before == 1 {
 					break
 				}
@@ -883,10 +845,15 @@ func TestStreamPeerNotReading(t *testing.T) {
 	client, _, c := servePipe(t, s)
 
 	const total = 3 * streamMaxPipeline
+	reqs := pending{}
+	frames := make([][]byte, total)
+	for i := range frames {
+		frames[i] = reqs.frame(t, uint64(i+1), false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})
+	}
 	var sent atomic.Int64
 	go func() {
-		for id := uint64(1); id <= total; id++ {
-			if _, err := client.Write(requestFrame(t, id, false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})); err != nil {
+		for _, frame := range frames {
+			if _, err := client.Write(frame); err != nil {
 				return
 			}
 			sent.Add(1)
@@ -918,7 +885,7 @@ func TestStreamPeerNotReading(t *testing.T) {
 		t.Fatalf("%d bytes queued for a peer that reads nothing, want at most %d", queued, limit)
 	}
 
-	for id, rs := range readAnswers(t, client, bufio.NewReader(client), total) {
+	for id, rs := range readAnswers(t, client, bufio.NewReader(client), reqs, total) {
 		if len(rs) != 1 || len(rs[0].Pts) != len(pts) {
 			t.Fatalf("window %d after the stall: %d results", id, len(rs))
 		}
@@ -937,14 +904,15 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 	client, _, _ := servePipe(t, s)
 	br := bufio.NewReader(client)
 
-	burst := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
-	burst = append(burst, requestFrame(t, 2, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
-	hs := wire.AppendFeedHandshake([]byte{0, 0, 0, 0, 0}, repl.log.epoch+1, 1)
-	binary.LittleEndian.PutUint32(hs, uint32(len(hs)-4))
+	reqs := pending{}
+	burst := reqs.frame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
+	burst = append(burst, reqs.frame(t, 2, false, BatchOp{Op: OpPoint, X: pts[1].X, Y: pts[1].Y})...)
+	hs := wire.AppendFeedHandshake(wire.OpenStreamFrame(nil, 0), repl.log.epoch+1, 1)
+	wire.CloseFrame(hs, 0)
 	if _, err := client.Write(append(burst, hs...)); err != nil {
 		t.Fatal(err)
 	}
-	for id, rs := range readAnswers(t, client, br, 2) {
+	for id, rs := range readAnswers(t, client, br, reqs, 2) {
 		if len(rs) != 1 || !rs[0].Flag {
 			t.Fatalf("point %d ahead of the handshake: %+v", id, rs)
 		}
@@ -976,9 +944,10 @@ func TestStreamHandshakeAfterHandedOffFrame(t *testing.T) {
 	client, _, _ := servePipe(t, s)
 	br := bufio.NewReader(client)
 
-	hs := wire.AppendFeedHandshake([]byte{0, 0, 0, 0, 0}, repl.log.epoch+1, 1)
-	binary.LittleEndian.PutUint32(hs, uint32(len(hs)-4))
-	point := requestFrame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
+	hs := wire.AppendFeedHandshake(wire.OpenStreamFrame(nil, 0), repl.log.epoch+1, 1)
+	wire.CloseFrame(hs, 0)
+	reqs := pending{}
+	point := reqs.frame(t, 1, false, BatchOp{Op: OpPoint, X: pts[0].X, Y: pts[0].Y})
 	if _, err := client.Write(append(point, hs...)); err != nil {
 		t.Fatal(err)
 	}
@@ -992,7 +961,7 @@ func TestStreamHandshakeAfterHandedOffFrame(t *testing.T) {
 		t.Fatalf("with the point held the server wrote % x (%v), want nothing", b, err)
 	}
 	close(blocking.gate)
-	if rs := readAnswers(t, client, br, 1)[1]; len(rs) != 1 || !rs[0].Flag {
+	if rs := readAnswers(t, client, br, reqs, 1)[1]; len(rs) != 1 || !rs[0].Flag {
 		t.Fatalf("held point: %+v", rs)
 	}
 	var lb [4]byte
@@ -1075,7 +1044,7 @@ func TestStreamDisconnectCancelsFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Write(requestFrame(t, 1, false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})); err != nil {
+	if _, err := c.Write(pending{}.frame(t, 1, false, BatchOp{Op: OpWindow, MaxX: 1, MaxY: 1})); err != nil {
 		t.Fatal(err)
 	}
 	select {

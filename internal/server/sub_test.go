@@ -154,18 +154,13 @@ func TestSubscribeValidationErrors(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return c, bufio.NewReader(c)
 	}
-	frame := func(id uint64, payload []byte) []byte {
-		b := []byte{0, 0, 0, 0}
-		b = appendUvarint(b, id)
-		b = append(b, payload...)
-		binary.LittleEndian.PutUint32(b[:4], uint32(len(b)-4))
-		return b
-	}
-	wantStatus := func(c net.Conn, br *bufio.Reader, id uint64, payload []byte, code int) {
+	frame := func(id uint64, ops ...BatchOp) []byte { return pending{}.frame(t, id, false, ops...) }
+	wantStatus := func(c net.Conn, br *bufio.Reader, frame []byte, code int) {
 		t.Helper()
-		if _, err := c.Write(frame(id, payload)); err != nil {
+		if _, err := c.Write(frame); err != nil {
 			t.Fatal(err)
 		}
+		id, _ := binary.Uvarint(frame[4:])
 		gotID, resp, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
 		if err != nil || gotID != id {
 			t.Fatalf("response frame: id=%d err=%v", gotID, err)
@@ -178,70 +173,49 @@ func TestSubscribeValidationErrors(t *testing.T) {
 	}
 
 	c, br := dial(streamAddr)
+	window := BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1}
 
 	// A sub op inside a multi-op batch is rejected wholesale.
-	body := appendBinHeader(nil)
-	body = appendUvarint(body, 2)
-	body, _ = appendOp(body, BatchOp{Op: OpInsert, X: 0.5, Y: 0.5})
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
-	wantStatus(c, br, 1, body, 400)
+	wantStatus(c, br, frame(1, BatchOp{Op: OpInsert, X: 0.5, Y: 0.5}, window), 400)
 
 	// Non-finite window coordinates.
-	body = appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow,
-		MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1})
-	wantStatus(c, br, 2, body, 400)
+	wantStatus(c, br, frame(2, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow,
+		MinX: math.NaN(), MinY: 0, MaxX: 1, MaxY: 1}), 400)
 
 	// Inverted window (registry-level validation).
-	body = appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow,
-		MinX: 0.9, MinY: 0, MaxX: 0.1, MaxY: 1})
-	wantStatus(c, br, 3, body, 400)
+	wantStatus(c, br, frame(3, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow,
+		MinX: 0.9, MinY: 0, MaxX: 0.1, MaxY: 1}), 400)
 
-	// Unknown subscription-kind byte, hand-built below the encoder.
-	body = appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body = append(body, wire.Row(wire.OpSub))
-	body = appendUvarint(body, 1)
-	body = append(body, 99)
-	wantStatus(c, br, 4, body, 400)
+	// Unknown subscription-kind byte: a window subscription cut after its
+	// kind byte (length word, id, header, count, op byte, sub id, kind),
+	// which is patched.
+	unknownKind := frame(4, window)[:12]
+	unknownKind[11] = 99
+	wire.CloseFrame(unknownKind, 0)
+	wantStatus(c, br, unknownKind, 400)
 
 	// k = 0 for a kNN subscription.
-	body = appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 0})
-	wantStatus(c, br, 5, body, 400)
+	wantStatus(c, br, frame(5, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 0}), 400)
 
 	// The connection survived all of that: a valid subscribe works.
-	body = appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
-	if _, err := c.Write(frame(6, body)); err != nil {
+	reqs := pending{}
+	if _, err := c.Write(reqs.frame(t, 6, false, window)); err != nil {
 		t.Fatal(err)
 	}
-	gotID, resp, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil)
-	if err != nil || gotID != 6 {
-		t.Fatalf("valid subscribe after errors: id=%d err=%v", gotID, err)
-	}
-	if rs, _, rerr := wire.DecodeStreamResponse(resp, []BatchOp{{Op: wire.OpSub}}); rerr != nil || len(rs) != 1 || !rs[0].Flag {
-		t.Fatalf("valid subscribe answer: %+v %v", rs, rerr)
+	if rs := readAnswers(t, c, br, reqs, 1)[6]; len(rs) != 1 || !rs[0].Flag {
+		t.Fatalf("valid subscribe answer: %+v", rs)
 	}
 
 	// An engine that hides its write hooks (interface embedding drops
 	// AddWriteHook) leaves the server without a registry: 501.
 	_, _, noHookAddr := startStreamServer(t, Config{Engine: struct{ Engine }{eng}})
 	c2, br2 := dial(noHookAddr)
-	body = appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
-	wantStatus(c2, br2, 1, body, 501)
+	wantStatus(c2, br2, frame(1, window), 501)
 
 	// DisableSubs forces the same refusal on a capable engine.
 	_, _, offAddr := startStreamServer(t, Config{Engine: eng, DisableSubs: true})
 	c3, br3 := dial(offAddr)
-	wantStatus(c3, br3, 1, body, 501)
+	wantStatus(c3, br3, frame(1, window), 501)
 }
 
 // TestSubscribeSlowConsumer pins the back-pressure contract end to end:
@@ -262,21 +236,12 @@ func TestSubscribeSlowConsumer(t *testing.T) {
 	if tc, ok := raw.(*net.TCPConn); ok {
 		tc.SetReadBuffer(1)
 	}
-	body := appendBinHeader(nil)
-	body = appendUvarint(body, 1)
-	body, _ = appendOp(body, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})
-	fr := []byte{0, 0, 0, 0}
-	fr = appendUvarint(fr, 1)
-	fr = append(fr, body...)
-	binary.LittleEndian.PutUint32(fr[:4], uint32(len(fr)-4))
-	if _, err := raw.Write(fr); err != nil {
+	reqs := pending{}
+	if _, err := raw.Write(reqs.frame(t, 1, false, BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})); err != nil {
 		t.Fatal(err)
 	}
-	br := bufio.NewReader(raw)
-	if id, resp, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil); err != nil || id != 1 {
-		t.Fatalf("subscribe answer: id=%d err=%v", id, err)
-	} else if rs, _, rerr := wire.DecodeStreamResponse(resp, []BatchOp{{Op: wire.OpSub}}); rerr != nil || len(rs) != 1 || !rs[0].Flag {
-		t.Fatalf("subscribe answer: %+v %v", rs, rerr)
+	if rs := readAnswers(t, raw, bufio.NewReader(raw), reqs, 1)[1]; len(rs) != 1 || !rs[0].Flag {
+		t.Fatalf("subscribe answer: %+v", rs)
 	}
 	// From here on the raw connection is never read again.
 
@@ -638,16 +603,17 @@ func TestStandingQueryAcceptance(t *testing.T) {
 // round-trip through the encoder.
 func FuzzSubscribeFrame(f *testing.F) {
 	mk := func(op BatchOp) []byte {
-		b := appendBinHeader(nil)
-		b = appendUvarint(b, 1)
-		b, _ = appendOp(b, op)
+		b, _ := wire.AppendOps(nil, []BatchOp{op}, false, false)
 		return b
 	}
 	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MinX: 0.1, MinY: 0.2, MaxX: 0.8, MaxY: 0.9}))
 	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1 << 40, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 16}))
 	f.Add(mk(BatchOp{Op: wire.OpUnsub, SubID: 7}))
-	// Unknown kind byte and a truncated window.
-	f.Add(append(appendUvarint(appendBinHeader(nil), 1), wire.Row(wire.OpSub), 1, 99))
+	// Unknown kind byte (after header, count, op byte and id) and a
+	// truncated window.
+	unknown := mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow})[:7]
+	unknown[6] = 99
+	f.Add(unknown)
 	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})[:12])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops, _, err := wire.DecodeOps(data, false)
@@ -659,9 +625,7 @@ func FuzzSubscribeFrame(f *testing.F) {
 				continue
 			}
 			// Re-encode and re-decode: subscription fields survive.
-			b := appendBinHeader(nil)
-			b = appendUvarint(b, 1)
-			b, aerr := appendOp(b, op)
+			b, aerr := wire.AppendOps(nil, []BatchOp{op}, false, false)
 			if aerr != nil {
 				t.Fatalf("decoded op does not re-encode: %+v: %v", op, aerr)
 			}
@@ -674,35 +638,6 @@ func FuzzSubscribeFrame(f *testing.F) {
 				math.Float64bits(got.MaxY) != math.Float64bits(op.MaxY) ||
 				math.Float64bits(got.X) != math.Float64bits(op.X) || got.K != op.K {
 				t.Fatalf("round-trip changed the Op: %+v vs %+v", got, op)
-			}
-		}
-	})
-}
-
-// FuzzPushPayload asserts the client's push decoder never panics and
-// only ever yields insert/delete notifications.
-func FuzzPushPayload(f *testing.F) {
-	valid := []byte{statusPush}
-	valid = appendUvarint(valid, 2)
-	valid = appendUvarint(valid, 1)
-	valid = append(valid, 1, 0)
-	valid = appendF64(appendF64(valid, 0.25), 0.75)
-	valid = appendUvarint(valid, 9)
-	valid = append(valid, 2, 1)
-	valid = appendF64(appendF64(valid, 0.5), 0.5)
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3])                                                        // truncated entry
-	f.Add([]byte{statusPush, 0xff, 0xff, 0xff, 0x7f})                                  // absurd count
-	f.Add([]byte{statusPush, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
-	f.Add(append(append([]byte{}, valid...), 0))                                       // trailing byte
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ns, err := wire.DecodePush(data)
-		if err != nil {
-			return
-		}
-		for _, n := range ns {
-			if n.Kind != OpInsert && n.Kind != OpDelete {
-				t.Fatalf("decoded push kind %q", n.Kind)
 			}
 		}
 	})

@@ -1,7 +1,6 @@
-package server
+package wire
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
@@ -11,8 +10,6 @@ import (
 	"testing"
 
 	"rsmi/internal/geom"
-	"rsmi/internal/wire"
-	"rsmi/internal/workload"
 )
 
 // randomTestOp draws one op of any kind for round-trip tests.
@@ -48,7 +45,7 @@ func TestBinaryOpsRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, _, err := wire.DecodeOps(b, false)
+		got, _, err := DecodeOps(b, false)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -72,7 +69,7 @@ func TestBinaryOpsRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := wire.DecodeOps(b, true)
+		got, _, err := DecodeOps(b, true)
 		if err != nil {
 			t.Fatalf("decode single: %v", err)
 		}
@@ -93,23 +90,23 @@ func TestBinaryResultsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		n := rng.Intn(10)
-		answers := make([]wire.Result, n)
+		answers := make([]Result, n)
 		for i := range answers {
 			switch rng.Intn(3) {
 			case 0:
-				answers[i] = wire.Result{Op: OpPoint, Flag: rng.Intn(2) == 0}
+				answers[i] = Result{Op: OpPoint, Flag: rng.Intn(2) == 0}
 			case 1:
-				answers[i] = wire.Result{Op: OpDelete, Flag: rng.Intn(2) == 0}
+				answers[i] = Result{Op: OpDelete, Flag: rng.Intn(2) == 0}
 			default:
 				pts := make([]geom.Point, rng.Intn(5))
 				for j := range pts {
 					pts[j] = geom.Pt(rng.Float64(), rng.Float64())
 				}
-				answers[i] = wire.Result{Op: OpWindow, Pts: pts}
+				answers[i] = Result{Op: OpWindow, Pts: pts}
 			}
 		}
-		frame := wire.AppendAnswers(nil, answers, false, nil)
-		rs, _, err := wire.DecodeResults(frame, false, opsOf(answers))
+		frame := AppendAnswers(nil, answers, false, nil)
+		rs, _, err := DecodeResults(frame, false, opsOf(answers))
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -147,12 +144,12 @@ func TestBinTraceGoldenBytes(t *testing.T) {
 	tj := &TraceJSON{
 		ID: 300, Backend: "Sharded", ShardsVisited: 2, BlockAccesses: 1234,
 		Stages: []TraceStageJSON{{Stage: "admission", Us: 0.5}, {Stage: "execute", Us: 12.25}},
-		Plan:   &wire.PlanJSON{Backend: "RR*", EstCostUS: 3, ActualCostUS: 4.5, EstRows: 100},
+		Plan:   &PlanJSON{Backend: "RR*", EstCostUS: 3, ActualCostUS: 4.5, EstRows: 100},
 	}
 	const golden = "03ac02075368617264656402d209" + "00" + // tag, id, backend, shards, accesses; the reserved slot
 		"020961646d697373696f6e000000000000e03f076578656375746500000000008028400352522a000000000000084000000000000012400000000000005940"
-	answer := wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, nil)
-	if got := hex.EncodeToString(wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, tj)[len(answer):]); got != golden {
+	answer := AppendAnswers(nil, []Result{{Op: OpPoint, Flag: true}}, true, nil)
+	if got := hex.EncodeToString(AppendAnswers(nil, []Result{{Op: OpPoint, Flag: true}}, true, tj)[len(answer):]); got != golden {
 		t.Fatalf("trace bytes moved:\n got %s\nwant %s", got, golden)
 	}
 	for _, slot := range []string{"00", "11"} {
@@ -160,7 +157,7 @@ func TestBinTraceGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, got, err := wire.DecodeResults(append(answer, old...), true, []BatchOp{{Op: OpPoint}})
+		rs, got, err := DecodeResults(append(answer, old...), true, []BatchOp{{Op: OpPoint}})
 		if err != nil || len(rs) != 1 || !rs[0].Flag {
 			t.Fatalf("slot %s: results %+v, err %v", slot, rs, err)
 		}
@@ -198,23 +195,23 @@ func TestBinGoldenBytes(t *testing.T) {
 			[]BatchOp{{Op: OpKNN, X: 0.5, Y: 0.25}}},
 		{"insert", []BatchOp{{Op: OpInsert, X: 1, Y: 0}}, true, false, h + "04" + one + zero, nil},
 		{"delete", []BatchOp{{Op: OpDelete, X: 0.25, Y: 0.5}}, true, false, h + "05" + qtr + half, nil},
-		{"sql", []BatchOp{{Op: wire.OpSQL, SQL: "SELECT"}}, true, false, h + "06" + "06" + hex.EncodeToString([]byte("SELECT")), nil},
-		{"sub window", []BatchOp{{Op: wire.OpSub, SubID: 300, SubKind: wire.SubWindow, MinX: 0, MinY: 0.25, MaxX: 0.5, MaxY: 1}}, false, false,
+		{"sql", []BatchOp{{Op: OpSQL, SQL: "SELECT"}}, true, false, h + "06" + "06" + hex.EncodeToString([]byte("SELECT")), nil},
+		{"sub window", []BatchOp{{Op: OpSub, SubID: 300, SubKind: SubWindow, MinX: 0, MinY: 0.25, MaxX: 0.5, MaxY: 1}}, false, false,
 			h + "01" + "07" + "ac02" + "01" + zero + qtr + half + one, nil},
-		{"sub knn", []BatchOp{{Op: wire.OpSub, SubID: 7, SubKind: wire.SubKNN, X: 0.5, Y: 0.25, K: 5}}, false, false,
+		{"sub knn", []BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25, K: 5}}, false, false,
 			h + "01" + "07" + "07" + "02" + half + qtr + "05", nil},
-		{"sub knn negative k", []BatchOp{{Op: wire.OpSub, SubID: 7, SubKind: wire.SubKNN, X: 0.5, Y: 0.25, K: -1}}, false, false,
+		{"sub knn negative k", []BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25, K: -1}}, false, false,
 			h + "01" + "07" + "07" + "02" + half + qtr + "00",
-			[]BatchOp{{Op: wire.OpSub, SubID: 7, SubKind: wire.SubKNN, X: 0.5, Y: 0.25}}},
-		{"unsub", []BatchOp{{Op: wire.OpUnsub, SubID: 300}}, false, false, h + "01" + "08" + "ac02", nil},
+			[]BatchOp{{Op: OpSub, SubID: 7, SubKind: SubKNN, X: 0.5, Y: 0.25}}},
+		{"unsub", []BatchOp{{Op: OpUnsub, SubID: 300}}, false, false, h + "01" + "08" + "ac02", nil},
 		{"explain single", []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.25}}, true, true, h + "81" + half + qtr, nil},
-		{"explain counted", []BatchOp{{Op: OpInsert, X: 1, Y: 0}, {Op: wire.OpSQL}}, false, true,
+		{"explain counted", []BatchOp{{Op: OpInsert, X: 1, Y: 0}, {Op: OpSQL}}, false, true,
 			h + "02" + "84" + one + zero + "06" + "00", nil},
 		{"counted", []BatchOp{{Op: OpDelete, X: 0.25, Y: 0.5}, {Op: OpKNN, X: 1, Y: 1, K: 1}}, false, false,
 			h + "02" + "05" + qtr + half + "03" + one + one + "01", nil},
 	}
 	for _, c := range requests {
-		b, err := wire.AppendOps(nil, c.ops, c.single, c.explain)
+		b, err := AppendOps(nil, c.ops, c.single, c.explain)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -225,7 +222,7 @@ func TestBinGoldenBytes(t *testing.T) {
 		if want == nil {
 			want = c.ops
 		}
-		ops, explain, err := wire.DecodeOps(b, c.single)
+		ops, explain, err := DecodeOps(b, c.single)
 		if err != nil || !reflect.DeepEqual(ops, want) || explain != c.explain {
 			t.Errorf("%s: decoded %+v (explain %v, err %v), want %+v (explain %v)", c.name, ops, explain, err, want, c.explain)
 		}
@@ -237,10 +234,10 @@ func TestBinGoldenBytes(t *testing.T) {
 		frame  []byte
 		golden string
 	}{
-		{"bool", wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, nil), h + "0101"},
-		{"points", wire.AppendAnswers(nil, []wire.Result{{Op: OpWindow, Pts: pts}}, true, nil), h + "0202" + half + qtr + one + zero},
-		{"counted", wire.AppendAnswers(nil, []wire.Result{
-			{Op: OpDelete}, {Op: OpInsert, Flag: true}, {Op: OpKNN}, {Op: wire.OpSQL, Pts: pts[1:]},
+		{"bool", AppendAnswers(nil, []Result{{Op: OpPoint, Flag: true}}, true, nil), h + "0101"},
+		{"points", AppendAnswers(nil, []Result{{Op: OpWindow, Pts: pts}}, true, nil), h + "0202" + half + qtr + one + zero},
+		{"counted", AppendAnswers(nil, []Result{
+			{Op: OpDelete}, {Op: OpInsert, Flag: true}, {Op: OpKNN}, {Op: OpSQL, Pts: pts[1:]},
 		}, false, nil), h + "04" + "0100" + "0101" + "0200" + "0201" + one + zero},
 	}
 	for _, c := range results {
@@ -260,44 +257,44 @@ func TestBinaryDecodeRejects(t *testing.T) {
 	cases := map[string][]byte{
 		"empty":            {},
 		"short header":     {'R'},
-		"bad magic":        {'X', 'Y', 1, wire.Row(OpPoint)},
-		"bad version":      {'R', 'B', 9, wire.Row(OpPoint)},
+		"bad magic":        {'X', 'Y', 1, Row(OpPoint)},
+		"bad version":      {'R', 'B', 9, Row(OpPoint)},
 		"unknown op":       {'R', 'B', 1, 0x7f},
 		"truncated point":  valid[:len(valid)-3],
 		"trailing bytes":   append(append([]byte{}, valid...), 0xee),
 		"huge batch count": append(appendUvarint(appendBinHeader(nil), 1<<40), 0),
 		"huge knn k": func() []byte {
 			b := appendBinHeader(nil)
-			b = append(b, wire.Row(OpKNN))
+			b = append(b, Row(OpKNN))
 			b = appendF64(b, 0)
 			b = appendF64(b, 0)
 			return appendUvarint(b, 1<<30)
 		}(),
 	}
 	for name, frame := range cases {
-		if _, _, err := wire.DecodeOps(frame, true); err == nil {
-			t.Errorf("wire.DecodeOps(single) accepted %s", name)
+		if _, _, err := DecodeOps(frame, true); err == nil {
+			t.Errorf("DecodeOps(single) accepted %s", name)
 		}
 	}
 	// Batch decode must reject counts the frame cannot hold.
 	big := appendUvarint(appendBinHeader(nil), 1000)
-	if _, _, err := wire.DecodeOps(big, false); err == nil {
+	if _, _, err := DecodeOps(big, false); err == nil {
 		t.Error("batch decode accepted count with no entries")
 	}
 	// Result decode: oversized points count must error before allocating.
 	window := []BatchOp{{Op: OpWindow}}
 	r := appendUvarint(append(appendBinHeader(nil), binResPoints), 1<<50)
-	if _, _, err := wire.DecodeResults(r, true, window); err == nil {
+	if _, _, err := DecodeResults(r, true, window); err == nil {
 		t.Error("result decode accepted absurd point count")
 	}
 	// Counts chosen so a naive n*16 / n*2 length check wraps uint64 to a
 	// small number: the guards must still reject, not panic in makeslice.
 	wrap16 := appendUvarint(append(appendBinHeader(nil), binResPoints), 1<<60)
-	if _, _, err := wire.DecodeResults(wrap16, true, window); err == nil {
+	if _, _, err := DecodeResults(wrap16, true, window); err == nil {
 		t.Error("result decode accepted count wrapping n*16")
 	}
 	wrap2 := appendUvarint(appendBinHeader(nil), 1<<63)
-	if _, _, err := wire.DecodeResults(wrap2, false, window); err == nil {
+	if _, _, err := DecodeResults(wrap2, false, window); err == nil {
 		t.Error("batch result decode accepted count wrapping n*2")
 	}
 }
@@ -311,17 +308,17 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 	batch, _ = appendOp(batch, BatchOp{Op: OpWindow, MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
 	batch, _ = appendOp(batch, BatchOp{Op: OpKNN, X: 0.1, Y: 0.9, K: 5})
 	f.Add(batch, false)
-	subs, _ := wire.AppendOps(nil, []BatchOp{
-		{Op: wire.OpSub, SubID: 3, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 2},
-		{Op: wire.OpSub, SubID: 4, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1},
-		{Op: wire.OpUnsub, SubID: 3},
-		{Op: wire.OpSQL, SQL: "SELECT"},
+	subs, _ := AppendOps(nil, []BatchOp{
+		{Op: OpSub, SubID: 3, SubKind: SubKNN, X: 0.5, Y: 0.5, K: 2},
+		{Op: OpSub, SubID: 4, SubKind: SubWindow, MaxX: 1, MaxY: 1},
+		{Op: OpUnsub, SubID: 3},
+		{Op: OpSQL, SQL: "SELECT"},
 	}, false, true)
 	f.Add(subs, false)
 	f.Add([]byte{'R', 'B', 1, 0xff, 0xff}, false)
 	f.Add([]byte{}, true)
 	f.Fuzz(func(t *testing.T, data []byte, single bool) {
-		ops, _, err := wire.DecodeOps(data, single)
+		ops, _, err := DecodeOps(data, single)
 		if err != nil {
 			return
 		}
@@ -335,7 +332,7 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 				t.Fatalf("accepted op %+v does not re-encode: %v", op, aerr)
 			}
 		}
-		again, _, err := wire.DecodeOps(b, single)
+		again, _, err := DecodeOps(b, single)
 		if err != nil {
 			t.Fatalf("re-encoded frame rejected: %v", err)
 		}
@@ -357,27 +354,56 @@ func FuzzDecodeBinaryOps(f *testing.F) {
 	})
 }
 
+// opsOf lists the ops answers answer.
+func opsOf(answers []Result) []BatchOp {
+	ops := make([]BatchOp, len(answers))
+	for i, a := range answers {
+		ops[i].Op = a.Op
+	}
+	return ops
+}
+
+// fuzzOps spells n ops whose kinds are the low bits of kinds: a set bit
+// is a window (a points answer), a clear one a point probe (a bool).
+func fuzzOps(n int, kinds uint64) []BatchOp {
+	ops := make([]BatchOp, n)
+	for i := range ops {
+		ops[i].Op = OpPoint
+		if kinds>>(i%64)&1 != 0 {
+			ops[i].Op = OpWindow
+		}
+	}
+	return ops
+}
+
+// claimedCount is the result count b starts with, or 1 where it starts
+// with no count of at most 64.
+func claimedCount(b []byte) int {
+	if c, w := binary.Uvarint(b); w > 0 && c <= 64 {
+		return int(c)
+	}
+	return 1
+}
+
 // FuzzDecodeBinaryResults asserts the response decoder (the client side)
 // never panics on malformed frames, and that an answer it accepts holds
 // one result per op, of its op: it decodes each frame against ops of both
 // kinds, as many as the frame claims (a single answer's one).
 func FuzzDecodeBinaryResults(f *testing.F) {
-	f.Add(wire.AppendAnswers(nil, []wire.Result{{Op: OpPoint, Flag: true}}, true, nil), true)
-	f.Add(wire.AppendAnswers(nil, []wire.Result{{Op: OpWindow, Pts: []geom.Point{geom.Pt(1, 2)}}}, true, nil), true)
-	f.Add(wire.AppendAnswers(nil, []wire.Result{
+	f.Add(AppendAnswers(nil, []Result{{Op: OpPoint, Flag: true}}, true, nil), true)
+	f.Add(AppendAnswers(nil, []Result{{Op: OpWindow, Pts: []geom.Point{geom.Pt(1, 2)}}}, true, nil), true)
+	f.Add(AppendAnswers(nil, []Result{
 		{Op: OpPoint, Flag: true},
 		{Op: OpWindow, Pts: []geom.Point{geom.Pt(0.5, 0.5)}},
 	}, false, nil), false)
 	f.Fuzz(func(t *testing.T, data []byte, single bool) {
-		n := uint64(1)
-		if !single && len(data) > 3 {
-			if c, w := binary.Uvarint(data[3:]); w > 0 && c <= 64 {
-				n = c
-			}
+		n := 1
+		if !single {
+			n = claimedCount(data[min(len(data), 3):])
 		}
 		for _, kinds := range []uint64{0, ^uint64(0), 0b0110} {
-			ops := fuzzOps(int(n), kinds)
-			rs, _, err := wire.DecodeResults(data, single, ops)
+			ops := fuzzOps(n, kinds)
+			rs, _, err := DecodeResults(data, single, ops)
 			if err != nil {
 				continue
 			}
@@ -391,101 +417,4 @@ func FuzzDecodeBinaryResults(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestProtocolEquivalence drives one server with a JSON client and a
-// binary client and requires identical answers for identical queries —
-// the binary protocol must change the encoding, never the semantics.
-func TestProtocolEquivalence(t *testing.T) {
-	eng, pts := testEngine(t)
-	_, jsonCl := startTestServer(t, Config{Engine: eng})
-	binCl := NewClient(jsonCl.base, WithProto(ProtoBinary))
-
-	// Point queries: hits and misses.
-	for _, p := range []geom.Point{pts[0], pts[99], geom.Pt(-3, -3)} {
-		jf, jerr := jsonCl.PointQuery(context.Background(), p)
-		bf, berr := binCl.PointQuery(context.Background(), p)
-		if jerr != nil || berr != nil || jf != bf {
-			t.Fatalf("PointQuery(%v): json (%v,%v) vs binary (%v,%v)", p, jf, jerr, bf, berr)
-		}
-	}
-
-	// Windows: exact same point lists, order included.
-	for _, q := range workload.Windows(pts, 10, 0.01, 1, 63) {
-		jp, jerr := jsonCl.WindowQuery(context.Background(), q)
-		bp, berr := binCl.WindowQuery(context.Background(), q)
-		if jerr != nil || berr != nil {
-			t.Fatalf("WindowQuery: %v / %v", jerr, berr)
-		}
-		if len(jp) != len(bp) {
-			t.Fatalf("WindowQuery: json %d points, binary %d", len(jp), len(bp))
-		}
-		for i := range jp {
-			if jp[i] != bp[i] {
-				t.Fatalf("WindowQuery point %d: %v vs %v", i, jp[i], bp[i])
-			}
-		}
-	}
-
-	// kNN, including the k<=0 edge both protocols must answer empty.
-	for _, k := range []int{-1, 0, 1, 7} {
-		jp, jerr := jsonCl.KNN(context.Background(), pts[5], k)
-		bp, berr := binCl.KNN(context.Background(), pts[5], k)
-		if jerr != nil || berr != nil || len(jp) != len(bp) {
-			t.Fatalf("KNN k=%d: json %d (%v), binary %d (%v)", k, len(jp), jerr, len(bp), berr)
-		}
-		for i := range jp {
-			if jp[i] != bp[i] {
-				t.Fatalf("KNN k=%d point %d differs", k, i)
-			}
-		}
-	}
-
-	// Writes over binary are visible to JSON and vice versa.
-	pb := geom.Pt(0.31337, 0.70001)
-	if err := binCl.Insert(context.Background(), pb); err != nil {
-		t.Fatalf("binary Insert: %v", err)
-	}
-	if found, _ := jsonCl.PointQuery(context.Background(), pb); !found {
-		t.Fatal("binary insert not visible over JSON")
-	}
-	if deleted, _ := jsonCl.Delete(context.Background(), pb); !deleted {
-		t.Fatal("JSON delete of binary insert failed")
-	}
-	if found, _ := binCl.PointQuery(context.Background(), pb); found {
-		t.Fatal("JSON delete not visible over binary")
-	}
-
-	// Heterogeneous batches give identical result lists.
-	win := geom.RectAround(pts[3], 0.1, 0.1)
-	ops := []BatchOp{
-		{Op: OpPoint, X: pts[0].X, Y: pts[0].Y},
-		{Op: OpWindow, MinX: win.MinX, MinY: win.MinY, MaxX: win.MaxX, MaxY: win.MaxY},
-		{Op: OpKNN, X: pts[1].X, Y: pts[1].Y, K: 3},
-		{Op: OpDelete, X: -9, Y: -9},
-	}
-	jr, jerr := jsonCl.Batch(context.Background(), ops)
-	br, berr := binCl.Batch(context.Background(), ops)
-	if jerr != nil || berr != nil || len(jr) != len(br) {
-		t.Fatalf("Batch: json %d (%v), binary %d (%v)", len(jr), jerr, len(br), berr)
-	}
-	for i := range jr {
-		if jr[i].Found != br[i].Found || jr[i].OK != br[i].OK ||
-			jr[i].Deleted != br[i].Deleted || jr[i].Count != br[i].Count ||
-			len(jr[i].Points) != len(br[i].Points) {
-			t.Fatalf("batch result %d: json %+v vs binary %+v", i, jr[i], br[i])
-		}
-		for j := range jr[i].Points {
-			if jr[i].Points[j] != br[i].Points[j] {
-				t.Fatalf("batch result %d point %d differs", i, j)
-			}
-		}
-	}
-
-	// Binary requests that are semantically invalid still 400 (as JSON).
-	if _, err := binCl.WindowQuery(context.Background(), geom.Rect{MinX: 1, MinY: 1, MaxX: 0, MaxY: 0}); err == nil {
-		t.Fatal("inverted window accepted over binary")
-	} else if se, ok := err.(*wire.StatusError); !ok || se.Code != 400 {
-		t.Fatalf("inverted window over binary: %v", err)
-	}
 }

@@ -165,3 +165,67 @@ func TestReplFeedGoldenBytes(t *testing.T) {
 		t.Fatalf("resync frame read as type %d, %v", f.Type, err)
 	}
 }
+
+// fuzzMaxFrame is the largest frame FuzzStreamFrame reads: the server's
+// bound on a request frame.
+const fuzzMaxFrame = 8 << 20
+
+// FuzzStreamFrame asserts the stream frame reader and both payload
+// decoders never panic on arbitrary bytes, and that an accepted frame's
+// id round-trips through the writer's framing. The response decoder reads
+// each payload against ops of both kinds, as many as it claims.
+func FuzzStreamFrame(f *testing.F) {
+	valid := func(id uint64, payload []byte) []byte {
+		return streamFrame(id, func(b []byte) []byte { return append(b, payload...) })
+	}
+	body, _ := AppendOps(nil, []BatchOp{{Op: OpPoint, X: 0.5, Y: 0.25}}, false, false)
+	f.Add(valid(1, body))
+	f.Add(valid(1<<40, AppendStreamAnswers(nil, []Result{{Op: OpPoint, Flag: true}}, nil)))
+	f.Add(valid(9, AppendStreamError(nil, 400, "hi")))
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1})
+	f.Add([]byte{0, 0, 0x80, 0, 1}) // claims fuzzMaxFrame, delivers one byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		br := bufio.NewReader(bytes.NewReader(data))
+		id, payload, err := ReadStreamFrame(br, fuzzMaxFrame, nil)
+		if err != nil {
+			return
+		}
+		// Whatever the payload, neither decoder may panic.
+		DecodeOps(payload, false)
+		n := claimedCount(payload[min(len(payload), 4):]) // after the status byte and the header
+		for _, kinds := range []uint64{0, ^uint64(0), 0b0110} {
+			DecodeStreamResponse(payload, fuzzOps(n, kinds))
+		}
+		// The id survives re-framing.
+		reframed := valid(id, payload)
+		id2, payload2, err := ReadStreamFrame(bufio.NewReader(bytes.NewReader(reframed)), fuzzMaxFrame, nil)
+		if err != nil || id2 != id || !bytes.Equal(payload2, payload) {
+			t.Fatalf("re-framed frame mismatched: id %d vs %d, err %v", id2, id, err)
+		}
+	})
+}
+
+// FuzzPushPayload asserts the client's push decoder never panics and
+// only ever yields insert/delete notifications.
+func FuzzPushPayload(f *testing.F) {
+	valid := AppendPush(nil, 2)
+	valid = AppendPushEntry(valid, 1, kindInsert, false, geom.Pt(0.25, 0.75))
+	valid = AppendPushEntry(valid, 9, kindDelete, true, geom.Pt(0.5, 0.5))
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                                                        // truncated entry
+	f.Add([]byte{statusPush, 0xff, 0xff, 0xff, 0x7f})                                  // absurd count
+	f.Add([]byte{statusPush, 1, 1, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}) // unknown kind
+	f.Add(append(append([]byte{}, valid...), 0))                                       // trailing byte
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ns, err := DecodePush(data)
+		if err != nil {
+			return
+		}
+		for _, n := range ns {
+			if n.Kind != OpInsert && n.Kind != OpDelete {
+				t.Fatalf("decoded push kind %q", n.Kind)
+			}
+		}
+	})
+}

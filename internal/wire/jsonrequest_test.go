@@ -1,42 +1,30 @@
-package server
+package wire
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
 
 	"rsmi/internal/geom"
-	"rsmi/internal/wire"
 )
 
-// sqlRequest is the POST /v1/sql body.
-type sqlRequest struct {
-	Query string `json:"query"`
-}
-
-// maxBatchOps is the most ops one batch may carry in either codec.
-const maxBatchOps = 16384
-
 // requestJSON is the route's request document as the JSON client built
-// it for json.Marshal before wire.AppendRequestJSON: the encoder's oracle.
-func requestJSON(rt *wire.Spec, ops []BatchOp) interface{} {
+// it for json.Marshal before AppendRequestJSON: the encoder's oracle.
+func requestJSON(rt *Spec, ops []BatchOp) interface{} {
 	if !rt.Single() {
 		return BatchRequest{Ops: ops}
 	}
 	switch op := ops[0]; rt.Req {
-	case wire.ReqPoint:
+	case ReqPoint:
 		return PointJSON{X: op.X, Y: op.Y}
-	case wire.ReqRect:
+	case ReqRect:
 		return RectJSON{MinX: op.MinX, MinY: op.MinY, MaxX: op.MaxX, MaxY: op.MaxY}
-	case wire.ReqKNN:
+	case ReqKNN:
 		return KNNJSON{X: op.X, Y: op.Y, K: op.K}
 	}
 	return sqlRequest{Query: ops[0].SQL}
@@ -44,24 +32,24 @@ func requestJSON(rt *wire.Spec, ops []BatchOp) interface{} {
 
 // unmarshalRequest is the server's request decode as it was: the body
 // through json.Unmarshal into the route's document, refusing a batch of
-// more than maxBatchOps ops. It is the oracle of wire.DecodeJSONRequest.
-func unmarshalRequest(body []byte, rt *wire.Spec) ([]BatchOp, error) {
+// more than maxBatchOps ops. It is the oracle of DecodeJSONRequest.
+func unmarshalRequest(body []byte, rt *Spec) ([]BatchOp, error) {
 	op := BatchOp{Op: rt.Op}
 	var err error
 	switch rt.Req {
-	case wire.ReqPoint:
+	case ReqPoint:
 		var v PointJSON
 		err = json.Unmarshal(body, &v)
 		op.X, op.Y = v.X, v.Y
-	case wire.ReqRect:
+	case ReqRect:
 		var v RectJSON
 		err = json.Unmarshal(body, &v)
 		op.MinX, op.MinY, op.MaxX, op.MaxY = v.MinX, v.MinY, v.MaxX, v.MaxY
-	case wire.ReqKNN:
+	case ReqKNN:
 		var v KNNJSON
 		err = json.Unmarshal(body, &v)
 		op.X, op.Y, op.K = v.X, v.Y, v.K
-	case wire.ReqSQL:
+	case ReqSQL:
 		var v sqlRequest
 		err = json.Unmarshal(body, &v)
 		op.SQL = v.Query
@@ -102,8 +90,8 @@ func sameOps(got, want []BatchOp) error {
 // routeIndex returns the index of path's route among the routed rows.
 func routeIndex(t testing.TB, path string) uint8 {
 	t.Helper()
-	for i := range wire.NumRoutes {
-		if wire.Lookup(i).Path == path {
+	for i := range NumRoutes {
+		if Lookup(i).Path == path {
 			return uint8(i)
 		}
 	}
@@ -119,7 +107,7 @@ func stale() []BatchOp {
 
 // FuzzDecodeJSONRequest holds the server's request decode to
 // json.Unmarshal: whatever bytes a client sends to whichever route, it
-// never panics; and wire.DecodeJSONRequest — its one-pass walk, or
+// never panics; and DecodeJSONRequest — its one-pass walk, or
 // json.Unmarshal where the walk declines — accepts exactly what
 // json.Unmarshal accepts, with the same ops, into a reused buffer.
 func FuzzDecodeJSONRequest(f *testing.F) {
@@ -127,17 +115,17 @@ func FuzzDecodeJSONRequest(f *testing.F) {
 		f.Add([]byte(c.body), routeIndex(f, c.path))
 	}
 	rng := rand.New(rand.NewSource(26))
-	for i := range wire.NumRoutes {
-		body, err := wire.AppendRequestJSON(nil, wire.Lookup(i), randomRequestOps(rng, wire.Lookup(i), false))
+	for i := range NumRoutes {
+		body, err := AppendRequestJSON(nil, Lookup(i), randomRequestOps(rng, Lookup(i), false))
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(body, uint8(i))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, r uint8) {
-		rt := wire.Lookup(r % wire.NumRoutes)
+		rt := Lookup(r % NumRoutes)
 		want, wantErr := unmarshalRequest(body, rt)
-		got, err := wire.DecodeJSONRequest(body, rt, stale())
+		got, err := DecodeJSONRequest(body, rt, stale())
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("decode says %v, json.Unmarshal says %v", err, wantErr)
 		}
@@ -152,10 +140,8 @@ func FuzzDecodeJSONRequest(f *testing.F) {
 // jsonRequestCorpus is the request decoder's seed corpus: what the walk
 // reads itself (fast), what it leaves to json.Unmarshal, and what is
 // refused (!ok), each with its verdict. The fuzz target starts from it;
-// TestJSONRequestCorpusVerdicts keeps the names honest. Which way a body
-// goes inside the decoder (fast) is internal/wire's to see: its test file
-// holds this list body for body, and its TestJSONRequestWalkVerdicts holds
-// the walk to each fast verdict. Edit the two together.
+// TestJSONRequestCorpusVerdicts keeps the verdicts honest and
+// TestJSONRequestWalkVerdicts which way each body goes.
 var jsonRequestCorpus = []struct {
 	name, path, body string
 	fast, ok         bool
@@ -217,11 +203,12 @@ var jsonRequestCorpus = []struct {
 
 // TestJSONRequestCorpusVerdicts pins which way each corpus document goes
 // and that every accepted one reads as json.Unmarshal reads it, and that
-// a batch one op over maxBatchOps is refused whichever way it is read.
+// a batch one op over maxBatchOps is refused whichever way it is read:
+// the walk counts it as errTooManyOps.
 func TestJSONRequestCorpusVerdicts(t *testing.T) {
 	for _, c := range jsonRequestCorpus {
-		rt := wire.Lookup(routeIndex(t, c.path))
-		got, err := wire.DecodeJSONRequest([]byte(c.body), rt, stale())
+		rt := Lookup(routeIndex(t, c.path))
+		got, err := DecodeJSONRequest([]byte(c.body), rt, stale())
 		want, wantErr := unmarshalRequest([]byte(c.body), rt)
 		switch {
 		case (err == nil) != c.ok:
@@ -238,54 +225,63 @@ func TestJSONRequestCorpusVerdicts(t *testing.T) {
 	batch := func(n int) []byte {
 		return []byte(`{"ops":[` + strings.Repeat(`{"op":"point"},`, n-1) + `{"op":"point"}]}`)
 	}
-	rt := wire.Lookup(routeIndex(t, "/v1/batch"))
-	if ops, err := wire.DecodeJSONRequest(batch(maxBatchOps), rt, nil); err != nil || len(ops) != maxBatchOps {
+	rt := Lookup(routeIndex(t, "/v1/batch"))
+	if ops, err := DecodeJSONRequest(batch(maxBatchOps), rt, nil); err != nil || len(ops) != maxBatchOps {
 		t.Fatalf("a batch of maxBatchOps: %d ops, %v", len(ops), err)
 	}
 	over := batch(maxBatchOps + 1)
-	tooMany := fmt.Sprintf("batch exceeds %d ops", maxBatchOps)
-	if _, err := wire.DecodeJSONRequest(over, rt, nil); err == nil || err.Error() != tooMany {
-		t.Fatalf("the walk read one op over maxBatchOps to %v, want %q", err, tooMany)
+	if _, err := scanJSONRequest(over, rt, nil); err != errTooManyOps {
+		t.Fatalf("the walk read one op over maxBatchOps to %v, want errTooManyOps", err)
 	}
-	if _, err := wire.DecodeJSONRequest([]byte(`{"OPS":`+string(over[len(`{"ops":`):])), rt, nil); err == nil || err.Error() != tooMany {
+	tooMany := fmt.Sprintf("batch exceeds %d ops", maxBatchOps)
+	if _, err := DecodeJSONRequest(over, rt, nil); err == nil || err.Error() != tooMany {
+		t.Fatalf("the decoder read one op over maxBatchOps to %v, want %q", err, tooMany)
+	}
+	if _, err := DecodeJSONRequest([]byte(`{"OPS":`+string(over[len(`{"ops":`):])), rt, nil); err == nil || err.Error() != tooMany {
 		t.Fatalf("json.Unmarshal's way read one op over maxBatchOps to %v, want %q", err, tooMany)
 	}
 }
 
-// TestJSONRequestTrailingBytes sends requests with bytes after the
-// document, which json.Decoder stopped short of: each is refused, and the
-// insert among them applies nothing. Keys json.Unmarshal folds still
-// answer as they did, through its way.
-func TestJSONRequestTrailingBytes(t *testing.T) {
-	eng, _ := testEngine(t)
-	s := New(Config{Engine: eng})
-	defer s.Shutdown(context.Background())
-	h := s.Handler()
-	post := func(path, body string) (int, string) {
-		w := httptest.NewRecorder()
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
-		return w.Code, w.Body.String()
-	}
-	n := eng.Len()
-	for _, c := range []struct{ path, body string }{
-		{"/v1/insert", `{"x":0.25,"y":0.25} {"x":"oops"}`},
-		{"/v1/point", `{"x":0.5,"y":0.5}garbage`},
-		{"/v1/batch", `{"ops":[{"op":"insert","x":0.75,"y":0.75}]}]]]`},
-	} {
-		if code, body := post(c.path, c.body); code != http.StatusBadRequest || !strings.Contains(body, "bad request body") {
-			t.Errorf("%s %s: %d %s, want 400 bad request body", c.path, c.body, code, body)
+// TestJSONRequestWalkVerdicts pins, for every corpus body, whether the
+// one-pass walk reads it itself (fast) or declines it, and holds the walk
+// to json.Unmarshal's ops where it reads. It also pins that the walk reads
+// every document AppendRequestJSON writes unless json.Marshal had to
+// escape one of its strings.
+func TestJSONRequestWalkVerdicts(t *testing.T) {
+	for _, c := range jsonRequestCorpus {
+		rt := Lookup(routeIndex(t, c.path))
+		got, err := scanJSONRequest([]byte(c.body), rt, nil)
+		if (err == nil) != c.fast {
+			t.Errorf("%s: the walk says %v, want fast = %v", c.name, err, c.fast)
+		} else if err == nil {
+			want, _ := unmarshalRequest([]byte(c.body), rt)
+			if err := sameOps(got, want); err != nil {
+				t.Errorf("%s: the walk read otherwise than json.Unmarshal: %v", c.name, err)
+			}
 		}
 	}
-	if eng.Len() != n {
-		t.Fatalf("refused requests changed the engine: %d points, was %d", eng.Len(), n)
-	}
-	for _, c := range []struct{ path, body, want string }{
-		{"/v1/insert", `{"X":0.125,"Y":0.375}`, "{\"ok\":true}\n"},
-		{"/v1/batch", `{"OPS":[{"OP":"point","X":0.125,"Y":0.375}]}`, "{\"results\":[{\"found\":true}]}\n"},
-	} {
-		if code, body := post(c.path, c.body); code != http.StatusOK || body != c.want {
-			t.Errorf("%s %s: %d %q, want 200 %q", c.path, c.body, code, body, c.want)
+
+	rng := rand.New(rand.NewSource(2026))
+	walked, written := 0, 0
+	for round := 0; round < 300; round++ {
+		for i := range NumRoutes {
+			rt := Lookup(i)
+			body, err := AppendRequestJSON(nil, rt, randomRequestOps(rng, rt, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			written++
+			_, err = scanJSONRequest(body, rt, nil)
+			switch escaped := bytes.IndexByte(body, '\\') >= 0; {
+			case err != nil && !escaped:
+				t.Fatalf("%s: the walk declined a document with nothing escaped (%v)\n%s", rt.Path, err, body)
+			case err == nil:
+				walked++
+			}
 		}
+	}
+	if walked < written/2 {
+		t.Fatalf("only %d of %d documents walked", walked, written)
 	}
 }
 
@@ -294,7 +290,7 @@ func TestJSONRequestTrailingBytes(t *testing.T) {
 // kind set at random: coordinates across the magnitudes the formatter
 // special-cases, ±0 included, and strings HTML escaping, U+2028 or
 // invalid UTF-8 reach. nonFinite lets a coordinate be NaN or ±Inf.
-func randomRequestOps(rng *rand.Rand, rt *wire.Spec, nonFinite bool) []BatchOp {
+func randomRequestOps(rng *rand.Rand, rt *Spec, nonFinite bool) []BatchOp {
 	coord := func() float64 {
 		switch rng.Intn(12) {
 		case 0:
@@ -330,7 +326,7 @@ func randomRequestOps(rng *rand.Rand, rt *wire.Spec, nonFinite bool) []BatchOp {
 	if rng.Intn(10) == 0 {
 		return nil
 	}
-	names := [...]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, wire.OpSQL, wire.OpSub, wire.OpUnsub, "", "teleport"}
+	names := [...]string{OpPoint, OpWindow, OpKNN, OpInsert, OpDelete, OpSQL, OpSub, OpUnsub, "", "teleport"}
 	ops := make([]BatchOp, rng.Intn(6))
 	for i := range ops {
 		ops[i] = op(names[rng.Intn(len(names))])
@@ -347,11 +343,11 @@ func randomRequestOps(rng *rand.Rand, rt *wire.Spec, nonFinite bool) []BatchOp {
 func TestJSONRequestEncodeMatchesMarshal(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for round := 0; round < 300; round++ {
-		for i := range wire.NumRoutes {
-			rt := wire.Lookup(i)
+		for i := range NumRoutes {
+			rt := Lookup(i)
 			ops := randomRequestOps(rng, rt, true)
 			want, wantErr := json.Marshal(requestJSON(rt, ops))
-			got, err := wire.AppendRequestJSON(nil, rt, ops)
+			got, err := AppendRequestJSON(nil, rt, ops)
 			switch {
 			case wantErr != nil && (err == nil || err.Error() != wantErr.Error()):
 				t.Fatalf("%s %+v: error %v, json.Marshal says %v", rt.Path, ops, err, wantErr)
@@ -363,14 +359,14 @@ func TestJSONRequestEncodeMatchesMarshal(t *testing.T) {
 }
 
 // TestJSONRequestDecodeReadsEveryEncoding is the encoder→decoder
-// property: whatever wire.AppendRequestJSON writes, on any route, the
+// property: whatever AppendRequestJSON writes, on any route, the
 // server reads to the ops json.Unmarshal reads.
 func TestJSONRequestDecodeReadsEveryEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	for round := 0; round < 300; round++ {
-		for i := range wire.NumRoutes {
-			rt := wire.Lookup(i)
-			body, err := wire.AppendRequestJSON(nil, rt, randomRequestOps(rng, rt, false))
+		for i := range NumRoutes {
+			rt := Lookup(i)
+			body, err := AppendRequestJSON(nil, rt, randomRequestOps(rng, rt, false))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -378,7 +374,7 @@ func TestJSONRequestDecodeReadsEveryEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: json.Unmarshal refuses the encoder's %s: %v", rt.Path, body, err)
 			}
-			got, err := wire.DecodeJSONRequest(body, rt, stale())
+			got, err := DecodeJSONRequest(body, rt, stale())
 			if err == nil {
 				err = sameOps(got, want)
 			}
@@ -391,15 +387,15 @@ func TestJSONRequestDecodeReadsEveryEncoding(t *testing.T) {
 
 // windowBatchRequest is the 32-window /v1/batch request the decode
 // numbers are quoted on, as the client writes it.
-func windowBatchRequest(t testing.TB) (body []byte, rt *wire.Spec) {
+func windowBatchRequest(t testing.TB) (body []byte, rt *Spec) {
 	rng := rand.New(rand.NewSource(4))
 	ops := make([]BatchOp, 32)
 	for i := range ops {
 		q := geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()), 0.01, 0.01)
 		ops[i] = BatchOp{Op: OpWindow, MinX: q.MinX, MinY: q.MinY, MaxX: q.MaxX, MaxY: q.MaxY}
 	}
-	rt = wire.Lookup(routeIndex(t, "/v1/batch"))
-	body, err := wire.AppendRequestJSON(nil, rt, ops)
+	rt = Lookup(routeIndex(t, "/v1/batch"))
+	body, err := AppendRequestJSON(nil, rt, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,13 +417,13 @@ func TestJSONRequestDecodeAllocs(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(50, func() {
-		if sinkOps, _ = wire.DecodeJSONRequest(body, rt, nil); len(sinkOps) != 32 {
+		if sinkOps, _ = DecodeJSONRequest(body, rt, nil); len(sinkOps) != 32 {
 			t.Fatalf("decoded %d ops", len(sinkOps))
 		}
 	})
 	buf := make([]BatchOp, 0, 32)
 	warm := testing.AllocsPerRun(50, func() {
-		if sinkOps, _ = wire.DecodeJSONRequest(body, rt, buf); len(sinkOps) != 32 {
+		if sinkOps, _ = DecodeJSONRequest(body, rt, buf); len(sinkOps) != 32 {
 			t.Fatalf("decoded %d ops", len(sinkOps))
 		}
 	})
@@ -436,21 +432,19 @@ func TestJSONRequestDecodeAllocs(t *testing.T) {
 	}
 }
 
-// TestJSONNumberMatchesParseFloat holds the decoder's numbers to
-// strconv.ParseFloat bit for bit: on the edges of its exact path, and on
-// 5 M numbers as the JSON client writes them (random bit patterns,
-// uniform [0, 1), normal × 1e6). Each is the x of a /v1/point document; a
-// number beyond float64's range, which ParseFloat reads as ±Inf, is
-// refused, and so is every text JSON does not spell as a number. The
-// scanner under it, and where it stops, is held to ParseFloat by
-// internal/wire's TestScanJSONFloatMatchesParseFloat.
+// TestJSONNumberMatchesParseFloat holds the request decoder's numbers to
+// strconv.ParseFloat bit for bit on the edges of its exact path, each the
+// x of a /v1/point document: a number beyond float64's range, which
+// ParseFloat reads as ±Inf, is refused, and so is every text JSON does
+// not spell as a number. The scanner under it is held to ParseFloat on
+// 5 M numbers by TestScanJSONFloatMatchesParseFloat.
 func TestJSONNumberMatchesParseFloat(t *testing.T) {
-	point := wire.Lookup(wire.Row(OpPoint))
+	point := Lookup(Row(OpPoint))
 	var doc []byte
 	var buf []BatchOp
 	read := func(text string) (float64, error) {
 		doc = append(append(append(doc[:0], `{"x":`...), text...), `,"y":0}`...)
-		ops, err := wire.DecodeJSONRequest(doc, point, buf)
+		ops, err := DecodeJSONRequest(doc, point, buf)
 		if err != nil {
 			return 0, err
 		}
@@ -465,17 +459,7 @@ func TestJSONNumberMatchesParseFloat(t *testing.T) {
 			t.Fatalf("%s: %v (%v), ParseFloat says %v (%v)", text, got, derr, want, err)
 		}
 	}
-	for _, s := range []string{
-		"0", "-0", "0.0", "-0.0e5", "1", "7e0",
-		"0.1234567890123456789012", "0.12345678901234567890123", // 22 and 23 fraction digits
-		"9007199254740992", "9007199254740993", "9007199254740991", "9007199254740992e22", // 2^53, 2^53 + 1
-		"1234567890123456789", "12345678901234567890", "12345678901234567891", // 19 and 20 significant digits
-		"0.1234567890123456789", "0.12345678901234567891", "1.0000000000000000000000001",
-		"1e22", "1e23", "1e-7", "1e-22", "1e-23", "4.35e-22", "100000000000000000000000",
-		"0.000001", "0.0000001", "0.000000123456789", "0.00000000000000000000000000001", // leading zeros in the fraction
-		"1.7976931348623157e308", "1.7976931348623159e308", "1e309", "1e-400", "5e-324", "2.2250738585072014e-308",
-		"123456789012345678901234567890e-10", "0e999999", "1E+2", "1e+00", "1e0000000000000000000001", "1e-99999999999999999999",
-	} {
+	for _, s := range parseFloatEdges {
 		check(s)
 		if s[0] != '-' {
 			check("-" + s)
@@ -487,26 +471,32 @@ func TestJSONNumberMatchesParseFloat(t *testing.T) {
 			t.Fatalf("%q: read as the number %v", s, v)
 		}
 	}
+}
 
-	n := 5_000_000
-	if testing.Short() {
-		n = 200_000
-	}
-	rng := rand.New(rand.NewSource(26))
-	var body []byte
-	for i := 0; i < n; i++ {
-		var v float64
-		switch i % 3 {
-		case 0:
-			if v = math.Float64frombits(rng.Uint64()); math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
+// BenchmarkDecodeJSONRequest is the server codec's own number: one
+// 32-window /v1/batch request through DecodeJSONRequest into a reused
+// buffer, as the server decodes it, and through json.Unmarshal, the
+// decode it replaced.
+func BenchmarkDecodeJSONRequest(b *testing.B) {
+	body, rt := windowBatchRequest(b)
+	buf := make([]BatchOp, 0, 32)
+	for _, c := range []struct {
+		name   string
+		decode func() ([]BatchOp, error)
+	}{
+		{"one-pass", func() ([]BatchOp, error) { return DecodeJSONRequest(body, rt, buf) }},
+		{"encoding-json", func() ([]BatchOp, error) { return unmarshalJSONRequest(body, rt, nil) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ops, err := c.decode()
+				if err != nil || len(ops) != 32 {
+					b.Fatalf("%d ops, %v", len(ops), err)
+				}
+				sinkOps = ops
 			}
-		case 1:
-			v = rng.Float64()
-		case 2:
-			v = rng.NormFloat64() * 1e6
-		}
-		body, _ = wire.AppendRequestJSON(body[:0], point, []BatchOp{{X: v}})
-		check(string(body[len(`{"x":`) : len(body)-len(`,"y":0}`)]))
+		})
 	}
 }
