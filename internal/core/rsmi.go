@@ -51,11 +51,12 @@
 //   - buildLeaf records, for every prediction, the span of blocks that hold
 //     the points predictClamped puts there, and a point query or Delete
 //     scans the span of its own prediction. Every live point's base block
-//     lies in the span of its prediction: Insert files a point under the
-//     base block predictClamped names and widens that prediction's span to
-//     cover it, a query or Delete for it walks that block's overflow chain,
-//     and Delete only removes points. Load checks the span invariant point
-//     by point, so a loaded index finds every point it holds.
+//     lies in the span of its prediction: Insert files a point under a base
+//     block of that span (under the block predictClamped names, widening the
+//     span to it, only when the span is empty), a query or Delete for it
+//     walks that block's overflow chain, and Delete only removes points.
+//     Load checks the span invariant point by point, so a loaded index finds
+//     every point it holds.
 //
 // Cuts compare stored coordinates and Kernel.Predict is deterministic,
 // total, and the same function on every machine (see mlp.Kernel), and a
@@ -199,7 +200,7 @@ type baseEntry struct {
 	// span is the span of the leaf prediction that names the base block:
 	// the leaf's blocks that hold the points it predicts there, empty when
 	// there are none. A point query or Delete scans it instead of the
-	// leaf's error range; Insert widens it to cover the block, deletes
+	// leaf's error range; Insert widens it only when it is empty, deletes
 	// leave it.
 	span span
 }
@@ -226,6 +227,10 @@ type RSMI struct {
 	// bases[id] holds base block id's chain head and span. One array, not
 	// two: the index pays one allocation's size-class rounding for them.
 	bases []baseEntry
+	// empty holds the overflow blocks with no live point, which Insert
+	// reuses before it allocates one (reuseEmpty). linkChains derives it
+	// from the blocks at build and load.
+	empty blockSet
 
 	pmfX, pmfY *cdf.PMF
 
@@ -554,15 +559,16 @@ func (t *RSMI) appendBlockMBR(r geom.Rect) {
 
 // linkChains walks the block list once from block 0 and records in t.bases,
 // which holds one entry per base block, the head of every base block's
-// overflow chain. The walks of this package step through
-// base blocks by index and follow Next only inside a chain, so the list has
-// to be the one Pack and Insert produce: base blocks follow each other in id
+// overflow chain, and in t.empty the overflow blocks with no live point. The
+// walks of this package step through base blocks by index and follow Next
+// only inside a chain, so the list has to be the one Pack and Insert produce: base blocks follow each other in id
 // order, whatever lies between two of them is an Inserted block with an id
 // past the base range, and every block is reached exactly once. Anything
 // else — a snapshot can say anything — is an error.
 
 func (t *RSMI) linkChains() error {
 	heads := t.bases
+	t.empty = blockSet{}
 	blocks := t.store.NumBlocks()
 	base, reached := -1, 0
 	for id := 0; blocks > 0 && id != store.NilBlock; reached++ {
@@ -578,6 +584,9 @@ func (t *RSMI) linkChains() error {
 			return fmt.Errorf("core: block %d is chained but not an overflow block", id)
 		case heads[base].chainHead == store.NilBlock:
 			heads[base].chainHead = int32(id)
+		}
+		if id >= t.baseBlocks && b.Live() == 0 {
+			t.empty.add(id)
 		}
 		id = b.Next
 	}

@@ -2,15 +2,20 @@ package core
 
 import (
 	"errors"
+	"math/bits"
 
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/store"
 )
 
-// This file implements the update handling of §5: insertions into predicted
-// blocks with overflow chaining, flag-based deletions, recursive MBR
-// maintenance, and the periodic rebuild of the RSMIr variant (§6.2.5).
+// This file implements the update handling of §5: insertions with overflow
+// chaining, flag-based deletions, recursive MBR maintenance, and the
+// periodic rebuild of the RSMIr variant (§6.2.5). Unlike §5, an insert is
+// filed beside its spatial neighbours inside its prediction's span rather
+// than under the predicted block itself, an overflow block that deletes
+// emptied is reused before a new one is allocated (see Insert), and a
+// delete searches a chain before its base block (see findForDelete).
 
 // ErrNonFinitePoint is returned by InsertContext — of this index and of the
 // engines built on it — for a point with a NaN or infinite coordinate. Such a
@@ -20,12 +25,24 @@ import (
 // points for the same reason.
 var ErrNonFinitePoint = errors.New("core: point has a NaN or infinite coordinate")
 
-// Insert adds p to the index (§5). The point query locates the predicted
-// block; if it (or its overflow chain) has space, p is placed there,
-// otherwise a new overflow block is created, marked Inserted so it does not
-// count towards the error bounds, and spliced after the chain. The
-// prediction's span widens to cover the predicted block, and ancestor MBRs
-// are extended recursively.
+// Insert adds p to the index (§5). The point query locates p's prediction,
+// and p is filed under the home block in that prediction's span: the first
+// base block whose cached MBR holds p, else the one whose MBR lies nearest
+// to p (see home). The first block of the home's chain with space takes p;
+// if none has space, an overflow block is spliced after the chain's tail:
+// one that deletes emptied, taken from its own chain (see reuseEmpty), or
+// else a new one, marked Inserted so it does not count towards the error
+// bounds. Ancestor MBRs are extended recursively.
+//
+// §5 files p under the predicted block itself. The leaf model's error
+// spreads the points of one prediction over several blocks, so the
+// predicted block's chain would gather points from all of them and its
+// MBRs would cover their whole region; filing p beside its neighbours keeps
+// every block's MBR tight, which is what the exact walks prune by. The home
+// lies in the span, so point queries and Delete, which scan the span, still
+// find p, and spans do not move. Only a prediction no point was ever filed
+// under — its span is empty — files p under the predicted block and widens
+// its span to that block.
 //
 // A point with a NaN or infinite coordinate is not inserted: this form drops
 // it, InsertContext reports ErrNonFinitePoint.
@@ -51,8 +68,11 @@ func (t *RSMI) Insert(p geom.Point) {
 		return
 	}
 	pred := leaf.predictClamped(p)
-	base := t.store.Peek(leaf.firstBlock + pred)
-	t.bases[base.ID].span.cover(pred)
+	s := &t.bases[leaf.firstBlock+pred].span
+	if s.empty() {
+		s.cover(pred)
+	}
+	base := t.store.Peek(t.home(leaf.firstBlock, *s, p))
 
 	// Walk the overflow chain in place looking for space. The accesses are
 	// what they have always been — one to locate the base block, then one per
@@ -68,14 +88,19 @@ func (t *RSMI) Insert(p geom.Point) {
 		}
 	}
 	t.store.CountReads(reads)
-	if target == nil {
-		target = t.store.Alloc()
-		target.Inserted = true
-		t.appendBlockMBR(geom.EmptyRect())
+	switch {
+	case target == nil:
+		if target = t.reuseEmpty(); target == nil {
+			target = t.store.Alloc()
+			target.Inserted = true
+			t.appendBlockMBR(geom.EmptyRect())
+		}
 		t.store.Link(lastInChain, target)
 		if lastInChain == base {
 			t.bases[base.ID].chainHead = int32(target.ID)
 		}
+	case target.Inserted && target.Live() == 0:
+		t.empty.remove(target.ID)
 	}
 	target.Append(p)
 	t.blockMBR[target.ID] = t.blockMBR[target.ID].ExtendPoint(p)
@@ -91,11 +116,103 @@ func (t *RSMI) Insert(p geom.Point) {
 	t.inserted++
 }
 
+// home returns the global id of the base block Insert files p under, out of
+// span s of p's prediction in the leaf whose run starts at block first: the
+// first block of the span in block order whose cached MBR holds p — the
+// first one a point query or Delete for p meets — or, when none does, the
+// one whose MBR lies nearest to p in L1 distance (half the growth of its
+// perimeter were p added to it), the first of equals. It compares cached
+// MBRs only and reads no block.
+func (t *RSMI) home(first int, s span, p geom.Point) int {
+	lo, hi := first+int(s.lo), first+int(s.hi)
+	best, bestDist := lo, l1Dist(t.blockMBR[lo], p)
+	for id := lo + 1; bestDist > 0 && id <= hi; id++ {
+		if d := l1Dist(t.blockMBR[id], p); d < bestDist {
+			best, bestDist = id, d
+		}
+	}
+	return best
+}
+
+// reuseEmpty takes the lowest-id overflow block that holds no live point
+// out of its chain and returns it with an empty MBR, ready to be chained
+// under another base block; it returns nil when there is none. Neighbour
+// filing spreads inserts over many chains, and under an insert-then-delete
+// load each would otherwise keep an empty block for good. Which block is
+// reused depends only on the blocks' contents, so a loaded index places
+// inserts as the saved one would have.
+func (t *RSMI) reuseEmpty() *store.Block {
+	id := t.empty.lowest()
+	if id < 0 {
+		return nil
+	}
+	t.empty.remove(id)
+	b := t.store.Peek(id)
+	if b.Prev < t.baseBlocks {
+		// b heads its chain: the chain now starts at b's successor, if that
+		// is an overflow block rather than the next base block.
+		head := int32(store.NilBlock)
+		if b.Next >= t.baseBlocks {
+			head = int32(b.Next)
+		}
+		t.bases[b.Prev].chainHead = head
+	}
+	t.store.Unlink(b)
+	t.blockMBR[id] = geom.EmptyRect()
+	return b
+}
+
+// blockSet is a set of block ids: the index's overflow blocks that hold no
+// live point.
+type blockSet struct {
+	words bitmap
+	n     int
+}
+
+// add puts id in the set.
+func (s *blockSet) add(id int) {
+	if w := id >> 6; w >= len(s.words) {
+		s.words = append(s.words, make(bitmap, w+1-len(s.words))...)
+	}
+	if !s.words.testAndSet(id) {
+		s.n++
+	}
+}
+
+// remove takes id out of the set.
+func (s *blockSet) remove(id int) {
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if w < len(s.words) && s.words[w]&bit != 0 {
+		s.words[w] &^= bit
+		s.n--
+	}
+}
+
+// lowest returns the lowest id in the set, -1 when the set is empty.
+func (s *blockSet) lowest() int {
+	if s.n == 0 {
+		return -1
+	}
+	for w, word := range s.words {
+		if word != 0 {
+			return w<<6 | bits.TrailingZeros64(word)
+		}
+	}
+	return -1
+}
+
+// l1Dist is the L1 distance from p to r, 0 when r holds p.
+func l1Dist(r geom.Rect, p geom.Point) float64 {
+	return max(r.MinX-p.X, 0, p.X-r.MaxX) + max(r.MinY-p.Y, 0, p.Y-r.MaxY)
+}
+
 // Delete removes the point with exactly p's coordinates (§5): the point is
-// located with a point query, swapped with the last point in its block, and
-// flagged deleted. Blocks are never deallocated, keeping the error bounds
-// valid. MBRs and spans are left unshrunk (conservative: supersets stay
-// correct).
+// located in the span of its prediction, as a point query locates it but
+// searching each chain before its base block (see findForDelete), swapped
+// with the last point in its block, and flagged deleted. Blocks are never
+// deallocated, keeping the error bounds valid; an overflow block left
+// empty waits for the next insert that needs one (reuseEmpty). MBRs and
+// spans are left unshrunk (conservative: supersets stay correct).
 //
 // This context-free form is the implementation layer: DeleteContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -107,11 +224,14 @@ func (t *RSMI) Delete(p geom.Point) bool {
 		return false
 	}
 	lo, hi := t.pointBounds(leaf, p)
-	b, _, slot := t.findPointIn(p, lo, hi)
+	b, slot := t.findForDelete(p, lo, hi)
 	if b == nil {
 		return false
 	}
 	b.Delete(slot)
+	if b.Inserted && b.Live() == 0 {
+		t.empty.add(b.ID)
+	}
 	t.n--
 	// Decrement live counts down the model path.
 	leaf.points--
@@ -119,6 +239,49 @@ func (t *RSMI) Delete(p geom.Point) bool {
 		n.points--
 	}
 	return true
+}
+
+// findForDelete is findPointIn for Delete with one change of order: a base
+// block that has an overflow chain is searched after its chain, not before.
+// A point Insert filed under a full home block lies in the home's chain,
+// and the home's MBR holds it, so a base-first search would scan the whole
+// full block in vain first — on every delete of a recently inserted point.
+// A point the base block holds itself costs instead a search of the chain's
+// blocks whose MBRs hold it. The accesses counted are the blocks walked up
+// to the one that holds p, as for findPointIn.
+func (t *RSMI) findForDelete(q geom.Point, lo, hi int) (*store.Block, int) {
+	c := t.scan(lo, hi)
+	held := store.NilBlock // a base block whose MBR holds q, searched after its chain
+	for id := c.next(); ; id = c.next() {
+		if held != store.NilBlock && (id == store.NilBlock || id < t.baseBlocks) {
+			// The walk has left held's chain.
+			in := t.store.Peek(held)
+			if slot := in.Find(q); slot >= 0 {
+				if id != store.NilBlock {
+					c.reads-- // the next base block was yielded, not searched
+				}
+				t.store.CountReads(c.reads)
+				return in, slot
+			}
+			held = store.NilBlock
+		}
+		if id == store.NilBlock {
+			t.store.CountReads(c.reads)
+			return nil, -1
+		}
+		if !t.blockMBR[id].Contains(q) {
+			continue
+		}
+		if id < t.baseBlocks && t.bases[id].chainHead != store.NilBlock {
+			held = id
+			continue
+		}
+		in := t.store.Peek(id)
+		if slot := in.Find(q); slot >= 0 {
+			t.store.CountReads(c.reads)
+			return in, slot
+		}
+	}
 }
 
 // InsertedSinceRebuild returns the number of insertions since the index was

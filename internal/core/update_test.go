@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
@@ -305,18 +306,31 @@ func TestRandomOpsAgainstOracle(t *testing.T) {
 
 // TestInsertWalksChainInPlace: an insert counts what it always has — one
 // access to locate the base block, then one per block of its chain — and an
-// insert→delete pair into a chain with space allocates nothing.
+// insert→delete pair into a chain with space allocates nothing. The search
+// for the home block compares cached MBRs and counts no access, as the exact
+// walk's skipped blocks do.
 func TestInsertWalksChainInPlace(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 3000)
 	hot := pts[0]
 	leaf := idx.descend(hot)
-	base := idx.store.Peek(leaf.firstBlock + leaf.predictClamped(hot))
-	// Points beside hot that the models send to hot's base block.
+	// homeOf is the base block Insert files p under.
+	homeOf := func(p geom.Point) int {
+		l := idx.descend(p)
+		pred := l.predictClamped(p)
+		s := idx.bases[l.firstBlock+pred].span
+		if s.empty() {
+			return l.firstBlock + pred
+		}
+		return idx.home(l.firstBlock, s, p)
+	}
+	base := idx.store.Peek(homeOf(hot))
+	// Points beside hot that the models and the home rule send to hot's
+	// home block.
 	rng := rand.New(rand.NewSource(5))
 	beside := func() geom.Point {
 		for {
 			p := geom.Pt(hot.X+1e-9*rng.Float64(), hot.Y+1e-9*rng.Float64())
-			if l := idx.descend(p); l == leaf && l.predictClamped(p) == base.ID-leaf.firstBlock {
+			if idx.descend(p) == leaf && homeOf(p) == base.ID {
 				return p
 			}
 		}
@@ -342,5 +356,199 @@ func TestInsertWalksChainInPlace(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("insert→delete into a chain with space allocates %v times, want 0", n)
+	}
+}
+
+// TestInsertsKeepOverflowBlocksTight: inserts file each point beside its
+// spatial neighbours inside its prediction's span, so an overflow block's
+// MBR stays about as small as a base block's. Filed under the predicted
+// block instead (§5 as written), an overflow block gathers points from the
+// several blocks the leaf's error spreads one prediction over, and its MBR
+// covers their whole region: there the ratio below read 1.46, here 0.81.
+func TestInsertsKeepOverflowBlocksTight(t *testing.T) {
+	pts := dataset.Generate(dataset.OSMLike, 50_000, 7)
+	idx := New(pts, Options{Epochs: 10, Seed: 1})
+	ins := jittered(pts, len(pts)/2, 31)
+	for _, p := range ins {
+		idx.Insert(p)
+	}
+	for _, p := range workload.DeleteSample(append(pts, ins...), len(pts)*15/100, 32) {
+		if !idx.Delete(p) {
+			t.Fatalf("delete of indexed point %v found nothing", p)
+		}
+	}
+	var margin [2]float64
+	var count [2]int
+	for id, r := range idx.blockMBR {
+		kind := 0
+		if id >= idx.baseBlocks {
+			kind = 1
+		}
+		margin[kind] += r.Margin()
+		count[kind]++
+	}
+	if count[1] == 0 {
+		t.Fatal("no overflow block was allocated")
+	}
+	ratio := (margin[1] / float64(count[1])) / (margin[0] / float64(count[0]))
+	t.Logf("%d base blocks, %d overflow blocks; mean overflow perimeter / mean base perimeter = %.2f", count[0], count[1], ratio)
+	if ratio > 1.1 {
+		t.Errorf("mean overflow-block perimeter is %.2f× the base blocks', want ≤ 1.1×", ratio)
+	}
+}
+
+// TestEmptyOverflowBlocksAreReused: an overflow block that deletes empty is
+// chained under the next home that needs a block instead of a new one, so
+// insert→delete pairs spread over the whole index grow the store by one
+// block at most. Which block is reused depends only on the blocks'
+// contents, so a reloaded copy places further inserts as the saved index
+// does, byte for byte.
+func TestEmptyOverflowBlocksAreReused(t *testing.T) {
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	blocks := idx.store.NumBlocks()
+	for _, p := range jittered(pts, 500, 41) {
+		idx.Insert(p)
+		if !idx.Delete(p) {
+			t.Fatalf("inserted point %v not found", p)
+		}
+	}
+	if grown := idx.store.NumBlocks() - blocks; grown > 1 {
+		t.Fatalf("500 insert→delete pairs allocated %d overflow blocks, want at most 1", grown)
+	}
+
+	ins := jittered(pts, 400, 42)
+	for _, p := range ins {
+		idx.Insert(p)
+	}
+	for _, p := range ins[:300] {
+		idx.Delete(p)
+	}
+	if idx.empty.n < 2 {
+		t.Fatalf("only %d empty overflow blocks to reuse", idx.empty.n)
+	}
+	var saved bytes.Buffer
+	if _, err := idx.WriteTo(&saved); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	more := jittered(pts, 300, 43)
+	for _, p := range more {
+		idx.Insert(p)
+		loaded.Insert(p)
+	}
+	var a, b bytes.Buffer
+	if _, err := idx.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("the reloaded index placed inserts otherwise than the saved one")
+	}
+	for _, p := range append(append(pts, ins[300:]...), more...) {
+		if !loaded.PointQuery(p) {
+			t.Fatalf("point %v lost", p)
+		}
+	}
+}
+
+// jittered returns count distinct copies of points of pts, each moved by up
+// to 1e-4 on either axis: new points beside existing ones, as a growing data
+// set sends them.
+func jittered(pts []geom.Point, count int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	seen := make(map[geom.Point]bool, len(pts)+count)
+	for _, p := range pts {
+		seen[p] = true
+	}
+	out := make([]geom.Point, 0, count)
+	for len(out) < count {
+		c := pts[rng.Intn(len(pts))]
+		p := geom.Pt(min(1, max(0, c.X+(rng.Float64()-0.5)*2e-4)), min(1, max(0, c.Y+(rng.Float64()-0.5)*2e-4)))
+		if !seen[p] {
+			seen[p] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// BenchmarkAfterInserts measures the index one embed-write shard ends with:
+// 100k OSM-like points with the paper's B and N at 10 epochs, grown by half
+// as many jittered copies and shrunk by 15 % deletes. insert and delete time
+// single updates of fresh jittered points on it, restoring the index
+// untimed after each chunk; point, exact_window (the default size, into a
+// warm buffer) and exact_knn (k = 25) are the reads the sharded engine
+// serves, with blocks/op.
+func BenchmarkAfterInserts(b *testing.B) {
+	pts := dataset.Generate(dataset.OSMLike, 100_000, 1)
+	idx := New(pts, Options{Epochs: 10, Seed: 1})
+	ins := jittered(pts, len(pts)/2, 2)
+	for _, p := range ins {
+		idx.Insert(p)
+	}
+	for _, p := range workload.DeleteSample(append(pts, ins...), len(pts)*15/100, 3) {
+		idx.Delete(p)
+	}
+	live := idx.AllPoints()
+	fresh := jittered(live, 4096, 4)
+	// updates runs b.N updates of fresh points through chunks of fresh, the
+	// timed op then its untimed undo.
+	updates := func(b *testing.B, op, undo func(geom.Point)) {
+		b.ReportAllocs()
+		b.StopTimer()
+		for done := 0; done < b.N; {
+			chunk := fresh[:min(len(fresh), b.N-done)]
+			if undo == nil {
+				// Time the delete: insert the chunk untimed first.
+				for _, p := range chunk {
+					idx.Insert(p)
+				}
+			}
+			b.StartTimer()
+			for _, p := range chunk {
+				op(p)
+			}
+			b.StopTimer()
+			if undo != nil {
+				for _, p := range chunk {
+					undo(p)
+				}
+			}
+			done += len(chunk)
+		}
+	}
+	del := func(p geom.Point) {
+		if !idx.Delete(p) {
+			b.Fatalf("inserted point %v not found", p)
+		}
+	}
+	b.Run("insert", func(b *testing.B) { updates(b, idx.Insert, del) })
+	b.Run("delete", func(b *testing.B) { updates(b, del, nil) })
+
+	points := workload.PointQueries(live, 4096, 5)
+	windows := workload.Windows(live, 1024, workload.DefaultWindowSize, workload.DefaultAspectRatio, 6)
+	knn := workload.KNNPoints(live, 1024, 7)
+	var buf []geom.Point
+	for _, c := range []struct {
+		name string
+		fn   func(i int)
+	}{
+		{"point", func(i int) { idx.PointQuery(points[i%len(points)]) }},
+		{"exact_window", func(i int) { buf = idx.exactWindowAppend(buf[:0], windows[i%len(windows)]) }},
+		{"exact_knn", func(i int) { idx.ExactKNN(knn[i%len(knn)], workload.DefaultK) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			idx.ResetAccesses()
+			for i := 0; i < b.N; i++ {
+				c.fn(i)
+			}
+			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+		})
 	}
 }

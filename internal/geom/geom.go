@@ -154,13 +154,15 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
-// ExtendPoint returns the smallest rectangle containing both r and p.
+// ExtendPoint returns the smallest rectangle containing both r and p. The
+// built-in min and max treat NaN and signed zeros as math.Min and math.Max
+// do, and compile inline: every insert extends several rectangles.
 func (r Rect) ExtendPoint(p Point) Rect {
 	return Rect{
-		MinX: math.Min(r.MinX, p.X),
-		MinY: math.Min(r.MinY, p.Y),
-		MaxX: math.Max(r.MaxX, p.X),
-		MaxY: math.Max(r.MaxY, p.Y),
+		MinX: min(r.MinX, p.X),
+		MinY: min(r.MinY, p.Y),
+		MaxX: max(r.MaxX, p.X),
+		MaxY: max(r.MaxY, p.Y),
 	}
 }
 

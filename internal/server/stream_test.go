@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1064,12 +1065,14 @@ func TestStreamDisconnectCancelsFrame(t *testing.T) {
 }
 
 // BenchmarkStreamRoundTrip is the in-tree number for the stream transport:
-// round trips over one loopback connection, client and server in this
-// process, with 1, 4 and 64 callers in flight — each a one-op point frame,
+// round trips over loopback, client and server in this process, with 1, 4
+// and 64 callers in flight on one connection and 4 on two (conns=2, the
+// shape of the repo benchmark's serve-stream) — each a one-op point frame,
 // or a batch32 frame of 32 points. frames/write is the server's
 // group-commit ratio over the run (1 by construction with one caller; above
-// 1 when answers that were ready together left together), and takeovers
-// counts the frames that overran the read loop's budget.
+// 1 when answers that were ready together left together), takeovers counts
+// the frames that overran the read loop's budget, and p50_us is the median
+// round trip. BenchmarkStreamFloor is the bare socket under it.
 func BenchmarkStreamRoundTrip(b *testing.B) {
 	eng, pts := testEngine(b)
 	s := New(Config{Engine: eng})
@@ -1101,39 +1104,132 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 		}},
 	}
 	for _, c := range cases {
-		for _, inFlight := range []int{1, 4, 64} {
-			b.Run(fmt.Sprintf("%s/inflight=%d", c.name, inFlight), func(b *testing.B) {
-				cl := NewClient(l.Addr().String(), WithTransport(TransportTCP), WithStreamConns(1))
+		for _, shape := range []struct{ inFlight, conns int }{{1, 1}, {4, 1}, {4, 2}, {64, 1}} {
+			name := fmt.Sprintf("%s/inflight=%d", c.name, shape.inFlight)
+			if shape.conns > 1 {
+				name += fmt.Sprintf("/conns=%d", shape.conns)
+			}
+			b.Run(name, func(b *testing.B) {
+				cl := NewClient(l.Addr().String(), WithTransport(TransportTCP), WithStreamConns(shape.conns))
 				defer cl.Close()
-				if err := c.call(cl, 0); err != nil { // dial
-					b.Fatal(err)
+				for range shape.conns {
+					if err := c.call(cl, 0); err != nil { // dial
+						b.Fatal(err)
+					}
 				}
 				frames, flushes, takeovers := s.streamFrames.Load(), s.streamFlushes.Load(), s.streamTakeovers.Load()
 				b.ReportAllocs()
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for g := 0; g < inFlight; g++ {
-					n := b.N / inFlight
-					if g < b.N%inFlight {
-						n++
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							if err := c.call(cl, g+i); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}()
-				}
-				wg.Wait()
-				b.StopTimer()
+				callers(b, shape.inFlight, func(_, i int) error { return c.call(cl, i) })
 				frames, flushes = s.streamFrames.Load()-frames, s.streamFlushes.Load()-flushes
 				b.ReportMetric(float64(frames)/float64(max(flushes, 1)), "frames/write")
 				b.ReportMetric(float64(s.streamTakeovers.Load()-takeovers), "takeovers")
 			})
 		}
+	}
+}
+
+// BenchmarkStreamFloor is the socket floor under BenchmarkStreamRoundTrip:
+// a bare loopback echo of the same bytes — a one-op point request frame
+// out, its answer frame back — through the same buffered frame reader and
+// with the same write deadlines on both sides, but with no client, server,
+// engine or codec between the bytes and the socket. Each caller has a
+// connection of its own and reads its own answer. p50_us is the median
+// round trip.
+func BenchmarkStreamFloor(b *testing.B) {
+	p := geom.Pt(0.25, 0.5)
+	req, err := wire.AppendOps(wire.OpenStreamFrame(nil, 1), []BatchOp{{Op: OpPoint, X: p.X, Y: p.Y}}, false, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wire.CloseFrame(req, 0)
+	ans := wire.AppendStreamAnswers(wire.OpenStreamFrame(nil, 1), []wire.Result{{Op: OpPoint, Flag: true}}, nil)
+	wire.CloseFrame(ans, 0)
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReaderSize(conn, wire.ReadChunk)
+				for {
+					if _, _, err := wire.ReadStreamFrame(br, streamMaxResponseFrame, nil); err != nil {
+						return
+					}
+					conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
+					if _, err := conn.Write(ans); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+
+	for _, n := range []int{1, 4} {
+		b.Run(fmt.Sprintf("callers=%d", n), func(b *testing.B) {
+			conns := make([]net.Conn, n)
+			readers := make([]*bufio.Reader, n)
+			for g := range conns {
+				c, err := net.Dial("tcp", l.Addr().String())
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer c.Close()
+				conns[g], readers[g] = c, bufio.NewReaderSize(c, wire.ReadChunk)
+			}
+			b.ReportAllocs()
+			callers(b, n, func(g, _ int) error {
+				conns[g].SetWriteDeadline(time.Now().Add(DefaultTimeout))
+				if _, err := conns[g].Write(req); err != nil {
+					return err
+				}
+				_, _, err := wire.ReadStreamFrame(readers[g], streamMaxResponseFrame, nil)
+				return err
+			})
+		})
+	}
+}
+
+// callers runs b.N calls over n goroutines, caller g making calls g+i for
+// i < its share, with the benchmark timer around them, and reports the
+// median call's latency as p50_us.
+func callers(b *testing.B, n int, call func(g, i int) error) {
+	lat := make([][]time.Duration, n)
+	for g := range lat {
+		lat[g] = make([]time.Duration, 0, b.N/n+1)
+	}
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := range n {
+		share := b.N / n
+		if g < b.N%n {
+			share++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range share {
+				start := time.Now()
+				if err := call(g, g+i); err != nil {
+					b.Error(err)
+					return
+				}
+				lat[g] = append(lat[g], time.Since(start))
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	if len(all) > 0 {
+		b.ReportMetric(float64(all[len(all)/2].Nanoseconds())/1e3, "p50_us")
 	}
 }

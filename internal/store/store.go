@@ -52,7 +52,7 @@ type Block struct {
 	Prev, Next int
 	// Inserted marks overflow blocks created by insertions. They do not
 	// count towards the learned error bounds (§5) and are reached by
-	// following Next pointers from their predicted base block.
+	// following Next pointers from the base block they were filed under.
 	Inserted bool
 	// capacity is the block capacity B, what HasSpace measures against.
 	// A packed block reserves all of it up front. A block from Alloc, or
@@ -247,6 +247,18 @@ func (m *Manager) Link(b, nb *Block) {
 		m.blocks[b.Next].Prev = nb.ID
 	}
 	b.Next = nb.ID
+}
+
+// Unlink takes block b out of the list, joining its neighbours, and leaves
+// it unlinked. b must belong to m.
+func (m *Manager) Unlink(b *Block) {
+	if b.Prev != NilBlock {
+		m.blocks[b.Prev].Next = b.Next
+	}
+	if b.Next != NilBlock {
+		m.blocks[b.Next].Prev = b.Prev
+	}
+	b.Prev, b.Next = NilBlock, NilBlock
 }
 
 // Pack distributes pts into consecutive new blocks of at most Capacity points
