@@ -24,11 +24,9 @@ func main() {
 		in     = flag.String("in", "", "binary point file (from rsmi-datagen); overrides -dist")
 		dist   = flag.String("dist", "skewed", "distribution: uniform|normal|skewed|tiger|osm")
 		n      = flag.Int("n", 100000, "number of points (synthetic data)")
-		seed   = flag.Int64("seed", 1, "random seed")
+		seed   = flag.Int64("seed", 1, "generation seed")
 		block  = flag.Int("block", 100, "block capacity B")
 		thresh = flag.Int("threshold", 10000, "partition threshold N")
-		epochs = flag.Int("epochs", 30, "training epochs (paper: 500)")
-		lr     = flag.Float64("lr", 0.1, "learning rate (paper: 0.01)")
 	)
 	flag.Parse()
 
@@ -54,9 +52,6 @@ func main() {
 	idx := rsmi.New(pts, rsmi.Options{
 		BlockCapacity:      *block,
 		PartitionThreshold: *thresh,
-		Epochs:             *epochs,
-		LearningRate:       *lr,
-		Seed:               *seed,
 	})
 	s := idx.Stats()
 	errL, errA := idx.ErrorBounds()
@@ -68,7 +63,7 @@ func main() {
 	fmt.Printf("  sub-models           %d\n", s.Models)
 	fmt.Printf("  data blocks          %d (B=%d)\n", s.Blocks, *block)
 	fmt.Printf("  index size           %.2f MB\n", float64(s.SizeBytes)/(1024*1024))
-	fmt.Printf("  error bounds         (err_l=%d, err_a=%d) blocks\n", errL, errA)
+	fmt.Printf("  widest leaf cell     %d blocks (err_l=%d, err_a=%d)\n", 1+errL+errA, errL, errA)
 
 	// A quick self-check: every 1000th point must be findable.
 	miss := 0

@@ -49,9 +49,8 @@
 // counters, and /metrics gains rsmi_plan_* series.
 //
 // With -snapshot (sharded engine only), the index is loaded from the
-// snapshot when it exists (restart without retraining) and
-// built-then-saved when it does not. Training at paper scale takes hours,
-// so production deployments always run with a snapshot.
+// snapshot when it exists (restart without rebuilding) and
+// built-then-saved when it does not.
 //
 // # Replication
 //
@@ -114,10 +113,8 @@ func main() {
 		datasetPath = flag.String("dataset", "", "binary point file (rsmi-datagen format); empty generates -dist/-n")
 		dist        = flag.String("dist", "skewed", "generated distribution: uniform|normal|skewed|tiger|osm")
 		n           = flag.Int("n", 100000, "generated data set cardinality")
-		seed        = flag.Int64("seed", 1, "generation and training seed")
+		seed        = flag.Int64("seed", 1, "generation seed")
 		shards      = flag.Int("shards", 0, "shard count for -engine sharded (default GOMAXPROCS; 1 is one lock over one RSMI)")
-		epochs      = flag.Int("epochs", 30, "training epochs per sub-model (paper: 500)")
-		lr          = flag.Float64("lr", 0.1, "training learning rate (paper: 0.01)")
 		maxInflight = flag.Int("max-inflight", 1024, "admitted in-flight requests before 429 shedding")
 		snapshot    = flag.String("snapshot", "", "index snapshot, -engine sharded only: load if present, else build and save")
 		replicaOf   = flag.String("replica-of", "", "primary HTTP address to replicate; this server bootstraps from its snapshot, follows its oplog, serves reads locally, and forwards writes")
@@ -144,11 +141,10 @@ func main() {
 	if *replicaOf != "" {
 		// Replica role: no local build — bootstrap from the primary's
 		// snapshot, then follow its oplog. The primary may still be
-		// starting (or training), so bootstrapping retries patiently.
+		// starting (or building), so bootstrapping retries patiently.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "engine", "dataset", "dist", "n", "seed", "shards",
-				"epochs", "lr", "snapshot", "oplog-cap":
+			case "engine", "dataset", "dist", "n", "seed", "shards", "snapshot", "oplog-cap":
 				log.Printf("warning: -%s has no effect with -replica-of", f.Name)
 			}
 		})
@@ -178,13 +174,13 @@ func main() {
 				log.Fatalf("-snapshot is not supported with -planner (baselines rebuild from the data set)")
 			}
 		})
-		eng, err = buildPlannerEngine(*datasetPath, *dist, *n, *seed, *shards, *epochs, *lr)
+		eng, err = buildPlannerEngine(*datasetPath, *dist, *n, *seed, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
 	} else {
 		warnIgnoredFlags(*engine)
-		eng, err = buildEngine(*engine, *snapshot, *datasetPath, *dist, *n, *seed, *shards, *epochs, *lr)
+		eng, err = buildEngine(*engine, *snapshot, *datasetPath, *dist, *n, *seed, *shards)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -277,15 +273,14 @@ func main() {
 
 // warnIgnoredFlags flags explicitly-set options a baseline engine cannot
 // honour, so measured numbers are never attributed to configurations
-// that were silently dropped: baselines have no training or sharding
-// knobs.
+// that were silently dropped: baselines have no sharding knob.
 func warnIgnoredFlags(engine string) {
 	if engine == "sharded" {
 		return
 	}
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "shards", "epochs", "lr":
+		case "shards":
 			log.Printf("warning: -%s has no effect with -engine %s", f.Name, engine)
 		}
 	})
@@ -314,12 +309,12 @@ func loadPoints(datasetPath, dist string, n int, seed int64) ([]rsmi.Point, erro
 // buildEngine resolves -engine: the sharded RSMI (with snapshot support),
 // or a baseline behind one RWMutex — every one a server.Engine, so the
 // serving stack is identical whatever the backend.
-func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, shards int, epochs int, lr float64) (server.Engine, error) {
+func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, shards int) (server.Engine, error) {
 	if snapshot != "" && engine != "sharded" {
 		return nil, fmt.Errorf("-snapshot is only supported with -engine sharded (got %q)", engine)
 	}
 	if engine == "sharded" {
-		return buildOrLoadSharded(snapshot, datasetPath, dist, n, seed, shards, epochs, lr)
+		return buildOrLoadSharded(snapshot, datasetPath, dist, n, seed, shards)
 	}
 	pts, err := loadPoints(datasetPath, dist, n, seed)
 	if err != nil {
@@ -337,20 +332,13 @@ func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, 
 // the primary backend plus every baseline over the same point set, a
 // statistics store sampled from the data, and calibrated per-backend
 // cost models (a micro-probe grid; tens of milliseconds per backend).
-func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int, epochs int, lr float64) (server.Engine, error) {
+func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int) (server.Engine, error) {
 	pts, err := loadPoints(datasetPath, dist, n, seed)
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("building sharded index (%d points, epochs=%d)...", len(pts), epochs)
-	primary := rsmi.NewSharded(pts, rsmi.ShardOptions{
-		Shards: shards,
-		Index: rsmi.Options{
-			Epochs:       epochs,
-			LearningRate: lr,
-			Seed:         seed,
-		},
-	})
+	log.Printf("building sharded index (%d points)...", len(pts))
+	primary := rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: shards})
 	backends := []rsmi.Engine{primary}
 	for _, name := range []string{"rstar", "grid", "kdb"} {
 		log.Printf("building %s baseline engine (%d points)...", name, len(pts))
@@ -376,7 +364,7 @@ func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int,
 // buildOrLoadSharded resolves the sharded engine: snapshot if present,
 // else a fresh build from the data set (saved back when -snapshot names a
 // path).
-func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, shards int, epochs int, lr float64) (*rsmi.Sharded, error) {
+func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, shards int) (*rsmi.Sharded, error) {
 	if snapshot != "" {
 		if f, err := os.Open(snapshot); err == nil {
 			defer f.Close()
@@ -389,15 +377,8 @@ func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, s
 	if err != nil {
 		return nil, err
 	}
-	log.Printf("building sharded index (%d points, epochs=%d)...", len(pts), epochs)
-	idx := rsmi.NewSharded(pts, rsmi.ShardOptions{
-		Shards: shards,
-		Index: rsmi.Options{
-			Epochs:       epochs,
-			LearningRate: lr,
-			Seed:         seed,
-		},
-	})
+	log.Printf("building sharded index (%d points)...", len(pts))
+	idx := rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: shards})
 	if snapshot != "" {
 		if err := saveSnapshot(idx, snapshot); err != nil {
 			return nil, err

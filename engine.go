@@ -33,8 +33,8 @@ import (
 // It is the contract the serving layer (internal/server) executes against.
 //
 // Answer semantics are the concrete type's. Index answers window and kNN
-// queries approximately, by the paper's Algorithms 2 and 3 (no false
-// positives; the Exact variants are exact). Sharded — the serving engine —
+// queries by the paper's Algorithms 2 and 3 over exact leaf cells, which
+// miss nothing; the Exact variants walk the MBRs instead. Sharded — the serving engine —
 // and the baseline-backed engines answer everything exactly, with
 // ExactWindowContext ≡ WindowQueryContext and ExactKNNContext ≡
 // KNNContext: Sharded walks the MBRs (RSMIa), which on this tree is faster

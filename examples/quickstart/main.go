@@ -15,15 +15,11 @@ func main() {
 	// 50,000 points with the paper's Skewed distribution (y ← y⁴).
 	pts := dataset.Generate(dataset.Skewed, 50000, 1)
 
-	// Build with near-paper parameters; Epochs is reduced so the demo
-	// builds in seconds (the zero value Options{} selects the paper's full
-	// 500-epoch training).
+	// Build with the paper's parameters (the zero value Options{} selects
+	// the same).
 	idx := rsmi.New(pts, rsmi.Options{
 		PartitionThreshold: 10000, // N
 		BlockCapacity:      100,   // B
-		Epochs:             40,
-		LearningRate:       0.1,
-		Seed:               1,
 	})
 	s := idx.Stats()
 	fmt.Printf("built RSMI: n=%d height=%d models=%d size=%.1f MB in %v\n",
@@ -39,7 +35,7 @@ func main() {
 	found, _ := idx.PointQueryContext(ctx, q)
 	fmt.Printf("point query %v found=%v\n", q, found)
 
-	// Window query: approximate, never returns a point outside the window.
+	// Window query: Algorithm 2 over the leaves' exact cells.
 	w := rsmi.RectAround(rsmi.Pt(0.5, 0.1), 0.05, 0.05)
 	idx.ResetAccesses()
 	hits, _ := idx.WindowQueryContext(ctx, w)
@@ -47,7 +43,7 @@ func main() {
 
 	// Exact window query via the RSMIa variant (MBR traversal).
 	exact, _ := idx.ExactWindowContext(ctx, w)
-	fmt.Printf("exact window: %d points (approximate recall %.3f)\n",
+	fmt.Printf("exact window: %d points (Algorithm 2's recall %.3f)\n",
 		len(exact), float64(len(hits))/float64(max(1, len(exact))))
 
 	// kNN: the 10 nearest neighbours of a location.

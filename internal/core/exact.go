@@ -8,11 +8,11 @@ import (
 
 // This file implements the RSMIa variant (§4.2 end, §6.2.3): exact window
 // and kNN answers obtained by an R-tree-style traversal over the MBRs stored
-// with every sub-model and block, instead of the learned predictions.
+// with every sub-model and block, instead of the leaves' cells.
 
 // ExactWindow returns the exact window query answer using MBR traversal:
 // it walks the leaves a window query walks (forLeaves) and scans each one's
-// whole run instead of its corners' range. Only the blocks whose cached MBR
+// whole run instead of its cells' blocks. Only the blocks whose cached MBR
 // meets the window count as read.
 //
 // This context-free form is the implementation layer: ExactWindowContext is the

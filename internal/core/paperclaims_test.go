@@ -1,9 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"rsmi/internal/dataset"
+	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/workload"
 )
@@ -63,35 +65,40 @@ func TestPaperClaimKNNRecall(t *testing.T) {
 	}
 }
 
-// TestRecallAtSmallLeaves holds recall at 1 where the approximate path
-// used to lose rows: 50k skewed points over small blocks and leaves (B = 20,
-// N = 500, so two levels of 4 × 4 grid cuts over 256 leaves) with 10 epochs
-// of training, where a window's corners and a kNN round's region often lie
-// in other leaves than the points they must find. Windows at the paper's
-// five sizes and kNN at k = 25 and 125 must each recall at least 0.999 of
-// a linear scan's answer.
+// TestRecallAtSmallLeaves: windows and kNN answer exactly what a linear
+// scan answers where the approximate path of the paper used to lose rows:
+// 50k skewed points over small blocks and leaves (B = 20, N = 500, so two
+// levels of 4 × 4 grid cuts over 256 leaves), where a window's corners and
+// a kNN round's region often lie in other leaves than the points they must
+// find. Every window at the paper's five sizes holds the linear scan's
+// points, and every kNN answer at k = 25 and 125 its distances, rank by
+// rank.
 func TestRecallAtSmallLeaves(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 50_000, 21)
-	idx := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500, Epochs: 10, Seed: 1})
+	idx := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500})
 	oracle := index.NewLinear(pts)
 	for _, size := range workload.WindowSizes {
-		ws := workload.Windows(pts, 300, size, 1, 22)
-		var recall float64
-		for _, w := range ws {
-			recall += index.Recall(idx.WindowQuery(w), oracle.WindowQuery(w))
-		}
-		if avg := recall / float64(len(ws)); avg < 0.999 {
-			t.Errorf("window recall at size %v = %.4f, want >= 0.999", size, avg)
+		for _, w := range workload.Windows(pts, 300, size, 1, 22) {
+			got, want := idx.WindowQuery(w), oracle.WindowQuery(w)
+			slices.SortFunc(got, geom.Point.Compare)
+			slices.SortFunc(want, geom.Point.Compare)
+			if !slices.Equal(got, want) {
+				t.Fatalf("window %v at size %v: %d points, a linear scan %d", w, size, len(got), len(want))
+			}
 		}
 	}
-	qs := workload.KNNPoints(pts, 300, 23)
 	for _, k := range []int{25, 125} {
-		var recall float64
-		for _, q := range qs {
-			recall += index.KNNRecall(idx.KNN(q, k), oracle.KNN(q, k), q)
-		}
-		if avg := recall / float64(len(qs)); avg < 0.999 {
-			t.Errorf("kNN recall at k = %d = %.4f, want >= 0.999", k, avg)
+		for _, q := range workload.KNNPoints(pts, 300, 23) {
+			got, want := idx.KNN(q, k), oracle.KNN(q, k)
+			if len(got) != len(want) {
+				t.Fatalf("kNN at %v, k = %d: %d points, a linear scan %d", q, k, len(got), len(want))
+			}
+			for i := range got {
+				if q.Dist2(got[i]) != q.Dist2(want[i]) {
+					t.Fatalf("kNN at %v, k = %d: rank %d at distance² %v, a linear scan's %v",
+						q, k, i, q.Dist2(got[i]), q.Dist2(want[i]))
+				}
+			}
 		}
 	}
 }

@@ -137,7 +137,7 @@ func TestNodeMBRsContainSubtrees(t *testing.T) {
 
 // TestDescentMatchesBuildGrouping: for every indexed point, query-time
 // descent reaches a leaf whose block range contains the point — the §3.2
-// property that grouping by predictions makes routing exact.
+// property that grouping by the cuts makes routing exact.
 func TestDescentMatchesBuildGrouping(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 6000, 6)
 	idx := New(pts, testOptions())

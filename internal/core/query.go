@@ -2,36 +2,18 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
-	"rsmi/internal/sfc"
 	"rsmi/internal/store"
 )
 
-// scanBounds returns the leaf's error-bounded base-block range for q: the
-// global base blocks [pred − errDown, pred + errUp] around q's prediction,
-// clamped to the leaf's run.
-func (n *node) scanBounds(q geom.Point) (lo, hi int) {
-	local := n.predictClamped(q)
-	lo = n.firstBlock + local - n.errDown
-	hi = n.firstBlock + local + n.errUp
-	// The true block of any point in this leaf lies within the leaf's base
-	// range, so the scan clamps to it.
-	if lo < n.firstBlock {
-		lo = n.firstBlock
-	}
-	if last := n.firstBlock + n.numBlocks - 1; hi > last {
-		hi = last
-	}
-	return lo, hi
-}
-
 // blockCursor walks base blocks `begin` through `end` inclusive by index
 // and, after each, the overflow chain hung off it, yielding block ids in list
-// order. A base block without a chain — its chainHead says so — is yielded
+// order. A base block without a chain — its chain head says so — is yielded
 // without its header being loaded, so a query loop can test blockMBR[id]
 // first and load only the blocks it admits. Query loops drive the cursor
 // directly (no callback per block) and report the blocks it yielded with one
@@ -62,7 +44,7 @@ func (c *blockCursor) next() int {
 		}
 		c.base++
 		id = c.base
-		c.chain = int(c.t.bases[id].chainHead)
+		c.chain = int(c.t.chainHeads[id])
 	} else if c.chain = c.t.store.Peek(id).Next; c.chain < c.t.baseBlocks {
 		// The chain ran into the next base block or the end of the list.
 		c.chain = store.NilBlock
@@ -71,21 +53,13 @@ func (c *blockCursor) next() int {
 	return id
 }
 
-// pointBounds returns the base-block range a point query for q in leaf
-// scans: the span of q's prediction, empty when no point was ever filed
-// under it.
-func (t *RSMI) pointBounds(leaf *node, q geom.Point) (lo, hi int) {
-	s := t.bases[leaf.firstBlock+leaf.predictClamped(q)].span
-	return leaf.firstBlock + int(s.lo), leaf.firstBlock + int(s.hi)
-}
-
-// PointQuery implements Algorithm 1: descend the cuts to a leaf, predict
-// with its model, then scan the block range (and any overflow chains) for a point with q's exact
-// coordinates. The range is the span of q's prediction, not the leaf's
-// error range [pred − errDown, pred + errUp]: every point filed under the
-// prediction lies in it, and it is never wider (see "Correctness
-// guarantees"). It implements index.Index and never returns a false
-// negative for indexed points.
+// PointQuery implements Algorithm 1: descend the cuts to a leaf, look up
+// q's cell there, and search the cell's base blocks (and their overflow
+// chains) for a point with q's exact coordinates. Every point filed in the
+// cell lies in them (see "Correctness guarantees"), so it never returns a
+// false negative for indexed points; a present point is read, nearly
+// always, from the first block, which is searched from the slot the cell's
+// run starts at. It implements index.Index.
 //
 // This context-free form is the implementation layer: PointQueryContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -97,36 +71,44 @@ func (t *RSMI) PointQuery(q geom.Point) bool {
 	if leaf == nil {
 		return false
 	}
-	lo, hi := t.pointBounds(leaf, q)
-	b, _, _ := t.findPointIn(q, lo, hi)
-	return b != nil
+	return t.findPoint(leaf, q) != nil
 }
 
-// findPointIn scans base blocks [lo, hi] and their chains for a live point
-// equal to q, returning its block, the base block of that block's chain
-// (what the window scan bounds need) and its slot; b is nil when q is not
-// there. A block is searched only when its cached MBR contains q: the MBR
-// covers every live point of the block, so a block it rules out cannot hold
-// q, and corner probes of a window — almost never indexed points — skip
-// nearly every block they walk. Skipped blocks still count as accesses.
-func (t *RSMI) findPointIn(q geom.Point, lo, hi int) (b *store.Block, base, slot int) {
+// findPoint scans the base blocks [lo, hi] of q's cell in leaf and their
+// chains for a live point equal to q and returns its block, nil when q is
+// not there. Block lo is searched from the slot the cell's run starts at,
+// wrapping round, and every other block from its first slot. A block is
+// searched only when its cached MBR contains q: the MBR covers every live
+// point of the block, so a block it rules out cannot hold q. Skipped blocks
+// still count as accesses.
+func (t *RSMI) findPoint(leaf *node, q geom.Point) *store.Block {
+	lo, hi, from := t.cellBlocks(leaf, t.leafCell(leaf, q))
 	c := t.scan(lo, hi)
 	for id := c.next(); id != store.NilBlock; id = c.next() {
 		if !t.blockMBR[id].Contains(q) {
 			continue
 		}
 		in := t.store.Peek(id)
-		if slot = in.Find(q); slot >= 0 {
-			b = in
-			break
+		if in.FindFrom(q, startSlot(id, lo, from)) >= 0 {
+			t.store.CountReads(c.reads)
+			return in
 		}
 	}
 	t.store.CountReads(c.reads)
-	return b, c.base, slot
+	return nil
+}
+
+// startSlot is the slot a search of block id starts at when the cell's run
+// starts at slot from of block lo.
+func startSlot(id, lo, from int) int {
+	if id == lo {
+		return from
+	}
+	return 0
 }
 
 // forLeaves calls fn, in block order, for every leaf under n whose MBR meets
-// q: the walk every window query and kNN round makes, approximate or exact.
+// q: the walk every window query and kNN round makes, by cells or by MBRs.
 // A leaf's MBR covers every point it holds, so the leaves it skips hold none
 // of q's points.
 func forLeaves(n *node, q geom.Rect, fn func(leaf *node)) {
@@ -142,99 +124,61 @@ func forLeaves(n *node, q geom.Rect, fn func(leaf *node)) {
 	}
 }
 
-// leafBounds computes Algorithm 2's base-block scan range (lines 1–10)
-// inside leaf n, for q clipped to the leaf's MBR. For Hilbert curves the
-// extreme curve values in the window lie on its boundary, so the four
-// corners are used heuristically (§4.2); for Z-curves the bottom-left and
-// top-right corners are exact. Each corner's range is the leaf's
-// error-bounded range around the corner's prediction (scanBounds).
-//
-// With probe set, a corner's point query can narrow its range to the one
-// base block it finds the corner in, and only the corners holding the least
-// lo and the greatest hi set the range. So the corners are probed lazily:
-// the corner holding the least lo is probed, and a hit moves its lo up,
-// until the corner holding it is one already probed; then the same for the
-// greatest hi. A corner that sets neither extreme is never probed — window
-// corners are almost never indexed points, so a probe mostly scans its whole
-// range for nothing — and the range is the one probing every corner gives.
-// Without probe set, the range is the union of the corners' ranges and
-// nothing is read.
-func (t *RSMI) leafBounds(n *node, q geom.Rect, probe bool) (begin, end int) {
-	r := q.Intersect(n.mbr)
-	// Two corners for Z-curves, four for Hilbert curves (§4.2).
-	corners := [4]geom.Point{
-		{X: r.MinX, Y: r.MinY}, {X: r.MaxX, Y: r.MaxY},
-		{X: r.MinX, Y: r.MaxY}, {X: r.MaxX, Y: r.MinY},
-	}
-	m := len(corners)
-	if t.opts.Curve == sfc.Z {
-		m = 2
-	}
-	var cs [4]cornerRange
-	for i, c := range corners[:m] {
-		lo, hi := n.scanBounds(c)
-		cs[i] = cornerRange{p: c, lo: lo, hi: hi}
-	}
-	if !probe {
-		begin, end = cs[0].lo, cs[0].hi
-		for _, c := range cs[1:m] {
-			begin, end = min(begin, c.lo), max(end, c.hi)
+// cellMask returns the cells of leaf n that a point of q can lie in, as a
+// set of curve values: the cells of the columns and rows between q's sides,
+// counted with the cuts as leafCell counts them. A count is monotone in the
+// order it compares by, so a point of q lies in a column from that of
+// (MinX, −∞) to that of (MaxX, +∞), and in a row from that of (−∞, MinY) to
+// that of (+∞, MaxY).
+func (t *RSMI) cellMask(n *node, q geom.Rect) (mask uint64) {
+	inf := math.Inf(1)
+	c0, c1 := countX(n.cols, geom.Pt(q.MinX, -inf)), countX(n.cols, geom.Pt(q.MaxX, inf))
+	r0, r1 := countY(n.rowCuts, geom.Pt(-inf, q.MinY)), countY(n.rowCuts, geom.Pt(inf, q.MaxY))
+	grid := t.cellGrids[n.order]
+	for c := c0; c <= c1; c++ {
+		for r := r0; r <= r1; r++ {
+			mask |= 1 << grid[c<<n.order|r]
 		}
-		return begin, end
 	}
-	return cs[t.settle(cs[:m], false)].lo, cs[t.settle(cs[:m], true)].hi
+	return mask
 }
 
-// cornerRange is a window corner's block range: error-bounded until the
-// corner is probed, and the one base block it was found in after a hit.
-type cornerRange struct {
-	p      geom.Point
-	lo, hi int
-	probed bool
+// nextRange takes the lowest cell of leaf n out of mask, with every next one
+// whose blocks run on from it without a gap, and returns the base blocks
+// [lo, hi] they cover. Cells in curve order took ascending runs of the
+// leaf's positions, so successive ranges come out in block order and share
+// no block.
+func (t *RSMI) nextRange(n *node, mask *uint64) (lo, hi int) {
+	lo, hi, _ = t.cellBlocks(n, bits.TrailingZeros64(*mask))
+	for *mask &= *mask - 1; *mask != 0; *mask &= *mask - 1 {
+		l, h, _ := t.cellBlocks(n, bits.TrailingZeros64(*mask))
+		if l > hi+1 {
+			break
+		}
+		hi = max(hi, h)
+	}
+	return lo, hi
 }
 
-// key is the bound settle minimises: lo for the range's begin, -hi for its
-// end.
-func (c *cornerRange) key(high bool) int {
-	if high {
-		return -c.hi
-	}
-	return c.lo
-}
-
-// settle probes corners of cs until the one holding the least key has been
-// probed, and returns its index. Among corners tied on the key an already
-// probed one is taken: it needs no probe.
-func (t *RSMI) settle(cs []cornerRange, high bool) int {
-	for {
-		x := 0
-		for i := 1; i < len(cs); i++ {
-			if ki, kx := cs[i].key(high), cs[x].key(high); ki < kx || ki == kx && cs[i].probed && !cs[x].probed {
-				x = i
-			}
+// forCells calls fn, in block order, with a cursor over every run of base
+// blocks (and their chains) that holds the cells of q in a leaf whose MBR
+// meets q: Algorithm 2's scan range, made exact. Counting the cursor's reads
+// is fn's.
+func (t *RSMI) forCells(q geom.Rect, fn func(c *blockCursor)) {
+	forLeaves(t.root, q, func(n *node) {
+		for m := t.cellMask(n, q); m != 0; {
+			c := t.scan(t.nextRange(n, &m))
+			fn(&c)
 		}
-		c := &cs[x]
-		if c.probed {
-			return x
-		}
-		c.probed = true
-		// If the corner itself is indexed, its actual block is an exact
-		// bound; otherwise the error-bounded range stands.
-		if b, base, _ := t.findPointIn(c.p, c.lo, c.hi); b != nil {
-			c.lo, c.hi = base, base
-		}
-	}
+	})
 }
 
 // WindowQuery implements Algorithm 2 leaf by leaf: in every leaf whose MBR
-// meets the window, bound the block range with the corner point queries of
-// the window clipped to that MBR (leafBounds), scan it, and filter by the
-// window. The paper bounds one range by the whole window's four corners;
-// on the rank-space grids of a leaf, a window's extreme curve values are
-// often not at its corners, and one range must span every leaf in between.
-// The answer has no false positives; it may miss points whose blocks fall
-// outside their leaf's range (the approximate behaviour evaluated in
-// §6.2.3, recall > 87%).
+// meets the window, read the blocks of the cells between the window's sides
+// (forCells) and filter by the window. The paper bounds one scan range by
+// the predictions of the window's corners, widened by the leaf models' error
+// bounds, and may miss points (§6.2.3, recall > 87%); the cells make the
+// range exact, so the answer has neither false positives nor misses.
 //
 // This context-free form is the implementation layer: WindowQueryContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -253,9 +197,8 @@ func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 		// An inverted window, or one with a NaN side, contains nothing.
 		return dst
 	}
-	forLeaves(t.root, q, func(n *node) {
-		c := t.scan(t.leafBounds(n, q, true))
-		dst, _ = t.collect(dst, &c, q)
+	t.forCells(q, func(c *blockCursor) {
+		dst, _ = t.collect(dst, c, q)
 		t.store.CountReads(c.reads)
 	})
 	return dst
@@ -282,11 +225,11 @@ func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Po
 
 // KNN implements Algorithm 3: an expanding search region sized by the
 // learned per-dimension CDFs, probed with window queries. Results are
-// approximate (recall > 88% in §6.2.4) and sorted by distance, equidistant
-// points in the canonical point order.
+// sorted by distance, equidistant points in the canonical point order; the
+// paper's are approximate (recall > 88% in §6.2.4).
 //
-// A round's region is searched as a window query is (leafBounds in every
-// leaf the region meets), and its blocks best-first: every block the round
+// A round's region is searched as a window query is (forCells), and its
+// blocks best-first: every block the round
 // has not seen yet is queued by the MINDIST of its cached MBR and the queue
 // is drained (index.Walk.Drain), which stops at the first block no nearer
 // than the current k-th candidate (the MINDIST test of Algorithm 3, line 7).
@@ -296,9 +239,9 @@ func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Po
 // Algorithm 3 stops once the k-th candidate lies within half the region's
 // diagonal, but the circle through it may still leave the region where the
 // region is narrower than that circle. One top-up pass then covers the
-// circle's bounding square: in every leaf it meets, the blocks of the
-// union of the corners' unprobed ranges that are nearer than the k-th
-// candidate are queued and drained. Only the blocks queued count as read.
+// circle's bounding square: the blocks of its cells that are nearer than
+// the k-th candidate are queued and drained. Only the blocks queued count as
+// read.
 //
 // This context-free form is the implementation layer: KNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -333,8 +276,7 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 	const maxRounds = 64
 	for round := 0; round < maxRounds; round++ {
 		wq := geom.RectAround(q, width, height)
-		forLeaves(t.root, wq, func(n *node) {
-			c := t.scan(t.leafBounds(n, wq, true))
+		t.forCells(wq, func(c *blockCursor) {
 			for id := c.next(); id != store.NilBlock; id = c.next() {
 				if !s.seen.testAndSet(id) {
 					w.Push(id, t.blockMBR[id].MinDist2(q))
@@ -356,8 +298,8 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 		}
 		if kth > min(width, height)/2 {
 			sq, bound := geom.RectAround(q, 2*kth, 2*kth), w.Bound()
-			forLeaves(t.root, sq, func(n *node) {
-				c, queued := t.scan(t.leafBounds(n, sq, false)), 0
+			t.forCells(sq, func(c *blockCursor) {
+				queued := 0
 				for id := c.next(); id != store.NilBlock; id = c.next() {
 					if d := t.blockMBR[id].MinDist2(q); d < bound && !s.seen.testAndSet(id) {
 						w.Push(id, d)

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -16,16 +17,16 @@ import (
 )
 
 // The read path searches a block only when its cached MBR admits the probe,
-// drives block walks through a cursor, runs kNN rounds best-first, and scans
-// a point query's span rather than its leaf's error range. The reference
-// below is the path it replaced — closure scans, every block of a range
-// searched point by point, kNN in list order behind a visited map — kept
-// here, uncounted and ungated, so the property test can demand the same
-// answers and the same block-access counts from the new path. Windows and
-// kNN rounds are written out as plain code for the per-leaf walk: every
-// leaf whose MBR meets the region, the four corners of the region clipped
-// to that leaf, then kNN's top-up pass. A point query's span is derived
-// here by brute force, from every point the index has held.
+// drives block walks through a cursor, runs kNN rounds best-first, and reads
+// the blocks of a probe's leaf cells. The reference below is the plain path
+// — closure scans, every block of a range searched point by point, kNN in
+// list order behind a visited map — kept here, uncounted and ungated, so the
+// property test can demand the same answers and the same block-access counts
+// from the read path. The cells' blocks are derived here by brute force:
+// a cell's from the base blocks its build points were packed in, an empty
+// cell's from how many build points precede it; and a window's cells from
+// counting the cuts its sides are not Less than, each cell's curve value
+// read off a fresh curve.
 
 // refScan walks base blocks [begin, end] and their overflow chains in list
 // order, counting every block it hands to fn in *reads.
@@ -65,58 +66,74 @@ func refFind(t *RSMI, q geom.Point, lo, hi int, reads *int) (found *store.Block,
 	return found, base
 }
 
-// heldPoint is a point an index has held and the base block it was filed
-// under.
+// heldPoint is a point an index has held, the base block it was filed
+// under, and whether a build packed it there.
 type heldPoint struct {
-	p    geom.Point
-	base int
+	p     geom.Point
+	base  int
+	built bool
 }
 
 // filed returns every point of t with the base block of the block holding
-// it, walking the whole block list.
+// it, walking the whole block list; right after a build, the points of base
+// blocks are the ones the build packed.
 func filed(t *RSMI) []heldPoint {
 	var out []heldPoint
 	refScan(t, 0, t.baseBlocks-1, new(int), func(b *store.Block, base int) bool {
-		b.Points(func(p geom.Point) { out = append(out, heldPoint{p, base}) })
+		b.Points(func(p geom.Point) { out = append(out, heldPoint{p, base, !b.Inserted}) })
 		return true
 	})
 	return out
 }
 
-// spanKey names one prediction of one leaf.
-type spanKey struct {
+// cellKey names one cell of one leaf.
+type cellKey struct {
 	leaf *node
-	pred int
+	cell int
 }
 
-// deriveSpans measures, for every prediction of every leaf, the base blocks
-// [lo, hi] the held points predicted there were filed under. A prediction no
-// held point reaches has no entry.
-func deriveSpans(t *RSMI, held []heldPoint) map[spanKey][2]int {
-	spans := map[spanKey][2]int{}
+// deriveCells measures, for every cell of every leaf, the base blocks
+// [lo, hi] its held build points were packed in; and for a cell that took no
+// build point, the one block its position falls in: after every build point
+// of its leaf in the cells before it in curve order, within the leaf's run.
+func deriveCells(t *RSMI, held []heldPoint) map[cellKey][2]int {
+	cells := map[cellKey][2]int{}
+	counts := map[cellKey]int{}
 	for _, h := range held {
-		leaf := t.descend(h.p)
-		k := spanKey{leaf, leaf.predictClamped(h.p)}
-		s, ok := spans[k]
-		if !ok {
-			s = [2]int{h.base, h.base}
+		if !h.built {
+			continue
 		}
-		spans[k] = [2]int{min(s[0], h.base), max(s[1], h.base)}
+		leaf := t.descend(h.p)
+		k := cellKey{leaf, t.leafCell(leaf, h.p)}
+		counts[k]++
+		r, ok := cells[k]
+		if !ok {
+			r = [2]int{h.base, h.base}
+		}
+		cells[k] = [2]int{min(r[0], h.base), max(r[1], h.base)}
 	}
-	return spans
+	walkLeaves(t.root, func(leaf *node) {
+		before := 0
+		for c := range 1 << (2 * leaf.order) {
+			k := cellKey{leaf, c}
+			if _, ok := cells[k]; !ok {
+				b := leaf.firstBlock + min(before/t.opts.BlockCapacity, leaf.numBlocks-1)
+				cells[k] = [2]int{b, b}
+			}
+			before += counts[k]
+		}
+	})
+	return cells
 }
 
-// refPoint scans the derived span of q's prediction for q.
-func refPoint(t *RSMI, spans map[spanKey][2]int, q geom.Point, reads *int) bool {
+// refPoint scans the derived blocks of q's cell for q.
+func refPoint(t *RSMI, cells map[cellKey][2]int, q geom.Point, reads *int) bool {
 	leaf := t.descend(q)
 	if leaf == nil {
 		return false
 	}
-	s, ok := spans[spanKey{leaf, leaf.predictClamped(q)}]
-	if !ok {
-		return false
-	}
-	b, _ := refFind(t, q, s[0], s[1], reads)
+	r := cells[cellKey{leaf, t.leafCell(leaf, q)}]
+	b, _ := refFind(t, q, r[0], r[1], reads)
 	return b != nil
 }
 
@@ -136,148 +153,80 @@ func refLeaves(n *node, q geom.Rect) []*node {
 	return out
 }
 
-// refErrorRange is leaf's error-bounded range of global base blocks for q:
-// its prediction widened by errDown below and errUp above, clamped to the
-// leaf's run.
-func refErrorRange(leaf *node, q geom.Point) (lo, hi int) {
-	pred := leaf.firstBlock + leaf.predictClamped(q)
-	return max(leaf.firstBlock, pred-leaf.errDown), min(leaf.firstBlock+leaf.numBlocks-1, pred+leaf.errUp)
-}
-
-// refCorner is one window corner as the four-probe reference sees it: its
-// error-bounded range, whether its probe found it and in which base block,
-// and the blocks that probe read.
-type refCorner struct {
-	lo, hi, base, reads int
-	found               bool
-}
-
-// refClipCorners returns the corners Algorithm 2 uses for q clipped to
-// leaf's MBR, in the order the read path lists them.
-func refClipCorners(t *RSMI, leaf *node, q geom.Rect) []geom.Point {
-	minX, minY := math.Max(q.MinX, leaf.mbr.MinX), math.Max(q.MinY, leaf.mbr.MinY)
-	maxX, maxY := math.Min(q.MaxX, leaf.mbr.MaxX), math.Min(q.MaxY, leaf.mbr.MaxY)
-	corners := []geom.Point{geom.Pt(minX, minY), geom.Pt(maxX, maxY)}
-	if t.opts.Curve != sfc.Z {
-		corners = append(corners, geom.Pt(minX, maxY), geom.Pt(maxX, minY))
+// refNotBefore counts the cuts p is not less than, one comparison each.
+func refNotBefore(cuts []geom.Point, p geom.Point, less func(a, b geom.Point) bool) int {
+	n := 0
+	for _, c := range cuts {
+		if !less(p, c) {
+			n++
+		}
 	}
-	return corners
+	return n
 }
 
-// refCorners locates and probes every corner of q clipped to leaf's MBR.
-func refCorners(t *RSMI, leaf *node, q geom.Rect) []refCorner {
-	var out []refCorner
-	for _, c := range refClipCorners(t, leaf, q) {
-		lo, hi := refErrorRange(leaf, c)
-		rc := refCorner{lo: lo, hi: hi}
-		b, base := refFind(t, c, lo, hi, &rc.reads)
-		rc.found, rc.base = b != nil, base
-		out = append(out, rc)
+// refCellRect returns, ascending, the curve values of leaf's cells from the
+// column of (MinX, −∞) to that of (MaxX, +∞) and from the row of (−∞, MinY)
+// to that of (+∞, MaxY) of q, read off a fresh curve of the leaf's order.
+func refCellRect(t *RSMI, leaf *node, q geom.Rect) []int {
+	inf := math.Inf(1)
+	c0, c1 := refNotBefore(leaf.cols, geom.Pt(q.MinX, -inf), geom.Point.Less), refNotBefore(leaf.cols, geom.Pt(q.MaxX, inf), geom.Point.Less)
+	r0, r1 := refNotBefore(leaf.rowCuts, geom.Pt(-inf, q.MinY), lessYX), refNotBefore(leaf.rowCuts, geom.Pt(inf, q.MaxY), lessYX)
+	var out []int
+	for c := c0; c <= c1; c++ {
+		for r := r0; r <= r1; r++ {
+			v := 0
+			if leaf.order > 0 {
+				v = int(sfc.New(t.opts.Curve, uint(leaf.order)).Value(uint32(c), uint32(r)))
+			}
+			out = append(out, v)
+		}
 	}
+	slices.Sort(out)
 	return out
 }
 
-// refLeafRange is Algorithm 2's range in leaf with every corner probed,
-// counting every probe's reads.
-func refLeafRange(t *RSMI, leaf *node, q geom.Rect, reads *int) (begin, end int) {
-	begin, end = math.MaxInt, -1
-	for _, c := range refCorners(t, leaf, q) {
-		*reads += c.reads
-		lo, hi := c.lo, c.hi
-		if c.found {
-			lo, hi = c.base, c.base
-		}
-		begin, end = min(begin, lo), max(end, hi)
-	}
-	return begin, end
-}
-
-// refUnprobedRange is the union of the error-bounded ranges of q's corners
-// clipped to leaf's MBR; it reads nothing.
-func refUnprobedRange(t *RSMI, leaf *node, q geom.Rect) (begin, end int) {
-	begin, end = math.MaxInt, -1
-	for _, c := range refClipCorners(t, leaf, q) {
-		lo, hi := refErrorRange(leaf, c)
-		begin, end = min(begin, lo), max(end, hi)
-	}
-	return begin, end
-}
-
-// lazyReads returns the blocks the lazy corner rule reads over corners cs:
-// while no probed corner holds the least lo, the first corner holding it is
-// probed, a hit narrowing its range to its base block; then the same for the
-// greatest hi. A corner is probed at most once.
-func lazyReads(cs []refCorner) int {
-	lo, hi := make([]int, len(cs)), make([]int, len(cs))
-	probed := make([]bool, len(cs))
-	for i, c := range cs {
-		lo[i], hi[i] = c.lo, c.hi
-	}
-	reads := 0
-	for _, bound := range []func(i int) int{
-		func(i int) int { return lo[i] },
-		func(i int) int { return -hi[i] },
-	} {
-		for {
-			least, settled, first := math.MaxInt, false, -1
-			for i := range cs {
-				least = min(least, bound(i))
-			}
-			for i := range cs {
-				if bound(i) == least {
-					settled = settled || probed[i]
-					if first < 0 {
-						first = i
-					}
-				}
-			}
-			if settled || first < 0 {
-				break
-			}
-			probed[first] = true
-			reads += cs[first].reads
-			if cs[first].found {
-				lo[first], hi[first] = cs[first].base, cs[first].base
-			}
+// refBases returns, ascending and once each, the base blocks of the derived
+// blocks of the cells of leaf that q's sides bound.
+func refBases(t *RSMI, cells map[cellKey][2]int, leaf *node, q geom.Rect) []int {
+	var out []int
+	for _, c := range refCellRect(t, leaf, q) {
+		r := cells[cellKey{leaf, c}]
+		for b := r[0]; b <= r[1]; b++ {
+			out = append(out, b)
 		}
 	}
-	return reads
-}
-
-// refLazyRange is refLeafRange's range with the reads the lazy corner rule
-// makes for it.
-func refLazyRange(t *RSMI, leaf *node, q geom.Rect, reads *int) (begin, end int) {
-	begin, end = refLeafRange(t, leaf, q, new(int))
-	*reads += lazyReads(refCorners(t, leaf, q))
-	return begin, end
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // refWindow is Algorithm 2 leaf by leaf: in every leaf whose MBR meets q,
-// the lazy four-probe range of q clipped to the leaf, scanned in list order.
-func refWindow(t *RSMI, q geom.Rect, reads *int) []geom.Point {
+// the derived blocks of the cells q's sides bound, each base block scanned
+// once with its chain, in list order.
+func refWindow(t *RSMI, cells map[cellKey][2]int, q geom.Rect, reads *int) []geom.Point {
 	var out []geom.Point
 	for _, leaf := range refLeaves(t.root, q) {
-		begin, end := refLazyRange(t, leaf, q, reads)
-		refScan(t, begin, end, reads, func(b *store.Block, _ int) bool {
-			b.Points(func(p geom.Point) {
-				if q.Contains(p) {
-					out = append(out, p)
-				}
+		for _, b := range refBases(t, cells, leaf, q) {
+			refScan(t, b, b, reads, func(b *store.Block, _ int) bool {
+				b.Points(func(p geom.Point) {
+					if q.Contains(p) {
+						out = append(out, p)
+					}
+				})
+				return true
 			})
-			return true
-		})
+		}
 	}
 	return out
 }
 
-// refKNN is Algorithm 3 over refWindow's ranges, its blocks in list order,
-// pruned one by one against the k-th candidate, then the top-up pass when
-// the k-th circle leaves the region: the blocks of every leaf meeting the
-// circle's bounding square, in the union of its corners' unprobed ranges,
-// that lie nearer than the k-th candidate, each counted as read. It returns
-// the squared distances of its answer, which — unlike the order of
-// equidistant points — do not depend on the order blocks are searched in.
-func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
+// refKNN is Algorithm 3 over refWindow's blocks, in list order, pruned one
+// by one against the k-th candidate, then the top-up pass when the k-th
+// circle leaves the region: the blocks of the cells of every leaf meeting
+// the circle's bounding square that lie nearer than the k-th candidate,
+// each counted as read. It returns the squared distances of its answer,
+// which — unlike the order of equidistant points — do not depend on the
+// order blocks are searched in.
+func refKNN(t *RSMI, cells map[cellKey][2]int, q geom.Point, k int, reads *int) []float64 {
 	if k <= 0 || t.n == 0 {
 		return nil
 	}
@@ -314,17 +263,18 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 	for round := 0; round < 64; round++ {
 		region := geom.RectAround(q, width, height)
 		for _, leaf := range refLeaves(t.root, region) {
-			begin, end := refLazyRange(t, leaf, region, reads)
-			refScan(t, begin, end, reads, func(b *store.Block, _ int) bool {
-				if visited[b.ID] {
+			for _, base := range refBases(t, cells, leaf, region) {
+				refScan(t, base, base, reads, func(b *store.Block, _ int) bool {
+					if visited[b.ID] {
+						return true
+					}
+					visited[b.ID] = true
+					if len(best) < k || t.blockMBR[b.ID].MinDist2(q) < worst() {
+						offer(b)
+					}
 					return true
-				}
-				visited[b.ID] = true
-				if len(best) < k || t.blockMBR[b.ID].MinDist2(q) < worst() {
-					offer(b)
-				}
-				return true
-			})
+				})
+			}
 		}
 		if len(best) < k {
 			width, height = 2*width, 2*height
@@ -339,14 +289,15 @@ func refKNN(t *RSMI, q geom.Point, k int, reads *int) []float64 {
 			square, bound := geom.RectAround(q, 2*kth, 2*kth), worst()
 			var near []*store.Block
 			for _, leaf := range refLeaves(t.root, square) {
-				begin, end := refUnprobedRange(t, leaf, square)
-				refScan(t, begin, end, new(int), func(b *store.Block, _ int) bool {
-					if !visited[b.ID] && t.blockMBR[b.ID].MinDist2(q) < bound {
-						visited[b.ID] = true
-						near = append(near, b)
-					}
-					return true
-				})
+				for _, base := range refBases(t, cells, leaf, square) {
+					refScan(t, base, base, new(int), func(b *store.Block, _ int) bool {
+						if !visited[b.ID] && t.blockMBR[b.ID].MinDist2(q) < bound {
+							visited[b.ID] = true
+							near = append(near, b)
+						}
+						return true
+					})
+				}
 			}
 			*reads += len(near)
 			for _, b := range near {
@@ -377,6 +328,7 @@ func (w *readPathWorld) insert(p geom.Point) {
 	w.live = append(w.live, p)
 	for _, h := range filed(w.idx) {
 		if h.p == p {
+			h.built = false
 			w.held = append(w.held, h)
 		}
 	}
@@ -411,44 +363,42 @@ func (w *readPathWorld) check(stage string) {
 		t.Fatalf("%s: Len %d, oracle %d", stage, idx.Len(), w.oracle.Len())
 	}
 	// Points: every live point found, deleted and random points as the
-	// oracle says, same blocks read as the ungated scan of the derived span,
-	// and no more than the ungated scan of the leaf's error range.
+	// oracle says, and the same blocks read as the ungated scan of the
+	// derived blocks of the probe's cell. Every point the index has held was
+	// filed under a base block of its cell.
 	probes := append([]geom.Point(nil), w.live...)
 	probes = append(probes, w.gone...)
 	for i := 0; i < 200; i++ {
 		probes = append(probes, geom.Pt(w.rng.Float64(), w.rng.Float64()))
 	}
-	spans := deriveSpans(idx, w.held)
+	cells := deriveCells(idx, w.held)
+	for _, h := range w.held {
+		leaf := idx.descend(h.p)
+		if r := cells[cellKey{leaf, idx.leafCell(leaf, h.p)}]; h.base < r[0] || h.base > r[1] {
+			t.Fatalf("%s: %v was filed under block %d, outside its cell's blocks %v", stage, h.p, h.base, r)
+		}
+	}
 	for _, p := range probes {
 		var got, want bool
-		var refReads, leafReads int
+		var refReads int
 		reads := w.accesses(func() { got = idx.PointQuery(p) })
-		want = refPoint(idx, spans, p, &refReads)
+		want = refPoint(idx, cells, p, &refReads)
 		if got != want || got != w.oracle.PointQuery(p) {
 			t.Fatalf("%s: PointQuery(%v) = %v, reference %v, oracle %v", stage, p, got, want, w.oracle.PointQuery(p))
 		}
 		if reads != refReads {
 			t.Fatalf("%s: PointQuery(%v) read %d blocks, reference %d", stage, p, reads, refReads)
 		}
-		if leaf := idx.descend(p); leaf != nil {
-			lo, hi := refErrorRange(leaf, p)
-			refFind(idx, p, lo, hi, &leafReads)
-		}
-		if reads > leafReads {
-			t.Fatalf("%s: PointQuery(%v) read %d blocks, the leaf's error range %d", stage, p, reads, leafReads)
-		}
 	}
 	for i := 0; i < 60; i++ {
 		c := w.live[w.rng.Intn(len(w.live))]
-		w.checkWindow(stage, geom.RectAround(c, 0.3*w.rng.Float64(), 0.3*w.rng.Float64()))
+		w.checkWindow(stage, cells, geom.RectAround(c, 0.3*w.rng.Float64(), 0.3*w.rng.Float64()))
 	}
 	// Windows spanned by two live points, one below and left of the other:
-	// their bottom-left and top-right corners are indexed, so those probes
-	// hit (on both curves). A hit on the corner holding the least lo (or the
-	// greatest hi) may leave it the extreme, or move the extreme to another
-	// corner's range, which the lazy rule must then probe; both must occur.
-	var moved, stayed int
-	for tries := 0; tries < 2000 && (moved < 10 || stayed < 10); tries++ {
+	// their corners and sides pass through indexed points, which the cells
+	// the sides bound must hold, so both points are in the answer.
+	spanned := 0
+	for tries := 0; tries < 2000 && spanned < 20; tries++ {
 		a := w.live[w.rng.Intn(len(w.live))]
 		if tries%2 == 1 { // the newest points, a hot spot's among them
 			a = w.live[len(w.live)-1-w.rng.Intn(min(len(w.live), 200))]
@@ -458,20 +408,15 @@ func (w *readPathWorld) check(stage string) {
 				continue
 			}
 			q := geom.NewRect(a, b)
-			for _, leaf := range refLeaves(idx.root, q) {
-				m, st := hitMoves(refCorners(idx, leaf, q))
-				if m {
-					moved++
-				}
-				if st {
-					stayed++
-				}
+			got := w.checkWindow(stage, cells, q)
+			if !slices.Contains(got, a) || !slices.Contains(got, b) {
+				t.Fatalf("%s: window %v spanned by %v and %v misses one of them", stage, q, a, b)
 			}
-			w.checkWindow(stage, q)
+			spanned++
 		}
 	}
-	if moved == 0 || stayed == 0 {
-		t.Fatalf("%s: of the windows spanned by two points, %d had a hit move an extreme and %d a hit leave it; want both", stage, moved, stayed)
+	if spanned < 20 {
+		t.Fatalf("%s: found only %d windows spanned by two points", stage, spanned)
 	}
 	for i := 0; i < 40; i++ {
 		q := geom.Pt(w.rng.Float64(), w.rng.Float64())
@@ -479,7 +424,7 @@ func (w *readPathWorld) check(stage string) {
 		var got []geom.Point
 		var refReads int
 		reads := w.accesses(func() { got = idx.KNN(q, k) })
-		want := refKNN(idx, q, k, &refReads)
+		want := refKNN(idx, cells, q, k, &refReads)
 		if len(got) != len(want) || len(got) != min(k, idx.Len()) {
 			t.Fatalf("%s: KNN(%v, %d): %d rows, reference %d", stage, q, k, len(got), len(want))
 		}
@@ -504,10 +449,10 @@ func (w *readPathWorld) check(stage string) {
 	}
 }
 
-// checkWindow compares a window's scan range in every leaf it meets with the
-// four-probe reference, and its answer and block reads, probes and scans,
-// with the reference path under the lazy corner rule.
-func (w *readPathWorld) checkWindow(stage string, q geom.Rect) {
+// checkWindow compares a window's cells in every leaf it meets with the
+// brute-force rectangle, and its answer and block reads with the reference
+// path and the oracle: a window misses nothing. It returns the answer.
+func (w *readPathWorld) checkWindow(stage string, cells map[cellKey][2]int, q geom.Rect) []geom.Point {
 	t, idx := w.t, w.idx
 	t.Helper()
 	var walked []*node
@@ -516,24 +461,20 @@ func (w *readPathWorld) checkWindow(stage string, q geom.Rect) {
 		t.Fatalf("%s: window %v walks %d leaves, the reference %d", stage, q, len(walked), len(want))
 	}
 	for _, leaf := range walked {
-		var refAll int
-		wantBegin, wantEnd := refLeafRange(idx, leaf, q, &refAll)
-		var begin, end int
-		reads := w.accesses(func() { begin, end = idx.leafBounds(leaf, q, true) })
-		if begin != wantBegin || end != wantEnd {
-			t.Fatalf("%s: window %v bounds [%d, %d] in the leaf at block %d, four-probe reference [%d, %d]",
-				stage, q, begin, end, leaf.firstBlock, wantBegin, wantEnd)
+		var got []int
+		for m := idx.cellMask(leaf, q); m != 0; m &= m - 1 {
+			got = append(got, bits.TrailingZeros64(m))
 		}
-		if refLazy := lazyReads(refCorners(idx, leaf, q)); reads != refLazy {
-			t.Fatalf("%s: window %v bounds read %d blocks in the leaf at block %d, the lazy rule %d (four probes %d)",
-				stage, q, reads, leaf.firstBlock, refLazy, refAll)
+		if want := slices.Compact(refCellRect(idx, leaf, q)); !slices.Equal(got, want) {
+			t.Fatalf("%s: window %v reads cells %v of the leaf at block %d, brute force %v",
+				stage, q, got, leaf.firstBlock, want)
 		}
 	}
 
 	var got []geom.Point
 	var refReads int
 	reads := w.accesses(func() { got = idx.WindowQuery(q) })
-	want := refWindow(idx, q, &refReads)
+	want := refWindow(idx, cells, q, &refReads)
 	if len(got) != len(want) {
 		t.Fatalf("%s: window %v: %d rows, reference %d", stage, q, len(got), len(want))
 	}
@@ -548,36 +489,14 @@ func (w *readPathWorld) checkWindow(stage string, q geom.Rect) {
 	if reads != refReads {
 		t.Fatalf("%s: window %v read %d blocks, reference %d", stage, q, reads, refReads)
 	}
-	exact, truth := idx.ExactWindow(q), w.oracle.WindowQuery(q)
-	if len(exact) != len(truth) || index.Recall(exact, truth) != 1 {
+	truth := w.oracle.WindowQuery(q)
+	if len(got) != len(truth) || index.Recall(got, truth) != 1 {
+		t.Fatalf("%s: window %v: %d rows, oracle %d", stage, q, len(got), len(truth))
+	}
+	if exact := idx.ExactWindow(q); len(exact) != len(truth) || index.Recall(exact, truth) != 1 {
 		t.Fatalf("%s: exact window %v: %d rows, oracle %d", stage, q, len(exact), len(truth))
 	}
-}
-
-// hitMoves reports, for corners cs, whether a hit on a corner holding the
-// least lo or the greatest hi moves that extreme to another corner's
-// range, and whether such a hit leaves it where it was.
-func hitMoves(cs []refCorner) (moved, stayed bool) {
-	for _, bound := range []func(lo, hi int) int{
-		func(lo, _ int) int { return lo },
-		func(_, hi int) int { return -hi },
-	} {
-		x := -1
-		for i, c := range cs {
-			if x < 0 || bound(c.lo, c.hi) < bound(cs[x].lo, cs[x].hi) {
-				x = i
-			}
-		}
-		if x < 0 || !cs[x].found {
-			continue
-		}
-		past := false
-		for i, c := range cs {
-			past = past || i != x && bound(c.lo, c.hi) < bound(cs[x].base, cs[x].base)
-		}
-		moved, stayed = moved || past, stayed || !past
-	}
-	return moved, stayed
+	return got
 }
 
 // TestReadPathMatchesReference drives one seeded history — inserts, deletes

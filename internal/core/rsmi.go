@@ -5,70 +5,60 @@
 //
 // # Structure (§3)
 //
-// A leaf model orders its points by the rank-space curve-value technique of
-// §3.1, packs every B of them into a block, and trains an MLP that maps
-// point coordinates to the (normalised) block id, recording exact error
-// bounds (Eqs. 4–5). An internal node partitions its points with the
-// non-regular 2^⌊log4 N/B⌋ × 2^⌊log4 N/B⌋ grid of §3.2 — columns of equal
-// count by x, each cut into cells of equal count by y — and recurses into
-// its cells. The paper trains an MLP at every internal node to learn which
-// cell a point falls in; here the node keeps the grid's cuts themselves (the
-// first point of every column and row) and descent follows them, so no
-// internal node trains, and a point's cell is its true cell. The points are
-// grouped by the cuts as descent compares them, so query-time descent is
-// exact by construction — whatever cell the cuts give a point is the cell
-// whose subtree indexes it.
+// A leaf orders its points by the rank-space curve-value technique of §3.1
+// and packs every B of them into a block. The paper trains an MLP per leaf
+// to map a point to its block and records its error bounds (Eqs. 4–5); here
+// the leaf tabulates that function exactly instead. Its rank-space curve
+// grid is cut into 2^k × 2^k aligned cells, each one contiguous run of the
+// curve, and the leaf keeps the cuts (the first point of every column and of
+// every row) and how many of its points precede each cell in curve order,
+// so a point's cell names the blocks that hold it (see buildLeaf). An
+// internal node partitions its points with the non-regular
+// 2^⌊log4 N/B⌋ × 2^⌊log4 N/B⌋ grid of §3.2 — columns of equal count by x,
+// each cut into cells of equal count by y — and recurses into its cells.
+// The paper trains an MLP at every internal node to learn which cell a point
+// falls in; here the node keeps the grid's cuts themselves and descent
+// follows them. No node trains, and a point's cell is its true cell.
 //
-// Window queries and kNN rounds walk the leaves whose MBR meets their
-// region and apply the corner rule of Algorithm 2 inside each one, to the
-// region clipped to the leaf's MBR (see WindowQuery and KNN).
+// Window queries and kNN rounds walk the leaves whose MBR meets their region
+// and, in each, the blocks of the cells between the region's sides (see
+// WindowQuery and KNN).
 //
 // # Correctness guarantees
 //
-// Point queries have no false negatives (a scan of the prediction's span,
-// which narrows the error-bounded scan of §4.1). Window
-// queries have no false positives and may miss points (approximate, §4.2);
-// ExactWindow/ExactKNN use the per-model MBRs for exact answers (the RSMIa
-// variant of §6.2.3; internal/shard serves every window and kNN through
-// them, by ExactWindowAppend and ExactKNNInto). All guarantees hold regardless of how well the models
-// trained — and regardless of what function a model computes, because none
-// of them compares a prediction with the truth; each compares a prediction
-// with an earlier prediction of the same predictor:
+// Point queries have no false negatives, and neither do window queries nor
+// the rounds of Algorithm 3's kNN: the paper's windows scan the error-bounded
+// range between corner predictions and may miss points (§4.2); here they
+// read the blocks of every cell the window can hold a point of.
+// ExactWindow/ExactKNN keep the MBR traversal of the RSMIa variant (§6.2.3;
+// internal/shard serves every window and kNN through them, by
+// ExactWindowAppend and ExactKNNInto). Every guarantee rests on one rule: a
+// point is looked for where the same lookup put it.
 //
-//   - an internal node's predictor is its cuts: RSMI.cell counts the cuts at
-//     or before a point, and is the only way anything in this package
-//     obtains a cell. buildInternal groups points by cell and descend
+//   - an internal node's lookup is RSMI.cell, which counts the cuts at or
+//     before a point. buildInternal groups points by cell and descend
 //     follows cell, so a point is looked for in the subtree it was put in;
-//   - a leaf model is trained as an mlp.Network and at once compiled into an
-//     mlp.Kernel (normalisation and class scaling folded into the weights, a
-//     table sigmoid), which is all the leaf keeps. node.predictClamped — one
-//     Kernel.Predict call — is the only way anything in this package obtains
-//     a block prediction;
-//   - buildLeaf measures errUp/errDown as the largest gaps between a point's
-//     block and predictClamped, and scanBounds widens predictClamped by
-//     exactly those, so a window corner's scan covers the block of every
-//     point the leaf was built over;
-//   - buildLeaf records, for every prediction, the span of blocks that hold
-//     the points predictClamped puts there, and a point query or Delete
-//     scans the span of its own prediction. Every live point's base block
-//     lies in the span of its prediction: Insert files a point under a base
-//     block of that span (under the block predictClamped names, widening the
-//     span to it, only when the span is empty), a query or Delete for it
-//     walks that block's overflow chain, and Delete only removes points.
-//     Load checks the span invariant point by point, so a loaded index finds
-//     every point it holds.
+//   - a leaf's lookup is RSMI.leafCell, the same count over the leaf's own
+//     cuts. buildLeaf groups the points by it before packing them, so a
+//     cell's points take one run of the leaf's positions, and cellBlocks
+//     names the base blocks of that run — for a cell that took no point,
+//     the block its position falls in;
+//   - Insert files a point under a base block of its cell's blocks, a point
+//     query or Delete searches those blocks and their overflow chains, and
+//     Delete only removes points. Nothing moves a cut or a count, so every
+//     live point stays in the blocks of its cell. Load checks this point by
+//     point, so a loaded index finds every point it holds;
+//   - a window's columns and rows are counted with the same cuts at its
+//     sides, and a count is monotone in the order it compares by, so every
+//     point of the window lies in a cell of that rectangle (cellMask).
 //
-// Cuts compare stored coordinates and Kernel.Predict is deterministic,
-// total, and the same function on every machine (see mlp.Kernel), and a
-// snapshot stores the cuts and kernels themselves, so the argument carries
-// across save and load. It does not carry across a change of predictor,
-// which is why the RSMIv1 format — network weights, to be run through an
-// exp-based forward pass — is refused rather than converted
-// (ErrSnapshotV1), and so is RSMIv3, whose internal nodes are models
-// (ErrSnapshotV3). An RSMIv2 file holds no spans, and spans derived at load
-// from the live points would be narrower than the saved index's after
-// deletes, so the loaded index would read other blocks than the saved one:
-// it is refused too (ErrSnapshotV2).
+// Cuts compare stored coordinates, and a snapshot stores the cuts and counts
+// themselves, so the argument carries across save and load. It does not
+// carry across a change of lookup, which is why the earlier formats are
+// refused rather than converted: RSMIv1, whose sub-models are network
+// weights (ErrSnapshotV1); RSMIv2, which holds no point spans
+// (ErrSnapshotV2); RSMIv3, whose internal nodes are models (ErrSnapshotV3);
+// and RSMIv4, whose leaves are models (ErrSnapshotV4).
 package core
 
 import (
@@ -81,7 +71,6 @@ import (
 	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
-	"rsmi/internal/mlp"
 	"rsmi/internal/rank"
 	"rsmi/internal/sfc"
 	"rsmi/internal/store"
@@ -105,20 +94,22 @@ type Options struct {
 	PartitionThreshold int
 	// Curve selects the SFC used for ordering (default Hilbert, §6.1).
 	Curve sfc.Kind
-	// LearningRate and Epochs configure sub-model training (defaults 0.01 /
-	// 500, matching §6.1; the bench harness lowers Epochs for sweep speed).
-	// Training always runs its epochs. kNN's skew estimate is fixed at the
+	// LearningRate, Epochs and Seed configured the training of the paper's
+	// sub-models (§6.1: 0.01 and 500). No RSMI node is a model any more (see
+	// "Structure" in the package comment), so they are inert: they change
+	// nothing a build makes but the option words a snapshot stores, and are
+	// kept for the callers that set them. kNN's skew estimate is fixed at the
 	// paper's γ = 100 pieces and Δ = 0.01 step (§4.3: cdf.DefaultGamma,
 	// cdf.DefaultDelta).
 	LearningRate float64
 	Epochs       int
-	// Seed drives all model initialisation deterministically.
-	Seed int64
+	Seed         int64
 	// RawGridLeafOrder disables the rank-space transform and orders leaf
-	// points by their curve value on a fixed coordinate grid instead —
-	// the ordering of the ZM baseline [46]. It exists only for the
-	// ablation experiment (EXPERIMENTS.md, "Ablations"): the paper's claim is that
-	// rank-space ordering yields a simpler CDF and tighter error bounds.
+	// points by their curve value on a fixed coordinate grid instead — the
+	// ordering of the ZM baseline [46] — and cuts the leaf's cells from that
+	// grid. It exists only for the ablation experiment (EXPERIMENTS.md,
+	// "Ablations"): the paper's claim is that rank-space ordering yields a
+	// simpler CDF, here cells of even size and so narrower block ranges.
 	RawGridLeafOrder bool
 }
 
@@ -130,79 +121,39 @@ func (o Options) withDefaults() Options {
 	if o.PartitionThreshold == 0 {
 		o.PartitionThreshold = DefaultPartitionThreshold
 	}
-	if o.LearningRate == 0 {
-		o.LearningRate = mlp.DefaultLearningRate
-	}
-	if o.Epochs == 0 {
-		o.Epochs = mlp.DefaultEpochs
-	}
 	return o
 }
 
 // node is one sub-model M_{i,j} of the RSMI: an internal node's grid cuts,
-// or a leaf's model and blocks.
+// or a leaf's cell table and blocks.
 type node struct {
 	// mbr is the subtree MBR, maintained under insertion (§5). Window
 	// queries and kNN walk the leaves whose MBR meets their region, and the
 	// exact RSMIa traversal (§4.2 end) prunes by it.
 	mbr geom.Rect
 
-	// Internal-node fields: the grid's cuts (see buildInternal) and the
-	// children of its cells.
-	cols     []geom.Point   // column cuts, ascending by (x, then y)
+	// cols are the column cuts, ascending by (x, then y), of an internal
+	// node's grid (see buildInternal) and of a leaf's cells (see buildLeaf)
+	// alike.
+	cols []geom.Point
+
+	// Internal-node fields: each column's row cuts and the children of the
+	// grid's cells.
 	rows     [][]geom.Point // rows[c]: column c's row cuts, ascending by (y, then x)
 	children []*node        // indexed by cell curve value; nil = empty
 
-	// Leaf-model fields.
-	leaf bool
-	// kernel is the compiled leaf model, the leaf's only predictor: it maps
-	// raw coordinates to a local base block. The zero kernel of a
-	// single-block leaf predicts 0.
-	kernel     mlp.Kernel
+	// Leaf fields. The leaf's cells are 2^order × 2^order, cut by cols and by
+	// rowCuts, its one list of row cuts, ascending by (y, then x): a leaf's
+	// grid is regular in rank space. starts[c] is the number of the leaf's
+	// build points in the cells before cell c in curve order, so cell c's
+	// points took positions [starts[c], starts[c+1]) of the leaf's run.
+	leaf       bool
+	order      uint8
+	rowCuts    []geom.Point
+	starts     []int32
 	firstBlock int // first base block id
 	numBlocks  int // base blocks owned by this leaf
-	// errUp is M.err_l (Eq. 4): the largest under-prediction, i.e. how far
-	// the true block can lie ABOVE the prediction, so window corners' scans
-	// extend upward by errUp. errDown is M.err_a (Eq. 5): the largest
-	// over-prediction, extending them downward.
-	errUp   int
-	errDown int
-	points  int // live points in the subtree (maintained by updates)
-}
-
-// span is a range [lo, hi] of a leaf's local base blocks; lo > hi is the
-// empty range.
-type span struct{ lo, hi int32 }
-
-// emptySpan is the span of a prediction no point has been filed under.
-var emptySpan = span{lo: 0, hi: -1}
-
-func (s span) empty() bool { return s.lo > s.hi }
-
-// contains reports whether local base block b lies in s.
-func (s span) contains(b int) bool { return int(s.lo) <= b && b <= int(s.hi) }
-
-// cover widens s to hold local base block b.
-func (s *span) cover(b int) {
-	if s.empty() {
-		s.lo, s.hi = int32(b), int32(b)
-		return
-	}
-	s.lo, s.hi = min(s.lo, int32(b)), max(s.hi, int32(b))
-}
-
-// baseEntry is what the index keeps of one base block beside the store.
-type baseEntry struct {
-	// chainHead is the first overflow block chained after the base block,
-	// NilBlock when it has none: what lets a walk step from one base block
-	// to the next by index without loading either (see blockCursor).
-	chainHead int32
-	// span is the span of the leaf prediction that names the base block:
-	// the leaf's blocks that hold the points it predicts there, empty when
-	// there are none. A point query or Delete scans it instead of the
-	// leaf's error range; Insert widens it only when it is empty, deletes
-	// leave it.
-	span span
+	points     int // live points in the subtree (maintained by updates)
 }
 
 // RSMI is the learned spatial index. It is not safe for concurrent use.
@@ -214,9 +165,10 @@ type RSMI struct {
 
 	// side is the side of every internal node's grid, and grid[c·side + r]
 	// the curve value of the cell in column c and row r: the index of its
-	// child.
-	side int
-	grid []int32
+	// child. cellGrids[k] is the same table for a leaf's 2^k × 2^k cells.
+	side      int
+	grid      []int32
+	cellGrids [maxLeafOrder + 1][]int32
 
 	// blockMBR caches the MBR of every block (base and inserted), extended
 	// on insertion; not shrunk on deletion (conservative, stays correct).
@@ -224,9 +176,10 @@ type RSMI struct {
 	// baseBlocks is the number of blocks created at build time; ids >=
 	// baseBlocks are insertion overflow blocks reached via chains.
 	baseBlocks int
-	// bases[id] holds base block id's chain head and span. One array, not
-	// two: the index pays one allocation's size-class rounding for them.
-	bases []baseEntry
+	// chainHeads[id] is the first overflow block chained after base block
+	// id, NilBlock when it has none: what lets a walk step from one base
+	// block to the next by index without loading either (see blockCursor).
+	chainHeads []int32
 	// empty holds the overflow blocks with no live point, which Insert
 	// reuses before it allocates one (reuseEmpty). linkChains derives it
 	// from the blocks at build and load.
@@ -234,12 +187,11 @@ type RSMI struct {
 
 	pmfX, pmfY *cdf.PMF
 
-	buildTime  time.Duration
-	leaves     int
-	height     int
-	seedSerial int64
-	inserted   int // insertions since build/rebuild (drives RSMIr policy)
-	lastTail   int // tail block of the previously packed leaf run
+	buildTime time.Duration
+	leaves    int
+	height    int
+	inserted  int // insertions since build/rebuild (drives RSMIr policy)
+	lastTail  int // tail block of the previously packed leaf run
 }
 
 var _ index.Index = (*RSMI)(nil)
@@ -264,9 +216,9 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 		lastTail: store.NilBlock,
 	}
 	t.side, t.grid = gridCells(opts)
+	t.cellGrids = leafGrids(opts.Curve)
 	t.root = t.build(work, 1)
-	// The entries grew leaf by leaf; keep them without the growth's slack.
-	t.bases = slices.Clone(t.bases)
+	t.chainHeads = make([]int32, t.baseBlocks)
 	if err := t.linkChains(); err != nil {
 		panic(err) // the list was linked a moment ago, by this package
 	}
@@ -296,13 +248,34 @@ func (t *RSMI) build(pts []geom.Point, depth int) *node {
 	return t.buildInternal(pts, depth)
 }
 
-// buildLeaf orders pts by their rank-space curve value, packs them into
-// blocks, and trains the leaf model (§3.1). Leaves are the deepest nodes,
-// so the height is recorded here: the leaf built for a cell that took every
-// point of its node sits one level below any depth build saw.
+// buildLeaf orders pts by their rank-space curve value (§3.1), groups them
+// by the leaf's cells and packs them into blocks. The paper trains an MLP to
+// map a point to its block; the cells tabulate that map exactly. The leaf's
+// curve grid is cut into 2^k × 2^k aligned cells (k = leafOrder), and an
+// aligned cell is one contiguous run of the Hilbert or Z order, so a cell's
+// points take one run of the leaf's positions. The leaf keeps the cuts — the
+// first point of every column by (x, then y) and of every row by (y, then
+// x) — and the runs' bounds, and trains nothing. As at internal nodes, the
+// points are grouped by the cell the cuts give them, not by the grid
+// coordinates the cuts were read from: copies of one point that the
+// ordering split across a cut all go to the later cell, so a point query is
+// exact by construction. Leaves are the deepest nodes, so the height is
+// recorded here: the leaf built for a cell that took every point of its
+// node sits one level below any depth build saw.
 func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	t.height = max(t.height, depth)
-	ordered := t.orderLeaf(pts)
+	ordered, cols, rows, order := t.orderLeaf(pts)
+	k := leafOrder(len(ordered), t.opts.BlockCapacity)
+	n := &node{
+		leaf:   true,
+		mbr:    geom.BoundingRect(ordered),
+		order:  uint8(k),
+		points: len(ordered),
+	}
+	n.cols = gridCuts(ordered, cols, order-k, k, geom.Point.Less)
+	n.rowCuts = gridCuts(ordered, rows, order-k, k, lessYX)
+	n.starts = groupByCell(ordered, 1<<(2*k), func(p geom.Point) int { return t.leafCell(n, p) })
+
 	first, count := t.store.Pack(ordered)
 	for id := first; id < first+count; id++ {
 		t.appendBlockMBR(t.store.Peek(id).MBR())
@@ -313,67 +286,115 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	t.store.LinkRuns(t.lastTail, first)
 	t.lastTail = first + count - 1
 	t.baseBlocks = t.store.NumBlocks()
-
-	n := &node{
-		leaf:       true,
-		mbr:        geom.BoundingRect(ordered),
-		firstBlock: first,
-		numBlocks:  count,
-		points:     len(ordered),
-	}
+	n.firstBlock, n.numBlocks = first, count
 	t.leaves++
-	if count > 1 {
-		n.kernel = t.trainLeaf(ordered, count)
-	}
-	// Exact error bounds over the training set (Eqs. 4–5), measured from the
-	// kernel's own predictions: an under-prediction (M < blk) means the true
-	// block is above the prediction, widening the upward scan; an
-	// over-prediction widens the downward scan. Each prediction's span is
-	// the same measurement kept per prediction.
-	for range count {
-		t.bases = append(t.bases, baseEntry{span: emptySpan})
-	}
-	bases := t.bases[first:]
-	for i, p := range ordered {
-		blk := i / t.opts.BlockCapacity
-		pred := n.predictClamped(p)
-		bases[pred].span.cover(blk)
-		switch {
-		case pred < blk && blk-pred > n.errUp:
-			n.errUp = blk - pred
-		case pred > blk && pred-blk > n.errDown:
-			n.errDown = pred - blk
-		}
-	}
 	return n
 }
 
-// orderLeaf orders leaf points for packing: rank-space curve order by
-// default (§3.1), or raw-grid curve order under the A1 ablation.
-func (t *RSMI) orderLeaf(pts []geom.Point) []geom.Point {
+// maxLeafOrder bounds a leaf's cells at 8 × 8, so that a leaf's cells fit
+// one uint64 mask (see cellMask).
+const maxLeafOrder = 3
+
+// leafOrder returns k for a leaf of the given number of points in blocks of
+// the given capacity: its cells are 2^k × 2^k, the most, up to
+// maxLeafOrder, that put no more than six cells in a block's worth of
+// points. A cell that small mostly lies in one block, so a point query
+// reads about one; finer cells would read little less, and an 8 × 8 table
+// costs 484 bytes, 0.6 B a point on an eight-block leaf, where 4 × 4 costs
+// 0.2.
+func leafOrder(points, capacity int) uint {
+	k := uint(0)
+	for k < maxLeafOrder && capacity<<(2*k+2) <= 6*points {
+		k++
+	}
+	return k
+}
+
+// gridCuts returns the cuts between the 2^k columns (or rows) of a leaf's
+// cells, for pts whose grid coordinates are g: cut j is the least point by
+// less of those whose coordinate g[i]>>shift — whose column — is j or more,
+// for every j from 1 to the last column that holds a point. The cuts ascend
+// by less, and a point of pts not less than cut j lies in column j or
+// after it (or is a copy of one that does).
+func gridCuts(pts []geom.Point, g []uint32, shift, k uint, less func(a, b geom.Point) bool) []geom.Point {
+	first := make([]geom.Point, 1<<k)
+	held := make([]bool, 1<<k)
+	last := 0
+	for i, p := range pts {
+		c := int(g[i] >> shift)
+		if !held[c] || less(p, first[c]) {
+			first[c], held[c] = p, true
+		}
+		last = max(last, c)
+	}
+	cuts := make([]geom.Point, last)
+	for j := last; j > 0; j-- {
+		cuts[j-1] = first[j]
+		if j < last && (!held[j] || less(cuts[j], cuts[j-1])) {
+			cuts[j-1] = cuts[j]
+		}
+	}
+	return cuts
+}
+
+// lessYX orders points by (y, then x), the order row cuts compare in.
+func lessYX(a, b geom.Point) bool { return a.Y < b.Y || a.Y == b.Y && a.X < b.X }
+
+// groupByCell reorders pts by the cell cellOf gives each, keeping their order
+// within a cell, and returns the cells' prefix counts: cell c's points are
+// pts[start[c]:start[c+1]].
+func groupByCell(pts []geom.Point, cells int, cellOf func(geom.Point) int) (start []int32) {
+	of := make([]int32, len(pts))
+	start = make([]int32, cells+1)
+	for i, p := range pts {
+		c := cellOf(p)
+		of[i] = int32(c)
+		start[c+1]++
+	}
+	for c := range cells {
+		start[c+1] += start[c]
+	}
+	grouped := make([]geom.Point, len(pts))
+	next := slices.Clone(start[:cells])
+	for i, p := range pts {
+		grouped[next[of[i]]] = p
+		next[of[i]]++
+	}
+	copy(pts, grouped)
+	return start
+}
+
+// orderLeaf orders leaf points for packing — rank-space curve order by
+// default (§3.1), raw-grid curve order under the A1 ablation — and returns
+// each ordered point's column and row on the curve's grid and the curve's
+// order.
+func (t *RSMI) orderLeaf(pts []geom.Point) (ordered []geom.Point, cols, rows []uint32, order uint) {
 	if !t.opts.RawGridLeafOrder {
-		return rank.Order(pts, t.opts.Curve)
+		return rank.OrderOnGrid(pts, t.opts.Curve)
 	}
 	norm := geom.BoundingRect(pts)
 	curve := sfc.New(t.opts.Curve, sfc.OrderFor(len(pts)))
 	side := float64(curve.Side() - 1)
 	type cp struct {
-		cv uint64
-		p  geom.Point
+		cv     uint64
+		gx, gy uint32
+		p      geom.Point
 	}
 	cps := make([]cp, len(pts))
 	for i, p := range pts {
 		nx, ny := normalise(norm, p)
-		cps[i] = cp{curve.Value(uint32(nx*side), uint32(ny*side)), p}
+		gx, gy := uint32(nx*side), uint32(ny*side)
+		cps[i] = cp{curve.Value(gx, gy), gx, gy, p}
 	}
 	slices.SortFunc(cps, func(a, b cp) int {
 		return cmp.Or(cmp.Compare(a.cv, b.cv), a.p.Compare(b.p))
 	})
-	out := make([]geom.Point, len(cps))
+	ordered = make([]geom.Point, len(cps))
+	cols, rows = make([]uint32, len(cps)), make([]uint32, len(cps))
 	for i, c := range cps {
-		out[i] = c.p
+		ordered[i], cols[i], rows[i] = c.p, c.gx, c.gy
 	}
-	return out
+	return ordered, cols, rows, curve.Order()
 }
 
 // buildInternal cuts pts into the non-regular grid of §3.2 and recurses into
@@ -382,7 +403,7 @@ func (t *RSMI) orderLeaf(pts []geom.Point) []geom.Point {
 // cell a point falls in; the cuts are that function exactly, so the node
 // keeps them instead of a model and trains nothing. The cuts compare points
 // in the orders rank.Ranks ranks them: a column cut by (x, then y), a row cut
-// by (y, then x). The points are grouped by cell, the predictor descent
+// by (y, then x). The points are grouped by cell, the lookup descent
 // follows, not by the rank layout the cuts were read from: points equal in
 // both coordinates that the layout split across a cut all go to the later
 // cell, so descent is exact by construction.
@@ -423,23 +444,7 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 	}
 
 	// Group the points by the cell descent sends them to, in cell order.
-	cellOf := make([]int32, nPts)
-	start := make([]int, cells+1)
-	for i, p := range pts {
-		c := t.cell(n, p)
-		cellOf[i] = int32(c)
-		start[c+1]++
-	}
-	for c := range cells {
-		start[c+1] += start[c]
-	}
-	grouped := make([]geom.Point, nPts)
-	next := slices.Clone(start[:cells])
-	for i, p := range pts {
-		grouped[next[cellOf[i]]] = p
-		next[cellOf[i]]++
-	}
-	copy(pts, grouped)
+	start := groupByCell(pts, cells, func(p geom.Point) int { return t.cell(n, p) })
 
 	n.children = make([]*node, cells)
 	for c := range cells {
@@ -468,15 +473,34 @@ func gridCells(o Options) (side int, grid []int32) {
 	if f := math.Floor(math.Log2(nb) / 2); f > 1 {
 		order = uint(min(f, maxGridOrder))
 	}
-	curve := sfc.New(o.Curve, order)
-	side = int(curve.Side())
-	grid = make([]int32, side*side)
+	return 1 << order, curveTable(o.Curve, order)
+}
+
+// leafGrids returns the tables from a leaf cell's column and row to its
+// curve value, one for every leaf order (see RSMI.cellGrids).
+func leafGrids(kind sfc.Kind) (grids [maxLeafOrder + 1][]int32) {
+	for k := range grids {
+		grids[k] = curveTable(kind, uint(k))
+	}
+	return grids
+}
+
+// curveTable returns the curve values of the cells of a 2^order × 2^order
+// grid, the cell in column c and row r at c<<order | r. An order-0 grid is
+// one cell.
+func curveTable(kind sfc.Kind, order uint) []int32 {
+	if order == 0 {
+		return []int32{0}
+	}
+	curve := sfc.New(kind, order)
+	side := curve.Side()
+	grid := make([]int32, side*side)
 	for c := range side {
 		for r := range side {
-			grid[c*side+r] = int32(curve.Value(uint32(c), uint32(r)))
+			grid[c*side+r] = int32(curve.Value(c, r))
 		}
 	}
-	return side, grid
+	return grid
 }
 
 // maxGridOrder bounds the grid of an internal node at 2^10 × 2^10 cells,
@@ -489,58 +513,67 @@ const maxGridOrder = 10
 // number of that column's row cuts at or before p by (y, then x). Build,
 // descent and update all find a point's cell through this one method.
 func (t *RSMI) cell(n *node, p geom.Point) int {
+	c := countX(n.cols, p)
+	return int(t.grid[c*t.side+countY(n.rows[c], p)])
+}
+
+// leafCell is cell for leaf n: the curve value of the leaf's cell that p
+// falls in. Build, queries, updates and load all find a point's leaf cell
+// through this one method.
+func (t *RSMI) leafCell(n *node, p geom.Point) int {
+	return int(t.cellGrids[n.order][countX(n.cols, p)<<n.order|countY(n.rowCuts, p)])
+}
+
+// countX returns the number of cuts at or before p by (x, then y) — those p
+// is not Less than — of cuts ascending in that order. It counts the cuts
+// whose x is at most p's without a branch, then takes back the last of them
+// while they tie with p on x and lie above it on y.
+func countX(cuts []geom.Point, p geom.Point) int {
 	c := 0
-	for _, cut := range n.cols {
-		if !p.Less(cut) {
-			c++
-		}
+	for _, cut := range cuts {
+		c += b2i(cut.X <= p.X)
 	}
-	r := 0
-	for _, cut := range n.rows[c] {
-		if !(p.Y < cut.Y || p.Y == cut.Y && p.X < cut.X) {
-			r++
-		}
+	for c > 0 && cuts[c-1].X == p.X && cuts[c-1].Y > p.Y {
+		c--
 	}
-	return int(t.grid[c*t.side+r])
+	return c
 }
 
-// trainLeaf trains the MLP of a leaf packed into the given number of
-// blocks, mapping each point's normalised coordinates to its normalised
-// block, with the paper's hidden sizing rule, and returns it compiled for
-// raw coordinates and whole blocks. The network itself does not outlive the
-// call.
-func (t *RSMI) trainLeaf(pts []geom.Point, blocks int) mlp.Kernel {
-	t.seedSerial++
-	cfg := mlp.Config{
-		Inputs:       2,
-		Hidden:       mlp.HiddenFor(2, blocks),
-		LearningRate: t.opts.LearningRate,
-		Epochs:       t.opts.Epochs,
-		Seed:         t.opts.Seed + t.seedSerial,
+// countY is countX by (y, then x), for row cuts.
+func countY(cuts []geom.Point, p geom.Point) int {
+	c := 0
+	for _, cut := range cuts {
+		c += b2i(cut.Y <= p.Y)
 	}
-	net := mlp.New(cfg)
-	norm := geom.BoundingRect(pts)
-	xs := make([]float64, 0, 2*len(pts))
-	ys := make([]float64, 0, len(pts))
-	for i, p := range pts {
-		nx, ny := normalise(norm, p)
-		xs = append(xs, nx, ny)
-		ys = append(ys, float64(i/t.opts.BlockCapacity)/float64(blocks-1))
+	for c > 0 && cuts[c-1].Y == p.Y && cuts[c-1].X > p.X {
+		c--
 	}
-	net.Train(cfg, xs, ys)
-	return mlp.Compile(net, norm.MinX, norm.MinY, norm.MaxX, norm.MaxY, blocks)
+	return c
 }
 
-// predictClamped is leaf n's prediction for p, a local base block in
-// [0, numBlocks-1]. Build, query and update all predict through this one
-// method — see "Correctness guarantees" in the package comment.
-func (n *node) predictClamped(p geom.Point) int {
-	return n.kernel.Predict(p.X, p.Y)
+// b2i is 1 for true and 0 for false; the compiler makes it a flag read, not
+// a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// cellBlocks returns the global base blocks [lo, hi] of leaf n's cell c —
+// those of the run of positions its build points took, or, for a cell that
+// took none, the one block its position falls in — and the slot of block lo
+// the run starts at, where a search for the cell's points begins.
+func (t *RSMI) cellBlocks(n *node, c int) (lo, hi, slot int) {
+	b := t.opts.BlockCapacity
+	start, end := int(n.starts[c]), int(n.starts[c+1])
+	lo = min(start/b, n.numBlocks-1)
+	hi = max(lo, (end-1)/b)
+	return n.firstBlock + lo, n.firstBlock + hi, start - lo*b
 }
 
 // normalise maps p into the unit square relative to norm; degenerate spans
-// map to 0.5. It prepares training sets only: a trained model is compiled
-// with its normalisation folded in (mlp.Compile).
+// map to 0.5. It places points on the raw grid of the A1 ablation.
 func normalise(norm geom.Rect, p geom.Point) (float64, float64) {
 	nx, ny := 0.5, 0.5
 	if dx := norm.MaxX - norm.MinX; dx > 0 {
@@ -557,9 +590,9 @@ func (t *RSMI) appendBlockMBR(r geom.Rect) {
 	t.blockMBR = append(t.blockMBR, r)
 }
 
-// linkChains walks the block list once from block 0 and records in t.bases,
-// which holds one entry per base block, the head of every base block's
-// overflow chain, and in t.empty the overflow blocks with no live point. The
+// linkChains walks the block list once from block 0 and records in
+// t.chainHeads, which holds one entry per base block, the head of every base
+// block's overflow chain, and in t.empty the overflow blocks with no live point. The
 // walks of this package step through base blocks by index and follow Next
 // only inside a chain, so the list has to be the one Pack and Insert produce: base blocks follow each other in id
 // order, whatever lies between two of them is an Inserted block with an id
@@ -567,7 +600,7 @@ func (t *RSMI) appendBlockMBR(r geom.Rect) {
 // else — a snapshot can say anything — is an error.
 
 func (t *RSMI) linkChains() error {
-	heads := t.bases
+	heads := t.chainHeads
 	t.empty = blockSet{}
 	blocks := t.store.NumBlocks()
 	base, reached := -1, 0
@@ -579,11 +612,11 @@ func (t *RSMI) linkChains() error {
 		case id < t.baseBlocks && (b.Inserted || id != base+1):
 			return fmt.Errorf("core: base block %d is out of order or marked inserted", id)
 		case id < t.baseBlocks:
-			base, heads[id].chainHead = id, store.NilBlock
+			base, heads[id] = id, store.NilBlock
 		case !b.Inserted || base < 0:
 			return fmt.Errorf("core: block %d is chained but not an overflow block", id)
-		case heads[base].chainHead == store.NilBlock:
-			heads[base].chainHead = int32(id)
+		case heads[base] == store.NilBlock:
+			heads[base] = int32(id)
 		}
 		if id >= t.baseBlocks && b.Live() == 0 {
 			t.empty.add(id)
@@ -657,29 +690,26 @@ func (t *RSMI) Accesses() int64 { return t.store.Accesses() }
 // ResetAccesses implements index.Index.
 func (t *RSMI) ResetAccesses() { t.store.ResetAccesses() }
 
-// ErrorBounds returns the maximum leaf prediction error bounds in blocks
-// (M.err_l of Eq. 4, M.err_a of Eq. 5), the quantities reported in Table 4.
+// ErrorBounds returns Table 4's error bounds in blocks (M.err_l of Eq. 4,
+// M.err_a of Eq. 5) for leaves that tabulate their cells: a point query
+// starts at the first block of its point's cell, so errLow is the widest
+// cell's base blocks less one and errHigh is 0.
 func (t *RSMI) ErrorBounds() (errLow, errHigh int) {
 	var walk func(n *node)
 	walk = func(n *node) {
 		if n == nil {
 			return
 		}
-		if n.leaf {
-			if n.errUp > errLow {
-				errLow = n.errUp
-			}
-			if n.errDown > errHigh {
-				errHigh = n.errDown
-			}
-			return
+		for c := 0; c+1 < len(n.starts); c++ {
+			lo, hi, _ := t.cellBlocks(n, c)
+			errLow = max(errLow, hi-lo)
 		}
 		for _, c := range n.children {
 			walk(c)
 		}
 	}
 	walk(t.root)
-	return errLow, errHigh
+	return errLow, 0
 }
 
 // AvgDepth returns the average number of sub-models invoked to reach a data
@@ -719,14 +749,8 @@ func (t *RSMI) Stats() index.Stats {
 		if n == nil {
 			return
 		}
-		// The subtree MBR, and a leaf's compiled model (which replaced the
-		// network and its normalisation rectangle, and carries the class
-		// count) or an internal node's cuts.
-		modelBytes += 4 * 8
-		if n.leaf {
-			modelBytes += n.kernel.SizeBytes()
-		}
-		modelBytes += int64(len(n.cols)) * 16
+		// The subtree MBR, the cuts, and a leaf's prefix counts.
+		modelBytes += 4*8 + int64(len(n.cols)+len(n.rowCuts))*16 + int64(len(n.starts))*4
 		for _, r := range n.rows {
 			modelBytes += int64(len(r)) * 16
 		}
@@ -738,9 +762,9 @@ func (t *RSMI) Stats() index.Stats {
 	if t.pmfX != nil {
 		modelBytes += t.pmfX.SizeBytes() + t.pmfY.SizeBytes()
 	}
-	// Block MBR cache (4 float64 per block) supports RSMIa and kNN; a
-	// point query scans a span (two int32 per base block).
-	modelBytes += int64(len(t.blockMBR))*32 + int64(len(t.bases))*8
+	// Block MBR cache (4 float64 per block) supports every query, and the
+	// chain heads (one int32 per base block) every walk.
+	modelBytes += int64(len(t.blockMBR))*32 + int64(len(t.chainHeads))*4
 	errLow, errHigh := t.ErrorBounds()
 	return index.Stats{
 		Name:      t.Name(),

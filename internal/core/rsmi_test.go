@@ -1,8 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -14,8 +17,8 @@ import (
 )
 
 // testOptions returns options scaled for fast unit tests: small blocks and
-// partitions, short training. Correctness must not depend on training
-// quality, so low epoch counts also exercise the error-bound machinery.
+// partitions, so an index of a few thousand points has a root over many
+// leaves of a few blocks. The training options are inert.
 func testOptions() Options {
 	return Options{
 		BlockCapacity:      20,
@@ -231,64 +234,140 @@ func TestSinglePointIndex(t *testing.T) {
 	}
 }
 
+// TestErrorBoundsAreExact: every indexed point lies in the blocks of its
+// cell — leafCell, the lookup every query makes, then cellBlocks — which is
+// what makes Algorithm 1 correct; and ErrorBounds, what Table 4 reports,
+// is the widest cell's blocks less one.
 func TestErrorBoundsAreExact(t *testing.T) {
-	// Every indexed point must lie within the error-bounded range of its
-	// leaf prediction; this is what makes Algorithm 1 correct, and it is
-	// what Table 4 reports.
-	idx, pts := buildTest(t, dataset.Skewed, 3000)
-	errLow, errHigh := idx.ErrorBounds()
-	if errLow < 0 || errHigh < 0 {
-		t.Fatalf("negative error bounds (%d, %d)", errLow, errHigh)
-	}
-	for _, p := range pts {
-		leaf := idx.descend(p)
-		if leaf == nil {
-			t.Fatalf("no leaf for %v", p)
+	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Skewed} {
+		idx, pts := buildTest(t, kind, 3000)
+		widest := 0
+		walkLeaves(idx.root, func(n *node) {
+			for c := range len(n.starts) - 1 {
+				lo, hi, _ := idx.cellBlocks(n, c)
+				widest = max(widest, hi-lo+1)
+			}
+		})
+		if errLow, errHigh := idx.ErrorBounds(); errLow != widest-1 || errHigh != 0 {
+			t.Errorf("%v: ErrorBounds (%d, %d), widest cell %d blocks", kind, errLow, errHigh, widest)
 		}
-		lo, hi := leaf.scanBounds(p)
-		var reads int
-		if blk, _ := refFind(idx, p, lo, hi, &reads); blk == nil {
-			t.Fatalf("point %v outside its error-bounded range [%d,%d]", p, lo, hi)
+		for _, p := range pts {
+			leaf := idx.descend(p)
+			if leaf == nil {
+				t.Fatalf("%v: no leaf for %v", kind, p)
+			}
+			lo, hi, _ := idx.cellBlocks(leaf, idx.leafCell(leaf, p))
+			if blk, _ := refFind(idx, p, lo, hi, new(int)); blk == nil {
+				t.Fatalf("%v: point %v outside the blocks [%d,%d] of its cell", kind, p, lo, hi)
+			}
 		}
 	}
 }
 
-// TestPointSpansAreExact is TestErrorBoundsAreExact for the spans point
-// queries scan: every indexed point lies in the span of its prediction, and
-// each leaf's span of a prediction is exactly the blocks its points predicted
-// there were packed in — empty when there are none.
+// TestPointSpansAreExact: the blocks a point query scans are exactly those
+// its cell's points were packed in. Walking every leaf's build points in
+// block order, each point's cell never falls back to an earlier one, so each
+// cell's points are one run; a cell's prefix count is the number of points
+// before that run, and its blocks (cellBlocks) are those the run was packed
+// in, from the run's first slot, or, for an empty cell, the block its
+// position falls in.
 func TestPointSpansAreExact(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Skewed} {
-		idx, pts := buildTest(t, kind, 3000)
-		want := deriveSpans(idx, filed(idx))
-		var walk func(n *node)
-		walk = func(n *node) {
-			if n == nil {
-				return
+		idx, _ := buildTest(t, kind, 3000)
+		b := idx.opts.BlockCapacity
+		walkLeaves(idx.root, func(n *node) {
+			cells := len(n.starts) - 1
+			if cells != 1<<(2*n.order) {
+				t.Fatalf("%v: leaf at block %d of order %d has %d cells", kind, n.firstBlock, n.order, cells)
 			}
-			for _, c := range n.children {
-				walk(c)
-			}
-			if !n.leaf {
-				return
-			}
-			for pred, b := range idx.bases[n.firstBlock : n.firstBlock+n.numBlocks] {
-				s := b.span
-				w, ok := want[spanKey{n, pred}]
-				if got := [2]int{n.firstBlock + int(s.lo), n.firstBlock + int(s.hi)}; ok != !s.empty() || ok && got != w {
-					t.Fatalf("%v: leaf at block %d, prediction %d: span %v (empty %v), its points' blocks %v (any %v)",
-						kind, n.firstBlock, pred, got, s.empty(), w, ok)
+			count := make([]int, cells)
+			first, last := make([]int, cells), make([]int, cells)
+			prev, pos := 0, 0
+			for id := n.firstBlock; id < n.firstBlock+n.numBlocks; id++ {
+				for _, p := range idx.store.Peek(id).Slots() {
+					c := idx.leafCell(n, p)
+					if c < prev {
+						t.Fatalf("%v: %v at position %d of the leaf at block %d is in cell %d, after cell %d",
+							kind, p, pos, n.firstBlock, c, prev)
+					}
+					if count[c] == 0 {
+						first[c] = pos
+					}
+					prev, last[c] = c, pos
+					count[c]++
+					pos++
 				}
 			}
+			before := 0
+			for c := range cells {
+				lo, hi, slot := idx.cellBlocks(n, c)
+				want := [3]int{n.firstBlock + first[c]/b, n.firstBlock + last[c]/b, first[c] % b}
+				if count[c] == 0 {
+					blk := min(before/b, n.numBlocks-1)
+					want = [3]int{n.firstBlock + blk, n.firstBlock + blk, before - blk*b}
+				}
+				if int(n.starts[c]) != before || [3]int{lo, hi, slot} != want {
+					t.Fatalf("%v: leaf at block %d, cell %d: start %d, blocks [%d,%d] from slot %d; its %d points after %d: %v",
+						kind, n.firstBlock, c, n.starts[c], lo, hi, slot, count[c], before, want)
+				}
+				before += count[c]
+			}
+		})
+	}
+}
+
+// TestCountMatchesNotLess: the branch-free cut count of cell and leafCell is
+// the number of cuts p is not Less than — by (x, then y) for column cuts, by
+// (y, then x) for row cuts — on the points a count can go wrong on: each
+// cut itself, points tied with a cut on one coordinate either side of it,
+// copies of one point straddling a cut, ±Inf on either coordinate and
+// random points. A NaN point is found nowhere and deleted nowhere.
+func TestCountMatchesNotLess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inf := math.Inf(1)
+	for trial := 0; trial < 200; trial++ {
+		// Cuts on a coarse lattice, so that ties on x, on y and whole copies
+		// are common, sorted as each kind ascends.
+		n := rng.Intn(8)
+		cuts := make([]geom.Point, n)
+		for i := range cuts {
+			cuts[i] = geom.Pt(float64(rng.Intn(4)), float64(rng.Intn(4)))
 		}
-		walk(idx.root)
-		for _, p := range pts {
-			lo, hi := idx.pointBounds(idx.descend(p), p)
-			var reads int
-			if blk, _ := refFind(idx, p, lo, hi, &reads); blk == nil {
-				t.Fatalf("%v: point %v outside the span [%d,%d] of its prediction", kind, p, lo, hi)
+		byX := slices.Clone(cuts)
+		slices.SortFunc(byX, geom.Point.Compare)
+		byY := slices.Clone(cuts)
+		slices.SortFunc(byY, func(a, b geom.Point) int {
+			return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
+		})
+		var probes []geom.Point
+		for _, c := range cuts {
+			for _, d := range []float64{-1, -0.5, 0, 0.5, 1} {
+				probes = append(probes, c, geom.Pt(c.X, c.Y+d), geom.Pt(c.X+d, c.Y))
 			}
 		}
+		for _, v := range []float64{-inf, -1, 0, 1.5, 3, inf} {
+			probes = append(probes, geom.Pt(v, 1), geom.Pt(1, v), geom.Pt(v, v), geom.Pt(v, -v))
+		}
+		for range 20 {
+			probes = append(probes, geom.Pt(4*rng.Float64()-0.5, 4*rng.Float64()-0.5))
+		}
+		for _, p := range probes {
+			if got, want := countX(byX, p), refNotBefore(byX, p, geom.Point.Less); got != want {
+				t.Fatalf("countX(%v, %v) = %d, cuts not after it %d", byX, p, got, want)
+			}
+			if got, want := countY(byY, p), refNotBefore(byY, p, lessYX); got != want {
+				t.Fatalf("countY(%v, %v) = %d, cuts not after it %d", byY, p, got, want)
+			}
+		}
+	}
+	idx, _ := buildTest(t, dataset.Skewed, 3000)
+	for _, p := range []geom.Point{geom.Pt(math.NaN(), 0.5), geom.Pt(0.5, math.NaN()), geom.Pt(math.NaN(), math.NaN())} {
+		if idx.PointQuery(p) || idx.Delete(p) {
+			t.Errorf("a point query or delete of %v reported it found", p)
+		}
+	}
+	if idx.Len() != 3000 {
+		t.Errorf("Len %d after deleting NaN points, want 3000", idx.Len())
 	}
 }
 
@@ -441,9 +520,9 @@ func benchIndex(b *testing.B) (*RSMI, []geom.Point) {
 }
 
 // BenchmarkPointQuery runs Algorithm 1 over the index embed-read builds
-// (200k skewed points, 10 epochs, the default learning rate, seed 1), on
-// indexed points (present) and on points beside them that are not indexed
-// (absent), which scan the whole span of their prediction.
+// (200k skewed points), on indexed points (present) and on points beside
+// them that are not indexed (absent), which read every block of their
+// cell.
 func BenchmarkPointQuery(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
 	idx := New(pts, Options{Epochs: 10, Seed: 1})

@@ -2,32 +2,36 @@ package core
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 
 	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
-	"rsmi/internal/mlp"
 	"rsmi/internal/sfc"
 	"rsmi/internal/store"
 )
 
 // The paper's RSMI takes hours to train at scale (§6.2.2: 16 h for OSM on a
-// CPU), so a production deployment builds once and serves many restarts.
+// CPU), and even an index that trains nothing reads and sorts every point to
+// build, so a production deployment builds once and serves many restarts.
 // This file provides a complete binary serialisation of a built index:
 // options, blocks (including overflow chains and deleted slots), the
-// internal nodes' cuts, the leaves' compiled models, MBRs, error bounds,
-// point spans, and the kNN PMFs. A loaded index answers queries identically
-// to the original: the cuts and kernels are stored as they are, nothing is
-// recompiled, so every grouping, error bound and span in the file was
-// measured from the very predictors the loaded index runs.
+// internal nodes' cuts, the leaves' cuts and cell counts, MBRs, and the kNN
+// PMFs. A loaded index answers queries identically to the original: the
+// cuts and counts are stored as they are, so every grouping in the file was
+// made by the very lookups the loaded index runs.
 
-// serialMagic identifies the index file format, RSMIv4.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '4', 0, 0}
+// serialMagic identifies the index file format, RSMIv5.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '5', 0, 0}
+
+// serialMagicV4 is the magic of the format whose leaves were trained models.
+var serialMagicV4 = [8]byte{'R', 'S', 'M', 'I', 'v', '4', 0, 0}
 
 // serialMagicV3 is the magic of the format whose internal nodes were
 // trained models.
@@ -66,6 +70,16 @@ var ErrSnapshotV2 = errors.New("core: RSMIv2 snapshot refused: it holds no point
 // ones holding them. Rebuild the index from its points and save it again.
 var ErrSnapshotV3 = errors.New("core: RSMIv3 snapshot refused: its internal nodes are trained models, " +
 	"and this version descends by exact grid cuts that would not find its points where the models put them; " +
+	"rebuild the index and save it again")
+
+// ErrSnapshotV4 is returned by Load for an RSMIv4 file. Its leaves are
+// trained models, and its points were filed under the blocks those models
+// predicted; this version's leaves look a point up in a table of exact
+// cells, and cells derived from the file's points would not name the blocks
+// its inserts were filed under. Rebuild the index from its points and save
+// it again.
+var ErrSnapshotV4 = errors.New("core: RSMIv4 snapshot refused: its leaves are trained models, " +
+	"and this version looks points up in exact leaf cells that would not find its points where the models put them; " +
 	"rebuild the index and save it again")
 
 // WriteTo serialises the index. It implements io.WriterTo.
@@ -112,7 +126,7 @@ func (t *RSMI) encode(w io.Writer) error {
 	// Scalars.
 	for _, v := range []interface{}{
 		int64(t.n), int64(t.baseBlocks), int64(t.leaves),
-		int64(t.height), t.seedSerial, int64(t.inserted),
+		int64(t.height), int64(t.inserted),
 		int64(t.lastTail), int64(t.buildTime),
 	} {
 		if err := put(v); err != nil {
@@ -150,7 +164,7 @@ const optionBlockSize = 9*8 + 1
 // WriteOptions writes o as the option block every index stream and the
 // sharded header carry: B, N, the curve, the learning rate, the epochs, an
 // early-stop loss, γ, Δ, the seed and the raw-grid flag. The loss, γ and Δ
-// are constants (training runs its epochs; γ = 100, Δ = 0.01, §4.3), and
+// are constants (no early stop; γ = 100, Δ = 0.01, §4.3), and
 // their words keep the bytes builds have always written: 0, 100 and 0.01
 // for resolved options, the paper's defaults filled in, as an index stream
 // stores them; 0, 0 and 0 for options as a caller gave them, as the sharded
@@ -228,25 +242,28 @@ func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 	if err := putRect(w, n.mbr); err != nil {
 		return err
 	}
-	if !n.leaf {
-		if err := put(int64(n.points)); err != nil {
-			return err
-		}
-	} else {
-		if _, err := n.kernel.WriteTo(w); err != nil {
-			return err
-		}
-		for _, v := range []int64{int64(n.firstBlock), int64(n.numBlocks), int64(n.errUp), int64(n.errDown), int64(n.points)} {
+	if n.leaf {
+		// The leaf's words, its cuts, then its cells' prefix counts behind
+		// their number.
+		for _, v := range []int64{int64(n.firstBlock), int64(n.numBlocks), int64(n.points)} {
 			if err := put(v); err != nil {
 				return err
 			}
 		}
-		pairs := make([]byte, 0, 8*n.numBlocks)
-		for _, b := range t.bases[n.firstBlock : n.firstBlock+n.numBlocks] {
-			pairs = binary.LittleEndian.AppendUint32(pairs, uint32(b.span.lo))
-			pairs = binary.LittleEndian.AppendUint32(pairs, uint32(b.span.hi))
+		if err := putCuts(w, n.cols); err != nil {
+			return err
 		}
-		_, err := w.Write(pairs)
+		if err := putCuts(w, n.rowCuts); err != nil {
+			return err
+		}
+		b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+4*len(n.starts)), uint64(len(n.starts)))
+		for _, v := range n.starts {
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		}
+		_, err := w.Write(b)
+		return err
+	}
+	if err := put(int64(n.points)); err != nil {
 		return err
 	}
 	// The cuts: the column cuts, then each column's row cuts, each list
@@ -341,6 +358,8 @@ func decode(r io.Reader) (*RSMI, error) {
 		return nil, ErrSnapshotV2
 	case serialMagicV3:
 		return nil, ErrSnapshotV3
+	case serialMagicV4:
+		return nil, ErrSnapshotV4
 	}
 	if magic != serialMagic {
 		return nil, errors.New("core: not an RSMI index file")
@@ -352,9 +371,13 @@ func decode(r io.Reader) (*RSMI, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &RSMI{opts: opts}
+	// Leaves map positions to blocks of B points.
+	if opts.BlockCapacity < 1 {
+		return nil, fmt.Errorf("core: block capacity %d", opts.BlockCapacity)
+	}
+	t := &RSMI{opts: opts, cellGrids: leafGrids(opts.Curve)}
 	// Scalars.
-	var scalars [8]int64
+	var scalars [7]int64
 	for i := range scalars {
 		if err := get(&scalars[i]); err != nil {
 			return nil, fmt.Errorf("core: read scalars: %w", err)
@@ -364,10 +387,9 @@ func decode(r io.Reader) (*RSMI, error) {
 	t.baseBlocks = int(scalars[1])
 	t.leaves = int(scalars[2])
 	t.height = int(scalars[3])
-	t.seedSerial = scalars[4]
-	t.inserted = int(scalars[5])
-	t.lastTail = int(scalars[6])
-	t.buildTime = time.Duration(scalars[7])
+	t.inserted = int(scalars[4])
+	t.lastTail = int(scalars[5])
+	t.buildTime = time.Duration(scalars[6])
 	// Store.
 	mgr, err := store.ReadManager(r)
 	if err != nil {
@@ -399,13 +421,10 @@ func decode(r io.Reader) (*RSMI, error) {
 	if t.baseBlocks < 0 || t.baseBlocks > mgr.NumBlocks() {
 		return nil, fmt.Errorf("core: baseBlocks %d outside the %d stored blocks", t.baseBlocks, mgr.NumBlocks())
 	}
-	t.bases = make([]baseEntry, 0, t.baseBlocks)
 	if t.root, err = t.decodeNode(r, 0); err != nil {
 		return nil, err
 	}
-	if len(t.bases) != t.baseBlocks {
-		return nil, fmt.Errorf("core: leaves hold spans for %d of %d base blocks", len(t.bases), t.baseBlocks)
-	}
+	t.chainHeads = make([]int32, t.baseBlocks)
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -415,7 +434,7 @@ func decode(r io.Reader) (*RSMI, error) {
 // maxDecodeDepth bounds recursion on corrupt input.
 const maxDecodeDepth = 64
 
-// decodeNode reads a sub-tree, appending its leaves' spans to t.bases.
+// decodeNode reads a sub-tree.
 func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	if depth > maxDecodeDepth {
 		return nil, errors.New("core: model tree too deep (corrupt file?)")
@@ -436,45 +455,21 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	if n.mbr, err = getRect(r); err != nil {
 		return nil, err
 	}
-	if !n.leaf {
-		var points int64
-		if err := binary.Read(r, binary.LittleEndian, &points); err != nil {
-			return nil, err
-		}
-		n.points = int(points)
-	} else {
-		if n.kernel, err = mlp.ReadKernel(r); err != nil {
-			return nil, err
-		}
-		var f [5]int64
+	if n.leaf {
+		var f [3]int64
 		for i := range f {
 			if err := binary.Read(r, binary.LittleEndian, &f[i]); err != nil {
 				return nil, err
 			}
 		}
-		n.firstBlock = int(f[0])
-		n.numBlocks = int(f[1])
-		n.errUp = int(f[2])
-		n.errDown = int(f[3])
-		n.points = int(f[4])
-		// A kernel's class indexes the leaf's base blocks: one that predicts
-		// among any other number of them would walk off the end.
-		if got := n.kernel.Classes(); got != n.numBlocks {
-			return nil, fmt.Errorf("core: leaf model predicts %d classes for a leaf with %d blocks", got, n.numBlocks)
-		}
-		// One pair per base block, appended as the stream yields them.
-		var pair [8]byte
-		for range n.numBlocks {
-			if _, err := io.ReadFull(r, pair[:]); err != nil {
-				return nil, fmt.Errorf("core: read spans: %w", err)
-			}
-			t.bases = append(t.bases, baseEntry{span: span{
-				lo: int32(binary.LittleEndian.Uint32(pair[0:])),
-				hi: int32(binary.LittleEndian.Uint32(pair[4:])),
-			}})
-		}
-		return n, nil
+		n.firstBlock, n.numBlocks, n.points = int(f[0]), int(f[1]), int(f[2])
+		return n, t.decodeCells(r, n)
 	}
+	var points int64
+	if err := binary.Read(r, binary.LittleEndian, &points); err != nil {
+		return nil, err
+	}
+	n.points = int(points)
 	// A cell's column and row index the grid table, and its curve value the
 	// children: a node of another grid, or with more cuts than its grid has
 	// room for, would walk off their ends. The options fix the grid; it is
@@ -509,6 +504,56 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	return n, nil
 }
 
+// decodeCells reads leaf n's cuts and prefix counts. Their number fixes the
+// leaf's order k — 4^k + 1 counts for 2^k × 2^k cells — and a leaf of order
+// k has at most 2^k − 1 cuts each way, ascending, so the cells index the
+// leaf's grid table and a window's cell rectangle is exact. The counts
+// ascend and end within the leaf's blocks, so a cell's blocks are the
+// leaf's; that they hold the cell's points is validate's to check.
+func (t *RSMI) decodeCells(r io.Reader, n *node) error {
+	var err error
+	if n.cols, err = getCuts(r, 1<<maxLeafOrder-1); err != nil {
+		return err
+	}
+	if n.rowCuts, err = getCuts(r, 1<<maxLeafOrder-1); err != nil {
+		return err
+	}
+	var count uint64
+	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
+		return fmt.Errorf("core: read cell counts: %w", err)
+	}
+	for n.order = 0; n.order < maxLeafOrder && 1<<(2*n.order)+1 < count; n.order++ {
+	}
+	side := 1 << n.order
+	if 1<<(2*n.order)+1 != count || len(n.cols) >= side || len(n.rowCuts) >= side {
+		return fmt.Errorf("core: leaf of %d cell counts, %d column and %d row cuts is no 2^k × 2^k grid (k ≤ %d)",
+			count, len(n.cols), len(n.rowCuts), maxLeafOrder)
+	}
+	if !slices.IsSortedFunc(n.cols, geom.Point.Compare) || !slices.IsSortedFunc(n.rowCuts, compareYX) {
+		return errors.New("core: leaf cuts out of order")
+	}
+	b := make([]byte, 4*count)
+	if _, err := io.ReadFull(r, b); err != nil {
+		return fmt.Errorf("core: read cell counts: %w", err)
+	}
+	n.starts = make([]int32, count)
+	prev := int32(0)
+	for i := range n.starts {
+		v := int32(binary.LittleEndian.Uint32(b[4*i:]))
+		if v < prev || v > 0 && (int(v)-1)/t.opts.BlockCapacity >= n.numBlocks {
+			return fmt.Errorf("core: leaf cell count %d of cell %d is below the one before it or past the leaf's %d blocks",
+				v, i, n.numBlocks)
+		}
+		n.starts[i], prev = v, v
+	}
+	return nil
+}
+
+// compareYX orders points by (y, then x), the order row cuts ascend in.
+func compareYX(a, b geom.Point) int {
+	return cmp.Or(cmp.Compare(a.Y, b.Y), cmp.Compare(a.X, b.X))
+}
+
 // validate sanity-checks structural invariants after loading.
 func (t *RSMI) validate() error {
 	if t.root == nil {
@@ -540,11 +585,9 @@ func (t *RSMI) validate() error {
 	// belongs to exactly one leaf — and every model's MBR covers the points
 	// under it. The exact traversals prune by those MBRs, so a snapshot
 	// breaking either would have them miss points or find one twice. Every
-	// live point descends to the leaf that holds its block, and that block
-	// lies in the span of the point's prediction, so a point query finds
-	// every point the index holds. The leaves' spans were appended in the
-	// same order, so once the leaves before n tile [0, n.firstBlock), n's
-	// spans start at t.bases[n.firstBlock].
+	// live point descends to the leaf that holds its block, and that block's
+	// base block lies in the blocks of the point's cell, so a point query,
+	// a window and a kNN round find every point the index holds.
 	next := 0
 	var walk func(n *node) (geom.Rect, error)
 	walk = func(n *node) (geom.Rect, error) {
@@ -557,17 +600,7 @@ func (t *RSMI) validate() error {
 				return covered, fmt.Errorf("core: leaf block range [%d,%d) does not continue the leaves before it at %d",
 					n.firstBlock, n.firstBlock+n.numBlocks, next)
 			}
-			if n.errUp < 0 || n.errDown < 0 {
-				return covered, errors.New("core: negative error bounds")
-			}
 			next += n.numBlocks
-			bases := t.bases[n.firstBlock:next]
-			for pred, b := range bases {
-				if s := b.span; !s.empty() && (s.lo < 0 || int(s.hi) >= n.numBlocks) {
-					return covered, fmt.Errorf("core: span %d [%d,%d] of the leaf at block %d lies outside its %d blocks",
-						pred, s.lo, s.hi, n.firstBlock, n.numBlocks)
-				}
-			}
 			c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
 				covered = covered.Union(t.blockMBR[id])
@@ -575,9 +608,10 @@ func (t *RSMI) validate() error {
 					if t.descend(p) != n {
 						return covered, fmt.Errorf("core: point %v of block %d descends to another leaf", p, id)
 					}
-					if pred, local := n.predictClamped(p), c.base-n.firstBlock; !bases[pred].span.contains(local) {
-						return covered, fmt.Errorf("core: point %v lies in block %d of the leaf at block %d, outside span %d [%d,%d] of its prediction",
-							p, local, n.firstBlock, pred, bases[pred].span.lo, bases[pred].span.hi)
+					cell := t.leafCell(n, p)
+					if lo, hi, _ := t.cellBlocks(n, cell); c.base < lo || c.base > hi {
+						return covered, fmt.Errorf("core: point %v lies in block %d, outside blocks [%d,%d] of its cell %d",
+							p, c.base, lo, hi, cell)
 					}
 				}
 			}

@@ -51,7 +51,7 @@ func TestSerializeRoundTripQueriesIdentical(t *testing.T) {
 }
 
 // TestBuildDeterministic: two builds from the same points and options write
-// byte-identical snapshots — blocks, MBRs, kernels, bounds — so nothing in the
+// byte-identical snapshots — blocks, MBRs, cuts, cell counts — so nothing in the
 // build (the ordering sorts, above all) lets anything but its input decide the
 // index. The one wall-clock field of a snapshot is zeroed first.
 func TestBuildDeterministic(t *testing.T) {
@@ -77,8 +77,8 @@ func TestBuildDeterministic(t *testing.T) {
 }
 
 // assertRoundTripIdentical saves and reloads orig and demands the same index
-// back: the same statistics, bit-identical predictions (the kernels are
-// stored, not recompiled) and the same answers at the same block accesses.
+// back: the same statistics, the same cells (the cuts and counts are
+// stored as they are) and the same answers at the same block accesses.
 // probes are points to query at; deleted ones among them are fine.
 func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []geom.Point) {
 	t.Helper()
@@ -91,8 +91,8 @@ func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []g
 	if so != sl {
 		t.Fatalf("%s: Stats diverge:\n%+v\n%+v", stage, so, sl)
 	}
-	// Every sub-model on the way down predicts the same class: same leaf,
-	// same scan range. Probe inside and well outside the data.
+	// Every node on the way down finds the same cell: same leaf, same
+	// blocks. Probe inside and well outside the data.
 	rng := rand.New(rand.NewSource(34))
 	for i := 0; i < 10000; i++ {
 		p := geom.Pt(3*rng.Float64()-1, 3*rng.Float64()-1)
@@ -100,8 +100,8 @@ func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []g
 			p = probes[rng.Intn(len(probes))]
 		}
 		l1, l2 := orig.descend(p), loaded.descend(p)
-		lo1, hi1 := l1.scanBounds(p)
-		lo2, hi2 := l2.scanBounds(p)
+		lo1, hi1, _ := orig.cellBlocks(l1, orig.leafCell(l1, p))
+		lo2, hi2, _ := loaded.cellBlocks(l2, loaded.leafCell(l2, p))
 		if l1.firstBlock != l2.firstBlock || lo1 != lo2 || hi1 != hi2 {
 			t.Fatalf("%s: %v descends to the leaf at block %d, range [%d, %d], before, and to the leaf at block %d, range [%d, %d], after the round trip",
 				stage, p, l1.firstBlock, lo1, hi1, l2.firstBlock, lo2, hi2)
@@ -265,6 +265,13 @@ func TestLoadRefusesV3(t *testing.T) {
 	refuseOldMagic(t, serialMagicV3, ErrSnapshotV3, "RSMIv3", "cuts", "rebuild")
 }
 
+// TestLoadRefusesV4: the format whose leaves are trained models is
+// recognised and refused with an error that says why, not mistaken for
+// garbage.
+func TestLoadRefusesV4(t *testing.T) {
+	refuseOldMagic(t, serialMagicV4, ErrSnapshotV4, "RSMIv4", "leaves", "cells", "rebuild")
+}
+
 // TestLoadChecksDelta: Δ sizes every kNN search, so a snapshot whose Δ word
 // is neither the 0.01 this version runs nor 0 (unset, which meant 0.01) is
 // refused with an error that names Δ. The loss and γ words shaped only the
@@ -309,27 +316,20 @@ func TestLoadChecksDelta(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsMismatchedKernel: a leaf model that predicts among more
-// classes than its leaf has blocks would index past them, and so would an
-// internal node with fewer cells than the index's grid; the loader must
-// refuse both.
-func TestLoadRejectsMismatchedKernel(t *testing.T) {
+// TestLoadRejectsMismatchedCells: a leaf whose cell counts reach past its
+// blocks would index past them, and so would an internal node with fewer
+// cells than the index's grid, or a leaf whose counts are not those of a
+// 2^k × 2^k grid; the loader must refuse all three.
+func TestLoadRejectsMismatchedCells(t *testing.T) {
 	opts := testOptions()
 	opts.PartitionThreshold = 400
 	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), opts)
 	for name, tamper := range map[string]func(root *node){
-		"internal": func(root *node) { root.children = root.children[:1] },
-		"leaf": func(root *node) {
-			n := root
-			for !n.leaf {
-				for _, c := range n.children {
-					if c != nil {
-						n = c
-						break
-					}
-				}
-			}
-			n.numBlocks--
+		"internal":    func(root *node) { root.children = root.children[:1] },
+		"leaf blocks": func(root *node) { firstLeaf(root).numBlocks-- },
+		"leaf cells": func(root *node) {
+			n := firstLeaf(root)
+			n.starts = n.starts[:len(n.starts)-1]
 		},
 	} {
 		var buf bytes.Buffer
@@ -346,9 +346,22 @@ func TestLoadRejectsMismatchedKernel(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := Load(&buf); err == nil {
-			t.Errorf("%s: Load accepted a node with fewer children or blocks than its predictor names", name)
+			t.Errorf("%s: Load accepted a node whose cells do not match its children or blocks", name)
 		}
 	}
+}
+
+// firstLeaf returns the first leaf under n.
+func firstLeaf(n *node) *node {
+	for !n.leaf {
+		for _, c := range n.children {
+			if c != nil {
+				n = c
+				break
+			}
+		}
+	}
+	return n
 }
 
 // TestLoadRefusesBadCuts: descent counts the cuts at or before a point, and
@@ -366,6 +379,15 @@ func TestLoadRefusesBadCuts(t *testing.T) {
 		"row cut +Inf":   func(root *node) { root.rows[1][0].Y = math.Inf(1) },
 		"4 column cuts":  func(root *node) { root.cols, root.rows = append(root.cols, root.cols[0]), append(root.rows, nil) },
 		"4 row cuts":     func(root *node) { root.rows[0] = append(root.rows[0], root.rows[0][0]) },
+		"leaf cut +Inf":  func(root *node) { firstLeaf(root).rowCuts[0].X = math.Inf(1) },
+		"leaf cuts out of order": func(root *node) {
+			n := firstLeaf(root)
+			n.cols[0], n.cols[1] = n.cols[1], n.cols[0]
+		},
+		"leaf cut too many": func(root *node) {
+			n := firstLeaf(root)
+			n.cols = append(n.cols, n.cols[len(n.cols)-1])
+		},
 	} {
 		var buf bytes.Buffer
 		if _, err := idx.WriteTo(&buf); err != nil {
@@ -386,24 +408,20 @@ func TestLoadRefusesBadCuts(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesSpanOutsideLeaf: a span reaching past its leaf's blocks
-// would send a point query into another leaf's blocks, or past the base
-// range; the loader refuses it in words that name the span, even when every
-// point still lies in the span of its prediction.
+// TestLoadRefusesSpanOutsideLeaf: a cell whose span of blocks reaches past
+// its leaf's would send a point query into another leaf's blocks, or past
+// the base range; the loader refuses it in words that name the blocks, even
+// when every point still lies in its cell's blocks.
 func TestLoadRefusesSpanOutsideLeaf(t *testing.T) {
 	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), testOptions())
 	leaf := idx.descend(idx.AllPoints()[0])
-	s := &idx.bases[leaf.firstBlock].span
-	if s.empty() {
-		s.lo = 0
-	}
-	s.hi = int32(leaf.numBlocks)
+	leaf.starts[len(leaf.starts)-1] += int32(idx.opts.BlockCapacity)
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "span") {
-		t.Fatalf("Load of a span past its leaf: %v, want a refusal naming the span", err)
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "blocks") {
+		t.Fatalf("Load of a cell past its leaf: %v, want a refusal naming the blocks", err)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 // This file implements the update handling of §5: insertions with overflow
 // chaining, flag-based deletions, recursive MBR maintenance, and the
 // periodic rebuild of the RSMIr variant (§6.2.5). Unlike §5, an insert is
-// filed beside its spatial neighbours inside its prediction's span rather
-// than under the predicted block itself, an overflow block that deletes
+// filed beside its spatial neighbours among its cell's base blocks rather
+// than under a predicted block, an overflow block that deletes
 // emptied is reused before a new one is allocated (see Insert), and a
 // delete searches a chain before its base block (see findForDelete).
 
@@ -25,24 +25,19 @@ import (
 // points for the same reason.
 var ErrNonFinitePoint = errors.New("core: point has a NaN or infinite coordinate")
 
-// Insert adds p to the index (§5). The point query locates p's prediction,
-// and p is filed under the home block in that prediction's span: the first
-// base block whose cached MBR holds p, else the one whose MBR lies nearest
-// to p (see home). The first block of the home's chain with space takes p;
-// if none has space, an overflow block is spliced after the chain's tail:
-// one that deletes emptied, taken from its own chain (see reuseEmpty), or
-// else a new one, marked Inserted so it does not count towards the error
-// bounds. Ancestor MBRs are extended recursively.
+// Insert adds p to the index (§5). p's leaf cell names the base blocks
+// its cell's points were packed into, and p is filed under the home block
+// among them: the first whose cached MBR holds p, else the one whose MBR
+// lies nearest to p (see home). The first block of the home's chain with
+// space takes p; if none has space, an overflow block is spliced after the
+// chain's tail: one that deletes emptied, taken from its own chain (see
+// reuseEmpty), or else a new one, marked Inserted. Ancestor MBRs are
+// extended recursively.
 //
-// §5 files p under the predicted block itself. The leaf model's error
-// spreads the points of one prediction over several blocks, so the
-// predicted block's chain would gather points from all of them and its
-// MBRs would cover their whole region; filing p beside its neighbours keeps
-// every block's MBR tight, which is what the exact walks prune by. The home
-// lies in the span, so point queries and Delete, which scan the span, still
-// find p, and spans do not move. Only a prediction no point was ever filed
-// under — its span is empty — files p under the predicted block and widens
-// its span to that block.
+// §5 files p under the block the leaf model predicts. The cell's blocks are
+// where a point query and Delete for p look, so p is found whichever of them
+// takes it; filing it beside its neighbours keeps every block's MBR tight,
+// which is what the exact walks prune by. Nothing a query reads is widened.
 //
 // A point with a NaN or infinite coordinate is not inserted: this form drops
 // it, InsertContext reports ErrNonFinitePoint.
@@ -67,24 +62,22 @@ func (t *RSMI) Insert(p geom.Point) {
 		*t = *NewOwned(append(t.AllPoints(), p), t.opts)
 		return
 	}
-	pred := leaf.predictClamped(p)
-	s := &t.bases[leaf.firstBlock+pred].span
-	if s.empty() {
-		s.cover(pred)
-	}
-	base := t.store.Peek(t.home(leaf.firstBlock, *s, p))
+	lo, hi, _ := t.cellBlocks(leaf, t.leafCell(leaf, p))
+	base := t.store.Peek(t.home(lo, hi, p))
 
-	// Walk the overflow chain in place looking for space. The accesses are
-	// what they have always been — one to locate the base block, then one per
-	// block of its chain, the base block again at its head — reported once.
+	// Walk the overflow chain in place to the first block with space, and to
+	// its tail only when none has space. The accesses are one to locate the
+	// base block, then one per block walked, the base block again at its
+	// head, reported once.
 	var target *store.Block
 	lastInChain := base
 	reads := 1
 	for b := base; b != nil && (b == base || b.Inserted); b = t.store.Peek(b.Next) {
 		reads++
 		lastInChain = b
-		if target == nil && b.HasSpace() {
+		if b.HasSpace() {
 			target = b
+			break
 		}
 	}
 	t.store.CountReads(reads)
@@ -97,7 +90,7 @@ func (t *RSMI) Insert(p geom.Point) {
 		}
 		t.store.Link(lastInChain, target)
 		if lastInChain == base {
-			t.bases[base.ID].chainHead = int32(target.ID)
+			t.chainHeads[base.ID] = int32(target.ID)
 		}
 	case target.Inserted && target.Live() == 0:
 		t.empty.remove(target.ID)
@@ -117,14 +110,12 @@ func (t *RSMI) Insert(p geom.Point) {
 }
 
 // home returns the global id of the base block Insert files p under, out of
-// span s of p's prediction in the leaf whose run starts at block first: the
-// first block of the span in block order whose cached MBR holds p — the
-// first one a point query or Delete for p meets — or, when none does, the
-// one whose MBR lies nearest to p in L1 distance (half the growth of its
-// perimeter were p added to it), the first of equals. It compares cached
-// MBRs only and reads no block.
-func (t *RSMI) home(first int, s span, p geom.Point) int {
-	lo, hi := first+int(s.lo), first+int(s.hi)
+// base blocks [lo, hi] of p's cell: the first in block order whose cached
+// MBR holds p — the first one a point query or Delete for p meets — or,
+// when none does, the one whose MBR lies nearest to p in L1 distance (half
+// the growth of its perimeter were p added to it), the first of equals. It
+// compares cached MBRs only and reads no block.
+func (t *RSMI) home(lo, hi int, p geom.Point) int {
 	best, bestDist := lo, l1Dist(t.blockMBR[lo], p)
 	for id := lo + 1; bestDist > 0 && id <= hi; id++ {
 		if d := l1Dist(t.blockMBR[id], p); d < bestDist {
@@ -155,7 +146,7 @@ func (t *RSMI) reuseEmpty() *store.Block {
 		if b.Next >= t.baseBlocks {
 			head = int32(b.Next)
 		}
-		t.bases[b.Prev].chainHead = head
+		t.chainHeads[b.Prev] = head
 	}
 	t.store.Unlink(b)
 	t.blockMBR[id] = geom.EmptyRect()
@@ -207,12 +198,12 @@ func l1Dist(r geom.Rect, p geom.Point) float64 {
 }
 
 // Delete removes the point with exactly p's coordinates (§5): the point is
-// located in the span of its prediction, as a point query locates it but
+// located among its cell's blocks, as a point query locates it but
 // searching each chain before its base block (see findForDelete), swapped
 // with the last point in its block, and flagged deleted. Blocks are never
-// deallocated, keeping the error bounds valid; an overflow block left
-// empty waits for the next insert that needs one (reuseEmpty). MBRs and
-// spans are left unshrunk (conservative: supersets stay correct).
+// deallocated, so no cell's blocks move; an overflow block left empty waits
+// for the next insert that needs one (reuseEmpty). MBRs are left unshrunk
+// (conservative: supersets stay correct).
 //
 // This context-free form is the implementation layer: DeleteContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -223,8 +214,7 @@ func (t *RSMI) Delete(p geom.Point) bool {
 	if leaf == nil {
 		return false
 	}
-	lo, hi := t.pointBounds(leaf, p)
-	b, slot := t.findForDelete(p, lo, hi)
+	b, slot := t.findForDelete(leaf, p)
 	if b == nil {
 		return false
 	}
@@ -241,22 +231,24 @@ func (t *RSMI) Delete(p geom.Point) bool {
 	return true
 }
 
-// findForDelete is findPointIn for Delete with one change of order: a base
+// findForDelete is findPoint for Delete with one change of order: a base
 // block that has an overflow chain is searched after its chain, not before.
 // A point Insert filed under a full home block lies in the home's chain,
 // and the home's MBR holds it, so a base-first search would scan the whole
 // full block in vain first — on every delete of a recently inserted point.
 // A point the base block holds itself costs instead a search of the chain's
-// blocks whose MBRs hold it. The accesses counted are the blocks walked up
-// to the one that holds p, as for findPointIn.
-func (t *RSMI) findForDelete(q geom.Point, lo, hi int) (*store.Block, int) {
+// blocks whose MBRs hold it. The first base block is searched from the slot
+// the cell's run starts at, as findPoint searches it. The accesses counted
+// are the blocks walked up to the one that holds p, as for findPoint.
+func (t *RSMI) findForDelete(leaf *node, q geom.Point) (*store.Block, int) {
+	lo, hi, from := t.cellBlocks(leaf, t.leafCell(leaf, q))
 	c := t.scan(lo, hi)
 	held := store.NilBlock // a base block whose MBR holds q, searched after its chain
 	for id := c.next(); ; id = c.next() {
 		if held != store.NilBlock && (id == store.NilBlock || id < t.baseBlocks) {
 			// The walk has left held's chain.
 			in := t.store.Peek(held)
-			if slot := in.Find(q); slot >= 0 {
+			if slot := in.FindFrom(q, startSlot(held, lo, from)); slot >= 0 {
 				if id != store.NilBlock {
 					c.reads-- // the next base block was yielded, not searched
 				}
@@ -272,12 +264,12 @@ func (t *RSMI) findForDelete(q geom.Point, lo, hi int) (*store.Block, int) {
 		if !t.blockMBR[id].Contains(q) {
 			continue
 		}
-		if id < t.baseBlocks && t.bases[id].chainHead != store.NilBlock {
+		if id < t.baseBlocks && t.chainHeads[id] != store.NilBlock {
 			held = id
 			continue
 		}
 		in := t.store.Peek(id)
-		if slot := in.Find(q); slot >= 0 {
+		if slot := in.FindFrom(q, startSlot(id, lo, from)); slot >= 0 {
 			t.store.CountReads(c.reads)
 			return in, slot
 		}
@@ -313,8 +305,8 @@ func (t *RSMI) scanAll(fn func(b *store.Block)) {
 	}
 }
 
-// Rebuild reconstructs the index from its live points, retraining all
-// sub-models and repacking all blocks. This is the periodic rebuild the
+// Rebuild reconstructs the index from its live points, cutting every node
+// afresh and repacking all blocks. This is the periodic rebuild the
 // paper prescribes for sustained update loads ("A periodic rebuild may be
 // run (e.g., overnight) to retain a high query efficiency", §5; evaluated as
 // RSMIr in §6.2.5). The paper rebuilds only over-threshold sub-models; a

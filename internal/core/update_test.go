@@ -304,8 +304,9 @@ func TestRandomOpsAgainstOracle(t *testing.T) {
 	}
 }
 
-// TestInsertWalksChainInPlace: an insert counts what it always has — one
-// access to locate the base block, then one per block of its chain — and an
+// TestInsertWalksChainInPlace: an insert counts one access to locate the
+// base block, then one per block of its chain it walks — up to the first
+// with space, the whole chain only when none has space — and an
 // insert→delete pair into a chain with space allocates nothing. The search
 // for the home block compares cached MBRs and counts no access, as the exact
 // walk's skipped blocks do.
@@ -316,16 +317,12 @@ func TestInsertWalksChainInPlace(t *testing.T) {
 	// homeOf is the base block Insert files p under.
 	homeOf := func(p geom.Point) int {
 		l := idx.descend(p)
-		pred := l.predictClamped(p)
-		s := idx.bases[l.firstBlock+pred].span
-		if s.empty() {
-			return l.firstBlock + pred
-		}
-		return idx.home(l.firstBlock, s, p)
+		lo, hi, _ := idx.cellBlocks(l, idx.leafCell(l, p))
+		return idx.home(lo, hi, p)
 	}
 	base := idx.store.Peek(homeOf(hot))
-	// Points beside hot that the models and the home rule send to hot's
-	// home block.
+	// Points beside hot that the cells and the home rule send to hot's home
+	// block.
 	rng := rand.New(rand.NewSource(5))
 	beside := func() geom.Point {
 		for {
@@ -336,11 +333,19 @@ func TestInsertWalksChainInPlace(t *testing.T) {
 		}
 	}
 	for i := 0; i < 4*idx.opts.BlockCapacity; i++ {
-		chain := len(chainOf(idx, base.ID))
+		chain := chainOf(idx, base.ID)
+		want := len(chain)
+		for j, id := range chain {
+			if idx.store.Peek(id).HasSpace() {
+				want = j + 1
+				break
+			}
+		}
 		before := idx.Accesses()
 		idx.Insert(beside())
-		if got := idx.Accesses() - before; got != int64(1+chain) {
-			t.Fatalf("insert into a chain of %d blocks counted %d accesses, want %d", chain, got, 1+chain)
+		if got := idx.Accesses() - before; got != int64(1+want) {
+			t.Fatalf("insert into a chain of %d blocks, the first with space its block %d, counted %d accesses, want %d",
+				len(chain), want, got, 1+want)
 		}
 	}
 	if chain := len(chainOf(idx, base.ID)); chain < 4 {

@@ -16,10 +16,8 @@
 // A Network is what training works on, kept in the form inference uses: one
 // unit per hidden neuron, and one sigmoid for the whole package — a 4 096-piece
 // interpolated table within 1e-6 of 1/(1+e^-x) (tableSigmoid), where the paper
-// has PyTorch's. An index that has finished training a two-input Network
-// compiles it (Compile) into a Kernel — the same units rescaled to fold in
-// normalisation, class scaling and the table's coordinates — keeps the Kernel
-// and drops the Network; see Kernel for why that is exact.
+// has PyTorch's. The ZM baseline keeps its networks; RSMI's nodes are exact
+// tables and train none (see package core).
 package mlp
 
 import (
@@ -45,6 +43,73 @@ type Config struct {
 	// Seed seeds weight initialisation and epoch shuffling, making training
 	// fully deterministic.
 	Seed int64
+}
+
+// The sigmoid, of training and inference alike, is read from a table:
+// tableSteps linear pieces over [-tableSpan, tableSpan], saturating outside. The step
+// is a power of two, so a pre-activation is turned into a table coordinate
+// (and a coordinate into an index and a fraction) without rounding.
+const (
+	tableSpan  = 16
+	tableSteps = 4096 // a power of two: masking an index proves it in range
+	tableScale = tableSteps / (2 * tableSpan)
+)
+
+// sigmoidTableError bounds |table sigmoid − 1/(1+e^-x)| for every x: the
+// interpolation error of a piece is at most step²/8 · max|σ″| = 7.4e-7, and
+// saturating beyond ±16 costs at most σ(-16) = 1.2e-7. TestSigmoidTable pins
+// it.
+const sigmoidTableError = 1e-6
+
+// sigmoidTable[i] is the sigmoid at table coordinate i, i.e. at
+// x = i/tableScale − tableSpan.
+var sigmoidTable [tableSteps + 1]float64
+
+func init() {
+	for i := range sigmoidTable {
+		sigmoidTable[i] = 1 / (1 + tableExp(tableSpan-float64(i)/tableScale))
+	}
+}
+
+// tableExp returns e^y for |y| ≤ tableSpan to a relative error near 1e-13,
+// from individually rounded +, × and ÷ alone: a degree-8 Taylor polynomial
+// at y/1024 (an exact scaling), squared ten times. math.Exp is not used
+// because its last bit is not the same on every GOARCH (assembly on some,
+// FMA-fused polynomials on others), and training must be: a ZM snapshot's
+// error bounds were measured with the network the table computes.
+func tableExp(y float64) float64 {
+	z := y / 1024
+	e := 1.0
+	for k := 8.0; k >= 1; k-- {
+		e = 1 + float64(z*e)/k
+	}
+	for i := 0; i < 10; i++ {
+		e = float64(e * e)
+	}
+	return e
+}
+
+// tableSigmoid returns the table's sigmoid at table coordinate t (the
+// pre-activation x sits at t = (x + tableSpan)·tableScale). It is total:
+// NaN, −Inf and everything below the table read its first entry, +Inf and
+// everything above read its last, and no input indexes outside it.
+func tableSigmoid(t float64) float64 {
+	if !(t > 0) {
+		return sigmoidTable[0]
+	}
+	if t >= tableSteps {
+		return sigmoidTable[tableSteps]
+	}
+	i := int(t) & (tableSteps - 1)
+	lo, hi := sigmoidTable[i], sigmoidTable[i+1]
+	return lo + float64((t-float64(i))*(hi-lo))
+}
+
+// unit is one hidden neuron, its four parameters adjacent: input weights,
+// bias and output weight, over inputs and outputs in the unit range (see
+// Network).
+type unit struct {
+	wx, wy, b, w2 float64
 }
 
 // DefaultLearningRate and DefaultEpochs are the paper's training settings.
@@ -127,8 +192,8 @@ func (n *Network) sample(xs []float64, s int) (x, y float64) {
 type packedSample struct{ x, y, target float64 }
 
 // activation is the neuron's output for unit-range inputs: the table sigmoid
-// of b + wx·x + wy·y. Products are rounded before they are added, as in
-// Kernel.value, so a forward pass is the same sum on every GOARCH.
+// of b + wx·x + wy·y. Products are rounded before they are added, so a
+// forward pass is the same sum on every GOARCH.
 func (u *unit) activation(x, y float64) float64 {
 	s := u.b + float64(u.wx*x) + float64(u.wy*y)
 	return tableSigmoid((s + tableSpan) * tableScale)

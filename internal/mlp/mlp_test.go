@@ -1,8 +1,11 @@
 package mlp
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -205,8 +208,63 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-// TestSigmoid: the one sigmoid of the package — training, Network.Predict and
-// the Kernel all read the table — is exact at 0, saturates and never
+// tableSigmoidAt is the table's sigmoid at pre-activation x.
+func tableSigmoidAt(x float64) float64 {
+	return tableSigmoid((x + tableSpan) * tableScale)
+}
+
+// TestSigmoidTable pins the table: monotone, total, and within the pinned
+// error of the exact sigmoid 1/(1+e^-x).
+func TestSigmoidTable(t *testing.T) {
+	var worst float64
+	prev := 0.0
+	for x := -40.0; x <= 40; x += 1.0 / 1024 {
+		got := tableSigmoidAt(x)
+		if got < prev {
+			t.Fatalf("table sigmoid decreases at %v: %v after %v", x, got, prev)
+		}
+		prev = got
+		worst = max(worst, math.Abs(got-1/(1+math.Exp(-x))))
+	}
+	t.Logf("worst |table − sigmoid| on [-40, 40]: %.3g", worst)
+	if worst > sigmoidTableError || sigmoidTableError > 2e-6 {
+		t.Errorf("worst table error %.3g, pinned %.3g (and the pin must stay ≤ 2e-6)", worst, sigmoidTableError)
+	}
+	if got := tableSigmoidAt(0); got != 0.5 {
+		t.Errorf("table sigmoid at 0 = %v, want 0.5", got)
+	}
+	// Total: nothing indexes outside the table, whatever the coordinate.
+	lo, hi := sigmoidTable[0], sigmoidTable[tableSteps]
+	for _, c := range []struct{ t, want float64 }{
+		{math.NaN(), lo}, {math.Inf(-1), lo}, {-1e300, lo}, {-1, lo}, {0, lo}, {math.Copysign(0, -1), lo},
+		{tableSteps, hi}, {tableSteps + 0.5, hi}, {1e300, hi}, {math.Inf(1), hi},
+		{math.Nextafter(tableSteps, 0), hi},
+	} {
+		if got := tableSigmoid(c.t); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("tableSigmoid(%v) = %v, want %v", c.t, got, c.want)
+		}
+	}
+}
+
+// TestSigmoidTableBits pins every bit of the table. It is built from
+// individually rounded operations so that it is the same on every GOARCH —
+// training, and so a ZM snapshot's error bounds, depend on it — and this is
+// the test that fails where it is not.
+func TestSigmoidTableBits(t *testing.T) {
+	h := fnv.New64a()
+	for _, v := range sigmoidTable {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	const want = uint64(0xc81f334739aee29e)
+	if got := h.Sum64(); got != want {
+		t.Errorf("sigmoid table hashes to %#x on %s, pinned %#x", got, runtime.GOARCH, want)
+	}
+}
+
+// TestSigmoid: the one sigmoid of the package — training and Network.Predict
+// both read the table — is exact at 0, saturates and never
 // decreases. TestSigmoidTable bounds its distance from 1/(1+e^-x).
 func TestSigmoid(t *testing.T) {
 	if s := tableSigmoidAt(0); s != 0.5 {

@@ -213,6 +213,19 @@ func spreadRanks(n int, side uint64) []uint32 {
 // values, so the order has one possible outcome and a radix sort of the
 // values finds it.
 func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
+	out, _, _, _ := orderPoints(pts, kind, false)
+	return out
+}
+
+// OrderOnGrid is Order that also returns every sorted point's column and row
+// on the curve's grid — its x and y rank, spread over the grid's side — and
+// the curve's order: what an RSMI leaf cuts its aligned cells from.
+func OrderOnGrid(pts []geom.Point, kind sfc.Kind) (out []geom.Point, cols, rows []uint32, order uint) {
+	return orderPoints(pts, kind, true)
+}
+
+// orderPoints is Order, returning the grid coordinates only when grid is set.
+func orderPoints(pts []geom.Point, kind sfc.Kind, grid bool) (out []geom.Point, cols, rows []uint32, order uint) {
 	n := len(pts)
 	buf := make([]keyed, 2*n)
 	rx, ry := ranks(pts, buf)
@@ -222,11 +235,17 @@ func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
 		ks[i] = keyed{curve.Value(spread[rx[i]], spread[ry[i]]), uint32(i)}
 	}
 	ks = sortKeyed(ks, buf[n:])
-	out := make([]geom.Point, len(ks))
+	out = make([]geom.Point, len(ks))
 	for i, k := range ks {
 		out[i] = pts[k.idx]
 	}
-	return out
+	if grid {
+		cols, rows = make([]uint32, n), make([]uint32, n)
+		for i, k := range ks {
+			cols[i], rows[i] = spread[rx[k.idx]], spread[ry[k.idx]]
+		}
+	}
+	return out, cols, rows, curve.Order()
 }
 
 // CurveGapStats summarises the gaps between consecutive curve values of the

@@ -44,8 +44,8 @@ func snapshotSansBuildTimes(t *testing.T, s *Sharded) []byte {
 
 // TestBuildDeterministic: shards build on goroutines of their own, from runs
 // of one ordering; two builds of the same points and options still write
-// byte-identical snapshots — same partition, regions, blocks, kernels and
-// bounds — so neither a sort's tie-handling nor scheduling reaches an index.
+// byte-identical snapshots — same partition, regions, blocks, cuts and
+// cells — so neither a sort's tie-handling nor scheduling reaches an index.
 func TestBuildDeterministic(t *testing.T) {
 	pts := dataset.Generate(dataset.OSMLike, 5000, 57)
 	pts = append(pts, pts[:250]...) // duplicate points: ties in every sort
@@ -94,8 +94,8 @@ func TestShardedRoundTrip(t *testing.T) {
 				t.Fatalf("Options: loaded %+v, original %+v", lo, oo)
 			}
 
-			// Every query class must answer identically: the loaded models,
-			// blocks, error bounds, and routing regions are bit-identical.
+			// Every query class must answer identically: the loaded cuts,
+			// cells, blocks and routing regions are bit-identical.
 			for qi, q := range workload.Windows(pts, 30, 0.01, 1, 54) {
 				sameSet(t, "WindowQuery", must(loaded.WindowQueryContext(bg, q)), must(s.WindowQueryContext(bg, q)))
 				sameSet(t, "ExactWindow", must(loaded.ExactWindowContext(bg, q)), must(s.ExactWindowContext(bg, q)))
@@ -177,25 +177,27 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // earlier format's.
 func downgrade(t testing.TB, snap []byte, magic string) []byte {
 	t.Helper()
-	out := bytes.ReplaceAll(snap, []byte("RSMIv4\x00\x00"), []byte(magic+"\x00\x00"))
+	out := bytes.ReplaceAll(snap, []byte("RSMIv5\x00\x00"), []byte(magic+"\x00\x00"))
 	if bytes.Equal(out, snap) {
-		t.Fatal("snapshot holds no RSMIv4 magic to downgrade")
+		t.Fatal("snapshot holds no RSMIv5 magic to downgrade")
 	}
 	return out
 }
 
 // TestLoadRefusesV1: the sharded container did not change, but a file whose
-// embedded shard streams are RSMIv1, RSMIv2 or RSMIv3 is refused with core's
-// explanation, not loaded with error bounds that no longer hold, without the
-// spans its point queries scan, or with internal models where this version
-// descends by cuts.
+// embedded shard streams are RSMIv1, RSMIv2, RSMIv3 or RSMIv4 is refused
+// with core's explanation, not loaded with error bounds that no longer hold,
+// without the spans its point queries scan, or with internal or leaf models
+// where this version looks points up by cuts.
 func TestLoadRefusesV1(t *testing.T) {
 	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	for magic, want := range map[string]error{"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2, "RSMIv3": core.ErrSnapshotV3} {
+	for magic, want := range map[string]error{
+		"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2, "RSMIv3": core.ErrSnapshotV3, "RSMIv4": core.ErrSnapshotV4,
+	} {
 		if _, err := Load(bytes.NewReader(downgrade(t, buf.Bytes(), magic))); !errors.Is(err, want) {
 			t.Errorf("Load of a snapshot with %s shards: %v, want %v", magic, err, want)
 		}
@@ -231,12 +233,13 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 }
 
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// are loadSeeds' snapshots in the RSMIv4 format. They load, their exact
+// are loadSeeds' snapshots in the RSMIv5 format. They load, their exact
 // whole-space window holds every point, and a point query finds each of
 // them. Snapshots in an earlier format cannot be converted (core's
-// ErrSnapshotV1, ErrSnapshotV2, ErrSnapshotV3), so a format change writes
-// them again, and the corpus keeps one shard stream in each of the last two
-// earlier formats, which must be refused.
+// ErrSnapshotV1 to ErrSnapshotV4), so a format change writes them again,
+// and the corpus keeps a shard stream in each of the last three earlier
+// formats, which must be refused. The RSMIv4 one is the last seed that
+// format wrote.
 func TestCommittedSeedsLoad(t *testing.T) {
 	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
 		s, err := Load(strings.NewReader(readCorpusEntry(t, name)))
@@ -254,7 +257,9 @@ func TestCommittedSeedsLoad(t *testing.T) {
 		}
 	}
 	// The committed snapshots of the earlier formats are refused by name.
-	for name, want := range map[string]error{"rsmiv2-1shard": core.ErrSnapshotV2, "rsmiv3-1shard": core.ErrSnapshotV3} {
+	for name, want := range map[string]error{
+		"rsmiv2-1shard": core.ErrSnapshotV2, "rsmiv3-1shard": core.ErrSnapshotV3, "rsmiv4-1shard": core.ErrSnapshotV4,
+	} {
 		if _, err := Load(strings.NewReader(readCorpusEntry(t, name))); !errors.Is(err, want) {
 			t.Errorf("%s: Load returned %v, want %v", name, err, want)
 		}
@@ -286,7 +291,7 @@ var wholeSpace = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.In
 // whole-space window holds exactly Len() points — every point reachable once
 // through the models, blocks and regions the snapshot claims —, whose point
 // query finds each of them (the load checked that every point descends to
-// its leaf and lies in the span of its prediction), and whose other queries
+// its leaf and lies in the blocks of its cell), and whose other queries
 // neither panic nor hang. The committed corpus under
 // testdata/fuzz/FuzzLoadSharded holds the seeds and the tampered snapshots
 // the loader has to refuse.
@@ -311,11 +316,9 @@ func FuzzLoadSharded(f *testing.F) {
 				t.Fatalf("loaded index of %d points: point query misses %v (%v)", s.Len(), p, err)
 			}
 		}
-		// A point query for a point the index need not hold may scan a span
-		// no live point vouched for at load, empty or not, whatever its two
-		// words: it may find nothing, but must not fail. Windows and kNN
-		// trust the leaves' error bounds, which no structural check can
-		// vouch for: they may miss points, but must not fail either.
+		// A point query for a point the index need not hold may read a cell
+		// no live point vouched for at load: it may find nothing, but must
+		// not fail, and neither may windows and kNN.
 		q := geom.Pt(0.5, 0.5)
 		must(s.PointQueryContext(bg, q))
 		if len(got) > 0 {
@@ -340,7 +343,7 @@ const (
 // for the tampering tests: the offsets follow WriteTo here and in core and
 // store, one field at a time.
 type shardZero struct {
-	region, n, capacity, firstNext, firstX, pmfCount, pmfKnot1, rootRect, leafKernel, leafFirst, leafSpans int
+	region, n, capacity, firstNext, firstX, pmfCount, pmfKnot1, rootRect, leafFirst, leafStarts int
 }
 
 func locate(t *testing.T, snap []byte) shardZero {
@@ -350,7 +353,7 @@ func locate(t *testing.T, snap []byte) shardZero {
 	z.region = 8 + 12*8 + 1  // magic, twelve header words, the raw flag
 	cs := z.region + 4*8 + 8 // the region, the stream's length prefix
 	z.n = cs + 8 + 9*8 + 1   // magic, nine option words, the raw flag
-	z.capacity = z.n + 8*8   // eight scalar words
+	z.capacity = z.n + 7*8   // seven scalar words
 	at := z.capacity + 8 + 8 // capacity, block count
 	for b := 0; b < i64(z.capacity+8); b++ {
 		if b == 0 {
@@ -367,10 +370,11 @@ func locate(t *testing.T, snap []byte) shardZero {
 	z.rootRect = at + 1
 	for {
 		if snap[at] == 1 {
-			hidden := int(binary.LittleEndian.Uint32(snap[at+1+32+4:]))
-			fields := at + 1 + 32 + 16 + hidden*32 // tag, MBR, kernel
-			z.leafKernel, z.leafFirst = at+1+32, fields
-			z.leafSpans = fields + 5*8 // after the five leaf words
+			z.leafFirst = at + 1 + 32 // tag, MBR
+			cuts := z.leafFirst + 3*8 // the three leaf words
+			cuts += 8 + i64(cuts)*16  // the column cuts
+			cuts += 8 + i64(cuts)*16  // the row cuts
+			z.leafStarts = cuts + 8   // the count of prefix counts
 			return z
 		}
 		at += 1 + 32 + 8 // tag, MBR, the point count
@@ -398,15 +402,11 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 		"delta-0.02":           {{deltaWord, f64(0.02)}},       // a kNN step this version does not run
 		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
 		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
-		"block-list-loops":     {{uint64(z.firstNext), 0}},              // block 0 links to itself
-		"point-not-finite":     {{uint64(z.firstX), f64(math.Inf(1))}},  // a live point at +Inf
-		"pmf-nan-knot":         {{uint64(z.pmfKnot1), f64(math.NaN())}}, // kNN's CDF searches its knots
-		"root-mbr-too-small":   {{uint64(z.rootRect + 16), f64(-1e9)}},  // MaxX below every point
-		"leaf-gap": { // the first leaf gives up its first block, which no leaf then holds
-			{uint64(z.leafFirst), word(z.leafFirst) + 1},
-			{uint64(z.leafFirst + 8), word(z.leafFirst+8) - 1},
-			{uint64(z.leafKernel), word(z.leafKernel) - 1}, // its model's class count, the low half
-		},
+		"block-list-loops":     {{uint64(z.firstNext), 0}},                     // block 0 links to itself
+		"point-not-finite":     {{uint64(z.firstX), f64(math.Inf(1))}},         // a live point at +Inf
+		"pmf-nan-knot":         {{uint64(z.pmfKnot1), f64(math.NaN())}},        // kNN's CDF searches its knots
+		"root-mbr-too-small":   {{uint64(z.rootRect + 16), f64(-1e9)}},         // MaxX below every point
+		"leaf-gap":             {{uint64(z.leafFirst), word(z.leafFirst) + 1}}, // the first leaf starts a block late: no leaf holds block 0
 	} {
 		snap := append([]byte(nil), seed...)
 		for _, e := range edits {
@@ -414,13 +414,11 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 		}
 		out[name] = snap
 	}
-	// Every span of the first leaf made empty (lo 1, hi 0): the leaf's
-	// points lie outside the spans of their predictions, which are all
-	// within the leaf's blocks.
+	// Every prefix count of the first leaf made 0: each cell's blocks are
+	// then the leaf's first block, within the leaf, and the points of its
+	// other blocks lie outside the blocks of their cells.
 	snap := append([]byte(nil), seed...)
-	for i := range int(word(z.leafFirst + 8)) {
-		binary.LittleEndian.PutUint64(snap[z.leafSpans+8*i:], 1)
-	}
+	clear(snap[z.leafStarts : z.leafStarts+4*int(word(z.leafStarts-8))])
 	out["span-misses-point"] = snap
 	return out
 }
@@ -440,8 +438,8 @@ func TestLoadRefusesTampered(t *testing.T) {
 				t.Errorf("%s, %s: Load refused it with %q, which does not name the partitioning", seedName, name, err)
 			} else if name == "delta-0.02" && !strings.Contains(err.Error(), "Δ") {
 				t.Errorf("%s, %s: Load refused it with %q, which does not name Δ", seedName, name, err)
-			} else if name == "span-misses-point" && !strings.Contains(err.Error(), "span") {
-				t.Errorf("%s, %s: Load refused it with %q, which does not name the span", seedName, name, err)
+			} else if name == "span-misses-point" && !strings.Contains(err.Error(), "cell") {
+				t.Errorf("%s, %s: Load refused it with %q, which does not name the cell", seedName, name, err)
 			}
 		}
 	}
@@ -472,12 +470,10 @@ func TestLoadRefusesTampered(t *testing.T) {
 
 // TestBuildSnapshotGolden pins the bytes a build writes, not only that two
 // builds agree: a faster sort or curve encoder must lay out the same blocks
-// and the same cuts and train the same models. The inputs reach every
+// and the same cuts and cells. The inputs reach every
 // ordering path — exact duplicate points, a partition and a root big enough
 // for Ranks to sort x and y on two goroutines, internal nodes over leaves,
-// and both curves. The
-// digests are of amd64 builds; other architectures may fuse multiply-adds
-// in training and so write other weights.
+// and both curves. The digests are of amd64 builds.
 func TestBuildSnapshotGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are of amd64 builds")
@@ -489,8 +485,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "45e538f754faace0381290ffe58b396fc64020c68534870c64b858af165815d6"},
-		{1, sfc.Z, "0ab8b236aa05d433246e076238c078fec07079dd15ab22b531839b17fd9d2c5d"},
+		{2, sfc.Hilbert, "e7807478a23d763dbf2c2475e529a229cdae393301338dd869d9b82b4d0073f1"},
+		{1, sfc.Z, "866b9e877adec4d9fef9b2f77f71a0a07aaf1b476b23e27cfe3f85200b12f3ea"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -529,7 +525,7 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "1d2893f3c007a92d09b4283adb49eed2d96668690e8572b3accc814bacfa1144"
+	const want = "ae9bcfa065bf4aef19d6bd4ff78aa17146f894c19f04367f0c89681358bb75ca"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

@@ -4,7 +4,7 @@
 // "The Case for Learned Spatial Indexes" (Pandey et al., 2020) and LiLIS
 // (Chen et al., 2025). One query never leaves its caller's goroutine: it
 // visits the shards it needs one after another, and a batch is a loop of
-// single queries. Only New trains the shards in parallel.
+// single queries. Only New builds the shards in parallel.
 //
 // # Space partitioning
 //
@@ -21,9 +21,9 @@
 // the owning shard's write lock, so updates on different shards proceed
 // concurrently. With S = 1 this is one RWMutex over one RSMI, which
 // serialises every update against all queries. RebuildContext is
-// rolling: one shard retrains at a time while the rest keep serving,
+// rolling: one shard rebuilds at a time while the rest keep serving,
 // bounding the stall a periodic rebuild (§5) inflicts on live queries to a
-// single shard's retraining time.
+// single shard's build time.
 //
 // Every query and write takes a context.Context (the rsmi.Engine surface);
 // there are no context-free forms.
@@ -124,15 +124,14 @@ type Sharded struct {
 	hookMu sync.Mutex
 }
 
-// New builds a Sharded index over the points. Shard construction (model
-// training included) runs in parallel. The input slice is not modified.
+// New builds a Sharded index over the points. Shard construction runs in
+// parallel. The input slice is not modified.
 //
 // When opts.Index.PartitionThreshold is unset, New derives a per-shard
 // threshold instead of core's global default: a shard holding close to the
-// default threshold N=10,000 would otherwise build as one maximal leaf,
-// whose prediction error bounds are an order of magnitude looser than the
-// small leaves a hierarchical build produces (scans of ±40 blocks instead
-// of ±4 at harness training budgets), erasing the gains of sharding.
+// default threshold N=10,000 would otherwise build as one maximal leaf, whose
+// cells, at most 8 × 8, would each span several blocks where the leaves of a
+// hierarchical build keep a cell to a block or two.
 func New(pts []geom.Point, opts Options) *Sharded {
 	pts = geom.FinitePoints(pts) // nothing else can be ordered, routed or indexed
 	opts = opts.withDefaults()
@@ -146,11 +145,7 @@ func New(pts []geom.Point, opts Options) *Sharded {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			io := opts.Index
-			// Distinct seeds keep shard models independent even though every
-			// shard shares one Options value.
-			io.Seed += int64(i) * 7919
-			sh := &state{idx: core.New(parts[i], io)}
+			sh := &state{idx: core.New(parts[i], opts.Index)}
 			sh.storeRegion(geom.BoundingRect(parts[i]))
 			s.shards[i] = sh
 		}(i)
@@ -163,8 +158,8 @@ func New(pts []geom.Point, opts Options) *Sharded {
 // deriveIndexOptions returns the per-shard core options: an unset
 // PartitionThreshold defaults to roughly a quarter of the shard's share of
 // the points, clamped to [4·B, core default], so every shard keeps a
-// multi-leaf hierarchy with tight error bounds. Explicit thresholds are
-// respected unchanged.
+// multi-leaf hierarchy whose cells span a block or two. Explicit thresholds
+// are respected unchanged.
 func deriveIndexOptions(opts Options, n int) core.Options {
 	io := opts.Index
 	if io.PartitionThreshold != 0 {
@@ -371,30 +366,28 @@ func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.P
 	return out, nil
 }
 
-// RebuildContext retrains every shard from its current live points as a
+// RebuildContext rebuilds every shard from its current live points as a
 // rolling rebuild: shards rebuild one at a time behind their own write
 // lock, so queries and updates on every other shard keep flowing while one
-// shard retrains — unlike the global-RWMutex design, where a rebuild stalls
-// the whole service for the full retraining time (§5 prescribes periodic
+// shard rebuilds — unlike the global-RWMutex design, where a rebuild stalls
+// the whole service for the full build time (§5 prescribes periodic
 // rebuilds under sustained updates). Each shard keeps its current points
 // (the partition assignment does not change) and its region is recomputed,
 // tightening routing after deletions.
 //
-// A cancelled ctx stops the rebuild before the next shard retrains. Shards
+// A cancelled ctx stops the rebuild before the next shard rebuilds. Shards
 // already rebuilt stay rebuilt (each swap is atomic under the shard lock),
 // so an aborted rebuild never leaves the index inconsistent — merely
-// partially retrained, and a later rebuild finishes the job.
+// partially rebuilt, and a later rebuild finishes the job.
 func (s *Sharded) RebuildContext(ctx context.Context) error {
-	for i, sh := range s.shards {
+	for _, sh := range s.shards {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		sh.mu.Lock()
 		pts := sh.idx.AllPoints()
-		io := s.opts.Index
-		io.Seed += int64(i) * 7919
 		sh.storeRegion(geom.BoundingRect(pts))
-		sh.idx = core.NewOwned(pts, io) // AllPoints' copy is the build's own
+		sh.idx = core.NewOwned(pts, s.opts.Index) // AllPoints' copy is the build's own
 		sh.mu.Unlock()
 	}
 	s.notify(WriteOp{Kind: WriteRebuild})

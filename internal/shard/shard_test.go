@@ -314,8 +314,8 @@ func TestEmptySharded(t *testing.T) {
 var newSink *Sharded
 
 // BenchmarkNew200k is the set-up the repo's embed-read benchmark times,
-// less data generation: 200k skewed points, two shards, 10 epochs. The
-// partition runs before either shard can start training.
+// less data generation: 200k skewed points, two shards. The partition runs
+// before either shard can start building.
 func BenchmarkNew200k(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
 	b.ReportAllocs()
@@ -325,17 +325,37 @@ func BenchmarkNew200k(b *testing.B) {
 	}
 }
 
-var knnSink []geom.Point
+var (
+	knnSink   []geom.Point
+	pointSink bool
+)
 
 // BenchmarkQueries times embed-read's engine — 200k skewed points on two
-// shards, 10 epochs — answering default-size windows into a warm buffer and
-// kNN at k = 25, with the blocks each query reads.
+// shards — answering point queries for indexed points (point/present) and
+// for points beside them that are not indexed (point/absent), default-size
+// windows into a warm buffer and kNN at k = 25, with the blocks each query
+// reads.
 func BenchmarkQueries(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
 	s := New(pts, Options{Shards: 2, Index: core.Options{Epochs: 10, Seed: 1}})
 	ctx := context.Background()
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(s.Accesses())/float64(b.N), "blocks/op")
+	}
+	present, absent := workload.PointQueries(pts, 4096, 3), workload.KNNPoints(pts, 4096, 3)
+	for _, c := range []struct {
+		name string
+		qs   []geom.Point
+	}{{"point/present", present}, {"point/absent", absent}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			s.ResetAccesses()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pointSink, _ = s.PointQueryContext(ctx, c.qs[i%len(c.qs)])
+			}
+			report(b)
+		})
 	}
 	b.Run("window", func(b *testing.B) {
 		qs := workload.Windows(pts, 1024, workload.DefaultWindowSize, 1, 3)

@@ -88,8 +88,23 @@ func (b *Block) Points(fn func(geom.Point)) {
 }
 
 // Find returns the slot of the first live point equal to p, or -1.
-func (b *Block) Find(p geom.Point) int {
-	for i, q := range b.Slots() {
+func (b *Block) Find(p geom.Point) int { return b.FindFrom(p, 0) }
+
+// FindFrom returns the slot of the first live point equal to p met searching
+// from slot from to the last live slot and then wrapping round to the slots
+// before from, or -1: with several copies of p it may be another copy's slot
+// than Find's. A from outside the live slots starts at 0.
+func (b *Block) FindFrom(p geom.Point, from int) int {
+	s := b.Slots()
+	if from < 0 || from >= len(s) {
+		from = 0
+	}
+	for i := from; i < len(s); i++ {
+		if s[i].X == p.X && s[i].Y == p.Y {
+			return i
+		}
+	}
+	for i, q := range s[:from] {
 		if q.X == p.X && q.Y == p.Y {
 			return i
 		}
@@ -144,14 +159,18 @@ func (m *Manager) Alloc() *Block {
 // firstSlots is the slot count a block without slots grows to first.
 const firstSlots = 4
 
-// grow returns pts with room for at least one more slot: twice its
-// capacity, at least firstSlots, at most capacity. A block that fills up
-// holds exactly capacity slots.
+// grow returns pts with room for at least one more slot: half as much again
+// as its capacity, at least firstSlots, at most capacity. A block that
+// fills up holds exactly capacity slots. Growing by half rather than
+// doubling leaves an overflow block at most a third of its slots empty,
+// where doubling leaves up to half: inserts filed by cell run a chain's
+// blocks full enough that doubling's step from 64 to 100 slots cost more
+// heap than the leaves' cell tables.
 func grow(pts []geom.Point, capacity int) []geom.Point {
 	if len(pts) < cap(pts) {
 		return pts
 	}
-	grown := make([]geom.Point, len(pts), min(max(2*cap(pts), firstSlots), capacity))
+	grown := make([]geom.Point, len(pts), min(max(cap(pts)+cap(pts)/2, firstSlots), capacity))
 	copy(grown, pts)
 	return grown
 }

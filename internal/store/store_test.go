@@ -126,6 +126,20 @@ func TestDeleteAndSlotReuse(t *testing.T) {
 	if b.Find(geom.Pt(2, 2)) != -1 {
 		t.Error("deleted point still findable")
 	}
+	// FindFrom wraps round to the slots before from, and a from outside the
+	// live slots starts at 0.
+	for _, c := range []struct {
+		p    geom.Point
+		from int
+		want int
+	}{
+		{geom.Pt(1, 1), 1, 0}, {geom.Pt(3, 3), 1, 1}, {geom.Pt(1, 1), -1, 0},
+		{geom.Pt(3, 3), 2, 1}, {geom.Pt(3, 3), 99, 1}, {geom.Pt(2, 2), 1, -1},
+	} {
+		if got := b.FindFrom(c.p, c.from); got != c.want {
+			t.Errorf("FindFrom(%v, %d) = %d, want %d", c.p, c.from, got, c.want)
+		}
+	}
 	// Deletion must swap with the last live point so live points stay packed
 	// in the prefix.
 	if live := b.Slots(); len(live) != 2 || live[i] != geom.Pt(3, 3) {
@@ -363,6 +377,21 @@ func TestBlockAgainstModel(t *testing.T) {
 				want = want.ExtendPoint(p)
 				if got := b.Find(p); got != slices.Index(model, p) {
 					t.Fatalf("Find(%v) = %d, model has it first in slot %d (asked for slot %d)", p, got, slices.Index(model, p), i)
+				}
+				for from := -1; from <= len(model); from++ {
+					start := max(from, 0)
+					if from >= len(model) {
+						start = 0
+					}
+					want := slices.Index(model[start:], p)
+					if want >= 0 {
+						want += start
+					} else {
+						want = slices.Index(model[:start], p)
+					}
+					if got := b.FindFrom(p, from); got != want {
+						t.Fatalf("FindFrom(%v, %d) = %d, model has it first from there in slot %d", p, from, got, want)
+					}
 				}
 			}
 			if got := b.MBR(); got != want {

@@ -4,15 +4,15 @@
 //
 // An RSMI is a learned spatial index over 2-D points: data is ordered with a
 // rank-space space-filling-curve technique, packed into fixed-capacity
-// blocks, and a hierarchy of small neural networks learns to map coordinates
-// to block ids. Queries replace tree traversals with model inference plus an
-// error-bounded scan:
+// blocks, and a hierarchy maps coordinates to block ids. The paper learns
+// that map with small neural networks; here every node tabulates it exactly
+// from grid cuts (README, "Deviations"). Queries replace tree traversals
+// with a few cut counts plus a scan of the blocks they name:
 //
 //   - PointQuery is exact (never a false negative),
-//   - WindowQuery is approximate with no false positives (recall is
-//     typically high; see EXPERIMENTS.md),
-//   - KNN is approximate; AsExact() provides exact window/kNN answers via
-//     the MBR-based RSMIa variant,
+//   - WindowQuery and KNN follow the paper's Algorithms 2 and 3 and miss
+//     nothing; AsExact() answers them by the MBR-based RSMIa traversal
+//     instead,
 //   - Insert/Delete support dynamic data, and AsRebuilder() adds the RSMIr
 //     periodic-rebuild policy.
 //
@@ -80,13 +80,13 @@ func New(pts []Point, opts Options) *Index {
 	return core.New(pts, opts)
 }
 
-// Load deserialises an index previously saved with Index.WriteTo. Training
-// at paper scale takes hours (§6.2.2 reports 16 h for the OSM data set), so
+// Load deserialises an index previously saved with Index.WriteTo. The
+// paper's training takes hours at scale (§6.2.2 reports 16 h for the OSM
+// data set), and even a build that trains nothing sorts every point, so
 // production deployments build once and reload across restarts. The format
-// is RSMIv4, which stores every internal node's grid cuts, every leaf model
-// as the compiled kernel the index predicts with, and every leaf's point
-// spans; a file in an earlier format is refused with ErrSnapshotV1,
-// ErrSnapshotV2 or ErrSnapshotV3.
+// is RSMIv5, which stores every internal node's grid cuts and every leaf's
+// cuts and cell counts; a file in an earlier format is refused with
+// ErrSnapshotV1, ErrSnapshotV2, ErrSnapshotV3 or ErrSnapshotV4.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
@@ -109,6 +109,13 @@ var ErrSnapshotV2 = core.ErrSnapshotV2
 // would not find its points in the subtrees the models put them in, so the
 // index must be rebuilt from its points and saved again.
 var ErrSnapshotV3 = core.ErrSnapshotV3
+
+// ErrSnapshotV4 is the error (wrapped, for a sharded file) that Load and
+// LoadSharded return for an RSMIv4 snapshot: its leaves are trained models,
+// where this version looks points up in exact leaf cells, and the cells
+// would not name the blocks the models filed its points under, so the index
+// must be rebuilt from its points and saved again.
+var ErrSnapshotV4 = core.ErrSnapshotV4
 
 // ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
 // a point with a NaN or infinite coordinate. The point is not inserted —

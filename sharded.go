@@ -39,9 +39,9 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 
 // LoadSharded deserialises a sharded index previously saved with
 // Sharded.WriteTo, so a server can restart without retraining any shard.
-// Its shards are RSMIv4 streams; a file whose shards are in the RSMIv1,
-// RSMIv2 or RSMIv3 format is refused with ErrSnapshotV1, ErrSnapshotV2 or
-// ErrSnapshotV3.
+// Its shards are RSMIv5 streams; a file whose shards are in the RSMIv1,
+// RSMIv2, RSMIv3 or RSMIv4 format is refused with ErrSnapshotV1,
+// ErrSnapshotV2, ErrSnapshotV3 or ErrSnapshotV4.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
