@@ -71,12 +71,21 @@ func (t *RSMI) ExactKNN(q geom.Point, k int) []geom.Point {
 // the walk then expands only what could displace one of them. Its queue
 // comes from a pool, so it allocates nothing of its own.
 //
+// Unlike the plain search of [40], the walk is seeded: while best holds
+// fewer than k points and q lies in the MBR of the leaf it descends to, the
+// base blocks of q's own cell there are read and offered first, so a bound
+// exists before the first fan-out and the walk queues nothing beyond it (see
+// index.Walk.Push). Expanding that leaf then skips those base blocks; their
+// overflow chains are queued as any other block, so no point is offered
+// twice.
+//
 //rsmi:noalloc
 func (t *RSMI) ExactKNNInto(best *index.Nearest) {
 	if t.n == 0 {
 		return
 	}
 	q := best.Query()
+	seed, lo, hi := t.seedCell(best)
 	exactWalks.Search(best, exactStep{node: t.root}, func(w *index.Walk[exactStep], s exactStep) {
 		switch {
 		case s.node == nil:
@@ -90,10 +99,35 @@ func (t *RSMI) ExactKNNInto(best *index.Nearest) {
 		default:
 			c := t.scan(s.node.firstBlock, s.node.firstBlock+s.node.numBlocks-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
+				// Overflow ids lie past the base range, so only the seed's
+				// base blocks are skipped.
+				if s.node == seed && id >= lo && id <= hi {
+					continue
+				}
 				w.Push(exactStep{block: id}, t.blockMBR[id].MinDist2(q))
 			}
 		}
 	})
+}
+
+// seedCell offers best the base blocks [lo, hi] of the query's own leaf
+// cell, read and counted, and returns that leaf. It offers nothing and
+// returns a nil leaf when best already holds k points, or when the query
+// lies outside the MBR of the leaf it descends to, where its cell says
+// little about where its neighbours are.
+func (t *RSMI) seedCell(best *index.Nearest) (leaf *node, lo, hi int) {
+	q := best.Query()
+	if best.Full() {
+		return nil, 0, -1
+	}
+	if leaf = t.descend(q); leaf == nil || !leaf.mbr.Contains(q) {
+		return nil, 0, -1
+	}
+	lo, hi, _ = t.cellBlocks(leaf, t.leafCell(leaf, q))
+	for id := lo; id <= hi; id++ {
+		best.Offer(t.store.Read(id).Slots()...)
+	}
+	return leaf, lo, hi
 }
 
 // Exact wraps the RSMI as an index.Index whose window and kNN queries are

@@ -166,7 +166,13 @@ func (w *Walk[N]) Reset(q geom.Point, k int) {
 }
 
 // Push queues n, whose region lies at squared MINDIST dist2 from the query.
+// Once k points are held an entry beyond the k-th distance is dropped: the
+// bound only shrinks, so no search would ever expand it. An entry exactly at
+// that distance is kept, as Search expands ties.
 func (w *Walk[N]) Push(n N, dist2 float64) {
+	if dist2 > w.Bound() {
+		return
+	}
 	w.queue = append(w.queue, entry[N]{dist2, n})
 	h := w.queue
 	for i := len(h) - 1; i > 0; {

@@ -3,6 +3,7 @@ package index
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"rsmi/internal/geom"
@@ -93,6 +94,134 @@ func TestNearestMatchesFullSort(t *testing.T) {
 			for i := range prev {
 				if prev[i] != prevWant[i] {
 					t.Fatalf("k=%d trial %d: Points rank %d is %v, the set held %v", k, trial, i, prev[i], prevWant[i])
+				}
+			}
+		}
+	}
+}
+
+// queued returns the nodes in w's queue, in queue order.
+func queued[N any](w *Walk[N]) []N {
+	out := make([]N, len(w.queue))
+	for i, e := range w.queue {
+		out[i] = e.node
+	}
+	return out
+}
+
+// TestWalkPushDropsBeyondBound: until k points are held Push keeps every
+// entry, however far; once they are held it drops an entry beyond the k-th
+// distance and keeps one exactly at it, which Search still expands.
+func TestWalkPushDropsBeyondBound(t *testing.T) {
+	var w Walk[int]
+	w.Reset(geom.Pt(0, 0), 2)
+	w.Push(1, 100)
+	w.Offer(geom.Pt(1, 0))
+	w.Push(2, math.Inf(1))
+	if got := queued(&w); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("before k points are held the queue is %v, want [1 2]", got)
+	}
+	w.Offer(geom.Pt(0, 2)) // k = 2 held: the bound is 4
+	w.Push(3, 4)
+	w.Push(4, math.Nextafter(4, 5))
+	w.Push(5, 1)
+	w.Push(6, 100)
+	got := queued(&w)
+	slices.Sort(got)
+	if !slices.Equal(got, []int{1, 2, 3, 5}) {
+		t.Fatalf("with the bound at 4 the queue is %v, want [1 2 3 5]", got)
+	}
+	w.Points()
+}
+
+// box is a node of a point quadtree, a tree for the walks to search.
+type box struct {
+	r    geom.Rect
+	pts  []geom.Point // a leaf's points
+	kids []*box
+}
+
+// newBox builds a quadtree over distinct points, at most four per leaf.
+func newBox(pts []geom.Point) *box {
+	b := &box{r: geom.BoundingRect(pts)}
+	if len(pts) <= 4 {
+		b.pts = pts
+		return b
+	}
+	c := b.r.Center()
+	var quads [4][]geom.Point
+	for _, p := range pts {
+		i := 0
+		if p.X > c.X {
+			i |= 1
+		}
+		if p.Y > c.Y {
+			i |= 2
+		}
+		quads[i] = append(quads[i], p)
+	}
+	for _, q := range quads {
+		if len(q) > 0 {
+			b.kids = append(b.kids, newBox(q))
+		}
+	}
+	return b
+}
+
+// expandBox pushes a box's children or offers a leaf's points.
+func expandBox(w *Walk[*box], b *box) {
+	if b.kids == nil {
+		w.Offer(b.pts...)
+		return
+	}
+	for _, c := range b.kids {
+		w.Push(c, c.r.MinDist2(w.Query()))
+	}
+}
+
+// TestWalksOnLattice: on the integer lattice, where distance ties are the
+// rule at every place, Search answers what a full sort answers, point for
+// point, and Drain (Algorithm 3's rounds, which do not expand an entry at
+// the k-th distance) the same distances, with every point nearer than the
+// k-th one the full sort's and the equidistant ones at the k-th place in
+// the canonical order.
+func TestWalksOnLattice(t *testing.T) {
+	const side = 20
+	var pts []geom.Point
+	for x := 0; x < side; x++ {
+		for y := 0; y < side; y++ {
+			pts = append(pts, geom.Pt(float64(x), float64(y)))
+		}
+	}
+	root := newBox(slices.Clone(pts))
+	var walks Walks[*box]
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < 60; i++ {
+		x, y := float64(rng.Intn(side)), float64(rng.Intn(side))
+		for _, q := range []geom.Point{geom.Pt(x, y), geom.Pt(x+0.5, y+0.5), geom.Pt(x+0.5, y), geom.Pt(-3, y)} {
+			all := slices.Clone(pts)
+			SortByDistance(all, q)
+			for _, k := range []int{1, 2, 4, 5, 8, 9, 13, 21, 25, side * side, side*side + 3} {
+				want := all[:min(k, len(all))]
+				got := walks.BestFirst(q, k, root, expandBox)
+				if !slices.Equal(got, want) {
+					t.Fatalf("Search(%v, %d) = %v, full sort %v", q, k, got, want)
+				}
+
+				var w Walk[*box]
+				w.Reset(q, k)
+				w.Push(root, root.r.MinDist2(q))
+				w.Drain(expandBox)
+				got = w.Points()
+				if len(got) != len(want) {
+					t.Fatalf("Drain(%v, %d): %d rows, full sort %d", q, k, len(got), len(want))
+				}
+				kth := q.Dist2(want[len(want)-1])
+				for j, p := range got {
+					d := q.Dist2(p)
+					if d != q.Dist2(want[j]) || d < kth && p != want[j] || j > 0 && !got[j-1].Less(p) && q.Dist2(got[j-1]) == d {
+						t.Fatalf("Drain(%v, %d) row %d is %v, full sort %v", q, k, j, p, want[j])
+					}
 				}
 			}
 		}

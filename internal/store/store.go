@@ -217,7 +217,13 @@ func (m *Manager) ResetAccesses() int64 { return m.accesses.Swap(0) }
 
 // SizeBytes returns the total storage footprint of all blocks: headers plus
 // full capacity slots (external-memory pages are fixed size whether full or
-// not).
+// not). This is the paper's accounting of index size (Figs. 7 and 9), and
+// TestSizeBytesGrowsWithBlocks and a snapshot round trip's Stats equality
+// pin it. It is not the memory the blocks take in this process: an overflow
+// block, and every block of a loaded index, holds only the slots it has
+// grown to, so the heap measured after garbage collection (the benchmark's
+// bytes_per_point) is the serving footprint, and it can run below this
+// figure.
 func (m *Manager) SizeBytes() int64 {
 	return int64(len(m.blocks)) * int64(blockHeaderBytes+m.capacity*pointBytes)
 }
