@@ -27,7 +27,7 @@ func (t *RSMI) ExactWindow(q geom.Rect) []geom.Point {
 // allocates only when dst has to grow.
 func (t *RSMI) exactWindowAppend(dst []geom.Point, q geom.Rect) []geom.Point {
 	forLeaves(t.root, q, func(n *node) {
-		c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
+		c := t.scan(n, 0, len(n.blocks)-1)
 		var admitted int
 		dst, admitted = t.collect(dst, &c, q)
 		t.store.CountReads(admitted)
@@ -97,11 +97,10 @@ func (t *RSMI) ExactKNNInto(best *index.Nearest) {
 				}
 			}
 		default:
-			c := t.scan(s.node.firstBlock, s.node.firstBlock+s.node.numBlocks-1)
+			c := t.scan(s.node, 0, len(s.node.blocks)-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
-				// Overflow ids lie past the base range, so only the seed's
-				// base blocks are skipped.
-				if s.node == seed && id >= lo && id <= hi {
+				// Only the seed's base blocks are skipped, not their chains.
+				if s.node == seed && id == c.base && c.pos >= lo && c.pos <= hi {
 					continue
 				}
 				w.Push(exactStep{block: id}, t.blockMBR[id].MinDist2(q))
@@ -110,8 +109,9 @@ func (t *RSMI) ExactKNNInto(best *index.Nearest) {
 	})
 }
 
-// seedCell offers best the base blocks [lo, hi] of the query's own leaf
-// cell, read and counted, and returns that leaf. It offers nothing and
+// seedCell offers best the base blocks of the query's own leaf cell, read
+// and counted, and returns that leaf and their positions [lo, hi] in its
+// list. It offers nothing and
 // returns a nil leaf when best already holds k points, or when the query
 // lies outside the MBR of the leaf it descends to, where its cell says
 // little about where its neighbours are.
@@ -124,8 +124,8 @@ func (t *RSMI) seedCell(best *index.Nearest) (leaf *node, lo, hi int) {
 		return nil, 0, -1
 	}
 	lo, hi, _ = t.cellBlocks(leaf, t.leafCell(leaf, q))
-	for id := lo; id <= hi; id++ {
-		best.Offer(t.store.Read(id).Slots()...)
+	for _, id := range leaf.blocks[lo : hi+1] {
+		best.Offer(t.store.Read(int(id)).Slots()...)
 	}
 	return leaf, lo, hi
 }

@@ -54,8 +54,8 @@ func refExactKNN(t *RSMI, q geom.Point, k int) []geom.Point {
 	heap.Init(pq)
 	seed, lo, hi := refSeed(t, q)
 	if seed != nil {
-		for id := lo; id <= hi; id++ {
-			for _, p := range t.store.Read(id).Slots() {
+		for _, id := range seed.blocks[lo : hi+1] {
+			for _, p := range t.store.Read(int(id)).Slots() {
 				heap.Push(pq, refExactEntry{dist2: q.Dist2(p), pt: p, isPt: true})
 			}
 		}
@@ -74,9 +74,9 @@ func refExactKNN(t *RSMI, q geom.Point, k int) []geom.Point {
 				}
 			}
 		case e.node != nil: // leaf: enqueue its blocks by MBR distance
-			c := t.scan(e.node.firstBlock, e.node.firstBlock+e.node.numBlocks-1)
+			c := t.scan(e.node, 0, len(e.node.blocks)-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
-				if e.node != seed || id < lo || id > hi {
+				if e.node != seed || id != c.base || c.pos < lo || c.pos > hi {
 					heap.Push(pq, refExactEntry{dist2: t.blockMBR[id].MinDist2(q), block: id})
 				}
 			}
@@ -89,8 +89,8 @@ func refExactKNN(t *RSMI, q geom.Point, k int) []geom.Point {
 	return out
 }
 
-// refSeed returns the leaf whose cell seeds a kNN walk from q and that
-// cell's base blocks [lo, hi], or a nil leaf when q lies outside the MBR of
+// refSeed returns the leaf whose cell seeds a kNN walk from q and the
+// positions [lo, hi] of that cell's base blocks in its list, or a nil leaf when q lies outside the MBR of
 // the leaf it descends to.
 func refSeed(t *RSMI, q geom.Point) (leaf *node, lo, hi int) {
 	if leaf = t.descend(q); leaf == nil || !leaf.mbr.Contains(q) {

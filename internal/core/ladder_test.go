@@ -17,14 +17,17 @@ import (
 // skewed and OSM-like data (B and N the paper's, 10 epochs, seed 1): the
 // build, then per query class the mean time (of the median of seven
 // passes) and block reads — for windows and kNN at k = 25 of Algorithms 2
-// and 3 and of the exact MBR walk (exact_) — and window and kNN recall, on
-// the built index
-// and again after inserting half as many points again. Window recall is reported at the default size and as the
-// least over the paper's five sizes, kNN recall at k = 25 and k = 125. The
-// truth is the index's own exact variants, which the tests pin to a linear
-// scan. It uses only what the package has exported for years, so the file
-// runs unchanged on earlier commits for a before-and-after table. Run it
-// with -benchtime 1x; it is skipped under -short.
+// and 3 and of the exact MBR walk (exact_), whose passes alternate with
+// theirs so that drift of the host falls on both — and window and kNN
+// recall, on the built index and again after inserting half as many points
+// again. After the inserts it also reports the exact walk's window reads on
+// a fresh build over the same points (exact_window_blocks_fresh). Window
+// recall is reported at the default size and as the least over the paper's
+// five sizes, kNN recall at k = 25 and k = 125. The truth is the index's
+// own exact variants, which the tests pin to a linear scan. It uses only
+// what the package has exported for years, so the file runs unchanged on
+// earlier commits for a before-and-after table. Run it with -benchtime 1x;
+// it is skipped under -short.
 func BenchmarkLadder(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale ladder skipped in -short")
@@ -41,7 +44,14 @@ func BenchmarkLadder(b *testing.B) {
 				for _, p := range ins {
 					idx.Insert(p)
 				}
-				ladderRow(b, idx, append(pts, ins...), "+50%")
+				grown := append(pts, ins...)
+				ladderRow(b, idx, grown, "+50%")
+				fresh := New(grown, Options{Epochs: 10, Seed: 1})
+				ws := workload.Windows(grown, 300, workload.DefaultWindowSize, 1, 4)
+				for _, w := range ws {
+					fresh.ExactWindow(w)
+				}
+				b.ReportMetric(float64(fresh.Accesses())/float64(len(ws)), "exact_window_blocks_fresh+50%")
 			})
 		}
 	}
@@ -50,34 +60,44 @@ func BenchmarkLadder(b *testing.B) {
 // ladderRow reports one row of BenchmarkLadder over the points idx holds,
 // each metric's unit suffixed by stage.
 func ladderRow(b *testing.B, idx *RSMI, pts []geom.Point, stage string) {
-	// measure runs fn once per query, in seven passes after a collection,
-	// and reports the mean time per query of the median pass and the mean
-	// reads per query.
-	measure := func(name string, count int, fn func(i int)) {
+	// measure runs each of fns once per query, in seven passes after a
+	// collection, the classes' passes taking turns, and reports for each the
+	// mean time per query of its median pass and the mean reads per query.
+	type class struct {
+		name string
+		fn   func(i int)
+	}
+	measure := func(count int, classes ...class) {
 		runtime.GC()
-		idx.ResetAccesses()
-		passes := make([]time.Duration, 7)
-		for p := range passes {
-			start := time.Now()
-			for i := range count {
-				fn(i)
+		passes := make([][]time.Duration, len(classes))
+		reads := make([]int64, len(classes))
+		for range 7 {
+			for c, cl := range classes {
+				idx.ResetAccesses()
+				start := time.Now()
+				for i := range count {
+					cl.fn(i)
+				}
+				passes[c] = append(passes[c], time.Since(start))
+				reads[c] += idx.Accesses()
 			}
-			passes[p] = time.Since(start)
 		}
-		slices.Sort(passes)
-		b.ReportMetric(float64(passes[len(passes)/2].Nanoseconds())/float64(count)/1e3, name+"_us"+stage)
-		b.ReportMetric(float64(idx.Accesses())/float64(count*len(passes)), name+"_blocks"+stage)
+		for c, cl := range classes {
+			slices.Sort(passes[c])
+			b.ReportMetric(float64(passes[c][len(passes[c])/2].Nanoseconds())/float64(count)/1e3, cl.name+"_us"+stage)
+			b.ReportMetric(float64(reads[c])/float64(count*len(passes[c])), cl.name+"_blocks"+stage)
+		}
 	}
 	points := workload.PointQueries(pts, 2000, 3)
-	measure("point", len(points), func(i int) { idx.PointQuery(points[i]) })
+	measure(len(points), class{"point", func(i int) { idx.PointQuery(points[i]) }})
 
 	least := 1.0
 	for _, size := range workload.WindowSizes {
 		ws := workload.Windows(pts, 300, size, 1, 4)
 		got := make([][]geom.Point, len(ws))
 		if size == workload.DefaultWindowSize {
-			measure("window", len(ws), func(i int) { got[i] = idx.WindowQuery(ws[i]) })
-			measure("exact_window", len(ws), func(i int) { idx.ExactWindow(ws[i]) })
+			measure(len(ws), class{"window", func(i int) { got[i] = idx.WindowQuery(ws[i]) }},
+				class{"exact_window", func(i int) { idx.ExactWindow(ws[i]) }})
 		} else {
 			for i, w := range ws {
 				got[i] = idx.WindowQuery(w)
@@ -99,8 +119,8 @@ func ladderRow(b *testing.B, idx *RSMI, pts []geom.Point, stage string) {
 		qs := workload.KNNPoints(pts, 300, 5)
 		got := make([][]geom.Point, len(qs))
 		if k == workload.DefaultK {
-			measure("knn", len(qs), func(i int) { got[i] = idx.KNN(qs[i], k) })
-			measure("exact_knn", len(qs), func(i int) { idx.ExactKNN(qs[i], k) })
+			measure(len(qs), class{"knn", func(i int) { got[i] = idx.KNN(qs[i], k) }},
+				class{"exact_knn", func(i int) { idx.ExactKNN(qs[i], k) }})
 		} else {
 			for i, q := range qs {
 				got[i] = idx.KNN(q, k)

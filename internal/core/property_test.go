@@ -17,12 +17,11 @@ import (
 // the query algorithms rely on; they must hold for any data distribution,
 // any seed, and any (sane) option combination.
 
-// chainOf returns base block `base` and the overflow blocks chained after it,
-// as the cursor every query walks with yields them.
+// chainOf returns base block `base` and the overflow blocks chained after
+// it, following Next from the base block to the chain's end.
 func chainOf(t *RSMI, base int) []int {
 	var ids []int
-	c := t.scan(base, base)
-	for id := c.next(); id != store.NilBlock; id = c.next() {
+	for id := base; id != store.NilBlock; id = t.store.Peek(id).Next {
 		ids = append(ids, id)
 	}
 	return ids
@@ -42,9 +41,10 @@ func walkLeaves(n *node, fn func(*node)) {
 	}
 }
 
-// TestLeafBlockRangesPartitionStore: leaves own disjoint, consecutive,
-// gap-free base block ranges in left-to-right order — the invariant behind
-// global window scans.
+// TestLeafBlockRangesPartitionStore: the leaves' block lists name every base
+// block once and no overflow block. A build packs each leaf's blocks as one
+// run of ids, left to right, gap-free; inserts that repack leaves keep the
+// lists a partition of the blocks not marked Inserted.
 func TestLeafBlockRangesPartitionStore(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -58,37 +58,59 @@ func TestLeafBlockRangesPartitionStore(t *testing.T) {
 			Seed:               seed,
 		}
 		idx := New(pts, opts)
-		next := 0
-		ok := true
-		walkLeaves(idx.root, func(l *node) {
-			if l.firstBlock != next || l.numBlocks < 1 {
-				ok = false
+		var named []int32
+		walkLeaves(idx.root, func(l *node) { named = append(named, l.blocks...) })
+		for i, id := range named {
+			if int(id) != i {
+				return false
 			}
-			next = l.firstBlock + l.numBlocks
+		}
+		if len(named) != idx.store.NumBlocks() {
+			return false
+		}
+		for _, p := range jittered(pts, len(pts)/2, seed) {
+			idx.Insert(p)
+		}
+		count := make([]int, idx.store.NumBlocks())
+		listed := true
+		walkLeaves(idx.root, func(l *node) {
+			listed = listed && len(l.blocks) > 0
+			for _, id := range l.blocks {
+				count[id]++
+			}
 		})
-		return ok && next == idx.baseBlocks
+		for id, c := range count {
+			if base := !idx.store.Peek(id).Inserted; base && c != 1 || !base && c != 0 {
+				return false
+			}
+		}
+		return listed && idx.repacks > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestBlockListOrderMatchesIDs: at build time, walking the block linked
-// list from block 0 visits exactly the base blocks in id order.
+// TestBlockListOrderMatchesIDs: at build time, the leaves' block lists,
+// left to right, name the blocks in id order, and no block links to
+// another: a base block's links are its overflow chain, and a build makes
+// none.
 func TestBlockListOrderMatchesIDs(t *testing.T) {
 	pts := dataset.Generate(dataset.OSMLike, 4000, 3)
 	idx := New(pts, testOptions())
 	want := 0
-	for cur := 0; cur != store.NilBlock; {
-		b := idx.store.Peek(cur)
-		if b.ID != want {
-			t.Fatalf("list order broken: got block %d, want %d", b.ID, want)
+	walkLeaves(idx.root, func(l *node) {
+		for _, id := range l.blocks {
+			b := idx.store.Peek(int(id))
+			if b.ID != want || b.Inserted || b.Prev != store.NilBlock || b.Next != store.NilBlock {
+				t.Fatalf("list order broken: got block %d (inserted %v, links %d, %d), want %d",
+					b.ID, b.Inserted, b.Prev, b.Next, want)
+			}
+			want++
 		}
-		want++
-		cur = b.Next
-	}
-	if want != idx.baseBlocks {
-		t.Fatalf("list covers %d of %d blocks", want, idx.baseBlocks)
+	})
+	if want != idx.store.NumBlocks() {
+		t.Fatalf("lists cover %d of %d blocks", want, idx.store.NumBlocks())
 	}
 }
 
@@ -106,8 +128,8 @@ func TestNodeMBRsContainSubtrees(t *testing.T) {
 	walk = func(n *node) geom.Rect {
 		if n.leaf {
 			covered := geom.EmptyRect()
-			for id := n.firstBlock; id < n.firstBlock+n.numBlocks; id++ {
-				for _, cid := range chainOf(idx, id) {
+			for _, id := range n.blocks {
+				for _, cid := range chainOf(idx, int(id)) {
 					b := idx.store.Peek(cid)
 					b.Points(func(p geom.Point) {
 						covered = covered.ExtendPoint(p)
@@ -147,8 +169,8 @@ func TestDescentMatchesBuildGrouping(t *testing.T) {
 			t.Fatalf("descent dead-ended for %v", p)
 		}
 		found := false
-		for id := leaf.firstBlock; id < leaf.firstBlock+leaf.numBlocks && !found; id++ {
-			for _, cid := range chainOf(idx, id) {
+		for _, id := range leaf.blocks {
+			for _, cid := range chainOf(idx, int(id)) {
 				if idx.store.Peek(cid).Find(p) >= 0 {
 					found = true
 					break
@@ -156,8 +178,7 @@ func TestDescentMatchesBuildGrouping(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("point %v not stored under its descent leaf [%d,%d)",
-				p, leaf.firstBlock, leaf.firstBlock+leaf.numBlocks)
+			t.Fatalf("point %v not stored under its descent leaf %v", p, leaf.blocks)
 		}
 		if len(path) > maxDepth {
 			t.Fatalf("descent depth %d exceeds maxDepth", len(path))
@@ -292,11 +313,12 @@ func TestKNNBestMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestCursorMatchesListWalk: over random base-block ranges — empty, reversed
-// and out-of-range ones included — the index cursor yields the blocks, names
-// the chain bases and counts the reads that following Next from block to
-// block (refScan, the walk it replaced) does; through overflow-chain growth,
-// a snapshot reload and a rebuild, on both curves.
+// TestCursorMatchesListWalk: over random ranges of a leaf's positions —
+// empty, reversed and out-of-range ones included — the index cursor yields
+// the blocks, names the chain bases and their positions and counts the
+// reads that walking the leaf's list and following Next through each chain
+// (refScan) does; through overflow-chain growth, repacks, a snapshot reload
+// and a rebuild, on both curves.
 func TestCursorMatchesListWalk(t *testing.T) {
 	for _, curve := range []sfc.Kind{sfc.Hilbert, sfc.Z} {
 		rng := rand.New(rand.NewSource(7))
@@ -306,23 +328,24 @@ func TestCursorMatchesListWalk(t *testing.T) {
 		idx := New(dataset.Generate(dataset.Skewed, 2000, 43), opts)
 		check := func(stage string) {
 			t.Helper()
+			var leaves []*node
+			walkLeaves(idx.root, func(l *node) { leaves = append(leaves, l) })
 			for i := 0; i < 300; i++ {
-				begin, end := rng.Intn(idx.baseBlocks+4)-2, rng.Intn(idx.baseBlocks+4)-2
+				leaf := leaves[rng.Intn(len(leaves))]
+				begin, end := rng.Intn(len(leaf.blocks)+4)-2, rng.Intn(len(leaf.blocks)+4)-2
 				if i%3 == 0 {
 					end = begin + rng.Intn(4)
 				}
-				type step struct{ id, base int }
+				type step struct{ id, base, pos int }
 				var want, got []step
 				wantReads := 0
-				if begin < idx.baseBlocks { // scan's contract; refScan has no such guard
-					refScan(idx, begin, end, &wantReads, func(b *store.Block, base int) bool {
-						want = append(want, step{b.ID, base})
-						return true
-					})
-				}
-				c := idx.scan(begin, end)
+				refScan(idx, leaf, begin, end, &wantReads, func(b *store.Block, pos int) bool {
+					want = append(want, step{b.ID, int(leaf.blocks[pos]), pos})
+					return true
+				})
+				c := idx.scan(leaf, begin, end)
 				for id := c.next(); id != store.NilBlock; id = c.next() {
-					got = append(got, step{id, c.base})
+					got = append(got, step{id, c.base, c.pos})
 				}
 				if !slices.Equal(got, want) || c.reads != wantReads {
 					t.Fatalf("%v, %s: scan(%d, %d) yielded %v in %d reads, the list walk %v in %d",
@@ -332,17 +355,20 @@ func TestCursorMatchesListWalk(t *testing.T) {
 		}
 		check("built")
 		// Bursts into a few spots grow chains of several blocks, some of them
-		// hung off the last base block of a leaf and of the index.
-		for _, hot := range []geom.Point{idx.store.Peek(0).Slots()[0], idx.store.Peek(idx.baseBlocks - 1).Slots()[0],
-			idx.store.Peek(idx.baseBlocks / 2).Slots()[0], {X: rng.Float64(), Y: rng.Float64()}} {
+		// hung off the last base block of a leaf, and repack the leaves.
+		built := idx.store.NumBlocks()
+		first, last := firstLeaf(idx.root), idx.descend(geom.Pt(1, 1))
+		for _, hot := range []geom.Point{idx.store.Peek(int(first.blocks[0])).Slots()[0],
+			idx.store.Peek(int(last.blocks[len(last.blocks)-1])).Slots()[0],
+			idx.store.Peek(built / 2).Slots()[0], {X: rng.Float64(), Y: rng.Float64()}} {
 			for i := 0; i < 5*opts.BlockCapacity; i++ {
 				idx.Insert(geom.Pt(hot.X+1e-6*rng.Float64(), hot.Y+1e-6*rng.Float64()))
 			}
+			check("chains grown")
 		}
-		if idx.store.NumBlocks() < idx.baseBlocks+8 {
-			t.Fatalf("bursts grew only %d overflow blocks", idx.store.NumBlocks()-idx.baseBlocks)
+		if idx.store.NumBlocks() < built+8 || idx.repacks == 0 {
+			t.Fatalf("bursts grew only %d blocks, in %d repacks", idx.store.NumBlocks()-built, idx.repacks)
 		}
-		check("chains grown")
 		idx = roundTrip(t, idx)
 		check("reloaded")
 		for i := 0; i < 200; i++ { // chains whose heads Insert links on a loaded index

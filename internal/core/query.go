@@ -11,27 +11,30 @@ import (
 	"rsmi/internal/store"
 )
 
-// blockCursor walks base blocks `begin` through `end` inclusive by index
-// and, after each, the overflow chain hung off it, yielding block ids in list
-// order. A base block without a chain — its chain head says so — is yielded
-// without its header being loaded, so a query loop can test blockMBR[id]
-// first and load only the blocks it admits. Query loops drive the cursor
-// directly (no callback per block) and report the blocks it yielded with one
-// CountReads when they are done.
+// blockCursor walks the base blocks at positions `begin` through `end`
+// inclusive of a leaf's block list and, after each, the overflow chain hung
+// off it, yielding block ids in that order. A base block without a chain —
+// its chain head says so — is yielded without its header being loaded, so a
+// query loop can test blockMBR[id] first and load only the blocks it admits.
+// Query loops drive the cursor directly (no callback per block) and report
+// the blocks it yielded with one CountReads when they are done.
 type blockCursor struct {
-	t     *RSMI
-	base  int // base block whose chain the last yielded block belongs to
-	end   int // last base block of the range
-	chain int // next block of base's overflow chain, NilBlock when it is done
-	reads int // blocks yielded so far: the walk's block accesses
+	t      *RSMI
+	blocks []int32 // the leaf's base blocks up to the range's last
+	pos    int     // position of base in blocks
+	base   int     // base block whose chain the last yielded block belongs to
+	chain  int     // next block of base's overflow chain, NilBlock when it is done
+	reads  int     // blocks yielded so far: the walk's block accesses
 }
 
-// scan returns a cursor over base blocks [begin, end] and their chains.
-func (t *RSMI) scan(begin, end int) blockCursor {
-	if begin < 0 {
-		begin, end = 0, -1
+// scan returns a cursor over the base blocks at positions [begin, end] of
+// leaf n's list and their chains.
+func (t *RSMI) scan(n *node, begin, end int) blockCursor {
+	c := blockCursor{t: t, pos: -1, base: store.NilBlock, chain: store.NilBlock}
+	if end = min(end, len(n.blocks)-1); begin >= 0 && begin <= end {
+		c.blocks, c.pos = n.blocks[:end+1], begin-1
 	}
-	return blockCursor{t: t, base: begin - 1, end: min(end, t.baseBlocks-1), chain: store.NilBlock}
+	return c
 }
 
 // next yields the next block id of the walk, or NilBlock when the range is
@@ -39,15 +42,14 @@ func (t *RSMI) scan(begin, end int) blockCursor {
 func (c *blockCursor) next() int {
 	id := c.chain
 	if id == store.NilBlock {
-		if c.base >= c.end {
+		if c.pos+1 >= len(c.blocks) {
 			return store.NilBlock
 		}
-		c.base++
-		id = c.base
-		c.chain = int(c.t.chainHeads[id])
-	} else if c.chain = c.t.store.Peek(id).Next; c.chain < c.t.baseBlocks {
-		// The chain ran into the next base block or the end of the list.
-		c.chain = store.NilBlock
+		c.pos++
+		id = int(c.blocks[c.pos])
+		c.base, c.chain = id, int(c.t.chainHeads[id])
+	} else {
+		c.chain = c.t.store.Peek(id).Next
 	}
 	c.reads++
 	return id
@@ -83,13 +85,14 @@ func (t *RSMI) PointQuery(q geom.Point) bool {
 // still count as accesses.
 func (t *RSMI) findPoint(leaf *node, q geom.Point) *store.Block {
 	lo, hi, from := t.cellBlocks(leaf, t.leafCell(leaf, q))
-	c := t.scan(lo, hi)
+	c := t.scan(leaf, lo, hi)
+	first := int(leaf.blocks[lo])
 	for id := c.next(); id != store.NilBlock; id = c.next() {
 		if !t.blockMBR[id].Contains(q) {
 			continue
 		}
 		in := t.store.Peek(id)
-		if in.FindFrom(q, startSlot(id, lo, from)) >= 0 {
+		if in.FindFrom(q, startSlot(id, first, from)) >= 0 {
 			t.store.CountReads(c.reads)
 			return in
 		}
@@ -99,15 +102,15 @@ func (t *RSMI) findPoint(leaf *node, q geom.Point) *store.Block {
 }
 
 // startSlot is the slot a search of block id starts at when the cell's run
-// starts at slot from of block lo.
-func startSlot(id, lo, from int) int {
-	if id == lo {
+// starts at slot from of block first.
+func startSlot(id, first, from int) int {
+	if id == first {
 		return from
 	}
 	return 0
 }
 
-// forLeaves calls fn, in block order, for every leaf under n whose MBR meets
+// forLeaves calls fn, in leaf order, for every leaf under n whose MBR meets
 // q: the walk every window query and kNN round makes, by cells or by MBRs.
 // A leaf's MBR covers every point it holds, so the leaves it skips hold none
 // of q's points.
@@ -144,10 +147,10 @@ func (t *RSMI) cellMask(n *node, q geom.Rect) (mask uint64) {
 }
 
 // nextRange takes the lowest cell of leaf n out of mask, with every next one
-// whose blocks run on from it without a gap, and returns the base blocks
-// [lo, hi] they cover. Cells in curve order took ascending runs of the
-// leaf's positions, so successive ranges come out in block order and share
-// no block.
+// whose blocks run on from it without a gap, and returns the positions
+// [lo, hi] of the base blocks they cover. Cells in curve order took
+// ascending runs of the leaf's positions, so successive ranges come out in
+// position order and share no block.
 func (t *RSMI) nextRange(n *node, mask *uint64) (lo, hi int) {
 	lo, hi, _ = t.cellBlocks(n, bits.TrailingZeros64(*mask))
 	for *mask &= *mask - 1; *mask != 0; *mask &= *mask - 1 {
@@ -160,14 +163,15 @@ func (t *RSMI) nextRange(n *node, mask *uint64) (lo, hi int) {
 	return lo, hi
 }
 
-// forCells calls fn, in block order, with a cursor over every run of base
-// blocks (and their chains) that holds the cells of q in a leaf whose MBR
-// meets q: Algorithm 2's scan range, made exact. Counting the cursor's reads
-// is fn's.
+// forCells calls fn, in leaf and position order, with a cursor over every
+// run of base blocks (and their chains) that holds the cells of q in a leaf
+// whose MBR meets q: Algorithm 2's scan range, made exact. Counting the
+// cursor's reads is fn's.
 func (t *RSMI) forCells(q geom.Rect, fn func(c *blockCursor)) {
 	forLeaves(t.root, q, func(n *node) {
 		for m := t.cellMask(n, q); m != 0; {
-			c := t.scan(t.nextRange(n, &m))
+			lo, hi := t.nextRange(n, &m)
+			c := t.scan(n, lo, hi)
 			fn(&c)
 		}
 	})

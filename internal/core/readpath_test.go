@@ -23,65 +23,64 @@ import (
 // list order behind a visited map — kept here, uncounted and ungated, so the
 // property test can demand the same answers and the same block-access counts
 // from the read path. The cells' blocks are derived here by brute force:
-// a cell's from the base blocks its build points were packed in, an empty
-// cell's from how many build points precede it; and a window's cells from
+// a cell's from the base blocks its packed points were packed in, an empty
+// cell's from how many packed points precede it; and a window's cells from
 // counting the cuts its sides are not Less than, each cell's curve value
-// read off a fresh curve.
+// read off a fresh curve. The reference walks a leaf's base blocks through
+// its list and each chain through the blocks' Next links, not the chain
+// heads the cursor reads.
 
-// refScan walks base blocks [begin, end] and their overflow chains in list
-// order, counting every block it hands to fn in *reads.
-func refScan(t *RSMI, begin, end int, reads *int, fn func(b *store.Block, base int) bool) {
-	if begin > end || begin < 0 || t.baseBlocks == 0 {
+// refScan walks the base blocks at positions [begin, end] of leaf's list,
+// each followed by its overflow chain, counting every block it hands to fn
+// in *reads.
+func refScan(t *RSMI, leaf *node, begin, end int, reads *int, fn func(b *store.Block, pos int) bool) {
+	if begin < 0 {
 		return
 	}
-	base := begin
-	for cur := begin; cur != store.NilBlock; {
-		b := t.store.Peek(cur)
-		if b == nil {
-			return
+	for pos := begin; pos <= end && pos < len(leaf.blocks); pos++ {
+		for id := int(leaf.blocks[pos]); id != store.NilBlock; id = t.store.Peek(id).Next {
+			*reads++
+			if !fn(t.store.Peek(id), pos) {
+				return
+			}
 		}
-		if !b.Inserted {
-			base = b.ID
-		}
-		*reads++
-		if !fn(b, base) {
-			return
-		}
-		if nb := t.store.Peek(b.Next); nb == nil || (!nb.Inserted && nb.ID > end) {
-			return
-		}
-		cur = b.Next
 	}
 }
 
-// refFind searches every block of [lo, hi] for q, MBR or no MBR.
-func refFind(t *RSMI, q geom.Point, lo, hi int, reads *int) (found *store.Block, base int) {
-	refScan(t, lo, hi, reads, func(b *store.Block, bs int) bool {
+// refFind searches every block of positions [lo, hi] of leaf for q, MBR or
+// no MBR.
+func refFind(t *RSMI, leaf *node, q geom.Point, lo, hi int, reads *int) (found *store.Block, pos int) {
+	refScan(t, leaf, lo, hi, reads, func(b *store.Block, at int) bool {
 		if b.Find(q) >= 0 {
-			found, base = b, bs
+			found, pos = b, at
 			return false
 		}
 		return true
 	})
-	return found, base
+	return found, pos
 }
 
 // heldPoint is a point an index has held, the base block it was filed
-// under, and whether a build packed it there.
+// under, and whether a build or a repack packed it there.
 type heldPoint struct {
 	p     geom.Point
 	base  int
 	built bool
 }
 
-// filed returns every point of t with the base block of the block holding
-// it, walking the whole block list; right after a build, the points of base
-// blocks are the ones the build packed.
-func filed(t *RSMI) []heldPoint {
+// filed returns every point under leaf n, or under every leaf when n is
+// nil, with the base block of the block holding it; right after a build or
+// a repack of its leaf, the points of base blocks are the ones it packed.
+func filed(t *RSMI, n *node) []heldPoint {
 	var out []heldPoint
-	refScan(t, 0, t.baseBlocks-1, new(int), func(b *store.Block, base int) bool {
-		b.Points(func(p geom.Point) { out = append(out, heldPoint{p, base, !b.Inserted}) })
-		return true
+	walkLeaves(t.root, func(leaf *node) {
+		if n != nil && leaf != n {
+			return
+		}
+		refScan(t, leaf, 0, len(leaf.blocks)-1, new(int), func(b *store.Block, pos int) bool {
+			b.Points(func(p geom.Point) { out = append(out, heldPoint{p, int(leaf.blocks[pos]), !b.Inserted}) })
+			return true
+		})
 	})
 	return out
 }
@@ -92,10 +91,11 @@ type cellKey struct {
 	cell int
 }
 
-// deriveCells measures, for every cell of every leaf, the base blocks
-// [lo, hi] its held build points were packed in; and for a cell that took no
-// build point, the one block its position falls in: after every build point
-// of its leaf in the cells before it in curve order, within the leaf's run.
+// deriveCells measures, for every cell of every leaf, the positions
+// [lo, hi] in the leaf's list of the base blocks its held packed points were
+// packed in; and for a cell that took no packed point, the one block its
+// position falls in: after every packed point of its leaf in the cells
+// before it in curve order, within the leaf's run of blocks of its fill.
 func deriveCells(t *RSMI, held []heldPoint) map[cellKey][2]int {
 	cells := map[cellKey][2]int{}
 	counts := map[cellKey]int{}
@@ -106,19 +106,20 @@ func deriveCells(t *RSMI, held []heldPoint) map[cellKey][2]int {
 		leaf := t.descend(h.p)
 		k := cellKey{leaf, t.leafCell(leaf, h.p)}
 		counts[k]++
+		pos := slices.Index(leaf.blocks, int32(h.base))
 		r, ok := cells[k]
 		if !ok {
-			r = [2]int{h.base, h.base}
+			r = [2]int{pos, pos}
 		}
-		cells[k] = [2]int{min(r[0], h.base), max(r[1], h.base)}
+		cells[k] = [2]int{min(r[0], pos), max(r[1], pos)}
 	}
 	walkLeaves(t.root, func(leaf *node) {
 		before := 0
 		for c := range 1 << (2 * leaf.order) {
 			k := cellKey{leaf, c}
 			if _, ok := cells[k]; !ok {
-				b := leaf.firstBlock + min(before/t.opts.BlockCapacity, leaf.numBlocks-1)
-				cells[k] = [2]int{b, b}
+				pos := min(before/leaf.fill, len(leaf.blocks)-1)
+				cells[k] = [2]int{pos, pos}
 			}
 			before += counts[k]
 		}
@@ -133,7 +134,7 @@ func refPoint(t *RSMI, cells map[cellKey][2]int, q geom.Point, reads *int) bool 
 		return false
 	}
 	r := cells[cellKey{leaf, t.leafCell(leaf, q)}]
-	b, _ := refFind(t, q, r[0], r[1], reads)
+	b, _ := refFind(t, leaf, q, r[0], r[1], reads)
 	return b != nil
 }
 
@@ -185,8 +186,8 @@ func refCellRect(t *RSMI, leaf *node, q geom.Rect) []int {
 	return out
 }
 
-// refBases returns, ascending and once each, the base blocks of the derived
-// blocks of the cells of leaf that q's sides bound.
+// refBases returns, ascending and once each, the positions of the base
+// blocks of the derived blocks of the cells of leaf that q's sides bound.
 func refBases(t *RSMI, cells map[cellKey][2]int, leaf *node, q geom.Rect) []int {
 	var out []int
 	for _, c := range refCellRect(t, leaf, q) {
@@ -205,8 +206,8 @@ func refBases(t *RSMI, cells map[cellKey][2]int, leaf *node, q geom.Rect) []int 
 func refWindow(t *RSMI, cells map[cellKey][2]int, q geom.Rect, reads *int) []geom.Point {
 	var out []geom.Point
 	for _, leaf := range refLeaves(t.root, q) {
-		for _, b := range refBases(t, cells, leaf, q) {
-			refScan(t, b, b, reads, func(b *store.Block, _ int) bool {
+		for _, pos := range refBases(t, cells, leaf, q) {
+			refScan(t, leaf, pos, pos, reads, func(b *store.Block, _ int) bool {
 				b.Points(func(p geom.Point) {
 					if q.Contains(p) {
 						out = append(out, p)
@@ -263,8 +264,8 @@ func refKNN(t *RSMI, cells map[cellKey][2]int, q geom.Point, k int, reads *int) 
 	for round := 0; round < 64; round++ {
 		region := geom.RectAround(q, width, height)
 		for _, leaf := range refLeaves(t.root, region) {
-			for _, base := range refBases(t, cells, leaf, region) {
-				refScan(t, base, base, reads, func(b *store.Block, _ int) bool {
+			for _, pos := range refBases(t, cells, leaf, region) {
+				refScan(t, leaf, pos, pos, reads, func(b *store.Block, _ int) bool {
 					if visited[b.ID] {
 						return true
 					}
@@ -289,8 +290,8 @@ func refKNN(t *RSMI, cells map[cellKey][2]int, q geom.Point, k int, reads *int) 
 			square, bound := geom.RectAround(q, 2*kth, 2*kth), worst()
 			var near []*store.Block
 			for _, leaf := range refLeaves(t.root, square) {
-				for _, base := range refBases(t, cells, leaf, square) {
-					refScan(t, base, base, new(int), func(b *store.Block, _ int) bool {
+				for _, pos := range refBases(t, cells, leaf, square) {
+					refScan(t, leaf, pos, pos, new(int), func(b *store.Block, _ int) bool {
 						if !visited[b.ID] && t.blockMBR[b.ID].MinDist2(q) < bound {
 							visited[b.ID] = true
 							near = append(near, b)
@@ -311,7 +312,8 @@ func refKNN(t *RSMI, cells map[cellKey][2]int, q geom.Point, k int, reads *int) 
 
 // readPathWorld is an index under test beside the Linear oracle and the
 // list of points both hold, and every point the index has held since its
-// last build with the base block it was filed under.
+// last build, or since the last repack of its leaf, with the base block it
+// was filed under.
 type readPathWorld struct {
 	t      *testing.T
 	rng    *rand.Rand
@@ -320,13 +322,24 @@ type readPathWorld struct {
 	live   []geom.Point
 	gone   []geom.Point
 	held   []heldPoint
+	// repacked counts the leaf repacks the world's inserts set off.
+	repacked int
 }
 
 func (w *readPathWorld) insert(p geom.Point) {
+	repacks := w.idx.repacks
 	w.idx.Insert(p)
 	w.oracle.Insert(p)
 	w.live = append(w.live, p)
-	for _, h := range filed(w.idx) {
+	leaf := w.idx.descend(p)
+	if w.idx.repacks != repacks {
+		// The leaf was repacked: its live points are its packed points now.
+		w.held = slices.DeleteFunc(w.held, func(h heldPoint) bool { return w.idx.descend(h.p) == leaf })
+		w.held = append(w.held, filed(w.idx, leaf)...)
+		w.repacked++
+		return
+	}
+	for _, h := range filed(w.idx, leaf) {
 		if h.p == p {
 			h.built = false
 			w.held = append(w.held, h)
@@ -374,8 +387,9 @@ func (w *readPathWorld) check(stage string) {
 	cells := deriveCells(idx, w.held)
 	for _, h := range w.held {
 		leaf := idx.descend(h.p)
-		if r := cells[cellKey{leaf, idx.leafCell(leaf, h.p)}]; h.base < r[0] || h.base > r[1] {
-			t.Fatalf("%s: %v was filed under block %d, outside its cell's blocks %v", stage, h.p, h.base, r)
+		pos := slices.Index(leaf.blocks, int32(h.base))
+		if r := cells[cellKey{leaf, idx.leafCell(leaf, h.p)}]; pos < r[0] || pos > r[1] {
+			t.Fatalf("%s: %v was filed under block %d at position %d, outside its cell's positions %v", stage, h.p, h.base, pos, r)
 		}
 	}
 	for _, p := range probes {
@@ -467,7 +481,7 @@ func (w *readPathWorld) checkWindow(stage string, cells map[cellKey][2]int, q ge
 		}
 		if want := slices.Compact(refCellRect(idx, leaf, q)); !slices.Equal(got, want) {
 			t.Fatalf("%s: window %v reads cells %v of the leaf at block %d, brute force %v",
-				stage, q, got, leaf.firstBlock, want)
+				stage, q, got, leaf.blocks[0], want)
 		}
 	}
 
@@ -512,7 +526,7 @@ func TestReadPathMatchesReference(t *testing.T) {
 			opts.Epochs = 15
 			w := &readPathWorld{t: t, rng: rng, idx: New(pts, opts), oracle: index.NewLinear(pts),
 				live: append([]geom.Point(nil), pts...)}
-			w.held = filed(w.idx)
+			w.held = filed(w.idx, nil)
 			w.check("built")
 
 			for i := 0; i < 400; i++ {
@@ -531,16 +545,26 @@ func TestReadPathMatchesReference(t *testing.T) {
 			}
 			w.check("slots reused")
 
-			// A burst into one spot grows overflow chains several blocks long.
+			// A burst into one spot grows overflow chains and repacks the
+			// leaf it lands in, more than once; the checks run between
+			// repacks too, on chains grown over repacked blocks.
 			hot := w.live[rng.Intn(len(w.live))]
-			before := w.idx.store.NumBlocks()
+			repacked, longest := w.repacked, 0
 			for i := 0; i < 8*opts.BlockCapacity; i++ {
-				w.insert(geom.Pt(hot.X+1e-4*rng.Float64(), hot.Y+1e-4*rng.Float64()))
+				p := geom.Pt(hot.X+1e-6*rng.Float64(), hot.Y+1e-6*rng.Float64())
+				w.insert(p)
+				grown := longest
+				for _, id := range w.idx.descend(p).blocks {
+					longest = max(longest, len(chainOf(w.idx, int(id))))
+				}
+				if longest > grown && longest >= 2 {
+					w.check("chains grown")
+				}
 			}
-			if grown := w.idx.store.NumBlocks() - before; grown < 3 {
-				t.Fatalf("hot-spot burst grew only %d overflow blocks", grown)
+			w.check("burst")
+			if longest < 2 || w.repacked < repacked+2 {
+				t.Fatalf("hot-spot burst grew chains of %d blocks at most, in %d repacks", longest, w.repacked-repacked)
 			}
-			w.check("chains grown")
 
 			var snap bytes.Buffer
 			if _, err := w.idx.WriteTo(&snap); err != nil {
@@ -554,7 +578,7 @@ func TestReadPathMatchesReference(t *testing.T) {
 			w.check("reloaded")
 
 			w.idx.Rebuild()
-			w.held = filed(w.idx)
+			w.held = filed(w.idx, nil)
 			w.check("rebuilt")
 			for i := 0; i < 200; i++ {
 				w.insert(geom.Pt(rng.Float64(), rng.Float64()))

@@ -45,9 +45,11 @@
 //     the block its position falls in;
 //   - Insert files a point under a base block of its cell's blocks, a point
 //     query or Delete searches those blocks and their overflow chains, and
-//     Delete only removes points. Nothing moves a cut or a count, so every
-//     live point stays in the blocks of its cell. Load checks this point by
-//     point, so a loaded index finds every point it holds;
+//     Delete only removes points. A leaf's repack (see repack) groups its
+//     live points by the same lookup, over the same cuts, and rewrites its
+//     counts and blocks together; nothing else moves a cut or a count, so
+//     every live point stays in the blocks of its cell. Load checks this
+//     point by point, so a loaded index finds every point it holds;
 //   - a window's columns and rows are counted with the same cuts at its
 //     sides, and a count is monotone in the order it compares by, so every
 //     point of the window lies in a cell of that rectangle (cellMask).
@@ -58,7 +60,8 @@
 // refused rather than converted: RSMIv1, whose sub-models are network
 // weights (ErrSnapshotV1); RSMIv2, which holds no point spans
 // (ErrSnapshotV2); RSMIv3, whose internal nodes are models (ErrSnapshotV3);
-// and RSMIv4, whose leaves are models (ErrSnapshotV4).
+// RSMIv4, whose leaves are models (ErrSnapshotV4); and RSMIv5, whose leaves
+// own one range of block ids each (ErrSnapshotV5).
 package core
 
 import (
@@ -145,15 +148,22 @@ type node struct {
 	// Leaf fields. The leaf's cells are 2^order × 2^order, cut by cols and by
 	// rowCuts, its one list of row cuts, ascending by (y, then x): a leaf's
 	// grid is regular in rank space. starts[c] is the number of the leaf's
-	// build points in the cells before cell c in curve order, so cell c's
-	// points took positions [starts[c], starts[c+1]) of the leaf's run.
-	leaf       bool
-	order      uint8
-	rowCuts    []geom.Point
-	starts     []int32
-	firstBlock int // first base block id
-	numBlocks  int // base blocks owned by this leaf
-	points     int // live points in the subtree (maintained by updates)
+	// packed points — those of its build or of its last repack — in the
+	// cells before cell c in curve order, so cell c's points took positions
+	// [starts[c], starts[c+1]) of the leaf's run. Position i lies in base
+	// block blocks[i/fill]: the leaf's base blocks, in run order, wherever in
+	// the store they are, each packed with fill points — B at a build, fewer
+	// at a repack, which leaves every block room for inserts.
+	leaf    bool
+	order   uint8
+	rowCuts []geom.Point
+	starts  []int32
+	blocks  []int32
+	fill    int
+	points  int // live points in the subtree (maintained by updates)
+	// overflow is the live points in a leaf's overflow chains; Insert
+	// repacks the leaf when they pass its share of points (see repack).
+	overflow int
 }
 
 // RSMI is the learned spatial index. It is not safe for concurrent use.
@@ -171,19 +181,23 @@ type RSMI struct {
 	cellGrids [maxLeafOrder + 1][]int32
 
 	// blockMBR caches the MBR of every block (base and inserted), extended
-	// on insertion; not shrunk on deletion (conservative, stays correct).
+	// on insertion; not shrunk on deletion (conservative, stays correct),
+	// and recomputed for the blocks a repack refills.
 	blockMBR []geom.Rect
-	// baseBlocks is the number of blocks created at build time; ids >=
-	// baseBlocks are insertion overflow blocks reached via chains.
-	baseBlocks int
 	// chainHeads[id] is the first overflow block chained after base block
-	// id, NilBlock when it has none: what lets a walk step from one base
-	// block to the next by index without loading either (see blockCursor).
+	// id — the block's Next — and NilBlock when it has none, or when id is
+	// an overflow block: what lets a walk step from one base block of a leaf
+	// to the next without loading either (see blockCursor). A base block's
+	// chain ends in NilBlock; no link joins two base blocks.
 	chainHeads []int32
 	// empty holds the overflow blocks with no live point, which Insert
 	// reuses before it allocates one (reuseEmpty). linkChains derives it
-	// from the blocks at build and load.
+	// from the blocks at load.
 	empty blockSet
+	// free heads the list, linked through Next, of the blocks a repack left
+	// over: Inserted, empty, their slots released, in no leaf and no chain.
+	// They are in empty too. NilBlock when there are none.
+	free int
 
 	pmfX, pmfY *cdf.PMF
 
@@ -191,7 +205,7 @@ type RSMI struct {
 	leaves    int
 	height    int
 	inserted  int // insertions since build/rebuild (drives RSMIr policy)
-	lastTail  int // tail block of the previously packed leaf run
+	repacks   int // leaf repacks since build/rebuild
 }
 
 var _ index.Index = (*RSMI)(nil)
@@ -210,18 +224,14 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 	opts = opts.withDefaults()
 	start := time.Now()
 	t := &RSMI{
-		opts:     opts,
-		store:    store.NewManager(opts.BlockCapacity),
-		n:        len(work),
-		lastTail: store.NilBlock,
+		opts:  opts,
+		store: store.NewManager(opts.BlockCapacity),
+		n:     len(work),
+		free:  store.NilBlock,
 	}
 	t.side, t.grid = gridCells(opts)
 	t.cellGrids = leafGrids(opts.Curve)
 	t.root = t.build(work, 1)
-	t.chainHeads = make([]int32, t.baseBlocks)
-	if err := t.linkChains(); err != nil {
-		panic(err) // the list was linked a moment ago, by this package
-	}
 	t.buildPMFs(work)
 	t.buildTime = time.Since(start)
 	return t
@@ -270,6 +280,7 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 		leaf:   true,
 		mbr:    geom.BoundingRect(ordered),
 		order:  uint8(k),
+		fill:   t.opts.BlockCapacity,
 		points: len(ordered),
 	}
 	n.cols = gridCuts(ordered, cols, order-k, k, geom.Point.Less)
@@ -277,16 +288,15 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	n.starts = groupByCell(ordered, 1<<(2*k), func(p geom.Point) int { return t.leafCell(n, p) })
 
 	first, count := t.store.Pack(ordered)
-	for id := first; id < first+count; id++ {
-		t.appendBlockMBR(t.store.Peek(id).MBR())
+	n.blocks = make([]int32, count)
+	for i := range n.blocks {
+		// The leaf's list orders its blocks, so Pack's links between them
+		// go: a base block's Next is its overflow chain's head.
+		b := t.store.Peek(first + i)
+		b.Prev, b.Next = store.NilBlock, store.NilBlock
+		n.blocks[i] = int32(b.ID)
+		t.trackBlock(b.MBR())
 	}
-	// Chain this leaf's run after the previous leaf's, so the block list
-	// runs through every leaf in order ("The order of blocks under the
-	// different leaf models follows the order of the partition IDs", §3.2).
-	t.store.LinkRuns(t.lastTail, first)
-	t.lastTail = first + count - 1
-	t.baseBlocks = t.store.NumBlocks()
-	n.firstBlock, n.numBlocks = first, count
 	t.leaves++
 	return n
 }
@@ -560,16 +570,17 @@ func b2i(b bool) int {
 	return 0
 }
 
-// cellBlocks returns the global base blocks [lo, hi] of leaf n's cell c —
-// those of the run of positions its build points took, or, for a cell that
-// took none, the one block its position falls in — and the slot of block lo
-// the run starts at, where a search for the cell's points begins.
+// cellBlocks returns the base blocks of leaf n's cell c as positions
+// [lo, hi] of the leaf's block list — those of the run of positions its
+// packed points took, or, for a cell that took none, the one block its
+// position falls in — and the slot of block lo the run starts at, where a
+// search for the cell's points begins.
 func (t *RSMI) cellBlocks(n *node, c int) (lo, hi, slot int) {
-	b := t.opts.BlockCapacity
+	b := n.fill
 	start, end := int(n.starts[c]), int(n.starts[c+1])
-	lo = min(start/b, n.numBlocks-1)
+	lo = min(start/b, len(n.blocks)-1)
 	hi = max(lo, (end-1)/b)
-	return n.firstBlock + lo, n.firstBlock + hi, start - lo*b
+	return lo, hi, start - lo*b
 }
 
 // normalise maps p into the unit square relative to norm; degenerate spans
@@ -585,47 +596,92 @@ func normalise(norm geom.Rect, p geom.Point) (float64, float64) {
 	return nx, ny
 }
 
-// appendBlockMBR records the MBR of a newly allocated block.
-func (t *RSMI) appendBlockMBR(r geom.Rect) {
+// trackBlock records a newly allocated block: its MBR, and no chain.
+func (t *RSMI) trackBlock(r geom.Rect) {
 	t.blockMBR = append(t.blockMBR, r)
+	t.chainHeads = append(t.chainHeads, store.NilBlock)
 }
 
-// linkChains walks the block list once from block 0 and records in
-// t.chainHeads, which holds one entry per base block, the head of every base
-// block's overflow chain, and in t.empty the overflow blocks with no live point. The
-// walks of this package step through base blocks by index and follow Next
-// only inside a chain, so the list has to be the one Pack and Insert produce: base blocks follow each other in id
-// order, whatever lies between two of them is an Inserted block with an id
-// past the base range, and every block is reached exactly once. Anything
-// else — a snapshot can say anything — is an error.
-
+// linkChains derives from the leaves' block lists and the blocks' links
+// what a loaded index keeps beside its blocks: the chain head of every base
+// block (t.chainHeads), every leaf's overflow points, and the empty set. It
+// checks the structure every walk trusts, since a snapshot can say
+// anything: each block is reached exactly once — named by one leaf's list
+// as a base block, in the overflow chain hung off one, or in the free list
+// — a base block is not Inserted and has no back link, every chained block
+// is Inserted and links back to the block before it, and a free block holds
+// no point. A chain that loops reaches a block twice.
 func (t *RSMI) linkChains() error {
-	heads := t.chainHeads
-	t.empty = blockSet{}
 	blocks := t.store.NumBlocks()
-	base, reached := -1, 0
-	for id := 0; blocks > 0 && id != store.NilBlock; reached++ {
-		b := t.store.Peek(id)
-		switch {
-		case b == nil || reached == blocks:
-			return fmt.Errorf("core: block list leaves the store or loops at link %d", id)
-		case id < t.baseBlocks && (b.Inserted || id != base+1):
-			return fmt.Errorf("core: base block %d is out of order or marked inserted", id)
-		case id < t.baseBlocks:
-			base, heads[id] = id, store.NilBlock
-		case !b.Inserted || base < 0:
-			return fmt.Errorf("core: block %d is chained but not an overflow block", id)
-		case heads[base] == store.NilBlock:
-			heads[base] = int32(id)
+	t.chainHeads = slices.Repeat([]int32{store.NilBlock}, blocks)
+	t.empty = blockSet{}
+	reached := make([]bool, blocks)
+	// follow walks the list from id on, after block prev, and returns the
+	// live points it holds.
+	follow := func(prev, id int) (live int, err error) {
+		for id != store.NilBlock {
+			b := t.store.Peek(id)
+			switch {
+			case b == nil:
+				return live, fmt.Errorf("core: block %d links to %d, outside the store", prev, id)
+			case reached[id]:
+				return live, fmt.Errorf("core: block %d is reached twice (the list loops at block %d)", id, prev)
+			case !b.Inserted:
+				return live, fmt.Errorf("core: block %d is chained but not an overflow block", id)
+			case b.Prev != prev:
+				return live, fmt.Errorf("core: block %d links back to %d, not to %d before it", id, b.Prev, prev)
+			}
+			reached[id] = true
+			if b.Live() == 0 {
+				t.empty.add(id)
+			}
+			live += b.Live()
+			prev, id = id, b.Next
 		}
-		if id >= t.baseBlocks && b.Live() == 0 {
-			t.empty.add(id)
-		}
-		id = b.Next
+		return live, nil
 	}
-	if base != t.baseBlocks-1 || reached != blocks {
-		return fmt.Errorf("core: block list reaches %d of %d blocks, %d of %d base blocks",
-			reached, blocks, base+1, t.baseBlocks)
+	var walk func(n *node) error
+	walk = func(n *node) error {
+		if n == nil {
+			return nil
+		}
+		for _, c := range n.children {
+			if err := walk(c); err != nil {
+				return err
+			}
+		}
+		if !n.leaf {
+			return nil
+		}
+		n.overflow = 0
+		for _, id := range n.blocks {
+			b := t.store.Peek(int(id))
+			switch {
+			case reached[id]:
+				return fmt.Errorf("core: block %d is named twice by the leaves' block lists", id)
+			case b.Inserted:
+				return fmt.Errorf("core: a leaf names overflow block %d as a base block", id)
+			case b.Prev != store.NilBlock:
+				return fmt.Errorf("core: base block %d links back to %d", id, b.Prev)
+			}
+			reached[id] = true
+			t.chainHeads[id] = int32(b.Next)
+			live, err := follow(int(id), b.Next)
+			if err != nil {
+				return err
+			}
+			n.overflow += live
+		}
+		return nil
+	}
+	if err := walk(t.root); err != nil {
+		return err
+	}
+	if free, err := follow(store.NilBlock, t.free); err != nil || free > 0 {
+		return cmp.Or(err, fmt.Errorf("core: the free list holds %d points", free))
+	}
+	if id := slices.Index(reached, false); id >= 0 {
+		return fmt.Errorf("core: block %d is reached by no leaf and no chain", id)
 	}
 	return nil
 }
@@ -749,8 +805,9 @@ func (t *RSMI) Stats() index.Stats {
 		if n == nil {
 			return
 		}
-		// The subtree MBR, the cuts, and a leaf's prefix counts.
-		modelBytes += 4*8 + int64(len(n.cols)+len(n.rowCuts))*16 + int64(len(n.starts))*4
+		// The subtree MBR, the cuts, and a leaf's prefix counts and block
+		// list.
+		modelBytes += 4*8 + int64(len(n.cols)+len(n.rowCuts))*16 + int64(len(n.starts)+len(n.blocks))*4
 		for _, r := range n.rows {
 			modelBytes += int64(len(r)) * 16
 		}
@@ -763,7 +820,7 @@ func (t *RSMI) Stats() index.Stats {
 		modelBytes += t.pmfX.SizeBytes() + t.pmfY.SizeBytes()
 	}
 	// Block MBR cache (4 float64 per block) supports every query, and the
-	// chain heads (one int32 per base block) every walk.
+	// chain heads (one int32 per block) every walk.
 	modelBytes += int64(len(t.blockMBR))*32 + int64(len(t.chainHeads))*4
 	errLow, errHigh := t.ErrorBounds()
 	return index.Stats{

@@ -257,7 +257,7 @@ func TestErrorBoundsAreExact(t *testing.T) {
 				t.Fatalf("%v: no leaf for %v", kind, p)
 			}
 			lo, hi, _ := idx.cellBlocks(leaf, idx.leafCell(leaf, p))
-			if blk, _ := refFind(idx, p, lo, hi, new(int)); blk == nil {
+			if blk, _ := refFind(idx, leaf, p, lo, hi, new(int)); blk == nil {
 				t.Fatalf("%v: point %v outside the blocks [%d,%d] of its cell", kind, p, lo, hi)
 			}
 		}
@@ -270,50 +270,66 @@ func TestErrorBoundsAreExact(t *testing.T) {
 // cell's points are one run; a cell's prefix count is the number of points
 // before that run, and its blocks (cellBlocks) are those the run was packed
 // in, from the run's first slot, or, for an empty cell, the block its
-// position falls in.
+// position falls in. A repack packs the same way, a fill of points a block:
+// after inserts and deletes every leaf is repacked and checked again.
 func TestPointSpansAreExact(t *testing.T) {
 	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Skewed} {
-		idx, _ := buildTest(t, kind, 3000)
-		b := idx.opts.BlockCapacity
-		walkLeaves(idx.root, func(n *node) {
-			cells := len(n.starts) - 1
-			if cells != 1<<(2*n.order) {
-				t.Fatalf("%v: leaf at block %d of order %d has %d cells", kind, n.firstBlock, n.order, cells)
-			}
-			count := make([]int, cells)
-			first, last := make([]int, cells), make([]int, cells)
-			prev, pos := 0, 0
-			for id := n.firstBlock; id < n.firstBlock+n.numBlocks; id++ {
-				for _, p := range idx.store.Peek(id).Slots() {
-					c := idx.leafCell(n, p)
-					if c < prev {
-						t.Fatalf("%v: %v at position %d of the leaf at block %d is in cell %d, after cell %d",
-							kind, p, pos, n.firstBlock, c, prev)
-					}
-					if count[c] == 0 {
-						first[c] = pos
-					}
-					prev, last[c] = c, pos
-					count[c]++
-					pos++
-				}
-			}
-			before := 0
-			for c := range cells {
-				lo, hi, slot := idx.cellBlocks(n, c)
-				want := [3]int{n.firstBlock + first[c]/b, n.firstBlock + last[c]/b, first[c] % b}
-				if count[c] == 0 {
-					blk := min(before/b, n.numBlocks-1)
-					want = [3]int{n.firstBlock + blk, n.firstBlock + blk, before - blk*b}
-				}
-				if int(n.starts[c]) != before || [3]int{lo, hi, slot} != want {
-					t.Fatalf("%v: leaf at block %d, cell %d: start %d, blocks [%d,%d] from slot %d; its %d points after %d: %v",
-						kind, n.firstBlock, c, n.starts[c], lo, hi, slot, count[c], before, want)
-				}
-				before += count[c]
-			}
-		})
+		idx, pts := buildTest(t, kind, 3000)
+		checkPointSpans(t, kind, idx)
+		for _, p := range jittered(pts, 1500, 8) {
+			idx.Insert(p)
+		}
+		for _, p := range pts[:1000] {
+			idx.Delete(p)
+		}
+		forLeaves(idx.root, everywhere, idx.repack)
+		checkPointSpans(t, kind, idx)
 	}
+}
+
+// checkPointSpans is TestPointSpansAreExact over idx, whose leaves have no
+// overflow chains.
+func checkPointSpans(t *testing.T, kind dataset.Kind, idx *RSMI) {
+	t.Helper()
+	walkLeaves(idx.root, func(n *node) {
+		b := n.fill
+		cells := len(n.starts) - 1
+		if cells != 1<<(2*n.order) {
+			t.Fatalf("%v: leaf at block %d of order %d has %d cells", kind, n.blocks[0], n.order, cells)
+		}
+		count := make([]int, cells)
+		first, last := make([]int, cells), make([]int, cells)
+		prev, pos := 0, 0
+		for _, id := range n.blocks {
+			for _, p := range idx.store.Peek(int(id)).Slots() {
+				c := idx.leafCell(n, p)
+				if c < prev {
+					t.Fatalf("%v: %v at position %d of the leaf at block %d is in cell %d, after cell %d",
+						kind, p, pos, n.blocks[0], c, prev)
+				}
+				if count[c] == 0 {
+					first[c] = pos
+				}
+				prev, last[c] = c, pos
+				count[c]++
+				pos++
+			}
+		}
+		before := 0
+		for c := range cells {
+			lo, hi, slot := idx.cellBlocks(n, c)
+			want := [3]int{first[c] / b, last[c] / b, first[c] % b}
+			if count[c] == 0 {
+				blk := min(before/b, len(n.blocks)-1)
+				want = [3]int{blk, blk, before - blk*b}
+			}
+			if int(n.starts[c]) != before || [3]int{lo, hi, slot} != want {
+				t.Fatalf("%v: leaf at block %d, cell %d: start %d, positions [%d,%d] from slot %d; its %d points after %d: %v",
+					kind, n.blocks[0], c, n.starts[c], lo, hi, slot, count[c], before, want)
+			}
+			before += count[c]
+		}
+	})
 }
 
 // TestCountMatchesNotLess: the branch-free cut count of cell and leafCell is
@@ -659,12 +675,12 @@ func checkDescent(t *testing.T, stage string, idx *RSMI) {
 		if !n.leaf {
 			return
 		}
-		c := idx.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
+		c := idx.scan(n, 0, len(n.blocks)-1)
 		for id := c.next(); id != store.NilBlock; id = c.next() {
 			for _, p := range idx.store.Peek(id).Slots() {
 				held++
 				if idx.descend(p) != n {
-					t.Fatalf("%s: %v lies in block %d of the leaf at block %d and descends to another leaf", stage, p, id, n.firstBlock)
+					t.Fatalf("%s: %v lies in block %d of the leaf at block %d and descends to another leaf", stage, p, id, n.blocks[0])
 				}
 			}
 		}

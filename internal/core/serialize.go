@@ -27,8 +27,12 @@ import (
 // cuts and counts are stored as they are, so every grouping in the file was
 // made by the very lookups the loaded index runs.
 
-// serialMagic identifies the index file format, RSMIv5.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '5', 0, 0}
+// serialMagic identifies the index file format, RSMIv6.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '6', 0, 0}
+
+// serialMagicV5 is the magic of the format whose leaves owned one range of
+// block ids each.
+var serialMagicV5 = [8]byte{'R', 'S', 'M', 'I', 'v', '5', 0, 0}
 
 // serialMagicV4 is the magic of the format whose leaves were trained models.
 var serialMagicV4 = [8]byte{'R', 'S', 'M', 'I', 'v', '4', 0, 0}
@@ -82,6 +86,17 @@ var ErrSnapshotV4 = errors.New("core: RSMIv4 snapshot refused: its leaves are tr
 	"and this version looks points up in exact leaf cells that would not find its points where the models put them; " +
 	"rebuild the index and save it again")
 
+// ErrSnapshotV5 is returned by Load for an RSMIv5 file. Its leaves own one
+// range of block ids each, and every block past the base range is an
+// overflow block; this version's leaves name their base blocks one by one
+// and a block's own flag says whether it is one, so a leaf can repack its
+// blocks in place. The file does not say which of its links join leaves
+// and which chains, in the terms this version reads. Rebuild the index
+// from its points and save it again.
+var ErrSnapshotV5 = errors.New("core: RSMIv5 snapshot refused: its leaves own ranges of block ids, " +
+	"and this version's leaves name their blocks one by one in lists the file does not hold; " +
+	"rebuild the index and save it again")
+
 // WriteTo serialises the index. It implements io.WriterTo.
 func (t *RSMI) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -125,9 +140,9 @@ func (t *RSMI) encode(w io.Writer) error {
 	}
 	// Scalars.
 	for _, v := range []interface{}{
-		int64(t.n), int64(t.baseBlocks), int64(t.leaves),
-		int64(t.height), int64(t.inserted),
-		int64(t.lastTail), int64(t.buildTime),
+		int64(t.n), int64(t.leaves), int64(t.height),
+		int64(t.inserted), int64(t.repacks),
+		int64(t.free), int64(t.buildTime),
 	} {
 		if err := put(v); err != nil {
 			return fmt.Errorf("core: write scalars: %w", err)
@@ -243,12 +258,16 @@ func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 		return err
 	}
 	if n.leaf {
-		// The leaf's words, its cuts, then its cells' prefix counts behind
-		// their number.
-		for _, v := range []int64{int64(n.firstBlock), int64(n.numBlocks), int64(n.points)} {
-			if err := put(v); err != nil {
-				return err
-			}
+		// The leaf's points, its fill, its base blocks behind their number,
+		// its cuts, then its cells' prefix counts behind their number.
+		b := binary.LittleEndian.AppendUint64(make([]byte, 0, 24+4*len(n.blocks)), uint64(n.points))
+		b = binary.LittleEndian.AppendUint64(b, uint64(n.fill))
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(n.blocks)))
+		for _, id := range n.blocks {
+			b = binary.LittleEndian.AppendUint32(b, uint32(id))
+		}
+		if _, err := w.Write(b); err != nil {
+			return err
 		}
 		if err := putCuts(w, n.cols); err != nil {
 			return err
@@ -256,7 +275,7 @@ func (t *RSMI) encodeNode(w io.Writer, n *node) error {
 		if err := putCuts(w, n.rowCuts); err != nil {
 			return err
 		}
-		b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+4*len(n.starts)), uint64(len(n.starts)))
+		b = binary.LittleEndian.AppendUint64(b[:0], uint64(len(n.starts)))
 		for _, v := range n.starts {
 			b = binary.LittleEndian.AppendUint32(b, uint32(v))
 		}
@@ -360,6 +379,8 @@ func decode(r io.Reader) (*RSMI, error) {
 		return nil, ErrSnapshotV3
 	case serialMagicV4:
 		return nil, ErrSnapshotV4
+	case serialMagicV5:
+		return nil, ErrSnapshotV5
 	}
 	if magic != serialMagic {
 		return nil, errors.New("core: not an RSMI index file")
@@ -384,11 +405,11 @@ func decode(r io.Reader) (*RSMI, error) {
 		}
 	}
 	t.n = int(scalars[0])
-	t.baseBlocks = int(scalars[1])
-	t.leaves = int(scalars[2])
-	t.height = int(scalars[3])
-	t.inserted = int(scalars[4])
-	t.lastTail = int(scalars[5])
+	t.leaves = int(scalars[1])
+	t.height = int(scalars[2])
+	t.inserted = int(scalars[3])
+	t.repacks = int(scalars[4])
+	t.free = int(scalars[5])
 	t.buildTime = time.Duration(scalars[6])
 	// Store.
 	mgr, err := store.ReadManager(r)
@@ -418,13 +439,9 @@ func decode(r io.Reader) (*RSMI, error) {
 		return nil, err
 	}
 	// Model tree.
-	if t.baseBlocks < 0 || t.baseBlocks > mgr.NumBlocks() {
-		return nil, fmt.Errorf("core: baseBlocks %d outside the %d stored blocks", t.baseBlocks, mgr.NumBlocks())
-	}
 	if t.root, err = t.decodeNode(r, 0); err != nil {
 		return nil, err
 	}
-	t.chainHeads = make([]int32, t.baseBlocks)
 	if err := t.validate(); err != nil {
 		return nil, err
 	}
@@ -456,13 +473,9 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 		return nil, err
 	}
 	if n.leaf {
-		var f [3]int64
-		for i := range f {
-			if err := binary.Read(r, binary.LittleEndian, &f[i]); err != nil {
-				return nil, err
-			}
+		if err := t.decodeBlocks(r, n); err != nil {
+			return nil, err
 		}
-		n.firstBlock, n.numBlocks, n.points = int(f[0]), int(f[1]), int(f[2])
 		return n, t.decodeCells(r, n)
 	}
 	var points int64
@@ -504,6 +517,34 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	return n, nil
 }
 
+// decodeBlocks reads leaf n's point count, fill and block list: a fill of
+// one to B points, at least one block, none past the store. That each block
+// is named once, by one leaf, is linkChains' to check.
+func (t *RSMI) decodeBlocks(r io.Reader, n *node) error {
+	var f [3]uint64
+	if err := binary.Read(r, binary.LittleEndian, &f); err != nil {
+		return fmt.Errorf("core: read leaf: %w", err)
+	}
+	blocks := uint64(t.store.NumBlocks())
+	if f[0] > math.MaxInt32 || f[1] < 1 || f[1] > uint64(t.opts.BlockCapacity) || f[2] < 1 || f[2] > blocks {
+		return fmt.Errorf("core: leaf of %d points packed %d a block names %d blocks of the %d stored", f[0], f[1], f[2], blocks)
+	}
+	n.points, n.fill = int(f[0]), int(f[1])
+	b := make([]byte, 4*f[2])
+	if _, err := io.ReadFull(r, b); err != nil {
+		return fmt.Errorf("core: read leaf blocks: %w", err)
+	}
+	n.blocks = make([]int32, f[2])
+	for i := range n.blocks {
+		id := binary.LittleEndian.Uint32(b[4*i:])
+		if uint64(id) >= blocks {
+			return fmt.Errorf("core: leaf names block %d of the %d stored", id, blocks)
+		}
+		n.blocks[i] = int32(id)
+	}
+	return nil
+}
+
 // decodeCells reads leaf n's cuts and prefix counts. Their number fixes the
 // leaf's order k — 4^k + 1 counts for 2^k × 2^k cells — and a leaf of order
 // k has at most 2^k − 1 cuts each way, ascending, so the cells index the
@@ -540,9 +581,9 @@ func (t *RSMI) decodeCells(r io.Reader, n *node) error {
 	prev := int32(0)
 	for i := range n.starts {
 		v := int32(binary.LittleEndian.Uint32(b[4*i:]))
-		if v < prev || v > 0 && (int(v)-1)/t.opts.BlockCapacity >= n.numBlocks {
+		if v < prev || v > 0 && (int(v)-1)/n.fill >= len(n.blocks) {
 			return fmt.Errorf("core: leaf cell count %d of cell %d is below the one before it or past the leaf's %d blocks",
-				v, i, n.numBlocks)
+				v, i, len(n.blocks))
 		}
 		n.starts[i], prev = v, v
 	}
@@ -581,59 +622,52 @@ func (t *RSMI) validate() error {
 	if live != t.n {
 		return fmt.Errorf("core: index claims %d points, its blocks hold %d", t.n, live)
 	}
-	// The leaves, in depth-first order, tile the base blocks — every block
-	// belongs to exactly one leaf — and every model's MBR covers the points
-	// under it. The exact traversals prune by those MBRs, so a snapshot
-	// breaking either would have them miss points or find one twice. Every
-	// live point descends to the leaf that holds its block, and that block's
-	// base block lies in the blocks of the point's cell, so a point query,
-	// a window and a kNN round find every point the index holds.
-	next := 0
-	var walk func(n *node) (geom.Rect, error)
-	walk = func(n *node) (geom.Rect, error) {
-		covered := geom.EmptyRect()
+	// Every model's MBR covers the points under it, and its count is theirs.
+	// The exact traversals prune by those MBRs, so a snapshot breaking them
+	// would have them miss points. Every live point descends to the leaf
+	// that holds its block, and that block's base block lies in the blocks
+	// of the point's cell, so a point query, a window and a kNN round find
+	// every point the index holds. That every block belongs to one leaf,
+	// once, linkChains has checked.
+	var walk func(n *node) (geom.Rect, int, error)
+	walk = func(n *node) (geom.Rect, int, error) {
+		covered, held := geom.EmptyRect(), 0
 		switch {
 		case n == nil:
-			return covered, nil
+			return covered, 0, nil
 		case n.leaf:
-			if n.firstBlock != next || n.numBlocks < 1 || n.firstBlock+n.numBlocks > t.baseBlocks {
-				return covered, fmt.Errorf("core: leaf block range [%d,%d) does not continue the leaves before it at %d",
-					n.firstBlock, n.firstBlock+n.numBlocks, next)
-			}
-			next += n.numBlocks
-			c := t.scan(n.firstBlock, n.firstBlock+n.numBlocks-1)
+			c := t.scan(n, 0, len(n.blocks)-1)
 			for id := c.next(); id != store.NilBlock; id = c.next() {
 				covered = covered.Union(t.blockMBR[id])
 				for _, p := range t.store.Peek(id).Slots() {
 					if t.descend(p) != n {
-						return covered, fmt.Errorf("core: point %v of block %d descends to another leaf", p, id)
+						return covered, held, fmt.Errorf("core: point %v of block %d descends to another leaf", p, id)
 					}
 					cell := t.leafCell(n, p)
-					if lo, hi, _ := t.cellBlocks(n, cell); c.base < lo || c.base > hi {
-						return covered, fmt.Errorf("core: point %v lies in block %d, outside blocks [%d,%d] of its cell %d",
-							p, c.base, lo, hi, cell)
+					if lo, hi, _ := t.cellBlocks(n, cell); c.pos < lo || c.pos > hi {
+						return covered, held, fmt.Errorf("core: point %v lies in block %d at position %d, outside positions [%d,%d] of its cell %d",
+							p, c.base, c.pos, lo, hi, cell)
 					}
+					held++
 				}
 			}
 		default:
 			for _, c := range n.children {
-				r, err := walk(c)
+				r, m, err := walk(c)
 				if err != nil {
-					return covered, err
+					return covered, held, err
 				}
-				covered = covered.Union(r)
+				covered, held = covered.Union(r), held+m
 			}
 		}
 		if !covered.IsEmpty() && !n.mbr.ContainsRect(covered) {
-			return covered, fmt.Errorf("core: model MBR %v does not cover the blocks under it, %v", n.mbr, covered)
+			return covered, held, fmt.Errorf("core: model MBR %v does not cover the blocks under it, %v", n.mbr, covered)
 		}
-		return covered, nil
+		if held != n.points {
+			return covered, held, fmt.Errorf("core: model claims %d points, the blocks under it hold %d", n.points, held)
+		}
+		return covered, held, nil
 	}
-	if _, err := walk(t.root); err != nil {
-		return err
-	}
-	if next != t.baseBlocks {
-		return fmt.Errorf("core: leaves cover %d of %d base blocks", next, t.baseBlocks)
-	}
-	return nil
+	_, _, err := walk(t.root)
+	return err
 }

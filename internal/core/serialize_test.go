@@ -13,6 +13,7 @@ import (
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
+	"rsmi/internal/store"
 	"rsmi/internal/workload"
 )
 
@@ -102,9 +103,9 @@ func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []g
 		l1, l2 := orig.descend(p), loaded.descend(p)
 		lo1, hi1, _ := orig.cellBlocks(l1, orig.leafCell(l1, p))
 		lo2, hi2, _ := loaded.cellBlocks(l2, loaded.leafCell(l2, p))
-		if l1.firstBlock != l2.firstBlock || lo1 != lo2 || hi1 != hi2 {
-			t.Fatalf("%s: %v descends to the leaf at block %d, range [%d, %d], before, and to the leaf at block %d, range [%d, %d], after the round trip",
-				stage, p, l1.firstBlock, lo1, hi1, l2.firstBlock, lo2, hi2)
+		if !slices.Equal(l1.blocks, l2.blocks) || lo1 != lo2 || hi1 != hi2 {
+			t.Fatalf("%s: %v descends to the leaf of blocks %v, positions [%d, %d], before, and to the leaf of blocks %v, positions [%d, %d], after the round trip",
+				stage, p, l1.blocks, lo1, hi1, l2.blocks, lo2, hi2)
 		}
 	}
 	// accesses runs fn on both and demands equal block-access counts.
@@ -272,6 +273,13 @@ func TestLoadRefusesV4(t *testing.T) {
 	refuseOldMagic(t, serialMagicV4, ErrSnapshotV4, "RSMIv4", "leaves", "cells", "rebuild")
 }
 
+// TestLoadRefusesV5: the format whose leaves own ranges of block ids is
+// recognised and refused with an error that says why, not mistaken for
+// garbage.
+func TestLoadRefusesV5(t *testing.T) {
+	refuseOldMagic(t, serialMagicV5, ErrSnapshotV5, "RSMIv5", "leaves", "block", "rebuild")
+}
+
 // TestLoadChecksDelta: Δ sizes every kNN search, so a snapshot whose Δ word
 // is neither the 0.01 this version runs nor 0 (unset, which meant 0.01) is
 // refused with an error that names Δ. The loss and γ words shaped only the
@@ -325,8 +333,11 @@ func TestLoadRejectsMismatchedCells(t *testing.T) {
 	opts.PartitionThreshold = 400
 	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), opts)
 	for name, tamper := range map[string]func(root *node){
-		"internal":    func(root *node) { root.children = root.children[:1] },
-		"leaf blocks": func(root *node) { firstLeaf(root).numBlocks-- },
+		"internal": func(root *node) { root.children = root.children[:1] },
+		"leaf blocks": func(root *node) {
+			n := firstLeaf(root)
+			n.blocks = n.blocks[:len(n.blocks)-1]
+		},
 		"leaf cells": func(root *node) {
 			n := firstLeaf(root)
 			n.starts = n.starts[:len(n.starts)-1]
@@ -442,14 +453,30 @@ func TestLoadRejectsCorruptedBody(t *testing.T) {
 }
 
 // TestLoadRejectsCyclicBlockList tampers block links inside a written
-// snapshot. Every walk steps through base blocks by index and trusts Next
-// inside a chain, and replicas load snapshots off the wire: a list with a
-// cycle (which used to load, and hang the first window query), a gap, a dead
-// end, or a block on the wrong side of the base range must be refused.
+// snapshot. Every walk steps through a leaf's base blocks by its list and
+// trusts Next inside a chain, and replicas load snapshots off the wire: a
+// chain with a cycle (which used to load, and hang the first window query),
+// one cut short or running into a base block, a link out of the store or
+// back to the wrong block, or a block flagged the wrong way must be refused.
 func TestLoadRejectsCyclicBlockList(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 2000)
-	for i := 0; i < 6*idx.opts.BlockCapacity; i++ { // grow a chain several blocks long
-		idx.Insert(geom.Pt(pts[0].X+1e-9*float64(i+1), pts[0].Y))
+	// Inserts spread over the index repack leaves, repacks after deletes
+	// leave blocks over on the free list, and a chain of two overflow blocks
+	// or more grows under one block, filed without the repack it would set
+	// off (file).
+	withFreeList(t, idx, pts)
+	var base int
+	for i := 0; ; i++ {
+		p := geom.Pt(pts[0].X+1e-9*float64(i+1), pts[0].Y)
+		idx.file(p)
+		leaf := idx.descend(p)
+		lo, hi, _ := idx.cellBlocks(leaf, idx.leafCell(leaf, p))
+		if base = idx.home(leaf, lo, hi, p); len(chainOf(idx, base)) >= 3 {
+			break
+		}
+		if i == 1000 {
+			t.Fatal("no chain grew three blocks long")
+		}
 	}
 	var snap, blocks bytes.Buffer
 	if _, err := idx.WriteTo(&snap); err != nil {
@@ -464,7 +491,7 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 	}
 	// A block record is prev, next (int64 each), flags (1 byte), slot count
 	// (int64), then 17 bytes per slot, after a 16-byte store header.
-	const nextField, flagsField = 8, 16
+	const prevField, nextField, flagsField = 0, 8, 16
 	offsetOf := func(id int) int {
 		at := storeAt + 16
 		for b := 0; b < id; b++ {
@@ -472,28 +499,22 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 		}
 		return at
 	}
-	overflow := idx.baseBlocks // the first overflow block; its chain goes on
-	if next := idx.store.Peek(overflow).Next; next < idx.baseBlocks {
-		t.Fatalf("overflow block %d is followed by %d, not by a longer chain", overflow, next)
+	overflow := chainOf(idx, base)[1] // the first overflow block of a chain that goes on
+	other := int(firstLeaf(idx.root).blocks[0])
+	if other == base {
+		other = int(firstLeaf(idx.root).blocks[1])
 	}
+	put := func(raw []byte, at, v int) { binary.LittleEndian.PutUint64(raw[at:], uint64(v)) }
 	for name, tamper := range map[string]func(raw []byte){
-		"base block links backwards": func(raw []byte) {
-			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], 5)
-		},
-		"base block skips its successor": func(raw []byte) {
-			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], 12)
-		},
-		"list ends early": func(raw []byte) {
-			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], ^uint64(0))
-		},
-		"link leaves the store": func(raw []byte) {
-			binary.LittleEndian.PutUint64(raw[offsetOf(10)+nextField:], uint64(idx.store.NumBlocks()))
-		},
-		"overflow block links to itself": func(raw []byte) {
-			binary.LittleEndian.PutUint64(raw[offsetOf(overflow)+nextField:], uint64(overflow))
-		},
+		"base block links back":              func(raw []byte) { put(raw, offsetOf(base)+prevField, other) },
+		"chain runs into a base block":       func(raw []byte) { put(raw, offsetOf(overflow)+nextField, other) },
+		"chain cut short":                    func(raw []byte) { put(raw, offsetOf(overflow)+nextField, store.NilBlock) },
+		"link leaves the store":              func(raw []byte) { put(raw, offsetOf(overflow)+nextField, idx.store.NumBlocks()) },
+		"overflow block links to itself":     func(raw []byte) { put(raw, offsetOf(overflow)+nextField, overflow) },
+		"overflow block links back wrong":    func(raw []byte) { put(raw, offsetOf(overflow)+prevField, other) },
+		"free block links back wrong":        func(raw []byte) { put(raw, offsetOf(idx.free)+prevField, base) },
 		"overflow block not marked inserted": func(raw []byte) { raw[offsetOf(overflow)+flagsField] = 0 },
-		"base block marked inserted":         func(raw []byte) { raw[offsetOf(10)+flagsField] = 1 },
+		"base block marked inserted":         func(raw []byte) { raw[offsetOf(other)+flagsField] = 1 },
 	} {
 		raw := append([]byte(nil), snap.Bytes()...)
 		tamper(raw)
@@ -507,5 +528,72 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader(snap.Bytes())); err != nil {
 		t.Fatalf("untampered snapshot refused: %v", err)
+	}
+}
+
+// withFreeList grows idx, built over pts, by half as many jittered points,
+// which repacks leaves, deletes a third of pts and repacks every leaf, which
+// leaves blocks over on the free list.
+func withFreeList(t *testing.T, idx *RSMI, pts []geom.Point) {
+	t.Helper()
+	for _, p := range jittered(pts, len(pts)/2, 44) {
+		idx.Insert(p)
+	}
+	for _, p := range pts[:len(pts)/3] {
+		idx.Delete(p)
+	}
+	forLeaves(idx.root, everywhere, idx.repack)
+	if idx.repacks <= idx.leaves || idx.free == store.NilBlock {
+		t.Fatalf("%d repacks left free list %d", idx.repacks, idx.free)
+	}
+}
+
+// TestLoadRefusesBadBlockLists: a leaf's block list is what every walk
+// steps through, so a loaded index must name each block once: a leaf that
+// names a block twice, or names an overflow block as a base block, and a
+// block no leaf and no chain reaches — one a leaf's list or the free list
+// dropped — are refused in words that say so. The index has repacked
+// leaves and a free list.
+func TestLoadRefusesBadBlockLists(t *testing.T) {
+	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	withFreeList(t, idx, pts)
+	for name, c := range map[string]struct {
+		tamper func(t *RSMI)
+		words  string
+	}{
+		"a block named twice": {func(t *RSMI) {
+			n := firstLeaf(t.root)
+			n.blocks[1] = n.blocks[0]
+		}, "named twice"},
+		"a block named by two leaves": {func(t *RSMI) {
+			first, last := firstLeaf(t.root), t.descend(geom.Pt(1, 1))
+			last.blocks[0] = first.blocks[0]
+		}, "named twice"},
+		"an overflow block named": {func(t *RSMI) {
+			for id := range t.store.NumBlocks() {
+				if t.store.Peek(id).Inserted {
+					firstLeaf(t.root).blocks[0] = int32(id)
+					return
+				}
+			}
+		}, "overflow block"},
+		"a block dropped from a list": {func(t *RSMI) {
+			n := firstLeaf(t.root)
+			n.blocks = n.blocks[:len(n.blocks)-1]
+			for c := range n.starts {
+				n.starts[c] = min(n.starts[c], int32(len(n.blocks)*n.fill))
+			}
+		}, "no leaf"},
+		"the free list dropped": {func(t *RSMI) { t.free = store.NilBlock }, "no leaf"},
+	} {
+		victim := roundTrip(t, idx)
+		c.tamper(victim)
+		var buf bytes.Buffer
+		if _, err := victim.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), c.words) {
+			t.Errorf("%s: Load returned %v, want a refusal saying %q", name, err, c.words)
+		}
 	}
 }

@@ -2,7 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
@@ -14,8 +17,11 @@ import (
 // periodic rebuild of the RSMIr variant (§6.2.5). Unlike §5, an insert is
 // filed beside its spatial neighbours among its cell's base blocks rather
 // than under a predicted block, an overflow block that deletes
-// emptied is reused before a new one is allocated (see Insert), and a
-// delete searches a chain before its base block (see findForDelete).
+// emptied is reused before a new one is allocated (see Insert), a
+// delete searches a chain before its base block (see findForDelete), and a
+// leaf whose overflow chains grow past a share of its points repacks its
+// own blocks inside the insert (see repack) where §5 retrains the
+// sub-models past a threshold.
 
 // ErrNonFinitePoint is returned by InsertContext — of this index and of the
 // engines built on it — for a point with a NaN or infinite coordinate. Such a
@@ -32,7 +38,8 @@ var ErrNonFinitePoint = errors.New("core: point has a NaN or infinite coordinate
 // space takes p; if none has space, an overflow block is spliced after the
 // chain's tail: one that deletes emptied, taken from its own chain (see
 // reuseEmpty), or else a new one, marked Inserted. Ancestor MBRs are
-// extended recursively.
+// extended recursively. A leaf whose overflow chains then hold more than
+// one in repackShare of its live points is repacked (see repack).
 //
 // §5 files p under the block the leaf model predicts. The cell's blocks are
 // where a point query and Delete for p look, so p is found whichever of them
@@ -46,13 +53,21 @@ var ErrNonFinitePoint = errors.New("core: point has a NaN or infinite coordinate
 // entry-checked wrapper that serving code reaches through the Engine
 // surface, and it delegates here after observing ctx.
 func (t *RSMI) Insert(p geom.Point) {
-	if !p.IsFinite() {
-		return
+	if leaf := t.file(p); leaf != nil && leaf.overflow*repackShare > leaf.points {
+		t.repack(leaf)
 	}
-	if t.root == nil || t.baseBlocks == 0 {
+}
+
+// file is Insert up to the repack: it files p and returns its leaf, or nil
+// when it filed nothing or built the index afresh instead.
+func (t *RSMI) file(p geom.Point) *node {
+	if !p.IsFinite() {
+		return nil
+	}
+	if t.root == nil {
 		// Degenerate empty index: rebuild from a single point.
 		*t = *New([]geom.Point{p}, t.opts)
-		return
+		return nil
 	}
 	var stack [maxDepth]*node
 	leaf, path := t.descendPath(p, stack[:0])
@@ -60,10 +75,10 @@ func (t *RSMI) Insert(p geom.Point) {
 		// No leaf reachable (cannot happen on a built index, but keep the
 		// invariant that Insert never loses points).
 		*t = *NewOwned(append(t.AllPoints(), p), t.opts)
-		return
+		return nil
 	}
 	lo, hi, _ := t.cellBlocks(leaf, t.leafCell(leaf, p))
-	base := t.store.Peek(t.home(lo, hi, p))
+	base := t.store.Peek(t.home(leaf, lo, hi, p))
 
 	// Walk the overflow chain in place to the first block with space, and to
 	// its tail only when none has space. The accesses are one to locate the
@@ -72,7 +87,7 @@ func (t *RSMI) Insert(p geom.Point) {
 	var target *store.Block
 	lastInChain := base
 	reads := 1
-	for b := base; b != nil && (b == base || b.Inserted); b = t.store.Peek(b.Next) {
+	for b := base; b != nil; b = t.store.Peek(b.Next) {
 		reads++
 		lastInChain = b
 		if b.HasSpace() {
@@ -86,7 +101,7 @@ func (t *RSMI) Insert(p geom.Point) {
 		if target = t.reuseEmpty(); target == nil {
 			target = t.store.Alloc()
 			target.Inserted = true
-			t.appendBlockMBR(geom.EmptyRect())
+			t.trackBlock(geom.EmptyRect())
 		}
 		t.store.Link(lastInChain, target)
 		if lastInChain == base {
@@ -97,6 +112,9 @@ func (t *RSMI) Insert(p geom.Point) {
 	}
 	target.Append(p)
 	t.blockMBR[target.ID] = t.blockMBR[target.ID].ExtendPoint(p)
+	if target.Inserted {
+		leaf.overflow++
+	}
 
 	// Recursive MBR (and bookkeeping) updates up the path.
 	leaf.mbr = leaf.mbr.ExtendPoint(p)
@@ -107,19 +125,154 @@ func (t *RSMI) Insert(p geom.Point) {
 	}
 	t.n++
 	t.inserted++
+	return leaf
 }
 
-// home returns the global id of the base block Insert files p under, out of
-// base blocks [lo, hi] of p's cell: the first in block order whose cached
+// repackShare and repackRoom set when and how a leaf repacks. It repacks
+// once the live points in its overflow chains pass one in repackShare of
+// its live points — a count of live points, so insert→delete pairs never
+// set it off — and it packs each block to repackRoom percent short of B,
+// so that the inserts after it land in the blocks beside their neighbours
+// rather than in a new chain under nearly every block. EXPERIMENTS.md
+// ("Leaf repacks") has the shares and rooms tried: 1/8 and 1/4 of the
+// points with full blocks read no fewer blocks than not repacking at all.
+const (
+	repackShare = 256
+	repackRoom  = 5
+)
+
+// repack refills leaf n's blocks with its live points grouped by cell, as
+// buildLeaf packed them, without re-cutting anything: the leaf keeps its
+// column and row cuts and its order. It gathers the points from the base
+// blocks and their chains, counts them into their cells (leafCell, no
+// sort: within a cell they keep the order they were gathered in, base block
+// by base block, each followed by the points filed beside it), rewrites
+// starts, and packs the run, repackRoom percent short of B a block (the
+// leaf's fill), into the leaf's old base blocks, then its overflow blocks
+// in chain order, allocating only past those. The blocks get fresh MBRs and
+// no chains, and so does the leaf; the blocks left over are released onto
+// the free list. Every step reads only the blocks' contents and the cuts,
+// so a loaded copy and a replica replaying the same writes repack the same
+// leaves at the same inserts.
+//
+// §5 retrains a sub-model once its inserts pass a threshold. An index of
+// cells needs no training, and the same cuts over the grown points put a
+// window back on blocks in cell order: a leaf repacked with no room reads
+// what a fresh build reads (EXPERIMENTS.md, "Leaf repacks"). A leaf that
+// outgrows N stays one leaf.
+func (t *RSMI) repack(n *node) {
+	s := repackPool.Get().(*repackScratch)
+	defer repackPool.Put(s)
+	s.ids = append(s.ids[:0], n.blocks...)
+	s.pts = s.pts[:0]
+	for _, id := range n.blocks {
+		s.pts = append(s.pts, t.store.Peek(int(id)).Slots()...)
+		for o := int(t.chainHeads[id]); o != store.NilBlock; {
+			b := t.store.Peek(o)
+			s.pts = append(s.pts, b.Slots()...)
+			s.ids = append(s.ids, int32(o))
+			o = b.Next
+		}
+	}
+
+	cells := len(n.starts) - 1
+	clear(n.starts)
+	s.cells = s.cells[:0]
+	for _, p := range s.pts {
+		c := t.leafCell(n, p)
+		s.cells = append(s.cells, uint8(c))
+		n.starts[c+1]++
+	}
+	var next [1 << (2 * maxLeafOrder)]int32
+	for c := range cells {
+		n.starts[c+1] += n.starts[c]
+		next[c] = n.starts[c]
+	}
+	s.sorted = slices.Grow(s.sorted[:0], len(s.pts))[:len(s.pts)]
+	for i, p := range s.pts {
+		s.sorted[next[s.cells[i]]] = p
+		next[s.cells[i]]++
+	}
+
+	fill := t.opts.BlockCapacity - t.opts.BlockCapacity*repackRoom/100
+	n.fill = fill
+	need := max(1, (len(s.sorted)+fill-1)/fill)
+	for len(s.ids) < need {
+		s.ids = append(s.ids, int32(t.store.Alloc().ID))
+		t.trackBlock(geom.EmptyRect())
+	}
+	n.blocks = append(n.blocks[:0], s.ids[:need]...)
+	mbr := geom.EmptyRect()
+	for i, id := range n.blocks {
+		b := t.store.Peek(int(id))
+		b.Refill(s.sorted[i*fill : min((i+1)*fill, len(s.sorted))])
+		b.Inserted, b.Prev, b.Next = false, store.NilBlock, store.NilBlock
+		t.chainHeads[id] = store.NilBlock
+		t.empty.remove(int(id))
+		t.blockMBR[id] = b.MBR()
+		mbr = mbr.Union(t.blockMBR[id])
+	}
+	for _, id := range s.ids[need:] {
+		b := t.store.Peek(int(id))
+		b.Release()
+		b.Inserted, b.Prev, b.Next = true, store.NilBlock, t.free
+		if t.free != store.NilBlock {
+			t.store.Peek(t.free).Prev = b.ID
+		}
+		t.free = b.ID
+		t.chainHeads[id] = store.NilBlock
+		t.empty.add(b.ID)
+		t.blockMBR[id] = geom.EmptyRect()
+	}
+	n.mbr, n.overflow = mbr, 0
+	t.repacks++
+}
+
+// repackScratch is repack's working memory — the gathered points, their
+// cells, the points grouped by cell and the leaf's blocks — recycled through
+// repackPool, so a repack allocates only the blocks it grows.
+type repackScratch struct {
+	pts, sorted []geom.Point
+	cells       []uint8
+	ids         []int32
+}
+
+var repackPool = sync.Pool{New: func() any { return new(repackScratch) }}
+
+// Repacks returns the number of leaf repacks since the index was built or
+// last rebuilt.
+func (t *RSMI) Repacks() int { return t.repacks }
+
+// LeafOverflow returns the live points in the overflow chains of the leaf
+// that holds the most of them, and their mean over the leaves.
+func (t *RSMI) LeafOverflow() (largest int, mean float64) {
+	sum := 0
+	forLeaves(t.root, everywhere, func(n *node) {
+		largest = max(largest, n.overflow)
+		sum += n.overflow
+	})
+	if t.leaves > 0 {
+		mean = float64(sum) / float64(t.leaves)
+	}
+	return largest, mean
+}
+
+// home returns the id of the base block Insert files p under, out of the
+// base blocks at positions [lo, hi] of leaf's list, p's cell's: the first
+// whose cached
 // MBR holds p — the first one a point query or Delete for p meets — or,
 // when none does, the one whose MBR lies nearest to p in L1 distance (half
 // the growth of its perimeter were p added to it), the first of equals. It
 // compares cached MBRs only and reads no block.
-func (t *RSMI) home(lo, hi int, p geom.Point) int {
-	best, bestDist := lo, l1Dist(t.blockMBR[lo], p)
-	for id := lo + 1; bestDist > 0 && id <= hi; id++ {
+func (t *RSMI) home(leaf *node, lo, hi int, p geom.Point) int {
+	cell := leaf.blocks[lo : hi+1]
+	best, bestDist := int(cell[0]), l1Dist(t.blockMBR[cell[0]], p)
+	for _, id := range cell[1:] {
+		if bestDist == 0 {
+			break
+		}
 		if d := l1Dist(t.blockMBR[id], p); d < bestDist {
-			best, bestDist = id, d
+			best, bestDist = int(id), d
 		}
 	}
 	return best
@@ -139,14 +292,13 @@ func (t *RSMI) reuseEmpty() *store.Block {
 	}
 	t.empty.remove(id)
 	b := t.store.Peek(id)
-	if b.Prev < t.baseBlocks {
-		// b heads its chain: the chain now starts at b's successor, if that
-		// is an overflow block rather than the next base block.
-		head := int32(store.NilBlock)
-		if b.Next >= t.baseBlocks {
-			head = int32(b.Next)
-		}
-		t.chainHeads[b.Prev] = head
+	switch {
+	case b.Prev == store.NilBlock:
+		// b heads the free list, which now starts at its successor.
+		t.free = b.Next
+	case !t.store.Peek(b.Prev).Inserted:
+		// b heads its chain, which now starts at its successor.
+		t.chainHeads[b.Prev] = int32(b.Next)
 	}
 	t.store.Unlink(b)
 	t.blockMBR[id] = geom.EmptyRect()
@@ -219,8 +371,11 @@ func (t *RSMI) Delete(p geom.Point) bool {
 		return false
 	}
 	b.Delete(slot)
-	if b.Inserted && b.Live() == 0 {
-		t.empty.add(b.ID)
+	if b.Inserted {
+		leaf.overflow--
+		if b.Live() == 0 {
+			t.empty.add(b.ID)
+		}
 	}
 	t.n--
 	// Decrement live counts down the model path.
@@ -242,13 +397,14 @@ func (t *RSMI) Delete(p geom.Point) bool {
 // are the blocks walked up to the one that holds p, as for findPoint.
 func (t *RSMI) findForDelete(leaf *node, q geom.Point) (*store.Block, int) {
 	lo, hi, from := t.cellBlocks(leaf, t.leafCell(leaf, q))
-	c := t.scan(lo, hi)
+	c := t.scan(leaf, lo, hi)
+	first := int(leaf.blocks[lo])
 	held := store.NilBlock // a base block whose MBR holds q, searched after its chain
 	for id := c.next(); ; id = c.next() {
-		if held != store.NilBlock && (id == store.NilBlock || id < t.baseBlocks) {
+		if held != store.NilBlock && (id == store.NilBlock || id == c.base) {
 			// The walk has left held's chain.
 			in := t.store.Peek(held)
-			if slot := in.FindFrom(q, startSlot(held, lo, from)); slot >= 0 {
+			if slot := in.FindFrom(q, startSlot(held, first, from)); slot >= 0 {
 				if id != store.NilBlock {
 					c.reads-- // the next base block was yielded, not searched
 				}
@@ -264,12 +420,12 @@ func (t *RSMI) findForDelete(leaf *node, q geom.Point) (*store.Block, int) {
 		if !t.blockMBR[id].Contains(q) {
 			continue
 		}
-		if id < t.baseBlocks && t.chainHeads[id] != store.NilBlock {
+		if id == c.base && t.chainHeads[id] != store.NilBlock {
 			held = id
 			continue
 		}
 		in := t.store.Peek(id)
-		if slot := in.FindFrom(q, startSlot(id, lo, from)); slot >= 0 {
+		if slot := in.FindFrom(q, startSlot(id, first, from)); slot >= 0 {
 			t.store.CountReads(c.reads)
 			return in, slot
 		}
@@ -281,37 +437,30 @@ func (t *RSMI) findForDelete(leaf *node, q geom.Point) (*store.Block, int) {
 // 10% n insertions.
 func (t *RSMI) InsertedSinceRebuild() int { return t.inserted }
 
-// AllPoints returns every live point in global block order.
+// AllPoints returns every live point, leaf by leaf, each base block's
+// before its chain's.
 func (t *RSMI) AllPoints() []geom.Point {
 	out := make([]geom.Point, 0, t.n)
-	if t.baseBlocks == 0 {
-		return out
-	}
-	t.scanAll(func(b *store.Block) { out = append(out, b.Slots()...) })
+	forLeaves(t.root, everywhere, func(n *node) {
+		c := t.scan(n, 0, len(n.blocks)-1)
+		for id := c.next(); id != store.NilBlock; id = c.next() {
+			out = append(out, t.store.Peek(id).Slots()...)
+		}
+	})
 	return out
 }
 
-// scanAll visits every block in list order without counting accesses
-// (structural maintenance, not query work).
-func (t *RSMI) scanAll(fn func(b *store.Block)) {
-	cur := 0
-	for cur != store.NilBlock {
-		b := t.store.Peek(cur)
-		if b == nil {
-			return
-		}
-		fn(b)
-		cur = b.Next
-	}
-}
+// everywhere is a rectangle every leaf's MBR meets, empty ones aside.
+var everywhere = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.Inf(1), MaxY: math.Inf(1)}
 
 // Rebuild reconstructs the index from its live points, cutting every node
 // afresh and repacking all blocks. This is the periodic rebuild the
 // paper prescribes for sustained update loads ("A periodic rebuild may be
 // run (e.g., overnight) to retain a high query efficiency", §5; evaluated as
-// RSMIr in §6.2.5). The paper rebuilds only over-threshold sub-models; a
-// full rebuild is used here because block ids must stay globally monotone
-// in curve order for window scans — see EXPERIMENTS.md for the impact.
+// RSMIr in §6.2.5). The paper rebuilds only the sub-models past an insert
+// threshold. Here a leaf repacks its own blocks inside Insert (see repack),
+// keeping its cuts; Rebuild is what re-cuts the nodes themselves, for data
+// whose distribution has moved. See EXPERIMENTS.md for the impact.
 //
 // This context-free form is the implementation layer: RebuildContext is the
 // entry-checked wrapper that serving code reaches through the Engine

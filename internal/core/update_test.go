@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
+	"rsmi/internal/store"
 	"rsmi/internal/workload"
 )
 
@@ -224,8 +226,10 @@ func TestRebuildPreservesContent(t *testing.T) {
 	if got := idx.store.NumBlocks(); got < minBlocks || got > minBlocks+idx.leaves {
 		t.Errorf("blocks after rebuild = %d, want in [%d, %d]", got, minBlocks, minBlocks+idx.leaves)
 	}
-	if idx.baseBlocks != idx.store.NumBlocks() {
-		t.Error("overflow blocks survived the rebuild")
+	for id := range idx.store.NumBlocks() {
+		if idx.store.Peek(id).Inserted {
+			t.Fatalf("overflow block %d survived the rebuild", id)
+		}
 	}
 }
 
@@ -309,16 +313,22 @@ func TestRandomOpsAgainstOracle(t *testing.T) {
 // with space, the whole chain only when none has space — and an
 // insert→delete pair into a chain with space allocates nothing. The search
 // for the home block compares cached MBRs and counts no access, as the exact
-// walk's skipped blocks do.
+// walk's skipped blocks do. The points are filed without the repack Insert
+// adds (file), so the chain grows four blocks long; the next Insert repacks
+// the leaf, and an insert→delete pair into a repacked block's room
+// allocates nothing either.
 func TestInsertWalksChainInPlace(t *testing.T) {
-	idx, pts := buildTest(t, dataset.Skewed, 3000)
+	pts := dataset.Generate(dataset.Skewed, 3000, 7)
+	opts := testOptions()
+	opts.PartitionThreshold = len(pts)
+	idx := New(pts, opts)
 	hot := pts[0]
 	leaf := idx.descend(hot)
 	// homeOf is the base block Insert files p under.
 	homeOf := func(p geom.Point) int {
 		l := idx.descend(p)
 		lo, hi, _ := idx.cellBlocks(l, idx.leafCell(l, p))
-		return idx.home(lo, hi, p)
+		return idx.home(l, lo, hi, p)
 	}
 	base := idx.store.Peek(homeOf(hot))
 	// Points beside hot that the cells and the home rule send to hot's home
@@ -342,25 +352,37 @@ func TestInsertWalksChainInPlace(t *testing.T) {
 			}
 		}
 		before := idx.Accesses()
-		idx.Insert(beside())
+		idx.file(beside())
 		if got := idx.Accesses() - before; got != int64(1+want) {
 			t.Fatalf("insert into a chain of %d blocks, the first with space its block %d, counted %d accesses, want %d",
 				len(chain), want, got, 1+want)
 		}
 	}
-	if chain := len(chainOf(idx, base.ID)); chain < 4 {
-		t.Fatalf("hot spot grew a chain of only %d blocks", chain)
+	if chain := len(chainOf(idx, base.ID)); chain < 4 || idx.repacks > 0 {
+		t.Fatalf("hot spot grew a chain of only %d blocks, or repacked (%d)", chain, idx.repacks)
 	}
 	p := beside()
-	idx.Insert(p) // the chain has space from here on, whatever it had before
+	idx.file(p) // the chain has space from here on, whatever it had before
 	idx.Delete(p)
-	if n := testing.AllocsPerRun(200, func() {
-		idx.Insert(p)
-		if !idx.Delete(p) {
-			t.Fatal("inserted point not found")
+	pair := func(insert func(geom.Point) *node) func() {
+		return func() {
+			insert(p)
+			if !idx.Delete(p) {
+				t.Fatal("inserted point not found")
+			}
 		}
-	}); n != 0 {
+	}
+	if n := testing.AllocsPerRun(200, pair(idx.file)); n != 0 {
 		t.Errorf("insert→delete into a chain with space allocates %v times, want 0", n)
+	}
+	idx.Insert(p)
+	idx.Delete(p)
+	if idx.repacks != 1 || len(chainOf(idx, base.ID)) != 1 {
+		t.Fatalf("the leaf past its share repacked %d times and left a chain of %d blocks", idx.repacks, len(chainOf(idx, base.ID)))
+	}
+	insert := func(p geom.Point) *node { idx.Insert(p); return nil }
+	if n := testing.AllocsPerRun(200, pair(insert)); n != 0 {
+		t.Errorf("insert→delete into a repacked leaf allocates %v times, want 0", n)
 	}
 }
 
@@ -385,8 +407,11 @@ func TestInsertsKeepOverflowBlocksTight(t *testing.T) {
 	var margin [2]float64
 	var count [2]int
 	for id, r := range idx.blockMBR {
+		if r.IsEmpty() {
+			continue // a free block, or one emptied and reused
+		}
 		kind := 0
-		if id >= idx.baseBlocks {
+		if idx.store.Peek(id).Inserted {
 			kind = 1
 		}
 		margin[kind] += r.Margin()
@@ -421,9 +446,11 @@ func TestEmptyOverflowBlocksAreReused(t *testing.T) {
 		t.Fatalf("500 insert→delete pairs allocated %d overflow blocks, want at most 1", grown)
 	}
 
+	// Filed without the repacks Insert would set off (file), the inserts
+	// grow chains that the deletes then empty.
 	ins := jittered(pts, 400, 42)
 	for _, p := range ins {
-		idx.Insert(p)
+		idx.file(p)
 	}
 	for _, p := range ins[:300] {
 		idx.Delete(p)
@@ -461,6 +488,43 @@ func TestEmptyOverflowBlocksAreReused(t *testing.T) {
 	}
 }
 
+// TestRepackDeterministic: a leaf repacks when its overflow chains pass
+// their share, and how it repacks depends only on its blocks' contents. So
+// an index that keeps inserting (and deleting) and a copy saved and loaded
+// halfway through, given the same writes, repack the same leaves at the same
+// inserts and write byte-identical snapshots, with many repacks on either
+// side of the reload.
+func TestRepackDeterministic(t *testing.T) {
+	idx, pts := buildTest(t, dataset.OSMLike, 6000)
+	ins := jittered(pts, 6000, 46)
+	apply := func(x *RSMI, from, to int) {
+		for i := from; i < to; i++ {
+			x.Insert(ins[i])
+			if i%3 == 0 && !x.Delete(ins[i/2]) {
+				t.Fatalf("delete of inserted %v found nothing", ins[i/2])
+			}
+		}
+	}
+	apply(idx, 0, len(ins)/2)
+	before := idx.repacks
+	loaded := roundTrip(t, idx)
+	apply(idx, len(ins)/2, len(ins))
+	apply(loaded, len(ins)/2, len(ins))
+	if before < 10 || idx.repacks-before < 10 || loaded.repacks != idx.repacks {
+		t.Fatalf("repacks: %d before the reload, %d after it, %d on the loaded copy", before, idx.repacks, loaded.repacks)
+	}
+	var a, b bytes.Buffer
+	if _, err := idx.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := loaded.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("the loaded copy repacked otherwise than the index it was saved from")
+	}
+}
+
 // jittered returns count distinct copies of points of pts, each moved by up
 // to 1e-4 on either axis: new points beside existing ones, as a growing data
 // set sends them.
@@ -488,7 +552,8 @@ func jittered(pts []geom.Point, count int, seed int64) []geom.Point {
 // single updates of fresh jittered points on it, restoring the index
 // untimed after each chunk; point, exact_window (the default size, into a
 // warm buffer) and exact_knn (k = 25) are the reads the sharded engine
-// serves, with blocks/op.
+// serves, with blocks/op; exact_window_fresh is exact_window on a fresh
+// build over the same live points, what the repacks aim at.
 func BenchmarkAfterInserts(b *testing.B) {
 	pts := dataset.Generate(dataset.OSMLike, 100_000, 1)
 	idx := New(pts, Options{Epochs: 10, Seed: 1})
@@ -538,22 +603,80 @@ func BenchmarkAfterInserts(b *testing.B) {
 	points := workload.PointQueries(live, 4096, 5)
 	windows := workload.Windows(live, 1024, workload.DefaultWindowSize, workload.DefaultAspectRatio, 6)
 	knn := workload.KNNPoints(live, 1024, 7)
+	built := New(live, Options{Epochs: 10, Seed: 1})
 	var buf []geom.Point
 	for _, c := range []struct {
 		name string
+		idx  *RSMI
 		fn   func(i int)
 	}{
-		{"point", func(i int) { idx.PointQuery(points[i%len(points)]) }},
-		{"exact_window", func(i int) { buf = idx.exactWindowAppend(buf[:0], windows[i%len(windows)]) }},
-		{"exact_knn", func(i int) { idx.ExactKNN(knn[i%len(knn)], workload.DefaultK) }},
+		{"point", idx, func(i int) { idx.PointQuery(points[i%len(points)]) }},
+		{"exact_window", idx, func(i int) { buf = idx.exactWindowAppend(buf[:0], windows[i%len(windows)]) }},
+		{"exact_window_fresh", built, func(i int) { buf = built.exactWindowAppend(buf[:0], windows[i%len(windows)]) }},
+		{"exact_knn", idx, func(i int) { idx.ExactKNN(knn[i%len(knn)], workload.DefaultK) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			idx.ResetAccesses()
+			c.idx.ResetAccesses()
 			for i := 0; i < b.N; i++ {
 				c.fn(i)
 			}
-			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+			b.ReportMetric(float64(c.idx.Accesses())/float64(b.N), "blocks/op")
 		})
 	}
+}
+
+// BenchmarkRepackLeaf times one repack of an OSM-like leaf of 1000 points,
+// 125 of them — one in eight — in overflow chains, beside buildLeaf over
+// the same points: what Insert pays when a leaf crosses its share, against
+// rebuilding the leaf from scratch. The 125 points are filed without the
+// repacks Insert would set off (file), so the repack gathers the chains of
+// a leaf grown by an eighth. Each repack runs on a copy of the leaf grown
+// untimed, 64 copies at a time with a collection after them, so the setup's
+// garbage is not collected on the clock; allocs/op counts the blocks the
+// repack grows.
+func BenchmarkRepackLeaf(b *testing.B) {
+	pts := dataset.Generate(dataset.OSMLike, 875, 1)
+	opts := Options{PartitionThreshold: 1000, Seed: 1}
+	grown := func() *RSMI {
+		idx := New(pts, opts)
+		for _, p := range jittered(pts, 125, 2) {
+			idx.file(p)
+		}
+		return idx
+	}
+	idx := grown()
+	if !idx.root.leaf || idx.root.overflow*8 < idx.Len()*9/10 {
+		b.Fatalf("want one leaf holding about 1/8 overflow: leaf %v, %d of %d points", idx.root.leaf, idx.root.overflow, idx.Len())
+	}
+	live := idx.AllPoints()
+	idx.repack(idx.root) // the first repack makes the pooled scratch
+	b.Run("repack", func(b *testing.B) {
+		b.ReportAllocs()
+		b.StopTimer()
+		copies := make([]*RSMI, 64)
+		for done := 0; done < b.N; done += len(copies) {
+			copies = copies[:min(len(copies), b.N-done)]
+			for i := range copies {
+				copies[i] = grown()
+			}
+			runtime.GC()
+			b.StartTimer()
+			for _, c := range copies {
+				c.repack(c.root)
+			}
+			b.StopTimer()
+		}
+	})
+	b.Run("buildLeaf", func(b *testing.B) {
+		b.ReportAllocs()
+		work := make([]geom.Point, len(live))
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			copy(work, live)
+			t := &RSMI{opts: opts.withDefaults(), store: store.NewManager(0), cellGrids: leafGrids(opts.Curve)}
+			b.StartTimer()
+			t.buildLeaf(work, 1)
+		}
+	})
 }

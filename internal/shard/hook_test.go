@@ -1,12 +1,68 @@
 package shard
 
 import (
+	"bytes"
 	"testing"
 
 	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/workload"
 )
+
+// TestReplayedOplogMatchesPrimary: a replica bootstrapped from the
+// primary's snapshot that replays the oplog the write hooks observed ends
+// byte for byte where the primary does, after enough inserts that leaves
+// repacked themselves on both: a repack depends only on the blocks'
+// contents, so both repack the same leaves at the same inserts.
+func TestReplayedOplogMatchesPrimary(t *testing.T) {
+	pts := dataset.Generate(dataset.OSMLike, 20_000, 13)
+	primary := New(pts, Options{Shards: 2, Index: core.Options{Seed: 1}})
+	var snap bytes.Buffer
+	if _, err := primary.WriteTo(&snap); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := Load(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var oplog []WriteOp
+	primary.AddWriteHook(func(op WriteOp) { oplog = append(oplog, op) })
+	ins := workload.InsertPoints(pts, 8_000, 14)
+	for i, p := range ins {
+		mustInsert(t, primary, p)
+		if i%4 == 0 {
+			must(primary.DeleteContext(bg, pts[i]))
+		}
+	}
+	for _, op := range oplog {
+		switch op.Kind {
+		case WriteInsert:
+			mustInsert(t, replica, op.P)
+		case WriteDelete:
+			if !must(replica.DeleteContext(bg, op.P)) {
+				t.Fatalf("replayed delete of %v found nothing", op.P)
+			}
+		}
+	}
+	repacks := 0
+	for _, sh := range primary.shards {
+		repacks += sh.idx.Repacks()
+	}
+	if repacks == 0 {
+		t.Fatal("the inserts repacked no leaf")
+	}
+	var a, b bytes.Buffer
+	if _, err := primary.WriteTo(&a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replica.WriteTo(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("after %d repacks the replica's snapshot differs from the primary's", repacks)
+	}
+}
 
 // TestWriteHook checks the write-hook contract the replication oplog
 // depends on: every applied insert and successful delete notifies with

@@ -177,18 +177,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // earlier format's.
 func downgrade(t testing.TB, snap []byte, magic string) []byte {
 	t.Helper()
-	out := bytes.ReplaceAll(snap, []byte("RSMIv5\x00\x00"), []byte(magic+"\x00\x00"))
+	out := bytes.ReplaceAll(snap, []byte("RSMIv6\x00\x00"), []byte(magic+"\x00\x00"))
 	if bytes.Equal(out, snap) {
-		t.Fatal("snapshot holds no RSMIv5 magic to downgrade")
+		t.Fatal("snapshot holds no RSMIv6 magic to downgrade")
 	}
 	return out
 }
 
 // TestLoadRefusesV1: the sharded container did not change, but a file whose
-// embedded shard streams are RSMIv1, RSMIv2, RSMIv3 or RSMIv4 is refused
-// with core's explanation, not loaded with error bounds that no longer hold,
-// without the spans its point queries scan, or with internal or leaf models
-// where this version looks points up by cuts.
+// embedded shard streams are RSMIv1 to RSMIv5 is refused with core's
+// explanation, not loaded with error bounds that no longer hold, without
+// the spans its point queries scan, with internal or leaf models where this
+// version looks points up by cuts, or with leaves that own ranges of block
+// ids where this version's name their blocks.
 func TestLoadRefusesV1(t *testing.T) {
 	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
 	var buf bytes.Buffer
@@ -197,6 +198,7 @@ func TestLoadRefusesV1(t *testing.T) {
 	}
 	for magic, want := range map[string]error{
 		"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2, "RSMIv3": core.ErrSnapshotV3, "RSMIv4": core.ErrSnapshotV4,
+		"RSMIv5": core.ErrSnapshotV5,
 	} {
 		if _, err := Load(bytes.NewReader(downgrade(t, buf.Bytes(), magic))); !errors.Is(err, want) {
 			t.Errorf("Load of a snapshot with %s shards: %v, want %v", magic, err, want)
@@ -233,13 +235,13 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 }
 
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// are loadSeeds' snapshots in the RSMIv5 format. They load, their exact
+// are loadSeeds' snapshots in the RSMIv6 format. They load, their exact
 // whole-space window holds every point, and a point query finds each of
 // them. Snapshots in an earlier format cannot be converted (core's
-// ErrSnapshotV1 to ErrSnapshotV4), so a format change writes them again,
-// and the corpus keeps a shard stream in each of the last three earlier
-// formats, which must be refused. The RSMIv4 one is the last seed that
-// format wrote.
+// ErrSnapshotV1 to ErrSnapshotV5), so a format change writes them again,
+// and the corpus keeps a shard stream in each of the last four earlier
+// formats, which must be refused. The RSMIv4 and RSMIv5 ones are the last
+// seeds those formats wrote.
 func TestCommittedSeedsLoad(t *testing.T) {
 	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
 		s, err := Load(strings.NewReader(readCorpusEntry(t, name)))
@@ -259,6 +261,7 @@ func TestCommittedSeedsLoad(t *testing.T) {
 	// The committed snapshots of the earlier formats are refused by name.
 	for name, want := range map[string]error{
 		"rsmiv2-1shard": core.ErrSnapshotV2, "rsmiv3-1shard": core.ErrSnapshotV3, "rsmiv4-1shard": core.ErrSnapshotV4,
+		"rsmiv5-1shard": core.ErrSnapshotV5,
 	} {
 		if _, err := Load(strings.NewReader(readCorpusEntry(t, name))); !errors.Is(err, want) {
 			t.Errorf("%s: Load returned %v, want %v", name, err, want)
@@ -370,11 +373,11 @@ func locate(t *testing.T, snap []byte) shardZero {
 	z.rootRect = at + 1
 	for {
 		if snap[at] == 1 {
-			z.leafFirst = at + 1 + 32 // tag, MBR
-			cuts := z.leafFirst + 3*8 // the three leaf words
-			cuts += 8 + i64(cuts)*16  // the column cuts
-			cuts += 8 + i64(cuts)*16  // the row cuts
-			z.leafStarts = cuts + 8   // the count of prefix counts
+			z.leafFirst = at + 1 + 32 + 3*8            // tag, MBR, the points, the fill, the block count
+			cuts := z.leafFirst + 4*i64(z.leafFirst-8) // the block ids
+			cuts += 8 + i64(cuts)*16                   // the column cuts
+			cuts += 8 + i64(cuts)*16                   // the row cuts
+			z.leafStarts = cuts + 8                    // the count of prefix counts
 			return z
 		}
 		at += 1 + 32 + 8 // tag, MBR, the point count
@@ -406,7 +409,7 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 		"point-not-finite":     {{uint64(z.firstX), f64(math.Inf(1))}},         // a live point at +Inf
 		"pmf-nan-knot":         {{uint64(z.pmfKnot1), f64(math.NaN())}},        // kNN's CDF searches its knots
 		"root-mbr-too-small":   {{uint64(z.rootRect + 16), f64(-1e9)}},         // MaxX below every point
-		"leaf-gap":             {{uint64(z.leafFirst), word(z.leafFirst) + 1}}, // the first leaf starts a block late: no leaf holds block 0
+		"leaf-gap":             {{uint64(z.leafFirst), word(z.leafFirst) + 1}}, // the first leaf names the block after its first: no leaf holds that one
 	} {
 		snap := append([]byte(nil), seed...)
 		for _, e := range edits {
@@ -485,8 +488,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "e7807478a23d763dbf2c2475e529a229cdae393301338dd869d9b82b4d0073f1"},
-		{1, sfc.Z, "866b9e877adec4d9fef9b2f77f71a0a07aaf1b476b23e27cfe3f85200b12f3ea"},
+		{2, sfc.Hilbert, "ef08b756fb42daaedb68eeb1350f06ce68c582e19f98b77c624ecfaa871d70f7"},
+		{1, sfc.Z, "ef50c0a2f032a9183cf202b68eaf96bf08887bc71f29266dbbff521f054836b9"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -525,7 +528,7 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "ae9bcfa065bf4aef19d6bd4ff78aa17146f894c19f04367f0c89681358bb75ca"
+	const want = "a79d56ac1f9c686e77152ffe03e0ed16416ffa5587e2e00f76758da8f1572b8d"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

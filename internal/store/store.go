@@ -8,10 +8,11 @@
 // Read counts one block access, and Manager reports byte sizes so the index
 // size experiments (Figs. 7 and 9) can be reproduced.
 //
-// Blocks form a doubly linked list through BlockID pointers, which is what
-// enables the contiguous data scans of the window query algorithm (§3.2:
-// "in each block, we further store pointers to its preceding and subsequent
-// blocks") and the overflow chaining of the insertion algorithm (§5).
+// Blocks link into doubly linked lists through their Prev and Next ids:
+// Pack links a run in slice order (§3.2: "in each block, we further store
+// pointers to its preceding and subsequent blocks"), and Link and Unlink
+// splice the overflow chains of the insertion algorithm (§5). What a list
+// means is the index's to say.
 //
 // A block's live points are a prefix of its slots. §5 deletes by swapping
 // the point with the last one of the block and marking it deleted, and an
@@ -47,8 +48,8 @@ type Block struct {
 	// ID is the block's position in its Manager.
 	ID int
 	// Prev and Next are the linked-list neighbours (NilBlock at the ends).
-	// For bulk-loaded data the list order equals ID order; blocks created by
-	// insertions splice into the list out of ID order.
+	// Pack links a run in ID order; Link and Unlink splice blocks in and out
+	// of a list whatever their IDs.
 	Prev, Next int
 	// Inserted marks overflow blocks created by insertions. They do not
 	// count towards the learned error bounds (§5) and are reached by
@@ -57,9 +58,9 @@ type Block struct {
 	// capacity is the block capacity B, what HasSpace measures against.
 	// A packed block reserves all of it up front. A block from Alloc, or
 	// read from a snapshot, holds only the slots it has been given and
-	// grows by doubling (grow), never past B: an overflow block that takes
-	// one insert holds a few slots, not B, and a stream's size bounds what
-	// reading it allocates.
+	// grows by half as much again (grow), never past B: an overflow block
+	// that takes one insert holds a few slots, not B, and a stream's size
+	// bounds what reading it allocates.
 	capacity int32
 
 	// pts holds the slots in use: pts[:live] are the live points, pts[live:]
@@ -263,6 +264,28 @@ func (b *Block) Delete(i int) {
 	b.pts[i], b.pts[b.live] = b.pts[b.live], b.pts[i]
 }
 
+// Refill replaces b's slots with a copy of pts, all of them live. The block
+// keeps its storage when that has room for them, and otherwise gets exactly
+// as many slots, to grow as an overflow block does. It panics if pts holds
+// more than the block capacity.
+func (b *Block) Refill(pts []geom.Point) {
+	if len(pts) > int(b.capacity) {
+		panic("store: refill past the block capacity")
+	}
+	if cap(b.pts) < len(pts) {
+		b.pts = make([]geom.Point, len(pts))
+	}
+	b.pts = b.pts[:len(pts)]
+	copy(b.pts, pts)
+	b.live = len(pts)
+}
+
+// Release drops b's slots, live and deleted: the block holds nothing and
+// keeps no storage until Append grows it again.
+func (b *Block) Release() {
+	b.pts, b.live = nil, 0
+}
+
 // Link splices block nb into the list directly after block b. Both blocks
 // must belong to m.
 func (m *Manager) Link(b, nb *Block) {
@@ -314,14 +337,4 @@ func (m *Manager) Pack(pts []geom.Point) (first, count int) {
 		}
 	}
 	return first, count
-}
-
-// LinkRuns connects the tail of the run ending at tailID to the head of the
-// run starting at headID, preserving global scan order across leaves.
-func (m *Manager) LinkRuns(tailID, headID int) {
-	if tailID == NilBlock || headID == NilBlock {
-		return
-	}
-	m.blocks[tailID].Next = headID
-	m.blocks[headID].Prev = tailID
 }

@@ -312,17 +312,41 @@ func TestLinkSplicesInsertedBlock(t *testing.T) {
 	}
 }
 
-func TestLinkRuns(t *testing.T) {
-	m := NewManager(2)
-	aFirst, aCount := m.Pack([]geom.Point{geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0)})
-	bFirst, _ := m.Pack([]geom.Point{geom.Pt(4, 0)})
-	aTail := aFirst + aCount - 1
-	m.LinkRuns(aTail, bFirst)
-	if m.Peek(aTail).Next != bFirst || m.Peek(bFirst).Prev != aTail {
-		t.Error("LinkRuns did not connect runs")
+// TestRefillAndRelease: Refill makes a block hold exactly the points it is
+// given, all live, in place when its storage has room and in storage of
+// their number when it has not; Release leaves it holding nothing, and
+// Append grows it again from there.
+func TestRefillAndRelease(t *testing.T) {
+	m := NewManager(4)
+	first, _ := m.Pack([]geom.Point{geom.Pt(1, 0), geom.Pt(2, 0), geom.Pt(3, 0)})
+	packed := m.Peek(first)
+	packed.Delete(0)
+	packed.Refill([]geom.Point{geom.Pt(5, 5), geom.Pt(6, 6)})
+	if got := packed.Slots(); packed.Len() != 2 || !slices.Equal(got, []geom.Point{geom.Pt(5, 5), geom.Pt(6, 6)}) {
+		t.Fatalf("refilled packed block holds %v in %d slots", got, packed.Len())
 	}
-	m.LinkRuns(NilBlock, bFirst) // no-op, must not panic
-	m.LinkRuns(aTail, NilBlock)  // no-op, must not panic
+	ov := m.Alloc()
+	ov.Append(geom.Pt(9, 9))
+	full := []geom.Point{geom.Pt(1, 1), geom.Pt(2, 2), geom.Pt(3, 3), geom.Pt(4, 4)}
+	ov.Refill(full)
+	full[0] = geom.Pt(0, 0) // the block holds a copy
+	if ov.Live() != 4 || ov.HasSpace() || ov.Slots()[0] != geom.Pt(1, 1) {
+		t.Fatalf("refilled overflow block holds %v", ov.Slots())
+	}
+	ov.Release()
+	if ov.Len() != 0 || ov.Live() != 0 || !ov.HasSpace() {
+		t.Fatalf("released block holds %d slots, %d live", ov.Len(), ov.Live())
+	}
+	ov.Append(geom.Pt(7, 7))
+	if ov.Live() != 1 || ov.Slots()[0] != geom.Pt(7, 7) {
+		t.Fatalf("append after release holds %v", ov.Slots())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("refill past the capacity did not panic")
+		}
+	}()
+	ov.Refill(append(full, geom.Pt(5, 5)))
 }
 
 func TestSizeBytesGrowsWithBlocks(t *testing.T) {

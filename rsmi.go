@@ -84,9 +84,9 @@ func New(pts []Point, opts Options) *Index {
 // paper's training takes hours at scale (§6.2.2 reports 16 h for the OSM
 // data set), and even a build that trains nothing sorts every point, so
 // production deployments build once and reload across restarts. The format
-// is RSMIv5, which stores every internal node's grid cuts and every leaf's
-// cuts and cell counts; a file in an earlier format is refused with
-// ErrSnapshotV1, ErrSnapshotV2, ErrSnapshotV3 or ErrSnapshotV4.
+// is RSMIv6, which stores every internal node's grid cuts and every leaf's
+// cuts, cell counts and list of blocks; a file in an earlier format is
+// refused with ErrSnapshotV1 to ErrSnapshotV5.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
@@ -116,6 +116,13 @@ var ErrSnapshotV3 = core.ErrSnapshotV3
 // would not name the blocks the models filed its points under, so the index
 // must be rebuilt from its points and saved again.
 var ErrSnapshotV4 = core.ErrSnapshotV4
+
+// ErrSnapshotV5 is the error (wrapped, for a sharded file) that Load and
+// LoadSharded return for an RSMIv5 snapshot: its leaves own one range of
+// block ids each, where this version's leaves name their blocks one by one
+// so that a leaf can repack its own blocks, and the file holds no such
+// lists, so the index must be rebuilt from its points and saved again.
+var ErrSnapshotV5 = core.ErrSnapshotV5
 
 // ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
 // a point with a NaN or infinite coordinate. The point is not inserted —

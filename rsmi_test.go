@@ -105,7 +105,7 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
-// refuseOldFormat rewrites the magic of every RSMIv5 stream in a snapshot
+// refuseOldFormat rewrites the magic of every RSMIv6 stream in a snapshot
 // of an index and of a sharded index to magic, and checks that both loaders
 // refuse the result with want, in words that say why and what to do.
 func refuseOldFormat(t *testing.T, magic string, want error, why string) {
@@ -119,9 +119,9 @@ func refuseOldFormat(t *testing.T, magic string, want error, why string) {
 		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv5\x00\x00"), []byte(magic+"\x00\x00"))
+		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv6\x00\x00"), []byte(magic+"\x00\x00"))
 		if bytes.Equal(out, buf.Bytes()) {
-			t.Fatal("snapshot holds no RSMIv5 magic to downgrade")
+			t.Fatal("snapshot holds no RSMIv6 magic to downgrade")
 		}
 		return out
 	}
@@ -162,4 +162,11 @@ func TestLoadRefusesV3(t *testing.T) {
 // tells the operator why and what to do.
 func TestLoadRefusesV4(t *testing.T) {
 	refuseOldFormat(t, "RSMIv4", rsmi.ErrSnapshotV4, "cells")
+}
+
+// TestLoadRefusesV5: a snapshot saved in the RSMIv5 format — each leaf
+// owning one range of block ids — is refused by both loaders with
+// ErrSnapshotV5, whose text tells the operator why and what to do.
+func TestLoadRefusesV5(t *testing.T) {
+	refuseOldFormat(t, "RSMIv5", rsmi.ErrSnapshotV5, "block")
 }

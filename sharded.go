@@ -39,9 +39,8 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 
 // LoadSharded deserialises a sharded index previously saved with
 // Sharded.WriteTo, so a server can restart without retraining any shard.
-// Its shards are RSMIv5 streams; a file whose shards are in the RSMIv1,
-// RSMIv2, RSMIv3 or RSMIv4 format is refused with ErrSnapshotV1,
-// ErrSnapshotV2, ErrSnapshotV3 or ErrSnapshotV4.
+// Its shards are RSMIv6 streams; a file whose shards are in the RSMIv1 to
+// RSMIv5 formats is refused with ErrSnapshotV1 to ErrSnapshotV5.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
