@@ -122,16 +122,6 @@ func BenchmarkRSMIKNN(b *testing.B) {
 	}
 }
 
-func BenchmarkRSMIExactWindowQuery(b *testing.B) {
-	idx, pts := buildBenchIndex(b, 10000)
-	exact := idx.AsExact()
-	ws := workload.Windows(pts, 256, workload.DefaultWindowSize, 1, 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exact.WindowQuery(ws[i%len(ws)])
-	}
-}
-
 func BenchmarkRSMIInsert(b *testing.B) {
 	idx, pts := buildBenchIndex(b, 10000)
 	ins := workload.InsertPoints(pts, 100000, 4)

@@ -32,14 +32,12 @@ import (
 // RWMutex over a baseline index).
 // It is the contract the serving layer (internal/server) executes against.
 //
-// Answer semantics are the concrete type's. Index answers window and kNN
-// queries by the paper's Algorithms 2 and 3 over exact leaf cells, which
-// miss nothing; the Exact variants walk the MBRs instead. Sharded — the serving engine —
-// and the baseline-backed engines answer everything exactly, with
-// ExactWindowContext ≡ WindowQueryContext and ExactKNNContext ≡
-// KNNContext: Sharded walks the MBRs (RSMIa), which on this tree is faster
-// than the learned path (README, "Sharded answers windows and kNN
-// exactly").
+// Every engine answers everything exactly, with ExactWindowContext ≡
+// WindowQueryContext and ExactKNNContext ≡ KNNContext: Index and Sharded
+// walk the MBRs as the paper's RSMIa variant does (README, "RSMI answers
+// windows and kNN by the MBR walk"), and the baseline engines run their own
+// exact traversals. The Exact methods stay on the interface for the callers
+// that name them (the planner's MultiEngine and benchmark/).
 type Engine interface {
 	// Name identifies the backend ("Sharded", "RSMI", "RR*", "Grid",
 	// "KDB", …) in stats and bench reports.

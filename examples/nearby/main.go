@@ -2,9 +2,9 @@
 //
 // A location-based app answers k-nearest-neighbour queries over restaurant
 // locations. This example indexes a Tiger-like restaurant set and serves
-// kNN queries with RSMI's expanding-region algorithm (Algorithm 3),
-// demonstrating the learned CDF skew estimation (αx, αy) and comparing
-// against the exact best-first search — Fig. 14, in miniature.
+// kNN queries with RSMI, which walks its node and block MBRs best-first
+// from the query's own leaf cell, against an R*-tree's best-first search —
+// Fig. 14, in miniature.
 package main
 
 import (
@@ -55,11 +55,10 @@ func main() {
 		name  string
 		query func(q rsmi.Point, k int) []rsmi.Point
 	}{
-		{"RSMI (Algorithm 3)", func(q rsmi.Point, k int) []rsmi.Point {
+		{"RSMI (best-first)", func(q rsmi.Point, k int) []rsmi.Point {
 			out, _ := learned.KNNContext(ctx, q, k)
 			return out
 		}},
-		{"RSMIa (best-first)", learned.AsExact().KNN},
 		{"RR* (best-first)", rtree.KNN},
 	} {
 		start := time.Now()
@@ -79,7 +78,7 @@ func main() {
 			r.name, r.dur.Round(time.Microsecond),
 			(r.dur / time.Duration(len(users))).Round(time.Nanosecond), 100*r.recall)
 	}
-	fmt.Println("\nThe learned index sizes its initial search region from the per-")
-	fmt.Println("dimension CDFs (Eq. 6), so dense downtown queries start small and")
-	fmt.Println("rural queries start wide — usually converging in one round.")
+	fmt.Println("\nThe learned index seeds its walk with the blocks of the query's own")
+	fmt.Println("leaf cell, found by its cuts, so it queues nothing farther than the")
+	fmt.Println("k-th restaurant those blocks already hold.")
 }

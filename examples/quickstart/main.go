@@ -1,6 +1,6 @@
 // Quickstart: build an RSMI over synthetic points and run all three query
-// types of the paper — point (Algorithm 1), window (Algorithm 2), and kNN
-// (Algorithm 3) — plus the exact RSMIa variant.
+// types of the paper — point (Algorithm 1), and window and kNN, which RSMI
+// answers exactly by the MBR walk of the paper's RSMIa variant.
 package main
 
 import (
@@ -35,18 +35,13 @@ func main() {
 	found, _ := idx.PointQueryContext(ctx, q)
 	fmt.Printf("point query %v found=%v\n", q, found)
 
-	// Window query: Algorithm 2 over the leaves' exact cells.
+	// Window query: exact, by the walk over node and block MBRs.
 	w := rsmi.RectAround(rsmi.Pt(0.5, 0.1), 0.05, 0.05)
 	idx.ResetAccesses()
 	hits, _ := idx.WindowQueryContext(ctx, w)
 	fmt.Printf("window %v: %d points, %d block accesses\n", w, len(hits), idx.Accesses())
 
-	// Exact window query via the RSMIa variant (MBR traversal).
-	exact, _ := idx.ExactWindowContext(ctx, w)
-	fmt.Printf("exact window: %d points (Algorithm 2's recall %.3f)\n",
-		len(exact), float64(len(hits))/float64(max(1, len(exact))))
-
-	// kNN: the 10 nearest neighbours of a location.
+	// kNN: the exact 10 nearest neighbours of a location.
 	me := rsmi.Pt(0.5, 0.1)
 	nn, _ := idx.KNNContext(ctx, me, 10)
 	for i, p := range nn {
@@ -63,11 +58,4 @@ func main() {
 	_, _ = idx.DeleteContext(ctx, newPOI)
 	found, _ = idx.PointQueryContext(ctx, newPOI)
 	fmt.Printf("after delete: found=%v, n=%d\n", found, idx.Len())
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

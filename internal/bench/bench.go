@@ -168,21 +168,11 @@ type built struct {
 	idx  index.Index
 }
 
-// buildSet constructs every builder's index over pts, in order. With rsmia it
-// appends RSMIa, the exact view of the RSMI instance just built (core.Exact
-// shares that instance's models and blocks; nothing is built twice).
-func buildSet(builders []builder, pts []geom.Point, rsmia bool) []built {
+// buildSet constructs every builder's index over pts, in order.
+func buildSet(builders []builder, pts []geom.Point) []built {
 	var out []built
-	var rsmi *core.RSMI
 	for _, b := range builders {
-		idx := b.build(pts)
-		if r, ok := idx.(*core.RSMI); ok {
-			rsmi = r
-		}
-		out = append(out, built{b.name, idx})
-	}
-	if rsmia && rsmi != nil {
-		out = append(out, built{"RSMIa", rsmi.AsExact()})
+		out = append(out, built{b.name, b.build(pts)})
 	}
 	return out
 }
@@ -227,7 +217,6 @@ type series struct {
 type sweep struct {
 	series   [2]series
 	builders []builder
-	rsmia    bool // add the RSMIa row
 	cols     []column
 }
 
@@ -241,7 +230,7 @@ func (s sweep) run(w io.Writer) {
 	)
 	for ci, c := range s.cols {
 		if ci == 0 || !sameSlice(c.pts, s.cols[ci-1].pts) {
-			set = buildSet(s.builders, c.pts, s.rsmia)
+			set = buildSet(s.builders, c.pts)
 			oracle = index.NewLinear(c.pts)
 		}
 		for i := 0; i < c.update.n; i++ {
@@ -254,10 +243,7 @@ func (s sweep) run(w io.Writer) {
 		col := make([]cell, len(set))
 		for bi, b := range set {
 			m := &col[bi]
-			// RSMIa's blocks are RSMI's, which the RSMI row just updated.
-			if _, view := b.idx.(core.Exact); !view {
-				m.updateUS = timeQueriesUS(c.update.n, func(i int) { c.update.do(b.idx, i) })
-			}
+			m.updateUS = timeQueriesUS(c.update.n, func(i int) { c.update.do(b.idx, i) })
 			got := make([][]geom.Point, c.query.n)
 			b.idx.ResetAccesses()
 			m.queryUS = timeQueriesUS(c.query.n, func(i int) { got[i] = c.query.do(b.idx, i) })

@@ -178,9 +178,9 @@ func experimentMustMention(id string) []string {
 	case "fig7", "fig9":
 		return []string{"index size", "construction time"}
 	case "fig10", "fig11", "fig12", "fig13":
-		return []string{"RSMIa", "recall"}
+		return []string{"RSMI", "recall"}
 	case "fig14", "fig15", "fig16":
-		return []string{"kNN", "recall", "RSMIa"}
+		return []string{"kNN", "recall", "RSMI"}
 	case "fig17":
 		return []string{"insertion time", "RSMIr"}
 	case "fig18", "fig19":
@@ -196,9 +196,8 @@ func experimentMustMention(id string) []string {
 }
 
 // The runner builds the competitor set once per distinct point set — a
-// fig12-shaped sweep once, a fig11-shaped one once per n — and never builds
-// RSMIa: it is a view of the RSMI instance, so an update sweep must not apply
-// its updates twice.
+// fig12-shaped sweep once, a fig11-shaped one once per n — and an update
+// sweep applies its updates once, to the indexes it built.
 func TestSweepBuildsOncePerPointSet(t *testing.T) {
 	opts := quickConfig().rsmiOptions()
 	opts.Epochs = 1
@@ -214,10 +213,10 @@ func TestSweepBuildsOncePerPointSet(t *testing.T) {
 	run := func(cols []column) []parsedTable {
 		clear(builds)
 		var buf bytes.Buffer
-		sweep{series: [2]series{queryMS.titled("time"), recall.titled("recall")}, builders: builders, rsmia: true, cols: cols}.run(&buf)
+		sweep{series: [2]series{queryMS.titled("time"), recall.titled("recall")}, builders: builders, cols: cols}.run(&buf)
 		tables := parseTables(buf.String())
-		if len(tables) != 2 || len(tables[1].rows) != 4 || len(tables[1].rows[0]) != 1+len(cols) {
-			t.Fatalf("want 2 tables of header + Scan, RSMI, RSMIa by %d columns, got:\n%s", len(cols), buf.String())
+		if len(tables) != 2 || len(tables[1].rows) != 3 || len(tables[1].rows[0]) != 1+len(cols) {
+			t.Fatalf("want 2 tables of header + Scan, RSMI by %d columns, got:\n%s", len(cols), buf.String())
 		}
 		return tables
 	}
@@ -240,10 +239,6 @@ func TestSweepBuildsOncePerPointSet(t *testing.T) {
 		t.Errorf("three point sets: builds = %v, want 3 each", builds)
 	}
 
-	set := buildSet(builders, pts, true)
-	if view, ok := set[2].idx.(core.Exact); !ok || set[2].name != "RSMIa" || view.RSMI != set[1].idx.(*core.RSMI) {
-		t.Errorf("RSMIa is %T %q, want the exact view of the RSMI instance", set[2].idx, set[2].name)
-	}
 	ins := workload.InsertPoints(pts, 100, 4)
 	all := append(append([]geom.Point(nil), pts...), ins...)
 	tables := run(updateStages(pts, ins, inserts, func([]geom.Point) ops { return windows(all[:len(pts)], 0.01) }))
@@ -251,7 +246,7 @@ func TestSweepBuildsOncePerPointSet(t *testing.T) {
 		t.Errorf("update sweep: %d builds, RSMI holds %d points; want 1 build, %d points", builds["RSMI"], rsmi.Len(), len(all))
 	}
 	for _, row := range tables[1].rows[1:] {
-		if row[0] != "RSMI" && !slices.Equal(row[1:], []string{"1.000", "1.000", "1.000", "1.000", "1.000"}) {
+		if !slices.Equal(row[1:], []string{"1.000", "1.000", "1.000", "1.000", "1.000"}) {
 			t.Errorf("exact index %s recalls %v against the updated oracle", row[0], row[1:])
 		}
 	}

@@ -149,8 +149,7 @@ func init() {
 				queryMS.titled("Fig. 10a: window query time (ms), n=%d", cfg.N),
 				recall.titled("Fig. 10b: window query recall"),
 			},
-			rsmia: true,
-			cols:  cfg.byDistribution(cfg.defaultWindows),
+			cols: cfg.byDistribution(cfg.defaultWindows),
 		}
 	})
 	registerSweep("fig11", "Fig. 11: Window query vs data set size", func(cfg Config) sweep {
@@ -183,8 +182,7 @@ func windowSweep(figure string, cols []column) sweep {
 			queryMS.titled(figure + "a: window query time (ms)"),
 			recall.titled(figure + "b: window query recall"),
 		},
-		rsmia: true,
-		cols:  cols,
+		cols: cols,
 	}
 }
 
@@ -196,8 +194,7 @@ func init() {
 				queryMS.titled("Fig. 14a: kNN query time (ms), k=%d, n=%d", workload.DefaultK, cfg.N),
 				recall.titled("Fig. 14b: kNN query recall"),
 			},
-			rsmia: true,
-			cols:  cfg.byDistribution(cfg.defaultKNN),
+			cols: cfg.byDistribution(cfg.defaultKNN),
 		}
 	})
 	registerSweep("fig15", "Fig. 15: kNN query vs data set size", func(cfg Config) sweep {
@@ -206,8 +203,7 @@ func init() {
 				queryMS.titled("Fig. 15a: kNN query time (ms), k=%d, %s", workload.DefaultK, cfg.Dist),
 				recall.titled("Fig. 15b: kNN query recall"),
 			},
-			rsmia: true,
-			cols:  cfg.bySize(cfg.defaultKNN),
+			cols: cfg.bySize(cfg.defaultKNN),
 		}
 	})
 	registerSweep("fig16", "Fig. 16: kNN query vs k", func(cfg Config) sweep {
@@ -222,8 +218,7 @@ func init() {
 				queryMS.titled("Fig. 16a: kNN query time (ms), %s n=%d", cfg.Dist, cfg.N),
 				recall.titled("Fig. 16b: kNN query recall"),
 			},
-			rsmia: true,
-			cols:  cols,
+			cols: cols,
 		}
 	})
 }

@@ -76,7 +76,6 @@ func init() {
 				queryMS.titled("Fig. 18a: window query time (ms) after insertions, %s n=%d", cfg.Dist, cfg.N),
 				recall.titled("Fig. 18b: window query recall after insertions"),
 			},
-			rsmia: true,
 			cols: cfg.insertStages(func(all []geom.Point) ops {
 				return windowQueries(workload.Windows(all, cfg.Queries/2, workload.DefaultWindowSize, workload.DefaultAspectRatio, cfg.Seed+6))
 			}),
@@ -88,7 +87,6 @@ func init() {
 				queryMS.titled("Fig. 19a: kNN query time (ms) after insertions, k=%d", workload.DefaultK),
 				recall.titled("Fig. 19b: kNN query recall after insertions"),
 			},
-			rsmia: true,
 			cols: cfg.insertStages(func(all []geom.Point) ops {
 				return knnQueries(workload.KNNPoints(all, cfg.Queries/2, cfg.Seed+7), workload.DefaultK)
 			}),

@@ -1,6 +1,8 @@
-// Package cdf implements the piecewise mapping function (PMF) of §4.3, used
-// by the kNN algorithm to estimate the skew parameters αx and αy that size
-// the initial search region.
+// Package cdf implements the piecewise mapping function (PMF) of §4.3. The
+// ZM baseline's kNN (Algorithm 3's expanding region over a Z-order index)
+// uses it to estimate the skew parameters αx and αy that size its initial
+// search region, and the planner (internal/plan) to estimate how many points
+// a window holds. RSMI answers kNN by an MBR walk and holds no PMF.
 //
 // Following the paper (which follows [48]): the data set is partitioned into
 // γ partitions by one coordinate; for the boundary point x_i of each
@@ -187,5 +189,5 @@ func (f *PMF) Alpha(x, delta float64) float64 {
 func (f *PMF) Pieces() int { return len(f.knots) - 1 }
 
 // SizeBytes returns the storage footprint of the PMF (two float64 per knot),
-// counted into index size for RSMI.
+// counted into the ZM baseline's index size.
 func (f *PMF) SizeBytes() int64 { return int64(len(f.knots)) * 16 }

@@ -30,9 +30,12 @@ func (t *RSMI) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Poin
 	return t.WindowQuery(q), nil
 }
 
-// WindowQueryAppend appends the window answer to dst and returns the
-// extended slice, so callers that reuse buffers across queries avoid the
-// per-query result allocation. Semantics are exactly WindowQuery's.
+// WindowQueryAppend is WindowQueryContext appending the answer to dst and
+// returning the extended slice, so callers that reuse buffers across
+// queries avoid the per-query result allocation; it allocates only when dst
+// has to grow. On error dst is returned unextended.
+//
+//rsmi:noalloc
 func (t *RSMI) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
 	if err := ctx.Err(); err != nil {
 		return dst, err
@@ -40,24 +43,9 @@ func (t *RSMI) WindowQueryAppend(ctx context.Context, dst []geom.Point, q geom.R
 	return t.windowQueryAppend(dst, q), nil
 }
 
-// ExactWindowContext is ExactWindow honouring ctx at entry.
+// ExactWindowContext is WindowQueryContext: every window is exact.
 func (t *RSMI) ExactWindowContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return t.ExactWindow(q), nil
-}
-
-// ExactWindowAppend is ExactWindowContext appending the answer to dst and
-// returning the extended slice; it allocates only when dst has to grow.
-// On error dst is returned unextended.
-//
-//rsmi:noalloc
-func (t *RSMI) ExactWindowAppend(ctx context.Context, dst []geom.Point, q geom.Rect) ([]geom.Point, error) {
-	if err := ctx.Err(); err != nil {
-		return dst, err
-	}
-	return t.exactWindowAppend(dst, q), nil
+	return t.WindowQueryContext(ctx, q)
 }
 
 // KNNContext is KNN honouring ctx at entry.
@@ -68,12 +56,9 @@ func (t *RSMI) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Poin
 	return t.KNN(q, k), nil
 }
 
-// ExactKNNContext is ExactKNN honouring ctx at entry.
+// ExactKNNContext is KNNContext: every kNN query is exact.
 func (t *RSMI) ExactKNNContext(ctx context.Context, q geom.Point, k int) ([]geom.Point, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return t.ExactKNN(q, k), nil
+	return t.KNNContext(ctx, q, k)
 }
 
 // BatchPointQueryContext is PointQueryContext per element of qs.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/heap"
-	"context"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -13,8 +12,8 @@ import (
 	"rsmi/internal/workload"
 )
 
-// ExactKNN runs the shared best-first walk of index.Walks.BestFirst over
-// nodes and blocks. The reference below is the walk it replaced — one boxed
+// KNN runs the shared best-first walk of index.Walks over nodes and
+// blocks. The reference below is the walk it replaced — one boxed
 // container/heap queue of nodes, blocks and every point of every read block,
 // popped until k points came out — kept here so the test can demand the
 // same answers and the same block reads from the new walk.
@@ -41,7 +40,7 @@ func (q *refExactQueue) Pop() interface{} {
 	return e
 }
 
-// refExactKNN is ExactKNN as it ran before the shared walk, seeded as the
+// refExactKNN is KNN as it ran before the shared walk, seeded as the
 // walk is now: when q lies in the MBR of the leaf it descends to, the base
 // blocks of q's cell there are read first and their points queued, and
 // expanding that leaf skips them. Its block reads are counted by the store
@@ -100,25 +99,25 @@ func refSeed(t *RSMI, q geom.Point) (leaf *node, lo, hi int) {
 	return leaf, lo, hi
 }
 
-// checkExactKNN runs ExactKNN and the reference on one query and fails
-// unless both read the same blocks and return the same distances.
+// checkExactKNN runs KNN and the reference on one query and fails unless
+// both read the same blocks and return the same distances.
 func checkExactKNN(t *testing.T, idx *RSMI, q geom.Point, k int) {
 	t.Helper()
 	before := idx.Accesses()
-	got := idx.ExactKNN(q, k)
+	got := idx.KNN(q, k)
 	mid := idx.Accesses()
 	want := refExactKNN(idx, q, k)
 	reads, refReads := mid-before, idx.Accesses()-mid
 	if len(got) != len(want) {
-		t.Fatalf("ExactKNN(%v, %d): %d rows, reference %d", q, k, len(got), len(want))
+		t.Fatalf("KNN(%v, %d): %d rows, reference %d", q, k, len(got), len(want))
 	}
 	for j := range got {
 		if q.Dist2(got[j]) != q.Dist2(want[j]) {
-			t.Fatalf("ExactKNN(%v, %d) rank %d at %v, reference %v", q, k, j, q.Dist2(got[j]), q.Dist2(want[j]))
+			t.Fatalf("KNN(%v, %d) rank %d at %v, reference %v", q, k, j, q.Dist2(got[j]), q.Dist2(want[j]))
 		}
 	}
 	if reads != refReads {
-		t.Fatalf("ExactKNN(%v, %d) read %d blocks, reference %d", q, k, reads, refReads)
+		t.Fatalf("KNN(%v, %d) read %d blocks, reference %d", q, k, reads, refReads)
 	}
 }
 
@@ -150,60 +149,21 @@ func TestExactKNNMatchesReference(t *testing.T) {
 	}
 }
 
-// TestExactConformance runs RSMIa through the suite every exact baseline
+// TestExactConformance runs RSMI through the suite every exact baseline
 // passes: exact windows and kNN, through inserts and deletes, and kNN on the
 // lattice where distance ties are the rule.
 func TestExactConformance(t *testing.T) {
 	indextest.Run(t, indextest.Config{
-		Build:           func(pts []geom.Point) index.Index { return New(pts, testOptions()).AsExact() },
+		Build:           func(pts []geom.Point) index.Index { return New(pts, testOptions()) },
 		ExactWindow:     true,
 		ExactKNN:        true,
 		SupportsUpdates: true,
 	})
 }
 
-// TestExactReadPathAllocs pins the exact read path's allocation-free
-// promises: a window appending into a buffer already large enough
-// allocates nothing, and a kNN walk offering into a caller's set allocates
-// nothing of its own, so with the answer it is one allocation.
-func TestExactReadPathAllocs(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
-	idx, pts := buildTest(t, dataset.Skewed, 3000)
-	for _, p := range pts[:300] {
-		idx.Insert(geom.Pt(p.X+1e-6, p.Y))
-	}
-	ctx := context.Background()
-	buf := make([]geom.Point, 0, len(pts)+300)
-	i, rows := 0, 0
-	if n := testing.AllocsPerRun(200, func() {
-		i++
-		buf, _ = idx.ExactWindowAppend(ctx, buf[:0], geom.RectAround(pts[i%len(pts)], 0.1, 0.1))
-		rows += len(buf)
-	}); n != 0 {
-		t.Errorf("ExactWindowAppend into a warm buffer allocates %v times per call, want 0", n)
-	}
-	if rows == 0 {
-		t.Error("window probes matched nothing; the pin measured an empty path")
-	}
-	for _, k := range []int{1, 25, 625} {
-		if n := testing.AllocsPerRun(100, func() {
-			i++
-			best := index.NewNearest(pts[i%len(pts)], k)
-			idx.ExactKNNInto(&best)
-			if got := best.Points(); len(got) != k {
-				t.Fatalf("ExactKNNInto(k=%d) offered %d points", k, len(got))
-			}
-		}); n != 1 {
-			t.Errorf("ExactKNNInto(k=%d) and its answer allocate %v times per call, want 1", k, n)
-		}
-	}
-}
-
-// FuzzExactKNN builds a small index from the fuzz bytes — blocks of 2 to 9
+// FuzzKNN builds a small index from the fuzz bytes — blocks of 2 to 9
 // points and leaves of a few blocks, so it has internal nodes — updates it,
-// and requires ExactKNN to answer what index.Linear answers, point for
+// and requires KNN to answer what index.Linear answers, point for
 // point, equidistant points in the canonical order, for every k from 1 to
 // n + 3, at live points, at points between the grid's and far outside the
 // data.
@@ -215,7 +175,7 @@ func TestExactReadPathAllocs(t *testing.T) {
 // a point (0, 1), op/4 % 16 + 2 copies of one (2; enough of them straddle a
 // cut and leave empty cells, which inserts reach through nearestChild), or,
 // after the build, the delete of live point (x·256 + y) mod n (3).
-func FuzzExactKNN(f *testing.F) {
+func FuzzKNN(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -275,13 +235,13 @@ func FuzzExactKNN(f *testing.F) {
 		for _, q := range qs {
 			want := oracle.KNN(q, len(live)+3)
 			for k := 1; k <= len(live)+3; k++ {
-				got := idx.ExactKNN(q, k)
+				got := idx.KNN(q, k)
 				if len(got) != min(k, len(live)) {
-					t.Fatalf("ExactKNN(%v, %d) over %d points: %d rows", q, k, len(live), len(got))
+					t.Fatalf("KNN(%v, %d) over %d points: %d rows", q, k, len(live), len(got))
 				}
 				for j := range got {
 					if got[j] != want[j] {
-						t.Fatalf("ExactKNN(%v, %d) over %d points: row %d is %v, index.Linear has %v", q, k, len(live), j, got[j], want[j])
+						t.Fatalf("KNN(%v, %d) over %d points: row %d is %v, index.Linear has %v", q, k, len(live), j, got[j], want[j])
 					}
 				}
 			}

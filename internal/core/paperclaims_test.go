@@ -10,9 +10,10 @@ import (
 	"rsmi/internal/workload"
 )
 
-// Paper-fidelity checks: with adequate training, the index must approach the
-// accuracy the paper reports (window recall > 87%, kNN recall > 88%,
-// §6.2.3–§6.2.4). These run a larger build than the unit tests, so they are
+// Paper-fidelity checks at the paper's B and N. The paper reports window
+// recall > 87% and kNN recall > 88% for Algorithms 2 and 3 (§6.2.3–§6.2.4);
+// the index answers both by RSMIa's MBR walk, so these demand what a linear
+// scan answers. They run a larger build than the unit tests, so they are
 // skipped under -short.
 
 func paperOptions() Options {
@@ -34,14 +35,11 @@ func TestPaperClaimWindowRecall(t *testing.T) {
 			pts := dataset.Generate(kind, 30000, 11)
 			idx := New(pts, paperOptions())
 			oracle := index.NewLinear(pts)
-			ws := workload.Windows(pts, 300, workload.DefaultWindowSize, 1, 12)
-			var recall float64
-			for _, w := range ws {
-				recall += index.Recall(idx.WindowQuery(w), oracle.WindowQuery(w))
-			}
-			avg := recall / float64(len(ws))
-			if avg < 0.87 {
-				t.Errorf("window recall = %.3f, paper reports > 0.87", avg)
+			for _, w := range workload.Windows(pts, 300, workload.DefaultWindowSize, 1, 12) {
+				got, want := idx.WindowQuery(w), oracle.WindowQuery(w)
+				if len(got) != len(want) || index.Recall(got, want) != 1 {
+					t.Fatalf("window %v: %d points, a linear scan %d", w, len(got), len(want))
+				}
 			}
 		})
 	}
@@ -54,14 +52,10 @@ func TestPaperClaimKNNRecall(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 30000, 13)
 	idx := New(pts, paperOptions())
 	oracle := index.NewLinear(pts)
-	qs := workload.KNNPoints(pts, 200, 14)
-	var recall float64
-	for _, q := range qs {
-		recall += index.KNNRecall(idx.KNN(q, workload.DefaultK), oracle.KNN(q, workload.DefaultK), q)
-	}
-	avg := recall / float64(len(qs))
-	if avg < 0.88 {
-		t.Errorf("kNN recall = %.3f, paper reports > 0.88", avg)
+	for _, q := range workload.KNNPoints(pts, 200, 14) {
+		if got, want := idx.KNN(q, workload.DefaultK), oracle.KNN(q, workload.DefaultK); !slices.Equal(got, want) {
+			t.Fatalf("KNN(%v, %d) = %v, a linear scan %v", q, workload.DefaultK, got, want)
+		}
 	}
 }
 

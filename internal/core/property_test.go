@@ -203,8 +203,8 @@ func TestModelCountMatchesStats(t *testing.T) {
 	}
 }
 
-// TestWindowSubsetOfExact: the approximate window answer is always a subset
-// of the exact answer (no false positives relative to RSMIa).
+// TestWindowSubsetOfExact: over random indexes and windows, the window
+// answer is exactly a linear scan's: no false positive, no miss.
 func TestWindowSubsetOfExact(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -220,14 +220,9 @@ func TestWindowSubsetOfExact(t *testing.T) {
 			q := geom.RectAround(
 				geom.Pt(rng.Float64(), rng.Float64()),
 				0.2*rng.Float64(), 0.2*rng.Float64())
-			exact := make(map[geom.Point]bool)
-			for _, p := range idx.ExactWindow(q) {
-				exact[p] = true
-			}
-			for _, p := range idx.WindowQuery(q) {
-				if !exact[p] {
-					return false
-				}
+			got, want := idx.WindowQuery(q), index.NewLinear(pts).WindowQuery(q)
+			if len(got) != len(want) || index.Recall(got, want) != 1 {
+				return false
 			}
 		}
 		return true
@@ -255,14 +250,13 @@ func TestOversizedLeafFallback(t *testing.T) {
 	}
 }
 
-// TestKNNBestMatchesFullSort: KNN's candidate set — the walk in its pooled
-// scratch — holds, after every merged group of points, the k-th distance of
+// TestKNNBestMatchesFullSort: a best-first walk's candidate set holds, after every merged group of points, the k-th distance of
 // everything offered so far as its bound, and ends with exactly the first k
 // of SortByDistance over it: the same distances in the same order and,
 // among equidistant points, the canonical order. Group sizes run from empty
 // to several blocks' worth and coordinates come from a coarse grid, so ties
-// are everywhere, at the k-th place too. Each trial returns its scratch to
-// the pool, so later trials reset one that has been used.
+// are everywhere, at the k-th place too. Each trial returns the set's
+// storage to its pool, so later trials reset one that has been used.
 func TestKNNBestMatchesFullSort(t *testing.T) {
 	for _, k := range []int{1, 25, 625} {
 		rng := rand.New(rand.NewSource(int64(k)))
@@ -271,9 +265,8 @@ func TestKNNBestMatchesFullSort(t *testing.T) {
 			if trial == 0 {
 				q.X = 1e300 // every distance overflows to +Inf: the canonical order alone decides
 			}
-			s := knnScratchPool.Get().(*knnScratch)
-			s.reset(k, q, 1+rng.Intn(200))
-			w := &s.walk
+			var w index.Walk[int]
+			w.Reset(q, k)
 			var all []geom.Point
 			for len(all) < 3*k+200 {
 				group := make([]geom.Point, rng.Intn(250))
@@ -299,7 +292,6 @@ func TestKNNBestMatchesFullSort(t *testing.T) {
 			index.SortByDistance(want, q)
 			want = want[:min(k, len(want))]
 			got := w.Points()
-			knnScratchPool.Put(s)
 			if len(got) != len(want) {
 				t.Fatalf("k=%d trial %d: %d candidates, want %d", k, trial, len(got), len(want))
 			}

@@ -1,11 +1,6 @@
 package core
 
 import (
-	"math"
-	"math/bits"
-	"sync"
-
-	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/store"
@@ -111,9 +106,8 @@ func startSlot(id, first, from int) int {
 }
 
 // forLeaves calls fn, in leaf order, for every leaf under n whose MBR meets
-// q: the walk every window query and kNN round makes, by cells or by MBRs.
-// A leaf's MBR covers every point it holds, so the leaves it skips hold none
-// of q's points.
+// q: the leaves a window query reads. A leaf's MBR covers every point it
+// holds, so the leaves it skips hold none of q's points.
 func forLeaves(n *node, q geom.Rect, fn func(leaf *node)) {
 	if n == nil || !n.mbr.Intersects(q) {
 		return
@@ -127,62 +121,14 @@ func forLeaves(n *node, q geom.Rect, fn func(leaf *node)) {
 	}
 }
 
-// cellMask returns the cells of leaf n that a point of q can lie in, as a
-// set of curve values: the cells of the columns and rows between q's sides,
-// counted with the cuts as leafCell counts them. A count is monotone in the
-// order it compares by, so a point of q lies in a column from that of
-// (MinX, −∞) to that of (MaxX, +∞), and in a row from that of (−∞, MinY) to
-// that of (+∞, MaxY).
-func (t *RSMI) cellMask(n *node, q geom.Rect) (mask uint64) {
-	inf := math.Inf(1)
-	c0, c1 := countX(n.cols, geom.Pt(q.MinX, -inf)), countX(n.cols, geom.Pt(q.MaxX, inf))
-	r0, r1 := countY(n.rowCuts, geom.Pt(-inf, q.MinY)), countY(n.rowCuts, geom.Pt(inf, q.MaxY))
-	grid := t.cellGrids[n.order]
-	for c := c0; c <= c1; c++ {
-		for r := r0; r <= r1; r++ {
-			mask |= 1 << grid[c<<n.order|r]
-		}
-	}
-	return mask
-}
-
-// nextRange takes the lowest cell of leaf n out of mask, with every next one
-// whose blocks run on from it without a gap, and returns the positions
-// [lo, hi] of the base blocks they cover. Cells in curve order took
-// ascending runs of the leaf's positions, so successive ranges come out in
-// position order and share no block.
-func (t *RSMI) nextRange(n *node, mask *uint64) (lo, hi int) {
-	lo, hi, _ = t.cellBlocks(n, bits.TrailingZeros64(*mask))
-	for *mask &= *mask - 1; *mask != 0; *mask &= *mask - 1 {
-		l, h, _ := t.cellBlocks(n, bits.TrailingZeros64(*mask))
-		if l > hi+1 {
-			break
-		}
-		hi = max(hi, h)
-	}
-	return lo, hi
-}
-
-// forCells calls fn, in leaf and position order, with a cursor over every
-// run of base blocks (and their chains) that holds the cells of q in a leaf
-// whose MBR meets q: Algorithm 2's scan range, made exact. Counting the
-// cursor's reads is fn's.
-func (t *RSMI) forCells(q geom.Rect, fn func(c *blockCursor)) {
-	forLeaves(t.root, q, func(n *node) {
-		for m := t.cellMask(n, q); m != 0; {
-			lo, hi := t.nextRange(n, &m)
-			c := t.scan(n, lo, hi)
-			fn(&c)
-		}
-	})
-}
-
-// WindowQuery implements Algorithm 2 leaf by leaf: in every leaf whose MBR
-// meets the window, read the blocks of the cells between the window's sides
-// (forCells) and filter by the window. The paper bounds one scan range by
-// the predictions of the window's corners, widened by the leaf models' error
-// bounds, and may miss points (§6.2.3, recall > 87%); the cells make the
-// range exact, so the answer has neither false positives nor misses.
+// WindowQuery returns the points of the window q by the MBR walk of the
+// paper's exact variant RSMIa (§4.2 end, §6.2.3): in every leaf whose MBR
+// meets the window (forLeaves), read the blocks whose cached MBR meets it and
+// filter their points. Algorithm 2 instead scans the block range between the
+// predictions of the window's corners and may miss points (recall > 87%).
+// The walk's answer has neither false positives nor misses, and it read
+// fewer blocks than Algorithm 2 over the leaves' exact cells (EXPERIMENTS.md,
+// "One read path").
 //
 // This context-free form is the implementation layer: WindowQueryContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -193,17 +139,17 @@ func (t *RSMI) WindowQuery(q geom.Rect) []geom.Point {
 
 // windowQueryAppend is WindowQuery appending into dst (which may be nil),
 // the shared implementation behind WindowQuery and WindowQueryAppend. It
-// allocates only when dst has to grow.
+// allocates only when dst has to grow. Only the blocks whose cached MBR
+// meets the window count as read, so an inverted window, which meets no
+// MBR, reads none.
 //
 //rsmi:noalloc
 func (t *RSMI) windowQueryAppend(dst []geom.Point, q geom.Rect) []geom.Point {
-	if !(q.MinX <= q.MaxX && q.MinY <= q.MaxY) {
-		// An inverted window, or one with a NaN side, contains nothing.
-		return dst
-	}
-	t.forCells(q, func(c *blockCursor) {
-		dst, _ = t.collect(dst, c, q)
-		t.store.CountReads(c.reads)
+	forLeaves(t.root, q, func(n *node) {
+		c := t.scan(n, 0, len(n.blocks)-1)
+		var admitted int
+		dst, admitted = t.collect(dst, &c, q)
+		t.store.CountReads(admitted)
 	})
 	return dst
 }
@@ -227,25 +173,22 @@ func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Po
 	return dst, admitted
 }
 
-// KNN implements Algorithm 3: an expanding search region sized by the
-// learned per-dimension CDFs, probed with window queries. Results are
-// sorted by distance, equidistant points in the canonical point order; the
-// paper's are approximate (recall > 88% in §6.2.4).
-//
-// A round's region is searched as a window query is (forCells), and its
-// blocks best-first: every block the round
-// has not seen yet is queued by the MINDIST of its cached MBR and the queue
-// is drained (index.Walk.Drain), which stops at the first block no nearer
-// than the current k-th candidate (the MINDIST test of Algorithm 3, line 7).
-// A block queued once is never reconsidered: the bound only shrinks, so a
-// block that failed the test keeps failing it.
-//
-// Algorithm 3 stops once the k-th candidate lies within half the region's
-// diagonal, but the circle through it may still leave the region where the
-// region is narrower than that circle. One top-up pass then covers the
-// circle's bounding square: the blocks of its cells that are nearer than
-// the k-th candidate are queued and drained. Only the blocks queued count as
-// read.
+// knnStep is a node of KNN's best-first walk: a tree node, or a block of a
+// leaf when node is nil.
+type knnStep struct {
+	node  *node
+	block int
+}
+
+// knnWalks pools KNN's walks.
+var knnWalks index.Walks[knnStep]
+
+// KNN returns the exact k nearest neighbours of q, nearest first, ties in
+// the canonical point order, by the best-first walk of Roussopoulos et al.
+// [40] over the RSMI's MBR hierarchy (see KNNInto): RSMIa's kNN (§6.2.4).
+// Algorithm 3 instead probes an expanding region, sized by learned
+// per-dimension CDFs, with window queries, and may miss neighbours
+// (recall > 88%).
 //
 // This context-free form is the implementation layer: KNNContext is the
 // entry-checked wrapper that serving code reaches through the Engine
@@ -253,106 +196,76 @@ func (t *RSMI) collect(dst []geom.Point, c *blockCursor, q geom.Rect) ([]geom.Po
 //
 //rsmi:noalloc
 func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.n == 0 || !q.IsFinite() {
+	if t.n == 0 || k <= 0 || !q.IsFinite() {
 		// Nothing is nearest to a point that is nowhere.
 		return nil
 	}
-	if k > t.n {
-		k = t.n
-	}
-	// Initial region: a k/n-fraction rectangle scaled by the skew
-	// parameters αx, αy (Eq. 6).
-	frac := math.Sqrt(float64(k) / float64(t.n))
-	width := t.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
-	height := t.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
-	// A round reads only the leaves its region meets, so the region starts
-	// out reaching the data: from a query far outside it, doubling alone
-	// could run out of rounds before meeting a leaf.
-	if reach := 2 * math.Sqrt(t.root.mbr.MinDist2(q)); reach > 0 {
-		width, height = max(width, reach), max(height, reach)
-	}
-
-	s := knnScratchPool.Get().(*knnScratch)
-	s.reset(k, q, t.store.NumBlocks())
-	w := &s.walk
-
-	expand := func(w *index.Walk[int], id int) { w.Offer(t.store.Peek(id).Slots()...) }
-	const maxRounds = 64
-	for round := 0; round < maxRounds; round++ {
-		wq := geom.RectAround(q, width, height)
-		t.forCells(wq, func(c *blockCursor) {
-			for id := c.next(); id != store.NilBlock; id = c.next() {
-				if !s.seen.testAndSet(id) {
-					w.Push(id, t.blockMBR[id].MinDist2(q))
-				}
-			}
-			t.store.CountReads(c.reads)
-		})
-		w.Drain(expand)
-		if !w.Full() {
-			width *= 2
-			height *= 2
-			continue
-		}
-		kth := math.Sqrt(w.Bound())
-		if kth > math.Sqrt(width*width+height*height)/2 {
-			width = 2 * kth
-			height = 2 * kth
-			continue
-		}
-		if kth > min(width, height)/2 {
-			sq, bound := geom.RectAround(q, 2*kth, 2*kth), w.Bound()
-			t.forCells(sq, func(c *blockCursor) {
-				queued := 0
-				for id := c.next(); id != store.NilBlock; id = c.next() {
-					if d := t.blockMBR[id].MinDist2(q); d < bound && !s.seen.testAndSet(id) {
-						w.Push(id, d)
-						queued++
-					}
-				}
-				t.store.CountReads(queued)
-			})
-			w.Drain(expand)
-		}
-		break
-	}
-	out := w.Points()
-	knnScratchPool.Put(s)
-	return out
+	best := index.NewNearest(q, k)
+	t.KNNInto(&best)
+	return best.Points()
 }
 
-// bitmap is a set of block ids.
-type bitmap []uint64
-
-// testAndSet adds id and reports whether it was already present.
-func (m bitmap) testAndSet(id int) bool {
-	w, bit := id>>6, uint64(1)<<(id&63)
-	old := m[w]
-	m[w] = old | bit
-	return old&bit != 0
-}
-
-// knnScratch is the per-call working state of KNN — the block queue and the
-// seen-block bitmap — recycled through knnScratchPool; the walk's candidate
-// set draws on index's own pool, so a query allocates only its answer. The
-// index itself holds no query state: shards run many KNN calls on one RSMI
-// under a read lock.
-type knnScratch struct {
-	walk index.Walk[int]
-	seen bitmap
-}
-
-var knnScratchPool = sync.Pool{New: func() any { return new(knnScratch) }}
-
-// reset prepares the scratch for a k-nearest search around q over an index
-// of the given block count.
-func (s *knnScratch) reset(k int, q geom.Point, blocks int) {
-	s.walk.Reset(q, k)
-	words := (blocks + 63) / 64
-	if cap(s.seen) < words {
-		s.seen = make(bitmap, words)
+// KNNInto offers the index's points to best by the best-first walk of KNN:
+// inner nodes queue their children, leaves queue their blocks by cached
+// MBR, and a block is read (counted) only when it is expanded. Points never
+// enter the queue. best may already hold other indexes' candidates; the
+// walk then expands only what could displace one of them. Its queue comes
+// from a pool, so it allocates nothing of its own.
+//
+// Unlike the plain search of [40], the walk is seeded: while best holds
+// fewer than k points and q lies in the MBR of the leaf it descends to, the
+// base blocks of q's own cell there are read and offered first, so a bound
+// exists before the first fan-out and the walk queues nothing beyond it (see
+// index.Walk.Push). Expanding that leaf then skips those base blocks; their
+// overflow chains are queued as any other block, so no point is offered
+// twice.
+//
+//rsmi:noalloc
+func (t *RSMI) KNNInto(best *index.Nearest) {
+	if t.n == 0 {
 		return
 	}
-	s.seen = s.seen[:words]
-	clear(s.seen)
+	q := best.Query()
+	seed, lo, hi := t.seedCell(best)
+	knnWalks.Search(best, knnStep{node: t.root}, func(w *index.Walk[knnStep], s knnStep) {
+		switch {
+		case s.node == nil:
+			w.Offer(t.store.Read(s.block).Slots()...)
+		case !s.node.leaf:
+			for _, c := range s.node.children {
+				if c != nil {
+					w.Push(knnStep{node: c}, c.mbr.MinDist2(q))
+				}
+			}
+		default:
+			c := t.scan(s.node, 0, len(s.node.blocks)-1)
+			for id := c.next(); id != store.NilBlock; id = c.next() {
+				// Only the seed's base blocks are skipped, not their chains.
+				if s.node == seed && id == c.base && c.pos >= lo && c.pos <= hi {
+					continue
+				}
+				w.Push(knnStep{block: id}, t.blockMBR[id].MinDist2(q))
+			}
+		}
+	})
+}
+
+// seedCell offers best the base blocks of the query's own leaf cell, read
+// and counted, and returns that leaf and their positions [lo, hi] in its
+// list. It offers nothing and returns a nil leaf when best already holds k
+// points, or when the query lies outside the MBR of the leaf it descends
+// to, where its cell says little about where its neighbours are.
+func (t *RSMI) seedCell(best *index.Nearest) (leaf *node, lo, hi int) {
+	q := best.Query()
+	if best.Full() {
+		return nil, 0, -1
+	}
+	if leaf = t.descend(q); leaf == nil || !leaf.mbr.Contains(q) {
+		return nil, 0, -1
+	}
+	lo, hi, _ = t.cellBlocks(leaf, t.leafCell(leaf, q))
+	for _, id := range leaf.blocks[lo : hi+1] {
+		best.Offer(t.store.Read(int(id)).Slots()...)
+	}
+	return leaf, lo, hi
 }

@@ -2,13 +2,11 @@ package core
 
 import (
 	"bytes"
-	"math"
-	"math/bits"
+	"context"
 	"math/rand"
 	"slices"
 	"testing"
 
-	"rsmi/internal/cdf"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
@@ -17,18 +15,17 @@ import (
 )
 
 // The read path searches a block only when its cached MBR admits the probe,
-// drives block walks through a cursor, runs kNN rounds best-first, and reads
-// the blocks of a probe's leaf cells. The reference below is the plain path
-// — closure scans, every block of a range searched point by point, kNN in
-// list order behind a visited map — kept here, uncounted and ungated, so the
-// property test can demand the same answers and the same block-access counts
-// from the read path. The cells' blocks are derived here by brute force:
-// a cell's from the base blocks its packed points were packed in, an empty
-// cell's from how many packed points precede it; and a window's cells from
-// counting the cuts its sides are not Less than, each cell's curve value
-// read off a fresh curve. The reference walks a leaf's base blocks through
-// its list and each chain through the blocks' Next links, not the chain
-// heads the cursor reads.
+// drives block walks through a cursor, and reads the blocks of a point's
+// leaf cell. The reference below is the plain path — closure scans, every
+// block of a range searched point by point, a window's leaves and blocks
+// tested one by one — kept here, uncounted and ungated, so the property
+// test can demand the same answers and the same block-access counts from
+// the read path; kNN's reference is refExactKNN. The cells' blocks are
+// derived here by brute force: a cell's from the base blocks its packed
+// points were packed in, an empty cell's from how many packed points
+// precede it. The reference walks a leaf's base blocks through its list and
+// each chain through the blocks' Next links, not the chain heads the cursor
+// reads.
 
 // refScan walks the base blocks at positions [begin, end] of leaf's list,
 // each followed by its overflow chain, counting every block it hands to fn
@@ -154,160 +151,25 @@ func refLeaves(n *node, q geom.Rect) []*node {
 	return out
 }
 
-// refNotBefore counts the cuts p is not less than, one comparison each.
-func refNotBefore(cuts []geom.Point, p geom.Point, less func(a, b geom.Point) bool) int {
-	n := 0
-	for _, c := range cuts {
-		if !less(p, c) {
-			n++
-		}
-	}
-	return n
-}
-
-// refCellRect returns, ascending, the curve values of leaf's cells from the
-// column of (MinX, −∞) to that of (MaxX, +∞) and from the row of (−∞, MinY)
-// to that of (+∞, MaxY) of q, read off a fresh curve of the leaf's order.
-func refCellRect(t *RSMI, leaf *node, q geom.Rect) []int {
-	inf := math.Inf(1)
-	c0, c1 := refNotBefore(leaf.cols, geom.Pt(q.MinX, -inf), geom.Point.Less), refNotBefore(leaf.cols, geom.Pt(q.MaxX, inf), geom.Point.Less)
-	r0, r1 := refNotBefore(leaf.rowCuts, geom.Pt(-inf, q.MinY), lessYX), refNotBefore(leaf.rowCuts, geom.Pt(inf, q.MaxY), lessYX)
-	var out []int
-	for c := c0; c <= c1; c++ {
-		for r := r0; r <= r1; r++ {
-			v := 0
-			if leaf.order > 0 {
-				v = int(sfc.New(t.opts.Curve, uint(leaf.order)).Value(uint32(c), uint32(r)))
-			}
-			out = append(out, v)
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// refBases returns, ascending and once each, the positions of the base
-// blocks of the derived blocks of the cells of leaf that q's sides bound.
-func refBases(t *RSMI, cells map[cellKey][2]int, leaf *node, q geom.Rect) []int {
-	var out []int
-	for _, c := range refCellRect(t, leaf, q) {
-		r := cells[cellKey{leaf, c}]
-		for b := r[0]; b <= r[1]; b++ {
-			out = append(out, b)
-		}
-	}
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
-// refWindow is Algorithm 2 leaf by leaf: in every leaf whose MBR meets q,
-// the derived blocks of the cells q's sides bound, each base block scanned
-// once with its chain, in list order.
-func refWindow(t *RSMI, cells map[cellKey][2]int, q geom.Rect, reads *int) []geom.Point {
+// refWindow is the MBR walk done plainly: in every leaf whose MBR meets q,
+// every block of the leaf's list and chains, in list order, read (counted)
+// and scanned when its cached MBR meets q.
+func refWindow(t *RSMI, q geom.Rect, reads *int) []geom.Point {
 	var out []geom.Point
 	for _, leaf := range refLeaves(t.root, q) {
-		for _, pos := range refBases(t, cells, leaf, q) {
-			refScan(t, leaf, pos, pos, reads, func(b *store.Block, _ int) bool {
+		refScan(t, leaf, 0, len(leaf.blocks)-1, new(int), func(b *store.Block, _ int) bool {
+			if t.blockMBR[b.ID].Intersects(q) {
+				*reads++
 				b.Points(func(p geom.Point) {
 					if q.Contains(p) {
 						out = append(out, p)
 					}
 				})
-				return true
-			})
-		}
-	}
-	return out
-}
-
-// refKNN is Algorithm 3 over refWindow's blocks, in list order, pruned one
-// by one against the k-th candidate, then the top-up pass when the k-th
-// circle leaves the region: the blocks of the cells of every leaf meeting
-// the circle's bounding square that lie nearer than the k-th candidate,
-// each counted as read. It returns the squared distances of its answer,
-// which — unlike the order of equidistant points — do not depend on the
-// order blocks are searched in.
-func refKNN(t *RSMI, cells map[cellKey][2]int, q geom.Point, k int, reads *int) []float64 {
-	if k <= 0 || t.n == 0 {
-		return nil
-	}
-	k = min(k, t.n)
-	frac := math.Sqrt(float64(k) / float64(t.n))
-	width := t.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
-	height := t.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
-	if d := math.Sqrt(t.root.mbr.MinDist2(q)); d > 0 {
-		width, height = max(width, 2*d), max(height, 2*d)
-	}
-	var best []float64 // ascending, at most k
-	worst := func() float64 {
-		if len(best) < k {
-			return math.Inf(1)
-		}
-		return best[k-1]
-	}
-	offer := func(b *store.Block) {
-		b.Points(func(p geom.Point) {
-			d := q.Dist2(p)
-			if d >= worst() {
-				return
 			}
-			i := len(best)
-			best = append(best, d)
-			for ; i > 0 && best[i-1] > d; i-- {
-				best[i] = best[i-1]
-			}
-			best[i] = d
-			best = best[:min(len(best), k)]
+			return true
 		})
 	}
-	visited := map[int]bool{}
-	for round := 0; round < 64; round++ {
-		region := geom.RectAround(q, width, height)
-		for _, leaf := range refLeaves(t.root, region) {
-			for _, pos := range refBases(t, cells, leaf, region) {
-				refScan(t, leaf, pos, pos, reads, func(b *store.Block, _ int) bool {
-					if visited[b.ID] {
-						return true
-					}
-					visited[b.ID] = true
-					if len(best) < k || t.blockMBR[b.ID].MinDist2(q) < worst() {
-						offer(b)
-					}
-					return true
-				})
-			}
-		}
-		if len(best) < k {
-			width, height = 2*width, 2*height
-			continue
-		}
-		kth := math.Sqrt(worst())
-		if kth > math.Sqrt(width*width+height*height)/2 {
-			width, height = 2*kth, 2*kth
-			continue
-		}
-		if kth > math.Min(width, height)/2 {
-			square, bound := geom.RectAround(q, 2*kth, 2*kth), worst()
-			var near []*store.Block
-			for _, leaf := range refLeaves(t.root, square) {
-				for _, pos := range refBases(t, cells, leaf, square) {
-					refScan(t, leaf, pos, pos, new(int), func(b *store.Block, _ int) bool {
-						if !visited[b.ID] && t.blockMBR[b.ID].MinDist2(q) < bound {
-							visited[b.ID] = true
-							near = append(near, b)
-						}
-						return true
-					})
-				}
-			}
-			*reads += len(near)
-			for _, b := range near {
-				offer(b)
-			}
-		}
-		break
-	}
-	return best
+	return out
 }
 
 // readPathWorld is an index under test beside the Linear oracle and the
@@ -368,7 +230,7 @@ func (w *readPathWorld) accesses(fn func()) int {
 }
 
 // check compares point, window and kNN answers, and their block-access
-// counts, with the reference path and the oracle's contract.
+// counts, with the reference paths and the oracle.
 func (w *readPathWorld) check(stage string) {
 	t, idx := w.t, w.idx
 	t.Helper()
@@ -406,11 +268,11 @@ func (w *readPathWorld) check(stage string) {
 	}
 	for i := 0; i < 60; i++ {
 		c := w.live[w.rng.Intn(len(w.live))]
-		w.checkWindow(stage, cells, geom.RectAround(c, 0.3*w.rng.Float64(), 0.3*w.rng.Float64()))
+		w.checkWindow(stage, geom.RectAround(c, 0.3*w.rng.Float64(), 0.3*w.rng.Float64()))
 	}
 	// Windows spanned by two live points, one below and left of the other:
-	// their corners and sides pass through indexed points, which the cells
-	// the sides bound must hold, so both points are in the answer.
+	// their corners and sides pass through indexed points, so both points
+	// are in the answer.
 	spanned := 0
 	for tries := 0; tries < 2000 && spanned < 20; tries++ {
 		a := w.live[w.rng.Intn(len(w.live))]
@@ -422,7 +284,7 @@ func (w *readPathWorld) check(stage string) {
 				continue
 			}
 			q := geom.NewRect(a, b)
-			got := w.checkWindow(stage, cells, q)
+			got := w.checkWindow(stage, q)
 			if !slices.Contains(got, a) || !slices.Contains(got, b) {
 				t.Fatalf("%s: window %v spanned by %v and %v misses one of them", stage, q, a, b)
 			}
@@ -435,38 +297,17 @@ func (w *readPathWorld) check(stage string) {
 	for i := 0; i < 40; i++ {
 		q := geom.Pt(w.rng.Float64(), w.rng.Float64())
 		k := 1 + w.rng.Intn(40)
-		var got []geom.Point
-		var refReads int
-		reads := w.accesses(func() { got = idx.KNN(q, k) })
-		want := refKNN(idx, cells, q, k, &refReads)
-		if len(got) != len(want) || len(got) != min(k, idx.Len()) {
-			t.Fatalf("%s: KNN(%v, %d): %d rows, reference %d", stage, q, k, len(got), len(want))
-		}
-		for j, p := range got {
-			if q.Dist2(p) != want[j] {
-				t.Fatalf("%s: KNN(%v, %d) rank %d at %v, reference %v", stage, q, k, j, q.Dist2(p), want[j])
-			}
-			if !w.oracle.PointQuery(p) {
-				t.Fatalf("%s: KNN(%v, %d) returned unindexed %v", stage, q, k, p)
-			}
-		}
-		if reads != refReads {
-			t.Fatalf("%s: KNN(%v, %d) read %d blocks, reference %d", stage, q, k, reads, refReads)
-		}
 		checkExactKNN(t, idx, q, k)
-		exact, truth := idx.ExactKNN(q, k), w.oracle.KNN(q, k)
-		for j := range truth {
-			if q.Dist2(exact[j]) != q.Dist2(truth[j]) {
-				t.Fatalf("%s: ExactKNN(%v, %d) rank %d differs from the oracle", stage, q, k, j)
-			}
+		if got, truth := idx.KNN(q, k), w.oracle.KNN(q, k); !slices.Equal(got, truth) {
+			t.Fatalf("%s: KNN(%v, %d) = %v, oracle %v", stage, q, k, got, truth)
 		}
 	}
 }
 
-// checkWindow compares a window's cells in every leaf it meets with the
-// brute-force rectangle, and its answer and block reads with the reference
-// path and the oracle: a window misses nothing. It returns the answer.
-func (w *readPathWorld) checkWindow(stage string, cells map[cellKey][2]int, q geom.Rect) []geom.Point {
+// checkWindow compares a window's leaves with the brute-force walk, and its
+// answer and block reads with the reference path and the oracle: a window
+// misses nothing. It returns the answer.
+func (w *readPathWorld) checkWindow(stage string, q geom.Rect) []geom.Point {
 	t, idx := w.t, w.idx
 	t.Helper()
 	var walked []*node
@@ -474,21 +315,11 @@ func (w *readPathWorld) checkWindow(stage string, cells map[cellKey][2]int, q ge
 	if want := refLeaves(idx.root, q); !slices.Equal(walked, want) {
 		t.Fatalf("%s: window %v walks %d leaves, the reference %d", stage, q, len(walked), len(want))
 	}
-	for _, leaf := range walked {
-		var got []int
-		for m := idx.cellMask(leaf, q); m != 0; m &= m - 1 {
-			got = append(got, bits.TrailingZeros64(m))
-		}
-		if want := slices.Compact(refCellRect(idx, leaf, q)); !slices.Equal(got, want) {
-			t.Fatalf("%s: window %v reads cells %v of the leaf at block %d, brute force %v",
-				stage, q, got, leaf.blocks[0], want)
-		}
-	}
 
 	var got []geom.Point
 	var refReads int
 	reads := w.accesses(func() { got = idx.WindowQuery(q) })
-	want := refWindow(idx, cells, q, &refReads)
+	want := refWindow(idx, q, &refReads)
 	if len(got) != len(want) {
 		t.Fatalf("%s: window %v: %d rows, reference %d", stage, q, len(got), len(want))
 	}
@@ -506,9 +337,6 @@ func (w *readPathWorld) checkWindow(stage string, cells map[cellKey][2]int, q ge
 	truth := w.oracle.WindowQuery(q)
 	if len(got) != len(truth) || index.Recall(got, truth) != 1 {
 		t.Fatalf("%s: window %v: %d rows, oracle %d", stage, q, len(got), len(truth))
-	}
-	if exact := idx.ExactWindow(q); len(exact) != len(truth) || index.Recall(exact, truth) != 1 {
-		t.Fatalf("%s: exact window %v: %d rows, oracle %d", stage, q, len(exact), len(truth))
 	}
 	return got
 }
@@ -589,9 +417,11 @@ func TestReadPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestReadPathAllocs pins the allocation-free promises of the read path:
-// a point query allocates nothing, and neither does a window query that
-// appends into a buffer already large enough.
+// TestReadPathAllocs pins the allocation-free promises of the read path,
+// on an index with inserted points: a point query allocates nothing, a
+// window appending into a buffer already large enough allocates nothing,
+// and a kNN walk offering into a caller's set allocates nothing of its own
+// (not checked under the race detector, where sync.Pool sheds items).
 func TestReadPathAllocs(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 3000)
 	for _, p := range pts[:300] {
@@ -605,21 +435,41 @@ func TestReadPathAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("PointQuery allocates %v times per call, want 0", n)
 	}
+	ctx := context.Background()
 	buf := make([]geom.Point, 0, len(pts)+300)
+	rows := 0
 	if n := testing.AllocsPerRun(200, func() {
 		i++
-		buf = idx.windowQueryAppend(buf[:0], geom.RectAround(pts[i%len(pts)], 0.1, 0.1))
+		w := geom.RectAround(pts[i%len(pts)], 0.1, 0.1)
+		buf = idx.windowQueryAppend(buf[:0], w)
+		rows += len(buf)
+		buf, _ = idx.WindowQueryAppend(ctx, buf[:0], w)
 	}); n != 0 {
-		t.Errorf("windowQueryAppend into a warm buffer allocates %v times per call, want 0", n)
+		t.Errorf("windowQueryAppend and WindowQueryAppend into a warm buffer allocate %v times per call, want 0", n)
 	}
-	if len(buf) == 0 {
-		t.Error("window probe matched nothing; the pin measured an empty path")
+	if rows == 0 {
+		t.Error("window probes matched nothing; the pin measured an empty path")
+	}
+	if raceDetector {
+		return
+	}
+	for _, k := range []int{1, 25, 625} {
+		if n := testing.AllocsPerRun(100, func() {
+			i++
+			best := index.NewNearest(pts[i%len(pts)], k)
+			idx.KNNInto(&best)
+			if got := best.Points(); len(got) != k {
+				t.Fatalf("KNNInto(k=%d) offered %d points", k, len(got))
+			}
+		}); n != 1 {
+			t.Errorf("KNNInto(k=%d) and its answer allocate %v times per call, want 1", k, n)
+		}
 	}
 }
 
-// TestKNNAllocatesOnlyItsAnswer: candidate lists, block queue and bitmap
-// come from the scratch pool, and no round's corner state escapes, so a warm
-// kNN query allocates one slice, on an index with inserted points too.
+// TestKNNAllocatesOnlyItsAnswer: the best-first walk, its queue and its
+// candidate set come from pools, so a warm kNN query allocates one slice,
+// on an index with inserted points too.
 func TestKNNAllocatesOnlyItsAnswer(t *testing.T) {
 	if raceDetector {
 		t.Skip("sync.Pool sheds items under the race detector")
@@ -637,30 +487,6 @@ func TestKNNAllocatesOnlyItsAnswer(t *testing.T) {
 			}
 		}); n != 1 {
 			t.Errorf("KNN(k=%d) allocates %v times per call, want 1", k, n)
-		}
-	}
-}
-
-// TestExactKNNAllocatesOnlyItsAnswer: the best-first walk, its queue and its
-// candidate set come from pools, so a warm exact kNN query allocates one
-// slice, on an index with inserted points too.
-func TestExactKNNAllocatesOnlyItsAnswer(t *testing.T) {
-	if raceDetector {
-		t.Skip("sync.Pool sheds items under the race detector")
-	}
-	idx, pts := buildTest(t, dataset.Skewed, 3000)
-	for _, p := range pts[:300] {
-		idx.Insert(geom.Pt(p.X+1e-6, p.Y))
-	}
-	i := 0
-	for _, k := range []int{1, 25, 625} {
-		if n := testing.AllocsPerRun(100, func() {
-			i++
-			if got := idx.ExactKNN(pts[i%len(pts)], k); len(got) != k {
-				t.Fatalf("ExactKNN(k=%d) returned %d points", k, len(got))
-			}
-		}); n != 1 {
-			t.Errorf("ExactKNN(k=%d) allocates %v times per call, want 1", k, n)
 		}
 	}
 }

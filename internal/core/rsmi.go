@@ -1,7 +1,7 @@
 // Package core implements the paper's primary contribution: the Recursive
-// Spatial Model Index (RSMI) of §3, its query algorithms of §4 (point,
-// window, and kNN), the exact-answer variant RSMIa, and the update handling
-// of §5 including the periodic-rebuild variant RSMIr.
+// Spatial Model Index (RSMI) of §3, its point query of §4.1, the exact
+// window and kNN queries of its RSMIa variant (§4.2 end), and the update
+// handling of §5 including the periodic-rebuild variant RSMIr.
 //
 // # Structure (§3)
 //
@@ -20,20 +20,20 @@
 // falls in; here the node keeps the grid's cuts themselves and descent
 // follows them. No node trains, and a point's cell is its true cell.
 //
-// Window queries and kNN rounds walk the leaves whose MBR meets their region
-// and, in each, the blocks of the cells between the region's sides (see
-// WindowQuery and KNN).
+// Window and kNN queries walk the MBRs every node and block keeps, as the
+// paper's exact variant RSMIa does (§4.2 end, §6.2.3), rather than
+// Algorithms 2 and 3: a window reads the blocks whose MBR meets it in the
+// leaves whose MBR meets it, and kNN is a best-first walk seeded from the
+// query's own leaf cell (see WindowQuery and KNN). At the benchmark's scales
+// the walk read fewer blocks than the cells of Algorithms 2 and 3 and took
+// about as long (EXPERIMENTS.md, "One read path").
 //
 // # Correctness guarantees
 //
-// Point queries have no false negatives, and neither do window queries nor
-// the rounds of Algorithm 3's kNN: the paper's windows scan the error-bounded
-// range between corner predictions and may miss points (§4.2); here they
-// read the blocks of every cell the window can hold a point of.
-// ExactWindow/ExactKNN keep the MBR traversal of the RSMIa variant (§6.2.3;
-// internal/shard serves every window and kNN through them, by
-// ExactWindowAppend and ExactKNNInto). Every guarantee rests on one rule: a
-// point is looked for where the same lookup put it.
+// Point queries have no false negatives, and window and kNN answers are
+// exact: a node's and a block's MBR cover every point under them, so the
+// walks skip no point of the answer. Every point query's guarantee rests on
+// one rule: a point is looked for where the same lookup put it.
 //
 //   - an internal node's lookup is RSMI.cell, which counts the cuts at or
 //     before a point. buildInternal groups points by cell and descend
@@ -49,10 +49,7 @@
 //     live points by the same lookup, over the same cuts, and rewrites its
 //     counts and blocks together; nothing else moves a cut or a count, so
 //     every live point stays in the blocks of its cell. Load checks this
-//     point by point, so a loaded index finds every point it holds;
-//   - a window's columns and rows are counted with the same cuts at its
-//     sides, and a count is monotone in the order it compares by, so every
-//     point of the window lies in a cell of that rectangle (cellMask).
+//     point by point, so a loaded index finds every point it holds.
 //
 // Cuts compare stored coordinates, and a snapshot stores the cuts and counts
 // themselves, so the argument carries across save and load. It does not
@@ -61,7 +58,9 @@
 // weights (ErrSnapshotV1); RSMIv2, which holds no point spans
 // (ErrSnapshotV2); RSMIv3, whose internal nodes are models (ErrSnapshotV3);
 // RSMIv4, whose leaves are models (ErrSnapshotV4); and RSMIv5, whose leaves
-// own one range of block ids each (ErrSnapshotV5).
+// own one range of block ids each (ErrSnapshotV5). RSMIv6, which held the
+// kNN estimator's PMFs no query reads any more, is refused by name too
+// (ErrSnapshotV6).
 package core
 
 import (
@@ -71,7 +70,6 @@ import (
 	"slices"
 	"time"
 
-	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
 	"rsmi/internal/rank"
@@ -101,9 +99,7 @@ type Options struct {
 	// sub-models (§6.1: 0.01 and 500). No RSMI node is a model any more (see
 	// "Structure" in the package comment), so they are inert: they change
 	// nothing a build makes but the option words a snapshot stores, and are
-	// kept for the callers that set them. kNN's skew estimate is fixed at the
-	// paper's γ = 100 pieces and Δ = 0.01 step (§4.3: cdf.DefaultGamma,
-	// cdf.DefaultDelta).
+	// kept for the callers that set them.
 	LearningRate float64
 	Epochs       int
 	Seed         int64
@@ -130,9 +126,8 @@ func (o Options) withDefaults() Options {
 // node is one sub-model M_{i,j} of the RSMI: an internal node's grid cuts,
 // or a leaf's cell table and blocks.
 type node struct {
-	// mbr is the subtree MBR, maintained under insertion (§5). Window
-	// queries and kNN walk the leaves whose MBR meets their region, and the
-	// exact RSMIa traversal (§4.2 end) prunes by it.
+	// mbr is the subtree MBR, maintained under insertion (§5). Window and
+	// kNN queries prune by it, as the exact RSMIa traversal does (§4.2 end).
 	mbr geom.Rect
 
 	// cols are the column cuts, ascending by (x, then y), of an internal
@@ -199,8 +194,6 @@ type RSMI struct {
 	// They are in empty too. NilBlock when there are none.
 	free int
 
-	pmfX, pmfY *cdf.PMF
-
 	buildTime time.Duration
 	leaves    int
 	height    int
@@ -232,21 +225,8 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 	t.side, t.grid = gridCells(opts)
 	t.cellGrids = leafGrids(opts.Curve)
 	t.root = t.build(work, 1)
-	t.buildPMFs(work)
 	t.buildTime = time.Since(start)
 	return t
-}
-
-// buildPMFs constructs the per-dimension piecewise CDFs used to estimate the
-// kNN skew parameters αx, αy (§4.3).
-func (t *RSMI) buildPMFs(pts []geom.Point) {
-	xs := make([]float64, len(pts))
-	ys := make([]float64, len(pts))
-	for i, p := range pts {
-		xs[i], ys[i] = p.X, p.Y
-	}
-	t.pmfX = cdf.New(xs, cdf.DefaultGamma)
-	t.pmfY = cdf.New(ys, cdf.DefaultGamma)
 }
 
 // build recursively constructs the sub-model for pts at the given depth.
@@ -301,8 +281,7 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	return n
 }
 
-// maxLeafOrder bounds a leaf's cells at 8 × 8, so that a leaf's cells fit
-// one uint64 mask (see cellMask).
+// maxLeafOrder bounds a leaf's cells at 8 × 8 (see leafOrder).
 const maxLeafOrder = 3
 
 // leafOrder returns k for a leaf of the given number of points in blocks of
@@ -816,9 +795,6 @@ func (t *RSMI) Stats() index.Stats {
 		}
 	}
 	walk(t.root)
-	if t.pmfX != nil {
-		modelBytes += t.pmfX.SizeBytes() + t.pmfY.SizeBytes()
-	}
 	// Block MBR cache (4 float64 per block) supports every query, and the
 	// chain heads (one int32 per block) every walk.
 	modelBytes += int64(len(t.blockMBR))*32 + int64(len(t.chainHeads))*4

@@ -75,66 +75,22 @@ func TestWindowQueryNoFalsePositives(t *testing.T) {
 	}
 }
 
-func TestWindowQueryRecall(t *testing.T) {
+// TestExactWindowMatchesOracle demands of every window, on every data set,
+// the answer a linear scan gives: windows of the default size and larger.
+func TestExactWindowMatchesOracle(t *testing.T) {
 	for _, kind := range dataset.All() {
 		t.Run(kind.String(), func(t *testing.T) {
 			idx, pts := buildTest(t, kind, 4000)
 			oracle := index.NewLinear(pts)
-			ws := workload.Windows(pts, 100, 0.01, 1, 4)
-			var total float64
+			ws := append(workload.Windows(pts, 100, 0.01, 1, 4), workload.Windows(pts, 60, 0.02, 2, 5)...)
 			for _, w := range ws {
 				got := idx.WindowQuery(w)
 				want := oracle.WindowQuery(w)
-				total += index.Recall(got, want)
-			}
-			avg := total / float64(len(ws))
-			// The paper reports > 87% with full training; the test floor is
-			// lower because test training is deliberately brief.
-			if avg < 0.70 {
-				t.Errorf("average window recall = %.3f, want >= 0.70", avg)
-			}
-		})
-	}
-}
-
-func TestExactWindowMatchesOracle(t *testing.T) {
-	for _, kind := range []dataset.Kind{dataset.Uniform, dataset.Skewed, dataset.OSMLike} {
-		t.Run(kind.String(), func(t *testing.T) {
-			idx, pts := buildTest(t, kind, 3000)
-			oracle := index.NewLinear(pts)
-			exact := idx.AsExact()
-			ws := workload.Windows(pts, 60, 0.02, 2, 5)
-			for _, w := range ws {
-				got := exact.WindowQuery(w)
-				want := oracle.WindowQuery(w)
 				if index.Recall(got, want) != 1 || len(got) != len(want) {
-					t.Fatalf("exact window mismatch for %v: got %d wanted %d",
-						w, len(got), len(want))
+					t.Fatalf("window %v: got %d points, linear scan %d", w, len(got), len(want))
 				}
 			}
 		})
-	}
-}
-
-func TestKNNApproximate(t *testing.T) {
-	idx, pts := buildTest(t, dataset.Skewed, 4000)
-	oracle := index.NewLinear(pts)
-	qs := workload.KNNPoints(pts, 60, 6)
-	var total float64
-	for _, q := range qs {
-		got := idx.KNN(q, 10)
-		if len(got) != 10 {
-			t.Fatalf("kNN returned %d points, want 10", len(got))
-		}
-		for i := 1; i < len(got); i++ {
-			if q.Dist2(got[i-1]) > q.Dist2(got[i]) {
-				t.Fatal("kNN result not sorted by distance")
-			}
-		}
-		total += index.KNNRecall(got, oracle.KNN(q, 10), q)
-	}
-	if avg := total / float64(len(qs)); avg < 0.75 {
-		t.Errorf("average kNN recall = %.3f, want >= 0.75", avg)
 	}
 }
 
@@ -153,22 +109,21 @@ func TestKNNReturnsOnlyIndexedPoints(t *testing.T) {
 	}
 }
 
+// TestExactKNNMatchesOracle demands of kNN what a linear scan answers,
+// point for point, equidistant points in the canonical order.
 func TestExactKNNMatchesOracle(t *testing.T) {
-	idx, pts := buildTest(t, dataset.OSMLike, 3000)
-	oracle := index.NewLinear(pts)
-	exact := idx.AsExact()
-	for _, q := range workload.KNNPoints(pts, 40, 8) {
-		for _, k := range []int{1, 5, 25} {
-			got := exact.KNN(q, k)
-			want := oracle.KNN(q, k)
-			if len(got) != len(want) {
-				t.Fatalf("exact kNN size %d, want %d", len(got), len(want))
-			}
-			for i := range got {
-				// Distances must match exactly (ties may reorder points).
-				if math.Abs(q.Dist2(got[i])-q.Dist2(want[i])) > 1e-15 {
-					t.Fatalf("exact kNN distance mismatch at %d: %v vs %v",
-						i, q.Dist2(got[i]), q.Dist2(want[i]))
+	for _, c := range []struct {
+		kind dataset.Kind
+		n    int
+		seed int64
+	}{{dataset.OSMLike, 3000, 8}, {dataset.Skewed, 4000, 6}} {
+		idx, pts := buildTest(t, c.kind, c.n)
+		oracle := index.NewLinear(pts)
+		for _, q := range workload.KNNPoints(pts, 50, c.seed) {
+			for _, k := range []int{1, 5, 10, 25} {
+				got, want := idx.KNN(q, k), oracle.KNN(q, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s KNN(%v, %d) = %v, linear scan %v", c.kind, q, k, got, want)
 				}
 			}
 		}
@@ -177,6 +132,7 @@ func TestExactKNNMatchesOracle(t *testing.T) {
 
 func TestKNNEdgeCases(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Uniform, 800)
+	oracle := index.NewLinear(pts)
 	q := geom.Pt(0.5, 0.5)
 	if got := idx.KNN(q, 0); got != nil {
 		t.Error("k=0 must return nil")
@@ -186,18 +142,15 @@ func TestKNNEdgeCases(t *testing.T) {
 	}
 	// Queries far outside the data still find their k nearest.
 	for _, far := range []geom.Point{geom.Pt(1e30, 1e30), geom.Pt(-1e6, 0.5), geom.Pt(1e18, -1e18)} {
-		got, want := idx.KNN(far, 10), idx.ExactKNN(far, 10)
+		got, want := idx.KNN(far, 10), oracle.KNN(far, 10)
 		if len(got) != len(want) {
-			t.Fatalf("KNN(%v, 10) returned %d points, ExactKNN %d", far, len(got), len(want))
+			t.Fatalf("KNN(%v, 10) returned %d points, linear scan %d", far, len(got), len(want))
 		}
 		for i := range got {
 			if far.Dist2(got[i]) != far.Dist2(want[i]) {
-				t.Fatalf("KNN(%v, 10) rank %d differs from ExactKNN", far, i)
+				t.Fatalf("KNN(%v, 10) rank %d differs from the linear scan", far, i)
 			}
 		}
-	}
-	if got := idx.AsExact().KNN(q, 0); got != nil {
-		t.Error("exact k=0 must return nil")
 	}
 }
 
@@ -387,6 +340,17 @@ func TestCountMatchesNotLess(t *testing.T) {
 	}
 }
 
+// refNotBefore counts the cuts p is not less than, one comparison each.
+func refNotBefore(cuts []geom.Point, p geom.Point, less func(a, b geom.Point) bool) int {
+	n := 0
+	for _, c := range cuts {
+		if !less(p, c) {
+			n++
+		}
+	}
+	return n
+}
+
 func TestStatsSanity(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Normal, 4000)
 	s := idx.Stats()
@@ -436,19 +400,11 @@ func TestZCurveVariant(t *testing.T) {
 		}
 	}
 	oracle := index.NewLinear(pts)
-	var total float64
-	ws := workload.Windows(pts, 50, 0.01, 1, 11)
-	for _, w := range ws {
-		got := idx.WindowQuery(w)
-		for _, p := range got {
-			if !w.Contains(p) {
-				t.Fatal("Z-curve window false positive")
-			}
+	for _, w := range workload.Windows(pts, 50, 0.01, 1, 11) {
+		got, want := idx.WindowQuery(w), oracle.WindowQuery(w)
+		if index.Recall(got, want) != 1 || len(got) != len(want) {
+			t.Fatalf("Z-curve window %v: got %d points, linear scan %d", w, len(got), len(want))
 		}
-		total += index.Recall(got, oracle.WindowQuery(w))
-	}
-	if avg := total / float64(len(ws)); avg < 0.7 {
-		t.Errorf("Z-curve recall %.3f too low", avg)
 	}
 }
 
@@ -564,48 +520,36 @@ func BenchmarkPointQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkKNNByK runs Algorithm 3 over the k range of the paper's Fig. 16,
-// then RSMIa's exact best-first kNN (exact/k=…) over the same queries.
+// BenchmarkKNNByK runs kNN over the k range of the paper's Fig. 16.
 func BenchmarkKNNByK(b *testing.B) {
 	idx, pts := benchIndex(b)
 	qs := workload.KNNPoints(pts, 1024, 3)
-	for _, variant := range []struct {
-		prefix string
-		knn    func(geom.Point, int) []geom.Point
-	}{{"", idx.KNN}, {"exact/", idx.ExactKNN}} {
-		for _, k := range []int{1, 25, 125, 625} {
-			b.Run(fmt.Sprintf("%sk=%d", variant.prefix, k), func(b *testing.B) {
-				b.ReportAllocs()
-				idx.ResetAccesses()
-				for i := 0; i < b.N; i++ {
-					variant.knn(qs[i%len(qs)], k)
-				}
-				b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
-			})
-		}
-	}
-}
-
-// BenchmarkWindowQuery runs Algorithm 2 on windows of the paper's default
-// size, appending into a warm buffer as the shard layer does, and RSMIa's
-// exact MBR walk on the same windows (exact/).
-func BenchmarkWindowQuery(b *testing.B) {
-	idx, pts := benchIndex(b)
-	qs := workload.Windows(pts, 1024, workload.DefaultWindowSize, workload.DefaultAspectRatio, 3)
-	for _, variant := range []struct {
-		prefix string
-		window func([]geom.Point, geom.Rect) []geom.Point
-	}{{"", idx.windowQueryAppend}, {"exact/", idx.exactWindowAppend}} {
-		b.Run(variant.prefix+"default", func(b *testing.B) {
-			var buf []geom.Point
+	for _, k := range []int{1, 25, 125, 625} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			b.ReportAllocs()
 			idx.ResetAccesses()
 			for i := 0; i < b.N; i++ {
-				buf = variant.window(buf[:0], qs[i%len(qs)])
+				idx.KNN(qs[i%len(qs)], k)
 			}
 			b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
 		})
 	}
+}
+
+// BenchmarkWindowQuery runs windows of the paper's default size, appending
+// into a warm buffer as the shard layer does.
+func BenchmarkWindowQuery(b *testing.B) {
+	idx, pts := benchIndex(b)
+	qs := workload.Windows(pts, 1024, workload.DefaultWindowSize, workload.DefaultAspectRatio, 3)
+	b.Run("default", func(b *testing.B) {
+		var buf []geom.Point
+		b.ReportAllocs()
+		idx.ResetAccesses()
+		for i := 0; i < b.N; i++ {
+			buf = idx.windowQueryAppend(buf[:0], qs[i%len(qs)])
+		}
+		b.ReportMetric(float64(idx.Accesses())/float64(b.N), "blocks/op")
+	})
 }
 
 // TestAvgDepthFollowsUpdates: AvgDepth counts the points that live in each

@@ -11,7 +11,6 @@ import (
 	"slices"
 	"time"
 
-	"rsmi/internal/cdf"
 	"rsmi/internal/geom"
 	"rsmi/internal/sfc"
 	"rsmi/internal/store"
@@ -22,13 +21,17 @@ import (
 // build, so a production deployment builds once and serves many restarts.
 // This file provides a complete binary serialisation of a built index:
 // options, blocks (including overflow chains and deleted slots), the
-// internal nodes' cuts, the leaves' cuts and cell counts, MBRs, and the kNN
-// PMFs. A loaded index answers queries identically to the original: the
+// internal nodes' cuts, the leaves' cuts and cell counts, and MBRs. A
+// loaded index answers queries identically to the original: the
 // cuts and counts are stored as they are, so every grouping in the file was
 // made by the very lookups the loaded index runs.
 
-// serialMagic identifies the index file format, RSMIv6.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '6', 0, 0}
+// serialMagic identifies the index file format, RSMIv7.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '7', 0, 0}
+
+// serialMagicV6 is the magic of the format that held the kNN estimator's
+// PMFs.
+var serialMagicV6 = [8]byte{'R', 'S', 'M', 'I', 'v', '6', 0, 0}
 
 // serialMagicV5 is the magic of the format whose leaves owned one range of
 // block ids each.
@@ -97,6 +100,13 @@ var ErrSnapshotV5 = errors.New("core: RSMIv5 snapshot refused: its leaves own ra
 	"and this version's leaves name their blocks one by one in lists the file does not hold; " +
 	"rebuild the index and save it again")
 
+// ErrSnapshotV6 is returned by Load for an RSMIv6 file. Between its block
+// MBRs and its tree it holds the two PMFs that sized Algorithm 3's first kNN
+// region; this version answers kNN by the MBR walk, and its stream holds no
+// PMF. Rebuild the index from its points and save it again.
+var ErrSnapshotV6 = errors.New("core: RSMIv6 snapshot refused: it holds the PMFs of a kNN search this version " +
+	"no longer runs, in a layout this version does not read; rebuild the index and save it again")
+
 // WriteTo serialises the index. It implements io.WriterTo.
 func (t *RSMI) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
@@ -161,13 +171,6 @@ func (t *RSMI) encode(w io.Writer) error {
 			return err
 		}
 	}
-	// PMFs.
-	if _, err := t.pmfX.WriteTo(w); err != nil {
-		return err
-	}
-	if _, err := t.pmfY.WriteTo(w); err != nil {
-		return err
-	}
 	// Model tree.
 	return t.encodeNode(w, t.root)
 }
@@ -179,15 +182,15 @@ const optionBlockSize = 9*8 + 1
 // WriteOptions writes o as the option block every index stream and the
 // sharded header carry: B, N, the curve, the learning rate, the epochs, an
 // early-stop loss, γ, Δ, the seed and the raw-grid flag. The loss, γ and Δ
-// are constants (no early stop; γ = 100, Δ = 0.01, §4.3), and
-// their words keep the bytes builds have always written: 0, 100 and 0.01
-// for resolved options, the paper's defaults filled in, as an index stream
-// stores them; 0, 0 and 0 for options as a caller gave them, as the sharded
-// header stores them.
+// are constants (no early stop; the paper's γ = 100 PMF pieces and Δ = 0.01
+// step of §4.3, which no query reads any more), and their words keep the
+// bytes builds have always written: 0, 100 and 0.01 for resolved options,
+// the paper's defaults filled in, as an index stream stores them; 0, 0 and
+// 0 for options as a caller gave them, as the sharded header stores them.
 func WriteOptions(w io.Writer, o Options, resolved bool) (int64, error) {
 	var gamma, delta uint64
 	if resolved {
-		gamma, delta = cdf.DefaultGamma, math.Float64bits(cdf.DefaultDelta)
+		gamma, delta = 100, math.Float64bits(knnDelta)
 	}
 	b := make([]byte, 0, optionBlockSize)
 	for _, v := range []uint64{
@@ -207,20 +210,24 @@ func WriteOptions(w io.Writer, o Options, resolved bool) (int64, error) {
 	return int64(n), nil
 }
 
+// knnDelta is the paper's Δ = 0.01 (§4.3), the one value of the option
+// block's Δ word an index has ever been built with.
+const knnDelta = 0.01
+
 // ReadOptions reads an option block written by WriteOptions. The loss and γ
-// words shaped the build only, and the PMFs γ sized are stored whole, so
-// they are read and dropped. Δ sizes every kNN search, and a loaded index
-// must answer as the one that was saved, so a Δ word other than 0.01, or 0
-// (unset, which always meant 0.01), is refused.
+// words shaped the build only, so they are read and dropped. Δ once sized
+// every kNN search, and no index was built with another, so a Δ word other
+// than 0.01, or 0 (unset, which always meant 0.01), marks a file no version
+// wrote and is refused.
 func ReadOptions(r io.Reader) (Options, error) {
 	var b [optionBlockSize]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return Options{}, fmt.Errorf("core: read options: %w", err)
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	if delta := math.Float64frombits(word(7)); delta != 0 && delta != cdf.DefaultDelta {
-		return Options{}, fmt.Errorf("core: the snapshot's kNN step Δ is %v, and this version runs Δ = %v (§4.3); rebuild the index from its points",
-			delta, cdf.DefaultDelta)
+	if delta := math.Float64frombits(word(7)); delta != 0 && delta != knnDelta {
+		return Options{}, fmt.Errorf("core: the snapshot's kNN step Δ is %v, and every index was built with Δ = %v (§4.3); rebuild the index from its points",
+			delta, knnDelta)
 	}
 	return Options{
 		BlockCapacity:      int(word(0)),
@@ -381,6 +388,8 @@ func decode(r io.Reader) (*RSMI, error) {
 		return nil, ErrSnapshotV4
 	case serialMagicV5:
 		return nil, ErrSnapshotV5
+	case serialMagicV6:
+		return nil, ErrSnapshotV6
 	}
 	if magic != serialMagic {
 		return nil, errors.New("core: not an RSMI index file")
@@ -430,13 +439,6 @@ func decode(r io.Reader) (*RSMI, error) {
 		if t.blockMBR[i], err = getRect(r); err != nil {
 			return nil, err
 		}
-	}
-	// PMFs.
-	if t.pmfX, err = cdf.ReadPMF(r); err != nil {
-		return nil, err
-	}
-	if t.pmfY, err = cdf.ReadPMF(r); err != nil {
-		return nil, err
 	}
 	// Model tree.
 	if t.root, err = t.decodeNode(r, 0); err != nil {
@@ -548,9 +550,9 @@ func (t *RSMI) decodeBlocks(r io.Reader, n *node) error {
 // decodeCells reads leaf n's cuts and prefix counts. Their number fixes the
 // leaf's order k — 4^k + 1 counts for 2^k × 2^k cells — and a leaf of order
 // k has at most 2^k − 1 cuts each way, ascending, so the cells index the
-// leaf's grid table and a window's cell rectangle is exact. The counts
-// ascend and end within the leaf's blocks, so a cell's blocks are the
-// leaf's; that they hold the cell's points is validate's to check.
+// leaf's grid table. The counts ascend and end within the leaf's blocks, so
+// a cell's blocks are the leaf's; that they hold the cell's points is
+// validate's to check.
 func (t *RSMI) decodeCells(r io.Reader, n *node) error {
 	var err error
 	if n.cols, err = getCuts(r, 1<<maxLeafOrder-1); err != nil {
@@ -623,12 +625,12 @@ func (t *RSMI) validate() error {
 		return fmt.Errorf("core: index claims %d points, its blocks hold %d", t.n, live)
 	}
 	// Every model's MBR covers the points under it, and its count is theirs.
-	// The exact traversals prune by those MBRs, so a snapshot breaking them
+	// Window and kNN queries prune by those MBRs, so a snapshot breaking them
 	// would have them miss points. Every live point descends to the leaf
 	// that holds its block, and that block's base block lies in the blocks
-	// of the point's cell, so a point query, a window and a kNN round find
-	// every point the index holds. That every block belongs to one leaf,
-	// once, linkChains has checked.
+	// of the point's cell, so a point query finds every point the index
+	// holds. That every block belongs to one leaf, once, linkChains has
+	// checked.
 	var walk func(n *node) (geom.Rect, int, error)
 	walk = func(n *node) (geom.Rect, int, error) {
 		covered, held := geom.EmptyRect(), 0

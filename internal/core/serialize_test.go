@@ -173,7 +173,7 @@ func TestSerializeAfterUpdates(t *testing.T) {
 			t.Fatalf("deleted point %v resurrected by serialisation", p)
 		}
 	}
-	// Exact queries still exact.
+	// Windows still exact.
 	var live []geom.Point
 	for _, p := range append(pts, ins...) {
 		if !gone[p] {
@@ -182,10 +182,10 @@ func TestSerializeAfterUpdates(t *testing.T) {
 	}
 	oracle := index.NewLinear(live)
 	for _, w := range workload.Windows(live, 20, 0.02, 1, 37) {
-		got := loaded.ExactWindow(w)
+		got := loaded.WindowQuery(w)
 		want := oracle.WindowQuery(w)
 		if len(got) != len(want) || index.Recall(got, want) != 1 {
-			t.Fatalf("exact window wrong after round trip: %d vs %d", len(got), len(want))
+			t.Fatalf("window wrong after round trip: %d vs %d", len(got), len(want))
 		}
 	}
 	// Loaded index remains updatable.
@@ -280,11 +280,17 @@ func TestLoadRefusesV5(t *testing.T) {
 	refuseOldMagic(t, serialMagicV5, ErrSnapshotV5, "RSMIv5", "leaves", "block", "rebuild")
 }
 
-// TestLoadChecksDelta: Δ sizes every kNN search, so a snapshot whose Δ word
-// is neither the 0.01 this version runs nor 0 (unset, which meant 0.01) is
+// TestLoadRefusesV6: the format that held the kNN estimator's PMFs is
+// recognised and refused with an error that says why, not mistaken for
+// garbage.
+func TestLoadRefusesV6(t *testing.T) {
+	refuseOldMagic(t, serialMagicV6, ErrSnapshotV6, "RSMIv6", "PMFs", "rebuild")
+}
+
+// TestLoadChecksDelta: no index was built with a Δ other than 0.01, so a
+// snapshot whose Δ word is neither 0.01 nor 0 (unset, which meant 0.01) is
 // refused with an error that names Δ. The loss and γ words shaped only the
-// build, whose PMFs are stored whole: any value loads, and answers as the
-// index that was saved.
+// build: any value loads, and answers as the index that was saved.
 func TestLoadChecksDelta(t *testing.T) {
 	idx := New(dataset.Generate(dataset.Skewed, 500, 41), testOptions())
 	var buf bytes.Buffer

@@ -308,16 +308,18 @@ func (t *RSMI) reuseEmpty() *store.Block {
 // blockSet is a set of block ids: the index's overflow blocks that hold no
 // live point.
 type blockSet struct {
-	words bitmap
+	words []uint64
 	n     int
 }
 
 // add puts id in the set.
 func (s *blockSet) add(id int) {
-	if w := id >> 6; w >= len(s.words) {
-		s.words = append(s.words, make(bitmap, w+1-len(s.words))...)
+	w, bit := id>>6, uint64(1)<<(id&63)
+	if w >= len(s.words) {
+		s.words = append(s.words, make([]uint64, w+1-len(s.words))...)
 	}
-	if !s.words.testAndSet(id) {
+	if s.words[w]&bit == 0 {
+		s.words[w] |= bit
 		s.n++
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -60,25 +61,17 @@ func TestWindowAfterInsertsNoFalsePositivesAndFindsInserted(t *testing.T) {
 	}
 	all := append(append([]geom.Point(nil), pts...), ins...)
 	oracle := index.NewLinear(all)
-	exact := idx.AsExact()
-	ws := workload.Windows(all, 80, 0.01, 1, 24)
-	var recall float64
-	for _, w := range ws {
+	for _, w := range workload.Windows(all, 80, 0.01, 1, 24) {
 		got := idx.WindowQuery(w)
 		for _, p := range got {
 			if !w.Contains(p) {
 				t.Fatalf("false positive %v after inserts", p)
 			}
 		}
-		want := oracle.WindowQuery(w)
-		recall += index.Recall(got, want)
-		// Exact variant stays exact through insertions.
-		if eg := exact.WindowQuery(w); index.Recall(eg, want) != 1 || len(eg) != len(want) {
-			t.Fatalf("exact window wrong after inserts: %d vs %d", len(eg), len(want))
+		// Windows stay exact through insertions.
+		if want := oracle.WindowQuery(w); index.Recall(got, want) != 1 || len(got) != len(want) {
+			t.Fatalf("window wrong after inserts: %d vs %d", len(got), len(want))
 		}
-	}
-	if avg := recall / float64(len(ws)); avg < 0.7 {
-		t.Errorf("window recall after inserts = %.3f", avg)
 	}
 }
 
@@ -90,13 +83,10 @@ func TestKNNAfterInserts(t *testing.T) {
 	}
 	all := append(append([]geom.Point(nil), pts...), ins...)
 	oracle := index.NewLinear(all)
-	var recall float64
-	qs := workload.KNNPoints(all, 40, 26)
-	for _, q := range qs {
-		recall += index.KNNRecall(idx.KNN(q, 10), oracle.KNN(q, 10), q)
-	}
-	if avg := recall / float64(len(qs)); avg < 0.7 {
-		t.Errorf("kNN recall after inserts = %.3f", avg)
+	for _, q := range workload.KNNPoints(all, 40, 26) {
+		if got, want := idx.KNN(q, 10), oracle.KNN(q, 10); !slices.Equal(got, want) {
+			t.Fatalf("KNN(%v, 10) after inserts = %v, linear scan %v", q, got, want)
+		}
 	}
 }
 
@@ -163,10 +153,10 @@ func TestDeleteThenQueries(t *testing.T) {
 				t.Fatalf("deleted point %v in window answer", p)
 			}
 		}
-		got := idx.AsExact().WindowQuery(w)
+		got := idx.WindowQuery(w)
 		want := oracle.WindowQuery(w)
 		if len(got) != len(want) || index.Recall(got, want) != 1 {
-			t.Fatalf("exact window after deletes: %d vs %d", len(got), len(want))
+			t.Fatalf("window after deletes: %d vs %d", len(got), len(want))
 		}
 	}
 	for _, q := range workload.KNNPoints(live, 30, 30) {
@@ -293,13 +283,13 @@ func TestRandomOpsAgainstOracle(t *testing.T) {
 			if !idx.PointQuery(p) {
 				t.Fatalf("false negative for %v", p)
 			}
-		case 3: // exact window
+		case 3: // window
 			c := geom.Pt(rng.Float64(), rng.Float64())
 			w := geom.RectAround(c, 0.1, 0.1)
-			got := idx.ExactWindow(w)
+			got := idx.WindowQuery(w)
 			want := oracle.WindowQuery(w)
 			if len(got) != len(want) || index.Recall(got, want) != 1 {
-				t.Fatalf("exact window diverged: %d vs %d", len(got), len(want))
+				t.Fatalf("window diverged: %d vs %d", len(got), len(want))
 			}
 		}
 		if idx.Len() != oracle.Len() {
@@ -550,10 +540,10 @@ func jittered(pts []geom.Point, count int, seed int64) []geom.Point {
 // 100k OSM-like points with the paper's B and N at 10 epochs, grown by half
 // as many jittered copies and shrunk by 15 % deletes. insert and delete time
 // single updates of fresh jittered points on it, restoring the index
-// untimed after each chunk; point, exact_window (the default size, into a
-// warm buffer) and exact_knn (k = 25) are the reads the sharded engine
-// serves, with blocks/op; exact_window_fresh is exact_window on a fresh
-// build over the same live points, what the repacks aim at.
+// untimed after each chunk; point, window (the default size, into a warm
+// buffer) and knn (k = 25) are the reads the sharded engine serves, with
+// blocks/op; window_fresh is window on a fresh build over the same live
+// points, what the repacks aim at.
 func BenchmarkAfterInserts(b *testing.B) {
 	pts := dataset.Generate(dataset.OSMLike, 100_000, 1)
 	idx := New(pts, Options{Epochs: 10, Seed: 1})
@@ -611,9 +601,9 @@ func BenchmarkAfterInserts(b *testing.B) {
 		fn   func(i int)
 	}{
 		{"point", idx, func(i int) { idx.PointQuery(points[i%len(points)]) }},
-		{"exact_window", idx, func(i int) { buf = idx.exactWindowAppend(buf[:0], windows[i%len(windows)]) }},
-		{"exact_window_fresh", built, func(i int) { buf = built.exactWindowAppend(buf[:0], windows[i%len(windows)]) }},
-		{"exact_knn", idx, func(i int) { idx.ExactKNN(knn[i%len(knn)], workload.DefaultK) }},
+		{"window", idx, func(i int) { buf = idx.windowQueryAppend(buf[:0], windows[i%len(windows)]) }},
+		{"window_fresh", built, func(i int) { buf = built.windowQueryAppend(buf[:0], windows[i%len(windows)]) }},
+		{"knn", idx, func(i int) { idx.KNN(knn[i%len(knn)], workload.DefaultK) }},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -10,9 +10,8 @@
 // the largest half-extent seen in each dimension, and every window query is
 // expanded by those half-extents before being issued against the centres.
 // Every object intersecting the original window has its centre inside the
-// expanded window, so the expansion preserves the no-false-negative
-// property of the underlying traversal; a final exact intersection test
-// removes the false candidates.
+// expanded window, so the expansion keeps the underlying window query
+// exact; a final exact intersection test removes the false candidates.
 //
 // As §7 predicts, accuracy and efficiency degrade with object size: the
 // expansion is governed by the largest object, so one huge rectangle makes
@@ -81,18 +80,10 @@ func (r *RectIndex) expand(q geom.Rect) geom.Rect {
 	}
 }
 
-// WindowQuery returns indexed rectangles intersecting q. Like the
-// underlying RSMI window query it has no false positives and may miss
-// candidates whose centre block was mispredicted; ExactWindow removes the
-// approximation.
-func (r *RectIndex) WindowQuery(q geom.Rect) []geom.Rect {
-	return r.filter(r.idx.WindowQuery(r.expand(q)), q)
-}
-
-// ExactWindow returns exactly the indexed rectangles intersecting q, using
-// the RSMIa traversal over the expanded window.
+// ExactWindow returns exactly the indexed rectangles intersecting q, by the
+// RSMI's window query over the expanded window.
 func (r *RectIndex) ExactWindow(q geom.Rect) []geom.Rect {
-	return r.filter(r.idx.ExactWindow(r.expand(q)), q)
+	return r.filter(r.idx.WindowQuery(r.expand(q)), q)
 }
 
 // filter maps candidate centres to their rectangles and keeps intersecting
@@ -112,24 +103,7 @@ func (r *RectIndex) filter(centres []geom.Point, q geom.Rect) []geom.Rect {
 // StabQuery returns the rectangles containing the point p (a window query
 // with a degenerate window).
 func (r *RectIndex) StabQuery(p geom.Point) []geom.Rect {
-	return r.WindowQuery(geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
-}
-
-// KNN returns up to k rectangles nearest to q by MINDIST, nearest first.
-// Candidates are collected with the expanded-window strategy: centre-kNN
-// oversamples by the expansion factor, then exact rectangle distances rank
-// the result. The answer is approximate in the same sense as the point
-// kNN; ExactKNN is exact.
-func (r *RectIndex) KNN(q geom.Point, k int) []geom.Rect {
-	if k <= 0 || r.n == 0 {
-		return nil
-	}
-	// Oversample centres: an object's MINDIST can undercut its centre
-	// distance by at most the maximum half-diagonal, so pulling extra
-	// centres keeps the candidate set safe in practice.
-	over := 3*k + 8
-	centres := r.idx.KNN(q, over)
-	return r.rankByMinDist(centres, q, k)
+	return r.ExactWindow(geom.Rect{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y})
 }
 
 // ExactKNN returns exactly the k rectangles with smallest MINDIST to q.
@@ -146,7 +120,7 @@ func (r *RectIndex) ExactKNN(q geom.Point, k int) []geom.Rect {
 		if over > r.idx.Len() {
 			over = r.idx.Len()
 		}
-		centres := r.idx.ExactKNN(q, over)
+		centres := r.idx.KNN(q, over)
 		out := r.rankByMinDist(centres, q, k)
 		if over == r.idx.Len() {
 			return out

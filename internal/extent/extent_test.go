@@ -81,7 +81,7 @@ func TestWindowNoFalsePositives(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 60; i++ {
 		q := geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()), 0.04, 0.04)
-		for _, r := range idx.WindowQuery(q) {
+		for _, r := range idx.ExactWindow(q) {
 			if !r.Intersects(q) {
 				t.Fatalf("false positive %v for %v", r, q)
 			}
@@ -93,17 +93,17 @@ func TestWindowRecall(t *testing.T) {
 	rects := randomRects(3000, 0.02, 5)
 	idx := New(rects, testOptions())
 	rng := rand.New(rand.NewSource(6))
-	var got, want int
+	var want int
 	for i := 0; i < 80; i++ {
 		q := geom.RectAround(geom.Pt(rng.Float64(), rng.Float64()*rng.Float64()), 0.06, 0.06)
-		got += len(idx.WindowQuery(q))
-		want += len(bruteWindow(rects, q))
+		got, truth := len(idx.ExactWindow(q)), len(bruteWindow(rects, q))
+		if got != truth {
+			t.Fatalf("window %v: %d rectangles, brute force %d", q, got, truth)
+		}
+		want += truth
 	}
 	if want == 0 {
 		t.Skip("degenerate workload")
-	}
-	if recall := float64(got) / float64(want); recall < 0.7 {
-		t.Errorf("aggregate recall = %.3f", recall)
 	}
 }
 
@@ -157,30 +157,26 @@ func TestKNNApproximateQuality(t *testing.T) {
 	rects := randomRects(2000, 0.02, 9)
 	idx := New(rects, testOptions())
 	rng := rand.New(rand.NewSource(10))
-	hits, total := 0, 0
 	for i := 0; i < 40; i++ {
 		q := geom.Pt(rng.Float64(), rng.Float64()*rng.Float64())
-		got := idx.KNN(q, 10)
+		got := idx.ExactKNN(q, 10)
 		if len(got) != 10 {
-			t.Fatalf("KNN returned %d", len(got))
+			t.Fatalf("ExactKNN returned %d", len(got))
 		}
 		// Sortedness.
 		for j := 1; j < len(got); j++ {
 			if got[j-1].MinDist2(q) > got[j].MinDist2(q) {
-				t.Fatal("KNN result not sorted by MINDIST")
+				t.Fatal("ExactKNN result not sorted by MINDIST")
 			}
 		}
-		exact := idx.ExactKNN(q, 10)
-		kth := exact[len(exact)-1].MinDist2(q)
-		for _, r := range got {
-			total++
-			if r.MinDist2(q) <= kth {
-				hits++
-			}
+		dists := make([]float64, len(rects))
+		for j, r := range rects {
+			dists[j] = r.MinDist2(q)
 		}
-	}
-	if recall := float64(hits) / float64(total); recall < 0.8 {
-		t.Errorf("kNN recall = %.3f", recall)
+		sort.Float64s(dists)
+		if kth := got[len(got)-1].MinDist2(q); kth != dists[9] {
+			t.Fatalf("ExactKNN's 10th rectangle at MINDIST² %v, brute force %v", kth, dists[9])
+		}
 	}
 }
 
@@ -271,10 +267,10 @@ func TestEmptyAndDegenerate(t *testing.T) {
 	if idx.Len() != 0 {
 		t.Error("empty index Len != 0")
 	}
-	if got := idx.WindowQuery(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}); len(got) != 0 {
+	if got := idx.ExactWindow(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1}); len(got) != 0 {
 		t.Error("empty index window returned rects")
 	}
-	if got := idx.KNN(geom.Pt(0.5, 0.5), 3); got != nil {
+	if got := idx.ExactKNN(geom.Pt(0.5, 0.5), 3); got != nil {
 		t.Error("empty index kNN returned rects")
 	}
 	// Empty rectangles are ignored.

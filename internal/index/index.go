@@ -2,7 +2,7 @@
 // implements, a brute-force reference index used as ground truth, the
 // recall metric of §6.2.3 / §6.2.4, and the kNN every index shares: Nearest,
 // the bounded set of the k nearest points, and Walk, the best-first queue
-// over it that Algorithm 3's rounds and the search [40] of BestFirst drain.
+// over it that the search [40] of Walks drains.
 package index
 
 import (

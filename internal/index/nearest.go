@@ -185,20 +185,17 @@ func (w *Walk[N]) Push(n N, dist2 float64) {
 	}
 }
 
-// Drain expands queued entries, least MINDIST first, until k points are held
-// and the next entry is no nearer than the k-th of them; expand either pushes
-// the node's children or offers its points. The entries left then fail that
-// test too, and for good — the bound only shrinks — so they are dropped: the
-// queue is empty when Drain returns.
-func (w *Walk[N]) Drain(expand func(w *Walk[N], n N)) { w.drain(expand, false) }
-
-// drain is Drain; with ties set an entry exactly at the k-th distance is
-// still expanded, since it may hold a point at that distance which the
-// canonical point order puts first.
-func (w *Walk[N]) drain(expand func(w *Walk[N], n N), ties bool) {
+// drain expands queued entries, least MINDIST first, until k points are held
+// and the next entry lies beyond the k-th of them; expand either pushes the
+// node's children or offers its points. An entry exactly at the k-th
+// distance is still expanded, since it may hold a point at that distance
+// which the canonical point order puts first. The entries left then lie
+// beyond it too, and for good — the bound only shrinks — so they are
+// dropped: the queue is empty when drain returns.
+func (w *Walk[N]) drain(expand func(w *Walk[N], n N)) {
 	for len(w.queue) > 0 {
 		e := w.pop()
-		if b := w.Bound(); w.Full() && (e.dist2 > b || !ties && e.dist2 == b) {
+		if e.dist2 > w.Bound() {
 			w.queue = w.queue[:0]
 			return
 		}
@@ -251,7 +248,7 @@ func (ws *Walks[N]) BestFirst(q geom.Point, k int, root N, expand func(w *Walk[N
 // Search runs the best-first search from root, offering into best, which
 // may already hold what other searches offered: a search of a second index
 // starts from the first one's k-th distance. It drains the queue (see
-// Drain), so a node is expanded only if its region may hold a point nearer
+// drain), so a node is expanded only if its region may hold a point nearer
 // than the k-th held one, or one at that distance which comes first in the
 // canonical order. Nothing is searched for a non-finite query point.
 func (ws *Walks[N]) Search(best *Nearest, root N, expand func(w *Walk[N], n N)) {
@@ -266,7 +263,7 @@ func (ws *Walks[N]) Search(best *Nearest, root N, expand func(w *Walk[N], n N)) 
 	// straight into best's.
 	w.Nearest, w.queue = *best, w.queue[:0]
 	w.Push(root, 0)
-	w.drain(expand, true)
+	w.drain(expand)
 	w.Nearest = Nearest{}
 	ws.pool.Put(w)
 }

@@ -50,8 +50,8 @@ func (s *Sharded) PointQueryContext(ctx context.Context, q geom.Point) (bool, er
 
 // WindowQueryContext returns the exact window answer: the shards whose
 // region overlaps q each walk the leaves the window meets and scan their
-// runs through the block MBRs (core.ExactWindowAppend), and their answers
-// are concatenated in shard order (deterministic for a given shard
+// runs through the block MBRs (core.RSMI.WindowQueryAppend), and their
+// answers are concatenated in shard order (deterministic for a given shard
 // layout), observing ctx between shard visits. On cancellation it returns
 // ctx's error and no points — never a partial answer.
 func (s *Sharded) WindowQueryContext(ctx context.Context, q geom.Rect) ([]geom.Point, error) {

@@ -172,9 +172,9 @@ func TestContextVariantsMatchShards(t *testing.T) {
 	nearest := index.NewNearest(pts[5], 7)
 	for _, sh := range s.shards {
 		if sh.loadRegion().Intersects(q) {
-			want = append(want, sh.idx.ExactWindow(q)...)
+			want = append(want, sh.idx.WindowQuery(q)...)
 		}
-		nearest.Offer(sh.idx.ExactKNN(pts[5], 7)...)
+		nearest.Offer(sh.idx.KNN(pts[5], 7)...)
 	}
 	wantKNN := nearest.Points()
 	win, err := s.WindowQueryContext(bg, q)

@@ -177,19 +177,20 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // earlier format's.
 func downgrade(t testing.TB, snap []byte, magic string) []byte {
 	t.Helper()
-	out := bytes.ReplaceAll(snap, []byte("RSMIv6\x00\x00"), []byte(magic+"\x00\x00"))
+	out := bytes.ReplaceAll(snap, []byte("RSMIv7\x00\x00"), []byte(magic+"\x00\x00"))
 	if bytes.Equal(out, snap) {
-		t.Fatal("snapshot holds no RSMIv6 magic to downgrade")
+		t.Fatal("snapshot holds no RSMIv7 magic to downgrade")
 	}
 	return out
 }
 
 // TestLoadRefusesV1: the sharded container did not change, but a file whose
-// embedded shard streams are RSMIv1 to RSMIv5 is refused with core's
+// embedded shard streams are RSMIv1 to RSMIv6 is refused with core's
 // explanation, not loaded with error bounds that no longer hold, without
 // the spans its point queries scan, with internal or leaf models where this
-// version looks points up by cuts, or with leaves that own ranges of block
-// ids where this version's name their blocks.
+// version looks points up by cuts, with leaves that own ranges of block ids
+// where this version's name their blocks, or with PMFs where this version
+// reads none.
 func TestLoadRefusesV1(t *testing.T) {
 	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
 	var buf bytes.Buffer
@@ -198,7 +199,7 @@ func TestLoadRefusesV1(t *testing.T) {
 	}
 	for magic, want := range map[string]error{
 		"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2, "RSMIv3": core.ErrSnapshotV3, "RSMIv4": core.ErrSnapshotV4,
-		"RSMIv5": core.ErrSnapshotV5,
+		"RSMIv5": core.ErrSnapshotV5, "RSMIv6": core.ErrSnapshotV6,
 	} {
 		if _, err := Load(bytes.NewReader(downgrade(t, buf.Bytes(), magic))); !errors.Is(err, want) {
 			t.Errorf("Load of a snapshot with %s shards: %v, want %v", magic, err, want)
@@ -235,12 +236,12 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 }
 
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// are loadSeeds' snapshots in the RSMIv6 format. They load, their exact
+// are loadSeeds' snapshots in the RSMIv7 format. They load, their exact
 // whole-space window holds every point, and a point query finds each of
 // them. Snapshots in an earlier format cannot be converted (core's
-// ErrSnapshotV1 to ErrSnapshotV5), so a format change writes them again,
-// and the corpus keeps a shard stream in each of the last four earlier
-// formats, which must be refused. The RSMIv4 and RSMIv5 ones are the last
+// ErrSnapshotV1 to ErrSnapshotV6), so a format change writes them again,
+// and the corpus keeps a shard stream in each of the last five earlier
+// formats, which must be refused. The RSMIv4 to RSMIv6 ones are the last
 // seeds those formats wrote.
 func TestCommittedSeedsLoad(t *testing.T) {
 	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
@@ -261,7 +262,7 @@ func TestCommittedSeedsLoad(t *testing.T) {
 	// The committed snapshots of the earlier formats are refused by name.
 	for name, want := range map[string]error{
 		"rsmiv2-1shard": core.ErrSnapshotV2, "rsmiv3-1shard": core.ErrSnapshotV3, "rsmiv4-1shard": core.ErrSnapshotV4,
-		"rsmiv5-1shard": core.ErrSnapshotV5,
+		"rsmiv5-1shard": core.ErrSnapshotV5, "rsmiv6-1shard": core.ErrSnapshotV6,
 	} {
 		if _, err := Load(strings.NewReader(readCorpusEntry(t, name))); !errors.Is(err, want) {
 			t.Errorf("%s: Load returned %v, want %v", name, err, want)
@@ -346,7 +347,7 @@ const (
 // for the tampering tests: the offsets follow WriteTo here and in core and
 // store, one field at a time.
 type shardZero struct {
-	region, n, capacity, firstNext, firstX, pmfCount, pmfKnot1, rootRect, leafFirst, leafStarts int
+	region, n, capacity, firstNext, firstX, rootRect, leafFirst, leafStarts int
 }
 
 func locate(t *testing.T, snap []byte) shardZero {
@@ -365,10 +366,6 @@ func locate(t *testing.T, snap []byte) shardZero {
 		at += 8 + 8 + 1 + 8 + i64(at+8+8+1)*17 // prev, next, flags, slots, the slots
 	}
 	at += 8 + i64(at)*32 // the block MBRs
-	z.pmfCount, z.pmfKnot1 = at, at+4+8
-	for pmf := 0; pmf < 2; pmf++ {
-		at += 4 + int(binary.LittleEndian.Uint32(snap[at:]))*16
-	}
 	// The root, then first children down to a leaf.
 	z.rootRect = at + 1
 	for {
@@ -402,12 +399,11 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 	out := map[string][]byte{}
 	for name, edits := range map[string][][2]uint64{
 		"partitioning-1":       {{partitioningWord, 1}},        // hash partitioning, routed by a hash no longer kept
-		"delta-0.02":           {{deltaWord, f64(0.02)}},       // a kNN step this version does not run
+		"delta-0.02":           {{deltaWord, f64(0.02)}},       // a kNN step no version ran
 		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
 		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
 		"block-list-loops":     {{uint64(z.firstNext), 0}},                     // block 0 links to itself
 		"point-not-finite":     {{uint64(z.firstX), f64(math.Inf(1))}},         // a live point at +Inf
-		"pmf-nan-knot":         {{uint64(z.pmfKnot1), f64(math.NaN())}},        // kNN's CDF searches its knots
 		"root-mbr-too-small":   {{uint64(z.rootRect + 16), f64(-1e9)}},         // MaxX below every point
 		"leaf-gap":             {{uint64(z.leafFirst), word(z.leafFirst) + 1}}, // the first leaf names the block after its first: no leaf holds that one
 	} {
@@ -449,9 +445,6 @@ func TestLoadRefusesTampered(t *testing.T) {
 	seed := seeds["hilbert-1shard"]
 	z := locate(t, seed)
 	for name, edit := range map[string]func(snap []byte){
-		// A 2^24-knot CDF, then the stream ends: refused, and read only as
-		// far as it goes.
-		"pmf-claims-16m-knots": func(snap []byte) { binary.LittleEndian.PutUint32(snap[z.pmfCount:], 1<<24) },
 		// Blocks of 2^20 slots, each holding a handful: a valid snapshot,
 		// whose blocks hold what was written and grow only on insertion.
 		"capacity-2^20": func(snap []byte) { binary.LittleEndian.PutUint64(snap[z.capacity:], 1<<20) },
@@ -488,8 +481,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "ef08b756fb42daaedb68eeb1350f06ce68c582e19f98b77c624ecfaa871d70f7"},
-		{1, sfc.Z, "ef50c0a2f032a9183cf202b68eaf96bf08887bc71f29266dbbff521f054836b9"},
+		{2, sfc.Hilbert, "c666611190a9fd3412207ae2638629db16ff609275cb90c35297c78395bbc09d"},
+		{1, sfc.Z, "ec8a33f17f78a86ef00a9eff9b2338be6a6c1a769f40d539104f168d995b894c"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -528,7 +521,7 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "a79d56ac1f9c686e77152ffe03e0ed16416ffa5587e2e00f76758da8f1572b8d"
+	const want = "56e58a6b9c19be3bd586b8d8e17e4689b7c5f3441b8f5fbeee4661909842b2fb"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

@@ -31,11 +31,10 @@
 // # Correctness
 //
 // The shards partition the point set, so the per-index guarantees compose.
-// Point queries are exact, and windows and kNN are answered exactly by
-// RSMIa's MBR walk (§4.2 end, §6.2.3) rather than the learned Algorithms 2
-// and 3, which stay core's for the paper's figures: on this tree the walk
-// reads fewer blocks and is faster on the wall clock (README, "Sharded
-// answers windows and kNN exactly"). The Exact methods are the same calls.
+// Point queries are exact, and so are windows and kNN, which every shard's
+// index answers by RSMIa's MBR walk (§4.2 end, §6.2.3; README, "RSMI
+// answers windows and kNN by the MBR walk"). The Exact methods are the same
+// calls.
 // A window appends each overlapping shard's answer in shard order; a kNN
 // query — single or one of a batch — searches the shards best-first on the
 // caller's goroutine: nearest region first, and a further shard only while
@@ -288,7 +287,7 @@ func (s *Sharded) gatherWindow(ctx context.Context, dst []geom.Point, q geom.Rec
 		}
 		sh.mu.RLock()
 		var err error
-		out, err = sh.idx.ExactWindowAppend(ctx, out, q)
+		out, err = sh.idx.WindowQueryAppend(ctx, out, q)
 		sh.mu.RUnlock()
 		if err != nil {
 			return dst, err
@@ -330,7 +329,7 @@ func (s *Sharded) shardsByDist(q geom.Point, order []shardDist) []shardDist {
 // KNNContext returns the exact k nearest neighbours, closest first, ties in
 // the canonical point order, observing ctx between shard searches. The
 // search runs on the caller's goroutine: shards are searched in MINDIST
-// order of their regions by RSMIa's best-first walk (core.ExactKNNInto),
+// order of their regions by RSMIa's best-first walk (core.RSMI.KNNInto),
 // all offering into one index.Nearest, so a later shard expands only what
 // could displace a candidate already held; the search stops at the first
 // shard whose region is farther than the k-th candidate, as every later
@@ -355,7 +354,7 @@ func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.P
 		}
 		searched++
 		c.sh.mu.RLock()
-		c.sh.idx.ExactKNNInto(&best)
+		c.sh.idx.KNNInto(&best)
 		c.sh.mu.RUnlock()
 	}
 	obs.FromContext(ctx).AddShards(searched)

@@ -83,7 +83,7 @@ type ZM struct {
 	baseBlocks int
 	maxZ       float64
 
-	pmfX, pmfY *cdf.PMF
+	cdfX, cdfY *cdf.PMF
 	built      time.Duration
 }
 
@@ -149,8 +149,8 @@ func New(pts []geom.Point, opts Options) *ZM {
 	for i, p := range pts {
 		xs[i], ys[i] = p.X, p.Y
 	}
-	z.pmfX = cdf.New(xs, cdf.DefaultGamma)
-	z.pmfY = cdf.New(ys, cdf.DefaultGamma)
+	z.cdfX = cdf.New(xs, cdf.DefaultGamma)
+	z.cdfY = cdf.New(ys, cdf.DefaultGamma)
 	z.built = time.Since(start)
 	return z
 }
@@ -467,8 +467,8 @@ func (z *ZM) KNN(q geom.Point, k int) []geom.Point {
 		k = z.n
 	}
 	frac := math.Sqrt(float64(k) / float64(z.n))
-	width := z.pmfX.Alpha(q.X, cdf.DefaultDelta) * frac
-	height := z.pmfY.Alpha(q.Y, cdf.DefaultDelta) * frac
+	width := z.cdfX.Alpha(q.X, cdf.DefaultDelta) * frac
+	height := z.cdfY.Alpha(q.Y, cdf.DefaultDelta) * frac
 
 	best := index.NewNearest(q, k)
 	visited := make(map[int]bool)
@@ -587,8 +587,8 @@ func (z *ZM) Stats() index.Stats {
 		modelBytes += m.SizeBytes()
 	}
 	modelBytes += int64(len(z.zMin)) * 32 // Z-range metadata (build + ext)
-	if z.pmfX != nil {
-		modelBytes += z.pmfX.SizeBytes() + z.pmfY.SizeBytes()
+	if z.cdfX != nil {
+		modelBytes += z.cdfX.SizeBytes() + z.cdfY.SizeBytes()
 	}
 	errLow, errHigh := z.ErrorBounds()
 	return index.Stats{

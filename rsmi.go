@@ -6,13 +6,14 @@
 // rank-space space-filling-curve technique, packed into fixed-capacity
 // blocks, and a hierarchy maps coordinates to block ids. The paper learns
 // that map with small neural networks; here every node tabulates it exactly
-// from grid cuts (README, "Deviations"). Queries replace tree traversals
-// with a few cut counts plus a scan of the blocks they name:
+// from grid cuts (README, "Deviations"). A point query replaces a tree
+// traversal with a few cut counts plus a scan of the blocks they name:
 //
 //   - PointQuery is exact (never a false negative),
-//   - WindowQuery and KNN follow the paper's Algorithms 2 and 3 and miss
-//     nothing; AsExact() answers them by the MBR-based RSMIa traversal
-//     instead,
+//   - WindowQuery and KNN are exact too: they walk the MBRs every node and
+//     block keeps, as the paper's RSMIa variant does, rather than its
+//     Algorithms 2 and 3 (README, "RSMI answers windows and kNN by the MBR
+//     walk"),
 //   - Insert/Delete support dynamic data, and AsRebuilder() adds the RSMIr
 //     periodic-rebuild policy.
 //
@@ -64,10 +65,6 @@ type Options = core.Options
 // Index is the learned spatial index (the paper's RSMI).
 type Index = core.RSMI
 
-// Exact is the RSMIa view of an Index: exact window and kNN answers via
-// MBR traversal.
-type Exact = core.Exact
-
 // Rebuilder is the RSMIr view of an Index: inserts trigger periodic
 // rebuilds.
 type Rebuilder = core.Rebuilder
@@ -84,9 +81,9 @@ func New(pts []Point, opts Options) *Index {
 // paper's training takes hours at scale (§6.2.2 reports 16 h for the OSM
 // data set), and even a build that trains nothing sorts every point, so
 // production deployments build once and reload across restarts. The format
-// is RSMIv6, which stores every internal node's grid cuts and every leaf's
+// is RSMIv7, which stores every internal node's grid cuts and every leaf's
 // cuts, cell counts and list of blocks; a file in an earlier format is
-// refused with ErrSnapshotV1 to ErrSnapshotV5.
+// refused with ErrSnapshotV1 to ErrSnapshotV6.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
@@ -123,6 +120,13 @@ var ErrSnapshotV4 = core.ErrSnapshotV4
 // so that a leaf can repack its own blocks, and the file holds no such
 // lists, so the index must be rebuilt from its points and saved again.
 var ErrSnapshotV5 = core.ErrSnapshotV5
+
+// ErrSnapshotV6 is the error (wrapped, for a sharded file) that Load and
+// LoadSharded return for an RSMIv6 snapshot: it holds the two PMFs that
+// sized Algorithm 3's first kNN region, and this version answers kNN by the
+// MBR walk and reads a stream without them, so the index must be rebuilt
+// from its points and saved again.
+var ErrSnapshotV6 = core.ErrSnapshotV6
 
 // ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
 // a point with a NaN or infinite coordinate. The point is not inserted —

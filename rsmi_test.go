@@ -44,11 +44,6 @@ func TestPublicAPILifecycle(t *testing.T) {
 	if len(nn) != 10 {
 		t.Errorf("kNN returned %d", len(nn))
 	}
-	// Exact variant.
-	exact := idx.AsExact()
-	if got, want := len(exact.WindowQuery(w)), len(exact.ExactWindow(w)); got != want {
-		t.Errorf("exact views disagree: %d vs %d", got, want)
-	}
 	// Updates.
 	p := rsmi.Pt(0.123, 0.456)
 	idx.Insert(p)
@@ -105,7 +100,7 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
-// refuseOldFormat rewrites the magic of every RSMIv6 stream in a snapshot
+// refuseOldFormat rewrites the magic of every RSMIv7 stream in a snapshot
 // of an index and of a sharded index to magic, and checks that both loaders
 // refuse the result with want, in words that say why and what to do.
 func refuseOldFormat(t *testing.T, magic string, want error, why string) {
@@ -119,9 +114,9 @@ func refuseOldFormat(t *testing.T, magic string, want error, why string) {
 		if _, err := w.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv6\x00\x00"), []byte(magic+"\x00\x00"))
+		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv7\x00\x00"), []byte(magic+"\x00\x00"))
 		if bytes.Equal(out, buf.Bytes()) {
-			t.Fatal("snapshot holds no RSMIv6 magic to downgrade")
+			t.Fatal("snapshot holds no RSMIv7 magic to downgrade")
 		}
 		return out
 	}
@@ -169,4 +164,12 @@ func TestLoadRefusesV4(t *testing.T) {
 // ErrSnapshotV5, whose text tells the operator why and what to do.
 func TestLoadRefusesV5(t *testing.T) {
 	refuseOldFormat(t, "RSMIv5", rsmi.ErrSnapshotV5, "block")
+}
+
+// TestLoadRefusesV6: a snapshot saved in the RSMIv6 format — the PMFs of
+// Algorithm 3's kNN search behind the block MBRs — is refused by both
+// loaders with ErrSnapshotV6, whose text tells the operator why and what to
+// do.
+func TestLoadRefusesV6(t *testing.T) {
+	refuseOldFormat(t, "RSMIv6", rsmi.ErrSnapshotV6, "PMFs")
 }

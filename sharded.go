@@ -16,11 +16,10 @@ import (
 // rolling — one shard retrains at a time while the others keep serving. It
 // is the one way to serve the learned index concurrently: Shards: 1 is one
 // RWMutex over one RSMI. Its query surface is Engine, and every answer is
-// exact: point queries as in the single-index RSMI, and windows and kNN by
-// RSMIa's MBR walk, so ExactWindowContext and ExactKNNContext are the same
-// calls as WindowQueryContext and KNNContext (EXPERIMENTS.md "Exact sharded
-// reads"). See EXPERIMENTS.md ("One concurrent RSMI") for how Shards: 1
-// compares with the RWMutex wrapper it replaced.
+// exact, as the single-index RSMI's: windows and kNN by RSMIa's MBR walk,
+// so ExactWindowContext and ExactKNNContext are the same calls as
+// WindowQueryContext and KNNContext. See EXPERIMENTS.md ("One concurrent
+// RSMI") for how Shards: 1 compares with the RWMutex wrapper it replaced.
 type Sharded = shard.Sharded
 
 // ShardOptions configures a Sharded index; the zero value selects
@@ -39,8 +38,8 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 
 // LoadSharded deserialises a sharded index previously saved with
 // Sharded.WriteTo, so a server can restart without retraining any shard.
-// Its shards are RSMIv6 streams; a file whose shards are in the RSMIv1 to
-// RSMIv5 formats is refused with ErrSnapshotV1 to ErrSnapshotV5.
+// Its shards are RSMIv7 streams; a file whose shards are in the RSMIv1 to
+// RSMIv6 formats is refused with ErrSnapshotV1 to ErrSnapshotV6.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
