@@ -9,9 +9,9 @@
 //	rsmi-bench -list                      # show all experiment ids
 //	rsmi-bench -exp fig10                 # one experiment at default scale
 //	rsmi-bench -exp all -n 100000         # the full evaluation, larger data
-//	rsmi-bench -exp table3 -epochs 500    # paper-fidelity training
+//	rsmi-bench -exp table3 -epochs 500    # paper-fidelity ZM training
 //
-// The harness defaults to laptop scale (n=20000, 30 epochs); see README.md
+// The harness defaults to laptop scale (n=20000, 30 ZM epochs); see README.md
 // ("Scale") for the scaling rationale and EXPERIMENTS.md for measured
 // results.
 package main
@@ -32,8 +32,8 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		n       = flag.Int("n", 0, "data set cardinality (default 20000)")
 		queries = flag.Int("queries", 0, "queries per experiment (default 200; paper: 1000)")
-		epochs  = flag.Int("epochs", 0, "training epochs (default 30; paper: 500)")
-		lr      = flag.Float64("lr", 0, "learning rate (default 0.1; paper: 0.01)")
+		epochs  = flag.Int("epochs", 0, "ZM's training epochs, the one index that trains (default 30; paper: 500)")
+		lr      = flag.Float64("lr", 0, "ZM's learning rate (default 0.1; paper: 0.01)")
 		block   = flag.Int("block", 0, "block capacity B (default 100)")
 		thresh  = flag.Int("threshold", 0, "RSMI partition threshold N (default 10000)")
 		seed    = flag.Int64("seed", 0, "random seed (default 1)")

@@ -13,7 +13,7 @@ package rsmi
 // non-nil only when the context is cancelled or past its deadline — or,
 // for InsertContext, when the point cannot be indexed.
 // Sharded observes cancellation *between shard visits* of a window or kNN
-// walk and between shard retrains of a rolling rebuild; Index and the
+// walk and between shard rebuilds of a rolling rebuild; Index and the
 // baseline engines execute a single query in microseconds and check the
 // context at entry. A batch checks it per element, through each element's
 // single query.
@@ -67,8 +67,8 @@ type Engine interface {
 	// coordinate with ErrNonFinitePoint and leaves the index as it was.
 	InsertContext(ctx context.Context, p Point) error
 	DeleteContext(ctx context.Context, p Point) (bool, error)
-	// RebuildContext retrains learned engines from their live points; on
-	// baseline engines it is a no-op (there is nothing to retrain).
+	// RebuildContext rebuilds learned engines from their live points; on
+	// baseline engines it is a no-op (there is nothing to rebuild).
 	RebuildContext(ctx context.Context) error
 
 	Len() int

@@ -24,9 +24,7 @@ func main() {
 	restaurants := dataset.Generate(dataset.TigerLike, nRestaurants, 7)
 	fmt.Printf("indexing %d restaurants…\n", nRestaurants)
 
-	learned := rsmi.New(restaurants, rsmi.Options{
-		Epochs: 40, LearningRate: 0.1, Seed: 3,
-	})
+	learned := rsmi.New(restaurants, rsmi.Options{})
 	rtree := rstar.New(restaurants, 100)
 	oracle := index.NewLinear(restaurants)
 

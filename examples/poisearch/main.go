@@ -25,9 +25,7 @@ func main() {
 	pois := dataset.Generate(dataset.OSMLike, nPOI, 2026)
 	fmt.Printf("indexing %d OSM-like POIs…\n", nPOI)
 
-	learned := rsmi.New(pois, rsmi.Options{
-		Epochs: 40, LearningRate: 0.1, Seed: 7,
-	})
+	learned := rsmi.New(pois, rsmi.Options{})
 	packed := hrr.New(pois, 100)
 	oracle := index.NewLinear(pois)
 

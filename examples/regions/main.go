@@ -32,9 +32,7 @@ func main() {
 	}
 
 	start := time.Now()
-	idx := rsmi.NewRectIndex(footprints, rsmi.Options{
-		Epochs: 30, LearningRate: 0.1, Seed: 5,
-	})
+	idx := rsmi.NewRectIndex(footprints, rsmi.Options{})
 	fmt.Printf("indexed %d building footprints in %v\n", idx.Len(), time.Since(start).Round(time.Millisecond))
 	fmt.Printf("window expansion overhead for a 0.01 x 0.01 zone: %.2fx\n",
 		idx.ExpansionOverhead(0.01, 0.01))

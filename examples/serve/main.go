@@ -16,7 +16,6 @@ import (
 	"net"
 	"time"
 
-	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/server"
@@ -26,10 +25,7 @@ import (
 
 func main() {
 	pts := dataset.Generate(dataset.Skewed, 20000, 1)
-	eng := shard.New(pts, shard.Options{
-		Shards: 4,
-		Index:  core.Options{Epochs: 20, LearningRate: 0.1, Seed: 1},
-	})
+	eng := shard.New(pts, shard.Options{Shards: 4})
 
 	srv := server.New(server.Config{Engine: eng})
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -50,14 +50,13 @@ func drive(e *rsmi.Sharded, g, ops int, windows []rsmi.Rect, inserts []rsmi.Poin
 func main() {
 	const n = 50000
 	pts := dataset.Generate(dataset.Skewed, n, 1)
-	opts := rsmi.Options{Epochs: 40, LearningRate: 0.1, Seed: 1}
 
 	shards := runtime.GOMAXPROCS(0) * 2
 	if shards < 4 {
 		shards = 4
 	}
 	build := func(s int) *rsmi.Sharded {
-		return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: s, Index: opts})
+		return rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: s})
 	}
 	fmt.Printf("building: 1 shard (one RWMutex over one RSMI) vs %d space-partitioned shards (n=%d)\n", shards, n)
 	one := build(1)

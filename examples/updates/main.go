@@ -22,8 +22,8 @@ func main() {
 	base := dataset.Generate(dataset.Normal, nCouriers, 5)
 	fmt.Printf("indexing %d courier positions…\n", nCouriers)
 
-	plain := rsmi.New(base, rsmi.Options{Epochs: 30, LearningRate: 0.1, Seed: 2})
-	managed := rsmi.New(base, rsmi.Options{Epochs: 30, LearningRate: 0.1, Seed: 2}).AsRebuilder()
+	plain := rsmi.New(base, rsmi.Options{})
+	managed := rsmi.New(base, rsmi.Options{}).AsRebuilder()
 
 	// 50% churn: half the fleet goes offline, an equal number comes online.
 	offline := workload.DeleteSample(base, nCouriers/2, 8)

@@ -40,17 +40,18 @@ type Config struct {
 	N int
 	// Queries per experiment (paper: 1000; harness default 200).
 	Queries int
-	// Epochs for learned-index training (paper: 500; harness default 30).
+	// Epochs for ZM's training (paper: 500; harness default 30). ZM is the
+	// one learned index that trains: RSMI's nodes are exact cuts and cells.
 	Epochs int
-	// LearningRate for learned-index training (default 0.1 at harness
-	// scale; the paper's 0.01 suits its 500-epoch budget).
+	// LearningRate for ZM's training (default 0.1 at harness scale; the
+	// paper's 0.01 suits its 500-epoch budget).
 	LearningRate float64
 	// BlockCapacity is B (default 100, as in the paper).
 	BlockCapacity int
 	// PartitionThreshold is RSMI's N parameter (default 10,000, as in the
 	// paper).
 	PartitionThreshold int
-	// Seed drives all data generation and training.
+	// Seed drives all data generation and ZM's training.
 	Seed int64
 	// Dist is the distribution of the experiments that do not sweep it
 	// (paper default: Skewed). Its zero value is Uniform, a distribution like
@@ -127,9 +128,6 @@ func (c Config) rsmiOptions() core.Options {
 	return core.Options{
 		BlockCapacity:      c.BlockCapacity,
 		PartitionThreshold: c.PartitionThreshold,
-		LearningRate:       c.LearningRate,
-		Epochs:             c.Epochs,
-		Seed:               c.Seed,
 	}
 }
 

@@ -200,7 +200,6 @@ func experimentMustMention(id string) []string {
 // sweep applies its updates once, to the indexes it built.
 func TestSweepBuildsOncePerPointSet(t *testing.T) {
 	opts := quickConfig().rsmiOptions()
-	opts.Epochs = 1
 	builds := map[string]int{}
 	var rsmi *core.RSMI
 	builders := []builder{

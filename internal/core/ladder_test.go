@@ -15,8 +15,8 @@ import (
 // BenchmarkLadder measures the index at 200k, 1M and 4M points of uniform,
 // skewed and OSM-like data (B and N the paper's, 10 epochs, seed 1): the
 // build, then per query class — points, windows of the default size, kNN
-// at k = 25 — the mean time (of the median of seven passes) and block
-// reads, on the built index and again after inserting half as many points
+// at k = 25 — the mean time (of the median of seven passes, with the q1
+// and q3 passes beside it) and block reads, on the built index and again after inserting half as many points
 // again. After the inserts it also reports the window reads of a fresh
 // build over the same points (window_blocks_fresh). It uses only what the
 // package has exported for years, so the file runs unchanged on earlier
@@ -52,32 +52,46 @@ func BenchmarkLadder(b *testing.B) {
 }
 
 // ladderRow reports one row of BenchmarkLadder over the points idx holds,
-// each metric's unit suffixed by stage.
+// each metric's unit suffixed by stage. It runs seven rounds, each a
+// collection and then one pass of every class — points, windows, kNN — so
+// that drift of the host falls on the three classes alike, and reports per
+// class the mean time per query of its median pass, of its second- and
+// sixth-fastest pass (q1 and q3 by nearest rank), and the mean reads per
+// query.
 func ladderRow(b *testing.B, idx *RSMI, pts []geom.Point, stage string) {
-	// measure runs fn once per query, in seven passes after a collection,
-	// and reports the mean time per query of its median pass and the mean
-	// reads per query.
-	measure := func(name string, count int, fn func(i int)) {
-		runtime.GC()
-		var passes []time.Duration
-		var reads int64
-		for range 7 {
-			idx.ResetAccesses()
-			start := time.Now()
-			for i := range count {
-				fn(i)
-			}
-			passes = append(passes, time.Since(start))
-			reads += idx.Accesses()
-		}
-		slices.Sort(passes)
-		b.ReportMetric(float64(passes[len(passes)/2].Nanoseconds())/float64(count)/1e3, name+"_us"+stage)
-		b.ReportMetric(float64(reads)/float64(count*len(passes)), name+"_blocks"+stage)
+	type class struct {
+		name   string
+		count  int
+		fn     func(i int)
+		passes []time.Duration
+		reads  int64
 	}
 	points := workload.PointQueries(pts, 2000, 3)
-	measure("point", len(points), func(i int) { idx.PointQuery(points[i]) })
 	ws := workload.Windows(pts, 300, workload.DefaultWindowSize, 1, 4)
-	measure("window", len(ws), func(i int) { idx.WindowQuery(ws[i]) })
 	qs := workload.KNNPoints(pts, 300, 5)
-	measure("knn", len(qs), func(i int) { idx.KNN(qs[i], workload.DefaultK) })
+	classes := []*class{
+		{name: "point", count: len(points), fn: func(i int) { idx.PointQuery(points[i]) }},
+		{name: "window", count: len(ws), fn: func(i int) { idx.WindowQuery(ws[i]) }},
+		{name: "knn", count: len(qs), fn: func(i int) { idx.KNN(qs[i], workload.DefaultK) }},
+	}
+	for range 7 {
+		runtime.GC()
+		for _, c := range classes {
+			idx.ResetAccesses()
+			start := time.Now()
+			for i := range c.count {
+				c.fn(i)
+			}
+			c.passes = append(c.passes, time.Since(start))
+			c.reads += idx.Accesses()
+		}
+	}
+	for _, c := range classes {
+		slices.Sort(c.passes)
+		us := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(c.count) / 1e3 }
+		b.ReportMetric(us(c.passes[1]), c.name+"_us_q1"+stage)
+		b.ReportMetric(us(c.passes[3]), c.name+"_us"+stage)
+		b.ReportMetric(us(c.passes[5]), c.name+"_us_q3"+stage)
+		b.ReportMetric(float64(c.reads)/float64(c.count*len(c.passes)), c.name+"_blocks"+stage)
+	}
 }

@@ -53,14 +53,8 @@
 //
 // Cuts compare stored coordinates, and a snapshot stores the cuts and counts
 // themselves, so the argument carries across save and load. It does not
-// carry across a change of lookup, which is why the earlier formats are
-// refused rather than converted: RSMIv1, whose sub-models are network
-// weights (ErrSnapshotV1); RSMIv2, which holds no point spans
-// (ErrSnapshotV2); RSMIv3, whose internal nodes are models (ErrSnapshotV3);
-// RSMIv4, whose leaves are models (ErrSnapshotV4); and RSMIv5, whose leaves
-// own one range of block ids each (ErrSnapshotV5). RSMIv6, which held the
-// kNN estimator's PMFs no query reads any more, is refused by name too
-// (ErrSnapshotV6).
+// carry across a change of lookup, which is why every earlier format is
+// refused (ErrSnapshotVersion) rather than converted.
 package core
 
 import (
@@ -97,9 +91,9 @@ type Options struct {
 	Curve sfc.Kind
 	// LearningRate, Epochs and Seed configured the training of the paper's
 	// sub-models (§6.1: 0.01 and 500). No RSMI node is a model any more (see
-	// "Structure" in the package comment), so they are inert: they change
-	// nothing a build makes but the option words a snapshot stores, and are
-	// kept for the callers that set them.
+	// "Structure" in the package comment), so they are inert: they are
+	// neither used nor stored in a snapshot, and are kept for the callers
+	// that set them.
 	LearningRate float64
 	Epochs       int
 	Seed         int64
@@ -186,13 +180,10 @@ type RSMI struct {
 	// chain ends in NilBlock; no link joins two base blocks.
 	chainHeads []int32
 	// empty holds the overflow blocks with no live point, which Insert
-	// reuses before it allocates one (reuseEmpty). linkChains derives it
-	// from the blocks at load.
+	// reuses before it allocates one (reuseEmpty): those in a chain, and
+	// those a repack left over, unlinked and in no leaf and no chain.
+	// linkChains derives it from the blocks at load.
 	empty blockSet
-	// free heads the list, linked through Next, of the blocks a repack left
-	// over: Inserted, empty, their slots released, in no leaf and no chain.
-	// They are in empty too. NilBlock when there are none.
-	free int
 
 	buildTime time.Duration
 	leaves    int
@@ -220,7 +211,6 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 		opts:  opts,
 		store: store.NewManager(opts.BlockCapacity),
 		n:     len(work),
-		free:  store.NilBlock,
 	}
 	t.side, t.grid = gridCells(opts)
 	t.cellGrids = leafGrids(opts.Curve)
@@ -585,11 +575,12 @@ func (t *RSMI) trackBlock(r geom.Rect) {
 // what a loaded index keeps beside its blocks: the chain head of every base
 // block (t.chainHeads), every leaf's overflow points, and the empty set. It
 // checks the structure every walk trusts, since a snapshot can say
-// anything: each block is reached exactly once — named by one leaf's list
-// as a base block, in the overflow chain hung off one, or in the free list
-// — a base block is not Inserted and has no back link, every chained block
-// is Inserted and links back to the block before it, and a free block holds
-// no point. A chain that loops reaches a block twice.
+// anything: each block is reached at most once — named by one leaf's list
+// as a base block, or in the overflow chain hung off one — a base block is
+// not Inserted and has no back link, every chained block is Inserted and
+// links back to the block before it, and a block reached by neither is one
+// a repack left over: Inserted, unlinked and holding no point. A chain that
+// loops reaches a block twice.
 func (t *RSMI) linkChains() error {
 	blocks := t.store.NumBlocks()
 	t.chainHeads = slices.Repeat([]int32{store.NilBlock}, blocks)
@@ -656,11 +647,14 @@ func (t *RSMI) linkChains() error {
 	if err := walk(t.root); err != nil {
 		return err
 	}
-	if free, err := follow(store.NilBlock, t.free); err != nil || free > 0 {
-		return cmp.Or(err, fmt.Errorf("core: the free list holds %d points", free))
-	}
-	if id := slices.Index(reached, false); id >= 0 {
-		return fmt.Errorf("core: block %d is reached by no leaf and no chain", id)
+	for id, ok := range reached {
+		if ok {
+			continue
+		}
+		if b := t.store.Peek(id); !b.Inserted || b.Live() > 0 || b.Prev != store.NilBlock || b.Next != store.NilBlock {
+			return fmt.Errorf("core: block %d is reached by no leaf and no chain, and is no empty unlinked overflow block", id)
+		}
+		t.empty.add(id)
 	}
 	return nil
 }

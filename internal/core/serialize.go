@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -20,92 +21,23 @@ import (
 // CPU), and even an index that trains nothing reads and sorts every point to
 // build, so a production deployment builds once and serves many restarts.
 // This file provides a complete binary serialisation of a built index:
-// options, blocks (including overflow chains and deleted slots), the
-// internal nodes' cuts, the leaves' cuts and cell counts, and MBRs. A
-// loaded index answers queries identically to the original: the
-// cuts and counts are stored as they are, so every grouping in the file was
-// made by the very lookups the loaded index runs.
+// options, blocks (their live points and overflow chains), the internal
+// nodes' cuts, the leaves' cuts and cell counts, and MBRs. Each fact is
+// stored once, and nothing a load does not read. A loaded index answers
+// queries identically to the original: the cuts and counts are stored as
+// they are, so every grouping in the file was made by the very lookups the
+// loaded index runs.
 
-// serialMagic identifies the index file format, RSMIv7.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '7', 0, 0}
+// serialMagic identifies the index stream format, RSMIv8.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '8', 0, 0}
 
-// serialMagicV6 is the magic of the format that held the kNN estimator's
-// PMFs.
-var serialMagicV6 = [8]byte{'R', 'S', 'M', 'I', 'v', '6', 0, 0}
-
-// serialMagicV5 is the magic of the format whose leaves owned one range of
-// block ids each.
-var serialMagicV5 = [8]byte{'R', 'S', 'M', 'I', 'v', '5', 0, 0}
-
-// serialMagicV4 is the magic of the format whose leaves were trained models.
-var serialMagicV4 = [8]byte{'R', 'S', 'M', 'I', 'v', '4', 0, 0}
-
-// serialMagicV3 is the magic of the format whose internal nodes were
-// trained models.
-var serialMagicV3 = [8]byte{'R', 'S', 'M', 'I', 'v', '3', 0, 0}
-
-// serialMagicV2 is the magic of the format without point spans.
-var serialMagicV2 = [8]byte{'R', 'S', 'M', 'I', 'v', '2', 0, 0}
-
-// serialMagicV1 is the magic of the format that stored each sub-model as
-// network weights plus a normalisation rectangle.
-var serialMagicV1 = [8]byte{'R', 'S', 'M', 'I', 'v', '1', 0, 0}
-
-// ErrSnapshotV1 is returned by Load for an RSMIv1 file. Such a
-// file cannot be upgraded in place: its sub-model groupings and leaf error
-// bounds were measured under the exp-based predictor that format implied,
-// and the compiled kernel rounds differently on some inputs, so a point
-// whose prediction sat on a rounding edge would be looked for in the wrong
-// child or outside its leaf's scan range. Rebuild the index from its points
-// and save it again.
-var ErrSnapshotV1 = errors.New("core: RSMIv1 snapshot refused: its groupings and error bounds were measured " +
-	"under a different predictor than this version runs and cannot be trusted; rebuild the index and save it again")
-
-// ErrSnapshotV2 is returned by Load for an RSMIv2 file. Such a file holds no
-// point spans, the block ranges point queries scan, and they cannot be
-// derived from it: spans measured over the live points would be narrower
-// than the saved index's after deletes, so the loaded index would not read
-// what the saved one read. Rebuild the index from its points and save it
-// again.
-var ErrSnapshotV2 = errors.New("core: RSMIv2 snapshot refused: it holds no point spans, and spans derived " +
-	"from its points would not be the ones the saved index scanned; rebuild the index and save it again")
-
-// ErrSnapshotV3 is returned by Load for an RSMIv3 file. Its internal nodes
-// are trained models, and its points were grouped by their predictions;
-// this version's internal nodes cut the grid exactly, and cuts derived from
-// the file's points would group some of them into other subtrees than the
-// ones holding them. Rebuild the index from its points and save it again.
-var ErrSnapshotV3 = errors.New("core: RSMIv3 snapshot refused: its internal nodes are trained models, " +
-	"and this version descends by exact grid cuts that would not find its points where the models put them; " +
-	"rebuild the index and save it again")
-
-// ErrSnapshotV4 is returned by Load for an RSMIv4 file. Its leaves are
-// trained models, and its points were filed under the blocks those models
-// predicted; this version's leaves look a point up in a table of exact
-// cells, and cells derived from the file's points would not name the blocks
-// its inserts were filed under. Rebuild the index from its points and save
-// it again.
-var ErrSnapshotV4 = errors.New("core: RSMIv4 snapshot refused: its leaves are trained models, " +
-	"and this version looks points up in exact leaf cells that would not find its points where the models put them; " +
-	"rebuild the index and save it again")
-
-// ErrSnapshotV5 is returned by Load for an RSMIv5 file. Its leaves own one
-// range of block ids each, and every block past the base range is an
-// overflow block; this version's leaves name their base blocks one by one
-// and a block's own flag says whether it is one, so a leaf can repack its
-// blocks in place. The file does not say which of its links join leaves
-// and which chains, in the terms this version reads. Rebuild the index
-// from its points and save it again.
-var ErrSnapshotV5 = errors.New("core: RSMIv5 snapshot refused: its leaves own ranges of block ids, " +
-	"and this version's leaves name their blocks one by one in lists the file does not hold; " +
-	"rebuild the index and save it again")
-
-// ErrSnapshotV6 is returned by Load for an RSMIv6 file. Between its block
-// MBRs and its tree it holds the two PMFs that sized Algorithm 3's first kNN
-// region; this version answers kNN by the MBR walk, and its stream holds no
-// PMF. Rebuild the index from its points and save it again.
-var ErrSnapshotV6 = errors.New("core: RSMIv6 snapshot refused: it holds the PMFs of a kNN search this version " +
-	"no longer runs, in a layout this version does not read; rebuild the index and save it again")
+// ErrSnapshotVersion is returned, wrapped in a message that names the
+// version found, by Load for an index stream of another format version than
+// serialMagic's, and by the sharded loader for another header version. An
+// earlier format cannot be converted: the lookups a loaded index runs must
+// be the very ones that grouped its points, and each format change since
+// RSMIv1 changed them or the facts stored beside them.
+var ErrSnapshotVersion = errors.New("snapshot format version not supported; rebuild the index from its points and save it again")
 
 // WriteTo serialises the index. It implements io.WriterTo.
 func (t *RSMI) WriteTo(w io.Writer) (int64, error) {
@@ -145,18 +77,15 @@ func (t *RSMI) encode(w io.Writer) error {
 	if _, err := w.Write(serialMagic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
-	if _, err := WriteOptions(w, t.opts, true); err != nil {
+	if _, err := WriteOptions(w, t.opts); err != nil {
 		return err
 	}
 	// Scalars.
-	for _, v := range []interface{}{
+	if err := put([]int64{
 		int64(t.n), int64(t.leaves), int64(t.height),
-		int64(t.inserted), int64(t.repacks),
-		int64(t.free), int64(t.buildTime),
-	} {
-		if err := put(v); err != nil {
-			return fmt.Errorf("core: write scalars: %w", err)
-		}
+		int64(t.inserted), int64(t.repacks), int64(t.buildTime),
+	}); err != nil {
+		return fmt.Errorf("core: write scalars: %w", err)
 	}
 	// Store.
 	if _, err := t.store.WriteTo(w); err != nil {
@@ -175,29 +104,18 @@ func (t *RSMI) encode(w io.Writer) error {
 	return t.encodeNode(w, t.root)
 }
 
-// optionBlockSize is the length of the option block: nine words and the
-// raw-grid flag.
-const optionBlockSize = 9*8 + 1
+// optionBlockSize is the length of the option block: B, N and the curve, a
+// word each, and the raw-grid flag.
+const optionBlockSize = 3*8 + 1
 
 // WriteOptions writes o as the option block every index stream and the
-// sharded header carry: B, N, the curve, the learning rate, the epochs, an
-// early-stop loss, γ, Δ, the seed and the raw-grid flag. The loss, γ and Δ
-// are constants (no early stop; the paper's γ = 100 PMF pieces and Δ = 0.01
-// step of §4.3, which no query reads any more), and their words keep the
-// bytes builds have always written: 0, 100 and 0.01 for resolved options,
-// the paper's defaults filled in, as an index stream stores them; 0, 0 and
-// 0 for options as a caller gave them, as the sharded header stores them.
-func WriteOptions(w io.Writer, o Options, resolved bool) (int64, error) {
-	var gamma, delta uint64
-	if resolved {
-		gamma, delta = 100, math.Float64bits(knnDelta)
-	}
+// sharded header carry: B, N, the curve and the raw-grid flag. An index
+// stream stores its options resolved, the paper's defaults filled in; the
+// sharded header stores them as the caller gave them.
+func WriteOptions(w io.Writer, o Options) (int64, error) {
 	b := make([]byte, 0, optionBlockSize)
-	for _, v := range []uint64{
-		uint64(o.BlockCapacity), uint64(o.PartitionThreshold), uint64(o.Curve),
-		math.Float64bits(o.LearningRate), uint64(o.Epochs), 0, gamma, delta, uint64(o.Seed),
-	} {
-		b = binary.LittleEndian.AppendUint64(b, v)
+	for _, v := range []int{o.BlockCapacity, o.PartitionThreshold, int(o.Curve)} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
 	raw := uint8(0)
 	if o.RawGridLeafOrder {
@@ -210,33 +128,18 @@ func WriteOptions(w io.Writer, o Options, resolved bool) (int64, error) {
 	return int64(n), nil
 }
 
-// knnDelta is the paper's Δ = 0.01 (§4.3), the one value of the option
-// block's Δ word an index has ever been built with.
-const knnDelta = 0.01
-
-// ReadOptions reads an option block written by WriteOptions. The loss and γ
-// words shaped the build only, so they are read and dropped. Δ once sized
-// every kNN search, and no index was built with another, so a Δ word other
-// than 0.01, or 0 (unset, which always meant 0.01), marks a file no version
-// wrote and is refused.
+// ReadOptions reads an option block written by WriteOptions.
 func ReadOptions(r io.Reader) (Options, error) {
 	var b [optionBlockSize]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return Options{}, fmt.Errorf("core: read options: %w", err)
 	}
 	word := func(i int) uint64 { return binary.LittleEndian.Uint64(b[8*i:]) }
-	if delta := math.Float64frombits(word(7)); delta != 0 && delta != knnDelta {
-		return Options{}, fmt.Errorf("core: the snapshot's kNN step Δ is %v, and every index was built with Δ = %v (§4.3); rebuild the index from its points",
-			delta, knnDelta)
-	}
 	return Options{
 		BlockCapacity:      int(word(0)),
 		PartitionThreshold: int(word(1)),
 		Curve:              sfc.Kind(word(2)),
-		LearningRate:       math.Float64frombits(word(3)),
-		Epochs:             int(word(4)),
-		Seed:               int64(word(8)),
-		RawGridLeafOrder:   b[8*9]&1 != 0,
+		RawGridLeafOrder:   b[8*3]&1 != 0,
 	}, nil
 }
 
@@ -377,22 +280,12 @@ func decode(r io.Reader) (*RSMI, error) {
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: read magic: %w", err)
 	}
-	switch magic {
-	case serialMagicV1:
-		return nil, ErrSnapshotV1
-	case serialMagicV2:
-		return nil, ErrSnapshotV2
-	case serialMagicV3:
-		return nil, ErrSnapshotV3
-	case serialMagicV4:
-		return nil, ErrSnapshotV4
-	case serialMagicV5:
-		return nil, ErrSnapshotV5
-	case serialMagicV6:
-		return nil, ErrSnapshotV6
-	}
 	if magic != serialMagic {
-		return nil, errors.New("core: not an RSMI index file")
+		if string(magic[:5]) != "RSMIv" {
+			return nil, errors.New("core: not an RSMI index file")
+		}
+		name, _, _ := bytes.Cut(magic[:], []byte{0})
+		return nil, fmt.Errorf("core: %q snapshot refused: %w", name, ErrSnapshotVersion)
 	}
 	get := func(v interface{}) error {
 		return binary.Read(r, binary.LittleEndian, v)
@@ -401,27 +294,20 @@ func decode(r io.Reader) (*RSMI, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Leaves map positions to blocks of B points.
-	if opts.BlockCapacity < 1 {
-		return nil, fmt.Errorf("core: block capacity %d", opts.BlockCapacity)
-	}
 	t := &RSMI{opts: opts, cellGrids: leafGrids(opts.Curve)}
 	// Scalars.
-	var scalars [7]int64
-	for i := range scalars {
-		if err := get(&scalars[i]); err != nil {
-			return nil, fmt.Errorf("core: read scalars: %w", err)
-		}
+	var scalars [6]int64
+	if err := get(&scalars); err != nil {
+		return nil, fmt.Errorf("core: read scalars: %w", err)
 	}
 	t.n = int(scalars[0])
 	t.leaves = int(scalars[1])
 	t.height = int(scalars[2])
 	t.inserted = int(scalars[3])
 	t.repacks = int(scalars[4])
-	t.free = int(scalars[5])
-	t.buildTime = time.Duration(scalars[6])
-	// Store.
-	mgr, err := store.ReadManager(r)
+	t.buildTime = time.Duration(scalars[5])
+	// Store, of blocks of B points.
+	mgr, err := store.ReadManager(r, opts.BlockCapacity)
 	if err != nil {
 		return nil, err
 	}

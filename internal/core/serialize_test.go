@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -225,107 +229,85 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// refuseOldMagic writes an index, puts magic over its own, and checks that
-// Load refuses the file with want, in words that mention each of words.
-func refuseOldMagic(t *testing.T, magic [8]byte, want error, words ...string) {
-	t.Helper()
-	idx := New(dataset.Generate(dataset.Uniform, 500, 40), testOptions())
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	copy(data, magic[:])
-	_, err := Load(bytes.NewReader(data))
-	if !errors.Is(err, want) {
-		t.Fatalf("Load of a %s file: %v, want %v", magic[:6], err, want)
-	}
-	for _, w := range words {
-		if !strings.Contains(err.Error(), w) {
-			t.Errorf("the refusal %q does not mention %q", err, w)
-		}
-	}
-}
-
-// TestLoadRefusesV1: the format before compiled kernels is recognised and
-// refused with an error that says why, not mistaken for garbage.
-func TestLoadRefusesV1(t *testing.T) {
-	refuseOldMagic(t, serialMagicV1, ErrSnapshotV1, "RSMIv1", "error bounds", "predictor", "rebuild")
-}
-
-// TestLoadRefusesV2: the format before point spans is recognised and refused
-// with an error that says why, not mistaken for garbage.
-func TestLoadRefusesV2(t *testing.T) {
-	refuseOldMagic(t, serialMagicV2, ErrSnapshotV2, "RSMIv2", "spans", "rebuild")
-}
-
-// TestLoadRefusesV3: the format whose internal nodes are trained models is
-// recognised and refused with an error that says why, not mistaken for
-// garbage.
-func TestLoadRefusesV3(t *testing.T) {
-	refuseOldMagic(t, serialMagicV3, ErrSnapshotV3, "RSMIv3", "cuts", "rebuild")
-}
-
-// TestLoadRefusesV4: the format whose leaves are trained models is
-// recognised and refused with an error that says why, not mistaken for
-// garbage.
-func TestLoadRefusesV4(t *testing.T) {
-	refuseOldMagic(t, serialMagicV4, ErrSnapshotV4, "RSMIv4", "leaves", "cells", "rebuild")
-}
-
-// TestLoadRefusesV5: the format whose leaves own ranges of block ids is
-// recognised and refused with an error that says why, not mistaken for
-// garbage.
-func TestLoadRefusesV5(t *testing.T) {
-	refuseOldMagic(t, serialMagicV5, ErrSnapshotV5, "RSMIv5", "leaves", "block", "rebuild")
-}
-
-// TestLoadRefusesV6: the format that held the kNN estimator's PMFs is
-// recognised and refused with an error that says why, not mistaken for
-// garbage.
-func TestLoadRefusesV6(t *testing.T) {
-	refuseOldMagic(t, serialMagicV6, ErrSnapshotV6, "RSMIv6", "PMFs", "rebuild")
-}
-
-// TestLoadChecksDelta: no index was built with a Δ other than 0.01, so a
-// snapshot whose Δ word is neither 0.01 nor 0 (unset, which meant 0.01) is
-// refused with an error that names Δ. The loss and γ words shaped only the
-// build: any value loads, and answers as the index that was saved.
-func TestLoadChecksDelta(t *testing.T) {
-	idx := New(dataset.Generate(dataset.Skewed, 500, 41), testOptions())
-	var buf bytes.Buffer
-	if _, err := idx.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// The option words after the magic: B, N, curve, lr, epochs, loss, γ, Δ.
-	const lossWord, gammaWord, deltaWord = 8 + 5*8, 8 + 6*8, 8 + 7*8
-	for name, c := range map[string]struct {
-		at   int
-		word uint64
-		ok   bool
-	}{
-		"Δ 0.02":  {deltaWord, math.Float64bits(0.02), false},
-		"Δ NaN":   {deltaWord, math.Float64bits(math.NaN()), false},
-		"Δ unset": {deltaWord, 0, true},
-		"γ 4":     {gammaWord, 4, true},
-		"loss":    {lossWord, math.Float64bits(1e-4), true},
-	} {
-		raw := append([]byte(nil), buf.Bytes()...)
-		binary.LittleEndian.PutUint64(raw[c.at:], c.word)
-		loaded, err := Load(bytes.NewReader(raw))
-		if !c.ok {
-			if err == nil || !strings.Contains(err.Error(), "Δ") {
-				t.Errorf("%s: Load returned %v, want a refusal naming Δ", name, err)
-			}
-			continue
-		}
+// TestLoadRefusesOldVersions: a stream of any other format version than
+// RSMIv8 is refused with ErrSnapshotVersion, in words that name the version
+// found. The older streams are the shard streams of the committed
+// FuzzLoadSharded seeds, the last each format wrote; a stream claiming a
+// newer version is this version's with its magic rewritten.
+func TestLoadRefusesOldVersions(t *testing.T) {
+	streams := map[string][]byte{}
+	for v := 2; v <= 7; v++ {
+		name := fmt.Sprintf("RSMIv%d", v)
+		raw, err := os.ReadFile(filepath.Join("..", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatal(err)
 		}
-		for _, q := range workload.KNNPoints(idx.AllPoints(), 20, 42) {
-			if got, want := loaded.KNN(q, 10), idx.KNN(q, 10); !slices.Equal(got, want) {
-				t.Fatalf("%s: KNN(%v) = %v, the saved index answers %v", name, q, got, want)
-			}
+		// The corpus file quotes the sharded file, whose one shard stream
+		// runs from the stream's magic to the end.
+		body := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		file, err := strconv.Unquote(body)
+		at := strings.Index(file, name+"\x00")
+		if err != nil || at < 0 {
+			t.Fatalf("%s: no %s stream in the corpus file (%v)", name, name, err)
+		}
+		streams[name] = []byte(file[at:])
+	}
+	var buf bytes.Buffer
+	if _, err := New(dataset.Generate(dataset.Uniform, 500, 40), testOptions()).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	streams["RSMIv9"] = append([]byte("RSMIv9\x00\x00"), buf.Bytes()[8:]...)
+	for name, stream := range streams {
+		_, err := Load(bytes.NewReader(stream))
+		if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "rebuild") {
+			t.Errorf("Load of an %s stream: %v, want ErrSnapshotVersion naming %s", name, err, name)
+		}
+	}
+}
+
+// TestRewrittenBlockCapacity: B is stored once, in the option block, and
+// every loaded block takes its capacity from it. A stream of 2-point blocks
+// whose B word is rewritten to 100 loads as an index of 100-point blocks
+// holding what was written — the index is one leaf, so B sizes no grid —
+// and a burst of inserts that repacks the leaf neither panics nor loses a
+// point: window and point answers stay a linear scan's. It uses exported
+// names only, so it runs on earlier versions too.
+func TestRewrittenBlockCapacity(t *testing.T) {
+	pts := dataset.Generate(dataset.Skewed, 3000, 45)
+	var buf bytes.Buffer
+	if _, err := New(pts, Options{BlockCapacity: 2}).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	if b := binary.LittleEndian.Uint64(raw[8:]); b != 2 {
+		t.Fatalf("the word after the magic is %d, not B = 2", b)
+	}
+	binary.LittleEndian.PutUint64(raw[8:], 100)
+	idx, err := Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := slices.Clone(pts)
+	for i := range 400 {
+		p := geom.Pt(pts[0].X+float64(i+1)*1e-9, pts[0].Y)
+		idx.Insert(p)
+		live = append(live, p)
+	}
+	if idx.Repacks() == 0 {
+		t.Fatal("the burst repacked no leaf")
+	}
+	for _, p := range live {
+		if !idx.PointQuery(p) {
+			t.Fatalf("point query misses %v", p)
+		}
+	}
+	oracle := index.NewLinear(live)
+	for _, w := range workload.Windows(live, 50, 0.01, 1, 46) {
+		got, want := idx.WindowQuery(w), oracle.WindowQuery(w)
+		slices.SortFunc(got, geom.Point.Compare)
+		slices.SortFunc(want, geom.Point.Compare)
+		if !slices.Equal(got, want) {
+			t.Fatalf("window %v: %d points, a linear scan finds %d", w, len(got), len(want))
 		}
 	}
 }
@@ -467,10 +449,9 @@ func TestLoadRejectsCorruptedBody(t *testing.T) {
 func TestLoadRejectsCyclicBlockList(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 2000)
 	// Inserts spread over the index repack leaves, repacks after deletes
-	// leave blocks over on the free list, and a chain of two overflow blocks
-	// or more grows under one block, filed without the repack it would set
-	// off (file).
-	withFreeList(t, idx, pts)
+	// leave blocks over, and a chain of two overflow blocks or more grows
+	// under one block, filed without the repack it would set off (file).
+	withLeftOvers(t, idx, pts)
 	var base int
 	for i := 0; ; i++ {
 		p := geom.Pt(pts[0].X+1e-9*float64(i+1), pts[0].Y)
@@ -495,13 +476,13 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 	if storeAt < 0 {
 		t.Fatal("block store not found in the snapshot")
 	}
-	// A block record is prev, next (int64 each), flags (1 byte), slot count
-	// (int64), then 17 bytes per slot, after a 16-byte store header.
+	// A block record is prev, next (int64 each), flags (1 byte), live count
+	// (int64), then 16 bytes per live point, after the 8-byte block count.
 	const prevField, nextField, flagsField = 0, 8, 16
 	offsetOf := func(id int) int {
-		at := storeAt + 16
+		at := storeAt + 8
 		for b := 0; b < id; b++ {
-			at += 25 + 17*idx.store.Peek(b).Len()
+			at += 25 + 16*idx.store.Peek(b).Live()
 		}
 		return at
 	}
@@ -518,7 +499,8 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 		"link leaves the store":              func(raw []byte) { put(raw, offsetOf(overflow)+nextField, idx.store.NumBlocks()) },
 		"overflow block links to itself":     func(raw []byte) { put(raw, offsetOf(overflow)+nextField, overflow) },
 		"overflow block links back wrong":    func(raw []byte) { put(raw, offsetOf(overflow)+prevField, other) },
-		"free block links back wrong":        func(raw []byte) { put(raw, offsetOf(idx.free)+prevField, base) },
+		"left-over block links back":         func(raw []byte) { put(raw, offsetOf(leftOver(idx))+prevField, base) },
+		"left-over block links on":           func(raw []byte) { put(raw, offsetOf(leftOver(idx))+nextField, overflow) },
 		"overflow block not marked inserted": func(raw []byte) { raw[offsetOf(overflow)+flagsField] = 0 },
 		"base block marked inserted":         func(raw []byte) { raw[offsetOf(other)+flagsField] = 1 },
 	} {
@@ -537,10 +519,10 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 	}
 }
 
-// withFreeList grows idx, built over pts, by half as many jittered points,
+// withLeftOvers grows idx, built over pts, by half as many jittered points,
 // which repacks leaves, deletes a third of pts and repacks every leaf, which
-// leaves blocks over on the free list.
-func withFreeList(t *testing.T, idx *RSMI, pts []geom.Point) {
+// leaves blocks over.
+func withLeftOvers(t *testing.T, idx *RSMI, pts []geom.Point) {
 	t.Helper()
 	for _, p := range jittered(pts, len(pts)/2, 44) {
 		idx.Insert(p)
@@ -549,20 +531,32 @@ func withFreeList(t *testing.T, idx *RSMI, pts []geom.Point) {
 		idx.Delete(p)
 	}
 	forLeaves(idx.root, everywhere, idx.repack)
-	if idx.repacks <= idx.leaves || idx.free == store.NilBlock {
-		t.Fatalf("%d repacks left free list %d", idx.repacks, idx.free)
+	if idx.repacks <= idx.leaves || leftOver(idx) < 0 {
+		t.Fatalf("%d repacks left no block over", idx.repacks)
 	}
+}
+
+// leftOver returns the lowest id of a block a repack left over — an empty
+// overflow block in no chain — or -1 when there is none.
+func leftOver(idx *RSMI) int {
+	for id := range idx.store.NumBlocks() {
+		if b := idx.store.Peek(id); b.Inserted && b.Live() == 0 && b.Prev == store.NilBlock && b.Next == store.NilBlock {
+			return id
+		}
+	}
+	return -1
 }
 
 // TestLoadRefusesBadBlockLists: a leaf's block list is what every walk
 // steps through, so a loaded index must name each block once: a leaf that
 // names a block twice, or names an overflow block as a base block, and a
-// block no leaf and no chain reaches — one a leaf's list or the free list
-// dropped — are refused in words that say so. The index has repacked
-// leaves and a free list.
+// block no leaf and no chain reaches that is not an empty overflow block —
+// one a leaf's list dropped, or a block left over by a repack that holds a
+// point or is not flagged as an overflow block — are refused in words that
+// say so. The index has repacked leaves and blocks left over.
 func TestLoadRefusesBadBlockLists(t *testing.T) {
 	idx, pts := buildTest(t, dataset.Skewed, 3000)
-	withFreeList(t, idx, pts)
+	withLeftOvers(t, idx, pts)
 	for name, c := range map[string]struct {
 		tamper func(t *RSMI)
 		words  string
@@ -590,7 +584,12 @@ func TestLoadRefusesBadBlockLists(t *testing.T) {
 				n.starts[c] = min(n.starts[c], int32(len(n.blocks)*n.fill))
 			}
 		}, "no leaf"},
-		"the free list dropped": {func(t *RSMI) { t.free = store.NilBlock }, "no leaf"},
+		"a left-over block holding a point": {func(t *RSMI) {
+			t.store.Peek(leftOver(t)).Append(t.AllPoints()[0])
+		}, "no leaf"},
+		"a left-over block flagged as a base block": {func(t *RSMI) {
+			t.store.Peek(leftOver(t)).Inserted = false
+		}, "no leaf"},
 	} {
 		victim := roundTrip(t, idx)
 		c.tamper(victim)

@@ -150,10 +150,10 @@ const (
 // starts, and packs the run, repackRoom percent short of B a block (the
 // leaf's fill), into the leaf's old base blocks, then its overflow blocks
 // in chain order, allocating only past those. The blocks get fresh MBRs and
-// no chains, and so does the leaf; the blocks left over are released onto
-// the free list. Every step reads only the blocks' contents and the cuts,
-// so a loaded copy and a replica replaying the same writes repack the same
-// leaves at the same inserts.
+// no chains, and so does the leaf; the blocks left over are released,
+// unlinked, into the empty set. Every step reads only the blocks' contents
+// and the cuts, so a loaded copy and a replica replaying the same writes
+// repack the same leaves at the same inserts.
 //
 // §5 retrains a sub-model once its inserts pass a threshold. An index of
 // cells needs no training, and the same cuts over the grown points put a
@@ -215,11 +215,7 @@ func (t *RSMI) repack(n *node) {
 	for _, id := range s.ids[need:] {
 		b := t.store.Peek(int(id))
 		b.Release()
-		b.Inserted, b.Prev, b.Next = true, store.NilBlock, t.free
-		if t.free != store.NilBlock {
-			t.store.Peek(t.free).Prev = b.ID
-		}
-		t.free = b.ID
+		b.Inserted, b.Prev, b.Next = true, store.NilBlock, store.NilBlock
 		t.chainHeads[id] = store.NilBlock
 		t.empty.add(b.ID)
 		t.blockMBR[id] = geom.EmptyRect()
@@ -279,12 +275,12 @@ func (t *RSMI) home(leaf *node, lo, hi int, p geom.Point) int {
 }
 
 // reuseEmpty takes the lowest-id overflow block that holds no live point
-// out of its chain and returns it with an empty MBR, ready to be chained
-// under another base block; it returns nil when there is none. Neighbour
-// filing spreads inserts over many chains, and under an insert-then-delete
-// load each would otherwise keep an empty block for good. Which block is
-// reused depends only on the blocks' contents, so a loaded index places
-// inserts as the saved one would have.
+// out of its chain, if it is in one, and returns it with an empty MBR, ready
+// to be chained under another base block; it returns nil when there is
+// none. Neighbour filing spreads inserts over many chains, and under an
+// insert-then-delete load each would otherwise keep an empty block for
+// good. Which block is reused depends only on the blocks' contents, so a
+// loaded index places inserts as the saved one would have.
 func (t *RSMI) reuseEmpty() *store.Block {
 	id := t.empty.lowest()
 	if id < 0 {
@@ -292,11 +288,7 @@ func (t *RSMI) reuseEmpty() *store.Block {
 	}
 	t.empty.remove(id)
 	b := t.store.Peek(id)
-	switch {
-	case b.Prev == store.NilBlock:
-		// b heads the free list, which now starts at its successor.
-		t.free = b.Next
-	case !t.store.Peek(b.Prev).Inserted:
+	if b.Prev != store.NilBlock && !t.store.Peek(b.Prev).Inserted {
 		// b heads its chain, which now starts at its successor.
 		t.chainHeads[b.Prev] = int32(b.Next)
 	}

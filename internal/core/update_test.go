@@ -398,7 +398,7 @@ func TestInsertsKeepOverflowBlocksTight(t *testing.T) {
 	var count [2]int
 	for id, r := range idx.blockMBR {
 		if r.IsEmpty() {
-			continue // a free block, or one emptied and reused
+			continue // a block a repack left over, or one emptied and reused
 		}
 		kind := 0
 		if idx.store.Peek(id).Inserted {

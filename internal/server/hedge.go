@@ -8,7 +8,7 @@ package server
 // plumbing the whole stack threads (client request context → server
 // r.Context() → engine shard visits), so a hedge costs at most one
 // duplicated read that stops early, in exchange for cutting the p99:
-// slow-tail causes local to one replica (a rebuild retraining shards, a
+// slow-tail causes local to one replica (a rebuild of its shards, a
 // GC pause, queueing) no longer decide the client-observed tail.
 //
 // A target that fails outright (transport error) triggers the hedge

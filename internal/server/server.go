@@ -314,7 +314,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // TriggerRebuild starts a rolling rebuild on a background goroutine; it
 // reports false if one is already running. Sharded engines keep serving
-// during the rebuild (one shard retrains at a time); Shutdown waits for a
+// during the rebuild (one shard rebuilds at a time); Shutdown waits for a
 // running rebuild before returning.
 func (s *Server) TriggerRebuild() bool {
 	if !s.rebuildRunning.CompareAndSwap(false, true) {

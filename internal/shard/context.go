@@ -6,7 +6,7 @@ package shard
 // and only check the context at entry — the sharded engine observes
 // cancellation *during* execution: every multi-shard walk (window, kNN)
 // checks the context between shard visits, and the rolling rebuild checks
-// it between shard retrains. A query against a 64-shard index whose client
+// it between shard rebuilds. A query against a 64-shard index whose client
 // disconnects after the second shard therefore stops paying for the
 // remaining 62. Every query runs on the caller's goroutine.
 

@@ -17,10 +17,9 @@ package shard
 // an atomic pointer, so the write path pays one atomic load regardless
 // of how many hooks are installed.
 //
-// Rebuild notifies once, after every shard has retrained; it carries no
-// point. Replicas use it to retrain too, keeping the approximate-answer
-// structure of primary and replica aligned when the write stream is
-// quiescent.
+// Rebuild notifies once, after every shard has rebuilt; it carries no
+// point. Replicas use it to rebuild too, keeping the block layout of
+// primary and replica aligned when the write stream is quiescent.
 
 import (
 	"sync"

@@ -14,22 +14,17 @@ import (
 	"rsmi/internal/geom"
 )
 
-// Snapshot serialisation. Training at paper scale takes hours (§6.2.2), so
-// a serving deployment builds once and reloads across restarts
-// (cmd/rsmi-serve -snapshot). The format is the shard layout — options,
-// per-shard routing regions — with each shard's RSMI embedded as a
-// length-prefixed core stream (the existing internal/core / internal/store
-// writers), so a loaded index answers every query identically to the
-// original.
+// Snapshot serialisation. A build sorts every point (and the paper's
+// models take hours to train at scale, §6.2.2), so a serving deployment
+// builds once and reloads across restarts (cmd/rsmi-serve -snapshot). The
+// format is the shard layout — the shard count, the options, per-shard
+// routing regions — with each shard's RSMI embedded as a length-prefixed
+// core stream (the existing internal/core / internal/store writers), so a
+// loaded index answers every query identically to the original.
 
-// shardMagic identifies the sharded snapshot file format.
-var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '1', 0}
-
-// spacePartitioned is the header's partitioning word. Every shard layout is
-// contiguous curve runs, so it is always written 0; the word stays so that
-// no byte of the format moves, and Load refuses a file that claims another
-// partitioning (1 was hash partitioning, whose point routing is gone).
-const spacePartitioned = 0
+// shardMagic identifies the sharded snapshot format, RSMISh2. Every other
+// version is refused with core.ErrSnapshotVersion.
+var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '2', 0}
 
 // WriteTo serialises the index. It implements io.WriterTo. Each shard is
 // serialised under its read lock (taken one shard at a time, like a
@@ -52,12 +47,10 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 		written += int64(binary.Size(v))
 		return nil
 	}
-	for _, v := range []int64{int64(len(s.shards)), int64(s.opts.Workers), spacePartitioned} {
-		if err := put(v); err != nil {
-			return written, err
-		}
+	if err := put(int64(len(s.shards))); err != nil {
+		return written, err
 	}
-	n, err := core.WriteOptions(bw, s.opts.Index, false)
+	n, err := core.WriteOptions(bw, s.opts.Index)
 	written += n
 	if err != nil {
 		return written, fmt.Errorf("shard: write header: %w", err)
@@ -100,27 +93,25 @@ func Load(r io.Reader) (*Sharded, error) {
 		return nil, fmt.Errorf("shard: read magic: %w", err)
 	}
 	if magic != shardMagic {
-		return nil, errors.New("shard: not a sharded RSMI snapshot")
-	}
-	var layout [3]int64
-	for i := range layout {
-		if err := binary.Read(br, binary.LittleEndian, &layout[i]); err != nil {
-			return nil, fmt.Errorf("shard: read header: %w", err)
+		if string(magic[:6]) != "RSMISh" {
+			return nil, errors.New("shard: not a sharded RSMI snapshot")
 		}
+		name, _, _ := bytes.Cut(magic[:], []byte{0})
+		return nil, fmt.Errorf("shard: %q snapshot refused: %w", name, core.ErrSnapshotVersion)
 	}
-	shards, workers, parts := layout[0], layout[1], layout[2]
+	var shards int64
+	if err := binary.Read(br, binary.LittleEndian, &shards); err != nil {
+		return nil, fmt.Errorf("shard: read header: %w", err)
+	}
 	const maxShards = 1 << 16
-	if shards < 1 || shards > maxShards || workers < 1 || workers > maxShards {
-		return nil, fmt.Errorf("shard: implausible layout shards=%d workers=%d", shards, workers)
-	}
-	if parts != spacePartitioned {
-		return nil, fmt.Errorf("shard: partitioning %d is not space partitioning (0); rebuild the index from its points", parts)
+	if shards < 1 || shards > maxShards {
+		return nil, fmt.Errorf("shard: implausible layout shards=%d", shards)
 	}
 	opts, err := core.ReadOptions(br)
 	if err != nil {
 		return nil, fmt.Errorf("shard: header: %w", err)
 	}
-	s := &Sharded{opts: Options{Shards: int(shards), Workers: int(workers), Index: opts}}
+	s := &Sharded{opts: Options{Shards: int(shards), Index: opts}.withDefaults()}
 	s.shards = make([]*state, shards)
 	for i := range s.shards {
 		var bits [4]uint64

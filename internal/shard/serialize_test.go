@@ -173,52 +173,51 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// downgrade returns snap with the magic of every shard stream set to an
-// earlier format's.
-func downgrade(t testing.TB, snap []byte, magic string) []byte {
-	t.Helper()
-	out := bytes.ReplaceAll(snap, []byte("RSMIv7\x00\x00"), []byte(magic+"\x00\x00"))
-	if bytes.Equal(out, snap) {
-		t.Fatal("snapshot holds no RSMIv7 magic to downgrade")
+// TestLoadRefusesOldVersions: a sharded file of any other format version
+// than RSMISh2, or one whose shard streams are of another version than
+// RSMIv8, is refused with core.ErrSnapshotVersion, in words that name the
+// version found. The older files are the committed FuzzLoadSharded seeds,
+// the last each stream format wrote, all of them RSMISh1 files; the others
+// are this version's snapshot with a magic rewritten.
+func TestLoadRefusesOldVersions(t *testing.T) {
+	type refusal struct {
+		snap    []byte
+		version string
 	}
-	return out
-}
-
-// TestLoadRefusesV1: the sharded container did not change, but a file whose
-// embedded shard streams are RSMIv1 to RSMIv6 is refused with core's
-// explanation, not loaded with error bounds that no longer hold, without
-// the spans its point queries scan, with internal or leaf models where this
-// version looks points up by cuts, with leaves that own ranges of block ids
-// where this version's name their blocks, or with PMFs where this version
-// reads none.
-func TestLoadRefusesV1(t *testing.T) {
-	s := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2))
+	cases := map[string]refusal{}
+	for v := 2; v <= 7; v++ {
+		name := fmt.Sprintf("rsmiv%d-1shard", v)
+		cases[name] = refusal{[]byte(readCorpusEntry(t, name)), "RSMISh1"}
+	}
 	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
+	if _, err := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2)).WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	for magic, want := range map[string]error{
-		"RSMIv1": core.ErrSnapshotV1, "RSMIv2": core.ErrSnapshotV2, "RSMIv3": core.ErrSnapshotV3, "RSMIv4": core.ErrSnapshotV4,
-		"RSMIv5": core.ErrSnapshotV5, "RSMIv6": core.ErrSnapshotV6,
-	} {
-		if _, err := Load(bytes.NewReader(downgrade(t, buf.Bytes(), magic))); !errors.Is(err, want) {
-			t.Errorf("Load of a snapshot with %s shards: %v, want %v", magic, err, want)
+	for _, r := range [][2]string{{"RSMISh2", "RSMISh1"}, {"RSMISh2", "RSMISh3"}, {"RSMIv8", "RSMIv7"}, {"RSMIv8", "RSMIv9"}} {
+		snap := bytes.ReplaceAll(buf.Bytes(), []byte(r[0]+"\x00"), []byte(r[1]+"\x00"))
+		if bytes.Equal(snap, buf.Bytes()) {
+			t.Fatalf("the snapshot holds no %s magic", r[0])
+		}
+		cases[r[1]] = refusal{snap, r[1]}
+	}
+	for name, c := range cases {
+		_, err := Load(bytes.NewReader(c.snap))
+		if !errors.Is(err, core.ErrSnapshotVersion) || !strings.Contains(err.Error(), c.version) {
+			t.Errorf("%s: Load returned %v, want core.ErrSnapshotVersion naming %s", name, err, c.version)
 		}
 	}
 }
 
 // loadSeeds are the snapshots FuzzLoadSharded starts from, by name: small
-// indexes that have seen inserts and deletes — so overflow chains, dead
-// slots and extended regions are in the bytes — on both curves, with one
-// shard and with three.
+// indexes that have seen inserts and deletes — so overflow chains,
+// repacked leaves and extended regions are in the bytes — on both curves,
+// with one shard and with three.
 func loadSeeds(tb testing.TB) map[string][]byte {
 	seeds := map[string][]byte{}
 	for _, curve := range []sfc.Kind{sfc.Hilbert, sfc.Z} {
 		for _, shards := range []int{1, 3} {
 			pts := dataset.Generate(dataset.Skewed, 60, 81)
-			s := New(pts, Options{Shards: shards, Index: core.Options{
-				BlockCapacity: 4, PartitionThreshold: 16, Epochs: 2, LearningRate: 0.1, Seed: 1, Curve: curve,
-			}})
+			s := New(pts, Options{Shards: shards, Index: core.Options{BlockCapacity: 4, PartitionThreshold: 16, Curve: curve}})
 			for _, p := range workload.InsertPoints(pts, 12, 82) {
 				mustInsert(tb, s, p)
 			}
@@ -235,16 +234,30 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 	return seeds
 }
 
+// bRewritten is the b-rewritten seed: a one-shard snapshot of one leaf of
+// 2-point blocks whose shard stream's B word is rewritten to 100. B is
+// stored once, so the loaded blocks take 100 points each, and the burst of
+// inserts FuzzLoadSharded makes repacks the leaf into them.
+func bRewritten(tb testing.TB) []byte {
+	s := New(dataset.Generate(dataset.Skewed, 60, 84), Options{Shards: 1, Index: core.Options{BlockCapacity: 2, PartitionThreshold: 100}})
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	snap := buf.Bytes()
+	binary.LittleEndian.PutUint64(snap[locate(tb, snap).b:], 100)
+	return snap
+}
+
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// are loadSeeds' snapshots in the RSMIv7 format. They load, their exact
-// whole-space window holds every point, and a point query finds each of
-// them. Snapshots in an earlier format cannot be converted (core's
-// ErrSnapshotV1 to ErrSnapshotV6), so a format change writes them again,
-// and the corpus keeps a shard stream in each of the last five earlier
-// formats, which must be refused. The RSMIv4 to RSMIv6 ones are the last
-// seeds those formats wrote.
+// are loadSeeds' snapshots in the RSMISh2 and RSMIv8 formats, and
+// b-rewritten is bRewritten's. They load, their exact whole-space window
+// holds every point, and a point query finds each of them. Snapshots in an
+// earlier format cannot be converted (core.ErrSnapshotVersion), so a format
+// change writes them again; TestLoadRefusesOldVersions refuses the ones the
+// earlier formats wrote.
 func TestCommittedSeedsLoad(t *testing.T) {
-	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard"} {
+	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard", "b-rewritten"} {
 		s, err := Load(strings.NewReader(readCorpusEntry(t, name)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -257,15 +270,6 @@ func TestCommittedSeedsLoad(t *testing.T) {
 			if !must(s.PointQueryContext(bg, p)) {
 				t.Errorf("%s: point query misses %v", name, p)
 			}
-		}
-	}
-	// The committed snapshots of the earlier formats are refused by name.
-	for name, want := range map[string]error{
-		"rsmiv2-1shard": core.ErrSnapshotV2, "rsmiv3-1shard": core.ErrSnapshotV3, "rsmiv4-1shard": core.ErrSnapshotV4,
-		"rsmiv5-1shard": core.ErrSnapshotV5, "rsmiv6-1shard": core.ErrSnapshotV6,
-	} {
-		if _, err := Load(strings.NewReader(readCorpusEntry(t, name))); !errors.Is(err, want) {
-			t.Errorf("%s: Load returned %v, want %v", name, err, want)
 		}
 	}
 }
@@ -296,11 +300,16 @@ var wholeSpace = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.In
 // through the models, blocks and regions the snapshot claims —, whose point
 // query finds each of them (the load checked that every point descends to
 // its leaf and lies in the blocks of its cell), and whose other queries
-// neither panic nor hang. The committed corpus under
-// testdata/fuzz/FuzzLoadSharded holds the seeds and the tampered snapshots
-// the loader has to refuse.
+// neither panic nor hang. It must take writes too: a burst of jittered
+// copies of one of its points, enough to fill that point's block and chain
+// overflow blocks under it, which repacks its leaf, and the deletes of the
+// copies again leave an index that holds what it held and finds each point.
+// The committed corpus under testdata/fuzz/FuzzLoadSharded holds the seeds
+// and the tampered snapshots the loader has to refuse.
 func FuzzLoadSharded(f *testing.F) {
-	for name, seed := range loadSeeds(f) {
+	seeds := loadSeeds(f)
+	seeds["b-rewritten"] = bRewritten(f)
+	for name, seed := range seeds {
 		if _, err := Load(bytes.NewReader(seed)); err != nil {
 			f.Fatalf("seed %s: %v", name, err)
 		}
@@ -311,15 +320,7 @@ func FuzzLoadSharded(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got, err := s.ExactWindowContext(bg, wholeSpace)
-		if err != nil || len(got) != s.Len() {
-			t.Fatalf("loaded index of %d points answers the whole space with %d (%v)", s.Len(), len(got), err)
-		}
-		for _, p := range got {
-			if found, err := s.PointQueryContext(bg, p); !found || err != nil {
-				t.Fatalf("loaded index of %d points: point query misses %v (%v)", s.Len(), p, err)
-			}
-		}
+		got := checkHeld(t, s)
 		// A point query for a point the index need not hold may read a cell
 		// no live point vouched for at load: it may find nothing, but must
 		// not fail, and neither may windows and kNN.
@@ -332,38 +333,71 @@ func FuzzLoadSharded(f *testing.F) {
 		must(s.WindowQueryContext(bg, geom.RectAround(q, 0.1, 0.1)))
 		must(s.KNNContext(bg, q, 5))
 		must(s.ExactKNNContext(bg, q, 5))
+		if len(got) == 0 {
+			return
+		}
+		burst := make([]geom.Point, 256)
+		x, toward := q.X, math.Inf(-1)
+		if x < 0 {
+			toward = math.Inf(1)
+		}
+		for i := range burst {
+			x = math.Nextafter(x, toward)
+			burst[i] = geom.Pt(x, q.Y)
+			if err := s.InsertContext(bg, burst[i]); err != nil {
+				t.Fatalf("insert of %v: %v", burst[i], err)
+			}
+		}
+		for _, p := range burst {
+			if !must(s.DeleteContext(bg, p)) {
+				t.Fatalf("delete of the inserted %v found nothing", p)
+			}
+		}
+		if again := checkHeld(t, s); len(again) != len(got) {
+			t.Fatalf("the index held %d points before the inserts and deletes, %d after", len(got), len(again))
+		}
 	})
 }
 
-// partitioningWord is the byte offset of the header's partitioning word:
-// after the magic, the shard count and the worker count. deltaWord is the
-// offset of the header's Δ, the eighth word of the option block after it.
-const (
-	partitioningWord = 8 + 2*8
-	deltaWord        = partitioningWord + 8 + 7*8
-)
+// checkHeld returns the points of s's exact whole-space window after
+// checking that they are Len() points and that a point query finds each.
+func checkHeld(t *testing.T, s *Sharded) []geom.Point {
+	t.Helper()
+	got, err := s.ExactWindowContext(bg, wholeSpace)
+	if err != nil || len(got) != s.Len() {
+		t.Fatalf("index of %d points answers the whole space with %d (%v)", s.Len(), len(got), err)
+	}
+	for _, p := range got {
+		if found, err := s.PointQueryContext(bg, p); !found || err != nil {
+			t.Fatalf("index of %d points: point query misses %v (%v)", s.Len(), p, err)
+		}
+	}
+	return got
+}
 
 // shardZero locates fields of the first shard of a snapshot, by byte offset,
 // for the tampering tests: the offsets follow WriteTo here and in core and
 // store, one field at a time.
 type shardZero struct {
-	region, n, capacity, firstNext, firstX, rootRect, leafFirst, leafStarts int
+	region, b, n, firstNext, firstX, rootRect, leafFirst, leafStarts int
 }
 
-func locate(t *testing.T, snap []byte) shardZero {
-	t.Helper()
+func locate(tb testing.TB, snap []byte) shardZero {
+	tb.Helper()
 	var z shardZero
 	i64 := func(at int) int { return int(binary.LittleEndian.Uint64(snap[at:])) }
-	z.region = 8 + 12*8 + 1  // magic, twelve header words, the raw flag
-	cs := z.region + 4*8 + 8 // the region, the stream's length prefix
-	z.n = cs + 8 + 9*8 + 1   // magic, nine option words, the raw flag
-	z.capacity = z.n + 7*8   // seven scalar words
-	at := z.capacity + 8 + 8 // capacity, block count
-	for b := 0; b < i64(z.capacity+8); b++ {
+	z.region = 8 + 8 + 3*8 + 1 // magic, the shard count, three option words, the raw flag
+	cs := z.region + 4*8 + 8   // the region, the stream's length prefix
+	z.b = cs + 8               // the magic; B is the first option word
+	z.n = z.b + 3*8 + 1        // three option words, the raw flag
+	at := z.n + 6*8            // six scalar words
+	blocks := i64(at)
+	at += 8 // the block count
+	for b := range blocks {
 		if b == 0 {
 			z.firstNext, z.firstX = at+8, at+8+8+1+8
 		}
-		at += 8 + 8 + 1 + 8 + i64(at+8+8+1)*17 // prev, next, flags, slots, the slots
+		at += 8 + 8 + 1 + 8 + i64(at+8+8+1)*16 // prev, next, flags, live count, the points
 	}
 	at += 8 + i64(at)*32 // the block MBRs
 	// The root, then first children down to a leaf.
@@ -398,8 +432,6 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 	f64 := math.Float64bits
 	out := map[string][]byte{}
 	for name, edits := range map[string][][2]uint64{
-		"partitioning-1":       {{partitioningWord, 1}},        // hash partitioning, routed by a hash no longer kept
-		"delta-0.02":           {{deltaWord, f64(0.02)}},       // a kNN step no version ran
 		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
 		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
 		"block-list-loops":     {{uint64(z.firstNext), 0}},                     // block 0 links to itself
@@ -424,8 +456,9 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 
 // TestLoadRefusesTampered: every tampering of a valid snapshot that would
 // let an exact query miss a point, find one twice, or fail is refused, and a
-// header that claims more than its stream holds costs no more to read than
-// the stream's size.
+// stream that claims more than it holds — blocks of 2^20 points, which
+// loads, or a block of more points than B, which is refused — costs no more
+// to read than the stream's size.
 func TestLoadRefusesTampered(t *testing.T) {
 	seeds := loadSeeds(t)
 	for _, seedName := range []string{"hilbert-1shard", "z-3shard"} {
@@ -433,10 +466,6 @@ func TestLoadRefusesTampered(t *testing.T) {
 			_, err := Load(bytes.NewReader(snap))
 			if err == nil {
 				t.Errorf("%s, %s: Load accepted it", seedName, name)
-			} else if name == "partitioning-1" && !strings.Contains(err.Error(), "partitioning") {
-				t.Errorf("%s, %s: Load refused it with %q, which does not name the partitioning", seedName, name, err)
-			} else if name == "delta-0.02" && !strings.Contains(err.Error(), "Δ") {
-				t.Errorf("%s, %s: Load refused it with %q, which does not name Δ", seedName, name, err)
 			} else if name == "span-misses-point" && !strings.Contains(err.Error(), "cell") {
 				t.Errorf("%s, %s: Load refused it with %q, which does not name the cell", seedName, name, err)
 			}
@@ -447,7 +476,9 @@ func TestLoadRefusesTampered(t *testing.T) {
 	for name, edit := range map[string]func(snap []byte){
 		// Blocks of 2^20 slots, each holding a handful: a valid snapshot,
 		// whose blocks hold what was written and grow only on insertion.
-		"capacity-2^20": func(snap []byte) { binary.LittleEndian.PutUint64(snap[z.capacity:], 1<<20) },
+		"capacity-2^20": func(snap []byte) { binary.LittleEndian.PutUint64(snap[z.b:], 1<<20) },
+		// The first block claiming 2^40 points: refused before any is read.
+		"block-of-2^40": func(snap []byte) { binary.LittleEndian.PutUint64(snap[z.firstNext+8+1:], 1<<40) },
 	} {
 		snap := append([]byte(nil), seed...)
 		edit(snap)
@@ -457,6 +488,9 @@ func TestLoadRefusesTampered(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(64*len(snap)) {
 			t.Errorf("%s: reading %d bytes allocated %d", name, len(snap), grew)
+		}
+		if name == "block-of-2^40" && err == nil {
+			t.Errorf("%s: Load accepted it", name)
 		}
 		if err == nil && len(must(s.ExactWindowContext(bg, wholeSpace))) != s.Len() {
 			t.Errorf("%s: the loaded index lost points", name)
@@ -481,8 +515,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "c666611190a9fd3412207ae2638629db16ff609275cb90c35297c78395bbc09d"},
-		{1, sfc.Z, "ec8a33f17f78a86ef00a9eff9b2338be6a6c1a769f40d539104f168d995b894c"},
+		{2, sfc.Hilbert, "e770eda730e037ac5b15cc566f3d89b05318bd19f9f970aa9224bb10944c148b"},
+		{1, sfc.Z, "a57c20b089a90431d9357e3dbfe822a558b8bb896087f178e77de92d6ed14130"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -521,8 +555,50 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "56e58a6b9c19be3bd586b8d8e17e4689b7c5f3441b8f5fbeee4661909842b2fb"
+	const want = "39bc5f11017235bb2f4ada93f150b3392a7575999a345a6863ebcb1bd7ca48ba"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}
+}
+
+// BenchmarkSnapshot times a snapshot of embed-read's engine — 200k skewed
+// points on two shards — after half as many jittered inserts again:
+// writing it (write) and loading it back (load), each with the stream's
+// size. It uses exported names only, so it runs unchanged on earlier
+// commits.
+func BenchmarkSnapshot(b *testing.B) {
+	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
+	s := New(pts, Options{Shards: 2})
+	for _, p := range workload.InsertPoints(pts, 100_000, 2) {
+		if err := s.InsertContext(bg, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if _, err := s.WriteTo(&snap); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("write", func(b *testing.B) {
+		var buf bytes.Buffer
+		buf.Grow(snap.Len())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			buf.Reset()
+			if _, err := s.WriteTo(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(snap.Len()), "bytes")
+	})
+	b.Run("load", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var err error
+			if newSink, err = Load(bytes.NewReader(snap.Bytes())); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(snap.Len()), "bytes")
+	})
 }

@@ -69,8 +69,8 @@ type Options struct {
 	// window or a batch fanned out to; no cell of the benchmark ledger
 	// showed that fan-out winning (shard.window_shards_visited reads
 	// 1.007–1.014), so every query now runs on its caller's goroutine. The
-	// field stays because benchmark/workload.go sets it; it is still
-	// defaulted to Shards and kept in snapshots, so no snapshot byte moves.
+	// field stays because benchmark/workload.go sets it; it is defaulted to
+	// Shards, and a snapshot does not store it.
 	Workers int
 	// Index configures each shard's RSMI; the zero value selects the
 	// paper's defaults, as in core.Options.

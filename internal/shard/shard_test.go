@@ -41,9 +41,6 @@ func quickOpts(shards int) Options {
 		Index: core.Options{
 			BlockCapacity:      50,
 			PartitionThreshold: 500,
-			Epochs:             10,
-			LearningRate:       0.1,
-			Seed:               1,
 		},
 	}
 }

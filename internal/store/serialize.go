@@ -9,123 +9,86 @@ import (
 	"rsmi/internal/geom"
 )
 
-// WriteTo serialises the manager's capacity and every block, slot by slot
-// with a deleted flag each, dead tail included. Error bounds depend on which
-// block a point is in, never on its slot, so the layout inside a block is
-// free; writing every slot keeps the format what it has always been, and a
-// written manager reads back to one that writes the same bytes. It implements
-// io.WriterTo.
+// maxCapacity is the largest block capacity ReadManager accepts.
+const maxCapacity = 1 << 20
+
+// blockHeader is the length of a block's record before its points: its
+// Prev and Next links, its flags byte and its live count.
+const blockHeader = 8 + 8 + 1 + 8
+
+// WriteTo serialises the manager's blocks: their count, then each block's
+// Prev and Next links, its flags (bit 0: Inserted), its live count and its
+// live points. The block capacity is not written: the index that owns the
+// manager stores it, and ReadManager takes it back from there. It
+// implements io.WriterTo.
 func (m *Manager) WriteTo(w io.Writer) (int64, error) {
+	buf := binary.LittleEndian.AppendUint64(make([]byte, 0, blockHeader+16*m.capacity), uint64(len(m.blocks)))
 	var written int64
-	put := func(v interface{}) error {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
+	flush := func() error {
+		n, err := w.Write(buf)
+		written, buf = written+int64(n), buf[:0]
+		if err != nil {
+			return fmt.Errorf("store: write blocks: %w", err)
 		}
-		written += int64(binary.Size(v))
 		return nil
 	}
-	if err := put(int64(m.capacity)); err != nil {
-		return written, fmt.Errorf("store: write capacity: %w", err)
-	}
-	if err := put(int64(len(m.blocks))); err != nil {
-		return written, fmt.Errorf("store: write block count: %w", err)
-	}
 	for _, b := range m.blocks {
+		if err := flush(); err != nil {
+			return written, err
+		}
 		flags := uint8(0)
 		if b.Inserted {
 			flags = 1
 		}
-		if err := put(int64(b.Prev)); err != nil {
-			return written, err
-		}
-		if err := put(int64(b.Next)); err != nil {
-			return written, err
-		}
-		if err := put(flags); err != nil {
-			return written, err
-		}
-		if err := put(int64(len(b.pts))); err != nil {
-			return written, err
-		}
-		for i, p := range b.pts {
-			del := uint8(0)
-			if i >= b.live {
-				del = 1
-			}
-			if err := put(math.Float64bits(p.X)); err != nil {
-				return written, err
-			}
-			if err := put(math.Float64bits(p.Y)); err != nil {
-				return written, err
-			}
-			if err := put(del); err != nil {
-				return written, err
-			}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.Prev))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(b.Next))
+		buf = binary.LittleEndian.AppendUint64(append(buf, flags), uint64(b.live))
+		for _, p := range b.Slots() {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.X))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(p.Y))
 		}
 	}
-	return written, nil
+	return written, flush()
 }
 
-// ReadManager deserialises a manager written by WriteTo. A stream whose
-// deleted slots are not the tail of their block (nothing here writes one) is
-// compacted: the live points keep their order and move to the front.
-func ReadManager(r io.Reader) (*Manager, error) {
-	var capacity, count int64
-	if err := binary.Read(r, binary.LittleEndian, &capacity); err != nil {
-		return nil, fmt.Errorf("store: read capacity: %w", err)
-	}
+// ReadManager deserialises a manager written by WriteTo, of blocks of the
+// given capacity. A block that claims more live points than the capacity is
+// refused before any of them is read, and the points of the others grow as
+// they are read, never ahead of the stream.
+func ReadManager(r io.Reader, capacity int) (*Manager, error) {
+	var count int64
 	if err := binary.Read(r, binary.LittleEndian, &count); err != nil {
 		return nil, fmt.Errorf("store: read block count: %w", err)
 	}
 	const maxBlocks = 1 << 32
-	if capacity <= 0 || capacity > 1<<20 || count < 0 || count > maxBlocks {
+	if capacity <= 0 || capacity > maxCapacity || count < 0 || count > maxBlocks {
 		return nil, fmt.Errorf("store: implausible layout cap=%d blocks=%d", capacity, count)
 	}
-	m := NewManager(int(capacity))
+	m := NewManager(capacity)
+	var head [blockHeader]byte
+	var xy [16]byte
 	for id := int64(0); id < count; id++ {
-		var prev, next, slots int64
-		var flags uint8
-		if err := binary.Read(r, binary.LittleEndian, &prev); err != nil {
+		if _, err := io.ReadFull(r, head[:]); err != nil {
 			return nil, fmt.Errorf("store: read block %d: %w", id, err)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &next); err != nil {
-			return nil, fmt.Errorf("store: read block %d: %w", id, err)
+		live := binary.LittleEndian.Uint64(head[17:])
+		if live > uint64(capacity) {
+			return nil, fmt.Errorf("store: block %d holds %d points (cap %d)", id, live, capacity)
 		}
-		if err := binary.Read(r, binary.LittleEndian, &flags); err != nil {
-			return nil, fmt.Errorf("store: read block %d: %w", id, err)
-		}
-		if err := binary.Read(r, binary.LittleEndian, &slots); err != nil {
-			return nil, fmt.Errorf("store: read block %d: %w", id, err)
-		}
-		if slots < 0 || slots > capacity {
-			return nil, fmt.Errorf("store: block %d has %d slots (cap %d)", id, slots, capacity)
-		}
-		// The slots grow as they are read, never ahead of the stream.
 		var pts []geom.Point
-		live := 0
-		for s := int64(0); s < slots; s++ {
-			var xb, yb uint64
-			var del uint8
-			if err := binary.Read(r, binary.LittleEndian, &xb); err != nil {
-				return nil, fmt.Errorf("store: read slot: %w", err)
+		for range live {
+			if _, err := io.ReadFull(r, xy[:]); err != nil {
+				return nil, fmt.Errorf("store: read block %d: %w", id, err)
 			}
-			if err := binary.Read(r, binary.LittleEndian, &yb); err != nil {
-				return nil, fmt.Errorf("store: read slot: %w", err)
-			}
-			if err := binary.Read(r, binary.LittleEndian, &del); err != nil {
-				return nil, fmt.Errorf("store: read slot: %w", err)
-			}
-			pts = append(grow(pts, int(capacity)), geom.Pt(math.Float64frombits(xb), math.Float64frombits(yb)))
-			if del&1 == 0 {
-				pts[live], pts[s] = pts[s], pts[live]
-				live++
-			}
+			pts = append(grow(pts, capacity), geom.Pt(
+				math.Float64frombits(binary.LittleEndian.Uint64(xy[:])),
+				math.Float64frombits(binary.LittleEndian.Uint64(xy[8:]))))
 		}
 		b := &Block{}
 		m.adopt(b, pts)
-		b.Prev, b.Next = int(prev), int(next)
-		b.Inserted = flags&1 != 0
-		b.live = live
+		b.Prev = int(int64(binary.LittleEndian.Uint64(head[:])))
+		b.Next = int(int64(binary.LittleEndian.Uint64(head[8:])))
+		b.Inserted = head[16]&1 != 0
 	}
 	return m, nil
 }

@@ -18,8 +18,7 @@
 // the point with the last one of the block and marking it deleted, and an
 // insertion takes the first deleted slot, so the dead slots are always the
 // tail: the count of live points is the whole deletion record, there is no
-// tombstone per slot, and every scan is a loop over one slice. The dead tail
-// keeps its coordinates only because a snapshot writes every slot.
+// tombstone per slot, and every scan is a loop over one slice.
 package store
 
 import (

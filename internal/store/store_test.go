@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -450,7 +448,7 @@ func TestBlockAgainstModel(t *testing.T) {
 				if _, err := m.WriteTo(&first); err != nil {
 					t.Fatal(err)
 				}
-				loaded, err := ReadManager(bytes.NewReader(first.Bytes()))
+				loaded, err := ReadManager(bytes.NewReader(first.Bytes()), capacity)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -460,57 +458,18 @@ func TestBlockAgainstModel(t *testing.T) {
 				if !bytes.Equal(first.Bytes(), second.Bytes()) {
 					t.Fatal("WriteTo → ReadManager → WriteTo changed the bytes")
 				}
-				check(loaded.Peek(0))
+				if lb := loaded.Peek(0); !slices.Equal(lb.Slots(), model) || lb.HasSpace() != b.HasSpace() {
+					t.Fatalf("loaded live points %v (space %v), model %v (space %v)", lb.Slots(), lb.HasSpace(), model, b.HasSpace())
+				}
 			}
 		}
-	}
-}
-
-// TestReadManagerCompactsDeadSlots hand-builds the one stream WriteTo never
-// writes — a dead slot between live ones — and expects it to load with the
-// live points in front, in stream order, answering as the stream meant.
-func TestReadManagerCompactsDeadSlots(t *testing.T) {
-	var stream bytes.Buffer
-	put := func(vs ...any) {
-		for _, v := range vs {
-			if err := binary.Write(&stream, binary.LittleEndian, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	put(int64(4), int64(1))                                   // capacity, blocks
-	put(int64(NilBlock), int64(NilBlock), uint8(0), int64(4)) // prev, next, flags, slots
-	for i, dead := range []uint8{0, 1, 1, 0} {
-		put(math.Float64bits(float64(i)), math.Float64bits(float64(10*i)), dead)
-	}
-	m, err := ReadManager(&stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := m.Peek(0)
-	if want := []geom.Point{geom.Pt(0, 0), geom.Pt(3, 30)}; !slices.Equal(b.Slots(), want) || b.Len() != 4 {
-		t.Fatalf("loaded live points %v in %d slots, want %v in 4", b.Slots(), b.Len(), want)
-	}
-	if b.Find(geom.Pt(3, 30)) != 1 || b.Find(geom.Pt(1, 10)) != -1 || b.Find(geom.Pt(2, 20)) != -1 {
-		t.Error("Find disagrees with the stream's deleted flags")
-	}
-	if got, want := b.MBR(), (geom.Rect{MinX: 0, MinY: 0, MaxX: 3, MaxY: 30}); got != want {
-		t.Errorf("MBR = %v, want %v", got, want)
-	}
-	if !b.HasSpace() {
-		t.Fatal("a block with two dead slots reports no space")
-	}
-	b.Append(geom.Pt(7, 7))
-	b.Append(geom.Pt(8, 8))
-	if b.HasSpace() || b.Live() != 4 || b.Len() != 4 {
-		t.Errorf("after refilling the dead slots: Live/Len = %d/%d, HasSpace %v", b.Live(), b.Len(), b.HasSpace())
 	}
 }
 
 // TestGrownBlockMatchesFullSlots drives a block from Alloc, which starts
 // with no slots and grows them, and a block over a full-capacity slot array,
 // as Pack lays them out, through the same appends, deletes and slot reuse.
-// Every slot, the dead tail a snapshot writes included, must be equal after
+// Every slot, the dead tail included, must be equal after
 // every step; the grown block's slots never exceed the capacity, and a full
 // block holds exactly capacity slots.
 func TestGrownBlockMatchesFullSlots(t *testing.T) {

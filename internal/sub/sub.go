@@ -379,7 +379,7 @@ func (r *Registry) run() {
 // match tests one event against the subscriptions near its point.
 func (r *Registry) match(ev event) {
 	if ev.op.Kind == shard.WriteRebuild {
-		// A rebuild retrains the index without changing membership of
+		// A rebuild lays the index out afresh without changing membership of
 		// any window or kNN scope: nothing to notify.
 		return
 	}

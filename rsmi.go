@@ -59,7 +59,7 @@ type Rect = geom.Rect
 
 // Options configures index construction; the zero value selects the paper's
 // defaults (block capacity B=100, partition threshold N=10000, Hilbert
-// curve, learning rate 0.01, 500 epochs).
+// curve). Its training fields are inert: no RSMI node trains.
 type Options = core.Options
 
 // Index is the learned spatial index (the paper's RSMI).
@@ -81,52 +81,19 @@ func New(pts []Point, opts Options) *Index {
 // paper's training takes hours at scale (§6.2.2 reports 16 h for the OSM
 // data set), and even a build that trains nothing sorts every point, so
 // production deployments build once and reload across restarts. The format
-// is RSMIv7, which stores every internal node's grid cuts and every leaf's
-// cuts, cell counts and list of blocks; a file in an earlier format is
-// refused with ErrSnapshotV1 to ErrSnapshotV6.
+// is RSMIv8, which stores every internal node's grid cuts and every leaf's
+// cuts, cell counts and list of blocks; a file in any other format is
+// refused with ErrSnapshotVersion.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
 
-// ErrSnapshotV1 is the error (wrapped, for a sharded file) that Load and
-// LoadSharded return for a snapshot saved before the RSMIv2 format: its
-// error bounds were measured under a different predictor than this version
-// runs, so the index must be rebuilt from its points and saved again.
-var ErrSnapshotV1 = core.ErrSnapshotV1
-
-// ErrSnapshotV2 is the error (wrapped, for a sharded file) that Load and
-// LoadSharded return for an RSMIv2 snapshot: it holds no point spans, the
-// block ranges point queries scan, and they cannot be derived from it, so
-// the index must be rebuilt from its points and saved again.
-var ErrSnapshotV2 = core.ErrSnapshotV2
-
-// ErrSnapshotV3 is the error (wrapped, for a sharded file) that Load and
-// LoadSharded return for an RSMIv3 snapshot: its internal nodes are trained
-// models, where this version descends by the grid's exact cuts, and cuts
-// would not find its points in the subtrees the models put them in, so the
-// index must be rebuilt from its points and saved again.
-var ErrSnapshotV3 = core.ErrSnapshotV3
-
-// ErrSnapshotV4 is the error (wrapped, for a sharded file) that Load and
-// LoadSharded return for an RSMIv4 snapshot: its leaves are trained models,
-// where this version looks points up in exact leaf cells, and the cells
-// would not name the blocks the models filed its points under, so the index
-// must be rebuilt from its points and saved again.
-var ErrSnapshotV4 = core.ErrSnapshotV4
-
-// ErrSnapshotV5 is the error (wrapped, for a sharded file) that Load and
-// LoadSharded return for an RSMIv5 snapshot: its leaves own one range of
-// block ids each, where this version's leaves name their blocks one by one
-// so that a leaf can repack its own blocks, and the file holds no such
-// lists, so the index must be rebuilt from its points and saved again.
-var ErrSnapshotV5 = core.ErrSnapshotV5
-
-// ErrSnapshotV6 is the error (wrapped, for a sharded file) that Load and
-// LoadSharded return for an RSMIv6 snapshot: it holds the two PMFs that
-// sized Algorithm 3's first kNN region, and this version answers kNN by the
-// MBR walk and reads a stream without them, so the index must be rebuilt
-// from its points and saved again.
-var ErrSnapshotV6 = core.ErrSnapshotV6
+// ErrSnapshotVersion is the error (wrapped in a message that names the
+// version found) that Load and LoadSharded return for a snapshot in another
+// format than RSMIv8 index streams and RSMISh2 sharded files: an earlier
+// format cannot be converted, so the index must be rebuilt from its points
+// and saved again.
+var ErrSnapshotVersion = core.ErrSnapshotVersion
 
 // ErrNonFinitePoint is the error InsertContext returns, on every Engine, for
 // a point with a NaN or infinite coordinate. The point is not inserted —

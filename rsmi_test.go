@@ -3,7 +3,11 @@ package rsmi_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,76 +104,51 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
-// refuseOldFormat rewrites the magic of every RSMIv7 stream in a snapshot
-// of an index and of a sharded index to magic, and checks that both loaders
-// refuse the result with want, in words that say why and what to do.
-func refuseOldFormat(t *testing.T, magic string, want error, why string) {
-	t.Helper()
-	pts := dataset.Generate(dataset.Uniform, 600, 5)
-	opts := rsmi.Options{BlockCapacity: 50, PartitionThreshold: 500, Epochs: 5, LearningRate: 0.1, Seed: 1}
-	downgrade := func(w interface {
-		WriteTo(io.Writer) (int64, error)
-	}) []byte {
-		var buf bytes.Buffer
-		if _, err := w.WriteTo(&buf); err != nil {
+// TestLoadRefusesOldVersions: both loaders refuse a snapshot of any other
+// format than RSMIv8 index streams and RSMISh2 sharded files with
+// ErrSnapshotVersion, in words that name the version found and say what to
+// do. The older snapshots are the committed FuzzLoadSharded seeds the
+// earlier formats wrote — RSMISh1 files, each holding one shard stream of
+// its format — and the newer ones this version's with the magic rewritten.
+func TestLoadRefusesOldVersions(t *testing.T) {
+	type refusal struct {
+		load    func(io.Reader) error
+		snap    []byte
+		version string
+	}
+	load := func(r io.Reader) error { _, err := rsmi.Load(r); return err }
+	loadSharded := func(r io.Reader) error { _, err := rsmi.LoadSharded(r); return err }
+	cases := map[string]refusal{}
+	for v := 2; v <= 7; v++ {
+		raw, err := os.ReadFile(filepath.Join("internal", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
+		if err != nil {
 			t.Fatal(err)
 		}
-		out := bytes.ReplaceAll(buf.Bytes(), []byte("RSMIv7\x00\x00"), []byte(magic+"\x00\x00"))
-		if bytes.Equal(out, buf.Bytes()) {
-			t.Fatal("snapshot holds no RSMIv7 magic to downgrade")
+		body := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+		file, err := strconv.Unquote(body)
+		stream := fmt.Sprintf("RSMIv%d", v)
+		at := strings.Index(file, stream+"\x00")
+		if err != nil || at < 0 {
+			t.Fatalf("rsmiv%d-1shard: no %s stream in the corpus file (%v)", v, stream, err)
 		}
-		return out
+		cases["LoadSharded "+stream] = refusal{loadSharded, []byte(file), "RSMISh1"}
+		cases["Load "+stream] = refusal{load, []byte(file[at:]), stream}
 	}
-	_, errIndex := rsmi.Load(bytes.NewReader(downgrade(rsmi.New(pts, opts))))
-	_, errSharded := rsmi.LoadSharded(bytes.NewReader(downgrade(rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2, Index: opts}))))
-	for name, err := range map[string]error{"Load": errIndex, "LoadSharded": errSharded} {
-		if !errors.Is(err, want) {
-			t.Errorf("%s of a %s snapshot: %v, want %v", name, magic, err, want)
-		} else if !strings.Contains(err.Error(), why) || !strings.Contains(err.Error(), "rebuild") {
-			t.Errorf("%s: the refusal %q does not say why or what to do", name, err)
+	pts := dataset.Generate(dataset.Uniform, 600, 5)
+	opts := rsmi.Options{BlockCapacity: 50, PartitionThreshold: 500}
+	var index, sharded bytes.Buffer
+	if _, err := rsmi.New(pts, opts).WriteTo(&index); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2, Index: opts}).WriteTo(&sharded); err != nil {
+		t.Fatal(err)
+	}
+	cases["Load RSMIv9"] = refusal{load, bytes.Replace(index.Bytes(), []byte("RSMIv8"), []byte("RSMIv9"), 1), "RSMIv9"}
+	cases["LoadSharded RSMISh3"] = refusal{loadSharded, bytes.Replace(sharded.Bytes(), []byte("RSMISh2"), []byte("RSMISh3"), 1), "RSMISh3"}
+	for name, c := range cases {
+		err := c.load(bytes.NewReader(c.snap))
+		if !errors.Is(err, rsmi.ErrSnapshotVersion) || !strings.Contains(err.Error(), c.version) || !strings.Contains(err.Error(), "rebuild") {
+			t.Errorf("%s: %v, want ErrSnapshotVersion naming %s and saying what to do", name, err, c.version)
 		}
 	}
-}
-
-// TestLoadRefusesV1: a snapshot saved in the RSMIv1 format — network weights
-// plus a normalisation rectangle per sub-model — is refused by both loaders
-// with ErrSnapshotV1, whose text tells the operator why and what to do.
-func TestLoadRefusesV1(t *testing.T) {
-	refuseOldFormat(t, "RSMIv1", rsmi.ErrSnapshotV1, "error bounds")
-}
-
-// TestLoadRefusesV2: a snapshot saved in the RSMIv2 format — no point spans
-// — is refused by both loaders with ErrSnapshotV2, whose text tells the
-// operator why and what to do.
-func TestLoadRefusesV2(t *testing.T) {
-	refuseOldFormat(t, "RSMIv2", rsmi.ErrSnapshotV2, "spans")
-}
-
-// TestLoadRefusesV3: a snapshot saved in the RSMIv3 format — a trained model
-// at every internal node — is refused by both loaders with ErrSnapshotV3,
-// whose text tells the operator why and what to do.
-func TestLoadRefusesV3(t *testing.T) {
-	refuseOldFormat(t, "RSMIv3", rsmi.ErrSnapshotV3, "cuts")
-}
-
-// TestLoadRefusesV4: a snapshot saved in the RSMIv4 format — a trained model
-// at every leaf — is refused by both loaders with ErrSnapshotV4, whose text
-// tells the operator why and what to do.
-func TestLoadRefusesV4(t *testing.T) {
-	refuseOldFormat(t, "RSMIv4", rsmi.ErrSnapshotV4, "cells")
-}
-
-// TestLoadRefusesV5: a snapshot saved in the RSMIv5 format — each leaf
-// owning one range of block ids — is refused by both loaders with
-// ErrSnapshotV5, whose text tells the operator why and what to do.
-func TestLoadRefusesV5(t *testing.T) {
-	refuseOldFormat(t, "RSMIv5", rsmi.ErrSnapshotV5, "block")
-}
-
-// TestLoadRefusesV6: a snapshot saved in the RSMIv6 format — the PMFs of
-// Algorithm 3's kNN search behind the block MBRs — is refused by both
-// loaders with ErrSnapshotV6, whose text tells the operator why and what to
-// do.
-func TestLoadRefusesV6(t *testing.T) {
-	refuseOldFormat(t, "RSMIv6", rsmi.ErrSnapshotV6, "PMFs")
 }

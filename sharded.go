@@ -13,7 +13,7 @@ import (
 // region first, stopping at the distance of the k-th candidate — and a
 // batch is a loop of single queries. Updates take only the owning shard's
 // lock, so updates on different shards proceed concurrently. Rebuild is
-// rolling — one shard retrains at a time while the others keep serving. It
+// rolling — one shard rebuilds at a time while the others keep serving. It
 // is the one way to serve the learned index concurrently: Shards: 1 is one
 // RWMutex over one RSMI. Its query surface is Engine, and every answer is
 // exact, as the single-index RSMI's: windows and kNN by RSMIa's MBR walk,
@@ -30,16 +30,16 @@ type ShardOptions = shard.Options
 // nearest neighbours of Q.
 type KNNQuery = shard.KNNQuery
 
-// NewSharded builds a sharded RSMI over the points; shards build (and
-// train) in parallel.
+// NewSharded builds a sharded RSMI over the points; shards build in
+// parallel.
 func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 	return shard.New(pts, opts)
 }
 
 // LoadSharded deserialises a sharded index previously saved with
-// Sharded.WriteTo, so a server can restart without retraining any shard.
-// Its shards are RSMIv7 streams; a file whose shards are in the RSMIv1 to
-// RSMIv6 formats is refused with ErrSnapshotV1 to ErrSnapshotV6.
+// Sharded.WriteTo, so a server can restart without rebuilding any shard.
+// The file is RSMISh2 and its shards RSMIv8 streams; a file in any other
+// format is refused with ErrSnapshotVersion.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
