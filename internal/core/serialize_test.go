@@ -229,40 +229,82 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesOldVersions: a stream of any other format version than
-// RSMIv8 is refused with ErrSnapshotVersion, in words that name the version
-// found. The older streams are the shard streams of the committed
-// FuzzLoadSharded seeds, the last each format wrote; a stream claiming a
-// newer version is this version's with its magic rewritten.
-func TestLoadRefusesOldVersions(t *testing.T) {
-	streams := map[string][]byte{}
-	for v := 2; v <= 7; v++ {
-		name := fmt.Sprintf("RSMIv%d", v)
-		raw, err := os.ReadFile(filepath.Join("..", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The corpus file quotes the sharded file, whose one shard stream
-		// runs from the stream's magic to the end.
-		body := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
-		file, err := strconv.Unquote(body)
-		at := strings.Index(file, name+"\x00")
-		if err != nil || at < 0 {
-			t.Fatalf("%s: no %s stream in the corpus file (%v)", name, name, err)
-		}
-		streams[name] = []byte(file[at:])
+// oldStream returns the RSMIv<v> index stream held in the committed
+// FuzzLoadSharded seed rsmiv<v>-1shard, the last stream that format wrote.
+// The corpus file quotes a sharded file, whose one shard stream runs from
+// the stream's magic to the end.
+func oldStream(t *testing.T, v int) []byte {
+	t.Helper()
+	name := fmt.Sprintf("RSMIv%d", v)
+	raw, err := os.ReadFile(filepath.Join("..", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
+	if err != nil {
+		t.Fatal(err)
 	}
+	body := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+	file, err := strconv.Unquote(body)
+	at := strings.Index(file, name+"\x00")
+	if err != nil || at < 0 {
+		t.Fatalf("%s: no %s stream in the corpus file (%v)", name, name, err)
+	}
+	return []byte(file[at:])
+}
+
+// rewrittenStream returns a stream of this version with its magic rewritten
+// to name.
+func rewrittenStream(t *testing.T, name string) []byte {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := New(dataset.Generate(dataset.Uniform, 500, 40), testOptions()).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	streams["RSMIv9"] = append([]byte("RSMIv9\x00\x00"), buf.Bytes()[8:]...)
-	for name, stream := range streams {
-		_, err := Load(bytes.NewReader(stream))
-		if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "rebuild") {
-			t.Errorf("Load of an %s stream: %v, want ErrSnapshotVersion naming %s", name, err, name)
-		}
+	return append([]byte(name+"\x00\x00"), buf.Bytes()[8:]...)
+}
+
+// refuseStream checks that Load refuses stream with ErrSnapshotVersion, in
+// words that name the version found and say what to do.
+func refuseStream(t *testing.T, name string, stream []byte) {
+	t.Helper()
+	_, err := Load(bytes.NewReader(stream))
+	if !errors.Is(err, ErrSnapshotVersion) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "rebuild") {
+		t.Errorf("Load of an %s stream: %v, want ErrSnapshotVersion naming %s", name, err, name)
 	}
+}
+
+// TestLoadRefusesV1: the format before compiled kernels is refused with
+// ErrSnapshotVersion, not mistaken for garbage. No RSMIv1 seed is
+// committed, so the stream is this version's with its magic rewritten.
+func TestLoadRefusesV1(t *testing.T) {
+	refuseStream(t, "RSMIv1", rewrittenStream(t, "RSMIv1"))
+}
+
+// TestLoadRefusesV2: the format before point spans is refused with
+// ErrSnapshotVersion, not mistaken for garbage.
+func TestLoadRefusesV2(t *testing.T) { refuseStream(t, "RSMIv2", oldStream(t, 2)) }
+
+// TestLoadRefusesV3: the format whose internal nodes are trained models is
+// refused with ErrSnapshotVersion, not mistaken for garbage.
+func TestLoadRefusesV3(t *testing.T) { refuseStream(t, "RSMIv3", oldStream(t, 3)) }
+
+// TestLoadRefusesV4: the format whose leaves are trained models is refused
+// with ErrSnapshotVersion, not mistaken for garbage.
+func TestLoadRefusesV4(t *testing.T) { refuseStream(t, "RSMIv4", oldStream(t, 4)) }
+
+// TestLoadRefusesV5: the format whose leaves own ranges of block ids is
+// refused with ErrSnapshotVersion, not mistaken for garbage.
+func TestLoadRefusesV5(t *testing.T) { refuseStream(t, "RSMIv5", oldStream(t, 5)) }
+
+// TestLoadRefusesV6: the format that held the kNN estimator's PMFs is
+// refused with ErrSnapshotVersion, not mistaken for garbage.
+func TestLoadRefusesV6(t *testing.T) { refuseStream(t, "RSMIv6", oldStream(t, 6)) }
+
+// TestLoadRefusesOldVersions: a stream of any other format version than
+// RSMIv8 is refused with ErrSnapshotVersion. RSMIv1-v6 have tests of their
+// own; this one covers the formats since — RSMIv7, the last stream that
+// format wrote — and a stream claiming a newer version. A format bump adds
+// the last seed the old format wrote here.
+func TestLoadRefusesOldVersions(t *testing.T) {
+	refuseStream(t, "RSMIv7", oldStream(t, 7))
+	refuseStream(t, "RSMIv9", rewrittenStream(t, "RSMIv9"))
 }
 
 // TestRewrittenBlockCapacity: B is stored once, in the option block, and

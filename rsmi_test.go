@@ -104,36 +104,43 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	}
 }
 
-// TestLoadRefusesOldVersions: both loaders refuse a snapshot of any other
-// format than RSMIv8 index streams and RSMISh2 sharded files with
-// ErrSnapshotVersion, in words that name the version found and say what to
-// do. The older snapshots are the committed FuzzLoadSharded seeds the
-// earlier formats wrote — RSMISh1 files, each holding one shard stream of
-// its format — and the newer ones this version's with the magic rewritten.
-func TestLoadRefusesOldVersions(t *testing.T) {
-	type refusal struct {
-		load    func(io.Reader) error
-		snap    []byte
-		version string
+// refusal is one old or newer snapshot and the loader that must refuse it.
+type refusal struct {
+	load    func(io.Reader) error
+	snap    []byte
+	version string
+}
+
+func loadIndex(r io.Reader) error   { _, err := rsmi.Load(r); return err }
+func loadSharded(r io.Reader) error { _, err := rsmi.LoadSharded(r); return err }
+
+// seedRefusals returns, for the committed FuzzLoadSharded seed
+// rsmiv<v>-1shard — an RSMISh1 file holding one RSMIv<v> shard stream, the
+// last that format wrote — the file for LoadSharded and its stream for Load.
+func seedRefusals(t *testing.T, v int) map[string]refusal {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("internal", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	load := func(r io.Reader) error { _, err := rsmi.Load(r); return err }
-	loadSharded := func(r io.Reader) error { _, err := rsmi.LoadSharded(r); return err }
-	cases := map[string]refusal{}
-	for v := 2; v <= 7; v++ {
-		raw, err := os.ReadFile(filepath.Join("internal", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
-		file, err := strconv.Unquote(body)
-		stream := fmt.Sprintf("RSMIv%d", v)
-		at := strings.Index(file, stream+"\x00")
-		if err != nil || at < 0 {
-			t.Fatalf("rsmiv%d-1shard: no %s stream in the corpus file (%v)", v, stream, err)
-		}
-		cases["LoadSharded "+stream] = refusal{loadSharded, []byte(file), "RSMISh1"}
-		cases["Load "+stream] = refusal{load, []byte(file[at:]), stream}
+	body := strings.TrimSuffix(strings.TrimPrefix(string(raw), "go test fuzz v1\n[]byte("), ")\n")
+	file, err := strconv.Unquote(body)
+	stream := fmt.Sprintf("RSMIv%d", v)
+	at := strings.Index(file, stream+"\x00")
+	if err != nil || at < 0 {
+		t.Fatalf("rsmiv%d-1shard: no %s stream in the corpus file (%v)", v, stream, err)
 	}
+	return map[string]refusal{
+		"LoadSharded " + stream: {loadSharded, []byte(file), "RSMISh1"},
+		"Load " + stream:        {loadIndex, []byte(file[at:]), stream},
+	}
+}
+
+// rewrittenRefusals returns a snapshot of an index and of a sharded index
+// of this version, with every magic from rewritten to magic to, for Load
+// and LoadSharded; the refusal must name want.
+func rewrittenRefusals(t *testing.T, from, to, want string) map[string]refusal {
+	t.Helper()
 	pts := dataset.Generate(dataset.Uniform, 600, 5)
 	opts := rsmi.Options{BlockCapacity: 50, PartitionThreshold: 500}
 	var index, sharded bytes.Buffer
@@ -143,12 +150,81 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 	if _, err := rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2, Index: opts}).WriteTo(&sharded); err != nil {
 		t.Fatal(err)
 	}
-	cases["Load RSMIv9"] = refusal{load, bytes.Replace(index.Bytes(), []byte("RSMIv8"), []byte("RSMIv9"), 1), "RSMIv9"}
-	cases["LoadSharded RSMISh3"] = refusal{loadSharded, bytes.Replace(sharded.Bytes(), []byte("RSMISh2"), []byte("RSMISh3"), 1), "RSMISh3"}
+	out := map[string]refusal{}
+	for name, snap := range map[string]*bytes.Buffer{"Load": &index, "LoadSharded": &sharded} {
+		rewritten := bytes.ReplaceAll(snap.Bytes(), []byte(from), []byte(to))
+		if bytes.Equal(rewritten, snap.Bytes()) {
+			continue
+		}
+		load := loadIndex
+		if name == "LoadSharded" {
+			load = loadSharded
+		}
+		out[name+" "+to] = refusal{load, rewritten, want}
+	}
+	if len(out) == 0 {
+		t.Fatalf("no snapshot holds %s to rewrite", from)
+	}
+	return out
+}
+
+// refuse checks that every refusal's loader refuses its snapshot with
+// ErrSnapshotVersion, in words that name the version found and say what to
+// do.
+func refuse(t *testing.T, cases map[string]refusal) {
+	t.Helper()
 	for name, c := range cases {
 		err := c.load(bytes.NewReader(c.snap))
 		if !errors.Is(err, rsmi.ErrSnapshotVersion) || !strings.Contains(err.Error(), c.version) || !strings.Contains(err.Error(), "rebuild") {
 			t.Errorf("%s: %v, want ErrSnapshotVersion naming %s and saying what to do", name, err, c.version)
 		}
 	}
+}
+
+// TestLoadRefusesV1: a snapshot saved in the RSMIv1 format — network weights
+// plus a normalisation rectangle per sub-model — is refused by both loaders
+// with ErrSnapshotVersion. No RSMIv1 seed is committed, so the snapshots
+// are this version's with every index stream's magic rewritten.
+func TestLoadRefusesV1(t *testing.T) {
+	refuse(t, rewrittenRefusals(t, "RSMIv8\x00", "RSMIv1\x00", "RSMIv1"))
+}
+
+// TestLoadRefusesV2: a snapshot saved in the RSMIv2 format — no point spans
+// — is refused by both loaders with ErrSnapshotVersion.
+func TestLoadRefusesV2(t *testing.T) { refuse(t, seedRefusals(t, 2)) }
+
+// TestLoadRefusesV3: a snapshot saved in the RSMIv3 format — a trained model
+// at every internal node — is refused by both loaders with
+// ErrSnapshotVersion.
+func TestLoadRefusesV3(t *testing.T) { refuse(t, seedRefusals(t, 3)) }
+
+// TestLoadRefusesV4: a snapshot saved in the RSMIv4 format — a trained model
+// at every leaf — is refused by both loaders with ErrSnapshotVersion.
+func TestLoadRefusesV4(t *testing.T) { refuse(t, seedRefusals(t, 4)) }
+
+// TestLoadRefusesV5: a snapshot saved in the RSMIv5 format — each leaf
+// owning one range of block ids — is refused by both loaders with
+// ErrSnapshotVersion.
+func TestLoadRefusesV5(t *testing.T) { refuse(t, seedRefusals(t, 5)) }
+
+// TestLoadRefusesV6: a snapshot saved in the RSMIv6 format — the PMFs of
+// Algorithm 3's kNN search behind the block MBRs — is refused by both
+// loaders with ErrSnapshotVersion.
+func TestLoadRefusesV6(t *testing.T) { refuse(t, seedRefusals(t, 6)) }
+
+// TestLoadRefusesOldVersions: both loaders refuse a snapshot of any other
+// format than RSMIv8 index streams and RSMISh2 sharded files with
+// ErrSnapshotVersion. RSMIv1-v6 have tests of their own; this one covers
+// the formats since — the RSMIv7 seed — and newer ones: this version's
+// snapshots with the magic rewritten. A format bump adds the last seed the
+// old format wrote here.
+func TestLoadRefusesOldVersions(t *testing.T) {
+	cases := seedRefusals(t, 7)
+	for name, c := range rewrittenRefusals(t, "RSMIv8\x00", "RSMIv9\x00", "RSMIv9") {
+		cases[name] = c
+	}
+	for name, c := range rewrittenRefusals(t, "RSMISh2\x00", "RSMISh3\x00", "RSMISh3") {
+		cases[name] = c
+	}
+	refuse(t, cases)
 }
