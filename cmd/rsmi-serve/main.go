@@ -216,7 +216,6 @@ func main() {
 	srv := server.New(server.Config{
 		Engine:               eng,
 		MaxInFlight:          *maxInflight,
-		StreamAddr:           *streamAddr,
 		StreamRequestTimeout: *streamRTO,
 		Replicator:           repl,
 		Replica:              rep,

@@ -98,6 +98,9 @@ func ExplainSamples(cfg Config, n int) (ExplainReport, error) {
 	if n <= 0 {
 		return ExplainReport{}, nil
 	}
+	if len(cfg.Addrs) == 0 {
+		return ExplainReport{}, errNoTarget
+	}
 	reads := Mix{Point: cfg.Mix.Point, Window: cfg.Mix.Window, KNN: cfg.Mix.KNN, SQL: cfg.Mix.SQL}
 	if reads.total() == 0 {
 		// A write-only mix still gets a useful sample: EXPLAIN exists

@@ -105,12 +105,10 @@ func ParseMix(s string) (Mix, error) {
 
 // Config configures one load-generation run.
 type Config struct {
-	// Addr is the server ("host:port" or http:// URL). Required unless
-	// Addrs is set.
-	Addr string
-	// Addrs lists every serving target (primary and replicas). With more
-	// than one, reads are hedged across the set (see HedgeDelay) and
-	// writes fail over on transport errors. When set it overrides Addr.
+	// Addrs lists every serving target ("host:port" or http:// URL):
+	// the primary and its replicas. Required. With more than one, reads
+	// are hedged across the set (see HedgeDelay) and writes fail over on
+	// transport errors.
 	Addrs []string
 	// HedgeDelay is how long the first target has to answer before the
 	// hedge fires at a second (default server.DefaultHedgeDelay). Only
@@ -136,8 +134,8 @@ type Config struct {
 	// Ignored by the TCP transport, which always speaks rsmibin.
 	Proto server.Proto
 	// Transport selects HTTP requests or the persistent pipelined TCP
-	// stream (default server.TransportHTTP). With TransportTCP, Addr is
-	// the server's -stream-addr listener.
+	// stream (default server.TransportHTTP). With TransportTCP, Addrs
+	// name the servers' -stream-addr listeners.
 	Transport server.Transport
 	// Timeout bounds one request round-trip (default 30 s; see
 	// server.WithTimeout).
@@ -150,14 +148,11 @@ type Config struct {
 	// Subscribers > 0 registers that many standing window queries
 	// (windows of WindowFrac area at uniform centres) before driving
 	// load, drains their notifications for the whole run, and reports
-	// the notification tally. Requires TransportTCP and a single Addr.
+	// the notification tally. Requires TransportTCP and a single target.
 	Subscribers int
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.Addrs) == 0 {
-		c.Addrs = []string{c.Addr}
-	}
 	if c.Clients == 0 {
 		c.Clients = 4
 	}
@@ -296,11 +291,17 @@ type apiClient interface {
 	Close()
 }
 
+// errNoTarget refuses a run with no address to drive.
+var errNoTarget = errors.New("loadgen: no target address (Config.Addrs is empty)")
+
 // Run drives the configured load and blocks until the duration elapses.
 // It returns an error only when the run produced no successful request at
 // all (server down); partial failures are reported in the Report.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
+	if len(cfg.Addrs) == 0 {
+		return Report{}, errNoTarget
+	}
 	// Bound the open-loop rate so the per-arrival interval neither
 	// truncates to zero (rate too high: every scheduled arrival pins at
 	// the start time and the schedule never passes the deadline) nor

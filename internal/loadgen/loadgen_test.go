@@ -63,7 +63,7 @@ func TestRunAgainstServer(t *testing.T) {
 
 	for _, batch := range []int{1, 8} {
 		rep, err := Run(Config{
-			Addr:      l.Addr().String(),
+			Addrs:     []string{l.Addr().String()},
 			Clients:   3,
 			Duration:  300 * time.Millisecond,
 			BatchSize: batch,
@@ -94,7 +94,7 @@ func TestRunBinaryProto(t *testing.T) {
 	defer cleanup()
 	for _, batch := range []int{1, 8} {
 		rep, err := Run(Config{
-			Addr:      addr,
+			Addrs:     []string{addr},
 			Clients:   3,
 			Duration:  300 * time.Millisecond,
 			BatchSize: batch,
@@ -122,7 +122,7 @@ func TestRunOpenLoop(t *testing.T) {
 	defer cleanup()
 	const rate, dur = 200.0, 500 * time.Millisecond
 	rep, err := Run(Config{
-		Addr:     addr,
+		Addrs:    []string{addr},
 		Clients:  4,
 		Duration: dur,
 		Rate:     rate,
@@ -151,7 +151,7 @@ func TestRunOpenLoop(t *testing.T) {
 // must error out instead of looping forever.
 func TestRunRejectsBadRate(t *testing.T) {
 	for _, rate := range []float64{-1, math.Inf(1), math.NaN(), 2e9, 1e-10} {
-		if _, err := Run(Config{Addr: "127.0.0.1:1", Duration: 50 * time.Millisecond, Rate: rate}); err == nil {
+		if _, err := Run(Config{Addrs: []string{"127.0.0.1:1"}, Duration: 50 * time.Millisecond, Rate: rate}); err == nil {
 			t.Errorf("Run accepted rate %v", rate)
 		}
 	}
@@ -205,7 +205,7 @@ func TestRunTCPTransport(t *testing.T) {
 	defer cleanup()
 	for _, batch := range []int{1, 8} {
 		rep, err := Run(Config{
-			Addr:      streamAddr,
+			Addrs:     []string{streamAddr},
 			Clients:   3,
 			Duration:  300 * time.Millisecond,
 			BatchSize: batch,
@@ -229,7 +229,7 @@ func TestRunTCPTransport(t *testing.T) {
 // TestRunAgainstDeadServer must fail cleanly, not hang.
 func TestRunAgainstDeadServer(t *testing.T) {
 	_, err := Run(Config{
-		Addr:     "127.0.0.1:1", // nothing listens on port 1
+		Addrs:    []string{"127.0.0.1:1"}, // nothing listens on port 1
 		Clients:  1,
 		Duration: 50 * time.Millisecond,
 	})
@@ -249,9 +249,9 @@ func TestExplainSamples(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"json", Config{Addr: addr}},
-		{"binary", Config{Addr: addr, Proto: server.ProtoBinary}},
-		{"stream", Config{Addr: streamAddr, Transport: server.TransportTCP}},
+		{"json", Config{Addrs: []string{addr}}},
+		{"binary", Config{Addrs: []string{addr}, Proto: server.ProtoBinary}},
+		{"stream", Config{Addrs: []string{streamAddr}, Transport: server.TransportTCP}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -292,7 +292,7 @@ func TestExplainSamples(t *testing.T) {
 
 	// A write-only mix falls back to read queries rather than sampling
 	// nothing.
-	rep, err := ExplainSamples(Config{Addr: addr, Mix: Mix{Insert: 1}}, 4)
+	rep, err := ExplainSamples(Config{Addrs: []string{addr}, Mix: Mix{Insert: 1}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestExplainSamples(t *testing.T) {
 	}
 
 	// n <= 0 is a no-op, not an error.
-	if rep, err := ExplainSamples(Config{Addr: addr}, 0); err != nil || len(rep.Rows) != 0 {
+	if rep, err := ExplainSamples(Config{Addrs: []string{addr}}, 0); err != nil || len(rep.Rows) != 0 {
 		t.Fatalf("n=0: %+v, %v", rep, err)
 	}
 }

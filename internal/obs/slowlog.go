@@ -63,9 +63,6 @@ func NewSlowLog(w io.Writer, threshold time.Duration, maxPerSec float64) *SlowLo
 	}
 }
 
-// Threshold reports the configured slowness threshold.
-func (l *SlowLog) Threshold() time.Duration { return l.threshold }
-
 // Logged reports lines written; Suppressed reports lines dropped by the
 // rate limit. Their sum is every request that crossed the threshold.
 func (l *SlowLog) Logged() int64     { return l.logged.Load() }

@@ -65,10 +65,6 @@ func (m *MultiEngine) PlanQuery(q Query) Plan { return m.stats.Choose(q) }
 // PlannerStats snapshots routing and misprediction counters.
 func (m *MultiEngine) PlannerStats() Counters { return m.stats.Counters() }
 
-// QueryStats exposes the statistics store (selectivity estimator and
-// cost models).
-func (m *MultiEngine) QueryStats() *Stats { return m.stats }
-
 // engine resolves a plan's backend, falling back to the primary.
 func (m *MultiEngine) engine(name string) rsmi.Engine {
 	if e, ok := m.byName[name]; ok {

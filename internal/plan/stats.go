@@ -202,15 +202,6 @@ func (s *Stats) Model(name string) (Model, bool) {
 	return m.Model, true
 }
 
-// Backends lists the calibrated backends in registration order.
-func (s *Stats) Backends() []string {
-	set := s.set.Load()
-	if set == nil {
-		return nil
-	}
-	return append([]string(nil), set.order...)
-}
-
 // Selectivity estimates the fraction of the point set inside r as the
 // product of the marginal CDF masses — exact for independent x/y,
 // approximate otherwise, and always cheap (two PMF evaluations).

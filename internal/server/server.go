@@ -51,8 +51,8 @@
 // # Stream transport
 //
 // Beyond HTTP, the server can serve rsmibin/1 over persistent pipelined
-// TCP connections (Config.StreamAddr / ServeStream — the rsmistream
-// transport, stream.go), with identical semantics: the same pipeline,
+// TCP connections (ServeStream on a listener of the caller's — the
+// rsmistream transport, stream.go), with identical semantics: the same pipeline,
 // admission gate, histograms, and shutdown draining. Answers that are
 // ready together leave a connection in one write.
 package server
@@ -94,12 +94,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently admitted requests; excess load is
 	// shed immediately with 429 (default 1024).
 	MaxInFlight int
-	// StreamAddr, when non-empty, makes ListenAndServe also open a raw
-	// TCP listener on this address serving rsmibin/1 over persistent
-	// pipelined connections (the rsmistream transport, see stream.go).
-	// Tests and embedders may instead hand ServeStream a listener
-	// directly.
-	StreamAddr string
 	// StreamRequestTimeout, when positive, bounds each stream request's
 	// execution with a per-request deadline (the stream analogue of an
 	// HTTP request context): a request still executing past it fails with
@@ -163,7 +157,7 @@ const (
 var transportIdxName = [numTransports]string{"http", "stream"}
 
 // Server serves an Engine over HTTP. Create with New, attach with
-// Handler or Serve/ListenAndServe, stop with Shutdown.
+// Handler, Serve or ServeStream, stop with Shutdown.
 type Server struct {
 	cfg   Config
 	eng   Engine
@@ -269,25 +263,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Serve accepts connections on l until Shutdown; like http.Server.Serve
 // it returns http.ErrServerClosed after a clean shutdown.
 func (s *Server) Serve(l net.Listener) error { return s.hs.Serve(l) }
-
-// ListenAndServe listens on addr and serves until Shutdown. When
-// Config.StreamAddr is set, it also opens the rsmistream TCP listener
-// there (served on a background goroutine; Shutdown stops both).
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	if s.cfg.StreamAddr != "" {
-		sl, err := net.Listen("tcp", s.cfg.StreamAddr)
-		if err != nil {
-			l.Close()
-			return err
-		}
-		go s.ServeStream(sl)
-	}
-	return s.Serve(l)
-}
 
 // Shutdown gracefully stops the server: it stops accepting connections
 // (HTTP and stream), drains in-flight requests on both transports

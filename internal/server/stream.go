@@ -249,16 +249,6 @@ func (s *Server) ServeStream(l net.Listener) error {
 	}
 }
 
-// ListenAndServeStream listens on addr and serves rsmistream connections
-// until Shutdown.
-func (s *Server) ListenAndServeStream(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.ServeStream(l)
-}
-
 // trackStreamConn registers or unregisters a live connection so Shutdown
 // can interrupt blocked reads (deadline) and, past its context, force
 // close.

@@ -597,48 +597,3 @@ func TestStandingQueryAcceptance(t *testing.T) {
 		}
 	}
 }
-
-// FuzzSubscribeFrame asserts the rsmibin decoder never panics on
-// arbitrary sub/unsub bytes, and that accepted subscription ops
-// round-trip through the encoder.
-func FuzzSubscribeFrame(f *testing.F) {
-	mk := func(op BatchOp) []byte {
-		b, _ := wire.AppendOps(nil, []BatchOp{op}, false, false)
-		return b
-	}
-	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MinX: 0.1, MinY: 0.2, MaxX: 0.8, MaxY: 0.9}))
-	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1 << 40, SubKind: wire.SubKNN, X: 0.5, Y: 0.5, K: 16}))
-	f.Add(mk(BatchOp{Op: wire.OpUnsub, SubID: 7}))
-	// Unknown kind byte (after header, count, op byte and id) and a
-	// truncated window.
-	unknown := mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow})[:7]
-	unknown[6] = 99
-	f.Add(unknown)
-	f.Add(mk(BatchOp{Op: wire.OpSub, SubID: 1, SubKind: wire.SubWindow, MaxX: 1, MaxY: 1})[:12])
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ops, _, err := wire.DecodeOps(data, false)
-		if err != nil {
-			return
-		}
-		for _, op := range ops {
-			if op.Op != wire.OpSub && op.Op != wire.OpUnsub {
-				continue
-			}
-			// Re-encode and re-decode: subscription fields survive.
-			b, aerr := wire.AppendOps(nil, []BatchOp{op}, false, false)
-			if aerr != nil {
-				t.Fatalf("decoded op does not re-encode: %+v: %v", op, aerr)
-			}
-			ops2, _, derr := wire.DecodeOps(b, false)
-			if derr != nil || len(ops2) != 1 {
-				t.Fatalf("re-decode: %v (%d ops)", derr, len(ops2))
-			}
-			if got := ops2[0]; got.Op != op.Op || got.SubID != op.SubID || got.SubKind != op.SubKind ||
-				math.Float64bits(got.MinX) != math.Float64bits(op.MinX) ||
-				math.Float64bits(got.MaxY) != math.Float64bits(op.MaxY) ||
-				math.Float64bits(got.X) != math.Float64bits(op.X) || got.K != op.K {
-				t.Fatalf("round-trip changed the Op: %+v vs %+v", got, op)
-			}
-		}
-	})
-}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"math"
 	"testing"
 
 	"rsmi/internal/geom"
@@ -225,6 +226,51 @@ func FuzzPushPayload(f *testing.F) {
 		for _, n := range ns {
 			if n.Kind != OpInsert && n.Kind != OpDelete {
 				t.Fatalf("decoded push kind %q", n.Kind)
+			}
+		}
+	})
+}
+
+// FuzzSubscribeFrame asserts the rsmibin decoder never panics on
+// arbitrary sub/unsub bytes, and that accepted subscription ops
+// round-trip through the encoder.
+func FuzzSubscribeFrame(f *testing.F) {
+	mk := func(op BatchOp) []byte {
+		b, _ := AppendOps(nil, []BatchOp{op}, false, false)
+		return b
+	}
+	f.Add(mk(BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MinX: 0.1, MinY: 0.2, MaxX: 0.8, MaxY: 0.9}))
+	f.Add(mk(BatchOp{Op: OpSub, SubID: 1 << 40, SubKind: SubKNN, X: 0.5, Y: 0.5, K: 16}))
+	f.Add(mk(BatchOp{Op: OpUnsub, SubID: 7}))
+	// Unknown kind byte (after header, count, op byte and id) and a
+	// truncated window.
+	unknown := mk(BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow})[:7]
+	unknown[6] = 99
+	f.Add(unknown)
+	f.Add(mk(BatchOp{Op: OpSub, SubID: 1, SubKind: SubWindow, MaxX: 1, MaxY: 1})[:12])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ops, _, err := DecodeOps(data, false)
+		if err != nil {
+			return
+		}
+		for _, op := range ops {
+			if op.Op != OpSub && op.Op != OpUnsub {
+				continue
+			}
+			// Re-encode and re-decode: subscription fields survive.
+			b, aerr := AppendOps(nil, []BatchOp{op}, false, false)
+			if aerr != nil {
+				t.Fatalf("decoded op does not re-encode: %+v: %v", op, aerr)
+			}
+			ops2, _, derr := DecodeOps(b, false)
+			if derr != nil || len(ops2) != 1 {
+				t.Fatalf("re-decode: %v (%d ops)", derr, len(ops2))
+			}
+			if got := ops2[0]; got.Op != op.Op || got.SubID != op.SubID || got.SubKind != op.SubKind ||
+				math.Float64bits(got.MinX) != math.Float64bits(op.MinX) ||
+				math.Float64bits(got.MaxY) != math.Float64bits(op.MaxY) ||
+				math.Float64bits(got.X) != math.Float64bits(op.X) || got.K != op.K {
+				t.Fatalf("round-trip changed the Op: %+v vs %+v", got, op)
 			}
 		}
 	})
