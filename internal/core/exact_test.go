@@ -46,7 +46,7 @@ func (q *refExactQueue) Pop() interface{} {
 // expanding that leaf skips them. Its block reads are counted by the store
 // like the new walk's.
 func refExactKNN(t *RSMI, q geom.Point, k int) []geom.Point {
-	if k <= 0 || t.n == 0 || !q.IsFinite() {
+	if k <= 0 || t.Len() == 0 || !q.IsFinite() {
 		return nil
 	}
 	pq := &refExactQueue{}

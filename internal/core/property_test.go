@@ -198,8 +198,8 @@ func TestModelCountMatchesStats(t *testing.T) {
 	}
 	leafPoints := 0
 	walkLeaves(idx.root, func(l *node) { leafPoints += l.points })
-	if leafPoints != idx.n {
-		t.Errorf("leaf point counters sum to %d, n = %d", leafPoints, idx.n)
+	if leafPoints != idx.Len() {
+		t.Errorf("leaf point counters sum to %d, Len() = %d", leafPoints, idx.Len())
 	}
 }
 

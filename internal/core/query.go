@@ -196,7 +196,7 @@ var knnWalks index.Walks[knnStep]
 //
 //rsmi:noalloc
 func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
-	if t.n == 0 || k <= 0 || !q.IsFinite() {
+	if t.Len() == 0 || k <= 0 || !q.IsFinite() {
 		// Nothing is nearest to a point that is nowhere.
 		return nil
 	}
@@ -222,7 +222,7 @@ func (t *RSMI) KNN(q geom.Point, k int) []geom.Point {
 //
 //rsmi:noalloc
 func (t *RSMI) KNNInto(best *index.Nearest) {
-	if t.n == 0 {
+	if t.Len() == 0 {
 		return
 	}
 	q := best.Query()

@@ -159,8 +159,7 @@ type node struct {
 type RSMI struct {
 	opts  Options
 	store *store.Manager
-	root  *node
-	n     int // live points
+	root  *node // never nil: an empty index is one empty leaf
 
 	// side is the side of every internal node's grid, and grid[c·side + r]
 	// the curve value of the cell in column c and row r: the index of its
@@ -186,10 +185,12 @@ type RSMI struct {
 	empty blockSet
 
 	buildTime time.Duration
-	leaves    int
-	height    int
 	inserted  int // insertions since build/rebuild (drives RSMIr policy)
 	repacks   int // leaf repacks since build/rebuild
+	// leaves and height are the tree's leaf count and the depth of its
+	// deepest leaf (the root is depth 1): a build counts them, a load
+	// derives them from the tree it read (see linkChains).
+	leaves, height int
 }
 
 var _ index.Index = (*RSMI)(nil)
@@ -210,7 +211,6 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 	t := &RSMI{
 		opts:  opts,
 		store: store.NewManager(opts.BlockCapacity),
-		n:     len(work),
 	}
 	t.side, t.grid = gridCells(opts)
 	t.cellGrids = leafGrids(opts.Curve)
@@ -571,9 +571,10 @@ func (t *RSMI) trackBlock(r geom.Rect) {
 	t.chainHeads = append(t.chainHeads, store.NilBlock)
 }
 
-// linkChains derives from the leaves' block lists and the blocks' links
-// what a loaded index keeps beside its blocks: the chain head of every base
-// block (t.chainHeads), every leaf's overflow points, and the empty set. It
+// linkChains derives from the tree, the leaves' block lists and the
+// blocks' links what a loaded index keeps beside its blocks: the chain head
+// of every base block (t.chainHeads), every leaf's overflow points, the
+// empty set, and the leaf count and height. It
 // checks the structure every walk trusts, since a snapshot can say
 // anything: each block is reached at most once — named by one leaf's list
 // as a base block, or in the overflow chain hung off one — a base block is
@@ -610,19 +611,22 @@ func (t *RSMI) linkChains() error {
 		}
 		return live, nil
 	}
-	var walk func(n *node) error
-	walk = func(n *node) error {
+	t.leaves, t.height = 0, 0
+	var walk func(n *node, depth int) error
+	walk = func(n *node, depth int) error {
 		if n == nil {
 			return nil
 		}
 		for _, c := range n.children {
-			if err := walk(c); err != nil {
+			if err := walk(c, depth+1); err != nil {
 				return err
 			}
 		}
 		if !n.leaf {
 			return nil
 		}
+		t.leaves++
+		t.height = max(t.height, depth)
 		n.overflow = 0
 		for _, id := range n.blocks {
 			b := t.store.Peek(int(id))
@@ -644,7 +648,7 @@ func (t *RSMI) linkChains() error {
 		}
 		return nil
 	}
-	if err := walk(t.root); err != nil {
+	if err := walk(t.root, 1); err != nil {
 		return err
 	}
 	for id, ok := range reached {
@@ -710,8 +714,13 @@ func nearestChild(n *node, c int) *node {
 // Name implements index.Index.
 func (t *RSMI) Name() string { return "RSMI" }
 
-// Len implements index.Index.
-func (t *RSMI) Len() int { return t.n }
+// Len implements index.Index: the root's count of the live points under it.
+func (t *RSMI) Len() int { return t.root.points }
+
+// Bounds returns the root's MBR, which covers every live point: a build's
+// bounding rectangle, extended by inserts, never shrunk by deletes, and
+// recomputed when a root leaf repacks.
+func (t *RSMI) Bounds() geom.Rect { return t.root.mbr }
 
 // Accesses implements index.Index.
 func (t *RSMI) Accesses() int64 { return t.store.Accesses() }
@@ -744,10 +753,10 @@ func (t *RSMI) ErrorBounds() (errLow, errHigh int) {
 // AvgDepth returns the average number of sub-models invoked to reach a data
 // block (§6.2.2 reports 3.11–4.01 across the data sets).
 func (t *RSMI) AvgDepth() float64 {
-	if t.n == 0 {
+	if t.Len() == 0 {
 		return 0
 	}
-	return float64(t.depthSum()) / float64(t.n)
+	return float64(t.depthSum()) / float64(t.Len())
 }
 
 // depthSum sums every live point's leaf depth (the root is depth 1) from
@@ -811,5 +820,5 @@ func (t *RSMI) Options() Options { return t.opts }
 // String summarises the index structure.
 func (t *RSMI) String() string {
 	return fmt.Sprintf("RSMI{n=%d leaves=%d height=%d blocks=%d}",
-		t.n, t.leaves, t.height, t.store.NumBlocks())
+		t.Len(), t.leaves, t.height, t.store.NumBlocks())
 }

@@ -23,13 +23,16 @@ import (
 // This file provides a complete binary serialisation of a built index:
 // options, blocks (their live points and overflow chains), the internal
 // nodes' cuts, the leaves' cuts and cell counts, and MBRs. Each fact is
-// stored once, and nothing a load does not read. A loaded index answers
+// stored once, and nothing the tree already fixes: a load counts the
+// points, the leaves and the height off the tree it reads, and of the
+// index's counters stores only the inserts and repacks since the build and
+// the build time. A loaded index answers
 // queries identically to the original: the cuts and counts are stored as
 // they are, so every grouping in the file was made by the very lookups the
 // loaded index runs.
 
-// serialMagic identifies the index stream format, RSMIv8.
-var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '8', 0, 0}
+// serialMagic identifies the index stream format, RSMIv9.
+var serialMagic = [8]byte{'R', 'S', 'M', 'I', 'v', '9', 0, 0}
 
 // ErrSnapshotVersion is returned, wrapped in a message that names the
 // version found, by Load for an index stream of another format version than
@@ -77,14 +80,11 @@ func (t *RSMI) encode(w io.Writer) error {
 	if _, err := w.Write(serialMagic[:]); err != nil {
 		return fmt.Errorf("core: write magic: %w", err)
 	}
-	if _, err := WriteOptions(w, t.opts); err != nil {
+	if err := writeOptions(w, t.opts); err != nil {
 		return err
 	}
-	// Scalars.
-	if err := put([]int64{
-		int64(t.n), int64(t.leaves), int64(t.height),
-		int64(t.inserted), int64(t.repacks), int64(t.buildTime),
-	}); err != nil {
+	// Scalars: the counters the tree cannot tell.
+	if err := put([]int64{int64(t.inserted), int64(t.repacks), int64(t.buildTime)}); err != nil {
 		return fmt.Errorf("core: write scalars: %w", err)
 	}
 	// Store.
@@ -108,11 +108,9 @@ func (t *RSMI) encode(w io.Writer) error {
 // word each, and the raw-grid flag.
 const optionBlockSize = 3*8 + 1
 
-// WriteOptions writes o as the option block every index stream and the
-// sharded header carry: B, N, the curve and the raw-grid flag. An index
-// stream stores its options resolved, the paper's defaults filled in; the
-// sharded header stores them as the caller gave them.
-func WriteOptions(w io.Writer, o Options) (int64, error) {
+// writeOptions writes o, resolved, as the stream's option block: B, N, the
+// curve and the raw-grid flag.
+func writeOptions(w io.Writer, o Options) error {
 	b := make([]byte, 0, optionBlockSize)
 	for _, v := range []int{o.BlockCapacity, o.PartitionThreshold, int(o.Curve)} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(v))
@@ -121,15 +119,14 @@ func WriteOptions(w io.Writer, o Options) (int64, error) {
 	if o.RawGridLeafOrder {
 		raw = 1
 	}
-	n, err := w.Write(append(b, raw))
-	if err != nil {
-		return int64(n), fmt.Errorf("core: write options: %w", err)
+	if _, err := w.Write(append(b, raw)); err != nil {
+		return fmt.Errorf("core: write options: %w", err)
 	}
-	return int64(n), nil
+	return nil
 }
 
-// ReadOptions reads an option block written by WriteOptions.
-func ReadOptions(r io.Reader) (Options, error) {
+// readOptions reads an option block written by writeOptions.
+func readOptions(r io.Reader) (Options, error) {
 	var b [optionBlockSize]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
 		return Options{}, fmt.Errorf("core: read options: %w", err)
@@ -260,11 +257,17 @@ func putRect(w io.Writer, r geom.Rect) error {
 	return nil
 }
 
+// getRect reads a rectangle written by putRect, refusing a NaN coordinate:
+// an MBR of one contains no point, and stays so however far inserts extend
+// it, so an empty node or shard would lose every point filed under it.
 func getRect(r io.Reader) (geom.Rect, error) {
 	var bits [4]uint64
 	for i := range bits {
 		if err := binary.Read(r, binary.LittleEndian, &bits[i]); err != nil {
 			return geom.Rect{}, err
+		}
+		if math.IsNaN(math.Float64frombits(bits[i])) {
+			return geom.Rect{}, errors.New("core: an MBR coordinate is NaN")
 		}
 	}
 	return geom.Rect{
@@ -290,22 +293,19 @@ func decode(r io.Reader) (*RSMI, error) {
 	get := func(v interface{}) error {
 		return binary.Read(r, binary.LittleEndian, v)
 	}
-	opts, err := ReadOptions(r)
+	opts, err := readOptions(r)
 	if err != nil {
 		return nil, err
 	}
 	t := &RSMI{opts: opts, cellGrids: leafGrids(opts.Curve)}
 	// Scalars.
-	var scalars [6]int64
+	var scalars [3]int64
 	if err := get(&scalars); err != nil {
 		return nil, fmt.Errorf("core: read scalars: %w", err)
 	}
-	t.n = int(scalars[0])
-	t.leaves = int(scalars[1])
-	t.height = int(scalars[2])
-	t.inserted = int(scalars[3])
-	t.repacks = int(scalars[4])
-	t.buildTime = time.Duration(scalars[5])
+	t.inserted = int(scalars[0])
+	t.repacks = int(scalars[1])
+	t.buildTime = time.Duration(scalars[2])
 	// Store, of blocks of B points.
 	mgr, err := store.ReadManager(r, opts.BlockCapacity)
 	if err != nil {
@@ -496,21 +496,16 @@ func (t *RSMI) validate() error {
 	// Point queries and deletes search a block only when its cached MBR
 	// contains the probe, so a stored MBR that misses one of the block's
 	// live points would hide that point: refuse the snapshot instead. No
-	// index holds a point that is not finite, and Len counts what the
-	// blocks hold.
-	live := 0
+	// index holds a point that is not finite.
 	for id, mbr := range t.blockMBR {
 		for _, p := range t.store.Peek(id).Slots() {
 			if !p.IsFinite() || !mbr.Contains(p) {
 				return fmt.Errorf("core: block %d MBR %v does not cover its point %v", id, mbr, p)
 			}
-			live++
 		}
 	}
-	if live != t.n {
-		return fmt.Errorf("core: index claims %d points, its blocks hold %d", t.n, live)
-	}
-	// Every model's MBR covers the points under it, and its count is theirs.
+	// Every model's MBR covers the points under it — the root's is what a
+	// shard routes by — and its count is theirs: the root's is Len.
 	// Window and kNN queries prune by those MBRs, so a snapshot breaking them
 	// would have them miss points. Every live point descends to the leaf
 	// that holds its block, and that block's base block lies in the blocks

@@ -257,7 +257,9 @@ func rewrittenStream(t *testing.T, name string) []byte {
 	if _, err := New(dataset.Generate(dataset.Uniform, 500, 40), testOptions()).WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return append([]byte(name+"\x00\x00"), buf.Bytes()[8:]...)
+	var magic [8]byte
+	copy(magic[:], name)
+	return append(magic[:], buf.Bytes()[8:]...)
 }
 
 // refuseStream checks that Load refuses stream with ErrSnapshotVersion, in
@@ -298,13 +300,14 @@ func TestLoadRefusesV5(t *testing.T) { refuseStream(t, "RSMIv5", oldStream(t, 5)
 func TestLoadRefusesV6(t *testing.T) { refuseStream(t, "RSMIv6", oldStream(t, 6)) }
 
 // TestLoadRefusesOldVersions: a stream of any other format version than
-// RSMIv8 is refused with ErrSnapshotVersion. RSMIv1-v6 have tests of their
-// own; this one covers the formats since — RSMIv7, the last stream that
-// format wrote — and a stream claiming a newer version. A format bump adds
-// the last seed the old format wrote here.
+// RSMIv9 is refused with ErrSnapshotVersion. RSMIv1-v6 have tests of their
+// own; this one covers the formats since — RSMIv7 and RSMIv8, the last
+// streams those formats wrote — and a stream claiming a newer version. A
+// format bump adds the last seed the old format wrote here.
 func TestLoadRefusesOldVersions(t *testing.T) {
 	refuseStream(t, "RSMIv7", oldStream(t, 7))
-	refuseStream(t, "RSMIv9", rewrittenStream(t, "RSMIv9"))
+	refuseStream(t, "RSMIv8", oldStream(t, 8))
+	refuseStream(t, "RSMIv10", rewrittenStream(t, "RSMIv10"))
 }
 
 // TestRewrittenBlockCapacity: B is stored once, in the option block, and
@@ -463,6 +466,22 @@ func TestLoadRefusesSpanOutsideLeaf(t *testing.T) {
 	}
 	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "blocks") {
 		t.Fatalf("Load of a cell past its leaf: %v, want a refusal naming the blocks", err)
+	}
+}
+
+// TestLoadRefusesNaNMBR: an MBR with a NaN coordinate contains no point,
+// however far inserts extend it, so an empty index whose root MBR is NaN —
+// which no point vouches against at load — would lose every insert; the
+// loader refuses it.
+func TestLoadRefusesNaNMBR(t *testing.T) {
+	idx := New(nil, testOptions())
+	idx.root.mbr.MaxY = math.NaN()
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil || !strings.Contains(err.Error(), "NaN") {
+		t.Fatalf("Load of a NaN root MBR: %v, want a refusal naming the NaN", err)
 	}
 }
 

@@ -64,11 +64,6 @@ func (t *RSMI) file(p geom.Point) *node {
 	if !p.IsFinite() {
 		return nil
 	}
-	if t.root == nil {
-		// Degenerate empty index: rebuild from a single point.
-		*t = *New([]geom.Point{p}, t.opts)
-		return nil
-	}
 	var stack [maxDepth]*node
 	leaf, path := t.descendPath(p, stack[:0])
 	if leaf == nil {
@@ -123,7 +118,6 @@ func (t *RSMI) file(p geom.Point) *node {
 		n.mbr = n.mbr.ExtendPoint(p)
 		n.points++
 	}
-	t.n++
 	t.inserted++
 	return leaf
 }
@@ -371,7 +365,6 @@ func (t *RSMI) Delete(p geom.Point) bool {
 			t.empty.add(b.ID)
 		}
 	}
-	t.n--
 	// Decrement live counts down the model path.
 	leaf.points--
 	for _, n := range path {
@@ -434,7 +427,7 @@ func (t *RSMI) InsertedSinceRebuild() int { return t.inserted }
 // AllPoints returns every live point, leaf by leaf, each base block's
 // before its chain's.
 func (t *RSMI) AllPoints() []geom.Point {
-	out := make([]geom.Point, 0, t.n)
+	out := make([]geom.Point, 0, t.Len())
 	forLeaves(t.root, everywhere, func(n *node) {
 		c := t.scan(n, 0, len(n.blocks)-1)
 		for id := c.next(); id != store.NilBlock; id = c.next() {
@@ -484,7 +477,7 @@ func (r *Rebuilder) Name() string { return "RSMIr" }
 // Insert implements index.Index, rebuilding when the policy fires.
 func (r *Rebuilder) Insert(p geom.Point) {
 	r.RSMI.Insert(p)
-	if float64(r.RSMI.inserted) >= rebuildFraction*float64(r.RSMI.n) {
+	if float64(r.RSMI.inserted) >= rebuildFraction*float64(r.RSMI.Len()) {
 		r.RSMI.Rebuild()
 	}
 }

@@ -100,7 +100,7 @@ func (s *Sharded) BatchKNNContext(ctx context.Context, qs []KNNQuery) ([][]geom.
 // that shard's write lock, so inserts into different shards run
 // concurrently. The owner is the shard whose region needs the least
 // enlargement to cover p (ties to the smaller region, then the lower shard
-// id), and the chosen region is extended.
+// id), and the chosen region is republished from its index's root MBR.
 //
 // ctx is honoured at entry; an admitted insert always completes (a
 // half-applied update would corrupt the owning shard). A point that cannot
@@ -116,10 +116,10 @@ func (s *Sharded) InsertContext(ctx context.Context, p geom.Point) error {
 	sh := s.route(p)
 	sh.mu.Lock()
 	sh.idx.Insert(p)
-	// A new rectangle is published only when the region grows, so an
-	// insert inside it allocates none.
-	if r := sh.loadRegion(); !r.Contains(p) {
-		sh.storeRegion(r.ExtendPoint(p))
+	// A new rectangle is published only when the root MBR moved — p lay
+	// outside it, or a root leaf repacked — so most inserts allocate none.
+	if r := sh.idx.Bounds(); r != sh.loadRegion() {
+		sh.storeRegion(r)
 	}
 	// Under the shard lock: for any single point, hook order == apply
 	// order (see hook.go).

@@ -7,24 +7,24 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"rsmi/internal/core"
-	"rsmi/internal/geom"
 )
 
 // Snapshot serialisation. A build sorts every point (and the paper's
 // models take hours to train at scale, §6.2.2), so a serving deployment
 // builds once and reloads across restarts (cmd/rsmi-serve -snapshot). The
-// format is the shard layout — the shard count, the options, per-shard
-// routing regions — with each shard's RSMI embedded as a length-prefixed
-// core stream (the existing internal/core / internal/store writers), so a
-// loaded index answers every query identically to the original.
+// format is the magic, the shard count, then each shard's RSMI as a
+// length-prefixed core stream (the internal/core / internal/store
+// writers). Nothing a shard's stream already says is stored beside it: a
+// shard rebuilds with its stream's options and routes by its root's MBR,
+// so a loaded index answers every query, and routes every insert,
+// identically to the original.
 
-// shardMagic identifies the sharded snapshot format, RSMISh2. Every other
+// shardMagic identifies the sharded snapshot format, RSMISh3. Every other
 // version is refused with core.ErrSnapshotVersion.
-var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '2', 0}
+var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '3', 0}
 
 // WriteTo serialises the index. It implements io.WriterTo. Each shard is
 // serialised under its read lock (taken one shard at a time, like a
@@ -33,47 +33,26 @@ var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '2', 0}
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var written int64
-	count := func(n int, err error) error {
+	write := func(b []byte) error {
+		n, err := bw.Write(b)
 		written += int64(n)
 		return err
 	}
-	if err := count(bw.Write(shardMagic[:])); err != nil {
-		return written, fmt.Errorf("shard: write magic: %w", err)
-	}
-	put := func(v interface{}) error {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return fmt.Errorf("shard: write header: %w", err)
-		}
-		written += int64(binary.Size(v))
-		return nil
-	}
-	if err := put(int64(len(s.shards))); err != nil {
-		return written, err
-	}
-	n, err := core.WriteOptions(bw, s.opts.Index)
-	written += n
-	if err != nil {
+	if err := write(binary.LittleEndian.AppendUint64(shardMagic[:], uint64(len(s.shards)))); err != nil {
 		return written, fmt.Errorf("shard: write header: %w", err)
 	}
 	var buf bytes.Buffer
 	for i, sh := range s.shards {
 		buf.Reset()
+		buf.Write(make([]byte, 8)) // the length prefix, set below
 		sh.mu.RLock()
-		region := sh.loadRegion()
 		_, err := sh.idx.WriteTo(&buf)
 		sh.mu.RUnlock()
 		if err != nil {
 			return written, fmt.Errorf("shard: serialise shard %d: %w", i, err)
 		}
-		for _, f := range []float64{region.MinX, region.MinY, region.MaxX, region.MaxY} {
-			if err := put(math.Float64bits(f)); err != nil {
-				return written, err
-			}
-		}
-		if err := put(int64(buf.Len())); err != nil {
-			return written, err
-		}
-		if err := count(bw.Write(buf.Bytes())); err != nil {
+		binary.LittleEndian.PutUint64(buf.Bytes(), uint64(buf.Len()-8))
+		if err := write(buf.Bytes()); err != nil {
 			return written, fmt.Errorf("shard: write shard %d: %w", i, err)
 		}
 	}
@@ -85,6 +64,8 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 
 // Load deserialises an index written by WriteTo. The loaded index serves
 // identically to the original; Stats().BuildTime reports the load time.
+// Each shard's region is its loaded root's MBR, which core.Load has checked
+// covers every point of the shard.
 func Load(r io.Reader) (*Sharded, error) {
 	start := time.Now()
 	br := bufio.NewReader(r)
@@ -107,25 +88,8 @@ func Load(r io.Reader) (*Sharded, error) {
 	if shards < 1 || shards > maxShards {
 		return nil, fmt.Errorf("shard: implausible layout shards=%d", shards)
 	}
-	opts, err := core.ReadOptions(br)
-	if err != nil {
-		return nil, fmt.Errorf("shard: header: %w", err)
-	}
-	s := &Sharded{opts: Options{Shards: int(shards), Index: opts}.withDefaults()}
-	s.shards = make([]*state, shards)
+	s := &Sharded{shards: make([]*state, shards)}
 	for i := range s.shards {
-		var bits [4]uint64
-		for j := range bits {
-			if err := binary.Read(br, binary.LittleEndian, &bits[j]); err != nil {
-				return nil, fmt.Errorf("shard: read shard %d region: %w", i, err)
-			}
-		}
-		region := geom.Rect{
-			MinX: math.Float64frombits(bits[0]),
-			MinY: math.Float64frombits(bits[1]),
-			MaxX: math.Float64frombits(bits[2]),
-			MaxY: math.Float64frombits(bits[3]),
-		}
 		var n int64
 		if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
 			return nil, fmt.Errorf("shard: read shard %d length: %w", i, err)
@@ -145,16 +109,7 @@ func Load(r io.Reader) (*Sharded, error) {
 		} else if rest > 0 {
 			return nil, fmt.Errorf("shard: shard %d stream has %d trailing bytes", i, rest)
 		}
-		// Every query routes by the regions, so one that misses a point of
-		// its shard hides that point from all of them.
-		for _, p := range idx.AllPoints() {
-			if !region.Contains(p) {
-				return nil, fmt.Errorf("shard: shard %d region %v does not cover its point %v", i, region, p)
-			}
-		}
-		sh := &state{idx: idx}
-		sh.storeRegion(region)
-		s.shards[i] = sh
+		s.shards[i] = newState(idx)
 	}
 	s.buildTime = time.Since(start)
 	return s, nil

@@ -90,8 +90,10 @@ func TestShardedRoundTrip(t *testing.T) {
 			if loaded.NumShards() != s.NumShards() {
 				t.Fatalf("NumShards: loaded %d, original %d", loaded.NumShards(), s.NumShards())
 			}
-			if lo, oo := loaded.Options(), s.Options(); lo != oo {
-				t.Fatalf("Options: loaded %+v, original %+v", lo, oo)
+			for i, sh := range s.shards {
+				if lo, oo := loaded.shards[i].idx.Options(), sh.idx.Options(); lo != oo {
+					t.Fatalf("shard %d options: loaded %+v, original %+v", i, lo, oo)
+				}
 			}
 
 			// Every query class must answer identically: the loaded cuts,
@@ -174,26 +176,28 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadRefusesOldVersions: a sharded file of any other format version
-// than RSMISh2, or one whose shard streams are of another version than
-// RSMIv8, is refused with core.ErrSnapshotVersion, in words that name the
+// than RSMISh3, or one whose shard streams are of another version than
+// RSMIv9, is refused with core.ErrSnapshotVersion, in words that name the
 // version found. The older files are the committed FuzzLoadSharded seeds,
-// the last each stream format wrote, all of them RSMISh1 files; the others
-// are this version's snapshot with a magic rewritten.
+// the last each stream format wrote: RSMISh1 files up to rsmiv7-1shard, an
+// RSMISh2 file for rsmiv8-1shard. The others are this version's snapshot
+// with a magic rewritten.
 func TestLoadRefusesOldVersions(t *testing.T) {
 	type refusal struct {
 		snap    []byte
 		version string
 	}
 	cases := map[string]refusal{}
-	for v := 2; v <= 7; v++ {
+	for v := 2; v <= 8; v++ {
 		name := fmt.Sprintf("rsmiv%d-1shard", v)
 		cases[name] = refusal{[]byte(readCorpusEntry(t, name)), "RSMISh1"}
 	}
+	cases["rsmiv8-1shard"] = refusal{cases["rsmiv8-1shard"].snap, "RSMISh2"}
 	var buf bytes.Buffer
 	if _, err := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2)).WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	for _, r := range [][2]string{{"RSMISh2", "RSMISh1"}, {"RSMISh2", "RSMISh3"}, {"RSMIv8", "RSMIv7"}, {"RSMIv8", "RSMIv9"}} {
+	for _, r := range [][2]string{{"RSMISh3", "RSMISh2"}, {"RSMISh3", "RSMISh4"}, {"RSMIv9", "RSMIv8"}, {"RSMIv9\x00", "RSMIv10"}} {
 		snap := bytes.ReplaceAll(buf.Bytes(), []byte(r[0]+"\x00"), []byte(r[1]+"\x00"))
 		if bytes.Equal(snap, buf.Bytes()) {
 			t.Fatalf("the snapshot holds no %s magic", r[0])
@@ -210,10 +214,23 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 
 // loadSeeds are the snapshots FuzzLoadSharded starts from, by name: small
 // indexes that have seen inserts and deletes — so overflow chains,
-// repacked leaves and extended regions are in the bytes — on both curves,
+// repacked leaves and extended root MBRs are in the bytes — on both curves,
 // with one shard and with three.
 func loadSeeds(tb testing.TB) map[string][]byte {
 	seeds := map[string][]byte{}
+	for name, s := range seedIndexes(tb) {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		seeds[name] = buf.Bytes()
+	}
+	return seeds
+}
+
+// seedIndexes are the indexes loadSeeds writes, by name.
+func seedIndexes(tb testing.TB) map[string]*Sharded {
+	seeds := map[string]*Sharded{}
 	for _, curve := range []sfc.Kind{sfc.Hilbert, sfc.Z} {
 		for _, shards := range []int{1, 3} {
 			pts := dataset.Generate(dataset.Skewed, 60, 81)
@@ -224,11 +241,7 @@ func loadSeeds(tb testing.TB) map[string][]byte {
 			for _, p := range workload.DeleteSample(pts, 8, 83) {
 				must(s.DeleteContext(bg, p))
 			}
-			var buf bytes.Buffer
-			if _, err := s.WriteTo(&buf); err != nil {
-				tb.Fatal(err)
-			}
-			seeds[fmt.Sprintf("%s-%dshard", curve, shards)] = buf.Bytes()
+			seeds[fmt.Sprintf("%s-%dshard", curve, shards)] = s
 		}
 	}
 	return seeds
@@ -249,15 +262,19 @@ func bRewritten(tb testing.TB) []byte {
 	return snap
 }
 
+// committedSeeds are the corpus entries of FuzzLoadSharded that load: the
+// snapshots loadSeeds and bRewritten write.
+var committedSeeds = []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard", "b-rewritten"}
+
 // TestCommittedSeedsLoad: the seeds committed to FuzzLoadSharded's corpus
-// are loadSeeds' snapshots in the RSMISh2 and RSMIv8 formats, and
+// are loadSeeds' snapshots in the RSMISh3 and RSMIv9 formats, and
 // b-rewritten is bRewritten's. They load, their exact whole-space window
 // holds every point, and a point query finds each of them. Snapshots in an
 // earlier format cannot be converted (core.ErrSnapshotVersion), so a format
 // change writes them again; TestLoadRefusesOldVersions refuses the ones the
 // earlier formats wrote.
 func TestCommittedSeedsLoad(t *testing.T) {
-	for _, name := range []string{"hilbert-1shard", "hilbert-3shard", "z-1shard", "z-3shard", "b-rewritten"} {
+	for _, name := range committedSeeds {
 		s, err := Load(strings.NewReader(readCorpusEntry(t, name)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -270,6 +287,72 @@ func TestCommittedSeedsLoad(t *testing.T) {
 			if !must(s.PointQueryContext(bg, p)) {
 				t.Errorf("%s: point query misses %v", name, p)
 			}
+		}
+	}
+}
+
+// TestStatsSurviveLoad: a load counts the points, the leaves and the
+// height off the tree it reads, so Stats after Load is Stats at save: for
+// rebuiltHistory, shard by shard with the build times the streams store; for
+// every committed seed against the build that wrote it, build times aside;
+// and for every committed seed saved and loaded again.
+func TestStatsSurviveLoad(t *testing.T) {
+	reload := func(s *Sharded) *Sharded {
+		var buf bytes.Buffer
+		if _, err := s.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return must(Load(&buf))
+	}
+	check := func(name string, saved, loaded *Sharded, sansBuildTimes bool) {
+		t.Helper()
+		want, got := saved.ShardStats(), loaded.ShardStats()
+		for i := range got {
+			if sansBuildTimes {
+				want[i].BuildTime, got[i].BuildTime = 0, 0
+			}
+			if got[i] != want[i] {
+				t.Errorf("%s, shard %d: Stats after Load %+v, at save %+v", name, i, got[i], want[i])
+			}
+		}
+		w, g := saved.Stats(), loaded.Stats()
+		w.BuildTime, g.BuildTime = 0, 0 // a loaded index reports its load time
+		if g != w || len(got) != len(want) {
+			t.Errorf("%s: Stats after Load %+v, at save %+v", name, g, w)
+		}
+	}
+	h := rebuiltHistory(t)
+	check("rebuiltHistory", h, reload(h), false)
+	built := seedIndexes(t)
+	for _, name := range committedSeeds {
+		s := must(Load(strings.NewReader(readCorpusEntry(t, name))))
+		if b, ok := built[name]; ok {
+			check(name+" against its build", b, s, true)
+		}
+		check(name, s, reload(s), false)
+	}
+}
+
+// TestRebuildKeepsShardOptions: a shard rebuilds with its own index's
+// options, which its stream stores, so a two-shard index of 50-point blocks
+// that is saved, loaded and rebuilt keeps each shard's block count.
+func TestRebuildKeepsShardOptions(t *testing.T) {
+	s := New(dataset.Generate(dataset.Skewed, 20_000, 58), Options{Shards: 2, Index: core.Options{BlockCapacity: 50}})
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded := must(Load(&buf))
+	if err := loaded.RebuildContext(bg); err != nil {
+		t.Fatal(err)
+	}
+	saved, rebuilt := s.ShardStats(), loaded.ShardStats()
+	for i := range saved {
+		if rebuilt[i].Blocks != saved[i].Blocks {
+			t.Errorf("shard %d: %d blocks after save, load and rebuild, %d at save", i, rebuilt[i].Blocks, saved[i].Blocks)
+		}
+		if o := loaded.shards[i].idx.Options(); o.BlockCapacity != 50 {
+			t.Errorf("shard %d rebuilt with B = %d, want 50", i, o.BlockCapacity)
 		}
 	}
 }
@@ -297,7 +380,7 @@ var wholeSpace = geom.Rect{MinX: math.Inf(-1), MinY: math.Inf(-1), MaxX: math.In
 // FuzzLoadSharded feeds arbitrary bytes to Load, and through it to core.Load
 // and store.ReadManager. Whatever Load accepts must be an index whose exact
 // whole-space window holds exactly Len() points — every point reachable once
-// through the models, blocks and regions the snapshot claims —, whose point
+// through the models and blocks the snapshot claims —, whose point
 // query finds each of them (the load checked that every point descends to
 // its leaf and lies in the blocks of its cell), and whose other queries
 // neither panic nor hang. It must take writes too: a burst of jittered
@@ -379,18 +462,15 @@ func checkHeld(t *testing.T, s *Sharded) []geom.Point {
 // for the tampering tests: the offsets follow WriteTo here and in core and
 // store, one field at a time.
 type shardZero struct {
-	region, b, n, firstNext, firstX, rootRect, leafFirst, leafStarts int
+	b, firstNext, firstX, rootRect, leafFirst, leafStarts int
 }
 
 func locate(tb testing.TB, snap []byte) shardZero {
 	tb.Helper()
 	var z shardZero
 	i64 := func(at int) int { return int(binary.LittleEndian.Uint64(snap[at:])) }
-	z.region = 8 + 8 + 3*8 + 1 // magic, the shard count, three option words, the raw flag
-	cs := z.region + 4*8 + 8   // the region, the stream's length prefix
-	z.b = cs + 8               // the magic; B is the first option word
-	z.n = z.b + 3*8 + 1        // three option words, the raw flag
-	at := z.n + 6*8            // six scalar words
+	z.b = 8 + 8 + 8 + 8       // the magic, the shard count, the stream's length prefix, its magic; B is the first option word
+	at := z.b + 3*8 + 1 + 3*8 // three option words, the raw flag, three scalar words
 	blocks := i64(at)
 	at += 8 // the block count
 	for b := range blocks {
@@ -432,12 +512,11 @@ func tamperings(t *testing.T, seed []byte) map[string][]byte {
 	f64 := math.Float64bits
 	out := map[string][]byte{}
 	for name, edits := range map[string][][2]uint64{
-		"region-misses-points": {{uint64(z.region), f64(1e9)}}, // MinX past every point
-		"count-lies":           {{uint64(z.n), word(z.n) + 1}},
-		"block-list-loops":     {{uint64(z.firstNext), 0}},                     // block 0 links to itself
-		"point-not-finite":     {{uint64(z.firstX), f64(math.Inf(1))}},         // a live point at +Inf
-		"root-mbr-too-small":   {{uint64(z.rootRect + 16), f64(-1e9)}},         // MaxX below every point
-		"leaf-gap":             {{uint64(z.leafFirst), word(z.leafFirst) + 1}}, // the first leaf names the block after its first: no leaf holds that one
+		"count-lies":         {{uint64(z.rootRect + 32), word(z.rootRect+32) + 1}}, // the root's point count
+		"block-list-loops":   {{uint64(z.firstNext), 0}},                           // block 0 links to itself
+		"point-not-finite":   {{uint64(z.firstX), f64(math.Inf(1))}},               // a live point at +Inf
+		"root-mbr-too-small": {{uint64(z.rootRect + 16), f64(-1e9)}},               // MaxX below every point: the shard's region too
+		"leaf-gap":           {{uint64(z.leafFirst), word(z.leafFirst) + 1}},       // the first leaf names the block after its first: no leaf holds that one
 	} {
 		snap := append([]byte(nil), seed...)
 		for _, e := range edits {
@@ -515,8 +594,8 @@ func TestBuildSnapshotGolden(t *testing.T) {
 		curve  sfc.Kind
 		want   string
 	}{
-		{2, sfc.Hilbert, "e770eda730e037ac5b15cc566f3d89b05318bd19f9f970aa9224bb10944c148b"},
-		{1, sfc.Z, "a57c20b089a90431d9357e3dbfe822a558b8bb896087f178e77de92d6ed14130"},
+		{2, sfc.Hilbert, "385c89814d1187211b0952d786146bd2252c72b5f895e3ce4dcd5767305fd896"},
+		{1, sfc.Z, "fba395710e2ebce28522df7c2c8327c991d1e826fb0c656d61337b88a20c7ca7"},
 	} {
 		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
@@ -555,7 +634,7 @@ func TestRebuildSnapshotGolden(t *testing.T) {
 		t.Skip("golden digests are of amd64 builds")
 	}
 	s := rebuiltHistory(t)
-	const want = "39bc5f11017235bb2f4ada93f150b3392a7575999a345a6863ebcb1bd7ca48ba"
+	const want = "66a24aa31284970478c7811871fdeafcd3d6a7454e978210e311f07aa47b3316"
 	if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != want {
 		t.Errorf("rebuilt snapshot sha256 %s, want %s", got, want)
 	}

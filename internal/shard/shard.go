@@ -11,8 +11,9 @@
 // New orders all points by the same rank-space curve-value technique the
 // RSMI leaves use (§3.1) and cuts the ordering into S contiguous runs, so
 // each shard covers a compact region of the curve and window queries touch
-// few shards. Each shard's routing region is the bounding rectangle of its
-// points, extended by the inserts routed to it.
+// few shards. Each shard's routing region is its index's root MBR
+// (core.RSMI.Bounds): the bounding rectangle of its points, extended by the
+// inserts routed to it.
 //
 // # Concurrency
 //
@@ -69,37 +70,33 @@ type Options struct {
 	// window or a batch fanned out to; no cell of the benchmark ledger
 	// showed that fan-out winning (shard.window_shards_visited reads
 	// 1.007–1.014), so every query now runs on its caller's goroutine. The
-	// field stays because benchmark/workload.go sets it; it is defaulted to
-	// Shards, and a snapshot does not store it.
+	// field stays because benchmark/workload.go sets it; nothing reads it.
 	Workers int
 	// Index configures each shard's RSMI; the zero value selects the
 	// paper's defaults, as in core.Options.
 	Index core.Options
 }
 
-// withDefaults fills unset fields.
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers <= 0 {
-		o.Workers = o.Shards
-	}
-	return o
-}
-
 // state is one shard: an RSMI guarded by its own lock, plus its routing
-// region. The region is always a superset of the shard's live points
-// (extended on insert, never shrunk except by rebuild), so region-based
-// pruning is conservative and stays correct. It lives behind an atomic
-// pointer rather than the shard lock so that routing — which consults
-// every shard's region — never blocks on a shard that is busy rebuilding
-// or inserting; region writes happen only under mu, region reads take no
-// lock at all.
+// region, the index's root MBR (core.RSMI.Bounds). The region covers the
+// shard's live points (extended on insert, shrunk only by a rebuild or a
+// root leaf's repack, which recompute it from the points), so region-based
+// pruning is conservative and stays correct. A copy of it lives behind an
+// atomic pointer rather than the shard lock so that routing — which
+// consults every shard's region — never blocks on a shard that is busy
+// rebuilding or inserting; the copy is published under mu after every
+// write that can move the MBR, and region reads take no lock at all.
 type state struct {
 	mu     sync.RWMutex
 	idx    *core.RSMI
 	region atomic.Pointer[geom.Rect]
+}
+
+// newState wraps a built or loaded index as a shard.
+func newState(idx *core.RSMI) *state {
+	sh := &state{idx: idx}
+	sh.storeRegion(idx.Bounds())
+	return sh
 }
 
 // loadRegion reads the routing region without taking the shard lock.
@@ -112,7 +109,6 @@ func (sh *state) storeRegion(r geom.Rect) { sh.region.Store(&r) }
 // use. Its query and write surface is the context-aware one of rsmi.Engine
 // (context.go).
 type Sharded struct {
-	opts      Options
 	shards    []*state
 	buildTime time.Duration
 	// hook holds the copy-on-write list of write observers (hook.go);
@@ -124,7 +120,8 @@ type Sharded struct {
 }
 
 // New builds a Sharded index over the points. Shard construction runs in
-// parallel. The input slice is not modified.
+// parallel, each shard building in place from its own run of one ordered
+// copy of the points. The input slice is not modified.
 //
 // When opts.Index.PartitionThreshold is unset, New derives a per-shard
 // threshold instead of core's global default: a shard holding close to the
@@ -133,10 +130,12 @@ type Sharded struct {
 // hierarchical build keep a cell to a block or two.
 func New(pts []geom.Point, opts Options) *Sharded {
 	pts = geom.FinitePoints(pts) // nothing else can be ordered, routed or indexed
-	opts = opts.withDefaults()
+	if opts.Shards <= 0 {
+		opts.Shards = runtime.GOMAXPROCS(0)
+	}
 	opts.Index = deriveIndexOptions(opts, len(pts))
 	start := time.Now()
-	s := &Sharded{opts: opts}
+	s := &Sharded{}
 	parts := partition(pts, opts)
 	s.shards = make([]*state, opts.Shards)
 	var wg sync.WaitGroup
@@ -144,9 +143,7 @@ func New(pts []geom.Point, opts Options) *Sharded {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sh := &state{idx: core.New(parts[i], opts.Index)}
-			sh.storeRegion(geom.BoundingRect(parts[i]))
-			s.shards[i] = sh
+			s.shards[i] = newState(core.NewOwned(parts[i], opts.Index))
 		}(i)
 	}
 	wg.Wait()
@@ -182,7 +179,8 @@ func deriveIndexOptions(opts Options, n int) core.Options {
 
 // partition assigns pts to opts.Shards groups: contiguous runs of the
 // rank-space curve ordering (§3.1), the same ordering RSMI leaves pack
-// blocks in.
+// blocks in. The runs share one fresh slice, each capped at its own end,
+// so a build that reorders its run in place reaches no other.
 func partition(pts []geom.Point, opts Options) [][]geom.Point {
 	parts := make([][]geom.Point, opts.Shards)
 	ordered := rank.Order(pts, opts.Index.Curve)
@@ -199,16 +197,13 @@ func partition(pts []geom.Point, opts Options) [][]geom.Point {
 		if hi > len(ordered) {
 			hi = len(ordered)
 		}
-		parts[i] = ordered[lo:hi]
+		parts[i] = ordered[lo:hi:hi]
 	}
 	return parts
 }
 
 // NumShards returns S.
 func (s *Sharded) NumShards() int { return len(s.shards) }
-
-// Options returns the (defaulted) options the index was built with.
-func (s *Sharded) Options() Options { return s.opts }
 
 // Name identifies the engine in stats and bench reports.
 func (s *Sharded) Name() string { return "Sharded" }
@@ -371,8 +366,8 @@ func (s *Sharded) KNNContext(ctx context.Context, q geom.Point, k int) ([]geom.P
 // shard rebuilds — unlike the global-RWMutex design, where a rebuild stalls
 // the whole service for the full build time (§5 prescribes periodic
 // rebuilds under sustained updates). Each shard keeps its current points
-// (the partition assignment does not change) and its region is recomputed,
-// tightening routing after deletions.
+// (the partition assignment does not change) and its own index's options,
+// and its region is recomputed, tightening routing after deletions.
 //
 // A cancelled ctx stops the rebuild before the next shard rebuilds. Shards
 // already rebuilt stay rebuilt (each swap is atomic under the shard lock),
@@ -384,9 +379,8 @@ func (s *Sharded) RebuildContext(ctx context.Context) error {
 			return err
 		}
 		sh.mu.Lock()
-		pts := sh.idx.AllPoints()
-		sh.storeRegion(geom.BoundingRect(pts))
-		sh.idx = core.NewOwned(pts, s.opts.Index) // AllPoints' copy is the build's own
+		sh.idx = core.NewOwned(sh.idx.AllPoints(), sh.idx.Options()) // AllPoints' copy is the build's own
+		sh.storeRegion(sh.idx.Bounds())
 		sh.mu.Unlock()
 	}
 	s.notify(WriteOp{Kind: WriteRebuild})

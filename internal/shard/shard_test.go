@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -242,11 +243,8 @@ func TestShardedParallelMixed(t *testing.T) {
 func TestShardedDefaults(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 600, 18)
 	s := New(pts, Options{Index: core.Options{Epochs: 5, LearningRate: 0.1, Seed: 1, BlockCapacity: 50, PartitionThreshold: 500}})
-	if s.NumShards() < 1 {
-		t.Fatalf("NumShards = %d", s.NumShards())
-	}
-	if s.Options().Workers < 1 {
-		t.Fatalf("Workers = %d", s.Options().Workers)
+	if s.NumShards() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("NumShards = %d, want GOMAXPROCS = %d", s.NumShards(), runtime.GOMAXPROCS(0))
 	}
 	if s.Name() != "Sharded" {
 		t.Fatalf("Name = %q", s.Name())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -115,8 +116,9 @@ func loadIndex(r io.Reader) error   { _, err := rsmi.Load(r); return err }
 func loadSharded(r io.Reader) error { _, err := rsmi.LoadSharded(r); return err }
 
 // seedRefusals returns, for the committed FuzzLoadSharded seed
-// rsmiv<v>-1shard — an RSMISh1 file holding one RSMIv<v> shard stream, the
-// last that format wrote — the file for LoadSharded and its stream for Load.
+// rsmiv<v>-1shard — a sharded file (RSMISh1, or RSMISh2 for v = 8) holding
+// one RSMIv<v> shard stream, the last that format wrote — the file for
+// LoadSharded, refused at its header, and its stream for Load.
 func seedRefusals(t *testing.T, v int) map[string]refusal {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("internal", "shard", "testdata", "fuzz", "FuzzLoadSharded", fmt.Sprintf("rsmiv%d-1shard", v)))
@@ -130,8 +132,9 @@ func seedRefusals(t *testing.T, v int) map[string]refusal {
 	if err != nil || at < 0 {
 		t.Fatalf("rsmiv%d-1shard: no %s stream in the corpus file (%v)", v, stream, err)
 	}
+	header, _, _ := strings.Cut(file[:8], "\x00")
 	return map[string]refusal{
-		"LoadSharded " + stream: {loadSharded, []byte(file), "RSMISh1"},
+		"LoadSharded " + stream: {loadSharded, []byte(file), header},
 		"Load " + stream:        {loadIndex, []byte(file[at:]), stream},
 	}
 }
@@ -186,7 +189,7 @@ func refuse(t *testing.T, cases map[string]refusal) {
 // with ErrSnapshotVersion. No RSMIv1 seed is committed, so the snapshots
 // are this version's with every index stream's magic rewritten.
 func TestLoadRefusesV1(t *testing.T) {
-	refuse(t, rewrittenRefusals(t, "RSMIv8\x00", "RSMIv1\x00", "RSMIv1"))
+	refuse(t, rewrittenRefusals(t, "RSMIv9\x00", "RSMIv1\x00", "RSMIv1"))
 }
 
 // TestLoadRefusesV2: a snapshot saved in the RSMIv2 format — no point spans
@@ -213,18 +216,19 @@ func TestLoadRefusesV5(t *testing.T) { refuse(t, seedRefusals(t, 5)) }
 func TestLoadRefusesV6(t *testing.T) { refuse(t, seedRefusals(t, 6)) }
 
 // TestLoadRefusesOldVersions: both loaders refuse a snapshot of any other
-// format than RSMIv8 index streams and RSMISh2 sharded files with
+// format than RSMIv9 index streams and RSMISh3 sharded files with
 // ErrSnapshotVersion. RSMIv1-v6 have tests of their own; this one covers
-// the formats since — the RSMIv7 seed — and newer ones: this version's
-// snapshots with the magic rewritten. A format bump adds the last seed the
-// old format wrote here.
+// the formats since — the RSMIv7 and RSMIv8 seeds, the latter an RSMISh2
+// file — and newer ones: this version's snapshots with the magic
+// rewritten. A format bump adds the last seed the old format wrote here.
 func TestLoadRefusesOldVersions(t *testing.T) {
 	cases := seedRefusals(t, 7)
-	for name, c := range rewrittenRefusals(t, "RSMIv8\x00", "RSMIv9\x00", "RSMIv9") {
-		cases[name] = c
-	}
-	for name, c := range rewrittenRefusals(t, "RSMISh2\x00", "RSMISh3\x00", "RSMISh3") {
-		cases[name] = c
+	for _, c := range []map[string]refusal{
+		seedRefusals(t, 8),
+		rewrittenRefusals(t, "RSMIv9\x00\x00", "RSMIv10\x00", "RSMIv10"),
+		rewrittenRefusals(t, "RSMISh3\x00", "RSMISh4\x00", "RSMISh4"),
+	} {
+		maps.Copy(cases, c)
 	}
 	refuse(t, cases)
 }
