@@ -135,9 +135,8 @@ func New(pts []geom.Point, opts Options) *Sharded {
 	}
 	opts.Index = deriveIndexOptions(opts, len(pts))
 	start := time.Now()
-	s := &Sharded{}
+	s := &Sharded{shards: make([]*state, opts.Shards)}
 	parts := partition(pts, opts)
-	s.shards = make([]*state, opts.Shards)
 	var wg sync.WaitGroup
 	for i := range s.shards {
 		wg.Add(1)

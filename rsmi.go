@@ -81,16 +81,17 @@ func New(pts []Point, opts Options) *Index {
 // paper's training takes hours at scale (§6.2.2 reports 16 h for the OSM
 // data set), and even a build that trains nothing sorts every point, so
 // production deployments build once and reload across restarts. The format
-// is RSMIv8, which stores every internal node's grid cuts and every leaf's
-// cuts, cell counts and list of blocks; a file in any other format is
-// refused with ErrSnapshotVersion.
+// is RSMIv9, which stores every internal node's grid cuts and every leaf's
+// cuts, cell counts and list of blocks, and nothing the tree already fixes:
+// the point count, the leaf count and the height are counted at load. A
+// file in any other format is refused with ErrSnapshotVersion.
 func Load(r io.Reader) (*Index, error) {
 	return core.Load(r)
 }
 
 // ErrSnapshotVersion is the error (wrapped in a message that names the
 // version found) that Load and LoadSharded return for a snapshot in another
-// format than RSMIv8 index streams and RSMISh2 sharded files: an earlier
+// format than RSMIv9 index streams and RSMISh3 sharded files: an earlier
 // format cannot be converted, so the index must be rebuilt from its points
 // and saved again.
 var ErrSnapshotVersion = core.ErrSnapshotVersion

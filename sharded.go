@@ -38,8 +38,10 @@ func NewSharded(pts []Point, opts ShardOptions) *Sharded {
 
 // LoadSharded deserialises a sharded index previously saved with
 // Sharded.WriteTo, so a server can restart without rebuilding any shard.
-// The file is RSMISh2 and its shards RSMIv8 streams; a file in any other
-// format is refused with ErrSnapshotVersion.
+// The file is RSMISh3: the shard count, then each shard's RSMIv9 stream.
+// A loaded shard rebuilds with its stream's options and routes by its
+// root's MBR. A file in any other format is refused with
+// ErrSnapshotVersion.
 func LoadSharded(r io.Reader) (*Sharded, error) {
 	return shard.Load(r)
 }
