@@ -611,7 +611,6 @@ func (t *RSMI) linkChains() error {
 		}
 		return live, nil
 	}
-	t.leaves, t.height = 0, 0
 	var walk func(n *node, depth int) error
 	walk = func(n *node, depth int) error {
 		if n == nil {
