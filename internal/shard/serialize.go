@@ -31,13 +31,13 @@ var shardMagic = [8]byte{'R', 'S', 'M', 'I', 'S', 'h', '3', 0}
 // rolling rebuild), so WriteTo is safe to run while the index keeps
 // serving; the snapshot is consistent per shard, not across shards.
 func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
 	var written int64
 	write := func(b []byte) error {
-		n, err := bw.Write(b)
+		n, err := w.Write(b)
 		written += int64(n)
 		return err
 	}
+	// The magic's array is full, so the append copies it.
 	if err := write(binary.LittleEndian.AppendUint64(shardMagic[:], uint64(len(s.shards)))); err != nil {
 		return written, fmt.Errorf("shard: write header: %w", err)
 	}
@@ -55,9 +55,6 @@ func (s *Sharded) WriteTo(w io.Writer) (int64, error) {
 		if err := write(buf.Bytes()); err != nil {
 			return written, fmt.Errorf("shard: write shard %d: %w", i, err)
 		}
-	}
-	if err := bw.Flush(); err != nil {
-		return written, fmt.Errorf("shard: flush: %w", err)
 	}
 	return written, nil
 }

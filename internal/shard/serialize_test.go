@@ -189,10 +189,13 @@ func TestLoadRefusesOldVersions(t *testing.T) {
 	}
 	cases := map[string]refusal{}
 	for v := 2; v <= 8; v++ {
+		header := "RSMISh1"
+		if v == 8 {
+			header = "RSMISh2"
+		}
 		name := fmt.Sprintf("rsmiv%d-1shard", v)
-		cases[name] = refusal{[]byte(readCorpusEntry(t, name)), "RSMISh1"}
+		cases[name] = refusal{[]byte(readCorpusEntry(t, name)), header}
 	}
-	cases["rsmiv8-1shard"] = refusal{cases["rsmiv8-1shard"].snap, "RSMISh2"}
 	var buf bytes.Buffer
 	if _, err := New(dataset.Generate(dataset.Uniform, 500, 56), quickOpts(2)).WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
