@@ -44,7 +44,7 @@ func snapshotSansBuildTimes(t *testing.T, s *Sharded) []byte {
 
 // TestBuildDeterministic: shards build on goroutines of their own, from runs
 // of one ordering; two builds of the same points and options still write
-// byte-identical snapshots — same partition, regions, blocks, cuts and
+// byte-identical snapshots — same partition, root MBRs, blocks, cuts and
 // cells — so neither a sort's tie-handling nor scheduling reaches an index.
 func TestBuildDeterministic(t *testing.T) {
 	pts := dataset.Generate(dataset.OSMLike, 5000, 57)
