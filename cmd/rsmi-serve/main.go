@@ -50,7 +50,12 @@
 //
 // With -snapshot (sharded engine only), the index is loaded from the
 // snapshot when it exists (restart without rebuilding) and
-// built-then-saved when it does not.
+// built-then-saved when it does not; a snapshot that exists but cannot be
+// opened stops the server. The server saves at build and again at a
+// graceful shutdown, each save fsynced before it replaces the old file.
+// The oplog lives in memory, so a server killed without a shutdown
+// (kill -9, a crash) restarts from its last saved snapshot: writes since
+// then are lost.
 //
 // # Replication
 //
@@ -86,12 +91,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"log"
 	"net"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -362,13 +370,18 @@ func buildPlannerEngine(datasetPath, dist string, n int, seed int64, shards int)
 
 // buildOrLoadSharded resolves the sharded engine: snapshot if present,
 // else a fresh build from the data set (saved back when -snapshot names a
-// path).
+// path). Only a snapshot that does not exist is built afresh: one that
+// exists but cannot be opened is an error, never overwritten.
 func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, shards int) (*rsmi.Sharded, error) {
 	if snapshot != "" {
-		if f, err := os.Open(snapshot); err == nil {
+		f, err := os.Open(snapshot)
+		switch {
+		case err == nil:
 			defer f.Close()
 			log.Printf("loading snapshot %s", snapshot)
 			return rsmi.LoadSharded(f)
+		case !errors.Is(err, fs.ErrNotExist):
+			return nil, fmt.Errorf("snapshot: %w", err)
 		}
 		log.Printf("snapshot %s not found; building", snapshot)
 	}
@@ -387,22 +400,33 @@ func buildOrLoadSharded(snapshot, datasetPath, dist string, n int, seed int64, s
 	return idx, nil
 }
 
-// saveSnapshot writes the index atomically (tmp + rename), so a crash
-// mid-save never corrupts an existing snapshot.
+// saveSnapshot writes the index atomically (tmp + fsync + rename, then an
+// fsync of the directory), so a crash mid-save never corrupts an existing
+// snapshot and a save that returned survives a crash.
 func saveSnapshot(idx *rsmi.Sharded, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := idx.WriteTo(f); err != nil {
-		f.Close()
+	_, err = idx.WriteTo(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer dir.Close()
+	return dir.Sync()
 }

@@ -95,7 +95,7 @@ func refSeed(t *RSMI, q geom.Point) (leaf *node, lo, hi int) {
 	if leaf = t.descend(q); leaf == nil || !leaf.mbr.Contains(q) {
 		return nil, 0, -1
 	}
-	lo, hi, _ = t.cellBlocks(leaf, t.leafCell(leaf, q))
+	lo, hi, _ = t.cellBlocks(leaf, t.cell(leaf, q))
 	return leaf, lo, hi
 }
 

@@ -79,7 +79,7 @@ func (t *RSMI) PointQuery(q geom.Point) bool {
 // point of the block, so a block it rules out cannot hold q. Skipped blocks
 // still count as accesses.
 func (t *RSMI) findPoint(leaf *node, q geom.Point) *store.Block {
-	lo, hi, from := t.cellBlocks(leaf, t.leafCell(leaf, q))
+	lo, hi, from := t.cellBlocks(leaf, t.cell(leaf, q))
 	c := t.scan(leaf, lo, hi)
 	first := int(leaf.blocks[lo])
 	for id := c.next(); id != store.NilBlock; id = c.next() {
@@ -263,7 +263,7 @@ func (t *RSMI) seedCell(best *index.Nearest) (leaf *node, lo, hi int) {
 	if leaf = t.descend(q); leaf == nil || !leaf.mbr.Contains(q) {
 		return nil, 0, -1
 	}
-	lo, hi, _ = t.cellBlocks(leaf, t.leafCell(leaf, q))
+	lo, hi, _ = t.cellBlocks(leaf, t.cell(leaf, q))
 	for _, id := range leaf.blocks[lo : hi+1] {
 		best.Offer(t.store.Read(int(id)).Slots()...)
 	}

@@ -101,7 +101,7 @@ func deriveCells(t *RSMI, held []heldPoint) map[cellKey][2]int {
 			continue
 		}
 		leaf := t.descend(h.p)
-		k := cellKey{leaf, t.leafCell(leaf, h.p)}
+		k := cellKey{leaf, t.cell(leaf, h.p)}
 		counts[k]++
 		pos := slices.Index(leaf.blocks, int32(h.base))
 		r, ok := cells[k]
@@ -130,7 +130,7 @@ func refPoint(t *RSMI, cells map[cellKey][2]int, q geom.Point, reads *int) bool 
 	if leaf == nil {
 		return false
 	}
-	r := cells[cellKey{leaf, t.leafCell(leaf, q)}]
+	r := cells[cellKey{leaf, t.cell(leaf, q)}]
 	b, _ := refFind(t, leaf, q, r[0], r[1], reads)
 	return b != nil
 }
@@ -250,7 +250,7 @@ func (w *readPathWorld) check(stage string) {
 	for _, h := range w.held {
 		leaf := idx.descend(h.p)
 		pos := slices.Index(leaf.blocks, int32(h.base))
-		if r := cells[cellKey{leaf, idx.leafCell(leaf, h.p)}]; pos < r[0] || pos > r[1] {
+		if r := cells[cellKey{leaf, idx.cell(leaf, h.p)}]; pos < r[0] || pos > r[1] {
 			t.Fatalf("%s: %v was filed under block %d at position %d, outside its cell's positions %v", stage, h.p, h.base, pos, r)
 		}
 	}

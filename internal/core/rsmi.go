@@ -20,6 +20,11 @@
 // falls in; here the node keeps the grid's cuts themselves and descent
 // follows them. No node trains, and a point's cell is its true cell.
 //
+// Every node records the order k of its 2^k × 2^k grid, and one lookup,
+// RSMI.cell, finds a point's cell at either kind of node through one curve
+// table per order. A build and a repack pack a leaf alike: groupByCell,
+// then pack.
+//
 // Window and kNN queries walk the MBRs every node and block keeps, as the
 // paper's exact variant RSMIa does (§4.2 end, §6.2.3), rather than
 // Algorithms 2 and 3: a window reads the blocks whose MBR meets it in the
@@ -35,14 +40,13 @@
 // walks skip no point of the answer. Every point query's guarantee rests on
 // one rule: a point is looked for where the same lookup put it.
 //
-//   - an internal node's lookup is RSMI.cell, which counts the cuts at or
+//   - every node's lookup is RSMI.cell, which counts the node's cuts at or
 //     before a point. buildInternal groups points by cell and descend
 //     follows cell, so a point is looked for in the subtree it was put in;
-//   - a leaf's lookup is RSMI.leafCell, the same count over the leaf's own
-//     cuts. buildLeaf groups the points by it before packing them, so a
-//     cell's points take one run of the leaf's positions, and cellBlocks
-//     names the base blocks of that run — for a cell that took no point,
-//     the block its position falls in;
+//   - buildLeaf groups a leaf's points by the same lookup before packing
+//     them, so a cell's points take one run of the leaf's positions, and
+//     cellBlocks names the base blocks of that run — for a cell that took
+//     no point, the block its position falls in;
 //   - Insert files a point under a base block of its cell's blocks, a point
 //     query or Delete searches those blocks and their overflow chains, and
 //     Delete only removes points. A leaf's repack (see repack) groups its
@@ -134,9 +138,13 @@ type node struct {
 	rows     [][]geom.Point // rows[c]: column c's row cuts, ascending by (y, then x)
 	children []*node        // indexed by cell curve value; nil = empty
 
-	// Leaf fields. The leaf's cells are 2^order × 2^order, cut by cols and by
-	// rowCuts, its one list of row cuts, ascending by (y, then x): a leaf's
-	// grid is regular in rank space. starts[c] is the number of the leaf's
+	// order is k of the node's 2^k × 2^k grid: §3.2's, from the options, at
+	// an internal node (see gridOrder), and leafOrder's at a leaf.
+	order uint8
+
+	// Leaf fields. The leaf's cells are cut by cols and by rowCuts, its one
+	// list of row cuts, ascending by (y, then x): a leaf's grid is regular
+	// in rank space. starts[c] is the number of the leaf's
 	// packed points — those of its build or of its last repack — in the
 	// cells before cell c in curve order, so cell c's points took positions
 	// [starts[c], starts[c+1]) of the leaf's run. Position i lies in base
@@ -144,7 +152,6 @@ type node struct {
 	// the store they are, each packed with fill points — B at a build, fewer
 	// at a repack, which leaves every block room for inserts.
 	leaf    bool
-	order   uint8
 	rowCuts []geom.Point
 	starts  []int32
 	blocks  []int32
@@ -161,12 +168,10 @@ type RSMI struct {
 	store *store.Manager
 	root  *node // never nil: an empty index is one empty leaf
 
-	// side is the side of every internal node's grid, and grid[c·side + r]
-	// the curve value of the cell in column c and row r: the index of its
-	// child. cellGrids[k] is the same table for a leaf's 2^k × 2^k cells.
-	side      int
-	grid      []int32
-	cellGrids [maxLeafOrder + 1][]int32
+	// curves[k] maps the cell in column c and row r of a 2^k × 2^k grid, at
+	// c<<k | r, to its curve value: a child's or a prefix count's index. Only
+	// the orders the index's nodes use have a table (see useOrder).
+	curves [][]int32
 
 	// blockMBR caches the MBR of every block (base and inserted), extended
 	// on insertion; not shrunk on deletion (conservative, stays correct),
@@ -203,7 +208,7 @@ func New(pts []geom.Point, opts Options) *RSMI {
 }
 
 // NewOwned builds an RSMI over work, which must hold finite points only and
-// which the build takes over and reorders: Rebuild, and a shard's rebuild,
+// which the build takes over and may reorder: Rebuild, and a shard's rebuild,
 // hand it the one copy of the live points AllPoints makes.
 func NewOwned(work []geom.Point, opts Options) *RSMI {
 	opts = opts.withDefaults()
@@ -212,8 +217,6 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 		opts:  opts,
 		store: store.NewManager(opts.BlockCapacity),
 	}
-	t.side, t.grid = gridCells(opts)
-	t.cellGrids = leafGrids(opts.Curve)
 	t.root = t.build(work, 1)
 	t.buildTime = time.Since(start)
 	return t
@@ -246,29 +249,52 @@ func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
 	t.height = max(t.height, depth)
 	ordered, cols, rows, order := t.orderLeaf(pts)
 	k := leafOrder(len(ordered), t.opts.BlockCapacity)
-	n := &node{
-		leaf:   true,
-		mbr:    geom.BoundingRect(ordered),
-		order:  uint8(k),
-		fill:   t.opts.BlockCapacity,
-		points: len(ordered),
-	}
+	t.useOrder(k)
+	n := &node{leaf: true, order: uint8(k), points: len(ordered)}
 	n.cols = gridCuts(ordered, cols, order-k, k, geom.Point.Less)
 	n.rowCuts = gridCuts(ordered, rows, order-k, k, lessYX)
-	n.starts = groupByCell(ordered, 1<<(2*k), func(p geom.Point) int { return t.leafCell(n, p) })
-
-	first, count := t.store.Pack(ordered)
-	n.blocks = make([]int32, count)
-	for i := range n.blocks {
-		// The leaf's list orders its blocks, so Pack's links between them
-		// go: a base block's Next is its overflow chain's head.
-		b := t.store.Peek(first + i)
-		b.Prev, b.Next = store.NilBlock, store.NilBlock
-		n.blocks[i] = int32(b.ID)
-		t.trackBlock(b.MBR())
-	}
+	n.starts = make([]int32, 1<<(2*k)+1)
+	t.pack(n, t.groupByCell(n, ordered, n.starts, &cellScratch{}), t.opts.BlockCapacity, nil)
 	t.leaves++
 	return n
+}
+
+// pack writes pts, grouped by cell, into leaf n's base blocks, fill points
+// a block: into the blocks of ids first — a repack's own, base then overflow
+// in chain order — then into a contiguous run of new ones (store.PackRun),
+// each with no chain and a fresh MBR. The ids it does not need are released,
+// unlinked, into the empty set. It sets the leaf's blocks, fill and MBR.
+func (t *RSMI) pack(n *node, pts []geom.Point, fill int, ids []int32) {
+	need := max(1, (len(pts)+fill-1)/fill)
+	reuse := min(need, len(ids))
+	n.blocks = append(slices.Grow(n.blocks[:0], need), ids[:reuse]...)
+	if need > reuse {
+		first, count := t.store.PackRun(pts[reuse*fill:], fill)
+		for id := first; id < first+count; id++ {
+			n.blocks = append(n.blocks, int32(id))
+			t.trackBlock(geom.EmptyRect())
+		}
+	}
+	n.fill, n.mbr = fill, geom.EmptyRect()
+	for i, id := range n.blocks {
+		b := t.store.Peek(int(id))
+		if i < reuse {
+			b.Refill(pts[i*fill : min((i+1)*fill, len(pts))])
+			b.Inserted, b.Prev, b.Next = false, store.NilBlock, store.NilBlock
+			t.chainHeads[id] = store.NilBlock
+			t.empty.remove(int(id))
+		}
+		t.blockMBR[id] = b.MBR()
+		n.mbr = n.mbr.Union(t.blockMBR[id])
+	}
+	for _, id := range ids[reuse:] {
+		b := t.store.Peek(int(id))
+		b.Release()
+		b.Inserted, b.Prev, b.Next = true, store.NilBlock, store.NilBlock
+		t.chainHeads[id] = store.NilBlock
+		t.empty.add(b.ID)
+		t.blockMBR[id] = geom.EmptyRect()
+	}
 }
 
 // maxLeafOrder bounds a leaf's cells at 8 × 8 (see leafOrder).
@@ -319,28 +345,39 @@ func gridCuts(pts []geom.Point, g []uint32, shift, k uint, less func(a, b geom.P
 // lessYX orders points by (y, then x), the order row cuts compare in.
 func lessYX(a, b geom.Point) bool { return a.Y < b.Y || a.Y == b.Y && a.X < b.X }
 
-// groupByCell reorders pts by the cell cellOf gives each, keeping their order
-// within a cell, and returns the cells' prefix counts: cell c's points are
-// pts[start[c]:start[c+1]].
-func groupByCell(pts []geom.Point, cells int, cellOf func(geom.Point) int) (start []int32) {
-	of := make([]int32, len(pts))
-	start = make([]int32, cells+1)
+// groupByCell returns pts grouped by their cell at node n, in s.grouped,
+// keeping their order within a cell, and writes the prefix counts of n's
+// cells into start: cell c's points are grouped[start[c]:start[c+1]]. It
+// works in s, which repack keeps, so that its grouping allocates nothing.
+func (t *RSMI) groupByCell(n *node, pts []geom.Point, start []int32, s *cellScratch) (grouped []geom.Point) {
+	s.of = slices.Grow(s.of[:0], len(pts))[:len(pts)]
+	s.grouped = slices.Grow(s.grouped[:0], len(pts))[:len(pts)]
+	of, grouped := s.of, s.grouped
+	clear(start)
 	for i, p := range pts {
-		c := cellOf(p)
+		c := t.cell(n, p)
 		of[i] = int32(c)
 		start[c+1]++
 	}
+	cells := len(start) - 1
 	for c := range cells {
 		start[c+1] += start[c]
 	}
-	grouped := make([]geom.Point, len(pts))
-	next := slices.Clone(start[:cells])
+	// Placing the points moves each start[c] to start[c+1]; shift them back.
 	for i, p := range pts {
-		grouped[next[of[i]]] = p
-		next[of[i]]++
+		grouped[start[of[i]]] = p
+		start[of[i]]++
 	}
-	copy(pts, grouped)
-	return start
+	copy(start[1:], start[:cells])
+	start[0] = 0
+	return grouped
+}
+
+// cellScratch is groupByCell's working memory: each point's cell and the
+// points grouped by cell.
+type cellScratch struct {
+	of      []int32
+	grouped []geom.Point
 }
 
 // orderLeaf orders leaf points for packing — rank-space curve order by
@@ -387,8 +424,10 @@ func (t *RSMI) orderLeaf(pts []geom.Point) (ordered []geom.Point, cols, rows []u
 // both coordinates that the layout split across a cut all go to the later
 // cell, so descent is exact by construction.
 func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
-	side, nPts := t.side, len(pts)
-	n := &node{mbr: geom.BoundingRect(pts)}
+	order := gridOrder(t.opts)
+	t.useOrder(order)
+	side, nPts := 1<<order, len(pts)
+	n := &node{mbr: geom.BoundingRect(pts), order: uint8(order)}
 	cells := side * side
 
 	// A point's x rank names its column; walking the points in y-rank order
@@ -423,7 +462,8 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 	}
 
 	// Group the points by the cell descent sends them to, in cell order.
-	start := groupByCell(pts, cells, func(p geom.Point) int { return t.cell(n, p) })
+	start := make([]int32, cells+1)
+	pts = t.groupByCell(n, pts, start, &cellScratch{})
 
 	n.children = make([]*node, cells)
 	for c := range cells {
@@ -443,25 +483,26 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 	return n
 }
 
-// gridCells returns the side of the grid every internal node of an index
-// with options o cuts, 2^⌊log4 N/B⌋ clamped to at least 2 (§3.2), and the
-// table from a cell's column and row to its curve value (see RSMI.grid).
-func gridCells(o Options) (side int, grid []int32) {
-	order := uint(1)
+// gridOrder returns the order of the grid every internal node of an index
+// with options o cuts: its side is 2^⌊log4 N/B⌋, clamped to at least 2
+// (§3.2).
+func gridOrder(o Options) uint {
 	nb := float64(o.PartitionThreshold) / float64(o.BlockCapacity)
 	if f := math.Floor(math.Log2(nb) / 2); f > 1 {
-		order = uint(min(f, maxGridOrder))
+		return uint(min(f, maxGridOrder))
 	}
-	return 1 << order, curveTable(o.Curve, order)
+	return 1
 }
 
-// leafGrids returns the tables from a leaf cell's column and row to its
-// curve value, one for every leaf order (see RSMI.cellGrids).
-func leafGrids(kind sfc.Kind) (grids [maxLeafOrder + 1][]int32) {
-	for k := range grids {
-		grids[k] = curveTable(kind, uint(k))
+// useOrder makes the curve table of order k unless the index has it: a
+// build or a load calls it for every node before the node's first lookup.
+func (t *RSMI) useOrder(k uint) {
+	if more := int(k) + 1 - len(t.curves); more > 0 {
+		t.curves = append(t.curves, make([][]int32, more)...)
 	}
-	return grids
+	if t.curves[k] == nil {
+		t.curves[k] = curveTable(t.opts.Curve, k)
+	}
 }
 
 // curveTable returns the curve values of the cells of a 2^order × 2^order
@@ -487,20 +528,18 @@ func curveTable(kind sfc.Kind, order uint) []int32 {
 // options cannot make loading it allocate more.
 const maxGridOrder = 10
 
-// cell returns the curve value of the cell of internal node n that p falls
-// in: the number of column cuts at or before p by (x, then y), then the
-// number of that column's row cuts at or before p by (y, then x). Build,
-// descent and update all find a point's cell through this one method.
+// cell returns the curve value of node n's cell that p falls in: the number
+// of column cuts at or before p by (x, then y), then of row cuts at or
+// before p by (y, then x), that column's at an internal node and the leaf's
+// one list at a leaf. Build, descent, queries, updates and load all find a
+// point's cell, at either kind of node, through this one method.
 func (t *RSMI) cell(n *node, p geom.Point) int {
 	c := countX(n.cols, p)
-	return int(t.grid[c*t.side+countY(n.rows[c], p)])
-}
-
-// leafCell is cell for leaf n: the curve value of the leaf's cell that p
-// falls in. Build, queries, updates and load all find a point's leaf cell
-// through this one method.
-func (t *RSMI) leafCell(n *node, p geom.Point) int {
-	return int(t.cellGrids[n.order][countX(n.cols, p)<<n.order|countY(n.rowCuts, p)])
+	rows := n.rowCuts
+	if !n.leaf {
+		rows = n.rows[c]
+	}
+	return int(t.curves[n.order][c<<n.order|countY(rows, p)])
 }
 
 // countX returns the number of cuts at or before p by (x, then y) — those p

@@ -188,7 +188,7 @@ func TestSinglePointIndex(t *testing.T) {
 }
 
 // TestErrorBoundsAreExact: every indexed point lies in the blocks of its
-// cell — leafCell, the lookup every query makes, then cellBlocks — which is
+// cell — RSMI.cell, the lookup every query makes, then cellBlocks — which is
 // what makes Algorithm 1 correct; and ErrorBounds, what Table 4 reports,
 // is the widest cell's blocks less one.
 func TestErrorBoundsAreExact(t *testing.T) {
@@ -209,7 +209,7 @@ func TestErrorBoundsAreExact(t *testing.T) {
 			if leaf == nil {
 				t.Fatalf("%v: no leaf for %v", kind, p)
 			}
-			lo, hi, _ := idx.cellBlocks(leaf, idx.leafCell(leaf, p))
+			lo, hi, _ := idx.cellBlocks(leaf, idx.cell(leaf, p))
 			if blk, _ := refFind(idx, leaf, p, lo, hi, new(int)); blk == nil {
 				t.Fatalf("%v: point %v outside the blocks [%d,%d] of its cell", kind, p, lo, hi)
 			}
@@ -255,7 +255,7 @@ func checkPointSpans(t *testing.T, kind dataset.Kind, idx *RSMI) {
 		prev, pos := 0, 0
 		for _, id := range n.blocks {
 			for _, p := range idx.store.Peek(int(id)).Slots() {
-				c := idx.leafCell(n, p)
+				c := idx.cell(n, p)
 				if c < prev {
 					t.Fatalf("%v: %v at position %d of the leaf at block %d is in cell %d, after cell %d",
 						kind, p, pos, n.blocks[0], c, prev)
@@ -285,7 +285,7 @@ func checkPointSpans(t *testing.T, kind dataset.Kind, idx *RSMI) {
 	})
 }
 
-// TestCountMatchesNotLess: the branch-free cut count of cell and leafCell is
+// TestCountMatchesNotLess: the branch-free cut count of cell is
 // the number of cuts p is not Less than — by (x, then y) for column cuts, by
 // (y, then x) for row cuts — on the points a count can go wrong on: each
 // cut itself, points tied with a cut on one coordinate either side of it,
@@ -655,7 +655,8 @@ func TestCutsDescendExactly(t *testing.T) {
 	}
 	// A column cut straddles when fewer points than its rank position order
 	// before it: its earlier copies were laid out in the column before.
-	colSize := (len(pts) + idx.side - 1) / idx.side
+	side := 1 << idx.root.order
+	colSize := (len(pts) + side - 1) / side
 	straddles := 0
 	for j, cut := range idx.root.cols {
 		before := 0

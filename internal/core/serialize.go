@@ -297,7 +297,7 @@ func decode(r io.Reader) (*RSMI, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &RSMI{opts: opts, cellGrids: leafGrids(opts.Curve)}
+	t := &RSMI{opts: opts}
 	// Scalars.
 	var scalars [3]int64
 	if err := get(&scalars); err != nil {
@@ -371,19 +371,20 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 		return nil, err
 	}
 	n.points = int(points)
-	// A cell's column and row index the grid table, and its curve value the
+	// A cell's column and row index the curve table, and its curve value the
 	// children: a node of another grid, or with more cuts than its grid has
-	// room for, would walk off their ends. The options fix the grid; it is
-	// made when the first internal node is read.
-	if t.grid == nil {
-		t.side, t.grid = gridCells(t.opts)
-	}
-	if n.cols, err = getCuts(r, t.side-1); err != nil {
+	// room for, would walk off their ends. The options fix the grid's order,
+	// which the stream does not repeat.
+	order := gridOrder(t.opts)
+	side := 1 << order
+	n.order = uint8(order)
+	t.useOrder(order)
+	if n.cols, err = getCuts(r, side-1); err != nil {
 		return nil, err
 	}
 	n.rows = make([][]geom.Point, len(n.cols)+1)
 	for c := range n.rows {
-		if n.rows[c], err = getCuts(r, t.side-1); err != nil {
+		if n.rows[c], err = getCuts(r, side-1); err != nil {
 			return nil, err
 		}
 	}
@@ -391,8 +392,8 @@ func (t *RSMI) decodeNode(r io.Reader, depth int) (*node, error) {
 	if err := binary.Read(r, binary.LittleEndian, &nChildren); err != nil {
 		return nil, err
 	}
-	if nChildren != int64(len(t.grid)) {
-		return nil, fmt.Errorf("core: internal node of %d cells in an index whose grid has %d", nChildren, len(t.grid))
+	if nChildren != int64(side*side) {
+		return nil, fmt.Errorf("core: internal node of %d cells in an index whose grid has %d", nChildren, side*side)
 	}
 	// The children slice grows as they decode, not ahead of the stream.
 	for i := int64(0); i < nChildren; i++ {
@@ -461,6 +462,7 @@ func (t *RSMI) decodeCells(r io.Reader, n *node) error {
 	if !slices.IsSortedFunc(n.cols, geom.Point.Compare) || !slices.IsSortedFunc(n.rowCuts, compareYX) {
 		return errors.New("core: leaf cuts out of order")
 	}
+	t.useOrder(uint(n.order))
 	b := make([]byte, 4*count)
 	if _, err := io.ReadFull(r, b); err != nil {
 		return fmt.Errorf("core: read cell counts: %w", err)
@@ -526,7 +528,7 @@ func (t *RSMI) validate() error {
 					if t.descend(p) != n {
 						return covered, held, fmt.Errorf("core: point %v of block %d descends to another leaf", p, id)
 					}
-					cell := t.leafCell(n, p)
+					cell := t.cell(n, p)
 					if lo, hi, _ := t.cellBlocks(n, cell); c.pos < lo || c.pos > hi {
 						return covered, held, fmt.Errorf("core: point %v lies in block %d at position %d, outside positions [%d,%d] of its cell %d",
 							p, c.base, c.pos, lo, hi, cell)

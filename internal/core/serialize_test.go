@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -105,8 +106,8 @@ func assertRoundTripIdentical(t *testing.T, stage string, orig *RSMI, probes []g
 			p = probes[rng.Intn(len(probes))]
 		}
 		l1, l2 := orig.descend(p), loaded.descend(p)
-		lo1, hi1, _ := orig.cellBlocks(l1, orig.leafCell(l1, p))
-		lo2, hi2, _ := loaded.cellBlocks(l2, loaded.leafCell(l2, p))
+		lo1, hi1, _ := orig.cellBlocks(l1, orig.cell(l1, p))
+		lo2, hi2, _ := loaded.cellBlocks(l2, loaded.cell(l2, p))
 		if !slices.Equal(l1.blocks, l2.blocks) || lo1 != lo2 || hi1 != hi2 {
 			t.Fatalf("%s: %v descends to the leaf of blocks %v, positions [%d, %d], before, and to the leaf of blocks %v, positions [%d, %d], after the round trip",
 				stage, p, l1.blocks, lo1, hi1, l2.blocks, lo2, hi2)
@@ -408,6 +409,68 @@ func firstLeaf(n *node) *node {
 	return n
 }
 
+// TestLoadBuildsOnlyTablesInUse: an index makes the curve table of each
+// order its nodes use and no other. A stream whose options give §3.2's
+// largest grid, 2^10 × 2^10 cells, over a tree that cuts none loads and
+// answers without making that grid's table, and reading it allocates no
+// more than before nodes recorded their orders, when every index made all
+// four leaf tables up front: 297 096 bytes with go1.24 on amd64, without
+// the race detector, whose instrumentation allocates besides.
+func TestLoadBuildsOnlyTablesInUse(t *testing.T) {
+	pts := dataset.Generate(dataset.Uniform, 3000, 9)
+	opts := Options{BlockCapacity: 2, PartitionThreshold: 2 << 20}
+	if k := gridOrder(opts); k != maxGridOrder {
+		t.Fatalf("the options give grid order %d, want %d", k, maxGridOrder)
+	}
+	idx := New(pts, opts)
+	var buf bytes.Buffer
+	if _, err := idx.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var loaded *RSMI
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		x, err := Load(bytes.NewReader(buf.Bytes()))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, least = x, min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	for _, p := range pts {
+		if !loaded.PointQuery(p) {
+			t.Fatalf("loaded index lost %v", p)
+		}
+	}
+	if !raceDetector && runtime.GOARCH == "amd64" && strings.HasPrefix(runtime.Version(), "go1.24") && least > 297_096 {
+		t.Errorf("Load allocated %d bytes, more than the 297 096 it took with every leaf table made up front", least)
+	}
+	for name, x := range map[string]*RSMI{"built": idx, "loaded": loaded, "internal root": roundTrip(t, New(pts, testOptions()))} {
+		used := make([]bool, maxGridOrder+1)
+		high := 0
+		var walk func(n *node)
+		walk = func(n *node) {
+			if n != nil {
+				used[n.order], high = true, max(high, int(n.order))
+				for _, c := range n.children {
+					walk(c)
+				}
+			}
+		}
+		walk(x.root)
+		if len(x.curves) != high+1 {
+			t.Errorf("%s: %d curve tables for nodes of orders up to %d", name, len(x.curves), high)
+		}
+		for k, table := range x.curves {
+			if (table != nil) != used[k] {
+				t.Errorf("%s: order %d has a table %v, a node of that order %v", name, k, table != nil, used[k])
+			}
+		}
+	}
+}
+
 // TestLoadRefusesBadCuts: descent counts the cuts at or before a point, and
 // a column's count indexes its row cuts and the grid: a node with more cuts
 // than its grid has room for would index past them, and a cut that is not
@@ -415,8 +478,8 @@ func firstLeaf(n *node) *node {
 // cuts.
 func TestLoadRefusesBadCuts(t *testing.T) {
 	idx := New(dataset.Generate(dataset.Uniform, 3000, 41), testOptions())
-	if idx.root.leaf || idx.side != 4 {
-		t.Fatalf("want an internal root over a 4 × 4 grid, got leaf %v, side %d", idx.root.leaf, idx.side)
+	if idx.root.leaf || idx.root.order != 2 {
+		t.Fatalf("want an internal root over a 4 × 4 grid, got leaf %v, order %d", idx.root.leaf, idx.root.order)
 	}
 	for name, tamper := range map[string]func(root *node){
 		"column cut NaN": func(root *node) { root.cols[0].X = math.NaN() },
@@ -518,7 +581,7 @@ func TestLoadRejectsCyclicBlockList(t *testing.T) {
 		p := geom.Pt(pts[0].X+1e-9*float64(i+1), pts[0].Y)
 		idx.file(p)
 		leaf := idx.descend(p)
-		lo, hi, _ := idx.cellBlocks(leaf, idx.leafCell(leaf, p))
+		lo, hi, _ := idx.cellBlocks(leaf, idx.cell(leaf, p))
 		if base = idx.home(leaf, lo, hi, p); len(chainOf(idx, base)) >= 3 {
 			break
 		}

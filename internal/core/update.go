@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"rsmi/internal/geom"
@@ -72,7 +71,7 @@ func (t *RSMI) file(p geom.Point) *node {
 		*t = *NewOwned(append(t.AllPoints(), p), t.opts)
 		return nil
 	}
-	lo, hi, _ := t.cellBlocks(leaf, t.leafCell(leaf, p))
+	lo, hi, _ := t.cellBlocks(leaf, t.cell(leaf, p))
 	base := t.store.Peek(t.home(leaf, lo, hi, p))
 
 	// Walk the overflow chain in place to the first block with space, and to
@@ -138,16 +137,14 @@ const (
 // repack refills leaf n's blocks with its live points grouped by cell, as
 // buildLeaf packed them, without re-cutting anything: the leaf keeps its
 // column and row cuts and its order. It gathers the points from the base
-// blocks and their chains, counts them into their cells (leafCell, no
-// sort: within a cell they keep the order they were gathered in, base block
-// by base block, each followed by the points filed beside it), rewrites
-// starts, and packs the run, repackRoom percent short of B a block (the
-// leaf's fill), into the leaf's old base blocks, then its overflow blocks
-// in chain order, allocating only past those. The blocks get fresh MBRs and
-// no chains, and so does the leaf; the blocks left over are released,
-// unlinked, into the empty set. Every step reads only the blocks' contents
-// and the cuts, so a loaded copy and a replica replaying the same writes
-// repack the same leaves at the same inserts.
+// blocks and their chains, groups them by cell (groupByCell: within a cell
+// they keep the order they were gathered in, base block by base block, each
+// followed by the points filed beside it), rewriting starts, and packs them
+// (pack) repackRoom percent short of B a block, into the leaf's old base
+// blocks, then its overflow blocks in chain order, growing new ones only
+// past those. Every step reads only the blocks' contents and the cuts, so a
+// loaded copy and a replica replaying the same writes repack the same
+// leaves at the same inserts.
 //
 // §5 retrains a sub-model once its inserts pass a threshold. An index of
 // cells needs no training, and the same cuts over the grown points put a
@@ -168,63 +165,19 @@ func (t *RSMI) repack(n *node) {
 			o = b.Next
 		}
 	}
-
-	cells := len(n.starts) - 1
-	clear(n.starts)
-	s.cells = s.cells[:0]
-	for _, p := range s.pts {
-		c := t.leafCell(n, p)
-		s.cells = append(s.cells, uint8(c))
-		n.starts[c+1]++
-	}
-	var next [1 << (2 * maxLeafOrder)]int32
-	for c := range cells {
-		n.starts[c+1] += n.starts[c]
-		next[c] = n.starts[c]
-	}
-	s.sorted = slices.Grow(s.sorted[:0], len(s.pts))[:len(s.pts)]
-	for i, p := range s.pts {
-		s.sorted[next[s.cells[i]]] = p
-		next[s.cells[i]]++
-	}
-
-	fill := t.opts.BlockCapacity - t.opts.BlockCapacity*repackRoom/100
-	n.fill = fill
-	need := max(1, (len(s.sorted)+fill-1)/fill)
-	for len(s.ids) < need {
-		s.ids = append(s.ids, int32(t.store.Alloc().ID))
-		t.trackBlock(geom.EmptyRect())
-	}
-	n.blocks = append(n.blocks[:0], s.ids[:need]...)
-	mbr := geom.EmptyRect()
-	for i, id := range n.blocks {
-		b := t.store.Peek(int(id))
-		b.Refill(s.sorted[i*fill : min((i+1)*fill, len(s.sorted))])
-		b.Inserted, b.Prev, b.Next = false, store.NilBlock, store.NilBlock
-		t.chainHeads[id] = store.NilBlock
-		t.empty.remove(int(id))
-		t.blockMBR[id] = b.MBR()
-		mbr = mbr.Union(t.blockMBR[id])
-	}
-	for _, id := range s.ids[need:] {
-		b := t.store.Peek(int(id))
-		b.Release()
-		b.Inserted, b.Prev, b.Next = true, store.NilBlock, store.NilBlock
-		t.chainHeads[id] = store.NilBlock
-		t.empty.add(b.ID)
-		t.blockMBR[id] = geom.EmptyRect()
-	}
-	n.mbr, n.overflow = mbr, 0
+	grouped := t.groupByCell(n, s.pts, n.starts, &s.group)
+	t.pack(n, grouped, t.opts.BlockCapacity-t.opts.BlockCapacity*repackRoom/100, s.ids)
+	n.overflow = 0
 	t.repacks++
 }
 
-// repackScratch is repack's working memory — the gathered points, their
-// cells, the points grouped by cell and the leaf's blocks — recycled through
-// repackPool, so a repack allocates only the blocks it grows.
+// repackScratch is repack's working memory — the gathered points, the
+// leaf's blocks and groupByCell's — recycled through repackPool, so a
+// repack allocates only the blocks it grows.
 type repackScratch struct {
-	pts, sorted []geom.Point
-	cells       []uint8
-	ids         []int32
+	pts   []geom.Point
+	ids   []int32
+	group cellScratch
 }
 
 var repackPool = sync.Pool{New: func() any { return new(repackScratch) }}
@@ -383,7 +336,7 @@ func (t *RSMI) Delete(p geom.Point) bool {
 // the cell's run starts at, as findPoint searches it. The accesses counted
 // are the blocks walked up to the one that holds p, as for findPoint.
 func (t *RSMI) findForDelete(leaf *node, q geom.Point) (*store.Block, int) {
-	lo, hi, from := t.cellBlocks(leaf, t.leafCell(leaf, q))
+	lo, hi, from := t.cellBlocks(leaf, t.cell(leaf, q))
 	c := t.scan(leaf, lo, hi)
 	first := int(leaf.blocks[lo])
 	held := store.NilBlock // a base block whose MBR holds q, searched after its chain

@@ -317,7 +317,7 @@ func TestInsertWalksChainInPlace(t *testing.T) {
 	// homeOf is the base block Insert files p under.
 	homeOf := func(p geom.Point) int {
 		l := idx.descend(p)
-		lo, hi, _ := idx.cellBlocks(l, idx.leafCell(l, p))
+		lo, hi, _ := idx.cellBlocks(l, idx.cell(l, p))
 		return idx.home(l, lo, hi, p)
 	}
 	base := idx.store.Peek(homeOf(hot))
@@ -664,7 +664,7 @@ func BenchmarkRepackLeaf(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			copy(work, live)
-			t := &RSMI{opts: opts.withDefaults(), store: store.NewManager(0), cellGrids: leafGrids(opts.Curve)}
+			t := &RSMI{opts: opts.withDefaults(), store: store.NewManager(0), curves: idx.curves}
 			b.StartTimer()
 			t.buildLeaf(work, 1)
 		}

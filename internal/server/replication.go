@@ -80,18 +80,11 @@ type Replicator struct {
 // may fan in beside it); a sharded engine has at most one Replicator.
 func NewReplicator(idx *rsmi.Sharded, logCap int) *Replicator {
 	r := &Replicator{idx: idx, log: newOpLog(logCap)}
-	r.eng = gatedEngine{Engine: idx, gate: &r.gate}
+	r.eng = gatedEngine{Sharded: idx, gate: &r.gate}
 	idx.AddWriteHook(func(op shard.WriteOp) {
 		r.log.append(op.Kind, op.P)
 	})
 	return r
-}
-
-// AddWriteHook registers one more write observer on the replicated
-// index (the subscription registry's tap point on a primary, where the
-// served Engine is the gated wrapper and hides the index).
-func (r *Replicator) AddWriteHook(h shard.WriteHook) func() {
-	return r.idx.AddWriteHook(h)
 }
 
 // Engine returns the write-gated engine view the server must serve:
@@ -132,31 +125,25 @@ func (r *Replicator) stats() *wire.ReplicationStats {
 
 // gatedEngine is the primary's serving view: reads pass through,
 // insert/delete additionally hold the write gate shared so Snapshot
-// can exclude them. Rebuild is ungated (see the package comment).
+// can exclude them. Rebuild is ungated (see the package comment). It
+// embeds the index itself, so the index's other methods — NumShards for
+// /v1/stats, AddWriteHook for the subscription registry — reach the
+// server as they are.
 type gatedEngine struct {
-	Engine
+	*rsmi.Sharded
 	gate *sync.RWMutex
 }
 
 func (g gatedEngine) InsertContext(ctx context.Context, p geom.Point) error {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	return g.Engine.InsertContext(ctx, p)
+	return g.Sharded.InsertContext(ctx, p)
 }
 
 func (g gatedEngine) DeleteContext(ctx context.Context, p geom.Point) (bool, error) {
 	g.gate.RLock()
 	defer g.gate.RUnlock()
-	return g.Engine.DeleteContext(ctx, p)
-}
-
-// NumShards keeps /v1/stats shard reporting working through the
-// wrapper (an embedded interface does not forward extra methods).
-func (g gatedEngine) NumShards() int {
-	if sc, ok := g.Engine.(shardCounter); ok {
-		return sc.NumShards()
-	}
-	return 0
+	return g.Sharded.DeleteContext(ctx, p)
 }
 
 // handleReplicaInfo answers GET /v1/replica/info.

@@ -714,3 +714,40 @@ func FuzzReplFeed(f *testing.F) {
 		}
 	})
 }
+
+// TestPrimaryViewGatesWritesOnly: a primary serves its index through the
+// write-gated view, which is the index itself for everything but writes:
+// the subscription registry hooks it and /v1/stats counts its shards. An
+// insert waits while a snapshot holds the gate; a read does not.
+func TestPrimaryViewGatesWritesOnly(t *testing.T) {
+	idx, pts := testEngine(t)
+	repl := NewReplicator(idx, 0)
+	s := New(Config{Engine: repl.Engine(), Replicator: repl})
+	defer s.Shutdown(context.Background())
+	if s.subs == nil {
+		t.Fatal("a primary got no subscription registry")
+	}
+	if sc, ok := s.eng.(shardCounter); !ok || sc.NumShards() != idx.NumShards() {
+		t.Fatalf("the served view counts shards %v (%T), want %d", ok, s.eng, idx.NumShards())
+	}
+	ctx := context.Background()
+	before := idx.Len()
+	repl.gate.Lock()
+	done := make(chan error, 1)
+	go func() { done <- repl.Engine().InsertContext(ctx, geom.Pt(0.5, 0.5)) }()
+	if found, err := repl.Engine().PointQueryContext(ctx, pts[0]); err != nil || !found {
+		t.Fatalf("a read under a held gate: %v, %v", found, err)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("an insert passed a held gate (%v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	repl.gate.Unlock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if idx.Len() != before+1 || repl.LastSeq() != 1 {
+		t.Fatalf("after the insert: %d points (want %d), oplog at %d (want 1)", idx.Len(), before+1, repl.LastSeq())
+	}
+}

@@ -5,9 +5,10 @@ package server
 // every applied Insert/Delete against the registered window and kNN
 // subscriptions; this file wires the registry into the serving tier:
 //
-//   - New installs the write tap. On a standalone sharded engine the
-//     registry hooks the index directly (shard.AddWriteHook, fanning in
-//     beside the replication oplog tap when both are installed); on a
+//   - New installs the write tap. On a sharded engine the registry hooks
+//     the index directly (shard.AddWriteHook, which a primary's
+//     write-gated view exposes as the index's own, fanning in beside the
+//     replication oplog tap); on a
 //     replica it taps the applied oplog records instead, so read
 //     replicas serve subscriptions over the same feed that keeps their
 //     engine current.
@@ -66,8 +67,6 @@ func (s *Server) initSubs() {
 			rep.SetWriteTap(h)
 			return func() { rep.SetWriteTap(nil) }
 		}
-	case s.cfg.Replicator != nil:
-		install = s.cfg.Replicator.AddWriteHook
 	default:
 		if ha, ok := s.cfg.Engine.(hookAdder); ok {
 			install = ha.AddWriteHook

@@ -309,31 +309,36 @@ func (m *Manager) Unlink(b *Block) {
 }
 
 // Pack distributes pts into consecutive new blocks of at most Capacity points
-// each, in slice order, linking them into a list. It returns the id of the
-// first block created, and the number of blocks. Packing an empty slice
-// still allocates one empty block so every leaf owns at least one block.
-//
-// The run's blocks share one contiguous slot array (and one header array),
-// each block owning a full-capacity stretch of it, so a scan over
-// consecutive base blocks reads memory front to back instead of chasing a
-// pointer per block. Blocks from Alloc stay separately allocated.
+// each, in slice order, linking them into a list (see PackRun). It returns
+// the id of the first block created, and the number of blocks.
 func (m *Manager) Pack(pts []geom.Point) (first, count int) {
-	first = len(m.blocks)
-	count = (len(pts) + m.capacity - 1) / m.capacity
-	if count == 0 {
-		count = 1
+	first, count = m.PackRun(pts, m.capacity)
+	for id := first + 1; id < first+count; id++ {
+		m.blocks[id].Prev, m.blocks[id-1].Next = id-1, id
 	}
+	return first, count
+}
+
+// PackRun distributes pts into consecutive new unlinked blocks of fill
+// points each (the last may hold fewer), in slice order, and returns the id
+// of the first block created and the number of blocks. Packing an empty
+// slice still allocates one empty block so every leaf owns at least one.
+// The run's blocks share one header array and one slot array, each owning
+// a full-capacity stretch, so a scan over consecutive blocks reads memory
+// front to back and a block packed short of capacity takes inserts in
+// place. Blocks from Alloc stay separately allocated.
+func (m *Manager) PackRun(pts []geom.Point, fill int) (first, count int) {
+	if fill < 1 || fill > m.capacity {
+		panic(fmt.Sprintf("store: pack %d points a block into blocks of %d", fill, m.capacity))
+	}
+	first = len(m.blocks)
+	count = max(1, (len(pts)+fill-1)/fill)
 	headers := make([]Block, count)
 	slots := make([]geom.Point, count*m.capacity)
 	for i := range headers {
-		lo, hi := i*m.capacity, (i+1)*m.capacity
-		n := copy(slots[lo:hi], pts[min(lo, len(pts)):])
-		b := &headers[i]
-		m.adopt(b, slots[lo:lo+n:hi])
-		if i > 0 {
-			b.Prev = b.ID - 1
-			headers[i-1].Next = b.ID
-		}
+		lo := i * m.capacity
+		n := copy(slots[lo:lo+fill], pts[min(i*fill, len(pts)):])
+		m.adopt(&headers[i], slots[lo:lo+n:lo+m.capacity])
 	}
 	return first, count
 }
