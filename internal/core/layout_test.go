@@ -10,6 +10,7 @@ import (
 
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/index/indextest"
 	"rsmi/internal/sfc"
 )
 
@@ -100,7 +101,10 @@ func layoutDigest(t *RSMI) string {
 // which. The cases reach internal nodes of orders 1 to 3 over both curves,
 // trees four deep, leaves of orders 1 to 3, copies of one point, overflow
 // chains, emptied overflow blocks and repacked leaves, and a loaded copy
-// that grows on as its original does.
+// that grows on as its original does. signed-zeros holds (−0, y) beside
+// (+0, y) and (x, −0) beside (x, +0): pairs a ranking ties on both
+// coordinates but whose bits the layout keeps, so it pins how full ties
+// are broken.
 // The digests are of amd64 builds, as the shard package's snapshot goldens.
 func TestLayoutDigest(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -112,14 +116,21 @@ func TestLayoutDigest(t *testing.T) {
 		n    int
 		opts Options
 		want string
+		// gen, when set, makes the points in place of dataset.Generate.
+		gen func(n int, seed int64) []geom.Point
 	}{
-		{"osm-small-leaves", dataset.OSMLike, 6000, testOptions(), "3cd6f9b50cbde7105bc0d348bce605afc51e54f69756cfde31cb0d96f73f1fcf"},
-		{"skewed-defaults", dataset.Skewed, 24000, Options{}, "e6063e6a0a299e40692e4a74de255e6cccff33ff818c55547fbd97288c9ea2f2"},
-		{"skewed-deep", dataset.Skewed, 3000, Options{BlockCapacity: 20, PartitionThreshold: 100}, "10a24a7d7b834448e6edd5660563181587cb7ba295356e8ae8b636b8da51ac87"},
-		{"uniform-z-copies", dataset.Uniform, 4000, Options{BlockCapacity: 30, PartitionThreshold: 900, Curve: sfc.Z}, "47c9809ddcf4a8a96ae094a588eaef54f475d7db5814bd23d7f3f8b4b28634dd"},
+		{"osm-small-leaves", dataset.OSMLike, 6000, testOptions(), "3cd6f9b50cbde7105bc0d348bce605afc51e54f69756cfde31cb0d96f73f1fcf", nil},
+		{"skewed-defaults", dataset.Skewed, 24000, Options{}, "e6063e6a0a299e40692e4a74de255e6cccff33ff818c55547fbd97288c9ea2f2", nil},
+		{"skewed-deep", dataset.Skewed, 3000, Options{BlockCapacity: 20, PartitionThreshold: 100}, "10a24a7d7b834448e6edd5660563181587cb7ba295356e8ae8b636b8da51ac87", nil},
+		{"uniform-z-copies", dataset.Uniform, 4000, Options{BlockCapacity: 30, PartitionThreshold: 900, Curve: sfc.Z}, "47c9809ddcf4a8a96ae094a588eaef54f475d7db5814bd23d7f3f8b4b28634dd", nil},
+		{"signed-zeros", 0, 3000, Options{BlockCapacity: 20, PartitionThreshold: 300}, "024e3dc0bf53fba1fb1851323cd0f2da2c078de79601e40a56d63b1872958375", indextest.SignedZeroCopies},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			pts := dataset.Generate(c.kind, c.n, 5)
+			gen := func(n int, seed int64) []geom.Point { return dataset.Generate(c.kind, n, seed) }
+			if c.gen != nil {
+				gen = c.gen
+			}
+			pts := gen(c.n, 5)
 			pts = append(pts, pts[:c.n/20]...)
 			idx := New(pts, c.opts)
 			ins := jittered(pts, c.n/2, 6)

@@ -306,3 +306,48 @@ func runUpdates(t *testing.T, cfg Config, idx index.Index, oracle *index.Linear,
 		}
 	}
 }
+
+// SignedZeroCopies returns n shuffled points in the unit square that are
+// full of ties which differ in their bits: (−0, y) beside (+0, y), (x, −0)
+// beside (x, +0), and exact copies. −0 == +0, so a ranking ties such a pair
+// on both coordinates and breaks the tie by position; an index that keeps
+// the bits it was given lays the pair out by that position. A quarter of
+// the coordinates are zero, the rest on a 1/32 lattice, so equal x and
+// equal y are common too.
+func SignedZeroCopies(n int, seed int64) []geom.Point {
+	rng := rand.New(rand.NewSource(seed))
+	negZero := math.Copysign(0, -1)
+	coord := func() float64 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return float64(rng.Intn(33)) / 32
+	}
+	flip := func(c float64) float64 {
+		if c == 0 && rng.Intn(2) == 0 {
+			return negZero
+		}
+		return c
+	}
+	pts := make([]geom.Point, 0, n)
+	for len(pts) < n {
+		p := geom.Pt(flip(coord()), flip(coord()))
+		pts = append(pts, p)
+		switch rng.Intn(4) {
+		case 0: // the same point with the other zero
+			q := p
+			if q.X == 0 {
+				q.X = math.Copysign(0, -math.Copysign(1, q.X))
+			}
+			if q.Y == 0 {
+				q.Y = math.Copysign(0, -math.Copysign(1, q.Y))
+			}
+			pts = append(pts, q)
+		case 1: // an exact copy
+			pts = append(pts, p)
+		}
+	}
+	pts = pts[:n]
+	rng.Shuffle(n, func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+	return pts
+}

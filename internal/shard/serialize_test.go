@@ -17,6 +17,7 @@ import (
 	"rsmi/internal/core"
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
+	"rsmi/internal/index/indextest"
 	"rsmi/internal/sfc"
 	"rsmi/internal/workload"
 )
@@ -585,24 +586,32 @@ func TestLoadRefusesTampered(t *testing.T) {
 // and the same cuts and cells. The inputs reach every
 // ordering path — exact duplicate points, a partition and a root big enough
 // for Ranks to sort x and y on two goroutines, internal nodes over leaves,
-// and both curves. The digests are of amd64 builds.
+// and both curves. The signed-zero cases hold (−0, y) beside (+0, y) and
+// (x, −0) beside (x, +0), which every ranking ties on both coordinates: they
+// pin which of such a pair a shard's layout puts first, over one shard and
+// over three. The digests are of amd64 builds.
 func TestBuildSnapshotGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are of amd64 builds")
 	}
-	pts := dataset.Generate(dataset.Skewed, 40_000, 7)
-	pts = append(pts, pts[:2000]...)
+	skewed := dataset.Generate(dataset.Skewed, 40_000, 7)
+	skewed = append(skewed, skewed[:2000]...)
+	signed := indextest.SignedZeroCopies(3000, 5)
 	for _, c := range []struct {
+		name   string
+		pts    []geom.Point
 		shards int
-		curve  sfc.Kind
+		index  core.Options
 		want   string
 	}{
-		{2, sfc.Hilbert, "385c89814d1187211b0952d786146bd2252c72b5f895e3ce4dcd5767305fd896"},
-		{1, sfc.Z, "fba395710e2ebce28522df7c2c8327c991d1e826fb0c656d61337b88a20c7ca7"},
+		{"skewed", skewed, 2, core.Options{Epochs: 2, Seed: 1, Curve: sfc.Hilbert}, "385c89814d1187211b0952d786146bd2252c72b5f895e3ce4dcd5767305fd896"},
+		{"skewed", skewed, 1, core.Options{Epochs: 2, Seed: 1, Curve: sfc.Z}, "fba395710e2ebce28522df7c2c8327c991d1e826fb0c656d61337b88a20c7ca7"},
+		{"signed-zeros", signed, 1, core.Options{BlockCapacity: 20, PartitionThreshold: 300}, "c490aa1e9458f10b882ab92996989d7ba8173b08f7b56b66dcd857c1c2b354b7"},
+		{"signed-zeros", signed, 3, core.Options{BlockCapacity: 20, PartitionThreshold: 300}, "49c120b61afbb717141f5326b5f45dcc5c648c95a30792d3b8181a509c504db3"},
 	} {
-		s := New(pts, Options{Shards: c.shards, Index: core.Options{Epochs: 2, Seed: 1, Curve: c.curve}})
+		s := New(c.pts, Options{Shards: c.shards, Index: c.index})
 		if got := fmt.Sprintf("%x", sha256.Sum256(snapshotSansBuildTimes(t, s))); got != c.want {
-			t.Errorf("%d shards, %v curve: snapshot sha256 %s, want %s", c.shards, c.curve, got, c.want)
+			t.Errorf("%s, %d shards, %v curve: snapshot sha256 %s, want %s", c.name, c.shards, c.index.Curve, got, c.want)
 		}
 	}
 }
