@@ -209,52 +209,109 @@ func New(pts []geom.Point, opts Options) *RSMI {
 
 // NewOwned builds an RSMI over work, which must hold finite points only and
 // which the build takes over and may reorder: Rebuild, and a shard's rebuild,
-// hand it the one copy of the live points AllPoints makes.
+// hand it the one copy of the live points AllPoints makes. It ranks the
+// points by x and by y once; every node below the root inherits its points'
+// ranks (see builder).
 func NewOwned(work []geom.Point, opts Options) *RSMI {
+	start := time.Now()
+	rx, ry := rank.Ranks(work)
+	t := NewRanked(work, rx, ry, opts)
+	t.buildTime = time.Since(start)
+	return t
+}
+
+// NewRanked is NewOwned over points ranked already: rx and ry are work's
+// ranks by x and by y as rank.Ranks gives them, and the build takes them
+// over too. A sharded build hands each shard its run of one ordering with
+// the ranks the run inherits (rank.OrderWithRanks, rank.Inherit).
+func NewRanked(work []geom.Point, rx, ry []uint32, opts Options) *RSMI {
 	opts = opts.withDefaults()
 	start := time.Now()
 	t := &RSMI{
 		opts:  opts,
 		store: store.NewManager(opts.BlockCapacity),
 	}
-	t.root = t.build(work, 1)
+	t.root = t.build(work, rx, ry)
 	t.buildTime = time.Since(start)
 	return t
 }
 
-// build recursively constructs the sub-model for pts at the given depth.
-// pts may be reordered.
-func (t *RSMI) build(pts []geom.Point, depth int) *node {
-	if len(pts) <= t.opts.PartitionThreshold || depth >= maxDepth {
-		return t.buildLeaf(pts, depth)
-	}
-	return t.buildInternal(pts, depth)
+// builder is one build's working memory, dropped when the build returns. A
+// node's points and their ranks by x and by y, among the node's points, lie
+// at the node's range of one of two sides; an internal node groups them by
+// cell into the same range of the other side, where its children take them
+// over, so the sides alternate level by level. A node's scratch is its range
+// of byX, byY and of, and a leaf orders its points into its range of the
+// side it does not read. The points are ranked once, at the root: a child's
+// ranks are inherited from its parent's (rank.Inherit).
+type builder struct {
+	t      *RSMI
+	pts    [2][]geom.Point
+	rx, ry [2][]uint32
+	// byX and byY list an internal node's points by x rank and by y rank,
+	// and of holds each one's cell.
+	byX, byY, of []int32
+	next         []uint32 // rank.Inherit's counters, one a cell
+	sorter       rank.Sorter
+	cells        cellScratch
 }
 
-// buildLeaf orders pts by their rank-space curve value (§3.1), groups them
-// by the leaf's cells and packs them into blocks. The paper trains an MLP to
-// map a point to its block; the cells tabulate that map exactly. The leaf's
-// curve grid is cut into 2^k × 2^k aligned cells (k = leafOrder), and an
-// aligned cell is one contiguous run of the Hilbert or Z order, so a cell's
-// points take one run of the leaf's positions. The leaf keeps the cuts — the
-// first point of every column by (x, then y) and of every row by (y, then
-// x) — and the runs' bounds, and trains nothing. As at internal nodes, the
-// points are grouped by the cell the cuts give them, not by the grid
-// coordinates the cuts were read from: copies of one point that the
-// ordering split across a cut all go to the later cell, so a point query is
-// exact by construction. Leaves are the deepest nodes, so the height is
-// recorded here: the leaf built for a cell that took every point of its
-// node sits one level below any depth build saw.
-func (t *RSMI) buildLeaf(pts []geom.Point, depth int) *node {
+// build builds the tree over work, whose ranks are rx and ry, and returns
+// its root. work, rx and ry may be reordered.
+func (t *RSMI) build(work []geom.Point, rx, ry []uint32) *node {
+	n := len(work)
+	b := &builder{t: t}
+	b.pts = [2][]geom.Point{work, make([]geom.Point, n)}
+	b.rx = [2][]uint32{rx, make([]uint32, n)}
+	b.ry = [2][]uint32{ry, make([]uint32, n)}
+	if n > t.opts.PartitionThreshold {
+		b.byX, b.byY, b.of = make([]int32, n), make([]int32, n), make([]int32, n)
+	}
+	return b.node(0, 0, n, 1)
+}
+
+// node builds the sub-model for the points at [lo, hi) of side s at the
+// given depth.
+func (b *builder) node(s, lo, hi, depth int) *node {
+	if hi-lo <= b.t.opts.PartitionThreshold || depth >= maxDepth {
+		return b.leaf(s, lo, hi, depth)
+	}
+	return b.internal(s, lo, hi, depth)
+}
+
+// leaf orders the points at [lo, hi) of side s by their rank-space curve
+// value (§3.1), groups them by the leaf's cells and packs them into blocks.
+// The paper trains an MLP to map a point to its block; the cells tabulate
+// that map exactly. The leaf's curve grid is cut into 2^k × 2^k aligned
+// cells (k = leafOrder), and an aligned cell is one contiguous run of the
+// Hilbert or Z order, so a cell's points take one run of the leaf's
+// positions. The leaf keeps the cuts — the first point of every column by
+// (x, then y) and of every row by (y, then x) — and the runs' bounds, and
+// trains nothing. As at internal nodes, the points are grouped by the cell
+// the cuts give them, not by the grid coordinates the cuts were read from:
+// copies of one point that the ordering split across a cut all go to the
+// later cell, so a point query is exact by construction. Leaves are the
+// deepest nodes, so the height is recorded here: the leaf built for a cell
+// that took every point of its node sits one level below any depth build
+// saw.
+func (b *builder) leaf(s, lo, hi, depth int) *node {
+	t := b.t
 	t.height = max(t.height, depth)
-	ordered, cols, rows, order := t.orderLeaf(pts)
+	pts := b.pts[s][lo:hi]
+	ordered, cols, rows := b.pts[1-s][lo:hi], b.rx[1-s][lo:hi], b.ry[1-s][lo:hi]
+	var order uint
+	if t.opts.RawGridLeafOrder {
+		order = rawGridOrder(pts, t.opts.Curve, ordered, cols, rows)
+	} else {
+		order = b.sorter.OrderRanked(pts, b.rx[s][lo:hi], b.ry[s][lo:hi], t.opts.Curve, ordered, cols, rows)
+	}
 	k := leafOrder(len(ordered), t.opts.BlockCapacity)
 	t.useOrder(k)
 	n := &node{leaf: true, order: uint8(k), points: len(ordered)}
 	n.cols = gridCuts(ordered, cols, order-k, k, geom.Point.Less)
 	n.rowCuts = gridCuts(ordered, rows, order-k, k, lessYX)
 	n.starts = make([]int32, 1<<(2*k)+1)
-	t.pack(n, t.groupByCell(n, ordered, n.starts, &cellScratch{}), t.opts.BlockCapacity, nil)
+	t.pack(n, t.groupByCell(n, ordered, n.starts, &b.cells), t.opts.BlockCapacity, nil)
 	t.leaves++
 	return n
 }
@@ -353,24 +410,35 @@ func (t *RSMI) groupByCell(n *node, pts []geom.Point, start []int32, s *cellScra
 	s.of = slices.Grow(s.of[:0], len(pts))[:len(pts)]
 	s.grouped = slices.Grow(s.grouped[:0], len(pts))[:len(pts)]
 	of, grouped := s.of, s.grouped
+	t.cellsOf(n, pts, of, start)
+	// Placing the points moves each start[c] to start[c+1]; shift them back.
+	for i, p := range pts {
+		grouped[start[of[i]]] = p
+		start[of[i]]++
+	}
+	unshift(start)
+	return grouped
+}
+
+// cellsOf writes into of[i] the cell of pts[i] at node n, and into start
+// the prefix counts of n's cells: the points grouped by cell, in cell
+// order, put cell c's at [start[c], start[c+1]).
+func (t *RSMI) cellsOf(n *node, pts []geom.Point, of, start []int32) {
 	clear(start)
 	for i, p := range pts {
 		c := t.cell(n, p)
 		of[i] = int32(c)
 		start[c+1]++
 	}
-	cells := len(start) - 1
-	for c := range cells {
+	for c := range len(start) - 1 {
 		start[c+1] += start[c]
 	}
-	// Placing the points moves each start[c] to start[c+1]; shift them back.
-	for i, p := range pts {
-		grouped[start[of[i]]] = p
-		start[of[i]]++
-	}
-	copy(start[1:], start[:cells])
+}
+
+// unshift undoes a placement that advanced every start[c] to start[c+1].
+func unshift(start []int32) {
+	copy(start[1:], start[:len(start)-1])
 	start[0] = 0
-	return grouped
 }
 
 // cellScratch is groupByCell's working memory: each point's cell and the
@@ -380,16 +448,13 @@ type cellScratch struct {
 	grouped []geom.Point
 }
 
-// orderLeaf orders leaf points for packing — rank-space curve order by
-// default (§3.1), raw-grid curve order under the A1 ablation — and returns
-// each ordered point's column and row on the curve's grid and the curve's
+// rawGridOrder is the A1 ablation's leaf ordering: it writes pts to out in
+// curve order on a fixed grid over their bounding rectangle, each point's
+// column and row on that grid to cols and rows, and returns the curve's
 // order.
-func (t *RSMI) orderLeaf(pts []geom.Point) (ordered []geom.Point, cols, rows []uint32, order uint) {
-	if !t.opts.RawGridLeafOrder {
-		return rank.OrderOnGrid(pts, t.opts.Curve)
-	}
+func rawGridOrder(pts []geom.Point, kind sfc.Kind, out []geom.Point, cols, rows []uint32) (order uint) {
 	norm := geom.BoundingRect(pts)
-	curve := sfc.New(t.opts.Curve, sfc.OrderFor(len(pts)))
+	curve := sfc.New(kind, sfc.OrderFor(len(pts)))
 	side := float64(curve.Side() - 1)
 	type cp struct {
 		cv     uint64
@@ -405,25 +470,28 @@ func (t *RSMI) orderLeaf(pts []geom.Point) (ordered []geom.Point, cols, rows []u
 	slices.SortFunc(cps, func(a, b cp) int {
 		return cmp.Or(cmp.Compare(a.cv, b.cv), a.p.Compare(b.p))
 	})
-	ordered = make([]geom.Point, len(cps))
-	cols, rows = make([]uint32, len(cps)), make([]uint32, len(cps))
 	for i, c := range cps {
-		ordered[i], cols[i], rows[i] = c.p, c.gx, c.gy
+		out[i], cols[i], rows[i] = c.p, c.gx, c.gy
 	}
-	return ordered, cols, rows, curve.Order()
+	return curve.Order()
 }
 
-// buildInternal cuts pts into the non-regular grid of §3.2 and recurses into
-// its cells: `side` columns of equal count by x, then each column into
-// `side` cells of equal count by y. The paper trains an MLP to learn which
-// cell a point falls in; the cuts are that function exactly, so the node
-// keeps them instead of a model and trains nothing. The cuts compare points
-// in the orders rank.Ranks ranks them: a column cut by (x, then y), a row cut
-// by (y, then x). The points are grouped by cell, the lookup descent
-// follows, not by the rank layout the cuts were read from: points equal in
-// both coordinates that the layout split across a cut all go to the later
-// cell, so descent is exact by construction.
-func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
+// internal cuts the points at [lo, hi) of side s into the non-regular grid
+// of §3.2 and recurses into its cells: `side` columns of equal count by x,
+// then each column into `side` cells of equal count by y. The paper trains
+// an MLP to learn which cell a point falls in; the cuts are that function
+// exactly, so the node keeps them instead of a model and trains nothing. The
+// cuts are read from the points' ranks, so they compare points in the orders
+// rank.Ranks ranks them: a column cut by (x, then y), a row cut by (y, then
+// x). The points are grouped by cell, the lookup descent follows, not by the
+// rank layout the cuts were read from: points equal in both coordinates that
+// the layout split across a cut all go to the later cell, so descent is
+// exact by construction. Each point carries into the other side its ranks
+// within its cell, which grouping, stable as it is, leaves Ranks' own.
+func (b *builder) internal(s, lo, hi, depth int) *node {
+	t := b.t
+	pts, rx, ry := b.pts[s][lo:hi], b.rx[s][lo:hi], b.ry[s][lo:hi]
+	byX, byY, of := b.byX[lo:hi], b.byY[lo:hi], b.of[lo:hi]
 	order := gridOrder(t.opts)
 	t.useOrder(order)
 	side, nPts := 1<<order, len(pts)
@@ -433,18 +501,14 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 	// A point's x rank names its column; walking the points in y-rank order
 	// meets each column's points in row order, so the first point of every
 	// row is met without a sort.
-	rx, ry := rank.Ranks(pts)
+	for i := range pts {
+		byX[rx[i]], byY[ry[i]] = int32(i), int32(i)
+	}
 	colSize := (nPts + side - 1) / side
 	cols := (nPts + colSize - 1) / colSize
 	n.cols = make([]geom.Point, cols-1)
-	for i, r := range rx {
-		if c := int(r) / colSize; c > 0 && int(r)%colSize == 0 {
-			n.cols[c-1] = pts[i]
-		}
-	}
-	byY := make([]int32, nPts)
-	for i, r := range ry {
-		byY[r] = int32(i)
+	for c := range n.cols {
+		n.cols[c] = pts[byX[(c+1)*colSize]]
 	}
 	rowCuts := make([]geom.Point, cols*(side-1))
 	n.rows = make([][]geom.Point, cols)
@@ -461,24 +525,35 @@ func (t *RSMI) buildInternal(pts []geom.Point, depth int) *node {
 		filled[c]++
 	}
 
-	// Group the points by the cell descent sends them to, in cell order.
+	// Group the points by the cell descent sends them to, in cell order,
+	// each with its ranks within its cell.
 	start := make([]int32, cells+1)
-	pts = t.groupByCell(n, pts, start, &cellScratch{})
+	t.cellsOf(n, pts, of, start)
+	b.next = slices.Grow(b.next[:0], cells)[:cells]
+	rank.Inherit(rx, byX, of, b.next)
+	rank.Inherit(ry, byY, of, b.next)
+	dst, dstX, dstY := b.pts[1-s][lo:hi], b.rx[1-s][lo:hi], b.ry[1-s][lo:hi]
+	for i, p := range pts {
+		d := start[of[i]]
+		dst[d], dstX[d], dstY[d] = p, rx[i], ry[i]
+		start[of[i]]++
+	}
+	unshift(start)
 
 	n.children = make([]*node, cells)
 	for c := range cells {
-		g := pts[start[c]:start[c+1]]
+		from, to := lo+int(start[c]), lo+int(start[c+1])
 		switch {
-		case len(g) == 0:
-		case len(g) == nPts:
+		case from == to:
+		case to-from == nPts:
 			// Every point fell into one cell, so the column cuts are all
 			// copies of the least point. Recursing would cut the points the
 			// same way again; an oversized leaf keeps the index correct.
-			n.children[c] = t.buildLeaf(g, depth+1)
+			n.children[c] = b.leaf(1-s, from, to, depth+1)
 		default:
-			n.children[c] = t.build(g, depth+1)
+			n.children[c] = b.node(1-s, from, to, depth+1)
 		}
-		n.points += len(g)
+		n.points += to - from
 	}
 	return n
 }

@@ -10,6 +10,7 @@ import (
 	"rsmi/internal/dataset"
 	"rsmi/internal/geom"
 	"rsmi/internal/index"
+	"rsmi/internal/rank"
 	"rsmi/internal/store"
 	"rsmi/internal/workload"
 )
@@ -617,9 +618,10 @@ func BenchmarkAfterInserts(b *testing.B) {
 }
 
 // BenchmarkRepackLeaf times one repack of an OSM-like leaf of 1000 points,
-// 125 of them — one in eight — in overflow chains, beside buildLeaf over
-// the same points: what Insert pays when a leaf crosses its share, against
-// rebuilding the leaf from scratch. The 125 points are filed without the
+// 125 of them — one in eight — in overflow chains, beside buildLeaf, a
+// one-leaf build (ranking, ordering and packing) of the same points: what
+// Insert pays when a leaf crosses its share, against rebuilding the leaf
+// from scratch. The 125 points are filed without the
 // repacks Insert would set off (file), so the repack gathers the chains of
 // a leaf grown by an eighth. Each repack runs on a copy of the leaf grown
 // untimed, 64 copies at a time with a collection after them, so the setup's
@@ -666,7 +668,8 @@ func BenchmarkRepackLeaf(b *testing.B) {
 			copy(work, live)
 			t := &RSMI{opts: opts.withDefaults(), store: store.NewManager(0), curves: idx.curves}
 			b.StartTimer()
-			t.buildLeaf(work, 1)
+			rx, ry := rank.Ranks(work)
+			t.build(work, rx, ry)
 		}
 	})
 }

@@ -183,15 +183,17 @@ func sortKeyed(ks, buf []keyed) []keyed {
 // exists to remove (cf. Figs. 2–3).
 func rankCurve(n int, kind sfc.Kind) (sfc.Curve, []uint32) {
 	curve := sfc.New(kind, sfc.OrderFor(n))
-	return curve, spreadRanks(n, uint64(curve.Side()))
+	return curve, spreadRanks(make([]uint32, n), uint64(curve.Side()))
 }
 
-// spreadRanks returns r·(side-1)/(n-1), rounded down, for every rank r of
-// n: the order-preserving spread of ranks 0..n-1 over 0..side-1, stepped
-// without a division per rank (q·(n-1) + rem = r·(side-1) throughout).
-func spreadRanks(n int, side uint64) []uint32 {
-	spread := make([]uint32, n)
-	if n == 1 {
+// spreadRanks writes r·(side-1)/(n-1), rounded down, to spread[r] for every
+// rank r of n = len(spread), and returns spread: the order-preserving spread
+// of ranks 0..n-1 over 0..side-1, stepped without a division per rank
+// (q·(n-1) + rem = r·(side-1) throughout).
+func spreadRanks(spread []uint32, side uint64) []uint32 {
+	n := len(spread)
+	if n <= 1 {
+		clear(spread)
 		return spread
 	}
 	den := uint64(n - 1)
@@ -208,44 +210,119 @@ func spreadRanks(n int, side uint64) []uint32 {
 }
 
 // Order returns the input points sorted by their rank-space curve value under
-// the given curve kind. This is the ordering step used both by RSMI leaves
-// and by the HRR bulk loader. Distinct rank cells have distinct curve
+// the given curve kind: the ordering the HRR bulk loader packs (a sharded
+// build takes OrderWithRanks). Distinct rank cells have distinct curve
 // values, so the order has one possible outcome and a radix sort of the
 // values finds it.
 func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
-	out, _, _, _ := orderPoints(pts, kind, false)
+	out, _, _ := OrderWithRanks(pts, kind)
 	return out
 }
 
-// OrderOnGrid is Order that also returns every sorted point's column and row
-// on the curve's grid — its x and y rank, spread over the grid's side — and
-// the curve's order: what an RSMI leaf cuts its aligned cells from.
-func OrderOnGrid(pts []geom.Point, kind sfc.Kind) (out []geom.Point, cols, rows []uint32, order uint) {
-	return orderPoints(pts, kind, true)
-}
-
-// orderPoints is Order, returning the grid coordinates only when grid is set.
-func orderPoints(pts []geom.Point, kind sfc.Kind, grid bool) (out []geom.Point, cols, rows []uint32, order uint) {
+// OrderWithRanks is Order that also returns every sorted point's rank by x
+// and by y as Ranks(out) gives them, so that each contiguous run of out
+// inherits its own ranks from them (see Inherit): what a sharded build hands
+// each shard.
+func OrderWithRanks(pts []geom.Point, kind sfc.Kind) (out []geom.Point, rx, ry []uint32) {
 	n := len(pts)
 	buf := make([]keyed, 2*n)
-	rx, ry := ranks(pts, buf)
-	curve, spread := rankCurve(n, kind)
-	ks := buf[:n]
-	for i := range ks {
-		ks[i] = keyed{curve.Value(spread[rx[i]], spread[ry[i]]), uint32(i)}
-	}
-	ks = sortKeyed(ks, buf[n:])
-	out = make([]geom.Point, len(ks))
+	x, y := ranks(pts, buf)
+	s := Sorter{ks: buf[:n], buf: buf[n:]}
+	ks, _, _ := s.curveOrder(x, y, kind)
+	out, rx, ry = make([]geom.Point, n), make([]uint32, n), make([]uint32, n)
 	for i, k := range ks {
-		out[i] = pts[k.idx]
+		out[i], rx[i], ry[i] = pts[k.idx], x[k.idx], y[k.idx]
 	}
-	if grid {
-		cols, rows = make([]uint32, n), make([]uint32, n)
-		for i, k := range ks {
-			cols[i], rows[i] = spread[rx[k.idx]], spread[ry[k.idx]]
+	retie(out, rx, ry)
+	return out, rx, ry
+}
+
+// retie re-deals the ranks of every set of points that tie on both
+// coordinates by the points' positions in pts. Ranks breaks such a full tie
+// by input position, so once the points are moved, ranks carried over from
+// their old positions are those of Ranks(pts) everywhere but in these sets.
+// The points of a set are equal as values — copies, or −0 beside +0 — and
+// take consecutive ranks by x and consecutive ranks by y; each rank goes
+// back to them in order of position.
+func retie(pts []geom.Point, rx, ry []uint32) {
+	byX := make([]int32, len(pts))
+	for i, r := range rx {
+		byX[r] = int32(i)
+	}
+	for lo := 0; lo < len(byX); {
+		hi := lo + 1
+		for hi < len(byX) && pts[byX[hi]] == pts[byX[lo]] {
+			hi++
 		}
+		if set := byX[lo:hi]; len(set) > 1 {
+			slices.Sort(set)
+			y := ry[set[0]]
+			for _, i := range set {
+				y = min(y, ry[i])
+			}
+			for j, i := range set {
+				rx[i], ry[i] = uint32(lo+j), y+uint32(j)
+			}
+		}
+		lo = hi
 	}
-	return out, cols, rows, curve.Order()
+}
+
+// Inherit turns ranks among a set of points into ranks within groups of it.
+// byRank lists the points by rank, byRank[r] being the point of rank r, and
+// group[i] is point i's group, below len(next). Inherit writes to sub[i]
+// the rank of point i within its group: the number of points of its group
+// that rank below it. sub may hold the ranks byRank was made from; next is
+// Inherit's working memory, one counter a group.
+//
+// Ranks breaks full ties by input position last. A group that keeps its
+// points in their order in the set therefore ranks them, under the same
+// rule, as the set does, and its inherited ranks are what Ranks of the group
+// gives, by x for x ranks and by y for y ranks: no point is compared again.
+func Inherit(sub []uint32, byRank, group []int32, next []uint32) {
+	clear(next)
+	for _, i := range byRank {
+		g := group[i]
+		sub[i] = next[g]
+		next[g]++
+	}
+}
+
+// Sorter orders ranked points by their curve value, through buffers it
+// keeps, so that a build ordering leaf after leaf allocates them once. The
+// zero value is ready to use.
+type Sorter struct {
+	ks, buf []keyed
+	spread  []uint32
+}
+
+// OrderRanked writes pts, whose ranks by x and by y as Ranks gives them are
+// rx and ry, to out in rank-space curve order, and every ordered point's
+// column and row on the curve's grid — its x and y rank, spread over the
+// grid's side — to cols and rows; it returns the curve's order. It places
+// the points as Order does, from ranks a caller has already: what an RSMI
+// leaf cuts its aligned cells from.
+func (s *Sorter) OrderRanked(pts []geom.Point, rx, ry []uint32, kind sfc.Kind, out []geom.Point, cols, rows []uint32) (order uint) {
+	ks, spread, order := s.curveOrder(rx, ry, kind)
+	for i, k := range ks {
+		out[i], cols[i], rows[i] = pts[k.idx], spread[rx[k.idx]], spread[ry[k.idx]]
+	}
+	return order
+}
+
+// curveOrder returns the points of ranks rx and ry sorted by their curve
+// value, each as its value and index, with the grid coordinate of every
+// rank and the curve's order.
+func (s *Sorter) curveOrder(rx, ry []uint32, kind sfc.Kind) (ks []keyed, spread []uint32, order uint) {
+	n := len(rx)
+	curve := sfc.New(kind, sfc.OrderFor(n))
+	s.spread = spreadRanks(slices.Grow(s.spread[:0], n)[:n], uint64(curve.Side()))
+	s.ks = slices.Grow(s.ks[:0], n)[:n]
+	s.buf = slices.Grow(s.buf[:0], n)[:n]
+	for i := range s.ks {
+		s.ks[i] = keyed{curve.Value(s.spread[rx[i]], s.spread[ry[i]]), uint32(i)}
+	}
+	return sortKeyed(s.ks, s.buf), s.spread, curve.Order()
 }
 
 // CurveGapStats summarises the gaps between consecutive curve values of the

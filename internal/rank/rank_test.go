@@ -179,7 +179,7 @@ func TestSpreadRanksIsTheDivision(t *testing.T) {
 	}
 	for _, n := range ns {
 		side := uint64(1) << sfc.OrderFor(n)
-		for r, got := range spreadRanks(n, side) {
+		for r, got := range spreadRanks(make([]uint32, n), side) {
 			want := uint64(0)
 			if n > 1 {
 				want = uint64(r) * (side - 1) / uint64(n-1)

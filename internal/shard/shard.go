@@ -121,7 +121,8 @@ type Sharded struct {
 
 // New builds a Sharded index over the points. Shard construction runs in
 // parallel, each shard building in place from its own run of one ordered
-// copy of the points. The input slice is not modified.
+// copy of the points and the ranks the run inherits. The input slice is not
+// modified.
 //
 // When opts.Index.PartitionThreshold is unset, New derives a per-shard
 // threshold instead of core's global default: a shard holding close to the
@@ -138,12 +139,12 @@ func New(pts []geom.Point, opts Options) *Sharded {
 	s := &Sharded{shards: make([]*state, opts.Shards)}
 	parts := partition(pts, opts)
 	var wg sync.WaitGroup
-	for i := range s.shards {
+	for i, part := range parts {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			s.shards[i] = newState(core.NewOwned(parts[i], opts.Index))
-		}(i)
+			s.shards[i] = newState(core.NewRanked(part.pts, part.rx, part.ry, opts.Index))
+		}()
 	}
 	wg.Wait()
 	s.buildTime = time.Since(start)
@@ -176,27 +177,38 @@ func deriveIndexOptions(opts Options, n int) core.Options {
 	return io
 }
 
-// partition assigns pts to opts.Shards groups: contiguous runs of the
+// run is one shard's points, with their ranks by x and by y among them.
+type run struct {
+	pts    []geom.Point
+	rx, ry []uint32
+}
+
+// partition assigns pts to opts.Shards runs: contiguous runs of the
 // rank-space curve ordering (§3.1), the same ordering RSMI leaves pack
-// blocks in. The runs share one fresh slice, each capped at its own end,
-// so a build that reorders its run in place reaches no other.
-func partition(pts []geom.Point, opts Options) [][]geom.Point {
-	parts := make([][]geom.Point, opts.Shards)
-	ordered := rank.Order(pts, opts.Index.Curve)
-	per := (len(ordered) + opts.Shards - 1) / opts.Shards
-	if per == 0 {
-		per = 1
+// blocks in. The runs share one fresh slice, each capped at its own end, so
+// a build that reorders its run in place reaches no other. Each run inherits
+// its ranks from the ordering's (rank.Inherit), so no shard ranks its points
+// again.
+func partition(pts []geom.Point, opts Options) []run {
+	ordered, rx, ry := rank.OrderWithRanks(pts, opts.Index.Curve)
+	n := len(ordered)
+	per := max(1, (n+opts.Shards-1)/opts.Shards)
+	group, byRank := make([]int32, n), make([]int32, n)
+	for i := range group {
+		group[i] = int32(i / per)
 	}
+	next := make([]uint32, opts.Shards)
+	for _, r := range [][]uint32{rx, ry} {
+		for i, v := range r {
+			byRank[v] = int32(i)
+		}
+		rank.Inherit(r, byRank, group, next)
+	}
+	parts := make([]run, opts.Shards)
 	for i := range parts {
-		lo := i * per
-		if lo > len(ordered) {
-			lo = len(ordered)
-		}
-		hi := lo + per
-		if hi > len(ordered) {
-			hi = len(ordered)
-		}
-		parts[i] = ordered[lo:hi:hi]
+		lo := min(i*per, n)
+		hi := min(lo+per, n)
+		parts[i] = run{ordered[lo:hi:hi], rx[lo:hi:hi], ry[lo:hi:hi]}
 	}
 	return parts
 }
