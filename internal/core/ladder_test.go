@@ -13,11 +13,11 @@ import (
 )
 
 // BenchmarkLadder measures the index at 200k, 1M and 4M points of uniform,
-// skewed and OSM-like data (B and N the paper's, 10 epochs, seed 1): the
-// build, then per query class — points, windows of the default size, kNN
-// at k = 25 — the mean time (of the median of seven passes, with the q1
-// and q3 passes beside it) and block reads, on the built index and again after inserting half as many points
-// again. After the inserts it also reports the window reads of a fresh
+// skewed and OSM-like data (B and N the paper's): the build, then per query
+// class — points, windows of the default size, kNN at k = 25 — the mean time
+// (of the median of seven passes, with the q1 and q3 passes beside it) and
+// block reads, on the built index and again after inserting half as many
+// points again. After the inserts it also reports the window reads of a fresh
 // build over the same points (window_blocks_fresh). It uses only what the
 // package has exported for years, so the file runs unchanged on earlier
 // commits for a before-and-after table. Run it with -benchtime 1x; it is
@@ -31,7 +31,7 @@ func BenchmarkLadder(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/n=%d", kind, n), func(b *testing.B) {
 				pts := dataset.Generate(kind, n, 1)
 				start := time.Now()
-				idx := New(pts, Options{Epochs: 10, Seed: 1})
+				idx := New(pts, Options{})
 				b.ReportMetric(time.Since(start).Seconds(), "build_s")
 				ladderRow(b, idx, pts, "")
 				ins := workload.InsertPoints(pts, n/2, 2)
@@ -40,7 +40,7 @@ func BenchmarkLadder(b *testing.B) {
 				}
 				grown := append(pts, ins...)
 				ladderRow(b, idx, grown, "+50%")
-				fresh := New(grown, Options{Epochs: 10, Seed: 1})
+				fresh := New(grown, Options{})
 				ws := workload.Windows(grown, 300, workload.DefaultWindowSize, 1, 4)
 				for _, w := range ws {
 					fresh.WindowQuery(w)

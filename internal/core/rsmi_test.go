@@ -457,20 +457,20 @@ func TestStringSummary(t *testing.T) {
 }
 
 // BenchmarkBuild100k builds one index over 100k skewed points with the
-// paper's B and N at the benchmark's training budget: a root of grid cuts
-// over 64 leaves, the shape one shard of the repo's benchmark has.
+// paper's B and N: a root of grid cuts over 64 leaves, the shape one shard
+// of the repo's benchmark has.
 func BenchmarkBuild100k(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 100_000, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(pts, Options{Epochs: 10, Seed: 1})
+		New(pts, Options{})
 	}
 }
 
 // BenchmarkBuild1M builds one index over 1M skewed points with the paper's
-// B and N at 10 epochs, seed 1: the scale at which the build's shape (grid
-// cuts, some 100 leaves to train) shows. It is skipped under -short.
+// B and N: the scale at which the build's shape (two levels of grid cuts
+// over thousands of leaves) shows. It is skipped under -short.
 func BenchmarkBuild1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-point build skipped in -short")
@@ -479,7 +479,7 @@ func BenchmarkBuild1M(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		New(pts, Options{Epochs: 10, Seed: 1})
+		New(pts, Options{})
 	}
 }
 
@@ -488,7 +488,7 @@ func BenchmarkBuild1M(b *testing.B) {
 func benchIndex(b *testing.B) (*RSMI, []geom.Point) {
 	b.Helper()
 	pts := dataset.Generate(dataset.Skewed, 100_000, 1)
-	return New(pts, Options{Epochs: 10, Seed: 1}), pts
+	return New(pts, Options{}), pts
 }
 
 // BenchmarkPointQuery runs Algorithm 1 over the index embed-read builds

@@ -1,9 +1,11 @@
 package rank
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -373,4 +375,183 @@ func BenchmarkOrder(b *testing.B) {
 			}
 		})
 	}
+}
+
+// tiedPoints returns n points that tie everywhere Ranks breaks ties: few
+// distinct coordinates (duplicate x, duplicate y), exact copies, and −0
+// beside +0 on either axis, which compare equal but keep their bits.
+func tiedPoints(rng *rand.Rand, n int) []geom.Point {
+	levels := 1 + rng.Intn(12)
+	coord := func() float64 {
+		c := float64(rng.Intn(levels)) / 4
+		if c == 0 && rng.Intn(2) == 0 {
+			c = math.Copysign(0, -1)
+		}
+		return c
+	}
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		pts[i] = geom.Pt(coord(), coord())
+		if i > 0 && rng.Intn(5) == 0 {
+			pts[i] = pts[rng.Intn(i)] // an exact copy
+		}
+	}
+	return pts
+}
+
+// bitsEqual reports whether two point lists hold the same bits in the same
+// order: −0 and +0 differ.
+func bitsEqual(a, b []geom.Point) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i].X) != math.Float64bits(b[i].X) || math.Float64bits(a[i].Y) != math.Float64bits(b[i].Y) {
+			return false
+		}
+	}
+	return true
+}
+
+// refOrderOnGrid is the leaf ordering a build used before ranks were
+// inherited, written from Transform: the points sorted by curve value, each
+// with its x and y rank spread over the curve's grid by the division, and
+// the curve's order.
+func refOrderOnGrid(pts []geom.Point, kind sfc.Kind) (out []geom.Point, cols, rows []uint32, order uint) {
+	n := len(pts)
+	curve := sfc.New(kind, sfc.OrderFor(n))
+	spread := func(r uint32) uint32 {
+		if n <= 1 {
+			return 0
+		}
+		return uint32(uint64(r) * uint64(curve.Side()-1) / uint64(n-1))
+	}
+	rs := Transform(pts, kind)
+	sort.SliceStable(rs, func(a, b int) bool { return rs[a].CV < rs[b].CV })
+	for _, r := range rs {
+		out, cols, rows = append(out, r.Point), append(cols, spread(r.RankX)), append(rows, spread(r.RankY))
+	}
+	return out, cols, rows, curve.Order()
+}
+
+// checkInherited cuts pts into groups — group[i] is point i's — and checks
+// that every group's ranks inherited from Ranks(pts) are Ranks of the group
+// in input order, and that OrderRanked orders the group from them as the
+// reference ordering does.
+func checkInherited(t *testing.T, pts []geom.Point, group []int32, groups int, kind sfc.Kind) {
+	t.Helper()
+	n := len(pts)
+	rx, ry := Ranks(pts)
+	byRank := make([]int32, n)
+	next := make([]uint32, groups)
+	for _, r := range [][]uint32{rx, ry} {
+		for i, v := range r {
+			byRank[v] = int32(i)
+		}
+		Inherit(r, byRank, group, next)
+	}
+	var s Sorter
+	for g := range groups {
+		var members []geom.Point
+		var gx, gy []uint32
+		for i, p := range pts {
+			if group[i] == int32(g) {
+				members, gx, gy = append(members, p), append(gx, rx[i]), append(gy, ry[i])
+			}
+		}
+		wantX, wantY := Ranks(members)
+		if !slices.Equal(gx, wantX) || !slices.Equal(gy, wantY) {
+			t.Fatalf("group %d of %d (%d points): inherited ranks x %v y %v, Ranks of the group x %v y %v", g, groups, len(members), gx, gy, wantX, wantY)
+		}
+		m := len(members)
+		out, cols, rows := make([]geom.Point, m), make([]uint32, m), make([]uint32, m)
+		order := s.OrderRanked(members, gx, gy, kind, out, cols, rows)
+		refOut, refCols, refRows, refOrder := refOrderOnGrid(members, kind)
+		if !bitsEqual(out, refOut) || !slices.Equal(cols, refCols) || !slices.Equal(rows, refRows) || order != refOrder {
+			t.Fatalf("group %d of %d: OrderRanked from inherited ranks gives %v %v %v order %d, the reference %v %v %v order %d",
+				g, groups, out, cols, rows, order, refOut, refCols, refRows, refOrder)
+		}
+	}
+}
+
+// TestInheritIsRanksOfEachGroup: for points full of duplicate x, duplicate
+// y, exact copies and −0 beside +0, cut into random groups that keep their
+// points in input order, every group's inherited ranks are Ranks of the
+// group, and one Sorter, reused group after group, orders each group from
+// them as the reference leaf ordering does.
+func TestInheritIsRanksOfEachGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := range 200 {
+		n := rng.Intn(400)
+		pts := tiedPoints(rng, n)
+		groups := 1 + rng.Intn(9)
+		group := make([]int32, n)
+		for i := range group {
+			group[i] = int32(rng.Intn(groups))
+		}
+		checkInherited(t, pts, group, groups, []sfc.Kind{sfc.Hilbert, sfc.Z}[trial%2])
+	}
+}
+
+// TestOrderWithRanksRanksItsOrder: OrderWithRanks returns Order's points
+// with the ranks Ranks gives them in that order — full ties, −0 beside +0
+// included, broken by position in it — so a contiguous run of them, a
+// shard's, inherits the ranks Ranks gives the run.
+func TestOrderWithRanksRanksItsOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := range 100 {
+		n := 1 + rng.Intn(3000)
+		if trial == 0 {
+			n += parallelMin
+		}
+		pts := tiedPoints(rng, n)
+		kind := []sfc.Kind{sfc.Hilbert, sfc.Z}[trial%2]
+		out, rx, ry := OrderWithRanks(pts, kind)
+		if want := Order(pts, kind); !bitsEqual(out, want) {
+			t.Fatalf("trial %d: OrderWithRanks' points are not Order's", trial)
+		}
+		wantX, wantY := Ranks(out)
+		if !slices.Equal(rx, wantX) || !slices.Equal(ry, wantY) {
+			t.Fatalf("trial %d (%d points): OrderWithRanks' ranks are not Ranks of its order", trial, n)
+		}
+		runs := 1 + rng.Intn(4)
+		per := (n + runs - 1) / runs
+		group := make([]int32, n)
+		for i := range group {
+			group[i] = int32(i / per)
+		}
+		checkInherited(t, out, group, runs, kind)
+	}
+}
+
+// FuzzInherit: points and groups from the fuzz bytes, two bytes a point —
+// coordinates on an 8 × 8 lattice, the sign of a zero and the group — and
+// every group's inherited ranks must be Ranks of the group, and its
+// ordering from them the reference's.
+func FuzzInherit(f *testing.F) {
+	f.Add([]byte{0, 0, 0x80, 0, 0x08, 0x01, 0x88, 0x01})
+	f.Add([]byte{0x12, 0x40, 0x12, 0xc0, 0x21, 0x02, 0x21, 0x82, 0x33, 0x03})
+	f.Add(bytes.Repeat([]byte{0x00, 0x80, 0x01, 0x81}, 40))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/2, 512)
+		pts := make([]geom.Point, n)
+		group := make([]int32, n)
+		coord := func(v byte, neg bool) float64 {
+			c := float64(v & 7)
+			if neg {
+				c = -c // −0 when v&7 is 0
+			}
+			return c
+		}
+		for i := range pts {
+			a, b := data[2*i], data[2*i+1]
+			pts[i] = geom.Pt(coord(a, a&0x80 != 0), coord(a>>3, b&0x80 != 0))
+			group[i] = int32(b & 3)
+		}
+		kind := sfc.Hilbert
+		if len(data)%2 == 1 {
+			kind = sfc.Z
+		}
+		checkInherited(t, pts, group, 4, kind)
+	})
 }

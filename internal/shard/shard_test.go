@@ -170,8 +170,8 @@ func TestShardedUpdates(t *testing.T) {
 			live := lin.WindowQuery(geom.Rect{MinX: 0, MinY: 0, MaxX: 1, MaxY: 1})
 			checkAgainstLinear(t, s, lin, live, 13)
 
-			// The rolling rebuild retrains each shard from its own points
-			// (no repartitioning) and must preserve the point set.
+			// The rolling rebuild builds each shard again from its own
+			// points (no repartitioning) and must preserve the point set.
 			if err := s.RebuildContext(bg); err != nil {
 				t.Fatal(err)
 			}
@@ -316,7 +316,18 @@ func BenchmarkNew200k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		newSink = New(pts, Options{Shards: 2, Index: core.Options{Epochs: 10, Seed: 1}})
+		newSink = New(pts, Options{Shards: 2})
+	}
+}
+
+// BenchmarkNew100kOSM is the set-up the repo's embed-write benchmark times,
+// less data generation: 100k OSM-like points, two shards.
+func BenchmarkNew100kOSM(b *testing.B) {
+	pts := dataset.Generate(dataset.OSMLike, 100_000, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		newSink = New(pts, Options{Shards: 2})
 	}
 }
 
@@ -332,7 +343,7 @@ var (
 // reads.
 func BenchmarkQueries(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 200_000, 1)
-	s := New(pts, Options{Shards: 2, Index: core.Options{Epochs: 10, Seed: 1}})
+	s := New(pts, Options{Shards: 2})
 	ctx := context.Background()
 	report := func(b *testing.B) {
 		b.ReportMetric(float64(s.Accesses())/float64(b.N), "blocks/op")
