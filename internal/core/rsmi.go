@@ -221,9 +221,10 @@ func NewOwned(work []geom.Point, opts Options) *RSMI {
 }
 
 // NewRanked is NewOwned over points ranked already: rx and ry are work's
-// ranks by x and by y as rank.Ranks gives them, and the build takes them
-// over too. A sharded build hands each shard its run of one ordering with
-// the ranks the run inherits (rank.OrderWithRanks, rank.Inherit).
+// ranks by x (ties by y) and by y (ties by x), as rank.Ranks gives them but
+// for full ties, which may be broken in any one order, and the build takes
+// them over too. A sharded build hands each shard its run of one ordering
+// with its points' ranks among them (rank.Runs).
 func NewRanked(work []geom.Point, rx, ry []uint32, opts Options) *RSMI {
 	opts = opts.withDefaults()
 	start := time.Now()

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"rsmi/internal/geom"
 	"rsmi/internal/sfc"
@@ -210,42 +211,128 @@ func spreadRanks(spread []uint32, side uint64) []uint32 {
 }
 
 // Order returns the input points sorted by their rank-space curve value under
-// the given curve kind: the ordering the HRR bulk loader packs (a sharded
-// build takes OrderWithRanks). Distinct rank cells have distinct curve
-// values, so the order has one possible outcome and a radix sort of the
-// values finds it.
+// the given curve kind: the ordering the HRR bulk loader packs. Distinct
+// rank cells have distinct curve values, so the order has one possible
+// outcome and a radix sort of the values finds it.
 func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
-	out, _, _ := OrderWithRanks(pts, kind)
+	n := len(pts)
+	buf := make([]keyed, 2*n)
+	rx, ry := ranks(pts, buf)
+	s := Sorter{ks: buf[:n], buf: buf[n:]}
+	ks, _, _ := s.curveOrder(rx, ry, kind)
+	out := make([]geom.Point, n)
+	for i, k := range ks {
+		out[i] = pts[k.idx]
+	}
 	return out
 }
 
-// OrderWithRanks is Order that also returns every sorted point's rank by x
-// and by y as Ranks(out) gives them, so that each contiguous run of out
-// inherits its own ranks from them (see Inherit): what a sharded build hands
-// each shard.
-func OrderWithRanks(pts []geom.Point, kind sfc.Kind) (out []geom.Point, rx, ry []uint32) {
+// Run is one run of Runs: its points, and their ranks by x and by y among
+// them.
+type Run struct {
+	Points []geom.Point
+	RX, RY []uint32
+}
+
+// Runs cuts pts into the given number of runs of their rank-space curve
+// order without sorting them by it: run i holds the points Order puts at
+// positions [i·per, (i+1)·per), per = ⌈len(pts)/runs⌉, in input order, with
+// the ranks Ranks gives the run in curve order, which breaks a full tie —
+// copies, or −0 beside +0 — by curve value. A build takes nothing else from
+// the order of its points, so it lays a run out as it would the run in
+// curve order: a sharded build hands one to each shard. The runs' points
+// share one fresh slice, each capped at its own end, and so do their ranks.
+func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	n := len(pts)
 	buf := make([]keyed, 2*n)
-	x, y := ranks(pts, buf)
+	rx, ry := ranks(pts, buf)
 	s := Sorter{ks: buf[:n], buf: buf[n:]}
-	ks, _, _ := s.curveOrder(x, y, kind)
-	out, rx, ry = make([]geom.Point, n), make([]uint32, n), make([]uint32, n)
-	for i, k := range ks {
-		out[i], rx[i], ry[i] = pts[k.idx], x[k.idx], y[k.idx]
+	cvs, _, order := s.values(rx, ry, kind)
+	per := max(1, (n+runs-1)/runs)
+	var at []int
+	for p := per; p < n; p += per {
+		at = append(at, p)
 	}
-	retie(out, rx, ry)
-	return out, rx, ry
+	cuts := selectKeys(cvs, s.buf, at, 2*order)
+	group := make([]int32, n)
+	for i, k := range cvs {
+		for _, c := range cuts {
+			if k.key >= c {
+				group[i]++
+			}
+		}
+	}
+
+	// Ranks breaks full ties by input position; the run in curve order
+	// breaks them by curve value. Then each run inherits its ranks.
+	byRank := make([]int32, n)
+	retie(pts, rx, ry, byRank, cvs)
+	next := make([]uint32, runs)
+	Inherit(rx, byRank, group, next)
+	for i, r := range ry {
+		byRank[r] = int32(i)
+	}
+	Inherit(ry, byRank, group, next)
+
+	out, ox, oy := make([]geom.Point, n), make([]uint32, n), make([]uint32, n)
+	at = append(at[:0], 0)
+	for g := 1; g < runs; g++ {
+		at = append(at, min(g*per, n))
+	}
+	for i, g := range group {
+		d := at[g]
+		out[d], ox[d], oy[d] = pts[i], rx[i], ry[i]
+		at[g]++
+	}
+	parts := make([]Run, runs)
+	for g := range parts {
+		lo := min(g*per, n)
+		hi := min(lo+per, n)
+		parts[g] = Run{out[lo:hi:hi], ox[lo:hi:hi], oy[lo:hi:hi]}
+	}
+	return parts
+}
+
+// selectKeys returns the keys at positions at of ks sorted by key, for
+// distinct keys below 2^width, using buf, as long as ks: one pass counts the
+// keys' top digit, and only the keys whose digit is that of a position are
+// sorted. A rank-space curve value's top 10 bits name one of 32 × 32 equal
+// squares of the curve's grid, which spans a 32nd of the grid's columns and
+// so holds about a 32nd of the points at most.
+func selectKeys(ks, buf []keyed, at []int, width uint) []uint64 {
+	bits := min(width, 10)
+	shift := width - bits
+	below := make([]int, 1<<bits+1)
+	for _, k := range ks {
+		below[k.key>>shift+1]++
+	}
+	for d := range 1 << bits {
+		below[d+1] += below[d]
+	}
+	out := make([]uint64, len(at))
+	for j, p := range at {
+		// The digit d whose keys take positions [below[d], below[d+1]).
+		d := uint64(sort.SearchInts(below, p+1) - 1)
+		m := buf[:0]
+		for _, k := range ks {
+			if k.key>>shift == d {
+				m = append(m, k)
+			}
+		}
+		slices.SortFunc(m, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
+		out[j] = m[p-below[d]].key
+	}
+	return out
 }
 
 // retie re-deals the ranks of every set of points that tie on both
-// coordinates by the points' positions in pts. Ranks breaks such a full tie
-// by input position, so once the points are moved, ranks carried over from
-// their old positions are those of Ranks(pts) everywhere but in these sets.
-// The points of a set are equal as values — copies, or −0 beside +0 — and
-// take consecutive ranks by x and consecutive ranks by y; each rank goes
-// back to them in order of position.
-func retie(pts []geom.Point, rx, ry []uint32) {
-	byX := make([]int32, len(pts))
+// coordinates by the points' curve values cvs: Ranks breaks such a full tie
+// by input position, a run in curve order by curve value. The points of a
+// set are equal as values — copies, or −0 beside +0 — and take consecutive
+// ranks by x and consecutive ranks by y; each rank goes back to them in
+// order of curve value. byX, as long as pts, is left listing the points by
+// their x rank.
+func retie(pts []geom.Point, rx, ry []uint32, byX []int32, cvs []keyed) {
 	for i, r := range rx {
 		byX[r] = int32(i)
 	}
@@ -255,7 +342,7 @@ func retie(pts []geom.Point, rx, ry []uint32) {
 			hi++
 		}
 		if set := byX[lo:hi]; len(set) > 1 {
-			slices.Sort(set)
+			slices.SortFunc(set, func(a, b int32) int { return cmp.Compare(cvs[a].key, cvs[b].key) })
 			y := ry[set[0]]
 			for _, i := range set {
 				y = min(y, ry[i])
@@ -314,6 +401,14 @@ func (s *Sorter) OrderRanked(pts []geom.Point, rx, ry []uint32, kind sfc.Kind, o
 // value, each as its value and index, with the grid coordinate of every
 // rank and the curve's order.
 func (s *Sorter) curveOrder(rx, ry []uint32, kind sfc.Kind) (ks []keyed, spread []uint32, order uint) {
+	ks, spread, order = s.values(rx, ry, kind)
+	return sortKeyed(ks, s.buf), spread, order
+}
+
+// values returns the curve value of every point of ranks rx and ry, each
+// with its index and in input order, in s.ks, with the grid coordinate of
+// every rank and the curve's order; it sizes s.buf to match.
+func (s *Sorter) values(rx, ry []uint32, kind sfc.Kind) (ks []keyed, spread []uint32, order uint) {
 	n := len(rx)
 	curve := sfc.New(kind, sfc.OrderFor(n))
 	s.spread = spreadRanks(slices.Grow(s.spread[:0], n)[:n], uint64(curve.Side()))
@@ -322,7 +417,7 @@ func (s *Sorter) curveOrder(rx, ry []uint32, kind sfc.Kind) (ks []keyed, spread 
 	for i := range s.ks {
 		s.ks[i] = keyed{curve.Value(s.spread[rx[i]], s.spread[ry[i]]), uint32(i)}
 	}
-	return sortKeyed(s.ks, s.buf), s.spread, curve.Order()
+	return s.ks, s.spread, curve.Order()
 }
 
 // CurveGapStats summarises the gaps between consecutive curve values of the

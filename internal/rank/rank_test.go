@@ -2,6 +2,7 @@ package rank
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -493,34 +494,52 @@ func TestInheritIsRanksOfEachGroup(t *testing.T) {
 	}
 }
 
-// TestOrderWithRanksRanksItsOrder: OrderWithRanks returns Order's points
-// with the ranks Ranks gives them in that order — full ties, −0 beside +0
-// included, broken by position in it — so a contiguous run of them, a
-// shard's, inherits the ranks Ranks gives the run.
-func TestOrderWithRanksRanksItsOrder(t *testing.T) {
+// TestRunsAreRunsOfTheCurveOrder: each of Runs' runs holds the points of
+// its stretch of Order's, with the ranks Ranks gives that stretch — full
+// ties, −0 beside +0 included, broken by position in it, that is by curve
+// value — point for point, bits and ranks alike, and no more room than it
+// has points.
+func TestRunsAreRunsOfTheCurveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	type ranked struct {
+		x, y   uint64
+		rx, ry uint32
+	}
+	sorted := func(pts []geom.Point, rx, ry []uint32) []ranked {
+		out := make([]ranked, len(pts))
+		for i, p := range pts {
+			out[i] = ranked{math.Float64bits(p.X), math.Float64bits(p.Y), rx[i], ry[i]}
+		}
+		slices.SortFunc(out, func(a, b ranked) int {
+			return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y), cmp.Compare(a.rx, b.rx), cmp.Compare(a.ry, b.ry))
+		})
+		return out
+	}
 	for trial := range 100 {
-		n := 1 + rng.Intn(3000)
+		n := rng.Intn(3000)
 		if trial == 0 {
 			n += parallelMin
 		}
 		pts := tiedPoints(rng, n)
 		kind := []sfc.Kind{sfc.Hilbert, sfc.Z}[trial%2]
-		out, rx, ry := OrderWithRanks(pts, kind)
-		if want := Order(pts, kind); !bitsEqual(out, want) {
-			t.Fatalf("trial %d: OrderWithRanks' points are not Order's", trial)
+		runs := 1 + rng.Intn(5)
+		ordered := Order(pts, kind)
+		per := max(1, (n+runs-1)/runs)
+		got := Runs(pts, kind, runs)
+		if len(got) != runs {
+			t.Fatalf("trial %d: %d runs, want %d", trial, len(got), runs)
 		}
-		wantX, wantY := Ranks(out)
-		if !slices.Equal(rx, wantX) || !slices.Equal(ry, wantY) {
-			t.Fatalf("trial %d (%d points): OrderWithRanks' ranks are not Ranks of its order", trial, n)
+		for g, r := range got {
+			lo := min(g*per, n)
+			want := ordered[lo:min(lo+per, n)]
+			wantX, wantY := Ranks(want)
+			if cap(r.Points) != len(r.Points) || len(r.RX) != len(r.Points) || len(r.RY) != len(r.Points) {
+				t.Fatalf("trial %d, run %d: %d points (room for %d), %d and %d ranks", trial, g, len(r.Points), cap(r.Points), len(r.RX), len(r.RY))
+			}
+			if a, b := sorted(r.Points, r.RX, r.RY), sorted(want, wantX, wantY); !slices.Equal(a, b) {
+				t.Fatalf("trial %d (%d points), run %d of %d: points and ranks are not those of the curve order's run", trial, n, g, runs)
+			}
 		}
-		runs := 1 + rng.Intn(4)
-		per := (n + runs - 1) / runs
-		group := make([]int32, n)
-		for i := range group {
-			group[i] = int32(i / per)
-		}
-		checkInherited(t, out, group, runs, kind)
 	}
 }
 

@@ -8,10 +8,10 @@
 //
 // # Space partitioning
 //
-// New orders all points by the same rank-space curve-value technique the
-// RSMI leaves use (§3.1) and cuts the ordering into S contiguous runs, so
-// each shard covers a compact region of the curve and window queries touch
-// few shards. Each shard's routing region is its index's root MBR
+// New cuts the points into S contiguous runs of the rank-space curve-value
+// ordering the RSMI leaves use (§3.1), so each shard covers a compact region
+// of the curve and window queries touch few shards. It selects the runs'
+// bounds rather than sorting the points by the curve (rank.Runs). Each shard's routing region is its index's root MBR
 // (core.RSMI.Bounds): the bounding rectangle of its points, extended by the
 // inserts routed to it.
 //
@@ -119,10 +119,13 @@ type Sharded struct {
 	hookMu sync.Mutex
 }
 
-// New builds a Sharded index over the points. Shard construction runs in
-// parallel, each shard building in place from its own run of one ordered
-// copy of the points and the ranks the run inherits. The input slice is not
-// modified.
+// New builds a Sharded index over the points. It cuts them into S runs of
+// the rank-space curve ordering (§3.1), the same ordering RSMI leaves pack
+// blocks in, each with its points' ranks among them (rank.Runs). Shard
+// construction runs in parallel, each shard building in place from its run
+// and ranking nothing again. The runs share one fresh slice, each capped at
+// its own end, so a build that reorders its run in place reaches no other.
+// The input slice is not modified.
 //
 // When opts.Index.PartitionThreshold is unset, New derives a per-shard
 // threshold instead of core's global default: a shard holding close to the
@@ -137,13 +140,13 @@ func New(pts []geom.Point, opts Options) *Sharded {
 	opts.Index = deriveIndexOptions(opts, len(pts))
 	start := time.Now()
 	s := &Sharded{shards: make([]*state, opts.Shards)}
-	parts := partition(pts, opts)
+	parts := rank.Runs(pts, opts.Index.Curve, opts.Shards)
 	var wg sync.WaitGroup
 	for i, part := range parts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.shards[i] = newState(core.NewRanked(part.pts, part.rx, part.ry, opts.Index))
+			s.shards[i] = newState(core.NewRanked(part.Points, part.RX, part.RY, opts.Index))
 		}()
 	}
 	wg.Wait()
@@ -175,42 +178,6 @@ func deriveIndexOptions(opts Options, n int) core.Options {
 	}
 	io.PartitionThreshold = thr
 	return io
-}
-
-// run is one shard's points, with their ranks by x and by y among them.
-type run struct {
-	pts    []geom.Point
-	rx, ry []uint32
-}
-
-// partition assigns pts to opts.Shards runs: contiguous runs of the
-// rank-space curve ordering (§3.1), the same ordering RSMI leaves pack
-// blocks in. The runs share one fresh slice, each capped at its own end, so
-// a build that reorders its run in place reaches no other. Each run inherits
-// its ranks from the ordering's (rank.Inherit), so no shard ranks its points
-// again.
-func partition(pts []geom.Point, opts Options) []run {
-	ordered, rx, ry := rank.OrderWithRanks(pts, opts.Index.Curve)
-	n := len(ordered)
-	per := max(1, (n+opts.Shards-1)/opts.Shards)
-	group, byRank := make([]int32, n), make([]int32, n)
-	for i := range group {
-		group[i] = int32(i / per)
-	}
-	next := make([]uint32, opts.Shards)
-	for _, r := range [][]uint32{rx, ry} {
-		for i, v := range r {
-			byRank[v] = int32(i)
-		}
-		rank.Inherit(r, byRank, group, next)
-	}
-	parts := make([]run, opts.Shards)
-	for i := range parts {
-		lo := min(i*per, n)
-		hi := min(lo+per, n)
-		parts[i] = run{ordered[lo:hi:hi], rx[lo:hi:hi], ry[lo:hi:hi]}
-	}
-	return parts
 }
 
 // NumShards returns S.
