@@ -61,15 +61,15 @@ const parallelMin = 1 << 15
 // order — the input index is the last tie-break — so each ranking has one
 // possible outcome, whatever sorts it. The input slice is not modified.
 func Ranks(pts []geom.Point) (rx, ry []uint32) {
-	return ranks(pts, make([]keyed, 2*len(pts)))
+	return ranks(pts)
 }
 
-// ranks is Ranks sorting through buf, 2·len(pts) long, which the caller
-// may reuse afterwards; from parallelMin points on, the x ranking runs on a
-// second goroutine with buffers of its own.
-func ranks(pts []geom.Point, buf []keyed) (rx, ry []uint32) {
+// ranks is Ranks; from parallelMin points on, the x ranking runs on a
+// second goroutine.
+func ranks(pts []geom.Point) (rx, ry []uint32) {
 	n := len(pts)
 	rx, ry = make([]uint32, n), make([]uint32, n)
+	buf := make([]uint64, 2*n)
 	if n < parallelMin {
 		rankBy(pts, false, rx, buf[:n], buf[n:])
 		rankBy(pts, true, ry, buf[:n], buf[n:])
@@ -77,7 +77,7 @@ func ranks(pts []geom.Point, buf []keyed) (rx, ry []uint32) {
 	}
 	done := make(chan struct{})
 	go func() {
-		own := make([]keyed, 2*n)
+		own := make([]uint64, 2*n)
 		rankBy(pts, false, rx, own[:n], own[n:])
 		close(done)
 	}()
@@ -92,40 +92,85 @@ type keyed struct {
 	idx uint32
 }
 
-// rankBy writes every input point's rank by x into rank, or by y when byY:
-// a radix sort of the coordinate keys, which keeps equal keys in input
-// order, then a comparison sort of each run of equal keys by the other
-// coordinate. ks and buf, each as long as pts, are its sort buffers.
-func rankBy(pts []geom.Point, byY bool, rank []uint32, ks, buf []keyed) {
-	for i, p := range pts {
-		c := p.X
-		if byY {
-			c = p.Y
-		}
-		ks[i] = keyed{floatKey(c), uint32(i)}
+// rankBy writes every input point's rank by x into rank, or by y when byY.
+// It radix-sorts the points by the top 32 bits of their coordinate's key,
+// each held above its index in one word (sortTop). In each run of equal top
+// bits it then puts the key's low 32 bits above the index instead and sorts
+// the words, and sorts each run of equal keys by the other coordinate and
+// the index: a point is looked up once if it shares its top bits, and not
+// at all if it does not. es and buf, each as long as pts, are its sort
+// buffers.
+func rankBy(pts []geom.Point, byY bool, rank []uint32, es, buf []uint64) {
+	coord, other := func(i uint32) float64 { return pts[i].X }, func(i uint32) float64 { return pts[i].Y }
+	if byY {
+		coord, other = other, coord
 	}
-	ks = sortKeyed(ks, buf)
-	other := func(i uint32) float64 {
-		if byY {
-			return pts[i].X
-		}
-		return pts[i].Y
+	for i := range pts {
+		es[i] = floatKey(coord(uint32(i)))>>32<<32 | uint64(i)
 	}
-	for lo := 0; lo < len(ks); {
+	es = sortTop(es, buf)
+	for lo := 0; lo < len(es); {
 		hi := lo + 1
-		for hi < len(ks) && ks[hi].key == ks[lo].key {
+		for hi < len(es) && es[hi]>>32 == es[lo]>>32 {
 			hi++
 		}
 		if hi-lo > 1 {
-			slices.SortFunc(ks[lo:hi], func(a, b keyed) int {
-				return cmp.Or(cmp.Compare(other(a.idx), other(b.idx)), cmp.Compare(a.idx, b.idx))
-			})
+			run := es[lo:hi]
+			for j, e := range run {
+				run[j] = floatKey(coord(uint32(e)))<<32 | e&(1<<32-1)
+			}
+			slices.Sort(run)
+			for a := 0; a < len(run); {
+				b := a + 1
+				for b < len(run) && run[b]>>32 == run[a]>>32 {
+					b++
+				}
+				if b-a > 1 {
+					slices.SortFunc(run[a:b], func(x, y uint64) int {
+						i, j := uint32(x), uint32(y)
+						return cmp.Or(cmp.Compare(other(i), other(j)), cmp.Compare(i, j))
+					})
+				}
+				a = b
+			}
 		}
 		lo = hi
 	}
-	for r, k := range ks {
-		rank[k.idx] = uint32(r)
+	for r, e := range es {
+		rank[uint32(e)] = uint32(r)
 	}
+}
+
+// sortTop sorts es ascending by their top 32 bits, equal ones in their order
+// in es: a least-significant-digit radix sort through buf (as long as es),
+// in passes of 11, 11 and 10 bits. A digit that every word shares costs no
+// pass. It returns the sorted slice, which is es or buf.
+func sortTop(es, buf []uint64) []uint64 {
+	const bits = 11
+	var counts [3][1 << bits]uint32
+	shift := func(d int) uint64 { return 32 + bits*uint64(d) }
+	for _, e := range es {
+		for d := range counts {
+			counts[d][e>>shift(d)&(1<<bits-1)]++
+		}
+	}
+	for d := range counts {
+		c := &counts[d]
+		if len(es) == 0 || int(c[es[0]>>shift(d)&(1<<bits-1)]) == len(es) {
+			continue
+		}
+		var sum uint32
+		for b, n := range c {
+			c[b], sum = sum, sum+n
+		}
+		for _, e := range es {
+			b := e >> shift(d) & (1<<bits - 1)
+			buf[c[b]] = e
+			c[b]++
+		}
+		es, buf = buf, es
+	}
+	return es
 }
 
 // floatKey maps a coordinate to a key whose unsigned order is the
@@ -215,12 +260,10 @@ func spreadRanks(spread []uint32, side uint64) []uint32 {
 // rank cells have distinct curve values, so the order has one possible
 // outcome and a radix sort of the values finds it.
 func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
-	n := len(pts)
-	buf := make([]keyed, 2*n)
-	rx, ry := ranks(pts, buf)
-	s := Sorter{ks: buf[:n], buf: buf[n:]}
+	rx, ry := ranks(pts)
+	var s Sorter
 	ks, _, _ := s.curveOrder(rx, ry, kind)
-	out := make([]geom.Point, n)
+	out := make([]geom.Point, len(pts))
 	for i, k := range ks {
 		out[i] = pts[k.idx]
 	}
@@ -244,9 +287,8 @@ type Run struct {
 // share one fresh slice, each capped at its own end, and so do their ranks.
 func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	n := len(pts)
-	buf := make([]keyed, 2*n)
-	rx, ry := ranks(pts, buf)
-	s := Sorter{ks: buf[:n], buf: buf[n:]}
+	rx, ry := ranks(pts)
+	var s Sorter
 	cvs, _, order := s.values(rx, ry, kind)
 	per := max(1, (n+runs-1)/runs)
 	var at []int

@@ -101,7 +101,9 @@ func stableRanks(pts []geom.Point) (rankX, rankY []uint32) {
 // duplicate y and duplicate points, every input index gets the RankX, RankY
 // and curve value the stable-sort ranking gave it — so curve orders, shard
 // partitions and block contents are what they were — and Order, which has to
-// place points of equal curve value, returns the same sequence.
+// place points of equal curve value, returns the same sequence. One trial in
+// three moves coordinates by a few units of 2^-45, so that keys share their
+// top 32 bits, which the ranking sorts by first, and differ below them.
 func TestTransformMatchesStableSortReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 60; trial++ {
@@ -110,9 +112,16 @@ func TestTransformMatchesStableSortReference(t *testing.T) {
 			n += parallelMin // x and y ranked on two goroutines
 		}
 		levels := 1 + rng.Intn(40) // few distinct coordinates: ties everywhere
+		coord := func() float64 {
+			c := float64(rng.Intn(levels)-levels/3) / 4
+			if trial%3 == 1 {
+				c += float64(rng.Intn(4)) * 0x1p-45
+			}
+			return c
+		}
 		pts := make([]geom.Point, n)
 		for i := range pts {
-			pts[i] = geom.Pt(float64(rng.Intn(levels))/4, float64(rng.Intn(levels))/4)
+			pts[i] = geom.Pt(coord(), coord())
 			if i > 0 && rng.Intn(5) == 0 {
 				pts[i] = pts[rng.Intn(i)] // an exact duplicate
 			}
