@@ -20,6 +20,13 @@
 // falls in; here the node keeps the grid's cuts themselves and descent
 // follows them. No node trains, and a point's cell is its true cell.
 //
+// A build ranks its points by x and by y once, at the root (NewOwned; a
+// sharded build ranks all points once and hands each shard its run's ranks,
+// NewRanked). No node below sorts a coordinate again: a child's ranks are
+// its parent's restricted to the child's points (rank.Inherit), an internal
+// node reads its cuts from its ranks, and a leaf orders its points from
+// them (rank.Sorter.OrderRanked). See builder.
+//
 // Every node records the order k of its 2^k × 2^k grid, and one lookup,
 // RSMI.cell, finds a point's cell at either kind of node through one curve
 // table per order. A build and a repack pack a leaf alike: groupByCell,
@@ -258,7 +265,7 @@ type builder struct {
 }
 
 // build builds the tree over work, whose ranks are rx and ry, and returns
-// its root. work, rx and ry may be reordered.
+// its root. The build overwrites all three.
 func (t *RSMI) build(work []geom.Point, rx, ry []uint32) *node {
 	n := len(work)
 	b := &builder{t: t}
@@ -268,34 +275,34 @@ func (t *RSMI) build(work []geom.Point, rx, ry []uint32) *node {
 	if n > t.opts.PartitionThreshold {
 		b.byX, b.byY, b.of = make([]int32, n), make([]int32, n), make([]int32, n)
 	}
-	return b.node(0, 0, n, 1)
+	return b.build(0, 0, n, 1)
 }
 
-// node builds the sub-model for the points at [lo, hi) of side s at the
+// build builds the sub-model for the points at [lo, hi) of side s at the
 // given depth.
-func (b *builder) node(s, lo, hi, depth int) *node {
+func (b *builder) build(s, lo, hi, depth int) *node {
 	if hi-lo <= b.t.opts.PartitionThreshold || depth >= maxDepth {
-		return b.leaf(s, lo, hi, depth)
+		return b.buildLeaf(s, lo, hi, depth)
 	}
-	return b.internal(s, lo, hi, depth)
+	return b.buildInternal(s, lo, hi, depth)
 }
 
-// leaf orders the points at [lo, hi) of side s by their rank-space curve
-// value (§3.1), groups them by the leaf's cells and packs them into blocks.
-// The paper trains an MLP to map a point to its block; the cells tabulate
-// that map exactly. The leaf's curve grid is cut into 2^k × 2^k aligned
-// cells (k = leafOrder), and an aligned cell is one contiguous run of the
-// Hilbert or Z order, so a cell's points take one run of the leaf's
-// positions. The leaf keeps the cuts — the first point of every column by
-// (x, then y) and of every row by (y, then x) — and the runs' bounds, and
-// trains nothing. As at internal nodes, the points are grouped by the cell
-// the cuts give them, not by the grid coordinates the cuts were read from:
-// copies of one point that the ordering split across a cut all go to the
-// later cell, so a point query is exact by construction. Leaves are the
-// deepest nodes, so the height is recorded here: the leaf built for a cell
-// that took every point of its node sits one level below any depth build
-// saw.
-func (b *builder) leaf(s, lo, hi, depth int) *node {
+// buildLeaf orders the points at [lo, hi) of side s by their rank-space
+// curve value (§3.1), from their ranks, groups them by the leaf's cells and
+// packs them into blocks. The paper trains an MLP to map a point to its
+// block; the cells tabulate that map exactly. The leaf's curve grid is cut
+// into 2^k × 2^k aligned cells (k = leafOrder), and an aligned cell is one
+// contiguous run of the Hilbert or Z order, so a cell's points take one run
+// of the leaf's positions. The leaf keeps the cuts — the first point of
+// every column by (x, then y) and of every row by (y, then x) — and the
+// runs' bounds, and trains nothing. As at internal nodes, the points are
+// grouped by the cell the cuts give them, not by the grid coordinates the
+// cuts were read from: copies of one point that the ordering split across a
+// cut all go to the later cell, so a point query is exact by construction.
+// Leaves are the deepest nodes, so the height is recorded here: the leaf
+// built for a cell that took every point of its node sits one level below
+// any depth build saw.
+func (b *builder) buildLeaf(s, lo, hi, depth int) *node {
 	t := b.t
 	t.height = max(t.height, depth)
 	pts := b.pts[s][lo:hi]
@@ -477,19 +484,20 @@ func rawGridOrder(pts []geom.Point, kind sfc.Kind, out []geom.Point, cols, rows 
 	return curve.Order()
 }
 
-// internal cuts the points at [lo, hi) of side s into the non-regular grid
-// of §3.2 and recurses into its cells: `side` columns of equal count by x,
-// then each column into `side` cells of equal count by y. The paper trains
-// an MLP to learn which cell a point falls in; the cuts are that function
-// exactly, so the node keeps them instead of a model and trains nothing. The
-// cuts are read from the points' ranks, so they compare points in the orders
-// rank.Ranks ranks them: a column cut by (x, then y), a row cut by (y, then
-// x). The points are grouped by cell, the lookup descent follows, not by the
-// rank layout the cuts were read from: points equal in both coordinates that
-// the layout split across a cut all go to the later cell, so descent is
-// exact by construction. Each point carries into the other side its ranks
-// within its cell, which grouping, stable as it is, leaves Ranks' own.
-func (b *builder) internal(s, lo, hi, depth int) *node {
+// buildInternal cuts the points at [lo, hi) of side s into the non-regular
+// grid of §3.2 and recurses into its cells: `side` columns of equal count by
+// x, then each column into `side` cells of equal count by y. The paper
+// trains an MLP to learn which cell a point falls in; the cuts are that
+// function exactly, so the node keeps them instead of a model and trains
+// nothing. The cuts are read from the points' ranks, so they compare points
+// in the orders rank.Ranks ranks them: a column cut by (x, then y), a row cut
+// by (y, then x). The points are grouped by cell, the lookup descent
+// follows, not by the rank layout the cuts were read from: points equal in
+// both coordinates that the layout split across a cut all go to the later
+// cell, so descent is exact by construction. Each point carries its ranks
+// within its cell into the other side; grouping keeps the points' order
+// within a cell, so these are the ranks rank.Ranks would give the cell.
+func (b *builder) buildInternal(s, lo, hi, depth int) *node {
 	t := b.t
 	pts, rx, ry := b.pts[s][lo:hi], b.rx[s][lo:hi], b.ry[s][lo:hi]
 	byX, byY, of := b.byX[lo:hi], b.byY[lo:hi], b.of[lo:hi]
@@ -550,9 +558,9 @@ func (b *builder) internal(s, lo, hi, depth int) *node {
 			// Every point fell into one cell, so the column cuts are all
 			// copies of the least point. Recursing would cut the points the
 			// same way again; an oversized leaf keeps the index correct.
-			n.children[c] = b.leaf(1-s, from, to, depth+1)
+			n.children[c] = b.buildLeaf(1-s, from, to, depth+1)
 		default:
-			n.children[c] = b.node(1-s, from, to, depth+1)
+			n.children[c] = b.build(1-s, from, to, depth+1)
 		}
 		n.points += to - from
 	}

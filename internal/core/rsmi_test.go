@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"rsmi/internal/dataset"
@@ -453,6 +455,33 @@ func TestStringSummary(t *testing.T) {
 	s := idx.String()
 	if s == "" || len(s) < 10 {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestBuildAllocs bounds what a build allocates: a 100k skewed build with
+// the paper's B and N ranks its points once and sorts and groups them in
+// one scratch for the whole build, so it allocates at most 115 bytes a
+// point, as it did when the bound was set (11.4 MB with go1.24 on amd64,
+// where each node ranking its points again took some 230). The bound is
+// checked only there, and not under the race detector, whose
+// instrumentation allocates besides.
+func TestBuildAllocs(t *testing.T) {
+	const n, perPoint = 100_000, 115
+	pts := dataset.Generate(dataset.Skewed, n, 1)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		idx := New(pts, Options{})
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+		if idx.Len() != n {
+			t.Fatalf("built %d points of %d", idx.Len(), n)
+		}
+	}
+	t.Logf("a %d-point build allocated %d bytes, %.1f a point", n, least, float64(least)/n)
+	if !raceDetector && runtime.GOARCH == "amd64" && strings.HasPrefix(runtime.Version(), "go1.24") && least > n*perPoint {
+		t.Errorf("a %d-point build allocated %d bytes, %.1f a point: more than %d", n, least, float64(least)/n, perPoint)
 	}
 }
 

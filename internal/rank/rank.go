@@ -8,6 +8,14 @@
 // grid then yields curve values whose gaps are far more even than curve
 // values over the raw coordinate grid, which is what makes the CDF easy to
 // learn (compare the paper's Figs. 2 and 3).
+//
+// A build ranks its points once. A node's ranks are those of its parent
+// restricted to the node's points (Inherit), and a leaf orders its points
+// from the ranks it inherits (Sorter.OrderRanked); a sharded build cuts its
+// runs from one ranking of all points (Runs). Every ranking breaks a full
+// tie — copies, or −0 beside +0 — by one fixed order of the points, so each
+// node's inherited ranks are the ones Ranks would give its points in that
+// order.
 package rank
 
 import (
@@ -50,10 +58,13 @@ func Transform(pts []geom.Point, kind sfc.Kind) []Ranked {
 }
 
 // parallelMin is the input size from which ranks sorts x and y on two
-// goroutines. Below it — every RSMI leaf at the paper's N = 10,000 — a
-// ranking takes well under a millisecond and the other core is usually
-// busy training another shard; the partition of a sharded build, which
-// runs before any shard can start, is far above it and has that core idle.
+// goroutines. A build ranks its points once, before anything else of it
+// runs — at the root of an index, or over all points for the runs of a
+// sharded build — so the other core is idle then: on two cores, ranking on
+// one goroutine made embed-write's set-up (shard:BenchmarkNew100kOSM) 10 %
+// slower and a 100k-point build 6 % slower, in five rounds of six
+// (EXPERIMENTS.md, "Ranked once"). Below it a ranking takes well under a
+// millisecond.
 const parallelMin = 1 << 15
 
 // Ranks returns every input point's rank by x (ties by y) and by y (ties by
