@@ -71,13 +71,8 @@ const parallelMin = 1 << 15
 // x): its column and row in rank space. Duplicate points rank in input
 // order — the input index is the last tie-break — so each ranking has one
 // possible outcome, whatever sorts it. The input slice is not modified.
+// From parallelMin points on, the x ranking runs on a second goroutine.
 func Ranks(pts []geom.Point) (rx, ry []uint32) {
-	return ranks(pts)
-}
-
-// ranks is Ranks; from parallelMin points on, the x ranking runs on a
-// second goroutine.
-func ranks(pts []geom.Point) (rx, ry []uint32) {
 	n := len(pts)
 	rx, ry = make([]uint32, n), make([]uint32, n)
 	buf := make([]uint64, 2*n)
@@ -97,15 +92,9 @@ func ranks(pts []geom.Point) (rx, ry []uint32) {
 	return rx, ry
 }
 
-// keyed is a sort key with the input index it belongs to.
-type keyed struct {
-	key uint64
-	idx uint32
-}
-
 // rankBy writes every input point's rank by x into rank, or by y when byY.
-// It radix-sorts the points by the top 32 bits of their coordinate's key,
-// each held above its index in one word (sortTop). In each run of equal top
+// It sorts the points by the top 32 bits of their coordinate's key, each
+// held above its index in one word (sortTop). In each run of equal top
 // bits it then puts the key's low 32 bits above the index instead and sorts
 // the words, and sorts each run of equal keys by the other coordinate and
 // the index: a point is looked up once if it shares its top bits, and not
@@ -155,7 +144,9 @@ func rankBy(pts []geom.Point, byY bool, rank []uint32, es, buf []uint64) {
 // sortTop sorts es ascending by their top 32 bits, equal ones in their order
 // in es: a least-significant-digit radix sort through buf (as long as es),
 // in passes of 11, 11 and 10 bits. A digit that every word shares costs no
-// pass. It returns the sorted slice, which is es or buf.
+// pass, so words whose top bits hold a value of 22 bits or fewer take two.
+// Every sort of this package is this one, on a key's top 32 bits held above
+// an index. It returns the sorted slice, which is es or buf.
 func sortTop(es, buf []uint64) []uint64 {
 	const bits = 11
 	var counts [3][1 << bits]uint32
@@ -199,37 +190,6 @@ func floatKey(f float64) uint64 {
 	return b | 1<<63
 }
 
-// sortKeyed sorts ks ascending by key, equal keys in their order in ks: a
-// least-significant-digit radix sort, 11 bits per pass (six passes, where
-// bytes would take eight), through buf (as long as ks). A digit that every
-// key shares costs no pass. It returns the sorted slice, which is ks or buf.
-func sortKeyed(ks, buf []keyed) []keyed {
-	const bits = 11
-	var counts [(64 + bits - 1) / bits][1 << bits]uint32
-	for _, k := range ks {
-		for d := range counts {
-			counts[d][k.key>>(bits*d)&(1<<bits-1)]++
-		}
-	}
-	for d := range counts {
-		c := &counts[d]
-		if len(ks) == 0 || int(c[ks[0].key>>(bits*d)&(1<<bits-1)]) == len(ks) {
-			continue
-		}
-		var sum uint32
-		for b, n := range c {
-			c[b], sum = sum, sum+n
-		}
-		for _, k := range ks {
-			b := k.key >> (bits * d) & (1<<bits - 1)
-			buf[c[b]] = k
-			c[b]++
-		}
-		ks, buf = buf, ks
-	}
-	return ks
-}
-
 // rankCurve returns the curve over the rank cells of n points, and the
 // grid coordinate of every rank.
 //
@@ -271,12 +231,12 @@ func spreadRanks(spread []uint32, side uint64) []uint32 {
 // rank cells have distinct curve values, so the order has one possible
 // outcome and a radix sort of the values finds it.
 func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
-	rx, ry := ranks(pts)
+	rx, ry := Ranks(pts)
 	var s Sorter
-	ks, _, _ := s.curveOrder(rx, ry, kind)
+	byCurve, _, _ := s.curveOrder(rx, ry, kind)
 	out := make([]geom.Point, len(pts))
-	for i, k := range ks {
-		out[i] = pts[k.idx]
+	for i, w := range byCurve {
+		out[i] = pts[uint32(w)]
 	}
 	return out
 }
@@ -298,7 +258,7 @@ type Run struct {
 // share one fresh slice, each capped at its own end, and so do their ranks.
 func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	n := len(pts)
-	rx, ry := ranks(pts)
+	rx, ry := Ranks(pts)
 	var s Sorter
 	cvs, _, order := s.values(rx, ry, kind)
 	per := max(1, (n+runs-1)/runs)
@@ -306,11 +266,11 @@ func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	for p := per; p < n; p += per {
 		at = append(at, p)
 	}
-	cuts := selectKeys(cvs, s.buf, at, 2*order)
+	cuts := selectKeys(cvs, make([]uint64, n), at, 2*order)
 	group := make([]int32, n)
-	for i, k := range cvs {
+	for i, cv := range cvs {
 		for _, c := range cuts {
-			if k.key >= c {
+			if cv >= c {
 				group[i]++
 			}
 		}
@@ -346,34 +306,34 @@ func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	return parts
 }
 
-// selectKeys returns the keys at positions at of ks sorted by key, for
-// distinct keys below 2^width, using buf, as long as ks: one pass counts the
-// keys' top digit, and only the keys whose digit is that of a position are
-// sorted. A rank-space curve value's top 10 bits name one of 32 × 32 equal
-// squares of the curve's grid, which spans a 32nd of the grid's columns and
-// so holds about a 32nd of the points at most.
-func selectKeys(ks, buf []keyed, at []int, width uint) []uint64 {
+// selectKeys returns the values at positions at of vs sorted, for distinct
+// values below 2^width, using buf, as long as vs: one pass counts the
+// values' top digit, and only the values whose digit is that of a position
+// are sorted. A rank-space curve value's top 10 bits name one of 32 × 32
+// equal squares of the curve's grid, which spans a 32nd of the grid's
+// columns and so holds about a 32nd of the points at most.
+func selectKeys(vs, buf []uint64, at []int, width uint) []uint64 {
 	bits := min(width, 10)
 	shift := width - bits
 	below := make([]int, 1<<bits+1)
-	for _, k := range ks {
-		below[k.key>>shift+1]++
+	for _, v := range vs {
+		below[v>>shift+1]++
 	}
 	for d := range 1 << bits {
 		below[d+1] += below[d]
 	}
 	out := make([]uint64, len(at))
 	for j, p := range at {
-		// The digit d whose keys take positions [below[d], below[d+1]).
+		// The digit d whose values take positions [below[d], below[d+1]).
 		d := uint64(sort.SearchInts(below, p+1) - 1)
 		m := buf[:0]
-		for _, k := range ks {
-			if k.key>>shift == d {
-				m = append(m, k)
+		for _, v := range vs {
+			if v>>shift == d {
+				m = append(m, v)
 			}
 		}
-		slices.SortFunc(m, func(a, b keyed) int { return cmp.Compare(a.key, b.key) })
-		out[j] = m[p-below[d]].key
+		slices.Sort(m)
+		out[j] = m[p-below[d]]
 	}
 	return out
 }
@@ -385,7 +345,7 @@ func selectKeys(ks, buf []keyed, at []int, width uint) []uint64 {
 // ranks by x and consecutive ranks by y; each rank goes back to them in
 // order of curve value. byX, as long as pts, is left listing the points by
 // their x rank.
-func retie(pts []geom.Point, rx, ry []uint32, byX []int32, cvs []keyed) {
+func retie(pts []geom.Point, rx, ry []uint32, byX []int32, cvs []uint64) {
 	for i, r := range rx {
 		byX[r] = int32(i)
 	}
@@ -395,7 +355,7 @@ func retie(pts []geom.Point, rx, ry []uint32, byX []int32, cvs []keyed) {
 			hi++
 		}
 		if set := byX[lo:hi]; len(set) > 1 {
-			slices.SortFunc(set, func(a, b int32) int { return cmp.Compare(cvs[a].key, cvs[b].key) })
+			slices.SortFunc(set, func(a, b int32) int { return cmp.Compare(cvs[a], cvs[b]) })
 			y := ry[set[0]]
 			for _, i := range set {
 				y = min(y, ry[i])
@@ -432,8 +392,8 @@ func Inherit(sub []uint32, byRank, group []int32, next []uint32) {
 // keeps, so that a build ordering leaf after leaf allocates them once. The
 // zero value is ready to use.
 type Sorter struct {
-	ks, buf []keyed
-	spread  []uint32
+	cvs, words, buf []uint64
+	spread          []uint32
 }
 
 // OrderRanked writes pts, whose ranks by x and by y as Ranks gives them are
@@ -443,34 +403,57 @@ type Sorter struct {
 // the points as Order does, from ranks a caller has already: what an RSMI
 // leaf cuts its aligned cells from.
 func (s *Sorter) OrderRanked(pts []geom.Point, rx, ry []uint32, kind sfc.Kind, out []geom.Point, cols, rows []uint32) (order uint) {
-	ks, spread, order := s.curveOrder(rx, ry, kind)
-	for i, k := range ks {
-		out[i], cols[i], rows[i] = pts[k.idx], spread[rx[k.idx]], spread[ry[k.idx]]
+	byCurve, spread, order := s.curveOrder(rx, ry, kind)
+	for j, w := range byCurve {
+		i := uint32(w)
+		out[j], cols[j], rows[j] = pts[i], spread[rx[i]], spread[ry[i]]
 	}
 	return order
 }
 
-// curveOrder returns the points of ranks rx and ry sorted by their curve
-// value, each as its value and index, with the grid coordinate of every
-// rank and the curve's order.
-func (s *Sorter) curveOrder(rx, ry []uint32, kind sfc.Kind) (ks []keyed, spread []uint32, order uint) {
-	ks, spread, order = s.values(rx, ry, kind)
-	return sortKeyed(ks, s.buf), spread, order
+// curveOrder returns words whose low 32 bits are the indices of the points
+// of ranks rx and ry in curve order, with the grid coordinate of every rank
+// and the curve's order. It sorts each point's curve value's top 32 bits
+// held above its index; a curve of order 16 or less has no more bits, and
+// past it each run of equal top bits is sorted again on the values' low
+// bits.
+func (s *Sorter) curveOrder(rx, ry []uint32, kind sfc.Kind) (byCurve []uint64, spread []uint32, order uint) {
+	cvs, spread, order := s.values(rx, ry, kind)
+	shift := max(2*order, 32) - 32
+	s.words = slices.Grow(s.words[:0], len(cvs))[:len(cvs)]
+	s.buf = slices.Grow(s.buf[:0], len(cvs))[:len(cvs)]
+	for i, cv := range cvs {
+		s.words[i] = cv>>shift<<32 | uint64(i)
+	}
+	byCurve = sortTop(s.words, s.buf)
+	for lo := 0; shift > 0 && lo < len(byCurve); {
+		hi := lo + 1
+		for hi < len(byCurve) && byCurve[hi]>>32 == byCurve[lo]>>32 {
+			hi++
+		}
+		if run := byCurve[lo:hi]; len(run) > 1 {
+			for j, w := range run {
+				run[j] = cvs[uint32(w)]&(1<<shift-1)<<32 | w&(1<<32-1)
+			}
+			slices.Sort(run)
+		}
+		lo = hi
+	}
+	return byCurve, spread, order
 }
 
-// values returns the curve value of every point of ranks rx and ry, each
-// with its index and in input order, in s.ks, with the grid coordinate of
-// every rank and the curve's order; it sizes s.buf to match.
-func (s *Sorter) values(rx, ry []uint32, kind sfc.Kind) (ks []keyed, spread []uint32, order uint) {
+// values returns in s.cvs the curve value of every point of ranks rx and ry,
+// in input order, with the grid coordinate of every rank and the curve's
+// order.
+func (s *Sorter) values(rx, ry []uint32, kind sfc.Kind) (cvs []uint64, spread []uint32, order uint) {
 	n := len(rx)
 	curve := sfc.New(kind, sfc.OrderFor(n))
 	s.spread = spreadRanks(slices.Grow(s.spread[:0], n)[:n], uint64(curve.Side()))
-	s.ks = slices.Grow(s.ks[:0], n)[:n]
-	s.buf = slices.Grow(s.buf[:0], n)[:n]
-	for i := range s.ks {
-		s.ks[i] = keyed{curve.Value(s.spread[rx[i]], s.spread[ry[i]]), uint32(i)}
+	s.cvs = slices.Grow(s.cvs[:0], n)[:n]
+	for i := range s.cvs {
+		s.cvs[i] = curve.Value(s.spread[rx[i]], s.spread[ry[i]])
 	}
-	return s.ks, s.spread, curve.Order()
+	return s.cvs, s.spread, curve.Order()
 }
 
 // CurveGapStats summarises the gaps between consecutive curve values of the

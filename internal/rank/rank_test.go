@@ -109,7 +109,9 @@ func TestTransformMatchesStableSortReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(3000)
 		if trial == 0 {
-			n += parallelMin // x and y ranked on two goroutines
+			// x and y ranked on two goroutines, and curve values past 32
+			// bits, which the sort orders by their top 32 bits first.
+			n += max(parallelMin, 1<<16)
 		}
 		levels := 1 + rng.Intn(40) // few distinct coordinates: ties everywhere
 		coord := func() float64 {
