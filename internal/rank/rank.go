@@ -22,7 +22,6 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sort"
 
 	"rsmi/internal/geom"
 	"rsmi/internal/sfc"
@@ -248,55 +247,36 @@ type Run struct {
 	RX, RY []uint32
 }
 
-// Runs cuts pts into the given number of runs of their rank-space curve
-// order without sorting them by it: run i holds the points Order puts at
-// positions [i·per, (i+1)·per), per = ⌈len(pts)/runs⌉, in input order, with
-// the ranks Ranks gives the run in curve order, which breaks a full tie —
-// copies, or −0 beside +0 — by curve value. A build takes nothing else from
-// the order of its points, so it lays a run out as it would the run in
-// curve order: a sharded build hands one to each shard. The runs' points
-// share one fresh slice, each capped at its own end, and so do their ranks.
+// Runs cuts Order's points into the given number of runs of ⌈n/runs⌉, each
+// with the ranks Ranks gives its points in that order (which breaks a full
+// tie — copies, or −0 beside +0 — by position in it): a sharded build hands
+// one to each shard. The runs' points share one fresh slice, each capped at
+// its own end, and so do their ranks.
 func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	n := len(pts)
 	rx, ry := Ranks(pts)
 	var s Sorter
-	cvs, _, order := s.values(rx, ry, kind)
-	per := max(1, (n+runs-1)/runs)
-	var at []int
-	for p := per; p < n; p += per {
-		at = append(at, p)
-	}
-	cuts := selectKeys(cvs, make([]uint64, n), at, 2*order)
-	group := make([]int32, n)
-	for i, cv := range cvs {
-		for _, c := range cuts {
-			if cv >= c {
-				group[i]++
-			}
-		}
-	}
-
-	// Ranks breaks full ties by input position; the run in curve order
-	// breaks them by curve value. Then each run inherits its ranks.
-	byRank := make([]int32, n)
-	retie(pts, rx, ry, byRank, cvs)
-	next := make([]uint32, runs)
-	Inherit(rx, byRank, group, next)
-	for i, r := range ry {
-		byRank[r] = int32(i)
-	}
-	Inherit(ry, byRank, group, next)
-
+	byCurve, _, _ := s.curveOrder(rx, ry, kind)
 	out, ox, oy := make([]geom.Point, n), make([]uint32, n), make([]uint32, n)
-	at = append(at[:0], 0)
-	for g := 1; g < runs; g++ {
-		at = append(at, min(g*per, n))
+	for p, w := range byCurve {
+		i := uint32(w)
+		out[p], ox[p], oy[p] = pts[i], rx[i], ry[i]
 	}
-	for i, g := range group {
-		d := at[g]
-		out[d], ox[d], oy[d] = pts[i], rx[i], ry[i]
-		at[g]++
+	// The ranks of the input order are those of the curve order but for
+	// full ties; then each run inherits its ranks.
+	byRank := make([]int32, n)
+	retie(out, ox, oy, byRank)
+	per := max(1, (n+runs-1)/runs)
+	group := make([]int32, n)
+	for p := range group {
+		group[p] = int32(p / per)
 	}
+	next := make([]uint32, runs)
+	Inherit(ox, byRank, group, next)
+	for p, r := range oy {
+		byRank[r] = int32(p)
+	}
+	Inherit(oy, byRank, group, next)
 	parts := make([]Run, runs)
 	for g := range parts {
 		lo := min(g*per, n)
@@ -306,46 +286,15 @@ func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	return parts
 }
 
-// selectKeys returns the values at positions at of vs sorted, for distinct
-// values below 2^width, using buf, as long as vs: one pass counts the
-// values' top digit, and only the values whose digit is that of a position
-// are sorted. A rank-space curve value's top 10 bits name one of 32 × 32
-// equal squares of the curve's grid, which spans a 32nd of the grid's
-// columns and so holds about a 32nd of the points at most.
-func selectKeys(vs, buf []uint64, at []int, width uint) []uint64 {
-	bits := min(width, 10)
-	shift := width - bits
-	below := make([]int, 1<<bits+1)
-	for _, v := range vs {
-		below[v>>shift+1]++
-	}
-	for d := range 1 << bits {
-		below[d+1] += below[d]
-	}
-	out := make([]uint64, len(at))
-	for j, p := range at {
-		// The digit d whose values take positions [below[d], below[d+1]).
-		d := uint64(sort.SearchInts(below, p+1) - 1)
-		m := buf[:0]
-		for _, v := range vs {
-			if v>>shift == d {
-				m = append(m, v)
-			}
-		}
-		slices.Sort(m)
-		out[j] = m[p-below[d]]
-	}
-	return out
-}
-
 // retie re-deals the ranks of every set of points that tie on both
-// coordinates by the points' curve values cvs: Ranks breaks such a full tie
-// by input position, a run in curve order by curve value. The points of a
-// set are equal as values — copies, or −0 beside +0 — and take consecutive
-// ranks by x and consecutive ranks by y; each rank goes back to them in
-// order of curve value. byX, as long as pts, is left listing the points by
-// their x rank.
-func retie(pts []geom.Point, rx, ry []uint32, byX []int32, cvs []uint64) {
+// coordinates by the points' positions in pts. Ranks breaks such a full tie
+// by input position, so once the points are moved, ranks carried over from
+// their old positions are those of Ranks(pts) everywhere but in these sets.
+// The points of a set are equal as values — copies, or −0 beside +0 — and
+// take consecutive ranks by x and consecutive ranks by y; each rank goes
+// back to them in order of position. byX, as long as pts, is left listing
+// the points by their x rank.
+func retie(pts []geom.Point, rx, ry []uint32, byX []int32) {
 	for i, r := range rx {
 		byX[r] = int32(i)
 	}
@@ -355,7 +304,7 @@ func retie(pts []geom.Point, rx, ry []uint32, byX []int32, cvs []uint64) {
 			hi++
 		}
 		if set := byX[lo:hi]; len(set) > 1 {
-			slices.SortFunc(set, func(a, b int32) int { return cmp.Compare(cvs[a], cvs[b]) })
+			slices.Sort(set)
 			y := ry[set[0]]
 			for _, i := range set {
 				y = min(y, ry[i])

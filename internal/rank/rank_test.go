@@ -2,7 +2,6 @@ package rank
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -505,27 +504,12 @@ func TestInheritIsRanksOfEachGroup(t *testing.T) {
 	}
 }
 
-// TestRunsAreRunsOfTheCurveOrder: each of Runs' runs holds the points of
-// its stretch of Order's, with the ranks Ranks gives that stretch — full
-// ties, −0 beside +0 included, broken by position in it, that is by curve
-// value — point for point, bits and ranks alike, and no more room than it
+// TestRunsAreRunsOfTheCurveOrder: Runs' runs are Order's points cut into
+// runs, each with the ranks Ranks gives it — full ties, −0 beside +0
+// included, broken by position in it — bit for bit, and no more room than it
 // has points.
 func TestRunsAreRunsOfTheCurveOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	type ranked struct {
-		x, y   uint64
-		rx, ry uint32
-	}
-	sorted := func(pts []geom.Point, rx, ry []uint32) []ranked {
-		out := make([]ranked, len(pts))
-		for i, p := range pts {
-			out[i] = ranked{math.Float64bits(p.X), math.Float64bits(p.Y), rx[i], ry[i]}
-		}
-		slices.SortFunc(out, func(a, b ranked) int {
-			return cmp.Or(cmp.Compare(a.x, b.x), cmp.Compare(a.y, b.y), cmp.Compare(a.rx, b.rx), cmp.Compare(a.ry, b.ry))
-		})
-		return out
-	}
 	for trial := range 100 {
 		n := rng.Intn(3000)
 		if trial == 0 {
@@ -544,11 +528,8 @@ func TestRunsAreRunsOfTheCurveOrder(t *testing.T) {
 			lo := min(g*per, n)
 			want := ordered[lo:min(lo+per, n)]
 			wantX, wantY := Ranks(want)
-			if cap(r.Points) != len(r.Points) || len(r.RX) != len(r.Points) || len(r.RY) != len(r.Points) {
-				t.Fatalf("trial %d, run %d: %d points (room for %d), %d and %d ranks", trial, g, len(r.Points), cap(r.Points), len(r.RX), len(r.RY))
-			}
-			if a, b := sorted(r.Points, r.RX, r.RY), sorted(want, wantX, wantY); !slices.Equal(a, b) {
-				t.Fatalf("trial %d (%d points), run %d of %d: points and ranks are not those of the curve order's run", trial, n, g, runs)
+			if cap(r.Points) != len(r.Points) || !bitsEqual(r.Points, want) || !slices.Equal(r.RX, wantX) || !slices.Equal(r.RY, wantY) {
+				t.Fatalf("trial %d (%d points), run %d of %d: %d points (room for %d), not Order's run with its Ranks", trial, n, g, runs, len(r.Points), cap(r.Points))
 			}
 		}
 	}

@@ -8,12 +8,12 @@
 //
 // # Space partitioning
 //
-// New cuts the points into S contiguous runs of the rank-space curve-value
-// ordering the RSMI leaves use (§3.1), so each shard covers a compact region
-// of the curve and window queries touch few shards. It selects the runs'
-// bounds rather than sorting the points by the curve (rank.Runs). Each
-// shard's routing region is its index's root MBR (core.RSMI.Bounds): the
-// bounding rectangle of its points, extended by the inserts routed to it.
+// New orders all points by the same rank-space curve-value technique the
+// RSMI leaves use (§3.1) and cuts the ordering into S contiguous runs, so
+// each shard covers a compact region of the curve and window queries touch
+// few shards. Each shard's routing region is its index's root MBR
+// (core.RSMI.Bounds): the bounding rectangle of its points, extended by the
+// inserts routed to it.
 //
 // # Concurrency
 //
