@@ -2,6 +2,7 @@ package rank
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -108,9 +109,7 @@ func TestTransformMatchesStableSortReference(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 1 + rng.Intn(3000)
 		if trial == 0 {
-			// x and y ranked on two goroutines, and curve values past 32
-			// bits, which the sort orders by their top 32 bits first.
-			n += max(parallelMin, 1<<16)
+			n += parallelMin // x and y ranked on two goroutines
 		}
 		levels := 1 + rng.Intn(40) // few distinct coordinates: ties everywhere
 		coord := func() float64 {
@@ -159,6 +158,39 @@ func TestTransformMatchesStableSortReference(t *testing.T) {
 		for i, p := range Order(pts, kind) {
 			if math.Float64bits(p.X) != math.Float64bits(want[i].Point.X) || math.Float64bits(p.Y) != math.Float64bits(want[i].Point.Y) {
 				t.Fatalf("trial %d: Order()[%d] = %v, reference %v", trial, i, p, want[i].Point)
+			}
+		}
+	}
+}
+
+// TestCurveOrderPastThirtyTwoBits: a curve past order 16 has values wider
+// than the 32 bits its sort orders by first; over random ranks on curves of
+// orders 17 and 20, where a run of equal top bits spans up to 4 and 256
+// cells, curveOrder puts the points in the order of their curve values.
+func TestCurveOrderPastThirtyTwoBits(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, order := range []uint{17, 20} {
+		n := 1<<(order-1) + 1
+		rx, ry := make([]uint32, n), make([]uint32, n)
+		for i, r := range rng.Perm(n) {
+			rx[i], ry[i] = uint32(i), uint32(r)
+		}
+		kind := []sfc.Kind{sfc.Hilbert, sfc.Z}[order%2]
+		var s Sorter
+		byCurve, _, got := s.curveOrder(rx, ry, kind)
+		cvs := slices.Clone(s.cvs)
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		slices.SortFunc(want, func(a, b int) int { return cmp.Compare(cvs[a], cvs[b]) })
+		if got != order {
+			t.Fatalf("%d points: curve order %d, want %d", n, got, order)
+		}
+		for j, w := range byCurve {
+			if int(uint32(w)) != want[j] {
+				t.Fatalf("order %d, %v: position %d holds point %d (value %d), the values' order point %d (value %d)",
+					got, kind, j, uint32(w), cvs[uint32(w)], want[j], cvs[want[j]])
 			}
 		}
 	}
