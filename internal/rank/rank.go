@@ -48,10 +48,11 @@ type Ranked struct {
 // ranking by y breaks ties on x. The input slice is not modified.
 func Transform(pts []geom.Point, kind sfc.Kind) []Ranked {
 	rx, ry := Ranks(pts)
-	curve, spread := rankCurve(len(pts), kind)
+	var s Sorter
+	cvs, _, _ := s.values(rx, ry, kind)
 	out := make([]Ranked, len(pts))
 	for i, p := range pts {
-		out[i] = Ranked{Point: p, RankX: rx[i], RankY: ry[i], CV: curve.Value(spread[rx[i]], spread[ry[i]])}
+		out[i] = Ranked{Point: p, RankX: rx[i], RankY: ry[i], CV: cvs[i]}
 	}
 	return out
 }
@@ -189,23 +190,16 @@ func floatKey(f float64) uint64 {
 	return b | 1<<63
 }
 
-// rankCurve returns the curve over the rank cells of n points, and the
-// grid coordinate of every rank.
+// spreadRanks writes r·(side-1)/(n-1), rounded down, to spread[r] for every
+// rank r of n = len(spread), and returns spread: the order-preserving spread
+// of ranks 0..n-1 over 0..side-1, stepped without a division per rank
+// (q·(n-1) + rem = r·(side-1) throughout).
 //
 // The paper's rank space is an exact n×n grid; SFCs need a power-of-two
 // side, so ranks are spread order-preservingly across the 2^⌈log2 n⌉ grid.
 // Without the spreading, the curve's excursions through the empty band
 // beyond rank n-1 would create the very gap unevenness the rank space
 // exists to remove (cf. Figs. 2–3).
-func rankCurve(n int, kind sfc.Kind) (sfc.Curve, []uint32) {
-	curve := sfc.New(kind, sfc.OrderFor(n))
-	return curve, spreadRanks(make([]uint32, n), uint64(curve.Side()))
-}
-
-// spreadRanks writes r·(side-1)/(n-1), rounded down, to spread[r] for every
-// rank r of n = len(spread), and returns spread: the order-preserving spread
-// of ranks 0..n-1 over 0..side-1, stepped without a division per rank
-// (q·(n-1) + rem = r·(side-1) throughout).
 func spreadRanks(spread []uint32, side uint64) []uint32 {
 	n := len(spread)
 	if n <= 1 {
@@ -230,14 +224,22 @@ func spreadRanks(spread []uint32, side uint64) []uint32 {
 // rank cells have distinct curve values, so the order has one possible
 // outcome and a radix sort of the values finds it.
 func Order(pts []geom.Point, kind sfc.Kind) []geom.Point {
-	rx, ry := Ranks(pts)
-	var s Sorter
-	byCurve, _, _ := s.curveOrder(rx, ry, kind)
-	out := make([]geom.Point, len(pts))
-	for i, w := range byCurve {
-		out[i] = pts[uint32(w)]
-	}
+	out, _, _ := order(pts, kind)
 	return out
+}
+
+// order is Order that also returns every sorted point's ranks by x and by
+// y among pts, as Ranks gives them.
+func order(pts []geom.Point, kind sfc.Kind) (out []geom.Point, rx, ry []uint32) {
+	x, y := Ranks(pts)
+	var s Sorter
+	byCurve, _, _ := s.curveOrder(x, y, kind)
+	out, rx, ry = make([]geom.Point, len(pts)), make([]uint32, len(pts)), make([]uint32, len(pts))
+	for j, w := range byCurve {
+		i := uint32(w)
+		out[j], rx[j], ry[j] = pts[i], x[i], y[i]
+	}
+	return out, rx, ry
 }
 
 // Run is one run of Runs: its points, and their ranks by x and by y among
@@ -254,14 +256,7 @@ type Run struct {
 // its own end, and so do their ranks.
 func Runs(pts []geom.Point, kind sfc.Kind, runs int) []Run {
 	n := len(pts)
-	rx, ry := Ranks(pts)
-	var s Sorter
-	byCurve, _, _ := s.curveOrder(rx, ry, kind)
-	out, ox, oy := make([]geom.Point, n), make([]uint32, n), make([]uint32, n)
-	for p, w := range byCurve {
-		i := uint32(w)
-		out[p], ox[p], oy[p] = pts[i], rx[i], ry[i]
-	}
+	out, ox, oy := order(pts, kind)
 	// The ranks of the input order are those of the curve order but for
 	// full ties; then each run inherits its ranks.
 	byRank := make([]int32, n)
