@@ -25,7 +25,6 @@ func quickCfg() bench.Config {
 		N:                  2400,
 		Queries:            30,
 		Epochs:             10,
-		LearningRate:       0.1,
 		BlockCapacity:      50,
 		PartitionThreshold: 1200,
 		Seed:               1,
@@ -78,7 +77,6 @@ func buildBenchIndex(b *testing.B, n int) (*rsmi.Index, []rsmi.Point) {
 		BlockCapacity:      100,
 		PartitionThreshold: 2000,
 		Epochs:             15,
-		LearningRate:       0.1,
 		Seed:               1,
 	})
 	return idx, pts
@@ -88,7 +86,7 @@ func BenchmarkRSMIBuild(b *testing.B) {
 	pts := dataset.Generate(dataset.Skewed, 5000, 1)
 	opts := rsmi.Options{
 		BlockCapacity: 100, PartitionThreshold: 2000,
-		Epochs: 15, LearningRate: 0.1, Seed: 1,
+		Epochs: 15, Seed: 1,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -11,15 +11,15 @@
 //	rsmi-loadgen -transport tcp -addr 127.0.0.1:8081  # rsmistream (serve -stream-addr)
 //	rsmi-loadgen -rate 5000 -clients 32            # open-loop: 5000 req/s arrivals
 //	rsmi-loadgen -duration 2s -min-ok 1.0          # CI smoke: exit 1 unless 100% 2xx
-//	rsmi-loadgen -addr 127.0.0.1:8080,127.0.0.1:8090 -hedge-delay 2ms  # hedged replica set
+//	rsmi-loadgen -addr 127.0.0.1:8080,127.0.0.1:8090  # hedged replica set
 //	rsmi-loadgen -explain-sample 20                # EXPLAIN stage-breakdown table
 //	rsmi-loadgen -mix sql=100                      # spatial SQL via POST /v1/sql
 //
 // The mix accepts point, window, knn, insert, delete, and sql weights.
 // sql drives POST /v1/sql with generated spatial SQL statements (a
 // rotation of window, distance-ordered window, and kNN queries — see
-// internal/sqlfe for the dialect); aim it at rsmi-serve -planner to
-// exercise cost-based routing. SQL is single-request only, so with
+// internal/sqlfe for the dialect); aim it at rsmi-serve -engine planner
+// to exercise cost-based routing. SQL is single-request only, so with
 // -batch > 1 its weight folds into windows.
 //
 // -batch n groups n operations per /v1/batch request (one round-trip);
@@ -32,9 +32,10 @@
 //
 // Giving -addr a comma-separated list (a primary and its replicas, see
 // rsmi-serve -replica-of) drives the set through a hedged client: reads
-// go to one target and are re-issued to a second after -hedge-delay (or
-// immediately when the first target fails), first answer wins, loser
-// cancelled; writes fail over. The report then carries hedge counts.
+// go to one target and are re-issued to a second after
+// server.DefaultHedgeDelay (2 ms; or immediately when the first target
+// fails), first answer wins, loser cancelled; writes fail over. The
+// report then carries hedge counts.
 //
 // -explain-sample n issues n EXPLAIN-flagged read queries after the run
 // (drawn from the same mix) and prints a per-operation table of mean
@@ -57,7 +58,6 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "server address(es), comma-separated; 2+ enables hedged reads")
-		hedge    = flag.Duration("hedge-delay", 0, "hedged-read delay with 2+ addresses (0 = default)")
 		clients  = flag.Int("clients", 4, "client goroutines")
 		duration = flag.Duration("duration", 2*time.Second, "run duration")
 		mix      = flag.String("mix", loadgen.DefaultMix.String(), "operation mix (op=weight,...)")
@@ -100,7 +100,6 @@ func main() {
 	}
 	rep, err := loadgen.Run(loadgen.Config{
 		Addrs:       addrs,
-		HedgeDelay:  *hedge,
 		Clients:     *clients,
 		Duration:    *duration,
 		Mix:         m,

@@ -29,7 +29,7 @@
 //	rsmi-serve -addr :8080 -stream-addr :8081 -stream-request-timeout 5s
 //	rsmi-serve -addr :8080 -stream-addr :8081              # primary
 //	rsmi-serve -addr :8082 -replica-of 127.0.0.1:8080      # replica
-//	rsmi-serve -planner -dist skewed -n 100000             # cost-based router
+//	rsmi-serve -engine planner -dist skewed -n 100000      # cost-based router
 //	rsmi-serve -trace-sample 100 -slow-query 50ms -pprof   # observability
 //
 // -engine selects the backend: "sharded" (the default: S space-partitioned
@@ -39,14 +39,18 @@
 // makes cross-engine serving numbers comparable (EXPERIMENTS.md "Serving
 // across backends").
 //
-// -planner builds every backend (sharded RSMI primary plus the three
-// baselines) over the same point set and serves them behind the
+// -engine planner builds every backend (sharded RSMI primary plus the
+// three baselines) over the same point set and serves them behind the
 // cost-based planner (internal/plan): each query routes to the backend
 // the calibrated cost models predict cheapest, writes apply everywhere,
 // and POST /v1/sql accepts the spatial SQL dialect (internal/sqlfe).
 // EXPLAIN (?explain=1 or the rsmibin flag bit) reports the chosen
 // backend with estimated vs actual cost, /v1/stats gains planner
 // counters, and /metrics gains rsmi_plan_* series.
+//
+// Standing queries (SUB frames on the stream transport) are served
+// wherever the engine has write hooks: the sharded engine and a replica.
+// Every other backend answers SUB with 501.
 //
 // With -snapshot (sharded engine only), the index is loaded from the
 // snapshot when it exists (restart without rebuilding) and
@@ -60,7 +64,8 @@
 // # Replication
 //
 // A sharded primary is always replicable: it taps every applied write
-// into a sequenced oplog and serves /v1/replica/info and
+// into a sequenced oplog (the last 65 536 records; a replica further
+// behind re-bootstraps) and serves /v1/replica/info and
 // /v1/replica/snapshot; the oplog feed itself rides the -stream-addr
 // listener, so a primary that should accept replicas must serve the
 // stream transport. A server started with -replica-of bootstraps from
@@ -77,12 +82,12 @@
 // counts and latency histograms per operation and transport, block
 // accesses, replication lag, rebuild state — no client library
 // involved), /healthz for liveness, and /readyz for readiness (a replica
-// is ready only while within -ready-max-lag oplog records of its
-// primary). -trace-sample N traces one in N requests through the
-// admission → decode → plan → execute → encode pipeline (plan on SQL and
+// is ready only while within 1 024 oplog records of its primary).
+// -trace-sample N traces one in N requests through the admission →
+// decode → plan → execute → encode pipeline (plan on SQL and
 // planner-served requests only); -slow-query D additionally logs every
 // request slower than D as a JSON line on stderr with the full stage
-// breakdown, rate-capped by -slow-query-rate. Any client can request a
+// breakdown, at most 10 lines a second. Any client can request a
 // trace for its own query regardless of sampling: ?explain=1 on the JSON
 // endpoints, the EXPLAIN flag bit in rsmibin (see rsmi-loadgen
 // -explain-sample). The untraced request path adds no allocations. -pprof
@@ -116,8 +121,7 @@ func main() {
 		addr        = flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 		streamAddr  = flag.String("stream-addr", "", "rsmistream TCP listen address (rsmibin/1 over persistent pipelined connections; empty disables)")
 		streamRTO   = flag.Duration("stream-request-timeout", 0, "server-side per-request deadline on the stream transport (0 = none)")
-		engine      = flag.String("engine", "sharded", "backend: sharded|rstar|grid|kdb (one lock over one RSMI is -shards 1)")
-		planner     = flag.Bool("planner", false, "serve every backend (sharded RSMI + rstar + grid + kdb) behind the cost-based query planner; enables routed /v1/sql")
+		engine      = flag.String("engine", "sharded", "backend: sharded|rstar|grid|kdb|planner (one lock over one RSMI is -shards 1; planner serves all four behind the cost-based router)")
 		datasetPath = flag.String("dataset", "", "binary point file (rsmi-datagen format); empty generates -dist/-n")
 		dist        = flag.String("dist", "skewed", "generated distribution: uniform|normal|skewed|tiger|osm")
 		n           = flag.Int("n", 100000, "generated data set cardinality")
@@ -126,14 +130,9 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 1024, "admitted in-flight requests before 429 shedding")
 		snapshot    = flag.String("snapshot", "", "index snapshot, -engine sharded only: load if present, else build and save")
 		replicaOf   = flag.String("replica-of", "", "primary HTTP address to replicate; this server bootstraps from its snapshot, follows its oplog, serves reads locally, and forwards writes")
-		oplogCap    = flag.Int("oplog-cap", 0, "primary oplog retention in records (default 65536); a replica further behind re-bootstraps")
 		traceSample = flag.Int("trace-sample", 0, "trace one in N requests into /v1/stats stage timings (0 = only explicit EXPLAIN requests)")
 		slowQuery   = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr; forces tracing of every request (0 disables)")
-		slowRate    = flag.Float64("slow-query-rate", 10, "max slow-query log lines per second")
-		readyMaxLag = flag.Uint64("ready-max-lag", 0, "replica /readyz lag threshold in oplog records (default 1024)")
 		pprofFlag   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes heap and symbol contents)")
-		subOutbox   = flag.Int("sub-outbox", 0, "per-connection standing-query outbox in notifications; a full outbox drops and marks (default 256)")
-		noSubs      = flag.Bool("no-subs", false, "disable standing-query subscriptions (SUB frames answer 501)")
 	)
 	flag.Parse()
 	log.SetPrefix("rsmi-serve: ")
@@ -152,11 +151,11 @@ func main() {
 		// starting (or building), so bootstrapping retries patiently.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "engine", "dataset", "dist", "n", "seed", "shards", "snapshot", "oplog-cap":
+			case "engine", "dataset", "dist", "n", "seed", "shards", "snapshot":
 				log.Printf("warning: -%s has no effect with -replica-of", f.Name)
 			}
 		})
-		rep = server.NewReplica(*replicaOf, server.ReplicaOptions{})
+		rep = server.NewReplica(*replicaOf)
 		log.Printf("replica of %s: bootstrapping", *replicaOf)
 		for attempt := 1; ; attempt++ {
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -173,19 +172,6 @@ func main() {
 		}
 		rep.Start()
 		eng = rep.Engine()
-	} else if *planner {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "engine":
-				log.Printf("warning: -engine has no effect with -planner (all backends are built)")
-			case "snapshot":
-				log.Fatalf("-snapshot is not supported with -planner (baselines rebuild from the data set)")
-			}
-		})
-		eng, err = buildPlannerEngine(*datasetPath, *dist, *n, *seed, *shards)
-		if err != nil {
-			log.Fatal(err)
-		}
 	} else {
 		warnIgnoredFlags(*engine)
 		eng, err = buildEngine(*engine, *snapshot, *datasetPath, *dist, *n, *seed, *shards)
@@ -197,7 +183,7 @@ func main() {
 			// the oplog tap is cheap, and replicas can attach at any time
 			// (the feed needs -stream-addr).
 			shardedIdx = idx
-			repl = server.NewReplicator(idx, *oplogCap)
+			repl = server.NewReplicator(idx)
 			eng = repl.Engine()
 		}
 	}
@@ -210,8 +196,8 @@ func main() {
 	// Explicit EXPLAIN requests are always traced, observer or not.
 	var slowLog *obs.SlowLog
 	if *slowQuery > 0 {
-		slowLog = obs.NewSlowLog(os.Stderr, *slowQuery, *slowRate)
-		log.Printf("slow-query log on stderr: threshold %v, max %.0f lines/s", *slowQuery, *slowRate)
+		slowLog = obs.NewSlowLog(os.Stderr, *slowQuery)
+		log.Printf("slow-query log on stderr: threshold %v", *slowQuery)
 	}
 	var observer *obs.Observer
 	if slowLog != nil || *traceSample > 0 {
@@ -228,10 +214,7 @@ func main() {
 		Replicator:           repl,
 		Replica:              rep,
 		Observer:             observer,
-		ReadyMaxLag:          *readyMaxLag,
 		EnablePprof:          *pprofFlag,
-		SubOutbox:            *subOutbox,
-		DisableSubs:          *noSubs,
 	})
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -280,9 +263,10 @@ func main() {
 
 // warnIgnoredFlags flags explicitly-set options a baseline engine cannot
 // honour, so measured numbers are never attributed to configurations
-// that were silently dropped: baselines have no sharding knob.
+// that were silently dropped: baselines have no sharding knob (the
+// planner's sharded primary has).
 func warnIgnoredFlags(engine string) {
-	if engine == "sharded" {
+	if engine == "sharded" || engine == "planner" {
 		return
 	}
 	flag.Visit(func(f *flag.Flag) {
@@ -314,14 +298,18 @@ func loadPoints(datasetPath, dist string, n int, seed int64) ([]rsmi.Point, erro
 }
 
 // buildEngine resolves -engine: the sharded RSMI (with snapshot support),
-// or a baseline behind one RWMutex — every one a server.Engine, so the
-// serving stack is identical whatever the backend.
+// a baseline behind one RWMutex, or the planner over all of them — every
+// one a server.Engine, so the serving stack is identical whatever the
+// backend.
 func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, shards int) (server.Engine, error) {
 	if snapshot != "" && engine != "sharded" {
 		return nil, fmt.Errorf("-snapshot is only supported with -engine sharded (got %q)", engine)
 	}
-	if engine == "sharded" {
+	switch engine {
+	case "sharded":
 		return buildOrLoadSharded(snapshot, datasetPath, dist, n, seed, shards)
+	case "planner":
+		return buildPlannerEngine(datasetPath, dist, n, seed, shards)
 	}
 	pts, err := loadPoints(datasetPath, dist, n, seed)
 	if err != nil {
@@ -330,7 +318,7 @@ func buildEngine(engine, snapshot, datasetPath, dist string, n int, seed int64, 
 	log.Printf("building %s baseline engine (%d points)...", engine, len(pts))
 	eng, err := rsmi.NewBaselineEngine(engine, pts)
 	if err != nil {
-		return nil, fmt.Errorf("-engine: %v (or sharded; one lock over one RSMI is -engine sharded -shards 1)", err)
+		return nil, fmt.Errorf("-engine: %v (or sharded or planner; one lock over one RSMI is -engine sharded -shards 1)", err)
 	}
 	return eng, nil
 }

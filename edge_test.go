@@ -43,7 +43,6 @@ func engines(t testing.TB, pts []rsmi.Point) map[string]rsmi.Engine {
 		BlockCapacity:      50,
 		PartitionThreshold: 500,
 		Epochs:             10,
-		LearningRate:       0.1,
 		Seed:               1,
 	}
 	sharded := func(shards int) *rsmi.Sharded {

@@ -23,7 +23,6 @@ func v2Engines(t *testing.T, pts []rsmi.Point) map[string]rsmi.Engine {
 		BlockCapacity:      50,
 		PartitionThreshold: 500,
 		Epochs:             10,
-		LearningRate:       0.1,
 		Seed:               1,
 	}
 	return map[string]rsmi.Engine{

@@ -23,7 +23,7 @@ func gridPoints() []rsmi.Point {
 // exampleOptions trains quickly; the zero value rsmi.Options{} selects the
 // paper's full 500-epoch training instead.
 func exampleOptions() rsmi.Options {
-	return rsmi.Options{Epochs: 20, LearningRate: 0.1, Seed: 1}
+	return rsmi.Options{Epochs: 20, Seed: 1}
 }
 
 func ExampleNew() {

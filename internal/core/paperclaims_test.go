@@ -20,7 +20,6 @@ func paperOptions() Options {
 	return Options{
 		BlockCapacity:      100,
 		PartitionThreshold: 10000,
-		LearningRate:       0.1,
 		Epochs:             80,
 		Seed:               1,
 	}
@@ -124,7 +123,7 @@ func TestFinerPartitioningTightensBounds(t *testing.T) {
 		t.Skip("paper-scale build skipped in -short")
 	}
 	pts := dataset.Generate(dataset.Skewed, 8000, 16)
-	coarse := Options{BlockCapacity: 100, PartitionThreshold: 10000, LearningRate: 0.1, Epochs: 60, Seed: 1}
+	coarse := Options{BlockCapacity: 100, PartitionThreshold: 10000, Epochs: 60, Seed: 1}
 	fine := coarse
 	fine.PartitionThreshold = 500
 	cIdx, fIdx := New(pts, coarse), New(pts, fine)

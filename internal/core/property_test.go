@@ -53,7 +53,6 @@ func TestLeafBlockRangesPartitionStore(t *testing.T) {
 		opts := Options{
 			BlockCapacity:      5 + rng.Intn(30),
 			PartitionThreshold: 100 + rng.Intn(500),
-			LearningRate:       0.1,
 			Epochs:             5 + rng.Intn(15),
 			Seed:               seed,
 		}
@@ -212,7 +211,6 @@ func TestWindowSubsetOfExact(t *testing.T) {
 		idx := New(pts, Options{
 			BlockCapacity:      20,
 			PartitionThreshold: 400,
-			LearningRate:       0.1,
 			Epochs:             10,
 			Seed:               seed,
 		})
@@ -239,7 +237,6 @@ func TestOversizedLeafFallback(t *testing.T) {
 	idx := New(pts, Options{
 		BlockCapacity:      100,
 		PartitionThreshold: 50, // below B: grid order clamps to 1
-		LearningRate:       0.1,
 		Epochs:             10,
 		Seed:               1,
 	})
@@ -376,8 +373,8 @@ func TestCursorMatchesListWalk(t *testing.T) {
 // silently collapse into the same structure.
 func TestCurveOptionsProduceDifferentOrders(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 2000, 9)
-	h := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500, Epochs: 5, LearningRate: 0.1, Seed: 1, Curve: sfc.Hilbert})
-	z := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500, Epochs: 5, LearningRate: 0.1, Seed: 1, Curve: sfc.Z})
+	h := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500, Epochs: 5, Seed: 1, Curve: sfc.Hilbert})
+	z := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 500, Epochs: 5, Seed: 1, Curve: sfc.Z})
 	// Different groupings may yield different block counts; when they
 	// coincide, the contents of the first block must still differ because
 	// the orderings differ.

@@ -100,14 +100,13 @@ type Options struct {
 	PartitionThreshold int
 	// Curve selects the SFC used for ordering (default Hilbert, §6.1).
 	Curve sfc.Kind
-	// LearningRate, Epochs and Seed configured the training of the paper's
-	// sub-models (§6.1: 0.01 and 500). No RSMI node is a model any more (see
-	// "Structure" in the package comment), so they are inert: they are
-	// neither used nor stored in a snapshot, and are kept for the callers
-	// that set them.
-	LearningRate float64
-	Epochs       int
-	Seed         int64
+	// Epochs and Seed configured the training of the paper's sub-models
+	// (§6.1: 500 epochs). No RSMI node is a model any more (see "Structure"
+	// in the package comment), so they are inert: they are neither used nor
+	// stored in a snapshot. They stay only because the benchmark harness
+	// sets them (ROADMAP item 1).
+	Epochs int
+	Seed   int64
 	// RawGridLeafOrder disables the rank-space transform and orders leaf
 	// points by their curve value on a fixed coordinate grid instead — the
 	// ordering of the ZM baseline [46] — and cuts the leaf's cells from that

@@ -25,7 +25,6 @@ func testOptions() Options {
 	return Options{
 		BlockCapacity:      20,
 		PartitionThreshold: 500,
-		LearningRate:       0.1,
 		Epochs:             40,
 		Seed:               1,
 	}
@@ -412,8 +411,8 @@ func TestZCurveVariant(t *testing.T) {
 
 func TestPartitionThresholdShapesTree(t *testing.T) {
 	pts := dataset.Generate(dataset.Skewed, 6000, 12)
-	small := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 200, Epochs: 20, LearningRate: 0.1, Seed: 1})
-	large := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 6000, Epochs: 20, LearningRate: 0.1, Seed: 1})
+	small := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 200, Epochs: 20, Seed: 1})
+	large := New(pts, Options{BlockCapacity: 20, PartitionThreshold: 6000, Epochs: 20, Seed: 1})
 	ss, ls := small.Stats(), large.Stats()
 	if ss.Models <= ls.Models {
 		t.Errorf("smaller N must create more models: %d vs %d", ss.Models, ls.Models)

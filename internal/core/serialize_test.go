@@ -65,7 +65,7 @@ func TestBuildDeterministic(t *testing.T) {
 	pts = append(pts, pts[:300]...) // duplicate points: ties in every sort
 	for name, opts := range map[string]Options{
 		"rank space": testOptions(),
-		"raw grid":   {BlockCapacity: 20, PartitionThreshold: 500, LearningRate: 0.1, Epochs: 10, Seed: 1, RawGridLeafOrder: true},
+		"raw grid":   {BlockCapacity: 20, PartitionThreshold: 500, Epochs: 10, Seed: 1, RawGridLeafOrder: true},
 	} {
 		var snaps [2]bytes.Buffer
 		for i := range snaps {

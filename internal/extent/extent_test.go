@@ -14,7 +14,6 @@ func testOptions() core.Options {
 	return core.Options{
 		BlockCapacity:      20,
 		PartitionThreshold: 500,
-		LearningRate:       0.1,
 		Epochs:             30,
 		Seed:               1,
 	}

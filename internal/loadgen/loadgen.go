@@ -107,13 +107,9 @@ func ParseMix(s string) (Mix, error) {
 type Config struct {
 	// Addrs lists every serving target ("host:port" or http:// URL):
 	// the primary and its replicas. Required. With more than one, reads
-	// are hedged across the set (see HedgeDelay) and writes fail over on
-	// transport errors.
+	// are hedged across the set (after server.DefaultHedgeDelay) and
+	// writes fail over on transport errors.
 	Addrs []string
-	// HedgeDelay is how long the first target has to answer before the
-	// hedge fires at a second (default server.DefaultHedgeDelay). Only
-	// meaningful with 2+ Addrs.
-	HedgeDelay time.Duration
 	// Clients is the closed-loop client count (default 4).
 	Clients int
 	// Duration is how long to drive load (default 2s).
@@ -320,7 +316,7 @@ func Run(cfg Config) (Report, error) {
 				server.WithTransport(cfg.Transport),
 				server.WithTimeout(cfg.Timeout))
 		}
-		hc = server.NewHedgedClient(targets, server.HedgedOptions{Delay: cfg.HedgeDelay})
+		hc = server.NewHedgedClient(targets)
 		cl = hc
 	} else {
 		cl = server.NewClient(cfg.Addrs[0],

@@ -44,7 +44,6 @@ func TestRunAgainstServer(t *testing.T) {
 			BlockCapacity:      50,
 			PartitionThreshold: 500,
 			Epochs:             10,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})
@@ -175,7 +174,6 @@ func startLoadgenServerStream(t *testing.T) (addr, streamAddr string, cleanup fu
 			BlockCapacity:      50,
 			PartitionThreshold: 500,
 			Epochs:             10,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})

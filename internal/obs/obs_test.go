@@ -130,7 +130,7 @@ func TestStageNames(t *testing.T) {
 // rate limit.
 func TestSlowLog(t *testing.T) {
 	var buf bytes.Buffer
-	sl := NewSlowLog(&buf, 10*time.Millisecond, 5)
+	sl := newSlowLog(&buf, 10*time.Millisecond, 5)
 	o := NewObserver(0, sl)
 	if !o.ShouldTrace() {
 		t.Fatal("slow-log observer must trace every request")

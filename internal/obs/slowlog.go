@@ -45,14 +45,19 @@ type SlowLogRecord struct {
 	BlockAccesses int64   `json:"block_accesses,omitempty"`
 }
 
+// slowLogPerSec caps slow-query log lines per second, with bursts up to
+// one second's budget.
+const slowLogPerSec = 10
+
 // NewSlowLog logs requests slower than threshold to w, at most
-// maxPerSec lines per second (<= 0 defaults to 10; bursts up to one
-// second's budget). threshold <= 0 logs every traced request — useful
-// for debugging, ruinous in production.
-func NewSlowLog(w io.Writer, threshold time.Duration, maxPerSec float64) *SlowLog {
-	if maxPerSec <= 0 {
-		maxPerSec = 10
-	}
+// slowLogPerSec lines per second. threshold <= 0 logs every traced
+// request — useful for debugging, ruinous in production.
+func NewSlowLog(w io.Writer, threshold time.Duration) *SlowLog {
+	return newSlowLog(w, threshold, slowLogPerSec)
+}
+
+// newSlowLog is NewSlowLog with its rate cap as a parameter, for tests.
+func newSlowLog(w io.Writer, threshold time.Duration, maxPerSec float64) *SlowLog {
 	return &SlowLog{
 		w:         w,
 		threshold: threshold,

@@ -3,7 +3,7 @@ package plan
 // MultiEngine: several backends over one logical point set, planned per
 // query. It implements the full rsmi.Engine, so the serving stack puts
 // it behind the same endpoints as any fixed backend (`rsmi-serve
-// -planner`); reads route to the backend the cost models pick, writes
+// -engine planner`); reads route to the backend the cost models pick, writes
 // apply to every backend to keep them answering identically.
 
 import (

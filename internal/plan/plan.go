@@ -18,7 +18,7 @@
 //     mispredictions are observable.
 //   - MultiEngine implements the full rsmi.Engine over several backends
 //     sharing one logical point set, routing every query through the
-//     planner — the engine `rsmi-serve -planner` serves.
+//     planner — the engine `rsmi-serve -engine planner` serves.
 //
 // internal/sqlfe parses the spatial SQL dialect into Query values.
 package plan

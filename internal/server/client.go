@@ -98,9 +98,12 @@ type Client struct {
 	proto  Proto
 	stream *streamClient
 
-	// subMu guards the lazily-created standing-query state (subclient.go).
-	subMu sync.Mutex
-	subc  *subClient
+	// subMu guards the lazily-created standing-query state (subclient.go),
+	// whose notification buffer holds subNotes (subNotesBuf; tests set it
+	// before the first subscription).
+	subMu    sync.Mutex
+	subc     *subClient
+	subNotes int
 }
 
 // Option configures a Client at construction; pass any combination to
@@ -152,7 +155,7 @@ func NewClient(addr string, opts ...Option) *Client {
 		if o.streamConns <= 0 {
 			o.streamConns = 4
 		}
-		c := &Client{proto: ProtoBinary, stream: newStreamClient(addr, o.streamConns, o.timeout)}
+		c := &Client{proto: ProtoBinary, stream: newStreamClient(addr, o.streamConns, o.timeout), subNotes: subNotesBuf}
 		c.roundTrip = c.stream.roundTrip
 		return c
 	}
@@ -429,9 +432,4 @@ func (c *Client) Stats() (wire.StatsResponse, error) {
 	var resp wire.StatsResponse
 	err := c.get("/v1/stats", jsonInto(&resp))
 	return resp, err
-}
-
-// Health reports whether the server answers its health check.
-func (c *Client) Health() error {
-	return c.get("/healthz", nil)
 }

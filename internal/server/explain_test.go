@@ -161,7 +161,7 @@ func TestExplainOnlyWhenAsked(t *testing.T) {
 
 // TestReadyz covers the readiness contract: standalone servers and
 // primaries are always ready; a replica is ready only when bootstrapped,
-// connected, and within ReadyMaxLag of the primary.
+// connected, and within readyMaxLag of the primary.
 func TestReadyz(t *testing.T) {
 	eng, _ := testEngine(t)
 
@@ -181,7 +181,7 @@ func TestReadyz(t *testing.T) {
 	})
 
 	t.Run("replica-not-bootstrapped", func(t *testing.T) {
-		rep := NewReplica("127.0.0.1:1", ReplicaOptions{Timeout: time.Second})
+		rep := newReplica("127.0.0.1:1", replicaOptions{timeout: time.Second})
 		if ready, reason := rep.Ready(0); ready || !strings.Contains(reason, "bootstrapped") {
 			t.Fatalf("Ready = %v, %q; want not bootstrapped", ready, reason)
 		}
@@ -205,7 +205,7 @@ func TestReadyz(t *testing.T) {
 
 	// healthz stays pure liveness: it answers 200 even when not ready.
 	t.Run("healthz-liveness", func(t *testing.T) {
-		rep := NewReplica("127.0.0.1:1", ReplicaOptions{Timeout: time.Second})
+		rep := newReplica("127.0.0.1:1", replicaOptions{timeout: time.Second})
 		s := New(Config{Engine: eng, Replica: rep})
 		defer s.Shutdown(context.Background())
 		hs := httptest.NewServer(s.Handler())
@@ -227,7 +227,7 @@ func TestReadyz(t *testing.T) {
 func TestSlowQueryLogEndToEnd(t *testing.T) {
 	eng, pts := testEngine(t)
 	var buf syncBuffer
-	sl := obs.NewSlowLog(&buf, 0, 1e9)
+	sl := obs.NewSlowLog(&buf, 0)
 	s := New(Config{Engine: eng, Observer: obs.NewObserver(0, sl)})
 	hs := httptest.NewServer(s.Handler())
 	defer hs.Close()

@@ -150,7 +150,7 @@ func engineErrorCode(err error) int {
 }
 
 // plannerEngine is the planning surface the SQL endpoint prefers,
-// implemented by plan.MultiEngine (rsmi-serve -planner): the query is
+// implemented by plan.MultiEngine (rsmi-serve -engine planner): the query is
 // planned first — so EXPLAIN can time the plan stage on its own — then
 // executed on the backend the cost models chose. Fixed-backend servers
 // execute SQL directly on their engine instead.
@@ -199,7 +199,7 @@ func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	if !s.TriggerRebuild() {
+	if !s.triggerRebuild() {
 		writeError(w, http.StatusConflict, "rebuild already running")
 		return
 	}
@@ -263,15 +263,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// readyMaxLag is the /readyz threshold on a replica, in oplog records.
+const readyMaxLag = 1024
+
 // handleReady answers /readyz. A primary or standalone server is ready
 // as soon as it serves; a replica is ready only when it is bootstrapped,
-// connected to its feed, and its applied sequence is within
-// Config.ReadyMaxLag of the primary's — a freshly (re)bootstrapping or
-// badly lagging replica answers 503 so load balancers route around it
-// while /healthz keeps reporting the process alive.
+// connected to its feed, and its applied sequence is within readyMaxLag
+// of the primary's — a freshly (re)bootstrapping or badly lagging
+// replica answers 503 so load balancers route around it while /healthz
+// keeps reporting the process alive.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if rep := s.cfg.Replica; rep != nil {
-		if ready, reason := rep.Ready(s.cfg.ReadyMaxLag); !ready {
+		if ready, reason := rep.Ready(readyMaxLag); !ready {
 			writeError(w, http.StatusServiceUnavailable, "replica not ready: "+reason)
 			return
 		}

@@ -31,19 +31,12 @@ import (
 	"rsmi/internal/wire"
 )
 
-// DefaultHedgeDelay is used when HedgedOptions.Delay is zero. It is a
-// conservative stand-in for "about p95 of reads" — measure and tune
-// with rsmi-loadgen -hedge-delay.
+// DefaultHedgeDelay is how long the first target has to answer before
+// the hedge fires at a second: a conservative stand-in for "about p95 of
+// reads" on loopback (much lower duplicates most reads, much higher
+// stops protecting the tail). Nothing sets another delay; the sweep that
+// once chose it is gone (EXPERIMENTS.md "Retired serving options").
 const DefaultHedgeDelay = 2 * time.Millisecond
-
-// HedgedOptions configures a HedgedClient.
-type HedgedOptions struct {
-	// Delay is how long the first target has to answer before the hedge
-	// fires at a second (default DefaultHedgeDelay; ~p95 is the sweet
-	// spot — much lower duplicates most reads, much higher stops
-	// protecting the tail).
-	Delay time.Duration
-}
 
 // HedgedClient fans reads over a set of equivalent serving targets
 // (primary and replicas) with hedging; writes fail over. It has the same
@@ -53,7 +46,7 @@ type HedgedOptions struct {
 type HedgedClient struct {
 	dataPlane
 	targets []*Client
-	delay   time.Duration
+	delay   time.Duration // DefaultHedgeDelay; tests set it before use
 
 	rr     atomic.Uint64
 	hedges atomic.Int64
@@ -63,14 +56,11 @@ type HedgedClient struct {
 // NewHedgedClient builds a hedged client over targets (at least one;
 // with exactly one, hedging degenerates to plain calls). The targets
 // are owned by the hedged client: Close closes them.
-func NewHedgedClient(targets []*Client, o HedgedOptions) *HedgedClient {
+func NewHedgedClient(targets []*Client) *HedgedClient {
 	if len(targets) == 0 {
 		panic("server: NewHedgedClient needs at least one target")
 	}
-	if o.Delay <= 0 {
-		o.Delay = DefaultHedgeDelay
-	}
-	h := &HedgedClient{targets: targets, delay: o.Delay}
+	h := &HedgedClient{targets: targets, delay: DefaultHedgeDelay}
 	h.roundTrip = h.hedgedRoundTrip
 	return h
 }

@@ -100,7 +100,8 @@ func TestHedgedReadHedgeWins(t *testing.T) {
 	// The delay is also how long the first leg has to get through its
 	// server to the stalled engine before the hedge can win and cancel it:
 	// at 2 ms a loaded 2-vCPU box sometimes cancelled it on the way in.
-	h := NewHedgedClient([]*Client{fast, slow}, HedgedOptions{Delay: 50 * time.Millisecond})
+	h := NewHedgedClient([]*Client{fast, slow})
+	h.delay = 50 * time.Millisecond
 	t.Cleanup(h.Close)
 
 	found, err := h.PointQuery(context.Background(), pts[0])
@@ -131,7 +132,8 @@ func TestHedgedReadFirstWins(t *testing.T) {
 	eng, pts := testEngine(t)
 	slow := startHTTPTarget(t, newStallEngine(eng)) // targets[0]: never reached
 	fast := startHTTPTarget(t, eng)                 // targets[1]: first leg
-	h := NewHedgedClient([]*Client{slow, fast}, HedgedOptions{Delay: time.Hour})
+	h := NewHedgedClient([]*Client{slow, fast})
+	h.delay = time.Hour
 	t.Cleanup(h.Close)
 
 	found, err := h.PointQuery(context.Background(), pts[0])
@@ -150,7 +152,8 @@ func TestHedgedReadFailover(t *testing.T) {
 	eng, pts := testEngine(t)
 	good := startHTTPTarget(t, eng) // targets[0]: hedge leg
 	dead := deadTarget(t)           // targets[1]: first leg, refused
-	h := NewHedgedClient([]*Client{good, dead}, HedgedOptions{Delay: time.Hour})
+	h := NewHedgedClient([]*Client{good, dead})
+	h.delay = time.Hour
 	t.Cleanup(h.Close)
 
 	start := time.Now()
@@ -180,7 +183,8 @@ func TestHedgedReadFailover(t *testing.T) {
 
 // TestHedgedBothFail: every leg failing surfaces the first error.
 func TestHedgedBothFail(t *testing.T) {
-	h := NewHedgedClient([]*Client{deadTarget(t), deadTarget(t)}, HedgedOptions{Delay: time.Millisecond})
+	h := NewHedgedClient([]*Client{deadTarget(t), deadTarget(t)})
+	h.delay = time.Millisecond
 	t.Cleanup(h.Close)
 	if _, err := h.PointQuery(context.Background(), geom.Pt(0.5, 0.5)); err == nil {
 		t.Fatal("both targets dead, yet no error")
@@ -195,7 +199,7 @@ func TestHedgedWriteStatusErrorNoRetry(t *testing.T) {
 	alt := &countEngine{Engine: eng}
 	altCl := startHTTPTargetProto(t, alt, ProtoBinary) // targets[0]: the would-be retry
 	first := startHTTPTargetProto(t, eng, ProtoBinary) // targets[1]: first leg
-	h := NewHedgedClient([]*Client{altCl, first}, HedgedOptions{})
+	h := NewHedgedClient([]*Client{altCl, first})
 	t.Cleanup(h.Close)
 
 	// NaN coordinates draw a 400 from validation on the first target.
@@ -221,7 +225,8 @@ func TestHedgedConcurrentConsistent(t *testing.T) {
 	eng, pts := testEngine(t)
 	a := startHTTPTarget(t, eng)
 	b := startHTTPTarget(t, eng)
-	h := NewHedgedClient([]*Client{a, b}, HedgedOptions{Delay: 200 * time.Microsecond})
+	h := NewHedgedClient([]*Client{a, b})
+	h.delay = 200 * time.Microsecond
 	t.Cleanup(h.Close)
 
 	windows := workload.Windows(pts, 16, 0.01, 1, 5)
@@ -298,7 +303,7 @@ func TestHedgedStatusErrorRead(t *testing.T) {
 	eng, _ := testEngine(t)
 	a := startHTTPTarget(t, eng)
 	b := startHTTPTarget(t, eng)
-	h := NewHedgedClient([]*Client{a, b}, HedgedOptions{})
+	h := NewHedgedClient([]*Client{a, b})
 	t.Cleanup(h.Close)
 
 	inverted := geom.Rect{MinX: 0.9, MinY: 0.9, MaxX: 0.1, MaxY: 0.1}

@@ -6,7 +6,7 @@ package server
 // (replication.go). Sequence numbers start at 1 and are dense — replicas
 // apply records in order and track exactly one integer of progress.
 //
-// The ring retains the most recent opLogDefaultCap records. A replica
+// The ring retains the most recent opLogCap records. A replica
 // asking for a sequence that has fallen out of retention gets a resync
 // frame and re-bootstraps from a fresh snapshot; retention is a
 // catch-up window, not durability (the snapshot is the durable form).
@@ -28,8 +28,8 @@ import (
 	"rsmi/internal/wire"
 )
 
-// opLogDefaultCap is the default oplog retention (records).
-const opLogDefaultCap = 1 << 16
+// opLogCap is the oplog retention in records.
+const opLogCap = 1 << 16
 
 // opLog is the ring. Appends come from the shard write hook — under a
 // shard write lock — so the critical section stays minimal: one slot
@@ -55,9 +55,6 @@ func newEpoch() uint64 {
 }
 
 func newOpLog(capacity int) *opLog {
-	if capacity <= 0 {
-		capacity = opLogDefaultCap
-	}
 	return &opLog{
 		epoch:   newEpoch(),
 		buf:     make([]wire.FeedRecord, capacity),

@@ -55,35 +55,36 @@ import (
 // replica's position is unservable and it must re-bootstrap.
 var errReplResync = errors.New("repl: primary demands resync")
 
-// ReplicaOptions tunes a Replica beyond its primary address.
-type ReplicaOptions struct {
-	// Timeout bounds control-plane calls (info, snapshot download) and
-	// forwarded writes (default 30s).
-	Timeout time.Duration
-	// ReconnectDelay is the pause between feed reconnect attempts
-	// (default 500ms; tests use milliseconds).
-	ReconnectDelay time.Duration
-	// ReadTimeout bounds the silence the replica tolerates on the feed
+// replicaOptions are a Replica's timings and its dialer. NewReplica uses
+// the defaults; tests in this package shorten the timings and inject
+// faults through the dialer.
+type replicaOptions struct {
+	// timeout bounds control-plane calls (info, snapshot download) and
+	// forwarded writes (default DefaultTimeout).
+	timeout time.Duration
+	// reconnectDelay is the pause between feed reconnect attempts
+	// (default 500ms).
+	reconnectDelay time.Duration
+	// readTimeout bounds the silence the replica tolerates on the feed
 	// before treating the link as dead (default 3 heartbeat intervals).
-	// The fault-injection harness lowers it to exercise stall detection.
-	ReadTimeout time.Duration
-	// Dial overrides how the replica reaches the primary's oplog feed —
-	// the fault-injection seam. Default net.Dial("tcp", addr).
-	Dial func(addr string) (net.Conn, error)
+	readTimeout time.Duration
+	// dial is how the replica reaches the primary's oplog feed (default
+	// net.Dial("tcp", addr)).
+	dial func(addr string) (net.Conn, error)
 }
 
-func (o ReplicaOptions) withDefaults() ReplicaOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = DefaultTimeout
+func (o replicaOptions) withDefaults() replicaOptions {
+	if o.timeout <= 0 {
+		o.timeout = DefaultTimeout
 	}
-	if o.ReconnectDelay <= 0 {
-		o.ReconnectDelay = 500 * time.Millisecond
+	if o.reconnectDelay <= 0 {
+		o.reconnectDelay = 500 * time.Millisecond
 	}
-	if o.ReadTimeout <= 0 {
-		o.ReadTimeout = 3 * replHeartbeatEvery
+	if o.readTimeout <= 0 {
+		o.readTimeout = 3 * replHeartbeatEvery
 	}
-	if o.Dial == nil {
-		o.Dial = func(addr string) (net.Conn, error) {
+	if o.dial == nil {
+		o.dial = func(addr string) (net.Conn, error) {
 			return net.Dial("tcp", addr)
 		}
 	}
@@ -95,7 +96,7 @@ func (o ReplicaOptions) withDefaults() ReplicaOptions {
 // /v1/stats reports replication state. Stop with Stop.
 type Replica struct {
 	primary string // primary HTTP base URL
-	opts    ReplicaOptions
+	opts    replicaOptions
 	fwd     *Client      // forwarded writes (binary HTTP)
 	hc      *http.Client // info + snapshot control plane
 
@@ -143,7 +144,13 @@ type Replica struct {
 // NewReplica returns a replica of the primary serving HTTP at addr
 // ("host:port" or a full http:// URL). It performs no I/O; call
 // Bootstrap.
-func NewReplica(addr string, o ReplicaOptions) *Replica {
+func NewReplica(addr string) *Replica {
+	return newReplica(addr, replicaOptions{})
+}
+
+// newReplica is NewReplica with its timings and dialer as a parameter,
+// for tests.
+func newReplica(addr string, o replicaOptions) *Replica {
 	o = o.withDefaults()
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
@@ -156,8 +163,8 @@ func NewReplica(addr string, o ReplicaOptions) *Replica {
 	return &Replica{
 		primary:    addr,
 		opts:       o,
-		fwd:        NewClient(addr, WithProto(ProtoBinary), WithTimeout(o.Timeout)),
-		hc:         &http.Client{Timeout: o.Timeout},
+		fwd:        NewClient(addr, WithProto(ProtoBinary), WithTimeout(o.timeout)),
+		hc:         &http.Client{Timeout: o.timeout},
 		stop:       make(chan struct{}),
 		lifeCtx:    ctx,
 		lifeCancel: cancel,
@@ -183,10 +190,6 @@ func (r *Replica) SetWriteTap(h shard.WriteHook) {
 
 // AppliedSeq reports the last oplog sequence applied locally.
 func (r *Replica) AppliedSeq() uint64 { return r.applied.Load() }
-
-// PrimarySeq reports the primary's last sequence as of the latest feed
-// frame; PrimarySeq-AppliedSeq is the replica's known lag.
-func (r *Replica) PrimarySeq() uint64 { return r.primarySeq.Load() }
 
 // Connected reports whether the oplog feed is currently live.
 func (r *Replica) Connected() bool { return r.connected.Load() }
@@ -410,19 +413,19 @@ func (r *Replica) run() {
 		if errors.Is(err, errReplResync) {
 			r.resyncs.Add(1)
 			for !r.stopped() {
-				ctx, cancel := context.WithTimeout(r.lifeCtx, r.opts.Timeout)
+				ctx, cancel := context.WithTimeout(r.lifeCtx, r.opts.timeout)
 				err := r.Bootstrap(ctx)
 				cancel()
 				if err == nil {
 					break
 				}
-				if !r.sleep(r.opts.ReconnectDelay) {
+				if !r.sleep(r.opts.reconnectDelay) {
 					return
 				}
 			}
 			continue
 		}
-		if !r.sleep(r.opts.ReconnectDelay) {
+		if !r.sleep(r.opts.reconnectDelay) {
 			return
 		}
 	}
@@ -447,7 +450,7 @@ func (r *Replica) follow() error {
 	r.mu.Lock()
 	addr := r.streamAddr
 	r.mu.Unlock()
-	conn, err := r.opts.Dial(addr)
+	conn, err := r.opts.dial(addr)
 	if err != nil {
 		return err
 	}
@@ -467,7 +470,7 @@ func (r *Replica) follow() error {
 	// The handshake is a stream request frame: request id 0 (the feed never
 	// answers per request), then the payload the listener sniffs for. Feed
 	// frames carry no request id.
-	err = writeReplFrame(conn, r.opts.Timeout, func(b []byte) []byte {
+	err = writeReplFrame(conn, r.opts.timeout, func(b []byte) []byte {
 		return wire.AppendFeedHandshake(wire.OpenStreamFrame(b, 0), r.epoch.Load(), r.applied.Load()+1)
 	})
 	if err != nil {
@@ -479,7 +482,7 @@ func (r *Replica) follow() error {
 	br := bufio.NewReader(conn)
 	var payload []byte
 	for {
-		conn.SetReadDeadline(time.Now().Add(r.opts.ReadTimeout))
+		conn.SetReadDeadline(time.Now().Add(r.opts.readTimeout))
 		if payload, err = wire.ReadFrame(br, streamMaxResponseFrame, payload[:cap(payload)]); err != nil {
 			return fmt.Errorf("repl: feed read: %w", err)
 		}

@@ -74,11 +74,17 @@ type Replicator struct {
 	followers atomic.Int64
 }
 
-// NewReplicator wraps idx for replication. logCap sets oplog retention
-// in records (0 means the default 65536). It registers the oplog as one
-// of idx's write hooks (other consumers — the subscription matcher —
-// may fan in beside it); a sharded engine has at most one Replicator.
-func NewReplicator(idx *rsmi.Sharded, logCap int) *Replicator {
+// NewReplicator wraps idx for replication, retaining the last opLogCap
+// oplog records. It registers the oplog as one of idx's write hooks
+// (other consumers — the subscription matcher — may fan in beside it); a
+// sharded engine has at most one Replicator.
+func NewReplicator(idx *rsmi.Sharded) *Replicator {
+	return newReplicator(idx, opLogCap)
+}
+
+// newReplicator is NewReplicator with the oplog retention as a
+// parameter, for the retention tests.
+func newReplicator(idx *rsmi.Sharded, logCap int) *Replicator {
 	r := &Replicator{idx: idx, log: newOpLog(logCap)}
 	r.eng = gatedEngine{Sharded: idx, gate: &r.gate}
 	idx.AddWriteHook(func(op shard.WriteOp) {

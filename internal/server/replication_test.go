@@ -4,7 +4,7 @@ package server
 // The harness runs a primary and its replicas fully in-process on real
 // listeners, with two deterministic fault seams:
 //
-//   - faultDialer, a ReplicaOptions.Dial hook that can hand the replica
+//   - faultDialer, the replica dialer (replicaOptions.dial) that can hand the replica
 //     a connection with a byte budget (severed mid-stream once spent) or
 //     refuse to dial at all (a partitioned feed);
 //   - real listener teardown and rebinding, for primary-restart runs.
@@ -56,7 +56,7 @@ type replPrimary struct {
 // addresses (restart); binding retries briefly to absorb rebind races.
 func startReplPrimary(t *testing.T, idx *rsmi.Sharded, httpAddr, streamAddr string, logCap int) *replPrimary {
 	t.Helper()
-	repl := NewReplicator(idx, logCap)
+	repl := newReplicator(idx, logCap)
 	s := New(Config{Engine: repl.Engine(), Replicator: repl})
 	httpL := listenRetry(t, httpAddr)
 	streamL := listenRetry(t, streamAddr)
@@ -114,18 +114,18 @@ func listenRetry(t *testing.T, addr string) net.Listener {
 
 // fastReplicaOptions are test timings: quick reconnects, generous
 // everything else.
-func fastReplicaOptions() ReplicaOptions {
-	return ReplicaOptions{
-		Timeout:        10 * time.Second,
-		ReconnectDelay: 5 * time.Millisecond,
-		ReadTimeout:    10 * time.Second,
+func fastReplicaOptions() replicaOptions {
+	return replicaOptions{
+		timeout:        10 * time.Second,
+		reconnectDelay: 5 * time.Millisecond,
+		readTimeout:    10 * time.Second,
 	}
 }
 
 // startReplica bootstraps and starts a replica of the primary.
-func startReplica(t *testing.T, p *replPrimary, o ReplicaOptions) *Replica {
+func startReplica(t *testing.T, p *replPrimary, o replicaOptions) *Replica {
 	t.Helper()
-	rep := NewReplica(p.url, o)
+	rep := newReplica(p.url, o)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := rep.Bootstrap(ctx); err != nil {
@@ -147,7 +147,7 @@ func waitRepl(t *testing.T, rep *Replica, what string, pred func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatalf("replica never %s: applied=%d primary_seq=%d connected=%v resyncs=%d",
-		what, rep.AppliedSeq(), rep.PrimarySeq(), rep.Connected(), rep.Resyncs())
+		what, rep.AppliedSeq(), rep.stats().LastSeq, rep.Connected(), rep.Resyncs())
 }
 
 // applyMixedWrites drives n writes (≈80% inserts of fresh points, ≈20%
@@ -235,7 +235,7 @@ func (c *faultConn) Read(b []byte) (int, error) {
 	return n, err
 }
 
-// faultDialer is the ReplicaOptions.Dial seam: per-attempt read budgets
+// faultDialer is the replicaOptions.dial seam: per-attempt read budgets
 // (-1 = unlimited) and a global refuse switch (partition).
 type faultDialer struct {
 	mu      sync.Mutex
@@ -281,11 +281,11 @@ func (d *faultDialer) dialCount() int {
 // the feed.
 func TestReplicaLagCatchup(t *testing.T) {
 	eng, pts := testEngine(t)
-	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", 0)
+	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
 	rng := rand.New(rand.NewSource(42))
 	applyMixedWrites(t, p.repl.Engine(), rng, 250, pts)
 
-	rep := NewReplica(p.url, fastReplicaOptions())
+	rep := newReplica(p.url, fastReplicaOptions())
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := rep.Bootstrap(ctx); err != nil {
@@ -328,13 +328,13 @@ func TestReplicaLagCatchup(t *testing.T) {
 // converge.
 func TestReplicaReconnectMidCatchup(t *testing.T) {
 	eng, pts := testEngine(t)
-	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", 0)
+	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
 
 	// First feed connection dies after 8 KiB — mid-stream, well inside
 	// the ~60 KiB the catch-up below ships.
 	fd := &faultDialer{budgets: []int64{8 << 10}}
 	o := fastReplicaOptions()
-	o.Dial = fd.dial
+	o.dial = fd.dial
 	rep := startReplica(t, p, o)
 
 	rng := rand.New(rand.NewSource(7))
@@ -362,7 +362,7 @@ func TestReplicaOutOfRetentionResync(t *testing.T) {
 	fd := &faultDialer{}
 	fd.refuse.Store(true) // partitioned from the start
 	o := fastReplicaOptions()
-	o.Dial = fd.dial
+	o.dial = fd.dial
 	rep := startReplica(t, p, o)
 
 	// 500 writes against 64 records of retention: the replica's position
@@ -384,7 +384,7 @@ func TestReplicaOutOfRetentionResync(t *testing.T) {
 // against the reborn primary, and converges on its post-restart writes.
 func TestPrimaryRestartFromSnapshot(t *testing.T) {
 	eng, pts := testEngine(t)
-	pA := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", 0)
+	pA := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
 	rep := startReplica(t, pA, fastReplicaOptions())
 
 	rng := rand.New(rand.NewSource(23))
@@ -407,7 +407,7 @@ func TestPrimaryRestartFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("LoadSharded: %v", err)
 	}
-	pB := startReplPrimary(t, idxB, httpAddr, streamAddr, 0)
+	pB := startReplPrimary(t, idxB, httpAddr, streamAddr, opLogCap)
 	if pB.repl.Epoch() == epochA {
 		t.Fatal("restarted primary reused the old epoch")
 	}
@@ -423,13 +423,112 @@ func TestPrimaryRestartFromSnapshot(t *testing.T) {
 	assertEnginesAnswerEqual(t, pB.idx, rep.Engine(), pts)
 }
 
+// TestReplicaDropsWritesLostByPrimaryRestart is what kill -9 leaves: the
+// primary restarts from a snapshot older than writes the replica has
+// already applied. Those writes are lost on the primary, and the replica
+// must lose them too — a resync re-bootstraps it from the reborn primary
+// instead of keeping its newer, now divergent, state. The replica is cut
+// off its feed until the reborn primary's oplog has passed the replica's
+// old position, so only the epoch tells the two lives apart.
+func TestReplicaDropsWritesLostByPrimaryRestart(t *testing.T) {
+	eng, pts := testEngine(t)
+	pA := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
+	fd := &faultDialer{}
+	o := fastReplicaOptions()
+	o.dial = fd.dial
+	rep := startReplica(t, pA, o)
+
+	rng := rand.New(rand.NewSource(29))
+	applyMixedWrites(t, pA.repl.Engine(), rng, 200, pts)
+
+	// 1. The last snapshot the primary saved.
+	epochA := pA.repl.Epoch()
+	_, _, snap, err := pA.repl.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+
+	// 2. Writes after it, which the replica applies: fresh inserts and
+	// deletes of indexed points.
+	ctx := context.Background()
+	var lostInserts, lostDeletes []geom.Point
+	for i := 0; i < 100; i++ {
+		p := geom.Pt(rng.Float64(), rng.Float64())
+		if err := pA.repl.Engine().InsertContext(ctx, p); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+		lostInserts = append(lostInserts, p)
+	}
+	for _, p := range pts[100:200] {
+		deleted, err := pA.repl.Engine().DeleteContext(ctx, p)
+		if err != nil {
+			t.Fatalf("delete: %v", err)
+		}
+		if deleted {
+			lostDeletes = append(lostDeletes, p)
+		}
+	}
+	if len(lostDeletes) == 0 {
+		t.Fatal("no delete after the snapshot found its point")
+	}
+	target := pA.repl.LastSeq()
+	waitRepl(t, rep, "applied the writes after the snapshot", func() bool { return rep.AppliedSeq() >= target })
+	for _, p := range lostInserts[:5] {
+		if found, err := rep.Engine().PointQueryContext(ctx, p); err != nil || !found {
+			t.Fatalf("replica lacks %v before the restart: %v, %v", p, found, err)
+		}
+	}
+
+	// 3. The primary dies without saving and restarts from the older
+	// snapshot on the same addresses, then takes more fresh inserts than
+	// the replica has applied records.
+	fd.refuse.Store(true)
+	httpAddr := pA.url[len("http://"):]
+	streamAddr := pA.streamAddr
+	pA.stop()
+	idxB, err := rsmi.LoadSharded(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatalf("LoadSharded: %v", err)
+	}
+	pB := startReplPrimary(t, idxB, httpAddr, streamAddr, opLogCap)
+	if pB.repl.Epoch() == epochA {
+		t.Fatal("restarted primary reused the old epoch")
+	}
+	for pB.repl.LastSeq() <= target+10 {
+		if err := pB.repl.Engine().InsertContext(ctx, geom.Pt(rng.Float64(), rng.Float64())); err != nil {
+			t.Fatalf("insert: %v", err)
+		}
+	}
+	fd.refuse.Store(false)
+
+	// 4. The replica resyncs, and answers as the restarted primary does:
+	// the lost inserts are gone from both, the lost deletes' points back.
+	targetB := pB.repl.LastSeq()
+	waitRepl(t, rep, "re-bootstrapped from the restarted primary", func() bool {
+		return rep.Resyncs() >= 1 && rep.stats().Epoch == pB.repl.Epoch() && rep.AppliedSeq() >= targetB
+	})
+	assertEnginesAnswerEqual(t, pB.idx, rep.Engine(), pts)
+	for name, e := range map[string]Engine{"primary": pB.idx, "replica": rep.Engine()} {
+		for _, p := range lostInserts {
+			if found, err := e.PointQueryContext(ctx, p); err != nil || found {
+				t.Fatalf("%s still holds lost insert %v: %v, %v", name, p, found, err)
+			}
+		}
+		for _, p := range lostDeletes {
+			if found, err := e.PointQueryContext(ctx, p); err != nil || !found {
+				t.Fatalf("%s lacks %v, whose delete was lost: %v, %v", name, p, found, err)
+			}
+		}
+	}
+}
+
 // TestReplicaProtocolEquivalence is the cross-replica acceptance gate:
 // after catch-up, the primary and a replica must answer window, kNN, and
 // batch queries identically over HTTP JSON, HTTP binary, and the TCP
 // stream — six client views of one logical data set.
 func TestReplicaProtocolEquivalence(t *testing.T) {
 	eng, pts := testEngine(t)
-	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", 0)
+	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
 	rep := startReplica(t, p, fastReplicaOptions())
 
 	rng := rand.New(rand.NewSource(31))
@@ -543,7 +642,7 @@ func TestReplicaProtocolEquivalence(t *testing.T) {
 // hand-set feed bookkeeping: caught-up is exactly 0, and a lagging
 // replica's LagSeconds is the primary-clock distance plus local wait.
 func TestReplicaLagAccounting(t *testing.T) {
-	r := NewReplica("127.0.0.1:1", ReplicaOptions{Timeout: time.Second})
+	r := newReplica("127.0.0.1:1", replicaOptions{timeout: time.Second})
 
 	// Caught up: both lags are exactly zero whatever the clocks say.
 	r.applied.Store(10)
@@ -584,7 +683,7 @@ func TestReplicaLagAccounting(t *testing.T) {
 // replica's /metrics page reports the zero lag gauges.
 func TestReplicationLagTelemetryEndToEnd(t *testing.T) {
 	eng, pts := testEngine(t)
-	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", 0)
+	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
 	rng := rand.New(rand.NewSource(7))
 	applyMixedWrites(t, p.repl.Engine(), rng, 300, pts)
 
@@ -658,9 +757,9 @@ func TestReplicaFeedAllocFollowsBytes(t *testing.T) {
 		primary.Read(hs[:]) // the handshake frame, in the replica's one write
 		primary.Write([]byte{0, 0, 0, 0x40})
 	}()
-	rep := NewReplica("127.0.0.1:1", ReplicaOptions{
-		ReadTimeout: 10 * time.Second,
-		Dial:        func(string) (net.Conn, error) { return replica, nil },
+	rep := newReplica("127.0.0.1:1", replicaOptions{
+		readTimeout: 10 * time.Second,
+		dial:        func(string) (net.Conn, error) { return replica, nil },
 	})
 	defer rep.Stop()
 	var before, after runtime.MemStats
@@ -686,10 +785,10 @@ func FuzzReplFeed(f *testing.F) {
 	pts := dataset.Generate(dataset.Uniform, 200, 7)
 	fresh := func() *shard.Sharded {
 		return shard.New(pts, shard.Options{Shards: 2, Index: core.Options{
-			BlockCapacity: 20, PartitionThreshold: 100, Epochs: 2, LearningRate: 0.1, Seed: 1,
+			BlockCapacity: 20, PartitionThreshold: 100, Epochs: 2, Seed: 1,
 		}})
 	}
-	rep := NewReplica("127.0.0.1:1", ReplicaOptions{})
+	rep := NewReplica("127.0.0.1:1")
 	f.Cleanup(rep.Stop)
 	rep.cur.Store(fresh())
 	var tapped uint64
@@ -721,7 +820,7 @@ func FuzzReplFeed(f *testing.F) {
 // insert waits while a snapshot holds the gate; a read does not.
 func TestPrimaryViewGatesWritesOnly(t *testing.T) {
 	idx, pts := testEngine(t)
-	repl := NewReplicator(idx, 0)
+	repl := NewReplicator(idx)
 	s := New(Config{Engine: repl.Engine(), Replicator: repl})
 	defer s.Shutdown(context.Background())
 	if s.subs == nil {

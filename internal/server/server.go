@@ -113,18 +113,6 @@ type Config struct {
 	// requests are still honoured, every other request pays one nil
 	// check.
 	Observer *obs.Observer
-	// ReadyMaxLag is the /readyz threshold on a replica: the replica
-	// reports ready only while primarySeq - appliedSeq <= ReadyMaxLag
-	// (default 1024). Primaries and standalone servers are always ready.
-	ReadyMaxLag uint64
-	// SubOutbox caps each stream connection's standing-query notification
-	// outbox (default 256). A subscriber that stops reading fills it and
-	// loses notifications under drop-and-mark semantics — the write path
-	// is never blocked by a slow consumer.
-	SubOutbox int
-	// DisableSubs turns the standing-query layer off even when the
-	// engine could support it; SUB frames then answer 501.
-	DisableSubs bool
 	// EnablePprof registers net/http/pprof under /debug/pprof/ on this
 	// server's mux. Off by default: profiling endpoints leak heap and
 	// symbol contents, so exposure is an explicit operator decision
@@ -136,9 +124,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 1024
-	}
-	if c.ReadyMaxLag == 0 {
-		c.ReadyMaxLag = 1024
 	}
 	return c
 }
@@ -199,12 +184,14 @@ type Server struct {
 	streamFrames, streamFlushes, streamTakeovers atomic.Int64
 
 	// Standing-query state (subserve.go): the subscription registry (nil
-	// when the engine has no write hooks or Config.DisableSubs is set),
-	// its write-tap removal, the per-connection id source, and the
+	// when the engine has no write hooks), its write-tap removal, the
+	// per-connection id source, each connection's outbox capacity
+	// (defaultSubOutbox; tests set it before serving), and the
 	// matcher-to-wire notify latency histogram.
 	subs          *sub.Registry
 	subRemove     func()
 	subConnID     atomic.Uint64
+	subOutbox     int
 	subNotifyHist histogram
 }
 
@@ -222,10 +209,9 @@ func New(cfg Config) *Server {
 		sem:         make(chan struct{}, cfg.MaxInFlight),
 		streamConns: make(map[net.Conn]struct{}),
 		streamStop:  make(chan struct{}),
+		subOutbox:   defaultSubOutbox,
 	}
-	if !cfg.DisableSubs {
-		s.initSubs()
-	}
+	s.initSubs()
 	for i := range wire.NumRoutes {
 		s.mux.HandleFunc(wire.Lookup(i).Path, s.handleRoute(wire.Lookup(i)))
 	}
@@ -287,11 +273,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// TriggerRebuild starts a rolling rebuild on a background goroutine; it
+// triggerRebuild starts a rolling rebuild on a background goroutine; it
 // reports false if one is already running. Sharded engines keep serving
 // during the rebuild (one shard rebuilds at a time); Shutdown waits for a
 // running rebuild before returning.
-func (s *Server) TriggerRebuild() bool {
+func (s *Server) triggerRebuild() bool {
 	if !s.rebuildRunning.CompareAndSwap(false, true) {
 		return false
 	}

@@ -28,7 +28,6 @@ func testEngine(t testing.TB) (*shard.Sharded, []geom.Point) {
 			BlockCapacity:      50,
 			PartitionThreshold: 500,
 			Epochs:             10,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})
@@ -57,8 +56,8 @@ func TestEndToEnd(t *testing.T) {
 	eng, pts := testEngine(t)
 	_, cl := startTestServer(t, Config{Engine: eng})
 
-	if err := cl.Health(); err != nil {
-		t.Fatalf("Health: %v", err)
+	if err := cl.get("/healthz", nil); err != nil {
+		t.Fatalf("GET /healthz: %v", err)
 	}
 
 	// Point queries: hit and miss.

@@ -28,7 +28,13 @@ import (
 // listener, returning the HTTP base URL and the stream address.
 func startStreamServer(t *testing.T, cfg Config) (*Server, string, string) {
 	t.Helper()
-	s := New(cfg)
+	return serveStreamServer(t, New(cfg))
+}
+
+// serveStreamServer serves s as startStreamServer does, for tests that
+// set an unexported field of s before it serves.
+func serveStreamServer(t *testing.T, s *Server) (*Server, string, string) {
+	t.Helper()
 	hs := httptest.NewServer(s.Handler())
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -899,7 +905,7 @@ func TestStreamPeerNotReading(t *testing.T) {
 // the handshake naming an epoch the primary is not in).
 func TestStreamHandshakeBehindFrames(t *testing.T) {
 	eng, pts := testEngine(t)
-	repl := NewReplicator(eng, 0)
+	repl := NewReplicator(eng)
 	s := New(Config{Engine: repl.Engine(), Replicator: repl})
 	defer s.Shutdown(context.Background())
 	client, _, _ := servePipe(t, s)
@@ -938,7 +944,7 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 // resync frame.
 func TestStreamHandshakeAfterHandedOffFrame(t *testing.T) {
 	eng, pts := testEngine(t)
-	repl := NewReplicator(eng, 0)
+	repl := NewReplicator(eng)
 	blocking := &blockingEngine{Engine: repl.Engine(), gate: make(chan struct{})}
 	s := New(Config{Engine: blocking, Replicator: repl})
 	defer s.Shutdown(context.Background())

@@ -211,11 +211,6 @@ func TestSubscribeValidationErrors(t *testing.T) {
 	_, _, noHookAddr := startStreamServer(t, Config{Engine: struct{ Engine }{eng}})
 	c2, br2 := dial(noHookAddr)
 	wantStatus(c2, br2, frame(1, window), 501)
-
-	// DisableSubs forces the same refusal on a capable engine.
-	_, _, offAddr := startStreamServer(t, Config{Engine: eng, DisableSubs: true})
-	c3, br3 := dial(offAddr)
-	wantStatus(c3, br3, frame(1, window), 501)
 }
 
 // TestSubscribeSlowConsumer pins the back-pressure contract end to end:
@@ -224,7 +219,9 @@ func TestSubscribeValidationErrors(t *testing.T) {
 // subscribers on other connections.
 func TestSubscribeSlowConsumer(t *testing.T) {
 	eng, _ := testEngine(t)
-	s, _, streamAddr := startStreamServer(t, Config{Engine: eng, SubOutbox: 64})
+	s := New(Config{Engine: eng})
+	s.subOutbox = 64
+	_, _, streamAddr := serveStreamServer(t, s)
 
 	// The slow consumer: subscribes to everything over a raw connection
 	// with a tiny receive buffer, then never reads again.
@@ -409,9 +406,15 @@ func TestStandingQueryAcceptance(t *testing.T) {
 		side     = 0.02
 	)
 	eng, _ := testEngine(t)
-	_, _, streamAddr := startStreamServer(t, Config{Engine: eng, SubOutbox: 1 << 15})
+	// Both ends buffer the whole notification stream (about 2 000), so a
+	// scheduler stall of the server's pusher or of the drain goroutine
+	// below can delay a notification but never drop one.
+	s := New(Config{Engine: eng})
+	s.subOutbox = 1 << 15
+	_, _, streamAddr := serveStreamServer(t, s)
 
 	cl := NewClient(streamAddr, WithTransport(TransportTCP))
+	cl.subNotes = 1 << 15
 	defer cl.Close()
 	ctx := context.Background()
 

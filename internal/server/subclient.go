@@ -23,7 +23,7 @@ import (
 const subRedialDelay = 200 * time.Millisecond
 
 // subNotesBuf sizes the client-side notification buffer handed to the
-// application. Like the server's per-connection outbox, it never
+// application (Client.subNotes). Like the server's per-connection outbox, it never
 // blocks: an application that stops draining loses notifications under
 // drop-and-mark semantics.
 const subNotesBuf = 1024
@@ -50,11 +50,11 @@ type subClient struct {
 	wg     sync.WaitGroup
 }
 
-func newSubClient(addr string, timeout time.Duration) *subClient {
+func newSubClient(addr string, timeout time.Duration, notes int) *subClient {
 	s := &subClient{
 		addr:    addr,
 		timeout: timeout,
-		notes:   make(chan wire.Notification, subNotesBuf),
+		notes:   make(chan wire.Notification, notes),
 		specs:   make(map[uint64]wire.BatchOp),
 		missed:  make(map[uint64]bool),
 		wake:    make(chan struct{}, 1),
@@ -274,7 +274,7 @@ func (c *Client) subscriptions() (*subClient, error) {
 	c.subMu.Lock()
 	defer c.subMu.Unlock()
 	if c.subc == nil {
-		c.subc = newSubClient(c.stream.addr, c.stream.timeout)
+		c.subc = newSubClient(c.stream.addr, c.stream.timeout, c.subNotes)
 	}
 	return c.subc, nil
 }

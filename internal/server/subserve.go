@@ -19,7 +19,7 @@ package server
 //     back on, so there is nothing for HTTP to subscribe.
 //
 //   - Matches are fanned out per connection: the registry hands
-//     notifications to a bounded outbox (sub.ChanSink, Config.SubOutbox)
+//     notifications to a bounded outbox (sub.ChanSink, defaultSubOutbox)
 //     that a per-connection pusher goroutine drains into id-0 push
 //     frames (stream.go). A subscriber that stops reading fills its
 //     outbox and loses notifications — drop-and-mark, never blocking
@@ -43,8 +43,10 @@ import (
 // one frame, not one write per notification.
 const subPushBatchMax = 128
 
-// defaultSubOutbox is the per-connection notification outbox capacity
-// when Config.SubOutbox is unset.
+// defaultSubOutbox is each stream connection's notification outbox
+// capacity. A subscriber that stops reading fills it and loses
+// notifications under drop-and-mark semantics: the write path is never
+// blocked by a slow consumer.
 const defaultSubOutbox = 256
 
 // hookAdder is the write-tap surface the registry needs from an engine,
@@ -145,11 +147,7 @@ func (c *connSubs) sink() sub.Sink {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.started {
-		size := c.s.cfg.SubOutbox
-		if size <= 0 {
-			size = defaultSubOutbox
-		}
-		c.ch = make(chan sub.Notification, size)
+		c.ch = make(chan sub.Notification, c.s.subOutbox)
 		c.stop = make(chan struct{})
 		c.started = true
 		c.wg.Add(1)

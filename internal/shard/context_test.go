@@ -29,7 +29,6 @@ func buildCtx(t *testing.T, shards int) (*Sharded, []geom.Point) {
 			BlockCapacity:      25,
 			PartitionThreshold: 100,
 			Epochs:             5,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})
@@ -109,7 +108,7 @@ func TestDeadlineExceededFansOutNothing(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 1200, 19)
 	for _, workers := range []int{0, 1} {
 		s := New(pts, Options{Shards: 4, Workers: workers, Index: core.Options{
-			BlockCapacity: 25, PartitionThreshold: 100, Epochs: 5, LearningRate: 0.1, Seed: 1,
+			BlockCapacity: 25, PartitionThreshold: 100, Epochs: 5, Seed: 1,
 		}})
 		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 		defer cancel()

@@ -76,7 +76,6 @@ func TestWriteHook(t *testing.T) {
 			BlockCapacity:      50,
 			PartitionThreshold: 200,
 			Epochs:             5,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})
@@ -131,7 +130,6 @@ func TestAddWriteHookFanIn(t *testing.T) {
 			BlockCapacity:      50,
 			PartitionThreshold: 200,
 			Epochs:             5,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})

@@ -70,7 +70,8 @@ type Options struct {
 	// window or a batch fanned out to; no cell of the benchmark ledger
 	// showed that fan-out winning (shard.window_shards_visited reads
 	// 1.007–1.014), so every query now runs on its caller's goroutine. The
-	// field stays because benchmark/workload.go sets it; nothing reads it.
+	// field stays because benchmark/workload.go sets it (ROADMAP item 1);
+	// nothing reads it.
 	Workers int
 	// Index configures each shard's RSMI; the zero value selects the
 	// paper's defaults, as in core.Options.

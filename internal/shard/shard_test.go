@@ -242,7 +242,7 @@ func TestShardedParallelMixed(t *testing.T) {
 
 func TestShardedDefaults(t *testing.T) {
 	pts := dataset.Generate(dataset.Uniform, 600, 18)
-	s := New(pts, Options{Index: core.Options{Epochs: 5, LearningRate: 0.1, Seed: 1, BlockCapacity: 50, PartitionThreshold: 500}})
+	s := New(pts, Options{Index: core.Options{Epochs: 5, Seed: 1, BlockCapacity: 50, PartitionThreshold: 500}})
 	if s.NumShards() != runtime.GOMAXPROCS(0) {
 		t.Fatalf("NumShards = %d, want GOMAXPROCS = %d", s.NumShards(), runtime.GOMAXPROCS(0))
 	}

@@ -26,7 +26,7 @@ func roundtripEngines(t *testing.T) ([]rsmi.Engine, []geom.Point) {
 	engines := []rsmi.Engine{
 		rsmi.NewSharded(pts, rsmi.ShardOptions{
 			Shards: 2,
-			Index:  rsmi.Options{Epochs: 10, LearningRate: 0.1, Seed: 1, PartitionThreshold: 800, BlockCapacity: 50},
+			Index:  rsmi.Options{Epochs: 10, Seed: 1, PartitionThreshold: 800, BlockCapacity: 50},
 		}),
 	}
 	for _, name := range []string{"rstar", "grid", "kdb"} {

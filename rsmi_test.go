@@ -24,7 +24,6 @@ func TestPublicAPILifecycle(t *testing.T) {
 		BlockCapacity:      50,
 		PartitionThreshold: 1000,
 		Epochs:             20,
-		LearningRate:       0.1,
 		Seed:               1,
 	})
 	if idx.Len() != 3000 {
@@ -82,7 +81,7 @@ func TestSaveLoadThroughFacade(t *testing.T) {
 	pts := dataset.Generate(dataset.Normal, 1500, 2)
 	idx := rsmi.New(pts, rsmi.Options{
 		BlockCapacity: 50, PartitionThreshold: 800,
-		Epochs: 15, LearningRate: 0.1, Seed: 1,
+		Epochs: 15, Seed: 1,
 	})
 	var buf bytes.Buffer
 	if _, err := idx.WriteTo(&buf); err != nil {

@@ -20,7 +20,6 @@ func buildSharded(t testing.TB, shards int) (*rsmi.Sharded, []rsmi.Point) {
 			BlockCapacity:      50,
 			PartitionThreshold: 1000,
 			Epochs:             15,
-			LearningRate:       0.1,
 			Seed:               1,
 		},
 	})
