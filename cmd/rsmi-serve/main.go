@@ -28,7 +28,7 @@
 //	rsmi-serve -max-inflight 512
 //	rsmi-serve -addr :8080 -stream-addr :8081 -stream-request-timeout 5s
 //	rsmi-serve -addr :8080 -stream-addr :8081              # primary
-//	rsmi-serve -addr :8082 -replica-of 127.0.0.1:8080      # replica
+//	rsmi-serve -addr :8082 -replica-of 127.0.0.1:8081      # replica
 //	rsmi-serve -engine planner -dist skewed -n 100000      # cost-based router
 //	rsmi-serve -trace-sample 100 -slow-query 50ms -pprof   # observability
 //
@@ -64,17 +64,19 @@
 // # Replication
 //
 // A sharded primary is always replicable: it taps every applied write
-// into a sequenced oplog (the last 65 536 records; a replica further
-// behind re-bootstraps) and serves /v1/replica/info and
-// /v1/replica/snapshot; the oplog feed itself rides the -stream-addr
-// listener, so a primary that should accept replicas must serve the
-// stream transport. A server started with -replica-of bootstraps from
-// the primary's snapshot, follows its oplog (reconnecting, and
-// re-bootstrapping after a primary restart), serves reads locally on
-// every transport, and forwards writes to the primary. Reads on a
-// replica may lag the primary briefly; see internal/server/replica.go
-// for the exact guarantees. Point rsmi-loadgen at several replicas with
-// a comma-separated -addr list to hedge reads across them.
+// into a sequenced oplog (the last 65 536 records) and serves replicas on
+// its -stream-addr listener, so a primary that should accept replicas
+// must serve the stream transport. -replica-of names that listener: a
+// replica's whole link — the snapshot it loads, the oplog it follows and
+// the writes it forwards — rides one connection pool to that one
+// address. A replica too far behind, or following a primary that
+// restarted, is sent a fresh snapshot on the same feed. A replica
+// serves reads locally on every transport and forwards writes to the
+// primary; POST /v1/rebuild goes to the primary (a replica answers 501
+// and replays the primary's rebuilds). Reads on a replica may lag the
+// primary briefly; see internal/server/replica.go for the exact
+// guarantees. Point rsmi-loadgen at several replicas with a
+// comma-separated -addr list to hedge reads across them.
 //
 // # Observability
 //
@@ -129,7 +131,7 @@ func main() {
 		shards      = flag.Int("shards", 0, "shard count for -engine sharded (default GOMAXPROCS; 1 is one lock over one RSMI)")
 		maxInflight = flag.Int("max-inflight", 1024, "admitted in-flight requests before 429 shedding")
 		snapshot    = flag.String("snapshot", "", "index snapshot, -engine sharded only: load if present, else build and save")
-		replicaOf   = flag.String("replica-of", "", "primary HTTP address to replicate; this server bootstraps from its snapshot, follows its oplog, serves reads locally, and forwards writes")
+		replicaOf   = flag.String("replica-of", "", "the primary's -stream-addr to replicate; this server loads its snapshot and follows its oplog from there, serves reads locally, and forwards writes there")
 		traceSample = flag.Int("trace-sample", 0, "trace one in N requests into /v1/stats stage timings (0 = only explicit EXPLAIN requests)")
 		slowQuery   = flag.Duration("slow-query", 0, "log requests slower than this as JSON lines on stderr; forces tracing of every request (0 disables)")
 		pprofFlag   = flag.Bool("pprof", false, "serve net/http/pprof under /debug/pprof/ (exposes heap and symbol contents)")
@@ -146,9 +148,10 @@ func main() {
 		err        error
 	)
 	if *replicaOf != "" {
-		// Replica role: no local build — bootstrap from the primary's
-		// snapshot, then follow its oplog. The primary may still be
-		// starting (or building), so bootstrapping retries patiently.
+		// Replica role: no local build — load the primary's snapshot from
+		// its feed, then follow its oplog. The primary may still be
+		// starting (or building): the feed redials until it answers, or
+		// until SIGINT/SIGTERM.
 		flag.Visit(func(f *flag.Flag) {
 			switch f.Name {
 			case "engine", "dataset", "dist", "n", "seed", "shards", "snapshot":
@@ -156,21 +159,13 @@ func main() {
 			}
 		})
 		rep = server.NewReplica(*replicaOf)
-		log.Printf("replica of %s: bootstrapping", *replicaOf)
-		for attempt := 1; ; attempt++ {
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			err = rep.Bootstrap(ctx)
-			cancel()
-			if err == nil {
-				break
-			}
-			if attempt >= 120 {
-				log.Fatalf("bootstrap: %v (giving up after %d attempts)", err, attempt)
-			}
-			log.Printf("bootstrap: %v (retrying)", err)
-			time.Sleep(time.Second)
+		log.Printf("replica of %s: waiting for its snapshot", *replicaOf)
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		err = rep.Start(ctx)
+		stop()
+		if err != nil {
+			log.Fatalf("replica of %s: %v", *replicaOf, err)
 		}
-		rep.Start()
 		eng = rep.Engine()
 	} else {
 		warnIgnoredFlags(*engine)

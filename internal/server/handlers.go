@@ -126,26 +126,28 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 // logs honest.
 const statusClientClosedRequest = 499
 
-// engineErrorCode maps an engine execution error to an HTTP status:
-// a forwarded write that failed on the primary keeps the primary's
-// status (*wire.StatusError, replica role), a SQL parse error is the
-// client's fault (400), deadline-exceeded means the server ran out of
-// time (504), cancellation means the client went away (499), anything
-// else is a server fault.
-func engineErrorCode(err error) int {
+// engineError maps an engine execution error to an HTTP status and the
+// message to send with it: an error that already carries a status
+// (*wire.StatusError — a forwarded write the primary refused, a SUB on a
+// backend without write hooks) keeps its code and bare message, so the
+// client's own StatusError does not wrap its text a second time; a SQL
+// parse error is the client's fault (400), deadline-exceeded means the
+// server ran out of time (504), cancellation means the client went away
+// (499), anything else is a server fault.
+func engineError(err error) (code int, msg string) {
 	var se *wire.StatusError
 	var pe *sqlfe.ParseError
 	switch {
 	case errors.As(err, &se):
-		return se.Code
+		return se.Code, se.Msg
 	case errors.As(err, &pe):
-		return http.StatusBadRequest
+		return http.StatusBadRequest, err.Error()
 	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
+		return http.StatusGatewayTimeout, err.Error()
 	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
+		return statusClientClosedRequest, err.Error()
 	default:
-		return http.StatusInternalServerError
+		return http.StatusInternalServerError, err.Error()
 	}
 }
 
@@ -197,6 +199,10 @@ func (s *Server) executeSQL(ctx context.Context, q plan.Query, tr *obs.Trace) (p
 func (s *Server) handleRebuild(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
+		return
+	}
+	if s.cfg.Replica != nil {
+		writeError(w, errReplicaRebuild.Code, errReplicaRebuild.Msg)
 		return
 	}
 	if !s.triggerRebuild() {
@@ -267,10 +273,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 const readyMaxLag = 1024
 
 // handleReady answers /readyz. A primary or standalone server is ready
-// as soon as it serves; a replica is ready only when it is bootstrapped,
-// connected to its feed, and its applied sequence is within readyMaxLag
-// of the primary's — a freshly (re)bootstrapping or badly lagging
-// replica answers 503 so load balancers route around it while /healthz
+// as soon as it serves; a replica is ready only when its first snapshot
+// serves, it is connected to its feed, and its applied sequence is within
+// readyMaxLag of the primary's — a replica still waiting for its snapshot
+// or badly lagging answers 503 so load balancers route around it while /healthz
 // keeps reporting the process alive.
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	if rep := s.cfg.Replica; rep != nil {

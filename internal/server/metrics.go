@@ -204,7 +204,7 @@ func (s *Server) writeMetrics(b *bytes.Buffer) {
 	promBool(b, "rsmi_replication_connected", "", rs.Connected)
 	promHead(b, "rsmi_replication_followers", "gauge", "Replicas currently attached to this primary's oplog feed.")
 	promInt(b, "rsmi_replication_followers", "", rs.Followers)
-	promHead(b, "rsmi_replication_resyncs_total", "counter", "Full re-bootstraps this replica has performed.")
+	promHead(b, "rsmi_replication_resyncs_total", "counter", "Snapshots this replica loaded after its first (resyncs).")
 	promInt(b, "rsmi_replication_resyncs_total", "", rs.Resyncs)
 	promHead(b, "rsmi_oplog_capacity", "gauge", "Oplog retention capacity in records (primary).")
 	promInt(b, "rsmi_oplog_capacity", "", oplogCap)

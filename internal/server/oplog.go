@@ -7,15 +7,15 @@ package server
 // apply records in order and track exactly one integer of progress.
 //
 // The ring retains the most recent opLogCap records. A replica
-// asking for a sequence that has fallen out of retention gets a resync
-// frame and re-bootstraps from a fresh snapshot; retention is a
+// asking for a sequence that has fallen out of retention is sent a
+// fresh snapshot on its feed instead (a resync); retention is a
 // catch-up window, not durability (the snapshot is the durable form).
 //
 // Each log carries an epoch drawn at random per process start. A
 // primary that restarts — even from the same snapshot — starts a new
 // epoch with sequence numbers from 1, so a replica resuming with
 // sequence numbers from the previous life cannot silently mis-apply;
-// the epoch mismatch forces a re-bootstrap.
+// the epoch mismatch forces a resync.
 
 import (
 	"crypto/rand"

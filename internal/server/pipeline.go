@@ -141,7 +141,7 @@ func (s *Server) pipeline(ctx context.Context, x exchange, t transportIdx, tr *o
 	}
 	tr.AddAccesses(s.accessesIf(tr) - before)
 	if err != nil {
-		x.fail(engineErrorCode(err), err.Error())
+		x.fail(engineError(err))
 		return tr
 	}
 	var enc time.Time

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"rsmi"
 	"rsmi/internal/geom"
 	"rsmi/internal/obs"
 	"rsmi/internal/wire"
@@ -392,4 +393,63 @@ func TestPipelineRejectsAlike(t *testing.T) {
 	if got := status(2, "/v1/batch", false, []BatchOp{sub}, "", nil); got != http.StatusOK {
 		t.Errorf("single-op sub frame over rsmistream: status %d, want 200", got)
 	}
+}
+
+// refuseWrites is an engine whose inserts fail.
+type refuseWrites struct{ Engine }
+
+func (refuseWrites) InsertContext(context.Context, geom.Point) error {
+	return errors.New("writes refused")
+}
+
+// TestStatusTextOnce: an engine error that already carries a status — a
+// SUB against a backend without write hooks, a one-op /v1/batch carrying
+// sql, a write the primary refused and a replica forwarded — reaches the
+// client with its code and its bare message, so the client's error text
+// carries one status prefix, not two.
+func TestStatusTextOnce(t *testing.T) {
+	ctx := context.Background()
+	eng, pts := testEngine(t)
+	check := func(t *testing.T, err error, code int, msg string) {
+		t.Helper()
+		var se *wire.StatusError
+		if !errors.As(err, &se) || se.Code != code || se.Msg != msg {
+			t.Fatalf("error %v, want status %d %q", err, code, msg)
+		}
+		if n := strings.Count(err.Error(), "server: status"); n != 1 {
+			t.Fatalf("error text %q carries %d status prefixes, want 1", err.Error(), n)
+		}
+	}
+
+	t.Run("sub-without-hooks", func(t *testing.T) {
+		rstar, err := rsmi.NewBaselineEngine("rstar", pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, streamAddr := startStreamServer(t, Config{Engine: rstar})
+		cl := NewClient(streamAddr, WithTransport(TransportTCP))
+		defer cl.Close()
+		err = cl.SubscribeWindow(ctx, 1, geom.Rect{MaxX: 1, MaxY: 1})
+		check(t, err, http.StatusNotImplemented, "standing queries are not supported by this server's engine")
+	})
+
+	t.Run("batch-sql", func(t *testing.T) {
+		_, httpURL, _ := startStreamServer(t, Config{Engine: eng})
+		_, err := NewClient(httpURL).Batch(ctx, []BatchOp{{Op: wire.OpSQL, SQL: "SELECT * FROM points WHERE ST_Within(pt, BOX(0, 0, 1, 1))"}})
+		check(t, err, http.StatusBadRequest, "sql is not served by /v1/batch; use /v1/sql")
+	})
+
+	t.Run("forwarded-write", func(t *testing.T) {
+		idx, _ := testEngine(t)
+		repl := NewReplicator(idx)
+		_, _, primaryStream := serveStreamServer(t, New(Config{Engine: refuseWrites{repl.Engine()}, Replicator: repl}))
+		rep := newReplica(primaryStream, fastReplicaOptions())
+		t.Cleanup(rep.Stop)
+		if err := rep.Start(ctx); err != nil {
+			t.Fatal(err)
+		}
+		_, repURL, _ := startStreamServer(t, Config{Engine: rep.Engine(), Replica: rep})
+		err := NewClient(repURL).Insert(ctx, geom.Pt(0.5, 0.5))
+		check(t, err, http.StatusInternalServerError, "writes refused")
+	})
 }

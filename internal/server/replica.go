@@ -1,15 +1,15 @@
 package server
 
-// Replica side of the replica-set serving tier. A replica:
+// Replica side of the replica-set serving tier. A replica reaches its
+// primary on one address, the primary's rsmistream listener, and:
 //
-//  1. bootstraps by downloading the primary's stamped snapshot
-//     (GET /v1/replica/snapshot) and loading it into a sharded engine;
-//  2. catches up and stays current by following the primary's oplog
-//     feed over the rsmistream listener (replication.go), applying
-//     records in sequence to its local engine;
-//  3. serves reads locally through Engine() — the same rsmi.Engine
+//  1. follows the replication feed there (replication.go): the first
+//     frames are the primary's stamped snapshot, which it loads into a
+//     sharded engine, then oplog records, which it applies in sequence;
+//  2. serves reads locally through Engine() — the same rsmi.Engine
 //     surface the primary serves, so a replica answers every endpoint
-//     on every transport — and forwards writes to the primary.
+//     on every transport — and forwards writes to the primary over a
+//     stream client to the same address.
 //
 // # Consistency
 //
@@ -24,22 +24,21 @@ package server
 //
 // # Failure handling
 //
-// The follow loop reconnects with backoff on any feed failure. A resync
-// frame — epoch mismatch after a primary restart, or falling out of
-// oplog retention — triggers a full re-bootstrap: the replica keeps
-// serving its stale engine while the new snapshot downloads, then
-// atomically swaps it in.
+// The follow loop reconnects with backoff on any feed failure, and
+// resumes from its applied position. A position the primary cannot
+// serve — an epoch mismatch after a primary restart, or falling out of
+// oplog retention — is answered with a fresh snapshot on the same feed
+// (a resync): the replica keeps serving its stale engine while the
+// chunks arrive, then atomically swaps the new one in.
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,16 +50,12 @@ import (
 	"rsmi/internal/wire"
 )
 
-// errReplResync reports a feed that answered with a resync frame: the
-// replica's position is unservable and it must re-bootstrap.
-var errReplResync = errors.New("repl: primary demands resync")
-
 // replicaOptions are a Replica's timings and its dialer. NewReplica uses
 // the defaults; tests in this package shorten the timings and inject
 // faults through the dialer.
 type replicaOptions struct {
-	// timeout bounds control-plane calls (info, snapshot download) and
-	// forwarded writes (default DefaultTimeout).
+	// timeout bounds the handshake write and forwarded writes (default
+	// DefaultTimeout).
 	timeout time.Duration
 	// reconnectDelay is the pause between feed reconnect attempts
 	// (default 500ms).
@@ -68,7 +63,7 @@ type replicaOptions struct {
 	// readTimeout bounds the silence the replica tolerates on the feed
 	// before treating the link as dead (default 3 heartbeat intervals).
 	readTimeout time.Duration
-	// dial is how the replica reaches the primary's oplog feed (default
+	// dial is how the replica reaches the primary's feed (default
 	// net.Dial("tcp", addr)).
 	dial func(addr string) (net.Conn, error)
 }
@@ -91,14 +86,13 @@ func (o replicaOptions) withDefaults() replicaOptions {
 	return o
 }
 
-// Replica follows a primary. Create with NewReplica, call Bootstrap,
-// then Start; serve Engine() and hand the Replica to Config.Replica so
-// /v1/stats reports replication state. Stop with Stop.
+// Replica follows a primary. Create with NewReplica and call Start;
+// serve Engine() and hand the Replica to Config.Replica so /v1/stats
+// reports replication state. Stop with Stop.
 type Replica struct {
-	primary string // primary HTTP base URL
+	primary string // the primary's rsmistream address
 	opts    replicaOptions
-	fwd     *Client      // forwarded writes (binary HTTP)
-	hc      *http.Client // info + snapshot control plane
+	fwd     *Client // forwarded writes, over the stream transport
 
 	cur        atomic.Pointer[rsmi.Sharded]
 	epoch      atomic.Uint64
@@ -119,31 +113,31 @@ type Replica struct {
 
 	// writeTap, when set, observes every applied oplog record — the
 	// replica-side standing-query feed. Unlike a hook on the engine
-	// itself, the tap survives the atomic engine swap of a re-bootstrap.
+	// itself, the tap survives the atomic engine swap of a resync.
 	writeTap atomic.Pointer[shard.WriteHook]
 
 	// frame is the feed frame applyFrame decodes into, its records'
-	// storage kept from frame to frame. The follow goroutine owns it.
+	// storage kept from frame to frame; snap gathers the chunks of a
+	// snapshot run until its final one. The follow goroutine owns both.
 	frame wire.FeedFrame
+	snap  []byte
 
-	mu         sync.Mutex
-	streamAddr string
-
+	// ready is closed once the first snapshot serves.
+	ready    chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
 	// lifeCtx is the replica's lifecycle context: every context the
-	// follow loop needs (bootstrap retries, replayed rebuilds, applied
-	// writes) derives from it, so Stop cancels in-flight work instead
-	// of waiting out its timeouts.
+	// follow loop needs (replayed rebuilds, applied writes) derives from
+	// it, so Stop cancels in-flight work instead of waiting out its
+	// timeouts.
 	lifeCtx    context.Context
 	lifeCancel context.CancelFunc
 }
 
-// NewReplica returns a replica of the primary serving HTTP at addr
-// ("host:port" or a full http:// URL). It performs no I/O; call
-// Bootstrap.
+// NewReplica returns a replica of the primary whose rsmistream listener
+// is at addr ("host:port"). It performs no I/O; call Start.
 func NewReplica(addr string) *Replica {
 	return newReplica(addr, replicaOptions{})
 }
@@ -152,19 +146,15 @@ func NewReplica(addr string) *Replica {
 // for tests.
 func newReplica(addr string, o replicaOptions) *Replica {
 	o = o.withDefaults()
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
-	addr = strings.TrimRight(addr, "/")
-	// The replica's lifecycle root: background work (bootstrap retries,
-	// oplog application) outlives any one request.
+	// The replica's lifecycle root: background work (oplog application)
+	// outlives any one request.
 	//rsmi:allow ctxflow -- lifecycle root, cancelled by Stop rather than a caller's ctx
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Replica{
 		primary:    addr,
 		opts:       o,
-		fwd:        NewClient(addr, WithProto(ProtoBinary), WithTimeout(o.timeout)),
-		hc:         &http.Client{Timeout: o.timeout},
+		fwd:        NewClient(addr, WithTransport(TransportTCP), WithTimeout(o.timeout)),
+		ready:      make(chan struct{}),
 		stop:       make(chan struct{}),
 		lifeCtx:    ctx,
 		lifeCancel: cancel,
@@ -194,7 +184,7 @@ func (r *Replica) AppliedSeq() uint64 { return r.applied.Load() }
 // Connected reports whether the oplog feed is currently live.
 func (r *Replica) Connected() bool { return r.connected.Load() }
 
-// Resyncs reports how many times the replica had to re-bootstrap.
+// Resyncs reports how many snapshots the replica loaded after its first.
 func (r *Replica) Resyncs() int64 { return r.resyncs.Load() }
 
 // LagSeq reports how many oplog sequences the replica is behind the
@@ -275,112 +265,22 @@ func (r *Replica) stats() *wire.ReplicationStats {
 	}
 }
 
-// Bootstrap downloads and loads the primary's snapshot, recording the
-// epoch and sequence it reflects. The previous engine (if any) keeps
-// serving until the swap.
-func (r *Replica) Bootstrap(ctx context.Context) error {
-	info, err := r.fetchInfo(ctx)
-	if err != nil {
-		return err
-	}
-	if info.StreamAddr == "" {
-		return errors.New("repl: primary serves no rsmistream listener")
-	}
-	r.mu.Lock()
-	r.streamAddr = resolveStreamAddr(r.primary, info.StreamAddr)
-	r.mu.Unlock()
-
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.primary+"/v1/replica/snapshot", nil)
-	if err != nil {
-		return fmt.Errorf("repl: %w", err)
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("repl: snapshot: %w", err)
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("repl: snapshot: status %d", resp.StatusCode)
-	}
-	epoch, err := strconv.ParseUint(resp.Header.Get(headerReplEpoch), 10, 64)
-	if err != nil {
-		return fmt.Errorf("repl: snapshot: bad epoch header: %w", err)
-	}
-	seq, err := strconv.ParseUint(resp.Header.Get(headerReplSeq), 10, 64)
-	if err != nil {
-		return fmt.Errorf("repl: snapshot: bad seq header: %w", err)
-	}
-	idx, err := rsmi.LoadSharded(resp.Body)
-	if err != nil {
-		return fmt.Errorf("repl: snapshot: %w", err)
-	}
-	r.cur.Store(idx)
-	r.epoch.Store(epoch)
-	r.applied.Store(seq)
-	if seq > r.primarySeq.Load() {
-		r.primarySeq.Store(seq)
-	}
-	return nil
-}
-
-func (r *Replica) fetchInfo(ctx context.Context) (wire.ReplicaInfo, error) {
-	var info wire.ReplicaInfo
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.primary+"/v1/replica/info", nil)
-	if err != nil {
-		return info, fmt.Errorf("repl: %w", err)
-	}
-	resp, err := r.hc.Do(req)
-	if err != nil {
-		return info, fmt.Errorf("repl: info: %w", err)
-	}
-	err = handleResponse(resp, jsonInto(&info))
-	if err != nil {
-		return info, fmt.Errorf("repl: info: %w", err)
-	}
-	return info, nil
-}
-
-// resolveStreamAddr combines the primary's advertised stream address
-// with its known HTTP host: a listener bound to a wildcard address
-// ("[::]:9001", "0.0.0.0:9001", ":9001") advertises an unconnectable
-// host, so the replica substitutes the host it already reaches the
-// primary's HTTP on.
-func resolveStreamAddr(httpBase, streamAddr string) string {
-	host, port, err := net.SplitHostPort(streamAddr)
-	if err != nil {
-		return streamAddr
-	}
-	if host != "" && host != "::" && host != "0.0.0.0" {
-		return streamAddr
-	}
-	base := httpBase
-	if i := strings.Index(base, "://"); i >= 0 {
-		base = base[i+3:]
-	}
-	if i := strings.IndexByte(base, '/'); i >= 0 {
-		base = base[:i]
-	}
-	if h, _, err := net.SplitHostPort(base); err == nil && h != "" {
-		host = h
-	} else if base != "" {
-		host = base
-	} else {
-		host = "127.0.0.1"
-	}
-	return net.JoinHostPort(host, port)
-}
-
-// Start launches the follow loop. Bootstrap must have succeeded first.
-func (r *Replica) Start() {
+// Start launches the follow loop and returns once the primary's first
+// snapshot serves, or with ctx's error when ctx ends first (the loop
+// keeps trying until Stop).
+func (r *Replica) Start(ctx context.Context) error {
 	r.wg.Add(1)
 	go r.run()
+	select {
+	case <-r.ready:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
-// Stop terminates the follow loop, cancels in-flight bootstrap and
-// apply work, and releases the forwarding client.
+// Stop terminates the follow loop, cancels in-flight apply work, and
+// releases the forwarding client.
 func (r *Replica) Stop() {
 	r.stopOnce.Do(func() {
 		r.lifeCancel()
@@ -388,43 +288,13 @@ func (r *Replica) Stop() {
 	})
 	r.wg.Wait()
 	r.fwd.Close()
-	r.hc.CloseIdleConnections()
 }
 
-func (r *Replica) stopped() bool {
-	select {
-	case <-r.stop:
-		return true
-	default:
-		return false
-	}
-}
-
-// run follows the feed forever: reconnect on failure, re-bootstrap on
-// resync, until Stop.
+// run follows the feed until Stop, reconnecting after every failure.
 func (r *Replica) run() {
 	defer r.wg.Done()
 	for {
-		err := r.follow()
-		r.connected.Store(false)
-		if r.stopped() {
-			return
-		}
-		if errors.Is(err, errReplResync) {
-			r.resyncs.Add(1)
-			for !r.stopped() {
-				ctx, cancel := context.WithTimeout(r.lifeCtx, r.opts.timeout)
-				err := r.Bootstrap(ctx)
-				cancel()
-				if err == nil {
-					break
-				}
-				if !r.sleep(r.opts.reconnectDelay) {
-					return
-				}
-			}
-			continue
-		}
+		r.follow()
 		if !r.sleep(r.opts.reconnectDelay) {
 			return
 		}
@@ -444,13 +314,10 @@ func (r *Replica) sleep(d time.Duration) bool {
 }
 
 // follow runs one feed connection: dial, handshake at applied+1, apply
-// pushed frames in sequence until the link dies, the primary demands a
-// resync, or Stop.
+// pushed frames in sequence until the link dies or Stop.
 func (r *Replica) follow() error {
-	r.mu.Lock()
-	addr := r.streamAddr
-	r.mu.Unlock()
-	conn, err := r.opts.dial(addr)
+	r.snap = nil // a run cut with the last connection starts over
+	conn, err := r.opts.dial(r.primary)
 	if err != nil {
 		return err
 	}
@@ -493,21 +360,25 @@ func (r *Replica) follow() error {
 }
 
 // applyFrame applies one pushed feed frame: a malformed frame applies
-// nothing, and an ops frame's records apply one sequence at a time.
+// nothing, a snapshot chunk swaps the engine once its run is whole and
+// loads, and an ops frame's records apply one sequence at a time.
 func (r *Replica) applyFrame(payload []byte) error {
 	f := &r.frame
 	if err := f.Decode(payload); err != nil {
 		return err
 	}
 	switch f.Type {
-	case wire.FeedResync:
-		return errReplResync
+	case wire.FeedSnapshot:
+		return r.applySnapshotChunk(f)
 	case wire.FeedHeartbeat:
 		r.primarySeq.Store(f.LastSeq)
 		r.observeClock(f.Clock)
 		return nil
 	case wire.FeedOps:
 		idx := r.cur.Load()
+		if idx == nil {
+			return errors.New("repl: ops before the first snapshot")
+		}
 		for _, rec := range f.Recs {
 			if rec.Seq != r.applied.Load()+1 {
 				return fmt.Errorf("repl: feed gap: got seq %d, want %d", rec.Seq, r.applied.Load()+1)
@@ -546,8 +417,39 @@ func (r *Replica) applyFrame(payload []byte) error {
 	return nil
 }
 
+// applySnapshotChunk gathers one chunk of a snapshot run. The final chunk
+// loads the whole run and swaps it in with the epoch and sequence it
+// reflects; a run that grows past streamMaxResponseFrame, or that
+// LoadSharded refuses, fails the feed and swaps nothing.
+func (r *Replica) applySnapshotChunk(f *wire.FeedFrame) error {
+	if len(r.snap)+len(f.Chunk) > streamMaxResponseFrame {
+		r.snap = nil
+		return errors.New("repl: snapshot larger than a response frame may be")
+	}
+	r.snap = append(r.snap, f.Chunk...)
+	if !f.Final {
+		return nil
+	}
+	idx, err := rsmi.LoadSharded(bytes.NewReader(r.snap))
+	r.snap = nil
+	if err != nil {
+		return fmt.Errorf("repl: snapshot: %w", err)
+	}
+	first := r.cur.Load() == nil
+	r.cur.Store(idx)
+	r.epoch.Store(f.Epoch)
+	r.applied.Store(f.LastSeq)
+	r.primarySeq.Store(f.LastSeq)
+	if first {
+		close(r.ready)
+	} else {
+		r.resyncs.Add(1)
+	}
+	return nil
+}
+
 // replicaEngine is the replica's rsmi.Engine view: reads answered by
-// the local engine (atomically swappable across re-bootstraps), writes
+// the local engine (atomically swappable across resyncs), writes
 // forwarded to the primary. Forwarded errors keep their primary status
 // code (*wire.StatusError), which errorCode maps back onto the replica's
 // own response.
@@ -603,10 +505,16 @@ func (e replicaEngine) DeleteContext(ctx context.Context, p geom.Point) (bool, e
 	return e.r.fwd.Delete(ctx, p)
 }
 
-func (e replicaEngine) RebuildContext(ctx context.Context) error {
-	// Forward: the primary rebuilds and the rebuild record reaches every
-	// replica through the oplog.
-	return e.r.fwd.Rebuild(ctx)
+// RebuildContext refuses: a replica replays its primary's rebuilds from
+// the oplog, and the stream transport carries no rebuild request.
+func (e replicaEngine) RebuildContext(context.Context) error {
+	return errReplicaRebuild
+}
+
+// errReplicaRebuild answers a rebuild asked of a replica.
+var errReplicaRebuild = &wire.StatusError{
+	Code: http.StatusNotImplemented,
+	Msg:  "a replica replays its primary's rebuilds: POST /v1/rebuild to the primary",
 }
 
 func (e replicaEngine) Len() int          { return e.idx().Len() }

@@ -2,18 +2,15 @@ package server
 
 // Primary side of the replica-set serving tier. A primary wraps its
 // sharded engine in a Replicator, which taps every applied write
-// through the shard write hook into the sequenced oplog (oplog.go) and
-// serves two control surfaces:
-//
-//   - GET /v1/replica/info      epoch, retained seq range, stream addr
-//   - GET /v1/replica/snapshot  the sharded snapshot (WriteTo bytes),
-//     stamped with the epoch and the exact sequence it reflects
-//
-// plus the oplog feed itself, which rides the existing rsmistream TCP
-// listener: a replica's first frame is a replication handshake
-// (distinguishable from every rsmibin request; internal/wire's feed.go
-// holds the bytes), after which the connection is dedicated to pushed
-// feed frames (ops batches, heartbeats, resync).
+// through the shard write hook into the sequenced oplog (oplog.go). A
+// replica's whole link rides the existing rsmistream TCP listener: its
+// first frame is a replication handshake (distinguishable from every
+// rsmibin request; internal/wire's feed.go holds the bytes), after which
+// the connection is dedicated to pushed feed frames — snapshot chunks,
+// ops batches and heartbeats. A position the oplog cannot serve (first
+// contact, another epoch, or a sequence past retention) is answered with
+// the stamped snapshot, and the feed continues from the sequence it
+// reflects: bootstrap and resync are one path.
 //
 // # Snapshot consistency
 //
@@ -36,8 +33,6 @@ import (
 	"bytes"
 	"context"
 	"net"
-	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,18 +48,16 @@ const (
 	replBatchMax = 4096
 	// replHeartbeatEvery is the idle-feed heartbeat period.
 	replHeartbeatEvery = 2 * time.Second
-)
-
-// Snapshot response headers stamping epoch and reflected sequence.
-const (
-	headerReplEpoch = "X-Rsmi-Replication-Epoch"
-	headerReplSeq   = "X-Rsmi-Replication-Seq"
+	// replSnapshotChunk bounds the snapshot bytes one feed frame carries,
+	// so each frame arrives well inside the replica's read deadline
+	// (3 heartbeats) even for an index of hundreds of megabytes.
+	replSnapshotChunk = 1 << 20
 )
 
 // Replicator makes a sharded engine a replication primary. Create with
 // NewReplicator, serve Engine() (the write-gated view), and hand the
-// Replicator to Config.Replicator so the server exposes the control
-// endpoints and oplog feed.
+// Replicator to Config.Replicator so the server's stream listener serves
+// replicas.
 type Replicator struct {
 	idx  *rsmi.Sharded
 	log  *opLog
@@ -152,53 +145,6 @@ func (g gatedEngine) DeleteContext(ctx context.Context, p geom.Point) (bool, err
 	return g.Sharded.DeleteContext(ctx, p)
 }
 
-// handleReplicaInfo answers GET /v1/replica/info.
-func (s *Server) handleReplicaInfo(w http.ResponseWriter, req *http.Request) {
-	r := s.cfg.Replicator
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	writeJSON(w, wire.ReplicaInfo{
-		Epoch:      r.log.epoch,
-		FirstSeq:   r.log.firstSeq(),
-		LastSeq:    r.log.lastSeq(),
-		StreamAddr: s.streamAddr(),
-	})
-}
-
-// handleReplicaSnapshot answers GET /v1/replica/snapshot with the
-// stamped snapshot bytes.
-func (s *Server) handleReplicaSnapshot(w http.ResponseWriter, req *http.Request) {
-	r := s.cfg.Replicator
-	if req.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	epoch, seq, data, err := r.Snapshot()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(headerReplEpoch, strconv.FormatUint(epoch, 10))
-	w.Header().Set(headerReplSeq, strconv.FormatUint(seq, 10))
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
-}
-
-// streamAddr reports the first live rsmistream listener's address ("" if
-// the stream transport is not serving), so /v1/replica/info can point
-// replicas at the oplog feed.
-func (s *Server) streamAddr() string {
-	s.streamMu.Lock()
-	defer s.streamMu.Unlock()
-	if len(s.streamLs) > 0 {
-		return s.streamLs[0].Addr().String()
-	}
-	return ""
-}
-
 // writeReplFrame writes one frame onto a feed connection — the replica's
 // handshake, or a frame the primary pushes — bounded by timeout. fill
 // appends the frame, opened by wire.OpenFrame or wire.OpenStreamFrame, to
@@ -216,11 +162,33 @@ func writeReplFrame(conn net.Conn, timeout time.Duration, fill func([]byte) []by
 	return err
 }
 
-// serveReplFeed runs the dedicated oplog feed on a stream connection
-// whose first frame was a replication handshake. It returns when the
-// replica disconnects, a write fails, the position becomes unservable
-// (after a resync frame), or the server shuts down; the caller closes
-// the connection.
+// writeSnapshot sends r's stamped snapshot as a run of chunk frames and
+// reports the sequence it reflects.
+func (r *Replicator) writeSnapshot(conn net.Conn) (uint64, error) {
+	epoch, seq, data, err := r.Snapshot()
+	if err != nil {
+		return 0, err
+	}
+	for final := false; !final; {
+		chunk := data[:min(len(data), replSnapshotChunk)]
+		data = data[len(chunk):]
+		final = len(data) == 0
+		err := writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
+			return wire.AppendFeedSnapshot(wire.OpenFrame(b), epoch, seq, final, chunk)
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	return seq, nil
+}
+
+// serveReplFeed runs the dedicated replication feed on a stream
+// connection whose first frame was a replication handshake. A position
+// the oplog cannot serve is answered with the snapshot, then ops follow
+// from the sequence it reflects. It returns when the replica disconnects,
+// a write fails, or the server shuts down; the caller closes the
+// connection.
 func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 	r := s.cfg.Replicator
 	if r == nil {
@@ -243,23 +211,21 @@ func (s *Server) serveReplFeed(conn net.Conn, payload []byte) {
 		close(closed)
 	}()
 
-	resync := func() {
-		_ = writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {
-			return wire.AppendFeedResync(wire.OpenFrame(b), r.log.epoch)
-		})
-	}
-	if epoch != r.log.epoch {
-		resync()
-		return
-	}
 	recsBuf := make([]wire.FeedRecord, 0, replBatchMax)
 	heartbeat := time.NewTimer(replHeartbeatEvery)
 	defer heartbeat.Stop()
+	unservable := epoch != r.log.epoch
 	for {
+		if unservable {
+			seq, err := r.writeSnapshot(conn)
+			if err != nil {
+				return
+			}
+			from = seq + 1
+		}
 		recs, updated, ok := r.log.readFrom(recsBuf, from)
-		if !ok {
-			resync()
-			return
+		if unservable = !ok; unservable {
+			continue
 		}
 		if len(recs) > 0 {
 			err := writeReplFrame(conn, streamWriteTimeout, func(b []byte) []byte {

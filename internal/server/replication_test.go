@@ -6,7 +6,8 @@ package server
 //
 //   - faultDialer, the replica dialer (replicaOptions.dial) that can hand the replica
 //     a connection with a byte budget (severed mid-stream once spent) or
-//     refuse to dial at all (a partitioned feed);
+//     refuse to dial at all (a partitioned feed). The replica's snapshot
+//     rides the feed too, so both faults reach its bootstrap;
 //   - real listener teardown and rebinding, for primary-restart runs.
 //
 // Every scenario ends the same way: the replica must converge to a state
@@ -72,14 +73,6 @@ func startReplPrimary(t *testing.T, idx *rsmi.Sharded, httpAddr, streamAddr stri
 		url:        "http://" + httpL.Addr().String(),
 		streamAddr: streamL.Addr().String(),
 	}
-	// Bootstrap needs /v1/replica/info to advertise the feed listener.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.streamAddr() == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("stream listener never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	t.Cleanup(p.stop)
 	return p
 }
@@ -122,17 +115,17 @@ func fastReplicaOptions() replicaOptions {
 	}
 }
 
-// startReplica bootstraps and starts a replica of the primary.
+// startReplica starts a replica of the primary and waits until its first
+// snapshot serves.
 func startReplica(t *testing.T, p *replPrimary, o replicaOptions) *Replica {
 	t.Helper()
-	rep := newReplica(p.url, o)
+	rep := newReplica(p.streamAddr, o)
+	t.Cleanup(rep.Stop)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := rep.Bootstrap(ctx); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
+	if err := rep.Start(ctx); err != nil {
+		t.Fatalf("Start: %v", err)
 	}
-	rep.Start()
-	t.Cleanup(rep.Stop)
 	return rep
 }
 
@@ -241,6 +234,7 @@ type faultDialer struct {
 	mu      sync.Mutex
 	dials   int
 	budgets []int64
+	conns   []net.Conn
 	refuse  atomic.Bool
 }
 
@@ -253,19 +247,31 @@ func (d *faultDialer) dial(addr string) (net.Conn, error) {
 		return nil, err
 	}
 	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.refuse.Load() { // partitioned while dialing
+		conn.Close()
+		return nil, errors.New("faultdialer: partitioned")
+	}
 	i := d.dials
 	d.dials++
-	budget := int64(-1)
-	if i < len(d.budgets) {
-		budget = d.budgets[i]
-	}
-	d.mu.Unlock()
-	if budget >= 0 {
+	d.conns = append(d.conns, conn)
+	if i < len(d.budgets) && d.budgets[i] >= 0 {
 		fc := &faultConn{Conn: conn}
-		fc.budget.Store(budget)
+		fc.budget.Store(d.budgets[i])
 		return fc, nil
 	}
 	return conn, nil
+}
+
+// partition refuses further dials and severs every connection dialed so
+// far: a replica already following is cut off its feed.
+func (d *faultDialer) partition() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.refuse.Store(true)
+	for _, c := range d.conns {
+		c.Close()
+	}
 }
 
 func (d *faultDialer) dialCount() int {
@@ -275,8 +281,8 @@ func (d *faultDialer) dialCount() int {
 }
 
 // TestReplicaLagCatchup: writes land on the primary both before the
-// replica bootstraps and while it is not yet following; once started,
-// the replica drains the backlog and converges to answer-identical
+// replica starts and while it is cut off its feed; once the feed is
+// back, the replica drains the backlog and converges to answer-identical
 // state, and a write forwarded through the replica round-trips back via
 // the feed.
 func TestReplicaLagCatchup(t *testing.T) {
@@ -285,22 +291,20 @@ func TestReplicaLagCatchup(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	applyMixedWrites(t, p.repl.Engine(), rng, 250, pts)
 
-	rep := newReplica(p.url, fastReplicaOptions())
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := rep.Bootstrap(ctx); err != nil {
-		t.Fatalf("Bootstrap: %v", err)
-	}
-	t.Cleanup(rep.Stop)
+	fd := &faultDialer{}
+	o := fastReplicaOptions()
+	o.dial = fd.dial
+	rep := startReplica(t, p, o)
+	fd.partition()
 
 	// The replica lags: the primary keeps applying writes while the
-	// replica is not following yet.
+	// replica is not following.
 	applyMixedWrites(t, p.repl.Engine(), rng, 800, pts)
 	if rep.AppliedSeq() >= p.repl.LastSeq() {
 		t.Fatalf("replica not lagging: applied %d, primary %d", rep.AppliedSeq(), p.repl.LastSeq())
 	}
 
-	rep.Start()
+	fd.refuse.Store(false)
 	target := p.repl.LastSeq()
 	waitRepl(t, rep, "caught up", func() bool { return rep.AppliedSeq() >= target })
 	assertEnginesAnswerEqual(t, p.idx, rep.Engine(), pts)
@@ -330,9 +334,13 @@ func TestReplicaReconnectMidCatchup(t *testing.T) {
 	eng, pts := testEngine(t)
 	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
 
-	// First feed connection dies after 8 KiB — mid-stream, well inside
-	// the ~60 KiB the catch-up below ships.
-	fd := &faultDialer{budgets: []int64{8 << 10}}
+	// First feed connection dies 8 KiB past the snapshot it opens with —
+	// mid-stream, well inside the ~60 KiB the catch-up below ships.
+	_, _, snap, err := p.repl.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	fd := &faultDialer{budgets: []int64{int64(len(snap)) + 8<<10}}
 	o := fastReplicaOptions()
 	o.dial = fd.dial
 	rep := startReplica(t, p, o)
@@ -353,20 +361,20 @@ func TestReplicaReconnectMidCatchup(t *testing.T) {
 
 // TestReplicaOutOfRetentionResync partitions the feed until the
 // replica's position falls out of the primary's (tiny) oplog ring; on
-// reconnect the primary demands a resync and the replica re-bootstraps
-// from a fresh snapshot, still converging.
+// reconnect the primary answers with a fresh snapshot (a resync) and the
+// replica, still converging, loads it.
 func TestReplicaOutOfRetentionResync(t *testing.T) {
 	eng, pts := testEngine(t)
 	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", 64)
 
 	fd := &faultDialer{}
-	fd.refuse.Store(true) // partitioned from the start
 	o := fastReplicaOptions()
 	o.dial = fd.dial
 	rep := startReplica(t, p, o)
+	fd.partition() // partitioned once its first snapshot serves
 
 	// 500 writes against 64 records of retention: the replica's position
-	// is gone before it ever connects.
+	// is gone before it connects again.
 	rng := rand.New(rand.NewSource(13))
 	applyMixedWrites(t, p.repl.Engine(), rng, 500, pts)
 	fd.refuse.Store(false)
@@ -380,8 +388,9 @@ func TestReplicaOutOfRetentionResync(t *testing.T) {
 
 // TestPrimaryRestartFromSnapshot restarts the primary from its own
 // snapshot on the same addresses — a new process life with a new epoch.
-// The replica's stale-epoch handshake draws a resync, it re-bootstraps
-// against the reborn primary, and converges on its post-restart writes.
+// The replica's stale-epoch handshake draws the reborn primary's
+// snapshot (a resync), and the replica converges on its post-restart
+// writes.
 func TestPrimaryRestartFromSnapshot(t *testing.T) {
 	eng, pts := testEngine(t)
 	pA := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
@@ -426,8 +435,8 @@ func TestPrimaryRestartFromSnapshot(t *testing.T) {
 // TestReplicaDropsWritesLostByPrimaryRestart is what kill -9 leaves: the
 // primary restarts from a snapshot older than writes the replica has
 // already applied. Those writes are lost on the primary, and the replica
-// must lose them too — a resync re-bootstraps it from the reborn primary
-// instead of keeping its newer, now divergent, state. The replica is cut
+// must lose them too — a resync reloads it from the reborn primary's
+// snapshot instead of keeping its newer, now divergent, state. The replica is cut
 // off its feed until the reborn primary's oplog has passed the replica's
 // old position, so only the epoch tells the two lives apart.
 func TestReplicaDropsWritesLostByPrimaryRestart(t *testing.T) {
@@ -520,6 +529,124 @@ func TestReplicaDropsWritesLostByPrimaryRestart(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestReplicaSnapshotCutMidRun severs the first feed connection in the
+// middle of a snapshot run of two chunks, after the whole first chunk: the
+// replica must drop the part it gathered, dial again, load a whole
+// snapshot (its first: no resync), and converge.
+func TestReplicaSnapshotCutMidRun(t *testing.T) {
+	pts := dataset.Generate(dataset.Uniform, 80000, 17)
+	p := startReplPrimary(t, rsmi.NewSharded(pts, rsmi.ShardOptions{Shards: 2}), "127.0.0.1:0", "127.0.0.1:0", opLogCap)
+	_, _, snap, err := p.repl.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if len(snap) <= replSnapshotChunk || len(snap) > 2*replSnapshotChunk {
+		t.Fatalf("snapshot of %d bytes is not a run of two chunks", len(snap))
+	}
+	fd := &faultDialer{budgets: []int64{int64(replSnapshotChunk + (len(snap)-replSnapshotChunk)/2)}}
+	o := fastReplicaOptions()
+	o.dial = fd.dial
+	rep := startReplica(t, p, o)
+	if n := fd.dialCount(); n != 2 {
+		t.Fatalf("dials = %d, want 2: one cut mid-run, one whole snapshot", n)
+	}
+	if rep.Resyncs() != 0 {
+		t.Fatalf("a cut first snapshot counted %d resyncs", rep.Resyncs())
+	}
+	applyMixedWrites(t, p.repl.Engine(), rand.New(rand.NewSource(3)), 200, pts)
+	target := p.repl.LastSeq()
+	waitRepl(t, rep, "caught up after the cut", func() bool { return rep.AppliedSeq() >= target })
+	assertEnginesAnswerEqual(t, p.idx, rep.Engine(), pts)
+}
+
+// TestReplicaStartWaitsForPrimary: while the primary refuses connections,
+// Start does not return; once the refusal lifts it returns with the
+// primary's snapshot serving. A Start whose ctx ends first returns the
+// ctx's error.
+func TestReplicaStartWaitsForPrimary(t *testing.T) {
+	eng, pts := testEngine(t)
+	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
+	fd := &faultDialer{}
+	fd.refuse.Store(true)
+	o := fastReplicaOptions()
+	o.dial = fd.dial
+
+	early := newReplica(p.streamAddr, o)
+	t.Cleanup(early.Stop)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := early.Start(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Start against a refusing primary past its ctx: %v, want %v", err, context.DeadlineExceeded)
+	}
+
+	rep := newReplica(p.streamAddr, o)
+	t.Cleanup(rep.Stop)
+	started := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		started <- rep.Start(ctx)
+	}()
+	select {
+	case err := <-started:
+		t.Fatalf("Start returned (%v) while the primary refused connections", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	fd.refuse.Store(false)
+	if err := <-started; err != nil {
+		t.Fatalf("Start after the refusal lifted: %v", err)
+	}
+	if rep.stats().Epoch != p.repl.Epoch() {
+		t.Fatalf("replica epoch %d, primary %d", rep.stats().Epoch, p.repl.Epoch())
+	}
+	assertEnginesAnswerEqual(t, p.idx, rep.Engine(), pts)
+}
+
+// TestReplicaRefusedSnapshotSwapsNothing: a snapshot run whose bytes
+// LoadSharded refuses fails the feed and leaves the engine, the epoch and
+// the applied sequence as they were.
+func TestReplicaRefusedSnapshotSwapsNothing(t *testing.T) {
+	eng, pts := testEngine(t)
+	repl := NewReplicator(eng)
+	applyMixedWrites(t, repl.Engine(), rand.New(rand.NewSource(5)), 50, pts)
+	epoch, seq, snap, err := repl.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	replica, primary := net.Pipe()
+	rep := newReplica("127.0.0.1:1", replicaOptions{
+		readTimeout: 10 * time.Second,
+		dial:        func(string) (net.Conn, error) { return replica, nil },
+	})
+	defer rep.Stop()
+	if err := rep.applyFrame(wire.AppendFeedSnapshot(nil, epoch, seq, true, snap)); err != nil {
+		t.Fatalf("a whole snapshot: %v", err)
+	}
+	cur := rep.cur.Load()
+
+	// A later life's run, cut short: two chunks holding half the bytes.
+	go func() {
+		defer primary.Close()
+		var hs [64]byte
+		primary.Read(hs[:])
+		var b []byte
+		for i, chunk := range [][]byte{snap[:len(snap)/4], snap[len(snap)/4 : len(snap)/2]} {
+			start := len(b)
+			b = wire.AppendFeedSnapshot(wire.OpenFrame(b), epoch+1, seq+100, i == 1, chunk)
+			wire.CloseFrame(b, start)
+		}
+		primary.Write(b)
+	}()
+	if err := rep.follow(); err == nil {
+		t.Fatal("follow took a snapshot LoadSharded refuses")
+	}
+	if rep.cur.Load() != cur || rep.stats().Epoch != epoch || rep.AppliedSeq() != seq || rep.Resyncs() != 0 {
+		t.Fatalf("a refused snapshot moved the replica: swapped %v, epoch %d (want %d), applied %d (want %d), resyncs %d",
+			rep.cur.Load() != cur, rep.stats().Epoch, epoch, rep.AppliedSeq(), seq, rep.Resyncs())
+	}
+	assertEnginesAnswerEqual(t, eng, rep.Engine(), pts)
 }
 
 // TestReplicaProtocolEquivalence is the cross-replica acceptance gate:
@@ -746,41 +873,69 @@ func TestReplicationLagTelemetryEndToEnd(t *testing.T) {
 }
 
 // TestReplicaFeedAllocFollowsBytes is TestStreamFrameAllocFollowsBytes for
-// the oplog feed: a primary that answers the handshake with a 4-byte length
-// claiming 1 GiB and then hangs up must fail follow having allocated about
-// one read buffer, not the claim.
+// the replication feed. A primary that answers the handshake with a 4-byte
+// length claiming 1 GiB and then hangs up must fail follow having
+// allocated about one read buffer, not the claim. A primary that sends
+// 64 KiB of snapshot chunks, no final one among them, and then hangs up
+// must fail it having allocated about what the chunks hold: the run
+// grows as chunks arrive.
 func TestReplicaFeedAllocFollowsBytes(t *testing.T) {
-	replica, primary := net.Pipe()
-	go func() {
-		defer primary.Close()
-		var hs [64]byte
-		primary.Read(hs[:]) // the handshake frame, in the replica's one write
-		primary.Write([]byte{0, 0, 0, 0x40})
-	}()
-	rep := newReplica("127.0.0.1:1", replicaOptions{
-		readTimeout: 10 * time.Second,
-		dial:        func(string) (net.Conn, error) { return replica, nil },
-	})
-	defer rep.Stop()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := rep.follow()
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("follow returned nil on a frame claiming 1 GiB and delivering nothing")
+	var chunks []byte
+	for range 16 {
+		start := len(chunks)
+		chunks = wire.AppendFeedSnapshot(wire.OpenFrame(chunks), 7, 9, false, make([]byte, 4<<10))
+		wire.CloseFrame(chunks, start)
 	}
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(wire.ReadChunk+32<<10); got >= limit {
-		t.Fatalf("a 4-byte feed frame made the replica allocate %d bytes, want < %d", got, limit)
+	for _, tc := range []struct {
+		name     string
+		send     []byte
+		gathered int // snapshot bytes the replica holds when the feed ends
+		limit    uint64
+	}{
+		{"claimed-length", []byte{0, 0, 0, 0x40}, 0, wire.ReadChunk + 32<<10},
+		{"snapshot-chunks", chunks, 64 << 10, wire.ReadChunk + 32<<10 + 4*(64<<10)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			replica, primary := net.Pipe()
+			go func() {
+				defer primary.Close()
+				var hs [64]byte
+				primary.Read(hs[:]) // the handshake frame, in the replica's one write
+				primary.Write(tc.send)
+			}()
+			rep := newReplica("127.0.0.1:1", replicaOptions{
+				readTimeout: 10 * time.Second,
+				dial:        func(string) (net.Conn, error) { return replica, nil },
+			})
+			defer rep.Stop()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := rep.follow()
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Fatal("follow returned nil on a feed that hung up")
+			}
+			if len(rep.snap) != tc.gathered {
+				t.Fatalf("the replica gathered %d snapshot bytes, want %d", len(rep.snap), tc.gathered)
+			}
+			if got := after.TotalAlloc - before.TotalAlloc; got >= tc.limit {
+				t.Fatalf("the feed made the replica allocate %d bytes, want < %d", got, tc.limit)
+			}
+		})
 	}
 }
 
-// FuzzReplFeed feeds arbitrary bytes to both readers of the oplog feed: the
-// primary's handshake decoder, and the replica's frame applier over a small
-// live index. Neither may panic; an accepted handshake re-encodes to the
-// same position; and applyFrame moves the replica's position only by
-// applying records one sequence at a time, whatever error it ends with.
-// The committed corpus holds an ops frame, a heartbeat, a resync, a
-// truncated record and a sequence gap.
+// FuzzReplFeed feeds arbitrary bytes to both readers of the replication
+// feed: the primary's handshake decoder, and the replica's frame applier
+// over a small live index. Neither may panic; an accepted handshake
+// re-encodes to the same position; applyFrame moves the replica's
+// position only by applying records one sequence at a time, whatever
+// error it ends with; and a snapshot swaps the engine only when it loads,
+// setting the epoch and sequence it names — a refused one swaps nothing.
+// The committed corpus holds an ops frame, a heartbeat, a truncated
+// record, a sequence gap, a whole snapshot in one final chunk, a
+// truncated chunk, a snapshot LoadSharded refuses, and a version-2 resync
+// frame (resync), which the version-3 feed refuses.
 func FuzzReplFeed(f *testing.F) {
 	pts := dataset.Generate(dataset.Uniform, 200, 7)
 	fresh := func() *shard.Sharded {
@@ -806,8 +961,22 @@ func FuzzReplFeed(f *testing.F) {
 			rep.cur.Store(fresh()) // inserts accumulate across inputs
 		}
 		rep.applied.Store(0)
+		rep.snap = nil
 		tapped = 0
+		cur, epoch := rep.cur.Load(), rep.epoch.Load()
 		err := rep.applyFrame(data)
+		if rep.cur.Load() != cur {
+			f := &rep.frame
+			if err != nil || f.Type != wire.FeedSnapshot || !f.Final ||
+				rep.epoch.Load() != f.Epoch || rep.applied.Load() != f.LastSeq || tapped != 0 {
+				t.Fatalf("swapped the engine: err %v, frame type %d, epoch %d (frame %d), applied %d (frame %d), %d tapped",
+					err, f.Type, rep.epoch.Load(), f.Epoch, rep.applied.Load(), f.LastSeq, tapped)
+			}
+			return
+		}
+		if rep.epoch.Load() != epoch {
+			t.Fatalf("epoch moved %d → %d without a swap (err %v)", epoch, rep.epoch.Load(), err)
+		}
 		if got := rep.applied.Load(); got != tapped {
 			t.Fatalf("applied seq %d after %d applied records (err %v)", got, tapped, err)
 		}
@@ -848,5 +1017,33 @@ func TestPrimaryViewGatesWritesOnly(t *testing.T) {
 	}
 	if idx.Len() != before+1 || repl.LastSeq() != 1 {
 		t.Fatalf("after the insert: %d points (want %d), oplog at %d (want 1)", idx.Len(), before+1, repl.LastSeq())
+	}
+}
+
+// TestReplicationHTTPSurface: replication rides the stream listener
+// alone, so a primary answers 404 on the retired HTTP replication
+// endpoints; and a replica, which replays its primary's rebuilds and has
+// no way to ask for one, answers POST /v1/rebuild with 501.
+func TestReplicationHTTPSurface(t *testing.T) {
+	eng, _ := testEngine(t)
+	p := startReplPrimary(t, eng, "127.0.0.1:0", "127.0.0.1:0", opLogCap)
+	for _, path := range []string{"/v1/replica/info", "/v1/replica/snapshot"} {
+		resp, err := http.Get(p.url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s on a primary = %d, want 404", path, resp.StatusCode)
+		}
+	}
+	rep := startReplica(t, p, fastReplicaOptions())
+	_, repURL, _ := startStreamServer(t, Config{Engine: rep.Engine(), Replica: rep})
+	var se *wire.StatusError
+	if err := NewClient(repURL).Rebuild(context.Background()); !errors.As(err, &se) || se.Code != http.StatusNotImplemented {
+		t.Fatalf("rebuild on a replica: %v, want status 501", err)
+	}
+	if err := rep.Engine().RebuildContext(context.Background()); !errors.As(err, &se) || se.Code != http.StatusNotImplemented {
+		t.Fatalf("a replica engine's rebuild: %v, want status 501", err)
 	}
 }

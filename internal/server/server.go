@@ -101,9 +101,9 @@ type Config struct {
 	// no deadline.
 	StreamRequestTimeout time.Duration
 	// Replicator, when non-nil, makes this server a replication primary:
-	// it exposes /v1/replica/info and /v1/replica/snapshot and serves
-	// the oplog feed to replicas over the rsmistream listener. Engine
-	// should be the Replicator's write-gated view (Replicator.Engine()).
+	// it serves replicas their snapshot and the oplog feed over the
+	// rsmistream listener. Engine should be the Replicator's write-gated
+	// view (Replicator.Engine()).
 	Replicator *Replicator
 	// Replica, when non-nil, marks this server a replica so /v1/stats
 	// reports its replication state. Engine should be Replica.Engine().
@@ -220,10 +220,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
-	if cfg.Replicator != nil {
-		s.mux.HandleFunc("/v1/replica/info", s.handleReplicaInfo)
-		s.mux.HandleFunc("/v1/replica/snapshot", s.handleReplicaSnapshot)
-	}
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -901,8 +901,8 @@ func TestStreamPeerNotReading(t *testing.T) {
 
 // TestStreamHandshakeBehindFrames sends two point queries and a replication
 // handshake in one write. The feed writes to the socket itself, so the two
-// queued answers must be on the wire before its first frame (here a resync,
-// the handshake naming an epoch the primary is not in).
+// queued answers must be on the wire before its first frame (here a
+// snapshot chunk, the handshake naming an epoch the primary is not in).
 func TestStreamHandshakeBehindFrames(t *testing.T) {
 	eng, pts := testEngine(t)
 	repl := NewReplicator(eng)
@@ -932,8 +932,8 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 	if _, err := io.ReadFull(br, frame); err != nil {
 		t.Fatal(err)
 	}
-	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedResync {
-		t.Fatalf("after the answers: % x, want the feed's resync frame", frame)
+	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedSnapshot {
+		t.Fatalf("after the answers: % x, want the feed's snapshot frame", frame)
 	}
 }
 
@@ -941,7 +941,7 @@ func TestStreamHandshakeBehindFrames(t *testing.T) {
 // past the inline budget loses the read loop to a takeover, and the
 // replication handshake read behind it must not overtake its answer.
 // Nothing leaves while the point is held; then its answer, then the feed's
-// resync frame.
+// snapshot frame.
 func TestStreamHandshakeAfterHandedOffFrame(t *testing.T) {
 	eng, pts := testEngine(t)
 	repl := NewReplicator(eng)
@@ -979,8 +979,8 @@ func TestStreamHandshakeAfterHandedOffFrame(t *testing.T) {
 	if _, err := io.ReadFull(br, frame); err != nil {
 		t.Fatal(err)
 	}
-	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedResync {
-		t.Fatalf("after the answer: % x, want the feed's resync frame", frame)
+	if !wire.IsFeedHandshake(frame) || frame[3] != wire.FeedSnapshot {
+		t.Fatalf("after the answer: % x, want the feed's snapshot frame", frame)
 	}
 }
 

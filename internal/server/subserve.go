@@ -63,7 +63,7 @@ func (s *Server) initSubs() {
 	switch {
 	case s.cfg.Replica != nil:
 		// A replica observes writes as applied oplog records; the tap
-		// survives the engine swap of a re-bootstrap.
+		// survives the engine swap of a resync.
 		rep := s.cfg.Replica
 		install = func(h shard.WriteHook) func() {
 			rep.SetWriteTap(h)

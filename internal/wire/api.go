@@ -179,19 +179,9 @@ type coalesceStats struct {
 	Direct   int64   `json:"direct"`
 }
 
-// ReplicaInfo answers GET /v1/replica/info on a replication primary:
-// the oplog epoch, its retained sequence range, and the rsmistream
-// address replicas subscribe to for the feed.
-type ReplicaInfo struct {
-	Epoch      uint64 `json:"epoch"`
-	FirstSeq   uint64 `json:"first_seq"`
-	LastSeq    uint64 `json:"last_seq"`
-	StreamAddr string `json:"stream_addr"`
-}
-
 // ReplicationStats reports replication state in /v1/stats. On a primary
 // it carries the oplog position and live follower count; on a replica,
-// its applied position, feed liveness, and re-bootstrap count.
+// its applied position, feed liveness, and resync count.
 type ReplicationStats struct {
 	Role       string `json:"role"`
 	Epoch      uint64 `json:"epoch"`

@@ -1,23 +1,31 @@
 package wire
 
-// The replication oplog feed. A replica opens it by sending a handshake
-// as its first stream request frame; the primary then dedicates the
-// connection to pushed feed frames, which carry no request id:
+// The replication feed: a replica's whole link to its primary. A replica
+// opens it by sending a handshake as its first stream request frame; the
+// primary then dedicates the connection to pushed feed frames, which
+// carry no request id:
 //
 //	handshake   'R','L', version, uvarint epoch, uvarint from-sequence
 //	ops         'R','L', version, 1, uvarint n, n × record
 //	  record      uvarint seq, kind byte, uvarint at
 //	              [, x f64, y f64 — every kind but rebuild]
-//	resync      'R','L', version, 2, uvarint epoch
+//	snapshot    'R','L', version, 2, uvarint epoch, uvarint seq,
+//	            final byte (0 or 1), chunk bytes to the end
 //	heartbeat   'R','L', version, 3, uvarint last seq, uvarint clock
+//
+// A position the primary cannot serve from its oplog (epoch 0 on first
+// contact, another epoch, or a sequence past retention) is answered with
+// a snapshot: a run of chunk frames, the last one marked final, each
+// naming the epoch and the sequence the whole snapshot reflects. Ops
+// frames then continue from that sequence.
 //
 // Every rsmibin request starts 'R','B', 1, so the stream listener tells a
 // handshake from a request on its first three bytes. Version 2 added the
 // per-record and heartbeat timestamps (the primary's wall clock,
-// UnixNano) so replicas can report lag in seconds. A version-1 peer on
-// either side fails the three-byte handshake match and the replica
-// re-dials until versions agree — mixed versions fail loudly instead of
-// silently mis-decoding timestamped frames.
+// UnixNano) so replicas can report lag in seconds; version 3 carries the
+// snapshot on the feed. A peer of another version on either side fails
+// the three-byte handshake match and the replica re-dials until versions
+// agree: mixed versions fail loudly instead of silently mis-decoding.
 
 import (
 	"errors"
@@ -29,16 +37,15 @@ import (
 const (
 	feedMagic0  byte = 'R'
 	feedMagic1  byte = 'L'
-	feedVersion byte = 2
+	feedVersion byte = 3
 )
 
 // Feed frame types.
 const (
 	// FeedOps carries a batch of sequenced oplog records.
 	FeedOps byte = 1
-	// FeedResync tells the replica its position is unservable (epoch
-	// mismatch or out of retention): re-bootstrap from a snapshot.
-	FeedResync byte = 2
+	// FeedSnapshot carries one chunk of the primary's snapshot.
+	FeedSnapshot byte = 2
 	// FeedHeartbeat carries the primary's last sequence and wall clock
 	// so an idle replica can both detect a dead link and report zero lag.
 	FeedHeartbeat byte = 3
@@ -103,10 +110,17 @@ func AppendFeedOps(b []byte, recs []FeedRecord) []byte {
 	return b
 }
 
-// AppendFeedResync appends a resync frame payload naming the primary's
-// epoch.
-func AppendFeedResync(b []byte, epoch uint64) []byte {
-	return appendUvarint(append(appendFeedHeader(b), FeedResync), epoch)
+// AppendFeedSnapshot appends a snapshot chunk frame payload: the epoch
+// and sequence the snapshot reflects, whether chunk is its last, and
+// chunk itself.
+func AppendFeedSnapshot(b []byte, epoch, seq uint64, final bool, chunk []byte) []byte {
+	b = appendUvarint(appendUvarint(append(appendFeedHeader(b), FeedSnapshot), epoch), seq)
+	if final {
+		b = append(b, 1)
+	} else {
+		b = append(b, 0)
+	}
+	return append(b, chunk...)
 }
 
 // AppendFeedHeartbeat appends a heartbeat frame payload: the primary's
@@ -120,11 +134,17 @@ func AppendFeedHeartbeat(b []byte, last uint64, clock int64) []byte {
 // type carries.
 type FeedFrame struct {
 	Type byte
-	// LastSeq and Clock are a heartbeat's.
+	// LastSeq is a heartbeat's last sequence, or the last sequence a
+	// snapshot reflects. Clock is a heartbeat's.
 	LastSeq uint64
 	Clock   int64
 	// Recs are an ops frame's records; Decode reuses the slice.
 	Recs []FeedRecord
+	// Epoch, Final and Chunk are a snapshot chunk's. Chunk aliases the
+	// decoded payload.
+	Epoch uint64
+	Final bool
+	Chunk []byte
 }
 
 // Decode parses a pushed feed frame payload into f. A malformed frame is
@@ -137,7 +157,17 @@ func (f *FeedFrame) Decode(payload []byte) error {
 	f.Type = payload[3]
 	r := &binReader{data: payload[4:]}
 	switch f.Type {
-	case FeedResync:
+	case FeedSnapshot:
+		f.Epoch = r.uvarint()
+		f.LastSeq = r.uvarint()
+		final := r.byte()
+		if final > 1 {
+			r.fail(errors.New("final flag not 0 or 1"))
+		}
+		if r.err != nil {
+			return fmt.Errorf("repl: bad snapshot chunk: %w", r.err)
+		}
+		f.Final, f.Chunk = final == 1, r.data
 		return nil
 	case FeedHeartbeat:
 		f.LastSeq = r.uvarint()

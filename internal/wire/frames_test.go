@@ -107,12 +107,12 @@ func TestPushFrameGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestReplFeedGoldenBytes pins the oplog feed: the replica's handshake,
-// an ops frame with an insert, a delete and a rebuild record, a
-// heartbeat, and the resync frame the primary sends an unservable
-// position. Each is read back by its decoder.
+// TestReplFeedGoldenBytes pins the replication feed: the replica's
+// handshake, an ops frame with an insert, a delete and a rebuild record,
+// a heartbeat, and the snapshot chunks the primary answers an unservable
+// position with. Each is read back by its decoder.
 func TestReplFeedGoldenBytes(t *testing.T) {
-	const rl = "524c02"               // magic 'R','L', version 2
+	const rl = "524c03"               // magic 'R','L', version 3
 	handshake := rl + "8202" + "ac02" // epoch 258, from 300
 	if got := hex.EncodeToString(AppendFeedHandshake(nil, 258, 300)); got != handshake {
 		t.Fatalf("handshake moved:\n got %s\nwant %s", got, handshake)
@@ -154,16 +154,31 @@ func TestReplFeedGoldenBytes(t *testing.T) {
 		t.Fatalf("heartbeat read as type %d seq %d clock %d, %v", f.Type, f.LastSeq, f.Clock, err)
 	}
 
-	// The resync frame as the primary writes it: the length word (feed
-	// frames carry no request id), then the primary's epoch.
-	const resync = "06000000" + rl + "02" + "8202"
-	frame := AppendFeedResync(OpenFrame(nil), 258)
-	CloseFrame(frame, 0)
-	if got := hex.EncodeToString(frame); got != resync {
-		t.Fatalf("resync frame moved:\n got %s\nwant %s", got, resync)
+	// A snapshot chunk as the primary writes it: the length word (feed
+	// frames carry no request id), the epoch and sequence the snapshot
+	// reflects, the final flag, then the chunk's bytes.
+	for _, tc := range []struct {
+		final bool
+		want  string
+	}{
+		{false, "0c000000" + rl + "02" + "8202" + "ac02" + "00" + "a1b2c3"},
+		{true, "0c000000" + rl + "02" + "8202" + "ac02" + "01" + "a1b2c3"},
+	} {
+		frame := AppendFeedSnapshot(OpenFrame(nil), 258, 300, tc.final, []byte{0xa1, 0xb2, 0xc3})
+		CloseFrame(frame, 0)
+		if got := hex.EncodeToString(frame); got != tc.want {
+			t.Fatalf("snapshot chunk (final %v) moved:\n got %s\nwant %s", tc.final, got, tc.want)
+		}
+		if err := f.Decode(frame[4:]); err != nil || f.Type != FeedSnapshot || f.Epoch != 258 ||
+			f.LastSeq != 300 || f.Final != tc.final || !bytes.Equal(f.Chunk, []byte{0xa1, 0xb2, 0xc3}) {
+			t.Fatalf("snapshot chunk read as %+v, %v", f, err)
+		}
 	}
-	if err := f.Decode(frame[4:]); err != nil || f.Type != FeedResync {
-		t.Fatalf("resync frame read as type %d, %v", f.Type, err)
+	for _, bad := range []string{rl + "02" + "8202" + "ac02", rl + "02" + "8202" + "ac02" + "02"} {
+		raw, _ = hex.DecodeString(bad)
+		if err := f.Decode(raw); err == nil {
+			t.Fatalf("snapshot chunk %s decoded", bad)
+		}
 	}
 }
 
